@@ -45,7 +45,8 @@ DISTENC_THREADS=4 cargo test -q --release --test accuracy_gate --test sketched_e
 # DISTENC_LAYOUT env) must surface as typed errors, never fallbacks.
 # Both thread counts: tile partitioning, like COO blocking, must be
 # bit-invisible. The pass-count gate below separately proves the tiled
-# sweep is still one traversal per kernel (N sweeps per fused iteration).
+# layout adds no traversals (one sweep per fused iteration on one thread,
+# N threaded, N+1 unfused — the same as COO).
 echo "==> DISTENC_THREADS=1 cargo test -q --test layout_equivalence"
 DISTENC_THREADS=1 cargo test -q --test layout_equivalence
 
@@ -90,14 +91,25 @@ DISTENC_THREADS=4 cargo test -q --test serve_slo --test serve_overload
 echo "==> cargo test -q --features alloc-count --test alloc_budget -- --test-threads=1"
 cargo test -q --features alloc-count --test alloc_budget -- --test-threads=1
 
-# The pass-count gate proves the fused schedule sweeps the nonzeros N
-# times per iteration versus N+1 unfused, and that a sketch-phase
-# iteration touches exactly N·samples entries (zero full sweeps) versus
-# the exact tier's N·nnz. Counts tick once per kernel invocation (never
-# per thread/chunk), so this is host-independent; like alloc-count, the
-# instrument stays out of the default feature set.
+# The pass-count gate proves the fused schedule sweeps the nonzeros once
+# per iteration on the sequential host (COO and tiled: the one fused
+# sweep banks every mode's MTTKRP, nnz entries touched), N times where
+# only mode 0 is banked (threaded executors, CSF, DisTenC) and N+1 times
+# unfused, and that a sketch-phase iteration touches exactly N·samples
+# entries (zero full sweeps). Counts tick once per kernel invocation
+# (never per thread/chunk) and the test sets its executors itself, so
+# DISTENC_THREADS does not move them; like alloc-count, the instrument
+# stays out of the default feature set.
 echo "==> cargo test -q --features pass-count --test pass_count"
 cargo test -q --features pass-count --test pass_count
+
+# The benchmark is a workspace of its own with path dependencies on
+# crates/*, so nothing above compiles it: a signature change under
+# crates/ could break it unnoticed. Its smoke run (all three workloads at
+# about 1/20 size, a few seconds) builds it against this tree and checks
+# the pipeline's outputs end to end.
+echo "==> cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings

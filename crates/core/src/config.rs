@@ -180,8 +180,10 @@ pub struct AdmmConfig {
     /// `DISTENC_THREADS` environment variable.
     pub exec: distenc_dataflow::ExecMode,
     /// Fuse the end-of-iteration residual refresh with the *next*
-    /// iteration's mode-0 MTTKRP into a single sweep over the nonzeros
-    /// (N passes per iteration instead of N+1 for an order-N tensor).
+    /// iteration's MTTKRPs into a single sweep over the nonzeros: every
+    /// mode's on the sequential host (one pass per iteration instead of
+    /// N+1 for an order-N tensor), mode 0's under threaded executors,
+    /// the CSF layout and the distributed driver (N passes).
     /// Bit-identical to the unfused schedule — the fused kernels replay
     /// the exact same floating-point folds — so this is on by default;
     /// the switch exists for the ablation and the pass-count gate.

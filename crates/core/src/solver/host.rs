@@ -9,11 +9,13 @@
 //! threaded executor hands work to its resident pool through an unboxed
 //! index broadcast; the sequential path is a plain loop).
 //!
-//! With fusion enabled this backend implements the N-pass schedule: the
-//! end-of-iteration [`StepBackend::fused_step`] refreshes the residual,
-//! reduces `‖E‖²_F`, and precomputes the next iteration's mode-0 MTTKRP
-//! into the `h0` stash in one sweep over the nonzeros; the next
-//! [`StepBackend::sparse_mttkrp`] call for mode 0 serves the stash
+//! With fusion enabled the end-of-iteration [`StepBackend::fused_step`]
+//! refreshes the residual, reduces `‖E‖²_F`, and precomputes the next
+//! iteration's MTTKRPs into the per-mode stash in one sweep over the
+//! nonzeros — every mode's when the layout runs its sequential
+//! entry-order kernel (one sweep per iteration), mode 0's otherwise
+//! (threaded executors, CSF: N sweeps). The next iteration's
+//! [`StepBackend::sparse_mttkrp`] calls serve whatever the stash holds
 //! instead of sweeping again. Every fused kernel is bit-identical to the
 //! separate sweeps it replaces (`distenc_tensor::fused` and
 //! `distenc_tensor::layout` pin this), so the solver's iterates — and
@@ -34,14 +36,14 @@ pub(crate) struct HostBackend<C> {
     /// partitions for tiled, nothing for CSF).
     lw: LayoutWorkspace,
     res: ResidualWorkspace,
-    /// Fuse the residual refresh with the next mode-0 MTTKRP
+    /// Fuse the residual refresh with the next iteration's MTTKRPs
     /// ([`crate::AdmmConfig::fused`]).
     fused: bool,
-    /// Stashed `E₍₀₎U⁽⁰⁾` (`I₀×R`) banked by the fused sweep for the next
-    /// iteration's mode-0 [`StepBackend::sparse_mttkrp`].
-    h0: Mat,
-    /// Whether `h0` holds a live stash for the upcoming mode-0 call.
-    h0_ready: bool,
+    /// Stashed `E₍ₙ₎U⁽ⁿ⁾` (`Iₙ×R`) per mode, banked by the fused sweep
+    /// for the next iteration's [`StepBackend::sparse_mttkrp`] calls.
+    stash: Vec<Mat>,
+    /// Whether `stash[n]` is live for the upcoming mode-`n` call.
+    banked: Vec<bool>,
     clock: C,
 }
 
@@ -59,8 +61,9 @@ impl<C: Fn(usize) -> f64> HostBackend<C> {
     ) -> Result<Self> {
         let lw = layout.workspace(rank, boundaries, &exec)?;
         let res = ResidualWorkspace::new(layout.nnz(), &exec);
-        let h0 = Mat::zeros(layout.entries().shape()[0], rank);
-        Ok(HostBackend { exec, lw, res, fused, h0, h0_ready: false, clock })
+        let shape = layout.entries().shape();
+        let stash = shape.iter().map(|&d| Mat::zeros(d, rank)).collect();
+        Ok(HostBackend { exec, lw, res, fused, stash, banked: vec![false; shape.len()], clock })
     }
 }
 
@@ -72,12 +75,11 @@ impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
         mode: usize,
         out: &mut Mat,
     ) -> Result<()> {
-        if mode == 0 && self.h0_ready {
+        if std::mem::take(&mut self.banked[mode]) {
             // The fused sweep already computed this against the very same
-            // factors (no swap happens between the refresh and this call);
-            // serving the stash saves the whole pass.
-            self.h0_ready = false;
-            out.as_mut_slice().copy_from_slice(self.h0.as_slice());
+            // factors and residual (the Jacobi swap happens only after
+            // every mode stepped); serving the stash saves the whole pass.
+            out.as_mut_slice().copy_from_slice(self.stash[mode].as_slice());
             return Ok(());
         }
         residual
@@ -116,14 +118,14 @@ impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
             self.refresh_residual(observed, model, residual)?;
             return Ok(residual.frob_norm_sq());
         }
-        let frob = residual.host_mut()?.fused_refresh_into(
+        let (frob, n_banked) = residual.host_mut()?.fused_refresh_all_into(
             observed,
             model,
             &mut self.lw,
             &self.exec,
-            &mut self.h0,
+            &mut self.stash,
         )?;
-        self.h0_ready = true;
+        self.banked[..n_banked].fill(true);
         Ok(frob)
     }
 

@@ -32,13 +32,23 @@
 //! `tests/alloc_budget.rs` enforce this.
 //!
 //! **Pass contract.** With fusion enabled (the default,
-//! [`AdmmConfig::fused`]) a steady-state iteration sweeps the nonzero
-//! list exactly N times for an order-N tensor: N−1 plain MTTKRPs for
-//! modes 1..N, plus one fused sweep ([`StepBackend::fused_step`]) that
-//! refreshes the residual, reduces `‖E‖²_F`, **and** precomputes the next
-//! iteration's mode-0 MTTKRP in a single pass. Unfused, the same
-//! iteration takes N+1 sweeps. The `pass-count` feature counts the sweeps
-//! and `tests/pass_count.rs` pins the N-vs-N+1 gap.
+//! [`AdmmConfig::fused`]) the end-of-iteration sweep
+//! ([`StepBackend::fused_step`]) refreshes the residual, reduces
+//! `‖E‖²_F`, **and** may bank any mode's MTTKRP for the next iteration —
+//! the loop is Jacobi, so all N of them read the model and residual this
+//! sweep leaves behind. How many a backend banks sets its steady-state
+//! sweep count over the nonzero list for an order-N tensor:
+//!
+//! * **1** — the sequential host backend on the COO and tiled layouts
+//!   banks all N modes in the one fused sweep; every
+//!   [`StepBackend::sparse_mttkrp`] of the next iteration is a stash copy;
+//! * **N** — threaded host executors, the CSF layout, the cluster backend
+//!   (and host tensors of order 1 or beyond the fused kernel's row cache)
+//!   bank mode 0 only: one fused sweep plus N−1 plain MTTKRPs;
+//! * **N+1** — unfused: N MTTKRPs plus the separate refresh.
+//!
+//! The `pass-count` feature counts the sweeps and `tests/pass_count.rs`
+//! pins all three.
 
 use crate::config::AdmmConfig;
 use crate::trace::{ConvergenceTrace, TracePoint};
@@ -294,21 +304,25 @@ pub(crate) trait StepBackend {
     ) -> Result<()>;
 
     /// The end-of-iteration residual refresh plus the `‖E‖²_F` reduction,
-    /// optionally fused with the *next* iteration's mode-0 MTTKRP.
+    /// optionally fused with the *next* iteration's MTTKRPs.
     ///
-    /// The model this step reads is exactly the model the next iteration's
-    /// mode steps read (the Jacobi swap has already happened), so a
-    /// backend may compute `E₍₀₎U⁽⁰⁾` during the same sweep that refreshes
-    /// `E`, stash it, and serve it from the stash when
-    /// [`StepBackend::sparse_mttkrp`] is next called for mode 0 — turning
-    /// N+1 passes over the nonzeros per iteration into N. `fuse_next` is
-    /// false when no further iteration will run (cap reached or
-    /// converged), in which case the stash would be dead work and backends
-    /// should fall back to the plain refresh.
+    /// The model this step reads is exactly the model every one of the
+    /// next iteration's mode steps reads (the Jacobi swap has already
+    /// happened, and the next one waits for all modes), and the residual
+    /// it writes is the one they read. So a backend may bank any mode: it
+    /// may compute `E₍ₙ₎U⁽ⁿ⁾` for any subset of modes during the same
+    /// sweep that refreshes `E`, stash them, and serve each from the
+    /// stash when [`StepBackend::sparse_mttkrp`] is next called for that
+    /// mode — turning N+1 passes over the nonzeros per iteration into N
+    /// (mode 0 banked) or 1 (all modes banked). A mode without a stash
+    /// computes its own sweep. `fuse_next` is false when no further
+    /// iteration will run (cap reached or converged), in which case a
+    /// stash would be dead work and backends should fall back to the
+    /// plain refresh.
     ///
     /// Whatever the backend does must be bit-identical to the default
     /// body: the refreshed `E` values, the returned `‖E‖²_F` (same fold
-    /// order as [`ResidualStore::frob_norm_sq`]), and the stashed MTTKRP
+    /// order as [`ResidualStore::frob_norm_sq`]), and every stashed MTTKRP
     /// must all match the unfused schedule bit-for-bit.
     fn fused_step(
         &mut self,
@@ -462,7 +476,7 @@ pub(crate) trait CheckpointSink {
 /// Skipping is bit-invisible: a refresh would recompute the very same
 /// values (the delta path evaluates the model with the same fold the
 /// refresh kernels use), and the only other prologue effect — banking
-/// iteration 0's mode-0 MTTKRP — degrades to that mode computing its own
+/// iteration 0's MTTKRPs — degrades to each mode computing its own
 /// sweep, whose output is pinned bit-identical to the banked one.
 ///
 /// Alongside the result, the final residual store is handed back to the
@@ -493,9 +507,9 @@ pub(crate) fn run<B: StepBackend>(
 /// post-schedule `η`, residual values) or recomputed deterministically
 /// before its first read (Grams in the prologue; `B` is rewritten from
 /// `ηA − Y` each mode step). The one cross-iteration artifact *not*
-/// restored — the fused sweep's banked mode-0 MTTKRP — is bit-invisible
-/// by the [`StepBackend::fused_step`] contract: an absent stash degrades
-/// to mode 0 computing its own sweep with pinned-identical output.
+/// restored — the fused sweep's banked MTTKRPs — is bit-invisible by the
+/// [`StepBackend::fused_step`] contract: an absent stash degrades to
+/// that mode computing its own sweep with pinned-identical output.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_resumable<B: StepBackend>(
     observed: &CooTensor,
@@ -523,8 +537,8 @@ pub(crate) fn run_resumable<B: StepBackend>(
 
     // Prologue: Grams of the initial factors (Eq. 12 cache), then the
     // initial residual E₀ = Ω∗(T − [[A₀…]]) (line 5). The fused form also
-    // banks iteration 0's mode-0 MTTKRP — iteration 0 reads the same
-    // initial factors this sweep reads. A resumed solve re-runs the Gram
+    // banks iteration 0's MTTKRPs — iteration 0 reads the same initial
+    // factors this sweep reads. A resumed solve re-runs the Gram
     // refresh (recomputing from the restored factors — same bits as the
     // interrupted run's cache) and always arrives with a fresh residual,
     // so its prologue sweep is skipped.
@@ -561,7 +575,7 @@ pub(crate) fn run_resumable<B: StepBackend>(
         backend.on_delta_reduced()?;
 
         // Line 13: refresh the cached residual for the next iteration —
-        // fused with that iteration's mode-0 MTTKRP when one will run.
+        // fused with that iteration's MTTKRPs when one will run.
         let fuse_next = t + 1 < cfg.max_iters && delta >= cfg.tol;
         let frob = backend.fused_step(observed, &st.model, &mut st.residual, fuse_next)?;
         let train_rmse = (frob / observed.nnz() as f64).sqrt();

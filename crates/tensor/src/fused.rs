@@ -3,34 +3,58 @@
 //! The unfused solver iteration sweeps the entry list `N + 1` times: one
 //! `sparse_mttkrp` per mode plus a full residual refresh that re-evaluates
 //! the Kruskal model at every nonzero (Eq. 14, `O(nnz·N·R)`). But the
-//! refresh and an MTTKRP against the *same* model load the exact same
-//! factor rows per entry — so this module computes, in a single
-//! traversal:
+//! refresh and every mode's MTTKRP against the *same* model load the
+//! exact same factor rows per entry — and Algorithm 1 is Jacobi, so all
+//! `N` MTTKRPs of the next iteration read this one model and this one
+//! residual. This module therefore computes, in a single traversal:
 //!
 //! 1. the fresh residual values `E = Ω ∗ (T − [[A⁽¹⁾…A⁽ᴺ⁾]])`,
 //! 2. the running train-RMSE statistic `‖E‖²_F`, and
-//! 3. the mode-`n` MTTKRP `H = E₍ₙ₎U⁽ⁿ⁾` against those fresh values,
+//! 3. the MTTKRP `H⁽ⁿ⁾ = E₍ₙ₎U⁽ⁿ⁾` against those fresh values — for
+//!    **every** mode `n`, or for mode 0 alone
+//!    ([`fused_refresh_modes_into`]; [`fused_mttkrp_refresh_into`] is
+//!    the bucketed one-mode variant for threaded executors),
 //!
-//! eliminating the separate refresh pass (`N+1 → N` sweeps per
-//! iteration; see DESIGN.md §11 for how the solver schedules this at the
-//! old refresh's position and consumes `H` at the next iteration's
-//! mode-0 step).
+//! turning the `N + 1` sweeps into one (see DESIGN.md §11 for how the
+//! solver schedules this at the old refresh's position and consumes the
+//! banked `H⁽ⁿ⁾` at the next iteration's mode steps).
+//!
+//! One sequential body ([`sweep_entries`]) serves all three callers — the
+//! all-modes sweep, the mode-0 sweep, and the plain residual refresh (no
+//! mode banked). It walks the entries in order, four per step:
+//!
+//! * **Interleaved eval fold.** `Σᵣ Πₖ A⁽ᵏ⁾(iₖ,r)` is a serial `R`-add
+//!   chain per entry; one entry at a time, its latency is the whole
+//!   sweep. Four entries per step give four independent chains
+//!   ([`eval_block4`]) — each entry's own chain untouched.
+//! * **Shared Hadamard prefix.** Mode `m`'s contribution is
+//!   `((e·r₀)…·r_{m−1})·r_{m+1}…·r_{N−1}`; its left part `e·r₀…r_{m−1}`
+//!   is also the left part of every later mode's, so it is carried from
+//!   mode to mode instead of restarted from `e` (5R multiplies instead of
+//!   6R at order 3, 9R instead of 12R at order 4).
+//! * **No scratch.** Both folds run over [`LANES`] rank elements at a
+//!   time with every intermediate in locals, so the sweep needs no
+//!   workspace and allocates nothing at any rank.
 //!
 //! **Accumulation-order guarantee.** Every number here is produced by the
 //! exact operation sequence of the unfused kernels, so results are
 //! *bit*-identical, not approximately equal:
 //!
-//! * residual values replicate [`KruskalTensor::eval`]'s fold
-//!   (`rr`-outer, modes-inner, all modes ascending);
-//! * the MTTKRP contribution starts a **separate** fold from the fresh
-//!   value (`scratch = e`, then `⊛` rows `k ≠ mode` ascending) — reusing
-//!   the eval fold's partial products would change association and hence
-//!   bits;
+//! * residual values replicate [`KruskalTensor::eval`]'s fold (`rr`
+//!   outer and ascending, modes inner and ascending from `1.0`);
+//! * each MTTKRP contribution is, per rank element, the left fold
+//!   `e · rows k ≠ mode` ascending — the carried prefix *is* that fold's
+//!   left part, same association — kept **separate** from the eval fold
+//!   (reusing the eval products would change association and hence
+//!   bits);
+//! * `H` rows are committed in entry order, so every output row sums its
+//!   contributions in the sequential [`crate::mttkrp::mttkrp`] order;
 //! * `‖E‖²_F` is the flat left fold `Σ eᵢ²` in entry order, matching
 //!   [`CooTensor::frob_norm_sq`];
-//! * the threaded variant reuses the workspace's row-disjoint buckets
-//!   (original entry order within each bucket), so each output row and
-//!   each entry sees the sequential order regardless of thread count.
+//! * the threaded one-mode variant reuses the workspace's row-disjoint
+//!   buckets (original entry order within each bucket), so each output
+//!   row and each entry sees the sequential order regardless of thread
+//!   count.
 //!
 //! Rank specialization goes through [`dispatch_rank`], the same dispatch
 //! point `mttkrp_blocked_into` uses: R ∈ {8, 16} run monomorphized bodies
@@ -61,13 +85,214 @@ fn eval_model(factors: &[Mat], idx: &[usize], r: usize) -> f64 {
 }
 
 /// Tensors up to this order gather their per-entry factor rows once into
-/// a stack array; the `rr`-outer eval fold then walks cached slices
-/// instead of paying `R·N` `Mat::row` bound computations per entry (the
-/// cost that made the generic-rank fused kernel *slower* than the
-/// unfused pair at R = 17). Higher orders — beyond anything DisTenC's
-/// workloads use — fall back to the uncached body; both bodies run the
-/// identical operation sequence, so the choice never changes a bit.
+/// a stack array, so the folds walk cached slices instead of paying a
+/// `Mat::row` bound computation per use. Higher orders — beyond anything
+/// DisTenC's workloads use — keep the uncached bucket body and the
+/// per-entry `eval` refresh; every body runs the identical operation
+/// sequence, so the choice never changes a bit.
 const MAX_CACHED_ORDER: usize = 8;
+
+/// One entry's factor rows in ascending mode order (`[..order]` live),
+/// each cut to the rank.
+type RowSet<'a> = [&'a [f64]; MAX_CACHED_ORDER];
+
+/// Rank elements handled per step of the per-entry folds: products,
+/// prefixes and contributions of one step live in `[f64; LANES]` locals
+/// (registers), never in memory scratch.
+const LANES: usize = 4;
+
+/// `W` consecutive rank elements of a factor row, starting at `i`.
+#[inline(always)]
+fn lanes_at<const W: usize>(row: &[f64], i: usize) -> &[f64; W] {
+    row[i..i + W].try_into().expect("slice of W elements")
+}
+
+/// `p[l] *= row[l]`, lane-wise.
+#[inline(always)]
+fn mul_lanes<const W: usize>(p: &mut [f64; W], row: &[f64; W]) {
+    for (x, &a) in p.iter_mut().zip(row) {
+        *x *= a;
+    }
+}
+
+/// Rank elements `i..i + W` of the eval fold at four entries: per
+/// element the factors multiply in ascending mode order from `1.0`, and
+/// each entry's sum takes its elements in ascending order.
+#[inline(always)]
+fn eval_lanes<const W: usize>(rows: &[RowSet<'_>; 4], order: usize, i: usize, acc: &mut [f64; 4]) {
+    for (set, a) in rows.iter().zip(acc.iter_mut()) {
+        let mut prod = [1.0f64; W];
+        for row in &set[..order] {
+            mul_lanes(&mut prod, lanes_at(row, i));
+        }
+        for p in prod {
+            *a += p;
+        }
+    }
+}
+
+/// The model at four entries, `Σᵣ Πₖ A⁽ᵏ⁾(iₖ,r)` each, with
+/// [`KruskalTensor::eval`]'s exact operation sequence per entry (`r`
+/// outer and ascending, modes inner and ascending). The four sums are
+/// independent chains, which is the point — the serial add latency of
+/// one overlaps the other three.
+#[inline(always)]
+fn eval_block4(rows: &[RowSet<'_>; 4], order: usize, r: usize) -> [f64; 4] {
+    let mut acc = [0.0f64; 4];
+    let mut i = 0;
+    while i + LANES <= r {
+        eval_lanes::<LANES>(rows, order, i, &mut acc);
+        i += LANES;
+    }
+    while i < r {
+        eval_lanes::<1>(rows, order, i, &mut acc);
+        i += 1;
+    }
+    acc
+}
+
+/// Rank elements `i..i + W` of one entry's MTTKRP contributions to the
+/// leading `outs.len()` modes: `outs[m] += ((v·r₀)…·r_{m−1})·r_{m+1}…·r_{N−1}`,
+/// the prefix `v·r₀…r_{m−1}` carried from mode to mode (see the module
+/// docs).
+#[inline(always)]
+fn bank_lanes<const W: usize>(
+    rows: &RowSet<'_>,
+    order: usize,
+    v: f64,
+    outs: &mut [&mut [f64]],
+    i: usize,
+) {
+    let banked = outs.len();
+    let mut prefix = [v; W];
+    for (m, out) in outs.iter_mut().enumerate() {
+        let mut s = prefix;
+        for row in &rows[m + 1..order] {
+            mul_lanes(&mut s, lanes_at(row, i));
+        }
+        for (o, x) in out[i..i + W].iter_mut().zip(s) {
+            *o += x;
+        }
+        if m + 1 < banked {
+            mul_lanes(&mut prefix, lanes_at(rows[m], i));
+        }
+    }
+}
+
+/// One step of [`sweep_entries`]: entries `pos..pos + live` (`live ≤ 4`;
+/// a short tail block pads the eval with copies of its last entry and
+/// ignores their sums).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn sweep_block(
+    observed: &CooTensor,
+    factors: &[Mat],
+    order: usize,
+    r: usize,
+    pos: usize,
+    live: usize,
+    vals: &mut [f64],
+    hs: &mut [Mat],
+    frob: &mut f64,
+) {
+    let mut rows: [RowSet<'_>; 4] = [[&[]; MAX_CACHED_ORDER]; 4];
+    for (j, set) in rows.iter_mut().enumerate() {
+        let idx = observed.index(pos + j.min(live - 1));
+        for k in 0..order {
+            set[k] = &factors[k].as_slice()[idx[k] * r..][..r];
+        }
+    }
+    let model = eval_block4(&rows, order, r);
+    let banked = hs.len();
+    for j in 0..live {
+        let v = observed.value(pos + j) - model[j];
+        vals[pos + j] = v;
+        *frob += v * v;
+        // Rows are committed entry by entry, so every output row sums
+        // its contributions in entry order.
+        let idx = observed.index(pos + j);
+        let mut outs: [&mut [f64]; MAX_CACHED_ORDER] = std::array::from_fn(|_| &mut [][..]);
+        for ((out, h), &row) in outs.iter_mut().zip(hs.iter_mut()).zip(idx) {
+            *out = &mut h.as_mut_slice()[row * r..][..r];
+        }
+        let outs = &mut outs[..banked];
+        let mut i = 0;
+        while i + LANES <= r {
+            bank_lanes::<LANES>(&rows[j], order, v, outs, i);
+            i += LANES;
+        }
+        while i < r {
+            bank_lanes::<1>(&rows[j], order, v, outs, i);
+            i += 1;
+        }
+    }
+}
+
+/// The one sequential entry-order body: refresh `vals`, fold `‖E‖²`, and
+/// bank `hs[m] = E₍ₘ₎U⁽ᵐ⁾` for the leading `hs.len()` modes — every mode,
+/// mode 0, or none, which is the plain residual refresh. `order` must
+/// equal `factors.len()` and `r` the rank; they are parameters so callers
+/// can pass literals and get the per-mode and per-element loops unrolled.
+/// Returns `Σ eᵢ²`.
+#[inline(always)]
+fn sweep_entries(
+    observed: &CooTensor,
+    factors: &[Mat],
+    order: usize,
+    r: usize,
+    vals: &mut [f64],
+    hs: &mut [Mat],
+) -> f64 {
+    for h in hs.iter_mut() {
+        h.fill(0.0);
+    }
+    let nnz = vals.len();
+    let mut frob = 0.0;
+    let mut pos = 0;
+    while pos + 4 <= nnz {
+        sweep_block(observed, factors, order, r, pos, 4, vals, hs, &mut frob);
+        pos += 4;
+    }
+    if pos < nnz {
+        sweep_block(observed, factors, order, r, pos, nnz - pos, vals, hs, &mut frob);
+    }
+    frob
+}
+
+/// [`RankKernel`] adapter for [`sweep_entries`].
+struct EntrySweep<'a> {
+    observed: &'a CooTensor,
+    factors: &'a [Mat],
+    vals: &'a mut [f64],
+    hs: &'a mut [Mat],
+}
+
+impl EntrySweep<'_> {
+    /// The all-modes sweep at orders 3 and 4 — every DisTenC workload —
+    /// gets bodies with the order (and so the mode count) as a literal.
+    #[inline(always)]
+    fn run(self, r: usize) -> f64 {
+        let EntrySweep { observed, factors, vals, hs } = self;
+        match (factors.len(), hs.len()) {
+            (3, 3) => sweep_entries(observed, factors, 3, r, vals, &mut hs[..3]),
+            (4, 4) => sweep_entries(observed, factors, 4, r, vals, &mut hs[..4]),
+            (n, _) => sweep_entries(observed, factors, n, r, vals, hs),
+        }
+    }
+}
+
+impl RankKernel for EntrySweep<'_> {
+    type Out = f64;
+
+    fn run_const<const R: usize>(self) -> f64 {
+        self.run(R)
+    }
+
+    fn run_dyn(self) -> f64 {
+        let r = self.factors[0].cols();
+        self.run(r)
+    }
+}
 
 /// One fused entry against pre-gathered factor rows: the eval fold
 /// (`rr`-outer, modes ascending — [`KruskalTensor::eval`]'s exact
@@ -96,62 +321,6 @@ fn fused_entry_rows(rows: &[&[f64]], t: f64, mode: usize, scratch: &mut [f64]) -
         }
     }
     val
-}
-
-/// Fused sweep over a flat entry range, accumulating `H` rows directly
-/// and the `‖E‖²` statistic in entry order. `scratch.len()` is the rank.
-/// Returns `Σ eᵢ²`.
-#[inline(always)]
-fn fused_sweep_flat(
-    observed: &CooTensor,
-    factors: &[Mat],
-    mode: usize,
-    vals: &mut [f64],
-    h: &mut Mat,
-    scratch: &mut [f64],
-) -> f64 {
-    let r = scratch.len();
-    h.fill(0.0);
-    let mut acc = 0.0;
-    if factors.len() <= MAX_CACHED_ORDER {
-        let mut rows: [&[f64]; MAX_CACHED_ORDER] = [&[]; MAX_CACHED_ORDER];
-        for (pos, slot) in vals.iter_mut().enumerate() {
-            let idx = observed.index(pos);
-            for (rslot, (f, &i)) in rows.iter_mut().zip(factors.iter().zip(idx)) {
-                *rslot = f.row(i);
-            }
-            let val =
-                fused_entry_rows(&rows[..factors.len()], observed.value(pos), mode, scratch);
-            *slot = val;
-            acc += val * val;
-            let out = h.row_mut(idx[mode]);
-            for (o, &s) in out.iter_mut().zip(scratch.iter()) {
-                *o += s;
-            }
-        }
-        return acc;
-    }
-    for (pos, slot) in vals.iter_mut().enumerate() {
-        let idx = observed.index(pos);
-        let val = observed.value(pos) - eval_model(factors, idx, r);
-        *slot = val;
-        acc += val * val;
-        scratch.iter_mut().for_each(|s| *s = val);
-        for (k, f) in factors.iter().enumerate() {
-            if k == mode {
-                continue;
-            }
-            let row = f.row(idx[k]);
-            for (s, &a) in scratch.iter_mut().zip(row) {
-                *s *= a;
-            }
-        }
-        let out = h.row_mut(idx[mode]);
-        for (o, &s) in out.iter_mut().zip(scratch.iter()) {
-            *o += s;
-        }
-    }
-    acc
 }
 
 /// Fused sweep over one workspace bucket: fresh values go to `vals`
@@ -202,30 +371,6 @@ fn fused_sweep_bucket(kernel: BucketFused<'_>, scratch: &mut [f64]) {
     }
 }
 
-/// [`RankKernel`] adapter for the flat fused sweep.
-struct FlatFused<'a> {
-    observed: &'a CooTensor,
-    factors: &'a [Mat],
-    mode: usize,
-    vals: &'a mut [f64],
-    h: &'a mut Mat,
-    scratch: &'a mut [f64],
-}
-
-impl RankKernel for FlatFused<'_> {
-    type Out = f64;
-
-    fn run_const<const R: usize>(self) -> f64 {
-        debug_assert_eq!(self.scratch.len(), R);
-        let mut scratch = [0.0f64; R];
-        fused_sweep_flat(self.observed, self.factors, self.mode, self.vals, self.h, &mut scratch)
-    }
-
-    fn run_dyn(self) -> f64 {
-        fused_sweep_flat(self.observed, self.factors, self.mode, self.vals, self.h, self.scratch)
-    }
-}
-
 /// [`RankKernel`] adapter for one bucket of the threaded fused sweep.
 struct BucketFused<'a> {
     observed: &'a CooTensor,
@@ -253,12 +398,16 @@ impl RankKernel for BucketFused<'_> {
     }
 }
 
-fn check_io(observed: &CooTensor, e: &CooTensor, h: &Mat, mode: usize, r: usize) -> Result<()> {
+fn check_support(observed: &CooTensor, e: &CooTensor) -> Result<()> {
     if e.nnz() != observed.nnz() || e.shape() != observed.shape() {
         return Err(TensorError::ShapeMismatch(
             "fused refresh requires a residual sharing the observed support".into(),
         ));
     }
+    Ok(())
+}
+
+fn check_output(observed: &CooTensor, h: &Mat, mode: usize, r: usize) -> Result<()> {
     let dim = observed.shape()[mode];
     if h.shape() != (dim, r) {
         return Err(TensorError::ShapeMismatch(format!(
@@ -269,47 +418,77 @@ fn check_io(observed: &CooTensor, e: &CooTensor, h: &Mat, mode: usize, r: usize)
     Ok(())
 }
 
-/// Allocating single-pass reference: returns `(E, H, ‖E‖²_F)` for
-/// mode `mode` in one traversal of `observed`'s entries. Bit-identical
-/// to `residual` + `mttkrp` + `frob_norm_sq` run separately (see module
-/// docs); tests pin that identity.
-pub fn fused_mttkrp_refresh(
-    observed: &CooTensor,
-    model: &KruskalTensor,
-    mode: usize,
-) -> Result<(CooTensor, Mat, f64)> {
-    validate(observed, model.factors(), mode)?;
-    crate::record_entry_sweep(observed.nnz());
-    let r = model.rank();
-    let mut e = observed.clone();
-    let mut h = Mat::zeros(observed.shape()[mode], r);
-    let mut scratch = vec![0.0; r];
-    let frob = dispatch_rank(
-        r,
-        FlatFused {
-            observed,
-            factors: model.factors(),
-            mode,
-            vals: e.values_mut(),
-            h: &mut h,
-            scratch: &mut scratch,
-        },
-    );
-    Ok((e, h, frob))
+/// Whether an order-`order` tensor takes the sequential entry-order
+/// sweep ([`fused_refresh_modes_into`]): its rows must fit the stack row
+/// cache, and there must be a second mode to share them with (at order 1
+/// the one-mode sweep already is the whole iteration).
+pub(crate) fn fuses_entry_order(order: usize) -> bool {
+    (2..=MAX_CACHED_ORDER).contains(&order)
 }
 
-/// Allocation-free fused refresh + MTTKRP through a preallocated
-/// [`MttkrpWorkspace`] (bucketed for `ws.mode()`): refreshes `e`'s values
-/// in place, overwrites `h` with `E₍ₙ₎U⁽ⁿ⁾` against the fresh values, and
+/// The sequential entry-order fused sweep: refreshes `e`'s values in
+/// place, overwrites `hs[m]` with `E₍ₘ₎U⁽ᵐ⁾` against the fresh values for
+/// the leading `hs.len()` modes (all `N` of them, or just mode 0), and
+/// returns `‖E‖²_F` — one entry sweep total, however many modes are
+/// banked, and bit-identical to `residual` + one `mttkrp` per mode +
+/// `frob_norm_sq` run separately (see the module docs). Allocates
+/// nothing.
+///
+/// Errors for tensors of order 1 or above 8 (outside the stack row
+/// cache); those keep the one-mode kernel.
+pub fn fused_refresh_modes_into(
+    observed: &CooTensor,
+    model: &KruskalTensor,
+    e: &mut CooTensor,
+    hs: &mut [Mat],
+) -> Result<f64> {
+    let factors = model.factors();
+    validate(observed, factors, 0)?;
+    let r = model.rank();
+    check_support(observed, e)?;
+    let order = observed.order();
+    if !fuses_entry_order(order) || hs.len() > order {
+        return Err(TensorError::ShapeMismatch(format!(
+            "entry-order fused sweep takes orders 2..={MAX_CACHED_ORDER} and at most one output \
+             per mode, not order {order} with {} outputs",
+            hs.len()
+        )));
+    }
+    for (m, h) in hs.iter().enumerate() {
+        check_output(observed, h, m, r)?;
+    }
+    crate::record_entry_sweep(observed.nnz());
+    Ok(dispatch_rank(r, EntrySweep { observed, factors, vals: e.values_mut(), hs }))
+}
+
+/// The sequential residual refresh `vals[i] = t[i] − [[A…]](idx[i])`
+/// through the interleaved eval block — [`sweep_entries`] with no mode
+/// banked — bit-identical to one [`KruskalTensor::eval`] per entry.
+/// Shapes are the caller's to check; so is the pass-count tick.
+pub(crate) fn refresh_entries(observed: &CooTensor, model: &KruskalTensor, vals: &mut [f64]) {
+    if !fuses_entry_order(observed.order()) {
+        for (i, v) in vals.iter_mut().enumerate() {
+            *v = observed.value(i) - model.eval(observed.index(i));
+        }
+        return;
+    }
+    let factors = model.factors();
+    dispatch_rank(model.rank(), EntrySweep { observed, factors, vals, hs: &mut [] });
+}
+
+/// Allocation-free fused refresh + one-mode MTTKRP through a
+/// preallocated [`MttkrpWorkspace`] (bucketed for `ws.mode()`), for
+/// executors that run buckets concurrently: refreshes `e`'s values in
+/// place, overwrites `h` with `E₍ₙ₎U⁽ⁿ⁾` against the fresh values, and
 /// returns `‖E‖²_F`. One entry sweep total.
 ///
-/// Executors that can actually run buckets concurrently (see
-/// [`Executor::parallelism`]) take the bucket path: per-part row slabs
-/// plus per-part value carriers (sized on first use — the only allocation
-/// this kernel ever makes, amortized across all later calls), stitched
-/// and scattered back in fixed part order. Everything else takes the flat
-/// sweep. Both orders are the sequential order, so the choice is
-/// bit-invisible.
+/// Per-part row slabs plus per-part value carriers (sized on first use —
+/// the only allocation this kernel ever makes, amortized across all later
+/// calls) are stitched and scattered back in fixed part order. Each
+/// bucket keeps the sequential entry order, so the result is
+/// bit-identical to [`fused_refresh_modes_into`] for any blocking and any
+/// executor (a one-thread caller should prefer that kernel: it is the
+/// faster sequential sweep).
 pub fn fused_mttkrp_refresh_into(
     observed: &CooTensor,
     model: &KruskalTensor,
@@ -322,7 +501,8 @@ pub fn fused_mttkrp_refresh_into(
     validate(observed, model.factors(), mode)?;
     debug_assert_eq!(observed.nnz(), ws.nnz, "workspace built for a different support");
     let r = model.rank();
-    check_io(observed, e, h, mode, r)?;
+    check_support(observed, e)?;
+    check_output(observed, h, mode, r)?;
     if ws.parts.first().is_some_and(|p| p.slab.cols() != r) {
         return Err(TensorError::ShapeMismatch(format!(
             "workspace slabs are rank {}, model is rank {r}",
@@ -331,13 +511,6 @@ pub fn fused_mttkrp_refresh_into(
     }
     crate::record_entry_sweep(observed.nnz());
     let factors = model.factors();
-    if exec.parallelism() <= 1 || ws.parts.len() <= 1 {
-        let scratch = &mut ws.parts[0].scratch;
-        return Ok(dispatch_rank(
-            r,
-            FlatFused { observed, factors, mode, vals: e.values_mut(), h, scratch },
-        ));
-    }
     for part in &mut ws.parts {
         if part.vals.len() != part.bucket.len() {
             part.vals.resize(part.bucket.len(), 0.0);
@@ -377,6 +550,7 @@ mod tests {
     use crate::mttkrp::{mttkrp, mttkrp_blocked_into};
     use crate::residual::residual;
     use distenc_dataflow::{ExecMode, Executor};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -392,32 +566,133 @@ mod tests {
         t
     }
 
-    /// The unfused sequence the fused kernel must match bit-for-bit.
-    fn unfused(
-        observed: &CooTensor,
-        model: &KruskalTensor,
-        mode: usize,
-    ) -> (CooTensor, Mat, f64) {
+    /// The first `n` entries of `x` (entry order kept).
+    fn head(x: &CooTensor, n: usize) -> CooTensor {
+        let mut t = CooTensor::new(x.shape().to_vec());
+        for (idx, v) in x.iter().take(n) {
+            t.push(idx, v).unwrap();
+        }
+        t
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The unfused sequence the fused kernels must match bit-for-bit:
+    /// `residual`, one `mttkrp` per mode against it, `frob_norm_sq`.
+    fn unfused(observed: &CooTensor, model: &KruskalTensor) -> (CooTensor, Vec<Mat>, f64) {
         let e = residual(observed, model).unwrap();
-        let h = mttkrp(&e, model.factors(), mode).unwrap();
+        let hs = (0..observed.order())
+            .map(|mode| mttkrp(&e, model.factors(), mode).unwrap())
+            .collect();
         let frob = e.frob_norm_sq();
-        (e, h, frob)
+        (e, hs, frob)
+    }
+
+    /// Run the entry-order sweep banking the leading `banked` modes from
+    /// a stale residual and dirty outputs, and compare every bit against
+    /// `want`.
+    fn assert_sweep_matches(
+        x: &CooTensor,
+        model: &KruskalTensor,
+        banked: usize,
+        want: &(CooTensor, Vec<Mat>, f64),
+        label: &str,
+    ) {
+        let (we, whs, wf) = want;
+        let mut e = x.clone(); // stale values on purpose
+        let mut hs: Vec<Mat> = (0..banked)
+            .map(|m| Mat::random(x.shape()[m], model.rank(), 9 + m as u64)) // dirty on purpose
+            .collect();
+        // Twice: a second sweep over its own output must be clean too.
+        for _ in 0..2 {
+            let f = fused_refresh_modes_into(x, model, &mut e, &mut hs).unwrap();
+            assert_eq!(bits(e.values()), bits(we.values()), "{label}: residual");
+            assert_eq!(f.to_bits(), wf.to_bits(), "{label}: frob");
+            for (m, h) in hs.iter().enumerate() {
+                assert_eq!(bits(h.as_slice()), bits(whs[m].as_slice()), "{label}: mode {m}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The sweep banking all modes, any leading few, or none is
+        /// `to_bits`-equal to `residual` + per-mode `mttkrp` +
+        /// `frob_norm_sq`: specialized and generic ranks, literal (3, 4)
+        /// and generic (2, 5) orders, an entry count that leaves a tail
+        /// block, and dimensions small enough that neighbours inside one
+        /// 4-block keep hitting the same output rows (commit order).
+        #[test]
+        fn entry_order_sweep_is_bitwise_the_unfused_kernels(
+            seed in 0u64..10_000,
+            rank_ix in 0usize..6,
+            order in 2usize..6,
+            tail in 1usize..4,
+        ) {
+            let rank = [1usize, 3, 8, 16, 17, 20][rank_ix];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shape: Vec<usize> = (0..order).map(|_| rng.random_range(1..5)).collect();
+            let x = random_coo(&shape, 70, seed ^ 0x5eed);
+            let x = head(&x, (x.nnz() / 4 * 4 + tail).min(x.nnz()));
+            let model = KruskalTensor::random(&shape, rank, seed.wrapping_add(rank as u64));
+            let want = unfused(&x, &model);
+            let label = format!("shape {shape:?} nnz {} rank {rank}", x.nnz());
+            // `banked = 0` is the plain refresh, as is `refresh_entries`.
+            for banked in 0..=order {
+                assert_sweep_matches(&x, &model, banked, &want, &label);
+            }
+            let mut vals = vec![f64::NAN; x.nnz()];
+            refresh_entries(&x, &model, &mut vals);
+            prop_assert_eq!(bits(&vals), bits(want.0.values()));
+        }
     }
 
     #[test]
-    fn fused_reference_is_bit_identical_to_unfused_sequence() {
-        for &rank in &[1usize, 3, 8, 16, 17] {
-            for shape in [vec![7, 5, 4], vec![4, 3, 5, 2]] {
-                let x = random_coo(&shape, 60, 11 + rank as u64);
-                let model = KruskalTensor::random(&shape, rank, 3 + rank as u64);
-                for mode in 0..shape.len() {
-                    let (we, wh, wf) = unfused(&x, &model, mode);
-                    let (e, h, f) = fused_mttkrp_refresh(&x, &model, mode).unwrap();
-                    assert_eq!(e, we, "rank {rank} mode {mode}");
-                    assert_eq!(h.as_slice(), wh.as_slice(), "rank {rank} mode {mode}");
-                    assert_eq!(f.to_bits(), wf.to_bits(), "rank {rank} mode {mode}");
-                }
+    fn entry_order_sweep_covers_every_entry_count_around_a_block() {
+        // nnz = 1..=9 walks the tail path through every remainder, with
+        // and without a full block before it.
+        let shape = [3, 2, 2];
+        let full = random_coo(&shape, 40, 5);
+        assert!(full.nnz() >= 9);
+        for &rank in &[8usize, 5] {
+            let model = KruskalTensor::random(&shape, rank, 2);
+            for n in 1..=9 {
+                let x = head(&full, n);
+                let want = unfused(&x, &model);
+                assert_sweep_matches(&x, &model, 3, &want, &format!("nnz {n} rank {rank}"));
             }
+        }
+    }
+
+    #[test]
+    fn orders_outside_the_row_cache_fall_back() {
+        // Order 1 and order > MAX_CACHED_ORDER are not the entry-order
+        // kernel's: it refuses them, the plain refresh takes its
+        // per-entry path, and the bucketed one-mode kernel (what the
+        // layout falls back to) still matches the unfused sequence.
+        let exec = Executor::new(ExecMode::Sequential);
+        for shape in [vec![7usize], vec![2; MAX_CACHED_ORDER + 1]] {
+            let order = shape.len();
+            assert!(!fuses_entry_order(order));
+            let x = random_coo(&shape, 30, 3);
+            let model = KruskalTensor::random(&shape, 3, 4);
+            let (we, whs, wf) = unfused(&x, &model);
+            let mut e = x.clone();
+            let mut hs: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, 3)).collect();
+            assert!(fused_refresh_modes_into(&x, &model, &mut e, &mut hs).is_err());
+            assert_eq!(e, x, "a refused sweep must not touch the residual");
+            let mut vals = vec![f64::NAN; x.nnz()];
+            refresh_entries(&x, &model, &mut vals);
+            assert_eq!(bits(&vals), bits(we.values()));
+            let mut ws = MttkrpWorkspace::new(&x, 0, &[shape[0]], 3).unwrap();
+            let f = fused_mttkrp_refresh_into(&x, &model, &mut ws, &exec, &mut e, &mut hs[0])
+                .unwrap();
+            assert_eq!(bits(e.values()), bits(we.values()));
+            assert_eq!(bits(hs[0].as_slice()), bits(whs[0].as_slice()));
+            assert_eq!(f.to_bits(), wf.to_bits());
         }
     }
 
@@ -429,8 +704,9 @@ mod tests {
         let par = Executor::new(ExecMode::Threads(3));
         for &rank in &[1usize, 3, 8, 16, 17] {
             let model = KruskalTensor::random(&shape, rank, 40 + rank as u64);
+            let (we, whs, wf) = unfused(&x, &model);
             for (mode, &dim) in shape.iter().enumerate() {
-                let (we, wh, wf) = unfused(&x, &model, mode);
+                let wh = &whs[mode];
                 let cuts: Vec<Vec<usize>> = vec![
                     vec![dim],
                     vec![dim / 2, dim],
@@ -461,7 +737,7 @@ mod tests {
     #[test]
     fn fused_h_equals_blocked_mttkrp_against_fresh_residual() {
         // The H the solver stashes must be interchangeable with the
-        // mode-0 `mttkrp_blocked_into` it replaces.
+        // `mttkrp_blocked_into` it replaces — from either fused kernel.
         let shape = [12, 10, 8];
         let x = random_coo(&shape, 200, 7);
         let model = KruskalTensor::random(&shape, 8, 5);
@@ -471,10 +747,14 @@ mod tests {
         let mut e = x.clone();
         let mut h = Mat::zeros(12, 8);
         fused_mttkrp_refresh_into(&x, &model, &mut ws, &exec, &mut e, &mut h).unwrap();
+        let mut stale = x.clone();
+        let mut hs: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, 8)).collect();
+        fused_refresh_modes_into(&x, &model, &mut stale, &mut hs).unwrap();
         let mut ws2 = MttkrpWorkspace::new(&x, 0, &boundaries, 8).unwrap();
         let mut h2 = Mat::zeros(12, 8);
         mttkrp_blocked_into(&e, model.factors(), &mut ws2, &exec, &mut h2).unwrap();
         assert_eq!(h.as_slice(), h2.as_slice());
+        assert_eq!(hs[0].as_slice(), h2.as_slice());
     }
 
     #[test]
@@ -501,5 +781,25 @@ mod tests {
         assert!(
             fused_mttkrp_refresh_into(&x, &model4, &mut ws, &exec, &mut e, &mut h4).is_err()
         );
+    }
+
+    #[test]
+    fn entry_order_sweep_rejects_mismatched_io() {
+        let shape = [6, 5, 4];
+        let x = random_coo(&shape, 30, 2);
+        let model = KruskalTensor::random(&shape, 3, 2);
+        let mut hs: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, 3)).collect();
+        let mut e = x.clone();
+        // Wrong residual support.
+        let mut wrong_e = CooTensor::new(vec![6, 5, 4]);
+        assert!(fused_refresh_modes_into(&x, &model, &mut wrong_e, &mut hs).is_err());
+        // More outputs than the tensor has modes.
+        hs.push(Mat::zeros(4, 3));
+        assert!(fused_refresh_modes_into(&x, &model, &mut e, &mut hs).is_err());
+        hs.pop();
+        // One output of the wrong shape (mode 1 handed mode 0's).
+        hs.swap(0, 1);
+        assert!(fused_refresh_modes_into(&x, &model, &mut e, &mut hs).is_err());
+        assert_eq!(e, x, "a rejected sweep must not touch the residual");
     }
 }

@@ -57,6 +57,14 @@
 //! `tests/layout_equivalence.rs` pins COO↔tiled bit-identity of whole
 //! solves (factors, RMSE, trace) at `DISTENC_THREADS=1` and `=4`.
 //!
+//! The same invariant — per-row order *is* entry order — is why, on one
+//! thread, COO and tiled share the solver's fused sweep: there
+//! [`TensorLayout::fused_refresh_all_into`] walks the flat entry list
+//! once through [`crate::fused`]'s entry-order kernel and banks every
+//! mode's MTTKRP, whichever of the two layouts is selected. The tile
+//! orders then serve the threaded sweeps and the plain per-mode MTTKRPs
+//! (unfused solves, and any mode whose bank is absent).
+//!
 //! # Selection
 //!
 //! The solver resolves its layout with precedence **config > CLI >
@@ -67,6 +75,7 @@
 
 use crate::coo::CooTensor;
 use crate::csf::CsfTensor;
+use crate::fused::fuses_entry_order;
 use crate::kruskal::KruskalTensor;
 use crate::mttkrp::{dispatch_rank, validate, MttkrpWorkspace, RankKernel};
 use crate::residual::{residual_refresh_exec, ResidualWorkspace};
@@ -344,6 +353,17 @@ impl TensorLayout {
         }
     }
 
+    /// Whether this layout's fused sweeps run the sequential entry-order
+    /// kernel of [`crate::fused`] under `exec`: one thread, entries kept
+    /// in a flat list whose per-row order is entry order (COO, and tiled
+    /// — its stable tile sort preserves exactly that), and an order the
+    /// kernel's stack row cache holds.
+    fn sweeps_entry_order(&self, exec: &Executor) -> bool {
+        self.kind != LayoutKind::Csf
+            && exec.parallelism() <= 1
+            && fuses_entry_order(self.e.order())
+    }
+
     /// Mode-`mode` MTTKRP of the residual against `factors`, written
     /// into `h`. One entry sweep; allocation-free in steady state.
     pub fn mttkrp_into(
@@ -383,7 +403,9 @@ impl TensorLayout {
     /// values in place, overwrites `h` with `E₍₀₎U⁽⁰⁾` against the fresh
     /// values, and returns `‖E‖²_F` — one entry sweep total, bit-wise
     /// the numbers of [`Self::refresh_values`] + [`Self::mttkrp_into`]
-    /// for COO/tiled (CSF to rounding).
+    /// for COO/tiled (CSF to rounding). The solver calls
+    /// [`Self::fused_refresh_all_into`], which banks every mode where
+    /// it can and is this sweep where it cannot.
     pub fn fused_refresh_into(
         &mut self,
         observed: &CooTensor,
@@ -393,6 +415,14 @@ impl TensorLayout {
         h: &mut Mat,
     ) -> Result<f64> {
         match self.kind {
+            LayoutKind::Coo if self.sweeps_entry_order(exec) => {
+                crate::fused::fused_refresh_modes_into(
+                    observed,
+                    model,
+                    &mut self.e,
+                    std::slice::from_mut(h),
+                )
+            }
             LayoutKind::Coo => crate::fused::fused_mttkrp_refresh_into(
                 observed,
                 model,
@@ -412,6 +442,42 @@ impl TensorLayout {
             }
             LayoutKind::Tiled => self.tiled_fused(observed, model, lw, exec, h),
         }
+    }
+
+    /// Fused residual refresh + **every** mode's MTTKRP it can bank in
+    /// the same sweep: refreshes the residual values in place, overwrites
+    /// `hs[n]` with `E₍ₙ₎U⁽ⁿ⁾` against the fresh values for each banked
+    /// mode `n`, and returns `‖E‖²_F` with the number of leading modes
+    /// banked — one entry sweep total either way.
+    ///
+    /// On one thread, COO and tiled bank all `N` modes through the
+    /// entry-order kernel ([`crate::fused::fused_refresh_modes_into`]),
+    /// bit-wise the numbers of [`Self::refresh_values`] + one
+    /// [`Self::mttkrp_into`] per mode. Threaded executors, CSF, and
+    /// orders beyond the kernel's row cache bank mode 0 only — this is
+    /// then exactly [`Self::fused_refresh_into`] — and leave `hs[1..]`
+    /// untouched.
+    pub fn fused_refresh_all_into(
+        &mut self,
+        observed: &CooTensor,
+        model: &KruskalTensor,
+        lw: &mut LayoutWorkspace,
+        exec: &Executor,
+        hs: &mut [Mat],
+    ) -> Result<(f64, usize)> {
+        if hs.len() != self.e.order() {
+            return Err(TensorError::ShapeMismatch(format!(
+                "{} fused mttkrp outputs for an order-{} tensor",
+                hs.len(),
+                self.e.order()
+            )));
+        }
+        if !self.sweeps_entry_order(exec) {
+            let frob = self.fused_refresh_into(observed, model, lw, exec, &mut hs[0])?;
+            return Ok((frob, 1));
+        }
+        let frob = crate::fused::fused_refresh_modes_into(observed, model, &mut self.e, hs)?;
+        Ok((frob, hs.len()))
     }
 
     /// The tiled blocked MTTKRP: per-part tile-range sweeps into row
@@ -1081,6 +1147,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fused_refresh_all_banks_every_mode_on_one_thread() {
+        let shape = [45, 23, 17];
+        let x = random_coo(&shape, 400, 7);
+        let seq = Executor::new(ExecMode::Sequential);
+        let par = Executor::new(ExecMode::Threads(3));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let boundaries: Vec<Vec<usize>> = shape.iter().map(|&d| vec![d / 2, d]).collect();
+        for &rank in &[3usize, 8, 17] {
+            let model = KruskalTensor::random(&shape, rank, 11 + rank as u64);
+            let we = residual(&x, &model).unwrap();
+            let whs: Vec<Mat> =
+                (0..3).map(|m| mttkrp(&we, model.factors(), m).unwrap()).collect();
+            let wf = we.frob_norm_sq();
+            for kind in [LayoutKind::Coo, LayoutKind::Tiled] {
+                for exec in [&seq, &par] {
+                    let mut layout = TensorLayout::build(x.clone(), kind).unwrap();
+                    let mut lw = layout.workspace(rank, &boundaries, exec).unwrap();
+                    let mut hs: Vec<Mat> =
+                        shape.iter().map(|&d| Mat::random(d, rank, 13)).collect(); // dirty
+                    let (f, banked) = layout
+                        .fused_refresh_all_into(&x, &model, &mut lw, exec, &mut hs)
+                        .unwrap();
+                    // One thread banks all three modes; a pool that really
+                    // runs concurrently keeps the one-mode bucketed sweep.
+                    let want_banked = if exec.parallelism() <= 1 { 3 } else { 1 };
+                    assert_eq!(banked, want_banked, "{kind} rank {rank}");
+                    assert_eq!(layout.entries(), &we, "{kind} rank {rank}");
+                    assert_eq!(f.to_bits(), wf.to_bits(), "{kind} rank {rank}");
+                    for m in 0..banked {
+                        assert_eq!(bits(hs[m].as_slice()), bits(whs[m].as_slice()), "mode {m}");
+                    }
+                }
+            }
+            // CSF reassociates, so it stays on its own one-mode walk.
+            let mut csf = TensorLayout::build(x.clone(), LayoutKind::Csf).unwrap();
+            let mut lw = csf.workspace(rank, &boundaries, &seq).unwrap();
+            let mut hs: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, rank)).collect();
+            let (_, banked) =
+                csf.fused_refresh_all_into(&x, &model, &mut lw, &seq, &mut hs).unwrap();
+            assert_eq!(banked, 1);
+            for (a, b) in hs[0].as_slice().iter().zip(whs[0].as_slice()) {
+                assert!((a - b).abs() < 1e-10);
+            }
+            // One output per mode, or a typed error.
+            assert!(csf.fused_refresh_all_into(&x, &model, &mut lw, &seq, &mut hs[..2]).is_err());
+        }
+        // Outside the entry-order kernel's orders the sweep is mode 0's.
+        let line = random_coo(&[9], 6, 1);
+        let model = KruskalTensor::random(&[9], 2, 1);
+        let mut layout = TensorLayout::build(line.clone(), LayoutKind::Coo).unwrap();
+        let mut lw = layout.workspace(2, &[vec![9]], &seq).unwrap();
+        let mut hs = vec![Mat::zeros(9, 2)];
+        let (f, banked) =
+            layout.fused_refresh_all_into(&line, &model, &mut lw, &seq, &mut hs).unwrap();
+        let we = residual(&line, &model).unwrap();
+        assert_eq!(banked, 1);
+        assert_eq!(layout.entries(), &we);
+        assert_eq!(f.to_bits(), we.frob_norm_sq().to_bits());
+        assert_eq!(hs[0].as_slice(), mttkrp(&we, model.factors(), 0).unwrap().as_slice());
     }
 
     #[test]

@@ -138,9 +138,12 @@ impl ResidualWorkspace {
 /// Allocation-free [`residual_into_exec`] for an already-initialized
 /// residual: every entry `e[i] = t[i] − [[A…]](idx[i])` is computed
 /// independently, so the values are bit-identical to the sequential loop
-/// for any chunking. At one thread this *is* the sequential loop (no
-/// buffers touched); threaded runs fill the workspace's per-chunk buffers
-/// and copy back in chunk order.
+/// for any chunking. At one thread this is one entry-order sweep through
+/// the fused kernels' interleaved eval block
+/// ([`crate::fused::refresh_entries`] — the same fold four entries at a
+/// time, so the serial add chains overlap; no buffers touched); threaded
+/// runs fill the workspace's per-chunk buffers and copy back in chunk
+/// order.
 ///
 /// Unlike [`residual_into_exec`] this never falls back to allocating a
 /// fresh residual: a support mismatch is an error.
@@ -169,10 +172,7 @@ pub fn residual_refresh_exec(
     }
     crate::record_entry_sweep(observed.nnz());
     if exec.parallelism() <= 1 {
-        let vals = e.values_mut();
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = observed.value(i) - model.eval(observed.index(i));
-        }
+        crate::fused::refresh_entries(observed, model, e.values_mut());
         return Ok(());
     }
     debug_assert_eq!(

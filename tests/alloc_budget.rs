@@ -97,6 +97,20 @@ fn steady_state_iterations_allocate_o1_heap() {
         thread_allocs_of,
     );
     assert_eq!(seq_rank5, 0.0, "sequential budget must not grow with rank");
+    // Rank 20 (the paper's, and past both specialized ranks): the
+    // all-modes fused sweep and the interleaved refresh run their
+    // generic-rank bodies, which keep every intermediate in locals.
+    let seq_rank20 = AdmmConfig { rank: 20, ..seq.clone() };
+    assert_eq!(
+        per_iter(&small, &seq_rank20, thread_allocs_of),
+        0.0,
+        "generic-rank fused sweep must not allocate"
+    );
+    assert_eq!(
+        per_iter(&small, &seq_rank20.with_fused(false), thread_allocs_of),
+        0.0,
+        "generic-rank refresh must not allocate"
+    );
 
     // --- Threaded: also zero. The unboxed broadcast dispatches through
     // pool-resident state, and on hosts where the pool is bypassed (a
@@ -129,7 +143,13 @@ fn pool_index_broadcast_allocates_nothing() {
         hits.fetch_add(1, Ordering::Relaxed);
     };
     // Warm up so lazily initialized thread state doesn't bill the
-    // measured window.
+    // measured window. The barrier makes each of the two workers take one
+    // index: without it a worker the host was slow to start could sit the
+    // warm-up out and do its start-up allocations inside the window.
+    let both = std::sync::Barrier::new(2);
+    pool.run_indexed(2, &|_| {
+        both.wait();
+    });
     pool.run_indexed(64, &task);
     let before = alloc::snapshot();
     for _ in 0..10 {

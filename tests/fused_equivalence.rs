@@ -1,16 +1,19 @@
-//! The fused N-pass schedule is a *bit-for-bit* no-op on results.
+//! The fused schedules are a *bit-for-bit* no-op on results.
 //!
 //! `AdmmConfig::fused` (the default) fuses the end-of-iteration residual
-//! refresh with the next iteration's mode-0 MTTKRP into one sweep over
-//! the nonzeros. Because the fused kernels replay exactly the same
-//! floating-point folds as the separate sweeps (see
-//! `distenc_tensor::fused`), every observable of a solve — iterates,
-//! trace statistics, and for the distributed driver even the virtual
-//! clock — must match the unfused schedule to the bit, across ranks
-//! (including the specialized R=8/16 kernels and the generic fallback),
-//! tensor orders, the COO and CSF layouts, and both execution backends.
+//! refresh with the next iteration's MTTKRPs into one sweep over the
+//! nonzeros: every mode's on the sequential host with the COO or tiled
+//! layout (one sweep per iteration), mode 0's under a threaded executor,
+//! the CSF layout or the distributed driver (N sweeps). Because the fused
+//! kernels replay exactly the same floating-point folds as the separate
+//! sweeps (see `distenc_tensor::fused`), every observable of a solve —
+//! iterates, trace statistics, and for the distributed driver even the
+//! virtual clock — must match the unfused schedule to the bit, across
+//! ranks (including the specialized R=8/16 kernels and the generic
+//! fallback), tensor orders (the literal order-3/4 bodies and the generic
+//! one), all three layouts, and both execution backends.
 
-use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC};
+use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC, LayoutKind};
 use distenc::dataflow::{Cluster, ClusterConfig, ExecMode};
 use distenc::tensor::{CooTensor, KruskalTensor};
 use rand::rngs::StdRng;
@@ -58,26 +61,34 @@ fn assert_bit_identical(fused: &CompletionResult, plain: &CompletionResult, labe
 
 #[test]
 fn host_solver_fused_matches_unfused_bit_for_bit() {
-    // Ranks cover both specialized kernels (8, 16), their neighbors, and
-    // the rank-1 edge; shapes cover orders 3 and 4.
+    // Ranks cover both specialized kernels (8, 16), their neighbors, the
+    // paper's 20, and the rank-1 edge; shapes cover orders 3 and 4 (the
+    // all-modes sweep's literal-order bodies) plus 2 and 5 (its generic
+    // one). The sequential COO and tiled solves run the one-sweep
+    // schedule; everything else banks mode 0 only.
     let cases: &[(&[usize], usize)] = &[
         (&[13, 11, 9], 1),
         (&[13, 11, 9], 3),
         (&[13, 11, 9], 8),
         (&[13, 11, 9], 16),
         (&[13, 11, 9], 17),
+        (&[13, 11, 9], 20),
         (&[7, 6, 5, 4], 3),
         (&[7, 6, 5, 4], 8),
+        (&[7, 6, 5, 4], 16),
+        (&[7, 6, 5, 4], 20),
+        (&[17, 15], 3),
+        (&[5, 4, 4, 3, 3], 8),
     ];
     for &(shape, rank) in cases {
         let observed = planted(shape, rank, 60 * shape.len(), rank as u64 + 5);
-        for use_csf in [false, true] {
+        for layout in [LayoutKind::Coo, LayoutKind::Tiled, LayoutKind::Csf] {
             for exec in [ExecMode::Sequential, ExecMode::Threads(4)] {
                 let base = AdmmConfig {
                     rank,
                     max_iters: 6,
                     tol: 1e-12,
-                    use_csf,
+                    layout: Some(layout),
                     exec,
                     ..Default::default()
                 };
@@ -90,8 +101,7 @@ fn host_solver_fused_matches_unfused_bit_for_bit() {
                     .unwrap()
                     .solve(&observed, &lapses)
                     .unwrap();
-                let label =
-                    format!("shape {shape:?} rank {rank} csf {use_csf} exec {exec:?}");
+                let label = format!("shape {shape:?} rank {rank} {layout} exec {exec:?}");
                 assert_bit_identical(&fused, &plain, &label);
             }
         }

@@ -96,7 +96,8 @@ fn concurrent_queries_survive_model_swaps() {
         assert!(!seen.is_empty());
         assert!(seen.iter().all(|g| (1..=GENERATIONS).contains(g)));
     }
-    assert!(total_reads >= 1600, "readers made {total_reads} reads");
+    // Each of the 4 readers leaves its loop only after 200 reads.
+    assert!(total_reads >= 800, "readers made {total_reads} reads");
 
     // Steady state: the final generation serves, counters saw every
     // publish and every read.

@@ -1,25 +1,35 @@
-//! The pass-count gate: fusion saves exactly one sweep over the nonzeros
-//! per iteration (requires `--features pass-count`; without the feature
-//! this file compiles to nothing).
+//! The pass-count gate: how many sweeps over the nonzeros an iteration
+//! costs (requires `--features pass-count`; without the feature this
+//! file compiles to nothing).
 //!
 //! Every entry-sweep kernel ticks `distenc_dataflow::passes` once per
-//! *invocation* — never per thread, chunk, or block — so the counts are
-//! identical on any host and under any `DISTENC_THREADS` setting. The
-//! contract (see `distenc-core`'s `solver` module docs): a steady-state
-//! iteration of an order-N solve sweeps the entry list
+//! *invocation* — never per thread, chunk, or block. The contract (see
+//! `distenc-core`'s `solver` module docs): a steady-state iteration of an
+//! order-N solve sweeps the entry list
 //!
 //! * **N+1** times unfused — N MTTKRPs plus the residual refresh,
-//! * **N** times fused — N−1 MTTKRPs, one fused refresh+MTTKRP sweep, and
-//!   a mode-0 update served from the stash without touching the entries.
+//! * **N** times fused where only mode 0 is banked (executors that run
+//!   threads concurrently, the CSF layout, the distributed driver) — N−1
+//!   MTTKRPs, one fused refresh+MTTKRP sweep, and a mode-0 update served
+//!   from the stash without touching the entries,
+//! * **once** fused on the sequential host (COO and tiled layouts) — the
+//!   one fused sweep banks every mode's MTTKRP, so all N updates are
+//!   served from the stash and the iteration touches `nnz` entries.
+//!
+//! The executor is set explicitly in every case below, so the counts do
+//! not depend on `DISTENC_THREADS`; the one host dependence left is that
+//! `ExecMode::Threads(n)` on a single-core host delivers no concurrency,
+//! runs the sequential kernels, and so counts 1 like them.
 //!
 //! Alongside sweeps, the instrument counts **entries touched**, which is
 //! what prices the sketched tier: a sampled gather of `S` draws charges
 //! `S` entries but zero sweeps (it never traverses the full list). A
 //! steady-state *sketch-phase* iteration therefore touches exactly
 //! `N·samples` entries — `N−1` sampled MTTKRPs plus one fused sampled
-//! sweep that banks the mode-0 estimate — where an exact fused iteration
-//! touches `N·nnz`. The gate below pins both counts exactly and the
-//! `≥ 2×` discount at the accuracy gate's `samples = nnz/4` budget.
+//! sweep that banks the mode-0 estimate. The gate below pins that count
+//! exactly and the `≥ 2×` discount, at the accuracy gate's
+//! `samples = nnz/4` budget, against the `N·nnz` an exact iteration
+//! touches wherever it still makes N sweeps.
 //!
 //! Methodology mirrors `tests/alloc_budget.rs`: the solver is
 //! deterministic, so runs differing only in `max_iters` (2 vs 10) do
@@ -35,7 +45,7 @@
 
 use distenc::core::{AdmmConfig, AdmmSolver, DisTenC, LayoutKind, SolverTier};
 use distenc::dataflow::passes;
-use distenc::dataflow::{Cluster, ClusterConfig};
+use distenc::dataflow::{Cluster, ClusterConfig, ExecMode, Executor};
 use distenc::tensor::{CooTensor, KruskalTensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,53 +129,73 @@ fn sketched_per_iter(
 }
 
 #[test]
-fn fused_iterations_sweep_the_nonzeros_one_time_fewer() {
-    let base = AdmmConfig { rank: 3, tol: 1e-300, ..Default::default() };
+fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
+    let base = AdmmConfig {
+        rank: 3,
+        tol: 1e-300,
+        exec: ExecMode::Sequential,
+        ..Default::default()
+    };
     let order3 = planted(&[14, 12, 10], 3, 600, 2);
     let order4 = planted(&[9, 8, 7, 6], 3, 700, 3);
+    let nnz = order3.nnz() as f64;
 
-    // --- Host solver, COO kernels. -----------------------------------
+    // --- Sequential host, COO kernels: one sweep banks every mode. -----
     let fused = AdmmConfig { fused: true, ..base.clone() };
     let plain = AdmmConfig { fused: false, ..base.clone() };
-    assert_eq!(host_sweeps_per_iter(&order3, &fused), 3.0, "order 3 fused");
+    assert_eq!(host_sweeps_per_iter(&order3, &fused), 1.0, "order 3 fused");
     assert_eq!(host_sweeps_per_iter(&order3, &plain), 4.0, "order 3 unfused");
-    assert_eq!(host_sweeps_per_iter(&order4, &fused), 4.0, "order 4 fused");
+    assert_eq!(host_sweeps_per_iter(&order4, &fused), 1.0, "order 4 fused");
     assert_eq!(host_sweeps_per_iter(&order4, &plain), 5.0, "order 4 unfused");
+    assert_eq!(host_entries_per_iter(&order3, &fused), nnz, "exact entries");
 
-    // --- Host solver, CSF tree walks. --------------------------------
+    // --- Sequential host, tiled layout. --------------------------------
+    // Per-row order in a tile is entry order, so the fused sweep is the
+    // same one entry-order traversal; unfused, cache-blocking reorders
+    // the entry walk but must not add passes.
+    let tiled_fused = AdmmConfig { layout: Some(LayoutKind::Tiled), ..fused.clone() };
+    let tiled_plain = AdmmConfig { layout: Some(LayoutKind::Tiled), ..plain.clone() };
+    assert_eq!(host_sweeps_per_iter(&order3, &tiled_fused), 1.0, "tiled fused");
+    assert_eq!(host_sweeps_per_iter(&order3, &tiled_plain), 4.0, "tiled unfused");
+    assert_eq!(host_entries_per_iter(&order3, &tiled_fused), nnz, "tiled entries");
+
+    // --- Sequential host, CSF tree walks: mode 0 banked, N sweeps. -----
     let csf_fused = AdmmConfig { use_csf: true, ..fused.clone() };
     let csf_plain = AdmmConfig { use_csf: true, ..plain.clone() };
     assert_eq!(host_sweeps_per_iter(&order3, &csf_fused), 3.0, "CSF fused");
     assert_eq!(host_sweeps_per_iter(&order3, &csf_plain), 4.0, "CSF unfused");
 
-    // --- Host solver, tiled layout. ----------------------------------
-    // Cache-blocking reorders the entry walk but must not add passes:
-    // the tiled sweep is one traversal of the (permuted) entry list.
-    let tiled_fused = AdmmConfig { layout: Some(LayoutKind::Tiled), ..fused.clone() };
-    let tiled_plain = AdmmConfig { layout: Some(LayoutKind::Tiled), ..plain.clone() };
-    assert_eq!(host_sweeps_per_iter(&order3, &tiled_fused), 3.0, "tiled fused");
-    assert_eq!(host_sweeps_per_iter(&order3, &tiled_plain), 4.0, "tiled unfused");
+    // --- Threaded host: the bucketed kernels bank mode 0, N sweeps —
+    // wherever the pool can actually run two buckets at once. -----------
+    let threads = ExecMode::Threads(4);
+    let concurrent = Executor::new(threads).parallelism() > 1;
+    let threaded = if concurrent { 3.0 } else { 1.0 };
+    for (label, cfg) in [("COO", &fused), ("tiled", &tiled_fused)] {
+        let thr_fused = AdmmConfig { exec: threads, ..cfg.clone() };
+        let thr_plain = AdmmConfig { exec: threads, fused: false, ..cfg.clone() };
+        assert_eq!(host_sweeps_per_iter(&order3, &thr_fused), threaded, "{label} threaded fused");
+        assert_eq!(host_sweeps_per_iter(&order3, &thr_plain), 4.0, "{label} threaded unfused");
+        assert_eq!(
+            host_entries_per_iter(&order3, &thr_fused),
+            threaded * nnz,
+            "{label} threaded entries"
+        );
+    }
 
-    // --- Distributed solver, block-local kernels. --------------------
+    // --- Distributed solver, block-local kernels: unchanged. -----------
     assert_eq!(distenc_sweeps_per_iter(&order3, &fused), 3.0, "distenc fused");
     assert_eq!(distenc_sweeps_per_iter(&order3, &plain), 4.0, "distenc unfused");
 
-    // --- Entry touches: exact vs sketched. ---------------------------
-    // An exact fused iteration touches every nonzero on each of its N
-    // sweeps; a sketch-phase iteration touches exactly N·samples — and
+    // --- Entry touches: exact vs sketched. -----------------------------
+    // A sketch-phase iteration touches exactly N·samples entries — and
     // performs *zero* full sweeps (sampled gathers are charged as
-    // entries only).
-    let nnz = order3.nnz() as f64;
-    assert_eq!(host_entries_per_iter(&order3, &fused), 3.0 * nnz, "exact entries");
-    assert_eq!(host_entries_per_iter(&order3, &tiled_fused), 3.0 * nnz, "tiled entries");
+    // entries only) — where an exact iteration on the N-sweep schedules
+    // above touches every nonzero N times.
     let samples = order3.nnz() / 4;
     let (sk_sweeps, sk_entries) = sketched_per_iter(&order3, &base, samples, 2);
     assert_eq!(sk_sweeps, 0.0, "sketch-phase iterations do no full sweeps");
     assert_eq!(sk_entries, 3.0 * samples as f64, "sketched entries = N·samples");
-    assert!(
-        sk_entries <= 3.0 * samples as f64,
-        "sketched iteration must touch ≤ samples·N entries"
-    );
+    assert_eq!(host_entries_per_iter(&order3, &csf_fused), 3.0 * nnz, "N-sweep exact entries");
     let ratio = (3.0 * nnz) / sk_entries;
     assert!(ratio >= 2.0, "entry-touch discount {ratio:.2} below the 2x bar");
 }
