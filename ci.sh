@@ -5,82 +5,58 @@ set -eu
 echo "==> cargo build --release"
 cargo build --release
 
-# Run the whole suite under both execution backends. ExecMode::default()
-# reads DISTENC_THREADS, so no test needs to opt in: the same binaries
-# exercise the sequential path and the thread pool, and every result must
-# be bit-identical (tests/parallel_equivalence.rs proves the contract).
-echo "==> DISTENC_THREADS=1 cargo test -q"
-DISTENC_THREADS=1 cargo test -q
-
-echo "==> DISTENC_THREADS=4 cargo test -q"
-DISTENC_THREADS=4 cargo test -q
-
-# The streaming and live-swap contracts get named gates (they also run in
-# the sweeps above): warm re-solves must be bit-identical to solve_from on
-# the final tensor, and a model publish must never fail a concurrent read.
-# Both are exercised under each backend, like everything else.
-echo "==> DISTENC_THREADS=1 cargo test -q --test streaming_equivalence --test live_swap"
-DISTENC_THREADS=1 cargo test -q --test streaming_equivalence --test live_swap
-
-echo "==> DISTENC_THREADS=4 cargo test -q --test streaming_equivalence --test live_swap"
-DISTENC_THREADS=4 cargo test -q --test streaming_equivalence --test live_swap
-
-# The sketched-tier gates: the statistical accuracy gate (sketched final
-# RMSE within the documented tolerance of exact on the planted gate
-# workloads — the tolerance constant lives in distenc_eval::accuracy) and
-# the determinism/degeneracy contracts (seeded sampling is bit-identical
-# across executors; samples >= nnz degenerates to exact bit-for-bit).
-# Both run under both thread counts: the sampled schedule is computed on
-# the driver, so the numbers must not move at all.
-echo "==> DISTENC_THREADS=1 cargo test -q --release --test accuracy_gate --test sketched_equivalence"
-DISTENC_THREADS=1 cargo test -q --release --test accuracy_gate --test sketched_equivalence
-
-echo "==> DISTENC_THREADS=4 cargo test -q --release --test accuracy_gate --test sketched_equivalence"
-DISTENC_THREADS=4 cargo test -q --release --test accuracy_gate --test sketched_equivalence
-
-# The layout-equivalence gate: tiled solves must be bit-identical to COO
-# — factors, RMSE trace, delta trace — through the exact tier, the
-# sketched tier, and streaming warm re-solves (CSF matches to ~1e-9, its
-# documented contract), and unknown layout names (--layout flag or
-# DISTENC_LAYOUT env) must surface as typed errors, never fallbacks.
-# Both thread counts: tile partitioning, like COO blocking, must be
-# bit-invisible. The pass-count gate below separately proves the tiled
-# layout adds no traversals (one sweep per fused iteration on one thread,
-# N threaded, N+1 unfused — the same as COO).
-echo "==> DISTENC_THREADS=1 cargo test -q --test layout_equivalence"
-DISTENC_THREADS=1 cargo test -q --test layout_equivalence
-
-echo "==> DISTENC_THREADS=4 cargo test -q --test layout_equivalence"
-DISTENC_THREADS=4 cargo test -q --test layout_equivalence
-
-# The fault-tolerance gate: injected crashes, flaky tasks, and stragglers
-# must recover to bit-identical factors/RMSE (lineage restart on the
-# cluster, checkpoint files + `resume` on the host) or surface a typed
-# error — never a panic, never silently different numerics. Recovery cost
-# is charged to the virtual clock, so the gate also checks the economics
-# (an interval-1 resume beats a cold restart). Both thread counts, same
-# bits.
-echo "==> DISTENC_THREADS=1 cargo test -q --test fault_recovery"
-DISTENC_THREADS=1 cargo test -q --test fault_recovery
-
-echo "==> DISTENC_THREADS=4 cargo test -q --test fault_recovery"
-DISTENC_THREADS=4 cargo test -q --test fault_recovery
-
-# The serve-SLO gate: fixed-work invariants of the serving stack, never
-# wall-clock — shed accounting balances exactly (every submission is one
-# of served / typed shed / rejected, and the metrics mirror the caller's
-# counts), the approximate top-K tier holds recall@K >= 0.95 with its
-# shadow-sampling counters proven live, and a registry-backed queue under
-# concurrent hot-publishes never fails a read. The overload storm gate
-# proves the same exactly-once accounting under multi-threaded
-# past-capacity pressure plus a proptest sweep of small queue configs.
-# The serve queue sizes its workers from DISTENC_THREADS, so both
-# sweeps exercise single-worker and multi-worker draining.
-echo "==> DISTENC_THREADS=1 cargo test -q --test serve_slo --test serve_overload"
-DISTENC_THREADS=1 cargo test -q --test serve_slo --test serve_overload
-
-echo "==> DISTENC_THREADS=4 cargo test -q --test serve_slo --test serve_overload"
-DISTENC_THREADS=4 cargo test -q --test serve_slo --test serve_overload
+# The whole workspace (default-members covers every crate and vendored
+# shim), once per execution backend. ExecMode::default() reads
+# DISTENC_THREADS, so no test needs to opt in: the same binaries exercise
+# the sequential path and the thread pool, and every result must be
+# bit-identical (tests/parallel_equivalence.rs proves the contract). A
+# value ExecMode::parse rejects fails the sweep loudly instead of running
+# it sequentially.
+#
+# The named gates all live inside these two sweeps; each can be run alone
+# with `DISTENC_THREADS=<n> cargo test -q --test <name>`:
+#   streaming_equivalence, live_swap — warm re-solves are bit-identical to
+#     solve_from on the final tensor; a model publish never fails a
+#     concurrent read.
+#   accuracy_gate, sketched_equivalence — sketched final RMSE within the
+#     documented tolerance of exact on the planted gate workloads (the
+#     constant lives in distenc_eval::accuracy); seeded sampling is
+#     bit-identical across executors; samples >= nnz degenerates to exact
+#     bit for bit. The sampled schedule is computed on the driver, so the
+#     numbers must not move with the thread count at all.
+#   layout_equivalence — tiled solves are bit-identical to COO (factors,
+#     RMSE trace, delta trace) through the exact tier, the sketched tier
+#     and streaming warm re-solves; CSF matches to ~1e-9, its documented
+#     contract; unknown layout names are typed errors, never fallbacks.
+#     Tile partitioning, like COO blocking, must be bit-invisible at both
+#     thread counts.
+#   fault_recovery — injected crashes, flaky tasks and stragglers recover
+#     to bit-identical factors/RMSE (lineage restart on the cluster,
+#     checkpoint files + `resume` on the host) or surface a typed error:
+#     never a panic, never silently different numerics. Recovery cost is
+#     charged to the virtual clock, so an interval-1 resume must beat a
+#     cold restart.
+#   serve_slo, serve_overload — fixed-work invariants of the serving
+#     stack, never wall-clock: every submission is exactly one of served /
+#     typed shed / rejected and the metrics mirror the caller's counts;
+#     the approximate top-K tier holds recall@K >= 0.95 with its shadow
+#     counters proven live; a registry-backed queue under concurrent
+#     hot-publishes never fails a read; the same exactly-once accounting
+#     holds under a multi-threaded past-capacity storm and a proptest
+#     sweep of small queue configs. The gate sizes its worker pool from
+#     ExecMode::default(), so the two sweeps drain with one worker and
+#     with several.
+executed=0
+for threads in 1 4; do
+    echo "==> DISTENC_THREADS=$threads cargo test -q"
+    log=$(mktemp)
+    DISTENC_THREADS=$threads cargo test -q >"$log" 2>&1 || { cat "$log"; rm -f "$log"; exit 1; }
+    cat "$log"
+    ran=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$log")
+    rm -f "$log"
+    echo "==> DISTENC_THREADS=$threads: $ran tests passed"
+    executed=$((executed + ran))
+done
 
 # The allocation-budget gate needs the counting global allocator, which
 # only exists behind the alloc-count feature; it runs the solver itself,
@@ -114,4 +90,4 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "==> ci.sh OK"
+echo "==> ci.sh OK: $executed tests executed across the two sweeps"

@@ -1,8 +1,7 @@
-//! Benchmarks of the dataflow substrate and the greedy partitioner —
-//! the pieces whose costs dominate the simulation itself.
+//! Benchmarks of the greedy partitioner — the piece whose cost dominates
+//! the simulation's set-up.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use distenc_dataflow::{Cluster, ClusterConfig, Dist};
 use distenc_partition::{greedy_boundaries, TensorBlocks};
 use distenc_tensor::CooTensor;
 use rand::rngs::StdRng;
@@ -29,23 +28,5 @@ fn bench_greedy_partition(c: &mut Criterion) {
     });
 }
 
-fn bench_dist_ops(c: &mut Criterion) {
-    let cluster = Cluster::new(ClusterConfig::test(8).with_time_budget(None));
-    let pairs: Vec<(u64, u64)> = (0..100_000).map(|i| (i % 1000, i)).collect();
-    c.bench_function("dist_reduce_by_key_100k", |b| {
-        b.iter(|| {
-            let d = Dist::from_vec(&cluster, pairs.clone(), 16).unwrap();
-            d.reduce_by_key(16, 1.0, |a, v| *a += v).unwrap()
-        })
-    });
-    let nums: Vec<u64> = (0..100_000).collect();
-    c.bench_function("dist_map_100k", |b| {
-        b.iter(|| {
-            let d = Dist::from_vec(&cluster, nums.clone(), 16).unwrap();
-            d.map(1.0, |x| x * 2).unwrap()
-        })
-    });
-}
-
-criterion_group!(benches, bench_greedy_partition, bench_dist_ops);
+criterion_group!(benches, bench_greedy_partition);
 criterion_main!(benches);

@@ -12,8 +12,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use distenc_core::{AdmmConfig, AdmmSolver};
 use distenc_dataflow::{ExecMode, Executor};
 use distenc_partition::greedy_boundaries;
-use distenc_tensor::mttkrp::mttkrp_blocked;
-use distenc_tensor::residual::residual_into_exec;
+use distenc_linalg::Mat;
+use distenc_tensor::mttkrp::{mttkrp_blocked_into, MttkrpWorkspace};
+use distenc_tensor::residual::{residual_refresh_exec, ResidualWorkspace};
 use distenc_tensor::{CooTensor, KruskalTensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,8 +36,10 @@ fn random_coo(seed: u64) -> CooTensor {
     t
 }
 
+/// `Threads(1)` runs inline like `Sequential`, so one spelling covers
+/// the whole ladder.
 fn executor(n: usize) -> Executor {
-    Executor::new(if n >= 2 { ExecMode::Threads(n) } else { ExecMode::Sequential })
+    Executor::new(ExecMode::Threads(n))
 }
 
 fn bench_mttkrp_threads(c: &mut Criterion) {
@@ -46,9 +49,12 @@ fn bench_mttkrp_threads(c: &mut Criterion) {
     for n in THREADS {
         let exec = executor(n);
         let cuts = greedy_boundaries(&x.slice_nnz(0), exec.parallelism());
+        let mut ws = MttkrpWorkspace::new(&x, 0, &cuts, RANK).unwrap();
+        let mut h = Mat::zeros(SHAPE[0], RANK);
         g.bench_function(&format!("threads_{n}"), |b| {
             b.iter(|| {
-                mttkrp_blocked(black_box(&x), model.factors(), 0, &cuts, &exec).unwrap()
+                mttkrp_blocked_into(black_box(&x), model.factors(), &mut ws, &exec, &mut h)
+                    .unwrap()
             })
         });
     }
@@ -62,8 +68,11 @@ fn bench_residual_threads(c: &mut Criterion) {
     for n in THREADS {
         let exec = executor(n);
         let mut e = x.clone();
+        let mut ws = ResidualWorkspace::new(x.nnz(), &exec);
         g.bench_function(&format!("threads_{n}"), |b| {
-            b.iter(|| residual_into_exec(black_box(&x), &model, &mut e, &exec).unwrap())
+            b.iter(|| {
+                residual_refresh_exec(black_box(&x), &model, &mut e, &mut ws, &exec).unwrap()
+            })
         });
     }
     g.finish();
@@ -74,7 +83,7 @@ fn solve_once(x: &CooTensor, n: usize) {
         rank: RANK,
         max_iters: 1,
         tol: 1e-15,
-        exec: if n >= 2 { ExecMode::Threads(n) } else { ExecMode::Sequential },
+        exec: ExecMode::Threads(n),
         ..Default::default()
     };
     let laps = vec![None; 3];
@@ -118,10 +127,12 @@ fn emit_json(_c: &mut Criterion) {
     for n in THREADS {
         let exec = executor(n);
         let cuts = greedy_boundaries(&x.slice_nnz(0), exec.parallelism());
+        let mut ws = MttkrpWorkspace::new(&x, 0, &cuts, RANK).unwrap();
+        let mut h = Mat::zeros(SHAPE[0], RANK);
         mttkrp_ns.push((
             n,
             median_ns(7, || {
-                mttkrp_blocked(&x, model.factors(), 0, &cuts, &exec).unwrap();
+                mttkrp_blocked_into(&x, model.factors(), &mut ws, &exec, &mut h).unwrap();
             }),
         ));
         admm_ns.push((n, median_ns(3, || solve_once(&x, n))));

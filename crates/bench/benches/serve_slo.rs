@@ -26,12 +26,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use distenc_linalg::Mat;
 use distenc_serve::{
-    open_loop_trace, AdmissionControl, ApproxTopK, Engine, EngineConfig, ModelRegistry,
-    OpenLoopConfig, QueueConfig, Response, ServeError, ServeQueue, TopKQuery,
-    TraceConfig,
+    serve_open_loop, AdmissionControl, ApproxTopK, Engine, EngineConfig, OpenLoopConfig,
+    QueueConfig, TopKQuery, TraceConfig,
 };
 use distenc_tensor::KruskalTensor;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SHAPE: [usize; 3] = [4000, 800, 40];
@@ -62,24 +60,6 @@ fn skewed_model(seed: u64) -> KruskalTensor {
         }
     }
     KruskalTensor::new(factors).unwrap()
-}
-
-/// Spin/sleep until `start + offset`. Sleeps for coarse gaps, spins the
-/// last stretch — at 400k QPS the inter-arrival gap is 2.5µs, far below
-/// OS sleep granularity.
-fn pace(start: Instant, offset: Duration) {
-    let target = start + offset;
-    loop {
-        let now = Instant::now();
-        if now >= target {
-            return;
-        }
-        if target - now > Duration::from_micros(300) {
-            std::thread::sleep(target - now - Duration::from_micros(200));
-        } else {
-            std::hint::spin_loop();
-        }
-    }
 }
 
 struct RungStats {
@@ -123,24 +103,19 @@ impl RungStats {
 /// One rung of the ladder: a fresh engine+queue, `RUN_SECS` of offered
 /// load at `qps`, every ticket resolved and classified.
 fn run_rung(model: &KruskalTensor, qps: f64) -> RungStats {
-    let engine = Arc::new(Engine::new(model, EngineConfig::default()).unwrap());
-    let queue = ServeQueue::new(
-        Arc::clone(&engine),
-        QueueConfig {
-            capacity: 2048,
-            max_batch: 128,
-            window: Duration::from_micros(100),
-            workers: WORKERS,
-            admission: AdmissionControl {
-                shed_watermark: Some(1536),
-                deadline_aware: true,
-                tenant_share: None,
-            },
-            fair_quantum: 8,
+    let queue_cfg = QueueConfig {
+        capacity: 2048,
+        max_batch: 128,
+        window: Duration::from_micros(100),
+        workers: WORKERS,
+        admission: AdmissionControl {
+            shed_watermark: Some(1536),
+            deadline_aware: true,
+            tenant_share: None,
         },
-    )
-    .unwrap();
-    let cfg = OpenLoopConfig {
+        fair_quantum: 8,
+    };
+    let load = OpenLoopConfig {
         qps,
         tenants: 1,
         tenant_zipf: 1.0,
@@ -155,43 +130,21 @@ fn run_rung(model: &KruskalTensor, qps: f64) -> RungStats {
             seed: 42,
         },
     };
-    let trace = open_loop_trace(&SHAPE, &cfg);
     let deadline = Some(Duration::from_millis(25));
-    let mut tickets = Vec::with_capacity(trace.len());
-    let mut rejected = 0u64;
-    let start = Instant::now();
-    for tr in &trace {
-        pace(start, tr.offset);
-        match queue.submit_with_deadline(tr.request.clone(), deadline) {
-            Ok(t) => tickets.push(t),
-            Err(ServeError::QueueFull { .. }) => rejected += 1,
-            Err(e) => panic!("unexpected submit error: {e}"),
-        }
-    }
-    let (mut served, mut shed, mut timed_out, mut errors) = (0u64, 0u64, 0u64, 0u64);
-    for t in tickets {
-        match t.wait() {
-            Response::Value(_) | Response::Values(_) | Response::TopK(_) => served += 1,
-            Response::Shed(_) => shed += 1,
-            Response::TimedOut => timed_out += 1,
-            Response::Error(_) => errors += 1,
-        }
-    }
-    let wall = start.elapsed().as_secs_f64();
-    drop(queue);
-    let s = engine.snapshot();
+    let r = serve_open_loop(model, EngineConfig::default(), queue_cfg, &load, deadline)
+        .expect("open-loop rung");
     RungStats {
         offered_qps: qps,
-        achieved_qps: served as f64 / wall,
-        served,
-        shed,
-        rejected,
-        timed_out,
-        errors,
-        p50: s.e2e_p50,
-        p99: s.e2e_p99,
-        shed_rate: s.shed_rate(),
-        depth_peak: s.queue_depth_peak,
+        achieved_qps: r.achieved_qps(),
+        served: r.served[0],
+        shed: r.shed[0],
+        rejected: r.rejected,
+        timed_out: r.timed_out,
+        errors: r.errors,
+        p50: r.metrics.e2e_p50,
+        p99: r.metrics.e2e_p99,
+        shed_rate: r.metrics.shed_rate(),
+        depth_peak: r.metrics.queue_depth_peak,
     }
 }
 
@@ -259,27 +212,19 @@ fn approx_section(model: &KruskalTensor) -> String {
 /// tenant load: per-tenant outcomes and peak lane occupancy.
 fn fairness_section(model: &KruskalTensor) -> String {
     const TENANTS: [&str; 3] = ["alpha", "beta", "gamma"];
-    let reg = Arc::new(ModelRegistry::new());
-    for name in TENANTS {
-        reg.register(name, model, EngineConfig::default()).unwrap();
-    }
-    let queue = ServeQueue::with_registry(
-        Arc::clone(&reg),
-        QueueConfig {
-            capacity: 1024,
-            max_batch: 128,
-            window: Duration::from_micros(100),
-            workers: 2,
-            admission: AdmissionControl {
-                shed_watermark: None,
-                deadline_aware: false,
-                tenant_share: Some(512),
-            },
-            fair_quantum: 8,
+    let queue_cfg = QueueConfig {
+        capacity: 1024,
+        max_batch: 128,
+        window: Duration::from_micros(100),
+        workers: 2,
+        admission: AdmissionControl {
+            shed_watermark: None,
+            deadline_aware: false,
+            tenant_share: Some(512),
         },
-    )
-    .unwrap();
-    let cfg = OpenLoopConfig {
+        fair_quantum: 8,
+    };
+    let load = OpenLoopConfig {
         qps: 50_000.0,
         tenants: TENANTS.len(),
         tenant_zipf: 1.2,
@@ -294,40 +239,15 @@ fn fairness_section(model: &KruskalTensor) -> String {
             seed: 43,
         },
     };
-    let trace = open_loop_trace(&SHAPE, &cfg);
-    let mut tickets = Vec::with_capacity(trace.len());
-    let start = Instant::now();
-    for tr in &trace {
-        pace(start, tr.offset);
-        match queue.submit_for(TENANTS[tr.tenant], tr.request.clone()) {
-            Ok(t) => tickets.push((tr.tenant, t)),
-            Err(ServeError::QueueFull { .. }) => {}
-            Err(e) => panic!("unexpected submit error: {e}"),
-        }
-    }
-    let mut served = [0u64; 3];
-    let mut shed = [0u64; 3];
-    for (tenant, t) in tickets {
-        match t.wait() {
-            Response::Value(_) | Response::Values(_) | Response::TopK(_) => {
-                served[tenant] += 1
-            }
-            Response::Shed(_) => shed[tenant] += 1,
-            _ => {}
-        }
-    }
-    let occ = queue.occupancy();
+    let r = serve_open_loop(model, EngineConfig::default(), queue_cfg, &load, None)
+        .expect("open-loop fairness run");
     let rows: Vec<String> = TENANTS
         .iter()
         .enumerate()
         .map(|(i, name)| {
-            let peak = occ
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map_or(0, |(_, _, p)| *p);
             format!(
-                "    \"{name}\": {{ \"served\": {}, \"shed\": {}, \"peak_occupancy\": {peak} }}",
-                served[i], shed[i]
+                "    \"{name}\": {{ \"served\": {}, \"shed\": {}, \"peak_occupancy\": {} }}",
+                r.served[i], r.shed[i], r.queued_peak[i]
             )
         })
         .collect();

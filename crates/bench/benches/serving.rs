@@ -6,7 +6,7 @@
 //! shared rank loop, so it must come out faster per entry.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use distenc_serve::{synth_trace, Engine, EngineConfig, Request, TopKQuery, TraceConfig};
+use distenc_serve::{replay_direct, synth_trace, Engine, EngineConfig, TopKQuery, TraceConfig};
 use distenc_tensor::KruskalTensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,21 +86,7 @@ fn bench_trace_replay(c: &mut Criterion) {
     let cfg = TraceConfig { queries: 2_000, ..Default::default() };
     let trace = synth_trace(&SHAPE, &cfg);
     c.bench_function("zipf_trace_2k_requests", |b| {
-        b.iter(|| {
-            for request in &trace {
-                match request {
-                    Request::Point { index } => {
-                        engine.point(black_box(index)).unwrap();
-                    }
-                    Request::Batch { indices } => {
-                        engine.batch(black_box(indices)).unwrap();
-                    }
-                    Request::TopK { query, budget } => {
-                        engine.topk(black_box(query), *budget).unwrap();
-                    }
-                }
-            }
-        })
+        b.iter(|| replay_direct(black_box(&engine), black_box(&trace)).unwrap())
     });
 }
 

@@ -192,9 +192,8 @@ impl AdmmSolver {
         let cfg = AdmmConfig {
             exec: self.cfg.exec,
             checkpoint: self.cfg.checkpoint.clone(),
-            // Like `exec`, the layout override is an environment knob of
-            // *this* invocation (the checkpoint stores `use_csf`, so a
-            // legacy-selected CSF run resumes onto CSF by default).
+            // Like `exec`, the layout is an environment knob of *this*
+            // invocation; checkpoints do not store it.
             layout: self.cfg.layout,
             ..ckpt.config.clone()
         };
@@ -413,13 +412,12 @@ fn build_host_layout(
         })
         .collect();
 
-    let kind = cfg.resolved_layout().map_err(CoreError::Invalid)?;
     let residual_fresh = carry.is_some();
     let (e, accel) = match carry {
         Some(c) => (c.e, c.accel),
         None => (observed.clone(), LayoutAccel::default()),
     };
-    let layout = TensorLayout::build_with(e, kind, accel)?;
+    let layout = TensorLayout::build_with(e, cfg.layout, accel)?;
     Ok((exec, boundaries, ResidualStore::Host(layout), residual_fresh))
 }
 
@@ -669,11 +667,11 @@ mod tests {
             eigen_k: 15,
             ..Default::default()
         };
-        let with_aux = AdmmSolver::new(cfg.clone().with_alpha(5.0))
+        let with_aux = AdmmSolver::new(AdmmConfig { alpha: 5.0, ..cfg.clone() })
             .unwrap()
             .solve(&split.train, &[Some(&laps[0]), Some(&laps[1]), Some(&laps[2])])
             .unwrap();
-        let without_aux = AdmmSolver::new(cfg.with_alpha(0.0))
+        let without_aux = AdmmSolver::new(AdmmConfig { alpha: 0.0, ..cfg })
             .unwrap()
             .solve(&split.train, &[None, None, None])
             .unwrap();
@@ -779,7 +777,7 @@ mod tests {
             .unwrap()
             .solve(&observed, &[None, None, None])
             .unwrap();
-        let csf_run = AdmmSolver::new(AdmmConfig { use_csf: true, ..base })
+        let csf_run = AdmmSolver::new(base.with_layout(distenc_tensor::LayoutKind::Csf))
             .unwrap()
             .solve(&observed, &[None, None, None])
             .unwrap();

@@ -28,9 +28,10 @@ pub const DEFAULT_POLISH_ITERS: usize = 8;
 /// * combined with [`AdmmConfig::fused`] — the sketch phase always runs
 ///   its own fused sampled sweep (the flag is an exact-path schedule
 ///   switch); the polish phase honors the flag as usual.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverTier {
     /// The exact reference path (the default).
+    #[default]
     Exact,
     /// Sampled MTTKRP steps followed by an exact polish phase.
     Sketched {
@@ -42,52 +43,9 @@ pub enum SolverTier {
 }
 
 impl SolverTier {
-    /// The tier requested by the `DISTENC_TIER` environment variable:
-    /// `exact` (or unset) for [`SolverTier::Exact`];
-    /// `sketched[:SAMPLES[:POLISH]]` for [`SolverTier::Sketched`] (with
-    /// `SAMPLES` defaulting to 4096 draws and `POLISH` to
-    /// [`DEFAULT_POLISH_ITERS`]). Unparseable values fall back to
-    /// `Exact`, mirroring how `DISTENC_THREADS` falls back to the
-    /// sequential backend.
-    pub fn from_env() -> SolverTier {
-        match std::env::var("DISTENC_TIER") {
-            Ok(raw) => SolverTier::parse(&raw),
-            Err(_) => SolverTier::Exact,
-        }
-    }
-
-    /// Parse a `DISTENC_TIER`-style spec (see [`SolverTier::from_env`]).
-    pub fn parse(raw: &str) -> SolverTier {
-        let mut parts = raw.trim().split(':');
-        match parts.next().map(str::trim) {
-            Some("sketched") => {
-                let samples = parts
-                    .next()
-                    .and_then(|s| s.trim().parse::<usize>().ok())
-                    .unwrap_or(4096);
-                let polish_iters = parts
-                    .next()
-                    .and_then(|s| s.trim().parse::<usize>().ok())
-                    .unwrap_or(DEFAULT_POLISH_ITERS);
-                SolverTier::Sketched { samples, polish_iters }
-            }
-            _ => SolverTier::Exact,
-        }
-    }
-
     /// Whether this tier is the sketched one.
     pub fn is_sketched(&self) -> bool {
         matches!(self, SolverTier::Sketched { .. })
-    }
-}
-
-impl Default for SolverTier {
-    /// The default comes from the environment (see
-    /// [`SolverTier::from_env`]), so `DISTENC_TIER=sketched cargo run`
-    /// flips the tier without touching any call site — the same pattern
-    /// `DISTENC_THREADS` uses for the execution backend.
-    fn default() -> Self {
-        SolverTier::from_env()
     }
 }
 
@@ -158,22 +116,13 @@ pub struct AdmmConfig {
     /// greedy balancing by default; the equal-width baseline exists for
     /// the load-balancing ablation).
     pub partition: distenc_partition::PartitionStrategy,
-    /// Use the compressed-sparse-fiber MTTKRP (§III-C's SPLATT layout) in
-    /// the serial solver instead of the COO kernel. Identical results;
-    /// faster on fiber-dense tensors (the `kernels` bench quantifies it).
-    /// Superseded by [`AdmmConfig::layout`]: this legacy switch only
-    /// matters when `layout` is `None` and `DISTENC_LAYOUT` is unset.
-    pub use_csf: bool,
     /// Which storage layout the host solver keeps the residual tensor in
-    /// (see [`distenc_tensor::LayoutKind`]): flat COO, CSF fiber trees,
-    /// or the cache-blocked tiled layout. `None` (the default) resolves
-    /// at solve time with precedence **config > CLI > env**: the
-    /// `--layout` CLI flag writes this field, the `DISTENC_LAYOUT`
-    /// environment variable is consulted next (unknown names are typed
-    /// errors, never silent fallbacks), and finally the legacy
-    /// [`AdmmConfig::use_csf`] mapping applies (`true` → CSF, `false` →
-    /// COO). See [`AdmmConfig::resolved_layout`].
-    pub layout: Option<distenc_tensor::LayoutKind>,
+    /// (see [`distenc_tensor::LayoutKind`]): flat COO (the default), CSF
+    /// fiber trees, or the cache-blocked tiled layout. Set by
+    /// [`AdmmConfig::with_layout`] and the CLI's `--layout`. An
+    /// invocation knob like `exec`: checkpoints do not store it, and
+    /// [`crate::AdmmSolver::resume`] uses the resuming solver's.
+    pub layout: distenc_tensor::LayoutKind,
     /// Host execution backend for the solver's per-iteration kernels
     /// (MTTKRP, residual). Bit-identical results under every setting —
     /// see `distenc-dataflow`'s `exec` module; defaults from the
@@ -190,8 +139,7 @@ pub struct AdmmConfig {
     pub fused: bool,
     /// Which solver tier runs the per-iteration kernels (see
     /// [`SolverTier`]): the bit-pinned exact path, or the sampled
-    /// sketched tier with an exact final polish. Defaults from the
-    /// `DISTENC_TIER` environment variable (unset ⇒ exact).
+    /// sketched tier with an exact final polish. Exact by default.
     pub solver_tier: SolverTier,
     /// Optional checkpoint cadence for fault recovery (see
     /// [`CheckpointPolicy`]). `None` (the default) never snapshots.
@@ -213,8 +161,7 @@ impl Default for AdmmConfig {
             seed: 42,
             nonneg: false,
             partition: distenc_partition::PartitionStrategy::Greedy,
-            use_csf: false,
-            layout: None,
+            layout: distenc_tensor::LayoutKind::Coo,
             exec: distenc_dataflow::ExecMode::default(),
             fused: true,
             solver_tier: SolverTier::default(),
@@ -224,66 +171,15 @@ impl Default for AdmmConfig {
 }
 
 impl AdmmConfig {
-    /// Builder-style rank override.
-    pub fn with_rank(mut self, rank: usize) -> Self {
-        self.rank = rank;
-        self
-    }
-
     /// Builder-style host-execution-backend override.
     pub fn with_exec(mut self, exec: distenc_dataflow::ExecMode) -> Self {
         self.exec = exec;
         self
     }
 
-    /// Builder-style iteration cap override.
-    pub fn with_max_iters(mut self, iters: usize) -> Self {
-        self.max_iters = iters;
-        self
-    }
-
-    /// Builder-style auxiliary-weight override.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Builder-style seed override.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder-style tolerance override.
-    pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
-    }
-
-    /// Builder-style eigen-truncation override.
-    pub fn with_eigen_k(mut self, k: usize) -> Self {
-        self.eigen_k = k;
-        self
-    }
-
     /// Builder-style fused-sweep override (see [`AdmmConfig::fused`]).
     pub fn with_fused(mut self, fused: bool) -> Self {
         self.fused = fused;
-        self
-    }
-
-    /// Builder-style solver-tier override (see [`SolverTier`]).
-    pub fn with_tier(mut self, tier: SolverTier) -> Self {
-        self.solver_tier = tier;
-        self
-    }
-
-    /// Builder-style sketched-tier shorthand: `samples` draws per sampled
-    /// step and the default exact polish tail
-    /// ([`DEFAULT_POLISH_ITERS`]).
-    pub fn with_sketched(mut self, samples: usize) -> Self {
-        self.solver_tier =
-            SolverTier::Sketched { samples, polish_iters: DEFAULT_POLISH_ITERS };
         self
     }
 
@@ -296,29 +192,8 @@ impl AdmmConfig {
 
     /// Builder-style residual-layout override (see [`AdmmConfig::layout`]).
     pub fn with_layout(mut self, layout: distenc_tensor::LayoutKind) -> Self {
-        self.layout = Some(layout);
+        self.layout = layout;
         self
-    }
-
-    /// The residual layout this config selects, with the documented
-    /// precedence: an explicit [`AdmmConfig::layout`] wins, else the
-    /// `DISTENC_LAYOUT` environment variable (an unknown name is a typed
-    /// error, consistent with `--layout` parsing and unlike
-    /// `DISTENC_TIER`'s silent fallback — a typo must not silently
-    /// change which kernels run), else the legacy [`AdmmConfig::use_csf`]
-    /// mapping.
-    pub fn resolved_layout(
-        &self,
-    ) -> std::result::Result<distenc_tensor::LayoutKind, String> {
-        use distenc_tensor::LayoutKind;
-        if let Some(kind) = self.layout {
-            return Ok(kind);
-        }
-        match LayoutKind::from_env() {
-            Ok(Some(kind)) => Ok(kind),
-            Ok(None) => Ok(if self.use_csf { LayoutKind::Csf } else { LayoutKind::Coo }),
-            Err(e) => Err(e.to_string()),
-        }
     }
 
     /// Sanity-check parameter ranges, returning a description of the first
@@ -361,28 +236,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_valid() {
-        assert!(AdmmConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn builders_chain() {
-        let c = AdmmConfig::default()
-            .with_rank(5)
-            .with_max_iters(9)
-            .with_alpha(0.5)
-            .with_seed(7)
-            .with_tol(1e-6)
-            .with_eigen_k(3)
-            .with_fused(false);
-        assert!(!c.fused);
-        assert!(AdmmConfig::default().fused, "fusion is the default schedule");
-        assert_eq!(c.rank, 5);
-        assert_eq!(c.max_iters, 9);
-        assert_eq!(c.alpha, 0.5);
-        assert_eq!(c.seed, 7);
-        assert_eq!(c.tol, 1e-6);
-        assert_eq!(c.eigen_k, 3);
+    fn default_is_valid_and_fixed() {
+        let c = AdmmConfig::default();
+        assert!(c.validate().is_ok());
+        // Constants, not environment lookups: only `exec` follows a
+        // variable (`DISTENC_THREADS`).
+        assert!(c.fused, "fusion is the default schedule");
+        assert_eq!(c.layout, distenc_tensor::LayoutKind::Coo);
+        assert_eq!(c.solver_tier, SolverTier::Exact);
+        assert!(!c.with_fused(false).fused);
     }
 
     #[test]
@@ -396,51 +258,7 @@ mod tests {
             .is_err());
         assert!(AdmmConfig { max_iters: 0, ..Default::default() }.validate().is_err());
         assert!(AdmmConfig { tol: f64::NAN, ..Default::default() }.validate().is_err());
-        assert!(AdmmConfig::default().with_sketched(0).validate().is_err());
-    }
-
-    #[test]
-    fn tier_spec_parses() {
-        assert_eq!(SolverTier::parse("exact"), SolverTier::Exact);
-        assert_eq!(SolverTier::parse("nonsense"), SolverTier::Exact);
-        assert_eq!(
-            SolverTier::parse("sketched"),
-            SolverTier::Sketched { samples: 4096, polish_iters: DEFAULT_POLISH_ITERS }
-        );
-        assert_eq!(
-            SolverTier::parse(" sketched:512 "),
-            SolverTier::Sketched { samples: 512, polish_iters: DEFAULT_POLISH_ITERS }
-        );
-        assert_eq!(
-            SolverTier::parse("sketched:512:3"),
-            SolverTier::Sketched { samples: 512, polish_iters: 3 }
-        );
-    }
-
-    #[test]
-    fn explicit_layout_beats_use_csf() {
-        // Env-independent precedence check: an explicit config layout
-        // wins over the legacy flag regardless of DISTENC_LAYOUT (the
-        // env and use_csf fallback cases live in
-        // tests/layout_equivalence.rs, which owns the variable).
-        use distenc_tensor::LayoutKind;
-        let c = AdmmConfig { use_csf: true, ..Default::default() }
-            .with_layout(LayoutKind::Tiled);
-        assert_eq!(c.resolved_layout().unwrap(), LayoutKind::Tiled);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn sketched_builders_chain() {
-        let c = AdmmConfig::default()
-            .with_tier(SolverTier::Sketched { samples: 100, polish_iters: 2 });
-        assert_eq!(c.solver_tier, SolverTier::Sketched { samples: 100, polish_iters: 2 });
-        assert!(c.solver_tier.is_sketched());
-        let c = AdmmConfig::default().with_sketched(777);
-        assert_eq!(
-            c.solver_tier,
-            SolverTier::Sketched { samples: 777, polish_iters: DEFAULT_POLISH_ITERS }
-        );
-        assert!(c.validate().is_ok());
+        let no_samples = SolverTier::Sketched { samples: 0, polish_iters: DEFAULT_POLISH_ITERS };
+        assert!(AdmmConfig { solver_tier: no_samples, ..Default::default() }.validate().is_err());
     }
 }

@@ -17,7 +17,7 @@
 //! config  rank u64 · λ α η₀ ρ η_max (f64 bits) · max_iters u64 ·
 //!         tol (f64 bits) · eigen_k u64 · seed u64 ·
 //!         nonneg u8 · partition u8 (0 = Greedy, 1 = EqualWidth) ·
-//!         use_csf u8 · fused u8
+//!         reserved u8 (was use_csf: written 0, ignored on read) · fused u8
 //! shape   order u64, then one u64 per mode
 //! cursor  iters_done u64 · eta (f64 bits)
 //! factors per mode: rows u64 · cols u64 · rows×cols f64 bits
@@ -35,11 +35,15 @@
 //! garbage factors.
 //!
 //! The execution-environment fields of [`AdmmConfig`] (`exec`,
-//! `solver_tier`, `checkpoint`) are deliberately **not** serialized: a
-//! checkpoint is an exact-tier artifact and must resume bit-identically
-//! on any host backend, so the reader fills them with the environment's
-//! defaults (`exec` from `DISTENC_THREADS`, tier `Exact`, no follow-on
-//! checkpoint policy).
+//! `layout`, `solver_tier`, `checkpoint`) are deliberately **not**
+//! serialized: a checkpoint is an exact-tier artifact and must resume
+//! bit-identically on any host backend, so the reader fills them with
+//! the defaults (`exec` from `DISTENC_THREADS`, layout COO, tier `Exact`,
+//! no follow-on checkpoint policy) and `resume` overlays the resuming
+//! solver's own. The reserved byte keeps files written while that legacy
+//! CSF switch existed readable under the same version: those carried 0
+//! or 1 there, and either now means "whatever layout the resuming
+//! invocation selects".
 
 use crate::config::{AdmmConfig, SolverTier};
 use crate::trace::{ConvergenceTrace, TracePoint};
@@ -230,7 +234,7 @@ impl Checkpoint {
             PartitionStrategy::Greedy => 0,
             PartitionStrategy::EqualWidth => 1,
         });
-        w.u8(u8::from(c.use_csf));
+        w.u8(0); // reserved (was use_csf)
         w.u8(u8::from(c.fused));
         w.u64(self.shape.len() as u64);
         for &d in &self.shape {
@@ -306,7 +310,7 @@ impl Checkpoint {
                 )))
             }
         };
-        let use_csf = r.u8()? != 0;
+        r.u8()?; // reserved (was use_csf)
         let fused = r.u8()? != 0;
         let config = AdmmConfig {
             rank,
@@ -321,15 +325,9 @@ impl Checkpoint {
             seed,
             nonneg,
             partition,
-            use_csf,
-            // Not serialized: the layout override is an invocation-time
-            // knob like `exec`. `use_csf` above *is* stored, so a run
-            // whose CSF selection came from the legacy flag resumes onto
-            // the same layout; `resume()` re-applies the resuming
-            // solver's own `layout` on top.
-            layout: None,
             // Environment fields: not serialized, reset to this host's
             // defaults (see the module docs).
+            layout: distenc_tensor::LayoutKind::Coo,
             exec: distenc_dataflow::ExecMode::default(),
             fused,
             solver_tier: SolverTier::Exact,
@@ -448,7 +446,6 @@ mod tests {
         Checkpoint {
             config: AdmmConfig {
                 rank: 2,
-                use_csf: true,
                 partition: PartitionStrategy::EqualWidth,
                 ..AdmmConfig::default()
             },
@@ -484,7 +481,6 @@ mod tests {
         }
         assert_eq!(back.trace, ck.trace);
         assert_eq!(back.config.rank, 2);
-        assert!(back.config.use_csf);
         assert_eq!(back.config.partition, PartitionStrategy::EqualWidth);
         assert_eq!(back.config.solver_tier, SolverTier::Exact);
         assert_eq!(back.config.checkpoint, None);

@@ -14,6 +14,7 @@
 //! per-item results must merge them in fixed item order for the same
 //! guarantee to extend end-to-end; see DESIGN.md §9.
 
+use crate::{DataflowError, Result};
 use scoped_pool::Pool;
 
 /// How the host executes the real computation behind stages: on the
@@ -32,17 +33,33 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Read the mode from the `DISTENC_THREADS` environment variable:
-    /// unset, unparsable, `0`, or `1` mean [`ExecMode::Sequential`];
-    /// `n ≥ 2` means [`ExecMode::Threads`]`(n)`. This is how CI runs the
-    /// whole test suite under both backends without touching any test.
-    pub fn from_env() -> ExecMode {
-        match std::env::var("DISTENC_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            Some(n) if n >= 2 => ExecMode::Threads(n),
-            _ => ExecMode::Sequential,
+    /// The one spelling of the thread-count rule, shared by the
+    /// `DISTENC_THREADS` variable and the CLI's `--threads`: `0` or `1`
+    /// mean [`ExecMode::Sequential`], `n ≥ 2` means
+    /// [`ExecMode::Threads`]`(n)`, and anything else is
+    /// [`DataflowError::BadThreadCount`] — a typo must not silently turn
+    /// a "threaded" run into a sequential one.
+    pub fn parse(raw: &str) -> Result<ExecMode> {
+        match raw.trim().parse::<usize>() {
+            Ok(n) if n >= 2 => Ok(ExecMode::Threads(n)),
+            Ok(_) => Ok(ExecMode::Sequential),
+            Err(_) => Err(DataflowError::BadThreadCount(raw.to_string())),
+        }
+    }
+
+    /// The mode the `DISTENC_THREADS` environment variable asks for
+    /// (unset means [`ExecMode::Sequential`]). This is the only place the
+    /// workspace reads the environment: `ci.sh` uses the variable to run
+    /// the whole test suite under both backends without touching any
+    /// test. The CLI calls this once at start-up so a bad value is a
+    /// typed error there, before any [`ExecMode::default`] can panic.
+    pub fn from_env() -> Result<ExecMode> {
+        match std::env::var("DISTENC_THREADS") {
+            Ok(raw) => ExecMode::parse(&raw),
+            Err(std::env::VarError::NotPresent) => Ok(ExecMode::Sequential),
+            Err(std::env::VarError::NotUnicode(raw)) => {
+                Err(DataflowError::BadThreadCount(raw.to_string_lossy().into_owned()))
+            }
         }
     }
 
@@ -58,9 +75,14 @@ impl ExecMode {
 /// The default mode comes from the environment (see
 /// [`ExecMode::from_env`]), so `DISTENC_THREADS=4 cargo test` exercises
 /// the threaded backend across the entire suite.
+///
+/// # Panics
+/// If `DISTENC_THREADS` is set to something [`ExecMode::parse`] rejects:
+/// under `cargo test` that is a loud failure instead of a "threaded"
+/// sweep that silently ran sequentially.
 impl Default for ExecMode {
     fn default() -> Self {
-        ExecMode::from_env()
+        ExecMode::from_env().unwrap_or_else(|e| panic!("DISTENC_THREADS: {e}"))
     }
 }
 
@@ -195,9 +217,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_env_parses() {
-        // Can't mutate the environment safely in parallel tests; exercise
-        // the numeric mapping instead.
+    fn parse_is_the_thread_count_rule() {
+        assert_eq!(ExecMode::parse("0"), Ok(ExecMode::Sequential));
+        assert_eq!(ExecMode::parse("1"), Ok(ExecMode::Sequential));
+        assert_eq!(ExecMode::parse(" 6 "), Ok(ExecMode::Threads(6)));
+        for typo in ["", "4x", "-1", "two", "2.0"] {
+            assert_eq!(
+                ExecMode::parse(typo),
+                Err(DataflowError::BadThreadCount(typo.to_string())),
+                "`{typo}` must be rejected, not read as sequential"
+            );
+        }
         assert_eq!(ExecMode::Sequential.threads(), 1);
         assert_eq!(ExecMode::Threads(0).threads(), 1);
         assert_eq!(ExecMode::Threads(1).threads(), 1);

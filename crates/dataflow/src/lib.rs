@@ -31,7 +31,6 @@
 pub mod alloc;
 pub mod cluster;
 pub mod config;
-pub mod dist;
 pub mod exec;
 pub mod fault;
 #[cfg(feature = "pass-count")]
@@ -47,7 +46,6 @@ static COUNTING_ALLOCATOR: alloc::CountingAllocator = alloc::CountingAllocator;
 
 pub use cluster::{Cluster, MemoryReservation, Metrics};
 pub use config::{ClusterConfig, CostModel, Platform};
-pub use dist::{Broadcast, Dist};
 pub use exec::{even_ranges, ExecMode, Executor};
 pub use fault::{Fault, FaultPlan};
 
@@ -106,6 +104,10 @@ pub enum DataflowError {
         /// Number of machines in the cluster.
         machines: usize,
     },
+    /// A thread count (`DISTENC_THREADS`, `--threads`) that
+    /// [`ExecMode::parse`] does not accept; the payload is the rejected
+    /// text.
+    BadThreadCount(String),
 }
 
 impl std::fmt::Display for DataflowError {
@@ -129,6 +131,11 @@ impl std::fmt::Display for DataflowError {
             DataflowError::BadMachine { machine, machines } => {
                 write!(f, "operation names machine {machine} of a {machines}-machine cluster")
             }
+            DataflowError::BadThreadCount(raw) => write!(
+                f,
+                "bad thread count `{raw}`: expected a whole number (0 or 1 = sequential, \
+                 n >= 2 = n threads)"
+            ),
         }
     }
 }

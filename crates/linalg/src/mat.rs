@@ -96,11 +96,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consume the matrix, returning its flat buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -400,11 +395,6 @@ impl Mat {
             }
         }
         Ok(out)
-    }
-
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 
     /// True iff every entry is finite.

@@ -54,7 +54,10 @@ pub use queue::{
 pub use registry::ModelRegistry;
 pub use store::FactorStore;
 pub use topk::{TopKItem, TopKQuery, TopKResult};
-pub use workload::{open_loop_trace, synth_trace, OpenLoopConfig, TimedRequest, TraceConfig, ZipfSampler};
+pub use workload::{
+    open_loop_trace, replay_direct, replay_queued, serve_open_loop, synth_trace, OpenLoopConfig,
+    OpenLoopReport, TimedRequest, TraceConfig, ZipfSampler,
+};
 
 /// Errors surfaced by the serving layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

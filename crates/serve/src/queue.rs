@@ -922,11 +922,14 @@ mod tests {
             let submitter = s.spawn(|| {
                 queue.submit_with_retry(Request::Point { index: vec![1, 1, 1] }, &policy)
             });
-            // Drain until the retrying submission lands.
-            while !submitter.is_finished() {
-                queue.drain_once();
-                std::thread::sleep(Duration::from_millis(1));
+            // Capacity reappears only after the submitter has been turned
+            // away at least once, so the acceptance below is a retry by
+            // construction; the doubling backoff outlasts any scheduling
+            // delay between the rejection and this drain.
+            while engine.snapshot().queue_rejections == 0 {
+                std::thread::yield_now();
             }
+            queue.drain_once();
             let ticket = submitter.join().expect("submitter thread").unwrap();
             queue.drain_once();
             assert!(matches!(ticket.wait(), Response::Value(_)));

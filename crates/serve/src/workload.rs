@@ -12,13 +12,23 @@
 //! not wait for completions) is the honest way to measure a serving
 //! system: a closed loop self-throttles under overload and hides the
 //! latency cliff that real traffic — which does not slow down because the
-//! server is slow — runs straight into.
+//! server is slow — runs straight into. [`serve_open_loop`] is the driver
+//! that offers such a trace to a [`ServeQueue`] and accounts for every
+//! request; `distenc serve-bench --qps` and `benches/serve_slo.rs` both
+//! run it.
 
-use crate::queue::Request;
+use crate::engine::{Engine, EngineConfig};
+use crate::metrics::MetricsSnapshot;
+use crate::queue::{QueueConfig, Request, Response, RetryPolicy, ServeQueue, Ticket};
+use crate::registry::ModelRegistry;
 use crate::topk::TopKQuery;
+use crate::{Result, ServeError};
+use distenc_tensor::KruskalTensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Samples `0..n` with probability `P(i) ∝ 1/(i+1)^s` via inverse-CDF
 /// binary search (build O(n), sample O(log n)).
@@ -140,6 +150,56 @@ pub fn synth_trace(shape: &[usize], cfg: &TraceConfig) -> Vec<Request> {
     trace
 }
 
+/// Closed-loop replay straight on the engine: every request runs
+/// synchronously on the calling thread, in trace order.
+pub fn replay_direct(engine: &Engine, trace: &[Request]) -> Result<()> {
+    for request in trace {
+        match request {
+            Request::Point { index } => {
+                engine.point(index)?;
+            }
+            Request::Batch { indices } => {
+                engine.batch(indices)?;
+            }
+            Request::TopK { query, budget } => {
+                engine.topk(query, *budget)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Closed-loop replay through the bounded batching queue, returning once
+/// every ticket has resolved. Backpressure is absorbed in two steps: a
+/// short retry-with-backoff first (workers usually free capacity within
+/// microseconds), then — if the queue is still full — the replayer waits
+/// for its oldest in-flight ticket before trying again.
+pub fn replay_queued(queue: &ServeQueue, trace: Vec<Request>) -> Result<()> {
+    let retry = RetryPolicy::default();
+    let mut pending: VecDeque<Ticket> = VecDeque::new();
+    for request in trace {
+        loop {
+            match queue.submit_with_retry(request.clone(), &retry) {
+                Ok(ticket) => {
+                    pending.push_back(ticket);
+                    break;
+                }
+                Err(ServeError::QueueFull { .. }) => match pending.pop_front() {
+                    Some(ticket) => {
+                        ticket.wait();
+                    }
+                    None => std::thread::yield_now(),
+                },
+                Err(e) => return Err(e),
+            }
+        }
+    }
+    for ticket in pending {
+        ticket.wait();
+    }
+    Ok(())
+}
+
 /// Shape of an open-loop (offered-load) trace.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
@@ -198,6 +258,242 @@ pub fn open_loop_trace(shape: &[usize], cfg: &OpenLoopConfig) -> Vec<TimedReques
             }
         })
         .collect()
+}
+
+/// Spin/sleep until `start + offset` (sleep for coarse gaps, spin the
+/// final stretch — high-QPS inter-arrival gaps are far below OS sleep
+/// granularity).
+fn pace(start: Instant, offset: Duration) {
+    let target = start + offset;
+    loop {
+        let now = Instant::now();
+        if now >= target {
+            return;
+        }
+        if target - now > Duration::from_micros(300) {
+            std::thread::sleep(target - now - Duration::from_micros(200));
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// What became of every request of one [`serve_open_loop`] run. Each
+/// offered request is exactly one of served / shed (per tenant) or
+/// rejected / timed out / errored.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpenLoopReport {
+    /// Offered load (the configured QPS).
+    pub offered_qps: f64,
+    /// Requests offered.
+    pub requests: usize,
+    /// Wall time from the first submit to the last resolved ticket.
+    pub wall_secs: f64,
+    /// Requests answered, per tenant (`tenant-0`, `tenant-1`, …).
+    pub served: Vec<u64>,
+    /// Requests shed by admission control, per tenant.
+    pub shed: Vec<u64>,
+    /// Peak queued requests in each tenant's lane.
+    pub queued_peak: Vec<usize>,
+    /// Submissions refused because the queue was at capacity.
+    pub rejected: u64,
+    /// Requests whose deadline passed before execution started.
+    pub timed_out: u64,
+    /// Requests the engine answered with an error.
+    pub errors: u64,
+    /// Fleet-wide counters and latency quantiles at the end of the run.
+    pub metrics: MetricsSnapshot,
+    /// Shadow-measured recall@K of the approximate top-K tier, summed
+    /// over every tenant's engine (0 when nothing was checked).
+    pub recall_at_k: f64,
+    /// Approximate top-K answers that were re-checked exactly.
+    pub recall_checks: u64,
+}
+
+impl OpenLoopReport {
+    /// Requests answered, all tenants.
+    pub fn served_total(&self) -> u64 {
+        self.served.iter().sum()
+    }
+
+    /// Requests shed by admission control, all tenants.
+    pub fn shed_total(&self) -> u64 {
+        self.shed.iter().sum()
+    }
+
+    /// Requests answered per second of wall time.
+    pub fn achieved_qps(&self) -> f64 {
+        self.served_total() as f64 / self.wall_secs.max(1e-9)
+    }
+
+    /// The machine-readable report `serve-bench --json` prints.
+    pub fn to_json(&self) -> String {
+        let tenant_rows: Vec<String> = (0..self.served.len())
+            .map(|i| {
+                format!(
+                    "    {{ \"tenant\": \"tenant-{i}\", \"served\": {}, \"shed\": {}, \"queued_peak\": {} }}",
+                    self.served[i], self.shed[i], self.queued_peak[i]
+                )
+            })
+            .collect();
+        let m = &self.metrics;
+        format!(
+            "{{\n  \"offered_qps\": {:.0},\n  \"achieved_qps\": {:.0},\n  \"wall_secs\": {:.3},\n  \"requests\": {},\n  \"served\": {},\n  \"shed\": {},\n  \"sheds_queue_depth\": {},\n  \"sheds_deadline\": {},\n  \"sheds_tenant_share\": {},\n  \"rejected\": {},\n  \"timed_out\": {},\n  \"errors\": {},\n  \"shed_rate\": {:.4},\n  \"queue_depth_peak\": {},\n  \"e2e_us\": {{ \"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"mean\": {:.1} }},\n  \"recall_at_k\": {:.4},\n  \"recall_checks\": {},\n  \"tenants\": [\n{}\n  ]\n}}",
+            self.offered_qps,
+            self.achieved_qps(),
+            self.wall_secs,
+            self.requests,
+            self.served_total(),
+            self.shed_total(),
+            m.sheds_queue_depth,
+            m.sheds_deadline,
+            m.sheds_tenant_share,
+            self.rejected,
+            self.timed_out,
+            self.errors,
+            m.shed_rate(),
+            m.queue_depth_peak,
+            m.e2e_p50.as_secs_f64() * 1e6,
+            m.e2e_p90.as_secs_f64() * 1e6,
+            m.e2e_p99.as_secs_f64() * 1e6,
+            m.e2e_mean.as_secs_f64() * 1e6,
+            self.recall_at_k,
+            self.recall_checks,
+            tenant_rows.join(",\n"),
+        )
+    }
+}
+
+/// The human-readable report `serve-bench --qps` prints.
+impl std::fmt::Display for OpenLoopReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "offered {} requests at {:.0} qps in {:.3} s: {} served ({:.0} qps), {} shed, {} rejected, {} timed out, {} errors",
+            self.requests,
+            self.offered_qps,
+            self.wall_secs,
+            self.served_total(),
+            self.achieved_qps(),
+            self.shed_total(),
+            self.rejected,
+            self.timed_out,
+            self.errors,
+        )?;
+        write!(f, "{}", self.metrics)?;
+        for i in 0..self.served.len() {
+            write!(
+                f,
+                "\n  tenant-{i}: served {} shed {} peak queue {}",
+                self.served[i], self.shed[i], self.queued_peak[i]
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Offer [`open_loop_trace`]`(shape, load)` to a fresh queue at the
+/// trace's own arrival times and account for every request.
+///
+/// One tenant fronts a single [`Engine`]; several front a
+/// [`ModelRegistry`] in which every tenant (`tenant-0`, `tenant-1`, …)
+/// serves this same `model` from its own engine, so the queue forms
+/// batches by per-tenant deficit round-robin. Every submission carries
+/// `deadline` (see [`ServeQueue::submit_for_with_deadline`]). Arrivals
+/// never wait for completions: tickets are only collected once the whole
+/// trace has been offered.
+pub fn serve_open_loop(
+    model: &KruskalTensor,
+    engine_cfg: EngineConfig,
+    queue_cfg: QueueConfig,
+    load: &OpenLoopConfig,
+    deadline: Option<Duration>,
+) -> Result<OpenLoopReport> {
+    if queue_cfg.workers == 0 {
+        // A manual-drain queue would never resolve the tickets.
+        return Err(ServeError::BadConfig("open-loop serving needs workers >= 1".into()));
+    }
+    if load.tenants == 0 {
+        return Err(ServeError::BadConfig("open-loop serving needs tenants >= 1".into()));
+    }
+    let tenants = load.tenants;
+    enum Fleet {
+        Single(Arc<Engine>),
+        Multi(Arc<ModelRegistry>),
+    }
+    // Registry tenants are addressed by name; in front of a single
+    // engine the name is only the lane's label.
+    let names: Vec<String> = (0..tenants).map(|i| format!("tenant-{i}")).collect();
+    let (queue, fleet) = if tenants > 1 {
+        let reg = Arc::new(ModelRegistry::new());
+        for name in &names {
+            reg.register(name, model, engine_cfg.clone())?;
+        }
+        (ServeQueue::with_registry(Arc::clone(&reg), queue_cfg)?, Fleet::Multi(reg))
+    } else {
+        let engine = Arc::new(Engine::new(model, engine_cfg)?);
+        (ServeQueue::new(Arc::clone(&engine), queue_cfg)?, Fleet::Single(engine))
+    };
+
+    let trace = open_loop_trace(&model.shape(), load);
+    let mut tickets = Vec::with_capacity(trace.len());
+    let mut rejected = 0u64;
+    let start = Instant::now();
+    for tr in &trace {
+        pace(start, tr.offset);
+        match queue.submit_for_with_deadline(&names[tr.tenant], tr.request.clone(), deadline) {
+            Ok(t) => tickets.push((tr.tenant, t)),
+            Err(ServeError::QueueFull { .. }) => rejected += 1,
+            Err(e) => return Err(e),
+        }
+    }
+    let mut served = vec![0u64; tenants];
+    let mut shed = vec![0u64; tenants];
+    let (mut timed_out, mut errors) = (0u64, 0u64);
+    for (tenant, ticket) in tickets {
+        match ticket.wait() {
+            Response::Value(_) | Response::Values(_) | Response::TopK(_) => served[tenant] += 1,
+            Response::Shed(_) => shed[tenant] += 1,
+            Response::TimedOut => timed_out += 1,
+            Response::Error(_) => errors += 1,
+        }
+    }
+    let wall_secs = start.elapsed().as_secs_f64();
+    let occupancy = queue.occupancy();
+    drop(queue);
+    let queued_peak = names
+        .iter()
+        .map(|name| occupancy.iter().find(|(n, _, _)| n == name).map_or(0, |(_, _, p)| *p))
+        .collect();
+
+    // The fleet block never sees recall samples (each tenant's engine
+    // records its own), so aggregate recall across tenant snapshots.
+    let (metrics, tenant_snaps) = match &fleet {
+        Fleet::Single(engine) => {
+            let s = engine.snapshot();
+            (s.clone(), vec![s])
+        }
+        Fleet::Multi(reg) => {
+            (reg.snapshot(), reg.tenant_snapshots().into_iter().map(|(_, s)| s).collect())
+        }
+    };
+    let (overlap, possible, recall_checks) = tenant_snaps.iter().fold((0, 0, 0), |acc, s| {
+        (acc.0 + s.recall_overlap, acc.1 + s.recall_possible, acc.2 + s.recall_checks)
+    });
+    Ok(OpenLoopReport {
+        offered_qps: load.qps,
+        requests: trace.len(),
+        wall_secs,
+        served,
+        shed,
+        queued_peak,
+        rejected,
+        timed_out,
+        errors,
+        metrics,
+        recall_at_k: if possible == 0 { 0.0 } else { overlap as f64 / possible as f64 },
+        recall_checks,
+    })
 }
 
 #[cfg(test)]
@@ -295,5 +591,44 @@ mod tests {
         }
         // All three query types must appear at the default fractions.
         assert!(kinds.iter().all(|&k| k > 0), "kinds {kinds:?}");
+    }
+
+    #[test]
+    fn open_loop_run_accounts_for_every_request() {
+        let model = KruskalTensor::random(&[60, 40, 8], 3, 11);
+        for tenants in [1usize, 3] {
+            let load = OpenLoopConfig {
+                qps: 200_000.0,
+                tenants,
+                tenant_zipf: 1.0,
+                trace: TraceConfig { queries: 600, ..Default::default() },
+            };
+            let queue_cfg = QueueConfig { capacity: 64, workers: 2, ..Default::default() };
+            let r = serve_open_loop(&model, EngineConfig::default(), queue_cfg, &load, None)
+                .unwrap();
+            assert_eq!(r.requests, 600);
+            assert_eq!((r.served.len(), r.shed.len(), r.queued_peak.len()), (tenants, tenants, tenants));
+            let resolved = r.served_total()
+                + r.shed_total()
+                + r.rejected
+                + r.timed_out
+                + r.errors;
+            assert_eq!(resolved, 600, "{r:?}");
+            assert_eq!(r.metrics.queue_rejections, r.rejected);
+            assert!(r.to_json().contains(&format!("\"tenant-{}\"", tenants - 1)));
+        }
+        // A manual-drain queue or a tenant-less load is a typed error,
+        // not a hang or a panic.
+        let load = OpenLoopConfig::default();
+        let no_workers = QueueConfig { workers: 0, ..Default::default() };
+        assert!(matches!(
+            serve_open_loop(&model, EngineConfig::default(), no_workers, &load, None),
+            Err(ServeError::BadConfig(_))
+        ));
+        let no_tenants = OpenLoopConfig { tenants: 0, ..load };
+        assert!(matches!(
+            serve_open_loop(&model, EngineConfig::default(), QueueConfig::default(), &no_tenants, None),
+            Err(ServeError::BadConfig(_))
+        ));
     }
 }

@@ -1,6 +1,7 @@
 //! Validated change sets over an observed tensor.
 
 use distenc_core::CoreError;
+use distenc_tensor::CooTensor;
 
 /// Errors from delta validation and application. Every misuse surfaces as
 /// a typed error — no path in this crate panics on user input.
@@ -165,6 +166,33 @@ impl DeltaBatch {
         Ok(DeltaBatch { base_shape: base_shape.to_vec(), growth: growth.to_vec(), inserts, updates })
     }
 
+    /// Read a batch off a delta in tensor form (one `.coo` file of the
+    /// `distenc stream` CLI) against the tensor it will be applied to:
+    /// entries on cells `observed` already holds become updates, all
+    /// others inserts, and wherever `delta`'s shape exceeds `observed`'s
+    /// the mode grows to it.
+    pub fn from_coo(observed: &CooTensor, delta: &CooTensor) -> crate::Result<Self> {
+        if delta.order() != observed.order() {
+            return Err(StreamError::BadBatch(format!(
+                "delta is order {}, tensor is {}",
+                delta.order(),
+                observed.order()
+            )));
+        }
+        let base = observed.shape();
+        let growth: Vec<usize> =
+            delta.shape().iter().zip(base).map(|(&d, &b)| d.saturating_sub(b)).collect();
+        let (mut inserts, mut updates) = (Vec::new(), Vec::new());
+        for (idx, v) in delta.iter() {
+            if observed.position_of(idx).is_some() {
+                updates.push((idx.to_vec(), v));
+            } else {
+                inserts.push((idx.to_vec(), v));
+            }
+        }
+        DeltaBatch::try_new(base, &growth, inserts, updates)
+    }
+
     /// The shape this batch was validated against.
     pub fn base_shape(&self) -> &[usize] {
         &self.base_shape
@@ -221,6 +249,31 @@ mod tests {
         assert_eq!(b.inserts()[0].0, vec![0, 1]);
         assert!(b.is_structural());
         assert!(!b.is_empty());
+    }
+
+    #[test]
+    fn from_coo_splits_updates_inserts_and_growth() {
+        let observed =
+            CooTensor::from_entries(vec![4, 3], &[(&[0, 1], 1.0), (&[3, 0], 2.0)]).unwrap();
+        // One observed cell, one new cell, one cell in a grown slice.
+        let delta = CooTensor::from_entries(
+            vec![5, 3],
+            &[(&[3, 0], -1.0), (&[1, 1], 7.0), (&[4, 2], 8.0)],
+        )
+        .unwrap();
+        let b = DeltaBatch::from_coo(&observed, &delta).unwrap();
+        assert_eq!(b.base_shape(), &[4, 3]);
+        assert_eq!(b.growth(), &[1, 0]);
+        assert_eq!(b.updates(), &[(vec![3, 0], -1.0)]);
+        assert_eq!(b.inserts(), &[(vec![1, 1], 7.0), (vec![4, 2], 8.0)]);
+        // A smaller header never shrinks the tensor; a wrong order is typed.
+        let small = CooTensor::from_entries(vec![2, 2], &[(&[0, 1], 5.0)]).unwrap();
+        assert_eq!(DeltaBatch::from_coo(&observed, &small).unwrap().growth(), &[0, 0]);
+        let cube = CooTensor::new(vec![4, 3, 2]);
+        assert!(matches!(
+            DeltaBatch::from_coo(&observed, &cube),
+            Err(StreamError::BadBatch(_))
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The streaming solver: delta application + warm re-solves.
 
 use crate::delta::{DeltaBatch, StreamError};
-use distenc_core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC, ResidualHandoff};
+use distenc_core::{AdmmConfig, AdmmSolver, CompletionResult, ResidualHandoff};
 use distenc_graph::Laplacian;
 use distenc_linalg::Mat;
 use distenc_tensor::{CooTensor, KruskalTensor};
@@ -40,11 +40,6 @@ fn growth_seed(base: u64, mode: usize, old_rows: usize) -> u64 {
 ///   random rows (deterministic in the config seed, the mode, and the
 ///   pre-growth dimension — see the module source) so replays reproduce.
 /// * Validation is atomic: a rejected batch leaves the solver untouched.
-///
-/// The host backend is used by `solve`; [`StreamingSolver::solve_distributed`]
-/// runs the same warm-factor restart on a [`DisTenC`] cluster (the blocked
-/// residual is rebuilt there — blocks live on remote machines, so there is
-/// no hand-off to carry).
 #[derive(Debug)]
 pub struct StreamingSolver {
     cfg: AdmmConfig,
@@ -215,22 +210,6 @@ impl StreamingSolver {
                 .solve_streamed(&self.observed, &laps, self.model.as_ref(), self.carry.take())?;
         self.model = Some(result.model.clone());
         self.carry = Some(handoff);
-        self.generation += 1;
-        Ok(result)
-    }
-
-    /// Re-solve on a [`DisTenC`] cluster: warm factors, blocked residual
-    /// rebuilt on the machines (no hand-off exists across a cluster). The
-    /// local carry is cleared — the next host `solve` restarts from the
-    /// distributed model with a residual rebuild.
-    pub fn solve_distributed(&mut self, distenc: &DisTenC) -> crate::Result<CompletionResult> {
-        let laps: Vec<Option<&Laplacian>> = self.laplacians.iter().map(|l| l.as_ref()).collect();
-        let result = match &self.model {
-            Some(m) => distenc.solve_from(&self.observed, &laps, m)?,
-            None => distenc.solve(&self.observed, &laps)?,
-        };
-        self.model = Some(result.model.clone());
-        self.carry = None;
         self.generation += 1;
         Ok(result)
     }

@@ -301,27 +301,6 @@ impl CooTensor {
         self.indices.len() * std::mem::size_of::<usize>()
             + self.values.len() * std::mem::size_of::<f64>()
     }
-
-    /// Split entries into `parts` contiguous chunks of near-equal entry
-    /// count (a cheap non-balanced partitioning; the real balancing lives
-    /// in `distenc-partition`).
-    pub fn chunk_entries(&self, parts: usize) -> Vec<CooTensor> {
-        assert!(parts > 0);
-        let per = self.nnz().div_ceil(parts.max(1)).max(1);
-        let mut out = Vec::with_capacity(parts);
-        let mut e = 0;
-        for _ in 0..parts {
-            let mut t = CooTensor::new(self.shape.clone());
-            let end = (e + per).min(self.nnz());
-            for i in e..end {
-                t.indices.extend_from_slice(self.index(i));
-                t.values.push(self.values[i]);
-            }
-            out.push(t);
-            e = end;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -409,18 +388,6 @@ mod tests {
         assert_eq!(t.active_indices(0), vec![0, 1, 2]);
         assert_eq!(t.active_indices(1), vec![0, 2, 3]);
         assert_eq!(t.active_indices(2), vec![0, 1]);
-    }
-
-    #[test]
-    fn chunk_entries_covers_all() {
-        let t = sample();
-        let chunks = t.chunk_entries(3);
-        assert_eq!(chunks.len(), 3);
-        let total: usize = chunks.iter().map(|c| c.nnz()).sum();
-        assert_eq!(total, t.nnz());
-        for c in &chunks {
-            assert_eq!(c.shape(), t.shape());
-        }
     }
 
     #[test]

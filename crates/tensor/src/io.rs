@@ -37,14 +37,14 @@ pub fn read_coo<R: Read>(r: R) -> Result<CooTensor> {
     let mut lines = reader.lines();
     let header = lines
         .next()
-        .ok_or_else(|| TensorError::ShapeMismatch("empty input".into()))?
-        .map_err(|e| TensorError::ShapeMismatch(format!("io error: {e}")))?;
+        .ok_or_else(|| TensorError::Parse("empty input".into()))?
+        .map_err(|e| TensorError::Io(e.to_string()))?;
     let shape = parse_header(&header)?;
     let order = shape.len();
     let mut t = CooTensor::try_new(shape)?;
     let mut idx = vec![0usize; order];
     for line in lines {
-        let line = line.map_err(|e| TensorError::ShapeMismatch(format!("io error: {e}")))?;
+        let line = line.map_err(|e| TensorError::Io(e.to_string()))?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -54,14 +54,14 @@ pub fn read_coo<R: Read>(r: R) -> Result<CooTensor> {
             *slot = parts
                 .next()
                 .and_then(|p| p.parse().ok())
-                .ok_or_else(|| TensorError::ShapeMismatch(format!("bad entry line: {line}")))?;
+                .ok_or_else(|| TensorError::Parse(format!("bad entry line: {line}")))?;
         }
         let v: f64 = parts
             .next()
             .and_then(|p| p.parse().ok())
-            .ok_or_else(|| TensorError::ShapeMismatch(format!("bad value in line: {line}")))?;
+            .ok_or_else(|| TensorError::Parse(format!("bad value in line: {line}")))?;
         if parts.next().is_some() {
-            return Err(TensorError::ShapeMismatch(format!(
+            return Err(TensorError::Parse(format!(
                 "trailing fields in line: {line}"
             )));
         }
@@ -72,9 +72,7 @@ pub fn read_coo<R: Read>(r: R) -> Result<CooTensor> {
 
 /// Read a tensor from a file path.
 pub fn read_coo_file<P: AsRef<Path>>(path: P) -> Result<CooTensor> {
-    let f = std::fs::File::open(path)
-        .map_err(|e| TensorError::ShapeMismatch(format!("open failed: {e}")))?;
-    read_coo(f)
+    read_coo(open(path.as_ref())?)
 }
 
 /// Write a CP model as text: a header `# kruskal: N R`, then one factor
@@ -113,25 +111,25 @@ pub fn read_kruskal<R: Read>(r: R) -> Result<crate::KruskalTensor> {
     let mut lines = reader.lines();
     let header = lines
         .next()
-        .ok_or_else(|| TensorError::ShapeMismatch("empty input".into()))?
-        .map_err(|e| TensorError::ShapeMismatch(format!("io error: {e}")))?;
+        .ok_or_else(|| TensorError::Parse("empty input".into()))?
+        .map_err(|e| TensorError::Io(e.to_string()))?;
     let rest = header
         .strip_prefix("# kruskal:")
-        .ok_or_else(|| TensorError::ShapeMismatch(format!("bad kruskal header: {header}")))?;
+        .ok_or_else(|| TensorError::Parse(format!("bad kruskal header: {header}")))?;
     let mut parts = rest.split_whitespace();
     let order: usize = parts
         .next()
         .and_then(|p| p.parse().ok())
-        .ok_or_else(|| TensorError::ShapeMismatch("bad order".into()))?;
+        .ok_or_else(|| TensorError::Parse("bad order".into()))?;
     let rank: usize = parts
         .next()
         .and_then(|p| p.parse().ok())
-        .ok_or_else(|| TensorError::ShapeMismatch("bad rank".into()))?;
+        .ok_or_else(|| TensorError::Parse("bad rank".into()))?;
 
     let mut factors = Vec::with_capacity(order);
     let mut pending: Option<(usize, usize, Vec<f64>)> = None;
     for line in lines {
-        let line = line.map_err(|e| TensorError::ShapeMismatch(format!("io error: {e}")))?;
+        let line = line.map_err(|e| TensorError::Io(e.to_string()))?;
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -143,26 +141,26 @@ pub fn read_kruskal<R: Read>(r: R) -> Result<crate::KruskalTensor> {
             let dims = rest
                 .split(':')
                 .nth(1)
-                .ok_or_else(|| TensorError::ShapeMismatch(format!("bad factor header: {line}")))?;
+                .ok_or_else(|| TensorError::Parse(format!("bad factor header: {line}")))?;
             let mut p = dims.split_whitespace();
             let rows: usize = p
                 .next()
                 .and_then(|x| x.parse().ok())
-                .ok_or_else(|| TensorError::ShapeMismatch("bad factor rows".into()))?;
+                .ok_or_else(|| TensorError::Parse("bad factor rows".into()))?;
             let cols: usize = p
                 .next()
                 .and_then(|x| x.parse().ok())
-                .ok_or_else(|| TensorError::ShapeMismatch("bad factor cols".into()))?;
+                .ok_or_else(|| TensorError::Parse("bad factor cols".into()))?;
             pending = Some((rows, cols, Vec::with_capacity(rows * cols)));
             continue;
         }
         let (_, _, data) = pending
             .as_mut()
-            .ok_or_else(|| TensorError::ShapeMismatch("data before factor header".into()))?;
+            .ok_or_else(|| TensorError::Parse("data before factor header".into()))?;
         for tok in line.split_whitespace() {
             data.push(
                 tok.parse()
-                    .map_err(|e| TensorError::ShapeMismatch(format!("bad value {tok}: {e}")))?,
+                    .map_err(|e| TensorError::Parse(format!("bad value {tok}: {e}")))?,
             );
         }
     }
@@ -170,7 +168,7 @@ pub fn read_kruskal<R: Read>(r: R) -> Result<crate::KruskalTensor> {
         finish_factor(rows, cols, data, rank, &mut factors)?;
     }
     if factors.len() != order {
-        return Err(TensorError::ShapeMismatch(format!(
+        return Err(TensorError::Parse(format!(
             "expected {order} factors, found {}",
             factors.len()
         )));
@@ -180,9 +178,11 @@ pub fn read_kruskal<R: Read>(r: R) -> Result<crate::KruskalTensor> {
 
 /// Read a CP model from a file path.
 pub fn read_kruskal_file<P: AsRef<Path>>(path: P) -> Result<crate::KruskalTensor> {
-    let f = std::fs::File::open(path)
-        .map_err(|e| TensorError::ShapeMismatch(format!("open failed: {e}")))?;
-    read_kruskal(f)
+    read_kruskal(open(path.as_ref())?)
+}
+
+fn open(path: &Path) -> Result<std::fs::File> {
+    std::fs::File::open(path).map_err(|e| TensorError::Io(format!("{}: {e}", path.display())))
 }
 
 fn finish_factor(
@@ -193,7 +193,7 @@ fn finish_factor(
     factors: &mut Vec<distenc_linalg::Mat>,
 ) -> Result<()> {
     if cols != rank || data.len() != rows * cols {
-        return Err(TensorError::ShapeMismatch(format!(
+        return Err(TensorError::Parse(format!(
             "factor body has {} values for a {rows}x{cols} matrix (rank {rank})",
             data.len()
         )));
@@ -205,14 +205,14 @@ fn finish_factor(
 fn parse_header(header: &str) -> Result<Vec<usize>> {
     let rest = header
         .strip_prefix("# shape:")
-        .ok_or_else(|| TensorError::ShapeMismatch(format!("bad header: {header}")))?;
+        .ok_or_else(|| TensorError::Parse(format!("bad header: {header}")))?;
     let shape: Vec<usize> = rest
         .split_whitespace()
         .map(|p| p.parse())
         .collect::<std::result::Result<_, _>>()
-        .map_err(|e| TensorError::ShapeMismatch(format!("bad header: {e}")))?;
+        .map_err(|e| TensorError::Parse(format!("bad header: {e}")))?;
     if shape.is_empty() {
-        return Err(TensorError::ShapeMismatch("empty shape in header".into()));
+        return Err(TensorError::Parse("empty shape in header".into()));
     }
     Ok(shape)
 }
@@ -248,6 +248,22 @@ mod tests {
         assert!(read_coo("# shape: 2 2\n0 0 1.0 9\n".as_bytes()).is_err()); // too many
         assert!(read_coo("bad header\n".as_bytes()).is_err());
         assert!(read_coo("".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn failures_are_typed_by_cause() {
+        // Malformed text is `Parse`, an unreadable source is `Io`; neither
+        // is reported as a shape mismatch.
+        assert!(matches!(read_coo("bad header\n".as_bytes()), Err(TensorError::Parse(_))));
+        assert!(matches!(read_coo("# shape: 2 2\n0 x 1.0\n".as_bytes()), Err(TensorError::Parse(_))));
+        assert!(matches!(read_kruskal("nope\n".as_bytes()), Err(TensorError::Parse(_))));
+        let missing = std::env::temp_dir().join("distenc-io-test-no-such-file.coo");
+        for err in [read_coo_file(&missing).unwrap_err(), read_kruskal_file(&missing).unwrap_err()] {
+            match err {
+                TensorError::Io(msg) => assert!(msg.contains("no-such-file"), "{msg}"),
+                other => panic!("expected Io, got {other:?}"),
+            }
+        }
     }
 
     #[test]

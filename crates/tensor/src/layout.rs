@@ -67,11 +67,10 @@
 //!
 //! # Selection
 //!
-//! The solver resolves its layout with precedence **config > CLI >
-//! env**: an explicit `AdmmConfig::layout`, else the `--layout
-//! coo|csf|tiled` CLI flag (which sets the config field), else the
-//! [`LAYOUT_ENV`] environment variable, else the legacy `use_csf` flag's
-//! mapping. Invalid names are typed errors, never silent fallbacks.
+//! The solver stores its residual in `AdmmConfig::layout` (default
+//! [`LayoutKind::Coo`]); the `--layout coo|csf|tiled` CLI flag sets that
+//! field through [`LayoutKind::parse`]. Invalid names are typed errors,
+//! never silent fallbacks.
 
 use crate::coo::CooTensor;
 use crate::csf::CsfTensor;
@@ -82,10 +81,6 @@ use crate::residual::{residual_refresh_exec, ResidualWorkspace};
 use crate::{Result, TensorError};
 use distenc_dataflow::Executor;
 use distenc_linalg::Mat;
-
-/// Environment variable naming the default layout (`coo`, `csf`, or
-/// `tiled`) when neither the config nor the CLI picks one.
-pub const LAYOUT_ENV: &str = "DISTENC_LAYOUT";
 
 /// Output rows per tile. 16 rows × rank 16 × 8 bytes = 2 KiB per slab
 /// tile — comfortably L1-resident. The value is a pure performance knob:
@@ -115,15 +110,6 @@ impl LayoutKind {
             "csf" => Ok(LayoutKind::Csf),
             "tiled" => Ok(LayoutKind::Tiled),
             _ => Err(TensorError::InvalidLayout(s.to_string())),
-        }
-    }
-
-    /// The layout requested by the [`LAYOUT_ENV`] environment variable:
-    /// `Ok(None)` when unset, a typed error when set to an unknown name.
-    pub fn from_env() -> Result<Option<LayoutKind>> {
-        match std::env::var(LAYOUT_ENV) {
-            Ok(v) => LayoutKind::parse(&v).map(Some),
-            Err(_) => Ok(None),
         }
     }
 }
@@ -1063,22 +1049,6 @@ mod tests {
         for k in [LayoutKind::Coo, LayoutKind::Csf, LayoutKind::Tiled] {
             assert_eq!(LayoutKind::parse(&k.to_string()).unwrap(), k);
         }
-    }
-
-    #[test]
-    fn layout_env_round_trips_and_rejects() {
-        // The only test in this binary that touches DISTENC_LAYOUT; no
-        // other tensor-crate test reads it, so set/remove is race-free.
-        std::env::remove_var(LAYOUT_ENV);
-        assert_eq!(LayoutKind::from_env().unwrap(), None);
-        std::env::set_var(LAYOUT_ENV, "tiled");
-        assert_eq!(LayoutKind::from_env().unwrap(), Some(LayoutKind::Tiled));
-        std::env::set_var(LAYOUT_ENV, "zorder");
-        assert_eq!(
-            LayoutKind::from_env(),
-            Err(TensorError::InvalidLayout("zorder".into()))
-        );
-        std::env::remove_var(LAYOUT_ENV);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use coo::CooTensor;
 pub use csf::CsfTensor;
 pub use dense::DenseTensor;
 pub use kruskal::KruskalTensor;
-pub use layout::{LayoutAccel, LayoutKind, LayoutWorkspace, TensorLayout, LAYOUT_ENV};
+pub use layout::{LayoutAccel, LayoutKind, LayoutWorkspace, TensorLayout};
 
 /// One tick on the pass-count instrument per full entry-list sweep over
 /// `entries` nonzeros (see `distenc_dataflow::passes`); compiles to
@@ -81,9 +81,14 @@ pub enum TensorError {
         /// What was wrong with it.
         reason: &'static str,
     },
-    /// An unknown tensor-layout name (from `--layout` or
-    /// `DISTENC_LAYOUT`); the payload is the rejected name.
+    /// An unknown tensor-layout name; the payload is the rejected name.
     InvalidLayout(String),
+    /// A file could not be opened or read ([`io`]); the payload is the
+    /// operating system's message.
+    Io(String),
+    /// Text that is not a valid `.coo` tensor or Kruskal model ([`io`]);
+    /// the payload says what was wrong.
+    Parse(String),
     /// Wrapped linear-algebra failure.
     Linalg(distenc_linalg::LinalgError),
 }
@@ -101,6 +106,8 @@ impl std::fmt::Display for TensorError {
             TensorError::InvalidLayout(name) => {
                 write!(f, "unknown tensor layout {name:?} (expected coo, csf, or tiled)")
             }
+            TensorError::Io(msg) => write!(f, "i/o error: {msg}"),
+            TensorError::Parse(msg) => write!(f, "parse error: {msg}"),
             TensorError::Linalg(e) => write!(f, "linalg error: {e}"),
         }
     }

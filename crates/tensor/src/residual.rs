@@ -16,7 +16,7 @@
 
 use crate::coo::CooTensor;
 use crate::kruskal::KruskalTensor;
-use crate::mttkrp::{gram_product, mttkrp, mttkrp_blocked};
+use crate::mttkrp::{gram_product, mttkrp};
 use crate::{Result, TensorError};
 use distenc_dataflow::{even_ranges, Executor};
 use distenc_linalg::Mat;
@@ -63,46 +63,6 @@ pub fn residual_into(
     Ok(())
 }
 
-/// [`residual_into`] with the per-entry evaluations spread over `exec`.
-///
-/// Every residual entry `e[i] = t[i] − [[A…]](idx[i])` is independent of
-/// every other, so *any* chunking is bit-identical to the sequential
-/// loop; chunks exist only to amortize task dispatch. Entry values are
-/// computed into per-chunk buffers and copied back in chunk order.
-pub fn residual_into_exec(
-    observed: &CooTensor,
-    model: &KruskalTensor,
-    e: &mut CooTensor,
-    exec: &Executor,
-) -> Result<()> {
-    if e.nnz() != observed.nnz() || e.shape() != observed.shape() {
-        if observed.shape() != model.shape().as_slice() {
-            return Err(TensorError::ShapeMismatch(format!(
-                "observed shape {:?} vs model shape {:?}",
-                observed.shape(),
-                model.shape()
-            )));
-        }
-        *e = observed.clone();
-    }
-    crate::record_entry_sweep(observed.nnz());
-    // Chunk by deliverable concurrency, not the configured thread count:
-    // oversplitting past the host's cores only adds dispatch overhead
-    // (any chunking is bit-exact, see above).
-    let chunks = even_ranges(observed.nnz(), exec.parallelism() * 4);
-    let computed = exec.run(&chunks, |_, range| {
-        range
-            .clone()
-            .map(|i| observed.value(i) - model.eval(observed.index(i)))
-            .collect::<Vec<f64>>()
-    });
-    let vals = e.values_mut();
-    for (range, chunk) in chunks.iter().zip(computed) {
-        vals[range.clone()].copy_from_slice(&chunk);
-    }
-    Ok(())
-}
-
 /// Reusable chunk buffers for [`residual_refresh_exec`], sized once for a
 /// fixed support and executor so the steady-state refresh allocates
 /// nothing.
@@ -116,10 +76,12 @@ struct ResidualChunk {
 }
 
 impl ResidualWorkspace {
-    /// Chunk `nnz` entries for `exec` (same `parallelism × 4` chunking as
-    /// [`residual_into_exec`]). When the executor cannot actually run
-    /// chunks concurrently the refresh takes its flat sequential path, so
-    /// no buffers are reserved at all.
+    /// Chunk `nnz` entries for `exec`: `parallelism × 4` chunks, sized
+    /// from deliverable concurrency rather than the configured thread
+    /// count (oversplitting past the host's cores only adds dispatch
+    /// overhead; any chunking is bit-exact). When the executor cannot
+    /// actually run chunks concurrently the refresh takes its flat
+    /// sequential path, so no buffers are reserved at all.
     pub fn new(nnz: usize, exec: &Executor) -> Self {
         if exec.parallelism() <= 1 {
             return ResidualWorkspace { jobs: Vec::new() };
@@ -135,8 +97,8 @@ impl ResidualWorkspace {
     }
 }
 
-/// Allocation-free [`residual_into_exec`] for an already-initialized
-/// residual: every entry `e[i] = t[i] − [[A…]](idx[i])` is computed
+/// Allocation-free [`residual_into`] with the per-entry evaluations
+/// spread over `exec`, for an already-initialized residual: every entry `e[i] = t[i] − [[A…]](idx[i])` is computed
 /// independently, so the values are bit-identical to the sequential loop
 /// for any chunking. At one thread this is one entry-order sweep through
 /// the fused kernels' interleaved eval block
@@ -145,8 +107,8 @@ impl ResidualWorkspace {
 /// runs fill the workspace's per-chunk buffers and copy back in chunk
 /// order.
 ///
-/// Unlike [`residual_into_exec`] this never falls back to allocating a
-/// fresh residual: a support mismatch is an error.
+/// Unlike [`residual_into`] this never falls back to allocating a fresh
+/// residual: a support mismatch is an error.
 pub fn residual_refresh_exec(
     observed: &CooTensor,
     model: &KruskalTensor,
@@ -220,25 +182,6 @@ pub fn completed_mttkrp_with_gram(
 ) -> Result<Mat> {
     let mut h = model.factors()[mode].matmul(f)?;
     let sparse_part = mttkrp(e, model.factors(), mode)?;
-    h.axpy(1.0, &sparse_part)?;
-    Ok(h)
-}
-
-/// [`completed_mttkrp`] with the sparse part computed by
-/// [`mttkrp_blocked`] over `boundaries` on `exec`. Bit-identical to the
-/// sequential version for every blocking (see [`mttkrp_blocked`]); the
-/// dense `A⁽ⁿ⁾F⁽ⁿ⁾` part is cheap and stays on the calling thread.
-pub fn completed_mttkrp_exec(
-    e: &CooTensor,
-    model: &KruskalTensor,
-    grams: &[Mat],
-    mode: usize,
-    boundaries: &[usize],
-    exec: &Executor,
-) -> Result<Mat> {
-    let f = gram_product(grams, mode)?;
-    let mut h = model.factors()[mode].matmul(&f)?;
-    let sparse_part = mttkrp_blocked(e, model.factors(), mode, boundaries, exec)?;
     h.axpy(1.0, &sparse_part)?;
     Ok(h)
 }
@@ -324,28 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn residual_into_exec_is_bitwise_identical() {
-        use distenc_dataflow::{ExecMode, Executor};
-        let k = KruskalTensor::random(&[6, 5, 4], 3, 9);
-        let t = random_coo(&[6, 5, 4], 40, 2);
-        let mut seq_e = residual(&t, &k).unwrap();
-        residual_into(&t, &k, &mut seq_e).unwrap();
-        for mode in [ExecMode::Sequential, ExecMode::Threads(3)] {
-            let exec = Executor::new(mode);
-            // Fresh allocation path.
-            let mut e = CooTensor::new(vec![1]);
-            residual_into_exec(&t, &k, &mut e, &exec).unwrap();
-            assert_eq!(e, seq_e);
-            // In-place refresh path.
-            let k2 = KruskalTensor::random(&[6, 5, 4], 3, 10);
-            let mut want = seq_e.clone();
-            residual_into(&t, &k2, &mut want).unwrap();
-            residual_into_exec(&t, &k2, &mut e, &exec).unwrap();
-            assert_eq!(e, want);
-        }
-    }
-
-    #[test]
     fn residual_refresh_exec_is_bitwise_identical() {
         use distenc_dataflow::{ExecMode, Executor};
         let t = random_coo(&[6, 5, 4], 40, 2);
@@ -378,25 +299,6 @@ mod tests {
             let got = completed_mttkrp_with_gram(&e, &model, &f, mode).unwrap();
             let want = completed_mttkrp(&e, &model, &grams, mode).unwrap();
             assert_eq!(got.as_slice(), want.as_slice());
-        }
-    }
-
-    #[test]
-    fn completed_mttkrp_exec_is_bitwise_identical() {
-        use distenc_dataflow::{ExecMode, Executor};
-        let shape = [5, 4, 6];
-        let model = KruskalTensor::random(&shape, 3, 11);
-        let t = random_coo(&shape, 30, 3);
-        let e = residual(&t, &model).unwrap();
-        let grams: Vec<Mat> = model.factors().iter().map(Mat::gram).collect();
-        let exec = Executor::new(ExecMode::Threads(4));
-        for (mode, &dim) in shape.iter().enumerate() {
-            let want = completed_mttkrp(&e, &model, &grams, mode).unwrap();
-            let boundaries = [dim.div_ceil(2), dim];
-            let got =
-                completed_mttkrp_exec(&e, &model, &grams, mode, &boundaries, &exec)
-                    .unwrap();
-            assert_eq!(got.as_slice(), want.as_slice(), "mode {mode}");
         }
     }
 

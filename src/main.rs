@@ -6,9 +6,9 @@
 //!                  [--similarity sim.coo@0]... [--alpha 2.0] [--iters 60]
 //! distenc evaluate --model model.kruskal --test held_out.coo
 //! distenc predict  --model model.kruskal --at 3,17,2
-//! distenc predict  --model model.kruskal --at-file queries.coo
 //! distenc predict  --model model.kruskal --top-k 10 --mode 1 --at 3,_,2
 //! distenc serve-bench --model model.kruskal --queries 100000
+//! distenc <command> --help
 //! ```
 //!
 //! Tensors are plain-text COO files (`# shape: …` header, one
@@ -17,41 +17,174 @@
 //! the same text format (`distenc_tensor::io`). Prediction and the
 //! serving benchmark go through `distenc_serve::Engine`, so scores are
 //! bit-identical to `KruskalTensor::eval` on the loaded model.
+//!
+//! Every option a subcommand takes is a row of [`COMMANDS`]; `cli`
+//! parses, rejects and documents options from that table alone.
 
-use distenc::core::{AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, LayoutKind};
+mod cli;
+
+use cli::{fail, flag, many, parse_list, parse_num, val, Cmd, Opt, Opts, Res};
+use distenc::core::{
+    AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, CompletionResult, LayoutKind,
+    SolverTier, DEFAULT_POLISH_ITERS,
+};
+use distenc::dataflow::ExecMode;
+use distenc::eval::metrics;
 use distenc::graph::{Laplacian, SparseSym};
 use distenc::serve::{
-    open_loop_trace, synth_trace, AdmissionControl, ApproxTopK, Engine, EngineConfig,
-    MetricsSnapshot, ModelRegistry, OpenLoopConfig, QueueConfig, Request, Response,
-    RetryPolicy, ServeError, ServeQueue, Ticket, TopKQuery, TraceConfig,
+    replay_direct, replay_queued, serve_open_loop, synth_trace, AdmissionControl, ApproxTopK,
+    Engine, EngineConfig, OpenLoopConfig, QueueConfig, ServeQueue, TopKQuery, TraceConfig,
 };
 use distenc::tensor::{io, CooTensor, KruskalTensor};
-use std::collections::{BTreeMap, VecDeque};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+// ---- the option table -----------------------------------------------------
+
+const PROBLEM: &[Opt] = &[
+    val("input", "FILE", "observed tensor, a .coo file (required)"),
+    val("out", "MODEL", "where to write the finished Kruskal model (required)"),
+];
+const SIMILARITY: &[Opt] =
+    &[many("similarity", "FILE@MODE", "square 2-order .coo similarity attached to a mode")];
+/// How the solve executes; never changes what it computes.
+const EXEC: &[Opt] = &[
+    val("threads", "N", "0|1 sequential, N >= 2 a thread pool [default: DISTENC_THREADS, else 1]"),
+    val("layout", "coo|csf|tiled", "residual storage; tiled is bitwise coo [default: coo]"),
+];
+const BUDGET: &[Opt] = &[
+    val("iters", "T", "iteration cap [default: 60]"),
+    val("tol", "EPS", "convergence tolerance on the factor change [default: 1e-4]"),
+    val("seed", "S", "factor-initialisation seed [default: 42]"),
+];
+const CHECKPOINT: &[Opt] = &[
+    val("checkpoint", "FILE", "solver snapshot: complete writes it, resume continues from it"),
+    val("checkpoint-every", "N", "snapshot every N iterations [default: complete 5, resume off]"),
+];
+const QUEUE: &[Opt] = &[
+    val("capacity", "N", "bounded queue capacity [default: 1024]"),
+    val("max-batch", "N", "largest batch a worker forms [default: 64]"),
+    val("window-us", "U", "batching window in microseconds [default: 200]"),
+];
+
+const COMMANDS: &[Cmd] = &[
+    Cmd {
+        name: "generate",
+        about: "write a synthetic tensor (kind error adds FILE.simN chain similarities)",
+        groups: &[&[
+            val("kind", "scalability|error|skewed", "which generator (required)"),
+            val("dims", "d1,d2,..", "mode lengths (required)"),
+            val("nnz", "N", "observed entries to draw (required)"),
+            val("out", "FILE", "where to write the .coo file (required)"),
+            val("seed", "S", "generator seed [default: 42]"),
+        ]],
+        run: cmd_generate,
+    },
+    Cmd {
+        name: "complete",
+        about: "solve a completion problem and write the model",
+        groups: &[
+            PROBLEM,
+            &[
+                val("rank", "R", "CP rank (required)"),
+                val("alpha", "A", "similarity (trace-regulariser) weight [default: 1.0]"),
+                val("lambda", "L", "ridge weight [default: 0.1]"),
+                val("eigen-k", "K", "Laplacian eigen-truncation width [default: 20]"),
+                flag("nonneg", "project factors onto the non-negative orthant"),
+                flag("sketched", "sampled MTTKRP tier with an exact polish tail"),
+                val("samples", "N", "with --sketched: draws per sampled step [default: 4096]"),
+                val("polish", "P", "with --sketched: trailing exact iterations [default: 8]"),
+            ],
+            SIMILARITY,
+            EXEC,
+            BUDGET,
+            CHECKPOINT,
+        ],
+        run: cmd_complete,
+    },
+    Cmd {
+        name: "resume",
+        about: "finish an interrupted complete from its --checkpoint, bit-identically",
+        groups: &[PROBLEM, SIMILARITY, EXEC, CHECKPOINT],
+        run: cmd_resume,
+    },
+    Cmd {
+        name: "stream",
+        about: "solve, then fold in each --delta and warm re-solve",
+        groups: &[
+            PROBLEM,
+            &[
+                val("rank", "R", "CP rank (required)"),
+                many("delta", "FILE", ".coo batch: updates, new cells, growth (required)"),
+                val("budget-iters", "T", "iteration cap of each warm re-solve [default: --iters]"),
+            ],
+            EXEC,
+            BUDGET,
+        ],
+        run: cmd_stream,
+    },
+    Cmd {
+        name: "evaluate",
+        about: "RMSE and relative error of a model on held-out entries",
+        groups: &[&[
+            val("model", "MODEL", "Kruskal model file (required)"),
+            val("test", "FILE", "held-out entries, a .coo file (required)"),
+        ]],
+        run: cmd_evaluate,
+    },
+    Cmd {
+        name: "predict",
+        about: "score --at, every index of --at-file, or the --top-k of a free mode",
+        groups: &[&[
+            val("model", "MODEL", "Kruskal model file (required)"),
+            val("at", "i1,i2,..", "index tuple; with --top-k, _ marks the free mode"),
+            val("at-file", "FILE", ".coo file whose indices are all scored (values ignored)"),
+            val("top-k", "K", "rank the K best indices of --mode, the rest pinned by --at"),
+            val("mode", "M", "with --top-k: the free mode"),
+            val("budget-ms", "MS", "with --top-k: scan deadline; on expiry prints best-so-far"),
+        ]],
+        run: cmd_predict,
+    },
+    Cmd {
+        name: "serve-bench",
+        about: "replay a Zipf request trace on the serving stack (--qps: open-loop arrivals)",
+        groups: &[
+            &[
+                val("model", "MODEL", "serve this model [default: a random --dims/--rank one]"),
+                val("dims", "d1,d2,..", "random-model mode lengths [default: 2000,500,20]"),
+                val("rank", "R", "random-model rank [default: 8]"),
+                val("seed", "S", "model and trace seed [default: 42]"),
+                val("queries", "N", "requests in the trace [default: 100000]"),
+                val("point-frac", "F", "share of point lookups [default: 0.6]"),
+                val("batch-frac", "F", "share of batch lookups; the rest are top-K [default: 0.2]"),
+                val("batch-size", "B", "entries per batch lookup [default: 32]"),
+                val("k", "K", "K of the top-K requests [default: 10]"),
+                val("zipf", "S", "index skew exponent [default: 1.1]"),
+                val("budget-ms", "MS", "scan deadline attached to top-K requests"),
+                val("cache", "N", "top-K LRU entries [default: 1024]"),
+                val("shard-rows", "N", "factor-store shard height [default: 4096]"),
+                val("approx-scan", "N", "approximate top-K: stop after N candidates"),
+                val("approx-coverage", "F", "approximate top-K: stop at this norm coverage"),
+                val("recall-every", "N", "re-check every Nth approximate answer [default: off]"),
+                val("workers", "W", "queue workers, 0 = none, replay on the engine [default: 0]"),
+                val("qps", "Q", "open-loop mode: offered load, Poisson arrivals, --workers 2"),
+                val("tenants", "N", "with --qps: fair-queued registry tenants [default: 1]"),
+                val("tenant-zipf", "S", "with --qps: tenant skew exponent [default: 1.0]"),
+                val("shed-watermark", "N", "with --qps: shed new requests at this queue depth"),
+                val("tenant-share", "N", "with --qps: per-tenant cap on queued requests"),
+                val("deadline-ms", "MS", "with --qps: end-to-end deadline; infeasible ones shed"),
+                flag("json", "with --qps: print the report as JSON"),
+            ],
+            QUEUE,
+        ],
+        run: cmd_serve_bench,
+    },
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(rest),
-        "complete" => cmd_complete(rest),
-        "resume" => cmd_resume(rest),
-        "stream" => cmd_stream(rest),
-        "evaluate" => cmd_evaluate(rest),
-        "predict" => cmd_predict(rest),
-        "serve-bench" => cmd_serve_bench(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
-    match result {
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -60,123 +193,147 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-distenc — trace-regularized tensor completion (DisTenC, ICDE 2018)
-
-USAGE:
-  distenc generate --kind <scalability|error|skewed> --dims d1,d2,.. \\
-                   --nnz N --out FILE [--seed S]
-  distenc complete --input FILE --rank R --out MODEL
-                   [--similarity FILE@MODE].. [--alpha A] [--lambda L]
-                   [--iters T] [--tol EPS] [--eigen-k K] [--seed S] [--nonneg]
-                   [--threads N]      (N >= 2 enables the thread-pool backend;
-                                       results are bit-identical either way)
-                   [--sketched] [--samples N] [--polish P]
-                                      (sampled MTTKRP tier: N draws per step,
-                                       last P iterations polished exactly;
-                                       DISTENC_TIER=sketched[:N[:P]] is the
-                                       env equivalent)
-                   [--layout coo|csf|tiled]
-                                      (residual storage layout; coo and tiled
-                                       are bit-identical, csf matches to
-                                       rounding. Precedence: --layout, then
-                                       DISTENC_LAYOUT, then the legacy
-                                       default. Unknown names are errors)
-                   [--checkpoint FILE] [--checkpoint-every N]
-                                      (snapshot the solver state to FILE every
-                                       N iterations, default 5; atomic,
-                                       checksummed, resumable)
-  distenc resume   --checkpoint FILE --input FILE --out MODEL
-                   [--similarity FILE@MODE].. [--threads N]
-                   [--checkpoint-every N] [--layout coo|csf|tiled]
-                   (continue an interrupted `complete` from its snapshot;
-                    the finished model is bit-identical to the run that was
-                    never interrupted. --checkpoint-every keeps snapshotting
-                    to the same FILE while resuming)
-  distenc stream   --input FILE --delta FILE.. --rank R --out MODEL
-                   [--iters T] [--budget-iters T] [--tol EPS] [--seed S]
-                   [--layout coo|csf|tiled]
-                   (each --delta is a COO file; entries on observed cells
-                    become value updates, new cells become inserts, and a
-                    larger `# shape:` header grows the tensor — the model
-                    is warm re-solved after every batch)
-  distenc evaluate --model MODEL --test FILE
-  distenc predict  --model MODEL --at i1,i2,..
-  distenc predict  --model MODEL --at-file FILE         (scores every index)
-  distenc predict  --model MODEL --top-k K --mode M --at i1,_,..
-                   [--budget-ms MS]
-  distenc serve-bench [--model MODEL | --dims d1,d2,.. --rank R]
-                   [--queries N] [--point-frac F] [--batch-frac F]
-                   [--batch-size B] [--k K] [--zipf S] [--budget-ms MS]
-                   [--cache N] [--shard-rows N] [--workers W]
-                   [--window-us U] [--capacity N] [--max-batch N] [--seed S]
-                   [--approx-scan N | --approx-coverage F] [--recall-every N]
-                   [--qps Q] [--tenants N] [--tenant-zipf S] [--json]
-                   [--shed-watermark N] [--tenant-share N] [--deadline-ms MS]
-
-serve-bench replays a closed-loop Zipf trace by default; --qps switches to
-an open-loop (offered-load) harness with Poisson arrivals, admission
-control, per-tenant fair queuing when --tenants > 1, and a --json report
-of throughput, shed rate, e2e latency quantiles, recall@K, and per-tenant
-queue occupancy.";
-
-/// Parse `--key value` pairs (plus bare flags listed in `flags`).
-fn parse_opts(
-    args: &[String],
-    flags: &[&str],
-) -> Result<BTreeMap<String, String>, String> {
-    let mut out = BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let key = a
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected an option, got `{a}`"))?;
-        if flags.contains(&key) {
-            out.insert(key.to_string(), "true".to_string());
-        } else {
-            let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-            // Repeatable options accumulate separated by '\n'.
-            out.entry(key.to_string())
-                .and_modify(|cur| {
-                    cur.push('\n');
-                    cur.push_str(v);
-                })
-                .or_insert_with(|| v.clone());
+fn run(args: &[String]) -> Res {
+    // Checked once, here, so a bad value is this typed error for every
+    // subcommand rather than a panic in the first `ExecMode::default()`.
+    ExecMode::from_env().map_err(|e| format!("DISTENC_THREADS: {e}"))?;
+    let Some((name, rest)) = args.split_first() else {
+        return fail(format!("no command given\n{}", cli::usage(COMMANDS)));
+    };
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        println!("{}", cli::usage(COMMANDS));
+        return Ok(());
+    }
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`\n{}", cli::usage(COMMANDS)))?;
+    match Opts::parse(cmd, rest)? {
+        Some(opts) => (cmd.run)(&opts),
+        None => {
+            print!("{}", cmd.help());
+            Ok(())
         }
     }
-    Ok(out)
 }
 
-fn req<'a>(opts: &'a BTreeMap<String, String>, key: &str) -> Result<&'a str, String> {
-    opts.get(key).map(String::as_str).ok_or_else(|| format!("missing --{key}"))
+// ---- shared option groups -------------------------------------------------
+
+/// The `EXEC` group: `--threads` through the one thread-count parser,
+/// `--layout` through the one layout parser. Typos are errors, never
+/// fallbacks — they must not silently change which kernels run.
+fn exec_options(opts: &Opts) -> Res<(ExecMode, LayoutKind)> {
+    let exec = match opts.get("threads") {
+        Some(s) => ExecMode::parse(s).map_err(|e| format!("--threads: {e}"))?,
+        None => ExecMode::default(),
+    };
+    let layout = match opts.get("layout") {
+        Some(s) => LayoutKind::parse(s)?,
+        None => LayoutKind::Coo,
+    };
+    Ok((exec, layout))
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad {what}: `{s}`"))
+/// The `EXEC` and `BUDGET` groups plus `--rank`, over the shipped defaults.
+fn solver_config(opts: &Opts) -> Res<AdmmConfig> {
+    let (exec, layout) = exec_options(opts)?;
+    Ok(AdmmConfig {
+        rank: opts.req_num("rank")?,
+        max_iters: opts.num_or("iters", 60)?,
+        tol: opts.num_or("tol", 1e-4)?,
+        seed: opts.num_or("seed", 42)?,
+        exec,
+        layout,
+        ..Default::default()
+    })
 }
 
-fn parse_list(s: &str, what: &str) -> Result<Vec<usize>, String> {
-    s.split(',').map(|p| parse_num(p.trim(), what)).collect()
+/// The `CHECKPOINT` group; `default_every` is the cadence when only
+/// `--checkpoint` is given (`None`: no snapshots without an explicit one).
+fn checkpoint_policy(opts: &Opts, default_every: Option<usize>) -> Res<Option<CheckpointPolicy>> {
+    let Some(path) = opts.get("checkpoint") else {
+        if opts.has("checkpoint-every") {
+            return fail("--checkpoint-every needs --checkpoint FILE");
+        }
+        return Ok(None);
+    };
+    let every = opts.num("checkpoint-every")?.or(default_every);
+    Ok(every.map(|n| CheckpointPolicy::every(n).with_path(path)))
 }
 
-/// `--layout coo|csf|tiled`. Unknown names are errors, never fallbacks —
-/// a typo must not silently change which kernels run.
-fn parse_layout(opts: &BTreeMap<String, String>) -> Result<Option<LayoutKind>, String> {
-    opts.get("layout")
-        .map(|s| LayoutKind::parse(s).map_err(|e| e.to_string()))
-        .transpose()
+/// The `QUEUE` group.
+fn queue_config(opts: &Opts, workers: usize, admission: AdmissionControl) -> Res<QueueConfig> {
+    Ok(QueueConfig {
+        capacity: opts.num_or("capacity", 1024)?,
+        max_batch: opts.num_or("max-batch", 64)?,
+        window: Duration::from_micros(opts.num_or("window-us", 200)?),
+        workers,
+        admission,
+        ..Default::default()
+    })
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args, &[])?;
-    let kind = req(&opts, "kind")?;
-    let dims = parse_list(req(&opts, "dims")?, "dimension")?;
-    let nnz: usize = parse_num(req(&opts, "nnz")?, "nnz")?;
-    let out = req(&opts, "out")?;
-    let seed: u64 = opts.get("seed").map_or(Ok(42), |s| parse_num(s, "seed"))?;
+/// `--similarity FILE@MODE`, repeatable.
+fn similarities(opts: &Opts, order: usize) -> Res<Vec<Option<Laplacian>>> {
+    let mut laps: Vec<Option<Laplacian>> = vec![None; order];
+    for spec in opts.all("similarity") {
+        let (path, mode) = spec
+            .rsplit_once('@')
+            .ok_or_else(|| format!("--similarity needs FILE@MODE, got `{spec}`"))?;
+        let mode: usize = parse_num(mode, "similarity mode")?;
+        if mode >= order {
+            return fail(format!("mode {mode} out of range for order {order}"));
+        }
+        laps[mode] = Some(Laplacian::from_similarity(read_similarity(path)?));
+    }
+    Ok(laps)
+}
 
+fn write_similarity(s: &SparseSym, path: &str) -> Res {
+    let mut coo = CooTensor::new(vec![s.dim(), s.dim()]);
+    for i in 0..s.dim() {
+        let (cols, vals) = s.row(i);
+        for (&j, &v) in cols.iter().zip(vals) {
+            if j >= i {
+                coo.push(&[i, j], v)?;
+            }
+        }
+    }
+    Ok(io::write_coo_file(&coo, path).map_err(|e| format!("{path}: {e}"))?)
+}
+
+fn read_similarity(path: &str) -> Res<SparseSym> {
+    let coo = io::read_coo_file(path)?;
+    if coo.order() != 2 || coo.shape()[0] != coo.shape()[1] {
+        return fail(format!("{path}: similarity must be a square 2-order COO file"));
+    }
+    let triplets: Vec<(usize, usize, f64)> = coo
+        .iter()
+        .filter(|(idx, _)| idx[0] <= idx[1]) // upper triangle; mirrored on build
+        .map(|(idx, v)| (idx[0], idx[1], v))
+        .collect();
+    Ok(SparseSym::from_triplets(coo.shape()[0], &triplets))
+}
+
+fn write_model(model: &KruskalTensor, out: &str) -> Res {
+    io::write_kruskal_file(model, out).map_err(|e| format!("{out}: {e}"))?;
+    eprintln!("wrote rank-{} model to {out}", model.rank());
+    Ok(())
+}
+
+fn final_rmse(result: &CompletionResult) -> f64 {
+    result.trace.final_rmse().unwrap_or(f64::NAN)
+}
+
+// ---- subcommands ----------------------------------------------------------
+
+fn cmd_generate(opts: &Opts) -> Res {
     use distenc::datagen::synthetic;
-    let tensor = match kind {
+    let dims = parse_list(opts.req("dims")?, "dimension")?;
+    let nnz: usize = opts.req_num("nnz")?;
+    let out = opts.req("out")?;
+    let seed: u64 = opts.num_or("seed", 42)?;
+    let tensor = match opts.req("kind")? {
         "scalability" => synthetic::scalability_tensor(&dims, nnz, seed),
         "skewed" => synthetic::skewed_tensor(&dims, nnz, seed),
         "error" => {
@@ -189,72 +346,28 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             }
             data.observed
         }
-        other => return Err(format!("unknown --kind `{other}`")),
+        other => return fail(format!("unknown --kind `{other}`")),
     };
-    io::write_coo_file(&tensor, out).map_err(|e| e.to_string())?;
+    io::write_coo_file(&tensor, out).map_err(|e| format!("{out}: {e}"))?;
     eprintln!("wrote {} entries of shape {:?} to {out}", tensor.nnz(), tensor.shape());
     Ok(())
 }
 
-fn write_similarity(s: &SparseSym, path: &str) -> Result<(), String> {
-    let mut coo = CooTensor::new(vec![s.dim(), s.dim()]);
-    for i in 0..s.dim() {
-        let (cols, vals) = s.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            if j >= i {
-                coo.push(&[i, j], v).map_err(|e| e.to_string())?;
-            }
+fn cmd_complete(opts: &Opts) -> Res {
+    let (input, out) = (opts.req("input")?, opts.req("out")?);
+    let observed = io::read_coo_file(input)?;
+
+    let solver_tier = if opts.has("sketched") {
+        SolverTier::Sketched {
+            samples: opts.num_or("samples", 4096)?,
+            polish_iters: opts.num_or("polish", DEFAULT_POLISH_ITERS)?,
         }
-    }
-    io::write_coo_file(&coo, path).map_err(|e| e.to_string())
-}
-
-fn read_similarity(path: &str) -> Result<SparseSym, String> {
-    let coo = io::read_coo_file(path).map_err(|e| e.to_string())?;
-    if coo.order() != 2 || coo.shape()[0] != coo.shape()[1] {
-        return Err(format!("{path}: similarity must be a square 2-order COO file"));
-    }
-    let triplets: Vec<(usize, usize, f64)> = coo
-        .iter()
-        .filter(|(idx, _)| idx[0] <= idx[1]) // upper triangle; mirrored on build
-        .map(|(idx, v)| (idx[0], idx[1], v))
-        .collect();
-    Ok(SparseSym::from_triplets(coo.shape()[0], &triplets))
-}
-
-fn cmd_complete(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args, &["nonneg", "sketched"])?;
-    let input = req(&opts, "input")?;
-    let out = req(&opts, "out")?;
-    let observed = io::read_coo_file(input).map_err(|e| e.to_string())?;
-
-    // --sketched [--samples N] [--polish P] selects the sampled solver
-    // tier; without the flag the DISTENC_TIER-driven default applies
-    // (and --samples/--polish refine it when that default is sketched).
-    let solver_tier = {
-        let default = distenc::core::SolverTier::default();
-        if opts.contains_key("sketched") || default.is_sketched() {
-            let (mut samples, mut polish_iters) = match default {
-                distenc::core::SolverTier::Sketched { samples, polish_iters } => {
-                    (samples, polish_iters)
-                }
-                distenc::core::SolverTier::Exact => {
-                    (4096, distenc::core::DEFAULT_POLISH_ITERS)
-                }
-            };
-            if let Some(s) = opts.get("samples") {
-                samples = parse_num(s, "samples")?;
-            }
-            if let Some(p) = opts.get("polish") {
-                polish_iters = parse_num(p, "polish")?;
-            }
-            distenc::core::SolverTier::Sketched { samples, polish_iters }
-        } else {
-            distenc::core::SolverTier::Exact
-        }
+    } else if opts.has("samples") || opts.has("polish") {
+        return fail("--samples and --polish need --sketched");
+    } else {
+        SolverTier::Exact
     };
-
-    let checkpoint = parse_checkpoint(&opts)?;
+    let checkpoint = checkpoint_policy(opts, Some(5))?;
     if checkpoint.is_some() && solver_tier.is_sketched() {
         eprintln!(
             "warning: checkpoints are exact-tier artifacts; the sketched solve will not snapshot"
@@ -263,255 +376,125 @@ fn cmd_complete(args: &[String]) -> Result<(), String> {
     let cfg = AdmmConfig {
         solver_tier,
         checkpoint,
-        layout: parse_layout(&opts)?,
-        rank: parse_num(req(&opts, "rank")?, "rank")?,
-        lambda: opts.get("lambda").map_or(Ok(0.1), |s| parse_num(s, "lambda"))?,
-        alpha: opts.get("alpha").map_or(Ok(1.0), |s| parse_num(s, "alpha"))?,
-        max_iters: opts.get("iters").map_or(Ok(60), |s| parse_num(s, "iters"))?,
-        tol: opts.get("tol").map_or(Ok(1e-4), |s| parse_num(s, "tol"))?,
-        eigen_k: opts.get("eigen-k").map_or(Ok(20), |s| parse_num(s, "eigen-k"))?,
-        seed: opts.get("seed").map_or(Ok(42), |s| parse_num(s, "seed"))?,
-        nonneg: opts.contains_key("nonneg"),
-        exec: match opts.get("threads") {
-            Some(s) => match parse_num::<usize>(s, "threads")? {
-                n if n >= 2 => distenc_dataflow::ExecMode::Threads(n),
-                _ => distenc_dataflow::ExecMode::Sequential,
-            },
-            // Unset: inherit the DISTENC_THREADS-driven default.
-            None => distenc_dataflow::ExecMode::default(),
-        },
-        ..Default::default()
+        lambda: opts.num_or("lambda", 0.1)?,
+        alpha: opts.num_or("alpha", 1.0)?,
+        eigen_k: opts.num_or("eigen-k", 20)?,
+        nonneg: opts.has("nonneg"),
+        ..solver_config(opts)?
     };
 
-    let laps = parse_similarities(&opts, observed.order())?;
+    let laps = similarities(opts, observed.order())?;
     let lap_refs: Vec<Option<&Laplacian>> = laps.iter().map(|l| l.as_ref()).collect();
-
-    let solver = AdmmSolver::new(cfg).map_err(|e| e.to_string())?;
-    let result = solver.solve(&observed, &lap_refs).map_err(|e| e.to_string())?;
+    let result = AdmmSolver::new(cfg)?.solve(&observed, &lap_refs)?;
     eprintln!(
         "completed in {} iterations (converged: {}, train RMSE {:.6})",
         result.iterations,
         result.converged,
-        result.trace.final_rmse().unwrap_or(f64::NAN)
+        final_rmse(&result)
     );
-    io::write_kruskal_file(&result.model, out).map_err(|e| e.to_string())?;
-    eprintln!("wrote rank-{} model to {out}", result.model.rank());
-    Ok(())
+    write_model(&result.model, out)
 }
 
-/// `--similarity FILE@MODE`, repeatable.
-fn parse_similarities(
-    opts: &BTreeMap<String, String>,
-    order: usize,
-) -> Result<Vec<Option<Laplacian>>, String> {
-    let mut laps: Vec<Option<Laplacian>> = vec![None; order];
-    if let Some(specs) = opts.get("similarity") {
-        for spec in specs.split('\n') {
-            let (path, mode) = spec
-                .rsplit_once('@')
-                .ok_or_else(|| format!("--similarity needs FILE@MODE, got `{spec}`"))?;
-            let mode: usize = parse_num(mode, "similarity mode")?;
-            if mode >= order {
-                return Err(format!("mode {mode} out of range for order {order}"));
-            }
-            laps[mode] = Some(Laplacian::from_similarity(read_similarity(path)?));
-        }
-    }
-    Ok(laps)
-}
-
-/// `--checkpoint FILE [--checkpoint-every N]` (default cadence 5).
-fn parse_checkpoint(
-    opts: &BTreeMap<String, String>,
-) -> Result<Option<CheckpointPolicy>, String> {
-    let Some(path) = opts.get("checkpoint") else {
-        if opts.contains_key("checkpoint-every") {
-            return Err("--checkpoint-every needs --checkpoint FILE".into());
-        }
-        return Ok(None);
-    };
-    let every: usize =
-        opts.get("checkpoint-every").map_or(Ok(5), |s| parse_num(s, "checkpoint-every"))?;
-    Ok(Some(CheckpointPolicy::every(every).with_path(path)))
-}
-
-fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args, &[])?;
-    let ckpt_path = req(&opts, "checkpoint")?;
-    let input = req(&opts, "input")?;
-    let out = req(&opts, "out")?;
-    let observed = io::read_coo_file(input).map_err(|e| e.to_string())?;
+fn cmd_resume(opts: &Opts) -> Res {
+    let ckpt_path = opts.req("checkpoint")?;
+    let (input, out) = (opts.req("input")?, opts.req("out")?);
+    let observed = io::read_coo_file(input)?;
     let ckpt = Checkpoint::read_file(std::path::Path::new(ckpt_path))
         .map_err(|e| format!("reading {ckpt_path}: {e}"))?;
 
     // The solve numerics come from the snapshot; only the environment
     // knobs are taken from this invocation. `--checkpoint-every` keeps
     // snapshotting to the same file while the resumed run progresses.
-    let mut cfg = ckpt.config.clone();
-    cfg.checkpoint = opts
-        .get("checkpoint-every")
-        .map(|s| parse_num(s, "checkpoint-every"))
-        .transpose()?
-        .map(|every| CheckpointPolicy::every(every).with_path(ckpt_path));
-    cfg.exec = match opts.get("threads") {
-        Some(s) => match parse_num::<usize>(s, "threads")? {
-            n if n >= 2 => distenc_dataflow::ExecMode::Threads(n),
-            _ => distenc_dataflow::ExecMode::Sequential,
-        },
-        None => distenc_dataflow::ExecMode::default(),
-    };
-    cfg.layout = parse_layout(&opts)?;
+    let (exec, layout) = exec_options(opts)?;
+    let checkpoint = checkpoint_policy(opts, None)?;
+    let cfg = AdmmConfig { checkpoint, exec, layout, ..ckpt.config.clone() };
 
-    let laps = parse_similarities(&opts, observed.order())?;
+    let laps = similarities(opts, observed.order())?;
     let lap_refs: Vec<Option<&Laplacian>> = laps.iter().map(|l| l.as_ref()).collect();
-
-    let solver = AdmmSolver::new(cfg).map_err(|e| e.to_string())?;
-    let result = solver.resume(&observed, &lap_refs, &ckpt).map_err(|e| e.to_string())?;
+    let result = AdmmSolver::new(cfg)?.resume(&observed, &lap_refs, &ckpt)?;
     eprintln!(
         "resumed at iteration {} and finished at {} (converged: {}, train RMSE {:.6})",
         ckpt.iters_done,
         result.iterations,
         result.converged,
-        result.trace.final_rmse().unwrap_or(f64::NAN)
+        final_rmse(&result)
     );
-    io::write_kruskal_file(&result.model, out).map_err(|e| e.to_string())?;
-    eprintln!("wrote rank-{} model to {out}", result.model.rank());
-    Ok(())
+    write_model(&result.model, out)
 }
 
-fn cmd_stream(args: &[String]) -> Result<(), String> {
+fn cmd_stream(opts: &Opts) -> Res {
     use distenc::stream::{DeltaBatch, StreamingSolver};
 
-    let opts = parse_opts(args, &[])?;
-    let input = req(&opts, "input")?;
-    let out = req(&opts, "out")?;
-    let observed = io::read_coo_file(input).map_err(|e| e.to_string())?;
+    let (input, out) = (opts.req("input")?, opts.req("out")?);
+    let observed = io::read_coo_file(input)?;
     let order = observed.order();
-
-    let cfg = AdmmConfig {
-        layout: parse_layout(&opts)?,
-        rank: parse_num(req(&opts, "rank")?, "rank")?,
-        max_iters: opts.get("iters").map_or(Ok(60), |s| parse_num(s, "iters"))?,
-        tol: opts.get("tol").map_or(Ok(1e-4), |s| parse_num(s, "tol"))?,
-        seed: opts.get("seed").map_or(Ok(42), |s| parse_num(s, "seed"))?,
-        ..Default::default()
-    };
-    let budget: usize =
-        opts.get("budget-iters").map_or(Ok(cfg.max_iters), |s| parse_num(s, "budget-iters"))?;
+    let cfg = solver_config(opts)?;
+    let budget: usize = opts.num_or("budget-iters", cfg.max_iters)?;
     let tol = cfg.tol;
+    opts.req("delta")?; // fail before the initial solve, not after it
 
-    let mut solver =
-        StreamingSolver::new(observed, vec![None; order], cfg).map_err(|e| e.to_string())?;
-    let first = solver.solve().map_err(|e| e.to_string())?;
+    let mut solver = StreamingSolver::new(observed, vec![None; order], cfg)?;
+    let first = solver.solve()?;
     eprintln!(
         "initial solve: {} iterations, train RMSE {:.6}",
         first.iterations,
-        first.trace.final_rmse().unwrap_or(f64::NAN)
+        final_rmse(&first)
     );
 
     // Each --delta COO file is one batch: its entries are split into
     // updates (cells already observed) and inserts (new cells); a larger
     // shape header grows the tensor.
-    solver.set_budget(budget, tol).map_err(|e| e.to_string())?;
-    for path in req(&opts, "delta")?.split('\n') {
-        let delta = io::read_coo_file(path).map_err(|e| e.to_string())?;
-        if delta.order() != order {
-            return Err(format!("{path}: delta is order {}, tensor is {order}", delta.order()));
-        }
-        let base = solver.observed().shape().to_vec();
-        let growth: Vec<usize> = delta
-            .shape()
-            .iter()
-            .zip(&base)
-            .map(|(&d, &b)| d.saturating_sub(b))
-            .collect();
-        let (mut inserts, mut updates) = (Vec::new(), Vec::new());
-        for (idx, v) in delta.iter() {
-            if solver.observed().position_of(idx).is_some() {
-                updates.push((idx.to_vec(), v));
-            } else {
-                inserts.push((idx.to_vec(), v));
-            }
-        }
-        let batch = DeltaBatch::try_new(&base, &growth, inserts, updates)
+    solver.set_budget(budget, tol)?;
+    for path in opts.all("delta") {
+        let delta = io::read_coo_file(path)?;
+        let batch = DeltaBatch::from_coo(solver.observed(), &delta)
             .map_err(|e| format!("{path}: {e}"))?;
         solver.apply(&batch).map_err(|e| format!("{path}: {e}"))?;
-        let r = solver.solve().map_err(|e| e.to_string())?;
+        let r = solver.solve()?;
         eprintln!(
             "{path}: applied {} entries -> generation {}: {} iterations, train RMSE {:.6}",
             delta.nnz(),
             solver.generation(),
             r.iterations,
-            r.trace.final_rmse().unwrap_or(f64::NAN)
+            final_rmse(&r)
         );
     }
-
-    let model = solver.model().expect("solved at least once");
-    io::write_kruskal_file(model, out).map_err(|e| e.to_string())?;
-    eprintln!("wrote rank-{} model to {out}", model.rank());
-    Ok(())
+    write_model(solver.model().expect("solved at least once"), out)
 }
 
-fn cmd_evaluate(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args, &[])?;
-    let model = io::read_kruskal_file(req(&opts, "model")?).map_err(|e| e.to_string())?;
-    let test = io::read_coo_file(req(&opts, "test")?).map_err(|e| e.to_string())?;
+fn cmd_evaluate(opts: &Opts) -> Res {
+    let model = io::read_kruskal_file(opts.req("model")?)?;
+    let test = io::read_coo_file(opts.req("test")?)?;
     if test.shape() != model.shape().as_slice() {
-        return Err(format!(
+        return fail(format!(
             "test shape {:?} does not match model shape {:?}",
             test.shape(),
             model.shape()
         ));
     }
-    let rmse = distenc::tensor::residual::observed_rmse(&test, &model)
-        .map_err(|e| e.to_string())?;
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (idx, truth) in test.iter() {
-        let p = model.eval(idx);
-        num += (p - truth) * (p - truth);
-        den += truth * truth;
-    }
-    let rel = if den > 0.0 { (num / den).sqrt() } else { 0.0 };
     println!("entries: {}", test.nnz());
-    println!("rmse: {rmse:.6}");
-    println!("relative_error: {rel:.6}");
+    println!("rmse: {:.6}", metrics::rmse(&model, &test)?);
+    println!("relative_error: {:.6}", metrics::relative_error(&model, &test)?);
     Ok(())
 }
 
-/// Parse an index list where `_` or `*` marks the free-mode placeholder.
-fn parse_index_spec(s: &str, what: &str) -> Result<Vec<usize>, String> {
-    s.split(',')
-        .map(|p| {
-            let p = p.trim();
-            if p == "_" || p == "*" {
-                Ok(0)
-            } else {
-                parse_num(p, what)
-            }
-        })
-        .collect()
-}
+fn cmd_predict(opts: &Opts) -> Res {
+    let model = io::read_kruskal_file(opts.req("model")?)?;
+    let engine = Engine::new(&model, EngineConfig::default())?;
 
-fn parse_budget(opts: &BTreeMap<String, String>) -> Result<Option<Duration>, String> {
-    opts.get("budget-ms")
-        .map(|s| parse_num::<u64>(s, "budget-ms").map(Duration::from_millis))
-        .transpose()
-}
-
-fn cmd_predict(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args, &[])?;
-    let model = io::read_kruskal_file(req(&opts, "model")?).map_err(|e| e.to_string())?;
-    let engine = Engine::new(&model, EngineConfig::default()).map_err(|e| e.to_string())?;
-
-    if let Some(k) = opts.get("top-k") {
-        // Rank the free mode with everything else pinned.
-        let k: usize = parse_num(k, "top-k")?;
-        let mode: usize = parse_num(req(&opts, "mode")?, "mode")?;
-        let at = parse_index_spec(req(&opts, "at")?, "index")?;
-        let res = engine
-            .topk(&TopKQuery { mode, at, k }, parse_budget(&opts)?)
-            .map_err(|e| e.to_string())?;
+    if let Some(k) = opts.num("top-k")? {
+        // Rank the free mode with everything else pinned; `_` or `*`
+        // marks the free-mode placeholder.
+        let mode: usize = opts.req_num("mode")?;
+        let at = opts
+            .req("at")?
+            .split(',')
+            .map(|p| match p.trim() {
+                "_" | "*" => Ok(0),
+                p => parse_num(p, "index"),
+            })
+            .collect::<Res<Vec<usize>>>()?;
+        let res = engine.topk(&TopKQuery { mode, at, k }, opts.millis("budget-ms")?)?;
         if res.degraded {
             eprintln!(
                 "warning: budget expired after {} of {} candidates; showing best-so-far",
@@ -527,89 +510,105 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
         // (values in the file, if any, are ignored).
         let queries = io::read_coo_file(path).map_err(|e| format!("reading {path}: {e}"))?;
         if queries.shape() != model.shape().as_slice() {
-            return Err(format!(
+            return fail(format!(
                 "query shape {:?} does not match model shape {:?}",
                 queries.shape(),
                 model.shape()
             ));
         }
         let indices: Vec<Vec<usize>> = queries.iter().map(|(idx, _)| idx.to_vec()).collect();
-        let scores = engine.batch(&indices).map_err(|e| e.to_string())?;
-        for (idx, score) in indices.iter().zip(scores) {
+        for (idx, score) in indices.iter().zip(engine.batch(&indices)?) {
             let coords: Vec<String> = idx.iter().map(|i| i.to_string()).collect();
             println!("{} {score}", coords.join(" "));
         }
     } else {
-        let idx = parse_list(req(&opts, "at")?, "index")?;
-        println!("{}", engine.point(&idx).map_err(|e| e.to_string())?);
+        let idx = parse_list(opts.req("at")?, "index")?;
+        println!("{}", engine.point(&idx)?);
     }
     Ok(())
 }
 
-fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args, &["json"])?;
-    let seed: u64 = opts.get("seed").map_or(Ok(42), |s| parse_num(s, "seed"))?;
+fn cmd_serve_bench(opts: &Opts) -> Res {
+    let seed: u64 = opts.num_or("seed", 42)?;
     let model = match opts.get("model") {
-        Some(path) => io::read_kruskal_file(path).map_err(|e| e.to_string())?,
+        Some(path) => io::read_kruskal_file(path)?,
         None => {
-            let dims = opts
-                .get("dims")
-                .map(|s| parse_list(s, "dimension"))
-                .transpose()?
-                .unwrap_or_else(|| vec![2000, 500, 20]);
-            let rank: usize = opts.get("rank").map_or(Ok(8), |s| parse_num(s, "rank"))?;
-            KruskalTensor::random(&dims, rank, seed)
+            let dims = parse_list(opts.get("dims").unwrap_or("2000,500,20"), "dimension")?;
+            KruskalTensor::random(&dims, opts.num_or("rank", 8)?, seed)
         }
     };
-    let approx_topk = match (opts.get("approx-scan"), opts.get("approx-coverage")) {
+    let approx_topk = match (opts.num("approx-scan")?, opts.num("approx-coverage")?) {
         (Some(_), Some(_)) => {
-            return Err("--approx-scan and --approx-coverage are mutually exclusive".into())
+            return fail("--approx-scan and --approx-coverage are mutually exclusive")
         }
-        (Some(s), None) => Some(ApproxTopK::ScanLimit(parse_num(s, "approx-scan")?)),
-        (None, Some(c)) => Some(ApproxTopK::NormCoverage(parse_num(c, "approx-coverage")?)),
+        (Some(n), None) => Some(ApproxTopK::ScanLimit(n)),
+        (None, Some(c)) => Some(ApproxTopK::NormCoverage(c)),
         (None, None) => None,
     };
     let engine_cfg = EngineConfig {
-        shard_rows: opts.get("shard-rows").map_or(Ok(4096), |s| parse_num(s, "shard-rows"))?,
-        topk_cache: opts.get("cache").map_or(Ok(1024), |s| parse_num(s, "cache"))?,
+        shard_rows: opts.num_or("shard-rows", 4096)?,
+        topk_cache: opts.num_or("cache", 1024)?,
         approx_topk,
-        recall_check_every: opts
-            .get("recall-every")
-            .map_or(Ok(0), |s| parse_num(s, "recall-every"))?,
+        recall_check_every: opts.num_or("recall-every", 0)?,
         ..Default::default()
     };
-
     let trace_cfg = TraceConfig {
-        queries: opts.get("queries").map_or(Ok(100_000), |s| parse_num(s, "queries"))?,
-        point_frac: opts.get("point-frac").map_or(Ok(0.6), |s| parse_num(s, "point-frac"))?,
-        batch_frac: opts.get("batch-frac").map_or(Ok(0.2), |s| parse_num(s, "batch-frac"))?,
-        batch_size: opts.get("batch-size").map_or(Ok(32), |s| parse_num(s, "batch-size"))?,
-        k: opts.get("k").map_or(Ok(10), |s| parse_num(s, "k"))?,
-        topk_budget: parse_budget(&opts)?,
-        zipf_exponent: opts.get("zipf").map_or(Ok(1.1), |s| parse_num(s, "zipf"))?,
+        queries: opts.num_or("queries", 100_000)?,
+        point_frac: opts.num_or("point-frac", 0.6)?,
+        batch_frac: opts.num_or("batch-frac", 0.2)?,
+        batch_size: opts.num_or("batch-size", 32)?,
+        k: opts.num_or("k", 10)?,
+        topk_budget: opts.millis("budget-ms")?,
+        zipf_exponent: opts.num_or("zipf", 1.1)?,
         seed,
     };
     if !(0.0..=1.0).contains(&trace_cfg.point_frac)
         || !(0.0..=1.0).contains(&trace_cfg.batch_frac)
         || trace_cfg.point_frac + trace_cfg.batch_frac > 1.0
     {
-        return Err(format!(
+        return fail(format!(
             "--point-frac ({}) and --batch-frac ({}) must be non-negative and sum to at most 1",
             trace_cfg.point_frac, trace_cfg.batch_frac
         ));
     }
-    if let Some(qps) = opts.get("qps") {
-        return serve_bench_open_loop(
-            &opts,
-            &model,
-            engine_cfg,
-            trace_cfg,
-            parse_num(qps, "qps")?,
+    let shape = model.shape();
+
+    if let Some(qps) = opts.num::<f64>("qps")? {
+        // Open loop: offered load at a fixed QPS with admission control
+        // and, past one tenant, fair queuing over a model registry.
+        let workers: usize = opts.num_or("workers", 2)?;
+        if workers == 0 {
+            return fail("open-loop mode needs --workers >= 1");
+        }
+        let deadline = opts.millis("deadline-ms")?;
+        let admission = AdmissionControl {
+            shed_watermark: opts.num("shed-watermark")?,
+            deadline_aware: deadline.is_some(),
+            tenant_share: opts.num("tenant-share")?,
+        };
+        let load = OpenLoopConfig {
+            qps,
+            tenants: opts.num_or("tenants", 1)?,
+            tenant_zipf: opts.num_or("tenant-zipf", 1.0)?,
+            trace: trace_cfg,
+        };
+        eprintln!(
+            "offering {} requests at {qps:.0} qps across {} tenant(s), shape {shape:?} rank {}",
+            load.trace.queries,
+            load.tenants,
+            model.rank(),
         );
+        let queue_cfg = queue_config(opts, workers, admission)?;
+        let report = serve_open_loop(&model, engine_cfg, queue_cfg, &load, deadline)?;
+        if opts.has("json") {
+            println!("{}", report.to_json());
+        } else {
+            println!("{report}");
+        }
+        return Ok(());
     }
 
-    let engine = Arc::new(Engine::new(&model, engine_cfg).map_err(|e| e.to_string())?);
-    let shape = model.shape();
+    let engine = Arc::new(Engine::new(&model, engine_cfg)?);
     let trace = synth_trace(&shape, &trace_cfg);
     let store = engine.store();
     eprintln!(
@@ -621,63 +620,16 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
         store.mem_bytes() as f64 / (1024.0 * 1024.0),
     );
 
-    let workers: usize = opts.get("workers").map_or(Ok(0), |s| parse_num(s, "workers"))?;
+    // Closed loop: straight on the engine, or with --workers through the
+    // bounded batching queue.
+    let workers: usize = opts.num_or("workers", 0)?;
     let total = trace.len();
     let start = Instant::now();
     if workers == 0 {
-        // Direct replay: every request hits the engine synchronously.
-        for request in &trace {
-            match request {
-                Request::Point { index } => {
-                    engine.point(index).map_err(|e| e.to_string())?;
-                }
-                Request::Batch { indices } => {
-                    engine.batch(indices).map_err(|e| e.to_string())?;
-                }
-                Request::TopK { query, budget } => {
-                    engine.topk(query, *budget).map_err(|e| e.to_string())?;
-                }
-            }
-        }
+        replay_direct(&engine, &trace)?;
     } else {
-        // Queued replay: submissions flow through the bounded batching
-        // queue. Backpressure is absorbed in two steps: a short
-        // retry-with-backoff first (workers usually free capacity within
-        // microseconds), then — if the queue is still full — the replayer
-        // waits for its oldest in-flight ticket before trying again.
-        let retry = RetryPolicy::default();
-        let queue_cfg = QueueConfig {
-            capacity: opts.get("capacity").map_or(Ok(1024), |s| parse_num(s, "capacity"))?,
-            max_batch: opts.get("max-batch").map_or(Ok(64), |s| parse_num(s, "max-batch"))?,
-            window: Duration::from_micros(
-                opts.get("window-us").map_or(Ok(200), |s| parse_num(s, "window-us"))?,
-            ),
-            workers,
-            ..Default::default()
-        };
-        let queue =
-            ServeQueue::new(Arc::clone(&engine), queue_cfg).map_err(|e| e.to_string())?;
-        let mut pending: VecDeque<Ticket> = VecDeque::new();
-        for request in trace {
-            loop {
-                match queue.submit_with_retry(request.clone(), &retry) {
-                    Ok(ticket) => {
-                        pending.push_back(ticket);
-                        break;
-                    }
-                    Err(ServeError::QueueFull { .. }) => match pending.pop_front() {
-                        Some(ticket) => {
-                            ticket.wait();
-                        }
-                        None => std::thread::yield_now(),
-                    },
-                    Err(e) => return Err(e.to_string()),
-                }
-            }
-        }
-        for ticket in pending {
-            ticket.wait();
-        }
+        let queue_cfg = queue_config(opts, workers, AdmissionControl::default())?;
+        replay_queued(&ServeQueue::new(Arc::clone(&engine), queue_cfg)?, trace)?;
     }
     let elapsed = start.elapsed().as_secs_f64();
     println!(
@@ -685,205 +637,5 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
         total as f64 / elapsed.max(1e-9)
     );
     println!("{}", engine.snapshot());
-    Ok(())
-}
-
-/// Spin/sleep until `start + offset` (sleep for coarse gaps, spin the
-/// final stretch — high-QPS inter-arrival gaps are far below OS sleep
-/// granularity).
-fn pace(start: Instant, offset: Duration) {
-    let target = start + offset;
-    loop {
-        let now = Instant::now();
-        if now >= target {
-            return;
-        }
-        if target - now > Duration::from_micros(300) {
-            std::thread::sleep(target - now - Duration::from_micros(200));
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-/// Open-loop serve-bench: offered load at a fixed QPS (Poisson
-/// arrivals), optional admission control, multi-tenant fair queuing, and
-/// a machine-readable `--json` report.
-fn serve_bench_open_loop(
-    opts: &BTreeMap<String, String>,
-    model: &KruskalTensor,
-    engine_cfg: EngineConfig,
-    trace_cfg: TraceConfig,
-    qps: f64,
-) -> Result<(), String> {
-    let tenants: usize = opts.get("tenants").map_or(Ok(1), |s| parse_num(s, "tenants"))?;
-    if tenants == 0 {
-        return Err("--tenants must be at least 1".into());
-    }
-    let workers: usize = opts.get("workers").map_or(Ok(2), |s| parse_num(s, "workers"))?;
-    if workers == 0 {
-        return Err("open-loop mode needs --workers >= 1".into());
-    }
-    let deadline = opts
-        .get("deadline-ms")
-        .map(|s| parse_num::<u64>(s, "deadline-ms").map(Duration::from_millis))
-        .transpose()?;
-    let queue_cfg = QueueConfig {
-        capacity: opts.get("capacity").map_or(Ok(1024), |s| parse_num(s, "capacity"))?,
-        max_batch: opts.get("max-batch").map_or(Ok(64), |s| parse_num(s, "max-batch"))?,
-        window: Duration::from_micros(
-            opts.get("window-us").map_or(Ok(200), |s| parse_num(s, "window-us"))?,
-        ),
-        workers,
-        admission: AdmissionControl {
-            shed_watermark: opts
-                .get("shed-watermark")
-                .map(|s| parse_num(s, "shed-watermark"))
-                .transpose()?,
-            deadline_aware: deadline.is_some(),
-            tenant_share: opts
-                .get("tenant-share")
-                .map(|s| parse_num(s, "tenant-share"))
-                .transpose()?,
-        },
-        ..Default::default()
-    };
-
-    // Single tenant fronts one engine; several front a model registry
-    // (every tenant serving this same model, each with its own engine).
-    enum Fleet {
-        Single(Arc<Engine>),
-        Multi(Arc<ModelRegistry>),
-    }
-    let names: Vec<String> = (0..tenants).map(|i| format!("tenant-{i}")).collect();
-    let (queue, fleet) = if tenants > 1 {
-        let reg = Arc::new(ModelRegistry::new());
-        for name in &names {
-            reg.register(name, model, engine_cfg.clone()).map_err(|e| e.to_string())?;
-        }
-        let queue =
-            ServeQueue::with_registry(Arc::clone(&reg), queue_cfg).map_err(|e| e.to_string())?;
-        (queue, Fleet::Multi(reg))
-    } else {
-        let engine = Arc::new(Engine::new(model, engine_cfg).map_err(|e| e.to_string())?);
-        let queue =
-            ServeQueue::new(Arc::clone(&engine), queue_cfg).map_err(|e| e.to_string())?;
-        (queue, Fleet::Single(engine))
-    };
-
-    let open_cfg = OpenLoopConfig {
-        qps,
-        tenants,
-        tenant_zipf: opts.get("tenant-zipf").map_or(Ok(1.0), |s| parse_num(s, "tenant-zipf"))?,
-        trace: trace_cfg,
-    };
-    let shape = model.shape();
-    let trace = open_loop_trace(&shape, &open_cfg);
-    eprintln!(
-        "offering {} requests at {qps:.0} qps across {tenants} tenant(s), shape {shape:?} rank {}",
-        trace.len(),
-        model.rank(),
-    );
-
-    let mut tickets = Vec::with_capacity(trace.len());
-    let mut rejected = 0u64;
-    let start = Instant::now();
-    for tr in &trace {
-        pace(start, tr.offset);
-        let submitted = if tenants > 1 {
-            queue.submit_for_with_deadline(&names[tr.tenant], tr.request.clone(), deadline)
-        } else {
-            queue.submit_with_deadline(tr.request.clone(), deadline)
-        };
-        match submitted {
-            Ok(t) => tickets.push((tr.tenant, t)),
-            Err(ServeError::QueueFull { .. }) => rejected += 1,
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    let mut served = vec![0u64; tenants];
-    let mut shed = vec![0u64; tenants];
-    let (mut timed_out, mut errors) = (0u64, 0u64);
-    for (tenant, ticket) in tickets {
-        match ticket.wait() {
-            Response::Value(_) | Response::Values(_) | Response::TopK(_) => served[tenant] += 1,
-            Response::Shed(_) => shed[tenant] += 1,
-            Response::TimedOut => timed_out += 1,
-            Response::Error(_) => errors += 1,
-        }
-    }
-    let wall = start.elapsed().as_secs_f64();
-    let occupancy = queue.occupancy();
-    drop(queue);
-
-    let snap: MetricsSnapshot = match &fleet {
-        Fleet::Single(engine) => engine.snapshot(),
-        Fleet::Multi(reg) => reg.snapshot(),
-    };
-    // The fleet block never sees recall samples (each tenant's engine
-    // records its own), so aggregate recall across tenant snapshots.
-    let (recall_overlap, recall_possible, recall_checks) = match &fleet {
-        Fleet::Single(engine) => {
-            let s = engine.snapshot();
-            (s.recall_overlap, s.recall_possible, s.recall_checks)
-        }
-        Fleet::Multi(reg) => reg.tenant_snapshots().iter().fold((0, 0, 0), |acc, (_, s)| {
-            (acc.0 + s.recall_overlap, acc.1 + s.recall_possible, acc.2 + s.recall_checks)
-        }),
-    };
-    let recall = if recall_possible == 0 {
-        0.0
-    } else {
-        recall_overlap as f64 / recall_possible as f64
-    };
-    let total_served: u64 = served.iter().sum();
-    let total_shed: u64 = shed.iter().sum();
-    let achieved = total_served as f64 / wall.max(1e-9);
-
-    if opts.contains_key("json") {
-        let tenant_rows: Vec<String> = names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let peak =
-                    occupancy.iter().find(|(n, _, _)| n == name || (tenants == 1 && n == "default"))
-                        .map_or(0, |(_, _, p)| *p);
-                format!(
-                    "    {{ \"tenant\": \"{name}\", \"served\": {}, \"shed\": {}, \"queued_peak\": {peak} }}",
-                    served[i], shed[i]
-                )
-            })
-            .collect();
-        println!(
-            "{{\n  \"offered_qps\": {qps:.0},\n  \"achieved_qps\": {achieved:.0},\n  \"wall_secs\": {wall:.3},\n  \"requests\": {},\n  \"served\": {total_served},\n  \"shed\": {total_shed},\n  \"sheds_queue_depth\": {},\n  \"sheds_deadline\": {},\n  \"sheds_tenant_share\": {},\n  \"rejected\": {rejected},\n  \"timed_out\": {timed_out},\n  \"errors\": {errors},\n  \"shed_rate\": {:.4},\n  \"queue_depth_peak\": {},\n  \"e2e_us\": {{ \"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"mean\": {:.1} }},\n  \"recall_at_k\": {recall:.4},\n  \"recall_checks\": {recall_checks},\n  \"tenants\": [\n{}\n  ]\n}}",
-            trace.len(),
-            snap.sheds_queue_depth,
-            snap.sheds_deadline,
-            snap.sheds_tenant_share,
-            snap.shed_rate(),
-            snap.queue_depth_peak,
-            snap.e2e_p50.as_secs_f64() * 1e6,
-            snap.e2e_p90.as_secs_f64() * 1e6,
-            snap.e2e_p99.as_secs_f64() * 1e6,
-            snap.e2e_mean.as_secs_f64() * 1e6,
-            tenant_rows.join(",\n"),
-        );
-    } else {
-        println!(
-            "offered {} requests at {qps:.0} qps in {wall:.3} s: {total_served} served ({achieved:.0} qps), {total_shed} shed, {rejected} rejected, {timed_out} timed out, {errors} errors",
-            trace.len(),
-        );
-        println!("{snap}");
-        for (i, name) in names.iter().enumerate() {
-            let peak = occupancy
-                .iter()
-                .find(|(n, _, _)| n == name || (tenants == 1 && n == "default"))
-                .map_or(0, |(_, _, p)| *p);
-            println!(
-                "  {name}: served {} shed {} peak queue {peak}",
-                served[i], shed[i]
-            );
-        }
-    }
     Ok(())
 }

@@ -245,3 +245,164 @@ fn serve_bench_open_loop_reports_json() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--workers >= 1"), "{stderr}");
 }
+
+/// A small tensor on disk for the option-edge tests below.
+fn small_tensor(name: &str) -> std::path::PathBuf {
+    let data = tmp(name);
+    let out = bin()
+        .args(["generate", "--kind", "scalability", "--dims", "12,10,8", "--nnz", "300"])
+        .args(["--out", data.to_str().unwrap(), "--seed", "9"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    data
+}
+
+#[test]
+fn every_subcommand_rejects_an_unknown_flag() {
+    // `--max-iters` is the typo that used to be accepted and ignored.
+    for cmd in ["generate", "complete", "resume", "stream", "evaluate", "predict", "serve-bench"] {
+        let out = bin().args([cmd, "--max-iters", "5"]).output().unwrap();
+        assert!(!out.status.success(), "`{cmd}` accepted an unknown flag");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown option `--max-iters`")
+                && stderr.contains(&format!("`distenc {cmd}`")),
+            "`{cmd}` must name the flag and itself: {stderr}"
+        );
+    }
+    // Flags of one subcommand are not flags of another.
+    let out = bin().args(["resume", "--iters", "5"]).output().unwrap();
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option `--iters`"));
+}
+
+#[test]
+fn subcommand_help_is_generated_from_the_option_table() {
+    let out = bin().args(["complete", "--help"]).output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for needle in [
+        "distenc complete",
+        "--rank R",
+        "--similarity FILE@MODE",
+        "(repeatable)",
+        "--threads N",
+        "--layout coo|csf|tiled",
+        "--checkpoint-every N",
+        "--sketched",
+    ] {
+        assert!(stdout.contains(needle), "`{needle}` missing from:\n{stdout}");
+    }
+    assert!(!stdout.contains("--qps"), "another subcommand's option leaked in:\n{stdout}");
+}
+
+#[test]
+fn thread_count_has_one_rule_for_the_flag_and_the_variable() {
+    let data = small_tensor("threads.coo");
+    let complete = |env: Option<&str>, extra: &[&str], model: &std::path::Path| {
+        let mut cmd = bin();
+        cmd.args(["complete", "--input", data.to_str().unwrap(), "--rank", "2"])
+            .args(["--iters", "6", "--out", model.to_str().unwrap()])
+            .args(extra)
+            .env_remove("DISTENC_THREADS");
+        if let Some(v) = env {
+            cmd.env("DISTENC_THREADS", v);
+        }
+        cmd.output().unwrap()
+    };
+
+    // A typo in either spelling is a typed error naming its source —
+    // never a run that silently went sequential.
+    let out = complete(Some("4x"), &[], &tmp("threads-bad.kruskal"));
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("DISTENC_THREADS") && stderr.contains("`4x`"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let out = complete(None, &["--threads", "4x"], &tmp("threads-bad.kruskal"));
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--threads") && stderr.contains("`4x`"), "{stderr}");
+    // The variable is checked for every subcommand, solver or not.
+    let out = bin().arg("--help").env("DISTENC_THREADS", "many").output().unwrap();
+    assert!(!out.status.success());
+
+    // Valid spellings agree byte for byte, with each other and with the
+    // sequential default.
+    let (seq, env4, flag4) =
+        (tmp("threads-seq.kruskal"), tmp("threads-env.kruskal"), tmp("threads-flag.kruskal"));
+    for out in [
+        complete(None, &[], &seq),
+        complete(Some("4"), &[], &env4),
+        complete(None, &["--threads", "4"], &flag4),
+    ] {
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let bytes = std::fs::read(&env4).unwrap();
+    assert_eq!(bytes, std::fs::read(&flag4).unwrap(), "DISTENC_THREADS=4 vs --threads 4");
+    assert_eq!(bytes, std::fs::read(&seq).unwrap(), "threaded vs sequential");
+}
+
+#[test]
+fn resume_reads_version_1_checkpoints_whose_reserved_byte_is_set() {
+    let data = small_tensor("resume.coo");
+    let (ckpt, partial) = (tmp("resume.ckpt"), tmp("resume-partial.kruskal"));
+    let out = bin()
+        .args(["complete", "--input", data.to_str().unwrap(), "--rank", "2", "--iters", "4"])
+        .args(["--checkpoint", ckpt.to_str().unwrap(), "--checkpoint-every", "4"])
+        .args(["--out", partial.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // Older builds wrote a legacy layout switch (0 or 1) into the byte
+    // that is now reserved. Forge such a file: set the byte, redo the FNV-1a
+    // trailer.
+    let mut bytes = std::fs::read(&ckpt).unwrap();
+    let reserved = 4 + 4 + 8 + 5 * 8 + 8 + 8 + 8 + 8 + 1 + 1;
+    assert_eq!(bytes[reserved], 0, "new checkpoints write the reserved byte as 0");
+    bytes[reserved] = 1;
+    let body = bytes.len() - 8;
+    let sum = bytes[..body]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    let old = tmp("resume-old.ckpt");
+    std::fs::write(&old, &bytes).unwrap();
+
+    let resume = |ckpt: &std::path::Path, model: &std::path::Path| {
+        let out = bin()
+            .args(["resume", "--checkpoint", ckpt.to_str().unwrap()])
+            .args(["--input", data.to_str().unwrap(), "--out", model.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        std::fs::read(model).unwrap()
+    };
+    let from_new = resume(&ckpt, &tmp("resume-new.kruskal"));
+    let from_old = resume(&old, &tmp("resume-old.kruskal"));
+    assert_eq!(from_old, from_new, "the reserved byte must not change the resumed run");
+    assert_eq!(from_new, std::fs::read(&partial).unwrap(), "resume finishes the same model");
+}
+
+#[test]
+fn stream_folds_delta_files_into_a_warm_resolve() {
+    let data = small_tensor("stream.coo");
+    // One update of an observed cell, one new cell, one cell in a slice
+    // that only exists after the larger header grows mode 0.
+    let first = std::fs::read_to_string(&data).unwrap();
+    let observed_cell = first.lines().nth(1).unwrap().rsplit_once(' ').unwrap().0.to_string();
+    let delta = tmp("stream-delta.coo");
+    std::fs::write(&delta, format!("# shape: 13 10 8\n{observed_cell} 0.5\n12 0 0 0.25\n"))
+        .unwrap();
+    let model = tmp("stream.kruskal");
+    let out = bin()
+        .args(["stream", "--input", data.to_str().unwrap(), "--rank", "2", "--iters", "5"])
+        .args(["--delta", delta.to_str().unwrap(), "--out", model.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("applied 2 entries -> generation 2"), "{stderr}");
+    let text = std::fs::read_to_string(&model).unwrap();
+    assert!(text.contains("# factor 0: 13 2"), "mode 0 grew to 13 rows: {text}");
+}

@@ -88,7 +88,7 @@ fn host_solver_fused_matches_unfused_bit_for_bit() {
                     rank,
                     max_iters: 6,
                     tol: 1e-12,
-                    layout: Some(layout),
+                    layout,
                     exec,
                     ..Default::default()
                 };

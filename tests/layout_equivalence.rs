@@ -1,7 +1,6 @@
 //! Layout equivalence: storage selection never changes the answer.
 //!
-//! `AdmmConfig::layout` (CLI `--layout`, env `DISTENC_LAYOUT`) picks the
-//! residual storage behind [`distenc::tensor::TensorLayout`]. The
+//! `AdmmConfig::layout` (CLI `--layout`) picks the residual storage behind [`distenc::tensor::TensorLayout`]. The
 //! contract, pinned here at both `DISTENC_THREADS` settings `ci.sh`
 //! runs this file under:
 //!
@@ -15,11 +14,8 @@
 //! * **csf matches to rounding.** CSF tree walks genuinely reassociate
 //!   the folds, so the pre-existing ~1e-9 tolerance applies, not bit
 //!   equality.
-//! * **Unknown layout names are typed errors**, never silent fallbacks —
-//!   from both `LayoutKind::parse` (the `--layout` path) and
-//!   `DISTENC_LAYOUT` (the one test touching the env lives alone in this
-//!   binary's namespace; every other test selects layouts explicitly so
-//!   it cannot race).
+//! * **Unknown layout names are typed errors**, never silent fallbacks,
+//!   from `LayoutKind::parse` (the `--layout` path).
 
 use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, LayoutKind, SolverTier};
 use distenc::stream::{DeltaBatch, StreamingSolver};
@@ -194,31 +190,6 @@ fn unknown_layout_name_is_a_typed_parse_error() {
     }
     // Parsing is trim+case-insensitive on the accept side only.
     assert_eq!(LayoutKind::parse(" Tiled\n").unwrap(), LayoutKind::Tiled);
-}
-
-#[test]
-fn invalid_layout_env_fails_the_solve_with_a_typed_error() {
-    // The ONLY test in this binary touching DISTENC_LAYOUT (everything
-    // else selects layouts via `with_layout`, which wins over the env, so
-    // concurrent test threads cannot observe this mutation).
-    let observed = planted(&[8, 7, 6], 2, 150, 91);
-    let cfg = AdmmConfig { rank: 2, max_iters: 3, tol: 1e-12, ..Default::default() };
-    let laps = vec![None; 3];
-
-    std::env::set_var("DISTENC_LAYOUT", "zorder");
-    let err = AdmmSolver::new(cfg.clone()).unwrap().solve(&observed, &laps).unwrap_err();
-    assert!(
-        err.to_string().contains("unknown tensor layout \"zorder\""),
-        "error must name the bad env value, got: {err}"
-    );
-
-    // A valid env value selects the layout (and matches the explicit
-    // config selection bit-for-bit).
-    std::env::set_var("DISTENC_LAYOUT", "tiled");
-    let via_env = AdmmSolver::new(cfg.clone()).unwrap().solve(&observed, &laps).unwrap();
-    std::env::remove_var("DISTENC_LAYOUT");
-    let via_cfg = solve(&observed, cfg.with_layout(LayoutKind::Tiled));
-    assert_bit_identical(&via_env, &via_cfg, "env vs config selection");
 }
 
 proptest! {

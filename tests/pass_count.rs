@@ -153,15 +153,15 @@ fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
     // Per-row order in a tile is entry order, so the fused sweep is the
     // same one entry-order traversal; unfused, cache-blocking reorders
     // the entry walk but must not add passes.
-    let tiled_fused = AdmmConfig { layout: Some(LayoutKind::Tiled), ..fused.clone() };
-    let tiled_plain = AdmmConfig { layout: Some(LayoutKind::Tiled), ..plain.clone() };
+    let tiled_fused = AdmmConfig { layout: LayoutKind::Tiled, ..fused.clone() };
+    let tiled_plain = AdmmConfig { layout: LayoutKind::Tiled, ..plain.clone() };
     assert_eq!(host_sweeps_per_iter(&order3, &tiled_fused), 1.0, "tiled fused");
     assert_eq!(host_sweeps_per_iter(&order3, &tiled_plain), 4.0, "tiled unfused");
     assert_eq!(host_entries_per_iter(&order3, &tiled_fused), nnz, "tiled entries");
 
     // --- Sequential host, CSF tree walks: mode 0 banked, N sweeps. -----
-    let csf_fused = AdmmConfig { use_csf: true, ..fused.clone() };
-    let csf_plain = AdmmConfig { use_csf: true, ..plain.clone() };
+    let csf_fused = AdmmConfig { layout: LayoutKind::Csf, ..fused.clone() };
+    let csf_plain = AdmmConfig { layout: LayoutKind::Csf, ..plain.clone() };
     assert_eq!(host_sweeps_per_iter(&order3, &csf_fused), 3.0, "CSF fused");
     assert_eq!(host_sweeps_per_iter(&order3, &csf_plain), 4.0, "CSF unfused");
 

@@ -241,29 +241,6 @@ proptest! {
     }
 
     #[test]
-    fn engine_sample_within_bounds(n in 1usize..500, frac in 0.0f64..1.0, seed in any::<u64>()) {
-        use distenc::dataflow::{Cluster, ClusterConfig, Dist};
-        let c = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let d = Dist::from_vec(&c, (0..n as u32).collect(), 3).unwrap();
-        let s = d.sample(frac, seed).unwrap();
-        prop_assert!(s.len() <= n);
-        // Sampled records are a subset of the originals.
-        let set: std::collections::BTreeSet<u32> = s.collect().unwrap().into_iter().collect();
-        prop_assert!(set.iter().all(|&x| (x as usize) < n));
-    }
-
-    #[test]
-    fn engine_count_by_key_sums_to_total(pairs in prop::collection::vec((0u8..10, any::<u16>()), 1..100)) {
-        use distenc::dataflow::{Cluster, ClusterConfig, Dist};
-        let c = Cluster::new(ClusterConfig::test(3).with_time_budget(None));
-        let n = pairs.len() as u64;
-        let d = Dist::from_vec(&c, pairs, 4).unwrap();
-        let counts = d.count_by_key(3).unwrap().collect().unwrap();
-        let total: u64 = counts.iter().map(|&(_, c)| c).sum();
-        prop_assert_eq!(total, n);
-    }
-
-    #[test]
     fn kruskal_norm_matches_dense(seed in any::<u64>(), rank in 1usize..4) {
         let model = KruskalTensor::random(&[4, 5, 3], rank, seed);
         let dense = DenseTensor::from_kruskal(&model);

@@ -16,6 +16,7 @@
 //!    concurrent hot-publishes never surfaces an error, a stale read, or
 //!    an unresolved ticket.
 
+use distenc::dataflow::ExecMode;
 use distenc::linalg::Mat;
 use distenc::serve::{
     open_loop_trace, AdmissionControl, ApproxTopK, Engine, EngineConfig, ModelRegistry,
@@ -25,14 +26,11 @@ use distenc::tensor::KruskalTensor;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Worker-pool size for the gate, from the same env knob as the solver
-/// execution backends (`DISTENC_THREADS`), defaulting to 1.
+/// Worker-pool size for the gate: the thread count of the solver's
+/// default execution backend (`DISTENC_THREADS`, 1 when unset), so
+/// `ci.sh`'s two sweeps drain with one worker and with several.
 fn workers_from_env() -> usize {
-    std::env::var("DISTENC_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n: &usize| n >= 1)
-        .unwrap_or(1)
+    ExecMode::default().threads()
 }
 
 /// CP model whose mode-0 row norms decay like a power law — the regime

@@ -17,7 +17,7 @@
 //! backend comes from `ExecMode::default()`, so both schedules are
 //! covered without test-side plumbing.
 
-use distenc::core::{AdmmConfig, AdmmSolver};
+use distenc::core::{AdmmConfig, AdmmSolver, LayoutKind};
 use distenc::stream::{DeltaBatch, StreamingSolver};
 use distenc::tensor::{CooTensor, KruskalTensor};
 use proptest::prelude::*;
@@ -93,9 +93,9 @@ fn random_batch(
 
 #[test]
 fn empty_delta_warm_resolve_is_bit_exact() {
-    for use_csf in [false, true] {
+    for layout in [LayoutKind::Coo, LayoutKind::Csf] {
         let observed = planted(&[10, 9, 8], 2, 200, 11);
-        let cfg = AdmmConfig { rank: 2, max_iters: 7, tol: 1e-12, use_csf, ..Default::default() };
+        let cfg = AdmmConfig { rank: 2, max_iters: 7, tol: 1e-12, layout, ..Default::default() };
         let mut s =
             StreamingSolver::new(observed.clone(), vec![None, None, None], cfg.clone()).unwrap();
         s.solve().unwrap();
@@ -110,7 +110,7 @@ fn empty_delta_warm_resolve_is_bit_exact() {
             .unwrap()
             .solve_from(&observed, &[None, None, None], &before)
             .unwrap();
-        assert_eq!(warm.iterations, oracle.iterations, "use_csf={use_csf}");
+        assert_eq!(warm.iterations, oracle.iterations, "layout={layout}");
         assert_models_bit_equal(&warm.model, &oracle.model, "empty delta");
     }
 }
@@ -175,12 +175,12 @@ proptest! {
     fn warm_resolve_matches_solve_from_bitwise(
         seed in 0u64..1000,
         n_batches in 1usize..4,
-        use_csf_bit in 0u8..2,
+        csf in any::<bool>(),
     ) {
-        let use_csf = use_csf_bit == 1;
+        let layout = if csf { LayoutKind::Csf } else { LayoutKind::Coo };
         let observed = planted(&[8, 7, 6], 2, 150, seed.wrapping_mul(7).wrapping_add(1));
         let cfg = AdmmConfig {
-            rank: 2, max_iters: 5, tol: 1e-12, use_csf, ..Default::default()
+            rank: 2, max_iters: 5, tol: 1e-12, layout, ..Default::default()
         };
         let mut s = StreamingSolver::new(
             observed, vec![None, None, None], cfg.clone(),
