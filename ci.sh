@@ -87,7 +87,9 @@ cargo test -q --features pass-count --test pass_count
 echo "==> cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# --all-targets: tests, benches and examples stay lint-clean too, not
+# just the library and binary code.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> ci.sh OK: $executed tests executed across the two sweeps"

@@ -76,14 +76,12 @@ fn sweep_ns(x: &CooTensor, kind: LayoutKind, rank: usize, threads: usize) -> (u6
     let mut h: Vec<Mat> = SHAPE.iter().map(|&d| Mat::zeros(d, rank)).collect();
 
     // Warm up caches, pools, and code paths.
-    for mode in 0..SHAPE.len() {
-        layout.mttkrp_into(model.factors(), mode, &mut lw, &exec, &mut h[mode]).unwrap();
+    for (mode, out) in h.iter_mut().enumerate() {
+        layout.mttkrp_into(model.factors(), mode, &mut lw, &exec, out).unwrap();
     }
     let mttkrp = median_ns(REPS, || {
-        for mode in 0..SHAPE.len() {
-            layout
-                .mttkrp_into(black_box(model.factors()), mode, &mut lw, &exec, &mut h[mode])
-                .unwrap();
+        for (mode, out) in h.iter_mut().enumerate() {
+            layout.mttkrp_into(black_box(model.factors()), mode, &mut lw, &exec, out).unwrap();
         }
     }) / SHAPE.len() as u64;
 

@@ -110,14 +110,38 @@ impl AdmmSolver {
     /// carried value is irrelevant because every mode step recomputes it
     /// from `ηA − Y` before any read), so warm state is exactly: factors
     /// plus residual.
+    ///
+    /// Unlike the cold entry points, this one takes the per-mode
+    /// eigenbases *already truncated* ([`AdmmSolver::truncate`], one per
+    /// mode, [`TruncatedLaplacian::zero`] where there is no similarity):
+    /// a streaming problem's graphs never change, so §III-B's precompute
+    /// belongs to the caller that outlives the re-solves, and a re-solve
+    /// contains no eigensolve.
     pub fn solve_streamed(
         &self,
         observed: &CooTensor,
-        laplacians: &[Option<&Laplacian>],
+        truncated: &[TruncatedLaplacian],
         init: Option<&KruskalTensor>,
         carry: Option<ResidualHandoff>,
     ) -> Result<(CompletionResult, ResidualHandoff)> {
-        validate_problem(observed, laplacians, &self.cfg)?;
+        if truncated.len() != observed.order() {
+            return Err(CoreError::Invalid(format!(
+                "{} eigenbases for an order-{} tensor",
+                truncated.len(),
+                observed.order()
+            )));
+        }
+        for (n, (t, &dim)) in truncated.iter().zip(observed.shape()).enumerate() {
+            if t.dim() != dim {
+                return Err(CoreError::Invalid(format!(
+                    "eigenbasis for mode {n} has dimension {}, mode has length {dim}",
+                    t.dim()
+                )));
+            }
+        }
+        if observed.nnz() == 0 {
+            return Err(CoreError::Invalid("observed tensor has no entries".into()));
+        }
         if let Some(m) = init {
             if m.shape() != observed.shape() || m.rank() != self.cfg.rank {
                 return Err(CoreError::Invalid(format!(
@@ -151,11 +175,24 @@ impl AdmmSolver {
                 ));
             }
         }
-        let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
         let start = Instant::now();
-        solve_with_handoff(observed, &truncated, &self.cfg, init.cloned(), carry, |_iter| {
+        solve_with_handoff(observed, truncated, &self.cfg, init.cloned(), carry, |_iter| {
             start.elapsed().as_secs_f64()
         })
+    }
+
+    /// §III-B's precompute under this solver's `eigen_k` and `seed`: one
+    /// eigenbasis per mode of a tensor of shape `shape`, a zero one where
+    /// `laplacians[n]` is `None`. Every cold entry point does this
+    /// internally, per call; it is public for [`AdmmSolver::solve_streamed`]
+    /// callers, who do it once per problem.
+    pub fn truncate(
+        &self,
+        shape: &[usize],
+        laplacians: &[Option<&Laplacian>],
+    ) -> Result<Vec<TruncatedLaplacian>> {
+        validate_laplacians(shape, laplacians)?;
+        truncate_all(shape, laplacians, &self.cfg)
     }
 
     /// Continue an interrupted solve from a [`Checkpoint`] (typically read
@@ -296,28 +333,34 @@ pub(crate) fn validate_problem(
     laplacians: &[Option<&Laplacian>],
     cfg: &AdmmConfig,
 ) -> Result<()> {
-    if laplacians.len() != observed.order() {
-        return Err(CoreError::Invalid(format!(
-            "{} Laplacians for an order-{} tensor",
-            laplacians.len(),
-            observed.order()
-        )));
-    }
-    for (n, lap) in laplacians.iter().enumerate() {
-        if let Some(l) = lap {
-            if l.dim() != observed.shape()[n] {
-                return Err(CoreError::Invalid(format!(
-                    "Laplacian for mode {n} has dimension {}, mode has length {}",
-                    l.dim(),
-                    observed.shape()[n]
-                )));
-            }
-        }
-    }
+    validate_laplacians(observed.shape(), laplacians)?;
     if observed.nnz() == 0 {
         return Err(CoreError::Invalid("observed tensor has no entries".into()));
     }
     let _ = cfg;
+    Ok(())
+}
+
+/// One optional Laplacian per mode, each as long as its mode.
+fn validate_laplacians(shape: &[usize], laplacians: &[Option<&Laplacian>]) -> Result<()> {
+    if laplacians.len() != shape.len() {
+        return Err(CoreError::Invalid(format!(
+            "{} Laplacians for an order-{} tensor",
+            laplacians.len(),
+            shape.len()
+        )));
+    }
+    for (n, lap) in laplacians.iter().enumerate() {
+        if let Some(l) = lap {
+            if l.dim() != shape[n] {
+                return Err(CoreError::Invalid(format!(
+                    "Laplacian for mode {n} has dimension {}, mode has length {}",
+                    l.dim(),
+                    shape[n]
+                )));
+            }
+        }
+    }
     Ok(())
 }
 
@@ -731,6 +774,79 @@ mod tests {
         assert!(solver.solve(&observed, &[Some(&lap), None]).is_err());
         // Invalid config.
         assert!(AdmmSolver::new(AdmmConfig { rank: 0, ..Default::default() }).is_err());
+    }
+
+    #[test]
+    fn eigen_k_zero_solves_with_the_complement_only() {
+        // K = 0 is a legal truncation (every graph direction damped at
+        // the mean rate tr(L)/I) whatever branch the component size would
+        // have picked: 30 nodes → dense, 230 → Lanczos.
+        let (observed, _) = planted(&[30, 230, 6], 2, 900, 19);
+        let laps = [
+            Laplacian::from_similarity(tridiagonal_chain(30)),
+            Laplacian::from_similarity(tridiagonal_chain(230)),
+        ];
+        let cfg = AdmmConfig {
+            rank: 2,
+            max_iters: 5,
+            tol: 1e-12,
+            alpha: 1.0,
+            eigen_k: 0,
+            ..Default::default()
+        };
+        let res = AdmmSolver::new(cfg)
+            .unwrap()
+            .solve(&observed, &[Some(&laps[0]), Some(&laps[1]), None])
+            .unwrap();
+        assert_eq!(res.iterations, 5);
+        assert!(res.trace.final_rmse().unwrap().is_finite());
+    }
+
+    #[test]
+    fn non_finite_similarity_is_a_typed_error() {
+        let (observed, _) = planted(&[10, 8, 6], 2, 200, 23);
+        let solver = AdmmSolver::new(AdmmConfig { rank: 2, alpha: 1.0, ..Default::default() })
+            .unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut triplets: Vec<(usize, usize, f64)> = (0..9).map(|i| (i, i + 1, 1.0)).collect();
+            triplets[4].2 = bad;
+            let lap = Laplacian::from_similarity(distenc_graph::SparseSym::from_triplets(
+                10, &triplets,
+            ));
+            let err = solver.solve(&observed, &[Some(&lap), None, None]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::Linalg(distenc_linalg::LinalgError::InvalidArgument(_))
+                ),
+                "weight {bad}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn solve_streamed_checks_eigenbases_against_the_tensor() {
+        let (observed, _) = planted(&[8, 7, 6], 2, 150, 29);
+        let solver = AdmmSolver::new(AdmmConfig { rank: 2, max_iters: 3, ..Default::default() })
+            .unwrap();
+        let zeros = |dims: &[usize]| -> Vec<TruncatedLaplacian> {
+            dims.iter().map(|&d| TruncatedLaplacian::zero(d)).collect()
+        };
+        // Wrong count, wrong length, empty tensor: typed errors.
+        assert!(solver.solve_streamed(&observed, &zeros(&[8, 7]), None, None).is_err());
+        assert!(solver.solve_streamed(&observed, &zeros(&[8, 9, 6]), None, None).is_err());
+        let empty = CooTensor::new(vec![8, 7, 6]);
+        assert!(solver.solve_streamed(&empty, &zeros(&[8, 7, 6]), None, None).is_err());
+        // And with the eigenbases `truncate` hands out it is `solve`.
+        let lap = Laplacian::from_similarity(tridiagonal_chain(7));
+        let laps = [None, Some(&lap), None];
+        let truncated = solver.truncate(observed.shape(), &laps).unwrap();
+        let (streamed, _) = solver.solve_streamed(&observed, &truncated, None, None).unwrap();
+        let cold = solver.solve(&observed, &laps).unwrap();
+        assert_eq!(streamed.model.factors(), cold.model.factors());
+        // `truncate` validates like the cold entry points do.
+        assert!(solver.truncate(&[8, 7], &laps).is_err());
+        assert!(solver.truncate(&[8, 9, 6], &laps).is_err());
     }
 
     #[test]

@@ -1,8 +1,19 @@
 //! Graph Laplacians and their truncated eigendecompositions (§III-B).
+//!
+//! [`Laplacian`] is the problem data (a similarity graph, immutable);
+//! [`TruncatedLaplacian`] is what the solvers actually iterate with — the
+//! `K` smallest eigenpairs plus a complement rate. The paper's point is
+//! that the second is computed from the first **once**:
+//! [`Laplacian::truncate`] is the only production eigensolve, per
+//! connected component — Householder + QL
+//! ([`distenc_linalg::symmetric_eigen`]) on small components, matrix-free
+//! Lanczos on large ones. [`Laplacian::truncate_dense`] (cyclic Jacobi on
+//! the densified operator) is the exact oracle the tests compare against.
 
 use crate::sparse::SparseSym;
+use distenc_linalg::eigen::jacobi_eigen;
 use distenc_linalg::{
-    jacobi_eigen, lanczos_smallest, LinOp, Mat, Result as LinResult,
+    lanczos_smallest, symmetric_eigen, LinOp, LinalgError, Mat, Result as LinResult,
 };
 
 /// The (unnormalized) graph Laplacian `L = D − S` of a similarity matrix,
@@ -111,17 +122,33 @@ impl Laplacian {
     ///
     /// Component-aware: the Laplacian of a disconnected graph is block
     /// diagonal, so each connected component is eigensolved independently
-    /// — exactly (dense Jacobi) when the component is small, matrix-free
-    /// Lanczos when it is large — and the globally smallest `k` pairs are
-    /// kept. This handles the zero eigenvalue's multiplicity (one per
-    /// component) that a single Krylov sequence cannot resolve, which
-    /// matters because community-style similarity graphs are exactly
+    /// — densely (Householder + QL) when the component is small,
+    /// matrix-free Lanczos when it is large — and the globally smallest
+    /// `k` pairs are kept. This handles the zero eigenvalue's multiplicity
+    /// (one per component) that a single Krylov sequence cannot resolve,
+    /// which matters because community-style similarity graphs are exactly
     /// unions of blocks.
+    ///
+    /// `k = 0` keeps nothing and runs no eigensolver: every direction is
+    /// modelled at the spectrum's mean `λ̄ = tr(L)/I`. Non-finite weights
+    /// or degrees are rejected up front as
+    /// [`LinalgError::InvalidArgument`].
     pub fn truncate(&self, k: usize, seed: u64) -> LinResult<TruncatedLaplacian> {
         const DENSE_COMPONENT: usize = 200;
+        self.check_finite()?;
         let n = self.dim();
         let k = k.min(n);
+        if k == 0 {
+            return Ok(TruncatedLaplacian::new(Vec::new(), Mat::zeros(n, 0), self.trace()));
+        }
         let comps = self.similarity.components();
+        // Each node's position within its own (sorted) component.
+        let mut local = vec![0; n];
+        for comp in &comps {
+            for (pos, &node) in comp.iter().enumerate() {
+                local[node] = pos;
+            }
+        }
         // Collect candidate eigenpairs: up to k smallest per component.
         let mut pairs: Vec<(f64, Vec<(usize, f64)>)> = Vec::new();
         for comp in &comps {
@@ -130,25 +157,24 @@ impl Laplacian {
                 pairs.push((0.0, vec![(comp[0], 1.0)]));
                 continue;
             }
-            let sub = self.component_laplacian(comp);
             let k_local = k.min(comp.len());
             let (values, vectors) = if comp.len() <= DENSE_COMPONENT {
-                let full = jacobi_eigen(&sub)?;
+                let full = symmetric_eigen(&self.component_laplacian(comp, &local))?;
                 (full.values, full.vectors)
             } else {
-                let op = ComponentOp { lap: self, nodes: comp };
+                let op = ComponentOp { lap: self, nodes: comp, local: &local };
                 lanczos_smallest(&op, k_local, seed)?
             };
             for (j, &lam) in values.iter().take(k_local).enumerate() {
                 let entries = comp
                     .iter()
                     .enumerate()
-                    .map(|(local, &node)| (node, vectors.get(local, j)))
+                    .map(|(pos, &node)| (node, vectors.get(pos, j)))
                     .collect();
                 pairs.push((lam, entries));
             }
         }
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
         pairs.truncate(k);
         let mut values = Vec::with_capacity(pairs.len());
         let mut vectors = Mat::zeros(n, pairs.len());
@@ -159,6 +185,23 @@ impl Laplacian {
             }
         }
         Ok(TruncatedLaplacian::new(values, vectors, self.trace()))
+    }
+
+    /// A `NaN` or infinite similarity weight makes every eigensolver's
+    /// behaviour an accident of its iteration cap; refuse it with a typed
+    /// error before any of them runs. (Degrees are checked separately
+    /// because the normalized form does not derive them from the stored
+    /// weights.)
+    fn check_finite(&self) -> LinResult<()> {
+        let finite = self.degrees.iter().all(|d| d.is_finite())
+            && (0..self.dim()).all(|i| self.similarity.row(i).1.iter().all(|w| w.is_finite()));
+        if finite {
+            Ok(())
+        } else {
+            Err(LinalgError::InvalidArgument(
+                "similarity weights and degrees must be finite".into(),
+            ))
+        }
     }
 
     /// The ablation baseline for §III-B: solve `(ηI + αL) B = R` with a
@@ -178,25 +221,24 @@ impl Laplacian {
     }
 
     /// Dense Laplacian of one connected component (rows/cols restricted
-    /// to `nodes`, which must be sorted).
-    fn component_laplacian(&self, nodes: &[usize]) -> Mat {
-        let map: std::collections::BTreeMap<usize, usize> =
-            nodes.iter().enumerate().map(|(local, &node)| (node, local)).collect();
+    /// to `nodes`; `local[node]` is each member's position in `nodes`).
+    fn component_laplacian(&self, nodes: &[usize], local: &[usize]) -> Mat {
         let mut m = Mat::zeros(nodes.len(), nodes.len());
-        for (local, &node) in nodes.iter().enumerate() {
-            m.set(local, local, self.degrees[node]);
+        for (pos, &node) in nodes.iter().enumerate() {
+            m.set(pos, pos, self.degrees[node]);
             let (cols, vals) = self.similarity.row(node);
             for (&j, &s) in cols.iter().zip(vals) {
-                let lj = map[&j]; // neighbours stay within the component
-                let cur = m.get(local, lj);
-                m.set(local, lj, cur - s);
+                let lj = local[j]; // neighbours stay within the component
+                let cur = m.get(pos, lj);
+                m.set(pos, lj, cur - s);
             }
         }
         m
     }
 
-    /// Exact dense path: full Jacobi eigendecomposition, keep the `k`
-    /// smallest eigenpairs.
+    /// Exact dense oracle: full Jacobi eigendecomposition of the densified
+    /// operator, keep the `k` smallest eigenpairs. `O(I²)` memory and many
+    /// `O(I³)` sweeps — what tests compare against, not what solves run.
     pub fn truncate_dense(&self, k: usize) -> LinResult<TruncatedLaplacian> {
         let full = jacobi_eigen(&self.to_dense())?;
         let n = self.dim();
@@ -235,10 +277,12 @@ impl Laplacian {
     }
 }
 
-/// Matrix-free view of one component's Laplacian block.
+/// Matrix-free view of one component's Laplacian block; `local[node]`
+/// is each member's position in `nodes`.
 struct ComponentOp<'a> {
     lap: &'a Laplacian,
     nodes: &'a [usize],
+    local: &'a [usize],
 }
 
 impl LinOp for ComponentOp<'_> {
@@ -247,19 +291,13 @@ impl LinOp for ComponentOp<'_> {
     }
 
     fn apply(&self, x: &[f64], out: &mut [f64]) {
-        let map: std::collections::BTreeMap<usize, usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(local, &node)| (node, local))
-            .collect();
-        for (local, &node) in self.nodes.iter().enumerate() {
-            let mut acc = self.lap.degrees[node] * x[local];
+        for (pos, &node) in self.nodes.iter().enumerate() {
+            let mut acc = self.lap.degrees[node] * x[pos];
             let (cols, vals) = self.lap.similarity.row(node);
             for (&j, &s) in cols.iter().zip(vals) {
-                acc -= s * x[map[&j]];
+                acc -= s * x[self.local[j]];
             }
-            out[local] = acc;
+            out[pos] = acc;
         }
     }
 }
@@ -677,5 +715,112 @@ mod tests {
         let lap = chain_laplacian(10);
         let t = lap.truncate(50, 1).unwrap();
         assert_eq!(t.k(), 10);
+    }
+
+    /// `truncate` against the Jacobi oracle, compared through the one
+    /// thing the solvers do with a truncation — `(ηI + αL)⁻¹R` — which
+    /// is invariant to eigenvector signs and to the choice of basis
+    /// inside a repeated eigenvalue's eigenspace. `k` must sit at a
+    /// spectral gap (`λ_k < λ_{k+1}`), or the kept subspace itself would
+    /// not be unique.
+    fn assert_truncate_matches_oracle(lap: &Laplacian, k: usize, tol: f64, what: &str) {
+        let n = lap.dim();
+        let full = lap.truncate_dense(n).unwrap();
+        assert!(
+            k == n || full.values[k] - full.values[k - 1] > 1e-6,
+            "{what}: k={k} is not at a spectral gap"
+        );
+        let got = lap.truncate(k, 3).unwrap();
+        let mut kept = Mat::zeros(n, k);
+        for i in 0..n {
+            kept.row_mut(i).copy_from_slice(&full.vectors.row(i)[..k]);
+        }
+        let want = TruncatedLaplacian::new(full.values[..k].to_vec(), kept, lap.trace());
+        assert_eq!(got.k(), k, "{what}");
+        for (g, w) in got.values.iter().zip(&want.values) {
+            assert!((g - w).abs() <= tol, "{what}: eigenvalue {g} vs {w}");
+        }
+        assert!((got.complement_lambda - want.complement_lambda).abs() <= tol, "{what}");
+        let rhs = Mat::random(n, 3, 17);
+        let a = got.apply_shifted_inverse(0.8, 1.7, &rhs).unwrap();
+        let b = want.apply_shifted_inverse(0.8, 1.7, &rhs).unwrap();
+        let rel = a.frob_dist(&b).unwrap() / b.frob_norm();
+        assert!(rel <= tol, "{what}: application deviates by {rel}");
+    }
+
+    #[test]
+    fn truncate_matches_the_dense_oracle() {
+        // Chains: simple spectrum, every k is at a gap. 150 takes the
+        // dense (Householder + QL) branch.
+        assert_truncate_matches_oracle(&chain_laplacian(150), 20, 1e-9, "chain 150");
+        assert_truncate_matches_oracle(&chain_laplacian(17), 17, 1e-9, "chain 17, full");
+        // Disconnected union of a 40-chain, a 25-chain, a 9-chain and two
+        // isolated nodes: zero has multiplicity five.
+        let mut triplets = Vec::new();
+        for (start, len) in [(0, 40), (40, 25), (65, 9)] {
+            for i in start..start + len - 1 {
+                triplets.push((i, i + 1, 1.0));
+            }
+        }
+        let union = Laplacian::from_similarity(SparseSym::from_triplets(76, &triplets));
+        assert_truncate_matches_oracle(&union, 5, 1e-9, "union, the null space");
+        assert_truncate_matches_oracle(&union, 12, 1e-9, "union, k=12");
+        // Community blocks (dense blocks, noise edges joining them): the
+        // gap after the `communities` smallest eigenvalues is the one the
+        // regularizer is meant to sit at.
+        let sim = crate::builders::with_noise_edges(
+            &crate::builders::community_blocks(120, 4, 0.5, 9),
+            6,
+            0.05,
+            2,
+        );
+        assert_truncate_matches_oracle(&Laplacian::from_similarity(sim), 4, 1e-9, "communities");
+        // One 210-node component: the Lanczos branch, to its own
+        // (coarser) accuracy.
+        let big = crate::builders::community_blocks(210, 1, 0.3, 4);
+        assert_truncate_matches_oracle(&Laplacian::from_similarity(big), 1, 1e-6, "lanczos");
+    }
+
+    #[test]
+    fn k_zero_skips_every_eigensolve_at_any_component_size() {
+        // 150 nodes would go to the dense solver, 300 to Lanczos (which
+        // rejects k = 0 itself); neither runs.
+        for n in [150, 300] {
+            let lap = chain_laplacian(n);
+            let t = lap.truncate(0, 1).unwrap();
+            assert_eq!(t.k(), 0);
+            assert_eq!(t.dim(), n);
+            assert_eq!(t.complement_lambda, lap.trace() / n as f64);
+            // Every direction damped at the mean rate.
+            let rhs = Mat::random(n, 2, 5);
+            let out = t.apply_shifted_inverse(0.5, 2.0, &rhs).unwrap();
+            let want = rhs.scaled(1.0 / (0.5 + 2.0 * t.complement_lambda));
+            assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn non_finite_weights_are_a_typed_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // Small (dense branch) and large (Lanczos branch) components,
+            // unnormalized and normalized forms, k = 0 included.
+            for n in [12, 260] {
+                let mut triplets: Vec<(usize, usize, f64)> =
+                    (0..n - 1).map(|i| (i, i + 1, 1.0)).collect();
+                triplets[n / 2].2 = bad;
+                let sim = SparseSym::from_triplets(n, &triplets);
+                for lap in [
+                    Laplacian::from_similarity(sim.clone()),
+                    Laplacian::normalized_from_similarity(sim.clone()),
+                ] {
+                    for k in [0, 3] {
+                        assert!(
+                            matches!(lap.truncate(k, 1), Err(LinalgError::InvalidArgument(_))),
+                            "weight {bad}, n={n}, k={k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,4 +1,3 @@
-#![allow(clippy::manual_memcpy)] // explicit loops keep the basis-embedding offsets visible
 //! Truncated eigendecomposition via Lanczos with full reorthogonalization.
 //!
 //! DisTenC never needs the full spectrum of a graph Laplacian: §III-B
@@ -8,7 +7,7 @@
 //! same `O(K·I)`-per-iteration cost profile the paper's complexity analysis
 //! assumes (see DESIGN.md §2).
 
-use crate::tridiag::tqli;
+use crate::tridiag::{smallest_pairs, tqli};
 use crate::vec_ops::{axpy, dot, normalize};
 use crate::{LinalgError, Mat, Result};
 use rand::rngs::StdRng;
@@ -119,31 +118,15 @@ pub fn lanczos_smallest<O: LinOp>(op: &O, k: usize, seed: u64) -> Result<(Vec<f6
         return Err(LinalgError::NoConvergence { method: "lanczos", iters: steps });
     }
 
-    // Solve the tridiagonal problem, rotating the Lanczos basis so columns
-    // of `z` become Ritz vectors in the original space.
-    let mut z = Mat::zeros(n, steps);
-    for (j, b) in basis.iter().enumerate() {
-        for i in 0..n {
-            z.set(i, j, b[i]);
-        }
-    }
-    let mut d = alpha.clone();
+    // Solve the tridiagonal problem, rotating the Lanczos basis — already
+    // one vector per row, the form tqli accumulates into — so the rows of
+    // `z` become Ritz vectors in the original space.
+    let mut z = Mat::from_vec(steps, n, basis.concat());
+    let mut d = alpha;
     let mut e = vec![0.0; steps];
-    for i in 1..steps {
-        e[i] = beta[i - 1];
-    }
+    e[1..].copy_from_slice(&beta[..steps - 1]);
     tqli(&mut d, &mut e, &mut z)?;
-
-    let mut order: Vec<usize> = (0..steps).collect();
-    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).unwrap());
-    let values: Vec<f64> = order.iter().take(k).map(|&i| d[i]).collect();
-    let mut vectors = Mat::zeros(n, k);
-    for (dst, &src) in order.iter().take(k).enumerate() {
-        for i in 0..n {
-            vectors.set(i, dst, z.get(i, src));
-        }
-    }
-    Ok((values, vectors))
+    Ok(smallest_pairs(&d, &z, k))
 }
 
 #[cfg(test)]

@@ -8,12 +8,13 @@
 //!   operands (products, Gram matrices, Hadamard products, norms).
 //! * [`chol`] — Cholesky factorization and SPD solves for the
 //!   `(UᵀU + λI + ηI)⁻¹`-style systems in Algorithm 1 / Algorithm 3.
-//! * [`eigen`] — a cyclic Jacobi eigensolver for small dense symmetric
-//!   matrices.
+//! * [`eigen`] — dense symmetric eigensolvers: Householder + QL for
+//!   production, cyclic Jacobi as the test oracle.
 //! * [`sketch`] — scratch and row kernels for the sampled least-squares
 //!   estimators of the sketched solver tier.
-//! * [`tridiag`] — implicit-shift QL for symmetric tridiagonal matrices,
-//!   the inner solver of Lanczos.
+//! * [`tridiag`] — Householder tridiagonalization and implicit-shift QL
+//!   for symmetric tridiagonal matrices, the inner solver of both the
+//!   dense path and Lanczos.
 //! * [`lanczos`] — truncated Lanczos with full reorthogonalization over an
 //!   abstract [`LinOp`], standing in for the MRRR eigensolver the paper uses
 //!   to truncate graph Laplacians (`L ≈ VΛVᵀ`, §III-B).
@@ -31,7 +32,7 @@ pub mod tridiag;
 pub mod vec_ops;
 
 pub use chol::Cholesky;
-pub use eigen::{jacobi_eigen, EigenPairs};
+pub use eigen::{symmetric_eigen, EigenPairs};
 pub use lanczos::{lanczos_smallest, LinOp};
 pub use mat::Mat;
 pub use sketch::SketchScratch;

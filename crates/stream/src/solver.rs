@@ -2,7 +2,7 @@
 
 use crate::delta::{DeltaBatch, StreamError};
 use distenc_core::{AdmmConfig, AdmmSolver, CompletionResult, ResidualHandoff};
-use distenc_graph::Laplacian;
+use distenc_graph::{Laplacian, TruncatedLaplacian};
 use distenc_linalg::Mat;
 use distenc_tensor::{CooTensor, KruskalTensor};
 
@@ -40,11 +40,21 @@ fn growth_seed(base: u64, mode: usize, old_rows: usize) -> u64 {
 ///   random rows (deterministic in the config seed, the mode, and the
 ///   pre-growth dimension — see the module source) so replays reproduce.
 /// * Validation is atomic: a rejected batch leaves the solver untouched.
+/// * The similarity graphs are truncated **once**, in `new` (§III-B: the
+///   eigendecomposition is precomputed because `L` never changes). The
+///   solver keeps the eigenbases, not the graphs — sound because a mode
+///   that has a graph cannot grow ([`StreamError::GrowthWithAux`]) and
+///   nothing else a delta can do touches a graph — so a re-solve contains
+///   no eigensolve.
 #[derive(Debug)]
 pub struct StreamingSolver {
     cfg: AdmmConfig,
     solver: AdmmSolver,
-    laplacians: Vec<Option<Laplacian>>,
+    /// Per-mode eigenbases under `cfg.eigen_k` / `cfg.seed`; a zero one
+    /// (re-sized on growth) for every mode without a similarity graph.
+    truncated: Vec<TruncatedLaplacian>,
+    /// Which modes were given a graph, i.e. cannot grow.
+    regularized: Vec<bool>,
     observed: CooTensor,
     model: Option<KruskalTensor>,
     carry: Option<ResidualHandoff>,
@@ -54,7 +64,9 @@ pub struct StreamingSolver {
 impl StreamingSolver {
     /// Create a streaming solver over an initial observation set.
     /// `laplacians[n]` is mode `n`'s optional similarity Laplacian; modes
-    /// with one cannot grow (see [`StreamError::GrowthWithAux`]).
+    /// with one cannot grow (see [`StreamError::GrowthWithAux`]). The
+    /// Laplacians are truncated here, once, and not kept; a graph of the
+    /// wrong size or with non-finite weights is this call's error.
     pub fn new(
         mut observed: CooTensor,
         laplacians: Vec<Option<Laplacian>>,
@@ -68,11 +80,15 @@ impl StreamingSolver {
             )));
         }
         let solver = AdmmSolver::new(cfg.clone())?;
+        let refs: Vec<Option<&Laplacian>> = laplacians.iter().map(Option::as_ref).collect();
+        let truncated = solver.truncate(observed.shape(), &refs)?;
+        let regularized = laplacians.iter().map(Option::is_some).collect();
         observed.sort_dedup();
         Ok(StreamingSolver {
             cfg,
             solver,
-            laplacians,
+            truncated,
+            regularized,
             observed,
             model: None,
             carry: None,
@@ -103,7 +119,8 @@ impl StreamingSolver {
 
     /// Change the convergence budget for subsequent re-solves. Streaming
     /// deployments typically run the initial solve to tight tolerance and
-    /// then cap re-solve work per batch.
+    /// then cap re-solve work per batch. The eigenbases stay: a budget
+    /// cannot change `eigen_k` or the seed they were computed under.
     pub fn set_budget(&mut self, max_iters: usize, tol: f64) -> crate::Result<()> {
         self.cfg.max_iters = max_iters;
         self.cfg.tol = tol;
@@ -124,7 +141,7 @@ impl StreamingSolver {
             )));
         }
         for (mode, &g) in batch.growth().iter().enumerate() {
-            if g > 0 && self.laplacians[mode].is_some() {
+            if g > 0 && self.regularized[mode] {
                 return Err(StreamError::GrowthWithAux { mode });
             }
         }
@@ -149,6 +166,13 @@ impl StreamingSolver {
             self.observed.grow_shape(&new_shape)?;
             if let Some(c) = &mut self.carry {
                 c.e.grow_shape(&new_shape)?;
+            }
+            for ((t, &g), &dim) in self.truncated.iter_mut().zip(batch.growth()).zip(&new_shape) {
+                if g > 0 {
+                    // Only unregularized modes get here: their basis is
+                    // the zero one, at the new length.
+                    *t = TruncatedLaplacian::zero(dim);
+                }
             }
             if let Some(model) = &mut self.model {
                 for (mode, &g) in batch.growth().iter().enumerate() {
@@ -204,10 +228,12 @@ impl StreamingSolver {
     /// warm restart from the previous factors and the carried residual,
     /// bit-identical to [`AdmmSolver::solve_from`] on the current tensor.
     pub fn solve(&mut self) -> crate::Result<CompletionResult> {
-        let laps: Vec<Option<&Laplacian>> = self.laplacians.iter().map(|l| l.as_ref()).collect();
-        let (result, handoff) =
-            self.solver
-                .solve_streamed(&self.observed, &laps, self.model.as_ref(), self.carry.take())?;
+        let (result, handoff) = self.solver.solve_streamed(
+            &self.observed,
+            &self.truncated,
+            self.model.as_ref(),
+            self.carry.take(),
+        )?;
         self.model = Some(result.model.clone());
         self.carry = Some(handoff);
         self.generation += 1;
@@ -272,6 +298,29 @@ mod tests {
             StreamingSolver::new(observed, vec![None, Some(lap), None], cfg(2)).unwrap();
         let b = DeltaBatch::try_new(&[6, 5, 4], &[0, 1, 0], vec![], vec![]).unwrap();
         assert_eq!(s.apply(&b).unwrap_err(), StreamError::GrowthWithAux { mode: 1 });
+    }
+
+    #[test]
+    fn new_rejects_bad_similarity_graphs() {
+        use distenc_graph::builders::tridiagonal_chain;
+        use distenc_graph::SparseSym;
+        let observed = planted(&[6, 5, 4], 2, 40, 7);
+        // Wrong size: found where the graph is truncated, not at the
+        // first solve.
+        let wrong = Laplacian::from_similarity(tridiagonal_chain(9));
+        assert!(matches!(
+            StreamingSolver::new(observed.clone(), vec![None, Some(wrong), None], cfg(2)),
+            Err(StreamError::Core(_))
+        ));
+        // Non-finite weights: a typed error, never a panic.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let sim = SparseSym::from_triplets(5, &[(0, 1, 1.0), (1, 2, bad), (2, 3, 1.0)]);
+            let lap = Laplacian::from_similarity(sim);
+            assert!(matches!(
+                StreamingSolver::new(observed.clone(), vec![None, Some(lap), None], cfg(2)),
+                Err(StreamError::Core(_))
+            ));
+        }
     }
 
     #[test]

@@ -138,7 +138,7 @@ fn overload_storm_resolves_every_ticket_exactly_once() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The exactly-once/balance contract over randomized small configs,
     /// in deterministic manual-drain mode: submissions interleave with

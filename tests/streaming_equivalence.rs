@@ -18,7 +18,9 @@
 //! covered without test-side plumbing.
 
 use distenc::core::{AdmmConfig, AdmmSolver, LayoutKind};
-use distenc::stream::{DeltaBatch, StreamingSolver};
+use distenc::graph::builders::{community_blocks, tridiagonal_chain};
+use distenc::graph::Laplacian;
+use distenc::stream::{DeltaBatch, StreamError, StreamingSolver};
 use distenc::tensor::{CooTensor, KruskalTensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -113,6 +115,70 @@ fn empty_delta_warm_resolve_is_bit_exact() {
         assert_eq!(warm.iterations, oracle.iterations, "layout={layout}");
         assert_models_bit_equal(&warm.model, &oracle.model, "empty delta");
     }
+}
+
+#[test]
+fn warm_resolve_with_similarities_is_bit_exact_across_refreshes() {
+    // Similarity graphs on modes 0 and 1 (a chain and two communities),
+    // none on mode 2, which therefore may grow. The streaming solver
+    // truncates the graphs once, in `new`; `solve_from` truncates them
+    // afresh on every call. Same graphs, same `eigen_k`, same seed: the
+    // two must agree to the bit after every refresh.
+    let observed = planted(&[14, 12, 6], 2, 320, 41);
+    let laps = vec![
+        Some(Laplacian::from_similarity(tridiagonal_chain(14))),
+        Some(Laplacian::from_similarity(community_blocks(12, 2, 0.8, 3))),
+        None,
+    ];
+    let cfg = AdmmConfig {
+        rank: 2,
+        max_iters: 6,
+        tol: 1e-12,
+        alpha: 1.5,
+        eigen_k: 5,
+        ..Default::default()
+    };
+    let mut s = StreamingSolver::new(observed, laps.clone(), cfg.clone()).unwrap();
+    s.solve().unwrap();
+    let oracle = AdmmSolver::new(cfg).unwrap();
+    let lap_refs: Vec<Option<&Laplacian>> = laps.iter().map(Option::as_ref).collect();
+
+    for refresh in 0..2 {
+        // Growth of mode 2, inserts (one into the grown slice), updates.
+        let shape = s.observed().shape().to_vec();
+        let mut ins = vec![(vec![3, 4, shape[2]], 0.4 + refresh as f64)];
+        let mut probe = vec![refresh, 0, 0];
+        while s.observed().position_of(&probe).is_some() {
+            probe[1] += 1;
+        }
+        ins.push((probe, -0.3));
+        let upd: Vec<(Vec<usize>, f64)> = [5, 50]
+            .iter()
+            .map(|&e| (s.observed().index(e + refresh).to_vec(), 0.1 * (e as f64)))
+            .collect();
+        let b = DeltaBatch::try_new(&shape, &[0, 0, 1], ins, upd).unwrap();
+        s.apply(&b).unwrap();
+
+        let init = s.model().unwrap().clone();
+        let want = oracle.solve_from(s.observed(), &lap_refs, &init).unwrap();
+        let warm = s.solve().unwrap();
+        assert_eq!(warm.iterations, want.iterations, "refresh {refresh}");
+        assert_models_bit_equal(&warm.model, &want.model, "refresh with similarities");
+        for (a, b) in warm.trace.points.iter().zip(&want.trace.points) {
+            assert_eq!(a.train_rmse.to_bits(), b.train_rmse.to_bits(), "refresh {refresh}");
+        }
+    }
+    assert_eq!(s.observed().shape(), &[14, 12, 8]);
+
+    // A regularized mode still cannot grow, and the refusal is atomic.
+    let shape = s.observed().shape().to_vec();
+    for mode in [0, 1] {
+        let mut growth = vec![0; 3];
+        growth[mode] = 1;
+        let b = DeltaBatch::try_new(&shape, &growth, vec![], vec![]).unwrap();
+        assert_eq!(s.apply(&b).unwrap_err(), StreamError::GrowthWithAux { mode });
+    }
+    assert_eq!(s.observed().shape(), &shape[..]);
 }
 
 #[test]
