@@ -46,6 +46,13 @@ cargo build --release
 #     sweep of small queue configs. The gate sizes its worker pool from
 #     ExecMode::default(), so the two sweeps drain with one worker and
 #     with several.
+#
+# MIN_TESTS is the floor on what one sweep executes: the count at the
+# commit that last added tests. A `default-members` or `--test` filter
+# regression that silently drops suites shrinks the count and fails here
+# instead of shrinking the gate. Raise it when a PR adds tests; lower it
+# only with the tests it names as removed.
+MIN_TESTS=576
 executed=0
 for threads in 1 4; do
     echo "==> DISTENC_THREADS=$threads cargo test -q"
@@ -54,7 +61,11 @@ for threads in 1 4; do
     cat "$log"
     ran=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$log")
     rm -f "$log"
-    echo "==> DISTENC_THREADS=$threads: $ran tests passed"
+    echo "==> DISTENC_THREADS=$threads: $ran tests passed (floor $MIN_TESTS)"
+    if [ "$ran" -lt "$MIN_TESTS" ]; then
+        echo "error: the sweep executed $ran tests, fewer than the pinned $MIN_TESTS" >&2
+        exit 1
+    fi
     executed=$((executed + ran))
 done
 

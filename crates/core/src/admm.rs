@@ -18,7 +18,7 @@
 
 use crate::config::{AdmmConfig, SolverTier};
 use crate::solver::checkpoint::Checkpoint;
-use crate::solver::{self, HostBackend, ResidualStore, SketchedBackend, SolverState};
+use crate::solver::{self, HostBackend, SketchedBackend, SolverState};
 use crate::trace::{ConvergenceTrace, TracePoint};
 use crate::{CompletionResult, CoreError, Result};
 use distenc_dataflow::Executor;
@@ -55,12 +55,13 @@ impl AdmmSolver {
         observed: &CooTensor,
         laplacians: &[Option<&Laplacian>],
     ) -> Result<CompletionResult> {
-        validate_problem(observed, laplacians, &self.cfg)?;
+        validate_problem(observed, laplacians)?;
         let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
         let start = Instant::now();
-        solve_with(observed, &truncated, &self.cfg, None, |_iter| {
+        solve_with(observed, &truncated, &self.cfg, None, None, |_iter| {
             start.elapsed().as_secs_f64()
         })
+        .map(|(result, _)| result)
     }
 
     /// Warm-started completion: continue from an existing model instead of
@@ -74,21 +75,14 @@ impl AdmmSolver {
         laplacians: &[Option<&Laplacian>],
         init: &KruskalTensor,
     ) -> Result<CompletionResult> {
-        validate_problem(observed, laplacians, &self.cfg)?;
-        if init.shape() != observed.shape() || init.rank() != self.cfg.rank {
-            return Err(CoreError::Invalid(format!(
-                "warm-start model (shape {:?}, rank {}) does not match problem                  (shape {:?}, rank {})",
-                init.shape(),
-                init.rank(),
-                observed.shape(),
-                self.cfg.rank
-            )));
-        }
+        validate_problem(observed, laplacians)?;
+        check_warm_start(init, observed, self.cfg.rank)?;
         let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
         let start = Instant::now();
-        solve_with(observed, &truncated, &self.cfg, Some(init.clone()), |_iter| {
+        solve_with(observed, &truncated, &self.cfg, Some(init.clone()), None, |_iter| {
             start.elapsed().as_secs_f64()
         })
+        .map(|(result, _)| result)
     }
 
     /// Streaming completion step: a solve that accepts — and returns — a
@@ -143,15 +137,7 @@ impl AdmmSolver {
             return Err(CoreError::Invalid("observed tensor has no entries".into()));
         }
         if let Some(m) = init {
-            if m.shape() != observed.shape() || m.rank() != self.cfg.rank {
-                return Err(CoreError::Invalid(format!(
-                    "warm-start model (shape {:?}, rank {}) does not match problem (shape {:?}, rank {})",
-                    m.shape(),
-                    m.rank(),
-                    observed.shape(),
-                    self.cfg.rank
-                )));
-            }
+            check_warm_start(m, observed, self.cfg.rank)?;
         }
         if let Some(c) = &carry {
             if init.is_none() {
@@ -176,7 +162,7 @@ impl AdmmSolver {
             }
         }
         let start = Instant::now();
-        solve_with_handoff(observed, truncated, &self.cfg, init.cloned(), carry, |_iter| {
+        solve_with(observed, truncated, &self.cfg, init.cloned(), carry, |_iter| {
             start.elapsed().as_secs_f64()
         })
     }
@@ -235,7 +221,7 @@ impl AdmmSolver {
             ..ckpt.config.clone()
         };
         cfg.validate().map_err(CoreError::Invalid)?;
-        validate_problem(observed, laplacians, &cfg)?;
+        validate_problem(observed, laplacians)?;
         if ckpt.shape != observed.shape() {
             return Err(CoreError::Invalid(format!(
                 "checkpoint shape {:?} does not match observed tensor shape {:?}",
@@ -255,21 +241,15 @@ impl AdmmSolver {
         // factors (snapshots are taken right after the iteration's
         // residual refresh), so they re-enter the solve through the same
         // hand-off machinery the streaming path uses: prologue skipped,
-        // bit-invisibly.
+        // bit-invisibly. Everything else the snapshot holds goes back
+        // through `SolverState::restore`.
         let mut e = observed.clone();
         e.values_mut().copy_from_slice(&ckpt.residual);
         let carry = ResidualHandoff { e, accel: LayoutAccel::default() };
-        let init = KruskalTensor::new(ckpt.factors.clone())?;
         let start = Instant::now();
-        solve_exact(
-            observed,
-            &truncated,
-            &cfg,
-            Some(init),
-            Some(carry),
-            Some(ckpt),
-            |_iter| start.elapsed().as_secs_f64(),
-        )
+        solve_exact(observed, &truncated, &cfg, None, Some(carry), Some(ckpt), |_iter| {
+            start.elapsed().as_secs_f64()
+        })
         .map(|(r, _)| r)
     }
 }
@@ -284,25 +264,17 @@ struct FileSink<'a> {
     path: PathBuf,
 }
 
-impl solver::CheckpointSink for FileSink<'_> {
+impl solver::CheckpointSink<TensorLayout> for FileSink<'_> {
     fn save(
         &mut self,
-        st: &SolverState,
+        st: &SolverState<TensorLayout>,
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()> {
-        let layout = st.residual.host()?;
-        let ckpt = Checkpoint {
-            config: self.cfg.clone(),
-            shape: self.shape.clone(),
-            iters_done,
-            eta: st.eta,
-            factors: st.model.factors().to_vec(),
-            y_mul: st.y_mul.clone(),
-            residual: layout.values().to_vec(),
-            trace: trace.clone(),
-        };
-        ckpt.write_file(&self.path)?;
+        // The host layout keeps its values in canonical entry order.
+        let residual = st.residual.values().to_vec();
+        Checkpoint::capture(self.cfg, &self.shape, st, iters_done, trace, residual)
+            .write_file(&self.path)?;
         Ok(())
     }
 }
@@ -331,13 +303,30 @@ pub struct ResidualHandoff {
 pub(crate) fn validate_problem(
     observed: &CooTensor,
     laplacians: &[Option<&Laplacian>],
-    cfg: &AdmmConfig,
 ) -> Result<()> {
     validate_laplacians(observed.shape(), laplacians)?;
     if observed.nnz() == 0 {
         return Err(CoreError::Invalid("observed tensor has no entries".into()));
     }
-    let _ = cfg;
+    Ok(())
+}
+
+/// A warm-start model must have the problem's shape and the configured
+/// rank (every warm entry point of both drivers checks through here).
+pub(crate) fn check_warm_start(
+    init: &KruskalTensor,
+    observed: &CooTensor,
+    rank: usize,
+) -> Result<()> {
+    if init.shape() != observed.shape() || init.rank() != rank {
+        return Err(CoreError::Invalid(format!(
+            "warm-start model (shape {:?}, rank {}) does not match problem \
+             (shape {:?}, rank {rank})",
+            init.shape(),
+            init.rank(),
+            observed.shape(),
+        )));
+    }
     Ok(())
 }
 
@@ -382,21 +371,10 @@ pub(crate) fn truncate_all(
 }
 
 /// The host driver: build the single-machine backend and state, then run
-/// the shared core ([`solver::run`]). The `clock` closure stamps each
-/// trace point (wall time here, virtual cluster time for the distributed
-/// driver).
-pub(crate) fn solve_with(
-    observed: &CooTensor,
-    truncated: &[TruncatedLaplacian],
-    cfg: &AdmmConfig,
-    initial: Option<KruskalTensor>,
-    clock: impl Fn(usize) -> f64,
-) -> Result<CompletionResult> {
-    solve_with_handoff(observed, truncated, cfg, initial, None, clock).map(|(r, _)| r)
-}
-
-/// The host driver with residual hand-off: the full streaming-aware
-/// path, dispatching on [`AdmmConfig::solver_tier`].
+/// the shared core ([`solver::run`]), dispatching on
+/// [`AdmmConfig::solver_tier`]. The `clock` closure stamps each trace
+/// point (wall time here). `carry` is the streaming residual hand-off in;
+/// the final residual is handed back out either way.
 ///
 /// * [`SolverTier::Exact`] runs the bit-pinned single-phase solve.
 /// * [`SolverTier::Sketched`] runs the two-phase schedule
@@ -405,7 +383,7 @@ pub(crate) fn solve_with(
 ///   exact path is also what makes the degenerate config bit-identical
 ///   to `Exact`, which `tests/sketched_equivalence.rs` pins) or
 ///   `polish_iters ≥ max_iters` (no sketch-phase budget left).
-pub(crate) fn solve_with_handoff(
+pub(crate) fn solve_with(
     observed: &CooTensor,
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
@@ -424,17 +402,10 @@ pub(crate) fn solve_with_handoff(
     solve_exact(observed, truncated, cfg, initial, carry, None, clock)
 }
 
-/// Shared host-side setup: the executor, the Algorithm 2 greedy MTTKRP
-/// boundaries, and the residual store (carried or rebuilt) with its
-/// optional CSF trees. Used by both the exact path and the sketch phase
-/// so a tier switch never changes how the problem is laid out.
-///
-/// The per-mode boundaries are computed once — the support never changes
-/// *within* a solve — and any blocking is bit-exact, so sizing them to
-/// the worker count is free. `parallelism()` (not `threads()`) clamps
-/// the chunk count to the cores actually available, so a
-/// `DISTENC_THREADS` setting above the machine's core count does not
-/// oversplit the kernels.
+/// Shared host-side setup: the executor and the residual layout (carried
+/// or rebuilt) with its acceleration structure. Used by both the exact
+/// path and the sketch phase so a tier switch never changes how the
+/// problem is laid out. The flag is `residual_fresh` for [`solver::run`].
 ///
 /// The residual shares the observed support. Cold: its values start
 /// stale (they still hold `T`'s) and the solver refreshes them before
@@ -446,35 +417,26 @@ fn build_host_layout(
     observed: &CooTensor,
     cfg: &AdmmConfig,
     carry: Option<ResidualHandoff>,
-) -> Result<(Executor, Vec<Vec<usize>>, ResidualStore, bool)> {
-    let n_modes = observed.order();
-    let exec = Executor::new(cfg.exec);
-    let boundaries: Vec<Vec<usize>> = (0..n_modes)
-        .map(|n| {
-            distenc_partition::greedy_boundaries(&observed.slice_nnz(n), exec.parallelism())
-        })
-        .collect();
-
+) -> Result<(Executor, TensorLayout, bool)> {
     let residual_fresh = carry.is_some();
     let (e, accel) = match carry {
         Some(c) => (c.e, c.accel),
         None => (observed.clone(), LayoutAccel::default()),
     };
     let layout = TensorLayout::build_with(e, cfg.layout, accel)?;
-    Ok((exec, boundaries, ResidualStore::Host(layout), residual_fresh))
+    Ok((Executor::new(cfg.exec), layout, residual_fresh))
 }
 
 /// The single-phase exact host solve (the pre-tier behavior,
 /// bit-for-bit when no checkpointing or resumption is in play).
 ///
 /// `resume` continues at the checkpoint's iteration cursor: the caller
-/// already routed the checkpointed factors through `initial` and the
-/// checkpointed residual through `carry`; this function restores the
-/// remaining ADMM state (duals `Y`, penalty `η`) and the trace. A
-/// [`FileSink`] is attached when the config asks for on-disk
-/// checkpointing ([`crate::CheckpointPolicy::with_path`]); a policy
-/// without a path is the distributed driver's concern and is a no-op
-/// here.
+/// already routed the checkpointed residual through `carry`;
+/// [`SolverState::restore`] puts back the rest (factors, duals `Y`,
+/// penalty `η`) and yields the trace so far. A [`FileSink`] is attached
+/// when the config asks for on-disk checkpointing
+/// ([`crate::CheckpointPolicy::with_path`]); a policy without a path is
+/// the distributed driver's concern and is a no-op here.
 fn solve_exact(
     observed: &CooTensor,
     truncated: &[TruncatedLaplacian],
@@ -484,25 +446,28 @@ fn solve_exact(
     resume: Option<&Checkpoint>,
     clock: impl Fn(usize) -> f64,
 ) -> Result<(CompletionResult, ResidualHandoff)> {
-    let (exec, boundaries, store, residual_fresh) = build_host_layout(observed, cfg, carry)?;
-    let mut backend =
-        HostBackend::new(store.host()?, &boundaries, cfg.rank, exec, cfg.fused, clock)?;
-    let mut st = SolverState::new(observed, truncated, cfg, initial, store, boundaries)?;
-    let resume_point = resume.map(|ck| {
-        st.y_mul = ck.y_mul.clone();
-        st.eta = ck.eta;
-        solver::ResumePoint { start_iter: ck.iters_done, trace: ck.trace.clone() }
-    });
+    let (exec, layout, residual_fresh) = build_host_layout(observed, cfg, carry)?;
+    // The Algorithm 2 greedy MTTKRP boundaries, one set per mode, computed
+    // once — the support never changes *within* a solve — and any blocking
+    // is bit-exact, so sizing them to the worker count is free.
+    // `parallelism()` (not `threads()`) clamps the chunk count to the
+    // cores actually available, so a `DISTENC_THREADS` setting above the
+    // machine's core count does not oversplit the kernels.
+    let boundaries: Vec<Vec<usize>> = (0..observed.order())
+        .map(|n| {
+            distenc_partition::greedy_boundaries(&observed.slice_nnz(n), exec.parallelism())
+        })
+        .collect();
+    let mut backend = HostBackend::new(&layout, &boundaries, cfg.rank, exec, clock)?;
+    let mut st = SolverState::new(observed, truncated, cfg, initial, layout)?;
+    let resume_point = resume.map(|ck| st.restore(ck)).transpose()?;
     let mut file_sink = cfg
         .checkpoint
         .as_ref()
         .and_then(|policy| policy.path.as_ref())
         .map(|path| FileSink { cfg, shape: observed.shape().to_vec(), path: path.clone() });
-    let sink: Option<&mut dyn solver::CheckpointSink> = match file_sink.as_mut() {
-        Some(s) => Some(s),
-        None => None,
-    };
-    let (result, residual) = solver::run_resumable(
+    let sink = file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink<TensorLayout>);
+    let (result, layout) = solver::run(
         observed,
         truncated,
         cfg,
@@ -512,7 +477,7 @@ fn solve_exact(
         resume_point,
         sink,
     )?;
-    let (e, accel) = residual.into_host()?.into_parts();
+    let (e, accel) = layout.into_parts();
     Ok((result, ResidualHandoff { e, accel }))
 }
 
@@ -543,26 +508,36 @@ fn solve_sketched(
     clock: impl Fn(usize) -> f64,
 ) -> Result<(CompletionResult, ResidualHandoff)> {
     // Phase A: sampled iterations. The config keeps every solver knob
-    // except the iteration budget; the sketched backend ignores the
-    // `fused` ablation flag (its fused sampled sweep *is* the schedule —
-    // there is no unfused sampled path to ablate against). Checkpointing
-    // is stripped from both phases: checkpoints are exact-tier artifacts
-    // (a sketch-phase snapshot would resume into a different sampling
-    // stream, and a polish-phase snapshot would store a phase-local
-    // iteration cursor that lies about the whole solve).
-    let cfg_a = AdmmConfig { max_iters: sketch_iters, checkpoint: None, ..cfg.clone() };
-    let (exec, boundaries, store, residual_fresh) = build_host_layout(observed, &cfg_a, carry)?;
+    // except the iteration budget and the `fused` ablation flag, which is
+    // forced on: the fused sampled sweep *is* the schedule (there is no
+    // unfused sampled path to ablate against), and the core hands a
+    // backend the bank only under fusion. Checkpointing is stripped from
+    // both phases: checkpoints are exact-tier artifacts (a sketch-phase
+    // snapshot would resume into a different sampling stream, and a
+    // polish-phase snapshot would store a phase-local iteration cursor
+    // that lies about the whole solve).
+    let cfg_a =
+        AdmmConfig { max_iters: sketch_iters, checkpoint: None, fused: true, ..cfg.clone() };
+    let (exec, layout, residual_fresh) = build_host_layout(observed, &cfg_a, carry)?;
     let mut backend_a =
         SketchedBackend::new(observed, samples, cfg.rank, exec, cfg.seed, &clock)?;
-    let st = SolverState::new(observed, truncated, &cfg_a, initial, store, boundaries)?;
-    let (res_a, residual) =
-        solver::run(observed, truncated, &cfg_a, &mut backend_a, st, residual_fresh)?;
-    let (e, accel) = residual.into_host()?.into_parts();
+    let st = SolverState::new(observed, truncated, &cfg_a, initial, layout)?;
+    let (res_a, layout) = solver::run(
+        observed,
+        truncated,
+        &cfg_a,
+        &mut backend_a,
+        st,
+        residual_fresh,
+        None,
+        None,
+    )?;
+    let (e, accel) = layout.into_parts();
     let handoff = ResidualHandoff { e, accel };
 
     // Phase B: exact polish, warm-started from the sketch phase's model
     // and (fresh) residual. `polish_iters = 0` is legal: the fallback in
-    // `solve_with_handoff` only guards the sketch budget, so a zero
+    // `solve_with` only guards the sketch budget, so a zero
     // polish config returns the sketch phase's result directly.
     let polish_iters = cfg.max_iters - sketch_iters;
     let cfg_b = AdmmConfig {
@@ -600,7 +575,6 @@ fn solve_sketched(
     };
     Ok((result, handoff))
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -873,13 +847,38 @@ mod tests {
 
     #[test]
     fn warm_start_rejects_mismatched_model() {
+        // One check, one wording, whichever warm entry point is used.
         let (observed, _) = planted(&[8, 8, 8], 2, 200, 43);
         let solver =
             AdmmSolver::new(AdmmConfig { rank: 2, ..Default::default() }).unwrap();
-        let wrong_rank = KruskalTensor::random(&[8, 8, 8], 5, 1);
-        assert!(solver.solve_from(&observed, &[None, None, None], &wrong_rank).is_err());
-        let wrong_shape = KruskalTensor::random(&[8, 8, 9], 2, 1);
-        assert!(solver.solve_from(&observed, &[None, None, None], &wrong_shape).is_err());
+        let none = [None, None, None];
+        let truncated = solver.truncate(observed.shape(), &none).unwrap();
+        let cluster = distenc_dataflow::Cluster::new(
+            distenc_dataflow::ClusterConfig::test(2).with_time_budget(None),
+        );
+        let dist = crate::DisTenC::new(&cluster, solver.config().clone()).unwrap();
+        let cases = [
+            (
+                KruskalTensor::random(&[8, 8, 8], 5, 1),
+                "invalid completion setup: warm-start model (shape [8, 8, 8], rank 5) \
+                 does not match problem (shape [8, 8, 8], rank 2)",
+            ),
+            (
+                KruskalTensor::random(&[8, 8, 9], 2, 1),
+                "invalid completion setup: warm-start model (shape [8, 8, 9], rank 2) \
+                 does not match problem (shape [8, 8, 8], rank 2)",
+            ),
+        ];
+        for (init, want) in &cases {
+            let errors = [
+                solver.solve_from(&observed, &none, init).unwrap_err(),
+                solver.solve_streamed(&observed, &truncated, Some(init), None).unwrap_err(),
+                dist.solve_from(&observed, &none, init).unwrap_err(),
+            ];
+            for err in errors {
+                assert_eq!(&err.to_string(), want);
+            }
+        }
     }
 
     #[test]

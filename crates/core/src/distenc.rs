@@ -29,10 +29,10 @@
 //! serial solver's entry order, so iterates match the oracle to rounding,
 //! not bit-for-bit; the integration tests assert agreement to `1e-8`.
 
-use crate::admm::{truncate_all, validate_problem};
+use crate::admm::{check_warm_start, truncate_all, validate_problem};
 use crate::config::AdmmConfig;
 use crate::solver::checkpoint::Checkpoint;
-use crate::solver::{self, BlockMeta, ClusterBackend, ResidualBlock, ResidualStore, SolverState};
+use crate::solver::{self, BlockMeta, ClusterBackend, ResidualBlock, SolverState};
 use crate::trace::ConvergenceTrace;
 use crate::{CompletionResult, CoreError, Result};
 use distenc_dataflow::cluster::TaskCost;
@@ -94,15 +94,7 @@ impl<'c> DisTenC<'c> {
         laplacians: &[Option<&Laplacian>],
         init: &KruskalTensor,
     ) -> Result<CompletionResult> {
-        if init.shape() != observed.shape() || init.rank() != self.cfg.rank {
-            return Err(crate::CoreError::Invalid(format!(
-                "warm-start model is {:?} rank {}, problem is {:?} rank {}",
-                init.shape(),
-                init.rank(),
-                observed.shape(),
-                self.cfg.rank
-            )));
-        }
+        check_warm_start(init, observed, self.cfg.rank)?;
         self.solve_inner(observed, laplacians, Some(init.clone()))
     }
 
@@ -112,7 +104,7 @@ impl<'c> DisTenC<'c> {
         laplacians: &[Option<&Laplacian>],
         initial: Option<KruskalTensor>,
     ) -> Result<CompletionResult> {
-        validate_problem(observed, laplacians, &self.cfg)?;
+        validate_problem(observed, laplacians)?;
         let cl = self.cluster;
         let m = cl.machines();
         let shape = observed.shape().to_vec();
@@ -186,7 +178,7 @@ impl<'c> DisTenC<'c> {
     fn run_attempt(
         &self,
         observed: &CooTensor,
-        _laplacians: &[Option<&Laplacian>],
+        laplacians: &[Option<&Laplacian>],
         truncated: &[TruncatedLaplacian],
         blocking: &TensorBlocks,
         positions: Option<&[Vec<usize>]>,
@@ -205,6 +197,7 @@ impl<'c> DisTenC<'c> {
         for (i, (id, t)) in blocking.blocks.iter().enumerate() {
             meta.push(BlockMeta {
                 machine: cl.machine_for_partition(i),
+                nnz: t.nnz(),
                 coords: blocking.block_coords(*id),
                 active: (0..n_modes).map(|n| t.active_indices(n)).collect(),
             });
@@ -230,13 +223,12 @@ impl<'c> DisTenC<'c> {
         // footprint stays in `peak_resident`), so retries never leak the
         // ledger.
         let mut reservation = MemoryReservation::new(cl);
-        for (b, bm) in blocks.iter().zip(&meta) {
+        for bm in &meta {
             // Tensor block + residual values.
-            let bytes = b.entries.nnz() as u64 * (entry_bytes + F64);
-            reservation.reserve(bm.machine, bytes)?;
+            reservation.reserve(bm.machine, bm.nnz as u64 * (entry_bytes + F64))?;
         }
         if recovering.is_none() {
-            self.charge_truncation(&shape, _laplacians)?;
+            self.charge_truncation(&shape, laplacians)?;
         }
         for (n, part) in mode_parts.iter().enumerate() {
             let k = truncated[n].k() as u64;
@@ -255,12 +247,8 @@ impl<'c> DisTenC<'c> {
             // back out. All of it is recovery work: charged to the
             // virtual clock *and* to `Metrics::recovery_seconds`.
             let t0 = cl.now();
-            let lost_nnz: u64 = blocks
-                .iter()
-                .zip(&meta)
-                .filter(|(_, bm)| bm.machine == lost)
-                .map(|(b, _)| b.entries.nnz() as u64)
-                .sum();
+            let lost_nnz: u64 =
+                meta.iter().filter(|bm| bm.machine == lost).map(|bm| bm.nnz as u64).sum();
             cl.run_stage(&[TaskCost {
                 machine: lost,
                 flops: lost_nnz as f64,
@@ -274,47 +262,23 @@ impl<'c> DisTenC<'c> {
         }
 
         // ---- Restore the snapshot, or start (possibly warm) ------------
-        let mut restored: Option<(Vec<distenc_linalg::Mat>, f64, solver::ResumePoint)> = None;
-        let mut init = initial.cloned();
-        let mut residual_fresh = false;
-        if let Some(img) = image.as_ref() {
-            let ck = Checkpoint::from_bytes(img)?;
+        // The residual values go back block by block here (their order is
+        // this driver's); `SolverState::restore` puts back the rest.
+        let snapshot = image.as_deref().map(Checkpoint::from_bytes).transpose()?;
+        if let Some(ck) = &snapshot {
             let pos = positions.expect("a snapshot implies a checkpoint policy");
             for (b, p) in blocks.iter_mut().zip(pos) {
                 for (v, &at) in b.vals.iter_mut().zip(p) {
                     *v = ck.residual[at];
                 }
             }
-            init = Some(KruskalTensor::new(ck.factors)?);
-            residual_fresh = true;
-            restored = Some((
-                ck.y_mul,
-                ck.eta,
-                solver::ResumePoint { start_iter: ck.iters_done, trace: ck.trace },
-            ));
         }
 
         // ---- Delegate the iteration to the shared solver core ----------
-        let boundaries: Vec<Vec<usize>> = mode_parts
-            .iter()
-            .map(|part| (0..part.parts()).map(|p| part.range(p).end).collect())
-            .collect();
         let eigen_k: Vec<usize> = truncated.iter().map(|t| t.k()).collect();
-        let mut backend =
-            ClusterBackend::new(cl, rank, mode_parts, meta, eigen_k, self.cfg.fused);
-        let mut st = SolverState::new(
-            observed,
-            truncated,
-            &self.cfg,
-            init,
-            ResidualStore::Blocked { blocks },
-            boundaries,
-        )?;
-        let resume_point = restored.map(|(y_mul, eta, rp)| {
-            st.y_mul = y_mul;
-            st.eta = eta;
-            rp
-        });
+        let mut backend = ClusterBackend::new(cl, rank, mode_parts, meta, eigen_k);
+        let mut st = SolverState::new(observed, truncated, &self.cfg, initial.cloned(), blocks)?;
+        let resume_point = snapshot.as_ref().map(|ck| st.restore(ck)).transpose()?;
         let mut sink_store = self.cfg.checkpoint.as_ref().map(|_| ClusterSink {
             cl,
             cfg: &self.cfg,
@@ -323,22 +287,19 @@ impl<'c> DisTenC<'c> {
             positions: positions.expect("a checkpoint policy implies positions"),
             latest: None,
         });
-        let out = {
-            let sink: Option<&mut dyn solver::CheckpointSink> = match sink_store.as_mut() {
-                Some(s) => Some(s),
-                None => None,
-            };
-            solver::run_resumable(
-                observed,
-                truncated,
-                &self.cfg,
-                &mut backend,
-                st,
-                residual_fresh,
-                resume_point,
-                sink,
-            )
-        };
+        let sink = sink_store
+            .as_mut()
+            .map(|s| s as &mut dyn solver::CheckpointSink<Vec<ResidualBlock>>);
+        let out = solver::run(
+            observed,
+            truncated,
+            &self.cfg,
+            &mut backend,
+            st,
+            snapshot.is_some(),
+            resume_point,
+            sink,
+        );
         // Harvest the newest snapshot even from a dead attempt: the
         // simulated reliable store outlives the machines.
         if let Some(s) = sink_store {
@@ -386,7 +347,6 @@ impl<'c> DisTenC<'c> {
             // Entries start evenly spread; (m−1)/m of them are remote.
             let remote = bytes * (m as u64 - 1) / m as u64;
             received[dst] += remote;
-            sent[dst % m] += 0; // placeholder to keep vec sizes aligned
             // Spread the sends evenly over sources (approximation of a
             // random initial layout).
             for (s, slot) in sent.iter_mut().enumerate() {
@@ -440,37 +400,23 @@ struct ClusterSink<'a> {
     latest: Option<Vec<u8>>,
 }
 
-impl solver::CheckpointSink for ClusterSink<'_> {
+impl solver::CheckpointSink<Vec<ResidualBlock>> for ClusterSink<'_> {
     fn save(
         &mut self,
-        st: &SolverState,
+        st: &SolverState<Vec<ResidualBlock>>,
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()> {
-        let ResidualStore::Blocked { blocks } = &st.residual else {
-            return Err(CoreError::Invalid(
-                "cluster checkpoint sink requires the blocked residual layout".into(),
-            ));
-        };
         // Gather the blocked residual back into canonical entry order —
         // the layout-independent form both drivers' restores understand.
         let mut residual = vec![0.0; self.nnz];
-        for (b, pos) in blocks.iter().zip(self.positions) {
+        for (b, pos) in st.residual.iter().zip(self.positions) {
             for (&v, &at) in b.vals.iter().zip(pos) {
                 residual[at] = v;
             }
         }
-        let ckpt = Checkpoint {
-            config: self.cfg.clone(),
-            shape: self.shape.to_vec(),
-            iters_done,
-            eta: st.eta,
-            factors: st.model.factors().to_vec(),
-            y_mul: st.y_mul.clone(),
-            residual,
-            trace: trace.clone(),
-        };
-        let bytes = ckpt.to_bytes();
+        let bytes = Checkpoint::capture(self.cfg, self.shape, st, iters_done, trace, residual)
+            .to_bytes();
         // Collect: each machine ships an even share of the snapshot.
         let m = self.cl.machines();
         let per = (bytes.len() as u64).div_ceil(m as u64);

@@ -45,6 +45,7 @@
 //! or 1 there, and either now means "whatever layout the resuming
 //! invocation selects".
 
+use super::SolverState;
 use crate::config::{AdmmConfig, SolverTier};
 use crate::trace::{ConvergenceTrace, TracePoint};
 use distenc_linalg::Mat;
@@ -213,6 +214,32 @@ impl<'a> Reader<'a> {
 }
 
 impl Checkpoint {
+    /// Snapshot `st` after `iters_done` completed iterations of the solve
+    /// `cfg` describes on a tensor of shape `shape`
+    /// ([`SolverState::restore`] is the inverse). `residual` is the
+    /// state's residual values gathered into canonical observed-entry
+    /// order — the one thing only the driver that chose the decomposition
+    /// can produce.
+    pub(crate) fn capture<R>(
+        cfg: &AdmmConfig,
+        shape: &[usize],
+        st: &SolverState<R>,
+        iters_done: usize,
+        trace: &ConvergenceTrace,
+        residual: Vec<f64>,
+    ) -> Checkpoint {
+        Checkpoint {
+            config: cfg.clone(),
+            shape: shape.to_vec(),
+            iters_done,
+            eta: st.eta,
+            factors: st.model.factors().to_vec(),
+            y_mul: st.y_mul.clone(),
+            residual,
+            trace: trace.clone(),
+        }
+    }
+
     /// Serialize to the version-1 byte format (checksum included).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer { buf: Vec::new() };

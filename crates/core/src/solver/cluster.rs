@@ -10,26 +10,79 @@
 //! virtual clock and the golden distenc trace pins the resulting
 //! timestamps bit-for-bit.
 //!
+//! Its residual is the Algorithm 2 block partition (`Vec<ResidualBlock>`),
+//! and every charge is a function of the blocking metadata alone
+//! ([`BlockMeta`]): what the cluster moves and when does not depend on
+//! whether the local arithmetic ran fused, banked, or not at all.
+//!
 //! The accounting vectors built per stage (`TaskCost` lists, shuffle
 //! tallies, per-call reduction slabs) are bookkeeping, not step math, and
 //! are the distributed driver's documented exemption from the
 //! steady-state allocation budget.
 
-use super::{ResidualStore, StepBackend};
+use super::StepBackend;
 use crate::Result;
 use distenc_dataflow::cluster::TaskCost;
 use distenc_dataflow::Cluster;
 use distenc_linalg::Mat;
 use distenc_partition::ModePartition;
-use distenc_tensor::KruskalTensor;
+use distenc_tensor::mttkrp::fold_entry;
+use distenc_tensor::{CooTensor, KruskalTensor};
 
 const F64: u64 = 8;
 
+/// One tensor block's share of the residual: its entries and the values
+/// `e = t − [[A…]](idx)` parallel to them.
+pub(crate) struct ResidualBlock {
+    /// The observed entries of this block.
+    pub entries: CooTensor,
+    /// Residual values, parallel to `entries`.
+    pub vals: Vec<f64>,
+}
+
+/// `‖E‖²_F` summed block-major, each block in entry order — the fixed
+/// association of this decomposition.
+fn frob_norm_sq(blocks: &[ResidualBlock]) -> f64 {
+    blocks.iter().flat_map(|b| b.vals.iter()).map(|v| v * v).sum()
+}
+
+/// Total entry count, for the pass-count instrument.
+fn total_nnz(blocks: &[ResidualBlock]) -> usize {
+    blocks.iter().map(|b| b.entries.nnz()).sum()
+}
+
+/// One work group's share of a mode-`mode` MTTKRP: the row slab of
+/// `rows`, accumulated over the member blocks in ascending block order,
+/// each in entry order. `value(m, pos, idx, t)` supplies the residual
+/// value of entry `pos` (index `idx`, observed value `t`) of the `m`-th
+/// member — stored, or freshly computed.
+fn group_slab(
+    model: &KruskalTensor,
+    blocks: &[ResidualBlock],
+    mode: usize,
+    rows: std::ops::Range<usize>,
+    members: &[usize],
+    mut value: impl FnMut(usize, usize, &[usize], f64) -> f64,
+) -> Mat {
+    let mut slab = Mat::zeros(rows.len(), model.rank());
+    let mut scratch = vec![0.0; model.rank()];
+    for (m, &bi) in members.iter().enumerate() {
+        for (pos, (idx, t)) in blocks[bi].entries.iter().enumerate() {
+            let v = value(m, pos, idx, t);
+            let out = slab.row_mut(idx[mode] - rows.start);
+            fold_entry(model.factors(), idx, v, mode, &mut scratch, out);
+        }
+    }
+    slab
+}
+
 /// Placement and activity metadata for one tensor block, parallel to the
-/// [`super::ResidualBlock`] vector in the state's residual store.
+/// [`ResidualBlock`] list that is this backend's residual.
 pub(crate) struct BlockMeta {
     /// Machine this block is pinned to.
     pub machine: usize,
+    /// Entries in this block.
+    pub nnz: usize,
     /// Per-mode partition coordinates of this block.
     pub coords: Vec<usize>,
     /// Distinct mode-`n` indices appearing in this block (per mode) —
@@ -54,15 +107,6 @@ pub(crate) struct ClusterBackend<'c> {
     gram_ranges: Vec<Vec<std::ops::Range<usize>>>,
     /// `truncated[n].k()` per mode, for the B-update projection charge.
     eigen_k: Vec<usize>,
-    /// Fuse the residual refresh with the next mode-0 MTTKRP
-    /// ([`crate::AdmmConfig::fused`]).
-    fused: bool,
-    /// Stashed `E₍₀₎U⁽⁰⁾` (`I₀×R`) banked by the fused sweep. The virtual
-    /// clock still pays for mode 0 in full — only the *local* compute is
-    /// skipped — so fusion never perturbs the golden timestamps.
-    h0: Mat,
-    /// Whether `h0` holds a live stash for the upcoming mode-0 call.
-    h0_ready: bool,
 }
 
 impl<'c> ClusterBackend<'c> {
@@ -73,7 +117,6 @@ impl<'c> ClusterBackend<'c> {
         mode_parts: Vec<ModePartition>,
         meta: Vec<BlockMeta>,
         eigen_k: Vec<usize>,
-        fused: bool,
     ) -> Self {
         let n_modes = mode_parts.len();
         let groups = (0..n_modes)
@@ -89,22 +132,7 @@ impl<'c> ClusterBackend<'c> {
             .iter()
             .map(|part| (0..part.parts()).map(|p| part.range(p)).collect())
             .collect();
-        // The mode-0 ranges cover [0, I₀), so the last end is the row
-        // count of the stash.
-        let rows0 = mode_parts[0].range(mode_parts[0].parts() - 1).end;
-        ClusterBackend {
-            cl,
-            rank,
-            n_modes,
-            mode_parts,
-            meta,
-            groups,
-            gram_ranges,
-            eigen_k,
-            fused,
-            h0: Mat::zeros(rows0, rank),
-            h0_ready: false,
-        }
+        ClusterBackend { cl, rank, n_modes, mode_parts, meta, groups, gram_ranges, eigen_k }
     }
 
     // ---- Accounting helpers ---------------------------------------------
@@ -197,110 +225,89 @@ impl<'c> ClusterBackend<'c> {
     }
 
     /// The residual refresh's per-block stage charge (`nnz·N·R` flops,
-    /// entries in, values out) — shared verbatim by the fused and unfused
-    /// refresh paths so their virtual-time footprints are identical.
-    fn charge_refresh_stage(&self, blocks: &[super::ResidualBlock]) -> Result<()> {
-        let mut tasks = Vec::with_capacity(blocks.len());
-        for (b, m) in blocks.iter().zip(&self.meta) {
-            let nnz = b.entries.nnz();
-            tasks.push(TaskCost {
+    /// entries in, values out) — the same whether or not the sweep also
+    /// banks an MTTKRP.
+    fn charge_refresh_stage(&self) -> Result<()> {
+        let tasks: Vec<TaskCost> = self
+            .meta
+            .iter()
+            .map(|m| TaskCost {
                 machine: m.machine,
-                flops: (nnz * self.n_modes * self.rank) as f64,
-                input_bytes: nnz as u64 * (self.n_modes as u64 + 1) * F64,
-                output_bytes: nnz as u64 * F64,
-            });
-        }
+                flops: (m.nnz * self.n_modes * self.rank) as f64,
+                input_bytes: m.nnz as u64 * (self.n_modes as u64 + 1) * F64,
+                output_bytes: m.nnz as u64 * F64,
+            })
+            .collect();
         self.cl.run_stage(&tasks)?;
         Ok(())
+    }
+
+    /// Stitch a mode's disjoint row slabs into `out` in fixed partition
+    /// order; the ranges cover every output row, so no pre-zeroing is
+    /// needed.
+    fn stitch<'a>(&self, mode: usize, slabs: impl Iterator<Item = &'a Mat>, out: &mut Mat) {
+        let rank = self.rank;
+        for (p, slab) in slabs.enumerate() {
+            let rows = self.mode_parts[mode].range(p);
+            out.as_mut_slice()[rows.start * rank..rows.end * rank]
+                .copy_from_slice(slab.as_slice());
+        }
     }
 }
 
 impl StepBackend for ClusterBackend<'_> {
+    type Residual = Vec<ResidualBlock>;
+
     /// MTTKRP of the residual against the current factors, computed
-    /// block-by-block with per-block accounting, reduced into a full
-    /// `Iₙ×R` matrix (partials combine at each factor partition's home).
+    /// block-by-block and reduced into a full `Iₙ×R` matrix (partials
+    /// combine at each factor partition's home).
+    ///
+    /// Algorithm 2's block boundaries double as the parallel work
+    /// decomposition: blocks sharing a mode-`mode` partition coordinate
+    /// write the same output row range, so they form one work unit
+    /// (processed in ascending block order — the same order the old
+    /// sequential loop used), while distinct coordinates own disjoint row
+    /// ranges and run concurrently with no atomics. Bit-identical to a
+    /// single sequential sweep for every `ExecMode`.
     fn sparse_mttkrp(
         &mut self,
-        residual: &ResidualStore,
+        blocks: &Vec<ResidualBlock>,
         model: &KruskalTensor,
         mode: usize,
         out: &mut Mat,
     ) -> Result<()> {
-        let blocks = residual.blocked()?;
+        crate::record_entry_sweep(total_nnz(blocks));
+        let part = &self.mode_parts[mode];
+        let slabs = self.cl.executor().run(&self.groups[mode], |p, members| {
+            group_slab(model, blocks, mode, part.range(p), members, |m, pos, _, _| {
+                blocks[members[m]].vals[pos]
+            })
+        });
+        self.stitch(mode, slabs.iter(), out);
+        Ok(())
+    }
+
+    /// What the cluster pays for a mode's MTTKRP, banked or not (the bank
+    /// is a local-compute shortcut, not a communication one — which keeps
+    /// the virtual clock identical to the unfused schedule): the remote
+    /// factor rows of every mode except `mode`'s own output, the per-block
+    /// stage, the partial-`H` rows travelling to the factor partition's
+    /// home, and the combine stage there.
+    fn on_sparse_mttkrp(&mut self, mode: usize) -> Result<()> {
         let cl = self.cl;
         let rank = self.rank;
-        // Remote factor rows for every mode except `mode`'s own output —
-        // inputs come from all modes k ≠ mode. Charged even when the
-        // fused stash answers below: the simulated cluster still moves
-        // the rows (the stash is a local-compute shortcut, not a
-        // communication one), which keeps the virtual clock identical to
-        // the unfused schedule.
         self.charge_factor_fetch(Some(mode))?;
-
-        let shape = model.shape();
-        if mode == 0 && self.h0_ready {
-            // The fused sweep already computed this against the very same
-            // factors (no swap between the refresh and this call).
-            self.h0_ready = false;
-            out.as_mut_slice().copy_from_slice(self.h0.as_slice());
-        } else {
-            crate::record_entry_sweep(blocks.iter().map(|b| b.entries.nnz()).sum());
-            // Algorithm 2's block boundaries double as the parallel work
-            // decomposition: blocks sharing a mode-`mode` partition
-            // coordinate write the same output row range, so they form one
-            // work unit (processed in ascending block order — the same
-            // order the old sequential loop used), while distinct
-            // coordinates own disjoint row ranges and run concurrently
-            // with no atomics. Bit-identical to a single sequential sweep
-            // for every `ExecMode`.
-            let part = &self.mode_parts[mode];
-            let slabs = cl.executor().run(&self.groups[mode], |p, members| {
-                let rows = part.range(p);
-                let mut slab = Mat::zeros(rows.len(), rank);
-                let mut scratch = vec![0.0; rank];
-                for &bi in members {
-                    let b = &blocks[bi];
-                    for (pos, (idx, _)) in b.entries.iter().enumerate() {
-                        let v = b.vals[pos];
-                        scratch.iter_mut().for_each(|s| *s = v);
-                        for (k, f) in model.factors().iter().enumerate() {
-                            if k == mode {
-                                continue;
-                            }
-                            let row = f.row(idx[k]);
-                            for (s, &a) in scratch.iter_mut().zip(row) {
-                                *s *= a;
-                            }
-                        }
-                        let o = slab.row_mut(idx[mode] - rows.start);
-                        for (o, &s) in o.iter_mut().zip(&scratch) {
-                            *o += s;
-                        }
-                    }
-                }
-                slab
-            });
-            // Stitch the disjoint row slabs in fixed partition order; the
-            // ranges cover every output row, so no pre-zeroing is needed.
-            for (p, slab) in slabs.iter().enumerate() {
-                let rows = part.range(p);
-                out.as_mut_slice()[rows.start * rank..rows.end * rank]
-                    .copy_from_slice(slab.as_slice());
-            }
-        }
-        let mut tasks = Vec::with_capacity(blocks.len());
+        let mut tasks = Vec::with_capacity(self.meta.len());
         let mut sent = vec![0u64; cl.machines()];
         let mut received = vec![0u64; cl.machines()];
-        for (b, m) in blocks.iter().zip(&self.meta) {
-            let nnz = b.entries.nnz();
+        for m in &self.meta {
             let out_rows = m.active[mode].len() as u64;
             tasks.push(TaskCost {
                 machine: m.machine,
-                flops: (nnz * shape.len() * rank) as f64,
-                input_bytes: nnz as u64 * (shape.len() as u64 + 2) * F64,
+                flops: (m.nnz * self.n_modes * rank) as f64,
+                input_bytes: m.nnz as u64 * (self.n_modes as u64 + 2) * F64,
                 output_bytes: out_rows * rank as u64 * F64,
             });
-            // Partial-H rows travel to the factor partition's home.
             let dst = cl.machine_for_partition(m.coords[mode]);
             if dst != m.machine {
                 let bytes = out_rows * rank as u64 * F64;
@@ -310,9 +317,7 @@ impl StepBackend for ClusterBackend<'_> {
         }
         cl.run_stage(&tasks)?;
         cl.shuffle(&sent, &received)?;
-        // Combine stage at the partition homes.
-        self.charge_rows_stage(&self.mode_parts[mode], rank as f64, 0)?;
-        Ok(())
+        self.charge_rows_stage(&self.mode_parts[mode], rank as f64, 0)
     }
 
     /// `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` as the paper computes it (Eq. 13): each mode
@@ -339,103 +344,72 @@ impl StepBackend for ClusterBackend<'_> {
         Ok(())
     }
 
-    /// Recompute residual values block-locally: `e = t − [[A…]](idx)`.
-    fn refresh_residual(
-        &mut self,
-        _observed: &distenc_tensor::CooTensor,
-        model: &KruskalTensor,
-        residual: &mut ResidualStore,
-    ) -> Result<()> {
-        let blocks = residual.blocked_mut()?;
-        // This stage reads every mode's factor rows at each block.
-        self.charge_factor_fetch(None)?;
-        crate::record_entry_sweep(blocks.iter().map(|b| b.entries.nnz()).sum());
-        // Residual entries are independent, so one task per block on the
-        // executor is bit-exact regardless of scheduling.
-        self.cl.executor().run_mut(blocks, |_, b| {
-            for (pos, (idx, v)) in b.entries.iter().enumerate() {
-                b.vals[pos] = v - model.eval(idx);
-            }
-        });
-        self.charge_refresh_stage(blocks)?;
-        Ok(())
-    }
-
-    /// Fused refresh + mode-0 MTTKRP (see [`StepBackend::fused_step`]):
-    /// one sweep over the block entries recomputes `e = t − [[A…]](idx)`,
-    /// accumulates the mode-0 partial `H` slabs, and banks them in `h0`.
-    /// The cluster charges are *exactly* the unfused refresh's —
-    /// `charge_factor_fetch(None)` then the per-block refresh stage — so
-    /// the virtual clock (and the golden distenc trace) is untouched; the
-    /// fused win on the simulated cluster is local flops, which this model
-    /// charges per stage, not per arithmetic op.
+    /// The block-local residual refresh `e = t − [[A…]](idx)`, fused with
+    /// the mode-0 MTTKRP when handed the bank (see
+    /// [`StepBackend::fused_step`]). The cluster charges are the same
+    /// either way — `charge_factor_fetch(None)` (the stage reads every
+    /// mode's factor rows at each block), then the per-block refresh
+    /// stage — so the virtual clock (and the golden distenc trace) does
+    /// not see fusion; its win on the simulated cluster is local flops,
+    /// which this model charges per stage, not per arithmetic op.
     fn fused_step(
         &mut self,
-        observed: &distenc_tensor::CooTensor,
+        _observed: &CooTensor,
         model: &KruskalTensor,
-        residual: &mut ResidualStore,
-        fuse_next: bool,
-    ) -> Result<f64> {
-        if !(self.fused && fuse_next) {
-            self.refresh_residual(observed, model, residual)?;
-            return Ok(residual.frob_norm_sq());
-        }
-        let blocks = residual.blocked_mut()?;
+        blocks: &mut Vec<ResidualBlock>,
+        bank: &mut [Mat],
+    ) -> Result<(f64, usize)> {
         self.charge_factor_fetch(None)?;
-        crate::record_entry_sweep(blocks.iter().map(|b| b.entries.nnz()).sum());
-        let rank = self.rank;
-        // Mode-0 work groups partition the blocks (every block has exactly
-        // one mode-0 coordinate), so sweeping group-by-group visits each
-        // entry once. Per entry the arithmetic is the refresh's
-        // `t − eval` followed by the MTTKRP's own scratch fold — the same
-        // two folds the unfused schedule runs in separate sweeps, in the
-        // same order, so values, slabs, and `‖E‖²` all match bit-for-bit.
-        let part = &self.mode_parts[0];
-        let groups = &self.groups[0];
-        let results = self.cl.executor().run(groups, |p, members| {
-            let rows = part.range(p);
-            let mut slab = Mat::zeros(rows.len(), rank);
-            let mut scratch = vec![0.0; rank];
-            // Fresh residual values per member block (written back below —
-            // the closure cannot alias `blocks` mutably). Reduction-slab
-            // exemption from the allocation budget, like `slab` itself.
-            let mut fresh: Vec<Vec<f64>> = Vec::with_capacity(members.len());
-            for &bi in members {
-                let b = &blocks[bi];
-                let mut vals = vec![0.0; b.entries.nnz()];
-                for (pos, (idx, t)) in b.entries.iter().enumerate() {
-                    let v = t - model.eval(idx);
-                    vals[pos] = v;
-                    scratch.iter_mut().for_each(|s| *s = v);
-                    for (k, f) in model.factors().iter().enumerate() {
-                        if k == 0 {
-                            continue;
-                        }
-                        let row = f.row(idx[k]);
-                        for (s, &a) in scratch.iter_mut().zip(row) {
-                            *s *= a;
-                        }
+        crate::record_entry_sweep(total_nnz(blocks));
+        let banked = match bank.first_mut() {
+            None => {
+                // Residual entries are independent, so one task per block
+                // on the executor is bit-exact regardless of scheduling.
+                self.cl.executor().run_mut(blocks, |_, b| {
+                    for (pos, (idx, t)) in b.entries.iter().enumerate() {
+                        b.vals[pos] = t - model.eval(idx);
                     }
-                    let o = slab.row_mut(idx[0] - rows.start);
-                    for (o, &s) in o.iter_mut().zip(&scratch) {
-                        *o += s;
+                });
+                0
+            }
+            Some(h0) => {
+                // Mode-0 work groups partition the blocks (every block has
+                // exactly one mode-0 coordinate), so sweeping group by
+                // group visits each entry once. Per entry the arithmetic
+                // is the refresh's `t − eval` followed by the MTTKRP's own
+                // fold — the same two folds the unfused schedule runs in
+                // separate sweeps, in the same order, so values, slabs and
+                // `‖E‖²` all match bit-for-bit.
+                let (part, groups) = (&self.mode_parts[0], &self.groups[0]);
+                let shared: &[ResidualBlock] = blocks;
+                let results = self.cl.executor().run(groups, |p, members| {
+                    // Fresh residual values per member block (written back
+                    // below — the closure cannot alias `blocks` mutably).
+                    // Reduction-slab exemption from the allocation budget,
+                    // like the slab itself.
+                    let mut fresh: Vec<Vec<f64>> = members
+                        .iter()
+                        .map(|&bi| Vec::with_capacity(shared[bi].entries.nnz()))
+                        .collect();
+                    let refresh = |m: usize, _, idx: &[usize], t: f64| {
+                        let v = t - model.eval(idx);
+                        fresh[m].push(v);
+                        v
+                    };
+                    let slab = group_slab(model, shared, 0, part.range(p), members, refresh);
+                    (slab, fresh)
+                });
+                self.stitch(0, results.iter().map(|(slab, _)| slab), h0);
+                for (members, (_, fresh)) in groups.iter().zip(results) {
+                    for (&bi, vals) in members.iter().zip(fresh) {
+                        blocks[bi].vals = vals;
                     }
                 }
-                fresh.push(vals);
+                1
             }
-            (slab, fresh)
-        });
-        for (p, (slab, fresh)) in results.iter().enumerate() {
-            let rows = part.range(p);
-            self.h0.as_mut_slice()[rows.start * rank..rows.end * rank]
-                .copy_from_slice(slab.as_slice());
-            for (&bi, vals) in groups[p].iter().zip(fresh) {
-                blocks[bi].vals.copy_from_slice(vals);
-            }
-        }
-        self.h0_ready = true;
-        self.charge_refresh_stage(blocks)?;
-        Ok(residual.frob_norm_sq())
+        };
+        self.charge_refresh_stage()?;
+        Ok((frob_norm_sq(blocks), banked))
     }
 
     fn clock(&self, _iter: usize) -> f64 {

@@ -1,27 +1,25 @@
 //! The single-machine [`StepBackend`]: thread-blocked kernels on a
 //! [`distenc_dataflow::Executor`], no accounting.
 //!
-//! All storage-dependent work goes through the residual's
-//! [`TensorLayout`] — this backend never inspects which layout (COO,
-//! CSF, or tiled) is in play; it sizes one [`LayoutWorkspace`] at
-//! construction and hands every kernel call to the layout's dispatch
-//! point. The steady state allocates nothing on the calling thread (the
-//! threaded executor hands work to its resident pool through an unboxed
-//! index broadcast; the sequential path is a plain loop).
+//! Its residual is a [`TensorLayout`], and all storage-dependent work
+//! goes through it — this backend never inspects which layout (COO, CSF,
+//! or tiled) is in play; it sizes one [`LayoutWorkspace`] at construction
+//! and hands every kernel call to the layout's dispatch point. The steady
+//! state allocates nothing on the calling thread (the threaded executor
+//! hands work to its resident pool through an unboxed index broadcast;
+//! the sequential path is a plain loop).
 //!
-//! With fusion enabled the end-of-iteration [`StepBackend::fused_step`]
-//! refreshes the residual, reduces `‖E‖²_F`, and precomputes the next
-//! iteration's MTTKRPs into the per-mode stash in one sweep over the
-//! nonzeros — every mode's when the layout runs its sequential
+//! Handed the core's bank, the end-of-iteration
+//! [`StepBackend::fused_step`] refreshes the residual, reduces `‖E‖²_F`,
+//! and writes the next iteration's MTTKRPs straight into it in one sweep
+//! over the nonzeros — every mode's when the layout runs its sequential
 //! entry-order kernel (one sweep per iteration), mode 0's otherwise
-//! (threaded executors, CSF: N sweeps). The next iteration's
-//! [`StepBackend::sparse_mttkrp`] calls serve whatever the stash holds
-//! instead of sweeping again. Every fused kernel is bit-identical to the
-//! separate sweeps it replaces (`distenc_tensor::fused` and
-//! `distenc_tensor::layout` pin this), so the solver's iterates — and
-//! the golden traces — are unchanged.
+//! (threaded executors, CSF: N sweeps). Every fused kernel is
+//! bit-identical to the separate sweeps it replaces
+//! (`distenc_tensor::fused` and `distenc_tensor::layout` pin this), so
+//! the solver's iterates — and the golden traces — are unchanged.
 
-use super::{ResidualStore, StepBackend};
+use super::StepBackend;
 use crate::Result;
 use distenc_dataflow::Executor;
 use distenc_linalg::Mat;
@@ -36,14 +34,6 @@ pub(crate) struct HostBackend<C> {
     /// partitions for tiled, nothing for CSF).
     lw: LayoutWorkspace,
     res: ResidualWorkspace,
-    /// Fuse the residual refresh with the next iteration's MTTKRPs
-    /// ([`crate::AdmmConfig::fused`]).
-    fused: bool,
-    /// Stashed `E₍ₙ₎U⁽ⁿ⁾` (`Iₙ×R`) per mode, banked by the fused sweep
-    /// for the next iteration's [`StepBackend::sparse_mttkrp`] calls.
-    stash: Vec<Mat>,
-    /// Whether `stash[n]` is live for the upcoming mode-`n` call.
-    banked: Vec<bool>,
     clock: C,
 }
 
@@ -56,35 +46,25 @@ impl<C: Fn(usize) -> f64> HostBackend<C> {
         boundaries: &[Vec<usize>],
         rank: usize,
         exec: Executor,
-        fused: bool,
         clock: C,
     ) -> Result<Self> {
         let lw = layout.workspace(rank, boundaries, &exec)?;
         let res = ResidualWorkspace::new(layout.nnz(), &exec);
-        let shape = layout.entries().shape();
-        let stash = shape.iter().map(|&d| Mat::zeros(d, rank)).collect();
-        Ok(HostBackend { exec, lw, res, fused, stash, banked: vec![false; shape.len()], clock })
+        Ok(HostBackend { exec, lw, res, clock })
     }
 }
 
 impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
+    type Residual = TensorLayout;
+
     fn sparse_mttkrp(
         &mut self,
-        residual: &ResidualStore,
+        residual: &TensorLayout,
         model: &KruskalTensor,
         mode: usize,
         out: &mut Mat,
     ) -> Result<()> {
-        if std::mem::take(&mut self.banked[mode]) {
-            // The fused sweep already computed this against the very same
-            // factors and residual (the Jacobi swap happens only after
-            // every mode stepped); serving the stash saves the whole pass.
-            out.as_mut_slice().copy_from_slice(self.stash[mode].as_slice());
-            return Ok(());
-        }
-        residual
-            .host()?
-            .mttkrp_into(model.factors(), mode, &mut self.lw, &self.exec, out)?;
+        residual.mttkrp_into(model.factors(), mode, &mut self.lw, &self.exec, out)?;
         Ok(())
     }
 
@@ -93,40 +73,20 @@ impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
         Ok(())
     }
 
-    fn refresh_residual(
-        &mut self,
-        observed: &CooTensor,
-        model: &KruskalTensor,
-        residual: &mut ResidualStore,
-    ) -> Result<()> {
-        residual
-            .host_mut()?
-            .refresh_values(observed, model, &mut self.res, &self.exec)?;
-        Ok(())
-    }
-
     fn fused_step(
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,
-        residual: &mut ResidualStore,
-        fuse_next: bool,
-    ) -> Result<f64> {
-        if !(self.fused && fuse_next) {
-            // Nothing to bank (ablation switch off, or no next iteration):
-            // the plain refresh does one pass without the MTTKRP flops.
-            self.refresh_residual(observed, model, residual)?;
-            return Ok(residual.frob_norm_sq());
+        residual: &mut TensorLayout,
+        bank: &mut [Mat],
+    ) -> Result<(f64, usize)> {
+        if bank.is_empty() {
+            // Nothing to bank: the plain refresh does one pass without
+            // the MTTKRP flops.
+            residual.refresh_values(observed, model, &mut self.res, &self.exec)?;
+            return Ok((residual.frob_norm_sq(), 0));
         }
-        let (frob, n_banked) = residual.host_mut()?.fused_refresh_all_into(
-            observed,
-            model,
-            &mut self.lw,
-            &self.exec,
-            &mut self.stash,
-        )?;
-        self.banked[..n_banked].fill(true);
-        Ok(frob)
+        Ok(residual.fused_refresh_all_into(observed, model, &mut self.lw, &self.exec, bank)?)
     }
 
     fn clock(&self, iter: usize) -> f64 {

@@ -11,13 +11,21 @@
 //! accounting hooks, placed at exactly the points the pre-refactor
 //! drivers charged.
 //!
+//! **One core, typed residual.** The residual `E = Ω∗(T − [[A…]])` lives
+//! on the [`SolverState`] in whatever decomposition the backend needs —
+//! [`StepBackend::Residual`]: a [`TensorLayout`] for the host and sketched
+//! backends, the Algorithm 2 block list for the cluster. The core never
+//! looks inside it; it only hands it back to the backend that owns the
+//! type, so a backend paired with the wrong decomposition does not
+//! compile.
+//!
 //! **Bit-exactness contract.** Every arithmetic operation here happens in
 //! the same order, with the same floating-point association, as the
 //! pre-refactor drivers — the fixed-seed golden traces under
-//! `tests/golden/` pin this. The in-place kernels (`*_into` variants in
-//! `distenc-linalg` / `distenc-tensor`) are bit-identical to their
-//! allocating ancestors by construction (each has its own bit-identity
-//! test), so unifying the drivers around them changes no output bits.
+//! `tests/golden/` pin this. The kernels it calls (`*_into` in
+//! `distenc-linalg` / `distenc-graph` / `distenc-tensor`) are the only
+//! bodies of their operations; the allocating forms elsewhere in the
+//! workspace are those same kernels on a fresh buffer.
 //!
 //! **Allocation contract.** After [`SolverState::new`] sizes the
 //! [`Workspace`] and the backend sizes its kernel workspaces, a
@@ -31,17 +39,23 @@
 //! bookkeeping, not step math). The `alloc-count` feature and
 //! `tests/alloc_budget.rs` enforce this.
 //!
-//! **Pass contract.** With fusion enabled (the default,
-//! [`AdmmConfig::fused`]) the end-of-iteration sweep
-//! ([`StepBackend::fused_step`]) refreshes the residual, reduces
-//! `‖E‖²_F`, **and** may bank any mode's MTTKRP for the next iteration —
-//! the loop is Jacobi, so all N of them read the model and residual this
-//! sweep leaves behind. How many a backend banks sets its steady-state
-//! sweep count over the nonzero list for an order-N tensor:
+//! **Pass contract.** The [`Workspace`] holds one `Iₙ×R` sparse-MTTKRP
+//! buffer per mode: the *bank*. [`run`] decides, once per sweep, whether
+//! anything may be banked — [`AdmmConfig::fused`] is on and another
+//! iteration will run — and hands [`StepBackend::fused_step`] the bank, or
+//! an empty slice. The sweep refreshes the residual, reduces `‖E‖²_F`,
+//! fills the buffers of as many *leading* modes as its decomposition can
+//! in that same pass (the loop is Jacobi, so all N MTTKRPs of the next
+//! iteration read the model and residual this sweep leaves behind) and
+//! reports how many. The next iteration's [`mode_step`]s call
+//! [`StepBackend::sparse_mttkrp`] only for the modes after those; a banked
+//! mode's buffer is read where it lies. A first iteration entered on a
+//! carried residual, and one resumed from a checkpoint, start with nothing
+//! banked. How many a backend banks sets its steady-state sweep count over
+//! the nonzero list for an order-N tensor:
 //!
 //! * **1** — the sequential host backend on the COO and tiled layouts
-//!   banks all N modes in the one fused sweep; every
-//!   [`StepBackend::sparse_mttkrp`] of the next iteration is a stash copy;
+//!   banks all N modes in the one fused sweep;
 //! * **N** — threaded host executors, the CSF layout, the cluster backend
 //!   (and host tensors of order 1 or beyond the fused kernel's row cache)
 //!   bank mode 0 only: one fused sweep plus N−1 plain MTTKRPs;
@@ -51,127 +65,28 @@
 //! pins all three.
 
 use crate::config::AdmmConfig;
+use crate::solver::checkpoint::Checkpoint;
 use crate::trace::{ConvergenceTrace, TracePoint};
 use crate::{CompletionResult, CoreError, Result};
 use distenc_graph::{ShiftedInverseScratch, TruncatedLaplacian};
 use distenc_linalg::{Cholesky, Mat};
 use distenc_tensor::mttkrp::gram_product_into;
-use distenc_tensor::{CooTensor, KruskalTensor, TensorLayout};
+use distenc_tensor::{CooTensor, KruskalTensor};
 
 pub mod checkpoint;
 pub(crate) mod cluster;
 pub(crate) mod host;
 pub(crate) mod sketched;
 
-pub(crate) use cluster::{BlockMeta, ClusterBackend};
+pub(crate) use cluster::{BlockMeta, ClusterBackend, ResidualBlock};
 pub(crate) use host::HostBackend;
 pub(crate) use sketched::SketchedBackend;
-
-/// The residual tensor `E = Ω∗(T − [[A…]])` in whichever layout the
-/// driver's decomposition needs. The values are refreshed in place every
-/// iteration ([`StepBackend::refresh_residual`]); the support never
-/// changes after construction.
-pub(crate) enum ResidualStore {
-    /// The host drivers' residual behind the [`TensorLayout`] dispatch
-    /// point: the entry list plus whatever acceleration structure the
-    /// selected layout (COO / CSF / tiled) carries. Backends reach it
-    /// through [`ResidualStore::host`] and never match on the concrete
-    /// storage — the layout owns kernel dispatch.
-    Host(TensorLayout),
-    /// Algorithm 2 block partition of the residual (distributed layout):
-    /// each block keeps its entry slice and a parallel value vector.
-    Blocked {
-        /// The blocks, in the same fixed order the accounting metadata
-        /// uses.
-        blocks: Vec<ResidualBlock>,
-    },
-}
-
-/// One tensor block's share of the residual: its entries and the values
-/// `e = t − [[A…]](idx)` parallel to them.
-pub(crate) struct ResidualBlock {
-    /// The observed entries of this block.
-    pub entries: CooTensor,
-    /// Residual values, parallel to `entries`.
-    pub vals: Vec<f64>,
-}
-
-impl ResidualStore {
-    /// `‖E‖²_F`, summed in this layout's fixed order (flat entry order
-    /// for [`ResidualStore::Host`], block-major for
-    /// [`ResidualStore::Blocked`]) — the same associations the
-    /// pre-refactor drivers used, so the RMSE bits are unchanged.
-    pub fn frob_norm_sq(&self) -> f64 {
-        match self {
-            ResidualStore::Host(layout) => layout.frob_norm_sq(),
-            ResidualStore::Blocked { blocks } => blocks
-                .iter()
-                .flat_map(|b| b.vals.iter())
-                .map(|v| v * v)
-                .sum(),
-        }
-    }
-
-    /// The host layout, or a typed error when a backend was handed the
-    /// wrong decomposition (the one storage check left; backends call
-    /// this instead of matching on variants).
-    pub fn host(&self) -> Result<&TensorLayout> {
-        match self {
-            ResidualStore::Host(layout) => Ok(layout),
-            ResidualStore::Blocked { .. } => Err(CoreError::Invalid(
-                "host backend requires the host residual layout".into(),
-            )),
-        }
-    }
-
-    /// Mutable [`ResidualStore::host`].
-    pub fn host_mut(&mut self) -> Result<&mut TensorLayout> {
-        match self {
-            ResidualStore::Host(layout) => Ok(layout),
-            ResidualStore::Blocked { .. } => Err(CoreError::Invalid(
-                "host backend requires the host residual layout".into(),
-            )),
-        }
-    }
-
-    /// Consume the store into its host layout (the hand-off path).
-    pub fn into_host(self) -> Result<TensorLayout> {
-        match self {
-            ResidualStore::Host(layout) => Ok(layout),
-            ResidualStore::Blocked { .. } => Err(CoreError::Invalid(
-                "host solve produced a blocked residual".into(),
-            )),
-        }
-    }
-
-    /// The Algorithm 2 blocks, or a typed error on the host layout.
-    pub fn blocked(&self) -> Result<&[ResidualBlock]> {
-        match self {
-            ResidualStore::Blocked { blocks } => Ok(blocks),
-            ResidualStore::Host(_) => Err(CoreError::Invalid(
-                "cluster backend requires a blocked residual".into(),
-            )),
-        }
-    }
-
-    /// Mutable [`ResidualStore::blocked`].
-    pub fn blocked_mut(&mut self) -> Result<&mut [ResidualBlock]> {
-        match self {
-            ResidualStore::Blocked { blocks } => Ok(blocks),
-            ResidualStore::Host(_) => Err(CoreError::Invalid(
-                "cluster backend requires a blocked residual".into(),
-            )),
-        }
-    }
-}
 
 /// Per-mode scratch matrices for one [`mode_step`], all `Iₙ×R`.
 struct ModeBuffers {
     /// `ηA − Y` for the B-update; dead afterwards, so it doubles as the
     /// `B − A_new` difference buffer of the Y-update.
     rhs: Mat,
-    /// The sparse MTTKRP part `E₍ₙ₎U⁽ⁿ⁾`.
-    sparse: Mat,
     /// `A⁽ⁿ⁾F⁽ⁿ⁾`, accumulated into the full numerator `H + ηB + Y`.
     numer: Mat,
     /// The solved `A⁽ⁿ⁾ₜ₊₁`; swapped into the model after all modes.
@@ -184,6 +99,14 @@ struct ModeBuffers {
 /// iteration 0 and reused for the whole run.
 pub(crate) struct Workspace {
     modes: Vec<ModeBuffers>,
+    /// The bank: the sparse MTTKRP part `E₍ₙ₎U⁽ⁿ⁾` of every mode (`Iₙ×R`
+    /// each), written by the fused sweep for the modes it banks and by
+    /// [`StepBackend::sparse_mttkrp`] for the rest, read once per mode
+    /// step.
+    bank: Vec<Mat>,
+    /// How many leading modes of `bank` the last sweep filled for the
+    /// iteration about to run.
+    banked: usize,
     /// The `R×R` Gram product `F⁽ⁿ⁾`, shifted into the regularized
     /// denominator in place each mode step.
     f: Mat,
@@ -192,9 +115,9 @@ pub(crate) struct Workspace {
 }
 
 /// Everything Algorithm 1 iterates on: the factors, the ADMM auxiliaries
-/// `B`/`Y`, the cached Grams, the penalty `η`, the residual, and the
-/// Algorithm 2 boundaries the backend decomposed its kernels with.
-pub(crate) struct SolverState {
+/// `B`/`Y`, the cached Grams, the penalty `η`, and the residual in the
+/// backend's decomposition `R` ([`StepBackend::Residual`]).
+pub(crate) struct SolverState<R> {
     /// The CP model `[[A⁽¹⁾,…,A⁽ᴺ⁾]]`.
     pub model: KruskalTensor,
     /// Cached per-factor Grams `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` (Eq. 12).
@@ -205,47 +128,39 @@ pub(crate) struct SolverState {
     pub y_mul: Vec<Mat>,
     /// Current penalty parameter `η`.
     pub eta: f64,
-    /// The residual tensor, in the backend's layout.
-    pub residual: ResidualStore,
-    /// Per-mode Algorithm-2 cut points the backend's decomposition was
-    /// derived from (host: greedy thread blocking; cluster: the mode
-    /// partition boundaries). Kept on the state so the decomposition that
-    /// produced a run's bits is inspectable.
-    pub boundaries: Vec<Vec<usize>>,
+    /// The residual tensor. Its values are refreshed in place every
+    /// iteration ([`StepBackend::fused_step`]); the support never changes
+    /// after construction.
+    pub residual: R,
     /// Preallocated iteration scratch.
     pub ws: Workspace,
 }
 
-impl SolverState {
+impl<R> SolverState<R> {
     /// Size all solver-owned state for `observed` before iteration 0.
     ///
     /// `initial` seeds the factors (warm start); otherwise they are the
     /// seeded random init of Algorithm 1 line 1. Grams start as zero
     /// placeholders — [`run`]'s prologue fills them through the backend
-    /// before anything reads them. The residual store arrives from the
-    /// driver with its support laid out but its *values* stale; the
-    /// prologue refreshes those too.
+    /// before anything reads them. The residual arrives from the driver
+    /// with its support laid out but its *values* stale; the prologue
+    /// refreshes those too.
     pub fn new(
         observed: &CooTensor,
         truncated: &[TruncatedLaplacian],
         cfg: &AdmmConfig,
         initial: Option<KruskalTensor>,
-        residual: ResidualStore,
-        boundaries: Vec<Vec<usize>>,
+        residual: R,
     ) -> Result<Self> {
-        let shape = observed.shape().to_vec();
+        let shape = observed.shape();
         let rank = cfg.rank;
-        let model =
-            initial.unwrap_or_else(|| KruskalTensor::random(&shape, rank, cfg.seed));
-        let b_aux: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, rank)).collect();
-        let y_mul: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, rank)).collect();
-        let grams: Vec<Mat> = shape.iter().map(|_| Mat::zeros(rank, rank)).collect();
+        let model = initial.unwrap_or_else(|| KruskalTensor::random(shape, rank, cfg.seed));
+        let per_mode = || -> Vec<Mat> { shape.iter().map(|&d| Mat::zeros(d, rank)).collect() };
         let modes = shape
             .iter()
             .zip(truncated)
             .map(|(&d, tr)| ModeBuffers {
                 rhs: Mat::zeros(d, rank),
-                sparse: Mat::zeros(d, rank),
                 numer: Mat::zeros(d, rank),
                 next: Mat::zeros(d, rank),
                 shift: ShiftedInverseScratch::new(tr, rank),
@@ -253,6 +168,8 @@ impl SolverState {
             .collect();
         let ws = Workspace {
             modes,
+            bank: per_mode(),
+            banked: 0,
             f: Mat::zeros(rank, rank),
             // Seed the factorization buffer with any SPD matrix of the
             // right size; every use goes through `refactor` first.
@@ -260,31 +177,47 @@ impl SolverState {
         };
         Ok(SolverState {
             model,
-            grams,
-            b_aux,
-            y_mul,
+            grams: shape.iter().map(|_| Mat::zeros(rank, rank)).collect(),
+            b_aux: per_mode(),
+            y_mul: per_mode(),
             eta: cfg.eta0,
             residual,
-            boundaries,
             ws,
         })
+    }
+
+    /// Overlay a snapshot's factors, duals `Y` and penalty `η` (the
+    /// inverse of [`Checkpoint::capture`]) and return where the loop
+    /// continues. The residual values are the caller's to restore — their
+    /// order is the decomposition's — and [`run`] must then be entered
+    /// with `residual_fresh`.
+    pub fn restore(&mut self, ck: &Checkpoint) -> Result<ResumePoint> {
+        self.model = KruskalTensor::new(ck.factors.clone())?;
+        self.y_mul = ck.y_mul.clone();
+        self.eta = ck.eta;
+        Ok(ResumePoint { start_iter: ck.iters_done, trace: ck.trace.clone() })
     }
 }
 
 /// What a driver plugs into the shared iteration: its decomposition of
-/// the three data-dependent kernels (sparse MTTKRP, Gram refresh,
-/// residual refresh), its trace clock, and — for the distributed driver —
-/// accounting hooks at the exact points the pre-refactor loop charged
-/// the cluster. Hook defaults are no-ops (the host charges nothing).
+/// the residual and of the data-dependent kernels over it (sparse MTTKRP,
+/// Gram refresh, the end-of-iteration sweep), its trace clock, and — for
+/// the distributed driver — accounting hooks at the exact points the
+/// pre-refactor loop charged the cluster. Hook defaults are no-ops (the
+/// host charges nothing).
 pub(crate) trait StepBackend {
+    /// The residual `E = Ω∗(T − [[A…]])` in this backend's decomposition.
+    type Residual;
+
     /// The sparse MTTKRP `E₍ₙ₎U⁽ⁿ⁾` for `mode`, written into `out`
-    /// (`Iₙ×R`), decomposed however this backend decomposes it. Must be
-    /// bit-identical to the sequential entry-order sweep for the host
-    /// backend; the cluster backend's block association is its own fixed
-    /// order (matching the serial oracle to rounding, not bits).
+    /// (`Iₙ×R`), decomposed however this backend decomposes it. Called
+    /// only for modes the last sweep did not bank. Must be bit-identical
+    /// to the sequential entry-order sweep for the host backend; the
+    /// cluster backend's block association is its own fixed order
+    /// (matching the serial oracle to rounding, not bits).
     fn sparse_mttkrp(
         &mut self,
-        residual: &ResidualStore,
+        residual: &Self::Residual,
         model: &KruskalTensor,
         mode: usize,
         out: &mut Mat,
@@ -294,46 +227,32 @@ pub(crate) trait StepBackend {
     /// association order.
     fn refresh_gram(&mut self, factor: &Mat, mode: usize, out: &mut Mat) -> Result<()>;
 
-    /// Refresh the residual values against the freshly swapped model
-    /// (Algorithm 3 line 13 / Eq. 14).
-    fn refresh_residual(
-        &mut self,
-        observed: &CooTensor,
-        model: &KruskalTensor,
-        residual: &mut ResidualStore,
-    ) -> Result<()>;
-
-    /// The end-of-iteration residual refresh plus the `‖E‖²_F` reduction,
-    /// optionally fused with the *next* iteration's MTTKRPs.
+    /// The end-of-iteration sweep: refresh the residual values against
+    /// the freshly swapped model (Algorithm 3 line 13 / Eq. 14), reduce
+    /// `‖E‖²_F`, and bank the *next* iteration's MTTKRPs.
     ///
-    /// The model this step reads is exactly the model every one of the
-    /// next iteration's mode steps reads (the Jacobi swap has already
-    /// happened, and the next one waits for all modes), and the residual
-    /// it writes is the one they read. So a backend may bank any mode: it
-    /// may compute `E₍ₙ₎U⁽ⁿ⁾` for any subset of modes during the same
-    /// sweep that refreshes `E`, stash them, and serve each from the
-    /// stash when [`StepBackend::sparse_mttkrp`] is next called for that
-    /// mode — turning N+1 passes over the nonzeros per iteration into N
-    /// (mode 0 banked) or 1 (all modes banked). A mode without a stash
-    /// computes its own sweep. `fuse_next` is false when no further
-    /// iteration will run (cap reached or converged), in which case a
-    /// stash would be dead work and backends should fall back to the
-    /// plain refresh.
+    /// `bank` is the workspace's per-mode `Iₙ×R` buffers, or empty when
+    /// nothing may be banked (fusion is off, or no further iteration will
+    /// run — a banked MTTKRP would be dead work). The model this step
+    /// reads is exactly the model every one of the next iteration's mode
+    /// steps reads (the Jacobi swap has already happened, and the next one
+    /// waits for all modes), and the residual it writes is the one they
+    /// read. So a backend may overwrite `bank[n]` with `E₍ₙ₎U⁽ⁿ⁾` for the
+    /// leading `k ≤ bank.len()` modes during the same sweep that refreshes
+    /// `E` and return that `k` beside `‖E‖²_F` — turning N+1 passes over
+    /// the nonzeros per iteration into N (`k = 1`) or 1 (`k = N`). Modes
+    /// `k..N` compute their own sweep.
     ///
-    /// Whatever the backend does must be bit-identical to the default
-    /// body: the refreshed `E` values, the returned `‖E‖²_F` (same fold
-    /// order as [`ResidualStore::frob_norm_sq`]), and every stashed MTTKRP
-    /// must all match the unfused schedule bit-for-bit.
+    /// Whatever the backend banks must be bit-identical to the unfused
+    /// schedule: the refreshed `E` values, the returned `‖E‖²_F` (the
+    /// decomposition's fixed fold order), and every banked MTTKRP.
     fn fused_step(
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,
-        residual: &mut ResidualStore,
-        _fuse_next: bool,
-    ) -> Result<f64> {
-        self.refresh_residual(observed, model, residual)?;
-        Ok(residual.frob_norm_sq())
-    }
+        residual: &mut Self::Residual,
+        bank: &mut [Mat],
+    ) -> Result<(f64, usize)>;
 
     /// Timestamp for iteration `iter`'s trace point (wall clock on the
     /// host, the cluster's virtual clock distributed).
@@ -345,6 +264,12 @@ pub(crate) trait StepBackend {
     }
     /// Charged after the Gram product `F⁽ⁿ⁾` is formed on the driver.
     fn on_gram_product(&mut self) -> Result<()> {
+        Ok(())
+    }
+    /// Charged for the sparse MTTKRP of `mode`, every mode of every
+    /// iteration — banked or not: banking saves local compute, not the
+    /// rows a cluster moves.
+    fn on_sparse_mttkrp(&mut self, _mode: usize) -> Result<()> {
         Ok(())
     }
     /// Charged after the denominator is assembled, before the `R×R`
@@ -384,14 +309,14 @@ pub(crate) trait StepBackend {
 /// it into the model after *all* modes finish (the Jacobi ordering that
 /// makes the mode updates distributable).
 pub(crate) fn mode_step<B: StepBackend>(
-    st: &mut SolverState,
+    st: &mut SolverState<B::Residual>,
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
     backend: &mut B,
     n: usize,
 ) -> Result<()> {
-    let SolverState { model, grams, b_aux, y_mul, eta, residual, ws, .. } = st;
-    let Workspace { modes, f, chol } = ws;
+    let SolverState { model, grams, b_aux, y_mul, eta, residual, ws } = st;
+    let Workspace { modes, bank, banked, f, chol } = ws;
     let mb = &mut modes[n];
     let eta = *eta;
 
@@ -411,10 +336,16 @@ pub(crate) fn mode_step<B: StepBackend>(
     gram_product_into(grams, n, f)?;
     backend.on_gram_product()?;
 
-    // Line 10 + Eq. 16: H = A⁽ⁿ⁾ₜFⁿₜ + E₍ₙ₎U⁽ⁿ⁾.
-    backend.sparse_mttkrp(residual, model, n, &mut mb.sparse)?;
+    // Line 10 + Eq. 16: H = A⁽ⁿ⁾ₜFⁿₜ + E₍ₙ₎U⁽ⁿ⁾. The last sweep already
+    // left E₍ₙ₎U⁽ⁿ⁾ in the bank for the leading `banked` modes — against
+    // these very factors and this residual, the Jacobi swap only happens
+    // after every mode stepped.
+    backend.on_sparse_mttkrp(n)?;
+    if n >= *banked {
+        backend.sparse_mttkrp(residual, model, n, &mut bank[n])?;
+    }
     model.factors()[n].matmul_into(f, &mut mb.numer)?;
-    mb.numer.axpy(1.0, &mb.sparse)?;
+    mb.numer.axpy(1.0, &bank[n])?;
 
     // Line 11: A⁽ⁿ⁾ₜ₊₁ ← (H + ηB + Y)(Fⁿₜ + λI + ηI)⁻¹.
     mb.numer.axpy(eta, &b_aux[n])?;
@@ -436,9 +367,8 @@ pub(crate) fn mode_step<B: StepBackend>(
     Ok(())
 }
 
-/// Where the loop continues from when recovering a checkpointed solve.
-/// The [`SolverState`] handed to [`run_resumable`] must already carry the
-/// checkpoint's factors, duals, penalty, and residual values.
+/// Where the loop continues from when recovering a checkpointed solve
+/// ([`SolverState::restore`] produces it).
 pub(crate) struct ResumePoint {
     /// Iterations already completed; the loop continues at this index.
     pub start_iter: usize,
@@ -450,14 +380,14 @@ pub(crate) struct ResumePoint {
 /// host driver writes [`checkpoint::Checkpoint`] files; the distributed
 /// driver serializes to its simulated reliable store and charges the
 /// cluster for the collect.
-pub(crate) trait CheckpointSink {
+pub(crate) trait CheckpointSink<R> {
     /// Persist the state after `iters_done` completed iterations.
     /// `st.eta` has already taken that iteration's schedule update, so a
     /// resume continues with exactly the penalty the next iteration would
     /// have read.
     fn save(
         &mut self,
-        st: &SolverState,
+        st: &SolverState<R>,
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()>;
@@ -467,37 +397,26 @@ pub(crate) trait CheckpointSink {
 /// 6–17): prologue Gram + residual refresh, then per iteration a Jacobi
 /// sweep of [`mode_step`]s, the factor swap with the convergence
 /// statistic, the residual refresh, the trace point, and the `η`
-/// schedule.
+/// schedule — with the fault-tolerance hooks attached: `resume` continues
+/// a checkpointed solve at its stored iteration cursor, and `sink`
+/// receives snapshots at the cadence of [`AdmmConfig::checkpoint`].
 ///
 /// `residual_fresh` is the streaming warm-start contract: when the
 /// caller guarantees the residual values are already exactly
 /// `Ω∗(T − [[A₀…]])` for the initial model (maintained incrementally by
-/// the delta apply path), the prologue residual refresh is skipped.
-/// Skipping is bit-invisible: a refresh would recompute the very same
-/// values (the delta path evaluates the model with the same fold the
-/// refresh kernels use), and the only other prologue effect — banking
-/// iteration 0's MTTKRPs — degrades to each mode computing its own
-/// sweep, whose output is pinned bit-identical to the banked one.
+/// the delta apply path, or restored from a snapshot), the prologue
+/// residual refresh is skipped. Skipping is bit-invisible: a refresh
+/// would recompute the very same values (the delta path evaluates the
+/// model with the same fold the refresh kernels use), and the only other
+/// prologue effect — banking iteration 0's MTTKRPs — degrades to each
+/// mode computing its own sweep, whose output is pinned bit-identical to
+/// the banked one.
 ///
-/// Alongside the result, the final residual store is handed back to the
+/// Alongside the result, the final residual is handed back to the
 /// caller; after the loop its values are always fresh with respect to
 /// the returned model (the last iteration's `fused_step` refreshed them
 /// after the final factor swap), which is what makes consecutive warm
 /// re-solves chainable.
-pub(crate) fn run<B: StepBackend>(
-    observed: &CooTensor,
-    truncated: &[TruncatedLaplacian],
-    cfg: &AdmmConfig,
-    backend: &mut B,
-    st: SolverState,
-    residual_fresh: bool,
-) -> Result<(CompletionResult, ResidualStore)> {
-    run_resumable(observed, truncated, cfg, backend, st, residual_fresh, None, None)
-}
-
-/// [`run`] with the fault-tolerance hooks attached: `resume` continues a
-/// checkpointed solve at its stored iteration cursor, and `sink` receives
-/// snapshots at the cadence of [`AdmmConfig::checkpoint`].
 ///
 /// **Bit-exact recovery invariant** (proven by `tests/fault_recovery.rs`
 /// at `DISTENC_THREADS=1` and `=4`): a solve resumed from a checkpoint of
@@ -507,20 +426,20 @@ pub(crate) fn run<B: StepBackend>(
 /// post-schedule `η`, residual values) or recomputed deterministically
 /// before its first read (Grams in the prologue; `B` is rewritten from
 /// `ηA − Y` each mode step). The one cross-iteration artifact *not*
-/// restored — the fused sweep's banked MTTKRPs — is bit-invisible by the
-/// [`StepBackend::fused_step`] contract: an absent stash degrades to
-/// that mode computing its own sweep with pinned-identical output.
+/// restored — the bank — is bit-invisible by the
+/// [`StepBackend::fused_step`] contract: with nothing banked every mode
+/// computes its own sweep, with pinned-identical output.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_resumable<B: StepBackend>(
+pub(crate) fn run<B: StepBackend>(
     observed: &CooTensor,
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
     backend: &mut B,
-    mut st: SolverState,
+    mut st: SolverState<B::Residual>,
     residual_fresh: bool,
     resume: Option<ResumePoint>,
-    mut sink: Option<&mut dyn CheckpointSink>,
-) -> Result<(CompletionResult, ResidualStore)> {
+    mut sink: Option<&mut dyn CheckpointSink<B::Residual>>,
+) -> Result<(CompletionResult, B::Residual)> {
     // Drivers validate at their API boundary; this guard keeps the shared
     // core safe against a zero-support tensor slipping through a future
     // caller (train RMSE would be 0/0 = NaN).
@@ -528,7 +447,6 @@ pub(crate) fn run_resumable<B: StepBackend>(
         return Err(CoreError::Invalid("observed tensor has no entries".into()));
     }
     let n_modes = st.model.order();
-    debug_assert_eq!(st.boundaries.len(), n_modes, "one boundary set per mode");
 
     let (start_iter, mut trace) = match resume {
         Some(r) => (r.start_iter, r.trace),
@@ -541,14 +459,13 @@ pub(crate) fn run_resumable<B: StepBackend>(
     // factors this sweep reads. A resumed solve re-runs the Gram
     // refresh (recomputing from the restored factors — same bits as the
     // interrupted run's cache) and always arrives with a fresh residual,
-    // so its prologue sweep is skipped.
+    // so its prologue sweep is skipped and it starts with nothing banked.
     for n in 0..n_modes {
         backend.refresh_gram(&st.model.factors()[n], n, &mut st.grams[n])?;
     }
     backend.on_grams_refreshed()?;
     if !residual_fresh {
-        let _ =
-            backend.fused_step(observed, &st.model, &mut st.residual, cfg.max_iters > start_iter)?;
+        sweep(observed, cfg, backend, &mut st, cfg.max_iters > start_iter)?;
     }
 
     trace.points.reserve(cfg.max_iters.saturating_sub(start_iter));
@@ -577,7 +494,7 @@ pub(crate) fn run_resumable<B: StepBackend>(
         // Line 13: refresh the cached residual for the next iteration —
         // fused with that iteration's MTTKRPs when one will run.
         let fuse_next = t + 1 < cfg.max_iters && delta >= cfg.tol;
-        let frob = backend.fused_step(observed, &st.model, &mut st.residual, fuse_next)?;
+        let frob = sweep(observed, cfg, backend, &mut st, fuse_next)?;
         let train_rmse = (frob / observed.nnz() as f64).sqrt();
         trace.push(TracePoint {
             iter: t,
@@ -606,4 +523,175 @@ pub(crate) fn run_resumable<B: StepBackend>(
 
     let SolverState { model, residual, .. } = st;
     Ok((CompletionResult { model, trace, iterations, converged }, residual))
+}
+
+/// One [`StepBackend::fused_step`]: the core's single decision of whether
+/// the sweep gets the bank (`fuse_next`: another iteration will read it),
+/// and the bookkeeping of what came back. Returns `‖E‖²_F`.
+fn sweep<B: StepBackend>(
+    observed: &CooTensor,
+    cfg: &AdmmConfig,
+    backend: &mut B,
+    st: &mut SolverState<B::Residual>,
+    fuse_next: bool,
+) -> Result<f64> {
+    let bank: &mut [Mat] = if cfg.fused && fuse_next { &mut st.ws.bank } else { &mut [] };
+    let (frob, banked) = backend.fused_step(observed, &st.model, &mut st.residual, bank)?;
+    debug_assert!(banked <= bank.len(), "a backend banks only what it was handed");
+    st.ws.banked = banked;
+    Ok(frob)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const N: usize = 3;
+
+    #[derive(Debug, PartialEq, Clone, Copy)]
+    enum Event {
+        /// `fused_step`, with the length of the bank it was handed.
+        Sweep(usize),
+        /// `on_sparse_mttkrp(mode)`.
+        Charge(usize),
+        /// `sparse_mttkrp(mode)`.
+        Mttkrp(usize),
+    }
+    use Event::*;
+
+    /// A backend with no residual that logs what the core asks of it and
+    /// claims to bank `k` modes whenever it is handed the bank.
+    struct Counting {
+        k: usize,
+        log: Vec<Event>,
+    }
+
+    impl StepBackend for Counting {
+        type Residual = ();
+
+        fn sparse_mttkrp(
+            &mut self,
+            _: &(),
+            _: &KruskalTensor,
+            mode: usize,
+            out: &mut Mat,
+        ) -> Result<()> {
+            self.log.push(Mttkrp(mode));
+            out.fill(0.0);
+            Ok(())
+        }
+
+        fn refresh_gram(&mut self, factor: &Mat, _mode: usize, out: &mut Mat) -> Result<()> {
+            Ok(factor.gram_into(out)?)
+        }
+
+        fn fused_step(
+            &mut self,
+            _: &CooTensor,
+            _: &KruskalTensor,
+            _: &mut (),
+            bank: &mut [Mat],
+        ) -> Result<(f64, usize)> {
+            self.log.push(Sweep(bank.len()));
+            Ok((1.0, self.k.min(bank.len())))
+        }
+
+        fn clock(&self, _iter: usize) -> f64 {
+            0.0
+        }
+
+        fn on_sparse_mttkrp(&mut self, mode: usize) -> Result<()> {
+            self.log.push(Charge(mode));
+            Ok(())
+        }
+    }
+
+    /// Drive [`run`] on a tiny order-3 problem and return the backend's log
+    /// with the iteration count.
+    fn drive(
+        k: usize,
+        cfg: &AdmmConfig,
+        residual_fresh: bool,
+        start_iter: usize,
+    ) -> (Vec<Event>, usize) {
+        let observed =
+            CooTensor::from_entries(vec![3, 2, 2], &[(&[0, 0, 0], 1.0), (&[2, 1, 1], -0.5)])
+                .unwrap();
+        let truncated: Vec<_> =
+            observed.shape().iter().map(|&d| TruncatedLaplacian::zero(d)).collect();
+        let st = SolverState::new(&observed, &truncated, cfg, None, ()).unwrap();
+        let resume = (start_iter > 0)
+            .then(|| ResumePoint { start_iter, trace: ConvergenceTrace::new() });
+        let mut backend = Counting { k, log: Vec::new() };
+        let (result, ()) =
+            run(&observed, &truncated, cfg, &mut backend, st, residual_fresh, resume, None)
+                .unwrap();
+        (backend.log, result.iterations)
+    }
+
+    /// One iteration's mode steps when the sweep before it banked
+    /// `banked` modes: the charge for every mode, the kernel for the rest.
+    fn mode_steps(banked: usize) -> Vec<Event> {
+        (0..N)
+            .flat_map(|n| std::iter::once(Charge(n)).chain((n >= banked).then_some(Mttkrp(n))))
+            .collect()
+    }
+
+    fn cfg(max_iters: usize, tol: f64, fused: bool) -> AdmmConfig {
+        AdmmConfig { rank: 2, max_iters, tol, fused, ..Default::default() }
+    }
+
+    #[test]
+    fn only_unbanked_modes_are_swept_and_every_mode_is_charged() {
+        for k in 0..=N {
+            // Never converges: three full iterations. The prologue and the
+            // first two sweeps get the bank, the last one does not.
+            let (log, iters) = drive(k, &cfg(3, 0.0, true), false, 0);
+            assert_eq!(iters, 3);
+            let mut want = vec![Sweep(N)];
+            for t in 0..3 {
+                want.extend(mode_steps(k));
+                want.push(Sweep(if t < 2 { N } else { 0 }));
+            }
+            assert_eq!(log, want, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn nothing_is_banked_where_nothing_would_read_it() {
+        // Converged at iteration 0 (every delta is below an infinite
+        // tolerance): its sweep gets no bank, and no iteration follows.
+        let (log, iters) = drive(N, &cfg(5, f64::INFINITY, true), false, 0);
+        assert_eq!(iters, 1);
+        assert_eq!(log, [vec![Sweep(N)], mode_steps(N), vec![Sweep(0)]].concat());
+
+        // A carried residual skips the prologue sweep, so iteration 0
+        // starts with nothing banked whatever the backend could bank.
+        let (log, _) = drive(N, &cfg(2, 0.0, true), true, 0);
+        assert_eq!(
+            log,
+            [mode_steps(0), vec![Sweep(N)], mode_steps(N), vec![Sweep(0)]].concat()
+        );
+
+        // So does a resume, at its first iteration.
+        let (log, iters) = drive(N, &cfg(3, 0.0, true), true, 1);
+        assert_eq!(iters, 3);
+        assert_eq!(
+            log,
+            [mode_steps(0), vec![Sweep(N)], mode_steps(N), vec![Sweep(0)]].concat()
+        );
+
+        // A budget already spent runs nothing at all.
+        let (log, iters) = drive(N, &cfg(2, 0.0, true), false, 2);
+        assert_eq!((log, iters), (vec![Sweep(0)], 2));
+    }
+
+    #[test]
+    fn without_fusion_the_bank_is_never_handed_out() {
+        let (log, _) = drive(N, &cfg(2, 0.0, false), false, 0);
+        assert_eq!(
+            log,
+            [vec![Sweep(0)], mode_steps(0), vec![Sweep(0)], mode_steps(0), vec![Sweep(0)]].concat()
+        );
+    }
 }

@@ -11,15 +11,16 @@
 //! finite. The residual value `e_s` is *recomputed from the model at
 //! draw time* (`e = t − [[A…]](idx)`, via the same partial Hadamard
 //! product completed with the skipped row), so the backend never needs
-//! the `O(nnz)` residual refresh during the sketch phase: the residual
-//! store's values stay stale until the phase's final exact refresh.
+//! the `O(nnz)` residual refresh during the sketch phase: its residual (a
+//! [`TensorLayout`], like the host's, so the polish phase takes it over
+//! as is) keeps stale values until the phase's final exact refresh.
 //!
 //! **Pass economics.** One sketched iteration of an order-N tensor
 //! touches exactly `N·S` entries: `N−1` sampled MTTKRPs of `S` draws for
 //! modes `1..N`, plus one `S`-draw fused sweep ([`StepBackend::fused_step`])
-//! that estimates `‖E‖²_F` and banks the next iteration's mode-0 MTTKRP
-//! estimate from the same draws — mirroring the exact backend's N-pass
-//! fusion. The exact tier touches `N·nnz`; `tests/pass_count.rs` pins the
+//! that estimates `‖E‖²_F` and writes the next iteration's mode-0 MTTKRP
+//! estimate into the core's bank from the same draws — mirroring the
+//! exact backend's N-pass fusion. The exact tier touches `N·nnz`; `tests/pass_count.rs` pins the
 //! ratio through the entry-touch instrument
 //! ([`distenc_dataflow::passes::entries_touched`]). Sampled gathers are
 //! charged as entry touches but *not* as sweeps — they never traverse
@@ -34,13 +35,13 @@
 //! sketched golden trace pin this).
 //!
 //! **Hand-off invariant.** When [`StepBackend::fused_step`] is called
-//! with `fuse_next = false` (final or converged iteration), this backend
-//! performs a *full exact* residual refresh and returns the exact
-//! `‖E‖²_F`, so the residual values leaving the sketch phase satisfy the
+//! with an empty bank (final or converged iteration — the sketch phase
+//! always runs with fusion on), this backend performs a *full exact*
+//! residual refresh and returns the exact `‖E‖²_F`, so the residual values leaving the sketch phase satisfy the
 //! [`crate::ResidualHandoff`] invariant (`e = Ω∗(T − [[model…]])`) and
 //! the exact polish phase warm-starts without a prologue rebuild.
 
-use super::{ResidualStore, StepBackend};
+use super::StepBackend;
 use crate::Result;
 use distenc_dataflow::Executor;
 use distenc_linalg::sketch::{hadamard_rows_skip_into, SketchScratch};
@@ -48,7 +49,7 @@ use distenc_linalg::vec_ops::dot;
 use distenc_linalg::Mat;
 use distenc_tensor::residual::ResidualWorkspace;
 use distenc_tensor::sample::EntrySampler;
-use distenc_tensor::{CooTensor, KruskalTensor};
+use distenc_tensor::{CooTensor, KruskalTensor, TensorLayout};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,9 +77,6 @@ pub(crate) struct SketchedBackend<'t, C> {
     /// Executor for the end-of-phase exact refresh only.
     exec: Executor,
     res: ResidualWorkspace,
-    /// Stashed sampled mode-0 MTTKRP estimate banked by the fused sweep.
-    h0: Mat,
-    h0_ready: bool,
     clock: C,
 }
 
@@ -95,7 +93,6 @@ impl<'t, C: Fn(usize) -> f64> SketchedBackend<'t, C> {
     ) -> Result<Self> {
         let sampler = EntrySampler::norm_proportional(observed)?;
         let res = ResidualWorkspace::new(observed.nnz(), &exec);
-        let h0 = Mat::zeros(observed.shape()[0], rank);
         Ok(SketchedBackend {
             observed,
             sampler,
@@ -105,39 +102,20 @@ impl<'t, C: Fn(usize) -> f64> SketchedBackend<'t, C> {
             scratch: SketchScratch::new(rank),
             exec,
             res,
-            h0,
-            h0_ready: false,
             clock,
         })
     }
 
-    /// Draw the next sample set into the reusable buffer and charge the
-    /// entry-touch instrument (a gather, not a sweep).
-    fn draw(&mut self) {
+    /// One `S`-draw sampled pass for `mode`: overwrite `out` with the
+    /// importance-weighted MTTKRP estimate and return the matching
+    /// estimate of `‖E‖²_F = Σ e²` from the same draws. Charged to the
+    /// entry-touch instrument as a gather, not a sweep.
+    fn sample_into(&mut self, model: &KruskalTensor, mode: usize, out: &mut Mat) -> Result<f64> {
         self.sampler.draw_into(&mut self.rng, self.samples, &mut self.draws);
         crate::record_entry_gather(self.draws.len());
-    }
-}
-
-impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
-    fn sparse_mttkrp(
-        &mut self,
-        _residual: &ResidualStore,
-        model: &KruskalTensor,
-        mode: usize,
-        out: &mut Mat,
-    ) -> Result<()> {
-        if mode == 0 && self.h0_ready {
-            // The fused sweep already estimated this against the very
-            // same (post-swap) factors; serving the stash keeps the
-            // iteration at N·S touches.
-            self.h0_ready = false;
-            out.as_mut_slice().copy_from_slice(self.h0.as_slice());
-            return Ok(());
-        }
-        self.draw();
         out.fill(0.0);
         let inv_s = 1.0 / self.samples as f64;
+        let mut frob = 0.0;
         for &pos in &self.draws {
             let idx = self.observed.index(pos);
             // e = t − [[A…]](idx); the model evaluation completes the
@@ -145,13 +123,29 @@ impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
             hadamard_rows_skip_into(model.factors(), mode, idx, &mut self.scratch.had)?;
             let pred = dot(&self.scratch.had, model.factors()[mode].row(idx[mode]));
             let e = self.observed.value(pos) - pred;
-            let w = e * inv_s / self.sampler.prob(pos);
+            let p = self.sampler.prob(pos);
+            frob += e * e / p;
+            let w = e * inv_s / p;
             let row = out.row_mut(idx[mode]);
             for (o, &h) in row.iter_mut().zip(self.scratch.had.iter()) {
                 *o += w * h;
             }
         }
-        Ok(())
+        Ok(frob * inv_s)
+    }
+}
+
+impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
+    type Residual = TensorLayout;
+
+    fn sparse_mttkrp(
+        &mut self,
+        _residual: &TensorLayout,
+        model: &KruskalTensor,
+        mode: usize,
+        out: &mut Mat,
+    ) -> Result<()> {
+        self.sample_into(model, mode, out).map(|_| ())
     }
 
     fn refresh_gram(&mut self, factor: &Mat, _mode: usize, out: &mut Mat) -> Result<()> {
@@ -160,58 +154,27 @@ impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
         Ok(())
     }
 
-    fn refresh_residual(
-        &mut self,
-        observed: &CooTensor,
-        model: &KruskalTensor,
-        residual: &mut ResidualStore,
-    ) -> Result<()> {
-        // The one exact kernel this backend runs — dispatched through the
-        // layout like the host backend's, so a sketched solve on a CSF or
-        // tiled layout keeps its acceleration structure in sync.
-        residual
-            .host_mut()?
-            .refresh_values(observed, model, &mut self.res, &self.exec)?;
-        Ok(())
-    }
-
     fn fused_step(
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,
-        residual: &mut ResidualStore,
-        fuse_next: bool,
-    ) -> Result<f64> {
-        if !fuse_next {
+        residual: &mut TensorLayout,
+        bank: &mut [Mat],
+    ) -> Result<(f64, usize)> {
+        let Some(h0) = bank.first_mut() else {
             // Final (or converged) iteration of the sketch phase: restore
             // the hand-off invariant with one exact refresh so the polish
-            // phase — or a streaming carry — starts from fresh values.
-            self.h0_ready = false;
-            self.refresh_residual(observed, model, residual)?;
-            return Ok(residual.frob_norm_sq());
-        }
-        // One S-draw sweep estimates ‖E‖²_F = Σ e² (importance-weighted)
-        // and banks the mode-0 MTTKRP estimate from the same draws — the
-        // sampled analogue of the exact backend's fused pass.
-        self.draw();
-        self.h0.fill(0.0);
-        let inv_s = 1.0 / self.samples as f64;
-        let mut frob = 0.0;
-        for &pos in &self.draws {
-            let idx = self.observed.index(pos);
-            hadamard_rows_skip_into(model.factors(), 0, idx, &mut self.scratch.had)?;
-            let pred = dot(&self.scratch.had, model.factors()[0].row(idx[0]));
-            let e = self.observed.value(pos) - pred;
-            let p = self.sampler.prob(pos);
-            frob += e * e / p;
-            let w = e * inv_s / p;
-            let row = self.h0.row_mut(idx[0]);
-            for (o, &h) in row.iter_mut().zip(self.scratch.had.iter()) {
-                *o += w * h;
-            }
-        }
-        self.h0_ready = true;
-        Ok(frob * inv_s)
+            // phase — or a streaming carry — starts from fresh values. The
+            // one exact kernel this backend runs is dispatched through the
+            // layout like the host backend's, so a sketched solve on a CSF
+            // or tiled layout keeps its acceleration structure in sync.
+            residual.refresh_values(observed, model, &mut self.res, &self.exec)?;
+            return Ok((residual.frob_norm_sq(), 0));
+        };
+        // One S-draw pass estimates ‖E‖²_F and banks the mode-0 MTTKRP
+        // estimate from the same draws — the sampled analogue of the exact
+        // backend's fused pass.
+        Ok((self.sample_into(model, 0, h0)?, 1))
     }
 
     fn clock(&self, iter: usize) -> f64 {

@@ -13,44 +13,21 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
-    /// Factor a symmetric positive-definite matrix.
+    /// Factor a symmetric positive-definite matrix
+    /// ([`Cholesky::refactor`] into a fresh buffer).
     ///
     /// Only the lower triangle of `a` is read; symmetry of the upper
     /// triangle is the caller's responsibility (all call sites build the
     /// matrix from Gram products plus positive diagonal shifts, which are
     /// exactly symmetric).
     pub fn factor(a: &Mat) -> Result<Cholesky> {
-        let n = a.rows();
-        if a.cols() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "cholesky",
-                lhs: a.shape(),
-                rhs: a.shape(),
-            });
-        }
-        let mut l = Mat::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a.get(i, j);
-                for k in 0..j {
-                    sum -= l.get(i, k) * l.get(j, k);
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: i, value: sum });
-                    }
-                    l.set(i, j, sum.sqrt());
-                } else {
-                    l.set(i, j, sum / l.get(j, j));
-                }
-            }
-        }
-        Ok(Cholesky { l })
+        let mut ch = Cholesky { l: Mat::zeros(a.rows(), a.rows()) };
+        ch.refactor(a)?;
+        Ok(ch)
     }
 
-    /// Re-factor a new matrix of the same dimension into this
-    /// factorization's existing buffer, bit-identical to
-    /// [`Cholesky::factor`] with no allocation.
+    /// Factor a new matrix of the same dimension into this
+    /// factorization's existing buffer, with no allocation.
     ///
     /// The algorithm only ever writes the lower triangle (each entry
     /// exactly once, reading only entries written earlier in the same
@@ -62,7 +39,7 @@ impl Cholesky {
         let n = self.dim();
         if a.shape() != (n, n) {
             return Err(LinalgError::ShapeMismatch {
-                op: "cholesky refactor",
+                op: "cholesky",
                 lhs: (n, n),
                 rhs: a.shape(),
             });
@@ -150,33 +127,23 @@ impl Cholesky {
     }
 
     /// Solve `X A = B` for `X` (i.e. `X = B A⁻¹`), the orientation used by
-    /// the factor update `A⁽ⁿ⁾ ← (…)(UᵀU + λI + ηI)⁻¹`.
-    ///
-    /// Since `A` is symmetric, `X A = B  ⇔  A Xᵀ = Bᵀ`; we solve each *row*
-    /// of `B` directly and avoid materializing transposes.
+    /// the factor update `A⁽ⁿ⁾ ← (…)(UᵀU + λI + ηI)⁻¹`
+    /// ([`Cholesky::solve_right_into`] on a fresh buffer).
     pub fn solve_right(&self, b: &Mat) -> Result<Mat> {
-        let n = self.dim();
-        if b.cols() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "cholesky solve_right",
-                lhs: b.shape(),
-                rhs: (n, n),
-            });
-        }
-        let mut out = b.clone();
-        for i in 0..out.rows() {
-            self.solve_vec_in_place(out.row_mut(i))?;
-        }
+        let mut out = Mat::zeros(b.rows(), b.cols());
+        self.solve_right_into(b, &mut out)?;
         Ok(out)
     }
 
-    /// Solve `X A = B` into a caller-owned buffer, bit-identical to
-    /// [`Cholesky::solve_right`] (copy `B`, then solve each row in place).
+    /// Solve `X A = B` into a caller-owned buffer.
+    ///
+    /// Since `A` is symmetric, `X A = B  ⇔  A Xᵀ = Bᵀ`; each *row* of `B`
+    /// is copied and solved in place, so no transpose is materialized.
     pub fn solve_right_into(&self, b: &Mat, out: &mut Mat) -> Result<()> {
         let n = self.dim();
         if b.cols() != n || out.shape() != b.shape() {
             return Err(LinalgError::ShapeMismatch {
-                op: "cholesky solve_right_into",
+                op: "cholesky solve_right",
                 lhs: b.shape(),
                 rhs: out.shape(),
             });
@@ -263,23 +230,78 @@ mod tests {
         }
     }
 
+    /// Cholesky–Banachiewicz on nested vectors, then `X A = B` row by row
+    /// (forward, then back substitution): the textbook recurrences with
+    /// each sum folded in ascending `k`, which is the order the kernels
+    /// use — so results compare with `==`, through no shared code.
+    fn naive_factor(a: &Mat) -> Vec<Vec<f64>> {
+        let n = a.rows();
+        let mut l = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a.get(i, j);
+                for k in 0..j {
+                    sum -= l[i][k] * l[j][k];
+                }
+                l[i][j] = if i == j { sum.sqrt() } else { sum / l[j][j] };
+            }
+        }
+        l
+    }
+
+    fn naive_solve_right(l: &[Vec<f64>], b: &Mat) -> Mat {
+        let n = l.len();
+        let mut x = b.clone();
+        for row in 0..b.rows() {
+            let v = x.row_mut(row);
+            for i in 0..n {
+                let mut sum = v[i];
+                for k in 0..i {
+                    sum -= l[i][k] * v[k];
+                }
+                v[i] = sum / l[i][i];
+            }
+            for i in (0..n).rev() {
+                let mut sum = v[i];
+                for k in (i + 1)..n {
+                    sum -= l[k][i] * v[k];
+                }
+                v[i] = sum / l[i][i];
+            }
+        }
+        x
+    }
+
+    fn assert_factor_is(ch: &Cholesky, want: &[Vec<f64>]) {
+        for (i, row) in want.iter().enumerate() {
+            assert_eq!(ch.l().row(i), row.as_slice(), "row {i}");
+        }
+    }
+
     #[test]
     fn refactor_and_solve_right_into_are_bit_identical() {
         let a1 = spd(5, 3);
         let a2 = spd(5, 44);
         let b = Mat::random(9, 5, 8);
+        let (l1, l2) = (naive_factor(&a1), naive_factor(&a2));
 
         // Start from an unrelated factorization and refactor twice: the
-        // buffer reuse must leave no trace of the previous matrix.
+        // buffer reuse must leave no trace of the previous matrix (the
+        // upper triangle stays zero, as in the oracle).
         let mut ch = Cholesky::factor(&a1).unwrap();
+        assert_factor_is(&ch, &l1);
         ch.refactor(&a2).unwrap();
-        assert_eq!(ch.l(), Cholesky::factor(&a2).unwrap().l());
+        assert_factor_is(&ch, &l2);
         ch.refactor(&a1).unwrap();
-        assert_eq!(ch.l(), Cholesky::factor(&a1).unwrap().l());
+        assert_factor_is(&ch, &l1);
 
+        let want = naive_solve_right(&l1, &b);
         let mut out = Mat::random(9, 5, 100); // dirty on purpose
         ch.solve_right_into(&b, &mut out).unwrap();
-        assert_eq!(out, ch.solve_right(&b).unwrap());
+        assert_eq!(out, want);
+        assert_eq!(ch.solve_right(&b).unwrap(), want);
+        assert!(ch.solve_right_into(&b, &mut Mat::zeros(9, 4)).is_err());
+        assert!(ch.solve_right(&Mat::zeros(9, 4)).is_err());
     }
 
     #[test]

@@ -143,86 +143,31 @@ impl Mat {
         t
     }
 
-    /// Matrix product `self * rhs`.
+    /// Matrix product `self * rhs` ([`Mat::matmul_into`] on a fresh buffer).
     pub fn matmul(&self, rhs: &Mat) -> Result<Mat> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
         let mut out = Mat::zeros(self.rows, rhs.cols);
-        // i-k-j loop order: the inner loop walks contiguous rows of `rhs`
-        // and `out`, which vectorizes well.
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b;
-                }
-            }
-        }
+        self.matmul_into(rhs, &mut out)?;
         Ok(out)
     }
 
-    /// Gram matrix `selfᵀ * self` (the `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` self-products of §III-C).
-    ///
-    /// Exploits symmetry: only the upper triangle is computed then mirrored.
+    /// Gram matrix `selfᵀ * self` (the `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` self-products of §III-C),
+    /// [`Mat::gram_into`] on a fresh buffer.
     pub fn gram(&self) -> Mat {
-        let r = self.cols;
-        let mut g = Mat::zeros(r, r);
-        for row in self.rows_iter() {
-            for j in 0..r {
-                let v = row[j];
-                if v == 0.0 {
-                    continue;
-                }
-                let g_row = &mut g.data[j * r..(j + 1) * r];
-                for (k, &w) in row.iter().enumerate().skip(j) {
-                    g_row[k] += v * w;
-                }
-            }
-        }
-        // Mirror the strictly-upper triangle into the lower one.
-        for j in 0..r {
-            for k in (j + 1)..r {
-                g.data[k * r + j] = g.data[j * r + k];
-            }
-        }
+        let mut g = Mat::zeros(self.cols, self.cols);
+        self.gram_into(&mut g).expect("a fresh R×R buffer matches");
         g
     }
 
     /// Partial Gram: the contribution of rows `rows.start..rows.end` to
     /// `selfᵀ * self`, upper triangle only (the lower triangle is left
-    /// zero). Summing the partials of a disjoint cover of `0..rows()` in
-    /// a fixed order and then calling [`Mat::mirror_upper`] yields a full
-    /// Gram matrix whose bits depend only on that cover and order — never
-    /// on which thread computed which partial. Out-of-range rows are
-    /// clamped off.
+    /// zero) — [`Mat::gram_range_into`] on a fresh buffer. Summing the
+    /// partials of a disjoint cover of `0..rows()` in a fixed order and
+    /// then calling [`Mat::mirror_upper`] yields a full Gram matrix whose
+    /// bits depend only on that cover and order — never on which thread
+    /// computed which partial. Out-of-range rows are clamped off.
     pub fn gram_range(&self, rows: std::ops::Range<usize>) -> Mat {
-        let r = self.cols;
-        let mut g = Mat::zeros(r, r);
-        let lo = rows.start.min(self.rows);
-        let hi = rows.end.min(self.rows);
-        for i in lo..hi {
-            let row = &self.data[i * r..(i + 1) * r];
-            for j in 0..r {
-                let v = row[j];
-                if v == 0.0 {
-                    continue;
-                }
-                let g_row = &mut g.data[j * r..(j + 1) * r];
-                for (k, &w) in row.iter().enumerate().skip(j) {
-                    g_row[k] += v * w;
-                }
-            }
-        }
+        let mut g = Mat::zeros(self.cols, self.cols);
+        self.gram_range_into(rows, &mut g).expect("a fresh R×R buffer matches");
         g
     }
 
@@ -292,10 +237,11 @@ impl Mat {
         }
     }
 
-    /// `self * alpha` as a new matrix.
+    /// `self * alpha` as a new matrix ([`Mat::scaled_into`] on a fresh
+    /// buffer).
     pub fn scaled(&self, alpha: f64) -> Mat {
-        let mut out = self.clone();
-        out.scale(alpha);
+        let mut out = Mat::zeros(self.rows, self.cols);
+        self.scaled_into(alpha, &mut out).expect("a fresh buffer of this shape matches");
         out
     }
 
@@ -417,13 +363,13 @@ impl Mat {
         out
     }
 
-    // ----- in-place variants ------------------------------------------------
+    // ----- in-place kernels -------------------------------------------------
     //
     // The solver core preallocates every buffer once and runs its steady
-    // state through these `_into` methods. Each is the exact loop of its
-    // allocating counterpart with the output buffer supplied by the
-    // caller, so results are bit-identical — asserted with `assert_eq!`
-    // (not tolerances) in the tests below.
+    // state through these `_into` methods. They are the implementations:
+    // `matmul`, `gram`, `gram_range` and `scaled` are each one of them on a
+    // fresh buffer, so there is one loop per kernel and nothing to keep
+    // bit-identical.
 
     /// Set every entry to `v`.
     pub fn fill(&mut self, v: f64) {
@@ -443,7 +389,7 @@ impl Mat {
         Ok(())
     }
 
-    /// `out = self * alpha`, bit-identical to [`Mat::scaled`].
+    /// `out = self * alpha`.
     pub fn scaled_into(&self, alpha: f64, out: &mut Mat) -> Result<()> {
         if self.shape() != out.shape() {
             return Err(LinalgError::ShapeMismatch {
@@ -477,13 +423,14 @@ impl Mat {
         Ok(())
     }
 
-    /// `out = self * rhs`, bit-identical to [`Mat::matmul`]. The output is
-    /// zeroed first: the product accumulates into it with the same i-k-j
-    /// loop (including the `a_ik == 0.0` skip).
+    /// `out = self * rhs`. The output is zeroed first and the product
+    /// accumulates into it in i-k-j order: the inner loop walks contiguous
+    /// rows of `rhs` and `out`, which vectorizes well. Zero entries of
+    /// `self` are skipped.
     pub fn matmul_into(&self, rhs: &Mat, out: &mut Mat) -> Result<()> {
         if self.cols != rhs.rows || out.shape() != (self.rows, rhs.cols) {
             return Err(LinalgError::ShapeMismatch {
-                op: "matmul_into",
+                op: "matmul",
                 lhs: self.shape(),
                 rhs: rhs.shape(),
             });
@@ -505,16 +452,17 @@ impl Mat {
         Ok(())
     }
 
-    /// `out = selfᵀ * self`, bit-identical to [`Mat::gram`].
+    /// `out = selfᵀ * self`. Exploits symmetry: only the upper triangle is
+    /// accumulated, then mirrored.
     pub fn gram_into(&self, out: &mut Mat) -> Result<()> {
         self.gram_range_into(0..self.rows, out)?;
         out.mirror_upper();
         Ok(())
     }
 
-    /// Partial Gram into a caller-owned buffer, bit-identical to
-    /// [`Mat::gram_range`] (upper triangle only; the buffer is zeroed
-    /// first, including its lower triangle).
+    /// Partial Gram into a caller-owned buffer (see [`Mat::gram_range`]):
+    /// upper triangle only; the buffer is zeroed first, including its
+    /// lower triangle.
     pub fn gram_range_into(&self, rows: std::ops::Range<usize>, out: &mut Mat) -> Result<()> {
         let r = self.cols;
         if out.shape() != (r, r) {
@@ -660,14 +608,39 @@ mod tests {
         assert_eq!(a.inner(&b).unwrap(), 11.0);
     }
 
+    /// `Σᵢ a(i,j)·a(i,k)` over `rows`, by index arithmetic, for `j ≤ k`;
+    /// the lower triangle mirrored or left zero.
+    fn naive_gram(a: &Mat, rows: std::ops::Range<usize>, mirror: bool) -> Mat {
+        let r = a.cols();
+        let mut g = Mat::zeros(r, r);
+        for j in 0..r {
+            for k in j..r {
+                let mut acc = 0.0;
+                for i in rows.clone() {
+                    acc += a.get(i, j) * a.get(i, k);
+                }
+                g.set(j, k, acc);
+                if mirror {
+                    g.set(k, j, acc);
+                }
+            }
+        }
+        g
+    }
+
     #[test]
     fn gram_range_full_cover_is_bitwise_gram() {
-        // A single range covering every row walks the exact same loop as
-        // `gram()`, so the result is bit-identical, not merely close.
+        // One range over every row, mirrored, is the Gram matrix — each
+        // checked against the index-arithmetic sum (same ascending-row
+        // fold per element, so exactly equal), not against each other.
         let a = Mat::random(17, 5, 42);
+        let want = naive_gram(&a, 0..17, true);
         let mut g = a.gram_range(0..17);
         g.mirror_upper();
-        assert_eq!(g, a.gram());
+        assert_eq!(g, want);
+        assert_eq!(a.gram(), want);
+        // Rows past the end are clamped off.
+        assert_eq!(a.gram_range(9..40), naive_gram(&a, 9..17, false));
     }
 
     #[test]
@@ -684,31 +657,53 @@ mod tests {
 
     #[test]
     fn into_variants_are_bit_identical_to_allocating_ones() {
-        // `assert_eq!` on `Mat` compares every f64 exactly: the `_into`
-        // kernels must reproduce the allocating results bit for bit.
+        // The allocating forms are the `_into` kernels on a fresh buffer,
+        // so both are checked against index-arithmetic oracles that share
+        // no loop with them (`assert_eq!` on `Mat` compares every f64
+        // exactly: each oracle folds its sum in the kernel's order), and
+        // every `_into` call lands in a dirty buffer.
         let a = Mat::random(7, 5, 3);
         let b = Mat::random(7, 5, 4);
         let sq = Mat::random(5, 5, 6);
+        let dirty = || Mat::random(7, 5, 99);
 
-        let mut out = Mat::zeros(7, 5);
+        let want = Mat::from_vec(7, 5, a.as_slice().iter().map(|v| v * 1.7).collect());
+        let mut out = dirty();
         a.scaled_into(1.7, &mut out).unwrap();
-        assert_eq!(out, a.scaled(1.7));
+        assert_eq!(out, want);
+        assert_eq!(a.scaled(1.7), want);
 
+        let diff = a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| x - y).collect();
+        let want = Mat::from_vec(7, 5, diff);
+        let mut out = dirty();
         a.sub_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.sub(&b).unwrap());
+        assert_eq!(out, want);
+        assert_eq!(a.sub(&b).unwrap(), want);
 
-        a.matmul_into(&sq, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&sq).unwrap());
-        // Repeat into a dirty buffer: the zeroing must erase stale state.
-        a.matmul_into(&sq, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&sq).unwrap());
+        let mut want = Mat::zeros(7, 5);
+        for i in 0..7 {
+            for j in 0..5 {
+                let mut acc = 0.0;
+                for k in 0..5 {
+                    acc += a.get(i, k) * sq.get(k, j);
+                }
+                want.set(i, j, acc);
+            }
+        }
+        let mut out = dirty();
+        // Twice: the zeroing must erase the first product too.
+        for _ in 0..2 {
+            a.matmul_into(&sq, &mut out).unwrap();
+            assert_eq!(out, want);
+        }
+        assert_eq!(a.matmul(&sq).unwrap(), want);
 
         let mut g = Mat::random(5, 5, 9); // dirty on purpose
         a.gram_into(&mut g).unwrap();
-        assert_eq!(g, a.gram());
-
+        assert_eq!(g, naive_gram(&a, 0..7, true));
         a.gram_range_into(2..6, &mut g).unwrap();
-        assert_eq!(g, a.gram_range(2..6));
+        assert_eq!(g, naive_gram(&a, 2..6, false));
+        assert_eq!(a.gram_range(2..6), naive_gram(&a, 2..6, false));
 
         let mut c = Mat::zeros(7, 5);
         c.copy_from(&a).unwrap();

@@ -63,7 +63,7 @@
 
 use crate::coo::CooTensor;
 use crate::kruskal::KruskalTensor;
-use crate::mttkrp::{dispatch_rank, validate, MttkrpWorkspace, RankKernel};
+use crate::mttkrp::{dispatch_rank, fold_entry, validate, MttkrpWorkspace, RankKernel};
 use crate::{Result, TensorError};
 use distenc_dataflow::Executor;
 use distenc_linalg::Mat;
@@ -354,20 +354,7 @@ fn fused_sweep_bucket(kernel: BucketFused<'_>, scratch: &mut [f64]) {
         let idx = observed.index(pos);
         let val = observed.value(pos) - eval_model(factors, idx, r);
         *slot = val;
-        scratch.iter_mut().for_each(|s| *s = val);
-        for (k, f) in factors.iter().enumerate() {
-            if k == mode {
-                continue;
-            }
-            let row = f.row(idx[k]);
-            for (s, &a) in scratch.iter_mut().zip(row) {
-                *s *= a;
-            }
-        }
-        let out = slab.row_mut(idx[mode] - lo);
-        for (o, &s) in out.iter_mut().zip(scratch.iter()) {
-            *o += s;
-        }
+        fold_entry(factors, idx, val, mode, scratch, slab.row_mut(idx[mode] - lo));
     }
 }
 
@@ -736,7 +723,7 @@ mod tests {
 
     #[test]
     fn fused_h_equals_blocked_mttkrp_against_fresh_residual() {
-        // The H the solver stashes must be interchangeable with the
+        // The H the solver banks must be interchangeable with the
         // `mttkrp_blocked_into` it replaces — from either fused kernel.
         let shape = [12, 10, 8];
         let x = random_coo(&shape, 200, 7);

@@ -39,6 +39,35 @@ pub(crate) fn dispatch_rank<K: RankKernel>(rank: usize, kernel: K) -> K::Out {
     }
 }
 
+/// One entry's MTTKRP contribution, the fold every entry-at-a-time
+/// kernel in the workspace shares: broadcast `v` into `scratch`, multiply
+/// in row `idx[k]` of every factor `k ≠ mode` in ascending `k`, and add
+/// the result into `out` (the output row of `idx[mode]`). `scratch` and
+/// `out` are rank-length. `#[inline(always)]` so a stack scratch's
+/// constant length propagates into the loop trip counts.
+#[inline(always)]
+pub fn fold_entry(
+    factors: &[Mat],
+    idx: &[usize],
+    v: f64,
+    mode: usize,
+    scratch: &mut [f64],
+    out: &mut [f64],
+) {
+    scratch.iter_mut().for_each(|s| *s = v);
+    for (k, f) in factors.iter().enumerate() {
+        if k == mode {
+            continue;
+        }
+        for (s, &a) in scratch.iter_mut().zip(f.row(idx[k])) {
+            *s *= a;
+        }
+    }
+    for (o, &s) in out.iter_mut().zip(scratch.iter()) {
+        *o += s;
+    }
+}
+
 /// Row-wise MTTKRP (Eq. 10/11): `H = X₍ₙ₎ U⁽ⁿ⁾` computed directly from COO
 /// entries without materializing `U⁽ⁿ⁾`:
 ///
@@ -53,20 +82,7 @@ pub fn mttkrp(x: &CooTensor, factors: &[Mat], mode: usize) -> Result<Mat> {
     let mut h = Mat::zeros(x.shape()[mode], r);
     let mut scratch = vec![0.0; r];
     for (idx, v) in x.iter() {
-        scratch.iter_mut().for_each(|s| *s = v);
-        for (k, f) in factors.iter().enumerate() {
-            if k == mode {
-                continue;
-            }
-            let row = f.row(idx[k]);
-            for (s, &a) in scratch.iter_mut().zip(row) {
-                *s *= a;
-            }
-        }
-        let out = h.row_mut(idx[mode]);
-        for (o, &s) in out.iter_mut().zip(&scratch) {
-            *o += s;
-        }
+        fold_entry(factors, idx, v, mode, &mut scratch, h.row_mut(idx[mode]));
     }
     Ok(h)
 }
@@ -79,15 +95,14 @@ pub fn gram_product(grams: &[Mat], mode: usize) -> Result<Mat> {
         return Err(TensorError::ShapeMismatch("no gram matrices".into()));
     }
     let r = grams[0].rows();
-    let mut acc = Mat::from_vec(r, r, vec![1.0; r * r]);
+    let mut acc = Mat::zeros(r, r);
     gram_product_into(grams, mode, &mut acc)?;
     Ok(acc)
 }
 
-/// Allocation-free [`gram_product`]: `out` is set to all-ones, then each
-/// non-`mode` Gram is Hadamard-multiplied in, in the same ascending-`k`
-/// order — elementwise products in an identical sequence, so the result
-/// is bit-identical.
+/// [`gram_product`] into a caller-owned `R×R` buffer: `out` is set to
+/// all-ones, then each non-`mode` Gram is Hadamard-multiplied in, in
+/// ascending `k`.
 pub fn gram_product_into(grams: &[Mat], mode: usize, out: &mut Mat) -> Result<()> {
     if grams.is_empty() {
         return Err(TensorError::ShapeMismatch("no gram matrices".into()));
@@ -214,21 +229,7 @@ pub(crate) fn sweep_bucket_entries(
     slab.fill(0.0);
     for &pos in bucket {
         let idx = x.index(pos);
-        let v = x.value(pos);
-        scratch.iter_mut().for_each(|s| *s = v);
-        for (k, f) in factors.iter().enumerate() {
-            if k == mode {
-                continue;
-            }
-            let row = f.row(idx[k]);
-            for (s, &a) in scratch.iter_mut().zip(row) {
-                *s *= a;
-            }
-        }
-        let out = slab.row_mut(idx[mode] - lo);
-        for (o, &s) in out.iter_mut().zip(scratch.iter()) {
-            *o += s;
-        }
+        fold_entry(factors, idx, x.value(pos), mode, scratch, slab.row_mut(idx[mode] - lo));
     }
 }
 
@@ -437,12 +438,28 @@ mod tests {
 
     #[test]
     fn gram_product_into_is_bit_identical() {
+        // `gram_product` is `gram_product_into` on a fresh buffer, so both
+        // are checked against the elementwise product written out by
+        // index (from 1.0, the other modes ascending — exact equality).
         let k = KruskalTensor::random(&[4, 6, 5], 3, 3);
         let grams: Vec<Mat> = k.factors().iter().map(Mat::gram).collect();
         let mut out = Mat::random(3, 3, 50); // dirty on purpose
         for mode in 0..3 {
+            let mut want = Mat::zeros(3, 3);
+            for i in 0..3 {
+                for j in 0..3 {
+                    let mut prod = 1.0;
+                    for (m, g) in grams.iter().enumerate() {
+                        if m != mode {
+                            prod *= g.get(i, j);
+                        }
+                    }
+                    want.set(i, j, prod);
+                }
+            }
             gram_product_into(&grams, mode, &mut out).unwrap();
-            assert_eq!(out, gram_product(&grams, mode).unwrap());
+            assert_eq!(out, want);
+            assert_eq!(gram_product(&grams, mode).unwrap(), want);
         }
         assert!(gram_product_into(&grams, 0, &mut Mat::zeros(2, 2)).is_err());
     }

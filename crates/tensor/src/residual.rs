@@ -21,44 +21,53 @@ use crate::{Result, TensorError};
 use distenc_dataflow::{even_ranges, Executor};
 use distenc_linalg::Mat;
 
-/// Compute the residual tensor `E = Ω ∗ (T − [[A…]])` (Eq. 14). `E` shares
-/// `T`'s support, so it is exactly as sparse as the observations.
-pub fn residual(observed: &CooTensor, model: &KruskalTensor) -> Result<CooTensor> {
-    if observed.shape() != model.shape().as_slice() {
+/// `model` must have `observed`'s shape. Compared without materializing
+/// `model.shape()` (a fresh `Vec`): the solver's per-iteration refresh
+/// goes through here and must stay allocation-free.
+fn check_model_shape(observed: &CooTensor, model: &KruskalTensor) -> Result<()> {
+    let shape_ok = model.factors().len() == observed.order()
+        && model.factors().iter().zip(observed.shape()).all(|(f, &d)| f.rows() == d);
+    if !shape_ok {
         return Err(TensorError::ShapeMismatch(format!(
             "observed shape {:?} vs model shape {:?}",
             observed.shape(),
             model.shape()
         )));
     }
-    crate::record_entry_sweep(observed.nnz());
-    let mut e = CooTensor::new(observed.shape().to_vec());
-    e.reserve(observed.nnz());
-    for (idx, v) in observed.iter() {
-        e.push(idx, v - model.eval(idx))?;
-    }
+    Ok(())
+}
+
+/// Compute the residual tensor `E = Ω ∗ (T − [[A…]])` (Eq. 14). `E` shares
+/// `T`'s support, so it is exactly as sparse as the observations: a clone
+/// of that support with [`residual_into`]'s values.
+pub fn residual(observed: &CooTensor, model: &KruskalTensor) -> Result<CooTensor> {
+    let mut e = observed.clone();
+    residual_into(observed, model, &mut e)?;
     Ok(e)
 }
 
-/// Update an existing residual in place (same support as `observed`),
-/// avoiding reallocation between iterations — this is the "calculate and
-/// cache the residual tensor" step of Algorithm 3.
+/// Update an existing residual in place, avoiding reallocation between
+/// iterations — this is the "calculate and cache the residual tensor"
+/// step of Algorithm 3. An `e` that does not share `observed`'s support
+/// (entry count and shape) is replaced by a clone of it first.
+///
+/// The loop is one [`KruskalTensor::eval`] per entry on purpose: this is
+/// the oracle the fused and refresh kernels are pinned against.
 pub fn residual_into(
     observed: &CooTensor,
     model: &KruskalTensor,
     e: &mut CooTensor,
 ) -> Result<()> {
+    check_model_shape(observed, model)?;
     if e.nnz() != observed.nnz() || e.shape() != observed.shape() {
-        *e = residual(observed, model)?;
-        return Ok(());
+        *e = observed.clone();
     }
     crate::record_entry_sweep(observed.nnz());
     for i in 0..observed.nnz() {
         let idx = observed.index(i);
-        let v = observed.value(i) - model.eval(idx);
         // Support is shared by construction, so positions line up.
         debug_assert_eq!(e.index(i), idx);
-        *e.value_mut(i) = v;
+        *e.value_mut(i) = observed.value(i) - model.eval(idx);
     }
     Ok(())
 }
@@ -116,17 +125,7 @@ pub fn residual_refresh_exec(
     ws: &mut ResidualWorkspace,
     exec: &Executor,
 ) -> Result<()> {
-    // Shape check without materializing `model.shape()` (a fresh `Vec`):
-    // this runs once per solver iteration and must stay allocation-free.
-    let shape_ok = model.factors().len() == observed.order()
-        && model.factors().iter().zip(observed.shape()).all(|(f, &d)| f.rows() == d);
-    if !shape_ok {
-        return Err(TensorError::ShapeMismatch(format!(
-            "observed shape {:?} vs model shape {:?}",
-            observed.shape(),
-            model.shape()
-        )));
-    }
+    check_model_shape(observed, model)?;
     if e.nnz() != observed.nnz() || e.shape() != observed.shape() {
         return Err(TensorError::ShapeMismatch(
             "residual refresh requires a residual sharing the observed support".into(),
@@ -257,13 +256,33 @@ mod tests {
 
     #[test]
     fn residual_into_reuses_support() {
-        let k = KruskalTensor::random(&[3, 3], 2, 9);
+        // Oracle: the dense model, cell by cell (`from_kruskal` sums the
+        // rank-one terms in its own order, so to rounding, not bits).
         let t = random_coo(&[3, 3], 5, 2);
-        let mut e = residual(&t, &k).unwrap();
-        let k2 = KruskalTensor::random(&[3, 3], 2, 10);
-        residual_into(&t, &k2, &mut e).unwrap();
-        let fresh = residual(&t, &k2).unwrap();
-        assert_eq!(e, fresh);
+        let k = KruskalTensor::random(&[3, 3], 2, 10);
+        let dense = DenseTensor::from_kruskal(&k);
+        let check = |e: &CooTensor| {
+            assert_eq!(e.nnz(), t.nnz());
+            for i in 0..t.nnz() {
+                assert_eq!(e.index(i), t.index(i), "support kept in place");
+                let want = t.value(i) - dense.get(t.index(i));
+                assert!((e.value(i) - want).abs() < 1e-14);
+            }
+        };
+        // A dirty residual on the right support is overwritten in place…
+        let mut e = t.clone();
+        e.values_mut().fill(f64::NAN);
+        residual_into(&t, &k, &mut e).unwrap();
+        check(&e);
+        // …one on another support is replaced, and `residual` starts from
+        // none at all.
+        let mut other = random_coo(&[3, 3], 2, 7);
+        residual_into(&t, &k, &mut other).unwrap();
+        check(&other);
+        check(&residual(&t, &k).unwrap());
+        // A model of another shape is an error either way.
+        let wrong = KruskalTensor::random(&[3, 4], 2, 10);
+        assert!(residual_into(&t, &wrong, &mut e).is_err());
     }
 
     #[test]

@@ -36,6 +36,7 @@ use distenc::serve::{
     Engine, EngineConfig, OpenLoopConfig, QueueConfig, ServeQueue, TopKQuery, TraceConfig,
 };
 use distenc::tensor::{io, CooTensor, KruskalTensor};
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -201,8 +202,7 @@ fn run(args: &[String]) -> Res {
         return fail(format!("no command given\n{}", cli::usage(COMMANDS)));
     };
     if matches!(name.as_str(), "--help" | "-h" | "help") {
-        println!("{}", cli::usage(COMMANDS));
-        return Ok(());
+        return to_stdout(|out| writeln!(out, "{}", cli::usage(COMMANDS)));
     }
     let cmd = COMMANDS
         .iter()
@@ -210,10 +210,20 @@ fn run(args: &[String]) -> Res {
         .ok_or_else(|| format!("unknown command `{name}`\n{}", cli::usage(COMMANDS)))?;
     match Opts::parse(cmd, rest)? {
         Some(opts) => (cmd.run)(&opts),
-        None => {
-            print!("{}", cmd.help());
-            Ok(())
-        }
+        None => to_stdout(|out| write!(out, "{}", cmd.help())),
+    }
+}
+
+/// Everything the CLI prints as its result goes to stdout through here:
+/// locked once, buffered, flushed before returning. A reader that went
+/// away (`distenc predict … | head -1`) is not a failure of this program —
+/// it ends quietly with status 0, as it would have had the reader stayed;
+/// any other I/O error is an `error: …` line and status 1 like the rest.
+fn to_stdout(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Res {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        result => Ok(result?),
     }
 }
 
@@ -472,10 +482,13 @@ fn cmd_evaluate(opts: &Opts) -> Res {
             model.shape()
         ));
     }
-    println!("entries: {}", test.nnz());
-    println!("rmse: {:.6}", metrics::rmse(&model, &test)?);
-    println!("relative_error: {:.6}", metrics::relative_error(&model, &test)?);
-    Ok(())
+    let rmse = metrics::rmse(&model, &test)?;
+    let relative_error = metrics::relative_error(&model, &test)?;
+    to_stdout(|out| {
+        writeln!(out, "entries: {}", test.nnz())?;
+        writeln!(out, "rmse: {rmse:.6}")?;
+        writeln!(out, "relative_error: {relative_error:.6}")
+    })
 }
 
 fn cmd_predict(opts: &Opts) -> Res {
@@ -502,9 +515,9 @@ fn cmd_predict(opts: &Opts) -> Res {
                 model.shape()[mode]
             );
         }
-        for item in &res.items {
-            println!("{} {}", item.index, item.score);
-        }
+        to_stdout(|out| {
+            res.items.iter().try_for_each(|item| writeln!(out, "{} {}", item.index, item.score))
+        })
     } else if let Some(path) = opts.get("at-file") {
         // Score every index of a COO-style list in one batch pass
         // (values in the file, if any, are ignored).
@@ -517,15 +530,18 @@ fn cmd_predict(opts: &Opts) -> Res {
             ));
         }
         let indices: Vec<Vec<usize>> = queries.iter().map(|(idx, _)| idx.to_vec()).collect();
-        for (idx, score) in indices.iter().zip(engine.batch(&indices)?) {
-            let coords: Vec<String> = idx.iter().map(|i| i.to_string()).collect();
-            println!("{} {score}", coords.join(" "));
-        }
+        let scores = engine.batch(&indices)?;
+        to_stdout(|out| {
+            indices.iter().zip(scores).try_for_each(|(idx, score)| {
+                let coords: Vec<String> = idx.iter().map(|i| i.to_string()).collect();
+                writeln!(out, "{} {score}", coords.join(" "))
+            })
+        })
     } else {
         let idx = parse_list(opts.req("at")?, "index")?;
-        println!("{}", engine.point(&idx)?);
+        let score = engine.point(&idx)?;
+        to_stdout(|out| writeln!(out, "{score}"))
     }
-    Ok(())
 }
 
 fn cmd_serve_bench(opts: &Opts) -> Res {
@@ -600,12 +616,13 @@ fn cmd_serve_bench(opts: &Opts) -> Res {
         );
         let queue_cfg = queue_config(opts, workers, admission)?;
         let report = serve_open_loop(&model, engine_cfg, queue_cfg, &load, deadline)?;
-        if opts.has("json") {
-            println!("{}", report.to_json());
-        } else {
-            println!("{report}");
-        }
-        return Ok(());
+        return to_stdout(|out| {
+            if opts.has("json") {
+                writeln!(out, "{}", report.to_json())
+            } else {
+                writeln!(out, "{report}")
+            }
+        });
     }
 
     let engine = Arc::new(Engine::new(&model, engine_cfg)?);
@@ -632,10 +649,9 @@ fn cmd_serve_bench(opts: &Opts) -> Res {
         replay_queued(&ServeQueue::new(Arc::clone(&engine), queue_cfg)?, trace)?;
     }
     let elapsed = start.elapsed().as_secs_f64();
-    println!(
-        "replayed {total} requests in {elapsed:.3} s ({:.0} req/s)",
-        total as f64 / elapsed.max(1e-9)
-    );
-    println!("{}", engine.snapshot());
-    Ok(())
+    to_stdout(|out| {
+        let rate = total as f64 / elapsed.max(1e-9);
+        writeln!(out, "replayed {total} requests in {elapsed:.3} s ({rate:.0} req/s)")?;
+        writeln!(out, "{}", engine.snapshot())
+    })
 }

@@ -184,6 +184,49 @@ fn predict_top_k_and_at_file() {
 }
 
 #[test]
+fn a_closed_stdout_is_not_a_panic() {
+    use distenc::tensor::{io, CooTensor, KruskalTensor};
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    // 8000 result lines, ~200 KiB: far more than a pipe buffers, so the
+    // writer is still going when the reader leaves.
+    let shape = [20, 20, 20];
+    let (model, queries) = (tmp("pipe.kruskal"), tmp("pipe-queries.coo"));
+    io::write_kruskal_file(&KruskalTensor::random(&shape, 4, 5), &model).unwrap();
+    let mut all = CooTensor::new(shape.to_vec());
+    for i in 0..20 {
+        for j in 0..20 {
+            for k in 0..20 {
+                all.push(&[i, j, k], 1.0).unwrap();
+            }
+        }
+    }
+    io::write_coo_file(&all, &queries).unwrap();
+
+    // `distenc predict --at-file … | head -1`.
+    let mut child = bin()
+        .args(["predict", "--model", model.to_str().unwrap()])
+        .args(["--at-file", queries.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert_eq!(first.split_whitespace().count(), 4, "3 indices + score: {first}");
+    drop(stdout);
+
+    let mut stderr = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    let status = child.wait().unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(status.code(), Some(101), "{stderr}");
+    assert!(status.success(), "a reader that left is not an error: {status:?} {stderr}");
+}
+
+#[test]
 fn serve_bench_replays_and_reports() {
     let out = bin()
         .args(["serve-bench", "--dims", "200,100,10", "--rank", "4"])

@@ -10,11 +10,11 @@
 //! * **N+1** times unfused — N MTTKRPs plus the residual refresh,
 //! * **N** times fused where only mode 0 is banked (executors that run
 //!   threads concurrently, the CSF layout, the distributed driver) — N−1
-//!   MTTKRPs, one fused refresh+MTTKRP sweep, and a mode-0 update served
-//!   from the stash without touching the entries,
+//!   MTTKRPs, one fused refresh+MTTKRP sweep, and a mode-0 update read
+//!   from the bank without touching the entries,
 //! * **once** fused on the sequential host (COO and tiled layouts) — the
 //!   one fused sweep banks every mode's MTTKRP, so all N updates are
-//!   served from the stash and the iteration touches `nnz` entries.
+//!   read from the bank and the iteration touches `nnz` entries.
 //!
 //! The executor is set explicitly in every case below, so the counts do
 //! not depend on `DISTENC_THREADS`; the one host dependence left is that
