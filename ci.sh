@@ -52,7 +52,7 @@ cargo build --release
 # regression that silently drops suites shrinks the count and fails here
 # instead of shrinking the gate. Raise it when a PR adds tests; lower it
 # only with the tests it names as removed.
-MIN_TESTS=576
+MIN_TESTS=579
 executed=0
 for threads in 1 4; do
     echo "==> DISTENC_THREADS=$threads cargo test -q"
@@ -80,13 +80,14 @@ cargo test -q --features alloc-count --test alloc_budget -- --test-threads=1
 
 # The pass-count gate proves the fused schedule sweeps the nonzeros once
 # per iteration on the sequential host (COO and tiled: the one fused
-# sweep banks every mode's MTTKRP, nnz entries touched), N times where
-# only mode 0 is banked (threaded executors, CSF, DisTenC) and N+1 times
-# unfused, and that a sketch-phase iteration touches exactly N·samples
-# entries (zero full sweeps). Counts tick once per kernel invocation
-# (never per thread/chunk) and the test sets its executors itself, so
-# DISTENC_THREADS does not move them; like alloc-count, the instrument
-# stays out of the default feature set.
+# sweep banks every mode's MTTKRP, nnz entries touched) and on DisTenC
+# under Sequential and Threads(4) (one block stage emits every mode's
+# partial H), N times where only mode 0 is banked (threaded host
+# executors, CSF) and N+1 times unfused, and that a sketch-phase
+# iteration touches exactly N·samples entries (zero full sweeps). Counts
+# tick once per kernel invocation (never per thread/chunk/block) and the
+# test sets its executors itself, so DISTENC_THREADS does not move them;
+# like alloc-count, the instrument stays out of the default feature set.
 echo "==> cargo test -q --features pass-count --test pass_count"
 cargo test -q --features pass-count --test pass_count
 

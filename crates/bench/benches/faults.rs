@@ -31,11 +31,13 @@ const RANK: usize = 3;
 const NNZ: usize = 8_000;
 const ITERS: usize = 12;
 const MACHINES: usize = 3;
-// ~22 virtual stages per iteration on this workload; stage 180 lands in
-// iteration ~8 of 12, after snapshots exist at intervals 1 and 5 but
-// before the first interval-10 snapshot — so the sweep shows image-based
-// resume, a coarser image, and a forced cold restart side by side.
-const CRASH_STAGE: u64 = 180;
+// 5 set-up and prologue stages, then 19 per iteration at order 3 (six row
+// stages per mode and the all-modes sweep's one block stage), 233 in the
+// fault-free run: stage 156 is the block stage that closes iteration 8 of
+// 12, after snapshots exist at intervals 1 and 5 but before the first
+// interval-10 snapshot — so the sweep shows image-based resume, a coarser
+// image, and a forced cold restart side by side.
+const CRASH_STAGE: u64 = 156;
 const CRASH_MACHINE: usize = 1;
 const INTERVALS: [usize; 4] = [0, 1, 5, 10];
 
@@ -95,6 +97,10 @@ fn interval_rows(observed: &CooTensor, baseline: &(CompletionResult, Metrics)) -
             let (fault_res, fault_m) = run(observed, crash_plan(), every);
             assert_eq!(factor_bits(clean), factor_bits(&ckpt_res), "{label}: snapshot perturbed");
             assert_eq!(factor_bits(clean), factor_bits(&fault_res), "{label}: recovery inexact");
+            // A stage number past the end of the solve would never fire and
+            // the table would quietly report a fault-free run.
+            assert!(CRASH_STAGE < clean_m.stages, "{label}: the crash is past the last stage");
+            assert_eq!(fault_m.faults_injected, 1, "{label}: the crash must fire");
             let base = clean_m.virtual_seconds;
             format!(
                 "    \"{label}\": {{ \"every\": {every}, \"checkpoint_overhead_pct\": {:.2}, \"faulted_virtual_seconds\": {:.4}, \"recovery_seconds\": {:.4}, \"machines_lost\": {}, \"total_overhead_pct\": {:.2} }}",

@@ -130,12 +130,14 @@ pub struct AdmmConfig {
     pub exec: distenc_dataflow::ExecMode,
     /// Fuse the end-of-iteration residual refresh with the *next*
     /// iteration's MTTKRPs into a single sweep over the nonzeros: every
-    /// mode's on the sequential host (one pass per iteration instead of
-    /// N+1 for an order-N tensor), mode 0's under threaded executors,
-    /// the CSF layout and the distributed driver (N passes).
-    /// Bit-identical to the unfused schedule — the fused kernels replay
-    /// the exact same floating-point folds — so this is on by default;
-    /// the switch exists for the ablation and the pass-count gate.
+    /// mode's on the sequential host and on the distributed driver (one
+    /// pass per iteration instead of N+1 for an order-N tensor; on the
+    /// cluster also one block stage and one shuffle instead of N+1 and
+    /// N), mode 0's under threaded host executors and the CSF layout (N
+    /// passes). Bit-identical to the unfused schedule in every numeric
+    /// result — the fused kernels replay the exact same floating-point
+    /// folds — so this is on by default; the switch exists for the
+    /// ablation and the pass-count gate.
     pub fused: bool,
     /// Which solver tier runs the per-iteration kernels (see
     /// [`SolverTier`]): the bit-pinned exact path, or the sampled

@@ -11,9 +11,13 @@
 //! * factor matrices (and `B`, `Y`, and the Laplacian eigenbases) are
 //!   row-partitioned by the same boundaries, co-located with the mode
 //!   partitions;
-//! * MTTKRP runs block-locally over the *residual* tensor: remote factor
-//!   rows are fetched (counted as shuffle), per-block partial `H` rows are
-//!   reduced to the factor partition's home machine;
+//! * MTTKRP runs block-locally over the *residual* tensor, all N modes
+//!   in the one block stage that also refreshes the residual (Algorithm 1
+//!   is Jacobi: every mode of an iteration reads one model and one
+//!   residual): remote factor rows are fetched once per iteration
+//!   (counted as shuffle), and each block's partial `H` rows of every
+//!   mode travel in one shuffle to the factor partitions' home machines,
+//!   where they are combined in ascending block order;
 //! * `U⁽ⁿ⁾ᵀU⁽ⁿ⁾` comes from per-partition Gram contributions reduced to
 //!   `R×R` and broadcast back (Eq. 12/13);
 //! * the `B⁽ⁿ⁾` update reduces the `K×R` projection `Vᵀ(ηA−Y)` the same
@@ -25,9 +29,13 @@
 //! [`crate::solver::ClusterBackend`]; the iteration itself is
 //! [`crate::solver::run`].
 //!
-//! Floating-point note: per-block accumulation order differs from the
-//! serial solver's entry order, so iterates match the oracle to rounding,
-//! not bit-for-bit; the integration tests assert agreement to `1e-8`.
+//! Floating-point note: per-block partial sums combined block by block
+//! are a different association from the serial solver's single entry-order
+//! fold (as are the per-block `‖e‖²` partials and the per-partition
+//! Grams), so iterates match the oracle to rounding, not bit-for-bit; the
+//! integration tests assert agreement to `1e-8`. Within this driver the
+//! association is fixed by the blocking alone: fused or not, resumed or
+//! not, on any executor, a solve produces the same bits.
 
 use crate::admm::{check_warm_start, truncate_all, validate_problem};
 use crate::config::AdmmConfig;
@@ -189,18 +197,12 @@ impl<'c> DisTenC<'c> {
     ) -> Result<CompletionResult> {
         let cl = self.cluster;
         let shape = observed.shape().to_vec();
-        let n_modes = shape.len();
         let rank = self.cfg.rank;
 
         let mut blocks: Vec<ResidualBlock> = Vec::with_capacity(blocking.blocks.len());
         let mut meta: Vec<BlockMeta> = Vec::with_capacity(blocking.blocks.len());
         for (i, (id, t)) in blocking.blocks.iter().enumerate() {
-            meta.push(BlockMeta {
-                machine: cl.machine_for_partition(i),
-                nnz: t.nnz(),
-                coords: blocking.block_coords(*id),
-                active: (0..n_modes).map(|n| t.active_indices(n)).collect(),
-            });
+            meta.push(BlockMeta::new(cl.machine_for_partition(i), blocking.block_coords(*id), t));
             // Residual values start stale (zero); the solver prologue
             // refreshes them before anything reads them. A checkpoint
             // restore overwrites them with the snapshot's values below.

@@ -134,8 +134,16 @@ pub trait MethodModel {
     }
 }
 
-/// The DisTenC model, mirroring the engine charges of
-/// [`crate::DisTenC`] term by term (Lemmas 1–3).
+/// The DisTenC model, mirroring term by term (Lemmas 1–3) what the engine
+/// charges [`crate::DisTenC`] on Algorithm 3's schedule as published: one
+/// block stage and one factor fetch per mode's MTTKRP plus one for the
+/// residual refresh — the engine's `fused: false` schedule. That is the
+/// system Figs. 3–4 reproduce, and two of the paper's shapes hang on its
+/// fixed per-iteration overhead (Fig. 3b's DisTenC/ALS gap shrinking with
+/// `nnz`, asserted in `distenc-eval`). The engine's default all-modes
+/// sweep pays N stages and the N one-mode factor fetches less per
+/// iteration (`solver/cluster.rs`); measured against this model that is
+/// 0.89–0.90× at benchmark scale.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DisTenCModel;
 
@@ -339,14 +347,6 @@ mod tests {
 
         let iters = 5usize;
         let cc = ClusterConfig::test(4).with_time_budget(None);
-        let cluster = Cluster::new(cc.clone());
-        let cfg = AdmmConfig { rank, max_iters: iters, tol: 1e-15, ..Default::default() };
-        let _ = DisTenC::new(&cluster, cfg)
-            .unwrap()
-            .solve(&observed, &[None, None, None])
-            .unwrap();
-        let engine_seconds = cluster.now();
-
         let w = WorkloadSpec {
             dims: vec![60; 3],
             nnz: observed.nnz() as u64,
@@ -355,10 +355,22 @@ mod tests {
             iters: iters as u64,
         };
         let model_seconds = DisTenCModel.seconds(&w, &cc);
-        let ratio = model_seconds / engine_seconds;
-        assert!(
-            (0.33..3.0).contains(&ratio),
-            "model {model_seconds}s vs engine {engine_seconds}s (ratio {ratio})"
-        );
+        // The schedule the model describes term by term, and the default
+        // all-modes sweep that undercuts it.
+        for fused in [false, true] {
+            let cluster = Cluster::new(cc.clone());
+            let cfg =
+                AdmmConfig { rank, max_iters: iters, tol: 1e-15, fused, ..Default::default() };
+            let _ = DisTenC::new(&cluster, cfg)
+                .unwrap()
+                .solve(&observed, &[None, None, None])
+                .unwrap();
+            let engine_seconds = cluster.now();
+            let ratio = model_seconds / engine_seconds;
+            assert!(
+                (0.33..3.0).contains(&ratio),
+                "fused {fused}: model {model_seconds}s vs engine {engine_seconds}s (ratio {ratio})"
+            );
+        }
     }
 }

@@ -4,19 +4,36 @@
 //!
 //! Numerically this backend runs the same [`super::mode_step`] arithmetic
 //! as the host; what it adds is (a) the block/partition decomposition of
-//! the three data-dependent kernels and (b) cluster charges at exactly
-//! the points the pre-refactor `DisTenC::solve` charged them — the
-//! charge *order* is load-bearing, because every charge advances the
-//! virtual clock and the golden distenc trace pins the resulting
+//! the three data-dependent kernels and (b) cluster charges at the points
+//! of the schedule where a cluster would pay them. Every charge advances
+//! the virtual clock and the golden distenc trace pins the resulting
 //! timestamps bit-for-bit.
 //!
 //! Its residual is the Algorithm 2 block partition (`Vec<ResidualBlock>`),
-//! and every charge is a function of the blocking metadata alone
-//! ([`BlockMeta`]): what the cluster moves and when does not depend on
-//! whether the local arithmetic ran fused, banked, or not at all.
+//! and one block body serves every pass over it
+//! ([`ClusterBackend::sweep_blocks`]): a task per block reads the block's
+//! entries once, takes their residual values — refreshed in the same
+//! pass, or as stored — and writes the block's partial `H` rows for a
+//! range of modes; the partials of a mode are then added up at each
+//! factor partition's home in ascending block order
+//! ([`ClusterBackend::combine`]). The end-of-iteration sweep runs it
+//! with refresh on and every mode (one pass banks the next iteration's N
+//! MTTKRPs), the plain refresh with no mode, and an unbanked mode step
+//! with that one mode and the stored values. A block's partial for a mode
+//! is the same fold whichever pass computed it, and the combine order is
+//! fixed, so fused ≡ unfused, resumed ≡ uninterrupted and `Sequential` ≡
+//! `Threads(n)` hold bit-for-bit by construction.
+//!
+//! The charges follow that schedule and nothing else. They are a function
+//! of the blocking metadata ([`BlockMeta`]) and of which passes ran: a
+//! block task costs the sum of the passes it folds into one
+//! ([`ClusterBackend::block_task`] — no arithmetic discount is claimed on
+//! the virtual clock; the entries are read once), and the all-modes sweep
+//! is one factor fetch, one block stage and one shuffle where the
+//! mode-by-mode schedule pays N+1, N+1 and N.
 //!
 //! The accounting vectors built per stage (`TaskCost` lists, shuffle
-//! tallies, per-call reduction slabs) are bookkeeping, not step math, and
+//! tallies, the per-sweep task list) are bookkeeping, not step math, and
 //! are the distributed driver's documented exemption from the
 //! steady-state allocation budget.
 
@@ -26,8 +43,9 @@ use distenc_dataflow::cluster::TaskCost;
 use distenc_dataflow::Cluster;
 use distenc_linalg::Mat;
 use distenc_partition::ModePartition;
-use distenc_tensor::mttkrp::fold_entry;
+use distenc_tensor::fused::{block_sweep_into, EntryValues};
 use distenc_tensor::{CooTensor, KruskalTensor};
+use std::ops::Range;
 
 const F64: u64 = 8;
 
@@ -38,42 +56,6 @@ pub(crate) struct ResidualBlock {
     pub entries: CooTensor,
     /// Residual values, parallel to `entries`.
     pub vals: Vec<f64>,
-}
-
-/// `‖E‖²_F` summed block-major, each block in entry order — the fixed
-/// association of this decomposition.
-fn frob_norm_sq(blocks: &[ResidualBlock]) -> f64 {
-    blocks.iter().flat_map(|b| b.vals.iter()).map(|v| v * v).sum()
-}
-
-/// Total entry count, for the pass-count instrument.
-fn total_nnz(blocks: &[ResidualBlock]) -> usize {
-    blocks.iter().map(|b| b.entries.nnz()).sum()
-}
-
-/// One work group's share of a mode-`mode` MTTKRP: the row slab of
-/// `rows`, accumulated over the member blocks in ascending block order,
-/// each in entry order. `value(m, pos, idx, t)` supplies the residual
-/// value of entry `pos` (index `idx`, observed value `t`) of the `m`-th
-/// member — stored, or freshly computed.
-fn group_slab(
-    model: &KruskalTensor,
-    blocks: &[ResidualBlock],
-    mode: usize,
-    rows: std::ops::Range<usize>,
-    members: &[usize],
-    mut value: impl FnMut(usize, usize, &[usize], f64) -> f64,
-) -> Mat {
-    let mut slab = Mat::zeros(rows.len(), model.rank());
-    let mut scratch = vec![0.0; model.rank()];
-    for (m, &bi) in members.iter().enumerate() {
-        for (pos, (idx, t)) in blocks[bi].entries.iter().enumerate() {
-            let v = value(m, pos, idx, t);
-            let out = slab.row_mut(idx[mode] - rows.start);
-            fold_entry(model.factors(), idx, v, mode, &mut scratch, out);
-        }
-    }
-    slab
 }
 
 /// Placement and activity metadata for one tensor block, parallel to the
@@ -91,6 +73,35 @@ pub(crate) struct BlockMeta {
     pub active: Vec<Vec<usize>>,
 }
 
+impl BlockMeta {
+    /// The metadata of the block holding `entries` at partition
+    /// coordinates `coords`, pinned to `machine`.
+    pub fn new(machine: usize, coords: Vec<usize>, entries: &CooTensor) -> Self {
+        let active = (0..coords.len()).map(|n| entries.active_indices(n)).collect();
+        BlockMeta { machine, nnz: entries.nnz(), coords, active }
+    }
+}
+
+/// One block's partial-`H` output: per mode a row slab, dense over the
+/// block's mode partition, and the global row that slab starts at. Sized
+/// at construction — the blocking never changes — and overwritten by every
+/// pass that sweeps the mode.
+struct BlockSlabs {
+    origin: Vec<usize>,
+    partial: Vec<Mat>,
+}
+
+/// One block's share of a [`ClusterBackend::sweep_blocks`] pass.
+struct BlockTask<'a> {
+    entries: &'a CooTensor,
+    /// Taken by the task when it runs.
+    vals: Option<EntryValues<'a>>,
+    origin: &'a [usize],
+    partial: &'a mut [Mat],
+    /// The block's `‖e‖²`, written by the task.
+    frob: f64,
+}
+
 /// Cluster backend bound to a simulated cluster and a fixed Algorithm 2
 /// blocking.
 pub(crate) struct ClusterBackend<'c> {
@@ -99,12 +110,10 @@ pub(crate) struct ClusterBackend<'c> {
     n_modes: usize,
     mode_parts: Vec<ModePartition>,
     meta: Vec<BlockMeta>,
-    /// Per-mode MTTKRP work groups: blocks sharing a mode-`n` partition
-    /// coordinate write the same output row range, so they form one work
-    /// unit (fixed at construction — the blocking never changes).
-    groups: Vec<Vec<Vec<usize>>>,
+    /// Per block: its partial-`H` slabs, parallel to `meta`.
+    slabs: Vec<BlockSlabs>,
     /// Per-mode partial-Gram row ranges (the mode partition's ranges).
-    gram_ranges: Vec<Vec<std::ops::Range<usize>>>,
+    gram_ranges: Vec<Vec<Range<usize>>>,
     /// `truncated[n].k()` per mode, for the B-update projection charge.
     eigen_k: Vec<usize>,
 }
@@ -119,20 +128,69 @@ impl<'c> ClusterBackend<'c> {
         eigen_k: Vec<usize>,
     ) -> Self {
         let n_modes = mode_parts.len();
-        let groups = (0..n_modes)
-            .map(|mode| {
-                let mut g: Vec<Vec<usize>> = vec![Vec::new(); mode_parts[mode].parts()];
-                for (i, b) in meta.iter().enumerate() {
-                    g[b.coords[mode]].push(i);
+        let slabs = meta
+            .iter()
+            .map(|b| {
+                let ranges = b.coords.iter().zip(&mode_parts).map(|(&p, part)| part.range(p));
+                BlockSlabs {
+                    origin: ranges.clone().map(|r| r.start).collect(),
+                    partial: ranges.map(|r| Mat::zeros(r.len(), rank)).collect(),
                 }
-                g
             })
             .collect();
-        let gram_ranges: Vec<Vec<std::ops::Range<usize>>> = mode_parts
+        let gram_ranges: Vec<Vec<Range<usize>>> = mode_parts
             .iter()
             .map(|part| (0..part.parts()).map(|p| part.range(p)).collect())
             .collect();
-        ClusterBackend { cl, rank, n_modes, mode_parts, meta, groups, gram_ranges, eigen_k }
+        ClusterBackend { cl, rank, n_modes, mode_parts, meta, slabs, gram_ranges, eigen_k }
+    }
+
+    // ---- Block-local kernels --------------------------------------------
+
+    /// The one block body: a task per block on the executor walks the
+    /// block's entries once, takes their residual values from `blocks`
+    /// (refreshing them in the same walk, or as stored) and overwrites
+    /// the block's partial `H` slabs for `modes`. Returns `‖E‖²_F` as the
+    /// sum of the per-block `‖e‖²` in ascending block order — the fixed
+    /// association of this decomposition. Blocks share nothing, so the
+    /// executor cannot change a bit.
+    fn sweep_blocks<'a>(
+        &mut self,
+        model: &KruskalTensor,
+        blocks: impl Iterator<Item = (&'a CooTensor, EntryValues<'a>)>,
+        modes: Range<usize>,
+    ) -> f64 {
+        crate::record_entry_sweep(self.meta.iter().map(|m| m.nnz).sum());
+        let mut tasks: Vec<BlockTask<'_>> = blocks
+            .zip(&mut self.slabs)
+            .map(|((entries, vals), slabs)| BlockTask {
+                entries,
+                vals: Some(vals),
+                origin: &slabs.origin,
+                partial: &mut slabs.partial[modes.clone()],
+                frob: 0.0,
+            })
+            .collect();
+        self.cl.executor().run_mut(&mut tasks, |_, t| {
+            let vals = t.vals.take().expect("the executor runs each block once");
+            t.frob = block_sweep_into(t.entries, model, vals, modes.start, t.origin, t.partial)
+                .expect("block slabs are sized from the blocking they sweep");
+        });
+        tasks.iter().map(|t| t.frob).sum()
+    }
+
+    /// Add up a mode's per-block partial `H` slabs into the full `Iₙ×R`
+    /// matrix: every factor partition receives the partials of the blocks
+    /// on its coordinate in ascending block order.
+    fn combine(&self, mode: usize, out: &mut Mat) {
+        out.fill(0.0);
+        for slabs in &self.slabs {
+            let part = slabs.partial[mode].as_slice();
+            let home = &mut out.as_mut_slice()[slabs.origin[mode] * self.rank..][..part.len()];
+            for (h, &p) in home.iter_mut().zip(part) {
+                *h += p;
+            }
+        }
     }
 
     // ---- Accounting helpers ---------------------------------------------
@@ -191,8 +249,9 @@ impl<'c> ClusterBackend<'c> {
 
     /// Fetch the factor rows each block needs for modes it reads. With
     /// `skip_output = Some(n)`, mode `n`'s rows are not inputs (they are
-    /// the stage's *output*), matching MTTKRP; with `None` every mode's
-    /// rows are fetched (residual update). Rows whose home machine already
+    /// the stage's *output*), matching a one-mode MTTKRP; with `None`
+    /// every mode's rows are fetched (the residual refresh, and the
+    /// all-modes sweep that contains it). Rows whose home machine already
     /// hosts the block are free (§III-F keeps joins co-partitioned for
     /// exactly this reason).
     fn charge_factor_fetch(&self, skip_output: Option<usize>) -> Result<()> {
@@ -224,51 +283,62 @@ impl<'c> ClusterBackend<'c> {
         Ok(())
     }
 
-    /// The residual refresh's per-block stage charge (`nnz·N·R` flops,
-    /// entries in, values out) — the same whether or not the sweep also
-    /// banks an MTTKRP.
-    fn charge_refresh_stage(&self) -> Result<()> {
-        let tasks: Vec<TaskCost> = self
-            .meta
-            .iter()
-            .map(|m| TaskCost {
-                machine: m.machine,
-                flops: (m.nnz * self.n_modes * self.rank) as f64,
-                input_bytes: m.nnz as u64 * (self.n_modes as u64 + 1) * F64,
-                output_bytes: m.nnz as u64 * F64,
-            })
-            .collect();
-        self.cl.run_stage(&tasks)?;
-        Ok(())
+    /// What block `b`'s task costs in a pass that sweeps `modes` and, with
+    /// `refresh`, rewrites the residual values: each MTTKRP and the
+    /// refresh are `nnz·N·R` flops and the task is charged all of them;
+    /// the entries (`N` indices and the value, plus the residual value as
+    /// soon as a mode is swept) are read once; the outputs are the fresh
+    /// values and the partial-`H` rows of every swept mode.
+    fn block_task(&self, b: &BlockMeta, modes: Range<usize>, refresh: bool) -> TaskCost {
+        let (nnz, rank) = (b.nnz as u64, self.rank as u64);
+        let passes = modes.len() + usize::from(refresh);
+        let entry_words = self.n_modes as u64 + 1 + u64::from(!modes.is_empty());
+        let out_rows: usize = b.active[modes].iter().map(Vec::len).sum();
+        TaskCost {
+            machine: b.machine,
+            flops: (passes * b.nnz * self.n_modes * self.rank) as f64,
+            input_bytes: nnz * entry_words * F64,
+            output_bytes: (u64::from(refresh) * nnz + out_rows as u64 * rank) * F64,
+        }
     }
 
-    /// Stitch a mode's disjoint row slabs into `out` in fixed partition
-    /// order; the ranges cover every output row, so no pre-zeroing is
-    /// needed.
-    fn stitch<'a>(&self, mode: usize, slabs: impl Iterator<Item = &'a Mat>, out: &mut Mat) {
-        let rank = self.rank;
-        for (p, slab) in slabs.enumerate() {
-            let rows = self.mode_parts[mode].range(p);
-            out.as_mut_slice()[rows.start * rank..rows.end * rank]
-                .copy_from_slice(slab.as_slice());
+    /// One stage of [`Self::block_task`]s, then one shuffle carrying the
+    /// partial-`H` rows of every swept mode to their factor partitions'
+    /// homes (a plain refresh sweeps no mode and moves nothing).
+    fn charge_block_stage(&self, modes: Range<usize>, refresh: bool) -> Result<()> {
+        let cl = self.cl;
+        let tasks: Vec<TaskCost> =
+            self.meta.iter().map(|b| self.block_task(b, modes.clone(), refresh)).collect();
+        cl.run_stage(&tasks)?;
+        if modes.is_empty() {
+            return Ok(());
         }
+        let mut sent = vec![0u64; cl.machines()];
+        let mut received = vec![0u64; cl.machines()];
+        for b in &self.meta {
+            for mode in modes.clone() {
+                let dst = cl.machine_for_partition(b.coords[mode]);
+                if dst != b.machine {
+                    let bytes = b.active[mode].len() as u64 * self.rank as u64 * F64;
+                    sent[b.machine] += bytes;
+                    received[dst] += bytes;
+                }
+            }
+        }
+        cl.shuffle(&sent, &received)?;
+        Ok(())
     }
 }
 
 impl StepBackend for ClusterBackend<'_> {
     type Residual = Vec<ResidualBlock>;
 
-    /// MTTKRP of the residual against the current factors, computed
-    /// block-by-block and reduced into a full `Iₙ×R` matrix (partials
-    /// combine at each factor partition's home).
-    ///
-    /// Algorithm 2's block boundaries double as the parallel work
-    /// decomposition: blocks sharing a mode-`mode` partition coordinate
-    /// write the same output row range, so they form one work unit
-    /// (processed in ascending block order — the same order the old
-    /// sequential loop used), while distinct coordinates own disjoint row
-    /// ranges and run concurrently with no atomics. Bit-identical to a
-    /// single sequential sweep for every `ExecMode`.
+    /// The per-mode fallback (`fused: false`, and the first iteration
+    /// after a restore or a carried residual): the block body over the
+    /// stored residual values for this one mode, then the combine. The
+    /// block association is this backend's own (matching the serial oracle
+    /// to rounding, not bits) and is the same one the all-modes sweep
+    /// produces.
     fn sparse_mttkrp(
         &mut self,
         blocks: &Vec<ResidualBlock>,
@@ -276,48 +346,25 @@ impl StepBackend for ClusterBackend<'_> {
         mode: usize,
         out: &mut Mat,
     ) -> Result<()> {
-        crate::record_entry_sweep(total_nnz(blocks));
-        let part = &self.mode_parts[mode];
-        let slabs = self.cl.executor().run(&self.groups[mode], |p, members| {
-            group_slab(model, blocks, mode, part.range(p), members, |m, pos, _, _| {
-                blocks[members[m]].vals[pos]
-            })
-        });
-        self.stitch(mode, slabs.iter(), out);
+        let stored = blocks.iter().map(|b| (&b.entries, EntryValues::Stored(&b.vals)));
+        self.sweep_blocks(model, stored, mode..mode + 1);
+        self.combine(mode, out);
         Ok(())
     }
 
-    /// What the cluster pays for a mode's MTTKRP, banked or not (the bank
-    /// is a local-compute shortcut, not a communication one — which keeps
-    /// the virtual clock identical to the unfused schedule): the remote
-    /// factor rows of every mode except `mode`'s own output, the per-block
-    /// stage, the partial-`H` rows travelling to the factor partition's
-    /// home, and the combine stage there.
-    fn on_sparse_mttkrp(&mut self, mode: usize) -> Result<()> {
-        let cl = self.cl;
-        let rank = self.rank;
-        self.charge_factor_fetch(Some(mode))?;
-        let mut tasks = Vec::with_capacity(self.meta.len());
-        let mut sent = vec![0u64; cl.machines()];
-        let mut received = vec![0u64; cl.machines()];
-        for m in &self.meta {
-            let out_rows = m.active[mode].len() as u64;
-            tasks.push(TaskCost {
-                machine: m.machine,
-                flops: (m.nnz * self.n_modes * rank) as f64,
-                input_bytes: m.nnz as u64 * (self.n_modes as u64 + 2) * F64,
-                output_bytes: out_rows * rank as u64 * F64,
-            });
-            let dst = cl.machine_for_partition(m.coords[mode]);
-            if dst != m.machine {
-                let bytes = out_rows * rank as u64 * F64;
-                sent[m.machine] += bytes;
-                received[dst] += bytes;
-            }
+    /// What the cluster pays for a mode's MTTKRP at its mode step. A mode
+    /// the last sweep banked has already paid its fetch, block stage and
+    /// shuffle there — together with every other mode's — and only its
+    /// partial-`H` rows remain to be combined at their homes. An unbanked
+    /// mode pays the whole one-mode pass here: the remote factor rows of
+    /// every mode except its own output, the per-block stage, the
+    /// partial-`H` rows travelling home, and the combine.
+    fn on_sparse_mttkrp(&mut self, mode: usize, banked: bool) -> Result<()> {
+        if !banked {
+            self.charge_factor_fetch(Some(mode))?;
+            self.charge_block_stage(mode..mode + 1, false)?;
         }
-        cl.run_stage(&tasks)?;
-        cl.shuffle(&sent, &received)?;
-        self.charge_rows_stage(&self.mode_parts[mode], rank as f64, 0)
+        self.charge_rows_stage(&self.mode_parts[mode], self.rank as f64, 0)
     }
 
     /// `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` as the paper computes it (Eq. 13): each mode
@@ -344,14 +391,12 @@ impl StepBackend for ClusterBackend<'_> {
         Ok(())
     }
 
-    /// The block-local residual refresh `e = t − [[A…]](idx)`, fused with
-    /// the mode-0 MTTKRP when handed the bank (see
-    /// [`StepBackend::fused_step`]). The cluster charges are the same
-    /// either way — `charge_factor_fetch(None)` (the stage reads every
-    /// mode's factor rows at each block), then the per-block refresh
-    /// stage — so the virtual clock (and the golden distenc trace) does
-    /// not see fusion; its win on the simulated cluster is local flops,
-    /// which this model charges per stage, not per arithmetic op.
+    /// The end-of-iteration sweep (see [`StepBackend::fused_step`]). Handed
+    /// the bank, it is the all-modes sweep: every block refreshes its
+    /// values and emits all N partials in one task, and the cluster is
+    /// charged one factor fetch (every mode's rows at every block), one
+    /// block stage and one shuffle. Handed nothing, it is the plain
+    /// refresh: the same fetch and a stage that sweeps no mode.
     fn fused_step(
         &mut self,
         _observed: &CooTensor,
@@ -359,57 +404,15 @@ impl StepBackend for ClusterBackend<'_> {
         blocks: &mut Vec<ResidualBlock>,
         bank: &mut [Mat],
     ) -> Result<(f64, usize)> {
+        let modes = 0..bank.len();
         self.charge_factor_fetch(None)?;
-        crate::record_entry_sweep(total_nnz(blocks));
-        let banked = match bank.first_mut() {
-            None => {
-                // Residual entries are independent, so one task per block
-                // on the executor is bit-exact regardless of scheduling.
-                self.cl.executor().run_mut(blocks, |_, b| {
-                    for (pos, (idx, t)) in b.entries.iter().enumerate() {
-                        b.vals[pos] = t - model.eval(idx);
-                    }
-                });
-                0
-            }
-            Some(h0) => {
-                // Mode-0 work groups partition the blocks (every block has
-                // exactly one mode-0 coordinate), so sweeping group by
-                // group visits each entry once. Per entry the arithmetic
-                // is the refresh's `t − eval` followed by the MTTKRP's own
-                // fold — the same two folds the unfused schedule runs in
-                // separate sweeps, in the same order, so values, slabs and
-                // `‖E‖²` all match bit-for-bit.
-                let (part, groups) = (&self.mode_parts[0], &self.groups[0]);
-                let shared: &[ResidualBlock] = blocks;
-                let results = self.cl.executor().run(groups, |p, members| {
-                    // Fresh residual values per member block (written back
-                    // below — the closure cannot alias `blocks` mutably).
-                    // Reduction-slab exemption from the allocation budget,
-                    // like the slab itself.
-                    let mut fresh: Vec<Vec<f64>> = members
-                        .iter()
-                        .map(|&bi| Vec::with_capacity(shared[bi].entries.nnz()))
-                        .collect();
-                    let refresh = |m: usize, _, idx: &[usize], t: f64| {
-                        let v = t - model.eval(idx);
-                        fresh[m].push(v);
-                        v
-                    };
-                    let slab = group_slab(model, shared, 0, part.range(p), members, refresh);
-                    (slab, fresh)
-                });
-                self.stitch(0, results.iter().map(|(slab, _)| slab), h0);
-                for (members, (_, fresh)) in groups.iter().zip(results) {
-                    for (&bi, vals) in members.iter().zip(fresh) {
-                        blocks[bi].vals = vals;
-                    }
-                }
-                1
-            }
-        };
-        self.charge_refresh_stage()?;
-        Ok((frob_norm_sq(blocks), banked))
+        self.charge_block_stage(modes.clone(), true)?;
+        let fresh = blocks.iter_mut().map(|b| (&b.entries, EntryValues::Refresh(&mut b.vals)));
+        let frob = self.sweep_blocks(model, fresh, modes);
+        for (mode, out) in bank.iter_mut().enumerate() {
+            self.combine(mode, out);
+        }
+        Ok((frob, bank.len()))
     }
 
     fn clock(&self, _iter: usize) -> f64 {
@@ -474,5 +477,69 @@ impl StepBackend for ClusterBackend<'_> {
 
     fn on_delta_reduced(&mut self) -> Result<()> {
         self.charge_rows_stage_all(self.rank as f64, 0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use distenc_dataflow::ClusterConfig;
+    use distenc_partition::TensorBlocks;
+
+    /// A backend over the 2×2×2 blocking of a full 4×4×4 tensor on two
+    /// machines, placed the way the driver places blocks.
+    fn backend(cl: &Cluster, rank: usize) -> ClusterBackend<'_> {
+        let mut x = CooTensor::new(vec![4, 4, 4]);
+        for i in 0..64 {
+            x.push(&[i / 16, i / 4 % 4, i % 4], 1.0 + i as f64).unwrap();
+        }
+        let blocking = TensorBlocks::build(&x, &[2, 2, 2]);
+        let meta: Vec<BlockMeta> = blocking
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(i, (id, t))| {
+                BlockMeta::new(cl.machine_for_partition(i), blocking.block_coords(*id), t)
+            })
+            .collect();
+        assert_eq!(meta.len(), 8);
+        ClusterBackend::new(cl, rank, blocking.modes.clone(), meta, vec![0; 3])
+    }
+
+    #[test]
+    fn the_fused_stage_is_charged_the_sum_of_the_tasks_it_replaces() {
+        // Nothing gets cheaper by decree: block by block, the all-modes
+        // task costs the flops and emits the outputs of the refresh task
+        // plus the N one-mode MTTKRP tasks. Only the entries are read once
+        // instead of N+1 times.
+        let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
+        let be = backend(&cl, 3);
+        let n = be.n_modes;
+        for b in &be.meta {
+            let fused = be.block_task(b, 0..n, true);
+            let refresh = be.block_task(b, 0..0, true);
+            let per_mode: Vec<TaskCost> =
+                (0..n).map(|m| be.block_task(b, m..m + 1, false)).collect();
+
+            // The replaced tasks are today's: nnz·N·R flops each; entries
+            // in (plus the residual value for an MTTKRP); values or the
+            // block's active rows out.
+            let (nnz, rank) = (b.nnz as u64, be.rank as u64);
+            let pass_flops = (b.nnz * n * be.rank) as f64;
+            assert_eq!(refresh.flops, pass_flops);
+            assert_eq!(refresh.input_bytes, nnz * (n as u64 + 1) * F64);
+            assert_eq!(refresh.output_bytes, nnz * F64);
+            for (m, t) in per_mode.iter().enumerate() {
+                assert_eq!(t.flops, pass_flops);
+                assert_eq!(t.input_bytes, nnz * (n as u64 + 2) * F64);
+                assert_eq!(t.output_bytes, b.active[m].len() as u64 * rank * F64);
+            }
+
+            let replaced = || std::iter::once(&refresh).chain(&per_mode);
+            assert!(replaced().all(|t| t.machine == fused.machine));
+            assert_eq!(fused.flops, replaced().map(|t| t.flops).sum::<f64>());
+            assert_eq!(fused.output_bytes, replaced().map(|t| t.output_bytes).sum::<u64>());
+            assert_eq!(fused.input_bytes, per_mode[0].input_bytes, "inputs are charged once");
+        }
     }
 }

@@ -49,16 +49,18 @@
 //! iteration read the model and residual this sweep leaves behind) and
 //! reports how many. The next iteration's [`mode_step`]s call
 //! [`StepBackend::sparse_mttkrp`] only for the modes after those; a banked
-//! mode's buffer is read where it lies. A first iteration entered on a
+//! mode's buffer is read where it lies, and [`StepBackend::on_sparse_mttkrp`]
+//! is told which of the two happened. A first iteration entered on a
 //! carried residual, and one resumed from a checkpoint, start with nothing
 //! banked. How many a backend banks sets its steady-state sweep count over
 //! the nonzero list for an order-N tensor:
 //!
-//! * **1** — the sequential host backend on the COO and tiled layouts
-//!   banks all N modes in the one fused sweep;
-//! * **N** — threaded host executors, the CSF layout, the cluster backend
-//!   (and host tensors of order 1 or beyond the fused kernel's row cache)
-//!   bank mode 0 only: one fused sweep plus N−1 plain MTTKRPs;
+//! * **1** — the sequential host backend on the COO and tiled layouts, and
+//!   the cluster backend on every executor (one task per Algorithm 2
+//!   block), bank all N modes in the one fused sweep;
+//! * **N** — threaded host executors and the CSF layout (and host tensors
+//!   of order 1 or beyond the fused kernel's row cache) bank mode 0 only:
+//!   one fused sweep plus N−1 plain MTTKRPs;
 //! * **N+1** — unfused: N MTTKRPs plus the separate refresh.
 //!
 //! The `pass-count` feature counts the sweeps and `tests/pass_count.rs`
@@ -267,9 +269,10 @@ pub(crate) trait StepBackend {
         Ok(())
     }
     /// Charged for the sparse MTTKRP of `mode`, every mode of every
-    /// iteration — banked or not: banking saves local compute, not the
-    /// rows a cluster moves.
-    fn on_sparse_mttkrp(&mut self, _mode: usize) -> Result<()> {
+    /// iteration. `banked` says the last sweep already computed it — and
+    /// charged whatever that pass cost — so [`StepBackend::sparse_mttkrp`]
+    /// will not be called for it.
+    fn on_sparse_mttkrp(&mut self, _mode: usize, _banked: bool) -> Result<()> {
         Ok(())
     }
     /// Charged after the denominator is assembled, before the `R×R`
@@ -340,8 +343,9 @@ pub(crate) fn mode_step<B: StepBackend>(
     // left E₍ₙ₎U⁽ⁿ⁾ in the bank for the leading `banked` modes — against
     // these very factors and this residual, the Jacobi swap only happens
     // after every mode stepped.
-    backend.on_sparse_mttkrp(n)?;
-    if n >= *banked {
+    let is_banked = n < *banked;
+    backend.on_sparse_mttkrp(n, is_banked)?;
+    if !is_banked {
         backend.sparse_mttkrp(residual, model, n, &mut bank[n])?;
     }
     model.factors()[n].matmul_into(f, &mut mb.numer)?;
@@ -552,8 +556,8 @@ mod tests {
     enum Event {
         /// `fused_step`, with the length of the bank it was handed.
         Sweep(usize),
-        /// `on_sparse_mttkrp(mode)`.
-        Charge(usize),
+        /// `on_sparse_mttkrp(mode, banked)`.
+        Charge(usize, bool),
         /// `sparse_mttkrp(mode)`.
         Mttkrp(usize),
     }
@@ -600,8 +604,8 @@ mod tests {
             0.0
         }
 
-        fn on_sparse_mttkrp(&mut self, mode: usize) -> Result<()> {
-            self.log.push(Charge(mode));
+        fn on_sparse_mttkrp(&mut self, mode: usize, banked: bool) -> Result<()> {
+            self.log.push(Charge(mode, banked));
             Ok(())
         }
     }
@@ -630,10 +634,13 @@ mod tests {
     }
 
     /// One iteration's mode steps when the sweep before it banked
-    /// `banked` modes: the charge for every mode, the kernel for the rest.
+    /// `banked` modes: the charge for every mode — told whether the mode
+    /// was banked — and the kernel for the modes that were not.
     fn mode_steps(banked: usize) -> Vec<Event> {
         (0..N)
-            .flat_map(|n| std::iter::once(Charge(n)).chain((n >= banked).then_some(Mttkrp(n))))
+            .flat_map(|n| {
+                std::iter::once(Charge(n, n < banked)).chain((n >= banked).then_some(Mttkrp(n)))
+            })
             .collect()
     }
 

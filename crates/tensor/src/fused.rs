@@ -19,9 +19,12 @@
 //! solver schedules this at the old refresh's position and consumes the
 //! banked `H⁽ⁿ⁾` at the next iteration's mode steps).
 //!
-//! One sequential body ([`sweep_entries`]) serves all three callers — the
-//! all-modes sweep, the mode-0 sweep, and the plain residual refresh (no
-//! mode banked). It walks the entries in order, four per step:
+//! One sequential body ([`sweep_entries`]) serves every caller — the
+//! all-modes sweep, the mode-0 sweep, the plain residual refresh (no
+//! mode banked), and [`block_sweep_into`], one tensor block's share of a
+//! sweep whose caller combines per-block partial outputs (any run of
+//! modes, into row slabs with an origin, over refreshed or stored
+//! values). It walks the entries in order, four per step:
 //!
 //! * **Interleaved eval fold.** `Σᵣ Πₖ A⁽ᵏ⁾(iₖ,r)` is a serial `R`-add
 //!   chain per entry; one entry at a time, its latency is the whole
@@ -152,20 +155,24 @@ fn eval_block4(rows: &[RowSet<'_>; 4], order: usize, r: usize) -> [f64; 4] {
 }
 
 /// Rank elements `i..i + W` of one entry's MTTKRP contributions to the
-/// leading `outs.len()` modes: `outs[m] += ((v·r₀)…·r_{m−1})·r_{m+1}…·r_{N−1}`,
-/// the prefix `v·r₀…r_{m−1}` carried from mode to mode (see the module
-/// docs).
+/// `outs.len()` modes from `first` on: `outs[m − first] +=
+/// ((v·r₀)…·r_{m−1})·r_{m+1}…·r_{N−1}`, the prefix `v·r₀…r_{m−1}` carried
+/// from mode to mode (see the module docs).
 #[inline(always)]
 fn bank_lanes<const W: usize>(
     rows: &RowSet<'_>,
     order: usize,
     v: f64,
+    first: usize,
     outs: &mut [&mut [f64]],
     i: usize,
 ) {
-    let banked = outs.len();
+    let last = first + outs.len();
     let mut prefix = [v; W];
-    for (m, out) in outs.iter_mut().enumerate() {
+    for row in &rows[..first] {
+        mul_lanes(&mut prefix, lanes_at(row, i));
+    }
+    for (m, out) in (first..).zip(outs.iter_mut()) {
         let mut s = prefix;
         for row in &rows[m + 1..order] {
             mul_lanes(&mut s, lanes_at(row, i));
@@ -173,9 +180,102 @@ fn bank_lanes<const W: usize>(
         for (o, x) in out[i..i + W].iter_mut().zip(s) {
             *o += x;
         }
-        if m + 1 < banked {
+        if m + 1 < last {
             mul_lanes(&mut prefix, lanes_at(rows[m], i));
         }
+    }
+}
+
+/// Where a sweep's residual values come from.
+pub enum EntryValues<'a> {
+    /// Recompute `e = t − [[A…]](idx)` at every entry and store it here.
+    Refresh(&'a mut [f64]),
+    /// Read the values as stored: the sweep is a plain MTTKRP.
+    Stored(&'a [f64]),
+}
+
+/// [`EntryValues`] as a type, so that neither kind of sweep carries the
+/// other's branch through its entry loop.
+trait Values {
+    /// Whether the sweep evaluates the model at its entries.
+    const REFRESH: bool;
+    /// Entries covered.
+    fn len(&self) -> usize;
+    /// Entry `pos`'s residual value; `fresh` is the value the model gives
+    /// (meaningless unless [`Self::REFRESH`]).
+    fn take(&mut self, pos: usize, fresh: f64) -> f64;
+}
+
+struct Refresh<'a>(&'a mut [f64]);
+
+impl Values for Refresh<'_> {
+    const REFRESH: bool = true;
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn take(&mut self, pos: usize, fresh: f64) -> f64 {
+        self.0[pos] = fresh;
+        fresh
+    }
+}
+
+struct Stored<'a>(&'a [f64]);
+
+impl Values for Stored<'_> {
+    const REFRESH: bool = false;
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn take(&mut self, pos: usize, _fresh: f64) -> f64 {
+        self.0[pos]
+    }
+}
+
+/// Where a sweep's banked rows land. A type, not a value, so that the
+/// whole-mode sweeps compile to the body they had before outputs could be
+/// slabs.
+trait Placement: Copy {
+    /// The first banked mode: output `k` belongs to mode `first() + k`.
+    fn first(self) -> usize;
+    /// The global row that row 0 of mode `mode`'s output stands for.
+    fn origin(self, mode: usize) -> usize;
+}
+
+/// Outputs for the leading modes, each spanning its whole mode.
+#[derive(Clone, Copy)]
+struct WholeModes;
+
+impl Placement for WholeModes {
+    #[inline(always)]
+    fn first(self) -> usize {
+        0
+    }
+    #[inline(always)]
+    fn origin(self, _mode: usize) -> usize {
+        0
+    }
+}
+
+/// Row slabs for the modes from `first` on, slab `k` starting at global
+/// row `origin[first + k]` (`origin` has an entry per mode).
+#[derive(Clone, Copy)]
+struct Slabs<'a> {
+    first: usize,
+    origin: &'a [usize],
+}
+
+impl Placement for Slabs<'_> {
+    #[inline(always)]
+    fn first(self) -> usize {
+        self.first
+    }
+    #[inline(always)]
+    fn origin(self, mode: usize) -> usize {
+        self.origin[mode]
     }
 }
 
@@ -184,14 +284,15 @@ fn bank_lanes<const W: usize>(
 /// ignores their sums).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn sweep_block(
+fn sweep_block<V: Values, P: Placement>(
     observed: &CooTensor,
     factors: &[Mat],
     order: usize,
     r: usize,
     pos: usize,
     live: usize,
-    vals: &mut [f64],
+    vals: &mut V,
+    place: P,
     hs: &mut [Mat],
     frob: &mut f64,
 ) {
@@ -202,45 +303,46 @@ fn sweep_block(
             set[k] = &factors[k].as_slice()[idx[k] * r..][..r];
         }
     }
-    let model = eval_block4(&rows, order, r);
-    let banked = hs.len();
+    let model = if V::REFRESH { eval_block4(&rows, order, r) } else { [0.0; 4] };
+    let (first, banked) = (place.first(), hs.len());
     for j in 0..live {
-        let v = observed.value(pos + j) - model[j];
-        vals[pos + j] = v;
+        let v = vals.take(pos + j, observed.value(pos + j) - model[j]);
         *frob += v * v;
         // Rows are committed entry by entry, so every output row sums
         // its contributions in entry order.
-        let idx = observed.index(pos + j);
+        let idx = &observed.index(pos + j)[first..];
         let mut outs: [&mut [f64]; MAX_CACHED_ORDER] = std::array::from_fn(|_| &mut [][..]);
-        for ((out, h), &row) in outs.iter_mut().zip(hs.iter_mut()).zip(idx) {
-            *out = &mut h.as_mut_slice()[row * r..][..r];
+        for (k, ((out, h), &row)) in outs.iter_mut().zip(hs.iter_mut()).zip(idx).enumerate() {
+            *out = &mut h.as_mut_slice()[(row - place.origin(first + k)) * r..][..r];
         }
         let outs = &mut outs[..banked];
         let mut i = 0;
         while i + LANES <= r {
-            bank_lanes::<LANES>(&rows[j], order, v, outs, i);
+            bank_lanes::<LANES>(&rows[j], order, v, first, outs, i);
             i += LANES;
         }
         while i < r {
-            bank_lanes::<1>(&rows[j], order, v, outs, i);
+            bank_lanes::<1>(&rows[j], order, v, first, outs, i);
             i += 1;
         }
     }
 }
 
-/// The one sequential entry-order body: refresh `vals`, fold `‖E‖²`, and
-/// bank `hs[m] = E₍ₘ₎U⁽ᵐ⁾` for the leading `hs.len()` modes — every mode,
-/// mode 0, or none, which is the plain residual refresh. `order` must
-/// equal `factors.len()` and `r` the rank; they are parameters so callers
-/// can pass literals and get the per-mode and per-element loops unrolled.
-/// Returns `Σ eᵢ²`.
+/// The one sequential entry-order body: take each entry's residual value
+/// from `vals` (refreshing it, or as stored), fold `‖E‖²`, and bank
+/// `E₍ₘ₎U⁽ᵐ⁾` into `hs` for the `hs.len()` modes `place` says they are —
+/// every mode, one, or none, which is the plain residual refresh. `order`
+/// must equal `factors.len()` and `r` the rank; they are parameters so
+/// callers can pass literals and get the per-mode and per-element loops
+/// unrolled. Returns `Σ eᵢ²`.
 #[inline(always)]
-fn sweep_entries(
+fn sweep_entries<V: Values, P: Placement>(
     observed: &CooTensor,
     factors: &[Mat],
     order: usize,
     r: usize,
-    vals: &mut [f64],
+    mut vals: V,
+    place: P,
     hs: &mut [Mat],
 ) -> f64 {
     for h in hs.iter_mut() {
@@ -250,38 +352,39 @@ fn sweep_entries(
     let mut frob = 0.0;
     let mut pos = 0;
     while pos + 4 <= nnz {
-        sweep_block(observed, factors, order, r, pos, 4, vals, hs, &mut frob);
+        sweep_block(observed, factors, order, r, pos, 4, &mut vals, place, hs, &mut frob);
         pos += 4;
     }
     if pos < nnz {
-        sweep_block(observed, factors, order, r, pos, nnz - pos, vals, hs, &mut frob);
+        sweep_block(observed, factors, order, r, pos, nnz - pos, &mut vals, place, hs, &mut frob);
     }
     frob
 }
 
 /// [`RankKernel`] adapter for [`sweep_entries`].
-struct EntrySweep<'a> {
+struct EntrySweep<'a, V, P> {
     observed: &'a CooTensor,
     factors: &'a [Mat],
-    vals: &'a mut [f64],
+    vals: V,
+    place: P,
     hs: &'a mut [Mat],
 }
 
-impl EntrySweep<'_> {
+impl<V: Values, P: Placement> EntrySweep<'_, V, P> {
     /// The all-modes sweep at orders 3 and 4 — every DisTenC workload —
     /// gets bodies with the order (and so the mode count) as a literal.
     #[inline(always)]
     fn run(self, r: usize) -> f64 {
-        let EntrySweep { observed, factors, vals, hs } = self;
+        let EntrySweep { observed, factors, vals, place, hs } = self;
         match (factors.len(), hs.len()) {
-            (3, 3) => sweep_entries(observed, factors, 3, r, vals, &mut hs[..3]),
-            (4, 4) => sweep_entries(observed, factors, 4, r, vals, &mut hs[..4]),
-            (n, _) => sweep_entries(observed, factors, n, r, vals, hs),
+            (3, 3) => sweep_entries(observed, factors, 3, r, vals, place, &mut hs[..3]),
+            (4, 4) => sweep_entries(observed, factors, 4, r, vals, place, &mut hs[..4]),
+            (n, _) => sweep_entries(observed, factors, n, r, vals, place, hs),
         }
     }
 }
 
-impl RankKernel for EntrySweep<'_> {
+impl<V: Values, P: Placement> RankKernel for EntrySweep<'_, V, P> {
     type Out = f64;
 
     fn run_const<const R: usize>(self) -> f64 {
@@ -445,7 +548,8 @@ pub fn fused_refresh_modes_into(
         check_output(observed, h, m, r)?;
     }
     crate::record_entry_sweep(observed.nnz());
-    Ok(dispatch_rank(r, EntrySweep { observed, factors, vals: e.values_mut(), hs }))
+    let vals = Refresh(e.values_mut());
+    Ok(dispatch_rank(r, EntrySweep { observed, factors, vals, place: WholeModes, hs }))
 }
 
 /// The sequential residual refresh `vals[i] = t[i] − [[A…]](idx[i])`
@@ -460,7 +564,84 @@ pub(crate) fn refresh_entries(observed: &CooTensor, model: &KruskalTensor, vals:
         return;
     }
     let factors = model.factors();
-    dispatch_rank(model.rank(), EntrySweep { observed, factors, vals, hs: &mut [] });
+    let sweep = EntrySweep { observed, factors, vals: Refresh(vals), place: WholeModes, hs: &mut [] };
+    dispatch_rank(model.rank(), sweep);
+}
+
+/// One tensor block's share of a sweep, for callers that decompose the
+/// nonzeros into blocks and combine per-block partial outputs themselves
+/// (the cluster backend): `entries` holds the block's nonzeros under their
+/// global indices, and `slabs[k]` receives the block's partial
+/// `E₍ₘ₎U⁽ᵐ⁾` for mode `m = first + k` as a dense row slab starting at
+/// global row `origin[m]` (`origin` has one start per mode). With
+/// [`EntryValues::Refresh`] the block's residual values are recomputed
+/// and stored in the same pass; with [`EntryValues::Stored`] they are
+/// read. Returns the block's `Σ eᵢ²` in entry order.
+///
+/// This is [`sweep_entries`] again — the same folds, so a block's values
+/// and slabs do not depend on which modes share the pass or on whether
+/// the values were refreshed in it — with the per-entry fallback for
+/// orders outside the row cache. Ticks no pass count: a sweep is all of
+/// the caller's blocks.
+///
+/// # Panics
+/// If an entry's mode-`m` index lies outside slab `m`'s rows.
+pub fn block_sweep_into(
+    entries: &CooTensor,
+    model: &KruskalTensor,
+    mut vals: EntryValues<'_>,
+    first: usize,
+    origin: &[usize],
+    slabs: &mut [Mat],
+) -> Result<f64> {
+    let factors = model.factors();
+    validate(entries, factors, 0)?;
+    let (order, r) = (entries.order(), model.rank());
+    let given = match &vals {
+        EntryValues::Refresh(fresh) => fresh.len(),
+        EntryValues::Stored(stored) => stored.len(),
+    };
+    let fits = slabs.iter().zip(origin.iter().zip(entries.shape()).skip(first)).all(
+        |(slab, (&lo, &dim))| slab.cols() == r && lo + slab.rows() <= dim,
+    );
+    if given != entries.nnz() || origin.len() != order || first + slabs.len() > order || !fits {
+        return Err(TensorError::ShapeMismatch(format!(
+            "block sweep over {} entries of order {order}: {given} values, {} origins, {} slabs              from mode {first}, each of {r} columns inside its mode",
+            entries.nnz(),
+            origin.len(),
+            slabs.len()
+        )));
+    }
+    if fuses_entry_order(order) {
+        let (observed, place, hs) = (entries, Slabs { first, origin }, slabs);
+        return Ok(match vals {
+            EntryValues::Refresh(fresh) => {
+                dispatch_rank(r, EntrySweep { observed, factors, vals: Refresh(fresh), place, hs })
+            }
+            EntryValues::Stored(stored) => {
+                dispatch_rank(r, EntrySweep { observed, factors, vals: Stored(stored), place, hs })
+            }
+        });
+    }
+    for slab in slabs.iter_mut() {
+        slab.fill(0.0);
+    }
+    let mut scratch = vec![0.0; r];
+    let mut frob = 0.0;
+    for (pos, (idx, t)) in entries.iter().enumerate() {
+        let v = match &mut vals {
+            EntryValues::Refresh(fresh) => {
+                fresh[pos] = t - eval_model(factors, idx, r);
+                fresh[pos]
+            }
+            EntryValues::Stored(stored) => stored[pos],
+        };
+        frob += v * v;
+        for (m, slab) in (first..).zip(slabs.iter_mut()) {
+            fold_entry(factors, idx, v, m, &mut scratch, slab.row_mut(idx[m] - origin[m]));
+        }
+    }
+    Ok(frob)
 }
 
 /// Allocation-free fused refresh + one-mode MTTKRP through a
@@ -681,6 +862,137 @@ mod tests {
             assert_eq!(bits(hs[0].as_slice()), bits(whs[0].as_slice()));
             assert_eq!(f.to_bits(), wf.to_bits());
         }
+    }
+
+    /// `x` cut in two along every mode (at `cut[m]`): each non-empty
+    /// block's entries with its per-mode row origins and slab heights.
+    fn halves(x: &CooTensor, cut: &[usize]) -> Vec<(CooTensor, Vec<usize>, Vec<usize>)> {
+        let order = x.order();
+        let mut blocks = Vec::new();
+        for id in 0..1usize << order {
+            let upper = |m: usize| id >> m & 1 == 1;
+            let mut t = CooTensor::new(x.shape().to_vec());
+            for (idx, v) in x.iter() {
+                if (0..order).all(|m| (idx[m] >= cut[m]) == upper(m)) {
+                    t.push(idx, v).unwrap();
+                }
+            }
+            if t.nnz() == 0 {
+                continue;
+            }
+            let origin = (0..order).map(|m| if upper(m) { cut[m] } else { 0 }).collect();
+            let rows = (0..order)
+                .map(|m| if upper(m) { x.shape()[m] - cut[m] } else { cut[m] })
+                .collect();
+            blocks.push((t, origin, rows));
+        }
+        blocks
+    }
+
+    /// Run one block sweep into fresh dirty slabs for modes
+    /// `first..first + count`.
+    fn block_sweep(
+        block: &(CooTensor, Vec<usize>, Vec<usize>),
+        model: &KruskalTensor,
+        vals: EntryValues<'_>,
+        first: usize,
+        count: usize,
+    ) -> (Vec<Mat>, f64) {
+        let (t, origin, rows) = block;
+        let mut slabs: Vec<Mat> = (first..first + count)
+            .map(|m| Mat::random(rows[m], model.rank(), 3 + m as u64)) // dirty on purpose
+            .collect();
+        let frob = block_sweep_into(t, model, vals, first, origin, &mut slabs).unwrap();
+        (slabs, frob)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A block's values, `Σe²` and partial slabs are the same bits
+        /// whether one pass refreshes and banks every mode or separate
+        /// passes refresh and then bank mode by mode from the stored
+        /// values; the slabs of all blocks add up to the whole tensor's
+        /// MTTKRP; and one block spanning the tensor *is* the entry-order
+        /// sweep. Orders 1 and 9 take the per-entry fallback.
+        #[test]
+        fn block_sweep_is_the_same_fold_for_any_mode_range(
+            seed in 0u64..10_000,
+            rank_ix in 0usize..5,
+            order_ix in 0usize..6,
+        ) {
+            let rank = [1usize, 3, 8, 16, 20][rank_ix];
+            let order = [1usize, 2, 3, 4, 5, 9][order_ix];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shape: Vec<usize> = (0..order).map(|_| rng.random_range(2..5)).collect();
+            let x = random_coo(&shape, 90, seed ^ 0xb10c);
+            let model = KruskalTensor::random(&shape, rank, seed.wrapping_add(1));
+            let (we, whs, wf) = unfused(&x, &model);
+
+            let whole = (x.clone(), vec![0; order], shape.clone());
+            let mut vals = vec![f64::NAN; x.nnz()];
+            let (slabs, frob) =
+                block_sweep(&whole, &model, EntryValues::Refresh(&mut vals), 0, order);
+            prop_assert_eq!(bits(&vals), bits(we.values()));
+            prop_assert_eq!(frob.to_bits(), wf.to_bits());
+            for (slab, wh) in slabs.iter().zip(&whs) {
+                prop_assert_eq!(bits(slab.as_slice()), bits(wh.as_slice()));
+            }
+
+            let cut: Vec<usize> = shape.iter().map(|&d| rng.random_range(1..d)).collect();
+            let mut total: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, rank)).collect();
+            for block in halves(&x, &cut) {
+                let nnz = block.0.nnz();
+                let mut fused_vals = vec![f64::NAN; nnz];
+                let (fused, fused_frob) =
+                    block_sweep(&block, &model, EntryValues::Refresh(&mut fused_vals), 0, order);
+                let mut plain_vals = vec![f64::NAN; nnz];
+                let (none, plain_frob) =
+                    block_sweep(&block, &model, EntryValues::Refresh(&mut plain_vals), 0, 0);
+                prop_assert!(none.is_empty());
+                prop_assert_eq!(bits(&fused_vals), bits(&plain_vals));
+                prop_assert_eq!(fused_frob.to_bits(), plain_frob.to_bits());
+                for m in 0..order {
+                    let (one, stored_frob) =
+                        block_sweep(&block, &model, EntryValues::Stored(&plain_vals), m, 1);
+                    prop_assert_eq!(bits(one[0].as_slice()), bits(fused[m].as_slice()));
+                    prop_assert_eq!(stored_frob.to_bits(), plain_frob.to_bits());
+                    for row in 0..one[0].rows() {
+                        for (t, &p) in total[m].row_mut(block.1[m] + row).iter_mut().zip(one[0].row(row)) {
+                            *t += p;
+                        }
+                    }
+                }
+            }
+            for (t, wh) in total.iter().zip(&whs) {
+                for (a, b) in t.as_slice().iter().zip(wh.as_slice()) {
+                    prop_assert!((a - b).abs() <= 1e-12 * (1.0 + b.abs()), "{a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_sweep_rejects_mismatched_io() {
+        let shape = [6, 5, 4];
+        let x = random_coo(&shape, 30, 2);
+        let model = KruskalTensor::random(&shape, 3, 2);
+        let mut vals = vec![0.0; x.nnz()];
+        let mut slabs: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, 3)).collect();
+        let origin = [0usize; 3];
+        let sweep = |vals: &mut [f64], first, origin: &[usize], slabs: &mut [Mat]| {
+            block_sweep_into(&x, &model, EntryValues::Refresh(vals), first, origin, slabs)
+        };
+        assert!(sweep(&mut vals, 0, &origin, &mut slabs).is_ok());
+        // Values not parallel to the entries; an origin per mode missing;
+        // more slabs than modes from `first` on; a slab past its mode's
+        // end; a slab of the wrong rank.
+        assert!(sweep(&mut vals[1..], 0, &origin, &mut slabs).is_err());
+        assert!(sweep(&mut vals, 0, &origin[..2], &mut slabs).is_err());
+        assert!(sweep(&mut vals, 1, &origin, &mut slabs).is_err());
+        assert!(sweep(&mut vals, 0, &[1, 0, 0], &mut slabs).is_err());
+        slabs[2] = Mat::zeros(4, 2);
+        assert!(sweep(&mut vals, 0, &origin, &mut slabs).is_err());
     }
 
     #[test]

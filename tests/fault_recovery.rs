@@ -105,7 +105,7 @@ fn crash_recovery_is_bit_exact_at_every_checkpoint_interval() {
         }
         // The recovery is charged, not free.
         assert_eq!(m.machines_lost, 1, "interval {every:?}");
-        assert!(m.faults_injected >= 1);
+        assert_eq!(m.faults_injected, 1, "interval {every:?}: the one planned crash fired");
         assert!(m.recovery_seconds > 0.0, "interval {every:?}");
         assert!(
             m.virtual_seconds > clean_m.virtual_seconds,
@@ -135,6 +135,7 @@ fn crash_before_any_work_cold_restarts_bit_exactly() {
     let res = out.unwrap();
     assert_eq!(factor_bits(&clean), factor_bits(&res));
     assert_eq!(m.machines_lost, 1);
+    assert_eq!(m.faults_injected, 1);
 }
 
 #[test]
@@ -146,6 +147,7 @@ fn transient_task_failures_retry_and_stay_bit_exact() {
     let (out, m) = cluster_solve(&observed, plan, None);
     let res = out.unwrap();
     assert_eq!(factor_bits(&clean), factor_bits(&res));
+    assert_eq!(m.faults_injected, 1);
     assert_eq!(m.task_retries, 2);
     assert_eq!(m.machines_lost, 0);
     assert!(m.recovery_seconds > 0.0, "retried attempts are recovery time");
@@ -165,6 +167,7 @@ fn exhausted_task_retries_surface_a_typed_error() {
         }
         other => panic!("expected TaskFailed, got {other:?}"),
     }
+    assert_eq!(m.faults_injected, 1);
     assert_eq!(m.task_retries, 2, "the budget was spent before aborting");
 }
 
@@ -181,6 +184,7 @@ fn injected_straggler_slows_the_run_but_not_the_answer() {
     let (out, m) = cluster_solve(&observed, plan, None);
     let res = out.unwrap();
     assert_eq!(factor_bits(&clean), factor_bits(&res));
+    assert_eq!(m.faults_injected, 1);
     assert!(m.recovery_seconds > 0.0, "straggler excess is attributed to recovery");
     assert!(m.virtual_seconds > clean_m.virtual_seconds);
     assert_eq!(m.machines_lost, 0);
@@ -233,11 +237,15 @@ proptest! {
             (observed, bits, rmse)
         });
         let plan = FaultPlan::seeded(seed, 3, 40);
+        let planned = plan.events.len() as u64;
         let (out, m) = cluster_solve(observed, plan, Some(2));
         match out {
             Ok(res) => {
                 prop_assert_eq!(clean_bits, &factor_bits(&res));
                 prop_assert_eq!(*clean_rmse, res.trace.final_rmse().unwrap().to_bits());
+                // Every event sits before stage 40 of a solve that runs
+                // 157 (5 + 8 × 19): a finished solve has met them all.
+                prop_assert_eq!(m.faults_injected, planned);
             }
             // A plan can legitimately exhaust the retry budget; anything
             // else would be a bug.

@@ -8,13 +8,15 @@
 //! order-N solve sweeps the entry list
 //!
 //! * **N+1** times unfused — N MTTKRPs plus the residual refresh,
-//! * **N** times fused where only mode 0 is banked (executors that run
-//!   threads concurrently, the CSF layout, the distributed driver) — N−1
-//!   MTTKRPs, one fused refresh+MTTKRP sweep, and a mode-0 update read
-//!   from the bank without touching the entries,
-//! * **once** fused on the sequential host (COO and tiled layouts) — the
-//!   one fused sweep banks every mode's MTTKRP, so all N updates are
-//!   read from the bank and the iteration touches `nnz` entries.
+//! * **N** times fused where only mode 0 is banked (host executors that
+//!   run threads concurrently, the CSF layout) — N−1 MTTKRPs, one fused
+//!   refresh+MTTKRP sweep, and a mode-0 update read from the bank without
+//!   touching the entries,
+//! * **once** fused on the sequential host (COO and tiled layouts) and on
+//!   the distributed driver under every executor — the one fused sweep
+//!   banks every mode's MTTKRP (on the cluster: one task per Algorithm 2
+//!   block emits all N partial `H`s), so all N updates are read from the
+//!   bank and the iteration touches `nnz` entries.
 //!
 //! The executor is set explicitly in every case below, so the counts do
 //! not depend on `DISTENC_THREADS`; the one host dependence left is that
@@ -75,12 +77,14 @@ fn host_sweeps_per_iter(observed: &CooTensor, cfg: &AdmmConfig) -> f64 {
     (count(10) - count(2)) as f64 / 8.0
 }
 
-/// Entry sweeps per steady-state iteration of the distributed solver.
-fn distenc_sweeps_per_iter(observed: &CooTensor, cfg: &AdmmConfig) -> f64 {
+/// Entry sweeps per steady-state iteration of the distributed solver
+/// with the cluster's block tasks on `exec`.
+fn distenc_sweeps_per_iter(observed: &CooTensor, cfg: &AdmmConfig, exec: ExecMode) -> f64 {
     let count = |iters: usize| {
         let cfg = AdmmConfig { max_iters: iters, ..cfg.clone() };
         let laps = vec![None; observed.order()];
-        let cluster = Cluster::new(ClusterConfig::test(3).with_time_budget(None));
+        let cluster =
+            Cluster::new(ClusterConfig::test(3).with_time_budget(None).with_exec(exec));
         let before = passes::sweeps();
         let res = DisTenC::new(&cluster, cfg).unwrap().solve(observed, &laps).unwrap();
         assert_eq!(res.iterations, iters, "must not converge early");
@@ -182,9 +186,16 @@ fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
         );
     }
 
-    // --- Distributed solver, block-local kernels: unchanged. -----------
-    assert_eq!(distenc_sweeps_per_iter(&order3, &fused), 3.0, "distenc fused");
-    assert_eq!(distenc_sweeps_per_iter(&order3, &plain), 4.0, "distenc unfused");
+    // --- Distributed solver: one block stage banks every mode, whatever
+    // runs the block tasks (blocks share no output, so threads need no
+    // second pass). ------------------------------------------------------
+    for exec in [ExecMode::Sequential, threads] {
+        for (tensor, n) in [(&order3, 3.0), (&order4, 4.0)] {
+            let label = format!("distenc order {n} {exec:?}");
+            assert_eq!(distenc_sweeps_per_iter(tensor, &fused, exec), 1.0, "{label} fused");
+            assert_eq!(distenc_sweeps_per_iter(tensor, &plain, exec), n + 1.0, "{label} unfused");
+        }
+    }
 
     // --- Entry touches: exact vs sketched. -----------------------------
     // A sketch-phase iteration touches exactly N·samples entries — and
