@@ -97,7 +97,8 @@ impl AdmmSolver {
     ///   carried residual values must be exactly `Ω∗(T − [[init…]])` on
     ///   `observed`'s support (the invariant the streaming delta apply
     ///   maintains), and the prologue refresh is skipped — the solve
-    ///   starts in `O(1)` residual work instead of `O(nnz·N·R)`. The
+    ///   opens with one sweep over the carried values that banks its
+    ///   first iteration's MTTKRPs, and evaluates the model nowhere. The
     ///   result is bit-identical to `solve_from` on the same inputs.
     ///
     /// The ADMM auxiliaries restart either way (`Y = 0`, `η = η₀`; `B`'s
@@ -240,7 +241,8 @@ impl AdmmSolver {
         // The checkpointed residual values are fresh for the checkpointed
         // factors (snapshots are taken right after the iteration's
         // residual refresh), so they re-enter the solve through the same
-        // hand-off machinery the streaming path uses: prologue skipped,
+        // hand-off machinery the streaming path uses: the prologue
+        // refresh gives way to the entry sweep over these values,
         // bit-invisibly. Everything else the snapshot holds goes back
         // through `SolverState::restore`.
         let mut e = observed.clone();
@@ -410,7 +412,7 @@ pub(crate) fn solve_with(
 /// The residual shares the observed support. Cold: its values start
 /// stale (they still hold `T`'s) and the solver refreshes them before
 /// anything reads them. Warm: the carried values are already fresh for
-/// the warm-start model and the prologue is skipped. The carried layout
+/// the warm-start model and the solve enters on them. The carried layout
 /// acceleration structure (CSF trees, tiled orders) is reused when it
 /// still matches the support; otherwise the layout rebuilds it.
 fn build_host_layout(
@@ -447,18 +449,7 @@ fn solve_exact(
     clock: impl Fn(usize) -> f64,
 ) -> Result<(CompletionResult, ResidualHandoff)> {
     let (exec, layout, residual_fresh) = build_host_layout(observed, cfg, carry)?;
-    // The Algorithm 2 greedy MTTKRP boundaries, one set per mode, computed
-    // once — the support never changes *within* a solve — and any blocking
-    // is bit-exact, so sizing them to the worker count is free.
-    // `parallelism()` (not `threads()`) clamps the chunk count to the
-    // cores actually available, so a `DISTENC_THREADS` setting above the
-    // machine's core count does not oversplit the kernels.
-    let boundaries: Vec<Vec<usize>> = (0..observed.order())
-        .map(|n| {
-            distenc_partition::greedy_boundaries(&observed.slice_nnz(n), exec.parallelism())
-        })
-        .collect();
-    let mut backend = HostBackend::new(&layout, &boundaries, cfg.rank, exec, clock)?;
+    let mut backend = HostBackend::new(&layout, cfg.rank, exec, clock)?;
     let mut st = SolverState::new(observed, truncated, cfg, initial, layout)?;
     let resume_point = resume.map(|ck| st.restore(ck)).transpose()?;
     let mut file_sink = cfg
@@ -489,7 +480,8 @@ fn solve_exact(
 /// The hand-off between the phases is free: the sketch phase's final
 /// `fused_step` performs a full exact residual refresh (the
 /// [`ResidualHandoff`] invariant), so the polish phase skips its
-/// prologue rebuild and starts directly on fresh values. Both phases
+/// prologue rebuild and enters on fresh values, banking its first
+/// iteration's MTTKRPs from them in one sweep. Both phases
 /// stamp trace points through the same `clock` closure, so `seconds` is
 /// cumulative across the whole solve; the polish phase's trace points
 /// are renumbered to continue the sketch phase's iteration count. Trace

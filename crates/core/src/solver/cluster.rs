@@ -18,8 +18,9 @@
 //! factor partition's home in ascending block order
 //! ([`ClusterBackend::combine`]). The end-of-iteration sweep runs it
 //! with refresh on and every mode (one pass banks the next iteration's N
-//! MTTKRPs), the plain refresh with no mode, and an unbanked mode step
-//! with that one mode and the stored values. A block's partial for a mode
+//! MTTKRPs), the plain refresh with no mode, the entry into a restored
+//! attempt with every mode and the stored values, and an unbanked mode
+//! step with that one mode and the stored values. A block's partial for a mode
 //! is the same fold whichever pass computed it, and the combine order is
 //! fixed, so fused ≡ unfused, resumed ≡ uninterrupted and `Sequential` ≡
 //! `Threads(n)` hold bit-for-bit by construction.
@@ -333,8 +334,7 @@ impl<'c> ClusterBackend<'c> {
 impl StepBackend for ClusterBackend<'_> {
     type Residual = Vec<ResidualBlock>;
 
-    /// The per-mode fallback (`fused: false`, and the first iteration
-    /// after a restore or a carried residual): the block body over the
+    /// The per-mode fallback (`fused: false`): the block body over the
     /// stored residual values for this one mode, then the combine. The
     /// block association is this backend's own (matching the serial oracle
     /// to rounding, not bits) and is the same one the all-modes sweep
@@ -391,24 +391,33 @@ impl StepBackend for ClusterBackend<'_> {
         Ok(())
     }
 
-    /// The end-of-iteration sweep (see [`StepBackend::fused_step`]). Handed
-    /// the bank, it is the all-modes sweep: every block refreshes its
-    /// values and emits all N partials in one task, and the cluster is
-    /// charged one factor fetch (every mode's rows at every block), one
-    /// block stage and one shuffle. Handed nothing, it is the plain
-    /// refresh: the same fetch and a stage that sweeps no mode.
+    /// The banking sweep (see [`StepBackend::fused_step`]). Handed the
+    /// bank, it is the all-modes sweep: every block takes its values —
+    /// refreshing them, or, on the entry into a restored attempt, as the
+    /// snapshot stored them — and emits all N partials in one task, and
+    /// the cluster is charged one factor fetch (every mode's rows at every
+    /// block), one block stage and one shuffle. Handed nothing, it is the
+    /// plain refresh: the same fetch and a stage that sweeps no mode.
     fn fused_step(
         &mut self,
         _observed: &CooTensor,
         model: &KruskalTensor,
         blocks: &mut Vec<ResidualBlock>,
+        refresh: bool,
         bank: &mut [Mat],
     ) -> Result<(f64, usize)> {
         let modes = 0..bank.len();
         self.charge_factor_fetch(None)?;
-        self.charge_block_stage(modes.clone(), true)?;
-        let fresh = blocks.iter_mut().map(|b| (&b.entries, EntryValues::Refresh(&mut b.vals)));
-        let frob = self.sweep_blocks(model, fresh, modes);
+        self.charge_block_stage(modes.clone(), refresh)?;
+        let values = blocks.iter_mut().map(|b| {
+            let vals = if refresh {
+                EntryValues::Refresh(&mut b.vals)
+            } else {
+                EntryValues::Stored(&b.vals)
+            };
+            (&b.entries, vals)
+        });
+        let frob = self.sweep_blocks(model, values, modes);
         for (mode, out) in bank.iter_mut().enumerate() {
             self.combine(mode, out);
         }
@@ -487,8 +496,9 @@ mod tests {
     use distenc_partition::TensorBlocks;
 
     /// A backend over the 2×2×2 blocking of a full 4×4×4 tensor on two
-    /// machines, placed the way the driver places blocks.
-    fn backend(cl: &Cluster, rank: usize) -> ClusterBackend<'_> {
+    /// machines, placed the way the driver places blocks, and the blocked
+    /// residual it sweeps (values: the tensor's).
+    fn blocked(cl: &Cluster, rank: usize) -> (ClusterBackend<'_>, Vec<ResidualBlock>) {
         let mut x = CooTensor::new(vec![4, 4, 4]);
         for i in 0..64 {
             x.push(&[i / 16, i / 4 % 4, i % 4], 1.0 + i as f64).unwrap();
@@ -503,7 +513,56 @@ mod tests {
             })
             .collect();
         assert_eq!(meta.len(), 8);
-        ClusterBackend::new(cl, rank, blocking.modes.clone(), meta, vec![0; 3])
+        let blocks = blocking
+            .blocks
+            .iter()
+            .map(|(_, t)| ResidualBlock { entries: t.clone(), vals: t.values().to_vec() })
+            .collect();
+        (ClusterBackend::new(cl, rank, blocking.modes.clone(), meta, vec![0; 3]), blocks)
+    }
+
+    #[test]
+    fn the_entry_sweep_banks_every_mode_from_stored_values_in_one_stage() {
+        // What a restored attempt opens with: one fetch, one block stage
+        // and one shuffle bank all N modes — the very partials N one-mode
+        // passes over the stored values produce, which cost N of each.
+        let rank = 3;
+        let model = KruskalTensor::random(&[4, 4, 4], rank, 5);
+        let observed = CooTensor::new(vec![4, 4, 4]); // unread by this backend
+        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
+        let (mut be, mut blocks) = blocked(&cl, rank);
+        let stored: Vec<Vec<f64>> = blocks.iter().map(|b| b.vals.clone()).collect();
+        let mut bank: Vec<Mat> = (0..3).map(|m| Mat::random(4, rank, 40 + m)).collect(); // dirty
+        let (_, banked) = be.fused_step(&observed, &model, &mut blocks, false, &mut bank).unwrap();
+        assert_eq!(banked, 3);
+        let entry = cl.metrics();
+        assert_eq!(entry.stages, 1);
+        for (b, was) in blocks.iter().zip(&stored) {
+            assert_eq!(&b.vals, was, "a stored sweep writes no value");
+        }
+        for mode in 0..3 {
+            be.on_sparse_mttkrp(mode, true).unwrap();
+        }
+        let entry_total = cl.metrics();
+
+        let cl2 = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
+        let (mut be2, blocks2) = blocked(&cl2, rank);
+        for (mode, banked) in bank.iter().enumerate() {
+            let mut out = Mat::random(4, rank, 7);
+            be2.on_sparse_mttkrp(mode, false).unwrap();
+            be2.sparse_mttkrp(&blocks2, &model, mode, &mut out).unwrap();
+            assert_eq!(bits(&out), bits(banked), "mode {mode}");
+        }
+        let per_mode = cl2.metrics();
+        // N block stages became 1; the N combine stages are paid either way.
+        assert_eq!(per_mode.stages - entry_total.stages, 2);
+        assert!(entry_total.virtual_seconds < per_mode.virtual_seconds);
+        // The same partial rows travel home, in one shuffle; of the
+        // fetches, each mode's pass skipped its own output rows, so N of
+        // them moved every remote row N − 1 times and the one moves it once.
+        assert!(entry_total.shuffled_bytes < per_mode.shuffled_bytes);
     }
 
     #[test]
@@ -513,7 +572,7 @@ mod tests {
         // plus the N one-mode MTTKRP tasks. Only the entries are read once
         // instead of N+1 times.
         let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let be = backend(&cl, 3);
+        let (be, _) = blocked(&cl, 3);
         let n = be.n_modes;
         for b in &be.meta {
             let fused = be.block_task(b, 0..n, true);

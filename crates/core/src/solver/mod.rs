@@ -50,21 +50,33 @@
 //! reports how many. The next iteration's [`mode_step`]s call
 //! [`StepBackend::sparse_mttkrp`] only for the modes after those; a banked
 //! mode's buffer is read where it lies, and [`StepBackend::on_sparse_mttkrp`]
-//! is told which of the two happened. A first iteration entered on a
-//! carried residual, and one resumed from a checkpoint, start with nothing
-//! banked. How many a backend banks sets its steady-state sweep count over
-//! the nonzero list for an order-N tensor:
+//! is told which of the two happened.
+//!
+//! A solve entered on a residual that is already fresh — a carried one
+//! (every streaming refresh, the sketched tier's polish phase) or one
+//! restored from a checkpoint — has no prologue refresh to bank beside, so
+//! [`run`] opens it with the *entry sweep*: the same hook with `refresh`
+//! off, which reads the values as stored and only banks. Its first
+//! iteration then starts with what the backend banks from stored values,
+//! exactly as every later one starts with what the refreshing sweep
+//! banked. How many modes a backend banks sets its sweep count over the
+//! nonzero list for an order-N tensor, per steady-state iteration and for
+//! the entry alike:
 //!
 //! * **1** — the sequential host backend on the COO and tiled layouts, and
 //!   the cluster backend on every executor (one task per Algorithm 2
-//!   block), bank all N modes in the one fused sweep;
+//!   block), bank all N modes in one sweep;
 //! * **N** — threaded host executors and the CSF layout (and host tensors
 //!   of order 1 or beyond the fused kernel's row cache) bank mode 0 only:
-//!   one fused sweep plus N−1 plain MTTKRPs;
-//! * **N+1** — unfused: N MTTKRPs plus the separate refresh.
+//!   one fused sweep plus N−1 plain MTTKRPs (on entry they bank nothing:
+//!   N plain MTTKRPs);
+//! * **N+1** — unfused: N MTTKRPs plus the separate refresh (no entry
+//!   sweep: without fusion nothing is ever banked).
 //!
+//! So `k` iterations entered on a fresh residual cost `k + 1` sweeps on
+//! the sequential host — the entry, `k − 1` fused, the last plain refresh.
 //! The `pass-count` feature counts the sweeps and `tests/pass_count.rs`
-//! pins all three.
+//! pins all of it.
 
 use crate::config::AdmmConfig;
 use crate::solver::checkpoint::Checkpoint;
@@ -102,9 +114,9 @@ struct ModeBuffers {
 pub(crate) struct Workspace {
     modes: Vec<ModeBuffers>,
     /// The bank: the sparse MTTKRP part `E₍ₙ₎U⁽ⁿ⁾` of every mode (`Iₙ×R`
-    /// each), written by the fused sweep for the modes it banks and by
-    /// [`StepBackend::sparse_mttkrp`] for the rest, read once per mode
-    /// step.
+    /// each), written by the fused sweep (or the entry sweep) for the
+    /// modes it banks and by [`StepBackend::sparse_mttkrp`] for the rest,
+    /// read once per mode step.
     bank: Vec<Mat>,
     /// How many leading modes of `bank` the last sweep filled for the
     /// iteration about to run.
@@ -192,7 +204,7 @@ impl<R> SolverState<R> {
     /// inverse of [`Checkpoint::capture`]) and return where the loop
     /// continues. The residual values are the caller's to restore — their
     /// order is the decomposition's — and [`run`] must then be entered
-    /// with `residual_fresh`.
+    /// with `residual_fresh`, which opens it with the entry sweep.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<ResumePoint> {
         self.model = KruskalTensor::new(ck.factors.clone())?;
         self.y_mul = ck.y_mul.clone();
@@ -213,7 +225,8 @@ pub(crate) trait StepBackend {
 
     /// The sparse MTTKRP `E₍ₙ₎U⁽ⁿ⁾` for `mode`, written into `out`
     /// (`Iₙ×R`), decomposed however this backend decomposes it. Called
-    /// only for modes the last sweep did not bank. Must be bit-identical
+    /// only for modes the last sweep (or the entry sweep) did not bank.
+    /// Must be bit-identical
     /// to the sequential entry-order sweep for the host backend; the
     /// cluster backend's block association is its own fixed order
     /// (matching the serial oracle to rounding, not bits).
@@ -229,30 +242,43 @@ pub(crate) trait StepBackend {
     /// association order.
     fn refresh_gram(&mut self, factor: &Mat, mode: usize, out: &mut Mat) -> Result<()>;
 
-    /// The end-of-iteration sweep: refresh the residual values against
-    /// the freshly swapped model (Algorithm 3 line 13 / Eq. 14), reduce
-    /// `‖E‖²_F`, and bank the *next* iteration's MTTKRPs.
+    /// The one sweep over the residual's entries that banks MTTKRPs: at the
+    /// end of an iteration (and in the cold prologue) with `refresh` on, as
+    /// the entry into a solve on an already-fresh residual with it off.
+    ///
+    /// With `refresh`, recompute the residual values against the freshly
+    /// swapped model (Algorithm 3 line 13 / Eq. 14) and reduce `‖E‖²_F`;
+    /// without, read them as stored — they already are `Ω∗(T − [[model…]])`
+    /// — and write none. Either way, bank the *next* iteration's MTTKRPs
+    /// in the same pass.
     ///
     /// `bank` is the workspace's per-mode `Iₙ×R` buffers, or empty when
     /// nothing may be banked (fusion is off, or no further iteration will
-    /// run — a banked MTTKRP would be dead work). The model this step
-    /// reads is exactly the model every one of the next iteration's mode
-    /// steps reads (the Jacobi swap has already happened, and the next one
-    /// waits for all modes), and the residual it writes is the one they
-    /// read. So a backend may overwrite `bank[n]` with `E₍ₙ₎U⁽ⁿ⁾` for the
-    /// leading `k ≤ bank.len()` modes during the same sweep that refreshes
-    /// `E` and return that `k` beside `‖E‖²_F` — turning N+1 passes over
-    /// the nonzeros per iteration into N (`k = 1`) or 1 (`k = N`). Modes
-    /// `k..N` compute their own sweep.
+    /// run — a banked MTTKRP would be dead work; never empty without
+    /// `refresh`, where banking is all there is to do). The model this
+    /// step reads is exactly the model every one of the next iteration's
+    /// mode steps reads (the Jacobi swap has already happened, and the
+    /// next one waits for all modes), and the residual it leaves is the
+    /// one they read. So a backend may overwrite `bank[n]` with
+    /// `E₍ₙ₎U⁽ⁿ⁾` for the leading `k ≤ bank.len()` modes during the one
+    /// sweep and return that `k` beside `‖E‖²_F` — turning N+1 passes over
+    /// the nonzeros per iteration into N (`k = 1`) or 1 (`k = N`), and the
+    /// N passes that open a solve on a fresh residual into 1. Modes `k..N`
+    /// compute their own sweep; a backend with no cheaper way to bank from
+    /// stored values than those sweeps returns `k = 0` without making one.
+    /// The returned `‖E‖²_F` is read only after a `refresh`.
     ///
     /// Whatever the backend banks must be bit-identical to the unfused
     /// schedule: the refreshed `E` values, the returned `‖E‖²_F` (the
-    /// decomposition's fixed fold order), and every banked MTTKRP.
+    /// decomposition's fixed fold order), and every banked MTTKRP —
+    /// whether it was banked beside the refresh that wrote the values or
+    /// from the stored values afterwards.
     fn fused_step(
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,
         residual: &mut Self::Residual,
+        refresh: bool,
         bank: &mut [Mat],
     ) -> Result<(f64, usize)>;
 
@@ -339,10 +365,10 @@ pub(crate) fn mode_step<B: StepBackend>(
     gram_product_into(grams, n, f)?;
     backend.on_gram_product()?;
 
-    // Line 10 + Eq. 16: H = A⁽ⁿ⁾ₜFⁿₜ + E₍ₙ₎U⁽ⁿ⁾. The last sweep already
-    // left E₍ₙ₎U⁽ⁿ⁾ in the bank for the leading `banked` modes — against
-    // these very factors and this residual, the Jacobi swap only happens
-    // after every mode stepped.
+    // Line 10 + Eq. 16: H = A⁽ⁿ⁾ₜFⁿₜ + E₍ₙ₎U⁽ⁿ⁾. The last sweep (or the
+    // entry sweep) left E₍ₙ₎U⁽ⁿ⁾ in the bank for the leading `banked`
+    // modes — against these very factors and this residual, the Jacobi
+    // swap only happens after every mode stepped.
     let is_banked = n < *banked;
     backend.on_sparse_mttkrp(n, is_banked)?;
     if !is_banked {
@@ -409,12 +435,13 @@ pub(crate) trait CheckpointSink<R> {
 /// caller guarantees the residual values are already exactly
 /// `Ω∗(T − [[A₀…]])` for the initial model (maintained incrementally by
 /// the delta apply path, or restored from a snapshot), the prologue
-/// residual refresh is skipped. Skipping is bit-invisible: a refresh
-/// would recompute the very same values (the delta path evaluates the
-/// model with the same fold the refresh kernels use), and the only other
-/// prologue effect — banking iteration 0's MTTKRPs — degrades to each
-/// mode computing its own sweep, whose output is pinned bit-identical to
-/// the banked one.
+/// residual refresh is replaced by the entry sweep, which reads those
+/// values and banks iteration 0's MTTKRPs from them
+/// ([`StepBackend::fused_step`] with `refresh` off). That is bit-invisible:
+/// a refresh would recompute the very same values (the delta path
+/// evaluates the model with the same fold the refresh kernels use), and a
+/// banked MTTKRP is pinned bit-identical whether it was computed beside
+/// the refresh, from the stored values in one pass, or mode by mode.
 ///
 /// Alongside the result, the final residual is handed back to the
 /// caller; after the loop its values are always fresh with respect to
@@ -430,9 +457,10 @@ pub(crate) trait CheckpointSink<R> {
 /// post-schedule `η`, residual values) or recomputed deterministically
 /// before its first read (Grams in the prologue; `B` is rewritten from
 /// `ηA − Y` each mode step). The one cross-iteration artifact *not*
-/// restored — the bank — is bit-invisible by the
-/// [`StepBackend::fused_step`] contract: with nothing banked every mode
-/// computes its own sweep, with pinned-identical output.
+/// restored — the bank — is recomputed by the entry sweep from the
+/// restored residual values and factors, bit-identical by the
+/// [`StepBackend::fused_step`] contract to what the interrupted run's
+/// sweep had banked beside its refresh.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<B: StepBackend>(
     observed: &CooTensor,
@@ -462,14 +490,18 @@ pub(crate) fn run<B: StepBackend>(
     // banks iteration 0's MTTKRPs — iteration 0 reads the same initial
     // factors this sweep reads. A resumed solve re-runs the Gram
     // refresh (recomputing from the restored factors — same bits as the
-    // interrupted run's cache) and always arrives with a fresh residual,
-    // so its prologue sweep is skipped and it starts with nothing banked.
+    // interrupted run's cache) and, like a warm one, arrives with a fresh
+    // residual: its sweep keeps the values and only banks. Without fusion
+    // nothing is ever banked, so there the entry has no sweep to make.
     for n in 0..n_modes {
         backend.refresh_gram(&st.model.factors()[n], n, &mut st.grams[n])?;
     }
     backend.on_grams_refreshed()?;
+    let more = cfg.max_iters > start_iter;
     if !residual_fresh {
-        sweep(observed, cfg, backend, &mut st, cfg.max_iters > start_iter)?;
+        sweep(observed, cfg, backend, &mut st, true, more)?;
+    } else if more && cfg.fused {
+        sweep(observed, cfg, backend, &mut st, false, true)?;
     }
 
     trace.points.reserve(cfg.max_iters.saturating_sub(start_iter));
@@ -498,7 +530,7 @@ pub(crate) fn run<B: StepBackend>(
         // Line 13: refresh the cached residual for the next iteration —
         // fused with that iteration's MTTKRPs when one will run.
         let fuse_next = t + 1 < cfg.max_iters && delta >= cfg.tol;
-        let frob = sweep(observed, cfg, backend, &mut st, fuse_next)?;
+        let frob = sweep(observed, cfg, backend, &mut st, true, fuse_next)?;
         let train_rmse = (frob / observed.nnz() as f64).sqrt();
         trace.push(TracePoint {
             iter: t,
@@ -531,16 +563,20 @@ pub(crate) fn run<B: StepBackend>(
 
 /// One [`StepBackend::fused_step`]: the core's single decision of whether
 /// the sweep gets the bank (`fuse_next`: another iteration will read it),
-/// and the bookkeeping of what came back. Returns `‖E‖²_F`.
+/// and the bookkeeping of what came back. `refresh` off is the entry
+/// sweep over stored values. Returns `‖E‖²_F`.
 fn sweep<B: StepBackend>(
     observed: &CooTensor,
     cfg: &AdmmConfig,
     backend: &mut B,
     st: &mut SolverState<B::Residual>,
+    refresh: bool,
     fuse_next: bool,
 ) -> Result<f64> {
     let bank: &mut [Mat] = if cfg.fused && fuse_next { &mut st.ws.bank } else { &mut [] };
-    let (frob, banked) = backend.fused_step(observed, &st.model, &mut st.residual, bank)?;
+    debug_assert!(refresh || !bank.is_empty(), "a sweep that writes nothing has to bank");
+    let (frob, banked) =
+        backend.fused_step(observed, &st.model, &mut st.residual, refresh, bank)?;
     debug_assert!(banked <= bank.len(), "a backend banks only what it was handed");
     st.ws.banked = banked;
     Ok(frob)
@@ -554,8 +590,11 @@ mod tests {
 
     #[derive(Debug, PartialEq, Clone, Copy)]
     enum Event {
-        /// `fused_step`, with the length of the bank it was handed.
+        /// A refreshing `fused_step`, with the length of the bank it was
+        /// handed.
         Sweep(usize),
+        /// `fused_step` over stored values, likewise.
+        Entry(usize),
         /// `on_sparse_mttkrp(mode, banked)`.
         Charge(usize, bool),
         /// `sparse_mttkrp(mode)`.
@@ -594,9 +633,10 @@ mod tests {
             _: &CooTensor,
             _: &KruskalTensor,
             _: &mut (),
+            refresh: bool,
             bank: &mut [Mat],
         ) -> Result<(f64, usize)> {
-            self.log.push(Sweep(bank.len()));
+            self.log.push(if refresh { Sweep(bank.len()) } else { Entry(bank.len()) });
             Ok((1.0, self.k.min(bank.len())))
         }
 
@@ -672,21 +712,31 @@ mod tests {
         assert_eq!(iters, 1);
         assert_eq!(log, [vec![Sweep(N)], mode_steps(N), vec![Sweep(0)]].concat());
 
-        // A carried residual skips the prologue sweep, so iteration 0
-        // starts with nothing banked whatever the backend could bank.
-        let (log, _) = drive(N, &cfg(2, 0.0, true), true, 0);
-        assert_eq!(
-            log,
-            [mode_steps(0), vec![Sweep(N)], mode_steps(N), vec![Sweep(0)]].concat()
-        );
+        // A carried residual swaps the prologue refresh for the entry
+        // sweep: iteration 0 starts with what the backend banks from the
+        // stored values — everything, something, or nothing.
+        for k in 0..=N {
+            let (log, _) = drive(k, &cfg(2, 0.0, true), true, 0);
+            assert_eq!(
+                log,
+                [vec![Entry(N)], mode_steps(k), vec![Sweep(N)], mode_steps(k), vec![Sweep(0)]]
+                    .concat(),
+                "k = {k}"
+            );
+        }
 
         // So does a resume, at its first iteration.
         let (log, iters) = drive(N, &cfg(3, 0.0, true), true, 1);
         assert_eq!(iters, 3);
         assert_eq!(
             log,
-            [mode_steps(0), vec![Sweep(N)], mode_steps(N), vec![Sweep(0)]].concat()
+            [vec![Entry(N)], mode_steps(N), vec![Sweep(N)], mode_steps(N), vec![Sweep(0)]].concat()
         );
+
+        // A resume with its budget already spent has no iteration to bank
+        // for and no value to refresh: not one sweep.
+        let (log, iters) = drive(N, &cfg(2, 0.0, true), true, 2);
+        assert_eq!((log, iters), (vec![], 2));
 
         // A budget already spent runs nothing at all.
         let (log, iters) = drive(N, &cfg(2, 0.0, true), false, 2);
@@ -700,5 +750,8 @@ mod tests {
             log,
             [vec![Sweep(0)], mode_steps(0), vec![Sweep(0)], mode_steps(0), vec![Sweep(0)]].concat()
         );
+        // Nor is there an entry sweep: it would have nothing to write.
+        let (log, _) = drive(N, &cfg(2, 0.0, false), true, 0);
+        assert_eq!(log, [mode_steps(0), vec![Sweep(0)], mode_steps(0), vec![Sweep(0)]].concat());
     }
 }

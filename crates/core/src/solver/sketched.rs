@@ -159,8 +159,13 @@ impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
         observed: &CooTensor,
         model: &KruskalTensor,
         residual: &mut TensorLayout,
+        _refresh: bool,
         bank: &mut [Mat],
     ) -> Result<(f64, usize)> {
+        // A sampled sweep neither reads nor writes the residual values (it
+        // re-evaluates the model at its draws), so entered on a carried
+        // residual (`refresh` off, a bank to fill) it is the sweep it
+        // always is.
         let Some(h0) = bank.first_mut() else {
             // Final (or converged) iteration of the sketch phase: restore
             // the hand-off invariant with one exact refresh so the polish

@@ -30,13 +30,17 @@ fn growth_seed(base: u64, mode: usize, old_rows: usize) -> u64 {
 /// ```
 ///
 /// * `apply` folds a [`DeltaBatch`] into the observed tensor **and** the
-///   carried residual in one pass over the delta (plus a linear merge for
-///   inserts): each touched cell's residual becomes `t − [[model…]](i)`,
-///   computed with the same fold the solver's refresh kernels use, so the
-///   carried residual stays bit-identical to a from-scratch rebuild.
+///   carried residual in one pass over the delta: each touched cell's
+///   residual becomes `t − [[model…]](i)`, computed with the same fold the
+///   solver's refresh kernels use, so the carried residual stays
+///   bit-identical to a from-scratch rebuild. Inserts are searched for
+///   once — the search that proves them absent is the search for where
+///   they go — and spliced into both at those points
+///   ([`CooTensor::splice`]): block moves, no second full-size copy.
 /// * `solve` warm-starts ADMM from the previous factors and the carried
 ///   residual under the configured convergence budget
-///   ([`StreamingSolver::set_budget`]). New slice indices get seeded
+///   ([`StreamingSolver::set_budget`]); its first iteration's MTTKRPs are
+///   banked from the carried values in one sweep. New slice indices get seeded
 ///   random rows (deterministic in the config seed, the mode, and the
 ///   pre-growth dimension — see the module source) so replays reproduce.
 /// * Validation is atomic: a rejected batch leaves the solver untouched.
@@ -154,9 +158,13 @@ impl StreamingSolver {
                 None => return Err(StreamError::UnobservedUpdate { index: idx.clone() }),
             }
         }
+        // The search that proves an insert absent also says where it
+        // goes; inserts are sorted, so the points come out ascending.
+        let mut insert_at = Vec::with_capacity(batch.inserts().len());
         for (idx, _) in batch.inserts() {
-            if self.observed.position_of(idx).is_some() {
-                return Err(StreamError::AlreadyObserved { index: idx.clone() });
+            match self.observed.search(idx) {
+                Ok(_) => return Err(StreamError::AlreadyObserved { index: idx.clone() }),
+                Err(at) => insert_at.push(at),
             }
         }
 
@@ -198,18 +206,21 @@ impl StreamingSolver {
             }
         }
         if !batch.inserts().is_empty() {
-            let mut patch = CooTensor::new(new_shape.clone());
+            // One patch, spliced twice at the searched points: with the
+            // observed values into the tensor, then with their residuals
+            // into the carry, which shares the tensor's support.
+            let mut patch = CooTensor::new(new_shape);
+            patch.reserve(batch.inserts().len());
             for (idx, v) in batch.inserts() {
                 patch.push(idx, *v)?;
             }
-            self.observed.merge_sorted(&patch)?;
+            self.observed.splice(&insert_at, &patch)?;
             if let Some(c) = &mut self.carry {
                 let model = self.model.as_ref().expect("carry without model");
-                let mut resid = CooTensor::new(new_shape);
-                for (idx, v) in batch.inserts() {
-                    resid.push(idx, *v - model.eval(idx))?;
+                for (e, (idx, v)) in patch.values_mut().iter_mut().zip(batch.inserts()) {
+                    *e = *v - model.eval(idx);
                 }
-                c.e.merge_sorted(&resid)?;
+                c.e.splice(&insert_at, &patch)?;
             }
         }
         if batch.is_structural() {

@@ -21,10 +21,13 @@
 //!
 //! One sequential body ([`sweep_entries`]) serves every caller — the
 //! all-modes sweep, the mode-0 sweep, the plain residual refresh (no
-//! mode banked), and [`block_sweep_into`], one tensor block's share of a
-//! sweep whose caller combines per-block partial outputs (any run of
-//! modes, into row slabs with an origin, over refreshed or stored
-//! values). It walks the entries in order, four per step:
+//! mode banked), the plain MTTKRP of stored values for one mode or all
+//! of them ([`mttkrp_modes_into`]: what opens a solve whose residual is
+//! already fresh, and the sequential COO one-mode kernel), and
+//! [`block_sweep_into`], one tensor block's share of a sweep whose
+//! caller combines per-block partial outputs (any run of modes, into row
+//! slabs with an origin, over refreshed or stored values). It walks the
+//! entries in order, four per step:
 //!
 //! * **Interleaved eval fold.** `Σᵣ Πₖ A⁽ᵏ⁾(iₖ,r)` is a serial `R`-add
 //!   chain per entry; one entry at a time, its latency is the whole
@@ -371,14 +374,19 @@ struct EntrySweep<'a, V, P> {
 }
 
 impl<V: Values, P: Placement> EntrySweep<'_, V, P> {
-    /// The all-modes sweep at orders 3 and 4 — every DisTenC workload —
-    /// gets bodies with the order (and so the mode count) as a literal.
+    /// The all-modes and the one-mode sweep at orders 3 and 4 — every
+    /// DisTenC workload — get bodies with the order and the mode count as
+    /// literals (measured: the one-mode sweep through the generic body is
+    /// 1.5× the bucketed kernel it stands in for, through these it is
+    /// ahead of it).
     #[inline(always)]
     fn run(self, r: usize) -> f64 {
         let EntrySweep { observed, factors, vals, place, hs } = self;
         match (factors.len(), hs.len()) {
             (3, 3) => sweep_entries(observed, factors, 3, r, vals, place, &mut hs[..3]),
             (4, 4) => sweep_entries(observed, factors, 4, r, vals, place, &mut hs[..4]),
+            (3, 1) => sweep_entries(observed, factors, 3, r, vals, place, &mut hs[..1]),
+            (4, 1) => sweep_entries(observed, factors, 4, r, vals, place, &mut hs[..1]),
             (n, _) => sweep_entries(observed, factors, n, r, vals, place, hs),
         }
     }
@@ -566,6 +574,48 @@ pub(crate) fn refresh_entries(observed: &CooTensor, model: &KruskalTensor, vals:
     let factors = model.factors();
     let sweep = EntrySweep { observed, factors, vals: Refresh(vals), place: WholeModes, hs: &mut [] };
     dispatch_rank(model.rank(), sweep);
+}
+
+/// The sequential entry-order MTTKRP of stored values: overwrites `hs[k]`
+/// with `E₍ₘ₎U⁽ᵐ⁾` for the modes `m = first + k` — one of them, or all `N`
+/// from `first = 0` — in one sweep over `e`, evaluating nothing and
+/// writing no value. It is [`sweep_entries`] over [`EntryValues::Stored`],
+/// so each output is bit-identical to [`crate::mttkrp::mttkrp`] for its
+/// mode, and to what [`fused_refresh_modes_into`] banks beside a refresh
+/// that left these values. Allocates nothing.
+///
+/// Errors for tensors of order 1 or above 8, like the refreshing sweep.
+pub fn mttkrp_modes_into(
+    e: &CooTensor,
+    factors: &[Mat],
+    first: usize,
+    hs: &mut [Mat],
+) -> Result<()> {
+    validate(e, factors, first)?;
+    let (order, r) = (e.order(), factors[0].cols());
+    if !fuses_entry_order(order) || first + hs.len() > order {
+        return Err(TensorError::ShapeMismatch(format!(
+            "entry-order mttkrp takes orders 2..={MAX_CACHED_ORDER} and modes inside the tensor, \
+             not order {order} with {} outputs from mode {first}",
+            hs.len()
+        )));
+    }
+    for (m, h) in (first..).zip(hs.iter()) {
+        check_output(e, h, m, r)?;
+    }
+    crate::record_entry_sweep(e.nnz());
+    let (observed, vals) = (e, Stored(e.values()));
+    if first == 0 {
+        // The leading modes take the placement with nothing to look up
+        // (as a slab sweep the all-modes pass measured up to 1.4× slower).
+        dispatch_rank(r, EntrySweep { observed, factors, vals, place: WholeModes, hs });
+    } else {
+        // Whole modes are slabs that start at row 0.
+        let origin = [0usize; MAX_CACHED_ORDER];
+        let place = Slabs { first, origin: &origin[..order] };
+        dispatch_rank(r, EntrySweep { observed, factors, vals, place, hs });
+    }
+    Ok(())
 }
 
 /// One tensor block's share of a sweep, for callers that decompose the

@@ -32,42 +32,74 @@ pub fn write_coo_file<P: AsRef<Path>>(t: &CooTensor, path: P) -> std::io::Result
 }
 
 /// Parse a tensor from text.
+///
+/// Lines are read into one reused byte buffer and entry lines are parsed
+/// as bytes — no `String` per line, and never the whole input in memory.
+/// Fields are separated by ASCII whitespace (CRLF line ends included);
+/// blank lines and lines starting with `#` are skipped. Anything else
+/// that is not `N` in-range indices and one value — a non-UTF-8 byte, an
+/// index past `usize`, a trailing field — is a typed
+/// [`TensorError::Parse`] (bounds: [`TensorError::IndexOutOfBounds`]); a
+/// failing reader is [`TensorError::Io`].
 pub fn read_coo<R: Read>(r: R) -> Result<CooTensor> {
-    let reader = BufReader::new(r);
-    let mut lines = reader.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| TensorError::Parse("empty input".into()))?
-        .map_err(|e| TensorError::Io(e.to_string()))?;
-    let shape = parse_header(&header)?;
+    let mut reader = BufReader::new(r);
+    let mut line = Vec::new();
+    let mut next_line = |line: &mut Vec<u8>| -> Result<bool> {
+        line.clear();
+        let n = reader.read_until(b'\n', line).map_err(|e| TensorError::Io(e.to_string()))?;
+        Ok(n > 0)
+    };
+    if !next_line(&mut line)? {
+        return Err(TensorError::Parse("empty input".into()));
+    }
+    let header = std::str::from_utf8(&line)
+        .map_err(|e| TensorError::Parse(format!("bad header: {e}")))?;
+    let shape = parse_header(header.trim_end_matches(['\n', '\r']))?;
     let order = shape.len();
     let mut t = CooTensor::try_new(shape)?;
     let mut idx = vec![0usize; order];
-    for line in lines {
-        let line = line.map_err(|e| TensorError::Io(e.to_string()))?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    while next_line(&mut line)? {
+        let mut fields =
+            line.split(|&b| is_space(b)).filter(|f| !f.is_empty()).peekable();
+        match fields.peek() {
+            Some(first) if first[0] != b'#' => {}
+            _ => continue,
         }
-        let mut parts = line.split_whitespace();
+        let bad = |what: &str| {
+            TensorError::Parse(format!("{what}: {}", String::from_utf8_lossy(&line).trim()))
+        };
         for slot in idx.iter_mut() {
-            *slot = parts
-                .next()
-                .and_then(|p| p.parse().ok())
-                .ok_or_else(|| TensorError::Parse(format!("bad entry line: {line}")))?;
+            *slot = fields.next().and_then(parse_index).ok_or_else(|| bad("bad entry line"))?;
         }
-        let v: f64 = parts
+        let v: f64 = fields
             .next()
-            .and_then(|p| p.parse().ok())
-            .ok_or_else(|| TensorError::Parse(format!("bad value in line: {line}")))?;
-        if parts.next().is_some() {
-            return Err(TensorError::Parse(format!(
-                "trailing fields in line: {line}"
-            )));
+            .and_then(|f| std::str::from_utf8(f).ok())
+            .and_then(|f| f.parse().ok())
+            .ok_or_else(|| bad("bad value in line"))?;
+        if fields.next().is_some() {
+            return Err(bad("trailing fields in line"));
         }
         t.push(&idx, v)?;
     }
     Ok(t)
+}
+
+/// The ASCII members of `char::is_whitespace`: space and `\t`..=`\r`.
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// `str::parse::<usize>` on ASCII bytes: an optional `+`, then one or more
+/// decimal digits, `None` on anything else and on overflow.
+fn parse_index(field: &[u8]) -> Option<usize> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0usize, |acc, &b| {
+        let d = b.checked_sub(b'0').filter(|&d| d <= 9)?;
+        acc.checked_mul(10)?.checked_add(d as usize)
+    })
 }
 
 /// Read a tensor from a file path.
@@ -262,6 +294,143 @@ mod tests {
             match err {
                 TensorError::Io(msg) => assert!(msg.contains("no-such-file"), "{msg}"),
                 other => panic!("expected Io, got {other:?}"),
+            }
+        }
+    }
+
+    /// The reader this module had before it parsed bytes — one `String`
+    /// per line, `str::trim` / `split_whitespace` / `str::parse` — kept as
+    /// the oracle for what every ASCII input must still mean.
+    fn read_coo_by_lines(text: &str) -> Result<CooTensor> {
+        let mut lines = text.lines();
+        let header = lines.next().ok_or_else(|| TensorError::Parse("empty input".into()))?;
+        let shape = parse_header(header)?;
+        let mut t = CooTensor::try_new(shape.clone())?;
+        for line in lines.map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+            let bad = || TensorError::Parse(format!("bad line: {line}"));
+            let mut parts = line.split_whitespace();
+            let idx: Vec<usize> = shape
+                .iter()
+                .map(|_| parts.next().and_then(|p| p.parse().ok()).ok_or_else(bad))
+                .collect::<Result<_>>()?;
+            let v: f64 = parts.next().and_then(|p| p.parse().ok()).ok_or_else(bad)?;
+            if parts.next().is_some() {
+                return Err(bad());
+            }
+            t.push(&idx, v)?;
+        }
+        Ok(t)
+    }
+
+    #[test]
+    fn reader_table() {
+        let two = |a: (&[usize], f64), b: (&[usize], f64)| {
+            CooTensor::from_entries(vec![3, 4], &[a, b]).unwrap()
+        };
+        let want = two((&[0, 1], 1.5), (&[2, 3], -0.25));
+        let same_as_want: &[&str] = &[
+            "# shape: 3 4\n0 1 1.5\n2 3 -0.25\n",
+            "# shape: 3 4\r\n0 1 1.5\r\n2 3 -0.25\r\n",           // CRLF
+            "# shape: 3 4\n0\t1\t1.5\n\t2 \t 3\t-0.25 \n",          // tabs, padding
+            "# shape: 3 4\n+0 +1 +1.5\n2 3 -0.25",                   // leading +, no final newline
+            "# shape: 3 4\n\n# note\n  # indented note\n0 1 1.5\n \t\r\n2 3 -0.25\n", // blanks, comments
+            "# shape:  3\t4 \n00 001 15e-1\n2 3 -.25\n",            // header spacing, zeros, float forms
+            "# shape: 3 4\n0\x0b1\x0c1.5\n2 3 -0.25\n",              // every ASCII white space separates
+        ];
+        for text in same_as_want {
+            assert_eq!(read_coo(text.as_bytes()).unwrap(), want, "{text:?}");
+            assert_eq!(read_coo_by_lines(text).unwrap(), want, "oracle on {text:?}");
+        }
+        let parse_errors: &[&[u8]] = &[
+            b"# shape: 3 4\n0 99999999999999999999999 1.0\n", // index past usize
+            b"# shape: 3 4\n0 18446744073709551616 1.0\n",    // 2^64 exactly
+            b"# shape: 3 4\n0 -1 1.0\n",
+            b"# shape: 3 4\n0 + 1.0\n",
+            b"# shape: 3 4\n0 1x 1.0\n",
+            b"# shape: 3 4\n0 1 1.0.0\n",
+            b"# shape: 3 4\n0 1\n",
+            b"# shape: 3 4\n0 1 1.0 7\n",
+            b"# shape: 3 4\n0 1 1.0 # note\n",
+            b"# shape: 3 4\n0 \xff 1.0\n",                      // a non-UTF-8 byte in an index
+            b"# shape: 3 4\n0 1 1.\xc3\n",                       // … and in a value
+            b"# shape: 3 \xff\n",                                // … and in the header
+            b"# shape: 3 4\n0\xc2\xa01 1.0\n",                   // U+00A0 is not a separator here
+            b"# shape:\n",
+            b"# shape: 3 x\n",
+            b"shape: 3 4\n",
+            b"",
+        ];
+        for bytes in parse_errors {
+            let err = read_coo(*bytes).unwrap_err();
+            assert!(matches!(err, TensorError::Parse(_)), "{:?}: {err:?}", String::from_utf8_lossy(bytes));
+        }
+        // The largest index a usize holds parses; the tensor then rejects
+        // it by its bounds, not the parser.
+        let max = format!("# shape: 3 4\n0 {} 1.0\n", usize::MAX);
+        assert!(matches!(read_coo(max.as_bytes()), Err(TensorError::IndexOutOfBounds { .. })));
+        assert!(matches!(read_coo("# shape: 3 0\n".as_bytes()), Err(TensorError::InvalidShape { .. })));
+        // Non-finite and signed-zero values are whatever `str::parse` says.
+        let t = read_coo("# shape: 3 4\n0 0 inf\n0 1 NaN\n0 2 -0\n".as_bytes()).unwrap();
+        assert!(t.value(0).is_infinite() && t.value(1).is_nan() && t.value(2).is_sign_negative());
+        // A source that fails mid-file is `Io`, whatever it had delivered.
+        struct Failing(usize);
+        impl Read for Failing {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let text = b"# shape: 3 4\n0 1 1.5\n";
+                if self.0 >= text.len() {
+                    return Err(std::io::Error::other("disk on fire"));
+                }
+                let n = buf.len().min(text.len() - self.0).min(5);
+                buf[..n].copy_from_slice(&text[self.0..self.0 + n]);
+                self.0 += n;
+                Ok(n)
+            }
+        }
+        match read_coo(Failing(0)).unwrap_err() {
+            TensorError::Io(msg) => assert!(msg.contains("disk on fire"), "{msg}"),
+            other => panic!("expected Io, got {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any bytes are a value or a typed error, never a panic; and text
+        /// drawn from the characters entry lines are made of (and the
+        /// ones that break them) means exactly what it meant to the
+        /// line-by-line reader.
+        #[test]
+        fn reader_never_panics_and_keeps_the_grammar(
+            picks in proptest::collection::vec(0usize..24, 0..60),
+            raw in proptest::collection::vec(0usize..256, 0..40),
+        ) {
+            const ALPHABET: &[u8; 24] = b"0123 \t\n\n\r\x0b+-.e#x 1 2 0\n9";
+            let body: Vec<u8> = picks.iter().map(|&i| ALPHABET[i]).collect();
+            let mut text = b"# shape: 3 4\n".to_vec();
+            text.extend_from_slice(&body);
+            let got = read_coo(&text[..]);
+            let want = read_coo_by_lines(std::str::from_utf8(&text).unwrap());
+            match (&got, &want) {
+                // NaN values never compare equal; compare by bits.
+                (Ok(a), Ok(b)) => {
+                    proptest::prop_assert_eq!(a.shape(), b.shape());
+                    let bits = |t: &CooTensor| t.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(bits(a), bits(b));
+                    proptest::prop_assert!(a.iter().zip(b.iter()).all(|(x, y)| x.0 == y.0));
+                }
+                (Err(a), Err(b)) => proptest::prop_assert_eq!(
+                    std::mem::discriminant(a),
+                    std::mem::discriminant(b)
+                ),
+                _ => proptest::prop_assert!(false, "{:?} vs {:?} on {:?}", got, want, text),
+            }
+            // Arbitrary bytes, header included: only the absence of a
+            // panic (and of `Io`: a slice never fails to read) is claimed.
+            let noise: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+            for input in [noise.clone(), [&b"# shape: 2 2\n"[..], &noise].concat()] {
+                if let Err(e) = read_coo(&input[..]) {
+                    proptest::prop_assert!(!matches!(e, TensorError::Io(_)), "{:?}", e);
+                }
             }
         }
     }

@@ -11,9 +11,11 @@
 //!
 //! Three layouts exist:
 //!
-//! * [`LayoutKind::Coo`] — the flat entry list, swept in file order
-//!   through the blocked workspace kernels of [`crate::mttkrp`] and
-//!   [`crate::fused`]. The bit-exactness baseline.
+//! * [`LayoutKind::Coo`] — the flat entry list: walked in entry order by
+//!   [`crate::fused`]'s one sequential body on one thread, and through
+//!   the blocked (bucketed) workspace kernels of [`crate::mttkrp`] and
+//!   [`crate::fused`] by executors that run parts concurrently. The
+//!   bit-exactness baseline.
 //! * [`LayoutKind::Csf`] — SPLATT's compressed sparse fibers
 //!   ([`crate::csf`]). Factorizes shared index prefixes, so its
 //!   accumulation *association* differs: results match COO to rounding
@@ -61,9 +63,11 @@
 //! thread, COO and tiled share the solver's fused sweep: there
 //! [`TensorLayout::fused_refresh_all_into`] walks the flat entry list
 //! once through [`crate::fused`]'s entry-order kernel and banks every
-//! mode's MTTKRP, whichever of the two layouts is selected. The tile
-//! orders then serve the threaded sweeps and the plain per-mode MTTKRPs
-//! (unfused solves, and any mode whose bank is absent).
+//! mode's MTTKRP, whichever of the two layouts is selected — refreshing
+//! the values, or, for a solve entered on fresh ones, reading them as
+//! stored ([`TensorLayout::mttkrp_all_into`]). The tile orders then
+//! serve the threaded sweeps and the plain per-mode MTTKRPs (unfused
+//! solves).
 //!
 //! # Selection
 //!
@@ -308,11 +312,18 @@ impl TensorLayout {
         (self.e, LayoutAccel { csf: self.csf, tiled: self.tiled })
     }
 
-    /// Build the per-mode sweep workspace this layout's kernels need:
-    /// blocked MTTKRP buckets for COO (over the Algorithm-2
-    /// `boundaries`), per-mode tile partitions for tiled (sized to
-    /// [`Executor::parallelism`]), nothing for CSF (its trees *are* the
-    /// workspace).
+    /// Build the per-mode sweep workspace this layout's kernels need
+    /// under `exec`: blocked MTTKRP buckets for COO, per-mode tile
+    /// partitions for tiled (sized to [`Executor::parallelism`]), nothing
+    /// for CSF (its trees *are* the workspace).
+    ///
+    /// COO gets buckets only where something reads them. Where its sweeps
+    /// run in entry order ([`Self::sweeps_entry_order`]: one thread) there
+    /// are none — a bucket is a per-mode copy of the entry order, `nnz`
+    /// positions each. With threads, part `p` of mode `n` owns the rows
+    /// below the Algorithm-2 cut `boundaries[n][p]`; `boundaries` is not
+    /// read otherwise (one thread has nothing to balance, so the orders
+    /// outside the entry-order kernel get one part per mode).
     pub fn workspace(
         &self,
         rank: usize,
@@ -321,9 +332,23 @@ impl TensorLayout {
     ) -> Result<LayoutWorkspace> {
         let n_modes = self.e.order();
         match self.kind {
+            LayoutKind::Coo if self.sweeps_entry_order(exec) => {
+                Ok(LayoutWorkspace { mtt: Vec::new(), tiled: Vec::new() })
+            }
             LayoutKind::Coo => {
+                let threaded = exec.parallelism() > 1;
+                if threaded && boundaries.len() != n_modes {
+                    return Err(TensorError::ShapeMismatch(format!(
+                        "{} boundary lists for an order-{n_modes} tensor",
+                        boundaries.len()
+                    )));
+                }
                 let mtt = (0..n_modes)
-                    .map(|n| MttkrpWorkspace::new(&self.e, n, &boundaries[n], rank))
+                    .map(|n| {
+                        let whole = [self.e.shape()[n]];
+                        let cuts = if threaded { &boundaries[n][..] } else { &whole[..] };
+                        MttkrpWorkspace::new(&self.e, n, cuts, rank)
+                    })
                     .collect::<Result<_>>()?;
                 Ok(LayoutWorkspace { mtt, tiled: Vec::new() })
             }
@@ -350,8 +375,23 @@ impl TensorLayout {
             && fuses_entry_order(self.e.order())
     }
 
+    /// The all-modes sweeps take the solver's whole bank.
+    fn check_one_output_per_mode(&self, hs: &[Mat]) -> Result<()> {
+        if hs.len() != self.e.order() {
+            return Err(TensorError::ShapeMismatch(format!(
+                "{} mttkrp outputs for an order-{} tensor",
+                hs.len(),
+                self.e.order()
+            )));
+        }
+        Ok(())
+    }
+
     /// Mode-`mode` MTTKRP of the residual against `factors`, written
-    /// into `h`. One entry sweep; allocation-free in steady state.
+    /// into `h`. One entry sweep; allocation-free in steady state. On one
+    /// thread COO walks the entries in order through the body every fused
+    /// sweep runs ([`crate::fused::mttkrp_modes_into`]); with threads it
+    /// takes `lw`'s buckets, bit-identical to that walk for any blocking.
     pub fn mttkrp_into(
         &self,
         factors: &[Mat],
@@ -361,12 +401,39 @@ impl TensorLayout {
         h: &mut Mat,
     ) -> Result<()> {
         match self.kind {
+            LayoutKind::Coo if self.sweeps_entry_order(exec) => {
+                crate::fused::mttkrp_modes_into(&self.e, factors, mode, std::slice::from_mut(h))
+            }
             LayoutKind::Coo => {
-                crate::mttkrp::mttkrp_blocked_into(&self.e, factors, &mut lw.mtt[mode], exec, h)
+                crate::mttkrp::mttkrp_blocked_into(&self.e, factors, lw.buckets(mode)?, exec, h)
             }
             LayoutKind::Csf => self.csf[mode].mttkrp_root_into(factors, h),
             LayoutKind::Tiled => self.tiled_mttkrp(factors, mode, lw, exec, h),
         }
+    }
+
+    /// **Every** mode's MTTKRP of the stored residual values it can take
+    /// in one sweep: overwrites `hs[n]` with `E₍ₙ₎U⁽ⁿ⁾` for each of the
+    /// leading modes it banks and returns how many — all `N` where this
+    /// layout sweeps in entry order ([`Self::sweeps_entry_order`]: COO and
+    /// tiled on one thread), bit-wise one [`Self::mttkrp_into`] per mode;
+    /// none, with `hs` untouched and no sweep made, everywhere else
+    /// (threaded executors, CSF, orders outside the kernel's row cache),
+    /// where one pass per mode is the cheapest there is. This is
+    /// [`Self::fused_refresh_all_into`] for values that are already
+    /// fresh: the solver's entry into a solve on a carried residual.
+    pub fn mttkrp_all_into(
+        &self,
+        factors: &[Mat],
+        exec: &Executor,
+        hs: &mut [Mat],
+    ) -> Result<usize> {
+        self.check_one_output_per_mode(hs)?;
+        if !self.sweeps_entry_order(exec) {
+            return Ok(0);
+        }
+        crate::fused::mttkrp_modes_into(&self.e, factors, 0, hs)?;
+        Ok(hs.len())
     }
 
     /// Refresh the residual values to `Ω∗(T − [[model…]])` (no MTTKRP),
@@ -412,7 +479,7 @@ impl TensorLayout {
             LayoutKind::Coo => crate::fused::fused_mttkrp_refresh_into(
                 observed,
                 model,
-                &mut lw.mtt[0],
+                lw.buckets(0)?,
                 exec,
                 &mut self.e,
                 h,
@@ -451,13 +518,7 @@ impl TensorLayout {
         exec: &Executor,
         hs: &mut [Mat],
     ) -> Result<(f64, usize)> {
-        if hs.len() != self.e.order() {
-            return Err(TensorError::ShapeMismatch(format!(
-                "{} fused mttkrp outputs for an order-{} tensor",
-                hs.len(),
-                self.e.order()
-            )));
-        }
+        self.check_one_output_per_mode(hs)?;
         if !self.sweeps_entry_order(exec) {
             let frob = self.fused_refresh_into(observed, model, lw, exec, &mut hs[0])?;
             return Ok((frob, 1));
@@ -577,13 +638,28 @@ impl TensorLayout {
     }
 }
 
-/// Per-solve sweep state for a [`TensorLayout`]'s kernels: COO keeps one
-/// blocked [`MttkrpWorkspace`] per mode, tiled one partitioned tile
-/// workspace per mode. Steady-state kernel calls allocate nothing (the
-/// fused value carriers are sized on first use, amortized).
+/// Per-solve sweep state for a [`TensorLayout`]'s kernels: COO under a
+/// threaded executor keeps one blocked [`MttkrpWorkspace`] per mode (none
+/// on one thread, where it sweeps in entry order), tiled one partitioned
+/// tile workspace per mode. Steady-state kernel calls allocate nothing
+/// (the fused value carriers are sized on first use, amortized).
 pub struct LayoutWorkspace {
     mtt: Vec<MttkrpWorkspace>,
     tiled: Vec<TiledModeWs>,
+}
+
+impl LayoutWorkspace {
+    /// Mode `mode`'s COO buckets. A workspace built for an executor that
+    /// sweeps in entry order has none; handing it to a threaded kernel is
+    /// a typed error.
+    fn buckets(&mut self, mode: usize) -> Result<&mut MttkrpWorkspace> {
+        self.mtt.get_mut(mode).ok_or_else(|| {
+            TensorError::ShapeMismatch(format!(
+                "layout workspace holds no mode-{mode} buckets: it was built for an executor \
+                 that sweeps in entry order"
+            ))
+        })
+    }
 }
 
 /// One mode's tiled sweep workspace: contiguous tile ranges partitioned
@@ -1179,6 +1255,43 @@ mod tests {
         assert_eq!(layout.entries(), &we);
         assert_eq!(f.to_bits(), we.frob_norm_sq().to_bits());
         assert_eq!(hs[0].as_slice(), mttkrp(&we, model.factors(), 0).unwrap().as_slice());
+    }
+
+    #[test]
+    fn coo_keeps_buckets_only_for_executors_that_read_them() {
+        let shape = [14, 11, 9];
+        let x = random_coo(&shape, 200, 3);
+        let k = KruskalTensor::random(&shape, 3, 21);
+        let seq = Executor::new(ExecMode::Sequential);
+        let par = Executor::new(ExecMode::Threads(3));
+        let coo = TensorLayout::build(x.clone(), LayoutKind::Coo).unwrap();
+        // One thread: no buckets, whatever boundaries are offered, and the
+        // sweep needs none.
+        let mut lw = coo.workspace(3, &[], &seq).unwrap();
+        assert!(lw.mtt.is_empty());
+        let mut h = Mat::zeros(14, 3);
+        coo.mttkrp_into(k.factors(), 0, &mut lw, &seq, &mut h).unwrap();
+        assert_eq!(h.as_slice(), mttkrp(&x, k.factors(), 0).unwrap().as_slice());
+        if par.parallelism() > 1 {
+            // That workspace under a pool: a typed error, not an index
+            // panic — from the plain and from the fused sweep.
+            assert!(matches!(
+                coo.mttkrp_into(k.factors(), 0, &mut lw, &par, &mut h),
+                Err(TensorError::ShapeMismatch(_))
+            ));
+            let mut e = TensorLayout::build(x.clone(), LayoutKind::Coo).unwrap();
+            assert!(e.fused_refresh_into(&x, &k, &mut lw, &par, &mut h).is_err());
+            // A pool needs one boundary list per mode.
+            assert!(matches!(coo.workspace(3, &[], &par), Err(TensorError::ShapeMismatch(_))));
+            let cuts: Vec<Vec<usize>> = shape.iter().map(|&d| vec![d / 2, d]).collect();
+            assert_eq!(coo.workspace(3, &cuts, &par).unwrap().mtt.len(), 3);
+        }
+        // Outside the entry-order kernel's orders one thread still sweeps
+        // buckets: one part per mode, the boundaries unread.
+        let line = TensorLayout::build(random_coo(&[9], 6, 1), LayoutKind::Coo).unwrap();
+        let lw = line.workspace(2, &[], &seq).unwrap();
+        assert_eq!(lw.mtt.len(), 1);
+        assert_eq!(lw.mtt[0].parts.len(), 1);
     }
 
     #[test]

@@ -15,13 +15,20 @@
 //! in allocation counts divided by 8 is exactly the per-iteration cost.
 //! All measurements live in one `#[test]` because the global counters are
 //! process-wide and concurrently running tests would pollute each other.
+//!
+//! The set-up has a budget too: on one thread the host backend's
+//! workspaces hold nothing that scales with `nnz` — the COO buckets (one
+//! `nnz`-long position list per mode) exist only for executors that run
+//! them concurrently.
 
 #![cfg(feature = "alloc-count")]
 
 use distenc::core::{AdmmConfig, AdmmSolver};
+use distenc::core::LayoutKind;
 use distenc::dataflow::alloc;
-use distenc::dataflow::ExecMode;
-use distenc::tensor::{CooTensor, KruskalTensor};
+use distenc::dataflow::{ExecMode, Executor};
+use distenc::tensor::residual::ResidualWorkspace;
+use distenc::tensor::{CooTensor, KruskalTensor, TensorLayout};
 
 fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
     use rand::rngs::StdRng;
@@ -111,6 +118,36 @@ fn steady_state_iterations_allocate_o1_heap() {
         0.0,
         "generic-rank refresh must not allocate"
     );
+
+    // Ranks 8 and 16 run the monomorphised bodies. Unfused, every mode's
+    // MTTKRP is the one-mode stored sweep over the flat entry list: no
+    // bucket, no scratch, no model or origin built per call.
+    for rank in [8, 16] {
+        let cfg = AdmmConfig { rank, ..seq.clone() };
+        assert_eq!(per_iter(&small, &cfg, thread_allocs_of), 0.0, "rank {rank} fused");
+        let unfused = cfg.with_fused(false);
+        assert_eq!(per_iter(&small, &unfused, thread_allocs_of), 0.0, "rank {rank} unfused");
+    }
+
+    // --- Sequential set-up: what `HostBackend::new` sizes (the layout's
+    // sweep workspace and the refresh chunks) stays under one f64 per
+    // nonzero — at the parent of this rule COO took N position lists of
+    // `nnz` entries, 8·N·nnz bytes. Tiled keeps per-mode row slabs, CSF
+    // nothing; none of them scales with nnz.
+    let exec = Executor::new(ExecMode::Sequential);
+    for kind in [LayoutKind::Coo, LayoutKind::Tiled, LayoutKind::Csf] {
+        let layout = TensorLayout::build(large.clone(), kind).unwrap();
+        let before = alloc::snapshot();
+        let lw = layout.workspace(16, &[], &exec).unwrap();
+        let res = ResidualWorkspace::new(layout.nnz(), &exec);
+        let bytes = alloc::snapshot().delta(before).thread_bytes;
+        drop((lw, res));
+        assert!(
+            bytes < 8 * large.nnz() as u64,
+            "{kind}: sequential workspaces took {bytes} bytes for {} nonzeros",
+            large.nnz()
+        );
+    }
 
     // --- Threaded: also zero. The unboxed broadcast dispatches through
     // pool-resident state, and on hosts where the pool is bypassed (a

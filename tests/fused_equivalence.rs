@@ -13,11 +13,19 @@
 //! order-3/4 bodies and the generic one), all three layouts, and both
 //! execution backends. On the distributed driver the *schedule* differs,
 //! and the last test pins by exactly how much the cluster is charged less.
+//!
+//! A solve entered on a residual that is already fresh banks from the
+//! *stored* values instead (one sweep for every mode on the sequential
+//! host); `stored_sweeps_are_bitwise_the_plain_mttkrp` pins that sweep,
+//! and its one-mode form, against the plain per-mode MTTKRP.
 
 use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC, LayoutKind};
-use distenc::dataflow::{Cluster, ClusterConfig, ExecMode};
+use distenc::dataflow::{Cluster, ClusterConfig, ExecMode, Executor};
+use distenc::linalg::Mat;
 use distenc::partition::TensorBlocks;
-use distenc::tensor::{CooTensor, KruskalTensor};
+use distenc::tensor::fused::mttkrp_modes_into;
+use distenc::tensor::mttkrp::mttkrp;
+use distenc::tensor::{CooTensor, KruskalTensor, TensorLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -128,6 +136,75 @@ fn host_solver_fusion_is_transparent_across_early_convergence() {
         .unwrap();
     assert!(fused.converged, "case must actually converge early");
     assert_bit_identical(&fused, &plain, "early convergence");
+}
+
+#[test]
+fn stored_sweeps_are_bitwise_the_plain_mttkrp() {
+    // What the entry into a warm, resumed or polish solve banks: every
+    // mode's MTTKRP of the values as stored, in one entry-order sweep —
+    // and the same body for one mode (the sequential COO `mttkrp_into`)
+    // and for a run of modes in the middle. Each output must be, bit for
+    // bit, the plain `mttkrp` of its mode, over a bank that starts dirty.
+    let seq = Executor::new(ExecMode::Sequential);
+    let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let shapes: &[&[usize]] = &[&[17, 15], &[13, 11, 9], &[7, 6, 5, 4]];
+    for &shape in shapes {
+        for rank in [1usize, 3, 8, 16, 17, 20] {
+            let x = planted(shape, rank, 50 * shape.len() + rank, rank as u64 + 31);
+            let model = KruskalTensor::random(shape, rank, rank as u64 + 7);
+            let want: Vec<Mat> =
+                (0..shape.len()).map(|m| mttkrp(&x, model.factors(), m).unwrap()).collect();
+            let dirty = || -> Vec<Mat> {
+                shape.iter().enumerate().map(|(m, &d)| Mat::random(d, rank, 90 + m as u64)).collect()
+            };
+            let label = format!("shape {shape:?} rank {rank}");
+            for kind in [LayoutKind::Coo, LayoutKind::Tiled] {
+                let layout = TensorLayout::build(x.clone(), kind).unwrap();
+                let mut lw = layout.workspace(rank, &[], &seq).unwrap();
+                let mut bank = dirty();
+                // Twice: a sweep over its own output must be clean too.
+                for _ in 0..2 {
+                    let banked = layout.mttkrp_all_into(model.factors(), &seq, &mut bank).unwrap();
+                    assert_eq!(banked, shape.len(), "{label} {kind}");
+                    for (m, h) in bank.iter().enumerate() {
+                        assert_eq!(bits(h), bits(&want[m]), "{label} {kind}: all-modes, mode {m}");
+                    }
+                }
+                let mut one = dirty();
+                for (m, h) in one.iter_mut().enumerate() {
+                    layout.mttkrp_into(model.factors(), m, &mut lw, &seq, h).unwrap();
+                    assert_eq!(bits(h), bits(&want[m]), "{label} {kind}: one mode, mode {m}");
+                }
+                assert_eq!(layout.entries(), &x, "a stored sweep writes no value");
+            }
+            // Any run of modes, not only `0..N` and `m..m + 1`.
+            for first in 0..shape.len() {
+                for count in 0..=shape.len() - first {
+                    let mut hs = dirty();
+                    mttkrp_modes_into(&x, model.factors(), first, &mut hs[first..first + count])
+                        .unwrap();
+                    for m in first..first + count {
+                        assert_eq!(bits(&hs[m]), bits(&want[m]), "{label}: modes {first}+{count}");
+                    }
+                }
+            }
+        }
+    }
+    // Where the layout has no entry-order sweep it banks nothing and says
+    // so, leaving the bank alone; a bank of the wrong length is an error.
+    let x = planted(&[13, 11, 9], 3, 150, 5);
+    let model = KruskalTensor::random(&[13, 11, 9], 3, 6);
+    let par = Executor::new(ExecMode::Threads(4));
+    let mut bank: Vec<Mat> = [13, 11, 9].iter().map(|&d| Mat::random(d, 3, 1)).collect();
+    let before = bank.clone();
+    let coo = TensorLayout::build(x.clone(), LayoutKind::Coo).unwrap();
+    if par.parallelism() > 1 {
+        assert_eq!(coo.mttkrp_all_into(model.factors(), &par, &mut bank).unwrap(), 0);
+    }
+    let csf = TensorLayout::build(x, LayoutKind::Csf).unwrap();
+    assert_eq!(csf.mttkrp_all_into(model.factors(), &seq, &mut bank).unwrap(), 0);
+    assert_eq!(bank, before);
+    assert!(coo.mttkrp_all_into(model.factors(), &seq, &mut bank[..2]).is_err());
 }
 
 /// Bytes the mode-by-mode schedule shuffles to fetch factor rows for its

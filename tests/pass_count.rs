@@ -18,6 +18,17 @@
 //!   block emits all N partial `H`s), so all N updates are read from the
 //!   bank and the iteration touches `nnz` entries.
 //!
+//! A solve **entered on a residual that is already fresh** — a streaming
+//! refresh (`StreamingSolver::solve` after an `apply`), `AdmmSolver::resume`
+//! — opens with the *entry sweep* where a cold solve has its prologue
+//! refresh: every mode's MTTKRP banked from the stored values. On the
+//! sequential host (COO and tiled) that is **1** sweep, so `k` iterations
+//! cost exactly `k + 1`: the entry, `k − 1` fused sweeps, the last plain
+//! refresh. Where only one-mode kernels exist (threaded executors, CSF)
+//! the entry banks nothing and the first iteration makes its N plain
+//! MTTKRPs as before: `N·k + 1`. These are whole-solve counts, not
+//! differences: nothing else in a re-solve sweeps.
+//!
 //! The executor is set explicitly in every case below, so the counts do
 //! not depend on `DISTENC_THREADS`; the one host dependence left is that
 //! `ExecMode::Threads(n)` on a single-core host delivers no concurrency,
@@ -45,9 +56,12 @@
 
 #![cfg(feature = "pass-count")]
 
-use distenc::core::{AdmmConfig, AdmmSolver, DisTenC, LayoutKind, SolverTier};
+use distenc::core::{
+    AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, DisTenC, LayoutKind, SolverTier,
+};
 use distenc::dataflow::passes;
 use distenc::dataflow::{Cluster, ClusterConfig, ExecMode, Executor};
+use distenc::stream::{DeltaBatch, StreamingSolver};
 use distenc::tensor::{CooTensor, KruskalTensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -132,6 +146,57 @@ fn sketched_per_iter(
     ((s_long - s_short) as f64 / 8.0, (e_long - e_short) as f64 / 8.0)
 }
 
+/// Entry sweeps of one whole `k`-iteration streaming re-solve: a base
+/// solve, a structural batch (inserts and an update) applied to tensor and
+/// carried residual, then the warm solve that is measured.
+fn warm_resolve_sweeps(observed: &CooTensor, cfg: &AdmmConfig, k: u64) -> u64 {
+    let k = k as usize;
+    let laps = vec![None; observed.order()];
+    let mut s = StreamingSolver::new(observed.clone(), laps, cfg.clone()).unwrap();
+    s.solve().unwrap();
+    let absent: Vec<(Vec<usize>, f64)> = (0..observed.shape()[0])
+        .map(|i| {
+            let mut idx = vec![0; observed.order()];
+            idx[0] = i;
+            (idx, 0.5)
+        })
+        .filter(|(idx, _)| observed.position_of(idx).is_none())
+        .collect();
+    assert!(!absent.is_empty(), "the batch must change the support");
+    let update = vec![(observed.index(3).to_vec(), -0.25)];
+    let growth = vec![0; observed.order()];
+    let batch = DeltaBatch::try_new(observed.shape(), &growth, absent, update).unwrap();
+    s.apply(&batch).unwrap();
+    s.set_budget(k, cfg.tol).unwrap();
+    let before = passes::sweeps();
+    let res = s.solve().unwrap();
+    assert_eq!(res.iterations, k, "must not converge early");
+    passes::sweeps() - before
+}
+
+/// Entry sweeps of one whole `AdmmSolver::resume` that has `k` iterations
+/// left to run.
+fn resume_sweeps(observed: &CooTensor, cfg: &AdmmConfig, k: u64, tag: &str) -> u64 {
+    let k = k as usize;
+    let laps = vec![None; observed.order()];
+    let path = std::env::temp_dir()
+        .join(format!("distenc-pass-count-{}-{tag}.ckpt", std::process::id()));
+    let interrupted = AdmmConfig {
+        max_iters: 3,
+        checkpoint: Some(CheckpointPolicy::every(3).with_path(&path)),
+        ..cfg.clone()
+    };
+    AdmmSolver::new(interrupted).unwrap().solve(observed, &laps).unwrap();
+    let mut ckpt = Checkpoint::read_file(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    ckpt.config.max_iters = 3 + k;
+    let solver = AdmmSolver::new(AdmmConfig { max_iters: 3 + k, ..cfg.clone() }).unwrap();
+    let before = passes::sweeps();
+    let res = solver.resume(observed, &laps, &ckpt).unwrap();
+    assert_eq!(res.iterations, 3 + k, "must not converge early");
+    passes::sweeps() - before
+}
+
 #[test]
 fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
     let base = AdmmConfig {
@@ -184,6 +249,29 @@ fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
             threaded * nnz,
             "{label} threaded entries"
         );
+    }
+
+    // --- Entered on a fresh residual: one entry sweep where the layout
+    // sweeps in entry order, none (and N plain MTTKRPs) where it cannot. --
+    for (tensor, n) in [(&order3, 3u64), (&order4, 4)] {
+        for k in [1u64, 4] {
+            for (label, cfg) in [("COO", &fused), ("tiled", &tiled_fused)] {
+                let what = format!("{label} order {n}, {k} iterations");
+                assert_eq!(warm_resolve_sweeps(tensor, cfg, k), k + 1, "warm {what}");
+                assert_eq!(resume_sweeps(tensor, cfg, k, label), k + 1, "resume {what}");
+            }
+            let what = format!("order {n}, {k} iterations");
+            // One-mode kernels only: N MTTKRPs, then k − 1 iterations of
+            // a fused sweep and N − 1 MTTKRPs, then the last refresh.
+            assert_eq!(warm_resolve_sweeps(tensor, &csf_fused, k), n * k + 1, "CSF {what}");
+            assert_eq!(resume_sweeps(tensor, &csf_fused, k, "csf"), n * k + 1, "CSF {what}");
+            let thr = AdmmConfig { exec: threads, ..fused.clone() };
+            let want = if concurrent { n * k + 1 } else { k + 1 };
+            assert_eq!(warm_resolve_sweeps(tensor, &thr, k), want, "threaded {what}");
+            assert_eq!(resume_sweeps(tensor, &thr, k, "thr"), want, "threaded {what}");
+            // Unfused there is nothing to bank, on entry or ever.
+            assert_eq!(warm_resolve_sweeps(tensor, &plain, k), (n + 1) * k, "unfused {what}");
+        }
     }
 
     // --- Distributed solver: one block stage banks every mode, whatever
