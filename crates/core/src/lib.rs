@@ -32,7 +32,6 @@ pub mod admm;
 pub mod config;
 pub mod distenc;
 pub mod model;
-pub mod objective;
 pub(crate) mod solver;
 pub mod trace;
 
@@ -41,7 +40,6 @@ pub use config::{AdmmConfig, CheckpointPolicy, SolverTier, DEFAULT_POLISH_ITERS}
 pub use distenc_tensor::{LayoutAccel, LayoutKind};
 pub use distenc::DisTenC;
 pub use model::{MethodModel, RunOutcome, WorkloadSpec};
-pub use objective::{primal_objective, Objective};
 pub use solver::checkpoint::{Checkpoint, CheckpointError};
 pub use trace::{ConvergenceTrace, TracePoint};
 

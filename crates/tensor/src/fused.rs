@@ -1,4 +1,5 @@
-//! Fused residual-refresh + MTTKRP: one pass over the nonzeros.
+//! Fused residual-refresh + MTTKRP: one pass over the nonzeros, and the
+//! one per-entry body every host sweep runs.
 //!
 //! The unfused solver iteration sweeps the entry list `N + 1` times: one
 //! `sparse_mttkrp` per mode plus a full residual refresh that re-evaluates
@@ -11,23 +12,26 @@
 //! 1. the fresh residual values `E = Ω ∗ (T − [[A⁽¹⁾…A⁽ᴺ⁾]])`,
 //! 2. the running train-RMSE statistic `‖E‖²_F`, and
 //! 3. the MTTKRP `H⁽ⁿ⁾ = E₍ₙ₎U⁽ⁿ⁾` against those fresh values — for
-//!    **every** mode `n`, or for mode 0 alone
-//!    ([`fused_refresh_modes_into`]; [`fused_mttkrp_refresh_into`] is
-//!    the bucketed one-mode variant for threaded executors),
+//!    **every** mode `n`, or for mode 0 alone,
 //!
 //! turning the `N + 1` sweeps into one (see DESIGN.md §11 for how the
 //! solver schedules this at the old refresh's position and consumes the
 //! banked `H⁽ⁿ⁾` at the next iteration's mode steps).
 //!
-//! One sequential body ([`sweep_entries`]) serves every caller — the
-//! all-modes sweep, the mode-0 sweep, the plain residual refresh (no
-//! mode banked), the plain MTTKRP of stored values for one mode or all
-//! of them ([`mttkrp_modes_into`]: what opens a solve whose residual is
-//! already fresh, and the sequential COO one-mode kernel), and
-//! [`block_sweep_into`], one tensor block's share of a sweep whose
-//! caller combines per-block partial outputs (any run of modes, into row
-//! slabs with an origin, over refreshed or stored values). It walks the
-//! entries in order, four per step:
+//! One body ([`sweep_entries`]) serves every caller, on every executor.
+//! What a caller chooses is three types: where the residual values come
+//! from ([`Values`]: refreshed, or read as stored), where banked rows land
+//! ([`Placement`]: whole modes, or row slabs with an origin), and which
+//! entries are visited in which order ([`Source`]: the whole list, a
+//! sub-range of it, a list of positions). The all-modes sweep, the mode-0
+//! sweep, the plain residual refresh (no mode banked) and the plain MTTKRP
+//! of stored values ([`mttkrp_modes_into`]) walk the whole list; a tensor
+//! block's share of a cluster sweep ([`block_sweep_into`]) walks its own
+//! list into slabs; a threaded executor's part — a COO bucket or a run of
+//! tiles, see [`MttkrpWorkspace`] — walks its positions into its slab
+//! ([`sweep_part`]); a chunk of the threaded residual refresh walks its
+//! sub-range banking nothing ([`refresh_entries`]). The body takes the
+//! entries four per step:
 //!
 //! * **Interleaved eval fold.** `Σᵣ Πₖ A⁽ᵏ⁾(iₖ,r)` is a serial `R`-add
 //!   chain per entry; one entry at a time, its latency is the whole
@@ -53,19 +57,21 @@
 //!   left part, same association — kept **separate** from the eval fold
 //!   (reusing the eval products would change association and hence
 //!   bits);
-//! * `H` rows are committed in entry order, so every output row sums its
-//!   contributions in the sequential [`crate::mttkrp::mttkrp`] order;
+//! * `H` rows are committed entry by entry in the source's order, so an
+//!   output row sums its contributions in the sequential
+//!   [`crate::mttkrp::mttkrp`] order whenever the source keeps every
+//!   row's entries in entry order — which the whole list, an in-order
+//!   bucket and a stably sorted tile run all do;
 //! * `‖E‖²_F` is the flat left fold `Σ eᵢ²` in entry order, matching
-//!   [`CooTensor::frob_norm_sq`];
-//! * the threaded one-mode variant reuses the workspace's row-disjoint
-//!   buckets (original entry order within each bucket), so each output
-//!   row and each entry sees the sequential order regardless of thread
-//!   count.
+//!   [`CooTensor::frob_norm_sq`] (a threaded sweep folds it over the
+//!   scattered-back values, so the blocking never shows).
 //!
-//! Rank specialization goes through [`dispatch_rank`], the same dispatch
-//! point `mttkrp_blocked_into` uses: R ∈ {8, 16} run monomorphized bodies
-//! with stack scratch, everything else the dynamic body — same operation
-//! sequence, so dispatch never changes a bit.
+//! Rank specialization goes through [`dispatch_rank`]: R ∈ {8, 16} run the
+//! body with the rank as a literal, everything else with it as a value —
+//! same operation sequence, so dispatch never changes a bit. Orders
+//! outside the stack row cache (1, and above [`MAX_CACHED_ORDER`]) take
+//! one per-entry fallback ([`sweep_uncached`]) behind the same three
+//! types.
 
 use crate::coo::CooTensor;
 use crate::kruskal::KruskalTensor;
@@ -75,9 +81,8 @@ use distenc_dataflow::Executor;
 use distenc_linalg::Mat;
 
 /// Bitwise replica of [`KruskalTensor::eval`]'s fold (`rr`-outer,
-/// modes-inner over **all** modes ascending). Kept as a free function so
-/// the rank-specialized bodies inline it with a constant trip count.
-#[inline(always)]
+/// modes-inner over **all** modes ascending) over bare factors, for
+/// [`sweep_uncached`].
 fn eval_model(factors: &[Mat], idx: &[usize], r: usize) -> f64 {
     let mut acc = 0.0;
     for rr in 0..r {
@@ -92,10 +97,9 @@ fn eval_model(factors: &[Mat], idx: &[usize], r: usize) -> f64 {
 
 /// Tensors up to this order gather their per-entry factor rows once into
 /// a stack array, so the folds walk cached slices instead of paying a
-/// `Mat::row` bound computation per use. Higher orders — beyond anything
-/// DisTenC's workloads use — keep the uncached bucket body and the
-/// per-entry `eval` refresh; every body runs the identical operation
-/// sequence, so the choice never changes a bit.
+/// `Mat::row` bound computation per use. Higher orders take
+/// [`sweep_uncached`]; it runs the identical operation sequence, so the
+/// choice never changes a bit.
 const MAX_CACHED_ORDER: usize = 8;
 
 /// One entry's factor rows in ascending mode order (`[..order]` live),
@@ -199,17 +203,21 @@ pub enum EntryValues<'a> {
 
 /// [`EntryValues`] as a type, so that neither kind of sweep carries the
 /// other's branch through its entry loop.
-trait Values {
+pub(crate) trait Values {
     /// Whether the sweep evaluates the model at its entries.
     const REFRESH: bool;
-    /// Entries covered.
+    /// Values held.
     fn len(&self) -> usize;
-    /// Entry `pos`'s residual value; `fresh` is the value the model gives
+    /// The residual value of the source's `j`-th entry, which is the
+    /// list's entry `pos`; `fresh` is the value the model gives
     /// (meaningless unless [`Self::REFRESH`]).
-    fn take(&mut self, pos: usize, fresh: f64) -> f64;
+    fn take(&mut self, j: usize, pos: usize, fresh: f64) -> f64;
 }
 
-struct Refresh<'a>(&'a mut [f64]);
+/// Fresh values, stored in the order the source visits the entries: slot
+/// `j` is the source's `j`-th entry (its position, when the source is the
+/// whole list).
+pub(crate) struct Refresh<'a>(pub &'a mut [f64]);
 
 impl Values for Refresh<'_> {
     const REFRESH: bool = true;
@@ -218,13 +226,14 @@ impl Values for Refresh<'_> {
         self.0.len()
     }
     #[inline(always)]
-    fn take(&mut self, pos: usize, fresh: f64) -> f64 {
-        self.0[pos] = fresh;
+    fn take(&mut self, j: usize, _pos: usize, fresh: f64) -> f64 {
+        self.0[j] = fresh;
         fresh
     }
 }
 
-struct Stored<'a>(&'a [f64]);
+/// The list's values as stored, one per entry position.
+pub(crate) struct Stored<'a>(pub &'a [f64]);
 
 impl Values for Stored<'_> {
     const REFRESH: bool = false;
@@ -233,8 +242,69 @@ impl Values for Stored<'_> {
         self.0.len()
     }
     #[inline(always)]
-    fn take(&mut self, pos: usize, _fresh: f64) -> f64 {
+    fn take(&mut self, _j: usize, pos: usize, _fresh: f64) -> f64 {
         self.0[pos]
+    }
+}
+
+/// Which of the list's entries a sweep visits, in which order. A type,
+/// never a branch in the entry loop: the whole-list sweep is the body it
+/// was before there was anything else to visit.
+pub(crate) trait Source: Copy {
+    /// Entries visited, given how many values the sweep's [`Values`]
+    /// hold.
+    fn len(self, values: usize) -> usize;
+    /// The list position of the `j`-th entry visited.
+    fn pos(self, j: usize) -> usize;
+}
+
+/// Every entry of the list, in order: one per value held, so the entry
+/// loop's bound is the value slice's length and its value accesses need no
+/// further check.
+#[derive(Clone, Copy)]
+pub(crate) struct Whole;
+
+impl Source for Whole {
+    #[inline(always)]
+    fn len(self, values: usize) -> usize {
+        values
+    }
+    #[inline(always)]
+    fn pos(self, j: usize) -> usize {
+        j
+    }
+}
+
+/// The `len` consecutive entries from position `lo` on.
+#[derive(Clone, Copy)]
+pub(crate) struct Span {
+    pub lo: usize,
+    pub len: usize,
+}
+
+impl Source for Span {
+    #[inline(always)]
+    fn len(self, _values: usize) -> usize {
+        self.len
+    }
+    #[inline(always)]
+    fn pos(self, j: usize) -> usize {
+        self.lo + j
+    }
+}
+
+/// The entries at these positions, in the order listed.
+#[derive(Clone, Copy)]
+struct Listed<'a>(&'a [usize]);
+
+impl Source for Listed<'_> {
+    #[inline(always)]
+    fn len(self, _values: usize) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn pos(self, j: usize) -> usize {
+        self.0[j]
     }
 }
 
@@ -282,17 +352,38 @@ impl Placement for Slabs<'_> {
     }
 }
 
-/// One step of [`sweep_entries`]: entries `pos..pos + live` (`live ≤ 4`;
-/// a short tail block pads the eval with copies of its last entry and
-/// ignores their sums).
+/// Row slabs for the modes from `first` on that all start at global row
+/// `origin`: one part's slab, or (from row 0) whole modes other than the
+/// leading ones.
+#[derive(Clone, Copy)]
+struct SlabsAt {
+    first: usize,
+    origin: usize,
+}
+
+impl Placement for SlabsAt {
+    #[inline(always)]
+    fn first(self) -> usize {
+        self.first
+    }
+    #[inline(always)]
+    fn origin(self, _mode: usize) -> usize {
+        self.origin
+    }
+}
+
+/// One step of [`sweep_entries`]: the source's entries `at..at + live`
+/// (`live ≤ 4`; a short tail block pads the eval with copies of its last
+/// entry and ignores their sums).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn sweep_block<V: Values, P: Placement>(
+fn sweep_block<V: Values, P: Placement, S: Source>(
     observed: &CooTensor,
     factors: &[Mat],
     order: usize,
     r: usize,
-    pos: usize,
+    src: S,
+    at: usize,
     live: usize,
     vals: &mut V,
     place: P,
@@ -301,7 +392,7 @@ fn sweep_block<V: Values, P: Placement>(
 ) {
     let mut rows: [RowSet<'_>; 4] = [[&[]; MAX_CACHED_ORDER]; 4];
     for (j, set) in rows.iter_mut().enumerate() {
-        let idx = observed.index(pos + j.min(live - 1));
+        let idx = observed.index(src.pos(at + j.min(live - 1)));
         for k in 0..order {
             set[k] = &factors[k].as_slice()[idx[k] * r..][..r];
         }
@@ -309,11 +400,12 @@ fn sweep_block<V: Values, P: Placement>(
     let model = if V::REFRESH { eval_block4(&rows, order, r) } else { [0.0; 4] };
     let (first, banked) = (place.first(), hs.len());
     for j in 0..live {
-        let v = vals.take(pos + j, observed.value(pos + j) - model[j]);
+        let pos = src.pos(at + j);
+        let v = vals.take(at + j, pos, observed.value(pos) - model[j]);
         *frob += v * v;
         // Rows are committed entry by entry, so every output row sums
-        // its contributions in entry order.
-        let idx = &observed.index(pos + j)[first..];
+        // its contributions in the source's order.
+        let idx = &observed.index(pos)[first..];
         let mut outs: [&mut [f64]; MAX_CACHED_ORDER] = std::array::from_fn(|_| &mut [][..]);
         for (k, ((out, h), &row)) in outs.iter_mut().zip(hs.iter_mut()).zip(idx).enumerate() {
             *out = &mut h.as_mut_slice()[(row - place.origin(first + k)) * r..][..r];
@@ -331,68 +423,105 @@ fn sweep_block<V: Values, P: Placement>(
     }
 }
 
-/// The one sequential entry-order body: take each entry's residual value
-/// from `vals` (refreshing it, or as stored), fold `‖E‖²`, and bank
-/// `E₍ₘ₎U⁽ᵐ⁾` into `hs` for the `hs.len()` modes `place` says they are —
-/// every mode, one, or none, which is the plain residual refresh. `order`
-/// must equal `factors.len()` and `r` the rank; they are parameters so
-/// callers can pass literals and get the per-mode and per-element loops
-/// unrolled. Returns `Σ eᵢ²`.
+/// The one entry body: visit `src`'s entries of the list `observed` in
+/// order, take each one's residual value from `vals` (refreshing it, or as
+/// stored), fold `‖E‖²`, and bank `E₍ₘ₎U⁽ᵐ⁾` into `hs` for the `hs.len()`
+/// modes `place` says they are — every mode, one, or none, which is the
+/// plain residual refresh. `order` must equal `factors.len()` and `r` the
+/// rank; they are parameters so callers can pass literals and get the
+/// per-mode and per-element loops unrolled. Returns `Σ eᵢ²` over the
+/// entries visited.
 #[inline(always)]
-fn sweep_entries<V: Values, P: Placement>(
+#[allow(clippy::too_many_arguments)]
+fn sweep_entries<V: Values, P: Placement, S: Source>(
     observed: &CooTensor,
     factors: &[Mat],
     order: usize,
     r: usize,
     mut vals: V,
+    src: S,
     place: P,
     hs: &mut [Mat],
 ) -> f64 {
     for h in hs.iter_mut() {
         h.fill(0.0);
     }
-    let nnz = vals.len();
+    let n = src.len(vals.len());
     let mut frob = 0.0;
-    let mut pos = 0;
-    while pos + 4 <= nnz {
-        sweep_block(observed, factors, order, r, pos, 4, &mut vals, place, hs, &mut frob);
-        pos += 4;
+    let mut at = 0;
+    while at + 4 <= n {
+        sweep_block(observed, factors, order, r, src, at, 4, &mut vals, place, hs, &mut frob);
+        at += 4;
     }
-    if pos < nnz {
-        sweep_block(observed, factors, order, r, pos, nnz - pos, &mut vals, place, hs, &mut frob);
+    if at < n {
+        sweep_block(observed, factors, order, r, src, at, n - at, &mut vals, place, hs, &mut frob);
+    }
+    frob
+}
+
+/// [`sweep_entries`]' contract for the orders outside the stack row cache
+/// (1, and above [`MAX_CACHED_ORDER`] — beyond anything DisTenC's
+/// workloads use): one entry at a time through [`eval_model`] and
+/// [`fold_entry`], which are the same two folds. Its `R` doubles of fold
+/// scratch are this path's one allocation per call.
+fn sweep_uncached<V: Values, P: Placement, S: Source>(
+    observed: &CooTensor,
+    factors: &[Mat],
+    mut vals: V,
+    src: S,
+    place: P,
+    hs: &mut [Mat],
+) -> f64 {
+    for h in hs.iter_mut() {
+        h.fill(0.0);
+    }
+    let r = factors[0].cols();
+    let mut scratch = vec![0.0; r];
+    let mut frob = 0.0;
+    for j in 0..src.len(vals.len()) {
+        let pos = src.pos(j);
+        let idx = observed.index(pos);
+        let fresh =
+            if V::REFRESH { observed.value(pos) - eval_model(factors, idx, r) } else { 0.0 };
+        let v = vals.take(j, pos, fresh);
+        frob += v * v;
+        for (m, h) in (place.first()..).zip(hs.iter_mut()) {
+            fold_entry(factors, idx, v, m, &mut scratch, h.row_mut(idx[m] - place.origin(m)));
+        }
     }
     frob
 }
 
 /// [`RankKernel`] adapter for [`sweep_entries`].
-struct EntrySweep<'a, V, P> {
+struct EntrySweep<'a, V, P, S> {
     observed: &'a CooTensor,
     factors: &'a [Mat],
     vals: V,
+    src: S,
     place: P,
     hs: &'a mut [Mat],
 }
 
-impl<V: Values, P: Placement> EntrySweep<'_, V, P> {
+impl<V: Values, P: Placement, S: Source> EntrySweep<'_, V, P, S> {
     /// The all-modes and the one-mode sweep at orders 3 and 4 — every
     /// DisTenC workload — get bodies with the order and the mode count as
     /// literals (measured: the one-mode sweep through the generic body is
-    /// 1.5× the bucketed kernel it stands in for, through these it is
-    /// ahead of it).
+    /// 1.5× the one-entry-at-a-time bucket kernel it replaced, through
+    /// these it is ahead of it).
     #[inline(always)]
     fn run(self, r: usize) -> f64 {
-        let EntrySweep { observed, factors, vals, place, hs } = self;
+        let EntrySweep { observed, factors, vals, src, place, hs } = self;
         match (factors.len(), hs.len()) {
-            (3, 3) => sweep_entries(observed, factors, 3, r, vals, place, &mut hs[..3]),
-            (4, 4) => sweep_entries(observed, factors, 4, r, vals, place, &mut hs[..4]),
-            (3, 1) => sweep_entries(observed, factors, 3, r, vals, place, &mut hs[..1]),
-            (4, 1) => sweep_entries(observed, factors, 4, r, vals, place, &mut hs[..1]),
-            (n, _) => sweep_entries(observed, factors, n, r, vals, place, hs),
+            (3, 3) => sweep_entries(observed, factors, 3, r, vals, src, place, &mut hs[..3]),
+            (4, 4) => sweep_entries(observed, factors, 4, r, vals, src, place, &mut hs[..4]),
+            (3, 1) => sweep_entries(observed, factors, 3, r, vals, src, place, &mut hs[..1]),
+            (4, 1) => sweep_entries(observed, factors, 4, r, vals, src, place, &mut hs[..1]),
+            (n, _) => sweep_entries(observed, factors, n, r, vals, src, place, hs),
         }
     }
 }
 
-impl<V: Values, P: Placement> RankKernel for EntrySweep<'_, V, P> {
+impl<V: Values, P: Placement, S: Source> RankKernel for EntrySweep<'_, V, P, S> {
     type Out = f64;
 
     fn run_const<const R: usize>(self) -> f64 {
@@ -405,95 +534,31 @@ impl<V: Values, P: Placement> RankKernel for EntrySweep<'_, V, P> {
     }
 }
 
-/// One fused entry against pre-gathered factor rows: the eval fold
-/// (`rr`-outer, modes ascending — [`KruskalTensor::eval`]'s exact
-/// association), then the separate mode-excluded Hadamard fold into
-/// `scratch` starting from the fresh value. Returns the fresh residual
-/// value `t − [[A…]](idx)`.
+/// Whether an order-`order` tensor's rows fit the stack row cache, with a
+/// second mode to share them with (at order 1 the one-mode sweep already
+/// is the whole iteration): the orders [`sweep_entries`] takes, and the
+/// ones whose sequential sweeps bank every mode
+/// ([`fused_refresh_modes_into`]).
+pub(crate) fn fuses_entry_order(order: usize) -> bool {
+    (2..=MAX_CACHED_ORDER).contains(&order)
+}
+
+/// Every driver's way into the body: [`sweep_entries`] under rank
+/// dispatch, or the fallback for the orders it does not take. Shapes are
+/// the caller's to check; so is the pass-count tick.
 #[inline(always)]
-fn fused_entry_rows(rows: &[&[f64]], t: f64, mode: usize, scratch: &mut [f64]) -> f64 {
-    let r = scratch.len();
-    let mut acc = 0.0;
-    for rr in 0..r {
-        let mut prod = 1.0;
-        for row in rows {
-            prod *= row[rr];
-        }
-        acc += prod;
+fn sweep<V: Values, P: Placement, S: Source>(
+    observed: &CooTensor,
+    factors: &[Mat],
+    vals: V,
+    src: S,
+    place: P,
+    hs: &mut [Mat],
+) -> f64 {
+    if !fuses_entry_order(factors.len()) {
+        return sweep_uncached(observed, factors, vals, src, place, hs);
     }
-    let val = t - acc;
-    scratch.iter_mut().for_each(|s| *s = val);
-    for (k, row) in rows.iter().enumerate() {
-        if k == mode {
-            continue;
-        }
-        for (s, &a) in scratch.iter_mut().zip(*row) {
-            *s *= a;
-        }
-    }
-    val
-}
-
-/// Fused sweep over one workspace bucket: fresh values go to `vals`
-/// (bucket order — the caller scatters them back to entry positions),
-/// `H` contributions to the part's row slab. The `‖E‖²` fold happens
-/// after the scatter, on the flat value slice, so it is independent of
-/// the blocking. `scratch` is passed separately from the adapter so the
-/// rank-specialized bodies can substitute a stack array.
-#[inline(always)]
-fn fused_sweep_bucket(kernel: BucketFused<'_>, scratch: &mut [f64]) {
-    let BucketFused { observed, factors, mode, bucket, lo, slab, vals, .. } = kernel;
-    let r = scratch.len();
-    slab.fill(0.0);
-    if factors.len() <= MAX_CACHED_ORDER {
-        let mut rows: [&[f64]; MAX_CACHED_ORDER] = [&[]; MAX_CACHED_ORDER];
-        for (slot, &pos) in vals.iter_mut().zip(bucket) {
-            let idx = observed.index(pos);
-            for (rslot, (f, &i)) in rows.iter_mut().zip(factors.iter().zip(idx)) {
-                *rslot = f.row(i);
-            }
-            *slot =
-                fused_entry_rows(&rows[..factors.len()], observed.value(pos), mode, scratch);
-            let out = slab.row_mut(idx[mode] - lo);
-            for (o, &s) in out.iter_mut().zip(scratch.iter()) {
-                *o += s;
-            }
-        }
-        return;
-    }
-    for (slot, &pos) in vals.iter_mut().zip(bucket) {
-        let idx = observed.index(pos);
-        let val = observed.value(pos) - eval_model(factors, idx, r);
-        *slot = val;
-        fold_entry(factors, idx, val, mode, scratch, slab.row_mut(idx[mode] - lo));
-    }
-}
-
-/// [`RankKernel`] adapter for one bucket of the threaded fused sweep.
-struct BucketFused<'a> {
-    observed: &'a CooTensor,
-    factors: &'a [Mat],
-    mode: usize,
-    bucket: &'a [usize],
-    lo: usize,
-    slab: &'a mut Mat,
-    vals: &'a mut [f64],
-    scratch: &'a mut [f64],
-}
-
-impl RankKernel for BucketFused<'_> {
-    type Out = ();
-
-    fn run_const<const R: usize>(self) {
-        debug_assert_eq!(self.scratch.len(), R);
-        let mut scratch = [0.0f64; R];
-        fused_sweep_bucket(self, &mut scratch);
-    }
-
-    fn run_dyn(mut self) {
-        let scratch = std::mem::take(&mut self.scratch);
-        fused_sweep_bucket(self, scratch);
-    }
+    dispatch_rank(factors[0].cols(), EntrySweep { observed, factors, vals, src, place, hs })
 }
 
 fn check_support(observed: &CooTensor, e: &CooTensor) -> Result<()> {
@@ -516,14 +581,6 @@ fn check_output(observed: &CooTensor, h: &Mat, mode: usize, r: usize) -> Result<
     Ok(())
 }
 
-/// Whether an order-`order` tensor takes the sequential entry-order
-/// sweep ([`fused_refresh_modes_into`]): its rows must fit the stack row
-/// cache, and there must be a second mode to share them with (at order 1
-/// the one-mode sweep already is the whole iteration).
-pub(crate) fn fuses_entry_order(order: usize) -> bool {
-    (2..=MAX_CACHED_ORDER).contains(&order)
-}
-
 /// The sequential entry-order fused sweep: refreshes `e`'s values in
 /// place, overwrites `hs[m]` with `E₍ₘ₎U⁽ᵐ⁾` against the fresh values for
 /// the leading `hs.len()` modes (all `N` of them, or just mode 0), and
@@ -533,7 +590,7 @@ pub(crate) fn fuses_entry_order(order: usize) -> bool {
 /// nothing.
 ///
 /// Errors for tensors of order 1 or above 8 (outside the stack row
-/// cache); those keep the one-mode kernel.
+/// cache); those keep the one-mode sweep.
 pub fn fused_refresh_modes_into(
     observed: &CooTensor,
     model: &KruskalTensor,
@@ -556,24 +613,23 @@ pub fn fused_refresh_modes_into(
         check_output(observed, h, m, r)?;
     }
     crate::record_entry_sweep(observed.nnz());
-    let vals = Refresh(e.values_mut());
-    Ok(dispatch_rank(r, EntrySweep { observed, factors, vals, place: WholeModes, hs }))
+    Ok(sweep(observed, factors, Refresh(e.values_mut()), Whole, WholeModes, hs))
 }
 
-/// The sequential residual refresh `vals[i] = t[i] − [[A…]](idx[i])`
-/// through the interleaved eval block — [`sweep_entries`] with no mode
-/// banked — bit-identical to one [`KruskalTensor::eval`] per entry.
-/// Shapes are the caller's to check; so is the pass-count tick.
-pub(crate) fn refresh_entries(observed: &CooTensor, model: &KruskalTensor, vals: &mut [f64]) {
-    if !fuses_entry_order(observed.order()) {
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = observed.value(i) - model.eval(observed.index(i));
-        }
-        return;
-    }
-    let factors = model.factors();
-    let sweep = EntrySweep { observed, factors, vals: Refresh(vals), place: WholeModes, hs: &mut [] };
-    dispatch_rank(model.rank(), sweep);
+/// The residual refresh `vals[j] = t[p] − [[A…]](idx[p])` for `p` the
+/// `j`-th entry of `src` — the sweep with no mode banked, through the
+/// interleaved eval block — bit-identical to one [`KruskalTensor::eval`]
+/// per entry. Shapes are the caller's to check; so is the pass-count tick.
+/// A function of its own: inlined into `residual_refresh_exec` beside the
+/// chunk closure's copy, the rank-16 sweep measured 6 % slower.
+#[inline(never)]
+pub(crate) fn refresh_entries<S: Source>(
+    observed: &CooTensor,
+    model: &KruskalTensor,
+    src: S,
+    vals: &mut [f64],
+) {
+    sweep(observed, model.factors(), Refresh(vals), src, WholeModes, &mut []);
 }
 
 /// The sequential entry-order MTTKRP of stored values: overwrites `hs[k]`
@@ -604,16 +660,14 @@ pub fn mttkrp_modes_into(
         check_output(e, h, m, r)?;
     }
     crate::record_entry_sweep(e.nnz());
-    let (observed, vals) = (e, Stored(e.values()));
+    let vals = Stored(e.values());
     if first == 0 {
         // The leading modes take the placement with nothing to look up
         // (as a slab sweep the all-modes pass measured up to 1.4× slower).
-        dispatch_rank(r, EntrySweep { observed, factors, vals, place: WholeModes, hs });
+        sweep(e, factors, vals, Whole, WholeModes, hs);
     } else {
         // Whole modes are slabs that start at row 0.
-        let origin = [0usize; MAX_CACHED_ORDER];
-        let place = Slabs { first, origin: &origin[..order] };
-        dispatch_rank(r, EntrySweep { observed, factors, vals, place, hs });
+        sweep(e, factors, vals, Whole, SlabsAt { first, origin: 0 }, hs);
     }
     Ok(())
 }
@@ -630,8 +684,7 @@ pub fn mttkrp_modes_into(
 ///
 /// This is [`sweep_entries`] again — the same folds, so a block's values
 /// and slabs do not depend on which modes share the pass or on whether
-/// the values were refreshed in it — with the per-entry fallback for
-/// orders outside the row cache. Ticks no pass count: a sweep is all of
+/// the values were refreshed in it. Ticks no pass count: a sweep is all of
 /// the caller's blocks.
 ///
 /// # Panics
@@ -639,7 +692,7 @@ pub fn mttkrp_modes_into(
 pub fn block_sweep_into(
     entries: &CooTensor,
     model: &KruskalTensor,
-    mut vals: EntryValues<'_>,
+    vals: EntryValues<'_>,
     first: usize,
     origin: &[usize],
     slabs: &mut [Mat],
@@ -656,57 +709,51 @@ pub fn block_sweep_into(
     );
     if given != entries.nnz() || origin.len() != order || first + slabs.len() > order || !fits {
         return Err(TensorError::ShapeMismatch(format!(
-            "block sweep over {} entries of order {order}: {given} values, {} origins, {} slabs              from mode {first}, each of {r} columns inside its mode",
+            "block sweep over {} entries of order {order}: {given} values, {} origins, {} slabs \
+             from mode {first}, each of {r} columns inside its mode",
             entries.nnz(),
             origin.len(),
             slabs.len()
         )));
     }
-    if fuses_entry_order(order) {
-        let (observed, place, hs) = (entries, Slabs { first, origin }, slabs);
-        return Ok(match vals {
-            EntryValues::Refresh(fresh) => {
-                dispatch_rank(r, EntrySweep { observed, factors, vals: Refresh(fresh), place, hs })
-            }
-            EntryValues::Stored(stored) => {
-                dispatch_rank(r, EntrySweep { observed, factors, vals: Stored(stored), place, hs })
-            }
-        });
-    }
-    for slab in slabs.iter_mut() {
-        slab.fill(0.0);
-    }
-    let mut scratch = vec![0.0; r];
-    let mut frob = 0.0;
-    for (pos, (idx, t)) in entries.iter().enumerate() {
-        let v = match &mut vals {
-            EntryValues::Refresh(fresh) => {
-                fresh[pos] = t - eval_model(factors, idx, r);
-                fresh[pos]
-            }
-            EntryValues::Stored(stored) => stored[pos],
-        };
-        frob += v * v;
-        for (m, slab) in (first..).zip(slabs.iter_mut()) {
-            fold_entry(factors, idx, v, m, &mut scratch, slab.row_mut(idx[m] - origin[m]));
-        }
-    }
-    Ok(frob)
+    let place = Slabs { first, origin };
+    Ok(match vals {
+        EntryValues::Refresh(fresh) => sweep(entries, factors, Refresh(fresh), Whole, place, slabs),
+        EntryValues::Stored(stored) => sweep(entries, factors, Stored(stored), Whole, place, slabs),
+    })
+}
+
+/// One part's share of a threaded one-mode sweep over the list `x`: visit
+/// the part's positions in their order, taking values from `vals` —
+/// [`Stored`] list values for the plain MTTKRP, [`Refresh`] into the
+/// part's carrier (one slot per position listed) for the fused sweep —
+/// and bank mode `mode` into the part's row slab.
+pub(crate) fn sweep_part<V: Values>(
+    x: &CooTensor,
+    factors: &[Mat],
+    mode: usize,
+    vals: V,
+    positions: &[usize],
+    row_lo: usize,
+    slab: &mut Mat,
+) {
+    let place = SlabsAt { first: mode, origin: row_lo };
+    sweep(x, factors, vals, Listed(positions), place, std::slice::from_mut(slab));
 }
 
 /// Allocation-free fused refresh + one-mode MTTKRP through a
-/// preallocated [`MttkrpWorkspace`] (bucketed for `ws.mode()`), for
-/// executors that run buckets concurrently: refreshes `e`'s values in
-/// place, overwrites `h` with `E₍ₙ₎U⁽ⁿ⁾` against the fresh values, and
-/// returns `‖E‖²_F`. One entry sweep total.
+/// preallocated [`MttkrpWorkspace`] (cut for `ws.mode()`), for executors
+/// that run parts concurrently: refreshes `e`'s values in place,
+/// overwrites `h` with `E₍ₙ₎U⁽ⁿ⁾` against the fresh values, and returns
+/// `‖E‖²_F`. One entry sweep total.
 ///
 /// Per-part row slabs plus per-part value carriers (sized on first use —
 /// the only allocation this kernel ever makes, amortized across all later
 /// calls) are stitched and scattered back in fixed part order. Each
-/// bucket keeps the sequential entry order, so the result is
-/// bit-identical to [`fused_refresh_modes_into`] for any blocking and any
-/// executor (a one-thread caller should prefer that kernel: it is the
-/// faster sequential sweep).
+/// part keeps every row's entries in entry order, so the result is
+/// bit-identical to [`fused_refresh_modes_into`] for any cut and any
+/// executor (a one-thread caller should prefer that kernel: it banks
+/// every mode and carries nothing).
 pub fn fused_mttkrp_refresh_into(
     observed: &CooTensor,
     model: &KruskalTensor,
@@ -715,50 +762,28 @@ pub fn fused_mttkrp_refresh_into(
     e: &mut CooTensor,
     h: &mut Mat,
 ) -> Result<f64> {
-    let mode = ws.mode;
-    validate(observed, model.factors(), mode)?;
-    debug_assert_eq!(observed.nnz(), ws.nnz, "workspace built for a different support");
-    let r = model.rank();
+    let (mode, factors) = (ws.mode, model.factors());
+    validate(observed, factors, mode)?;
     check_support(observed, e)?;
-    check_output(observed, h, mode, r)?;
-    if ws.parts.first().is_some_and(|p| p.slab.cols() != r) {
-        return Err(TensorError::ShapeMismatch(format!(
-            "workspace slabs are rank {}, model is rank {r}",
-            ws.parts[0].slab.cols()
-        )));
-    }
+    ws.check(observed, factors, h)?;
     crate::record_entry_sweep(observed.nnz());
-    let factors = model.factors();
     for part in &mut ws.parts {
-        if part.vals.len() != part.bucket.len() {
-            part.vals.resize(part.bucket.len(), 0.0);
+        if part.vals.len() != part.entries.len() {
+            part.vals.resize(part.entries.len(), 0.0);
         }
     }
+    let positions = &ws.positions;
     exec.run_mut(&mut ws.parts, |_, part| {
-        dispatch_rank(
-            r,
-            BucketFused {
-                observed,
-                factors,
-                mode,
-                bucket: &part.bucket,
-                lo: part.lo,
-                slab: &mut part.slab,
-                vals: &mut part.vals,
-                scratch: &mut part.scratch,
-            },
-        );
+        let (vals, at) = (Refresh(&mut part.vals), &positions[part.entries.clone()]);
+        sweep_part(observed, factors, mode, vals, at, part.row_lo, &mut part.slab);
     });
     let vals = e.values_mut();
     for part in &ws.parts {
-        for (&pos, &v) in part.bucket.iter().zip(&part.vals) {
+        for (&pos, &v) in positions[part.entries.clone()].iter().zip(&part.vals) {
             vals[pos] = v;
         }
     }
-    for part in &ws.parts {
-        h.as_mut_slice()[part.lo * r..(part.lo + part.slab.rows()) * r]
-            .copy_from_slice(part.slab.as_slice());
-    }
+    ws.stitch_into(h);
     Ok(e.values().iter().map(|v| v * v).sum())
 }
 
@@ -858,13 +883,18 @@ mod tests {
             let model = KruskalTensor::random(&shape, rank, seed.wrapping_add(rank as u64));
             let want = unfused(&x, &model);
             let label = format!("shape {shape:?} nnz {} rank {rank}", x.nnz());
-            // `banked = 0` is the plain refresh, as is `refresh_entries`.
+            // `banked = 0` is the plain refresh, as is `refresh_entries` —
+            // over the whole list, or over any sub-range of it.
             for banked in 0..=order {
                 assert_sweep_matches(&x, &model, banked, &want, &label);
             }
             let mut vals = vec![f64::NAN; x.nnz()];
-            refresh_entries(&x, &model, &mut vals);
+            refresh_entries(&x, &model, Whole, &mut vals);
             prop_assert_eq!(bits(&vals), bits(want.0.values()));
+            let lo = rng.random_range(0..=x.nnz());
+            let len = rng.random_range(0..=x.nnz() - lo);
+            refresh_entries(&x, &model, Span { lo, len }, &mut vals[..len]);
+            prop_assert_eq!(bits(&vals[..len]), bits(&want.0.values()[lo..lo + len]));
         }
     }
 
@@ -888,10 +918,11 @@ mod tests {
     #[test]
     fn orders_outside_the_row_cache_fall_back() {
         // Order 1 and order > MAX_CACHED_ORDER are not the entry-order
-        // kernel's: it refuses them, the plain refresh takes its
-        // per-entry path, and the bucketed one-mode kernel (what the
-        // layout falls back to) still matches the unfused sequence.
-        let exec = Executor::new(ExecMode::Sequential);
+        // kernel's: it refuses them, and the plain refresh and the
+        // one-mode sweep over parts (what the layout falls back to, here
+        // with an empty part under a pool) take the one per-entry
+        // fallback, which still matches the unfused sequence.
+        let exec = Executor::new(ExecMode::Threads(4));
         for shape in [vec![7usize], vec![2; MAX_CACHED_ORDER + 1]] {
             let order = shape.len();
             assert!(!fuses_entry_order(order));
@@ -903,9 +934,11 @@ mod tests {
             assert!(fused_refresh_modes_into(&x, &model, &mut e, &mut hs).is_err());
             assert_eq!(e, x, "a refused sweep must not touch the residual");
             let mut vals = vec![f64::NAN; x.nnz()];
-            refresh_entries(&x, &model, &mut vals);
+            refresh_entries(&x, &model, Whole, &mut vals);
             assert_eq!(bits(&vals), bits(we.values()));
-            let mut ws = MttkrpWorkspace::new(&x, 0, &[shape[0]], 3).unwrap();
+            refresh_entries(&x, &model, Span { lo: 2, len: 5 }, &mut vals[..5]);
+            assert_eq!(bits(&vals[..5]), bits(&we.values()[2..7]));
+            let mut ws = MttkrpWorkspace::new(&x, 0, &[0, 1, shape[0]], 3).unwrap();
             let f = fused_mttkrp_refresh_into(&x, &model, &mut ws, &exec, &mut e, &mut hs[0])
                 .unwrap();
             assert_eq!(bits(e.values()), bits(we.values()));
@@ -1045,37 +1078,61 @@ mod tests {
         assert!(sweep(&mut vals, 0, &origin, &mut slabs).is_err());
     }
 
+    /// A tensor whose mode-0 row `i` holds exactly `counts[i]` entries.
+    fn rows_holding(counts: &[usize]) -> CooTensor {
+        let mut t = CooTensor::new(vec![counts.len(), 7, 5]);
+        for (i, &n) in counts.iter().enumerate() {
+            for c in 0..n {
+                t.push(&[i, (c + i) % 7, c / 7], 0.25 * (c + 2 * i) as f64 - 1.0).unwrap();
+            }
+        }
+        t.sort_dedup();
+        t
+    }
+
     #[test]
     fn fused_into_matches_reference_across_blockings_and_executors() {
-        let shape = [13, 7, 5];
-        let x = random_coo(&shape, 150, 4);
         let seq = Executor::new(ExecMode::Sequential);
-        let par = Executor::new(ExecMode::Threads(3));
-        for &rank in &[1usize, 3, 8, 16, 17] {
-            let model = KruskalTensor::random(&shape, rank, 40 + rank as u64);
-            let (we, whs, wf) = unfused(&x, &model);
-            for (mode, &dim) in shape.iter().enumerate() {
-                let wh = &whs[mode];
-                let cuts: Vec<Vec<usize>> = vec![
-                    vec![dim],
-                    vec![dim / 2, dim],
-                    vec![0, 1, dim / 3, dim / 2, dim, dim],
-                ];
-                for boundaries in &cuts {
-                    for exec in [&seq, &par] {
-                        let mut ws =
-                            MttkrpWorkspace::new(&x, mode, boundaries, rank).unwrap();
-                        let mut e = x.clone(); // stale values on purpose
-                        let mut h = Mat::random(dim, rank, 9); // dirty on purpose
-                        // Twice through one workspace: reuse must be clean.
-                        for _ in 0..2 {
-                            let f = fused_mttkrp_refresh_into(
-                                &x, &model, &mut ws, exec, &mut e, &mut h,
-                            )
-                            .unwrap();
-                            assert_eq!(e, we, "rank {rank} mode {mode} cuts {boundaries:?}");
-                            assert_eq!(h.as_slice(), wh.as_slice());
-                            assert_eq!(f.to_bits(), wf.to_bits());
+        let par = Executor::new(ExecMode::Threads(4));
+        // Cut one row per part, the second tensor's mode-0 parts hold 0,
+        // 1, 3, 4, 5 and 7 entries: an empty sweep, and a short tail block
+        // alone, after one full block, and padded from every remainder.
+        let row_counts = [0usize, 1, 3, 4, 5, 7];
+        let by_row = rows_holding(&row_counts);
+        let per_row: Vec<usize> = (1..=row_counts.len()).collect();
+        let ws = MttkrpWorkspace::new(&by_row, 0, &per_row, 1).unwrap();
+        let sizes: Vec<usize> = ws.parts.iter().map(|p| p.entries.len()).collect();
+        assert_eq!(sizes, row_counts);
+        for x in [random_coo(&[13, 7, 5], 150, 4), by_row] {
+            let shape = x.shape().to_vec();
+            for &rank in &[1usize, 3, 8, 16, 17, 20] {
+                let model = KruskalTensor::random(&shape, rank, 40 + rank as u64);
+                let (we, whs, wf) = unfused(&x, &model);
+                for (mode, &dim) in shape.iter().enumerate() {
+                    let cuts: Vec<Vec<usize>> = vec![
+                        vec![dim],
+                        vec![dim / 2, dim],
+                        vec![0, 1, dim / 3, dim / 2, dim, dim],
+                        (1..=dim).collect(),
+                    ];
+                    for boundaries in &cuts {
+                        for exec in [&seq, &par] {
+                            let mut ws =
+                                MttkrpWorkspace::new(&x, mode, boundaries, rank).unwrap();
+                            let mut e = x.clone(); // stale values on purpose
+                            let mut h = Mat::random(dim, rank, 9); // dirty on purpose
+                            // Twice through one workspace: reuse must be clean.
+                            for _ in 0..2 {
+                                let f = fused_mttkrp_refresh_into(
+                                    &x, &model, &mut ws, exec, &mut e, &mut h,
+                                )
+                                .unwrap();
+                                let label = format!("rank {rank} mode {mode} cuts {boundaries:?}");
+                                assert_eq!(bits(e.values()), bits(we.values()), "{label}");
+                                let wh = whs[mode].as_slice();
+                                assert_eq!(bits(h.as_slice()), bits(wh), "{label}");
+                                assert_eq!(f.to_bits(), wf.to_bits(), "{label}");
+                            }
                         }
                     }
                 }
@@ -1130,6 +1187,11 @@ mod tests {
         assert!(
             fused_mttkrp_refresh_into(&x, &model4, &mut ws, &exec, &mut e, &mut h4).is_err()
         );
+        // Workspace cut for a support of another size.
+        let y = head(&x, x.nnz() - 1);
+        let mut ey = y.clone();
+        assert!(fused_mttkrp_refresh_into(&y, &model, &mut ws, &exec, &mut ey, &mut h).is_err());
+        assert_eq!(ey, y, "a rejected sweep must not touch the residual");
     }
 
     #[test]

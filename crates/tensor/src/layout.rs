@@ -12,49 +12,33 @@
 //! Three layouts exist:
 //!
 //! * [`LayoutKind::Coo`] — the flat entry list: walked in entry order by
-//!   [`crate::fused`]'s one sequential body on one thread, and through
-//!   the blocked (bucketed) workspace kernels of [`crate::mttkrp`] and
-//!   [`crate::fused`] by executors that run parts concurrently. The
-//!   bit-exactness baseline.
+//!   [`crate::fused`]'s entry body on one thread, and in parts — the
+//!   entry list cut at Algorithm 2's row boundaries, each part in entry
+//!   order — by executors that run parts concurrently. The bit-exactness
+//!   baseline.
 //! * [`LayoutKind::Csf`] — SPLATT's compressed sparse fibers
 //!   ([`crate::csf`]). Factorizes shared index prefixes, so its
 //!   accumulation *association* differs: results match COO to rounding
 //!   (≈1e-9 over a solve), not bit-for-bit.
-//! * [`LayoutKind::Tiled`] — a cache-blocked entry order, new here. Per
-//!   mode, entries are stably counting-sorted into tiles of
-//!   [`TILE_ROWS`] consecutive output rows (the per-tile `H` slab stays
-//!   L1-resident) with indices packed as `u32`, and the sweep runs an
-//!   explicit 4-entry-interleaved, 4-way-unrolled kernel. **Bit-identical
-//!   to COO at every thread count** — see below.
+//! * [`LayoutKind::Tiled`] — a cache-blocked entry order. Per mode,
+//!   entry positions are stably counting-sorted into tiles of
+//!   [`TILE_ROWS`] consecutive output rows (the per-tile `H` rows stay
+//!   L1-resident), and a part is a run of whole tiles. **Bit-identical to
+//!   COO at every thread count** — see below.
+//!
+//! COO under threads and tiled run the same sweeps over the same part
+//! structure ([`MttkrpWorkspace`]); they differ only in how
+//! [`TensorLayout::workspace`] cuts and orders the positions.
 //!
 //! # Why the tiled layout is bit-exact
 //!
-//! Every number the COO kernels produce is a left fold in a pinned
-//! order; the tiled kernels reproduce each fold's exact operation
-//! sequence:
-//!
-//! * **Per-output-row MTTKRP chains.** A mode-`n` tile contains *whole*
-//!   output rows (`tile = row / TILE_ROWS`), and the counting sort is
-//!   stable, so within a tile — and hence within a row — entries keep
-//!   their original order. Every `H` row therefore sums its
-//!   contributions in exactly the sequential COO order, for any tile
-//!   size and any partitioning of tiles across threads.
-//! * **Per-entry scratch chains.** Each entry's contribution is built by
-//!   the same sequence: broadcast the value, Hadamard-multiply the
-//!   non-`mode` factor rows in ascending mode order. The 4-way lane
-//!   unroll only regroups *independent* elementwise lanes; each lane's
-//!   chain is unchanged.
-//! * **The fused eval fold.** [`crate::fused`] computes
-//!   `Σᵣ Πₖ A⁽ᵏ⁾(iₖ,r)` with `r` outer and `k` inner. The tiled kernel
-//!   restructures this as: per-lane products with `k` outer (each lane
-//!   `r` multiplies the same factors in the same ascending order — the
-//!   identical chain), then one scalar sum over `r` ascending (the
-//!   identical chain). Processing 4 entries per step gives 4 independent
-//!   accumulator chains, hiding the serial-add latency that dominates
-//!   the one-entry-at-a-time sweep — without touching any single chain.
-//! * **`‖E‖²_F`** is folded flat over the residual values in entry order
-//!   after the tile-order results are scattered back — the same chain as
-//!   [`CooTensor::frob_norm_sq`].
+//! A mode-`n` tile contains *whole* output rows (`tile = row /
+//! TILE_ROWS`), and the counting sort is stable, so within a tile — and
+//! hence within a row — entries keep their original order. Every `H` row
+//! therefore sums its contributions in exactly the sequential COO order,
+//! for any tile size and any partitioning of tiles across threads; that a
+//! source which keeps per-row entry order gives the sequential bits is
+//! the entry body's guarantee, stated once in [`crate::fused`].
 //!
 //! `tests/layout_equivalence.rs` pins COO↔tiled bit-identity of whole
 //! solves (factors, RMSE, trace) at `DISTENC_THREADS=1` and `=4`.
@@ -78,13 +62,14 @@
 
 use crate::coo::CooTensor;
 use crate::csf::CsfTensor;
-use crate::fused::fuses_entry_order;
+use crate::fused::{fused_mttkrp_refresh_into, fuses_entry_order};
 use crate::kruskal::KruskalTensor;
-use crate::mttkrp::{dispatch_rank, validate, MttkrpWorkspace, RankKernel};
+use crate::mttkrp::{mttkrp_blocked_into, MttkrpWorkspace};
 use crate::residual::{residual_refresh_exec, ResidualWorkspace};
 use crate::{Result, TensorError};
 use distenc_dataflow::Executor;
 use distenc_linalg::Mat;
+use std::sync::Arc;
 
 /// Output rows per tile. 16 rows × rank 16 × 8 bytes = 2 KiB per slab
 /// tile — comfortably L1-resident. The value is a pure performance knob:
@@ -137,9 +122,7 @@ impl std::str::FromStr for LayoutKind {
 }
 
 /// One mode's tiled entry order: entry positions stably sorted by output
-/// tile (`row / TILE_ROWS`), the per-tile entry ranges, and all index
-/// tuples packed as `u32` in tile order so the sweep streams one
-/// contiguous array instead of strided `usize` gathers.
+/// tile (`row / TILE_ROWS`), and the per-tile ranges of that order.
 ///
 /// The structure depends only on the observed *support* (like a CSF
 /// tree), never on the values, so it is reusable across re-solves on an
@@ -149,32 +132,19 @@ pub(crate) struct TiledMode {
     /// Tile `t` owns tile-order positions `tile_ptr[t]..tile_ptr[t+1]`
     /// (and output rows `t*TILE_ROWS..min((t+1)*TILE_ROWS, dim)`).
     tile_ptr: Vec<usize>,
-    /// Tile-order position → original entry position.
-    perm: Vec<usize>,
-    /// Packed index tuples in tile order: entry `j`'s tuple is
-    /// `idx[j*order..(j+1)*order]`.
-    idx: Vec<u32>,
-    /// The mode's dimension.
-    dim: usize,
-    /// Entries covered (must match the residual's support).
-    nnz: usize,
+    /// Tile-order position → original entry position; one per entry of
+    /// the support it was built for. Shared with the workspaces cut from
+    /// it.
+    perm: Arc<[usize]>,
 }
 
 impl TiledMode {
     /// Lay out `e`'s entries in mode-`mode` tile order. A forward-scan
     /// counting sort — stable, so per-row entry order is preserved (the
     /// bit-exactness invariant).
-    fn build(e: &CooTensor, mode: usize) -> Result<Self> {
-        if let Some(&d) = e.shape().iter().find(|&&d| d > u32::MAX as usize) {
-            return Err(TensorError::ShapeMismatch(format!(
-                "tiled layout packs indices as u32; dimension {d} exceeds {}",
-                u32::MAX
-            )));
-        }
-        let order = e.order();
-        let dim = e.shape()[mode];
+    fn build(e: &CooTensor, mode: usize) -> Self {
         let nnz = e.nnz();
-        let n_tiles = dim.div_ceil(TILE_ROWS);
+        let n_tiles = e.shape()[mode].div_ceil(TILE_ROWS);
         let mut counts = vec![0usize; n_tiles];
         for pos in 0..nnz {
             counts[e.index(pos)[mode] / TILE_ROWS] += 1;
@@ -193,13 +163,17 @@ impl TiledMode {
             perm[cursor[t]] = pos;
             cursor[t] += 1;
         }
-        let mut idx = Vec::with_capacity(nnz * order);
-        for &pos in &perm {
-            for &i in e.index(pos) {
-                idx.push(i as u32);
-            }
-        }
-        Ok(TiledMode { tile_ptr, perm, idx, dim, nnz })
+        TiledMode { tile_ptr, perm: perm.into() }
+    }
+
+    /// The tile order cut into at most `max_parts` runs of whole tiles,
+    /// as a mode-`mode` workspace over a dimension of `dim` rows.
+    fn workspace(&self, mode: usize, dim: usize, rank: usize, max_parts: usize) -> MttkrpWorkspace {
+        let cut = partition_tiles(&self.tile_ptr, max_parts)
+            .into_iter()
+            .map(|(_, t1)| (self.tile_ptr[t1], (t1 * TILE_ROWS).min(dim)))
+            .collect();
+        MttkrpWorkspace::from_parts(mode, rank, self.perm.clone(), cut)
     }
 }
 
@@ -269,11 +243,12 @@ impl TensorLayout {
             Vec::new()
         };
         let tiled: Vec<TiledMode> = if kind == LayoutKind::Tiled {
-            if carried_tiled.len() == n_modes && carried_tiled.iter().all(|t| t.nnz == e.nnz())
+            if carried_tiled.len() == n_modes
+                && carried_tiled.iter().all(|t| t.perm.len() == e.nnz())
             {
                 carried_tiled
             } else {
-                (0..n_modes).map(|n| TiledMode::build(&e, n)).collect::<Result<_>>()?
+                (0..n_modes).map(|n| TiledMode::build(&e, n)).collect()
             }
         } else {
             Vec::new()
@@ -313,17 +288,20 @@ impl TensorLayout {
     }
 
     /// Build the per-mode sweep workspace this layout's kernels need
-    /// under `exec`: blocked MTTKRP buckets for COO, per-mode tile
-    /// partitions for tiled (sized to [`Executor::parallelism`]), nothing
-    /// for CSF (its trees *are* the workspace).
+    /// under `exec`: per mode, the parts COO and tiled sweep concurrently
+    /// ([`MttkrpWorkspace`]); nothing for CSF (its trees *are* the
+    /// workspace).
     ///
-    /// COO gets buckets only where something reads them. Where its sweeps
-    /// run in entry order ([`Self::sweeps_entry_order`]: one thread) there
-    /// are none — a bucket is a per-mode copy of the entry order, `nnz`
-    /// positions each. With threads, part `p` of mode `n` owns the rows
-    /// below the Algorithm-2 cut `boundaries[n][p]`; `boundaries` is not
-    /// read otherwise (one thread has nothing to balance, so the orders
-    /// outside the entry-order kernel get one part per mode).
+    /// Tiled cuts each mode's tile order into at most
+    /// [`Executor::parallelism`] runs of whole tiles and does not read
+    /// `boundaries`. COO gets parts only where something reads them. Where
+    /// its sweeps run in entry order ([`Self::sweeps_entry_order`]: one
+    /// thread) there are none — a part list is a per-mode copy of the
+    /// entry order, `nnz` positions each. With threads, part `p` of mode
+    /// `n` owns the rows below the Algorithm-2 cut `boundaries[n][p]`;
+    /// `boundaries` is not read otherwise (one thread has nothing to
+    /// balance, so the orders outside the entry-order kernel get one part
+    /// per mode).
     pub fn workspace(
         &self,
         rank: usize,
@@ -331,10 +309,10 @@ impl TensorLayout {
         exec: &Executor,
     ) -> Result<LayoutWorkspace> {
         let n_modes = self.e.order();
-        match self.kind {
-            LayoutKind::Coo if self.sweeps_entry_order(exec) => {
-                Ok(LayoutWorkspace { mtt: Vec::new(), tiled: Vec::new() })
-            }
+        let shape = self.e.shape();
+        let modes = match self.kind {
+            LayoutKind::Csf => Vec::new(),
+            LayoutKind::Coo if self.sweeps_entry_order(exec) => Vec::new(),
             LayoutKind::Coo => {
                 let threaded = exec.parallelism() > 1;
                 if threaded && boundaries.len() != n_modes {
@@ -343,25 +321,19 @@ impl TensorLayout {
                         boundaries.len()
                     )));
                 }
-                let mtt = (0..n_modes)
+                (0..n_modes)
                     .map(|n| {
-                        let whole = [self.e.shape()[n]];
+                        let whole = [shape[n]];
                         let cuts = if threaded { &boundaries[n][..] } else { &whole[..] };
                         MttkrpWorkspace::new(&self.e, n, cuts, rank)
                     })
-                    .collect::<Result<_>>()?;
-                Ok(LayoutWorkspace { mtt, tiled: Vec::new() })
+                    .collect::<Result<_>>()?
             }
-            LayoutKind::Csf => Ok(LayoutWorkspace { mtt: Vec::new(), tiled: Vec::new() }),
-            LayoutKind::Tiled => {
-                let tiled = self
-                    .tiled
-                    .iter()
-                    .map(|tm| TiledModeWs::new(tm, rank, exec.parallelism()))
-                    .collect();
-                Ok(LayoutWorkspace { mtt: Vec::new(), tiled })
-            }
-        }
+            LayoutKind::Tiled => (self.tiled.iter().zip(shape).enumerate())
+                .map(|(n, (tm, &dim))| tm.workspace(n, dim, rank, exec.parallelism()))
+                .collect(),
+        };
+        Ok(LayoutWorkspace { modes })
     }
 
     /// Whether this layout's fused sweeps run the sequential entry-order
@@ -389,9 +361,10 @@ impl TensorLayout {
 
     /// Mode-`mode` MTTKRP of the residual against `factors`, written
     /// into `h`. One entry sweep; allocation-free in steady state. On one
-    /// thread COO walks the entries in order through the body every fused
-    /// sweep runs ([`crate::fused::mttkrp_modes_into`]); with threads it
-    /// takes `lw`'s buckets, bit-identical to that walk for any blocking.
+    /// thread COO walks the entries in order through the body every sweep
+    /// runs ([`crate::fused::mttkrp_modes_into`]); with threads it takes
+    /// `lw`'s parts, as tiled always does — bit-identical to that walk for
+    /// any cut.
     pub fn mttkrp_into(
         &self,
         factors: &[Mat],
@@ -404,11 +377,10 @@ impl TensorLayout {
             LayoutKind::Coo if self.sweeps_entry_order(exec) => {
                 crate::fused::mttkrp_modes_into(&self.e, factors, mode, std::slice::from_mut(h))
             }
-            LayoutKind::Coo => {
-                crate::mttkrp::mttkrp_blocked_into(&self.e, factors, lw.buckets(mode)?, exec, h)
+            LayoutKind::Coo | LayoutKind::Tiled => {
+                mttkrp_blocked_into(&self.e, factors, lw.parts(mode)?, exec, h)
             }
             LayoutKind::Csf => self.csf[mode].mttkrp_root_into(factors, h),
-            LayoutKind::Tiled => self.tiled_mttkrp(factors, mode, lw, exec, h),
         }
     }
 
@@ -476,14 +448,9 @@ impl TensorLayout {
                     std::slice::from_mut(h),
                 )
             }
-            LayoutKind::Coo => crate::fused::fused_mttkrp_refresh_into(
-                observed,
-                model,
-                lw.buckets(0)?,
-                exec,
-                &mut self.e,
-                h,
-            ),
+            LayoutKind::Coo | LayoutKind::Tiled => {
+                fused_mttkrp_refresh_into(observed, model, lw.parts(0)?, exec, &mut self.e, h)
+            }
             LayoutKind::Csf => {
                 let (first, rest) = self.csf.split_at_mut(1);
                 let frob =
@@ -493,7 +460,6 @@ impl TensorLayout {
                 }
                 Ok(frob)
             }
-            LayoutKind::Tiled => self.tiled_fused(observed, model, lw, exec, h),
         }
     }
 
@@ -507,7 +473,7 @@ impl TensorLayout {
     /// entry-order kernel ([`crate::fused::fused_refresh_modes_into`]),
     /// bit-wise the numbers of [`Self::refresh_values`] + one
     /// [`Self::mttkrp_into`] per mode. Threaded executors, CSF, and
-    /// orders beyond the kernel's row cache bank mode 0 only — this is
+    /// orders outside the kernel's row cache bank mode 0 only — this is
     /// then exactly [`Self::fused_refresh_into`] — and leave `hs[1..]`
     /// untouched.
     pub fn fused_refresh_all_into(
@@ -526,184 +492,30 @@ impl TensorLayout {
         let frob = crate::fused::fused_refresh_modes_into(observed, model, &mut self.e, hs)?;
         Ok((frob, hs.len()))
     }
-
-    /// The tiled blocked MTTKRP: per-part tile-range sweeps into row
-    /// slabs, stitched in fixed part order. Values are gathered through
-    /// the tile permutation; per-row accumulation order is the original
-    /// entry order (see module docs), so the result is bit-identical to
-    /// the COO kernels.
-    fn tiled_mttkrp(
-        &self,
-        factors: &[Mat],
-        mode: usize,
-        lw: &mut LayoutWorkspace,
-        exec: &Executor,
-        h: &mut Mat,
-    ) -> Result<()> {
-        validate(&self.e, factors, mode)?;
-        let r = factors[0].cols();
-        let dim = self.e.shape()[mode];
-        if h.shape() != (dim, r) {
-            return Err(TensorError::ShapeMismatch(format!(
-                "mttkrp output is {:?}, want ({dim}, {r})",
-                h.shape()
-            )));
-        }
-        let ws = &mut lw.tiled[mode];
-        if ws.parts.first().is_some_and(|p| p.scratch.len() != 4 * r) {
-            return Err(TensorError::ShapeMismatch(format!(
-                "tiled workspace is rank {}, factors are rank {r}",
-                ws.parts[0].scratch.len() / 4
-            )));
-        }
-        crate::record_entry_sweep(self.e.nnz());
-        let tm = &self.tiled[mode];
-        debug_assert_eq!(tm.nnz, self.e.nnz(), "tiled order built for a different support");
-        let vals = self.e.values();
-        exec.run_mut(&mut ws.parts, |_, part| {
-            dispatch_rank(r, TiledSweep { vals, tm, factors, mode, part });
-        });
-        for part in &ws.parts {
-            h.as_mut_slice()[part.row_lo * r..(part.row_lo + part.slab.rows()) * r]
-                .copy_from_slice(part.slab.as_slice());
-        }
-        Ok(())
-    }
-
-    /// The tiled fused sweep (mode 0): fresh values are computed in tile
-    /// order into per-part carriers, scattered back to entry order, and
-    /// `‖E‖²` is folded flat afterwards — every chain identical to the
-    /// COO fused kernel's.
-    fn tiled_fused(
-        &mut self,
-        observed: &CooTensor,
-        model: &KruskalTensor,
-        lw: &mut LayoutWorkspace,
-        exec: &Executor,
-        h: &mut Mat,
-    ) -> Result<f64> {
-        let factors = model.factors();
-        validate(observed, factors, 0)?;
-        let r = model.rank();
-        let TensorLayout { e, tiled, .. } = self;
-        if e.nnz() != observed.nnz() || e.shape() != observed.shape() {
-            return Err(TensorError::ShapeMismatch(
-                "fused refresh requires a residual sharing the observed support".into(),
-            ));
-        }
-        let dim = observed.shape()[0];
-        if h.shape() != (dim, r) {
-            return Err(TensorError::ShapeMismatch(format!(
-                "fused mttkrp output is {:?}, want ({dim}, {r})",
-                h.shape()
-            )));
-        }
-        let ws = &mut lw.tiled[0];
-        if ws.parts.first().is_some_and(|p| p.scratch.len() != 4 * r) {
-            return Err(TensorError::ShapeMismatch(format!(
-                "tiled workspace is rank {}, model is rank {r}",
-                ws.parts[0].scratch.len() / 4
-            )));
-        }
-        crate::record_entry_sweep(observed.nnz());
-        let tm = &tiled[0];
-        debug_assert_eq!(tm.nnz, observed.nnz(), "tiled order built for a different support");
-        let TiledModeWs { parts, tvals } = ws;
-        // Observed values in tile order, gathered once per workspace
-        // (the support — and hence the order — is fixed within a solve).
-        if tvals.len() != observed.nnz() {
-            tvals.clear();
-            tvals.extend(tm.perm.iter().map(|&pos| observed.value(pos)));
-        }
-        for part in parts.iter_mut() {
-            if part.vals.len() != part.jhi - part.jlo {
-                part.vals.resize(part.jhi - part.jlo, 0.0);
-            }
-        }
-        let tv: &[f64] = tvals;
-        exec.run_mut(parts, |_, part| {
-            dispatch_rank(r, TiledFused { tvals: tv, tm, factors, mode: 0, part });
-        });
-        let evals = e.values_mut();
-        for part in parts.iter() {
-            for (off, &v) in part.vals.iter().enumerate() {
-                evals[tm.perm[part.jlo + off]] = v;
-            }
-        }
-        for part in parts.iter() {
-            h.as_mut_slice()[part.row_lo * r..(part.row_lo + part.slab.rows()) * r]
-                .copy_from_slice(part.slab.as_slice());
-        }
-        Ok(e.values().iter().map(|v| v * v).sum())
-    }
 }
 
-/// Per-solve sweep state for a [`TensorLayout`]'s kernels: COO under a
-/// threaded executor keeps one blocked [`MttkrpWorkspace`] per mode (none
-/// on one thread, where it sweeps in entry order), tiled one partitioned
-/// tile workspace per mode. Steady-state kernel calls allocate nothing
-/// (the fused value carriers are sized on first use, amortized).
+/// Per-solve sweep state for a [`TensorLayout`]'s kernels: one
+/// [`MttkrpWorkspace`] per mode for tiled and for COO under a threaded
+/// executor, none for CSF and for COO on one thread (where it sweeps in
+/// entry order). Steady-state kernel calls allocate nothing (the fused
+/// value carriers are sized on first use, amortized).
 pub struct LayoutWorkspace {
-    mtt: Vec<MttkrpWorkspace>,
-    tiled: Vec<TiledModeWs>,
+    modes: Vec<MttkrpWorkspace>,
 }
 
 impl LayoutWorkspace {
-    /// Mode `mode`'s COO buckets. A workspace built for an executor that
-    /// sweeps in entry order has none; handing it to a threaded kernel is
-    /// a typed error.
-    fn buckets(&mut self, mode: usize) -> Result<&mut MttkrpWorkspace> {
-        self.mtt.get_mut(mode).ok_or_else(|| {
+    /// Mode `mode`'s parts. A workspace built by a layout or for an
+    /// executor that sweeps without parts has none; handing it to a sweep
+    /// that needs them is a typed error (as is, inside the sweep, one of
+    /// another rank or entry count).
+    fn parts(&mut self, mode: usize) -> Result<&mut MttkrpWorkspace> {
+        let held = self.modes.len();
+        self.modes.get_mut(mode).ok_or_else(|| {
             TensorError::ShapeMismatch(format!(
-                "layout workspace holds no mode-{mode} buckets: it was built for an executor \
-                 that sweeps in entry order"
+                "layout workspace holds parts for {held} modes, none for mode {mode}: it was \
+                 built for another tensor, or for a layout or executor that sweeps without parts"
             ))
         })
-    }
-}
-
-/// One mode's tiled sweep workspace: contiguous tile ranges partitioned
-/// across the executor's parallelism, each with its own output-row slab
-/// and 4-lane scratch.
-struct TiledModeWs {
-    parts: Vec<TiledPart>,
-    /// Observed values in tile order (fused sweep only; filled on first
-    /// use).
-    tvals: Vec<f64>,
-}
-
-struct TiledPart {
-    /// Tile-order entry range `jlo..jhi`.
-    jlo: usize,
-    jhi: usize,
-    /// First output row owned by this part.
-    row_lo: usize,
-    slab: Mat,
-    /// Four rank-length scratch lanes for the dynamic-rank bodies.
-    scratch: Vec<f64>,
-    /// Fresh residual values in tile order (fused sweep; sized on first
-    /// use).
-    vals: Vec<f64>,
-}
-
-impl TiledModeWs {
-    fn new(tm: &TiledMode, rank: usize, max_parts: usize) -> Self {
-        let parts = partition_tiles(&tm.tile_ptr, max_parts)
-            .into_iter()
-            .map(|(t0, t1)| {
-                let row_lo = t0 * TILE_ROWS;
-                let row_hi = (t1 * TILE_ROWS).min(tm.dim);
-                TiledPart {
-                    jlo: tm.tile_ptr[t0],
-                    jhi: tm.tile_ptr[t1],
-                    row_lo,
-                    slab: Mat::zeros(row_hi - row_lo, rank),
-                    scratch: vec![0.0; 4 * rank],
-                    vals: Vec::new(),
-                }
-            })
-            .collect();
-        TiledModeWs { parts, tvals: Vec::new() }
     }
 }
 
@@ -733,366 +545,6 @@ fn partition_tiles(tile_ptr: &[usize], max_parts: usize) -> Vec<(usize, usize)> 
     cuts.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
-/// 4-way-unrolled elementwise multiply: `s[i] *= row[i]`. Lanes are
-/// independent, so regrouping them is bit-invisible; the explicit unroll
-/// autovectorizes.
-#[inline(always)]
-fn mul_lanes(s: &mut [f64], row: &[f64]) {
-    let mut sc = s.chunks_exact_mut(4);
-    let mut rc = row.chunks_exact(4);
-    for (sv, rv) in (&mut sc).zip(&mut rc) {
-        sv[0] *= rv[0];
-        sv[1] *= rv[1];
-        sv[2] *= rv[2];
-        sv[3] *= rv[3];
-    }
-    for (v, &a) in sc.into_remainder().iter_mut().zip(rc.remainder()) {
-        *v *= a;
-    }
-}
-
-/// 4-way-unrolled elementwise add: `out[i] += s[i]`.
-#[inline(always)]
-fn add_lanes(out: &mut [f64], s: &[f64]) {
-    let mut oc = out.chunks_exact_mut(4);
-    let mut sc = s.chunks_exact(4);
-    for (ov, sv) in (&mut oc).zip(&mut sc) {
-        ov[0] += sv[0];
-        ov[1] += sv[1];
-        ov[2] += sv[2];
-        ov[3] += sv[3];
-    }
-    for (o, &a) in oc.into_remainder().iter_mut().zip(sc.remainder()) {
-        *o += a;
-    }
-}
-
-/// The tiled MTTKRP sweep over one part's tile range, 4 entries per
-/// step with independent scratch lanes. Per-entry operation sequence —
-/// broadcast, ascending non-`mode` Hadamard, row add — matches the COO
-/// kernel exactly; slab rows are committed in entry order `e0..e3`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn tiled_mttkrp_sweep(
-    vals: &[f64],
-    tm: &TiledMode,
-    factors: &[Mat],
-    mode: usize,
-    jlo: usize,
-    jhi: usize,
-    row_lo: usize,
-    slab: &mut Mat,
-    s0: &mut [f64],
-    s1: &mut [f64],
-    s2: &mut [f64],
-    s3: &mut [f64],
-) {
-    let order = factors.len();
-    let (idx, perm) = (&tm.idx[..], &tm.perm[..]);
-    slab.fill(0.0);
-    let mut j = jlo;
-    // Interleave width: 4 independent lanes up to rank 8, 2 beyond —
-    // 4×R live accumulators overflow the register file past R≈8 and the
-    // spills cost more than the lost ILP. Width is bit-invisible: every
-    // entry's product chain and its slab commit happen in entry order no
-    // matter how many neighbors fly alongside it.
-    if s0.len() <= 8 {
-        while j + 4 <= jhi {
-            let i0 = &idx[j * order..(j + 1) * order];
-            let i1 = &idx[(j + 1) * order..(j + 2) * order];
-            let i2 = &idx[(j + 2) * order..(j + 3) * order];
-            let i3 = &idx[(j + 3) * order..(j + 4) * order];
-            s0.fill(vals[perm[j]]);
-            s1.fill(vals[perm[j + 1]]);
-            s2.fill(vals[perm[j + 2]]);
-            s3.fill(vals[perm[j + 3]]);
-            for (k, f) in factors.iter().enumerate() {
-                if k == mode {
-                    continue;
-                }
-                mul_lanes(s0, f.row(i0[k] as usize));
-                mul_lanes(s1, f.row(i1[k] as usize));
-                mul_lanes(s2, f.row(i2[k] as usize));
-                mul_lanes(s3, f.row(i3[k] as usize));
-            }
-            add_lanes(slab.row_mut(i0[mode] as usize - row_lo), s0);
-            add_lanes(slab.row_mut(i1[mode] as usize - row_lo), s1);
-            add_lanes(slab.row_mut(i2[mode] as usize - row_lo), s2);
-            add_lanes(slab.row_mut(i3[mode] as usize - row_lo), s3);
-            j += 4;
-        }
-    } else {
-        while j + 2 <= jhi {
-            let i0 = &idx[j * order..(j + 1) * order];
-            let i1 = &idx[(j + 1) * order..(j + 2) * order];
-            s0.fill(vals[perm[j]]);
-            s1.fill(vals[perm[j + 1]]);
-            for (k, f) in factors.iter().enumerate() {
-                if k == mode {
-                    continue;
-                }
-                mul_lanes(s0, f.row(i0[k] as usize));
-                mul_lanes(s1, f.row(i1[k] as usize));
-            }
-            add_lanes(slab.row_mut(i0[mode] as usize - row_lo), s0);
-            add_lanes(slab.row_mut(i1[mode] as usize - row_lo), s1);
-            j += 2;
-        }
-    }
-    while j < jhi {
-        let ii = &idx[j * order..(j + 1) * order];
-        s0.fill(vals[perm[j]]);
-        for (k, f) in factors.iter().enumerate() {
-            if k == mode {
-                continue;
-            }
-            mul_lanes(s0, f.row(ii[k] as usize));
-        }
-        add_lanes(slab.row_mut(ii[mode] as usize - row_lo), s0);
-        j += 1;
-    }
-}
-
-/// The tiled fused sweep over one part's tile range: the restructured
-/// eval fold (per-lane products over ascending modes, then one scalar
-/// sum over ascending `r` — chains identical to the `r`-outer fold),
-/// with 4 independent accumulator chains per step, then the standard
-/// MTTKRP contribution from the fresh value. Fresh values land in
-/// `out_vals` (tile order).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn tiled_fused_sweep(
-    tvals: &[f64],
-    tm: &TiledMode,
-    factors: &[Mat],
-    mode: usize,
-    jlo: usize,
-    jhi: usize,
-    row_lo: usize,
-    slab: &mut Mat,
-    out_vals: &mut [f64],
-    s0: &mut [f64],
-    s1: &mut [f64],
-    s2: &mut [f64],
-    s3: &mut [f64],
-) {
-    let order = factors.len();
-    let r = s0.len();
-    let idx = &tm.idx[..];
-    slab.fill(0.0);
-    let mut j = jlo;
-    // Same rank-dependent interleave width as the plain sweep (see the
-    // register-pressure note there); chains are entry-local either way.
-    if r <= 8 {
-        while j + 4 <= jhi {
-            let i0 = &idx[j * order..(j + 1) * order];
-            let i1 = &idx[(j + 1) * order..(j + 2) * order];
-            let i2 = &idx[(j + 2) * order..(j + 3) * order];
-            let i3 = &idx[(j + 3) * order..(j + 4) * order];
-            s0.fill(1.0);
-            s1.fill(1.0);
-            s2.fill(1.0);
-            s3.fill(1.0);
-            for (k, f) in factors.iter().enumerate() {
-                mul_lanes(s0, f.row(i0[k] as usize));
-                mul_lanes(s1, f.row(i1[k] as usize));
-                mul_lanes(s2, f.row(i2[k] as usize));
-                mul_lanes(s3, f.row(i3[k] as usize));
-            }
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for rr in 0..r {
-                a0 += s0[rr];
-                a1 += s1[rr];
-                a2 += s2[rr];
-                a3 += s3[rr];
-            }
-            let v0 = tvals[j] - a0;
-            let v1 = tvals[j + 1] - a1;
-            let v2 = tvals[j + 2] - a2;
-            let v3 = tvals[j + 3] - a3;
-            out_vals[j - jlo] = v0;
-            out_vals[j + 1 - jlo] = v1;
-            out_vals[j + 2 - jlo] = v2;
-            out_vals[j + 3 - jlo] = v3;
-            s0.fill(v0);
-            s1.fill(v1);
-            s2.fill(v2);
-            s3.fill(v3);
-            for (k, f) in factors.iter().enumerate() {
-                if k == mode {
-                    continue;
-                }
-                mul_lanes(s0, f.row(i0[k] as usize));
-                mul_lanes(s1, f.row(i1[k] as usize));
-                mul_lanes(s2, f.row(i2[k] as usize));
-                mul_lanes(s3, f.row(i3[k] as usize));
-            }
-            add_lanes(slab.row_mut(i0[mode] as usize - row_lo), s0);
-            add_lanes(slab.row_mut(i1[mode] as usize - row_lo), s1);
-            add_lanes(slab.row_mut(i2[mode] as usize - row_lo), s2);
-            add_lanes(slab.row_mut(i3[mode] as usize - row_lo), s3);
-            j += 4;
-        }
-    } else {
-        while j + 2 <= jhi {
-            let i0 = &idx[j * order..(j + 1) * order];
-            let i1 = &idx[(j + 1) * order..(j + 2) * order];
-            s0.fill(1.0);
-            s1.fill(1.0);
-            for (k, f) in factors.iter().enumerate() {
-                mul_lanes(s0, f.row(i0[k] as usize));
-                mul_lanes(s1, f.row(i1[k] as usize));
-            }
-            let (mut a0, mut a1) = (0.0f64, 0.0f64);
-            for rr in 0..r {
-                a0 += s0[rr];
-                a1 += s1[rr];
-            }
-            let v0 = tvals[j] - a0;
-            let v1 = tvals[j + 1] - a1;
-            out_vals[j - jlo] = v0;
-            out_vals[j + 1 - jlo] = v1;
-            s0.fill(v0);
-            s1.fill(v1);
-            for (k, f) in factors.iter().enumerate() {
-                if k == mode {
-                    continue;
-                }
-                mul_lanes(s0, f.row(i0[k] as usize));
-                mul_lanes(s1, f.row(i1[k] as usize));
-            }
-            add_lanes(slab.row_mut(i0[mode] as usize - row_lo), s0);
-            add_lanes(slab.row_mut(i1[mode] as usize - row_lo), s1);
-            j += 2;
-        }
-    }
-    while j < jhi {
-        let ii = &idx[j * order..(j + 1) * order];
-        s0.fill(1.0);
-        for (k, f) in factors.iter().enumerate() {
-            mul_lanes(s0, f.row(ii[k] as usize));
-        }
-        let mut a = 0.0f64;
-        for &x in s0.iter() {
-            a += x;
-        }
-        let v = tvals[j] - a;
-        out_vals[j - jlo] = v;
-        s0.fill(v);
-        for (k, f) in factors.iter().enumerate() {
-            if k == mode {
-                continue;
-            }
-            mul_lanes(s0, f.row(ii[k] as usize));
-        }
-        add_lanes(slab.row_mut(ii[mode] as usize - row_lo), s0);
-        j += 1;
-    }
-}
-
-/// [`RankKernel`] adapter for one part of the tiled MTTKRP.
-struct TiledSweep<'a> {
-    vals: &'a [f64],
-    tm: &'a TiledMode,
-    factors: &'a [Mat],
-    mode: usize,
-    part: &'a mut TiledPart,
-}
-
-impl RankKernel for TiledSweep<'_> {
-    type Out = ();
-
-    fn run_const<const R: usize>(self) {
-        debug_assert_eq!(self.part.scratch.len(), 4 * R);
-        let mut s = [[0.0f64; R]; 4];
-        let [s0, s1, s2, s3] = &mut s;
-        tiled_mttkrp_sweep(
-            self.vals,
-            self.tm,
-            self.factors,
-            self.mode,
-            self.part.jlo,
-            self.part.jhi,
-            self.part.row_lo,
-            &mut self.part.slab,
-            s0,
-            s1,
-            s2,
-            s3,
-        );
-    }
-
-    fn run_dyn(self) {
-        let TiledPart { jlo, jhi, row_lo, slab, scratch, .. } = self.part;
-        let r = scratch.len() / 4;
-        let (s0, rest) = scratch.split_at_mut(r);
-        let (s1, rest) = rest.split_at_mut(r);
-        let (s2, s3) = rest.split_at_mut(r);
-        tiled_mttkrp_sweep(
-            self.vals, self.tm, self.factors, self.mode, *jlo, *jhi, *row_lo, slab, s0, s1,
-            s2, s3,
-        );
-    }
-}
-
-/// [`RankKernel`] adapter for one part of the tiled fused sweep.
-struct TiledFused<'a> {
-    tvals: &'a [f64],
-    tm: &'a TiledMode,
-    factors: &'a [Mat],
-    mode: usize,
-    part: &'a mut TiledPart,
-}
-
-impl RankKernel for TiledFused<'_> {
-    type Out = ();
-
-    fn run_const<const R: usize>(self) {
-        let TiledPart { jlo, jhi, row_lo, slab, vals, scratch } = self.part;
-        debug_assert_eq!(scratch.len(), 4 * R);
-        let mut s = [[0.0f64; R]; 4];
-        let [s0, s1, s2, s3] = &mut s;
-        tiled_fused_sweep(
-            self.tvals,
-            self.tm,
-            self.factors,
-            self.mode,
-            *jlo,
-            *jhi,
-            *row_lo,
-            slab,
-            vals,
-            s0,
-            s1,
-            s2,
-            s3,
-        );
-    }
-
-    fn run_dyn(self) {
-        let TiledPart { jlo, jhi, row_lo, slab, vals, scratch } = self.part;
-        let r = scratch.len() / 4;
-        let (s0, rest) = scratch.split_at_mut(r);
-        let (s1, rest) = rest.split_at_mut(r);
-        let (s2, s3) = rest.split_at_mut(r);
-        tiled_fused_sweep(
-            self.tvals,
-            self.tm,
-            self.factors,
-            self.mode,
-            *jlo,
-            *jhi,
-            *row_lo,
-            slab,
-            vals,
-            s0,
-            s1,
-            s2,
-            s3,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1111,6 +563,10 @@ mod tests {
         }
         t.sort_dedup();
         t
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -1144,24 +600,68 @@ mod tests {
         }
     }
 
+    /// A tensor whose mode-0 tile `t` holds exactly `counts[t]` entries,
+    /// spread over the tile's rows.
+    fn tiles_holding(counts: &[usize]) -> CooTensor {
+        let mut t = CooTensor::new(vec![counts.len() * TILE_ROWS, 7, 5]);
+        for (tile, &n) in counts.iter().enumerate() {
+            for c in 0..n {
+                let row = tile * TILE_ROWS + (5 * c + tile) % TILE_ROWS;
+                t.push(&[row, (c + tile) % 7, c / 7], 0.25 * (c + 2 * tile) as f64 - 1.0).unwrap();
+            }
+        }
+        t.sort_dedup();
+        t
+    }
+
+    /// The tiled workspace with every tile a part of its own (a host's
+    /// parallelism caps what [`TensorLayout::workspace`] cuts).
+    fn tile_per_part(layout: &TensorLayout, rank: usize) -> LayoutWorkspace {
+        let modes = (layout.tiled.iter().zip(layout.e.shape()).enumerate())
+            .map(|(n, (tm, &dim))| tm.workspace(n, dim, rank, usize::MAX))
+            .collect();
+        LayoutWorkspace { modes }
+    }
+
+    /// The inputs of the two tiled bit-identity tests: a random tensor,
+    /// and one whose mode-0 tiles — parts, under [`tile_per_part`] — hold
+    /// 0, 1, 3, 4, 5 and 7 entries (an empty sweep, and a short tail block
+    /// alone, after one full block, and padded from every remainder).
+    fn tiled_inputs() -> [CooTensor; 2] {
+        let tile_counts = [0usize, 1, 3, 4, 5, 7];
+        let by_tile = tiles_holding(&tile_counts);
+        let layout = TensorLayout::build(by_tile.clone(), LayoutKind::Tiled).unwrap();
+        let lw = tile_per_part(&layout, 1);
+        let sizes: Vec<usize> = lw.modes[0].parts.iter().map(|p| p.entries.len()).collect();
+        assert_eq!(sizes, tile_counts);
+        [random_coo(&[45, 23, 17], 400, 4), by_tile]
+    }
+
+    const TILED_RANKS: [usize; 6] = [1, 3, 8, 16, 17, 20];
+
     #[test]
     fn tiled_mttkrp_is_bit_identical_to_sequential() {
-        let shape = [45, 23, 17];
-        let x = random_coo(&shape, 400, 4);
         let seq = Executor::new(ExecMode::Sequential);
-        let par = Executor::new(ExecMode::Threads(3));
-        for &rank in &[1usize, 3, 8, 16, 17] {
-            let k = KruskalTensor::random(&shape, rank, 5 + rank as u64);
-            let layout = TensorLayout::build(x.clone(), LayoutKind::Tiled).unwrap();
-            for exec in [&seq, &par] {
-                let mut lw = layout.workspace(rank, &[], exec).unwrap();
-                for (mode, &dim) in shape.iter().enumerate() {
-                    let want = mttkrp(&x, k.factors(), mode).unwrap();
-                    let mut h = Mat::random(dim, rank, 9); // dirty on purpose
-                    // Twice through one workspace: reuse must be clean.
-                    for _ in 0..2 {
-                        layout.mttkrp_into(k.factors(), mode, &mut lw, exec, &mut h).unwrap();
-                        assert_eq!(h.as_slice(), want.as_slice(), "rank {rank} mode {mode}");
+        let par = Executor::new(ExecMode::Threads(4));
+        for x in tiled_inputs() {
+            for &rank in &TILED_RANKS {
+                let k = KruskalTensor::random(x.shape(), rank, 5 + rank as u64);
+                let layout = TensorLayout::build(x.clone(), LayoutKind::Tiled).unwrap();
+                for exec in [&seq, &par] {
+                    let cut_for_exec = layout.workspace(rank, &[], exec).unwrap();
+                    for mut lw in [cut_for_exec, tile_per_part(&layout, rank)] {
+                        for (mode, &dim) in x.shape().iter().enumerate() {
+                            let want = mttkrp(&x, k.factors(), mode).unwrap();
+                            let mut h = Mat::random(dim, rank, 9); // dirty on purpose
+                            // Twice through one workspace: reuse must be clean.
+                            for _ in 0..2 {
+                                layout
+                                    .mttkrp_into(k.factors(), mode, &mut lw, exec, &mut h)
+                                    .unwrap();
+                                let label = format!("rank {rank} mode {mode}");
+                                assert_eq!(bits(h.as_slice()), bits(want.as_slice()), "{label}");
+                            }
+                        }
                     }
                 }
             }
@@ -1170,26 +670,32 @@ mod tests {
 
     #[test]
     fn tiled_fused_is_bit_identical_to_unfused_sequence() {
-        let shape = [45, 23, 17];
-        let x = random_coo(&shape, 400, 7);
         let seq = Executor::new(ExecMode::Sequential);
-        let par = Executor::new(ExecMode::Threads(3));
-        for &rank in &[1usize, 3, 8, 16, 17] {
-            let model = KruskalTensor::random(&shape, rank, 11 + rank as u64);
-            let we = residual(&x, &model).unwrap();
-            let wh = mttkrp(&we, model.factors(), 0).unwrap();
-            let wf = we.frob_norm_sq();
-            for exec in [&seq, &par] {
-                let mut layout = TensorLayout::build(x.clone(), LayoutKind::Tiled).unwrap();
-                let mut lw = layout.workspace(rank, &[], exec).unwrap();
-                let mut h = Mat::random(shape[0], rank, 13); // dirty on purpose
-                for _ in 0..2 {
-                    let f = layout
-                        .fused_refresh_into(&x, &model, &mut lw, exec, &mut h)
-                        .unwrap();
-                    assert_eq!(layout.entries(), &we, "rank {rank}");
-                    assert_eq!(h.as_slice(), wh.as_slice(), "rank {rank}");
-                    assert_eq!(f.to_bits(), wf.to_bits(), "rank {rank}");
+        let par = Executor::new(ExecMode::Threads(4));
+        for x in tiled_inputs() {
+            for &rank in &TILED_RANKS {
+                let model = KruskalTensor::random(x.shape(), rank, 11 + rank as u64);
+                let we = residual(&x, &model).unwrap();
+                let wh = mttkrp(&we, model.factors(), 0).unwrap();
+                let wf = we.frob_norm_sq();
+                for exec in [&seq, &par] {
+                    for per_tile in [false, true] {
+                        let mut layout = TensorLayout::build(x.clone(), LayoutKind::Tiled).unwrap();
+                        let mut lw = if per_tile {
+                            tile_per_part(&layout, rank)
+                        } else {
+                            layout.workspace(rank, &[], exec).unwrap()
+                        };
+                        let mut h = Mat::random(x.shape()[0], rank, 13); // dirty on purpose
+                        for _ in 0..2 {
+                            let f = layout
+                                .fused_refresh_into(&x, &model, &mut lw, exec, &mut h)
+                                .unwrap();
+                            assert_eq!(bits(layout.values()), bits(we.values()), "rank {rank}");
+                            assert_eq!(bits(h.as_slice()), bits(wh.as_slice()), "rank {rank}");
+                            assert_eq!(f.to_bits(), wf.to_bits(), "rank {rank}");
+                        }
+                    }
                 }
             }
         }
@@ -1201,7 +707,6 @@ mod tests {
         let x = random_coo(&shape, 400, 7);
         let seq = Executor::new(ExecMode::Sequential);
         let par = Executor::new(ExecMode::Threads(3));
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let boundaries: Vec<Vec<usize>> = shape.iter().map(|&d| vec![d / 2, d]).collect();
         for &rank in &[3usize, 8, 17] {
             let model = KruskalTensor::random(&shape, rank, 11 + rank as u64);
@@ -1219,7 +724,7 @@ mod tests {
                         .fused_refresh_all_into(&x, &model, &mut lw, exec, &mut hs)
                         .unwrap();
                     // One thread banks all three modes; a pool that really
-                    // runs concurrently keeps the one-mode bucketed sweep.
+                    // runs concurrently keeps the one-mode sweep over parts.
                     let want_banked = if exec.parallelism() <= 1 { 3 } else { 1 };
                     assert_eq!(banked, want_banked, "{kind} rank {rank}");
                     assert_eq!(layout.entries(), &we, "{kind} rank {rank}");
@@ -1265,10 +770,10 @@ mod tests {
         let seq = Executor::new(ExecMode::Sequential);
         let par = Executor::new(ExecMode::Threads(3));
         let coo = TensorLayout::build(x.clone(), LayoutKind::Coo).unwrap();
-        // One thread: no buckets, whatever boundaries are offered, and the
+        // One thread: no parts, whatever boundaries are offered, and the
         // sweep needs none.
         let mut lw = coo.workspace(3, &[], &seq).unwrap();
-        assert!(lw.mtt.is_empty());
+        assert!(lw.modes.is_empty());
         let mut h = Mat::zeros(14, 3);
         coo.mttkrp_into(k.factors(), 0, &mut lw, &seq, &mut h).unwrap();
         assert_eq!(h.as_slice(), mttkrp(&x, k.factors(), 0).unwrap().as_slice());
@@ -1284,14 +789,50 @@ mod tests {
             // A pool needs one boundary list per mode.
             assert!(matches!(coo.workspace(3, &[], &par), Err(TensorError::ShapeMismatch(_))));
             let cuts: Vec<Vec<usize>> = shape.iter().map(|&d| vec![d / 2, d]).collect();
-            assert_eq!(coo.workspace(3, &cuts, &par).unwrap().mtt.len(), 3);
+            assert_eq!(coo.workspace(3, &cuts, &par).unwrap().modes.len(), 3);
         }
         // Outside the entry-order kernel's orders one thread still sweeps
-        // buckets: one part per mode, the boundaries unread.
+        // parts: one per mode, the boundaries unread.
         let line = TensorLayout::build(random_coo(&[9], 6, 1), LayoutKind::Coo).unwrap();
         let lw = line.workspace(2, &[], &seq).unwrap();
-        assert_eq!(lw.mtt.len(), 1);
-        assert_eq!(lw.mtt[0].parts.len(), 1);
+        assert_eq!(lw.modes.len(), 1);
+        assert_eq!(lw.modes[0].parts.len(), 1);
+    }
+
+    #[test]
+    fn a_workspace_of_another_shape_is_a_typed_error_on_every_layout() {
+        let shape = [40, 11, 9];
+        let x = random_coo(&shape, 200, 3);
+        let k = KruskalTensor::random(&shape, 3, 21);
+        let seq = Executor::new(ExecMode::Sequential);
+        let cuts: Vec<Vec<usize>> = shape.iter().map(|&d| vec![d / 2, d]).collect();
+        let build = |t: &CooTensor, kind| TensorLayout::build(t.clone(), kind).unwrap();
+        let tiled = build(&x, LayoutKind::Tiled);
+        let smaller = random_coo(&shape, 100, 4);
+        let flat = random_coo(&[40, 11], 50, 5);
+        // Workspaces a tiled sweep cannot use: the part-less ones COO (on
+        // one thread) and CSF build, and ones cut for another rank,
+        // another entry count, another order.
+        let wrong = [
+            build(&x, LayoutKind::Coo).workspace(3, &cuts, &seq).unwrap(),
+            build(&x, LayoutKind::Csf).workspace(3, &cuts, &seq).unwrap(),
+            tiled.workspace(4, &cuts, &seq).unwrap(),
+            build(&smaller, LayoutKind::Tiled).workspace(3, &cuts, &seq).unwrap(),
+            build(&flat, LayoutKind::Tiled).workspace(3, &cuts, &seq).unwrap(),
+        ];
+        for mut lw in wrong {
+            let mut h = Mat::zeros(9, 3);
+            assert!(matches!(
+                tiled.mttkrp_into(k.factors(), 2, &mut lw, &seq, &mut h),
+                Err(TensorError::ShapeMismatch(_))
+            ));
+            let mut e = tiled.clone();
+            let mut h = Mat::zeros(40, 3);
+            let swept = e.fused_refresh_into(&x, &k, &mut lw, &seq, &mut h);
+            // (The order-2 workspace does hold a mode 0 — of 50 entries.)
+            assert!(matches!(swept, Err(TensorError::ShapeMismatch(_))));
+            assert_eq!(e.values(), x.values(), "a rejected sweep must not touch the residual");
+        }
     }
 
     #[test]
@@ -1355,15 +896,6 @@ mod tests {
         let (_, accel) = TensorLayout::build(x.clone(), LayoutKind::Tiled).unwrap().into_parts();
         let rebuilt = TensorLayout::build_with(y.clone(), LayoutKind::Tiled, accel).unwrap();
         assert_eq!(rebuilt.nnz(), y.nnz());
-    }
-
-    #[test]
-    fn tiled_rejects_dimensions_beyond_u32() {
-        let big = CooTensor::new(vec![u32::MAX as usize + 2, 2]);
-        assert!(matches!(
-            TensorLayout::build(big, LayoutKind::Tiled),
-            Err(TensorError::ShapeMismatch(_))
-        ));
     }
 
     #[test]

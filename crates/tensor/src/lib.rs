@@ -23,7 +23,6 @@
 //! * [`sample`] — deterministic norm-proportional entry sampling, the
 //!   randomization behind the sketched solver tier,
 //! * [`dense`] — a tiny dense tensor for test oracles,
-//! * [`ttm`] — the n-mode tensor-matrix product (Definition 2.1.5),
 //! * [`split`] — train/test splitting by missing rate,
 //! * [`io`] — plain-text COO serialization.
 
@@ -41,7 +40,6 @@ pub mod mttkrp;
 pub mod residual;
 pub mod sample;
 pub mod split;
-pub mod ttm;
 
 pub use coo::CooTensor;
 pub use csf::CsfTensor;

@@ -2,18 +2,19 @@
 //! product, the two kernels §III-C builds DisTenC's factor update from.
 //!
 //! This module also owns the workspace's **rank-specialization dispatch
-//! point** ([`dispatch_rank`]): per-entry sweeps run a monomorphized body
-//! with `[f64; R]` stack scratch for R ∈ {8, 16} and a dynamic-rank body
-//! otherwise. Both bodies share one implementation
-//! ([`sweep_bucket_entries`]) so they execute the identical operation
-//! sequence — specialization changes compile-time knowledge (constant
-//! trip counts, stack scratch), never a single bit of the result. The
-//! fused kernels in [`crate::fused`] dispatch through the same point.
+//! point** ([`dispatch_rank`]): the entry body in [`crate::fused`] runs
+//! with the rank as a literal for R ∈ {8, 16} and as a value otherwise —
+//! one implementation either way, so specialization changes compile-time
+//! knowledge (constant trip counts), never a single bit of the result.
+//! The naive [`mttkrp`] here is the oracle that body is pinned against.
 
 use crate::coo::CooTensor;
+use crate::fused::{sweep_part, Stored};
 use crate::{Result, TensorError};
 use distenc_dataflow::Executor;
 use distenc_linalg::Mat;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A kernel body that can run with a compile-time rank (`run_const`,
 /// `R` = the factor rank) or a runtime rank (`run_dyn`). Implementations
@@ -28,8 +29,7 @@ pub(crate) trait RankKernel {
     fn run_dyn(self) -> Self::Out;
 }
 
-/// The one rank-specialization dispatch point (see module docs). Shared
-/// by [`mttkrp_blocked_into`] and the fused kernels.
+/// The one rank-specialization dispatch point (see module docs).
 #[inline]
 pub(crate) fn dispatch_rank<K: RankKernel>(rank: usize, kernel: K) -> K::Out {
     match rank {
@@ -39,8 +39,10 @@ pub(crate) fn dispatch_rank<K: RankKernel>(rank: usize, kernel: K) -> K::Out {
     }
 }
 
-/// One entry's MTTKRP contribution, the fold every entry-at-a-time
-/// kernel in the workspace shares: broadcast `v` into `scratch`, multiply
+/// One entry's MTTKRP contribution, the fold the naive [`mttkrp`] and the
+/// entry body's fallback for orders outside its row cache share (inside
+/// it, the body carries the same fold's prefix from mode to mode):
+/// broadcast `v` into `scratch`, multiply
 /// in row `idx[k]` of every factor `k ≠ mode` in ascending `k`, and add
 /// the result into `out` (the output row of `idx[mode]`). `scratch` and
 /// `out` are rank-length. `#[inline(always)]` so a stack scratch's
@@ -132,41 +134,50 @@ pub fn gram_product_into(grams: &[Mat], mode: usize, out: &mut Mat) -> Result<()
     Ok(())
 }
 
-/// Reusable per-mode state for [`mttkrp_blocked_into`]: the entry buckets
-/// (fixed once the tensor's support and the Algorithm-2 boundaries are
-/// fixed), one accumulation slab per part, and one `R`-vector scratch per
-/// part so a steady-state call allocates nothing.
+/// One mode's parts for the sweeps that run concurrently
+/// ([`mttkrp_blocked_into`], [`crate::fused::fused_mttkrp_refresh_into`]):
+/// the entry positions in an order that groups them by output-row range,
+/// and per range (a *part*) its run of that order, an accumulation slab
+/// and a value carrier, so a steady-state call allocates nothing. Parts
+/// share no output row, and each lists every row's entries in entry order
+/// — which is all a sweep's bit-exactness asks of a cut (see
+/// [`mttkrp_blocked_into`]). Two cuts exist: [`Self::new`]'s Algorithm 2
+/// boundaries with each part in entry order (COO), and the tiled layout's
+/// runs of stably sorted 16-row tiles, whose order the workspace shares
+/// with the layout instead of copying
+/// ([`crate::layout::TensorLayout::workspace`]).
 ///
-/// `boundaries` are Algorithm 2-style ascending cut points over the mode's
-/// index space: part `p` owns output rows `boundaries[p-1]..boundaries[p]`
-/// (part 0 starts at row 0), and the last boundary must equal the mode's
-/// dimension.
-///
-/// The workspace is bound to the `(support, mode, boundaries, rank)` it
-/// was built for; using it with a tensor whose entry positions differ
-/// from the construction-time tensor is a logic error (debug-asserted).
+/// The workspace is bound to the `(support, mode, cut, rank)` it was
+/// built for. Another rank or entry count is a typed error at the next
+/// sweep; a different support of the same size is a logic error the
+/// sweep cannot see.
 pub struct MttkrpWorkspace {
     pub(crate) mode: usize,
-    pub(crate) nnz: usize,
+    rank: usize,
+    /// Every entry's position in the entry list, once, grouped by part.
+    pub(crate) positions: Arc<[usize]>,
     pub(crate) parts: Vec<MttkrpPart>,
 }
 
 pub(crate) struct MttkrpPart {
-    pub(crate) bucket: Vec<usize>,
-    pub(crate) lo: usize,
+    /// The part's entries: this run of the workspace's `positions`.
+    pub(crate) entries: Range<usize>,
+    /// First output row the part owns; its slab holds the rows from here.
+    pub(crate) row_lo: usize,
     pub(crate) slab: Mat,
-    pub(crate) scratch: Vec<f64>,
-    /// Fresh residual values in bucket order, used only by the threaded
-    /// fused kernel (`crate::fused`) to carry per-entry results out of
-    /// the parallel region. Empty until the first fused call sizes it.
+    /// Fresh residual values, one per entry of the part: how the fused
+    /// sweep carries per-entry results out of the parallel region. Empty
+    /// until the first fused call sizes it.
     pub(crate) vals: Vec<f64>,
 }
 
 impl MttkrpWorkspace {
-    /// Bucket `x`'s entries for a mode-`mode` blocked MTTKRP at rank `r`.
-    /// The single forward scan keeps each bucket in original entry order
-    /// — the load-bearing step for bit-exactness (see
-    /// [`mttkrp_blocked_into`]).
+    /// Cut `x`'s entries at `boundaries` for a mode-`mode` sweep at rank
+    /// `r`: Algorithm 2-style ascending cut points over the mode's index
+    /// space, part `p` owning output rows `boundaries[p-1]..boundaries[p]`
+    /// (part 0 starts at row 0), the last boundary equal to the mode's
+    /// dimension. The single forward scan keeps each part in original
+    /// entry order.
     pub fn new(x: &CooTensor, mode: usize, boundaries: &[usize], r: usize) -> Result<Self> {
         if mode >= x.order() {
             return Err(TensorError::ShapeMismatch(format!(
@@ -188,102 +199,86 @@ impl MttkrpWorkspace {
             let part = boundaries.partition_point(|&b| b <= i);
             buckets[part].push(pos);
         }
-        let starts: Vec<usize> =
-            std::iter::once(0).chain(boundaries.iter().copied()).collect();
-        let parts = buckets
-            .into_iter()
-            .enumerate()
-            .map(|(p, bucket)| MttkrpPart {
-                bucket,
-                lo: starts[p],
-                slab: Mat::zeros(boundaries[p] - starts[p], r),
-                scratch: vec![0.0; r],
+        let ends = buckets.iter().scan(0, |end, b| {
+            *end += b.len();
+            Some(*end)
+        });
+        let cut: Vec<(usize, usize)> = ends.zip(boundaries.iter().copied()).collect();
+        Ok(Self::from_parts(mode, r, buckets.concat().into(), cut))
+    }
+
+    /// A workspace over `positions` cut into consecutive parts: part `p`
+    /// ends before entry `cut[p].0` of `positions` and before output row
+    /// `cut[p].1`, and starts where part `p − 1` ends (part 0 at 0, 0).
+    pub(crate) fn from_parts(
+        mode: usize,
+        rank: usize,
+        positions: Arc<[usize]>,
+        cut: Vec<(usize, usize)>,
+    ) -> Self {
+        let starts = std::iter::once((0, 0)).chain(cut.iter().copied());
+        let parts = starts
+            .zip(&cut)
+            .map(|((entry_lo, row_lo), &(entry_hi, row_hi))| MttkrpPart {
+                entries: entry_lo..entry_hi,
+                row_lo,
+                slab: Mat::zeros(row_hi - row_lo, rank),
                 vals: Vec::new(),
             })
             .collect();
-        Ok(MttkrpWorkspace { mode, nnz: x.nnz(), parts })
+        MttkrpWorkspace { mode, rank, positions, parts }
     }
 
-    /// The mode this workspace was bucketed for.
+    /// The mode this workspace was cut for.
     pub fn mode(&self) -> usize {
         self.mode
     }
-}
 
-/// The per-bucket accumulation loop shared by every rank variant of the
-/// blocked MTTKRP: exactly the loop of the sequential [`mttkrp`], with
-/// the scratch vector supplied by the caller (a `[f64; R]` stack
-/// array under [`dispatch_rank`] specialization, the workspace's heap
-/// vector otherwise). `#[inline(always)]` so the constant scratch length
-/// propagates into the loop trip counts.
-#[inline(always)]
-pub(crate) fn sweep_bucket_entries(
-    x: &CooTensor,
-    factors: &[Mat],
-    mode: usize,
-    bucket: &[usize],
-    lo: usize,
-    slab: &mut Mat,
-    scratch: &mut [f64],
-) {
-    slab.fill(0.0);
-    for &pos in bucket {
-        let idx = x.index(pos);
-        fold_entry(factors, idx, x.value(pos), mode, scratch, slab.row_mut(idx[mode] - lo));
-    }
-}
-
-/// [`RankKernel`] adapter running [`sweep_bucket_entries`] over one
-/// workspace part.
-struct BucketSweep<'a> {
-    x: &'a CooTensor,
-    factors: &'a [Mat],
-    mode: usize,
-    part: &'a mut MttkrpPart,
-}
-
-impl RankKernel for BucketSweep<'_> {
-    type Out = ();
-
-    fn run_const<const R: usize>(self) {
-        debug_assert_eq!(self.part.scratch.len(), R);
-        let mut scratch = [0.0f64; R];
-        sweep_bucket_entries(
-            self.x,
-            self.factors,
-            self.mode,
-            &self.part.bucket,
-            self.part.lo,
-            &mut self.part.slab,
-            &mut scratch,
-        );
+    /// A sweep of `x` against `factors` into `h` must be the one this
+    /// workspace was sized for.
+    pub(crate) fn check(&self, x: &CooTensor, factors: &[Mat], h: &Mat) -> Result<()> {
+        let (r, dim) = (factors[0].cols(), x.shape()[self.mode]);
+        if h.shape() != (dim, r) {
+            return Err(TensorError::ShapeMismatch(format!(
+                "mttkrp output is {:?}, want ({dim}, {r})",
+                h.shape()
+            )));
+        }
+        if (self.positions.len(), self.rank) != (x.nnz(), r) {
+            return Err(TensorError::ShapeMismatch(format!(
+                "workspace built for {} entries at rank {}, swept with {} at rank {r}",
+                self.positions.len(),
+                self.rank,
+                x.nnz()
+            )));
+        }
+        Ok(())
     }
 
-    fn run_dyn(self) {
-        sweep_bucket_entries(
-            self.x,
-            self.factors,
-            self.mode,
-            &self.part.bucket,
-            self.part.lo,
-            &mut self.part.slab,
-            &mut self.part.scratch,
-        );
+    /// Copy the parts' slabs into their (disjoint) row ranges of `h`, in
+    /// fixed part order.
+    pub(crate) fn stitch_into(&self, h: &mut Mat) {
+        let r = self.rank;
+        for part in &self.parts {
+            h.as_mut_slice()[part.row_lo * r..(part.row_lo + part.slab.rows()) * r]
+                .copy_from_slice(part.slab.as_slice());
+        }
     }
 }
 
 /// Block-parallel MTTKRP over mode-`mode` row ranges, writing into a
 /// caller-owned `h` through a preallocated [`MttkrpWorkspace`]. Each part
-/// is one work unit on `exec`, accumulating into its own row slab — no
-/// atomics, no shared writes — and the slabs are stitched into disjoint
-/// row ranges of `h` in fixed part order. The steady state allocates
-/// nothing (dispatch to the threaded executor shares one borrowed closure
-/// — no job boxes; the sequential one is a plain loop).
+/// is one work unit on `exec`, running the shared entry body
+/// ([`crate::fused::sweep_part`]) over its positions into its own row slab
+/// — no atomics, no shared writes — and the slabs are stitched into
+/// disjoint row ranges of `h` in fixed part order. The steady state
+/// allocates nothing (dispatch to the threaded executor shares one
+/// borrowed closure — no job boxes; the sequential one is a plain loop).
 ///
-/// **Bit-exact for every blocking and every [`ExecMode`]**: each bucket
-/// keeps original entry order, and a row of `h` is only ever touched by
-/// the one part that owns it, so every output row sums its contributions
-/// in exactly the order the sequential [`mttkrp`] uses.
+/// **Bit-exact for every cut and every [`ExecMode`]**: each part lists a
+/// row's entries in original entry order, and a row of `h` is only ever
+/// touched by the one part that owns it, so every output row sums its
+/// contributions in exactly the order the sequential [`mttkrp`] uses.
 ///
 /// [`ExecMode`]: distenc_dataflow::ExecMode
 pub fn mttkrp_blocked_into(
@@ -293,25 +288,16 @@ pub fn mttkrp_blocked_into(
     exec: &Executor,
     h: &mut Mat,
 ) -> Result<()> {
-    validate(x, factors, ws.mode)?;
-    debug_assert_eq!(x.nnz(), ws.nnz, "workspace built for a different support");
     let mode = ws.mode;
-    let r = factors[0].cols();
-    let dim = x.shape()[mode];
-    if h.shape() != (dim, r) || ws.parts.first().is_some_and(|p| p.slab.cols() != r) {
-        return Err(TensorError::ShapeMismatch(format!(
-            "mttkrp output is {:?}, want ({dim}, {r})",
-            h.shape()
-        )));
-    }
+    validate(x, factors, mode)?;
+    ws.check(x, factors, h)?;
     crate::record_entry_sweep(x.nnz());
+    let positions = &ws.positions;
     exec.run_mut(&mut ws.parts, |_, part| {
-        dispatch_rank(r, BucketSweep { x, factors, mode, part });
+        let (vals, at) = (Stored(x.values()), &positions[part.entries.clone()]);
+        sweep_part(x, factors, mode, vals, at, part.row_lo, &mut part.slab);
     });
-    for part in &ws.parts {
-        h.as_mut_slice()[part.lo * r..(part.lo + part.slab.rows()) * r]
-            .copy_from_slice(part.slab.as_slice());
-    }
+    ws.stitch_into(h);
     Ok(())
 }
 
@@ -400,36 +386,68 @@ mod tests {
         }
     }
 
+    /// A tensor whose mode-0 row `i` holds exactly `counts[i]` entries.
+    fn rows_holding(counts: &[usize]) -> CooTensor {
+        let mut t = CooTensor::new(vec![counts.len(), 7, 5]);
+        for (i, &n) in counts.iter().enumerate() {
+            for c in 0..n {
+                t.push(&[i, (c + i) % 7, c / 7], 0.25 * (c + 2 * i) as f64 - 1.0).unwrap();
+            }
+        }
+        t.sort_dedup();
+        t
+    }
+
     #[test]
     fn mttkrp_blocked_into_is_bitwise_identical_to_sequential() {
         use distenc_dataflow::{ExecMode, Executor};
-        let shape = [13, 7, 5];
-        let x = random_coo(&shape, 150, 4);
-        let rank = 3;
-        for exec in [Executor::new(ExecMode::Sequential), Executor::new(ExecMode::Threads(3))] {
-            for (mode, &dim) in shape.iter().enumerate() {
-                // Several blockings, including degenerate (empty parts,
-                // one part, one row per part): all must be *bit*-identical.
-                let cuts: Vec<Vec<usize>> = vec![
-                    vec![dim],
-                    vec![dim / 3, dim / 2, dim],
-                    vec![0, 1, dim / 3, dim / 2, dim, dim],
-                    (1..=dim).collect(),
-                ];
-                for boundaries in &cuts {
-                    let mut ws = MttkrpWorkspace::new(&x, mode, boundaries, rank).unwrap();
-                    let mut h = Mat::random(dim, rank, 77); // dirty on purpose
-                    // Two different factor sets through the same workspace:
-                    // slab zeroing must erase all state between calls.
-                    for seed in [5, 6] {
-                        let k = KruskalTensor::random(&shape, rank, seed);
-                        mttkrp_blocked_into(&x, k.factors(), &mut ws, &exec, &mut h).unwrap();
-                        let want = mttkrp(&x, k.factors(), mode).unwrap();
-                        assert_eq!(
-                            h.as_slice(),
-                            want.as_slice(),
-                            "mode {mode} seed {seed} cuts {boundaries:?}"
-                        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Beside a random order-3 tensor: one whose mode-0 rows — parts,
+        // cut one row each — hold 0, 1, 3, 4, 5 and 7 entries (an empty
+        // sweep, and a short tail block alone, after one full block, and
+        // padded from every remainder), and orders 1 and 9, which take the
+        // body's per-entry fallback.
+        let row_counts = [0usize, 1, 3, 4, 5, 7];
+        let by_row = rows_holding(&row_counts);
+        let per_row: Vec<usize> = (1..=row_counts.len()).collect();
+        let ws = MttkrpWorkspace::new(&by_row, 0, &per_row, 1).unwrap();
+        let sizes: Vec<usize> = ws.parts.iter().map(|p| p.entries.len()).collect();
+        assert_eq!(sizes, row_counts);
+        let inputs = [
+            random_coo(&[13, 7, 5], 150, 4),
+            by_row,
+            random_coo(&[9], 8, 5),
+            random_coo(&[3; 9], 60, 6),
+        ];
+        let ranks = [1usize, 3, 8, 16, 20];
+        for exec in [Executor::new(ExecMode::Sequential), Executor::new(ExecMode::Threads(4))] {
+            for (x, &rank) in inputs.iter().flat_map(|x| ranks.iter().map(move |r| (x, r))) {
+                let shape = x.shape();
+                for (mode, &dim) in shape.iter().enumerate() {
+                    // Several blockings, including degenerate (empty parts,
+                    // one part, one row per part): all must be *bit*-identical.
+                    let cuts: Vec<Vec<usize>> = vec![
+                        vec![dim],
+                        vec![dim / 3, dim / 2, dim],
+                        vec![0, 1, dim / 3, dim / 2, dim, dim],
+                        (1..=dim).collect(),
+                    ];
+                    for boundaries in &cuts {
+                        let mut ws = MttkrpWorkspace::new(x, mode, boundaries, rank).unwrap();
+                        let mut h = Mat::random(dim, rank, 77); // dirty on purpose
+                        // Two different factor sets through the same workspace:
+                        // slab zeroing must erase all state between calls.
+                        for seed in [5, 6] {
+                            let k = KruskalTensor::random(shape, rank, seed);
+                            mttkrp_blocked_into(x, k.factors(), &mut ws, &exec, &mut h).unwrap();
+                            let want = mttkrp(x, k.factors(), mode).unwrap();
+                            assert_eq!(
+                                bits(h.as_slice()),
+                                bits(want.as_slice()),
+                                "shape {shape:?} rank {rank} mode {mode} seed {seed} \
+                                 cuts {boundaries:?}"
+                            );
+                        }
                     }
                 }
             }

@@ -15,6 +15,7 @@
 //! `E = Ω ∗ (T − [[A]])`). We implement Eq. 14 and treat line 13 as a typo.
 
 use crate::coo::CooTensor;
+use crate::fused::{refresh_entries, Span, Whole};
 use crate::kruskal::KruskalTensor;
 use crate::mttkrp::{gram_product, mttkrp};
 use crate::{Result, TensorError};
@@ -106,18 +107,19 @@ impl ResidualWorkspace {
     }
 }
 
-/// Allocation-free [`residual_into`] with the per-entry evaluations
-/// spread over `exec`, for an already-initialized residual: every entry `e[i] = t[i] − [[A…]](idx[i])` is computed
-/// independently, so the values are bit-identical to the sequential loop
-/// for any chunking. At one thread this is one entry-order sweep through
-/// the fused kernels' interleaved eval block
+/// Allocation-free [`residual_into`] spread over `exec`, for an
+/// already-initialized residual: every entry
+/// `e[i] = t[i] − [[A…]](idx[i])` is computed independently, so the values
+/// are bit-identical to the sequential loop for any chunking. It is the
+/// shared entry body with no mode banked
 /// ([`crate::fused::refresh_entries`] — the same fold four entries at a
-/// time, so the serial add chains overlap; no buffers touched); threaded
-/// runs fill the workspace's per-chunk buffers and copy back in chunk
-/// order.
+/// time, so the serial add chains overlap): over the whole list straight
+/// into `e` at one thread, over each chunk's sub-range into its buffer
+/// under threads, the buffers copied back in chunk order.
 ///
 /// Unlike [`residual_into`] this never falls back to allocating a fresh
-/// residual: a support mismatch is an error.
+/// residual: a support mismatch is an error, and so is a workspace chunked
+/// for another entry count.
 pub fn residual_refresh_exec(
     observed: &CooTensor,
     model: &KruskalTensor,
@@ -131,20 +133,22 @@ pub fn residual_refresh_exec(
             "residual refresh requires a residual sharing the observed support".into(),
         ));
     }
+    let threaded = exec.parallelism() > 1;
+    let chunked = ws.jobs.last().map_or(0, |job| job.range.end);
+    if threaded && chunked != observed.nnz() {
+        return Err(TensorError::ShapeMismatch(format!(
+            "residual workspace chunks {chunked} entries, the tensor has {}",
+            observed.nnz()
+        )));
+    }
     crate::record_entry_sweep(observed.nnz());
-    if exec.parallelism() <= 1 {
-        crate::fused::refresh_entries(observed, model, e.values_mut());
+    if !threaded {
+        refresh_entries(observed, model, Whole, e.values_mut());
         return Ok(());
     }
-    debug_assert_eq!(
-        ws.jobs.iter().map(|j| j.range.len()).sum::<usize>(),
-        observed.nnz(),
-        "workspace built for a different support"
-    );
     exec.run_mut(&mut ws.jobs, |_, job| {
-        for (b, i) in job.buf.iter_mut().zip(job.range.clone()) {
-            *b = observed.value(i) - model.eval(observed.index(i));
-        }
+        let src = Span { lo: job.range.start, len: job.range.len() };
+        refresh_entries(observed, model, src, &mut job.buf);
     });
     let vals = e.values_mut();
     for job in &ws.jobs {
@@ -288,21 +292,51 @@ mod tests {
     #[test]
     fn residual_refresh_exec_is_bitwise_identical() {
         use distenc_dataflow::{ExecMode, Executor};
-        let t = random_coo(&[6, 5, 4], 40, 2);
-        for mode in [ExecMode::Sequential, ExecMode::Threads(3)] {
-            let exec = Executor::new(mode);
-            let mut ws = ResidualWorkspace::new(t.nnz(), &exec);
-            let k0 = KruskalTensor::random(&[6, 5, 4], 3, 9);
-            let mut e = residual(&t, &k0).unwrap();
-            // Refresh against two successive models through one workspace.
-            for seed in [10, 11] {
-                let k = KruskalTensor::random(&[6, 5, 4], 3, seed);
-                residual_refresh_exec(&t, &k, &mut e, &mut ws, &exec).unwrap();
-                assert_eq!(e, residual(&t, &k).unwrap());
+        let bits = |t: &CooTensor| t.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Orders 1 and 9 take the entry body's per-entry fallback.
+        for shape in [vec![6, 5, 4], vec![60], vec![2; 9]] {
+            let t = random_coo(&shape, 40, 2);
+            assert!(t.nnz() > 20);
+            for &rank in &[1usize, 3, 8, 16, 20] {
+                for mode in [ExecMode::Sequential, ExecMode::Threads(4)] {
+                    let exec = Executor::new(mode);
+                    // The executor's own chunking, and chunks of 0, 1, 3,
+                    // 4, 5 and 7 entries with one for the rest: an empty
+                    // sweep, and a short tail block alone, after one full
+                    // block, and padded from every remainder.
+                    let mut by_hand = ResidualWorkspace { jobs: Vec::new() };
+                    let mut lo = 0;
+                    for len in [0usize, 1, 3, 4, 5, 7, t.nnz() - 20] {
+                        let (range, buf) = (lo..lo + len, vec![0.0; len]);
+                        by_hand.jobs.push(ResidualChunk { range, buf });
+                        lo += len;
+                    }
+                    for mut ws in [ResidualWorkspace::new(t.nnz(), &exec), by_hand] {
+                        let k0 = KruskalTensor::random(&shape, rank, 9);
+                        let mut e = residual(&t, &k0).unwrap();
+                        // Refresh against two successive models through one workspace.
+                        for seed in [10, 11] {
+                            let k = KruskalTensor::random(&shape, rank, seed);
+                            residual_refresh_exec(&t, &k, &mut e, &mut ws, &exec).unwrap();
+                            let want = residual(&t, &k).unwrap();
+                            assert_eq!(bits(&e), bits(&want), "{shape:?} rank {rank}");
+                        }
+                        // Support mismatch must error, never silently reallocate.
+                        let mut wrong = CooTensor::new(shape.clone());
+                        let refused = residual_refresh_exec(&t, &k0, &mut wrong, &mut ws, &exec);
+                        assert!(refused.is_err());
+                    }
+                    // Chunks for another entry count are an error where
+                    // they would be read, and the residual is not touched.
+                    if exec.parallelism() > 1 {
+                        let k = KruskalTensor::random(&shape, rank, 12);
+                        let mut e = t.clone();
+                        let mut ws = ResidualWorkspace::new(t.nnz() - 1, &exec);
+                        assert!(residual_refresh_exec(&t, &k, &mut e, &mut ws, &exec).is_err());
+                        assert_eq!(e, t);
+                    }
+                }
             }
-            // Support mismatch must error, never silently reallocate.
-            let mut wrong = CooTensor::new(vec![6, 5, 4]);
-            assert!(residual_refresh_exec(&t, &k0, &mut wrong, &mut ws, &exec).is_err());
         }
     }
 

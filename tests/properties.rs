@@ -11,24 +11,6 @@ use distenc::tensor::split::split_missing;
 use distenc::tensor::{io, CooTensor, DenseTensor, KruskalTensor};
 use proptest::prelude::*;
 
-/// Recursive dense-tensor equality helper for proptest contexts.
-fn check_equal_rec(
-    a: &DenseTensor,
-    b: &DenseTensor,
-    idx: &mut Vec<usize>,
-    level: usize,
-) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
-    if level == a.shape().len() {
-        prop_assert!((a.get(idx) - b.get(idx)).abs() < 1e-10);
-        return Ok(());
-    }
-    for i in 0..a.shape()[level] {
-        idx[level] = i;
-        check_equal_rec(a, b, idx, level + 1)?;
-    }
-    Ok(())
-}
-
 /// Strategy: a random sparse tensor with shape in [2,8]³ and 1–60 entries.
 fn coo_strategy() -> impl Strategy<Value = CooTensor> {
     (
@@ -225,19 +207,6 @@ proptest! {
         let approx = trunc.apply_shifted_inverse(eta, alpha, &rhs).unwrap();
         prop_assert!(approx.is_finite());
         prop_assert_eq!(approx.shape(), rhs.shape());
-    }
-
-    #[test]
-    fn ttm_matches_dense_oracle(t in coo_strategy(), seed in any::<u64>(), cols in 1usize..4) {
-        use distenc::tensor::ttm::{ttm, ttm_dense};
-        let mode = (seed as usize) % t.order();
-        let a = Mat::random(t.shape()[mode], cols, seed);
-        let fast = ttm(&t, &a, mode).unwrap();
-        let want = ttm_dense(&DenseTensor::from_coo(&t), &a, mode).unwrap();
-        let got = DenseTensor::from_coo(&fast);
-        prop_assert_eq!(got.shape(), want.shape());
-        let mut idx = vec![0usize; t.order()];
-        check_equal_rec(&got, &want, &mut idx, 0)?;
     }
 
     #[test]
