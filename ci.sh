@@ -5,6 +5,40 @@ set -eu
 echo "==> cargo build --release"
 cargo build --release
 
+# The hot kernels run from instantiations compiled for 256-bit lanes
+# (distenc_linalg::isa::widest's avx2 arm), and both instantiations
+# compute the same bits, so no test can see one go missing: a body that
+# stops being `#[inline(always)]` all the way down is code-generated
+# outside the wide function, which then holds a call and no vector code.
+# So read the disassembly: every instantiation in the binary must use
+# `ymm` registers, and at least one must be the entry sweep's (told apart
+# by the line table: its instructions come from crates/tensor/src/fused.rs).
+if [ "$(uname -m)" != x86_64 ]; then
+    echo "==> wide-kernel check skipped: $(uname -m) has no avx2 arm"
+elif ! command -v objdump >/dev/null || ! command -v nm >/dev/null; then
+    echo "==> wide-kernel check skipped: objdump/nm not installed"
+else
+    echo "==> objdump: isa::widest's avx2 instantiations hold ymm code"
+    wide=0
+    sweeps=0
+    for sym in $(nm target/release/distenc | awk '/isa6widest4wide/ { print $3 }'); do
+        asm=$(objdump -d -l --no-show-raw-insn --disassemble="$sym" target/release/distenc)
+        if ! echo "$asm" | grep -q ymm; then
+            echo "error: $sym has no ymm operand: its body was not inlined into it" >&2
+            exit 1
+        fi
+        wide=$((wide + 1))
+        if echo "$asm" | grep -q 'tensor/src/fused\.rs'; then
+            sweeps=$((sweeps + 1))
+        fi
+    done
+    echo "==> $wide wide instantiations, $sweeps of them the entry sweep's"
+    if [ "$sweeps" -eq 0 ]; then
+        echo "error: no avx2 instantiation of the entry sweep in target/release/distenc" >&2
+        exit 1
+    fi
+fi
+
 # The whole workspace (default-members covers every crate and vendored
 # shim), once per execution backend. ExecMode::default() reads
 # DISTENC_THREADS, so no test needs to opt in: the same binaries exercise
@@ -52,7 +86,7 @@ cargo build --release
 # regression that silently drops suites shrinks the count and fails here
 # instead of shrinking the gate. Raise it when a PR adds tests; lower it
 # only with the tests it names as removed.
-MIN_TESTS=578
+MIN_TESTS=582
 executed=0
 for threads in 1 4; do
     echo "==> DISTENC_THREADS=$threads cargo test -q"

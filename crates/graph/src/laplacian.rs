@@ -13,7 +13,7 @@
 use crate::sparse::SparseSym;
 use distenc_linalg::eigen::jacobi_eigen;
 use distenc_linalg::{
-    lanczos_smallest, symmetric_eigen, LinOp, LinalgError, Mat, Result as LinResult,
+    isa, lanczos_smallest, symmetric_eigen, LinOp, LinalgError, Mat, Result as LinResult,
 };
 
 /// The (unnormalized) graph Laplacian `L = D − S` of a similarity matrix,
@@ -465,10 +465,10 @@ impl ShiftedInverseScratch {
 }
 
 /// `out = Vᵀ R` without materializing `Vᵀ` (`v`: I×K, `rhs`: I×R, `out`:
-/// K×R), accumulated row-major friendly.
+/// K×R), accumulated row-major friendly — on the widest lanes the CPU has
+/// when the `R`-wide rows fill them.
 fn matvec_mat_t_into(v: &Mat, rhs: &Mat, out: &mut Mat) -> LinResult<()> {
-    let (i_dim, k_dim) = v.shape();
-    let r_dim = rhs.cols();
+    let (k_dim, r_dim) = (v.cols(), rhs.cols());
     if out.shape() != (k_dim, r_dim) {
         return Err(distenc_linalg::LinalgError::ShapeMismatch {
             op: "matvec_mat_t_into",
@@ -476,8 +476,19 @@ fn matvec_mat_t_into(v: &Mat, rhs: &Mat, out: &mut Mat) -> LinResult<()> {
             rhs: out.shape(),
         });
     }
+    isa::widest_rows(
+        r_dim,
+        #[inline(always)]
+        || matvec_mat_t_body(v, rhs, out),
+    );
+    Ok(())
+}
+
+/// [`matvec_mat_t_into`]'s one body, shapes checked.
+#[inline(always)]
+fn matvec_mat_t_body(v: &Mat, rhs: &Mat, out: &mut Mat) {
     out.fill(0.0);
-    for i in 0..i_dim {
+    for i in 0..v.rows() {
         let r_row = rhs.row(i);
         for (kk, &w) in v.row(i).iter().enumerate() {
             if w == 0.0 {
@@ -488,7 +499,6 @@ fn matvec_mat_t_into(v: &Mat, rhs: &Mat, out: &mut Mat) -> LinResult<()> {
             }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -631,6 +641,25 @@ mod tests {
                 // Untruncated, it is the dense solve of (ηI + αL) B = R.
                 let exact = lap.shifted_solve_dense(eta, alpha, &rhs).unwrap();
                 assert!(out.frob_dist(&exact).unwrap() < 1e-8);
+            }
+        }
+    }
+
+    #[test]
+    fn wide_projection_is_bitwise_its_baseline_body() {
+        // `VᵀR` through `isa::widest` and through the bare body called
+        // from this (baseline) function, at widths that are, straddle and
+        // miss the lane count; a zero in `V` takes the skip.
+        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (seed, &r) in [1usize, 3, 8, 16, 17, 20].iter().enumerate() {
+            for (rows, k) in [(1, 1), (7, 3), (40, 20)] {
+                let mut v = Mat::random(rows, k, seed as u64);
+                v.set(rows / 2, k / 2, 0.0);
+                let rhs = Mat::random(rows, r, 50 + seed as u64);
+                let (mut wide, mut base) = (Mat::random(k, r, 9), Mat::random(k, r, 8));
+                matvec_mat_t_into(&v, &rhs, &mut wide).unwrap();
+                matvec_mat_t_body(&v, &rhs, &mut base);
+                assert_eq!(bits(&wide), bits(&base), "rows {rows} k {k} r {r}");
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use crate::tridiag::{smallest_pairs, tqli};
 use crate::vec_ops::{axpy, dot, normalize};
-use crate::{LinalgError, Mat, Result};
+use crate::{isa, LinalgError, Mat, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,6 +31,29 @@ impl LinOp for Mat {
     fn apply(&self, x: &[f64], out: &mut [f64]) {
         for (i, row) in self.rows_iter().enumerate() {
             out[i] = dot(row, x);
+        }
+    }
+}
+
+/// Remove from `w` its components along every vector of `basis`, by two
+/// passes of Gram–Schmidt (see [`lanczos_smallest`]) — `O(m·n)` per
+/// Lanczos step and most of the solver's time, so it runs on the widest
+/// lanes the CPU has: the `dot`s are serial chains either way, the `axpy`s
+/// are what the lanes buy.
+pub(crate) fn reorthogonalize(basis: &[Vec<f64>], w: &mut [f64]) {
+    isa::widest(
+        #[inline(always)]
+        || reorthogonalize_body(basis, w),
+    );
+}
+
+/// [`reorthogonalize`]'s one body.
+#[inline(always)]
+pub(crate) fn reorthogonalize_body(basis: &[Vec<f64>], w: &mut [f64]) {
+    for _ in 0..2 {
+        for b in basis {
+            let proj = dot(b, w);
+            axpy(-proj, b, w);
         }
     }
 }
@@ -80,12 +103,7 @@ pub fn lanczos_smallest<O: LinOp>(op: &O, k: usize, seed: u64) -> Result<(Vec<f6
         // w ← w − a·q − β·q_prev, then full reorthogonalization against the
         // whole basis (twice is enough in practice — "twice is enough",
         // Parlett).
-        for _ in 0..2 {
-            for b in &basis {
-                let proj = dot(b, &w);
-                axpy(-proj, b, &mut w);
-            }
-        }
+        reorthogonalize(&basis, &mut w);
         let b = normalize(&mut w);
         if b <= 1e-12 {
             // Invariant subspace found. Restart with a fresh random vector
@@ -96,12 +114,7 @@ pub fn lanczos_smallest<O: LinOp>(op: &O, k: usize, seed: u64) -> Result<(Vec<f6
                 break;
             }
             let mut fresh: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
-            for _ in 0..2 {
-                for base in &basis {
-                    let proj = dot(base, &fresh);
-                    axpy(-proj, base, &mut fresh);
-                }
-            }
+            reorthogonalize(&basis, &mut fresh);
             if normalize(&mut fresh) <= 1e-12 {
                 break;
             }

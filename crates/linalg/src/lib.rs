@@ -1,7 +1,9 @@
 //! Dense linear algebra kernels used throughout the DisTenC reproduction.
 //!
 //! This crate deliberately implements only what the paper's algorithms need,
-//! from scratch and without unsafe code:
+//! from scratch, and with one `unsafe` block: [`isa::widest`]'s call into
+//! its AVX2 instantiation, whose `// SAFETY:` argument is that the CPU has
+//! just reported the feature. Everything else is safe code:
 //!
 //! * [`Mat`] — a small row-major dense matrix with the handful of BLAS-like
 //!   operations the completion algorithms perform on `R×R` and `I×R`
@@ -15,6 +17,10 @@
 //! * [`tridiag`] — Householder tridiagonalization and implicit-shift QL
 //!   for symmetric tridiagonal matrices, the inner solver of both the
 //!   dense path and Lanczos.
+//! * [`isa`] — the runtime dispatch that runs the hot bodies (here:
+//!   [`Mat::matmul_into`], [`tridiag::tqli`], Lanczos' reorthogonalization;
+//!   in `distenc-tensor`, the entry sweep) on 256-bit lanes where the CPU
+//!   has them, bit for bit.
 //! * [`lanczos`] — truncated Lanczos with full reorthogonalization over an
 //!   abstract [`LinOp`], standing in for the MRRR eigensolver the paper uses
 //!   to truncate graph Laplacians (`L ≈ VΛVᵀ`, §III-B).
@@ -25,6 +31,7 @@
 
 pub mod chol;
 pub mod eigen;
+pub mod isa;
 pub mod lanczos;
 pub mod mat;
 pub mod sketch;

@@ -5,7 +5,7 @@
 //! clarity over micro-optimization, but the inner loops are written so LLVM
 //! can vectorize them (slice iteration, no bounds checks in hot paths).
 
-use crate::{LinalgError, Result};
+use crate::{isa, LinalgError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -425,8 +425,9 @@ impl Mat {
 
     /// `out = self * rhs`. The output is zeroed first and the product
     /// accumulates into it in i-k-j order: the inner loop walks contiguous
-    /// rows of `rhs` and `out`, which vectorizes well. Zero entries of
-    /// `self` are skipped.
+    /// rows of `rhs` and `out`, which vectorizes well — on the widest
+    /// lanes the CPU has, when the rows fill them ([`isa::widest_rows`]).
+    /// Zero entries of `self` are skipped.
     pub fn matmul_into(&self, rhs: &Mat, out: &mut Mat) -> Result<()> {
         if self.cols != rhs.rows || out.shape() != (self.rows, rhs.cols) {
             return Err(LinalgError::ShapeMismatch {
@@ -435,6 +436,17 @@ impl Mat {
                 rhs: rhs.shape(),
             });
         }
+        isa::widest_rows(
+            rhs.cols,
+            #[inline(always)]
+            || self.matmul_body(rhs, out),
+        );
+        Ok(())
+    }
+
+    /// [`Mat::matmul_into`]'s one body, shapes checked.
+    #[inline(always)]
+    pub(crate) fn matmul_body(&self, rhs: &Mat, out: &mut Mat) {
         out.data.fill(0.0);
         for i in 0..self.rows {
             let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
@@ -449,7 +461,6 @@ impl Mat {
                 }
             }
         }
-        Ok(())
     }
 
     /// `out = selfᵀ * self`. Exploits symmetry: only the upper triangle is

@@ -10,7 +10,7 @@
 //! [`householder_tridiag`] (small dense components, see
 //! [`crate::eigen::symmetric_eigen`]).
 
-use crate::{LinalgError, Mat, Result};
+use crate::{isa, LinalgError, Mat, Result};
 
 /// Eigen-decompose a symmetric tridiagonal matrix.
 ///
@@ -26,6 +26,15 @@ use crate::{LinalgError, Mat, Result};
 ///   two contiguous slices — and row `i` ends up as the eigenvector of
 ///   `d[i]`.
 pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<()> {
+    isa::widest(
+        #[inline(always)]
+        || tqli_body(d, e, z),
+    )
+}
+
+/// [`tqli`]'s one body; the row rotations are what the wide lanes buy.
+#[inline(always)]
+pub(crate) fn tqli_body(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<()> {
     let n = d.len();
     if e.len() != n || z.rows() != n {
         return Err(LinalgError::ShapeMismatch {

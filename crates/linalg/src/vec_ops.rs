@@ -4,7 +4,7 @@
 ///
 /// # Panics
 /// Panics in debug builds if lengths differ.
-#[inline]
+#[inline(always)]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -17,7 +17,7 @@ pub fn norm2(a: &[f64]) -> f64 {
 }
 
 /// In-place `y += alpha * x`.
-#[inline]
+#[inline(always)]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {

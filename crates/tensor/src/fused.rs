@@ -66,19 +66,24 @@
 //!   [`CooTensor::frob_norm_sq`] (a threaded sweep folds it over the
 //!   scattered-back values, so the blocking never shows).
 //!
-//! Rank specialization goes through [`dispatch_rank`]: R ∈ {8, 16} run the
-//! body with the rank as a literal, everything else with it as a value —
-//! same operation sequence, so dispatch never changes a bit. Orders
-//! outside the stack row cache (1, and above [`MAX_CACHED_ORDER`]) take
-//! one per-entry fallback ([`sweep_uncached`]) behind the same three
+//! How the body is compiled is [`sweep`]'s to decide and never changes a
+//! bit, **by construction**: R ∈ {8, 16} run it with the rank as a
+//! literal, everything else with it as a value — one operation sequence —
+//! and on a CPU with AVX2 it runs from an instantiation compiled for
+//! 256-bit lanes ([`distenc_linalg::isa`]). rustc neither reassociates nor
+//! contracts IEEE operations, `fma` is not enabled and `mul_add` appears
+//! nowhere, so the wide instantiation performs the same lane-wise
+//! multiplies and adds as the 128-bit one, in the order written above.
+//! Orders outside the stack row cache (1, and above [`MAX_CACHED_ORDER`])
+//! take one per-entry fallback ([`sweep_uncached`]) behind the same three
 //! types.
 
 use crate::coo::CooTensor;
 use crate::kruskal::KruskalTensor;
-use crate::mttkrp::{dispatch_rank, fold_entry, validate, MttkrpWorkspace, RankKernel};
+use crate::mttkrp::{fold_entry, validate, MttkrpWorkspace};
 use crate::{Result, TensorError};
 use distenc_dataflow::Executor;
-use distenc_linalg::Mat;
+use distenc_linalg::{isa, Mat};
 
 /// Bitwise replica of [`KruskalTensor::eval`]'s fold (`rr`-outer,
 /// modes-inner over **all** modes ascending) over bare factors, for
@@ -108,8 +113,14 @@ type RowSet<'a> = [&'a [f64]; MAX_CACHED_ORDER];
 
 /// Rank elements handled per step of the per-entry folds: products,
 /// prefixes and contributions of one step live in `[f64; LANES]` locals
-/// (registers), never in memory scratch.
-const LANES: usize = 4;
+/// (registers), never in memory scratch. Eight — two 256-bit or four
+/// 128-bit registers per local — measured ahead of four on both
+/// instantiations of the body (see [`sweep`]) at ranks 8, 16 and 20; a
+/// rank's remainder takes at most one [`HALF_LANES`] step, then single
+/// elements. Grouping never reorders an element's operations, so the
+/// width changes no bit.
+const LANES: usize = 8;
+const HALF_LANES: usize = LANES / 2;
 
 /// `W` consecutive rank elements of a factor row, starting at `i`.
 #[inline(always)]
@@ -153,6 +164,10 @@ fn eval_block4(rows: &[RowSet<'_>; 4], order: usize, r: usize) -> [f64; 4] {
     while i + LANES <= r {
         eval_lanes::<LANES>(rows, order, i, &mut acc);
         i += LANES;
+    }
+    if i + HALF_LANES <= r {
+        eval_lanes::<HALF_LANES>(rows, order, i, &mut acc);
+        i += HALF_LANES;
     }
     while i < r {
         eval_lanes::<1>(rows, order, i, &mut acc);
@@ -416,6 +431,10 @@ fn sweep_block<V: Values, P: Placement, S: Source>(
             bank_lanes::<LANES>(&rows[j], order, v, first, outs, i);
             i += LANES;
         }
+        if i + HALF_LANES <= r {
+            bank_lanes::<HALF_LANES>(&rows[j], order, v, first, outs, i);
+            i += HALF_LANES;
+        }
         while i < r {
             bank_lanes::<1>(&rows[j], order, v, first, outs, i);
             i += 1;
@@ -492,48 +511,6 @@ fn sweep_uncached<V: Values, P: Placement, S: Source>(
     frob
 }
 
-/// [`RankKernel`] adapter for [`sweep_entries`].
-struct EntrySweep<'a, V, P, S> {
-    observed: &'a CooTensor,
-    factors: &'a [Mat],
-    vals: V,
-    src: S,
-    place: P,
-    hs: &'a mut [Mat],
-}
-
-impl<V: Values, P: Placement, S: Source> EntrySweep<'_, V, P, S> {
-    /// The all-modes and the one-mode sweep at orders 3 and 4 — every
-    /// DisTenC workload — get bodies with the order and the mode count as
-    /// literals (measured: the one-mode sweep through the generic body is
-    /// 1.5× the one-entry-at-a-time bucket kernel it replaced, through
-    /// these it is ahead of it).
-    #[inline(always)]
-    fn run(self, r: usize) -> f64 {
-        let EntrySweep { observed, factors, vals, src, place, hs } = self;
-        match (factors.len(), hs.len()) {
-            (3, 3) => sweep_entries(observed, factors, 3, r, vals, src, place, &mut hs[..3]),
-            (4, 4) => sweep_entries(observed, factors, 4, r, vals, src, place, &mut hs[..4]),
-            (3, 1) => sweep_entries(observed, factors, 3, r, vals, src, place, &mut hs[..1]),
-            (4, 1) => sweep_entries(observed, factors, 4, r, vals, src, place, &mut hs[..1]),
-            (n, _) => sweep_entries(observed, factors, n, r, vals, src, place, hs),
-        }
-    }
-}
-
-impl<V: Values, P: Placement, S: Source> RankKernel for EntrySweep<'_, V, P, S> {
-    type Out = f64;
-
-    fn run_const<const R: usize>(self) -> f64 {
-        self.run(R)
-    }
-
-    fn run_dyn(self) -> f64 {
-        let r = self.factors[0].cols();
-        self.run(r)
-    }
-}
-
 /// Whether an order-`order` tensor's rows fit the stack row cache, with a
 /// second mode to share them with (at order 1 the one-mode sweep already
 /// is the whole iteration): the orders [`sweep_entries`] takes, and the
@@ -543,9 +520,37 @@ pub(crate) fn fuses_entry_order(order: usize) -> bool {
     (2..=MAX_CACHED_ORDER).contains(&order)
 }
 
-/// Every driver's way into the body: [`sweep_entries`] under rank
-/// dispatch, or the fallback for the orders it does not take. Shapes are
-/// the caller's to check; so is the pass-count tick.
+/// [`sweep_entries`] at rank `r`, with the order and the mode count as
+/// literals for the all-modes and the one-mode sweep at orders 3 and 4 —
+/// every DisTenC workload (measured: the one-mode sweep through the
+/// generic body is 1.5× the one-entry-at-a-time bucket kernel it replaced,
+/// through these it is ahead of it).
+#[inline(always)]
+fn sweep_at_rank<V: Values, P: Placement, S: Source>(
+    observed: &CooTensor,
+    factors: &[Mat],
+    r: usize,
+    vals: V,
+    src: S,
+    place: P,
+    hs: &mut [Mat],
+) -> f64 {
+    match (factors.len(), hs.len()) {
+        (3, 3) => sweep_entries(observed, factors, 3, r, vals, src, place, &mut hs[..3]),
+        (4, 4) => sweep_entries(observed, factors, 4, r, vals, src, place, &mut hs[..4]),
+        (3, 1) => sweep_entries(observed, factors, 3, r, vals, src, place, &mut hs[..1]),
+        (4, 1) => sweep_entries(observed, factors, 4, r, vals, src, place, &mut hs[..1]),
+        (n, _) => sweep_entries(observed, factors, n, r, vals, src, place, hs),
+    }
+}
+
+/// Every driver's way into the body, and the two decisions about how it
+/// is compiled, side by side: on the widest lanes this CPU has
+/// ([`isa::widest`]), with the rank as a literal for R ∈ {8, 16} — or the
+/// fallback for the orders the body does not take. Everything from here
+/// down to the lane loops is `#[inline(always)]`, which is what puts the
+/// body *inside* the wide function (`ci.sh` checks the disassembly).
+/// Shapes are the caller's to check; so is the pass-count tick.
 #[inline(always)]
 fn sweep<V: Values, P: Placement, S: Source>(
     observed: &CooTensor,
@@ -558,7 +563,14 @@ fn sweep<V: Values, P: Placement, S: Source>(
     if !fuses_entry_order(factors.len()) {
         return sweep_uncached(observed, factors, vals, src, place, hs);
     }
-    dispatch_rank(factors[0].cols(), EntrySweep { observed, factors, vals, src, place, hs })
+    isa::widest(
+        #[inline(always)]
+        || match factors[0].cols() {
+            8 => sweep_at_rank(observed, factors, 8, vals, src, place, hs),
+            16 => sweep_at_rank(observed, factors, 16, vals, src, place, hs),
+            r => sweep_at_rank(observed, factors, r, vals, src, place, hs),
+        },
+    )
 }
 
 fn check_support(observed: &CooTensor, e: &CooTensor) -> Result<()> {
@@ -895,6 +907,60 @@ mod tests {
             let len = rng.random_range(0..=x.nnz() - lo);
             refresh_entries(&x, &model, Span { lo, len }, &mut vals[..len]);
             prop_assert_eq!(bits(&vals[..len]), bits(&want.0.values()[lo..lo + len]));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The path a host takes never shows: the all-modes sweep, the
+        /// plain refresh and a block's slab sweep leave the same bits
+        /// through `sweep` — on the widest lanes this CPU has, rank
+        /// literals and all — as through the bare body called from this
+        /// (baseline) function with the rank as a value.
+        #[test]
+        fn wide_lanes_are_bitwise_the_baseline_body(
+            seed in 0u64..10_000,
+            rank_ix in 0usize..6,
+            order in 2usize..6,
+        ) {
+            let rank = [1usize, 3, 8, 16, 17, 20][rank_ix];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shape: Vec<usize> = (0..order).map(|_| rng.random_range(2..6)).collect();
+            let x = random_coo(&shape, 90, seed ^ 0x15a);
+            let model = KruskalTensor::random(&shape, rank, seed.wrapping_add(7));
+            let factors = model.factors();
+            let dirty = |rows: &[usize], first: usize| -> Vec<Mat> {
+                rows[first..].iter().map(|&d| Mat::random(d, rank, 5)).collect()
+            };
+            // Every mode banked beside the refresh, then no mode banked.
+            for banked in [order, 0] {
+                let (mut wide, mut base) = (vec![f64::NAN; x.nnz()], vec![f64::NAN; x.nnz()]);
+                let (mut hw, mut hb) = (dirty(&shape[..banked], 0), dirty(&shape[..banked], 0));
+                let fw = sweep(&x, factors, Refresh(&mut wide), Whole, WholeModes, &mut hw);
+                let fb =
+                    sweep_at_rank(&x, factors, rank, Refresh(&mut base), Whole, WholeModes, &mut hb);
+                prop_assert_eq!(fw.to_bits(), fb.to_bits());
+                prop_assert_eq!(bits(&wide), bits(&base));
+                for (w, b) in hw.iter().zip(&hb) {
+                    prop_assert_eq!(bits(w.as_slice()), bits(b.as_slice()));
+                }
+            }
+            // One block's stored values into slabs for the modes from
+            // `first` on, through the public entry and through the body.
+            let cut: Vec<usize> = shape.iter().map(|&d| rng.random_range(1..d)).collect();
+            let first = rng.random_range(0..order);
+            for (t, origin, rows) in halves(&x, &cut) {
+                let (mut sw, mut sb) = (dirty(&rows, first), dirty(&rows, first));
+                let stored = EntryValues::Stored(t.values());
+                let fw = block_sweep_into(&t, &model, stored, first, &origin, &mut sw).unwrap();
+                let place = Slabs { first, origin: &origin };
+                let fb = sweep_at_rank(&t, factors, rank, Stored(t.values()), Whole, place, &mut sb);
+                prop_assert_eq!(fw.to_bits(), fb.to_bits());
+                for (w, b) in sw.iter().zip(&sb) {
+                    prop_assert_eq!(bits(w.as_slice()), bits(b.as_slice()));
+                }
+            }
         }
     }
 

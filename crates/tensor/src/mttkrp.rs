@@ -1,12 +1,8 @@
 //! MTTKRP — matricized tensor times Khatri-Rao product — and the Gram
 //! product, the two kernels §III-C builds DisTenC's factor update from.
 //!
-//! This module also owns the workspace's **rank-specialization dispatch
-//! point** ([`dispatch_rank`]): the entry body in [`crate::fused`] runs
-//! with the rank as a literal for R ∈ {8, 16} and as a value otherwise —
-//! one implementation either way, so specialization changes compile-time
-//! knowledge (constant trip counts), never a single bit of the result.
-//! The naive [`mttkrp`] here is the oracle that body is pinned against.
+//! The naive [`mttkrp`] here is the oracle the entry body in
+//! [`crate::fused`] is pinned against.
 
 use crate::coo::CooTensor;
 use crate::fused::{sweep_part, Stored};
@@ -15,29 +11,6 @@ use distenc_dataflow::Executor;
 use distenc_linalg::Mat;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// A kernel body that can run with a compile-time rank (`run_const`,
-/// `R` = the factor rank) or a runtime rank (`run_dyn`). Implementations
-/// must perform the identical operation sequence in both so dispatch is
-/// bit-invisible.
-pub(crate) trait RankKernel {
-    /// Result of the sweep.
-    type Out;
-    /// Monomorphized body; only called with `R` equal to the actual rank.
-    fn run_const<const R: usize>(self) -> Self::Out;
-    /// Fallback body for unspecialized ranks.
-    fn run_dyn(self) -> Self::Out;
-}
-
-/// The one rank-specialization dispatch point (see module docs).
-#[inline]
-pub(crate) fn dispatch_rank<K: RankKernel>(rank: usize, kernel: K) -> K::Out {
-    match rank {
-        8 => kernel.run_const::<8>(),
-        16 => kernel.run_const::<16>(),
-        _ => kernel.run_dyn(),
-    }
-}
 
 /// One entry's MTTKRP contribution, the fold the naive [`mttkrp`] and the
 /// entry body's fallback for orders outside its row cache share (inside

@@ -77,7 +77,10 @@ pub fn usage(commands: &[Cmd]) -> String {
     for c in commands {
         out.push_str(&format!("  distenc {:<12} {}\n", c.name, c.about));
     }
-    out + "\n`distenc <command> --help` lists a command's options."
+    // Which instantiation of the hot kernels this CPU runs (a timing in
+    // a bug report should say): nothing selects it but the CPU.
+    out + "\n`distenc <command> --help` lists a command's options.\nkernels: "
+        + distenc::linalg::isa::name()
 }
 
 /// A subcommand's parsed options. Every accessor names a row of the

@@ -31,6 +31,7 @@ use distenc::core::{
 use distenc::dataflow::ExecMode;
 use distenc::eval::metrics;
 use distenc::graph::{Laplacian, SparseSym};
+use distenc::linalg::isa;
 use distenc::serve::{
     replay_direct, replay_queued, serve_open_loop, synth_trace, AdmissionControl, ApproxTopK,
     Engine, EngineConfig, OpenLoopConfig, QueueConfig, ServeQueue, TopKQuery, TraceConfig,
@@ -397,10 +398,11 @@ fn cmd_complete(opts: &Opts) -> Res {
     let lap_refs: Vec<Option<&Laplacian>> = laps.iter().map(|l| l.as_ref()).collect();
     let result = AdmmSolver::new(cfg)?.solve(&observed, &lap_refs)?;
     eprintln!(
-        "completed in {} iterations (converged: {}, train RMSE {:.6})",
+        "completed in {} iterations (converged: {}, train RMSE {:.6}), kernels: {}",
         result.iterations,
         result.converged,
-        final_rmse(&result)
+        final_rmse(&result),
+        isa::name()
     );
     write_model(&result.model, out)
 }
@@ -423,11 +425,13 @@ fn cmd_resume(opts: &Opts) -> Res {
     let lap_refs: Vec<Option<&Laplacian>> = laps.iter().map(|l| l.as_ref()).collect();
     let result = AdmmSolver::new(cfg)?.resume(&observed, &lap_refs, &ckpt)?;
     eprintln!(
-        "resumed at iteration {} and finished at {} (converged: {}, train RMSE {:.6})",
+        "resumed at iteration {} and finished at {} (converged: {}, train RMSE {:.6}), \
+         kernels: {}",
         ckpt.iters_done,
         result.iterations,
         result.converged,
-        final_rmse(&result)
+        final_rmse(&result),
+        isa::name()
     );
     write_model(&result.model, out)
 }
@@ -446,9 +450,10 @@ fn cmd_stream(opts: &Opts) -> Res {
     let mut solver = StreamingSolver::new(observed, vec![None; order], cfg)?;
     let first = solver.solve()?;
     eprintln!(
-        "initial solve: {} iterations, train RMSE {:.6}",
+        "initial solve: {} iterations, train RMSE {:.6}, kernels: {}",
         first.iterations,
-        final_rmse(&first)
+        final_rmse(&first),
+        isa::name()
     );
 
     // Each --delta COO file is one batch: its entries are split into

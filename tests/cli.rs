@@ -6,6 +6,12 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_distenc"))
 }
 
+/// What `complete`, `resume`, `stream` and `--help` say about the
+/// instruction set the hot kernels run on.
+fn kernels() -> String {
+    format!("kernels: {}", distenc::linalg::isa::name())
+}
+
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("distenc-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -36,6 +42,8 @@ fn generate_complete_evaluate_predict_pipeline() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("train RMSE"), "progress reported: {stderr}");
+    let summary = stderr.lines().find(|l| l.starts_with("completed in")).unwrap();
+    assert!(summary.ends_with(&kernels()), "the summary names the kernels: {stderr}");
 
     let out = bin()
         .args(["evaluate", "--model", model.to_str().unwrap()])
@@ -116,7 +124,9 @@ fn helpful_errors() {
 fn help_prints_usage() {
     let out = bin().arg("--help").output().unwrap();
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("distenc complete"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("distenc complete"));
+    assert!(stdout.trim_end().ends_with(&kernels()), "the footer names the kernels: {stdout}");
 }
 
 #[test]
@@ -418,7 +428,10 @@ fn resume_reads_version_1_checkpoints_whose_reserved_byte_is_set() {
             .args(["--input", data.to_str().unwrap(), "--out", model.to_str().unwrap()])
             .output()
             .unwrap();
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let summary = stderr.lines().find(|l| l.starts_with("resumed at")).unwrap();
+        assert!(summary.ends_with(&kernels()), "{stderr}");
         std::fs::read(model).unwrap()
     };
     let from_new = resume(&ckpt, &tmp("resume-new.kruskal"));
@@ -446,6 +459,8 @@ fn stream_folds_delta_files_into_a_warm_resolve() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     assert!(stderr.contains("applied 2 entries -> generation 2"), "{stderr}");
+    let initial = stderr.lines().find(|l| l.starts_with("initial solve:")).unwrap();
+    assert!(initial.ends_with(&kernels()), "{stderr}");
     let text = std::fs::read_to_string(&model).unwrap();
     assert!(text.contains("# factor 0: 13 2"), "mode 0 grew to 13 rows: {text}");
 }
