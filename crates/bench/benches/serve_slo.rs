@@ -37,10 +37,8 @@ const RANK: usize = 8;
 const QPS_LADDER: [f64; 5] = [20_000.0, 50_000.0, 100_000.0, 200_000.0, 400_000.0];
 const RUN_SECS: f64 = 0.5;
 const WORKERS: usize = 4;
-/// SLO: p99 end-to-end latency of admitted requests. Generous relative
-/// to the batching window because the latency histogram is log₂-bucketed
-/// (quantiles report a bucket *upper bound*, i.e. up to 2× the true
-/// value).
+/// SLO: p99 end-to-end latency of admitted requests (a histogram bucket's
+/// upper edge: at most 1/16 over the true value).
 const P99_TARGET: Duration = Duration::from_millis(5);
 /// SLO: a rung only counts as sustained if under 1% of accepted
 /// submissions were shed.
@@ -106,7 +104,6 @@ fn run_rung(model: &KruskalTensor, qps: f64) -> RungStats {
     let queue_cfg = QueueConfig {
         capacity: 2048,
         max_batch: 128,
-        window: Duration::from_micros(100),
         workers: WORKERS,
         admission: AdmissionControl {
             shed_watermark: Some(1536),
@@ -215,7 +212,6 @@ fn fairness_section(model: &KruskalTensor) -> String {
     let queue_cfg = QueueConfig {
         capacity: 1024,
         max_batch: 128,
-        window: Duration::from_micros(100),
         workers: 2,
         admission: AdmissionControl {
             shed_watermark: None,

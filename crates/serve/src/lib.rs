@@ -12,8 +12,9 @@
 //!   Cauchy–Schwarz norm bounds derived from the same factor-Gram
 //!   structure the solver exploits for `UᵀU` (Eqs. 11–13).
 //!
-//! Around the engine sit the production pieces: a bounded request queue
-//! with a configurable batching window ([`ServeQueue`]), per-query
+//! Around the engine sit the production pieces: a bounded,
+//! work-conserving request queue ([`ServeQueue`]: a worker takes whatever
+//! arrived while it was busy and parks only when nothing has), per-query
 //! deadlines with graceful degradation (top-K returns best-so-far),
 //! an LRU cache for repeated top-K queries, and a [`ServeMetrics`]
 //! counter block mirroring the accounting style of `dataflow::Metrics`.
@@ -41,6 +42,7 @@ pub mod metrics;
 pub mod queue;
 pub mod registry;
 pub mod store;
+pub mod ticket;
 pub mod topk;
 pub mod workload;
 
@@ -48,11 +50,10 @@ pub use cache::LruCache;
 pub use engine::{ApproxTopK, Engine, EngineConfig};
 pub use live::{LiveEngine, Pinned, Tagged};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
-pub use queue::{
-    AdmissionControl, QueueConfig, Request, Response, RetryPolicy, ServeQueue, ShedReason, Ticket,
-};
+pub use queue::{AdmissionControl, QueueConfig, ServeQueue, SubmitOpts};
 pub use registry::ModelRegistry;
 pub use store::FactorStore;
+pub use ticket::{Request, Response, ShedReason, Ticket};
 pub use topk::{TopKItem, TopKQuery, TopKResult};
 pub use workload::{
     open_loop_trace, replay_direct, replay_queued, serve_open_loop, synth_trace, OpenLoopConfig,

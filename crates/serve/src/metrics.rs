@@ -2,18 +2,109 @@
 //! cheap always-on counters plus a snapshot struct for reporting.
 //!
 //! All counters are relaxed atomics — the serving hot path must never
-//! take a lock to count a query. Latencies go into a log₂-bucketed
-//! histogram (bucket `b` holds latencies in `[2ᵇ, 2ᵇ⁺¹)` nanoseconds),
-//! from which snapshot quantiles are interpolated.
+//! take a lock to count a query. Latencies go into log-linear
+//! [`Histogram`]s: every power-of-two octave of nanoseconds is cut into
+//! [`SUB`] equal sub-buckets, and a snapshot quantile is the upper edge of
+//! the sub-bucket holding it — never below the true value and at most
+//! `1/SUB` (6.25 %) above it.
 
+use crate::ticket::ShedReason;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
-const BUCKETS: usize = 64;
+/// Linear sub-buckets per octave. Eight would bound the overshoot at
+/// 12.5 %; sixteen is the smallest power of two that keeps it under 7 %.
+const SUB: u64 = 16;
+const SUB_BITS: u32 = SUB.trailing_zeros();
+/// Values below `SUB` get a bucket each; every octave from `2^SUB_BITS`
+/// to `2^63` gets `SUB` more.
+const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB as usize;
+
+/// Bucket of a latency of `nanos`: the value itself below `SUB`, else
+/// `SUB` per octave above it plus the top `SUB_BITS` bits after the
+/// leading one.
+fn bucket_of(nanos: u64) -> usize {
+    if nanos < SUB {
+        return nanos as usize;
+    }
+    let shift = 63 - nanos.leading_zeros() - SUB_BITS;
+    ((u64::from(shift) + 1) * SUB + ((nanos >> shift) - SUB)) as usize
+}
+
+/// Largest latency that lands in `bucket`, in nanoseconds.
+fn upper_edge(bucket: usize) -> u64 {
+    let bucket = bucket as u64;
+    if bucket < SUB {
+        return bucket;
+    }
+    let (shift, sub) = (bucket / SUB - 1, bucket % SUB);
+    // The last bucket's exclusive edge is 2^64: saturate to u64::MAX.
+    (((u128::from(SUB + sub) + 1) << shift) - 1).min(u128::from(u64::MAX)) as u64
+}
+
+/// A latency histogram on relaxed atomics: log-linear buckets plus the
+/// count and sum the mean is read from.
+#[derive(Debug)]
+struct Histogram {
+    buckets: [AtomicU64; BUCKETS],
+    count: AtomicU64,
+    sum_nanos: AtomicU64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum_nanos: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Histogram {
+    fn record(&self, lat: Duration) {
+        let nanos = lat.as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.buckets[bucket_of(nanos)].fetch_add(1, Relaxed);
+        self.count.fetch_add(1, Relaxed);
+        self.sum_nanos.fetch_add(nanos, Relaxed);
+    }
+
+    fn count(&self) -> u64 {
+        self.count.load(Relaxed)
+    }
+
+    fn mean(&self) -> Duration {
+        self.sum_nanos
+            .load(Relaxed)
+            .checked_div(self.count())
+            .map_or(Duration::ZERO, Duration::from_nanos)
+    }
+
+    /// Upper edge of the bucket holding quantile `q` of what has been
+    /// recorded: the true latency is at most this, and at least
+    /// `SUB / (SUB + 1)` of it.
+    fn quantile(&self, q: f64) -> Duration {
+        let count = self.count();
+        if count == 0 {
+            return Duration::ZERO;
+        }
+        let target = ((count as f64) * q).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (b, n) in self.buckets.iter().enumerate() {
+            seen += n.load(Relaxed);
+            if seen >= target {
+                return Duration::from_nanos(upper_edge(b));
+            }
+        }
+        // Only reachable while a concurrent `record` has bumped `count`
+        // but not yet its bucket.
+        Duration::from_nanos(u64::MAX)
+    }
+}
 
 /// Always-on counters for a serving engine. Shared via `Arc` between the
 /// engine, the queue workers, and whoever reports.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServeMetrics {
     point_queries: AtomicU64,
     batch_queries: AtomicU64,
@@ -39,49 +130,11 @@ pub struct ServeMetrics {
     recall_checks: AtomicU64,
     recall_overlap: AtomicU64,
     recall_possible: AtomicU64,
-    hist: [AtomicU64; BUCKETS],
-    lat_count: AtomicU64,
-    lat_sum_nanos: AtomicU64,
-    e2e_hist: [AtomicU64; BUCKETS],
-    e2e_count: AtomicU64,
-    e2e_sum_nanos: AtomicU64,
-}
-
-impl Default for ServeMetrics {
-    fn default() -> Self {
-        ServeMetrics {
-            point_queries: AtomicU64::new(0),
-            batch_queries: AtomicU64::new(0),
-            batch_points: AtomicU64::new(0),
-            topk_queries: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            degraded_results: AtomicU64::new(0),
-            candidates_scanned: AtomicU64::new(0),
-            candidates_pruned: AtomicU64::new(0),
-            queue_rejections: AtomicU64::new(0),
-            batches_executed: AtomicU64::new(0),
-            models_published: AtomicU64::new(0),
-            models_failed: AtomicU64::new(0),
-            serving_generation: AtomicU64::new(0),
-            sheds_queue_depth: AtomicU64::new(0),
-            sheds_deadline: AtomicU64::new(0),
-            sheds_tenant_share: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_depth_peak: AtomicU64::new(0),
-            approx_topk_queries: AtomicU64::new(0),
-            recall_checks: AtomicU64::new(0),
-            recall_overlap: AtomicU64::new(0),
-            recall_possible: AtomicU64::new(0),
-            hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            lat_count: AtomicU64::new(0),
-            lat_sum_nanos: AtomicU64::new(0),
-            e2e_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            e2e_count: AtomicU64::new(0),
-            e2e_sum_nanos: AtomicU64::new(0),
-        }
-    }
+    submits: AtomicU64,
+    worker_wakes: AtomicU64,
+    latency: Histogram,
+    e2e: Histogram,
+    queue_wait: Histogram,
 }
 
 impl ServeMetrics {
@@ -149,19 +202,14 @@ impl ServeMetrics {
         self.models_failed.fetch_add(1, Relaxed);
     }
 
-    /// Admission control shed a submission on the queue-depth watermark.
-    pub fn shed_queue_depth(&self) {
-        self.sheds_queue_depth.fetch_add(1, Relaxed);
-    }
-
-    /// Admission control shed a submission whose deadline was infeasible.
-    pub fn shed_deadline(&self) {
-        self.sheds_deadline.fetch_add(1, Relaxed);
-    }
-
-    /// Admission control shed a submission over its tenant's queue share.
-    pub fn shed_tenant_share(&self) {
-        self.sheds_tenant_share.fetch_add(1, Relaxed);
+    /// Admission control shed a submission, for `reason`.
+    pub(crate) fn shed(&self, reason: &ShedReason) {
+        let counter = match reason {
+            ShedReason::QueueDepth { .. } => &self.sheds_queue_depth,
+            ShedReason::DeadlineInfeasible { .. } => &self.sheds_deadline,
+            ShedReason::TenantShare { .. } => &self.sheds_tenant_share,
+        };
+        counter.fetch_add(1, Relaxed);
     }
 
     /// Record the queue depth after a submit or drain (keeps the gauge
@@ -187,35 +235,33 @@ impl ServeMetrics {
         self.recall_possible.fetch_add(possible, Relaxed);
     }
 
-    /// Record one end-to-end (submit → response delivered) latency for an
-    /// admitted-and-served queued request. Shed and timed-out requests
-    /// are *not* recorded here — they are accounted by their own
-    /// counters, so the e2e quantiles describe what callers that got an
-    /// answer actually waited.
-    pub fn record_e2e(&self, lat: Duration) {
-        let nanos = lat.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let bucket = (64 - nanos.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        self.e2e_hist[bucket].fetch_add(1, Relaxed);
-        self.e2e_count.fetch_add(1, Relaxed);
-        self.e2e_sum_nanos.fetch_add(nanos, Relaxed);
+    /// One request entered a lane, leaving `depth` queued; `woke` says
+    /// the submit found a parked worker and paid the wake-up for it.
+    pub(crate) fn submitted(&self, depth: usize, woke: bool) {
+        self.submits.fetch_add(1, Relaxed);
+        self.worker_wakes.fetch_add(u64::from(woke), Relaxed);
+        self.queue_depth_update(depth);
+    }
+
+    /// Record where one admitted-and-served queued request's time went:
+    /// `queue_wait` from admit to dequeue, `e2e` from admit to the
+    /// response being delivered (so `e2e − queue_wait` is its share of
+    /// the batch's execution). Shed and timed-out requests are *not*
+    /// recorded here — they are accounted by their own counters, so these
+    /// quantiles describe what callers that got an answer actually waited.
+    pub(crate) fn record_served(&self, queue_wait: Duration, e2e: Duration) {
+        self.queue_wait.record(queue_wait);
+        self.e2e.record(e2e);
     }
 
     /// Record one served-query latency.
     pub fn record_latency(&self, lat: Duration) {
-        let nanos = lat.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let bucket = (64 - nanos.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        self.hist[bucket].fetch_add(1, Relaxed);
-        self.lat_count.fetch_add(1, Relaxed);
-        self.lat_sum_nanos.fetch_add(nanos, Relaxed);
+        self.latency.record(lat);
     }
 
     /// Consistent-enough snapshot of all counters (individual loads are
     /// relaxed; serving continues while snapshotting).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let hist: Vec<u64> = self.hist.iter().map(|b| b.load(Relaxed)).collect();
-        let count = self.lat_count.load(Relaxed);
-        let e2e_hist: Vec<u64> = self.e2e_hist.iter().map(|b| b.load(Relaxed)).collect();
-        let e2e_count = self.e2e_count.load(Relaxed);
         MetricsSnapshot {
             point_queries: self.point_queries.load(Relaxed),
             batch_queries: self.batch_queries.load(Relaxed),
@@ -241,44 +287,23 @@ impl ServeMetrics {
             recall_checks: self.recall_checks.load(Relaxed),
             recall_overlap: self.recall_overlap.load(Relaxed),
             recall_possible: self.recall_possible.load(Relaxed),
-            e2e_p50: quantile(&e2e_hist, e2e_count, 0.50),
-            e2e_p90: quantile(&e2e_hist, e2e_count, 0.90),
-            e2e_p99: quantile(&e2e_hist, e2e_count, 0.99),
-            e2e_mean: self
-                .e2e_sum_nanos
-                .load(Relaxed)
-                .checked_div(e2e_count)
-                .map_or(Duration::ZERO, Duration::from_nanos),
-            e2e_recorded: e2e_count,
-            p50: quantile(&hist, count, 0.50),
-            p90: quantile(&hist, count, 0.90),
-            p99: quantile(&hist, count, 0.99),
-            mean: self
-                .lat_sum_nanos
-                .load(Relaxed)
-                .checked_div(count)
-                .map_or(Duration::ZERO, Duration::from_nanos),
-            latencies_recorded: count,
+            submits: self.submits.load(Relaxed),
+            worker_wakes: self.worker_wakes.load(Relaxed),
+            queue_wait_mean: self.queue_wait.mean(),
+            queue_wait_p50: self.queue_wait.quantile(0.50),
+            queue_wait_p99: self.queue_wait.quantile(0.99),
+            e2e_p50: self.e2e.quantile(0.50),
+            e2e_p90: self.e2e.quantile(0.90),
+            e2e_p99: self.e2e.quantile(0.99),
+            e2e_mean: self.e2e.mean(),
+            e2e_recorded: self.e2e.count(),
+            p50: self.latency.quantile(0.50),
+            p90: self.latency.quantile(0.90),
+            p99: self.latency.quantile(0.99),
+            mean: self.latency.mean(),
+            latencies_recorded: self.latency.count(),
         }
     }
-}
-
-/// Upper bound of the bucket containing quantile `q` (a conservative
-/// estimate: the true latency is at most this).
-fn quantile(hist: &[u64], count: u64, q: f64) -> Duration {
-    if count == 0 {
-        return Duration::ZERO;
-    }
-    let target = ((count as f64) * q).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (b, &n) in hist.iter().enumerate() {
-        seen += n;
-        if seen >= target {
-            // Bucket `b` holds latencies in `[2ᵇ⁻¹, 2ᵇ)` ns.
-            return Duration::from_nanos(1u64 << b.min(63));
-        }
-    }
-    Duration::from_nanos(u64::MAX)
 }
 
 /// Point-in-time copy of [`ServeMetrics`], ready for reporting.
@@ -337,6 +362,17 @@ pub struct MetricsSnapshot {
     /// Exact top-K items total, summed over all recall checks
     /// (denominator of [`MetricsSnapshot::recall_at_k`]).
     pub recall_possible: u64,
+    /// Requests that entered a lane (admitted, not shed or rejected).
+    pub submits: u64,
+    /// Submits that found a worker parked on an empty queue and woke it:
+    /// `worker_wakes / submits` is the share that paid a futex call.
+    pub worker_wakes: u64,
+    /// Mean admit → dequeue wait of served queued requests.
+    pub queue_wait_mean: Duration,
+    /// Median admit → dequeue wait (bucket upper bound).
+    pub queue_wait_p50: Duration,
+    /// 99th-percentile admit → dequeue wait (bucket upper bound).
+    pub queue_wait_p99: Duration,
     /// Median end-to-end (submit → served) latency (bucket upper bound).
     pub e2e_p50: Duration,
     /// 90th-percentile end-to-end latency (bucket upper bound).
@@ -478,10 +514,19 @@ impl std::fmt::Display for MetricsSnapshot {
             "latency (≤)         : p50 {:?}  p90 {:?}  p99 {:?}  mean {:?}  (n={})",
             self.p50, self.p90, self.p99, self.mean, self.latencies_recorded
         )?;
-        write!(
+        writeln!(
             f,
             "e2e latency (≤)     : p50 {:?}  p90 {:?}  p99 {:?}  mean {:?}  (n={})",
             self.e2e_p50, self.e2e_p90, self.e2e_p99, self.e2e_mean, self.e2e_recorded
+        )?;
+        write!(
+            f,
+            "  of it queue wait  : p50 {:?}  p99 {:?}  mean {:?}  ({} worker wakes / {} submits)",
+            self.queue_wait_p50,
+            self.queue_wait_p99,
+            self.queue_wait_mean,
+            self.worker_wakes,
+            self.submits
         )
     }
 }
@@ -489,6 +534,8 @@ impl std::fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn counters_accumulate() {
@@ -508,6 +555,53 @@ mod tests {
     }
 
     #[test]
+    fn buckets_tile_the_range_and_edges_round_trip() {
+        // Every value lands in the bucket whose edge is the first at or
+        // above it, and bucket edges are strictly increasing.
+        for b in 1..BUCKETS {
+            assert!(upper_edge(b) > upper_edge(b - 1), "bucket {b}");
+            assert_eq!(bucket_of(upper_edge(b)), b);
+            assert_eq!(bucket_of(upper_edge(b - 1) + 1), b);
+        }
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(upper_edge(BUCKETS - 1), u64::MAX);
+    }
+
+    /// 10k samples from three known distributions: every reported
+    /// quantile is at or above the true one and within 7 % of it.
+    #[test]
+    fn quantiles_bound_the_truth_within_seven_percent() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut unit = move || rng.random::<f64>();
+        let n = 10_000;
+        let uniform: Vec<u64> = (0..n).map(|_| 1_000 + (unit() * 4e5) as u64).collect();
+        // Exponential around 20 µs: where the served p50 sits.
+        let exponential: Vec<u64> = (0..n).map(|_| (-2e4 * (1.0 - unit()).ln()) as u64).collect();
+        // Log-uniform over 100 ns .. 100 ms: every octave a queue sees.
+        let heavy: Vec<u64> = (0..n).map(|_| (100.0 * 1e6f64.powf(unit())) as u64).collect();
+        for (name, mut samples) in
+            [("uniform", uniform), ("exponential", exponential), ("log-uniform", heavy)]
+        {
+            let h = Histogram::default();
+            for &nanos in &samples {
+                h.record(Duration::from_nanos(nanos));
+            }
+            samples.sort_unstable();
+            for q in [0.01, 0.25, 0.50, 0.90, 0.99, 0.999, 1.0] {
+                let rank = ((n as f64 * q).ceil() as usize).max(1);
+                let truth = samples[rank - 1];
+                let reported = h.quantile(q).as_nanos() as u64;
+                assert!(reported >= truth, "{name} q{q}: {reported} under the true {truth}");
+                assert!(
+                    reported as f64 <= 1.07 * truth as f64,
+                    "{name} q{q}: {reported} over 1.07 x {truth}"
+                );
+            }
+            assert_eq!(h.count(), n as u64);
+        }
+    }
+
+    #[test]
     fn latency_quantiles_are_monotone_bounds() {
         let m = ServeMetrics::new();
         for micros in [1u64, 2, 5, 10, 50, 100, 500, 1000, 5000, 10_000] {
@@ -515,12 +609,14 @@ mod tests {
         }
         let s = m.snapshot();
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99);
-        // p50 bucket bound must cover the true median (50 µs).
-        assert!(s.p50 >= Duration::from_micros(50));
-        // p99 bound is within one bucket (2x) of the max sample.
-        assert!(s.p99 <= Duration::from_micros(2 * 16_384));
+        // The 5th of 10 samples is 50 µs, the 9th 5 ms, the 10th 10 ms:
+        // each bound covers its sample and overshoots by under 1/16.
+        for (bound, micros) in [(s.p50, 50u64), (s.p90, 5_000), (s.p99, 10_000)] {
+            let truth = Duration::from_micros(micros);
+            assert!(bound >= truth && bound < truth + truth / 16, "{bound:?} for {truth:?}");
+        }
         assert_eq!(s.latencies_recorded, 10);
-        assert!(s.mean > Duration::ZERO);
+        assert_eq!(s.mean, Duration::from_nanos(1_666_800));
     }
 
     #[test]

@@ -1,32 +1,41 @@
-//! Bounded request queue with a batching window, per-tenant fair
-//! queuing, and admission control.
+//! Bounded, work-conserving request queue with per-tenant fair queuing
+//! and admission control.
 //!
 //! Callers [`submit`](ServeQueue::submit) requests and get back a
 //! [`Ticket`]; worker threads drain the queue in batches, coalescing
 //! queued point lookups into one [`Engine::batch`] call so the shared
-//! rank loop amortizes across concurrent callers. A drain waits up to the
-//! configured `window` for more work (or until `max_batch` requests are
-//! queued), trading a bounded sliver of latency for batch efficiency.
+//! rank loop amortizes across concurrent callers.
+//!
+//! ## Work-conserving batching
+//!
+//! A worker parks only when the queue is empty, and the moment it is
+//! free it takes whatever is queued (up to `max_batch`). A batch is
+//! therefore exactly what arrived while the previous one executed: about
+//! one request under light load, full batches under overload. Nothing
+//! lingers for company, so there is no batching delay to tune. A submit
+//! wakes a worker only when one is parked (a count kept under the lane
+//! lock says so); while the workers are busy a submit makes no system
+//! call at all.
 //!
 //! ## Backpressure and admission control
 //!
-//! Backpressure is explicit and layered:
+//! Backpressure is explicit and layered, and checked in this order:
 //!
 //! 1. **Capacity** — when the queue is at capacity, `submit` returns
-//!    [`ServeError::QueueFull`] instead of buffering unboundedly (always
-//!    on, same contract as ever).
-//! 2. **Load shedding** (opt-in via [`AdmissionControl`]) — below
-//!    capacity but past a depth watermark, over a tenant's queue share,
-//!    or holding a deadline the backlog makes infeasible, the request is
-//!    *accepted and immediately answered* with a typed
-//!    [`Response::Shed`], so callers can distinguish "the server chose
-//!    not to serve this" from failure, and every ticket still resolves to
-//!    exactly one response.
+//!    [`ServeError::QueueFull`] instead of buffering unboundedly.
+//! 2. **Load shedding** (opt-in via [`AdmissionControl`]) — past a depth
+//!    watermark, over a tenant's queue share, or holding a deadline the
+//!    backlog makes infeasible, the request is *accepted and immediately
+//!    answered* with a typed [`Response::Shed`], so callers can tell "the
+//!    server chose not to serve this" from failure, and every ticket
+//!    still resolves to exactly one response.
 //!
-//! Each request may carry an end-to-end deadline; requests that are
-//! already past it when drained are answered [`Response::TimedOut`]
-//! (top-K requests additionally degrade gracefully inside their own scan
-//! budget — see [`Engine::topk`]).
+//! Capacity and the watermark are decided on an atomic depth — a slot is
+//! reserved by compare-and-swap, so `capacity` is an exact bound — without
+//! touching the lock a drain holds; that lock guards the lanes only.
+//! A request already past its deadline when drained is answered
+//! [`Response::TimedOut`] (top-K requests additionally degrade gracefully
+//! inside their own scan budget — see [`Engine::topk`]).
 //!
 //! ## Fair queuing across tenants
 //!
@@ -47,18 +56,18 @@
 //! deterministic mode the tests and the replay harness use.
 
 use crate::engine::Engine;
+use crate::live::Pinned;
 use crate::metrics::ServeMetrics;
 use crate::registry::ModelRegistry;
-use crate::topk::{TopKQuery, TopKResult};
+use crate::ticket::{Promise, Request, Response, ShedReason, Ticket};
 use crate::{Result, ServeError};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Lane label used by the tenant-less submit methods.
+/// Lane label of a submit that names no tenant.
 const DEFAULT_TENANT: &str = "default";
 
 /// Opt-in load-shedding policy (see the module docs). The default sheds
@@ -70,40 +79,14 @@ pub struct AdmissionControl {
     /// space and bound the waiting time of admitted requests.
     pub shed_watermark: Option<usize>,
     /// Shed submissions whose end-to-end deadline the current backlog
-    /// already makes infeasible (estimated as one batching window per
-    /// pending batch ahead of the request — a deliberately cheap, rough
-    /// lower bound on queue wait; it never counts execution time).
+    /// already makes infeasible: the wait is estimated as the batches
+    /// ahead of the request times the workers' measured mean batch
+    /// service time (zero, so nothing is shed, until a batch has run).
     pub deadline_aware: bool,
     /// Shed a tenant's submissions while it already has this many queued
     /// (`None` = off). Caps how much of the shared queue one tenant can
     /// hold, complementing drain-side fairness with admit-side fairness.
     pub tenant_share: Option<usize>,
-}
-
-/// Why a submission was shed (delivered inside [`Response::Shed`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The queue was past the configured depth watermark.
-    QueueDepth {
-        /// Queue depth observed at admission.
-        depth: usize,
-        /// The configured watermark it met or exceeded.
-        watermark: usize,
-    },
-    /// The backlog made the request's deadline infeasible at admission.
-    DeadlineInfeasible {
-        /// Estimated queue wait (batching windows ahead of the request).
-        estimated: Duration,
-        /// The deadline the request carried.
-        deadline: Duration,
-    },
-    /// The tenant was over its configured share of the queue.
-    TenantShare {
-        /// Requests the tenant already had queued.
-        queued: usize,
-        /// The configured per-tenant share.
-        share: usize,
-    },
 }
 
 /// Tunables for [`ServeQueue`].
@@ -113,9 +96,6 @@ pub struct QueueConfig {
     pub capacity: usize,
     /// Maximum requests drained and executed together.
     pub max_batch: usize,
-    /// How long a drain lingers for more work before executing a partial
-    /// batch. `Duration::ZERO` executes whatever is queued immediately.
-    pub window: Duration,
     /// Worker threads to spawn (0 = manual draining via `drain_once`).
     pub workers: usize,
     /// Load-shedding policy (default: shed nothing).
@@ -131,7 +111,6 @@ impl Default for QueueConfig {
         QueueConfig {
             capacity: 1024,
             max_batch: 64,
-            window: Duration::from_micros(200),
             workers: 1,
             admission: AdmissionControl::default(),
             fair_quantum: 8,
@@ -139,99 +118,33 @@ impl Default for QueueConfig {
     }
 }
 
-/// Bounded retry-with-backoff for transient [`ServeError::QueueFull`]
-/// rejections (see [`ServeQueue::submit_with_retry`]).
-///
-/// Backpressure from a bounded queue is usually momentary — a worker
-/// drains a batch and capacity reappears — so a short, doubling backoff
-/// turns most rejections into slightly-delayed acceptances without
-/// letting a persistently overloaded queue buffer unboundedly: after
-/// `attempts` rejections the caller gets the [`ServeError::QueueFull`]
-/// and must shed the request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Total submission attempts (at least 1; 1 means no retry).
-    pub attempts: u32,
-    /// Sleep before the first retry; doubles after each rejection.
-    /// `Duration::ZERO` retries immediately (only useful when another
-    /// thread is draining concurrently).
-    pub backoff: Duration,
+/// Per-request options of [`ServeQueue::submit_with`]; the default is
+/// what [`ServeQueue::submit`] uses.
+#[derive(Debug, Clone, Copy)]
+pub struct SubmitOpts<'a> {
+    /// The lane to queue into. In registry mode the tenant must be
+    /// registered; in single-engine mode it is purely a fairness lane
+    /// label and every lane is served by the one engine.
+    pub tenant: &'a str,
+    /// The request must *start* executing within this long of
+    /// submission; otherwise it resolves to [`Response::TimedOut`].
+    pub deadline: Option<Duration>,
 }
 
-impl Default for RetryPolicy {
+impl Default for SubmitOpts<'_> {
     fn default() -> Self {
-        RetryPolicy { attempts: 4, backoff: Duration::from_micros(50) }
-    }
-}
-
-/// A queued query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// One completed entry.
-    Point {
-        /// Full index tuple.
-        index: Vec<usize>,
-    },
-    /// Many completed entries, scored in one engine pass.
-    Batch {
-        /// Full index tuples.
-        indices: Vec<Vec<usize>>,
-    },
-    /// Top-K along a free mode.
-    TopK {
-        /// The ranking query.
-        query: TopKQuery,
-        /// Optional scan budget; an expiring scan returns best-so-far.
-        budget: Option<Duration>,
-    },
-}
-
-/// The answer delivered through a [`Ticket`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Point query result.
-    Value(f64),
-    /// Batch query results, in submission order.
-    Values(Vec<f64>),
-    /// Top-K query result (possibly degraded).
-    TopK(TopKResult),
-    /// The request was invalid or the queue shut down before serving it.
-    Error(ServeError),
-    /// The request's end-to-end deadline passed before it was drained.
-    TimedOut,
-    /// Admission control declined to serve the request (typed so callers
-    /// can distinguish deliberate load shedding from failure).
-    Shed(ShedReason),
-}
-
-/// Receipt for a submitted request.
-#[derive(Debug)]
-pub struct Ticket {
-    rx: Receiver<Response>,
-}
-
-impl Ticket {
-    /// Block until the response arrives. If the queue shuts down with the
-    /// request still queued, this resolves to a `ShuttingDown` error.
-    pub fn wait(self) -> Response {
-        self.rx
-            .recv()
-            .unwrap_or(Response::Error(ServeError::ShuttingDown))
-    }
-
-    /// Wait up to `timeout` for the response.
-    pub fn wait_for(&self, timeout: Duration) -> Option<Response> {
-        self.rx.recv_timeout(timeout).ok()
+        SubmitOpts { tenant: DEFAULT_TENANT, deadline: None }
     }
 }
 
 #[derive(Debug)]
 struct Job {
     req: Request,
-    tenant: Arc<str>,
+    /// Index of the job's lane in `QueueState::lanes`.
+    lane: usize,
     deadline: Option<Instant>,
-    submitted: Instant,
-    tx: SyncSender<Response>,
+    admitted: Instant,
+    promise: Promise,
 }
 
 /// One tenant's FIFO lane plus its deficit-round-robin credit.
@@ -243,13 +156,16 @@ struct Lane {
     peak: usize,
 }
 
-/// All queued work, organized into per-tenant lanes.
+/// All queued work, organized into per-tenant lanes (append-only, so a
+/// lane's index names it for the queue's lifetime).
 #[derive(Debug, Default)]
 struct QueueState {
     lanes: Vec<Lane>,
     by_tenant: HashMap<Arc<str>, usize>,
     total: usize,
     cursor: usize,
+    /// Workers waiting on `Shared::cv` for the queue to become non-empty.
+    parked: usize,
 }
 
 impl QueueState {
@@ -258,12 +174,8 @@ impl QueueState {
             return i;
         }
         let name: Arc<str> = Arc::from(tenant);
-        self.lanes.push(Lane {
-            tenant: Arc::clone(&name),
-            jobs: VecDeque::new(),
-            deficit: 0,
-            peak: 0,
-        });
+        let lane = Lane { tenant: Arc::clone(&name), jobs: VecDeque::new(), deficit: 0, peak: 0 };
+        self.lanes.push(lane);
         self.by_tenant.insert(name, self.lanes.len() - 1);
         self.lanes.len() - 1
     }
@@ -280,13 +192,36 @@ enum Backend {
 struct Shared {
     backend: Backend,
     cfg: QueueConfig,
+    /// Requests admitted and not yet drained, reservations included: a
+    /// submit claims its slot here before it touches `state`, so capacity
+    /// and the watermark are decided without the lock.
+    depth: AtomicUsize,
     state: Mutex<QueueState>,
     cv: Condvar,
     shutdown: AtomicBool,
+    /// Running mean of one batch's service time in nanoseconds (0 until
+    /// a batch has run). A statistic: relaxed, and a lost update between
+    /// two workers is harmless.
+    service_nanos: AtomicU64,
     /// Queue-level counters: the engine's own metrics in single mode (so
     /// queue and engine accounting stay one stream), the registry's
     /// fleet metrics in registry mode.
     metrics: Arc<ServeMetrics>,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().expect("a thread panicked holding the queue lock")
+    }
+
+    /// Fold one batch's service time into the running mean (weight 1/8,
+    /// so the estimate follows a model swap within a few batches).
+    fn note_service(&self, took: Duration) {
+        let sample = took.as_nanos().min(u128::from(u64::MAX)) as u64;
+        let mean = self.service_nanos.load(Ordering::Relaxed);
+        let next = if mean == 0 { sample } else { mean - mean / 8 + sample / 8 };
+        self.service_nanos.store(next, Ordering::Relaxed);
+    }
 }
 
 /// Bounded, batching front of an [`Engine`] or a [`ModelRegistry`].
@@ -303,41 +238,34 @@ impl ServeQueue {
         Self::build(Backend::Single(engine), cfg, metrics)
     }
 
-    /// Front a multi-model [`ModelRegistry`]: requests submitted via
-    /// [`submit_for`](ServeQueue::submit_for) are routed to their
-    /// tenant's engine, and queue counters go to the registry's fleet
-    /// metrics. Tenant-less submits go to a tenant named `"default"`
-    /// (which must then be registered for them to be servable).
+    /// Front a multi-model [`ModelRegistry`]: each request is routed to
+    /// the engine of its [`SubmitOpts::tenant`], and queue counters go to
+    /// the registry's fleet metrics. Tenant-less submits go to a tenant
+    /// named `"default"` (servable only if one is registered).
     pub fn with_registry(registry: Arc<ModelRegistry>, cfg: QueueConfig) -> Result<Self> {
         let metrics = registry.metrics_handle();
         Self::build(Backend::Registry(registry), cfg, metrics)
     }
 
     fn build(backend: Backend, cfg: QueueConfig, metrics: Arc<ServeMetrics>) -> Result<Self> {
-        if cfg.capacity == 0 || cfg.max_batch == 0 {
-            return Err(ServeError::BadConfig(
-                "queue capacity and max_batch must be at least 1".into(),
-            ));
-        }
-        if cfg.fair_quantum == 0 {
-            return Err(ServeError::BadConfig("fair_quantum must be at least 1".into()));
-        }
-        if let Some(w) = cfg.admission.shed_watermark {
-            if w == 0 {
-                return Err(ServeError::BadConfig("shed_watermark must be at least 1".into()));
-            }
-        }
-        if let Some(s) = cfg.admission.tenant_share {
-            if s == 0 {
-                return Err(ServeError::BadConfig("tenant_share must be at least 1".into()));
-            }
+        let counts = [
+            ("capacity", Some(cfg.capacity)),
+            ("max_batch", Some(cfg.max_batch)),
+            ("fair_quantum", Some(cfg.fair_quantum)),
+            ("shed_watermark", cfg.admission.shed_watermark),
+            ("tenant_share", cfg.admission.tenant_share),
+        ];
+        if let Some((name, _)) = counts.iter().find(|(_, count)| *count == Some(0)) {
+            return Err(ServeError::BadConfig(format!("queue {name} must be at least 1")));
         }
         let shared = Arc::new(Shared {
             backend,
             cfg: cfg.clone(),
+            depth: AtomicUsize::new(0),
             state: Mutex::new(QueueState::default()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            service_nanos: AtomicU64::new(0),
             metrics,
         });
         let workers = (0..cfg.workers)
@@ -352,141 +280,92 @@ impl ServeQueue {
         Ok(ServeQueue { shared, workers })
     }
 
-    /// Enqueue a request with no end-to-end deadline.
+    /// Enqueue a request into the default lane with no deadline.
     pub fn submit(&self, req: Request) -> Result<Ticket> {
-        self.submit_for_with_deadline(DEFAULT_TENANT, req, None)
+        self.submit_with(req, SubmitOpts::default())
     }
 
-    /// Enqueue a request that must *start* executing within `deadline`
-    /// of submission; otherwise it resolves to [`Response::TimedOut`].
-    pub fn submit_with_deadline(
-        &self,
-        req: Request,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket> {
-        self.submit_for_with_deadline(DEFAULT_TENANT, req, deadline)
-    }
-
-    /// Enqueue a request into `tenant`'s lane, with no deadline.
-    pub fn submit_for(&self, tenant: &str, req: Request) -> Result<Ticket> {
-        self.submit_for_with_deadline(tenant, req, None)
-    }
-
-    /// Enqueue a request into `tenant`'s lane with an optional
-    /// end-to-end deadline. In registry mode the tenant must be
-    /// registered; in single-engine mode the tenant is purely a fairness
-    /// lane label and every lane is served by the one engine.
-    pub fn submit_for_with_deadline(
-        &self,
-        tenant: &str,
-        req: Request,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
+    /// Enqueue a request into `opts.tenant`'s lane with an optional
+    /// end-to-end deadline. A caller that wants to ride out a momentary
+    /// [`ServeError::QueueFull`] loops over this (see
+    /// [`crate::replay_queued`]); every refused attempt counts in
+    /// [`queue_rejections`](crate::MetricsSnapshot::queue_rejections).
+    pub fn submit_with(&self, req: Request, opts: SubmitOpts<'_>) -> Result<Ticket> {
+        let shared = &*self.shared;
+        if shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        if let Backend::Registry(reg) = &self.shared.backend {
-            if !reg.contains(tenant) {
-                return Err(ServeError::UnknownTenant(tenant.to_string()));
+        if let Backend::Registry(reg) = &shared.backend {
+            if !reg.contains(opts.tenant) {
+                return Err(ServeError::UnknownTenant(opts.tenant.to_string()));
             }
         }
-        let cfg = &self.shared.cfg;
-        let metrics = &self.shared.metrics;
-        let (tx, rx) = mpsc::sync_channel(1);
+        let (cfg, metrics) = (&shared.cfg, &shared.metrics);
+        // Capacity first (a full queue is a submit-side error, not a
+        // shed), then the watermark, both on the atomic depth: the slot is
+        // reserved only while the depth is under both, so neither bound is
+        // ever overshot and a refusal has nothing to undo.
+        let watermark = cfg.admission.shed_watermark.unwrap_or(cfg.capacity);
+        let reserved = shared.depth.fetch_update(Ordering::AcqRel, Ordering::Acquire, |d| {
+            (d < cfg.capacity.min(watermark)).then_some(d + 1)
+        });
+        if reserved.is_err_and(|depth| depth >= cfg.capacity) {
+            metrics.queue_rejection();
+            return Err(ServeError::QueueFull { capacity: cfg.capacity });
+        }
+        // From here every outcome goes *through the ticket*, so each
+        // accepted submission resolves to exactly one response.
+        let (ticket, promise) = Ticket::pending();
+        let shed = |reason: ShedReason, promise: Promise, ticket| {
+            metrics.shed(&reason);
+            promise.fulfil(Response::Shed(reason));
+            Ok(ticket)
+        };
+        let ahead = match reserved {
+            Ok(depth) => depth,
+            Err(depth) => {
+                return shed(ShedReason::QueueDepth { depth, watermark }, promise, ticket)
+            }
+        };
+        let judged = opts.deadline.filter(|_| cfg.admission.deadline_aware);
+        let infeasible = judged.and_then(|deadline| {
+            let batches_ahead = (ahead / cfg.max_batch) as u32 + 1;
+            let mean = Duration::from_nanos(shared.service_nanos.load(Ordering::Relaxed));
+            let estimated = mean.saturating_mul(batches_ahead);
+            (estimated > deadline).then_some(ShedReason::DeadlineInfeasible { estimated, deadline })
+        });
+        let admitted = Instant::now();
+        // The lock guards the lanes only: the share check, then the push.
+        let mut state = shared.lock();
+        let lane = state.lane_index(opts.tenant);
+        let queued = state.lanes[lane].jobs.len();
+        let over_share = cfg.admission.tenant_share.filter(|&share| queued >= share);
+        if let Some(reason) =
+            over_share.map(|share| ShedReason::TenantShare { queued, share }).or(infeasible)
         {
-            let mut state = self.shared.state.lock().expect("queue lock");
-            // Capacity is checked first so the legacy contract is
-            // unchanged: a full queue is a submit-side error, not a shed.
-            if state.total >= cfg.capacity {
-                metrics.queue_rejection();
-                return Err(ServeError::QueueFull { capacity: cfg.capacity });
-            }
-            // Admission control: shed *through the ticket* so every
-            // accepted submission resolves to exactly one response.
-            if let Some(watermark) = cfg.admission.shed_watermark {
-                if state.total >= watermark {
-                    metrics.shed_queue_depth();
-                    let _ = tx.send(Response::Shed(ShedReason::QueueDepth {
-                        depth: state.total,
-                        watermark,
-                    }));
-                    return Ok(Ticket { rx });
-                }
-            }
-            let lane = state.lane_index(tenant);
-            if let Some(share) = cfg.admission.tenant_share {
-                let queued = state.lanes[lane].jobs.len();
-                if queued >= share {
-                    metrics.shed_tenant_share();
-                    let _ =
-                        tx.send(Response::Shed(ShedReason::TenantShare { queued, share }));
-                    return Ok(Ticket { rx });
-                }
-            }
-            if cfg.admission.deadline_aware {
-                if let Some(d) = deadline {
-                    // One batching window per pending batch ahead of us: a
-                    // cheap lower bound on queue wait (execution excluded).
-                    let batches_ahead = (state.total / cfg.max_batch) as u32 + 1;
-                    let estimated = cfg.window.saturating_mul(batches_ahead);
-                    if estimated > d {
-                        metrics.shed_deadline();
-                        let _ = tx.send(Response::Shed(ShedReason::DeadlineInfeasible {
-                            estimated,
-                            deadline: d,
-                        }));
-                        return Ok(Ticket { rx });
-                    }
-                }
-            }
-            let now = Instant::now();
-            let tenant_name = Arc::clone(&state.lanes[lane].tenant);
-            state.lanes[lane].jobs.push_back(Job {
-                req,
-                tenant: tenant_name,
-                deadline: deadline.map(|d| now + d),
-                submitted: now,
-                tx,
-            });
-            state.lanes[lane].peak = state.lanes[lane].peak.max(state.lanes[lane].jobs.len());
-            state.total += 1;
-            metrics.queue_depth_update(state.total);
+            drop(state);
+            // Give the slot back before the caller can see the answer.
+            shared.depth.fetch_sub(1, Ordering::AcqRel);
+            return shed(reason, promise, ticket);
         }
-        self.shared.cv.notify_one();
-        Ok(Ticket { rx })
-    }
-
-    /// [`submit`](ServeQueue::submit) with bounded retry on
-    /// [`ServeError::QueueFull`].
-    ///
-    /// Each rejected attempt still counts in
-    /// [`queue_rejections`](crate::MetricsSnapshot::queue_rejections)
-    /// (the pressure was real), sleeps the policy's current backoff, and
-    /// tries again; any other error — and a rejection on the final
-    /// attempt — returns immediately. With `workers: 0` nothing drains
-    /// between attempts unless another thread calls
-    /// [`drain_once`](ServeQueue::drain_once), so retrying there only
-    /// makes sense in multi-threaded harnesses.
-    pub fn submit_with_retry(&self, req: Request, policy: &RetryPolicy) -> Result<Ticket> {
-        let attempts = policy.attempts.max(1);
-        let mut backoff = policy.backoff;
-        for _ in 1..attempts {
-            match self.submit(req.clone()) {
-                Err(ServeError::QueueFull { .. }) => {
-                    if backoff > Duration::ZERO {
-                        std::thread::sleep(backoff);
-                    }
-                    backoff = backoff.saturating_mul(2);
-                }
-                other => return other,
-            }
+        let deadline = opts.deadline.map(|d| admitted + d);
+        state.lanes[lane].jobs.push_back(Job { req, lane, deadline, admitted, promise });
+        state.lanes[lane].peak = state.lanes[lane].peak.max(queued + 1);
+        state.total += 1;
+        // Wake a worker only if one is parked: a busy one looks at the
+        // lanes again before it parks, so this submit needs no system call.
+        let wake = state.parked > 0;
+        drop(state);
+        metrics.submitted(ahead + 1, wake);
+        if wake {
+            shared.cv.notify_one();
         }
-        self.submit(req)
+        Ok(ticket)
     }
 
     /// Requests currently queued (not yet drained).
     pub fn len(&self) -> usize {
-        self.shared.state.lock().expect("queue lock").total
+        self.shared.depth.load(Ordering::Acquire)
     }
 
     /// True iff nothing is queued.
@@ -497,45 +376,34 @@ impl ServeQueue {
     /// Per-tenant queue occupancy: `(tenant, queued now, peak queued)`
     /// for every lane that has ever held a request, sorted by tenant.
     pub fn occupancy(&self) -> Vec<(String, usize, usize)> {
-        let state = self.shared.state.lock().expect("queue lock");
-        let mut rows: Vec<(String, usize, usize)> = state
-            .lanes
-            .iter()
-            .map(|l| (l.tenant.to_string(), l.jobs.len(), l.peak))
-            .collect();
+        let lanes = &self.shared.lock().lanes;
+        let mut rows: Vec<_> =
+            lanes.iter().map(|l| (l.tenant.to_string(), l.jobs.len(), l.peak)).collect();
         rows.sort();
         rows
     }
 
-    /// Drain and execute one batch synchronously (no waiting, no window).
-    /// Returns the number of requests served. This is how a `workers: 0`
-    /// queue is driven.
+    /// Drain and execute one batch synchronously, without waiting, and
+    /// return how many requests it held: how a `workers: 0` queue is driven.
     pub fn drain_once(&self) -> usize {
-        let batch = take_batch(&self.shared);
-        let n = batch.len();
-        if n > 0 {
-            execute(&self.shared, batch);
-        }
-        n
+        let mut scratch = Scratch::default();
+        take_batch(&self.shared, &mut self.shared.lock(), &mut scratch);
+        execute(&self.shared, &mut scratch)
     }
 
     /// Stop accepting work, let workers finish what is queued, and join
     /// them. Idempotent; also invoked on drop.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // Under the lock, so a worker between its shutdown check and its
+        // wait cannot miss the wake-up.
+        drop(self.shared.lock());
         self.shared.cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // In manual mode (or if workers were already gone) serve the
-        // stragglers here so no ticket is left dangling.
-        loop {
-            let batch = take_batch(&self.shared);
-            if batch.is_empty() {
-                break;
-            }
-            execute(&self.shared, batch);
-        }
+        // In manual mode serve the stragglers here: no ticket is left dangling.
+        while self.drain_once() > 0 {}
     }
 }
 
@@ -549,36 +417,23 @@ impl Drop for ServeQueue {
 /// visited lane earns `fair_quantum` credits, each dequeued job spends
 /// one, an emptied lane forfeits its balance. Jobs within a lane leave in
 /// FIFO order; with a single lane the whole batch is plain FIFO.
-fn drr_batch(state: &mut QueueState, max_batch: usize, quantum: usize) -> Vec<Job> {
-    let mut batch = Vec::new();
-    let nlanes = state.lanes.len();
-    if nlanes == 0 {
-        return batch;
-    }
-    let mut empty_streak = 0usize;
+fn drr_batch(state: &mut QueueState, max_batch: usize, quantum: usize, batch: &mut Vec<Job>) {
+    // `total` counts the jobs in the lanes, so while it is positive the
+    // cursor reaches a non-empty lane.
     while batch.len() < max_batch && state.total > 0 {
-        let li = state.cursor % nlanes;
+        let li = state.cursor % state.lanes.len();
         let lane = &mut state.lanes[li];
         if lane.jobs.is_empty() {
             lane.deficit = 0;
             state.cursor += 1;
-            empty_streak += 1;
-            if empty_streak >= nlanes {
-                break; // defensive: total says work exists, lanes disagree
-            }
             continue;
         }
-        empty_streak = 0;
         lane.deficit += quantum;
         while lane.deficit > 0 && batch.len() < max_batch {
-            match lane.jobs.pop_front() {
-                Some(job) => {
-                    batch.push(job);
-                    lane.deficit -= 1;
-                    state.total -= 1;
-                }
-                None => break,
-            }
+            let Some(job) = lane.jobs.pop_front() else { break };
+            batch.push(job);
+            lane.deficit -= 1;
+            state.total -= 1;
         }
         if lane.jobs.is_empty() {
             lane.deficit = 0;
@@ -592,129 +447,110 @@ fn drr_batch(state: &mut QueueState, max_batch: usize, quantum: usize) -> Vec<Jo
             break; // batch is full mid-lane
         }
     }
-    batch
 }
 
-/// Pop up to `max_batch` jobs without blocking.
-fn take_batch(shared: &Shared) -> Vec<Job> {
-    let mut state = shared.state.lock().expect("queue lock");
-    let batch = drr_batch(&mut state, shared.cfg.max_batch, shared.cfg.fair_quantum);
-    if !batch.is_empty() {
-        shared.metrics.queue_depth_update(state.total);
+/// What one drainer reuses from batch to batch, so forming and serving a
+/// batch allocates nothing of its own. Everything indexed by lane is as
+/// long as `names`.
+#[derive(Default)]
+struct Scratch {
+    jobs: Vec<Job>,
+    responses: Vec<Option<Response>>,
+    /// Tenant of each lane, copied from the append-only lane list.
+    names: Vec<Arc<str>>,
+    /// Registry mode: the generation each lane serves this batch from.
+    pins: Vec<Option<Pinned>>,
+    /// The batch's coalesced point lookups, per lane.
+    points: Vec<PointGroup>,
+}
+
+/// One lane's point lookups: where each answer goes, and its index tuple.
+#[derive(Default)]
+struct PointGroup {
+    slots: Vec<usize>,
+    indices: Vec<Vec<usize>>,
+}
+
+/// Pop up to `max_batch` jobs into `scratch.jobs` without blocking.
+fn take_batch(shared: &Shared, state: &mut QueueState, scratch: &mut Scratch) {
+    drr_batch(state, shared.cfg.max_batch, shared.cfg.fair_quantum, &mut scratch.jobs);
+    let known = scratch.names.len();
+    scratch.names.extend(state.lanes[known..].iter().map(|l| Arc::clone(&l.tenant)));
+    let taken = scratch.jobs.len();
+    if taken > 0 {
+        let before = shared.depth.fetch_sub(taken, Ordering::AcqRel);
+        shared.metrics.queue_depth_update(before - taken);
     }
-    batch
 }
 
 fn worker_loop(shared: &Shared) {
+    let mut scratch = Scratch::default();
     loop {
-        let batch = {
-            let mut state = shared.state.lock().expect("queue lock");
-            // Sleep until there is work or we are told to stop.
+        {
+            let mut state = shared.lock();
+            // Park only on an empty queue; whatever is queued by the time
+            // this worker is free is the next batch.
             while state.total == 0 {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                state = shared.cv.wait(state).expect("queue lock");
+                state.parked += 1;
+                state = shared.cv.wait(state).expect("a thread panicked holding the queue lock");
+                state.parked -= 1;
             }
-            // Batching window: linger for more work unless shutting down.
-            if shared.cfg.window > Duration::ZERO && !shared.shutdown.load(Ordering::Acquire)
-            {
-                let until = Instant::now() + shared.cfg.window;
-                while state.total < shared.cfg.max_batch {
-                    let now = Instant::now();
-                    if now >= until || shared.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let (guard, _timeout) = shared
-                        .cv
-                        .wait_timeout(state, until - now)
-                        .expect("queue lock");
-                    state = guard;
-                }
-            }
-            let batch =
-                drr_batch(&mut state, shared.cfg.max_batch, shared.cfg.fair_quantum);
-            if !batch.is_empty() {
-                shared.metrics.queue_depth_update(state.total);
-            }
-            batch
-        };
-        execute(shared, batch);
-    }
-}
-
-/// Everything `execute` needs from one tenant's serving engine, resolved
-/// once per batch so a publish landing mid-batch never splits it.
-enum TenantEngine {
-    Single(Arc<Engine>),
-    Pinned(crate::live::Pinned),
-    Missing,
-}
-
-impl TenantEngine {
-    fn engine(&self) -> Option<&Engine> {
-        match self {
-            TenantEngine::Single(e) => Some(e),
-            TenantEngine::Pinned(p) => Some(p.engine()),
-            TenantEngine::Missing => None,
+            take_batch(shared, &mut state, &mut scratch);
         }
+        execute(shared, &mut scratch);
     }
 }
 
-/// Serve one drained batch: validate, coalesce each tenant's point
-/// lookups into a single engine batch call, run batch/top-K jobs
+/// Serve the batch in `scratch.jobs`: validate, coalesce each lane's
+/// point lookups into a single engine batch call, run batch/top-K jobs
 /// individually, and deliver every response. Per-tenant engines are
 /// resolved (and their generation pinned) once for the whole batch.
-fn execute(shared: &Shared, jobs: Vec<Job>) {
+/// Returns the number of requests answered.
+fn execute(shared: &Shared, scratch: &mut Scratch) -> usize {
+    let Scratch { jobs, responses, names, pins, points } = scratch;
     if jobs.is_empty() {
-        return;
+        return 0;
     }
-    shared.metrics.batch_executed();
+    let metrics = &shared.metrics;
+    metrics.batch_executed();
+    // The dequeue stamp: queue wait ends and service begins here.
     let now = Instant::now();
+    pins.resize_with(names.len(), || None);
+    points.resize_with(names.len(), PointGroup::default);
+    responses.resize_with(jobs.len(), || None);
 
-    // Resolve each distinct tenant in the batch to an engine once.
-    let mut engines: HashMap<Arc<str>, TenantEngine> = HashMap::new();
-    for job in &jobs {
-        if !engines.contains_key(&job.tenant) {
-            let resolved = match &shared.backend {
-                Backend::Single(e) => TenantEngine::Single(Arc::clone(e)),
-                Backend::Registry(reg) => match reg.engine(&job.tenant) {
-                    Some(live) => TenantEngine::Pinned(live.pin()),
-                    None => TenantEngine::Missing,
-                },
-            };
-            engines.insert(Arc::clone(&job.tenant), resolved);
+    if let Backend::Registry(reg) = &shared.backend {
+        for job in jobs.iter() {
+            if pins[job.lane].is_none() {
+                pins[job.lane] = reg.engine(&names[job.lane]).map(|live| live.pin());
+            }
         }
     }
+    let engine_of = |lane: usize| match &shared.backend {
+        Backend::Single(engine) => Some(&**engine),
+        Backend::Registry(_) => pins[lane].as_ref().map(Pinned::engine),
+    };
 
-    let mut responses: Vec<Option<Response>> = (0..jobs.len()).map(|_| None).collect();
-    // Coalesced point lookups, grouped per tenant: slot lists + indices.
-    type PointGroup = (Vec<usize>, Vec<Vec<usize>>);
-    let mut points: HashMap<Arc<str>, PointGroup> = HashMap::new();
-
-    for (slot, job) in jobs.iter().enumerate() {
-        let engine = match engines.get(&job.tenant).and_then(TenantEngine::engine) {
-            Some(e) => e,
-            None => {
-                responses[slot] = Some(Response::Error(ServeError::UnknownTenant(
-                    job.tenant.to_string(),
-                )));
-                continue;
-            }
+    for (slot, job) in jobs.iter_mut().enumerate() {
+        let Some(engine) = engine_of(job.lane) else {
+            let tenant = names[job.lane].to_string();
+            responses[slot] = Some(Response::Error(ServeError::UnknownTenant(tenant)));
+            continue;
         };
-        if let Some(dl) = job.deadline {
-            if now > dl {
-                shared.metrics.deadline_miss();
-                responses[slot] = Some(Response::TimedOut);
-                continue;
-            }
+        if job.deadline.is_some_and(|dl| now >= dl) {
+            metrics.deadline_miss();
+            responses[slot] = Some(Response::TimedOut);
+            continue;
         }
-        match &job.req {
+        match &mut job.req {
             Request::Point { index } => match engine.validate_index(index) {
                 Ok(()) => {
-                    let entry = points.entry(Arc::clone(&job.tenant)).or_default();
-                    entry.0.push(slot);
-                    entry.1.push(index.clone());
+                    // The job is done with its tuple: move it, don't copy.
+                    points[job.lane].slots.push(slot);
+                    points[job.lane].indices.push(std::mem::take(index));
                 }
                 Err(e) => responses[slot] = Some(Response::Error(e)),
             },
@@ -740,45 +576,50 @@ fn execute(shared: &Shared, jobs: Vec<Job>) {
         }
     }
 
-    for (tenant, (slots, indices)) in points {
-        let engine = engines
-            .get(&tenant)
-            .and_then(TenantEngine::engine)
-            .expect("points only gathered for resolved tenants");
-        match engine.batch(&indices) {
+    for (lane, group) in points.iter_mut().enumerate() {
+        if group.slots.is_empty() {
+            continue;
+        }
+        let engine = engine_of(lane).expect("points are gathered for resolved lanes only");
+        match engine.batch(&group.indices) {
             Ok(values) => {
-                for (&slot, value) in slots.iter().zip(values) {
+                for (&slot, value) in group.slots.iter().zip(values) {
                     responses[slot] = Some(Response::Value(value));
                 }
             }
             Err(e) => {
-                for &slot in &slots {
+                for &slot in &group.slots {
                     responses[slot] = Some(Response::Error(e.clone()));
                 }
             }
         }
+        group.slots.clear();
+        group.indices.clear();
     }
 
-    for (job, response) in jobs.into_iter().zip(responses) {
+    let answered = jobs.len();
+    for (job, response) in jobs.drain(..).zip(responses.drain(..)) {
         let response =
             response.unwrap_or(Response::Error(ServeError::BadQuery("unserved job".into())));
-        // End-to-end latency is recorded for answered requests only —
-        // timeouts and errors have their own counters.
-        if matches!(
-            response,
-            Response::Value(_) | Response::Values(_) | Response::TopK(_)
-        ) {
-            shared.metrics.record_e2e(job.submitted.elapsed());
+        // Latency is recorded for answered requests only — timeouts and
+        // errors have their own counters.
+        if matches!(response, Response::Value(_) | Response::Values(_) | Response::TopK(_)) {
+            let queue_wait = now.saturating_duration_since(job.admitted);
+            metrics.record_served(queue_wait, job.admitted.elapsed());
         }
-        // A dropped ticket just means the caller stopped waiting.
-        let _ = job.tx.send(response);
+        job.promise.fulfil(response);
     }
+    // Let go of the batch's generations: the next batch pins afresh.
+    pins.fill_with(|| None);
+    shared.note_service(now.elapsed());
+    answered
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::topk::TopKQuery;
     use distenc_tensor::KruskalTensor;
 
     fn test_engine() -> Arc<Engine> {
@@ -787,16 +628,31 @@ mod tests {
     }
 
     fn manual_cfg() -> QueueConfig {
-        QueueConfig { workers: 0, window: Duration::ZERO, ..Default::default() }
+        QueueConfig { workers: 0, ..Default::default() }
+    }
+
+    fn point(i: usize, j: usize, k: usize) -> Request {
+        Request::Point { index: vec![i, j, k] }
+    }
+
+    fn topk(j: usize, k: usize) -> Request {
+        Request::TopK { query: TopKQuery { mode: 0, at: vec![0, j, k], k: 3 }, budget: None }
+    }
+
+    fn tenant(tenant: &str) -> SubmitOpts<'_> {
+        SubmitOpts { tenant, ..Default::default() }
+    }
+
+    fn within(deadline: Duration) -> SubmitOpts<'static> {
+        SubmitOpts { deadline: Some(deadline), ..Default::default() }
     }
 
     #[test]
     fn manual_drain_coalesces_points() {
         let engine = test_engine();
         let queue = ServeQueue::new(Arc::clone(&engine), manual_cfg()).unwrap();
-        let tickets: Vec<Ticket> = (0..10)
-            .map(|i| queue.submit(Request::Point { index: vec![i, i, i % 10] }).unwrap())
-            .collect();
+        let tickets: Vec<Ticket> =
+            (0..10).map(|i| queue.submit(point(i, i, i % 10)).unwrap()).collect();
         assert_eq!(queue.len(), 10);
         assert_eq!(queue.drain_once(), 10);
         for (i, t) in tickets.into_iter().enumerate() {
@@ -818,28 +674,28 @@ mod tests {
         let engine = test_engine();
         let cfg = QueueConfig { capacity: 2, ..manual_cfg() };
         let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
-        let _t1 = queue.submit(Request::Point { index: vec![0, 0, 0] }).unwrap();
-        let _t2 = queue.submit(Request::Point { index: vec![1, 1, 1] }).unwrap();
-        match queue.submit(Request::Point { index: vec![2, 2, 2] }) {
-            Err(ServeError::QueueFull { capacity }) => assert_eq!(capacity, 2),
-            other => panic!("expected QueueFull, got {other:?}"),
+        let _t1 = queue.submit(point(0, 0, 0)).unwrap();
+        let _t2 = queue.submit(point(1, 1, 1)).unwrap();
+        // Every refused attempt counts: the pressure was real each time.
+        for refused in 1..=3 {
+            match queue.submit(point(2, 2, 2)) {
+                Err(ServeError::QueueFull { capacity }) => assert_eq!(capacity, 2),
+                other => panic!("expected QueueFull, got {other:?}"),
+            }
+            assert_eq!(engine.snapshot().queue_rejections, refused);
         }
-        assert_eq!(engine.snapshot().queue_rejections, 1);
+        assert_eq!(queue.len(), 2, "a refusal leaves no reservation behind");
         queue.drain_once();
+        assert!(queue.submit(point(2, 2, 2)).is_ok(), "capacity reappears with the drain");
     }
 
     #[test]
     fn expired_deadline_times_out() {
         let engine = test_engine();
         let queue = ServeQueue::new(Arc::clone(&engine), manual_cfg()).unwrap();
-        let late = queue
-            .submit_with_deadline(
-                Request::Point { index: vec![1, 2, 3] },
-                Some(Duration::ZERO),
-            )
-            .unwrap();
-        let fine = queue.submit(Request::Point { index: vec![1, 2, 3] }).unwrap();
-        std::thread::sleep(Duration::from_millis(2));
+        // A zero deadline has passed by any later reading of the clock.
+        let late = queue.submit_with(point(1, 2, 3), within(Duration::ZERO)).unwrap();
+        let fine = queue.submit(point(1, 2, 3)).unwrap();
         queue.drain_once();
         assert_eq!(late.wait(), Response::TimedOut);
         assert!(matches!(fine.wait(), Response::Value(_)));
@@ -850,8 +706,8 @@ mod tests {
     fn invalid_requests_fail_individually() {
         let engine = test_engine();
         let queue = ServeQueue::new(engine, manual_cfg()).unwrap();
-        let bad = queue.submit(Request::Point { index: vec![99, 0, 0] }).unwrap();
-        let good = queue.submit(Request::Point { index: vec![0, 0, 0] }).unwrap();
+        let bad = queue.submit(point(99, 0, 0)).unwrap();
+        let good = queue.submit(point(0, 0, 0)).unwrap();
         queue.drain_once();
         assert!(matches!(bad.wait(), Response::Error(ServeError::BadQuery(_))));
         assert!(matches!(good.wait(), Response::Value(_)));
@@ -860,23 +716,16 @@ mod tests {
     #[test]
     fn worker_threads_serve_mixed_load() {
         let engine = test_engine();
-        let cfg = QueueConfig {
-            workers: 2,
-            window: Duration::from_micros(100),
-            ..Default::default()
-        };
+        let cfg = QueueConfig { workers: 2, ..Default::default() };
         let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
         let mut tickets = Vec::new();
         for i in 0..100usize {
             let req = match i % 3 {
-                0 => Request::Point { index: vec![i % 40, i % 20, i % 10] },
+                0 => point(i % 40, i % 20, i % 10),
                 1 => Request::Batch {
                     indices: vec![vec![0, 0, 0], vec![i % 40, i % 20, i % 10]],
                 },
-                _ => Request::TopK {
-                    query: TopKQuery { mode: 0, at: vec![0, i % 20, i % 10], k: 3 },
-                    budget: None,
-                },
+                _ => topk(i % 20, i % 10),
             };
             tickets.push(queue.submit(req).unwrap());
         }
@@ -893,74 +742,45 @@ mod tests {
         let s = engine.snapshot();
         assert_eq!(s.batch_points, 100);
         assert_eq!(s.topk_queries, 33);
+        assert_eq!((s.submits, s.e2e_recorded), (100, 100));
     }
 
+    /// The wake rule, host-independently: a submit pays for a wake-up only
+    /// when it finds a worker parked, so never without workers and at
+    /// most once per submit with them.
     #[test]
-    fn retry_exhaustion_surfaces_queue_full() {
+    fn a_submit_wakes_only_a_parked_worker() {
+        const N: u64 = 200;
         let engine = test_engine();
-        let cfg = QueueConfig { capacity: 1, ..manual_cfg() };
-        let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
-        let _held = queue.submit(Request::Point { index: vec![0, 0, 0] }).unwrap();
-        let policy = RetryPolicy { attempts: 3, backoff: Duration::ZERO };
-        match queue.submit_with_retry(Request::Point { index: vec![1, 1, 1] }, &policy) {
-            Err(ServeError::QueueFull { capacity }) => assert_eq!(capacity, 1),
-            other => panic!("expected QueueFull, got {other:?}"),
+        let queue = ServeQueue::new(Arc::clone(&engine), manual_cfg()).unwrap();
+        for i in 0..N as usize {
+            queue.submit(point(i % 40, i % 20, i % 10)).unwrap();
         }
-        // Every rejected attempt counted: the pressure was real each time.
-        assert_eq!(engine.snapshot().queue_rejections, 3);
-        queue.drain_once();
-    }
+        while queue.drain_once() > 0 {}
+        let s = engine.snapshot();
+        assert_eq!((s.submits, s.worker_wakes), (N, 0), "nobody is parked: nobody is woken");
+        assert!(s.queue_wait_p50 <= s.queue_wait_p99 && s.queue_wait_p99 <= s.e2e_p99);
 
-    #[test]
-    fn retry_succeeds_once_capacity_reappears() {
         let engine = test_engine();
-        let cfg = QueueConfig { capacity: 1, ..manual_cfg() };
-        let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
-        let held = queue.submit(Request::Point { index: vec![0, 0, 0] }).unwrap();
-        let policy = RetryPolicy { attempts: 30, backoff: Duration::from_millis(1) };
-        std::thread::scope(|s| {
-            let submitter = s.spawn(|| {
-                queue.submit_with_retry(Request::Point { index: vec![1, 1, 1] }, &policy)
-            });
-            // Capacity reappears only after the submitter has been turned
-            // away at least once, so the acceptance below is a retry by
-            // construction; the doubling backoff outlasts any scheduling
-            // delay between the rejection and this drain.
-            while engine.snapshot().queue_rejections == 0 {
-                std::thread::yield_now();
-            }
-            queue.drain_once();
-            let ticket = submitter.join().expect("submitter thread").unwrap();
-            queue.drain_once();
+        let queue = ServeQueue::new(Arc::clone(&engine), QueueConfig::default()).unwrap();
+        for i in 0..N as usize {
+            // Waiting for each answer lets the one worker drain to empty.
+            let ticket = queue.submit(point(i % 40, i % 20, i % 10)).unwrap();
             assert!(matches!(ticket.wait(), Response::Value(_)));
-        });
-        assert!(matches!(held.wait(), Response::Value(_)));
-        assert!(engine.snapshot().queue_rejections >= 1);
-    }
-
-    #[test]
-    fn retry_does_not_mask_other_errors() {
-        let engine = test_engine();
-        let mut queue = ServeQueue::new(engine, manual_cfg()).unwrap();
-        queue.shutdown();
-        let policy = RetryPolicy { attempts: 5, backoff: Duration::ZERO };
-        assert!(matches!(
-            queue.submit_with_retry(Request::Point { index: vec![0, 0, 0] }, &policy),
-            Err(ServeError::ShuttingDown)
-        ));
+        }
+        let s = engine.snapshot();
+        assert_eq!(s.submits, N);
+        assert!(s.worker_wakes <= N, "{} wakes for {N} submits", s.worker_wakes);
     }
 
     #[test]
     fn shutdown_serves_queued_work_and_rejects_new() {
         let engine = test_engine();
         let mut queue = ServeQueue::new(engine, manual_cfg()).unwrap();
-        let pending = queue.submit(Request::Point { index: vec![3, 4, 5] }).unwrap();
+        let pending = queue.submit(point(3, 4, 5)).unwrap();
         queue.shutdown();
         assert!(matches!(pending.wait(), Response::Value(_)));
-        assert!(matches!(
-            queue.submit(Request::Point { index: vec![0, 0, 0] }),
-            Err(ServeError::ShuttingDown)
-        ));
+        assert!(matches!(queue.submit(point(0, 0, 0)), Err(ServeError::ShuttingDown)));
     }
 
     #[test]
@@ -972,17 +792,12 @@ mod tests {
             ..manual_cfg()
         };
         let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
-        let a = queue.submit(Request::Point { index: vec![0, 0, 0] }).unwrap();
-        let b = queue.submit(Request::Point { index: vec![1, 1, 1] }).unwrap();
+        let a = queue.submit(point(0, 0, 0)).unwrap();
+        let b = queue.submit(point(1, 1, 1)).unwrap();
         // Third submission meets the watermark: accepted, answered Shed.
-        let shed = queue.submit(Request::Point { index: vec![2, 2, 2] }).unwrap();
-        match shed.wait() {
-            Response::Shed(ShedReason::QueueDepth { depth, watermark }) => {
-                assert_eq!(depth, 2);
-                assert_eq!(watermark, 2);
-            }
-            other => panic!("expected queue-depth shed, got {other:?}"),
-        }
+        let shed = queue.submit(point(2, 2, 2)).unwrap();
+        let reason = ShedReason::QueueDepth { depth: 2, watermark: 2 };
+        assert_eq!(shed.wait(), Response::Shed(reason));
         assert_eq!(queue.len(), 2, "shed submissions are never queued");
         queue.drain_once();
         assert!(matches!(a.wait(), Response::Value(_)));
@@ -993,38 +808,51 @@ mod tests {
         assert_eq!(s.e2e_recorded, 2, "only served requests get e2e latency");
     }
 
+    /// Feasibility is judged from the measured batch service time:
+    /// nothing is shed before a batch has run, and afterwards the
+    /// estimate is that mean times the batches ahead of the request.
     #[test]
     fn deadline_aware_admission_sheds_infeasible_deadlines() {
         let engine = test_engine();
         let cfg = QueueConfig {
-            workers: 0,
-            window: Duration::from_millis(10),
             max_batch: 4,
             admission: AdmissionControl { deadline_aware: true, ..Default::default() },
-            ..Default::default()
+            ..manual_cfg()
         };
         let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
-        // Empty queue: one window (10ms) is the estimate. A 50ms deadline
-        // is feasible, a 1ms deadline is not.
-        let ok = queue
-            .submit_with_deadline(Request::Point { index: vec![0, 0, 0] }, Some(Duration::from_millis(50)))
-            .unwrap();
-        let shed = queue
-            .submit_with_deadline(Request::Point { index: vec![1, 1, 1] }, Some(Duration::from_millis(1)))
-            .unwrap();
-        match shed.wait() {
-            Response::Shed(ShedReason::DeadlineInfeasible { estimated, deadline }) => {
-                assert_eq!(estimated, Duration::from_millis(10));
-                assert_eq!(deadline, Duration::from_millis(1));
+        let tight = Duration::from_nanos(1);
+        let estimate_for = |deadline| {
+            match queue.submit_with(point(1, 1, 1), within(deadline)).unwrap().wait() {
+                Response::Shed(ShedReason::DeadlineInfeasible { estimated, deadline: d }) => {
+                    assert_eq!(d, deadline);
+                    estimated
+                }
+                other => panic!("expected a deadline shed, got {other:?}"),
             }
-            other => panic!("expected deadline shed, got {other:?}"),
+        };
+        // No batch has run: the estimate is zero and even 1 ns is admitted.
+        let unmeasured = queue.submit_with(point(0, 0, 0), within(tight)).unwrap();
+        // Two batches of real work seed the mean.
+        for j in 0..2 {
+            let scan = queue.submit(topk(j, j)).unwrap();
+            queue.drain_once();
+            assert!(matches!(scan.wait(), Response::TopK(_)));
         }
-        // Deadline-less submissions are never deadline-shed.
-        let free = queue.submit(Request::Point { index: vec![2, 2, 2] }).unwrap();
+        assert_eq!(unmeasured.wait(), Response::TimedOut, "admitted, then late at the drain");
+        let one_batch = estimate_for(tight);
+        assert!(one_batch > tight, "a top-K scan takes more than 1 ns");
+        // A deadline the estimate just meets is feasible; none is never shed.
+        let met = queue.submit_with(point(2, 2, 2), within(one_batch)).unwrap();
+        let free = queue.submit(point(3, 3, 3)).unwrap();
+        // Four queued fill the one batch ahead: the next waits for two.
+        let fill: Vec<Ticket> = (0..2).map(|i| queue.submit(point(i, i, i)).unwrap()).collect();
+        assert_eq!(queue.len(), 4);
+        assert_eq!(estimate_for(one_batch), 2 * one_batch);
         queue.drain_once();
-        assert!(matches!(ok.wait(), Response::Value(_)));
-        assert!(matches!(free.wait(), Response::Value(_)));
-        assert_eq!(engine.snapshot().sheds_deadline, 1);
+        for t in fill.into_iter().chain([met, free]) {
+            assert!(matches!(t.wait(), Response::Value(_) | Response::TimedOut));
+        }
+        assert_eq!(engine.snapshot().sheds_deadline, 2);
     }
 
     #[test]
@@ -1035,12 +863,11 @@ mod tests {
             ..manual_cfg()
         };
         let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
-        let mut hot = Vec::new();
-        for i in 0..4usize {
-            hot.push(queue.submit_for("hot", Request::Point { index: vec![i, i, i] }).unwrap());
-        }
+        let hot: Vec<Ticket> =
+            (0..4).map(|i| queue.submit_with(point(i, i, i), tenant("hot")).unwrap()).collect();
         // Cold tenant is unaffected by hot's cap.
-        let cold = queue.submit_for("cold", Request::Point { index: vec![5, 5, 5] }).unwrap();
+        let cold = queue.submit_with(point(5, 5, 5), tenant("cold")).unwrap();
+        assert_eq!(queue.len(), 3, "a shed gives its reservation back");
         queue.drain_once();
         let outcomes: Vec<Response> = hot.into_iter().map(Ticket::wait).collect();
         let served = outcomes.iter().filter(|r| matches!(r, Response::Value(_))).count();
@@ -1061,15 +888,10 @@ mod tests {
         let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
         // Hot floods 60 requests before cold submits 5.
         let hot: Vec<Ticket> = (0..60)
-            .map(|i| {
-                queue
-                    .submit_for("hot", Request::Point { index: vec![i % 40, i % 20, i % 10] })
-                    .unwrap()
-            })
+            .map(|i| queue.submit_with(point(i % 40, i % 20, i % 10), tenant("hot")).unwrap())
             .collect();
-        let cold: Vec<Ticket> = (0..5)
-            .map(|i| queue.submit_for("cold", Request::Point { index: vec![i, i, i] }).unwrap())
-            .collect();
+        let cold: Vec<Ticket> =
+            (0..5).map(|i| queue.submit_with(point(i, i, i), tenant("cold")).unwrap()).collect();
 
         // First two 16-request batches: with quantum 4, cold's 5 requests
         // ride along instead of waiting behind all 60 hot ones.
@@ -1077,7 +899,7 @@ mod tests {
         queue.drain_once();
         let cold_served = cold
             .into_iter()
-            .filter(|t| matches!(t.wait_for(Duration::from_secs(5)), Some(Response::Value(_))))
+            .filter(|t| matches!(t.wait_for(Duration::ZERO), Some(Response::Value(_))))
             .count();
         assert_eq!(cold_served, 5, "cold tenant must not be starved by hot backlog");
 
@@ -1101,10 +923,10 @@ mod tests {
         reg.register("b", &mb, EngineConfig::default()).unwrap();
         let queue = ServeQueue::with_registry(Arc::clone(&reg), manual_cfg()).unwrap();
 
-        let ta = queue.submit_for("a", Request::Point { index: vec![3, 4, 2] }).unwrap();
-        let tb = queue.submit_for("b", Request::Point { index: vec![7, 1] }).unwrap();
+        let ta = queue.submit_with(point(3, 4, 2), tenant("a")).unwrap();
+        let tb = queue.submit_with(Request::Point { index: vec![7, 1] }, tenant("b")).unwrap();
         assert!(matches!(
-            queue.submit_for("nope", Request::Point { index: vec![0, 0] }),
+            queue.submit_with(Request::Point { index: vec![0, 0] }, tenant("nope")),
             Err(ServeError::UnknownTenant(_))
         ));
         queue.drain_once();

@@ -19,8 +19,9 @@
 
 use crate::engine::{Engine, EngineConfig};
 use crate::metrics::MetricsSnapshot;
-use crate::queue::{QueueConfig, Request, Response, RetryPolicy, ServeQueue, Ticket};
+use crate::queue::{QueueConfig, ServeQueue, SubmitOpts};
 use crate::registry::ModelRegistry;
+use crate::ticket::{Request, Response, Ticket};
 use crate::topk::TopKQuery;
 use crate::{Result, ServeError};
 use distenc_tensor::KruskalTensor;
@@ -170,16 +171,14 @@ pub fn replay_direct(engine: &Engine, trace: &[Request]) -> Result<()> {
 }
 
 /// Closed-loop replay through the bounded batching queue, returning once
-/// every ticket has resolved. Backpressure is absorbed in two steps: a
-/// short retry-with-backoff first (workers usually free capacity within
-/// microseconds), then — if the queue is still full — the replayer waits
-/// for its oldest in-flight ticket before trying again.
+/// every ticket has resolved. Backpressure is the caller's loop: a
+/// submit the full queue refuses is retried once the replayer's oldest
+/// in-flight ticket has resolved, which is when capacity has reappeared.
 pub fn replay_queued(queue: &ServeQueue, trace: Vec<Request>) -> Result<()> {
-    let retry = RetryPolicy::default();
     let mut pending: VecDeque<Ticket> = VecDeque::new();
     for request in trace {
         loop {
-            match queue.submit_with_retry(request.clone(), &retry) {
+            match queue.submit(request.clone()) {
                 Ok(ticket) => {
                     pending.push_back(ticket);
                     break;
@@ -262,7 +261,8 @@ pub fn open_loop_trace(shape: &[usize], cfg: &OpenLoopConfig) -> Vec<TimedReques
 
 /// Spin/sleep until `start + offset` (sleep for coarse gaps, spin the
 /// final stretch — high-QPS inter-arrival gaps are far below OS sleep
-/// granularity).
+/// granularity). The one sleep in the serving stack: an open-loop arrival
+/// schedule is wall-clock time by definition.
 fn pace(start: Instant, offset: Duration) {
     let target = start + offset;
     loop {
@@ -271,7 +271,7 @@ fn pace(start: Instant, offset: Duration) {
             return;
         }
         if target - now > Duration::from_micros(300) {
-            std::thread::sleep(target - now - Duration::from_micros(200));
+            std::thread::sleep(target - now - Duration::from_micros(200)); // time is under test
         } else {
             std::hint::spin_loop();
         }
@@ -399,7 +399,7 @@ impl std::fmt::Display for OpenLoopReport {
 /// [`ModelRegistry`] in which every tenant (`tenant-0`, `tenant-1`, …)
 /// serves this same `model` from its own engine, so the queue forms
 /// batches by per-tenant deficit round-robin. Every submission carries
-/// `deadline` (see [`ServeQueue::submit_for_with_deadline`]). Arrivals
+/// `deadline` (see [`SubmitOpts::deadline`]). Arrivals
 /// never wait for completions: tickets are only collected once the whole
 /// trace has been offered.
 pub fn serve_open_loop(
@@ -441,7 +441,8 @@ pub fn serve_open_loop(
     let start = Instant::now();
     for tr in &trace {
         pace(start, tr.offset);
-        match queue.submit_for_with_deadline(&names[tr.tenant], tr.request.clone(), deadline) {
+        let opts = SubmitOpts { tenant: &names[tr.tenant], deadline };
+        match queue.submit_with(tr.request.clone(), opts) {
             Ok(t) => tickets.push((tr.tenant, t)),
             Err(ServeError::QueueFull { .. }) => rejected += 1,
             Err(e) => return Err(e),
@@ -591,6 +592,27 @@ mod tests {
         }
         // All three query types must appear at the default fractions.
         assert!(kinds.iter().all(|&k| k > 0), "kinds {kinds:?}");
+    }
+
+    /// The caller-side retry loop: a one-slot queue refuses most submits,
+    /// and each is offered again once the oldest ticket has resolved.
+    #[test]
+    fn replay_queued_rides_out_a_full_queue() {
+        let model = KruskalTensor::random(&[60, 40, 8], 3, 11);
+        let engine = Arc::new(Engine::new(&model, EngineConfig::default()).unwrap());
+        let trace = synth_trace(&model.shape(), &TraceConfig { queries: 400, ..Default::default() });
+        let cfg = QueueConfig { capacity: 1, ..Default::default() };
+        let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
+        replay_queued(&queue, trace).unwrap();
+        let s = engine.snapshot();
+        assert_eq!((s.queries(), s.e2e_recorded), (400, 400), "every request was served once");
+        assert!(s.queue_depth_peak <= 1);
+        // Any other error ends the replay instead of being retried.
+        drop(queue);
+        let mut closed = ServeQueue::new(engine, QueueConfig::default()).unwrap();
+        closed.shutdown();
+        let one = vec![Request::Point { index: vec![0, 0, 0] }];
+        assert_eq!(replay_queued(&closed, one), Err(ServeError::ShuttingDown));
     }
 
     #[test]

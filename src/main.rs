@@ -40,7 +40,7 @@ use distenc::tensor::{io, CooTensor, KruskalTensor};
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---- the option table -----------------------------------------------------
 
@@ -67,7 +67,6 @@ const CHECKPOINT: &[Opt] = &[
 const QUEUE: &[Opt] = &[
     val("capacity", "N", "bounded queue capacity [default: 1024]"),
     val("max-batch", "N", "largest batch a worker forms [default: 64]"),
-    val("window-us", "U", "batching window in microseconds [default: 200]"),
 ];
 
 const COMMANDS: &[Cmd] = &[
@@ -277,7 +276,6 @@ fn queue_config(opts: &Opts, workers: usize, admission: AdmissionControl) -> Res
     Ok(QueueConfig {
         capacity: opts.num_or("capacity", 1024)?,
         max_batch: opts.num_or("max-batch", 64)?,
-        window: Duration::from_micros(opts.num_or("window-us", 200)?),
         workers,
         admission,
         ..Default::default()

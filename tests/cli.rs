@@ -327,6 +327,9 @@ fn every_subcommand_rejects_an_unknown_flag() {
     // Flags of one subcommand are not flags of another.
     let out = bin().args(["resume", "--iters", "5"]).output().unwrap();
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option `--iters`"));
+    // The queue no longer lingers for a batch, so nothing sets how long.
+    let out = bin().args(["serve-bench", "--window-us", "200"]).output().unwrap();
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option `--window-us`"));
 }
 
 #[test]

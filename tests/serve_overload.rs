@@ -15,7 +15,7 @@
 
 use distenc::serve::{
     AdmissionControl, Engine, EngineConfig, QueueConfig, Request, Response, ServeError,
-    ServeQueue, TopKQuery,
+    ServeQueue, SubmitOpts, TopKQuery,
 };
 use distenc::tensor::KruskalTensor;
 use proptest::prelude::*;
@@ -36,7 +36,6 @@ fn overload_storm_resolves_every_ticket_exactly_once() {
     let cfg = QueueConfig {
         capacity: 32,
         max_batch: 16,
-        window: Duration::from_micros(50),
         workers: 2,
         admission: AdmissionControl {
             shed_watermark: Some(24),
@@ -79,7 +78,7 @@ fn overload_storm_resolves_every_ticket_exactly_once() {
                         2 => Some(Duration::from_millis(50)),
                         _ => Some(Duration::from_micros(300)),
                     };
-                    match queue.submit_for_with_deadline(&tenant, req, deadline) {
+                    match queue.submit_with(req, SubmitOpts { tenant: &tenant, deadline }) {
                         Ok(ticket) => match ticket.wait() {
                             Response::Value(_) | Response::Values(_) | Response::TopK(_) => {
                                 served.fetch_add(1, Ordering::Relaxed);
@@ -162,7 +161,6 @@ proptest! {
         let cfg = QueueConfig {
             capacity,
             max_batch,
-            window: Duration::ZERO,
             workers: 0,
             admission: AdmissionControl {
                 shed_watermark: watermark,
@@ -177,7 +175,7 @@ proptest! {
         for i in 0..submissions {
             let tenant = format!("t{}", i % n_tenants);
             let req = Request::Point { index: vec![i % 6, i % 5, i % 4] };
-            match queue.submit_for(&tenant, req) {
+            match queue.submit_with(req, SubmitOpts { tenant: &tenant, deadline: None }) {
                 Ok(t) => tickets.push(t),
                 Err(ServeError::QueueFull { .. }) => rejected += 1,
                 Err(e) => panic!("unexpected submit error: {e}"),
@@ -215,7 +213,6 @@ fn cold_tenant_survives_hot_flood() {
     let cfg = QueueConfig {
         capacity: 64,
         max_batch: 16,
-        window: Duration::from_micros(50),
         workers: 2,
         admission: AdmissionControl {
             shed_watermark: None,
@@ -225,30 +222,43 @@ fn cold_tenant_survives_hot_flood() {
         fair_quantum: 4,
     };
     let queue = Arc::new(ServeQueue::new(Arc::clone(&engine), cfg).unwrap());
+    // A failure is counted, not panicked on: the counter wait below needs
+    // every hot thread to run to its end.
+    let (hot_resolved, hot_errors) = (AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|s| {
         for _ in 0..4 {
-            let queue = Arc::clone(&queue);
+            let (queue, hot_resolved, hot_errors) =
+                (Arc::clone(&queue), &hot_resolved, &hot_errors);
             s.spawn(move || {
                 for i in 0..500usize {
                     let req = Request::Point { index: vec![i % 40, i % 20, i % 10] };
-                    match queue.submit_for("hot", req) {
+                    match queue.submit_with(req, SubmitOpts { tenant: "hot", deadline: None }) {
                         Ok(t) => drop(t.wait()),
                         Err(ServeError::QueueFull { .. }) => {}
-                        Err(e) => panic!("unexpected submit error: {e}"),
+                        Err(_) => drop(hot_errors.fetch_add(1, Ordering::Relaxed)),
                     }
+                    hot_resolved.fetch_add(1, Ordering::Release);
                 }
             });
         }
-        // The cold tenant trickles 50 requests while the flood rages.
+        // The cold tenant trickles 50 requests while the flood rages: its
+        // i-th goes in once the flood is 30·i requests along, so the
+        // trickle is spread over the first three quarters of the flood
+        // whatever the scheduler does.
         let mut cold_served = 0usize;
         for i in 0..50usize {
+            while hot_resolved.load(Ordering::Acquire) < 30 * i as u64 {
+                std::thread::yield_now();
+            }
             let req = Request::Point { index: vec![i % 40, i % 20, i % 10] };
-            let ticket = queue.submit_for("cold", req).expect("cold submit");
+            let ticket = queue
+                .submit_with(req, SubmitOpts { tenant: "cold", deadline: None })
+                .expect("cold submit");
             if matches!(ticket.wait(), Response::Value(_)) {
                 cold_served += 1;
             }
-            std::thread::sleep(Duration::from_micros(200));
         }
         assert_eq!(cold_served, 50, "cold tenant must never be starved or shed");
     });
+    assert_eq!(hot_errors.into_inner(), 0, "QueueFull is the only submit error a flood may see");
 }

@@ -20,11 +20,12 @@ use distenc::dataflow::ExecMode;
 use distenc::linalg::Mat;
 use distenc::serve::{
     open_loop_trace, AdmissionControl, ApproxTopK, Engine, EngineConfig, ModelRegistry,
-    OpenLoopConfig, QueueConfig, Request, Response, ServeError, ServeQueue, TraceConfig,
+    OpenLoopConfig, QueueConfig, Request, Response, ServeError, ServeQueue, SubmitOpts,
+    TraceConfig,
 };
 use distenc::tensor::KruskalTensor;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Worker-pool size for the gate: the thread count of the solver's
 /// default execution backend (`DISTENC_THREADS`, 1 when unset), so
@@ -60,7 +61,6 @@ fn shed_accounting_balances_under_offered_load() {
         QueueConfig {
             capacity: 64,
             max_batch: 16,
-            window: Duration::from_micros(50),
             workers: workers_from_env(),
             admission: AdmissionControl {
                 shed_watermark: Some(8),
@@ -84,7 +84,8 @@ fn shed_accounting_balances_under_offered_load() {
     let mut tickets = Vec::with_capacity(trace.len());
     let mut rejected = 0u64;
     for tr in &trace {
-        match queue.submit_for(names[tr.tenant], tr.request.clone()) {
+        let opts = SubmitOpts { tenant: names[tr.tenant], deadline: None };
+        match queue.submit_with(tr.request.clone(), opts) {
             Ok(t) => tickets.push(t),
             Err(ServeError::QueueFull { .. }) => rejected += 1,
             Err(e) => panic!("unexpected submit error: {e}"),
@@ -157,28 +158,34 @@ fn zero_failed_reads_across_swaps() {
             QueueConfig {
                 capacity: 256,
                 max_batch: 32,
-                window: Duration::from_micros(50),
                 workers: workers_from_env(),
                 ..Default::default()
             },
         )
         .unwrap(),
     );
+    // A failed read is counted, not panicked on: the publisher's counter
+    // wait needs both readers to run to their end.
+    let (reads, failed_reads) = (AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|s| {
-        // Publisher hot-swaps tenant "a" twenty times mid-stream.
+        // Publisher hot-swaps tenant "a" twenty times mid-stream: the
+        // g-th swap goes in once 90·g of the 2000 reads have resolved, so
+        // every one lands between reads whatever the scheduler does.
         let publisher = {
-            let reg = Arc::clone(&reg);
+            let (reg, reads) = (Arc::clone(&reg), &reads);
             s.spawn(move || {
                 for gen in 0..20u64 {
+                    while reads.load(Ordering::Acquire) < 90 * gen {
+                        std::thread::yield_now();
+                    }
                     reg.publish("a", &KruskalTensor::random(&shape, 3, 100 + gen)).unwrap();
-                    std::thread::sleep(Duration::from_micros(300));
                 }
             })
         };
         // Two readers hammer both tenants through the queue the whole
         // time; every single ticket must resolve to a served value.
         for reader in 0..2usize {
-            let queue = Arc::clone(&queue);
+            let (queue, reads, failed_reads) = (Arc::clone(&queue), &reads, &failed_reads);
             s.spawn(move || {
                 for i in 0..1_000usize {
                     let tenant = if (i + reader) % 2 == 0 { "a" } else { "b" };
@@ -194,19 +201,22 @@ fn zero_failed_reads_across_swaps() {
                     } else {
                         Request::Point { index: vec![i % 50, i % 20, i % 10] }
                     };
-                    let ticket = queue
-                        .submit_for(tenant, req)
-                        .expect("registered tenants never fail to submit under capacity");
-                    match ticket.wait() {
-                        Response::Value(v) => assert!(v.is_finite()),
-                        Response::TopK(r) => assert_eq!(r.items.len(), 4),
-                        other => panic!("failed read across swaps: {other:?}"),
-                    }
+                    // Registered tenants never fail to submit under capacity.
+                    let served = queue
+                        .submit_with(req, SubmitOpts { tenant, deadline: None })
+                        .is_ok_and(|ticket| match ticket.wait() {
+                            Response::Value(v) => v.is_finite(),
+                            Response::TopK(r) => r.items.len() == 4,
+                            _ => false,
+                        });
+                    failed_reads.fetch_add(u64::from(!served), Ordering::Relaxed);
+                    reads.fetch_add(1, Ordering::Release);
                 }
             });
         }
         publisher.join().unwrap();
     });
+    assert_eq!(failed_reads.into_inner(), 0, "failed reads across swaps");
     // Every publish landed; the final generation is 1 (initial) + 20.
     assert_eq!(reg.engine("a").unwrap().point(&[0, 0, 0]).unwrap().generation, 21);
     assert_eq!(reg.engine("b").unwrap().point(&[0, 0, 0]).unwrap().generation, 1);

@@ -161,15 +161,18 @@ fn deadline_bounded_topk_degrades_gracefully() {
     assert_eq!(s.degraded_results, 1);
 }
 
-/// The full stack: model → queue with worker threads → mixed trace, with
-/// responses checked against direct evaluation.
+/// The full stack: model → queue → a burst of point reads, with
+/// responses checked against direct evaluation. The burst arrives while
+/// no drainer is free, so what a free drainer then takes is exactly what
+/// queued up meanwhile: 60 requests leave in `max_batch`-sized batches of
+/// 25, 25 and 10, each one coalesced engine call.
 #[test]
 fn queued_serving_agrees_with_direct_evaluation() {
     let model = KruskalTensor::random(&[60, 30, 12], 5, 7);
     let engine = Arc::new(Engine::new(&model, EngineConfig::default()).unwrap());
     let queue = ServeQueue::new(
         Arc::clone(&engine),
-        QueueConfig { workers: 2, window: Duration::from_micros(50), ..Default::default() },
+        QueueConfig { workers: 0, max_batch: 25, ..Default::default() },
     )
     .unwrap();
 
@@ -180,17 +183,18 @@ fn queued_serving_agrees_with_direct_evaluation() {
         expected.push(model.eval(&idx));
         tickets.push(queue.submit(Request::Point { index: idx }).unwrap());
     }
+    let batches: Vec<usize> = std::iter::from_fn(|| Some(queue.drain_once()))
+        .take_while(|&served| served > 0)
+        .collect();
+    assert_eq!(batches, [25, 25, 10]);
     for (want, ticket) in expected.into_iter().zip(tickets) {
         match ticket.wait() {
             Response::Value(got) => assert_eq!(got.to_bits(), want.to_bits()),
             other => panic!("expected a value, got {other:?}"),
         }
     }
-    // The batching window must have coalesced the burst: far fewer engine
-    // executions than submissions.
     let s = engine.snapshot();
-    assert!(s.batches_executed < 60, "no coalescing: {} batches", s.batches_executed);
-    assert_eq!(s.batch_points, 60);
+    assert_eq!((s.batches_executed, s.batch_queries, s.batch_points), (3, 3, 60));
 }
 
 /// Cache hits serve repeated top-K queries without re-scanning.
