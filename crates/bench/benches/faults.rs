@@ -1,4 +1,4 @@
-//! Fault-recovery benchmark: virtual-clock cost of surviving an injected
+//! Fault-recovery measurement: virtual-clock cost of surviving an injected
 //! machine crash as a function of checkpoint interval.
 //!
 //! Writes `BENCH_faults.json` at the repository root. One fixed planted
@@ -19,7 +19,7 @@
 //! Every run — snapshotted, faulted, or neither — is asserted to finish
 //! with bit-identical factors: the sweep measures cost, never accuracy.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use distenc_bench::write_bench_json;
 use distenc_core::{AdmmConfig, CheckpointPolicy, CompletionResult, DisTenC};
 use distenc_dataflow::{Cluster, ClusterConfig, Fault, FaultPlan, Metrics};
 use distenc_tensor::{CooTensor, KruskalTensor};
@@ -114,29 +114,16 @@ fn interval_rows(observed: &CooTensor, baseline: &(CompletionResult, Metrics)) -
         .collect()
 }
 
-fn bench_recovery(c: &mut Criterion) {
-    // Wall-clock sanity bench: one crash + checkpointed recovery, end to
-    // end (the JSON table below reports the virtual-clock economics).
-    let observed = workload();
-    c.bench_function("fault_crash_recover_every5", |b| {
-        b.iter(|| run(&observed, crash_plan(), 5))
-    });
-}
-
-fn emit_json(_c: &mut Criterion) {
+fn main() {
     let observed = workload();
     let baseline = run(&observed, FaultPlan::none(), 0);
     let rows = interval_rows(&observed, &baseline);
-    let json = format!(
-        "{{\n  \"workload\": {{ \"shape\": {SHAPE:?}, \"nnz\": {NNZ}, \"rank\": {RANK}, \"max_iters\": {ITERS}, \"machines\": {MACHINES} }},\n  \"fault\": {{ \"kind\": \"machine_crash\", \"at_stage\": {CRASH_STAGE}, \"machine\": {CRASH_MACHINE} }},\n  \"fault_free_virtual_seconds\": {:.4},\n  \"intervals\": {{\n{}\n  }},\n  \"note\": \"virtual-clock accounting on the simulated cluster; checkpoint_overhead_pct = fault-free run at this snapshot interval vs no snapshots; total_overhead_pct = crash+recovery at this interval vs the fault-free no-checkpoint baseline; every=0 means no snapshots, so recovery is a cold restart from iteration 0; all runs asserted bit-identical in factors\"\n}}\n",
-        baseline.1.virtual_seconds,
-        rows.join(",\n"),
+    write_bench_json(
+        "faults",
+        &format!(
+            "  \"workload\": {{ \"shape\": {SHAPE:?}, \"nnz\": {NNZ}, \"rank\": {RANK}, \"max_iters\": {ITERS}, \"machines\": {MACHINES} }},\n  \"fault\": {{ \"kind\": \"machine_crash\", \"at_stage\": {CRASH_STAGE}, \"machine\": {CRASH_MACHINE} }},\n  \"fault_free_virtual_seconds\": {:.4},\n  \"intervals\": {{\n{}\n  }},\n  \"note\": \"virtual-clock accounting on the simulated cluster; checkpoint_overhead_pct = fault-free run at this snapshot interval vs no snapshots; total_overhead_pct = crash+recovery at this interval vs the fault-free no-checkpoint baseline; every=0 means no snapshots, so recovery is a cold restart from iteration 0; all runs asserted bit-identical in factors\"",
+            baseline.1.virtual_seconds,
+            rows.join(",\n"),
+        ),
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_faults.json");
-    std::fs::write(&path, &json).expect("write BENCH_faults.json");
-    eprintln!("wrote {}", path.display());
 }
-
-criterion_group!(benches, bench_recovery, emit_json);
-criterion_main!(benches);

@@ -23,14 +23,15 @@
 //! popularity-skewed, and uniform random factors would make any
 //! norm-prefix cut look artificially bad.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use distenc_bench::{median_ns, write_bench_json};
 use distenc_linalg::Mat;
 use distenc_serve::{
     serve_open_loop, AdmissionControl, ApproxTopK, Engine, EngineConfig, OpenLoopConfig,
     QueueConfig, TopKQuery, TraceConfig,
 };
 use distenc_tensor::KruskalTensor;
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::time::Duration;
 
 const SHAPE: [usize; 3] = [4000, 800, 40];
 const RANK: usize = 8;
@@ -156,26 +157,15 @@ fn fresh_queries(n: usize) -> Vec<TopKQuery> {
         .collect()
 }
 
-fn median_ns(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 /// Exact vs approximate top-K: median uncached latency of each tier plus
 /// recall@K from the engine's shadow-sampling counters.
 fn approx_section(model: &KruskalTensor) -> String {
     let queries = fresh_queries(400);
     let time_tier = |cfg: EngineConfig| -> u64 {
         let engine = Engine::new(model, cfg).unwrap();
-        let mut samples: Vec<u64> = queries
-            .iter()
-            .map(|q| {
-                let t0 = Instant::now();
-                black_box(engine.topk(black_box(q), None).unwrap());
-                t0.elapsed().as_nanos() as u64
-            })
-            .collect();
-        median_ns(&mut samples)
+        median_ns(&queries, |q| {
+            black_box(engine.topk(black_box(q), None).unwrap());
+        })
     };
     let exact_ns = time_tier(EngineConfig::default());
     let approx_cfg = EngineConfig {
@@ -253,7 +243,7 @@ fn fairness_section(model: &KruskalTensor) -> String {
     )
 }
 
-fn emit_json(_c: &mut Criterion) {
+fn main() {
     let model = skewed_model(7);
     let rungs: Vec<RungStats> = QPS_LADDER.iter().map(|&qps| run_rung(&model, qps)).collect();
     let sustained = rungs
@@ -262,18 +252,14 @@ fn emit_json(_c: &mut Criterion) {
         .map(|r| r.offered_qps)
         .fold(0.0f64, f64::max);
     let ladder: Vec<String> = rungs.iter().map(RungStats::to_json).collect();
-    let json = format!(
-        "{{\n  \"workload\": {{ \"shape\": {SHAPE:?}, \"rank\": {RANK}, \"run_secs\": {RUN_SECS}, \"workers\": {WORKERS}, \"mix\": \"70% point / 15% batch(16) / 15% top-8\" }},\n  \"slo\": {{ \"p99_target_us\": {:.0}, \"max_shed_rate\": {MAX_SHED_RATE}, \"sustained_qps\": {sustained:.0} }},\n  \"ladder\": [\n{}\n  ],\n{},\n{},\n  \"note\": \"Open-loop Poisson arrivals (arrivals never wait for completions); p50/p99 are end-to-end latency of admitted requests from a log2-bucketed histogram (quantiles are bucket upper bounds, up to 2x the true value); sustained_qps is the highest rung with p99 under target, shed rate under {MAX_SHED_RATE}, and zero capacity rejections; past saturation the watermark shedder answers excess load with typed Shed responses so admitted-request p99 stays bounded; approx tier is norm-coverage early exit on a popularity-skewed mode, recall measured by shadow-sampling exact re-answers\"\n}}\n",
-        P99_TARGET.as_secs_f64() * 1e6,
-        ladder.join(",\n"),
-        approx_section(&model),
-        fairness_section(&model),
+    write_bench_json(
+        "serve_slo",
+        &format!(
+            "  \"workload\": {{ \"shape\": {SHAPE:?}, \"rank\": {RANK}, \"run_secs\": {RUN_SECS}, \"workers\": {WORKERS}, \"mix\": \"70% point / 15% batch(16) / 15% top-8\" }},\n  \"slo\": {{ \"p99_target_us\": {:.0}, \"max_shed_rate\": {MAX_SHED_RATE}, \"sustained_qps\": {sustained:.0} }},\n  \"ladder\": [\n{}\n  ],\n{},\n{},\n  \"note\": \"Open-loop Poisson arrivals (arrivals never wait for completions); p50/p99 are end-to-end latency of admitted requests from a log-linear histogram (16 sub-buckets per octave: a quantile is its bucket's upper edge, at most 6.25% over the true value and never under); sustained_qps is the highest rung with p99 under target, shed rate under {MAX_SHED_RATE}, and zero capacity rejections; past saturation the watermark shedder answers excess load with typed Shed responses so admitted-request p99 stays bounded; approx tier is norm-coverage early exit on a popularity-skewed mode, recall measured by shadow-sampling exact re-answers\"",
+            P99_TARGET.as_secs_f64() * 1e6,
+            ladder.join(",\n"),
+            approx_section(&model),
+            fairness_section(&model),
+        ),
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_serve_slo.json");
-    std::fs::write(&path, &json).expect("write BENCH_serve_slo.json");
-    eprintln!("wrote {}", path.display());
 }
-
-criterion_group!(benches, emit_json);
-criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Sketched-tier benchmark: accuracy and economics of the sampled MTTKRP
+//! Sketched-tier measurement: accuracy and economics of the sampled MTTKRP
 //! solver against the exact tier, on the accuracy-gate workloads.
 //!
 //! Writes `BENCH_sketched.json` at the repository root with, per planted
@@ -16,9 +16,9 @@
 //!   `1.5 × exact_final_rmse`).
 //!
 //! Non-finite values (a diverged low-budget run) serialize as `null` —
-//! honest curve data, not a bench failure.
+//! honest curve data, not a failure of the program.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use distenc_bench::write_bench_json;
 use distenc_core::{AdmmConfig, AdmmSolver, SolverTier, DEFAULT_POLISH_ITERS};
 use distenc_eval::accuracy::{
     self, gate_config, gate_workloads, sample_efficiency_curve, time_to_target,
@@ -62,28 +62,7 @@ fn run_tier(
     (rmse, secs, res.trace)
 }
 
-fn bench_gate_solve(c: &mut Criterion) {
-    let w = &gate_workloads()[0];
-    let cfg = gate_config(w.rank);
-    let samples = w.observed.nnz() / GATE_DIVISOR;
-    let mut g = c.benchmark_group("sketched_gate_solve");
-    g.sample_size(10);
-    g.bench_function("exact", |b| {
-        b.iter(|| run_tier(&w.observed, &cfg, SolverTier::Exact))
-    });
-    g.bench_function("sketched", |b| {
-        b.iter(|| {
-            run_tier(
-                &w.observed,
-                &cfg,
-                SolverTier::Sketched { samples, polish_iters: DEFAULT_POLISH_ITERS },
-            )
-        })
-    });
-    g.finish();
-}
-
-fn emit_json(_c: &mut Criterion) {
+fn main() {
     let mut sections = Vec::new();
     for w in gate_workloads() {
         let cfg = gate_config(w.rank);
@@ -139,17 +118,13 @@ fn emit_json(_c: &mut Criterion) {
         ));
     }
 
-    let json = format!(
-        "{{\n  \"tolerance\": {tol},\n  \"polish_iters\": {polish},\n  \"workloads\": {{\n{body}\n  }},\n  \"note\": \"sketched tier vs exact on the accuracy-gate workloads; touch_ratio = nnz/samples = exact entry-touches per sketch-phase iteration over sketched (both tiers touch N passes of their respective counts per iteration; tests/pass_count.rs pins the instrument); rmse_gap = sketched_final - exact_final; gate.passes requires gap <= tolerance at >= 2x touch discount; null = run diverged or target never reached\"\n}}\n",
-        tol = accuracy::ACCURACY_GATE_TOL,
-        polish = DEFAULT_POLISH_ITERS,
-        body = sections.join(",\n"),
+    write_bench_json(
+        "sketched",
+        &format!(
+            "  \"tolerance\": {tol},\n  \"polish_iters\": {polish},\n  \"workloads\": {{\n{body}\n  }},\n  \"note\": \"sketched tier vs exact on the accuracy-gate workloads; touch_ratio = nnz/samples = exact entry-touches per sketch-phase iteration over sketched (both tiers touch N passes of their respective counts per iteration; tests/pass_count.rs pins the instrument); rmse_gap = sketched_final - exact_final; gate.passes requires gap <= tolerance at >= 2x touch discount; null = run diverged or target never reached\"",
+            tol = accuracy::ACCURACY_GATE_TOL,
+            polish = DEFAULT_POLISH_ITERS,
+            body = sections.join(",\n"),
+        ),
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_sketched.json");
-    std::fs::write(&path, &json).expect("write BENCH_sketched.json");
-    eprintln!("wrote {}", path.display());
 }
-
-criterion_group!(benches, bench_gate_solve, emit_json);
-criterion_main!(benches);

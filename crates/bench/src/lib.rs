@@ -1,4 +1,5 @@
-//! Shared plumbing for the figure/table binaries and Criterion benches.
+//! Shared plumbing for the figure/table binaries and the four measurement
+//! programs under `benches/`.
 //!
 //! Every table and figure of the paper's evaluation has a binary here
 //! that regenerates its rows/series:
@@ -19,6 +20,13 @@
 //!
 //! Pass `--quick` to any measured binary to use the test-suite-sized
 //! workloads instead of the larger defaults.
+//!
+//! The programs under `benches/` (`parallel`, `sketched`, `faults`,
+//! `serve_slo`) are plain `fn main()`s holding the four measurements the
+//! `benchmark/` package does not make yet. Each records one
+//! `BENCH_<name>.json` at the repository root through
+//! [`write_bench_json`], which stamps the host's parallelism and the
+//! commit: `cargo bench -p distenc-bench --bench <name>`.
 
 #![warn(missing_docs)]
 
@@ -26,6 +34,9 @@ use distenc_eval::figures::{
     AccuracyRow, ConvergenceSeries, ErrorSeries, ModelSeries, Profile, SpeedupSeries,
 };
 use distenc_eval::table::{fmt_f, render};
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::time::Instant;
 
 /// `--quick` selects [`Profile::Quick`]; default is [`Profile::Full`].
 pub fn profile_from_args() -> Profile {
@@ -123,10 +134,109 @@ pub fn render_convergence(series: &[ConvergenceSeries], max_rows: usize) -> Stri
     out
 }
 
+/// The median of `samples` (the upper one of the middle pair when the
+/// count is even). Sorts in place.
+fn median(samples: &mut [u64]) -> u64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Median wall time in nanoseconds of `f`, called once per item of
+/// `inputs` and timed with a plain [`Instant`].
+pub fn median_ns<T>(inputs: impl IntoIterator<Item = T>, mut f: impl FnMut(T)) -> u64 {
+    let mut samples: Vec<u64> = inputs
+        .into_iter()
+        .map(|input| {
+            let t0 = Instant::now();
+            f(input);
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    median(&mut samples)
+}
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Record `BENCH_<name>.json` at the repository root.
+///
+/// `body` is the members of a JSON object (no outer braces, no trailing
+/// comma). It is written unchanged after two stamps every recorded file
+/// carries: `host_parallelism` (what `available_parallelism` reports
+/// here) and `commit` (`git rev-parse --short HEAD`, so the programs run
+/// from a git checkout).
+pub fn write_bench_json(name: &str, body: &str) {
+    let path = write_stamped(&repo_root(), name, body);
+    eprintln!("wrote {}", path.display());
+}
+
+fn write_stamped(dir: &Path, name: &str, body: &str) -> PathBuf {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let git = Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(repo_root())
+        .output()
+        .expect("run git rev-parse");
+    assert!(
+        git.status.success(),
+        "git rev-parse --short HEAD failed: not a git checkout?"
+    );
+    let commit = String::from_utf8(git.stdout).expect("commit hash is ASCII");
+    let json = format!(
+        "{{\n  \"host_parallelism\": {host},\n  \"commit\": \"{}\",\n{body}\n}}\n",
+        commit.trim()
+    );
+    let path = dir.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use distenc_eval::figures;
+
+    #[test]
+    fn median_of_odd_and_even_sample_sets() {
+        assert_eq!(median(&mut [5, 1, 3]), 3);
+        // Even count: the upper of the middle pair.
+        assert_eq!(median(&mut [4, 1, 3, 2]), 3);
+        assert_eq!(median(&mut [7]), 7);
+    }
+
+    #[test]
+    fn median_ns_times_each_input_once() {
+        let mut seen = Vec::new();
+        median_ns([3u32, 1, 2], |x| seen.push(x));
+        assert_eq!(seen, [3, 1, 2]);
+    }
+
+    #[test]
+    fn written_json_is_stamped_and_keeps_the_body() {
+        let dir = std::env::temp_dir().join(format!("distenc-bench-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let body =
+            "  \"rows\": [\n    { \"x\": 1.50 },\n    { \"x\": null }\n  ],\n  \"note\": \"a, b\"";
+        let path = write_stamped(&dir, "probe", body);
+        assert_eq!(path, dir.join("BENCH_probe.json"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let rest = text
+            .strip_prefix(&format!(
+                "{{\n  \"host_parallelism\": {host},\n  \"commit\": \""
+            ))
+            .expect("host_parallelism, then commit");
+        let (commit, rest) = rest.split_once("\",\n").expect("commit is a string member");
+        assert!(commit.len() >= 7, "short hash: {commit:?}");
+        assert!(
+            commit.bytes().all(|b| b.is_ascii_hexdigit()),
+            "hex: {commit:?}"
+        );
+        assert_eq!(rest, format!("{body}\n}}\n"));
+    }
 
     #[test]
     fn model_series_render_includes_failures() {

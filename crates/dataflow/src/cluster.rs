@@ -492,11 +492,6 @@ impl<'c> MemoryReservation<'c> {
         self.held.push((machine, bytes));
         Ok(())
     }
-
-    /// Total bytes this guard currently holds.
-    pub fn held_bytes(&self) -> u64 {
-        self.held.iter().map(|&(_, b)| b).sum()
-    }
 }
 
 impl Drop for MemoryReservation<'_> {
@@ -826,10 +821,9 @@ mod tests {
             let mut guard = MemoryReservation::new(&c);
             guard.reserve(0, 600).unwrap();
             guard.reserve(1, 400).unwrap();
-            assert_eq!(guard.held_bytes(), 1000);
             // A failed reservation is not held.
             assert!(guard.reserve(0, 600).is_err());
-            assert_eq!(guard.held_bytes(), 1000);
+            assert_eq!(guard.held, [(0, 600), (1, 400)]);
         }
         // Everything the guard held was released; capacity is free again.
         assert!(c.reserve(0, 1000).is_ok());

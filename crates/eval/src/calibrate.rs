@@ -1,4 +1,4 @@
-//! Engine-vs-model fidelity measurement.
+//! Engine-vs-model fidelity gate (compiled for tests only).
 //!
 //! The Fig. 3 sweeps rely on the analytical models; the engine accounts
 //! the same resources at runnable scales. This module runs a real
@@ -13,23 +13,23 @@ use distenc_datagen::synthetic::scalability_tensor;
 
 /// Result of one calibration run.
 #[derive(Debug, Clone, Copy)]
-pub struct Fidelity {
+struct Fidelity {
     /// Virtual seconds accounted by the engine.
-    pub engine_seconds: f64,
+    engine_seconds: f64,
     /// Seconds predicted by the analytical model.
-    pub model_seconds: f64,
+    model_seconds: f64,
 }
 
 impl Fidelity {
     /// `model / engine` ratio (1.0 = perfect agreement).
-    pub fn ratio(&self) -> f64 {
+    fn ratio(&self) -> f64 {
         self.model_seconds / self.engine_seconds
     }
 }
 
 /// Run DisTenC at a small scale on a real engine and compare with the
 /// model under identical cost constants.
-pub fn distenc_fidelity(dim: usize, nnz: usize, rank: usize, machines: usize) -> Result<Fidelity> {
+fn distenc_fidelity(dim: usize, nnz: usize, rank: usize, machines: usize) -> Result<Fidelity> {
     let iters = 5;
     let observed = scalability_tensor(&[dim; 3], nnz, 42);
     let cc = ClusterConfig::test(machines).with_time_budget(None);

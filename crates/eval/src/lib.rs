@@ -18,7 +18,7 @@
 //! * [`accuracy`] — the statistical accuracy gate for the sketched
 //!   solver tier (tolerance constant, planted workloads, tier
 //!   comparison and sample-efficiency helpers);
-//! * [`calibrate`] — engine-vs-model fidelity measurement;
+//! * `calibrate` (test-only) — engine-vs-model fidelity gate;
 //! * [`table`] — plain-text rendering used by the `distenc-bench`
 //!   binaries.
 
@@ -26,7 +26,8 @@
 
 pub mod ablation;
 pub mod accuracy;
-pub mod calibrate;
+#[cfg(test)]
+mod calibrate;
 pub mod discovery;
 pub mod figures;
 pub mod methods;

@@ -15,15 +15,6 @@ pub fn tridiagonal_chain(n: usize) -> SparseSym {
     SparseSym::from_triplets(n, &triplets)
 }
 
-/// The identity similarity used in the scalability tests (§IV-B: "we set
-/// the similarity matrices of all modes to the identity matrices"). Its
-/// Laplacian is zero, so the trace term is inert — exactly the paper's
-/// intent of isolating scalability from regularization.
-pub fn identity_similarity(n: usize) -> SparseSym {
-    let triplets: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 1.0)).collect();
-    SparseSym::from_triplets(n, &triplets)
-}
-
 /// Community-block similarity: entities are assigned to `communities`
 /// equal blocks; pairs within a block are connected with probability
 /// `p_in` (weight 1). Models affiliation-style auxiliary information
@@ -138,17 +129,6 @@ mod tests {
     #[test]
     fn chain_of_one_is_empty() {
         assert_eq!(tridiagonal_chain(1).nnz(), 0);
-    }
-
-    #[test]
-    fn identity_similarity_has_zero_laplacian() {
-        let s = identity_similarity(5);
-        let lap = crate::laplacian::Laplacian::from_similarity(s);
-        let x = [1.0, -2.0, 3.0, 0.5, 0.0];
-        let mut y = [9.0; 5];
-        use distenc_linalg::LinOp;
-        lap.apply(&x, &mut y);
-        assert!(y.iter().all(|v| v.abs() < 1e-14));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the densified operator) is the exact oracle the tests compare against.
 
 use crate::sparse::SparseSym;
-use distenc_linalg::eigen::jacobi_eigen;
+use distenc_linalg::eigen::{jacobi_eigen, EigenPairs};
 use distenc_linalg::{
     isa, lanczos_smallest, symmetric_eigen, LinOp, LinalgError, Mat, Result as LinResult,
 };
@@ -31,44 +31,6 @@ impl Laplacian {
         Laplacian { similarity, degrees }
     }
 
-    /// Build the *symmetric normalized* Laplacian
-    /// `L_sym = I − D^{-1/2} S D^{-1/2}` from a similarity matrix.
-    ///
-    /// Internally this is the unnormalized Laplacian of the rescaled
-    /// similarity `S'ᵢⱼ = Sᵢⱼ/√(dᵢdⱼ)` with unit degrees, so every other
-    /// operation (truncation, `tr(BᵀLB)`, shifted solves) works
-    /// unchanged. Normalization bounds the spectrum by `[0, 2]`, which
-    /// decouples the `α` weight from the graph's degree scale — useful
-    /// when mode similarities have wildly different densities. (The paper
-    /// uses the unnormalized form; this is an extension.)
-    ///
-    /// Isolated nodes (degree 0) contribute zero rows, matching the
-    /// convention that they carry no smoothness constraint.
-    pub fn normalized_from_similarity(similarity: SparseSym) -> Self {
-        let degrees = similarity.row_sums();
-        let inv_sqrt: Vec<f64> = degrees
-            .iter()
-            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-            .collect();
-        let n = similarity.dim();
-        let mut triplets = Vec::with_capacity(similarity.nnz());
-        for i in 0..n {
-            let (cols, vals) = similarity.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                if j >= i {
-                    triplets.push((i, j, v * inv_sqrt[i] * inv_sqrt[j]));
-                }
-            }
-        }
-        let scaled = SparseSym::from_triplets(n, &triplets);
-        // Unit degree wherever the node participates in the graph.
-        let unit_degrees = degrees
-            .iter()
-            .map(|&d| if d > 0.0 { 1.0 } else { 0.0 })
-            .collect();
-        Laplacian { similarity: scaled, degrees: unit_degrees }
-    }
-
     /// Dimension `I` of the mode this Laplacian regularizes.
     pub fn dim(&self) -> usize {
         self.similarity.dim()
@@ -77,27 +39,6 @@ impl Laplacian {
     /// The underlying similarity matrix.
     pub fn similarity(&self) -> &SparseSym {
         &self.similarity
-    }
-
-    /// Exact `tr(BᵀLB)` — the regularization term of Eq. 4, evaluated
-    /// sparsely in `O(nnz(S)·R)`.
-    pub fn trace_quadratic(&self, b: &Mat) -> f64 {
-        let n = self.dim();
-        assert_eq!(b.rows(), n, "B must have one row per graph node");
-        let mut acc = 0.0;
-        // tr(BᵀLB) = Σᵢ dᵢ‖Bᵢ‖² − Σᵢⱼ Sᵢⱼ⟨Bᵢ, Bⱼ⟩.
-        for i in 0..n {
-            let bi = b.row(i);
-            let norm_sq: f64 = bi.iter().map(|v| v * v).sum();
-            acc += self.degrees[i] * norm_sq;
-            let (cols, vals) = self.similarity.row(i);
-            for (&j, &s) in cols.iter().zip(vals) {
-                let bj = b.row(j);
-                let dot: f64 = bi.iter().zip(bj).map(|(x, y)| x * y).sum();
-                acc -= s * dot;
-            }
-        }
-        acc
     }
 
     /// Densify (test/TFAI oracle only — `O(I²)` memory, which is exactly
@@ -240,26 +181,7 @@ impl Laplacian {
     /// operator, keep the `k` smallest eigenpairs. `O(I²)` memory and many
     /// `O(I³)` sweeps — what tests compare against, not what solves run.
     pub fn truncate_dense(&self, k: usize) -> LinResult<TruncatedLaplacian> {
-        let full = jacobi_eigen(&self.to_dense())?;
-        let n = self.dim();
-        let k = k.min(n);
-        // jacobi_eigen sorts ascending; the smallest k lead.
-        let mut values = Vec::with_capacity(k);
-        let mut vectors = Mat::zeros(n, k);
-        for src in 0..k {
-            values.push(full.values[src]);
-            for i in 0..n {
-                vectors.set(i, src, full.vectors.get(i, src));
-            }
-        }
-        Ok(TruncatedLaplacian::new(values, vectors, self.trace()))
-    }
-
-    /// Matrix-free path: Lanczos yields the smallest eigenpairs of `L`,
-    /// in `O(k·(nnz(S) + I·k))` — the `O(K·I)` profile the paper assumes
-    /// for its truncated eigensolver.
-    pub fn truncate_lanczos(&self, k: usize, seed: u64) -> LinResult<TruncatedLaplacian> {
-        let (values, vectors) = lanczos_smallest(self, k.max(1), seed)?;
+        let EigenPairs { values, vectors } = jacobi_eigen(&self.to_dense())?.truncate_smallest(k);
         Ok(TruncatedLaplacian::new(values, vectors, self.trace()))
     }
 
@@ -521,31 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_quadratic_matches_dense() {
-        let lap = chain_laplacian(8);
-        let b = Mat::random(8, 3, 4);
-        let sparse = lap.trace_quadratic(&b);
-        let dense = lap.to_dense();
-        // tr(BᵀLB) via explicit products.
-        let ltb = dense.matmul(&b).unwrap();
-        let mut want = 0.0;
-        for i in 0..8 {
-            for r in 0..3 {
-                want += b.get(i, r) * ltb.get(i, r);
-            }
-        }
-        assert!((sparse - want).abs() < 1e-10);
-    }
-
-    #[test]
-    fn trace_quadratic_zero_for_constant_columns() {
-        // L annihilates constant vectors on a connected graph.
-        let lap = chain_laplacian(10);
-        let b = Mat::from_vec(10, 2, vec![3.0; 20]);
-        assert!(lap.trace_quadratic(&b).abs() < 1e-10);
-    }
-
-    #[test]
     fn full_truncation_matches_exact_inverse() {
         // With K = I the shifted-inverse application must equal a direct
         // solve of (ηI + αL) B = R.
@@ -683,7 +580,8 @@ mod tests {
         // the application to tight accuracy.
         let lap = chain_laplacian(40);
         let dense = lap.truncate_dense(3).unwrap();
-        let lz = lap.truncate_lanczos(3, 5).unwrap();
+        let (values, vectors) = lanczos_smallest(&lap, 3, 5).unwrap();
+        let lz = TruncatedLaplacian::new(values, vectors, lap.trace());
         for (a, b) in dense.values.iter().zip(&lz.values) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
@@ -693,44 +591,6 @@ mod tests {
         let via_lz = lz.apply_shifted_inverse(eta, alpha, &rhs).unwrap();
         let rel = via_dense.frob_dist(&via_lz).unwrap() / via_dense.frob_norm();
         assert!(rel < 0.05, "application deviates by {rel}");
-    }
-
-    #[test]
-    fn normalized_laplacian_spectrum_bounded_by_two() {
-        let sim = crate::builders::community_blocks(40, 4, 0.6, 3);
-        let lap = Laplacian::normalized_from_similarity(sim);
-        let full = lap.truncate_dense(40).unwrap();
-        for &v in &full.values {
-            assert!((-1e-9..=2.0 + 1e-9).contains(&v), "eigenvalue {v} out of [0,2]");
-        }
-        // Smallest eigenvalue is 0 (one per connected component).
-        assert!(full.values[0].abs() < 1e-9);
-    }
-
-    #[test]
-    fn normalized_equals_unnormalized_on_regular_graphs() {
-        // A cycle is 2-regular: L_sym = L / 2 exactly.
-        let n = 12;
-        let mut triplets: Vec<(usize, usize, f64)> =
-            (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect();
-        triplets.dedup();
-        let sim = crate::sparse::SparseSym::from_triplets(n, &triplets);
-        let un = Laplacian::from_similarity(sim.clone()).to_dense();
-        let norm = Laplacian::normalized_from_similarity(sim).to_dense();
-        for (a, b) in norm.as_slice().iter().zip(un.as_slice()) {
-            assert!((a - b / 2.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn normalized_isolated_nodes_are_zero_rows() {
-        // Node 3 has no edges.
-        let sim = crate::sparse::SparseSym::from_triplets(4, &[(0, 1, 1.0), (1, 2, 1.0)]);
-        let lap = Laplacian::normalized_from_similarity(sim);
-        let dense = lap.to_dense();
-        for j in 0..4 {
-            assert_eq!(dense.get(3, j), 0.0);
-        }
     }
 
     #[test]
@@ -848,22 +708,17 @@ mod tests {
     fn non_finite_weights_are_a_typed_error() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             // Small (dense branch) and large (Lanczos branch) components,
-            // unnormalized and normalized forms, k = 0 included.
+            // k = 0 included.
             for n in [12, 260] {
                 let mut triplets: Vec<(usize, usize, f64)> =
                     (0..n - 1).map(|i| (i, i + 1, 1.0)).collect();
                 triplets[n / 2].2 = bad;
-                let sim = SparseSym::from_triplets(n, &triplets);
-                for lap in [
-                    Laplacian::from_similarity(sim.clone()),
-                    Laplacian::normalized_from_similarity(sim.clone()),
-                ] {
-                    for k in [0, 3] {
-                        assert!(
-                            matches!(lap.truncate(k, 1), Err(LinalgError::InvalidArgument(_))),
-                            "weight {bad}, n={n}, k={k}"
-                        );
-                    }
+                let lap = Laplacian::from_similarity(SparseSym::from_triplets(n, &triplets));
+                for k in [0, 3] {
+                    assert!(
+                        matches!(lap.truncate(k, 1), Err(LinalgError::InvalidArgument(_))),
+                        "weight {bad}, n={n}, k={k}"
+                    );
                 }
             }
         }

@@ -322,27 +322,6 @@ impl Mat {
             .collect())
     }
 
-    /// Transposed matrix-vector product `selfᵀ * x`.
-    pub fn matvec_t(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec_t",
-                lhs: self.shape(),
-                rhs: (x.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (row, &xi) in self.rows_iter().zip(x) {
-            if xi == 0.0 {
-                continue;
-            }
-            for (o, &a) in out.iter_mut().zip(row) {
-                *o += xi * a;
-            }
-        }
-        Ok(out)
-    }
-
     /// True iff every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -582,19 +561,13 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_matvec_t_agree_with_matmul() {
+    fn matvec_agrees_with_matmul() {
         let a = Mat::random(4, 3, 11);
         let x = vec![1.0, -2.0, 0.5];
         let y = a.matvec(&x).unwrap();
-        let x_mat = Mat::from_vec(3, 1, x.clone());
-        let y_mat = a.matmul(&x_mat).unwrap();
+        let y_mat = a.matmul(&Mat::from_vec(3, 1, x)).unwrap();
         for i in 0..4 {
             assert!((y[i] - y_mat.get(i, 0)).abs() < 1e-12);
-        }
-        let z = a.matvec_t(&y).unwrap();
-        let z_mat = a.transpose().matmul(&y_mat).unwrap();
-        for j in 0..3 {
-            assert!((z[j] - z_mat.get(j, 0)).abs() < 1e-12);
         }
     }
 

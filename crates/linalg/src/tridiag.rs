@@ -238,10 +238,12 @@ pub fn householder_tridiag(a: &mut Mat, d: &mut [f64], e: &mut [f64]) -> Result<
     Ok(())
 }
 
-/// Convenience wrapper: eigenvalues (ascending) and eigenvectors (as
-/// columns) of a symmetric tridiagonal matrix given diagonal `diag` and
-/// off-diagonal `off` (`off[i]` couples rows `i` and `i+1`; length `n-1`).
-pub fn tridiag_eigen(diag: &[f64], off: &[f64]) -> Result<(Vec<f64>, Mat)> {
+/// How the tests below drive [`tqli`]: eigenvalues (ascending) and
+/// eigenvectors (as columns) of a symmetric tridiagonal matrix given
+/// diagonal `diag` and off-diagonal `off` (`off[i]` couples rows `i` and
+/// `i+1`; length `n-1`).
+#[cfg(test)]
+fn tridiag_eigen(diag: &[f64], off: &[f64]) -> Result<(Vec<f64>, Mat)> {
     let n = diag.len();
     if n == 0 {
         return Ok((Vec::new(), Mat::zeros(0, 0)));

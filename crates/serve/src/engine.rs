@@ -203,7 +203,8 @@ impl Engine {
     }
 
     /// Entries currently held by the top-K cache.
-    pub fn cache_entries(&self) -> usize {
+    #[cfg(test)]
+    fn cache_entries(&self) -> usize {
         self.cache.lock().expect("cache lock").len()
     }
 

@@ -159,24 +159,6 @@ impl FactorStore {
         prefix.partition_point(|&mass| mass < target).min(prefix.len() - 1) + 1
     }
 
-    /// Reassemble the stored factors into a [`KruskalTensor`] (row-for-row
-    /// identical to the model the store was built from).
-    pub fn to_model(&self) -> KruskalTensor {
-        let factors: Vec<Mat> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(mode, blocks)| {
-                let mut data = Vec::with_capacity(self.shape[mode] * self.rank);
-                for block in blocks {
-                    data.extend_from_slice(block.as_slice());
-                }
-                Mat::from_vec(self.shape[mode], self.rank, data)
-            })
-            .collect();
-        KruskalTensor::new(factors).expect("stored factors share rank")
-    }
-
     /// Approximate heap footprint in bytes (shards + precomputed tables).
     pub fn mem_bytes(&self) -> usize {
         let shard_bytes: usize = self
@@ -233,14 +215,6 @@ mod tests {
         for (mode, factor) in model.factors().iter().enumerate() {
             assert_eq!(store.gram(mode), &factor.gram());
         }
-    }
-
-    #[test]
-    fn to_model_round_trips_exactly() {
-        let model = KruskalTensor::random(&[23, 17, 9], 5, 77);
-        let store = FactorStore::new(&model, 7).unwrap();
-        let back = store.to_model();
-        assert_eq!(back.max_factor_dist(&model).unwrap(), 0.0);
     }
 
     #[test]

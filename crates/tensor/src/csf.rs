@@ -148,11 +148,6 @@ impl CsfTensor {
         self.mode_order[0]
     }
 
-    /// Number of nodes at tree level `l` (0 = root).
-    pub fn level_nodes(&self, l: usize) -> usize {
-        self.levels[l].ids.len()
-    }
-
     /// Replace leaf values from a source tensor with the *same support in
     /// the same entry order* as the one this CSF was built from (the
     /// completion loop rebuilds the residual values each iteration while
@@ -457,9 +452,8 @@ mod tests {
         )
         .unwrap();
         let csf = CsfTensor::for_mode(&coo, 0).unwrap();
-        assert_eq!(csf.level_nodes(0), 2);
-        assert_eq!(csf.level_nodes(1), 3);
-        assert_eq!(csf.level_nodes(2), 4);
+        let level_nodes: Vec<usize> = csf.levels.iter().map(|l| l.ids.len()).collect();
+        assert_eq!(level_nodes, [2, 3, 4]);
         assert_eq!(csf.nnz(), 4);
     }
 

@@ -1,4 +1,4 @@
-//! Explicit Kronecker / Khatri-Rao products (Definitions 2.1.2–2.1.3).
+//! Explicit Khatri-Rao products (Definition 2.1.3).
 //!
 //! These *materialize* their results, which is exactly the "intermediate
 //! data explosion" the paper avoids (§III-C). They exist as small-scale
@@ -12,27 +12,6 @@
 
 use crate::{Result, TensorError};
 use distenc_linalg::Mat;
-
-/// Kronecker product `A ⊗ B` of sizes `(I×J) ⊗ (K×L) → (IK × JL)`.
-pub fn kronecker(a: &Mat, b: &Mat) -> Mat {
-    let (i, j) = a.shape();
-    let (k, l) = b.shape();
-    let mut out = Mat::zeros(i * k, j * l);
-    for ai in 0..i {
-        for aj in 0..j {
-            let av = a.get(ai, aj);
-            if av == 0.0 {
-                continue;
-            }
-            for bi in 0..k {
-                for bj in 0..l {
-                    out.set(ai * k + bi, aj * l + bj, av * b.get(bi, bj));
-                }
-            }
-        }
-    }
-    out
-}
 
 /// Khatri-Rao (column-wise Kronecker) product `A ⊙ B` of sizes
 /// `(I×R) ⊙ (K×R) → (IK × R)`.
@@ -88,6 +67,28 @@ mod tests {
     use super::*;
     use crate::dense::DenseTensor;
     use crate::kruskal::KruskalTensor;
+
+    /// Kronecker product `A ⊗ B` of sizes `(I×J) ⊗ (K×L) → (IK × JL)`
+    /// (Definition 2.1.2): the reference Khatri-Rao is checked against.
+    fn kronecker(a: &Mat, b: &Mat) -> Mat {
+        let (i, j) = a.shape();
+        let (k, l) = b.shape();
+        let mut out = Mat::zeros(i * k, j * l);
+        for ai in 0..i {
+            for aj in 0..j {
+                let av = a.get(ai, aj);
+                if av == 0.0 {
+                    continue;
+                }
+                for bi in 0..k {
+                    for bj in 0..l {
+                        out.set(ai * k + bi, aj * l + bj, av * b.get(bi, bj));
+                    }
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn kronecker_known_values() {

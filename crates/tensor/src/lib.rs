@@ -13,7 +13,7 @@
 //!   with a fiber-factorized MTTKRP,
 //! * [`mttkrp`] — the matricized-tensor-times-Khatri-Rao-product kernel and
 //!   the Gram-product identity `UᵀU = ⊛ₖ A⁽ᵏ⁾ᵀA⁽ᵏ⁾` (Eq. 12),
-//! * [`khatri_rao`] — explicit (dense) Khatri-Rao / Kronecker products and
+//! * [`khatri_rao`] — explicit (dense) Khatri-Rao products and
 //!   matricizations, used as small-scale oracles in tests,
 //! * [`residual`] — the sparse residual tensor `E = Ω∗(T − [[A…]])`
 //!   (Eq. 14) that keeps every iteration `O(nnz)`,

@@ -28,20 +28,12 @@ use distenc::core::LayoutKind;
 use distenc::dataflow::alloc;
 use distenc::dataflow::{ExecMode, Executor};
 use distenc::tensor::residual::ResidualWorkspace;
-use distenc::tensor::{CooTensor, KruskalTensor, TensorLayout};
+use distenc::tensor::{CooTensor, TensorLayout};
+
+mod common;
 
 fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let truth = KruskalTensor::random(shape, rank, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xa11c);
-    let mut mask = CooTensor::new(shape.to_vec());
-    for _ in 0..nnz {
-        let idx: Vec<usize> = shape.iter().map(|&d| rng.random_range(0..d)).collect();
-        mask.push(&idx, 1.0).unwrap();
-    }
-    mask.sort_dedup();
-    truth.eval_at(&mask).unwrap()
+    common::planted(shape, rank, nnz, seed, 0xa11c)
 }
 
 /// Thread-local allocation count of one full solve.

@@ -7,20 +7,12 @@ use distenc::core::{AdmmConfig, AdmmSolver, DisTenC};
 use distenc::dataflow::{Cluster, ClusterConfig};
 use distenc::graph::builders::tridiagonal_chain;
 use distenc::graph::Laplacian;
-use distenc::tensor::{CooTensor, KruskalTensor};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use distenc::tensor::CooTensor;
+
+mod common;
 
 fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
-    let truth = KruskalTensor::random(shape, rank, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xe0e0);
-    let mut mask = CooTensor::new(shape.to_vec());
-    for _ in 0..nnz {
-        let idx: Vec<usize> = shape.iter().map(|&d| rng.random_range(0..d)).collect();
-        mask.push(&idx, 1.0).unwrap();
-    }
-    mask.sort_dedup();
-    truth.eval_at(&mask).unwrap()
+    common::planted(shape, rank, nnz, seed, 0xe0e0)
 }
 
 fn assert_equivalent(

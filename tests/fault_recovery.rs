@@ -13,23 +13,17 @@ use distenc::core::{
     CoreError, DisTenC,
 };
 use distenc::dataflow::{Cluster, ClusterConfig, DataflowError, Fault, FaultPlan, Metrics};
-use distenc::tensor::{CooTensor, KruskalTensor};
+use distenc::tensor::CooTensor;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+mod common;
+
+use common::factor_bits;
+
 fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
-    let truth = KruskalTensor::random(shape, rank, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xfa17);
-    let mut mask = CooTensor::new(shape.to_vec());
-    for _ in 0..nnz {
-        let idx: Vec<usize> = shape.iter().map(|&d| rng.random_range(0..d)).collect();
-        mask.push(&idx, 1.0).unwrap();
-    }
-    mask.sort_dedup();
-    truth.eval_at(&mask).unwrap()
+    common::planted(shape, rank, nnz, seed, 0xfa17)
 }
 
 fn base_cfg() -> AdmmConfig {
@@ -37,14 +31,6 @@ fn base_cfg() -> AdmmConfig {
 }
 
 /// Factor matrices as raw f64 bits, for exact comparison.
-fn factor_bits(r: &CompletionResult) -> Vec<Vec<u64>> {
-    r.model
-        .factors()
-        .iter()
-        .map(|f| f.as_slice().iter().map(|v| v.to_bits()).collect())
-        .collect()
-}
-
 /// Run DisTenC on a fresh cluster with the given fault plan and optional
 /// checkpoint interval, returning the result and the cluster's metrics.
 fn cluster_solve(

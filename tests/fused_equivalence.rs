@@ -26,20 +26,12 @@ use distenc::partition::TensorBlocks;
 use distenc::tensor::fused::mttkrp_modes_into;
 use distenc::tensor::mttkrp::mttkrp;
 use distenc::tensor::{CooTensor, KruskalTensor, TensorLayout};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
+mod common;
+
 fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
-    let truth = KruskalTensor::random(shape, rank, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xf05e);
-    let mut mask = CooTensor::new(shape.to_vec());
-    for _ in 0..nnz {
-        let idx: Vec<usize> = shape.iter().map(|&d| rng.random_range(0..d)).collect();
-        mask.push(&idx, 1.0).unwrap();
-    }
-    mask.sort_dedup();
-    truth.eval_at(&mask).unwrap()
+    common::planted(shape, rank, nnz, seed, 0xf05e)
 }
 
 /// Every observable except wall-clock seconds, bitwise.

@@ -19,21 +19,15 @@
 
 use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, LayoutKind, SolverTier};
 use distenc::stream::{DeltaBatch, StreamingSolver};
-use distenc::tensor::{CooTensor, KruskalTensor, TensorError};
+use distenc::tensor::{CooTensor, TensorError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+mod common;
+
 fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
-    let truth = KruskalTensor::random(shape, rank, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7a71);
-    let mut mask = CooTensor::try_new(shape.to_vec()).unwrap();
-    for _ in 0..nnz {
-        let idx: Vec<usize> = shape.iter().map(|&d| rng.random_range(0..d)).collect();
-        mask.push(&idx, 1.0).unwrap();
-    }
-    mask.sort_dedup();
-    truth.eval_at(&mask).unwrap()
+    common::planted(shape, rank, nnz, seed, 0x7a71)
 }
 
 fn solve(observed: &CooTensor, cfg: AdmmConfig) -> CompletionResult {

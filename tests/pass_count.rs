@@ -62,20 +62,12 @@ use distenc::core::{
 use distenc::dataflow::passes;
 use distenc::dataflow::{Cluster, ClusterConfig, ExecMode, Executor};
 use distenc::stream::{DeltaBatch, StreamingSolver};
-use distenc::tensor::{CooTensor, KruskalTensor};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use distenc::tensor::CooTensor;
+
+mod common;
 
 fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
-    let truth = KruskalTensor::random(shape, rank, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9a55);
-    let mut mask = CooTensor::new(shape.to_vec());
-    for _ in 0..nnz {
-        let idx: Vec<usize> = shape.iter().map(|&d| rng.random_range(0..d)).collect();
-        mask.push(&idx, 1.0).unwrap();
-    }
-    mask.sort_dedup();
-    truth.eval_at(&mask).unwrap()
+    common::planted(shape, rank, nnz, seed, 0x9a55)
 }
 
 /// Entry sweeps per steady-state iteration of the host solver.

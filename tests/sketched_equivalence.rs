@@ -21,36 +21,22 @@
 use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, LayoutKind, SolverTier};
 use distenc::dataflow::ExecMode;
 use distenc::tensor::sample::EntrySampler;
-use distenc::tensor::{CooTensor, KruskalTensor};
+use distenc::tensor::CooTensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-/// Planted low-rank data, same construction as the solver unit tests.
+mod common;
+
+use common::factor_bits;
+
 fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
-    let truth = KruskalTensor::random(shape, rank, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
-    let mut mask = CooTensor::new(shape.to_vec());
-    for _ in 0..nnz {
-        let idx: Vec<usize> = shape.iter().map(|&d| rng.random_range(0..d)).collect();
-        mask.push(&idx, 1.0).unwrap();
-    }
-    mask.sort_dedup();
-    truth.eval_at(&mask).unwrap()
+    common::planted(shape, rank, nnz, seed, 0xbeef)
 }
 
 fn solve(observed: &CooTensor, cfg: AdmmConfig) -> CompletionResult {
     let laps = vec![None; observed.order()];
     AdmmSolver::new(cfg).unwrap().solve(observed, &laps).unwrap()
-}
-
-/// Factor matrices as raw f64 bits, for exact comparison.
-fn factor_bits(r: &CompletionResult) -> Vec<Vec<u64>> {
-    r.model
-        .factors()
-        .iter()
-        .map(|f| f.as_slice().iter().map(|v| v.to_bits()).collect())
-        .collect()
 }
 
 proptest! {
