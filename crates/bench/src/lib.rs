@@ -164,8 +164,8 @@ fn repo_root() -> PathBuf {
 /// `body` is the members of a JSON object (no outer braces, no trailing
 /// comma). It is written unchanged after two stamps every recorded file
 /// carries: `host_parallelism` (what `available_parallelism` reports
-/// here) and `commit` (`git rev-parse --short HEAD`, so the programs run
-/// from a git checkout).
+/// here) and `commit` (`git rev-parse --short HEAD`; `unknown` in a tree
+/// that is not a git checkout).
 pub fn write_bench_json(name: &str, body: &str) {
     let path = write_stamped(&repo_root(), name, body);
     eprintln!("wrote {}", path.display());
@@ -173,23 +173,26 @@ pub fn write_bench_json(name: &str, body: &str) {
 
 fn write_stamped(dir: &Path, name: &str, body: &str) -> PathBuf {
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let git = Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(repo_root())
-        .output()
-        .expect("run git rev-parse");
-    assert!(
-        git.status.success(),
-        "git rev-parse --short HEAD failed: not a git checkout?"
-    );
-    let commit = String::from_utf8(git.stdout).expect("commit hash is ASCII");
+    let commit = commit_stamp(&repo_root());
     let json = format!(
-        "{{\n  \"host_parallelism\": {host},\n  \"commit\": \"{}\",\n{body}\n}}\n",
-        commit.trim()
+        "{{\n  \"host_parallelism\": {host},\n  \"commit\": \"{commit}\",\n{body}\n}}\n"
     );
     let path = dir.join(format!("BENCH_{name}.json"));
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     path
+}
+
+/// The short hash of the checkout `dir` is in, or `unknown` when `git` is
+/// missing or `dir` is in none (an exported tree).
+fn commit_stamp(dir: &Path) -> String {
+    Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(dir)
+        .output()
+        .ok()
+        .filter(|git| git.status.success())
+        .and_then(|git| String::from_utf8(git.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |hash| hash.trim().to_string())
 }
 
 #[cfg(test)]
@@ -221,6 +224,10 @@ mod tests {
         let path = write_stamped(&dir, "probe", body);
         assert_eq!(path, dir.join("BENCH_probe.json"));
         let text = std::fs::read_to_string(&path).unwrap();
+        // Outside any checkout (a `.git` that leads nowhere stops git's
+        // walk up the parents) the stamp is `unknown`, not a panic.
+        std::fs::write(dir.join(".git"), "gitdir: ./missing\n").unwrap();
+        assert_eq!(commit_stamp(&dir), "unknown");
         std::fs::remove_dir_all(&dir).unwrap();
 
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -230,11 +237,8 @@ mod tests {
             ))
             .expect("host_parallelism, then commit");
         let (commit, rest) = rest.split_once("\",\n").expect("commit is a string member");
-        assert!(commit.len() >= 7, "short hash: {commit:?}");
-        assert!(
-            commit.bytes().all(|b| b.is_ascii_hexdigit()),
-            "hex: {commit:?}"
-        );
+        let short_hash = commit.len() >= 7 && commit.bytes().all(|b| b.is_ascii_hexdigit());
+        assert!(short_hash || commit == "unknown", "short hash or `unknown`: {commit:?}");
         assert_eq!(rest, format!("{body}\n}}\n"));
     }
 

@@ -23,7 +23,7 @@ use crate::trace::{ConvergenceTrace, TracePoint};
 use crate::{CompletionResult, CoreError, Result};
 use distenc_dataflow::Executor;
 use distenc_graph::{Laplacian, TruncatedLaplacian};
-use distenc_tensor::{CooTensor, KruskalTensor, LayoutAccel, TensorLayout};
+use distenc_tensor::{CooTensor, KruskalTensor, LayoutKind, TensorLayout};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -216,9 +216,6 @@ impl AdmmSolver {
         let cfg = AdmmConfig {
             exec: self.cfg.exec,
             checkpoint: self.cfg.checkpoint.clone(),
-            // Like `exec`, the layout is an environment knob of *this*
-            // invocation; checkpoints do not store it.
-            layout: self.cfg.layout,
             ..ckpt.config.clone()
         };
         cfg.validate().map_err(CoreError::Invalid)?;
@@ -247,7 +244,7 @@ impl AdmmSolver {
         // through `SolverState::restore`.
         let mut e = observed.clone();
         e.values_mut().copy_from_slice(&ckpt.residual);
-        let carry = ResidualHandoff { e, accel: LayoutAccel::default() };
+        let carry = ResidualHandoff { e };
         let start = Instant::now();
         solve_exact(observed, &truncated, &cfg, None, Some(carry), Some(ckpt), |_iter| {
             start.elapsed().as_secs_f64()
@@ -287,18 +284,11 @@ impl solver::CheckpointSink<TensorLayout> for FileSink<'_> {
 /// returned alongside it — [`solver::run`] leaves them that way (the last
 /// iteration's residual refresh runs *after* the final factor swap), and
 /// the streaming delta apply keeps them that way when the observation set
-/// changes. `accel` carries the layout's acceleration structure (CSF
-/// fiber trees, tiled entry orders); its *structure* is reusable as long
-/// as the support is unchanged (values are re-scattered at the next
-/// solve), and the streaming layer clears it on structural deltas so the
-/// next solve rebuilds.
+/// changes.
 #[derive(Debug, Clone)]
 pub struct ResidualHandoff {
     /// Residual values on the observed support, in entry order.
     pub e: CooTensor,
-    /// Layout acceleration structure of the solve that produced `e`
-    /// (empty for the plain COO layout).
-    pub accel: LayoutAccel,
 }
 
 /// Shared problem validation (also used by the distributed solver).
@@ -404,28 +394,22 @@ pub(crate) fn solve_with(
     solve_exact(observed, truncated, cfg, initial, carry, None, clock)
 }
 
-/// Shared host-side setup: the executor and the residual layout (carried
-/// or rebuilt) with its acceleration structure. Used by both the exact
-/// path and the sketch phase so a tier switch never changes how the
-/// problem is laid out. The flag is `residual_fresh` for [`solver::run`].
+/// Shared host-side setup: the executor and the residual (carried or
+/// rebuilt). Used by both the exact path and the sketch phase. The flag is
+/// `residual_fresh` for [`solver::run`].
 ///
 /// The residual shares the observed support. Cold: its values start
 /// stale (they still hold `T`'s) and the solver refreshes them before
 /// anything reads them. Warm: the carried values are already fresh for
-/// the warm-start model and the solve enters on them. The carried layout
-/// acceleration structure (CSF trees, tiled orders) is reused when it
-/// still matches the support; otherwise the layout rebuilds it.
+/// the warm-start model and the solve enters on them.
 fn build_host_layout(
     observed: &CooTensor,
     cfg: &AdmmConfig,
     carry: Option<ResidualHandoff>,
 ) -> Result<(Executor, TensorLayout, bool)> {
     let residual_fresh = carry.is_some();
-    let (e, accel) = match carry {
-        Some(c) => (c.e, c.accel),
-        None => (observed.clone(), LayoutAccel::default()),
-    };
-    let layout = TensorLayout::build_with(e, cfg.layout, accel)?;
+    let e = carry.map_or_else(|| observed.clone(), |c| c.e);
+    let layout = TensorLayout::build(e, LayoutKind::Coo)?;
     Ok((Executor::new(cfg.exec), layout, residual_fresh))
 }
 
@@ -468,8 +452,7 @@ fn solve_exact(
         resume_point,
         sink,
     )?;
-    let (e, accel) = layout.into_parts();
-    Ok((result, ResidualHandoff { e, accel }))
+    Ok((result, ResidualHandoff { e: layout.into_entries() }))
 }
 
 /// The two-phase sketched solve: `sketch_iters` sampled iterations on
@@ -524,8 +507,7 @@ fn solve_sketched(
         None,
         None,
     )?;
-    let (e, accel) = layout.into_parts();
-    let handoff = ResidualHandoff { e, accel };
+    let handoff = ResidualHandoff { e: layout.into_entries() };
 
     // Phase B: exact polish, warm-started from the sketch phase's model
     // and (fresh) residual. `polish_iters = 0` is legal: the fallback in
@@ -870,27 +852,6 @@ mod tests {
             for err in errors {
                 assert_eq!(&err.to_string(), want);
             }
-        }
-    }
-
-    #[test]
-    fn csf_path_matches_coo_path_exactly() {
-        // The CSF MTTKRP is an exact reorganization of the COO kernel:
-        // only floating-point association differs, so iterates match to
-        // rounding.
-        let (observed, _) = planted(&[14, 11, 9], 3, 600, 31);
-        let base = AdmmConfig { rank: 3, max_iters: 12, tol: 1e-12, ..Default::default() };
-        let coo_run = AdmmSolver::new(base.clone())
-            .unwrap()
-            .solve(&observed, &[None, None, None])
-            .unwrap();
-        let csf_run = AdmmSolver::new(base.with_layout(distenc_tensor::LayoutKind::Csf))
-            .unwrap()
-            .solve(&observed, &[None, None, None])
-            .unwrap();
-        assert_eq!(coo_run.iterations, csf_run.iterations);
-        for (a, b) in coo_run.model.factors().iter().zip(csf_run.model.factors()) {
-            assert!(a.frob_dist(b).unwrap() < 1e-9);
         }
     }
 

@@ -116,13 +116,6 @@ pub struct AdmmConfig {
     /// greedy balancing by default; the equal-width baseline exists for
     /// the load-balancing ablation).
     pub partition: distenc_partition::PartitionStrategy,
-    /// Which storage layout the host solver keeps the residual tensor in
-    /// (see [`distenc_tensor::LayoutKind`]): flat COO (the default), CSF
-    /// fiber trees, or the cache-blocked tiled layout. Set by
-    /// [`AdmmConfig::with_layout`] and the CLI's `--layout`. An
-    /// invocation knob like `exec`: checkpoints do not store it, and
-    /// [`crate::AdmmSolver::resume`] uses the resuming solver's.
-    pub layout: distenc_tensor::LayoutKind,
     /// Host execution backend for the solver's per-iteration kernels
     /// (MTTKRP, residual). Bit-identical results under every setting —
     /// see `distenc-dataflow`'s `exec` module; defaults from the
@@ -133,11 +126,11 @@ pub struct AdmmConfig {
     /// mode's on the sequential host and on the distributed driver (one
     /// pass per iteration instead of N+1 for an order-N tensor; on the
     /// cluster also one block stage and one shuffle instead of N+1 and
-    /// N), mode 0's under threaded host executors and the CSF layout (N
-    /// passes). Bit-identical to the unfused schedule in every numeric
-    /// result — the fused kernels replay the exact same floating-point
-    /// folds — so this is on by default; the switch exists for the
-    /// ablation and the pass-count gate.
+    /// N), mode 0's under threaded host executors (N passes).
+    /// Bit-identical to the unfused schedule in every numeric result — the
+    /// fused kernels replay the exact same floating-point folds — so this
+    /// is on by default; the switch exists for the ablation and the
+    /// pass-count gate.
     pub fused: bool,
     /// Which solver tier runs the per-iteration kernels (see
     /// [`SolverTier`]): the bit-pinned exact path, or the sampled
@@ -163,7 +156,6 @@ impl Default for AdmmConfig {
             seed: 42,
             nonneg: false,
             partition: distenc_partition::PartitionStrategy::Greedy,
-            layout: distenc_tensor::LayoutKind::Coo,
             exec: distenc_dataflow::ExecMode::default(),
             fused: true,
             solver_tier: SolverTier::default(),
@@ -189,12 +181,6 @@ impl AdmmConfig {
     /// [`CheckpointPolicy`]).
     pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
-        self
-    }
-
-    /// Builder-style residual-layout override (see [`AdmmConfig::layout`]).
-    pub fn with_layout(mut self, layout: distenc_tensor::LayoutKind) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -244,7 +230,6 @@ mod tests {
         // Constants, not environment lookups: only `exec` follows a
         // variable (`DISTENC_THREADS`).
         assert!(c.fused, "fusion is the default schedule");
-        assert_eq!(c.layout, distenc_tensor::LayoutKind::Coo);
         assert_eq!(c.solver_tier, SolverTier::Exact);
         assert!(!c.with_fused(false).fused);
     }

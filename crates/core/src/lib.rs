@@ -37,7 +37,6 @@ pub mod trace;
 
 pub use admm::{AdmmSolver, ResidualHandoff};
 pub use config::{AdmmConfig, CheckpointPolicy, SolverTier, DEFAULT_POLISH_ITERS};
-pub use distenc_tensor::{LayoutAccel, LayoutKind};
 pub use distenc::DisTenC;
 pub use model::{MethodModel, RunOutcome, WorkloadSpec};
 pub use solver::checkpoint::{Checkpoint, CheckpointError};

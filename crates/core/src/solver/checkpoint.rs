@@ -35,15 +35,14 @@
 //! garbage factors.
 //!
 //! The execution-environment fields of [`AdmmConfig`] (`exec`,
-//! `layout`, `solver_tier`, `checkpoint`) are deliberately **not**
-//! serialized: a checkpoint is an exact-tier artifact and must resume
-//! bit-identically on any host backend, so the reader fills them with
-//! the defaults (`exec` from `DISTENC_THREADS`, layout COO, tier `Exact`,
-//! no follow-on checkpoint policy) and `resume` overlays the resuming
-//! solver's own. The reserved byte keeps files written while that legacy
-//! CSF switch existed readable under the same version: those carried 0
-//! or 1 there, and either now means "whatever layout the resuming
-//! invocation selects".
+//! `solver_tier`, `checkpoint`) are deliberately **not** serialized: a
+//! checkpoint is an exact-tier artifact and must resume bit-identically
+//! on any host backend, so the reader fills them with the defaults
+//! (`exec` from `DISTENC_THREADS`, tier `Exact`, no follow-on checkpoint
+//! policy) and `resume` overlays the resuming solver's own. The reserved
+//! byte keeps files written while a CSF switch was stored there readable
+//! under the same version: those carried 0 or 1, and either is ignored —
+//! the solver has one residual storage.
 
 use super::SolverState;
 use crate::config::{AdmmConfig, SolverTier};
@@ -354,7 +353,6 @@ impl Checkpoint {
             partition,
             // Environment fields: not serialized, reset to this host's
             // defaults (see the module docs).
-            layout: distenc_tensor::LayoutKind::Coo,
             exec: distenc_dataflow::ExecMode::default(),
             fused,
             solver_tier: SolverTier::Exact,

@@ -1,10 +1,9 @@
 //! The single-machine [`StepBackend`]: thread-blocked kernels on a
 //! [`distenc_dataflow::Executor`], no accounting.
 //!
-//! Its residual is a [`TensorLayout`], and all storage-dependent work
-//! goes through it — this backend never inspects which layout (COO, CSF,
-//! or tiled) is in play; it sizes one [`LayoutWorkspace`] at construction
-//! and hands every kernel call to the layout's dispatch point. The steady
+//! Its residual is a [`TensorLayout`] (COO, always), and every entry
+//! sweep goes through it: this backend sizes one [`LayoutWorkspace`] at
+//! construction and hands every kernel call to the layout. The steady
 //! state allocates nothing on the calling thread (the threaded executor
 //! hands work to its resident pool through an unboxed index broadcast;
 //! the sequential path is a plain loop).
@@ -14,7 +13,7 @@
 //! and writes the next iteration's MTTKRPs straight into it in one sweep
 //! over the nonzeros — every mode's when the layout runs its sequential
 //! entry-order kernel (one sweep per iteration), mode 0's otherwise
-//! (threaded executors, CSF: N sweeps). Entered on a residual that is
+//! (threaded executors: N sweeps). Entered on a residual that is
 //! already fresh, the same hook banks from the stored values: every mode
 //! in one entry-order sweep, or nothing where the layout has only its
 //! one-mode kernels (the mode steps then run them, as they would have).
@@ -33,9 +32,8 @@ use distenc_tensor::{CooTensor, KruskalTensor, LayoutWorkspace, TensorLayout};
 /// even-chunked residual refresh, plain Grams, wall-clock trace stamps.
 pub(crate) struct HostBackend<C> {
     exec: Executor,
-    /// The layout's per-mode sweep workspace (buckets for COO under
-    /// threads, tile partitions for tiled, nothing for CSF or for COO on
-    /// one thread).
+    /// The residual's per-mode sweep workspace (buckets under threads,
+    /// nothing on one thread).
     lw: LayoutWorkspace,
     res: ResidualWorkspace,
     clock: C,

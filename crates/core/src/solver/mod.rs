@@ -33,9 +33,8 @@
 //! on the calling thread — in sequential mode *and* in threaded mode,
 //! because the executor dispatches work to its resident pool through an
 //! unboxed index broadcast (`Pool::run_indexed`) rather than boxed jobs.
-//! Documented exemptions: the CSF tree walk (per-level recursion
-//! accumulators, `O(depth·R)`) and the distributed driver's accounting
-//! vectors (`TaskCost` / shuffle tallies / per-call reduction slabs —
+//! Documented exemption: the distributed driver's accounting vectors
+//! (`TaskCost` / shuffle tallies / per-call reduction slabs —
 //! bookkeeping, not step math). The `alloc-count` feature and
 //! `tests/alloc_budget.rs` enforce this.
 //!
@@ -63,11 +62,11 @@
 //! nonzero list for an order-N tensor, per steady-state iteration and for
 //! the entry alike:
 //!
-//! * **1** — the sequential host backend on the COO and tiled layouts, and
-//!   the cluster backend on every executor (one task per Algorithm 2
-//!   block), bank all N modes in one sweep;
-//! * **N** — threaded host executors and the CSF layout (and host tensors
-//!   of order 1 or beyond the fused kernel's row cache) bank mode 0 only:
+//! * **1** — the sequential host backend, and the cluster backend on
+//!   every executor (one task per Algorithm 2 block), bank all N modes in
+//!   one sweep;
+//! * **N** — threaded host executors (and host tensors of order 1 or
+//!   beyond the fused kernel's row cache) bank mode 0 only:
 //!   one fused sweep plus N−1 plain MTTKRPs (on entry they bank nothing:
 //!   N plain MTTKRPs);
 //! * **N+1** — unfused: N MTTKRPs plus the separate refresh (no entry

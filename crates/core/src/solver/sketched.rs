@@ -169,10 +169,7 @@ impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
         let Some(h0) = bank.first_mut() else {
             // Final (or converged) iteration of the sketch phase: restore
             // the hand-off invariant with one exact refresh so the polish
-            // phase — or a streaming carry — starts from fresh values. The
-            // one exact kernel this backend runs is dispatched through the
-            // layout like the host backend's, so a sketched solve on a CSF
-            // or tiled layout keeps its acceleration structure in sync.
+            // phase — or a streaming carry — starts from fresh values.
             residual.refresh_values(observed, model, &mut self.res, &self.exec)?;
             return Ok((residual.frob_norm_sq(), 0));
         };

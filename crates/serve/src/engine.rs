@@ -51,8 +51,6 @@ pub enum ApproxTopK {
 /// Tunables for [`Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Rows per factor shard (the placement unit of the store).
-    pub shard_rows: usize,
     /// Capacity of the top-K result cache, in entries (0 disables it).
     pub topk_cache: usize,
     /// How many candidates a top-K scan scores between deadline checks.
@@ -69,7 +67,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            shard_rows: 4096,
             topk_cache: 1024,
             deadline_check_every: 128,
             approx_topk: None,
@@ -99,7 +96,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Shard `model` into a [`FactorStore`] and wrap it for serving.
+    /// Copy `model` into a [`FactorStore`] and wrap it for serving.
     pub fn new(model: &KruskalTensor, cfg: EngineConfig) -> Result<Self> {
         Engine::with_metrics(model, cfg, Arc::new(ServeMetrics::new()))
     }
@@ -132,7 +129,7 @@ impl Engine {
                 "deadline_check_every must be at least 1".into(),
             ));
         }
-        let store = FactorStore::new(model, cfg.shard_rows)?;
+        let store = FactorStore::new(model);
         let approx_limits = match cfg.approx_topk {
             None => None,
             Some(ApproxTopK::ScanLimit(n)) => {
@@ -172,7 +169,7 @@ impl Engine {
         self.generation = generation;
     }
 
-    /// The underlying sharded factor store.
+    /// The underlying factor store.
     pub fn store(&self) -> &FactorStore {
         &self.store
     }
@@ -279,7 +276,7 @@ impl Engine {
 
     /// Score many entries in one pass. Factor rows are gathered once per
     /// entry up front, then a single shared rank loop sweeps all entries —
-    /// amortizing shard lookups and keeping the inner loop over contiguous
+    /// amortizing row lookups and keeping the inner loop over contiguous
     /// row slices. Per-entry values are bit-identical to [`Engine::point`].
     pub fn batch<I: AsRef<[usize]>>(&self, indices: &[I]) -> Result<Vec<f64>> {
         for idx in indices {

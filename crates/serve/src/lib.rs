@@ -1,7 +1,7 @@
 //! # distenc-serve — model serving for completed tensors
 //!
 //! The solver's end product is a CP model `[[A⁽¹⁾…A⁽ᴺ⁾]]`; this crate
-//! turns that model into a *workload*: an immutable, mode-sharded factor
+//! turns that model into a *workload*: an immutable per-mode factor
 //! store behind an [`Engine`] answering three query types —
 //!
 //! * [`Engine::point`] — one completed entry `x̂(i₁,…,i_N)`,

@@ -6,7 +6,7 @@
 //! query sees one coherent `(engine, generation)` pair, so a response is
 //! always attributable to exactly one model generation even if a publish
 //! lands mid-query. Publishing builds the new engine off to the side
-//! (sharding is the expensive part) and then swaps the handle with a
+//! (the store's norm tables are the expensive part) and then swaps the handle with a
 //! single atomic store; queries in flight finish on the generation they
 //! pinned, new queries see the new model. No reader ever blocks and no
 //! read can fail because of a swap.
@@ -90,7 +90,7 @@ impl LiveEngine {
     }
 
     /// Build and atomically publish a new model generation, returning its
-    /// tag. Sharding happens before the swap, so the served model is
+    /// tag. The build happens before the swap, so the served model is
     /// stale-but-consistent during the build and the cutover itself is
     /// one atomic store. The new model may have any shape/rank (streaming
     /// growth changes both). Top-K cache entries computed by older
@@ -99,7 +99,7 @@ impl LiveEngine {
     /// stale hit after the swap.
     pub fn publish(&self, model: &KruskalTensor) -> Result<u64> {
         // Build first, allocate the generation second: a model that fails
-        // to shard must not burn a generation number.
+        // to build must not burn a generation number.
         let mut engine = match Engine::with_shared_cache(
             model,
             self.cfg.clone(),
@@ -108,7 +108,7 @@ impl LiveEngine {
         ) {
             Ok(e) => e,
             Err(e) => {
-                // Publish-on-success only: a model the engine cannot shard
+                // Publish-on-success only: a model the engine cannot build
                 // never replaces the serving generation.
                 self.metrics.publish_failed();
                 return Err(e);

@@ -1,7 +1,7 @@
 //! Multi-model registry: one process serving several completed tensors.
 //!
 //! A [`ModelRegistry`] maps tenant names to independent [`LiveEngine`]s —
-//! each tenant gets its own sharded [`FactorStore`], its own hot-swap
+//! each tenant gets its own [`FactorStore`], its own hot-swap
 //! generation stream, its own top-K cache, and its own per-tenant
 //! [`ServeMetrics`]. On top the registry keeps a *fleet* metrics block
 //! for cross-tenant accounting (queue depth, sheds, end-to-end latency),

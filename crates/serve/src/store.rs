@@ -1,10 +1,4 @@
-//! Immutable, mode-sharded factor store.
-//!
-//! The serving layout mirrors how the solver distributes factors (§III-C):
-//! each mode's factor matrix is split into contiguous row shards of
-//! `shard_rows` rows. Shards are the unit a server would place, replicate,
-//! or memory-map; queries address rows through `(shard, local)` arithmetic
-//! so a row lookup never touches more than one shard.
+//! Immutable factor store: one matrix per mode.
 //!
 //! Alongside the raw rows the store precomputes, per mode:
 //! * the Gram matrix `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` (same self-product the solver caches for
@@ -16,16 +10,14 @@
 //! Rows are copied verbatim from the model, so values read back from the
 //! store are bit-identical to the factors they came from.
 
-use crate::{Result, ServeError};
 use distenc_linalg::Mat;
 use distenc_tensor::KruskalTensor;
 
-/// Read-only sharded view of a CP model's factor matrices.
+/// Read-only view of a CP model's factor matrices.
 #[derive(Debug, Clone)]
 pub struct FactorStore {
-    /// `shards[mode]` is the factor matrix of `mode`, split into
-    /// contiguous row blocks of `shard_rows` rows (last block ragged).
-    shards: Vec<Vec<Mat>>,
+    /// `factors[mode]` is the factor matrix of `mode`.
+    factors: Vec<Mat>,
     /// Per-mode Gram matrix `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` (`R×R`).
     grams: Vec<Mat>,
     /// Per-mode row L2 norms.
@@ -37,32 +29,20 @@ pub struct FactorStore {
     norm_prefix: Vec<Vec<f64>>,
     shape: Vec<usize>,
     rank: usize,
-    shard_rows: usize,
 }
 
 impl FactorStore {
-    /// Shard `model` into row blocks of `shard_rows` rows and precompute
-    /// the per-mode Gram matrices, row norms, and norm orders.
-    pub fn new(model: &KruskalTensor, shard_rows: usize) -> Result<Self> {
-        if shard_rows == 0 {
-            return Err(ServeError::BadConfig("shard_rows must be at least 1".into()));
-        }
+    /// Copy `model`'s factors and precompute the per-mode Gram matrices,
+    /// row norms, and norm orders.
+    pub fn new(model: &KruskalTensor) -> Self {
         let shape = model.shape();
         let rank = model.rank();
-        let mut shards = Vec::with_capacity(model.order());
         let mut grams = Vec::with_capacity(model.order());
         let mut norms = Vec::with_capacity(model.order());
         let mut by_norm = Vec::with_capacity(model.order());
         let mut norm_prefix = Vec::with_capacity(model.order());
         for factor in model.factors() {
             let dim = factor.rows();
-            let mut mode_shards = Vec::new();
-            let mut start = 0;
-            while start < dim {
-                let end = (start + shard_rows).min(dim);
-                mode_shards.push(factor.gather_rows(&(start..end).collect::<Vec<_>>()));
-                start = end;
-            }
             let mode_norms: Vec<f64> = (0..dim)
                 .map(|i| factor.row(i).iter().map(|v| v * v).sum::<f64>().sqrt())
                 .collect();
@@ -78,13 +58,13 @@ impl FactorStore {
                     running
                 })
                 .collect();
-            shards.push(mode_shards);
             grams.push(factor.gram());
             norms.push(mode_norms);
             by_norm.push(order);
             norm_prefix.push(prefix);
         }
-        Ok(FactorStore { shards, grams, norms, by_norm, norm_prefix, shape, rank, shard_rows })
+        let factors = model.factors().to_vec();
+        FactorStore { factors, grams, norms, by_norm, norm_prefix, shape, rank }
     }
 
     /// Tensor shape served by this store.
@@ -102,25 +82,10 @@ impl FactorStore {
         self.shape.len()
     }
 
-    /// Rows per shard (last shard of a mode may hold fewer).
-    pub fn shard_rows(&self) -> usize {
-        self.shard_rows
-    }
-
-    /// Number of shards holding `mode`'s factor.
-    pub fn num_shards(&self, mode: usize) -> usize {
-        self.shards[mode].len()
-    }
-
-    /// Shard `s` of `mode` (a contiguous block of factor rows).
-    pub fn shard(&self, mode: usize, s: usize) -> &Mat {
-        &self.shards[mode][s]
-    }
-
-    /// Factor row `A⁽ᵐᵒᵈᵉ⁾[i, ·]`, resolved through shard arithmetic.
+    /// Factor row `A⁽ᵐᵒᵈᵉ⁾[i, ·]`.
     #[inline]
     pub fn row(&self, mode: usize, i: usize) -> &[f64] {
-        self.shards[mode][i / self.shard_rows].row(i % self.shard_rows)
+        self.factors[mode].row(i)
     }
 
     /// Gram matrix `A⁽ᵐᵒᵈᵉ⁾ᵀA⁽ᵐᵒᵈᵉ⁾`.
@@ -159,13 +124,9 @@ impl FactorStore {
         prefix.partition_point(|&mass| mass < target).min(prefix.len() - 1) + 1
     }
 
-    /// Approximate heap footprint in bytes (shards + precomputed tables).
+    /// Approximate heap footprint in bytes (factors + precomputed tables).
     pub fn mem_bytes(&self) -> usize {
-        let shard_bytes: usize = self
-            .shards
-            .iter()
-            .flat_map(|m| m.iter().map(Mat::mem_bytes))
-            .sum();
+        let factor_bytes: usize = self.factors.iter().map(Mat::mem_bytes).sum();
         let gram_bytes: usize = self.grams.iter().map(Mat::mem_bytes).sum();
         let table_bytes: usize = self
             .norms
@@ -173,7 +134,7 @@ impl FactorStore {
             .zip(&self.by_norm)
             .map(|(n, o)| n.len() * 8 + o.len() * std::mem::size_of::<usize>())
             .sum();
-        shard_bytes + gram_bytes + table_bytes
+        factor_bytes + gram_bytes + table_bytes
     }
 }
 
@@ -184,21 +145,18 @@ mod tests {
     #[test]
     fn rows_are_bit_identical_to_the_model() {
         let model = KruskalTensor::random(&[37, 11, 5], 4, 123);
-        // shard_rows of 8 forces ragged last shards on every mode.
-        let store = FactorStore::new(&model, 8).unwrap();
+        let store = FactorStore::new(&model);
         for (mode, factor) in model.factors().iter().enumerate() {
             for i in 0..factor.rows() {
                 assert_eq!(store.row(mode, i), factor.row(i), "mode {mode} row {i}");
             }
         }
-        assert_eq!(store.num_shards(0), 5);
-        assert_eq!(store.shard(0, 4).rows(), 5); // 37 = 4*8 + 5
     }
 
     #[test]
     fn norm_order_is_descending() {
         let model = KruskalTensor::random(&[50, 20, 10], 3, 9);
-        let store = FactorStore::new(&model, 16).unwrap();
+        let store = FactorStore::new(&model);
         for mode in 0..3 {
             let order = store.by_norm(mode);
             assert_eq!(order.len(), model.shape()[mode]);
@@ -211,7 +169,7 @@ mod tests {
     #[test]
     fn gram_matches_factor_gram() {
         let model = KruskalTensor::random(&[12, 8, 6], 3, 4);
-        let store = FactorStore::new(&model, 4).unwrap();
+        let store = FactorStore::new(&model);
         for (mode, factor) in model.factors().iter().enumerate() {
             assert_eq!(store.gram(mode), &factor.gram());
         }
@@ -220,7 +178,7 @@ mod tests {
     #[test]
     fn coverage_scan_limits_are_monotone_and_bounded() {
         let model = KruskalTensor::random(&[64, 24, 12], 4, 31);
-        let store = FactorStore::new(&model, 16).unwrap();
+        let store = FactorStore::new(&model);
         for mode in 0..3 {
             let dim = model.shape()[mode];
             let full = store.scan_limit_for_coverage(mode, 1.0);
@@ -239,23 +197,5 @@ mod tests {
             let total: f64 = (0..dim).map(|i| store.row_norm(mode, i)).sum();
             assert!(mass >= 0.5 * total - 1e-12);
         }
-    }
-
-    #[test]
-    fn zero_shard_rows_rejected() {
-        let model = KruskalTensor::random(&[4, 4], 2, 0);
-        assert!(matches!(
-            FactorStore::new(&model, 0),
-            Err(ServeError::BadConfig(_))
-        ));
-    }
-
-    #[test]
-    fn oversized_shard_rows_yields_one_shard_per_mode() {
-        let model = KruskalTensor::random(&[10, 6], 2, 1);
-        let store = FactorStore::new(&model, 1000).unwrap();
-        assert_eq!(store.num_shards(0), 1);
-        assert_eq!(store.num_shards(1), 1);
-        assert_eq!(store.row(0, 9), model.factors()[0].row(9));
     }
 }

@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn matches_brute_force_exactly() {
         let model = KruskalTensor::random(&[200, 40, 15], 6, 31);
-        let store = FactorStore::new(&model, 64).unwrap();
+        let store = FactorStore::new(&model);
         for (mode, k) in [(0, 1), (0, 10), (1, 5), (2, 15), (0, 200)] {
             let q = TopKQuery { mode, at: vec![7, 3, 2], k };
             let got = search(&store, &q, None, 128, None);
@@ -236,7 +236,7 @@ mod tests {
         // Uniform [0,1) factors give spread-out row norms, so a small k on
         // a large mode must prune a sizable tail.
         let model = KruskalTensor::random(&[5000, 10, 10], 4, 7);
-        let store = FactorStore::new(&model, 512).unwrap();
+        let store = FactorStore::new(&model);
         let q = TopKQuery { mode: 0, at: vec![0, 4, 4], k: 5 };
         let res = search(&store, &q, None, 128, None);
         assert!(res.pruned > 0, "expected pruning, scanned {}", res.scanned);
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn k_zero_and_oversized_k() {
         let model = KruskalTensor::random(&[10, 10], 2, 3);
-        let store = FactorStore::new(&model, 4).unwrap();
+        let store = FactorStore::new(&model);
         let none = search(&store, &TopKQuery { mode: 0, at: vec![0, 1], k: 0 }, None, 128, None);
         assert!(none.items.is_empty());
         let all = search(&store, &TopKQuery { mode: 1, at: vec![2, 0], k: 99 }, None, 128, None);
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn scan_cap_marks_approx_and_scores_stay_bit_exact() {
         let model = KruskalTensor::random(&[800, 12, 12], 5, 19);
-        let store = FactorStore::new(&model, 128).unwrap();
+        let store = FactorStore::new(&model);
         let q = TopKQuery { mode: 0, at: vec![0, 3, 7], k: 10 };
         let exact = search(&store, &q, None, 128, None);
         assert!(!exact.approx);
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn expired_deadline_degrades_gracefully() {
         let model = KruskalTensor::random(&[4000, 8, 8], 4, 11);
-        let store = FactorStore::new(&model, 512).unwrap();
+        let store = FactorStore::new(&model);
         let q = TopKQuery { mode: 0, at: vec![0, 2, 3], k: 50 };
         // A deadline already in the past: the scan still covers at least one
         // check window before noticing, so the result is a valid prefix.

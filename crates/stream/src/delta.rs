@@ -222,13 +222,6 @@ impl DeltaBatch {
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.updates.is_empty() && self.growth.iter().all(|&g| g == 0)
     }
-
-    /// True when the batch changes the support or the shape (anything but
-    /// pure value updates). Structural batches invalidate index-dependent
-    /// caches (CSF fiber trees); value-only batches do not.
-    pub fn is_structural(&self) -> bool {
-        !self.inserts.is_empty() || self.growth.iter().any(|&g| g > 0)
-    }
 }
 
 #[cfg(test)]
@@ -247,7 +240,6 @@ mod tests {
         assert_eq!(b.new_shape(), vec![5, 3]);
         // Inserts come back sorted.
         assert_eq!(b.inserts()[0].0, vec![0, 1]);
-        assert!(b.is_structural());
         assert!(!b.is_empty());
     }
 

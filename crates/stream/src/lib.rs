@@ -19,8 +19,7 @@
 //! residual equals `Ω∗(T − [[model…]])` bit-for-bit on the new support, so
 //! a warm [`StreamingSolver::solve`] is bit-identical to
 //! [`distenc_core::AdmmSolver::solve_from`] on the final tensor — only
-//! faster, because the residual (and, for value-only deltas, the CSF fiber
-//! trees) skip their `O(nnz)` rebuild.
+//! faster, because the residual skips its `O(nnz)` rebuild.
 
 #![warn(missing_docs)]
 

@@ -223,15 +223,6 @@ impl StreamingSolver {
                 c.e.splice(&insert_at, &patch)?;
             }
         }
-        if batch.is_structural() {
-            // The support (or shape) changed: the carried layout
-            // acceleration structures (CSF fiber trees, tiled entry
-            // orders) no longer describe it. Drop them; the next solve
-            // rebuilds.
-            if let Some(c) = &mut self.carry {
-                c.accel.clear();
-            }
-        }
         Ok(())
     }
 

@@ -17,9 +17,9 @@
 //!   matricizations, used as small-scale oracles in tests,
 //! * [`residual`] — the sparse residual tensor `E = Ω∗(T − [[A…]])`
 //!   (Eq. 14) that keeps every iteration `O(nnz)`,
-//! * [`layout`] — the [`TensorLayout`] dispatch point that makes the
-//!   COO, CSF, and cache-blocked tiled storage layouts interchangeable
-//!   behind one surface,
+//! * [`layout`] — the [`TensorLayout`] the solver keeps its residual in
+//!   (COO), and the CSF and cache-blocked tiled kernel structures the
+//!   benchmark times behind the same surface,
 //! * [`sample`] — deterministic norm-proportional entry sampling, the
 //!   randomization behind the sketched solver tier,
 //! * [`dense`] — a tiny dense tensor for test oracles,
@@ -45,7 +45,7 @@ pub use coo::CooTensor;
 pub use csf::CsfTensor;
 pub use dense::DenseTensor;
 pub use kruskal::KruskalTensor;
-pub use layout::{LayoutAccel, LayoutKind, LayoutWorkspace, TensorLayout};
+pub use layout::{LayoutKind, LayoutWorkspace, TensorLayout};
 
 /// One tick on the pass-count instrument per full entry-list sweep over
 /// `entries` nonzeros (see `distenc_dataflow::passes`); compiles to
@@ -79,8 +79,6 @@ pub enum TensorError {
         /// What was wrong with it.
         reason: &'static str,
     },
-    /// An unknown tensor-layout name; the payload is the rejected name.
-    InvalidLayout(String),
     /// A file could not be opened or read ([`io`]); the payload is the
     /// operating system's message.
     Io(String),
@@ -100,9 +98,6 @@ impl std::fmt::Display for TensorError {
             TensorError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
             TensorError::InvalidShape { shape, reason } => {
                 write!(f, "invalid tensor shape {shape:?}: {reason}")
-            }
-            TensorError::InvalidLayout(name) => {
-                write!(f, "unknown tensor layout {name:?} (expected coo, csf, or tiled)")
             }
             TensorError::Io(msg) => write!(f, "i/o error: {msg}"),
             TensorError::Parse(msg) => write!(f, "parse error: {msg}"),

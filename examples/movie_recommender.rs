@@ -42,7 +42,7 @@ fn main() {
     );
 
     // Serve recommendations from the completed model: load it into the
-    // sharded engine and rank the movie mode with a pruned top-K scan.
+    // engine and rank the movie mode with a pruned top-K scan.
     let engine = Engine::new(&dis.model, EngineConfig::default()).expect("serving engine");
     let user = 0usize;
     let t_latest = 11usize;

@@ -25,8 +25,8 @@ mod cli;
 
 use cli::{fail, flag, many, parse_list, parse_num, val, Cmd, Opt, Opts, Res};
 use distenc::core::{
-    AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, CompletionResult, LayoutKind,
-    SolverTier, DEFAULT_POLISH_ITERS,
+    AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, CompletionResult, SolverTier,
+    DEFAULT_POLISH_ITERS,
 };
 use distenc::dataflow::ExecMode;
 use distenc::eval::metrics;
@@ -53,7 +53,6 @@ const SIMILARITY: &[Opt] =
 /// How the solve executes; never changes what it computes.
 const EXEC: &[Opt] = &[
     val("threads", "N", "0|1 sequential, N >= 2 a thread pool [default: DISTENC_THREADS, else 1]"),
-    val("layout", "coo|csf|tiled", "residual storage; tiled is bitwise coo [default: coo]"),
 ];
 const BUDGET: &[Opt] = &[
     val("iters", "T", "iteration cap [default: 60]"),
@@ -164,7 +163,6 @@ const COMMANDS: &[Cmd] = &[
                 val("zipf", "S", "index skew exponent [default: 1.1]"),
                 val("budget-ms", "MS", "scan deadline attached to top-K requests"),
                 val("cache", "N", "top-K LRU entries [default: 1024]"),
-                val("shard-rows", "N", "factor-store shard height [default: 4096]"),
                 val("approx-scan", "N", "approximate top-K: stop after N candidates"),
                 val("approx-coverage", "F", "approximate top-K: stop at this norm coverage"),
                 val("recall-every", "N", "re-check every Nth approximate answer [default: off]"),
@@ -229,31 +227,22 @@ fn to_stdout(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Res {
 
 // ---- shared option groups -------------------------------------------------
 
-/// The `EXEC` group: `--threads` through the one thread-count parser,
-/// `--layout` through the one layout parser. Typos are errors, never
-/// fallbacks — they must not silently change which kernels run.
-fn exec_options(opts: &Opts) -> Res<(ExecMode, LayoutKind)> {
-    let exec = match opts.get("threads") {
-        Some(s) => ExecMode::parse(s).map_err(|e| format!("--threads: {e}"))?,
-        None => ExecMode::default(),
-    };
-    let layout = match opts.get("layout") {
-        Some(s) => LayoutKind::parse(s)?,
-        None => LayoutKind::Coo,
-    };
-    Ok((exec, layout))
+/// The `EXEC` group: `--threads` through the one thread-count parser. A
+/// typo is an error, never a fallback — it must not silently change which
+/// kernels run.
+fn exec_options(opts: &Opts) -> Res<ExecMode> {
+    let Some(s) = opts.get("threads") else { return Ok(ExecMode::default()) };
+    Ok(ExecMode::parse(s).map_err(|e| format!("--threads: {e}"))?)
 }
 
 /// The `EXEC` and `BUDGET` groups plus `--rank`, over the shipped defaults.
 fn solver_config(opts: &Opts) -> Res<AdmmConfig> {
-    let (exec, layout) = exec_options(opts)?;
     Ok(AdmmConfig {
         rank: opts.req_num("rank")?,
         max_iters: opts.num_or("iters", 60)?,
         tol: opts.num_or("tol", 1e-4)?,
         seed: opts.num_or("seed", 42)?,
-        exec,
-        layout,
+        exec: exec_options(opts)?,
         ..Default::default()
     })
 }
@@ -415,9 +404,9 @@ fn cmd_resume(opts: &Opts) -> Res {
     // The solve numerics come from the snapshot; only the environment
     // knobs are taken from this invocation. `--checkpoint-every` keeps
     // snapshotting to the same file while the resumed run progresses.
-    let (exec, layout) = exec_options(opts)?;
+    let exec = exec_options(opts)?;
     let checkpoint = checkpoint_policy(opts, None)?;
-    let cfg = AdmmConfig { checkpoint, exec, layout, ..ckpt.config.clone() };
+    let cfg = AdmmConfig { checkpoint, exec, ..ckpt.config.clone() };
 
     let laps = similarities(opts, observed.order())?;
     let lap_refs: Vec<Option<&Laplacian>> = laps.iter().map(|l| l.as_ref()).collect();
@@ -565,7 +554,6 @@ fn cmd_serve_bench(opts: &Opts) -> Res {
         (None, None) => None,
     };
     let engine_cfg = EngineConfig {
-        shard_rows: opts.num_or("shard-rows", 4096)?,
         topk_cache: opts.num_or("cache", 1024)?,
         approx_topk,
         recall_check_every: opts.num_or("recall-every", 0)?,
@@ -632,11 +620,10 @@ fn cmd_serve_bench(opts: &Opts) -> Res {
     let trace = synth_trace(&shape, &trace_cfg);
     let store = engine.store();
     eprintln!(
-        "replaying {} requests against shape {:?} rank {} ({} shards, {:.1} MiB store)",
+        "replaying {} requests against shape {:?} rank {} ({:.1} MiB store)",
         trace.len(),
         shape,
         model.rank(),
-        (0..store.order()).map(|m| store.num_shards(m)).sum::<usize>(),
         store.mem_bytes() as f64 / (1024.0 * 1024.0),
     );
 

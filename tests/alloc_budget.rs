@@ -24,11 +24,10 @@
 #![cfg(feature = "alloc-count")]
 
 use distenc::core::{AdmmConfig, AdmmSolver};
-use distenc::core::LayoutKind;
 use distenc::dataflow::alloc;
 use distenc::dataflow::{ExecMode, Executor};
 use distenc::tensor::residual::ResidualWorkspace;
-use distenc::tensor::{CooTensor, TensorLayout};
+use distenc::tensor::{CooTensor, LayoutKind, TensorLayout};
 
 mod common;
 
@@ -124,22 +123,19 @@ fn steady_state_iterations_allocate_o1_heap() {
     // --- Sequential set-up: what `HostBackend::new` sizes (the layout's
     // sweep workspace and the refresh chunks) stays under one f64 per
     // nonzero — at the parent of this rule COO took N position lists of
-    // `nnz` entries, 8·N·nnz bytes. Tiled keeps per-mode row slabs, CSF
-    // nothing; none of them scales with nnz.
+    // `nnz` entries, 8·N·nnz bytes.
     let exec = Executor::new(ExecMode::Sequential);
-    for kind in [LayoutKind::Coo, LayoutKind::Tiled, LayoutKind::Csf] {
-        let layout = TensorLayout::build(large.clone(), kind).unwrap();
-        let before = alloc::snapshot();
-        let lw = layout.workspace(16, &[], &exec).unwrap();
-        let res = ResidualWorkspace::new(layout.nnz(), &exec);
-        let bytes = alloc::snapshot().delta(before).thread_bytes;
-        drop((lw, res));
-        assert!(
-            bytes < 8 * large.nnz() as u64,
-            "{kind}: sequential workspaces took {bytes} bytes for {} nonzeros",
-            large.nnz()
-        );
-    }
+    let layout = TensorLayout::build(large.clone(), LayoutKind::Coo).unwrap();
+    let before = alloc::snapshot();
+    let lw = layout.workspace(16, &[], &exec).unwrap();
+    let res = ResidualWorkspace::new(layout.nnz(), &exec);
+    let bytes = alloc::snapshot().delta(before).thread_bytes;
+    drop((lw, res));
+    assert!(
+        bytes < 8 * large.nnz() as u64,
+        "sequential workspaces took {bytes} bytes for {} nonzeros",
+        large.nnz()
+    );
 
     // --- Threaded: also zero. The unboxed broadcast dispatches through
     // pool-resident state, and on hosts where the pool is bypassed (a

@@ -330,6 +330,12 @@ fn every_subcommand_rejects_an_unknown_flag() {
     // The queue no longer lingers for a batch, so nothing sets how long.
     let out = bin().args(["serve-bench", "--window-us", "200"]).output().unwrap();
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option `--window-us`"));
+    // The solver stores its residual one way and the factor store holds
+    // one matrix per mode, so nothing selects a layout or a shard height.
+    let out = bin().args(["complete", "--layout", "tiled"]).output().unwrap();
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option `--layout`"));
+    let out = bin().args(["serve-bench", "--shard-rows", "8"]).output().unwrap();
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option `--shard-rows`"));
 }
 
 #[test]
@@ -343,7 +349,6 @@ fn subcommand_help_is_generated_from_the_option_table() {
         "--similarity FILE@MODE",
         "(repeatable)",
         "--threads N",
-        "--layout coo|csf|tiled",
         "--checkpoint-every N",
         "--sketched",
     ] {
@@ -410,7 +415,7 @@ fn resume_reads_version_1_checkpoints_whose_reserved_byte_is_set() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
-    // Older builds wrote a legacy layout switch (0 or 1) into the byte
+    // Older builds wrote a CSF switch (0 or 1) into the byte
     // that is now reserved. Forge such a file: set the byte, redo the FNV-1a
     // trailer.
     let mut bytes = std::fs::read(&ckpt).unwrap();

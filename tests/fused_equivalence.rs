@@ -2,16 +2,15 @@
 //!
 //! `AdmmConfig::fused` (the default) fuses the end-of-iteration residual
 //! refresh with the next iteration's MTTKRPs into one sweep over the
-//! nonzeros: every mode's on the sequential host with the COO or tiled
-//! layout and on the distributed driver (one sweep per iteration), mode
-//! 0's under a threaded host executor or the CSF layout (N sweeps).
+//! nonzeros: every mode's on the sequential host and on the distributed
+//! driver (one sweep per iteration), mode 0's under a threaded host
+//! executor (N sweeps).
 //! Because the fused kernels replay exactly the same floating-point folds
 //! as the separate sweeps (see `distenc_tensor::fused`), every numeric
 //! observable of a solve — iterates and trace statistics — must match the
 //! unfused schedule to the bit, across ranks (including the specialized
 //! R=8/16 kernels and the generic fallback), tensor orders (the literal
-//! order-3/4 bodies and the generic one), all three layouts, and both
-//! execution backends. On the distributed driver the *schedule* differs,
+//! order-3/4 bodies and the generic one), and both execution backends. On the distributed driver the *schedule* differs,
 //! and the last test pins by exactly how much the cluster is charged less.
 //!
 //! A solve entered on a residual that is already fresh banks from the
@@ -19,13 +18,13 @@
 //! host); `stored_sweeps_are_bitwise_the_plain_mttkrp` pins that sweep,
 //! and its one-mode form, against the plain per-mode MTTKRP.
 
-use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC, LayoutKind};
+use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC};
 use distenc::dataflow::{Cluster, ClusterConfig, ExecMode, Executor};
 use distenc::linalg::Mat;
 use distenc::partition::TensorBlocks;
 use distenc::tensor::fused::mttkrp_modes_into;
 use distenc::tensor::mttkrp::mttkrp;
-use distenc::tensor::{CooTensor, KruskalTensor, TensorLayout};
+use distenc::tensor::{CooTensor, KruskalTensor, LayoutKind, TensorLayout};
 use std::collections::BTreeSet;
 
 mod common;
@@ -67,8 +66,8 @@ fn host_solver_fused_matches_unfused_bit_for_bit() {
     // Ranks cover both specialized kernels (8, 16), their neighbors, the
     // paper's 20, and the rank-1 edge; shapes cover orders 3 and 4 (the
     // all-modes sweep's literal-order bodies) plus 2 and 5 (its generic
-    // one). The sequential COO and tiled solves run the one-sweep
-    // schedule; everything else banks mode 0 only.
+    // one). The sequential solves run the one-sweep schedule; the
+    // threaded ones bank mode 0 only.
     let cases: &[(&[usize], usize)] = &[
         (&[13, 11, 9], 1),
         (&[13, 11, 9], 3),
@@ -85,28 +84,19 @@ fn host_solver_fused_matches_unfused_bit_for_bit() {
     ];
     for &(shape, rank) in cases {
         let observed = planted(shape, rank, 60 * shape.len(), rank as u64 + 5);
-        for layout in [LayoutKind::Coo, LayoutKind::Tiled, LayoutKind::Csf] {
-            for exec in [ExecMode::Sequential, ExecMode::Threads(4)] {
-                let base = AdmmConfig {
-                    rank,
-                    max_iters: 6,
-                    tol: 1e-12,
-                    layout,
-                    exec,
-                    ..Default::default()
-                };
-                let lapses = vec![None; shape.len()];
-                let fused = AdmmSolver::new(base.clone().with_fused(true))
-                    .unwrap()
-                    .solve(&observed, &lapses)
-                    .unwrap();
-                let plain = AdmmSolver::new(base.with_fused(false))
-                    .unwrap()
-                    .solve(&observed, &lapses)
-                    .unwrap();
-                let label = format!("shape {shape:?} rank {rank} {layout} exec {exec:?}");
-                assert_bit_identical(&fused, &plain, &label);
-            }
+        for exec in [ExecMode::Sequential, ExecMode::Threads(4)] {
+            let base = AdmmConfig { rank, max_iters: 6, tol: 1e-12, exec, ..Default::default() };
+            let lapses = vec![None; shape.len()];
+            let fused = AdmmSolver::new(base.clone().with_fused(true))
+                .unwrap()
+                .solve(&observed, &lapses)
+                .unwrap();
+            let plain = AdmmSolver::new(base.with_fused(false))
+                .unwrap()
+                .solve(&observed, &lapses)
+                .unwrap();
+            let label = format!("shape {shape:?} rank {rank} exec {exec:?}");
+            assert_bit_identical(&fused, &plain, &label);
         }
     }
 }
@@ -150,25 +140,23 @@ fn stored_sweeps_are_bitwise_the_plain_mttkrp() {
                 shape.iter().enumerate().map(|(m, &d)| Mat::random(d, rank, 90 + m as u64)).collect()
             };
             let label = format!("shape {shape:?} rank {rank}");
-            for kind in [LayoutKind::Coo, LayoutKind::Tiled] {
-                let layout = TensorLayout::build(x.clone(), kind).unwrap();
-                let mut lw = layout.workspace(rank, &[], &seq).unwrap();
-                let mut bank = dirty();
-                // Twice: a sweep over its own output must be clean too.
-                for _ in 0..2 {
-                    let banked = layout.mttkrp_all_into(model.factors(), &seq, &mut bank).unwrap();
-                    assert_eq!(banked, shape.len(), "{label} {kind}");
-                    for (m, h) in bank.iter().enumerate() {
-                        assert_eq!(bits(h), bits(&want[m]), "{label} {kind}: all-modes, mode {m}");
-                    }
+            let layout = TensorLayout::build(x.clone(), LayoutKind::Coo).unwrap();
+            let mut lw = layout.workspace(rank, &[], &seq).unwrap();
+            let mut bank = dirty();
+            // Twice: a sweep over its own output must be clean too.
+            for _ in 0..2 {
+                let banked = layout.mttkrp_all_into(model.factors(), &seq, &mut bank).unwrap();
+                assert_eq!(banked, shape.len(), "{label}");
+                for (m, h) in bank.iter().enumerate() {
+                    assert_eq!(bits(h), bits(&want[m]), "{label}: all-modes, mode {m}");
                 }
-                let mut one = dirty();
-                for (m, h) in one.iter_mut().enumerate() {
-                    layout.mttkrp_into(model.factors(), m, &mut lw, &seq, h).unwrap();
-                    assert_eq!(bits(h), bits(&want[m]), "{label} {kind}: one mode, mode {m}");
-                }
-                assert_eq!(layout.entries(), &x, "a stored sweep writes no value");
             }
+            let mut one = dirty();
+            for (m, h) in one.iter_mut().enumerate() {
+                layout.mttkrp_into(model.factors(), m, &mut lw, &seq, h).unwrap();
+                assert_eq!(bits(h), bits(&want[m]), "{label}: one mode, mode {m}");
+            }
+            assert_eq!(layout.entries(), &x, "a stored sweep writes no value");
             // Any run of modes, not only `0..N` and `m..m + 1`.
             for first in 0..shape.len() {
                 for count in 0..=shape.len() - first {
@@ -182,19 +170,17 @@ fn stored_sweeps_are_bitwise_the_plain_mttkrp() {
             }
         }
     }
-    // Where the layout has no entry-order sweep it banks nothing and says
+    // Where the executor has no entry-order sweep it banks nothing and says
     // so, leaving the bank alone; a bank of the wrong length is an error.
     let x = planted(&[13, 11, 9], 3, 150, 5);
     let model = KruskalTensor::random(&[13, 11, 9], 3, 6);
     let par = Executor::new(ExecMode::Threads(4));
     let mut bank: Vec<Mat> = [13, 11, 9].iter().map(|&d| Mat::random(d, 3, 1)).collect();
     let before = bank.clone();
-    let coo = TensorLayout::build(x.clone(), LayoutKind::Coo).unwrap();
+    let coo = TensorLayout::build(x, LayoutKind::Coo).unwrap();
     if par.parallelism() > 1 {
         assert_eq!(coo.mttkrp_all_into(model.factors(), &par, &mut bank).unwrap(), 0);
     }
-    let csf = TensorLayout::build(x, LayoutKind::Csf).unwrap();
-    assert_eq!(csf.mttkrp_all_into(model.factors(), &seq, &mut bank).unwrap(), 0);
     assert_eq!(bank, before);
     assert!(coo.mttkrp_all_into(model.factors(), &seq, &mut bank[..2]).is_err());
 }

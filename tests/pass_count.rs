@@ -9,11 +9,10 @@
 //!
 //! * **N+1** times unfused — N MTTKRPs plus the residual refresh,
 //! * **N** times fused where only mode 0 is banked (host executors that
-//!   run threads concurrently, the CSF layout) — N−1 MTTKRPs, one fused
-//!   refresh+MTTKRP sweep, and a mode-0 update read from the bank without
-//!   touching the entries,
-//! * **once** fused on the sequential host (COO and tiled layouts) and on
-//!   the distributed driver under every executor — the one fused sweep
+//!   run threads concurrently) — N−1 MTTKRPs, one fused refresh+MTTKRP
+//!   sweep, and a mode-0 update read from the bank without touching the
+//!   entries,
+//! * **once** fused on the sequential host and on the distributed driver under every executor — the one fused sweep
 //!   banks every mode's MTTKRP (on the cluster: one task per Algorithm 2
 //!   block emits all N partial `H`s), so all N updates are read from the
 //!   bank and the iteration touches `nnz` entries.
@@ -22,9 +21,9 @@
 //! refresh (`StreamingSolver::solve` after an `apply`), `AdmmSolver::resume`
 //! — opens with the *entry sweep* where a cold solve has its prologue
 //! refresh: every mode's MTTKRP banked from the stored values. On the
-//! sequential host (COO and tiled) that is **1** sweep, so `k` iterations
+//! sequential host that is **1** sweep, so `k` iterations
 //! cost exactly `k + 1`: the entry, `k − 1` fused sweeps, the last plain
-//! refresh. Where only one-mode kernels exist (threaded executors, CSF)
+//! refresh. Where only one-mode kernels exist (threaded executors)
 //! the entry banks nothing and the first iteration makes its N plain
 //! MTTKRPs as before: `N·k + 1`. These are whole-solve counts, not
 //! differences: nothing else in a re-solve sweeps.
@@ -56,9 +55,7 @@
 
 #![cfg(feature = "pass-count")]
 
-use distenc::core::{
-    AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, DisTenC, LayoutKind, SolverTier,
-};
+use distenc::core::{AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, DisTenC, SolverTier};
 use distenc::dataflow::passes;
 use distenc::dataflow::{Cluster, ClusterConfig, ExecMode, Executor};
 use distenc::stream::{DeltaBatch, StreamingSolver};
@@ -201,7 +198,7 @@ fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
     let order4 = planted(&[9, 8, 7, 6], 3, 700, 3);
     let nnz = order3.nnz() as f64;
 
-    // --- Sequential host, COO kernels: one sweep banks every mode. -----
+    // --- Sequential host: one sweep banks every mode. ------------------
     let fused = AdmmConfig { fused: true, ..base.clone() };
     let plain = AdmmConfig { fused: false, ..base.clone() };
     assert_eq!(host_sweeps_per_iter(&order3, &fused), 1.0, "order 3 fused");
@@ -210,57 +207,29 @@ fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
     assert_eq!(host_sweeps_per_iter(&order4, &plain), 5.0, "order 4 unfused");
     assert_eq!(host_entries_per_iter(&order3, &fused), nnz, "exact entries");
 
-    // --- Sequential host, tiled layout. --------------------------------
-    // Per-row order in a tile is entry order, so the fused sweep is the
-    // same one entry-order traversal; unfused, cache-blocking reorders
-    // the entry walk but must not add passes.
-    let tiled_fused = AdmmConfig { layout: LayoutKind::Tiled, ..fused.clone() };
-    let tiled_plain = AdmmConfig { layout: LayoutKind::Tiled, ..plain.clone() };
-    assert_eq!(host_sweeps_per_iter(&order3, &tiled_fused), 1.0, "tiled fused");
-    assert_eq!(host_sweeps_per_iter(&order3, &tiled_plain), 4.0, "tiled unfused");
-    assert_eq!(host_entries_per_iter(&order3, &tiled_fused), nnz, "tiled entries");
-
-    // --- Sequential host, CSF tree walks: mode 0 banked, N sweeps. -----
-    let csf_fused = AdmmConfig { layout: LayoutKind::Csf, ..fused.clone() };
-    let csf_plain = AdmmConfig { layout: LayoutKind::Csf, ..plain.clone() };
-    assert_eq!(host_sweeps_per_iter(&order3, &csf_fused), 3.0, "CSF fused");
-    assert_eq!(host_sweeps_per_iter(&order3, &csf_plain), 4.0, "CSF unfused");
-
     // --- Threaded host: the bucketed kernels bank mode 0, N sweeps —
     // wherever the pool can actually run two buckets at once. -----------
     let threads = ExecMode::Threads(4);
     let concurrent = Executor::new(threads).parallelism() > 1;
     let threaded = if concurrent { 3.0 } else { 1.0 };
-    for (label, cfg) in [("COO", &fused), ("tiled", &tiled_fused)] {
-        let thr_fused = AdmmConfig { exec: threads, ..cfg.clone() };
-        let thr_plain = AdmmConfig { exec: threads, fused: false, ..cfg.clone() };
-        assert_eq!(host_sweeps_per_iter(&order3, &thr_fused), threaded, "{label} threaded fused");
-        assert_eq!(host_sweeps_per_iter(&order3, &thr_plain), 4.0, "{label} threaded unfused");
-        assert_eq!(
-            host_entries_per_iter(&order3, &thr_fused),
-            threaded * nnz,
-            "{label} threaded entries"
-        );
-    }
+    let thr_fused = AdmmConfig { exec: threads, ..fused.clone() };
+    let thr_plain = AdmmConfig { exec: threads, ..plain.clone() };
+    assert_eq!(host_sweeps_per_iter(&order3, &thr_fused), threaded, "threaded fused");
+    assert_eq!(host_sweeps_per_iter(&order3, &thr_plain), 4.0, "threaded unfused");
+    assert_eq!(host_entries_per_iter(&order3, &thr_fused), threaded * nnz, "threaded entries");
 
-    // --- Entered on a fresh residual: one entry sweep where the layout
+    // --- Entered on a fresh residual: one entry sweep where the host
     // sweeps in entry order, none (and N plain MTTKRPs) where it cannot. --
     for (tensor, n) in [(&order3, 3u64), (&order4, 4)] {
         for k in [1u64, 4] {
-            for (label, cfg) in [("COO", &fused), ("tiled", &tiled_fused)] {
-                let what = format!("{label} order {n}, {k} iterations");
-                assert_eq!(warm_resolve_sweeps(tensor, cfg, k), k + 1, "warm {what}");
-                assert_eq!(resume_sweeps(tensor, cfg, k, label), k + 1, "resume {what}");
-            }
             let what = format!("order {n}, {k} iterations");
+            assert_eq!(warm_resolve_sweeps(tensor, &fused, k), k + 1, "warm {what}");
+            assert_eq!(resume_sweeps(tensor, &fused, k, "seq"), k + 1, "resume {what}");
             // One-mode kernels only: N MTTKRPs, then k − 1 iterations of
             // a fused sweep and N − 1 MTTKRPs, then the last refresh.
-            assert_eq!(warm_resolve_sweeps(tensor, &csf_fused, k), n * k + 1, "CSF {what}");
-            assert_eq!(resume_sweeps(tensor, &csf_fused, k, "csf"), n * k + 1, "CSF {what}");
-            let thr = AdmmConfig { exec: threads, ..fused.clone() };
             let want = if concurrent { n * k + 1 } else { k + 1 };
-            assert_eq!(warm_resolve_sweeps(tensor, &thr, k), want, "threaded {what}");
-            assert_eq!(resume_sweeps(tensor, &thr, k, "thr"), want, "threaded {what}");
+            assert_eq!(warm_resolve_sweeps(tensor, &thr_fused, k), want, "threaded {what}");
+            assert_eq!(resume_sweeps(tensor, &thr_fused, k, "thr"), want, "threaded {what}");
             // Unfused there is nothing to bank, on entry or ever.
             assert_eq!(warm_resolve_sweeps(tensor, &plain, k), (n + 1) * k, "unfused {what}");
         }
@@ -280,13 +249,12 @@ fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
     // --- Entry touches: exact vs sketched. -----------------------------
     // A sketch-phase iteration touches exactly N·samples entries — and
     // performs *zero* full sweeps (sampled gathers are charged as
-    // entries only) — where an exact iteration on the N-sweep schedules
-    // above touches every nonzero N times.
+    // entries only) — where an exact iteration on the N-sweep schedule
+    // above (threaded hosts) touches every nonzero N times.
     let samples = order3.nnz() / 4;
     let (sk_sweeps, sk_entries) = sketched_per_iter(&order3, &base, samples, 2);
     assert_eq!(sk_sweeps, 0.0, "sketch-phase iterations do no full sweeps");
     assert_eq!(sk_entries, 3.0 * samples as f64, "sketched entries = N·samples");
-    assert_eq!(host_entries_per_iter(&order3, &csf_fused), 3.0 * nnz, "N-sweep exact entries");
     let ratio = (3.0 * nnz) / sk_entries;
     assert!(ratio >= 2.0, "entry-touch discount {ratio:.2} below the 2x bar");
 }

@@ -33,8 +33,7 @@ proptest! {
     /// bit-identical to `KruskalTensor::eval`.
     #[test]
     fn point_matches_naive_outer_product_sum(model in model_strategy(), q in any::<u64>()) {
-        let engine = Engine::new(&model, EngineConfig { shard_rows: 3, ..Default::default() })
-            .expect("engine");
+        let engine = Engine::new(&model, EngineConfig::default()).expect("engine");
         let idx = index_for(&model.shape(), q);
         let served = engine.point(&idx).expect("point");
         // Independent reference: accumulate rank-one contributions.
@@ -70,8 +69,7 @@ proptest! {
         let mut buf = Vec::new();
         io::write_kruskal(&model, &mut buf).expect("write");
         let loaded = io::read_kruskal(&buf[..]).expect("read");
-        let engine = Engine::new(&loaded, EngineConfig { shard_rows: 5, ..Default::default() })
-            .expect("engine");
+        let engine = Engine::new(&loaded, EngineConfig::default()).expect("engine");
         for &q in &qs {
             let idx = index_for(&model.shape(), q);
             prop_assert_eq!(
@@ -85,8 +83,7 @@ proptest! {
     /// same indices, same order, bit-identical scores.
     #[test]
     fn topk_matches_brute_force(model in model_strategy(), q in any::<u64>(), k in 1usize..12) {
-        let engine = Engine::new(&model, EngineConfig { shard_rows: 4, ..Default::default() })
-            .expect("engine");
+        let engine = Engine::new(&model, EngineConfig::default()).expect("engine");
         let shape = model.shape();
         let mode = (q as usize) % shape.len();
         let at = index_for(&shape, q ^ 0xabcd);

@@ -7,8 +7,7 @@
 //!
 //! * same seed + config ⇒ bit-identical sampled index sets, and
 //!   bit-identical factors under `ExecMode::Sequential` vs
-//!   `ExecMode::Threads(4)`, on both the COO and CSF layouts (proptest,
-//!   across seeds);
+//!   `ExecMode::Threads(4)` (proptest, across seeds);
 //! * `samples ≥ nnz` degenerates to the exact tier **bit-identically**
 //!   (the documented fallback routes through `HostBackend` before any
 //!   sketched machinery is built);
@@ -18,7 +17,7 @@
 //!   `sketched + fused=false` runs the sketch phase's own fused sampled
 //!   sweep (the ablation flag only governs the exact path).
 
-use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, LayoutKind, SolverTier};
+use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, SolverTier};
 use distenc::dataflow::ExecMode;
 use distenc::tensor::sample::EntrySampler;
 use distenc::tensor::CooTensor;
@@ -65,10 +64,7 @@ proptest! {
     }
 
     #[test]
-    fn sketched_factors_are_bit_identical_across_executors(
-        seed in 0u64..256,
-        csf in any::<bool>(),
-    ) {
+    fn sketched_factors_are_bit_identical_across_executors(seed in 0u64..256) {
         let observed = planted(&[12, 10, 8], 2, 700, seed);
         let samples = (observed.nnz() / 3).max(1);
         let base = AdmmConfig {
@@ -76,7 +72,6 @@ proptest! {
             max_iters: 8,
             tol: 1e-12,
             seed,
-            layout: if csf { LayoutKind::Csf } else { LayoutKind::Coo },
             solver_tier: SolverTier::Sketched { samples, polish_iters: 3 },
             ..Default::default()
         };

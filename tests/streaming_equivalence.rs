@@ -7,7 +7,7 @@
 //!    [`StreamingSolver::solve`] must be *bit-identical* to
 //!    [`AdmmSolver::solve_from`] on the final tensor with the same
 //!    (grown) model — for empty deltas, value updates, inserts, and
-//!    dimension growth alike, with and without the CSF path.
+//!    dimension growth alike.
 //! 2. **Tolerance vs a cold solve.** A delta sequence plus warm
 //!    re-solves must land at the same training quality a from-scratch
 //!    solve of the final tensor reaches (local minima differ in the
@@ -17,7 +17,7 @@
 //! backend comes from `ExecMode::default()`, so both schedules are
 //! covered without test-side plumbing.
 
-use distenc::core::{AdmmConfig, AdmmSolver, LayoutKind};
+use distenc::core::{AdmmConfig, AdmmSolver};
 use distenc::graph::builders::{community_blocks, tridiagonal_chain};
 use distenc::graph::Laplacian;
 use distenc::stream::{DeltaBatch, StreamError, StreamingSolver};
@@ -89,26 +89,24 @@ fn random_batch(
 
 #[test]
 fn empty_delta_warm_resolve_is_bit_exact() {
-    for layout in [LayoutKind::Coo, LayoutKind::Csf] {
-        let observed = planted(&[10, 9, 8], 2, 200, 11);
-        let cfg = AdmmConfig { rank: 2, max_iters: 7, tol: 1e-12, layout, ..Default::default() };
-        let mut s =
-            StreamingSolver::new(observed.clone(), vec![None, None, None], cfg.clone()).unwrap();
-        s.solve().unwrap();
-        let before = s.model().unwrap().clone();
+    let observed = planted(&[10, 9, 8], 2, 200, 11);
+    let cfg = AdmmConfig { rank: 2, max_iters: 7, tol: 1e-12, ..Default::default() };
+    let mut s =
+        StreamingSolver::new(observed.clone(), vec![None, None, None], cfg.clone()).unwrap();
+    s.solve().unwrap();
+    let before = s.model().unwrap().clone();
 
-        // The degenerate batch: changes nothing.
-        let b = DeltaBatch::try_new(&[10, 9, 8], &[0, 0, 0], vec![], vec![]).unwrap();
-        s.apply(&b).unwrap();
-        let warm = s.solve().unwrap();
+    // The degenerate batch: changes nothing.
+    let b = DeltaBatch::try_new(&[10, 9, 8], &[0, 0, 0], vec![], vec![]).unwrap();
+    s.apply(&b).unwrap();
+    let warm = s.solve().unwrap();
 
-        let oracle = AdmmSolver::new(cfg)
-            .unwrap()
-            .solve_from(&observed, &[None, None, None], &before)
-            .unwrap();
-        assert_eq!(warm.iterations, oracle.iterations, "layout={layout}");
-        assert_models_bit_equal(&warm.model, &oracle.model, "empty delta");
-    }
+    let oracle = AdmmSolver::new(cfg)
+        .unwrap()
+        .solve_from(&observed, &[None, None, None], &before)
+        .unwrap();
+    assert_eq!(warm.iterations, oracle.iterations);
+    assert_models_bit_equal(&warm.model, &oracle.model, "empty delta");
 }
 
 #[test]
@@ -229,19 +227,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any random delta sequence, warm-solved, lands bit-exactly where
-    /// `solve_from` lands on the final tensor — growth, inserts, updates,
-    /// CSF on or off.
+    /// `solve_from` lands on the final tensor — growth, inserts, updates.
     #[test]
     fn warm_resolve_matches_solve_from_bitwise(
         seed in 0u64..1000,
         n_batches in 1usize..4,
-        csf in any::<bool>(),
     ) {
-        let layout = if csf { LayoutKind::Csf } else { LayoutKind::Coo };
         let observed = planted(&[8, 7, 6], 2, 150, seed.wrapping_mul(7).wrapping_add(1));
-        let cfg = AdmmConfig {
-            rank: 2, max_iters: 5, tol: 1e-12, layout, ..Default::default()
-        };
+        let cfg = AdmmConfig { rank: 2, max_iters: 5, tol: 1e-12, ..Default::default() };
         let mut s = StreamingSolver::new(
             observed, vec![None, None, None], cfg.clone(),
         ).unwrap();
