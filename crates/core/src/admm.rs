@@ -19,7 +19,7 @@
 use crate::config::{AdmmConfig, SolverTier};
 use crate::solver::checkpoint::Checkpoint;
 use crate::solver::{self, HostBackend, SketchedBackend, SolverState};
-use crate::trace::{ConvergenceTrace, TracePoint};
+use crate::trace::ConvergenceTrace;
 use crate::{CompletionResult, CoreError, Result};
 use distenc_dataflow::Executor;
 use distenc_graph::{Laplacian, TruncatedLaplacian};
@@ -57,11 +57,7 @@ impl AdmmSolver {
     ) -> Result<CompletionResult> {
         validate_problem(observed, laplacians)?;
         let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
-        let start = Instant::now();
-        solve_with(observed, &truncated, &self.cfg, None, None, |_iter| {
-            start.elapsed().as_secs_f64()
-        })
-        .map(|(result, _)| result)
+        solve_with(observed, &truncated, &self.cfg, None, None, None).map(|(result, _)| result)
     }
 
     /// Warm-started completion: continue from an existing model instead of
@@ -78,11 +74,8 @@ impl AdmmSolver {
         validate_problem(observed, laplacians)?;
         check_warm_start(init, observed, self.cfg.rank)?;
         let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
-        let start = Instant::now();
-        solve_with(observed, &truncated, &self.cfg, Some(init.clone()), None, |_iter| {
-            start.elapsed().as_secs_f64()
-        })
-        .map(|(result, _)| result)
+        solve_with(observed, &truncated, &self.cfg, Some(init.clone()), None, None)
+            .map(|(result, _)| result)
     }
 
     /// Streaming completion step: a solve that accepts — and returns — a
@@ -162,10 +155,7 @@ impl AdmmSolver {
                 ));
             }
         }
-        let start = Instant::now();
-        solve_with(observed, truncated, &self.cfg, init.cloned(), carry, |_iter| {
-            start.elapsed().as_secs_f64()
-        })
+        solve_with(observed, truncated, &self.cfg, init.cloned(), carry, None)
     }
 
     /// §III-B's precompute under this solver's `eigen_k` and `seed`: one
@@ -245,11 +235,7 @@ impl AdmmSolver {
         let mut e = observed.clone();
         e.values_mut().copy_from_slice(&ckpt.residual);
         let carry = ResidualHandoff { e };
-        let start = Instant::now();
-        solve_exact(observed, &truncated, &cfg, None, Some(carry), Some(ckpt), |_iter| {
-            start.elapsed().as_secs_f64()
-        })
-        .map(|(r, _)| r)
+        solve_with(observed, &truncated, &cfg, None, Some(carry), Some(ckpt)).map(|(r, _)| r)
     }
 }
 
@@ -362,192 +348,84 @@ pub(crate) fn truncate_all(
         .collect()
 }
 
-/// The host driver: build the single-machine backend and state, then run
-/// the shared core ([`solver::run`]), dispatching on
-/// [`AdmmConfig::solver_tier`]. The `clock` closure stamps each trace
-/// point (wall time here). `carry` is the streaming residual hand-off in;
-/// the final residual is handed back out either way.
+/// The host driver: build the residual (carried or rebuilt), the
+/// single-machine backend and the state, then run the shared core
+/// ([`solver::run`]) once. Trace points are stamped with the wall time
+/// since the call. `carry` is the streaming residual hand-off in; the
+/// final residual is handed back out either way.
 ///
-/// * [`SolverTier::Exact`] runs the bit-pinned single-phase solve.
-/// * [`SolverTier::Sketched`] runs the two-phase schedule
-///   ([`solve_sketched`]) — unless a documented fallback applies:
-///   `samples ≥ nnz` (a sample that large can't beat a full sweep; the
-///   exact path is also what makes the degenerate config bit-identical
-///   to `Exact`, which `tests/sketched_equivalence.rs` pins) or
-///   `polish_iters ≥ max_iters` (no sketch-phase budget left).
+/// The residual shares the observed support. Cold: its values start
+/// stale (they still hold `T`'s) and the solver refreshes them before
+/// anything reads them. Warm: the carried values are already fresh for
+/// the warm-start model and the solve enters on them.
+///
+/// [`SolverTier::Sketched`] wraps the host backend in a
+/// [`SketchedBackend`] that samples the first `max_iters − polish_iters`
+/// iterations — unless a documented fallback runs the exact path:
+/// `samples ≥ nnz` (a sample that large can't beat a full sweep; the
+/// exact path is also what makes the degenerate config bit-identical to
+/// `Exact`, which `tests/sketched_equivalence.rs` pins) or
+/// `polish_iters ≥ max_iters` (no sketch budget left).
+///
+/// `resume` continues an exact solve at the checkpoint's iteration
+/// cursor: the caller already routed the checkpointed residual through
+/// `carry`; [`SolverState::restore`] puts back the rest (factors, duals
+/// `Y`, penalty `η`) and yields the trace so far. A [`FileSink`] is
+/// attached when the config asks for on-disk checkpointing
+/// ([`crate::CheckpointPolicy::with_path`]); a policy without a path is
+/// the distributed driver's concern and is a no-op here.
 pub(crate) fn solve_with(
     observed: &CooTensor,
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
     initial: Option<KruskalTensor>,
     carry: Option<ResidualHandoff>,
-    clock: impl Fn(usize) -> f64,
+    resume: Option<&Checkpoint>,
 ) -> Result<(CompletionResult, ResidualHandoff)> {
-    if let SolverTier::Sketched { samples, polish_iters } = cfg.solver_tier {
-        let sketch_iters = cfg.max_iters.saturating_sub(polish_iters);
-        if samples < observed.nnz() && sketch_iters > 0 {
-            return solve_sketched(
-                observed, truncated, cfg, initial, carry, samples, sketch_iters, clock,
-            );
-        }
-    }
-    solve_exact(observed, truncated, cfg, initial, carry, None, clock)
-}
-
-/// Shared host-side setup: the executor and the residual (carried or
-/// rebuilt). Used by both the exact path and the sketch phase. The flag is
-/// `residual_fresh` for [`solver::run`].
-///
-/// The residual shares the observed support. Cold: its values start
-/// stale (they still hold `T`'s) and the solver refreshes them before
-/// anything reads them. Warm: the carried values are already fresh for
-/// the warm-start model and the solve enters on them.
-fn build_host_layout(
-    observed: &CooTensor,
-    cfg: &AdmmConfig,
-    carry: Option<ResidualHandoff>,
-) -> Result<(Executor, TensorLayout, bool)> {
+    let start = Instant::now();
+    let clock = move |_iter| start.elapsed().as_secs_f64();
     let residual_fresh = carry.is_some();
     let e = carry.map_or_else(|| observed.clone(), |c| c.e);
     let layout = TensorLayout::build(e, LayoutKind::Coo)?;
-    Ok((Executor::new(cfg.exec), layout, residual_fresh))
-}
-
-/// The single-phase exact host solve (the pre-tier behavior,
-/// bit-for-bit when no checkpointing or resumption is in play).
-///
-/// `resume` continues at the checkpoint's iteration cursor: the caller
-/// already routed the checkpointed residual through `carry`;
-/// [`SolverState::restore`] puts back the rest (factors, duals `Y`,
-/// penalty `η`) and yields the trace so far. A [`FileSink`] is attached
-/// when the config asks for on-disk checkpointing
-/// ([`crate::CheckpointPolicy::with_path`]); a policy without a path is
-/// the distributed driver's concern and is a no-op here.
-fn solve_exact(
-    observed: &CooTensor,
-    truncated: &[TruncatedLaplacian],
-    cfg: &AdmmConfig,
-    initial: Option<KruskalTensor>,
-    carry: Option<ResidualHandoff>,
-    resume: Option<&Checkpoint>,
-    clock: impl Fn(usize) -> f64,
-) -> Result<(CompletionResult, ResidualHandoff)> {
-    let (exec, layout, residual_fresh) = build_host_layout(observed, cfg, carry)?;
-    let mut backend = HostBackend::new(&layout, cfg.rank, exec, clock)?;
+    let mut host = HostBackend::new(&layout, cfg.rank, Executor::new(cfg.exec), clock)?;
     let mut st = SolverState::new(observed, truncated, cfg, initial, layout)?;
-    let resume_point = resume.map(|ck| st.restore(ck)).transpose()?;
-    let mut file_sink = cfg
-        .checkpoint
-        .as_ref()
-        .and_then(|policy| policy.path.as_ref())
-        .map(|path| FileSink { cfg, shape: observed.shape().to_vec(), path: path.clone() });
-    let sink = file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink<TensorLayout>);
-    let (result, layout) = solver::run(
-        observed,
-        truncated,
-        cfg,
-        &mut backend,
-        st,
-        residual_fresh,
-        resume_point,
-        sink,
-    )?;
+    let (result, layout) = match cfg.solver_tier {
+        SolverTier::Sketched { samples, polish_iters }
+            if samples < observed.nnz() && polish_iters < cfg.max_iters =>
+        {
+            // Fusion is forced on: the fused sampled sweep *is* the
+            // schedule (there is no unfused sampled path to ablate
+            // against), and exact iterations give the same bits either
+            // way. Checkpointing is stripped: checkpoints are exact-tier
+            // artifacts, and a snapshot would resume into a different
+            // sampling stream.
+            let cfg = AdmmConfig { fused: true, checkpoint: None, ..cfg.clone() };
+            let sketch_iters = cfg.max_iters - polish_iters;
+            let mut backend =
+                SketchedBackend::new(host, observed, samples, sketch_iters, cfg.rank, cfg.seed)?;
+            solver::run(observed, truncated, &cfg, &mut backend, st, residual_fresh, None, None)?
+        }
+        _ => {
+            let resume_point = resume.map(|ck| st.restore(ck)).transpose()?;
+            let mut file_sink =
+                cfg.checkpoint.as_ref().and_then(|policy| policy.path.as_ref()).map(|path| {
+                    FileSink { cfg, shape: observed.shape().to_vec(), path: path.clone() }
+                });
+            let sink =
+                file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink<TensorLayout>);
+            solver::run(
+                observed,
+                truncated,
+                cfg,
+                &mut host,
+                st,
+                residual_fresh,
+                resume_point,
+                sink,
+            )?
+        }
+    };
     Ok((result, ResidualHandoff { e: layout.into_entries() }))
-}
-
-/// The two-phase sketched solve: `sketch_iters` sampled iterations on
-/// the [`SketchedBackend`], then the remaining `max_iters − sketch_iters`
-/// exact polish iterations on the [`HostBackend`], warm-started through
-/// the same [`ResidualHandoff`] machinery the streaming path uses.
-///
-/// The hand-off between the phases is free: the sketch phase's final
-/// `fused_step` performs a full exact residual refresh (the
-/// [`ResidualHandoff`] invariant), so the polish phase skips its
-/// prologue rebuild and enters on fresh values, banking its first
-/// iteration's MTTKRPs from them in one sweep. Both phases
-/// stamp trace points through the same `clock` closure, so `seconds` is
-/// cumulative across the whole solve; the polish phase's trace points
-/// are renumbered to continue the sketch phase's iteration count. Trace
-/// `train_rmse` during the sketch phase is the *sampled estimate* of the
-/// true RMSE (unbiased in the squared norm); the polish phase's points —
-/// including the final one — are exact.
-#[allow(clippy::too_many_arguments)]
-fn solve_sketched(
-    observed: &CooTensor,
-    truncated: &[TruncatedLaplacian],
-    cfg: &AdmmConfig,
-    initial: Option<KruskalTensor>,
-    carry: Option<ResidualHandoff>,
-    samples: usize,
-    sketch_iters: usize,
-    clock: impl Fn(usize) -> f64,
-) -> Result<(CompletionResult, ResidualHandoff)> {
-    // Phase A: sampled iterations. The config keeps every solver knob
-    // except the iteration budget and the `fused` ablation flag, which is
-    // forced on: the fused sampled sweep *is* the schedule (there is no
-    // unfused sampled path to ablate against), and the core hands a
-    // backend the bank only under fusion. Checkpointing is stripped from
-    // both phases: checkpoints are exact-tier artifacts (a sketch-phase
-    // snapshot would resume into a different sampling stream, and a
-    // polish-phase snapshot would store a phase-local iteration cursor
-    // that lies about the whole solve).
-    let cfg_a =
-        AdmmConfig { max_iters: sketch_iters, checkpoint: None, fused: true, ..cfg.clone() };
-    let (exec, layout, residual_fresh) = build_host_layout(observed, &cfg_a, carry)?;
-    let mut backend_a =
-        SketchedBackend::new(observed, samples, cfg.rank, exec, cfg.seed, &clock)?;
-    let st = SolverState::new(observed, truncated, &cfg_a, initial, layout)?;
-    let (res_a, layout) = solver::run(
-        observed,
-        truncated,
-        &cfg_a,
-        &mut backend_a,
-        st,
-        residual_fresh,
-        None,
-        None,
-    )?;
-    let handoff = ResidualHandoff { e: layout.into_entries() };
-
-    // Phase B: exact polish, warm-started from the sketch phase's model
-    // and (fresh) residual. `polish_iters = 0` is legal: the fallback in
-    // `solve_with` only guards the sketch budget, so a zero
-    // polish config returns the sketch phase's result directly.
-    let polish_iters = cfg.max_iters - sketch_iters;
-    let cfg_b = AdmmConfig {
-        max_iters: polish_iters,
-        solver_tier: SolverTier::Exact,
-        checkpoint: None,
-        ..cfg.clone()
-    };
-    let (res_b, handoff) = solve_exact(
-        observed,
-        truncated,
-        &cfg_b,
-        Some(res_a.model),
-        Some(handoff),
-        None,
-        &clock,
-    )?;
-
-    // Merge the phases into one result: polish trace points continue the
-    // sketch phase's iteration numbering, iteration counts add, and the
-    // convergence flag is the polish phase's (the sketch phase's flag
-    // only matters when there is no polish to run).
-    let offset = res_a.iterations;
-    let mut trace = res_a.trace;
-    trace.points.reserve(res_b.trace.points.len());
-    for p in res_b.trace.points {
-        trace.push(TracePoint { iter: offset + p.iter, ..p });
-    }
-    let converged = if res_b.iterations > 0 { res_b.converged } else { res_a.converged };
-    let result = CompletionResult {
-        model: res_b.model,
-        trace,
-        iterations: offset + res_b.iterations,
-        converged,
-    };
-    Ok((result, handoff))
 }
 
 #[cfg(test)]

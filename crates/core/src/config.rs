@@ -11,29 +11,30 @@ pub const DEFAULT_POLISH_ITERS: usize = 8;
 /// equivalence proptest runs it). `Sketched` is the first *approximate*
 /// tier: per-mode MTTKRPs are estimated from a deterministic seeded
 /// sample of the nonzeros (`O(samples·N·R)` per iteration instead of
-/// `O(nnz·N·R)`), and the final `polish_iters` iterations hand off to the
-/// exact host backend so the returned model and RMSE are exact-path
-/// artifacts. Its accuracy contract is statistical, not bitwise — the
-/// accuracy gate (`tests/accuracy_gate.rs`, tolerance constant in
-/// `distenc_eval::accuracy`) pins final-RMSE parity with the exact
-/// solver.
+/// `O(nnz·N·R)`), and the final `polish_iters` iterations of the same run
+/// are the exact host backend's, so the returned model and RMSE are
+/// exact-path artifacts (a run that converges while still sampling stops
+/// there, like any solve, with an exact final RMSE). Its accuracy
+/// contract is statistical, not bitwise — the accuracy gate
+/// (`tests/accuracy_gate.rs`, tolerance constant in
+/// `distenc_eval::accuracy`) pins final-RMSE parity with the exact solver.
 ///
 /// Documented fallbacks (never errors, never panics):
 /// * `samples ≥ nnz` — sampling cannot beat a full sweep, so the whole
 ///   run degenerates to the exact tier, bit-identical to `Exact`.
-/// * `polish_iters ≥ max_iters` — no sketch phase remains; ditto.
+/// * `polish_iters ≥ max_iters` — no iteration is left to sample; ditto.
 /// * the distributed [`crate::DisTenC`] driver — Algorithm 3's virtual
 ///   cluster models the exact schedule only, so it always runs `Exact`
 ///   whatever the config says.
-/// * combined with [`AdmmConfig::fused`] — the sketch phase always runs
-///   its own fused sampled sweep (the flag is an exact-path schedule
-///   switch); the polish phase honors the flag as usual.
+/// * combined with [`AdmmConfig::fused`] — fusion is forced on for the
+///   whole sketched solve: the fused sampled sweep is the schedule, and
+///   the exact iterations give the same bits either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverTier {
     /// The exact reference path (the default).
     #[default]
     Exact,
-    /// Sampled MTTKRP steps followed by an exact polish phase.
+    /// Sampled MTTKRP steps, then exact polish iterations, in one run.
     Sketched {
         /// Entries drawn per sampled kernel step (must be ≥ 1).
         samples: usize,
@@ -55,8 +56,8 @@ impl SolverTier {
 /// loop's complete per-iteration state (factors, ADMM duals, penalty,
 /// residual, trace), and a solve resumed from one finishes with
 /// bit-identical factors and RMSE to the uninterrupted run (the recovery
-/// invariant, proven in `tests/fault_recovery.rs`). The sketched tier's
-/// phases strip the policy and run checkpoint-free.
+/// invariant, proven in `tests/fault_recovery.rs`). A sketched solve
+/// strips the policy and runs checkpoint-free.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointPolicy {
     /// Snapshot after every `n`-th completed iteration (must be ≥ 1).
@@ -244,7 +245,9 @@ mod tests {
             .validate()
             .is_err());
         assert!(AdmmConfig { max_iters: 0, ..Default::default() }.validate().is_err());
-        assert!(AdmmConfig { tol: f64::NAN, ..Default::default() }.validate().is_err());
+        for tol in [f64::NAN, 0.0, -1e-6] {
+            assert!(AdmmConfig { tol, ..Default::default() }.validate().is_err(), "tol {tol}");
+        }
         let no_samples = SolverTier::Sketched { samples: 0, polish_iters: DEFAULT_POLISH_ITERS };
         assert!(AdmmConfig { solver_tier: no_samples, ..Default::default() }.validate().is_err());
     }

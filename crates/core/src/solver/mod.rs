@@ -52,8 +52,8 @@
 //! is told which of the two happened.
 //!
 //! A solve entered on a residual that is already fresh — a carried one
-//! (every streaming refresh, the sketched tier's polish phase) or one
-//! restored from a checkpoint — has no prologue refresh to bank beside, so
+//! (every streaming refresh) or one restored from a checkpoint — has no
+//! prologue refresh to bank beside, so
 //! [`run`] opens it with the *entry sweep*: the same hook with `refresh`
 //! off, which reads the values as stored and only banks. Its first
 //! iteration then starts with what the backend banks from stored values,

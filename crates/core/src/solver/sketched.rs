@@ -10,10 +10,9 @@
 //! unbiased estimator whose variance the sampler's uniform floor keeps
 //! finite. The residual value `e_s` is *recomputed from the model at
 //! draw time* (`e = t − [[A…]](idx)`, via the same partial Hadamard
-//! product completed with the skipped row), so the backend never needs
-//! the `O(nnz)` residual refresh during the sketch phase: its residual (a
-//! [`TensorLayout`], like the host's, so the polish phase takes it over
-//! as is) keeps stale values until the phase's final exact refresh.
+//! product completed with the skipped row), so the sketch iterations never
+//! need the `O(nnz)` residual refresh: the residual keeps stale values
+//! until the boundary sweep rewrites them.
 //!
 //! **Pass economics.** One sketched iteration of an order-N tensor
 //! touches exactly `N·S` entries: `N−1` sampled MTTKRPs of `S` draws for
@@ -26,28 +25,35 @@
 //! charged as entry touches but *not* as sweeps — they never traverse
 //! the full nonzero list.
 //!
+//! **One run.** The backend wraps the [`HostBackend`] and counts the
+//! core's sweeps. The prologue (or entry) sweep and the sweeps closing
+//! the first `sketch_iters − 1` iterations are sampled, and so are the
+//! MTTKRPs of the first `sketch_iters` iterations. Every later call goes
+//! to the host, starting with the *boundary sweep* that closes iteration
+//! `sketch_iters − 1`: the host's refreshing fused sweep, which rewrites
+//! the residual exactly and banks the first exact iteration's MTTKRPs.
+//! The ADMM state (`Y`, `η`) runs on through the boundary as in any
+//! solve.
+//!
 //! **Determinism.** All sampled computation runs sequentially on the
 //! driver thread; the RNG is seeded from the config seed and consumed in
-//! a fixed order ([`EntrySampler::draw_into`]). The executor is only used
-//! for the end-of-phase exact refresh, which is bit-exact under any
-//! chunking — so the whole sketched schedule is bit-identical across
-//! `DISTENC_THREADS` settings (`tests/sketched_equivalence.rs` and the
-//! sketched golden trace pin this).
+//! a fixed order ([`EntrySampler::draw_into`]). The exact iterations are
+//! the host's, bit-exact under any chunking — so the whole sketched
+//! schedule is bit-identical across `DISTENC_THREADS` settings
+//! (`tests/sketched_equivalence.rs` and the sketched golden trace pin
+//! this).
 //!
-//! **Hand-off invariant.** When [`StepBackend::fused_step`] is called
-//! with an empty bank (final or converged iteration — the sketch phase
-//! always runs with fusion on), this backend performs a *full exact*
-//! residual refresh and returns the exact `‖E‖²_F`, so the residual values leaving the sketch phase satisfy the
+//! **Hand-off invariant.** A sweep handed no bank — the solve's last, or
+//! a converged one, in either phase — is the host's plain exact refresh,
+//! so the residual a sketched solve returns satisfies the
 //! [`crate::ResidualHandoff`] invariant (`e = Ω∗(T − [[model…]])`) and
-//! the exact polish phase warm-starts without a prologue rebuild.
+//! its final `‖E‖²_F` is exact.
 
-use super::StepBackend;
+use super::{HostBackend, StepBackend};
 use crate::Result;
-use distenc_dataflow::Executor;
 use distenc_linalg::sketch::{hadamard_rows_skip_into, SketchScratch};
 use distenc_linalg::vec_ops::dot;
 use distenc_linalg::Mat;
-use distenc_tensor::residual::ResidualWorkspace;
 use distenc_tensor::sample::EntrySampler;
 use distenc_tensor::{CooTensor, KruskalTensor, TensorLayout};
 use rand::rngs::StdRng;
@@ -58,9 +64,11 @@ use rand::SeedableRng;
 /// the raw seed).
 const SAMPLER_STREAM: u64 = 0x5ce7_c4ed_9b1f_a301;
 
-/// Sketched backend: sampled MTTKRP / norm estimates during the sketch
-/// phase, exact residual refresh only at phase exit.
+/// Sketched backend: sampled MTTKRP / norm estimates for the first
+/// `sketch_iters` iterations, the wrapped host backend for the rest.
 pub(crate) struct SketchedBackend<'t, C> {
+    /// Runs every exact sweep and kernel, and stamps the trace.
+    host: HostBackend<C>,
     /// The observed tensor — sampled entries read `t_i` (and indices)
     /// directly from it; the residual value is recomputed per draw.
     observed: &'t CooTensor,
@@ -74,35 +82,35 @@ pub(crate) struct SketchedBackend<'t, C> {
     draws: Vec<usize>,
     /// Reused `R`-vector for the partial Hadamard row product.
     scratch: SketchScratch,
-    /// Executor for the end-of-phase exact refresh only.
-    exec: Executor,
-    res: ResidualWorkspace,
-    clock: C,
+    /// Leading iterations whose MTTKRPs are sampled.
+    sketch_iters: usize,
+    /// Sweeps made so far: sweep `k` opens iteration `k`, so during the
+    /// mode steps of iteration `t` this is `t + 1`.
+    sweeps: usize,
 }
 
 impl<'t, C: Fn(usize) -> f64> SketchedBackend<'t, C> {
     /// Build the sampler over `observed`, seed the draw stream from
-    /// `seed`, and size all scratch for `samples` draws at rank `rank`.
+    /// `seed`, and size all scratch for `samples` draws at rank `rank`;
+    /// the first `sketch_iters` iterations sample, `host` runs the rest.
     pub fn new(
+        host: HostBackend<C>,
         observed: &'t CooTensor,
         samples: usize,
+        sketch_iters: usize,
         rank: usize,
-        exec: Executor,
         seed: u64,
-        clock: C,
     ) -> Result<Self> {
-        let sampler = EntrySampler::norm_proportional(observed)?;
-        let res = ResidualWorkspace::new(observed.nnz(), &exec);
         Ok(SketchedBackend {
+            host,
             observed,
-            sampler,
+            sampler: EntrySampler::norm_proportional(observed)?,
             rng: StdRng::seed_from_u64(seed ^ SAMPLER_STREAM),
             samples,
             draws: Vec::with_capacity(samples),
             scratch: SketchScratch::new(rank),
-            exec,
-            res,
-            clock,
+            sketch_iters,
+            sweeps: 0,
         })
     }
 
@@ -140,18 +148,20 @@ impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
 
     fn sparse_mttkrp(
         &mut self,
-        _residual: &TensorLayout,
+        residual: &TensorLayout,
         model: &KruskalTensor,
         mode: usize,
         out: &mut Mat,
     ) -> Result<()> {
-        self.sample_into(model, mode, out).map(|_| ())
+        if self.sweeps <= self.sketch_iters {
+            return self.sample_into(model, mode, out).map(|_| ());
+        }
+        self.host.sparse_mttkrp(residual, model, mode, out)
     }
 
-    fn refresh_gram(&mut self, factor: &Mat, _mode: usize, out: &mut Mat) -> Result<()> {
+    fn refresh_gram(&mut self, factor: &Mat, mode: usize, out: &mut Mat) -> Result<()> {
         // Grams are O(Iₙ·R²), independent of nnz — always exact.
-        factor.gram_into(out)?;
-        Ok(())
+        self.host.refresh_gram(factor, mode, out)
     }
 
     fn fused_step(
@@ -159,27 +169,23 @@ impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
         observed: &CooTensor,
         model: &KruskalTensor,
         residual: &mut TensorLayout,
-        _refresh: bool,
+        refresh: bool,
         bank: &mut [Mat],
     ) -> Result<(f64, usize)> {
-        // A sampled sweep neither reads nor writes the residual values (it
-        // re-evaluates the model at its draws), so entered on a carried
-        // residual (`refresh` off, a bank to fill) it is the sweep it
-        // always is.
-        let Some(h0) = bank.first_mut() else {
-            // Final (or converged) iteration of the sketch phase: restore
-            // the hand-off invariant with one exact refresh so the polish
-            // phase — or a streaming carry — starts from fresh values.
-            residual.refresh_values(observed, model, &mut self.res, &self.exec)?;
-            return Ok((residual.frob_norm_sq(), 0));
-        };
-        // One S-draw pass estimates ‖E‖²_F and banks the mode-0 MTTKRP
-        // estimate from the same draws — the sampled analogue of the exact
-        // backend's fused pass.
-        Ok((self.sample_into(model, 0, h0)?, 1))
+        let opens = self.sweeps;
+        self.sweeps += 1;
+        match bank.first_mut() {
+            // One S-draw pass estimates ‖E‖²_F and banks the mode-0
+            // MTTKRP estimate from the same draws — the sampled analogue
+            // of the exact backend's fused pass. It neither reads nor
+            // writes the residual values (it re-evaluates the model at
+            // its draws), so as an entry sweep it is the same sweep.
+            Some(h0) if opens < self.sketch_iters => Ok((self.sample_into(model, 0, h0)?, 1)),
+            _ => self.host.fused_step(observed, model, residual, refresh, bank),
+        }
     }
 
     fn clock(&self, iter: usize) -> f64 {
-        (self.clock)(iter)
+        self.host.clock(iter)
     }
 }

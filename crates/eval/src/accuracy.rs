@@ -16,12 +16,8 @@
 //!   entry-touch economics.
 //! * [`sample_efficiency_curve`] — the gap and touch ratio as a function
 //!   of the sample budget (for `BENCH_sketched.json`).
-//! * [`time_to_target`] — seconds until a trace first reaches a target
-//!   RMSE (sketched traces report sampled estimates during the sketch
-//!   phase; the crossing time is still the honest comparison the paper's
-//!   convergence figures use).
 
-use distenc_core::{AdmmConfig, AdmmSolver, ConvergenceTrace, Result, SolverTier};
+use distenc_core::{AdmmConfig, AdmmSolver, Result, SolverTier};
 use distenc_datagen::synthetic::error_tensor;
 use distenc_tensor::CooTensor;
 
@@ -100,7 +96,7 @@ pub struct TierComparison {
     pub sketched_seconds: f64,
     /// Iterations the exact solve ran.
     pub exact_iters: usize,
-    /// Iterations the sketched solve ran (sketch + polish phases).
+    /// Iterations the sketched solve ran (sampled and exact).
     pub sketched_iters: usize,
 }
 
@@ -204,14 +200,6 @@ pub fn sample_efficiency_curve(
         .collect()
 }
 
-/// Seconds at which `trace` first reports `train_rmse ≤ target`, or
-/// `None` if it never does. During a sketch phase the reported RMSE is
-/// the sampled estimate — an unbiased estimate of `‖E‖²_F/nnz` — which
-/// is exactly the number a live convergence monitor would see.
-pub fn time_to_target(trace: &ConvergenceTrace, target: f64) -> Option<f64> {
-    trace.points.iter().find(|p| p.train_rmse <= target).map(|p| p.seconds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,20 +224,5 @@ mod tests {
         let c = compare_tiers(&w.observed, &cfg, w.observed.nnz(), 2).unwrap();
         assert_eq!(c.gap(), 0.0);
         assert!(c.passes_gate());
-    }
-
-    #[test]
-    fn time_to_target_finds_first_crossing() {
-        let mut trace = ConvergenceTrace::new();
-        for (i, r) in [0.9, 0.5, 0.2, 0.1].iter().enumerate() {
-            trace.push(distenc_core::TracePoint {
-                iter: i,
-                seconds: i as f64,
-                train_rmse: *r,
-                factor_delta: 1.0,
-            });
-        }
-        assert_eq!(time_to_target(&trace, 0.5), Some(1.0));
-        assert_eq!(time_to_target(&trace, 0.05), None);
     }
 }

@@ -122,7 +122,7 @@ fn host_solver_fusion_is_transparent_across_early_convergence() {
 
 #[test]
 fn stored_sweeps_are_bitwise_the_plain_mttkrp() {
-    // What the entry into a warm, resumed or polish solve banks: every
+    // What the entry into a warm or resumed solve banks: every
     // mode's MTTKRP of the values as stored, in one entry-order sweep —
     // and the same body for one mode (the sequential COO `mttkrp_into`)
     // and for a run of modes in the middle. Each output must be, bit for

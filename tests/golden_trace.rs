@@ -40,8 +40,8 @@ struct Scenario {
 const ADMM_PLAIN: Scenario = Scenario { name: "admm_plain", with_seconds: false };
 const ADMM_AUX: Scenario = Scenario { name: "admm_aux", with_seconds: false };
 const DISTENC_3M: Scenario = Scenario { name: "distenc_3m", with_seconds: true };
-/// The sketched tier's schedule — sampled RMSE estimates, the phase
-/// hand-off, and the polish iterations — pinned bit-for-bit. Wall-clock
+/// The sketched tier's schedule — sampled RMSE estimates, the boundary
+/// sweep, and the polish iterations — pinned bit-for-bit. Wall-clock
 /// seconds excluded, like the other host scenarios.
 const ADMM_SKETCHED: Scenario = Scenario { name: "admm_sketched", with_seconds: false };
 

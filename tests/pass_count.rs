@@ -43,15 +43,21 @@
 //! `samples = nnz/4` budget, against the `N·nnz` an exact iteration
 //! touches wherever it still makes N sweeps.
 //!
+//! A sketched solve is one run: its exact iterations start at the
+//! *boundary sweep*, the host's refreshing fused sweep that closes the
+//! last sampled iteration and banks the first exact one. On the
+//! sequential host `P` exact iterations therefore cost **P + 1** sweeps —
+//! the boundary, `P − 1` fused sweeps, the last plain refresh — and the
+//! sampled iterations none.
+//!
 //! Methodology mirrors `tests/alloc_budget.rs`: the solver is
 //! deterministic, so runs differing only in `max_iters` (2 vs 10) do
 //! identical setup; the sweep-count difference over the 8 extra
 //! iterations is exactly the per-iteration cost. For the sketched tier
 //! the polish budget is held fixed while `max_iters` grows, so the 8
-//! extra iterations are all sketch-phase iterations (the polish phase,
-//! the prologue, and the phase-boundary exact refresh are identical in
-//! both runs and cancel). One `#[test]` because the counter is
-//! process-global.
+//! extra iterations are all sketch-phase iterations (the prologue and the
+//! exact iterations are identical in both runs and cancel). One `#[test]`
+//! because the counter is process-global.
 
 #![cfg(feature = "pass-count")]
 
@@ -109,30 +115,25 @@ fn host_entries_per_iter(observed: &CooTensor, cfg: &AdmmConfig) -> f64 {
     (count(10) - count(2)) as f64 / 8.0
 }
 
-/// (sweeps, entries) per steady-state *sketch-phase* iteration: the
-/// polish budget stays fixed while `max_iters` grows, so the differenced
-/// iterations are all sampled ones.
-fn sketched_per_iter(
+/// (sweeps, entries) of one whole sketched solve of `sketch_iters`
+/// sampled and `polish_iters` exact iterations.
+fn sketched_solve(
     observed: &CooTensor,
     cfg: &AdmmConfig,
     samples: usize,
+    sketch_iters: usize,
     polish_iters: usize,
-) -> (f64, f64) {
-    let count = |sketch_iters: usize| {
-        let cfg = AdmmConfig {
-            max_iters: polish_iters + sketch_iters,
-            solver_tier: SolverTier::Sketched { samples, polish_iters },
-            ..cfg.clone()
-        };
-        let laps = vec![None; observed.order()];
-        let (s0, e0) = (passes::sweeps(), passes::entries_touched());
-        let res = AdmmSolver::new(cfg).unwrap().solve(observed, &laps).unwrap();
-        assert_eq!(res.iterations, polish_iters + sketch_iters, "must not converge early");
-        (passes::sweeps() - s0, passes::entries_touched() - e0)
+) -> (u64, u64) {
+    let cfg = AdmmConfig {
+        max_iters: polish_iters + sketch_iters,
+        solver_tier: SolverTier::Sketched { samples, polish_iters },
+        ..cfg.clone()
     };
-    let (s_short, e_short) = count(2);
-    let (s_long, e_long) = count(10);
-    ((s_long - s_short) as f64 / 8.0, (e_long - e_short) as f64 / 8.0)
+    let laps = vec![None; observed.order()];
+    let (s0, e0) = (passes::sweeps(), passes::entries_touched());
+    let res = AdmmSolver::new(cfg).unwrap().solve(observed, &laps).unwrap();
+    assert_eq!(res.iterations, polish_iters + sketch_iters, "must not converge early");
+    (passes::sweeps() - s0, passes::entries_touched() - e0)
 }
 
 /// Entry sweeps of one whole `k`-iteration streaming re-solve: a base
@@ -251,10 +252,22 @@ fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
     // performs *zero* full sweeps (sampled gathers are charged as
     // entries only) — where an exact iteration on the N-sweep schedule
     // above (threaded hosts) touches every nonzero N times.
+    // The polish budget stays fixed while the sketch budget grows, so the
+    // differenced iterations are all sampled ones.
     let samples = order3.nnz() / 4;
-    let (sk_sweeps, sk_entries) = sketched_per_iter(&order3, &base, samples, 2);
-    assert_eq!(sk_sweeps, 0.0, "sketch-phase iterations do no full sweeps");
+    let (s_short, e_short) = sketched_solve(&order3, &base, samples, 2, 2);
+    let (s_long, e_long) = sketched_solve(&order3, &base, samples, 10, 2);
+    assert_eq!(s_long, s_short, "sketch-phase iterations do no full sweeps");
+    let sk_entries = (e_long - e_short) as f64 / 8.0;
     assert_eq!(sk_entries, 3.0 * samples as f64, "sketched entries = N·samples");
     let ratio = (3.0 * nnz) / sk_entries;
     assert!(ratio >= 2.0, "entry-touch discount {ratio:.2} below the 2x bar");
+
+    // --- One run across the boundary: P exact iterations after K sampled
+    // ones sweep P + 1 times — the boundary sweep banks the first exact
+    // iteration, so no entry sweep follows it. ----------------------------
+    for (k, p) in [(2, 0), (3, 1), (4, 3)] {
+        let (sweeps, _) = sketched_solve(&order3, &base, samples, k, p);
+        assert_eq!(sweeps, p as u64 + 1, "{k} sampled + {p} exact iterations");
+    }
 }
