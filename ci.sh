@@ -28,7 +28,7 @@ fi
 # build.
 echo "==> grep: no layout option in the solver, the CLI or the docs"
 if grep -rnE --include='*.rs' 'with_layout|LayoutAccel|"layout"' crates src tests examples; then
-    echo "error: a layout choice is back in the solver or the CLI; TensorLayout::build(e, LayoutKind::Coo) is the one residual" >&2
+    echo "error: a layout choice is back in the solver or the CLI; the residual is the COO entry list, swept through its block cut" >&2
     exit 1
 fi
 if grep -n -e '--layout' README.md DESIGN.md EXPERIMENTS.md; then
@@ -107,8 +107,9 @@ fi
 
 # The whole workspace (default-members covers every crate and vendored
 # shim), once per execution backend. ExecMode::default() reads
-# DISTENC_THREADS, so no test needs to opt in: the same binaries exercise
-# the sequential path and the thread pool, and every result must be
+# DISTENC_THREADS (unset means a thread per host core, so both sweeps set
+# it), so no test needs to opt in: the same binaries exercise the
+# sequential path and a four-thread pool, and every result must be
 # bit-identical (tests/parallel_equivalence.rs proves the contract). A
 # value ExecMode::parse rejects fails the sweep loudly instead of running
 # it sequentially.
@@ -149,7 +150,7 @@ fi
 # regression that silently drops suites shrinks the count and fails here
 # instead of shrinking the gate. Raise it when a PR adds tests; lower it
 # only with the tests it names as removed.
-MIN_TESTS=561
+MIN_TESTS=566
 executed=0
 for threads in 1 4; do
     echo "==> DISTENC_THREADS=$threads cargo test -q"
@@ -172,26 +173,26 @@ done
 # Single test thread: the counters are process-global, so the two tests
 # in the binary would pollute each other's measured windows if they ran
 # concurrently (a rare flake on busy hosts). Besides 0 allocations per
-# steady-state iteration it holds the sequential host's set-up under one
-# f64 per nonzero: no per-mode bucket list is built where nothing reads it.
+# steady-state iteration (also on a multi-block cut under Threads(4)) it
+# holds the host's set-up, the block cut's partial banks, under one f64
+# per nonzero.
 echo "==> cargo test -q --features alloc-count --test alloc_budget -- --test-threads=1"
 cargo test -q --features alloc-count --test alloc_budget -- --test-threads=1
 
 # The pass-count gate pins how often a solve walks the nonzeros.
-# Per steady-state iteration: once on the sequential host (the one fused
-# sweep banks every mode's MTTKRP, nnz entries touched) and on DisTenC
-# under Sequential and Threads(4) (one block stage emits every mode's
-# partial H), N times where only mode 0 is banked (threaded host
-# executors), N+1 times unfused; a sampled iteration touches exactly
-# N·samples entries (zero full sweeps), and a sketched solve's P exact
-# iterations are P + 1 sweeps on the sequential host (the boundary sweep
+# Per steady-state iteration: once on the host under Sequential,
+# Threads(2) and Threads(4) (the one fused sweep over the residual's block
+# cut banks every mode's MTTKRP, nnz entries touched, also where the cut
+# has several blocks) and on DisTenC under Sequential and Threads(4) (one
+# block stage emits every mode's partial H), N+1 times unfused; a sampled
+# iteration touches exactly N·samples entries (zero full sweeps), and a
+# sketched solve's P exact iterations are P + 1 sweeps (the boundary sweep
 # refreshes and banks the first of them, the last one is a plain refresh).
 # Per entry into a solve whose residual is already fresh (a streaming
 # re-solve after an apply, AdmmSolver::resume): one sweep over the stored
-# values banks every mode on the sequential host, so k iterations are
-# exactly k + 1 sweeps (entry, k − 1 fused, the last plain refresh) where
-# they were N + k; threaded executors bank nothing on entry and keep
-# N·k + 1, unfused keeps (N+1)·k.
+# values banks every mode on every executor, so k iterations are exactly
+# k + 1 sweeps (entry, k − 1 fused, the last plain refresh); unfused keeps
+# (N+1)·k.
 # Counts tick once per kernel invocation (never per thread/chunk/block)
 # and the test sets its executors itself, so DISTENC_THREADS does not move
 # them; like alloc-count, the instrument stays out of the default feature

@@ -4,9 +4,11 @@
 //! Writes `BENCH_parallel.json` at the repository root. Per executor: the
 //! median wall time of a one-iteration solve (set-up, entry sweep and one
 //! iteration) and of a steady-state iteration (an eleven-iteration solve
-//! minus a one-iteration solve, over ten). Speed-ups are *reported*,
-//! never asserted: what the host gives is what lands in the file, beside
-//! its `host_parallelism`. Per-kernel thread scaling (MTTKRP, fused
+//! minus a one-iteration solve, over ten). The executors take turns within
+//! every rep, so a slow phase of the host lands on all of them instead of
+//! on whichever one it was timing. Speed-ups are *reported*, never
+//! asserted: what the host gives is what lands in the file, beside its
+//! `host_parallelism`. Per-kernel thread scaling (MTTKRP, fused
 //! sweep, refresh at one and two threads) is the `benchmark` package's
 //! `tensor.*_t1` / `_t2` cells.
 
@@ -55,13 +57,26 @@ fn solve(x: &CooTensor, exec: ExecMode, iters: usize) {
     assert_eq!(res.iterations, iters);
 }
 
+fn median(mut samples: Vec<u64>) -> u64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
 fn main() {
     let x = random_coo(11);
+    let mut one = vec![Vec::new(); EXECUTORS.len()];
+    let mut many = vec![Vec::new(); EXECUTORS.len()];
+    for _ in 0..REPS {
+        for (k, &(_, exec)) in EXECUTORS.iter().enumerate() {
+            one[k].push(median_ns(0..1, |_| solve(&x, exec, 1)));
+            many[k].push(median_ns(0..1, |_| solve(&x, exec, 1 + STEADY_ITERS)));
+        }
+    }
     let timed: Vec<(&str, u64, u64)> = EXECUTORS
         .iter()
-        .map(|&(name, exec)| {
-            let one = median_ns(0..REPS, |_| solve(&x, exec, 1));
-            let many = median_ns(0..REPS, |_| solve(&x, exec, 1 + STEADY_ITERS));
+        .zip(one.into_iter().zip(many))
+        .map(|(&(name, _), (one, many))| {
+            let (one, many) = (median(one), median(many));
             (name, one, many.saturating_sub(one) / STEADY_ITERS as u64)
         })
         .collect();
@@ -79,7 +94,7 @@ fn main() {
     write_bench_json(
         "parallel",
         &format!(
-            "  \"workload\": {{ \"shape\": {SHAPE:?}, \"nnz\": {}, \"rank\": {RANK} }},\n  \"reps\": {REPS},\n  \"executors\": {{\n{}\n  }},\n  \"note\": \"median of {REPS} wall-clock runs per cell; one_iteration_solve_ns = a max_iters=1 solve (set-up, entry sweep, one iteration); steady_iteration_ns = (a {}-iteration solve - a 1-iteration solve) / {STEADY_ITERS}; speedups are sequential / this executor, reported and never asserted; executors wider than host_parallelism cannot speed anything up\"",
+            "  \"workload\": {{ \"shape\": {SHAPE:?}, \"nnz\": {}, \"rank\": {RANK} }},\n  \"reps\": {REPS},\n  \"executors\": {{\n{}\n  }},\n  \"note\": \"median of {REPS} wall-clock runs per cell, the executors taking turns within each rep; one_iteration_solve_ns = a max_iters=1 solve (set-up, entry sweep, one iteration); steady_iteration_ns = (a {}-iteration solve - a 1-iteration solve) / {STEADY_ITERS}; speedups are sequential / this executor, reported and never asserted; executors wider than host_parallelism cannot speed anything up\"",
             x.nnz(),
             rows.join(",\n"),
             1 + STEADY_ITERS,

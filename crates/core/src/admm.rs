@@ -23,7 +23,7 @@ use crate::trace::ConvergenceTrace;
 use crate::{CompletionResult, CoreError, Result};
 use distenc_dataflow::Executor;
 use distenc_graph::{Laplacian, TruncatedLaplacian};
-use distenc_tensor::{CooTensor, KruskalTensor, LayoutKind, TensorLayout};
+use distenc_tensor::{CooTensor, KruskalTensor};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -249,14 +249,14 @@ struct FileSink<'a> {
     path: PathBuf,
 }
 
-impl solver::CheckpointSink<TensorLayout> for FileSink<'_> {
+impl solver::CheckpointSink<CooTensor> for FileSink<'_> {
     fn save(
         &mut self,
-        st: &SolverState<TensorLayout>,
+        st: &SolverState<CooTensor>,
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()> {
-        // The host layout keeps its values in canonical entry order.
+        // The host residual keeps its values in canonical entry order.
         let residual = st.residual.values().to_vec();
         Checkpoint::capture(self.cfg, &self.shape, st, iters_done, trace, residual)
             .write_file(&self.path)?;
@@ -386,10 +386,9 @@ pub(crate) fn solve_with(
     let clock = move |_iter| start.elapsed().as_secs_f64();
     let residual_fresh = carry.is_some();
     let e = carry.map_or_else(|| observed.clone(), |c| c.e);
-    let layout = TensorLayout::build(e, LayoutKind::Coo)?;
-    let mut host = HostBackend::new(&layout, cfg.rank, Executor::new(cfg.exec), clock)?;
-    let mut st = SolverState::new(observed, truncated, cfg, initial, layout)?;
-    let (result, layout) = match cfg.solver_tier {
+    let mut host = HostBackend::new(&e, cfg.rank, Executor::new(cfg.exec), clock);
+    let mut st = SolverState::new(observed, truncated, cfg, initial, e)?;
+    let (result, e) = match cfg.solver_tier {
         SolverTier::Sketched { samples, polish_iters }
             if samples < observed.nnz() && polish_iters < cfg.max_iters =>
         {
@@ -412,7 +411,7 @@ pub(crate) fn solve_with(
                     FileSink { cfg, shape: observed.shape().to_vec(), path: path.clone() }
                 });
             let sink =
-                file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink<TensorLayout>);
+                file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink<CooTensor>);
             solver::run(
                 observed,
                 truncated,
@@ -425,7 +424,7 @@ pub(crate) fn solve_with(
             )?
         }
     };
-    Ok((result, ResidualHandoff { e: layout.into_entries() }))
+    Ok((result, ResidualHandoff { e }))
 }
 
 #[cfg(test)]

@@ -117,21 +117,22 @@ pub struct AdmmConfig {
     /// greedy balancing by default; the equal-width baseline exists for
     /// the load-balancing ablation).
     pub partition: distenc_partition::PartitionStrategy,
-    /// Host execution backend for the solver's per-iteration kernels
-    /// (MTTKRP, residual). Bit-identical results under every setting —
-    /// see `distenc-dataflow`'s `exec` module; defaults from the
-    /// `DISTENC_THREADS` environment variable.
+    /// What runs the blocks of the host's residual cut (and the cluster's
+    /// block tasks). Bit-identical results under every setting — the bits
+    /// are a function of the data's block cut, never of the executor (see
+    /// DESIGN.md §9); defaults from the `DISTENC_THREADS` environment
+    /// variable, else a thread per host core.
     pub exec: distenc_dataflow::ExecMode,
     /// Fuse the end-of-iteration residual refresh with the *next*
-    /// iteration's MTTKRPs into a single sweep over the nonzeros: every
-    /// mode's on the sequential host and on the distributed driver (one
-    /// pass per iteration instead of N+1 for an order-N tensor; on the
-    /// cluster also one block stage and one shuffle instead of N+1 and
-    /// N), mode 0's under threaded host executors (N passes).
-    /// Bit-identical to the unfused schedule in every numeric result — the
-    /// fused kernels replay the exact same floating-point folds — so this
-    /// is on by default; the switch exists for the ablation and the
-    /// pass-count gate.
+    /// iteration's MTTKRPs into a single sweep over the nonzeros that banks
+    /// every mode's, on the host under every executor and on the
+    /// distributed driver: one pass per iteration instead of N+1 for an
+    /// order-N tensor (on the cluster also one block stage and one shuffle
+    /// instead of N+1 and N). Bit-identical to the unfused schedule in
+    /// every numeric result — the fused sweep replays the exact same
+    /// floating-point folds over the same blocks — so this is on by
+    /// default; the switch exists for the ablation and the pass-count
+    /// gate.
     pub fused: bool,
     /// Which solver tier runs the per-iteration kernels (see
     /// [`SolverTier`]): the bit-pinned exact path, or the sampled

@@ -198,13 +198,23 @@ impl<'a> Reader<'a> {
         }
         Ok(v as usize)
     }
+    /// A count of the 8-byte words that follow. A file whose checksum was
+    /// recomputed can still lie about it, so a count the bytes left
+    /// cannot hold is [`CheckpointError::Truncated`] before anything is
+    /// sized by it.
+    fn words(&self, n: usize) -> Result<usize> {
+        if n > (self.buf.len() - self.pos) / 8 {
+            return Err(CheckpointError::Truncated);
+        }
+        Ok(n)
+    }
     fn mat(&mut self) -> Result<Mat> {
         let rows = self.len("matrix rows")?;
         let cols = self.len("matrix cols")?;
         let n = rows
             .checked_mul(cols)
             .ok_or_else(|| CheckpointError::Malformed("matrix size overflow".into()))?;
-        let mut data = Vec::with_capacity(n);
+        let mut data = Vec::with_capacity(self.words(n)?);
         for _ in 0..n {
             data.push(self.f64()?);
         }
@@ -363,6 +373,7 @@ impl Checkpoint {
         }
 
         let order = r.len("order")?;
+        let order = r.words(order)?;
         let mut shape = Vec::with_capacity(order);
         for _ in 0..order {
             shape.push(r.u64()? as usize);
@@ -378,6 +389,7 @@ impl Checkpoint {
             y_mul.push(r.mat()?);
         }
         let nnz = r.len("residual nnz")?;
+        let nnz = r.words(nnz)?;
         let mut residual = Vec::with_capacity(nnz);
         for _ in 0..nnz {
             residual.push(r.f64()?);
@@ -543,6 +555,39 @@ mod tests {
                 ),
                 "keep {keep}: unexpected error {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_lying_length_under_a_restamped_checksum_is_a_typed_error() {
+        // FNV-1a is no MAC: anyone can rewrite a length field and the
+        // trailer after it. The first factor's `rows` and `cols` follow
+        // the cursor's `eta`; the shape's `order` and the residual's
+        // `nnz` are the other two counts that size an allocation. A long
+        // residual makes `rows·cols` terabytes: sized before it is read,
+        // that allocation aborts the process.
+        let ck = Checkpoint { residual: vec![0.25; 1 << 16], ..sample() };
+        let bytes = ck.to_bytes();
+        let at = |a: u64, b: u64| {
+            let field = [a.to_le_bytes(), b.to_le_bytes()].concat();
+            bytes.windows(16).position(|w| w == field).unwrap()
+        };
+        let factor = at(ck.eta.to_bits(), 3) + 8;
+        let order = at(2, 3);
+        let nnz = at(1 << 16, 0.25f64.to_bits());
+        // The payload's length: each count alone passes the "absurd" bound.
+        let huge = (bytes.len() as u64 - 8).to_le_bytes();
+        let lies = [("factor", vec![factor, factor + 8]), ("order", vec![order]), ("nnz", vec![nnz])];
+        for (what, fields) in lies {
+            let mut bad = bytes.clone();
+            for f in fields {
+                bad[f..f + 8].copy_from_slice(&huge);
+            }
+            let body = bad.len() - 8;
+            let sum = fnv1a(&bad[..body]);
+            bad[body..].copy_from_slice(&sum.to_le_bytes());
+            let err = Checkpoint::from_bytes(&bad).unwrap_err();
+            assert_eq!(err, CheckpointError::Truncated, "{what}");
         }
     }
 

@@ -1,83 +1,66 @@
-//! The single-machine [`StepBackend`]: thread-blocked kernels on a
+//! The single-machine [`StepBackend`]: the residual's block cut on a
 //! [`distenc_dataflow::Executor`], no accounting.
 //!
-//! Its residual is a [`TensorLayout`] (COO, always), and every entry
-//! sweep goes through it: this backend sizes one [`LayoutWorkspace`] at
-//! construction and hands every kernel call to the layout. The steady
-//! state allocates nothing on the calling thread (the threaded executor
-//! hands work to its resident pool through an unboxed index broadcast;
-//! the sequential path is a plain loop).
+//! Its residual is the observed support's entry list ([`CooTensor`]), and
+//! every entry sweep is one [`cut_sweep_into`] over the [`BlockCut`] this
+//! backend sizes at construction: `B` contiguous, equal-count entry
+//! ranges, `B` a function of the data alone (DESIGN.md §9). The executor
+//! runs the blocks — one after another on `Sequential`, concurrently on
+//! `Threads(n)` — and the partials are added into the core's bank in
+//! ascending block order, so every executor computes the same bits and a
+//! one-block residual is the flat entry-order fold.
 //!
 //! Handed the core's bank, the end-of-iteration
 //! [`StepBackend::fused_step`] refreshes the residual, reduces `‖E‖²_F`,
-//! and writes the next iteration's MTTKRPs straight into it in one sweep
-//! over the nonzeros — every mode's when the layout runs its sequential
-//! entry-order kernel (one sweep per iteration), mode 0's otherwise
-//! (threaded executors: N sweeps). Entered on a residual that is
-//! already fresh, the same hook banks from the stored values: every mode
-//! in one entry-order sweep, or nothing where the layout has only its
-//! one-mode kernels (the mode steps then run them, as they would have).
-//! Every fused kernel is bit-identical to the separate sweeps it replaces
-//! (`distenc_tensor::fused` and `distenc_tensor::layout` pin this), so
-//! the solver's iterates — and the golden traces — are unchanged.
+//! and writes every mode's next MTTKRP straight into it: one sweep over
+//! the nonzeros per iteration, on every executor. Entered on a residual
+//! that is already fresh, the same hook banks every mode from the stored
+//! values. [`StepBackend::sparse_mttkrp`] — called only unfused — is the
+//! same cut over stored values for one mode. At orders 2–8 the steady
+//! state allocates nothing on any thread (the threaded executor hands the
+//! blocks to its resident pool through an unboxed index broadcast; the
+//! sequential path is a plain loop).
 
 use super::StepBackend;
 use crate::Result;
 use distenc_dataflow::Executor;
 use distenc_linalg::Mat;
-use distenc_tensor::residual::ResidualWorkspace;
-use distenc_tensor::{CooTensor, KruskalTensor, LayoutWorkspace, TensorLayout};
+use distenc_tensor::fused::{cut_sweep_into, BlockCut, EntryValues};
+use distenc_tensor::{CooTensor, KruskalTensor};
 
-/// Host backend: Algorithm 2 greedy thread blocking for the MTTKRP,
-/// even-chunked residual refresh, plain Grams, wall-clock trace stamps.
+/// Host backend: the residual's block cut on an executor, plain Grams,
+/// wall-clock trace stamps.
 pub(crate) struct HostBackend<C> {
     exec: Executor,
-    /// The residual's per-mode sweep workspace (buckets under threads,
-    /// nothing on one thread).
-    lw: LayoutWorkspace,
-    res: ResidualWorkspace,
+    /// The residual's block cut and the partial banks of its blocks
+    /// after the first.
+    cut: BlockCut,
     clock: C,
 }
 
 impl<C: Fn(usize) -> f64> HostBackend<C> {
-    /// Size the layout workspace for every mode at rank `rank`, chunk the
-    /// residual refresh for `exec`, and stamp trace points with `clock`.
-    ///
-    /// An executor that runs parts concurrently gets the Algorithm 2
-    /// greedy MTTKRP boundaries, one set per mode, computed once — the
-    /// support never changes *within* a solve — and sized to
-    /// `parallelism()` (not `threads()`: the cores actually available, so
-    /// a `DISTENC_THREADS` above the machine's core count does not
-    /// oversplit the kernels); any blocking is bit-exact. One thread has
-    /// no parts to balance: no slice histogram, no boundaries, and (COO)
-    /// no buckets — the rule [`ResidualWorkspace::new`] follows too.
-    pub fn new(layout: &TensorLayout, rank: usize, exec: Executor, clock: C) -> Result<Self> {
-        let parts = exec.parallelism();
-        let boundaries: Vec<Vec<usize>> = if parts > 1 {
-            let e = layout.entries();
-            (0..e.order())
-                .map(|n| distenc_partition::greedy_boundaries(&e.slice_nnz(n), parts))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let lw = layout.workspace(rank, &boundaries, &exec)?;
-        let res = ResidualWorkspace::new(layout.nnz(), &exec);
-        Ok(HostBackend { exec, lw, res, clock })
+    /// Cut `residual` for rank `rank` — once: the support never changes
+    /// *within* a solve — run its blocks on `exec`, and stamp trace points
+    /// with `clock`.
+    pub fn new(residual: &CooTensor, rank: usize, exec: Executor, clock: C) -> Self {
+        let cut = BlockCut::new(residual.shape(), residual.nnz(), rank);
+        HostBackend { exec, cut, clock }
     }
 }
 
 impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
-    type Residual = TensorLayout;
+    type Residual = CooTensor;
 
     fn sparse_mttkrp(
         &mut self,
-        residual: &TensorLayout,
+        residual: &CooTensor,
         model: &KruskalTensor,
         mode: usize,
         out: &mut Mat,
     ) -> Result<()> {
-        residual.mttkrp_into(model.factors(), mode, &mut self.lw, &self.exec, out)?;
+        let vals = EntryValues::Stored(residual.values());
+        let out = std::slice::from_mut(out);
+        cut_sweep_into(residual, model, vals, mode, out, &mut self.cut, &self.exec)?;
         Ok(())
     }
 
@@ -90,23 +73,19 @@ impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,
-        residual: &mut TensorLayout,
+        residual: &mut CooTensor,
         refresh: bool,
         bank: &mut [Mat],
     ) -> Result<(f64, usize)> {
-        if !refresh {
-            // The values are fresh and stay; `‖E‖²` is read only after a
-            // refresh.
-            let banked = residual.mttkrp_all_into(model.factors(), &self.exec, bank)?;
-            return Ok((0.0, banked));
-        }
-        if bank.is_empty() {
-            // Nothing to bank: the plain refresh does one pass without
-            // the MTTKRP flops.
-            residual.refresh_values(observed, model, &mut self.res, &self.exec)?;
-            return Ok((residual.frob_norm_sq(), 0));
-        }
-        Ok(residual.fused_refresh_all_into(observed, model, &mut self.lw, &self.exec, bank)?)
+        // Without `refresh` the values are fresh and stay; the `‖E‖²` of
+        // that sweep is never read.
+        let vals = if refresh {
+            EntryValues::Refresh(residual.values_mut())
+        } else {
+            EntryValues::Stored(residual.values())
+        };
+        let frob = cut_sweep_into(observed, model, vals, 0, bank, &mut self.cut, &self.exec)?;
+        Ok((frob, bank.len()))
     }
 
     fn clock(&self, iter: usize) -> f64 {

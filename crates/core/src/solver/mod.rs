@@ -13,8 +13,8 @@
 //!
 //! **One core, typed residual.** The residual `E = Ω∗(T − [[A…]])` lives
 //! on the [`SolverState`] in whatever decomposition the backend needs —
-//! [`StepBackend::Residual`]: a [`TensorLayout`] for the host and sketched
-//! backends, the Algorithm 2 block list for the cluster. The core never
+//! [`StepBackend::Residual`]: the entry list ([`CooTensor`]) for the host
+//! and sketched backends, the Algorithm 2 block list for the cluster. The core never
 //! looks inside it; it only hands it back to the backend that owns the
 //! type, so a backend paired with the wrong decomposition does not
 //! compile.
@@ -58,24 +58,20 @@
 //! off, which reads the values as stored and only banks. Its first
 //! iteration then starts with what the backend banks from stored values,
 //! exactly as every later one starts with what the refreshing sweep
-//! banked. How many modes a backend banks sets its sweep count over the
-//! nonzero list for an order-N tensor, per steady-state iteration and for
-//! the entry alike:
+//! banked. The exact backends bank all N modes, on every executor (the
+//! sketched backend's sampled sweeps bank mode 0's estimate, see its
+//! module), so the sweep count over the nonzero list per steady-state
+//! iteration — and for the entry alike — is:
 //!
-//! * **1** — the sequential host backend, and the cluster backend on
-//!   every executor (one task per Algorithm 2 block), bank all N modes in
-//!   one sweep;
-//! * **N** — threaded host executors (and host tensors of order 1 or
-//!   beyond the fused kernel's row cache) bank mode 0 only:
-//!   one fused sweep plus N−1 plain MTTKRPs (on entry they bank nothing:
-//!   N plain MTTKRPs);
+//! * **1** — fused: the host backend runs the residual's block cut (one
+//!   sweep whether its blocks run one after another or on threads), the
+//!   cluster backend one task per Algorithm 2 block;
 //! * **N+1** — unfused: N MTTKRPs plus the separate refresh (no entry
 //!   sweep: without fusion nothing is ever banked).
 //!
-//! So `k` iterations entered on a fresh residual cost `k + 1` sweeps on
-//! the sequential host — the entry, `k − 1` fused, the last plain refresh.
-//! The `pass-count` feature counts the sweeps and `tests/pass_count.rs`
-//! pins all of it.
+//! So `k` iterations entered on a fresh residual cost `k + 1` sweeps — the
+//! entry, `k − 1` fused, the last plain refresh. The `pass-count` feature
+//! counts the sweeps and `tests/pass_count.rs` pins all of it.
 
 use crate::config::AdmmConfig;
 use crate::solver::checkpoint::Checkpoint;
@@ -225,10 +221,10 @@ pub(crate) trait StepBackend {
     /// The sparse MTTKRP `E₍ₙ₎U⁽ⁿ⁾` for `mode`, written into `out`
     /// (`Iₙ×R`), decomposed however this backend decomposes it. Called
     /// only for modes the last sweep (or the entry sweep) did not bank.
-    /// Must be bit-identical
-    /// to the sequential entry-order sweep for the host backend; the
-    /// cluster backend's block association is its own fixed order
-    /// (matching the serial oracle to rounding, not bits).
+    /// Must be bit-identical to what this backend's [`Self::fused_step`]
+    /// banks for the mode: the host's block cut and the cluster's
+    /// Algorithm 2 blocks each fix their own association order (matching
+    /// the flat serial fold to rounding, and to the bit at one host block).
     fn sparse_mttkrp(
         &mut self,
         residual: &Self::Residual,

@@ -55,7 +55,7 @@ use distenc_linalg::sketch::{hadamard_rows_skip_into, SketchScratch};
 use distenc_linalg::vec_ops::dot;
 use distenc_linalg::Mat;
 use distenc_tensor::sample::EntrySampler;
-use distenc_tensor::{CooTensor, KruskalTensor, TensorLayout};
+use distenc_tensor::{CooTensor, KruskalTensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -144,11 +144,11 @@ impl<'t, C: Fn(usize) -> f64> SketchedBackend<'t, C> {
 }
 
 impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
-    type Residual = TensorLayout;
+    type Residual = CooTensor;
 
     fn sparse_mttkrp(
         &mut self,
-        residual: &TensorLayout,
+        residual: &CooTensor,
         model: &KruskalTensor,
         mode: usize,
         out: &mut Mat,
@@ -168,7 +168,7 @@ impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,
-        residual: &mut TensorLayout,
+        residual: &mut CooTensor,
         refresh: bool,
         bank: &mut [Mat],
     ) -> Result<(f64, usize)> {

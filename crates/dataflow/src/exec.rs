@@ -47,19 +47,32 @@ impl ExecMode {
         }
     }
 
-    /// The mode the `DISTENC_THREADS` environment variable asks for
-    /// (unset means [`ExecMode::Sequential`]). This is the only place the
-    /// workspace reads the environment: `ci.sh` uses the variable to run
-    /// the whole test suite under both backends without touching any
-    /// test. The CLI calls this once at start-up so a bad value is a
-    /// typed error there, before any [`ExecMode::default`] can panic.
+    /// The mode the `DISTENC_THREADS` environment variable asks for;
+    /// unset means a thread per host core, or sequential on one. This is
+    /// the only place the workspace reads the environment: `ci.sh` uses
+    /// the variable to run the whole test suite under both backends
+    /// without touching any test. The CLI calls this once at start-up so
+    /// a bad value is a typed error there, before any
+    /// [`ExecMode::default`] can panic.
     pub fn from_env() -> Result<ExecMode> {
         match std::env::var("DISTENC_THREADS") {
             Ok(raw) => ExecMode::parse(&raw),
-            Err(std::env::VarError::NotPresent) => Ok(ExecMode::Sequential),
+            Err(std::env::VarError::NotPresent) => Ok(ExecMode::host()),
             Err(std::env::VarError::NotUnicode(raw)) => {
                 Err(DataflowError::BadThreadCount(raw.to_string_lossy().into_owned()))
             }
+        }
+    }
+
+    /// A thread per core of this host (`available_parallelism`), or
+    /// [`ExecMode::Sequential`] on one core: what an unset
+    /// `DISTENC_THREADS` means. Which executor runs never changes a bit.
+    fn host() -> ExecMode {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cores >= 2 {
+            ExecMode::Threads(cores)
+        } else {
+            ExecMode::Sequential
         }
     }
 
@@ -73,8 +86,9 @@ impl ExecMode {
 }
 
 /// The default mode comes from the environment (see
-/// [`ExecMode::from_env`]), so `DISTENC_THREADS=4 cargo test` exercises
-/// the threaded backend across the entire suite.
+/// [`ExecMode::from_env`]) — the host's cores when `DISTENC_THREADS` is
+/// unset — so `DISTENC_THREADS=4 cargo test` exercises a four-thread pool
+/// and `=1` the sequential path across the entire suite.
 ///
 /// # Panics
 /// If `DISTENC_THREADS` is set to something [`ExecMode::parse`] rejects:
@@ -232,6 +246,15 @@ mod tests {
         assert_eq!(ExecMode::Threads(0).threads(), 1);
         assert_eq!(ExecMode::Threads(1).threads(), 1);
         assert_eq!(ExecMode::Threads(6).threads(), 6);
+    }
+
+    #[test]
+    fn host_mode_is_a_thread_per_core_or_sequential_on_one() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let want = if cores >= 2 { ExecMode::Threads(cores) } else { ExecMode::Sequential };
+        assert_eq!(ExecMode::host(), want);
+        assert_eq!(ExecMode::host().threads(), cores);
+        assert_eq!(Executor::new(ExecMode::host()).parallelism(), cores);
     }
 
     #[test]

@@ -23,14 +23,18 @@
 //! from ([`Values`]: refreshed, or read as stored), where banked rows land
 //! ([`Placement`]: whole modes, or row slabs with an origin), and which
 //! entries are visited in which order ([`Source`]: the whole list, a
-//! sub-range of it, a list of positions). The all-modes sweep, the mode-0
-//! sweep, the plain residual refresh (no mode banked) and the plain MTTKRP
-//! of stored values ([`mttkrp_modes_into`]) walk the whole list; a tensor
-//! block's share of a cluster sweep ([`block_sweep_into`]) walks its own
-//! list into slabs; a threaded executor's part — a COO bucket or a run of
-//! tiles, see [`MttkrpWorkspace`] — walks its positions into its slab
-//! ([`sweep_part`]); a chunk of the threaded residual refresh walks its
-//! sub-range banking nothing ([`refresh_entries`]). The body takes the
+//! sub-range of it, a list of positions). The solver's host sweep
+//! ([`cut_sweep_into`]) walks each block of the residual's [`BlockCut`] —
+//! a contiguous sub-range — into whole-mode outputs, and adds the blocks'
+//! partials in block order; the all-modes sweep and the plain MTTKRP of
+//! stored values ([`fused_refresh_modes_into`], [`mttkrp_modes_into`])
+//! walk the whole list; a tensor block's share of a cluster sweep
+//! ([`block_sweep_into`]) walks its own list into slabs. The per-mode
+//! structures the benchmark's layer probes time drive the same body: a
+//! threaded part — a COO bucket or a run of tiles, see
+//! [`MttkrpWorkspace`] — walks its positions into its slab
+//! ([`sweep_part`]), and a chunk of the threaded residual refresh walks
+//! its sub-range banking nothing ([`refresh_entries`]). The body takes the
 //! entries four per step:
 //!
 //! * **Interleaved eval fold.** `Σᵣ Πₖ A⁽ᵏ⁾(iₖ,r)` is a serial `R`-add
@@ -63,8 +67,14 @@
 //!   row's entries in entry order — which the whole list, an in-order
 //!   bucket and a stably sorted tile run all do;
 //! * `‖E‖²_F` is the flat left fold `Σ eᵢ²` in entry order, matching
-//!   [`CooTensor::frob_norm_sq`] (a threaded sweep folds it over the
-//!   scattered-back values, so the blocking never shows).
+//!   [`CooTensor::frob_norm_sq`].
+//!
+//! A [`BlockCut`] of more than one block changes the association, and
+//! only that: each output row and `‖E‖²` become the sum, in ascending
+//! block order, of per-block folds that are each the above. The cut is a
+//! function of the data, so every executor computes the same bits; at one
+//! block — every tensor below [`BLOCK_MIN_NNZ`]` · 2` entries — it is the
+//! flat fold itself.
 //!
 //! How the body is compiled is [`sweep`]'s to decide and never changes a
 //! bit, **by construction**: R ∈ {8, 16} run it with the rank as a
@@ -271,23 +281,6 @@ pub(crate) trait Source: Copy {
     fn len(self, values: usize) -> usize;
     /// The list position of the `j`-th entry visited.
     fn pos(self, j: usize) -> usize;
-}
-
-/// Every entry of the list, in order: one per value held, so the entry
-/// loop's bound is the value slice's length and its value accesses need no
-/// further check.
-#[derive(Clone, Copy)]
-pub(crate) struct Whole;
-
-impl Source for Whole {
-    #[inline(always)]
-    fn len(self, values: usize) -> usize {
-        values
-    }
-    #[inline(always)]
-    fn pos(self, j: usize) -> usize {
-        j
-    }
 }
 
 /// The `len` consecutive entries from position `lo` on.
@@ -625,7 +618,8 @@ pub fn fused_refresh_modes_into(
         check_output(observed, h, m, r)?;
     }
     crate::record_entry_sweep(observed.nnz());
-    Ok(sweep(observed, factors, Refresh(e.values_mut()), Whole, WholeModes, hs))
+    let all = Span { lo: 0, len: observed.nnz() };
+    Ok(sweep(observed, factors, Refresh(e.values_mut()), all, WholeModes, hs))
 }
 
 /// The residual refresh `vals[j] = t[p] − [[A…]](idx[p])` for `p` the
@@ -672,15 +666,7 @@ pub fn mttkrp_modes_into(
         check_output(e, h, m, r)?;
     }
     crate::record_entry_sweep(e.nnz());
-    let vals = Stored(e.values());
-    if first == 0 {
-        // The leading modes take the placement with nothing to look up
-        // (as a slab sweep the all-modes pass measured up to 1.4× slower).
-        sweep(e, factors, vals, Whole, WholeModes, hs);
-    } else {
-        // Whole modes are slabs that start at row 0.
-        sweep(e, factors, vals, Whole, SlabsAt { first, origin: 0 }, hs);
-    }
+    sweep_stored(e, factors, e.values(), Span { lo: 0, len: e.nnz() }, first, hs);
     Ok(())
 }
 
@@ -728,11 +714,208 @@ pub fn block_sweep_into(
             slabs.len()
         )));
     }
-    let place = Slabs { first, origin };
+    let (place, all) = (Slabs { first, origin }, Span { lo: 0, len: entries.nnz() });
     Ok(match vals {
-        EntryValues::Refresh(fresh) => sweep(entries, factors, Refresh(fresh), Whole, place, slabs),
-        EntryValues::Stored(stored) => sweep(entries, factors, Stored(stored), Whole, place, slabs),
+        EntryValues::Refresh(fresh) => sweep(entries, factors, Refresh(fresh), all, place, slabs),
+        EntryValues::Stored(stored) => sweep(entries, factors, Stored(stored), all, place, slabs),
     })
+}
+
+/// A cut holds at least this many entries per block: a residual of fewer
+/// than twice as many is one block, whose sweep is the flat entry-order
+/// fold — every golden trace and every small test tensor is. A block this
+/// size is a sweep of hundreds of microseconds at rank 16, against a pool
+/// hand-off of microseconds.
+const BLOCK_MIN_NNZ: usize = 16_384;
+
+/// The most blocks a cut has. On a 2-core host two, four and eight blocks
+/// were level with each other on `solve_dense` and `solve_aux` (DESIGN.md
+/// §9); four keeps a 4-core host busy at three partial banks. The cut may
+/// not know the host it runs on, so this is a constant.
+const MAX_BLOCKS: usize = 4;
+
+/// Blocks a sweep can hand its executor without allocating: the task
+/// array lives on the stack. Above [`MAX_BLOCKS`] so that tests can cut
+/// finer than the rule does.
+const MAX_BLOCKS_HELD: usize = 8;
+
+/// The block count of a residual with `nnz` entries over `shape` at rank
+/// `rank`: one block per [`BLOCK_MIN_NNZ`] entries, at most
+/// [`MAX_BLOCKS`], and no more than keep the `B − 1` partial banks under
+/// half a double per nonzero. A function of the data alone — never of the
+/// executor or the host — so the bits a cut gives are too.
+fn block_count(shape: &[usize], nnz: usize, rank: usize) -> usize {
+    let bank = shape.iter().sum::<usize>().saturating_mul(rank).max(1);
+    let by_memory = 1 + nnz / bank.saturating_mul(2);
+    (nnz / BLOCK_MIN_NNZ).min(by_memory).clamp(1, MAX_BLOCKS)
+}
+
+/// The residual's block cut, sized once per solve: its entry list cut into
+/// `B` contiguous, equal-count ranges, and the partial banks blocks
+/// `1..B` sweep into — whole-mode `Iₙ×R` outputs for every mode, block 0
+/// writing straight into the caller's bank. [`cut_sweep_into`] runs it.
+pub struct BlockCut {
+    blocks: usize,
+    order: usize,
+    /// Block `k ≥ 1`'s outputs, mode `m` at `partials[(k − 1)·order + m]`.
+    partials: Vec<Mat>,
+}
+
+impl BlockCut {
+    /// The cut [`block_count`] gives a residual of `nnz` entries over
+    /// `shape` at rank `rank`, with its partial banks.
+    pub fn new(shape: &[usize], nnz: usize, rank: usize) -> BlockCut {
+        BlockCut::with_blocks(shape, rank, block_count(shape, nnz, rank))
+    }
+
+    fn with_blocks(shape: &[usize], rank: usize, blocks: usize) -> BlockCut {
+        assert!((1..=MAX_BLOCKS_HELD).contains(&blocks), "{blocks} blocks");
+        let partials =
+            (1..blocks).flat_map(|_| shape.iter().map(|&d| Mat::zeros(d, rank))).collect();
+        BlockCut { blocks, order: shape.len(), partials }
+    }
+
+    /// `B`, the number of blocks.
+    pub fn blocks(&self) -> usize {
+        self.blocks
+    }
+}
+
+/// Block `k` of `blocks` equal-count ranges over `nnz` entries.
+fn block_span(k: usize, blocks: usize, nnz: usize) -> Span {
+    let lo = k * nnz / blocks;
+    Span { lo, len: (k + 1) * nnz / blocks - lo }
+}
+
+/// One block's share of a [`cut_sweep_into`]: its entries, its values,
+/// where its outputs land, and the `Σ eᵢ²` it folds.
+struct BlockTask<'a> {
+    span: Span,
+    vals: EntryValues<'a>,
+    outs: &'a mut [Mat],
+    frob: f64,
+}
+
+/// [`sweep`] of the stored `values` over `span` into whole-mode outputs
+/// for the modes from `first` on. The refreshing sweeps bank from mode 0
+/// and take [`WholeModes`] directly: one instantiation of the body per
+/// placement they use, shared by every caller.
+fn sweep_stored(
+    x: &CooTensor,
+    factors: &[Mat],
+    values: &[f64],
+    span: Span,
+    first: usize,
+    outs: &mut [Mat],
+) -> f64 {
+    if first == 0 {
+        // The leading modes take the placement with nothing to look up
+        // (as a slab sweep the all-modes pass measured up to 1.4× slower).
+        sweep(x, factors, Stored(values), span, WholeModes, outs)
+    } else {
+        // Whole modes are slabs that start at row 0.
+        sweep(x, factors, Stored(values), span, SlabsAt { first, origin: 0 }, outs)
+    }
+}
+
+/// The host's one sweep over the residual, on any executor: run `cut`'s
+/// blocks of the list `x` on `exec`, each through the one entry body,
+/// then add blocks `1..B`'s partial outputs into `bank` in ascending block
+/// order and return `Σ eᵢ²` folded per block in the same order.
+///
+/// With [`EntryValues::Refresh`] the values (one per entry of `x`, which
+/// is then the observed tensor) are recomputed against `model` and
+/// stored; with [`EntryValues::Stored`] they are read. `bank[k]` is
+/// overwritten with `E₍ₘ₎U⁽ᵐ⁾` for mode `m = first + k` — every mode from
+/// `first = 0`, one mode of stored values, or none (the plain refresh).
+///
+/// Blocks write disjoint values and their own outputs, so the executor
+/// changes no bit: the result is a function of the cut alone. At one block
+/// it *is* the flat entry-order fold — [`fused_refresh_modes_into`] and
+/// [`mttkrp_modes_into`] bit for bit; at more, each output row and `‖E‖²`
+/// are sums of per-block partial sums, equal to the flat fold to rounding.
+/// One pass-count tick per call, never per block. Allocates nothing, except
+/// the fallback's fold scratch at orders 1 and above 8.
+pub fn cut_sweep_into(
+    x: &CooTensor,
+    model: &KruskalTensor,
+    vals: EntryValues<'_>,
+    first: usize,
+    bank: &mut [Mat],
+    cut: &mut BlockCut,
+    exec: &Executor,
+) -> Result<f64> {
+    let factors = model.factors();
+    validate(x, factors, 0)?;
+    let (order, r, nnz) = (x.order(), model.rank(), x.nnz());
+    let (given, refresh) = match &vals {
+        EntryValues::Refresh(fresh) => (fresh.len(), true),
+        EntryValues::Stored(stored) => (stored.len(), false),
+    };
+    if given != nnz || first + bank.len() > order || cut.order != order || refresh && first > 0 {
+        return Err(TensorError::ShapeMismatch(format!(
+            "cut sweep over {nnz} entries of order {order}: {given} values, {} outputs from mode \
+             {first} (a refresh banks from mode 0), a cut for order {}",
+            bank.len(),
+            cut.order
+        )));
+    }
+    let banked = first..first + bank.len();
+    for (m, h) in banked.clone().zip(bank.iter()) {
+        check_output(x, h, m, r)?;
+    }
+    for part in cut.partials.chunks(order) {
+        for m in banked.clone() {
+            check_output(x, &part[m], m, r)?;
+        }
+    }
+    crate::record_entry_sweep(nnz);
+    let blocks = cut.blocks;
+    let frob = {
+        let mut tasks: [BlockTask<'_>; MAX_BLOCKS_HELD] = std::array::from_fn(|_| BlockTask {
+            span: Span { lo: 0, len: 0 },
+            vals: EntryValues::Stored(&[]),
+            outs: &mut [],
+            frob: 0.0,
+        });
+        let tasks = &mut tasks[..blocks];
+        match vals {
+            EntryValues::Refresh(mut rest) => {
+                for (k, task) in tasks.iter_mut().enumerate() {
+                    task.span = block_span(k, blocks, nnz);
+                    let (head, tail) = std::mem::take(&mut rest).split_at_mut(task.span.len);
+                    (task.vals, rest) = (EntryValues::Refresh(head), tail);
+                }
+            }
+            EntryValues::Stored(stored) => {
+                for (k, task) in tasks.iter_mut().enumerate() {
+                    (task.span, task.vals) = (block_span(k, blocks, nnz), EntryValues::Stored(stored));
+                }
+            }
+        }
+        tasks[0].outs = &mut *bank;
+        for (task, part) in tasks[1..].iter_mut().zip(cut.partials.chunks_mut(order)) {
+            task.outs = &mut part[banked.clone()];
+        }
+        exec.run_mut(tasks, |_, task| {
+            let BlockTask { span, vals, outs, frob } = task;
+            *frob = match vals {
+                EntryValues::Refresh(fresh) => {
+                    sweep(x, factors, Refresh(&mut fresh[..]), *span, WholeModes, outs)
+                }
+                EntryValues::Stored(stored) => sweep_stored(x, factors, stored, *span, first, outs),
+            };
+        });
+        tasks[1..].iter().fold(tasks[0].frob, |sum, task| sum + task.frob)
+    };
+    for part in cut.partials.chunks(order) {
+        for (h, p) in bank.iter_mut().zip(&part[banked.clone()]) {
+            for (a, &b) in h.as_mut_slice().iter_mut().zip(p.as_slice()) {
+                *a += b;
+            }
+        }
+    }
+    Ok(frob)
 }
 
 /// One part's share of a threaded one-mode sweep over the list `x`: visit
@@ -901,7 +1084,7 @@ mod tests {
                 assert_sweep_matches(&x, &model, banked, &want, &label);
             }
             let mut vals = vec![f64::NAN; x.nnz()];
-            refresh_entries(&x, &model, Whole, &mut vals);
+            refresh_entries(&x, &model, Span { lo: 0, len: x.nnz() }, &mut vals);
             prop_assert_eq!(bits(&vals), bits(want.0.values()));
             let lo = rng.random_range(0..=x.nnz());
             let len = rng.random_range(0..=x.nnz() - lo);
@@ -937,9 +1120,10 @@ mod tests {
             for banked in [order, 0] {
                 let (mut wide, mut base) = (vec![f64::NAN; x.nnz()], vec![f64::NAN; x.nnz()]);
                 let (mut hw, mut hb) = (dirty(&shape[..banked], 0), dirty(&shape[..banked], 0));
-                let fw = sweep(&x, factors, Refresh(&mut wide), Whole, WholeModes, &mut hw);
+                let all = Span { lo: 0, len: x.nnz() };
+                let fw = sweep(&x, factors, Refresh(&mut wide), all, WholeModes, &mut hw);
                 let fb =
-                    sweep_at_rank(&x, factors, rank, Refresh(&mut base), Whole, WholeModes, &mut hb);
+                    sweep_at_rank(&x, factors, rank, Refresh(&mut base), all, WholeModes, &mut hb);
                 prop_assert_eq!(fw.to_bits(), fb.to_bits());
                 prop_assert_eq!(bits(&wide), bits(&base));
                 for (w, b) in hw.iter().zip(&hb) {
@@ -955,7 +1139,8 @@ mod tests {
                 let stored = EntryValues::Stored(t.values());
                 let fw = block_sweep_into(&t, &model, stored, first, &origin, &mut sw).unwrap();
                 let place = Slabs { first, origin: &origin };
-                let fb = sweep_at_rank(&t, factors, rank, Stored(t.values()), Whole, place, &mut sb);
+                let all = Span { lo: 0, len: t.nnz() };
+                let fb = sweep_at_rank(&t, factors, rank, Stored(t.values()), all, place, &mut sb);
                 prop_assert_eq!(fw.to_bits(), fb.to_bits());
                 for (w, b) in sw.iter().zip(&sb) {
                     prop_assert_eq!(bits(w.as_slice()), bits(b.as_slice()));
@@ -1000,7 +1185,7 @@ mod tests {
             assert!(fused_refresh_modes_into(&x, &model, &mut e, &mut hs).is_err());
             assert_eq!(e, x, "a refused sweep must not touch the residual");
             let mut vals = vec![f64::NAN; x.nnz()];
-            refresh_entries(&x, &model, Whole, &mut vals);
+            refresh_entries(&x, &model, Span { lo: 0, len: x.nnz() }, &mut vals);
             assert_eq!(bits(&vals), bits(we.values()));
             refresh_entries(&x, &model, Span { lo: 2, len: 5 }, &mut vals[..5]);
             assert_eq!(bits(&vals[..5]), bits(&we.values()[2..7]));
@@ -1142,6 +1327,169 @@ mod tests {
         assert!(sweep(&mut vals, 0, &[1, 0, 0], &mut slabs).is_err());
         slabs[2] = Mat::zeros(4, 2);
         assert!(sweep(&mut vals, 0, &origin, &mut slabs).is_err());
+    }
+
+    /// What one [`cut_sweep_into`] over `blocks` blocks leaves on `exec`,
+    /// as bits: the values (refreshed from stale ones, or as stored), the
+    /// outputs of the modes from `first` on (`count` of them, from dirty
+    /// buffers), and `Σe²`. Twice through one cut: reuse must be clean.
+    fn cut_bits(
+        x: &CooTensor,
+        model: &KruskalTensor,
+        refresh: bool,
+        (first, count): (usize, usize),
+        blocks: usize,
+        exec: &Executor,
+    ) -> (Vec<u64>, Vec<Vec<u64>>, u64) {
+        let (shape, rank) = (x.shape(), model.rank());
+        let mut cut = BlockCut::with_blocks(shape, rank, blocks);
+        let mut bank: Vec<Mat> = (first..first + count)
+            .map(|m| Mat::random(shape[m], rank, 5 + m as u64)) // dirty on purpose
+            .collect();
+        let mut e = x.clone(); // stale values on purpose when refreshing
+        let mut frob = 0.0;
+        for _ in 0..2 {
+            let vals = if refresh {
+                EntryValues::Refresh(e.values_mut())
+            } else {
+                EntryValues::Stored(x.values())
+            };
+            frob = cut_sweep_into(x, model, vals, first, &mut bank, &mut cut, exec).unwrap();
+        }
+        (bits(e.values()), bank.iter().map(|h| bits(h.as_slice())).collect(), frob.to_bits())
+    }
+
+    fn close(a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).all(|(&a, &b)| {
+            let (a, b) = (f64::from_bits(a), f64::from_bits(b));
+            (a - b).abs() <= 1e-12 * (1.0 + b.abs())
+        }) && a.len() == b.len()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The cut's three forms — refresh banking every mode, stored
+        /// values banking every mode (or one), refresh banking none — give
+        /// the same bits on `Sequential` and on 2, 3 and 8 threads; at one
+        /// block those bits are the flat entry-order sweep's
+        /// ([`fused_refresh_modes_into`], [`mttkrp_modes_into`]), at more
+        /// they are within rounding of it.
+        #[test]
+        fn a_block_cut_is_one_set_of_bits_on_every_executor(
+            seed in 0u64..10_000,
+            rank in 1usize..=20,
+            order in 3usize..=4,
+            blocks_ix in 0usize..4,
+        ) {
+            let blocks = [1usize, 2, 3, 7][blocks_ix];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shape: Vec<usize> = (0..order).map(|_| rng.random_range(2..9)).collect();
+            let x = random_coo(&shape, rng.random_range(1..160), seed ^ 0xc07);
+            let model = KruskalTensor::random(&shape, rank, seed.wrapping_add(3));
+
+            let mut e = x.clone();
+            let mut hs: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, rank)).collect();
+            let frob = fused_refresh_modes_into(&x, &model, &mut e, &mut hs).unwrap();
+            let fresh = (bits(e.values()), hs.iter().map(|h| bits(h.as_slice())).collect(), frob);
+            mttkrp_modes_into(&x, model.factors(), 0, &mut hs).unwrap();
+            let stored: Vec<Vec<u64>> = hs.iter().map(|h| bits(h.as_slice())).collect();
+
+            let one = rng.random_range(0..order);
+            let forms = [(true, (0, order)), (false, (0, order)), (false, (one, 1)), (true, (0, 0))];
+            let modes = [ExecMode::Sequential, ExecMode::Threads(2), ExecMode::Threads(3), ExecMode::Threads(8)];
+            for (refresh, banked) in forms {
+                let runs: Vec<_> = modes
+                    .iter()
+                    .map(|&m| cut_bits(&x, &model, refresh, banked, blocks, &Executor::new(m)))
+                    .collect();
+                for run in &runs[1..] {
+                    prop_assert_eq!(run, &runs[0], "refresh {} modes {:?}", refresh, banked);
+                }
+                let (vals, outs, frob) = &runs[0];
+                let (first, count) = banked;
+                let want_outs = if refresh { &fresh.1 } else { &stored };
+                let want_outs = &want_outs[first..first + count];
+                if refresh {
+                    // Values are per entry: no cut moves them.
+                    prop_assert_eq!(vals, &fresh.0);
+                }
+                if blocks == 1 {
+                    prop_assert_eq!(outs, want_outs);
+                    if refresh {
+                        prop_assert_eq!(*frob, fresh.2.to_bits());
+                    }
+                } else {
+                    for (o, w) in outs.iter().zip(want_outs) {
+                        prop_assert!(close(o, w), "{} blocks, refresh {}", blocks, refresh);
+                    }
+                    if refresh {
+                        prop_assert!(close(&[*frob], &[fresh.2.to_bits()]));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_block_count_is_the_datas_alone() {
+        let cube = [100usize, 100, 100];
+        assert_eq!(block_count(&cube, 0, 16), 1);
+        assert_eq!(block_count(&cube, 2 * BLOCK_MIN_NNZ - 1, 16), 1);
+        assert_eq!(block_count(&cube, 2 * BLOCK_MIN_NNZ, 16), 2);
+        assert_eq!(block_count(&cube, 1 << 30, 16), MAX_BLOCKS);
+        // Partial banks stay under half a double per nonzero: long modes
+        // at a high rank keep a large tensor in fewer blocks, or in one.
+        assert_eq!(block_count(&[1_000_000, 10, 10], 1 << 20, 16), 1);
+        for (shape, nnz, rank) in [(&cube[..], 200_000, 16), (&[2000, 300, 20][..], 200_000, 20)] {
+            let cut = BlockCut::new(shape, nnz, rank);
+            let held: usize = cut.partials.iter().map(|p| p.rows() * p.cols()).sum();
+            assert_eq!(cut.partials.len(), (cut.blocks() - 1) * shape.len());
+            assert!(cut.blocks() > 1 && 2 * held <= nnz, "{shape:?}: {} blocks", cut.blocks());
+        }
+        // (The second one is held to three blocks by the cap.)
+        assert_eq!(BlockCut::new(&[2000, 300, 20], 200_000, 20).blocks(), 3);
+        // Equal-count ranges that cover the list in order.
+        for (blocks, nnz) in [(1, 0), (3, 10), (4, 4), (7, 100)] {
+            let spans: Vec<Span> = (0..blocks).map(|k| block_span(k, blocks, nnz)).collect();
+            assert_eq!(spans.iter().map(|s| s.len).sum::<usize>(), nnz);
+            for (a, b) in spans.iter().zip(&spans[1..]) {
+                assert_eq!(a.lo + a.len, b.lo);
+                assert!(a.len.abs_diff(b.len) <= 1);
+            }
+        }
+    }
+
+    #[test]
+    fn cut_sweep_rejects_mismatched_io() {
+        let shape = [6, 5, 4];
+        let x = random_coo(&shape, 30, 2);
+        let model = KruskalTensor::random(&shape, 3, 2);
+        let exec = Executor::new(ExecMode::Sequential);
+        let mut cut = BlockCut::with_blocks(&shape, 3, 2);
+        let mut bank: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, 3)).collect();
+        let mut e = x.clone();
+        let sweep = |vals: EntryValues<'_>, first, bank: &mut [Mat], cut: &mut BlockCut| {
+            cut_sweep_into(&x, &model, vals, first, bank, cut, &exec)
+        };
+        assert!(sweep(EntryValues::Stored(x.values()), 0, &mut bank, &mut cut).is_ok());
+        // Values not one per entry; more outputs than modes from `first`
+        // on; a refresh banking from a later mode; an output of the wrong
+        // shape; a cut for another order or another rank.
+        let short = &x.values()[1..];
+        assert!(sweep(EntryValues::Stored(short), 0, &mut bank, &mut cut).is_err());
+        assert!(sweep(EntryValues::Refresh(&mut e.values_mut()[1..]), 0, &mut bank, &mut cut).is_err());
+        assert!(sweep(EntryValues::Stored(x.values()), 1, &mut bank, &mut cut).is_err());
+        let one = &mut bank[1..2];
+        assert!(sweep(EntryValues::Refresh(e.values_mut()), 1, one, &mut cut).is_err());
+        bank.swap(0, 1);
+        assert!(sweep(EntryValues::Stored(x.values()), 0, &mut bank, &mut cut).is_err());
+        bank.swap(0, 1);
+        let mut flat = BlockCut::with_blocks(&shape[..2], 3, 2);
+        assert!(sweep(EntryValues::Stored(x.values()), 0, &mut bank, &mut flat).is_err());
+        let mut wide = BlockCut::with_blocks(&shape, 4, 2);
+        assert!(sweep(EntryValues::Stored(x.values()), 0, &mut bank, &mut wide).is_err());
+        assert_eq!(e, x, "a rejected sweep must not touch the residual");
     }
 
     /// A tensor whose mode-0 row `i` holds exactly `counts[i]` entries.

@@ -1,14 +1,14 @@
-//! The residual store and its entry sweeps: [`TensorLayout`].
+//! Storage layouts of a residual and their entry sweeps: [`TensorLayout`].
 //!
-//! The solver's residual tensor `E = Ω∗(T − [[A…]])` is traversed by
-//! three kernels every iteration — per-mode MTTKRP, the fused
-//! refresh+MTTKRP sweep, and the residual value refresh. A
-//! [`TensorLayout`] wraps the residual entries and exposes those kernels.
+//! A residual tensor `E = Ω∗(T − [[A…]])` is traversed by three kernels
+//! every iteration — per-mode MTTKRP, the fused refresh+MTTKRP sweep, and
+//! the residual value refresh. A [`TensorLayout`] wraps the residual
+//! entries and exposes those kernels per layout.
 //!
-//! The solver builds exactly one kind, [`LayoutKind::Coo`]; nothing
-//! selects another. Two more kinds answer the same entry points as
-//! kernel-layer structures that only the benchmark's per-layer probes and
-//! this module's tests build:
+//! The solver builds none: its residual is the plain entry list, swept by
+//! [`crate::fused::cut_sweep_into`]. These are kernel-layer structures
+//! that only the benchmark's per-layer probes and this module's tests
+//! build:
 //!
 //! * [`LayoutKind::Coo`] — the flat entry list: walked in entry order by
 //!   [`crate::fused`]'s entry body on one thread, and in parts — the
@@ -41,10 +41,9 @@
 //! module's tests pin COO↔tiled bit-identity of every kernel at
 //! `Sequential` and under threads, on fixed and on random tensors.
 //!
-//! The same invariant — per-row order *is* entry order — is why, on one
-//! thread, the all-modes sweeps ([`TensorLayout::fused_refresh_all_into`],
-//! [`TensorLayout::mttkrp_all_into`]) walk the flat entry list through
-//! [`crate::fused`]'s entry-order kernel whether or not tile orders exist.
+//! The same invariant — per-row order *is* entry order — is why COO on
+//! one thread walks the flat entry list through [`crate::fused`]'s
+//! entry-order kernel instead of building parts.
 
 use crate::coo::CooTensor;
 use crate::csf::CsfTensor;
@@ -169,21 +168,6 @@ impl TensorLayout {
         self.e.values()
     }
 
-    /// Stored entry count.
-    pub fn nnz(&self) -> usize {
-        self.e.nnz()
-    }
-
-    /// `‖E‖²_F` — the flat entry-order fold, identical for every layout.
-    pub fn frob_norm_sq(&self) -> f64 {
-        self.e.frob_norm_sq()
-    }
-
-    /// Give the entry list back (for the residual hand-off).
-    pub fn into_entries(self) -> CooTensor {
-        self.e
-    }
-
     /// Build the per-mode sweep workspace this layout's kernels need
     /// under `exec`: per mode, the parts COO and tiled sweep concurrently
     /// ([`MttkrpWorkspace`]); nothing for CSF (its trees *are* the
@@ -244,18 +228,6 @@ impl TensorLayout {
             && fuses_entry_order(self.e.order())
     }
 
-    /// The all-modes sweeps take the solver's whole bank.
-    fn check_one_output_per_mode(&self, hs: &[Mat]) -> Result<()> {
-        if hs.len() != self.e.order() {
-            return Err(TensorError::ShapeMismatch(format!(
-                "{} mttkrp outputs for an order-{} tensor",
-                hs.len(),
-                self.e.order()
-            )));
-        }
-        Ok(())
-    }
-
     /// Mode-`mode` MTTKRP of the residual against `factors`, written
     /// into `h`. One entry sweep; allocation-free in steady state. On one
     /// thread COO walks the entries in order through the body every sweep
@@ -281,30 +253,6 @@ impl TensorLayout {
         }
     }
 
-    /// **Every** mode's MTTKRP of the stored residual values it can take
-    /// in one sweep: overwrites `hs[n]` with `E₍ₙ₎U⁽ⁿ⁾` for each of the
-    /// leading modes it banks and returns how many — all `N` where this
-    /// layout sweeps in entry order ([`Self::sweeps_entry_order`]: COO and
-    /// tiled on one thread), bit-wise one [`Self::mttkrp_into`] per mode;
-    /// none, with `hs` untouched and no sweep made, everywhere else
-    /// (threaded executors, CSF, orders outside the kernel's row cache),
-    /// where one pass per mode is the cheapest there is. This is
-    /// [`Self::fused_refresh_all_into`] for values that are already
-    /// fresh: the solver's entry into a solve on a carried residual.
-    pub fn mttkrp_all_into(
-        &self,
-        factors: &[Mat],
-        exec: &Executor,
-        hs: &mut [Mat],
-    ) -> Result<usize> {
-        self.check_one_output_per_mode(hs)?;
-        if !self.sweeps_entry_order(exec) {
-            return Ok(0);
-        }
-        crate::fused::mttkrp_modes_into(&self.e, factors, 0, hs)?;
-        Ok(hs.len())
-    }
-
     /// Refresh the residual values to `Ω∗(T − [[model…]])` (no MTTKRP),
     /// keeping any value-carrying acceleration structure in sync.
     pub fn refresh_values(
@@ -325,9 +273,7 @@ impl TensorLayout {
     /// values in place, overwrites `h` with `E₍₀₎U⁽⁰⁾` against the fresh
     /// values, and returns `‖E‖²_F` — one entry sweep total, bit-wise
     /// the numbers of [`Self::refresh_values`] + [`Self::mttkrp_into`]
-    /// for COO/tiled (CSF to rounding). The solver calls
-    /// [`Self::fused_refresh_all_into`], which banks every mode where
-    /// it can and is this sweep where it cannot.
+    /// for COO/tiled (CSF to rounding).
     pub fn fused_refresh_into(
         &mut self,
         observed: &CooTensor,
@@ -358,36 +304,6 @@ impl TensorLayout {
                 Ok(frob)
             }
         }
-    }
-
-    /// Fused residual refresh + **every** mode's MTTKRP it can bank in
-    /// the same sweep: refreshes the residual values in place, overwrites
-    /// `hs[n]` with `E₍ₙ₎U⁽ⁿ⁾` against the fresh values for each banked
-    /// mode `n`, and returns `‖E‖²_F` with the number of leading modes
-    /// banked — one entry sweep total either way.
-    ///
-    /// On one thread, COO and tiled bank all `N` modes through the
-    /// entry-order kernel ([`crate::fused::fused_refresh_modes_into`]),
-    /// bit-wise the numbers of [`Self::refresh_values`] + one
-    /// [`Self::mttkrp_into`] per mode. Threaded executors, CSF, and
-    /// orders outside the kernel's row cache bank mode 0 only — this is
-    /// then exactly [`Self::fused_refresh_into`] — and leave `hs[1..]`
-    /// untouched.
-    pub fn fused_refresh_all_into(
-        &mut self,
-        observed: &CooTensor,
-        model: &KruskalTensor,
-        lw: &mut LayoutWorkspace,
-        exec: &Executor,
-        hs: &mut [Mat],
-    ) -> Result<(f64, usize)> {
-        self.check_one_output_per_mode(hs)?;
-        if !self.sweeps_entry_order(exec) {
-            let frob = self.fused_refresh_into(observed, model, lw, exec, &mut hs[0])?;
-            return Ok((frob, 1));
-        }
-        let frob = crate::fused::fused_refresh_modes_into(observed, model, &mut self.e, hs)?;
-        Ok((frob, hs.len()))
     }
 }
 
@@ -584,86 +500,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fused_refresh_all_banks_every_mode_on_one_thread() {
-        let shape = [45, 23, 17];
-        let x = random_coo(&shape, 400, 7);
-        let seq = Executor::new(ExecMode::Sequential);
-        let par = Executor::new(ExecMode::Threads(3));
-        let boundaries: Vec<Vec<usize>> = shape.iter().map(|&d| vec![d / 2, d]).collect();
-        for &rank in &[3usize, 8, 17] {
-            let model = KruskalTensor::random(&shape, rank, 11 + rank as u64);
-            let we = residual(&x, &model).unwrap();
-            let whs: Vec<Mat> =
-                (0..3).map(|m| mttkrp(&we, model.factors(), m).unwrap()).collect();
-            let wf = we.frob_norm_sq();
-            for kind in [LayoutKind::Coo, LayoutKind::Tiled] {
-                for exec in [&seq, &par] {
-                    let mut layout = TensorLayout::build(x.clone(), kind).unwrap();
-                    let mut lw = layout.workspace(rank, &boundaries, exec).unwrap();
-                    let mut hs: Vec<Mat> =
-                        shape.iter().map(|&d| Mat::random(d, rank, 13)).collect(); // dirty
-                    let (f, banked) = layout
-                        .fused_refresh_all_into(&x, &model, &mut lw, exec, &mut hs)
-                        .unwrap();
-                    // One thread banks all three modes; a pool that really
-                    // runs concurrently keeps the one-mode sweep over parts.
-                    let want_banked = if exec.parallelism() <= 1 { 3 } else { 1 };
-                    assert_eq!(banked, want_banked, "{kind:?} rank {rank}");
-                    assert_eq!(layout.entries(), &we, "{kind:?} rank {rank}");
-                    assert_eq!(f.to_bits(), wf.to_bits(), "{kind:?} rank {rank}");
-                    for m in 0..banked {
-                        assert_eq!(bits(hs[m].as_slice()), bits(whs[m].as_slice()), "mode {m}");
-                    }
-                    // The same bank from the values as stored (the entry
-                    // into a warm solve): every mode where the sweep runs
-                    // in entry order, none — the bank untouched — elsewhere.
-                    let mut stored: Vec<Mat> =
-                        shape.iter().map(|&d| Mat::random(d, rank, 13)).collect();
-                    let dirty = stored.clone();
-                    let banked = layout.mttkrp_all_into(model.factors(), exec, &mut stored).unwrap();
-                    if exec.parallelism() <= 1 {
-                        assert_eq!(banked, 3, "{kind:?} rank {rank}");
-                        for m in 0..3 {
-                            assert_eq!(bits(stored[m].as_slice()), bits(whs[m].as_slice()));
-                        }
-                    } else {
-                        assert_eq!(banked, 0, "{kind:?} rank {rank}");
-                        assert_eq!(stored, dirty);
-                    }
-                }
-            }
-            // CSF reassociates, so it stays on its own one-mode walk.
-            let mut csf = TensorLayout::build(x.clone(), LayoutKind::Csf).unwrap();
-            let mut lw = csf.workspace(rank, &boundaries, &seq).unwrap();
-            let mut hs: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, rank)).collect();
-            let (_, banked) =
-                csf.fused_refresh_all_into(&x, &model, &mut lw, &seq, &mut hs).unwrap();
-            assert_eq!(banked, 1);
-            for (a, b) in hs[0].as_slice().iter().zip(whs[0].as_slice()) {
-                assert!((a - b).abs() < 1e-10);
-            }
-            let before = hs.clone();
-            assert_eq!(csf.mttkrp_all_into(model.factors(), &seq, &mut hs).unwrap(), 0);
-            assert_eq!(hs, before);
-            // One output per mode, or a typed error.
-            assert!(csf.fused_refresh_all_into(&x, &model, &mut lw, &seq, &mut hs[..2]).is_err());
-        }
-        // Outside the entry-order kernel's orders the sweep is mode 0's.
-        let line = random_coo(&[9], 6, 1);
-        let model = KruskalTensor::random(&[9], 2, 1);
-        let mut layout = TensorLayout::build(line.clone(), LayoutKind::Coo).unwrap();
-        let mut lw = layout.workspace(2, &[vec![9]], &seq).unwrap();
-        let mut hs = vec![Mat::zeros(9, 2)];
-        let (f, banked) =
-            layout.fused_refresh_all_into(&line, &model, &mut lw, &seq, &mut hs).unwrap();
-        let we = residual(&line, &model).unwrap();
-        assert_eq!(banked, 1);
-        assert_eq!(layout.entries(), &we);
-        assert_eq!(f.to_bits(), we.frob_norm_sq().to_bits());
-        assert_eq!(hs[0].as_slice(), mttkrp(&we, model.factors(), 0).unwrap().as_slice());
     }
 
     #[test]

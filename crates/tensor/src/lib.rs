@@ -17,9 +17,11 @@
 //!   matricizations, used as small-scale oracles in tests,
 //! * [`residual`] — the sparse residual tensor `E = Ω∗(T − [[A…]])`
 //!   (Eq. 14) that keeps every iteration `O(nnz)`,
-//! * [`layout`] — the [`TensorLayout`] the solver keeps its residual in
-//!   (COO), and the CSF and cache-blocked tiled kernel structures the
-//!   benchmark times behind the same surface,
+//! * [`fused`] — the one per-entry sweep body, and the block cut
+//!   ([`fused::BlockCut`]) the solver sweeps its residual through on any
+//!   executor,
+//! * [`layout`] — COO, CSF and cache-blocked tiled [`TensorLayout`]s, the
+//!   kernel structures the benchmark times behind one surface,
 //! * [`sample`] — deterministic norm-proportional entry sampling, the
 //!   randomization behind the sketched solver tier,
 //! * [`dense`] — a tiny dense tensor for test oracles,

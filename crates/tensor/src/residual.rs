@@ -15,7 +15,7 @@
 //! `E = Ω ∗ (T − [[A]])`). We implement Eq. 14 and treat line 13 as a typo.
 
 use crate::coo::CooTensor;
-use crate::fused::{refresh_entries, Span, Whole};
+use crate::fused::{refresh_entries, Span};
 use crate::kruskal::KruskalTensor;
 use crate::mttkrp::{gram_product, mttkrp};
 use crate::{Result, TensorError};
@@ -143,7 +143,7 @@ pub fn residual_refresh_exec(
     }
     crate::record_entry_sweep(observed.nnz());
     if !threaded {
-        refresh_entries(observed, model, Whole, e.values_mut());
+        refresh_entries(observed, model, Span { lo: 0, len: observed.nnz() }, e.values_mut());
         return Ok(());
     }
     exec.run_mut(&mut ws.jobs, |_, job| {

@@ -52,7 +52,11 @@ const SIMILARITY: &[Opt] =
     &[many("similarity", "FILE@MODE", "square 2-order .coo similarity attached to a mode")];
 /// How the solve executes; never changes what it computes.
 const EXEC: &[Opt] = &[
-    val("threads", "N", "0|1 sequential, N >= 2 a thread pool [default: DISTENC_THREADS, else 1]"),
+    val(
+        "threads",
+        "N",
+        "0|1 sequential, N >= 2 a thread pool [default: DISTENC_THREADS, else the host's cores]",
+    ),
 ];
 const BUDGET: &[Opt] = &[
     val("iters", "T", "iteration cap [default: 60]"),

@@ -16,18 +16,18 @@
 //! All measurements live in one `#[test]` because the global counters are
 //! process-wide and concurrently running tests would pollute each other.
 //!
-//! The set-up has a budget too: on one thread the host backend's
-//! workspaces hold nothing that scales with `nnz` — the COO buckets (one
-//! `nnz`-long position list per mode) exist only for executors that run
-//! them concurrently.
+//! The set-up has a budget too: the host backend's one workspace, the
+//! residual's block cut, holds its partial banks under half a double per
+//! nonzero on every executor — no per-mode position list, no value
+//! carrier.
 
 #![cfg(feature = "alloc-count")]
 
 use distenc::core::{AdmmConfig, AdmmSolver};
 use distenc::dataflow::alloc;
-use distenc::dataflow::{ExecMode, Executor};
-use distenc::tensor::residual::ResidualWorkspace;
-use distenc::tensor::{CooTensor, LayoutKind, TensorLayout};
+use distenc::dataflow::ExecMode;
+use distenc::tensor::fused::BlockCut;
+use distenc::tensor::CooTensor;
 
 mod common;
 
@@ -120,22 +120,22 @@ fn steady_state_iterations_allocate_o1_heap() {
         assert_eq!(per_iter(&small, &unfused, thread_allocs_of), 0.0, "rank {rank} unfused");
     }
 
-    // --- Sequential set-up: what `HostBackend::new` sizes (the layout's
-    // sweep workspace and the refresh chunks) stays under one f64 per
-    // nonzero — at the parent of this rule COO took N position lists of
-    // `nnz` entries, 8·N·nnz bytes.
-    let exec = Executor::new(ExecMode::Sequential);
-    let layout = TensorLayout::build(large.clone(), LayoutKind::Coo).unwrap();
-    let before = alloc::snapshot();
-    let lw = layout.workspace(16, &[], &exec).unwrap();
-    let res = ResidualWorkspace::new(layout.nnz(), &exec);
-    let bytes = alloc::snapshot().delta(before).thread_bytes;
-    drop((lw, res));
-    assert!(
-        bytes < 8 * large.nnz() as u64,
-        "sequential workspaces took {bytes} bytes for {} nonzeros",
-        large.nnz()
-    );
+    // --- Set-up: what `HostBackend::new` sizes — the block cut — stays
+    // under one f64 per nonzero, on a one-block and on a multi-block
+    // residual (a cut is the data's, whatever the executor).
+    let cut = planted(&[80, 60, 50], 3, 45_000, 4);
+    for (x, rank) in [(&large, 16), (&cut, 3), (&cut, 16)] {
+        let before = alloc::snapshot();
+        let held = BlockCut::new(x.shape(), x.nnz(), rank);
+        let bytes = alloc::snapshot().delta(before).thread_bytes;
+        assert!(
+            bytes < 8 * x.nnz() as u64,
+            "a cut of {} blocks took {bytes} bytes for {} nonzeros",
+            held.blocks(),
+            x.nnz()
+        );
+    }
+    assert!(BlockCut::new(cut.shape(), cut.nnz(), 3).blocks() > 1);
 
     // --- Threaded: also zero. The unboxed broadcast dispatches through
     // pool-resident state, and on hosts where the pool is bypassed (a
@@ -153,6 +153,12 @@ fn steady_state_iterations_allocate_o1_heap() {
         global_allocs_of,
     );
     assert_eq!(thr_rank5, 0.0, "threaded budget must not grow with rank");
+    // Several blocks on the pool: each task is a stack slot, and the
+    // partial banks were sized at set-up.
+    let thr_cut = per_iter(&cut, &thr, global_allocs_of);
+    assert_eq!(thr_cut, 0.0, "a multi-block cut under threads must not allocate");
+    let thr_cut_unfused = per_iter(&cut, &thr.clone().with_fused(false), global_allocs_of);
+    assert_eq!(thr_cut_unfused, 0.0, "one-mode sweeps over the cut must not allocate");
 }
 
 /// The dispatch mechanism itself, measured directly on the pool: an index

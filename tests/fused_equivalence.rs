@@ -2,9 +2,8 @@
 //!
 //! `AdmmConfig::fused` (the default) fuses the end-of-iteration residual
 //! refresh with the next iteration's MTTKRPs into one sweep over the
-//! nonzeros: every mode's on the sequential host and on the distributed
-//! driver (one sweep per iteration), mode 0's under a threaded host
-//! executor (N sweeps).
+//! nonzeros that banks every mode's, on the host under every executor and
+//! on the distributed driver (one sweep per iteration).
 //! Because the fused kernels replay exactly the same floating-point folds
 //! as the separate sweeps (see `distenc_tensor::fused`), every numeric
 //! observable of a solve — iterates and trace statistics — must match the
@@ -14,15 +13,15 @@
 //! and the last test pins by exactly how much the cluster is charged less.
 //!
 //! A solve entered on a residual that is already fresh banks from the
-//! *stored* values instead (one sweep for every mode on the sequential
-//! host); `stored_sweeps_are_bitwise_the_plain_mttkrp` pins that sweep,
-//! and its one-mode form, against the plain per-mode MTTKRP.
+//! *stored* values instead (one sweep for every mode);
+//! `stored_sweeps_are_bitwise_the_plain_mttkrp` pins that sweep, and its
+//! one-mode form, against the plain per-mode MTTKRP.
 
 use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC};
 use distenc::dataflow::{Cluster, ClusterConfig, ExecMode, Executor};
 use distenc::linalg::Mat;
 use distenc::partition::TensorBlocks;
-use distenc::tensor::fused::mttkrp_modes_into;
+use distenc::tensor::fused::{cut_sweep_into, mttkrp_modes_into, BlockCut, EntryValues};
 use distenc::tensor::mttkrp::mttkrp;
 use distenc::tensor::{CooTensor, KruskalTensor, LayoutKind, TensorLayout};
 use std::collections::BTreeSet;
@@ -66,8 +65,7 @@ fn host_solver_fused_matches_unfused_bit_for_bit() {
     // Ranks cover both specialized kernels (8, 16), their neighbors, the
     // paper's 20, and the rank-1 edge; shapes cover orders 3 and 4 (the
     // all-modes sweep's literal-order bodies) plus 2 and 5 (its generic
-    // one). The sequential solves run the one-sweep schedule; the
-    // threaded ones bank mode 0 only.
+    // one). Both executors run the one-sweep schedule.
     let cases: &[(&[usize], usize)] = &[
         (&[13, 11, 9], 1),
         (&[13, 11, 9], 3),
@@ -122,12 +120,15 @@ fn host_solver_fusion_is_transparent_across_early_convergence() {
 
 #[test]
 fn stored_sweeps_are_bitwise_the_plain_mttkrp() {
-    // What the entry into a warm or resumed solve banks: every
-    // mode's MTTKRP of the values as stored, in one entry-order sweep —
-    // and the same body for one mode (the sequential COO `mttkrp_into`)
-    // and for a run of modes in the middle. Each output must be, bit for
-    // bit, the plain `mttkrp` of its mode, over a bank that starts dirty.
+    // What the entry into a warm or resumed solve banks: every mode's
+    // MTTKRP of the values as stored, in one sweep over the residual's
+    // cut (one block at these sizes) on any executor — and the same body
+    // for one mode (what the host runs unfused), for the sequential COO
+    // layout's `mttkrp_into`, and for a run of modes in the middle. Each
+    // output must be, bit for bit, the plain `mttkrp` of its mode, over a
+    // bank that starts dirty.
     let seq = Executor::new(ExecMode::Sequential);
+    let par = Executor::new(ExecMode::Threads(4));
     let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let shapes: &[&[usize]] = &[&[17, 15], &[13, 11, 9], &[7, 6, 5, 4]];
     for &shape in shapes {
@@ -140,23 +141,33 @@ fn stored_sweeps_are_bitwise_the_plain_mttkrp() {
                 shape.iter().enumerate().map(|(m, &d)| Mat::random(d, rank, 90 + m as u64)).collect()
             };
             let label = format!("shape {shape:?} rank {rank}");
-            let layout = TensorLayout::build(x.clone(), LayoutKind::Coo).unwrap();
-            let mut lw = layout.workspace(rank, &[], &seq).unwrap();
-            let mut bank = dirty();
-            // Twice: a sweep over its own output must be clean too.
-            for _ in 0..2 {
-                let banked = layout.mttkrp_all_into(model.factors(), &seq, &mut bank).unwrap();
-                assert_eq!(banked, shape.len(), "{label}");
-                for (m, h) in bank.iter().enumerate() {
-                    assert_eq!(bits(h), bits(&want[m]), "{label}: all-modes, mode {m}");
+            let mut cut = BlockCut::new(shape, x.nnz(), rank);
+            assert_eq!(cut.blocks(), 1, "{label}");
+            for exec in [&seq, &par] {
+                let mut bank = dirty();
+                // Twice: a sweep over its own output must be clean too.
+                for _ in 0..2 {
+                    let stored = EntryValues::Stored(x.values());
+                    cut_sweep_into(&x, &model, stored, 0, &mut bank, &mut cut, exec).unwrap();
+                    for (m, h) in bank.iter().enumerate() {
+                        assert_eq!(bits(h), bits(&want[m]), "{label}: all-modes, mode {m}");
+                    }
+                }
+                let mut one = dirty();
+                for (m, h) in one.iter_mut().enumerate() {
+                    let stored = EntryValues::Stored(x.values());
+                    let h = std::slice::from_mut(h);
+                    cut_sweep_into(&x, &model, stored, m, h, &mut cut, exec).unwrap();
+                    assert_eq!(bits(&h[0]), bits(&want[m]), "{label}: one mode, mode {m}");
                 }
             }
+            let layout = TensorLayout::build(x.clone(), LayoutKind::Coo).unwrap();
+            let mut lw = layout.workspace(rank, &[], &seq).unwrap();
             let mut one = dirty();
             for (m, h) in one.iter_mut().enumerate() {
                 layout.mttkrp_into(model.factors(), m, &mut lw, &seq, h).unwrap();
-                assert_eq!(bits(h), bits(&want[m]), "{label}: one mode, mode {m}");
+                assert_eq!(bits(h), bits(&want[m]), "{label}: layout, mode {m}");
             }
-            assert_eq!(layout.entries(), &x, "a stored sweep writes no value");
             // Any run of modes, not only `0..N` and `m..m + 1`.
             for first in 0..shape.len() {
                 for count in 0..=shape.len() - first {
@@ -170,19 +181,6 @@ fn stored_sweeps_are_bitwise_the_plain_mttkrp() {
             }
         }
     }
-    // Where the executor has no entry-order sweep it banks nothing and says
-    // so, leaving the bank alone; a bank of the wrong length is an error.
-    let x = planted(&[13, 11, 9], 3, 150, 5);
-    let model = KruskalTensor::random(&[13, 11, 9], 3, 6);
-    let par = Executor::new(ExecMode::Threads(4));
-    let mut bank: Vec<Mat> = [13, 11, 9].iter().map(|&d| Mat::random(d, 3, 1)).collect();
-    let before = bank.clone();
-    let coo = TensorLayout::build(x, LayoutKind::Coo).unwrap();
-    if par.parallelism() > 1 {
-        assert_eq!(coo.mttkrp_all_into(model.factors(), &par, &mut bank).unwrap(), 0);
-    }
-    assert_eq!(bank, before);
-    assert!(coo.mttkrp_all_into(model.factors(), &seq, &mut bank[..2]).is_err());
 }
 
 /// Bytes the mode-by-mode schedule shuffles to fetch factor rows for its

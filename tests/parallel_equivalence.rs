@@ -13,8 +13,12 @@ use distenc::graph::Laplacian;
 use distenc::linalg::Mat;
 use distenc::tensor::mttkrp::{mttkrp, mttkrp_blocked_into, MttkrpWorkspace};
 use distenc::tensor::residual::{residual, residual_refresh_exec, ResidualWorkspace};
+use distenc::stream::StreamingSolver;
+use distenc::tensor::fused::BlockCut;
 use distenc::tensor::CooTensor;
 use proptest::prelude::*;
+
+mod common;
 
 /// Random sparse tensor with 2–4 modes, dims in [2,8], 1–60 entries.
 fn coo_strategy() -> impl Strategy<Value = CooTensor> {
@@ -182,5 +186,34 @@ proptest! {
             residual_refresh_exec(&observed, &model, &mut e, &mut ws, &exec).unwrap();
             prop_assert_eq!(&e, &want);
         }
+    }
+}
+
+/// Above the one-block threshold the host sweeps its residual in several
+/// blocks, and the executor still moves no bit: a cold solve and a warm
+/// re-solve on the carried residual (whose entry sweep banks from the
+/// stored values) leave the same factors, trace statistics and residual
+/// on `Sequential` and on 2, 3 and 8 threads.
+#[test]
+fn admm_solver_above_one_block_is_bit_identical_across_executors() {
+    let (shape, rank) = ([100usize, 80, 50], 5);
+    let observed = common::planted(&shape, rank, 60_000, 9, 0x0b10c);
+    let blocks = BlockCut::new(&shape, observed.nnz(), rank).blocks();
+    assert!(blocks > 1, "{} entries make {blocks} block", observed.nnz());
+    let run = |exec: ExecMode| {
+        let cfg = AdmmConfig { max_iters: 3, ..solver_cfg(rank, 4, exec) };
+        let mut s = StreamingSolver::new(observed.clone(), vec![None, None, None], cfg).unwrap();
+        let (cold, warm) = (s.solve().unwrap(), s.solve().unwrap());
+        let resid = residual(&observed, &warm.model).unwrap();
+        let stats = |r: &distenc::core::CompletionResult| -> Vec<(u64, u64)> {
+            let p = &r.trace.points;
+            p.iter().map(|p| (p.train_rmse.to_bits(), p.factor_delta.to_bits())).collect()
+        };
+        let f = [common::factor_bits(&cold), common::factor_bits(&warm)];
+        (f, [stats(&cold), stats(&warm)], resid)
+    };
+    let base = run(ExecMode::Sequential);
+    for n in THREAD_COUNTS {
+        assert!(run(ExecMode::Threads(n)) == base, "{blocks} blocks at {n} threads");
     }
 }

@@ -8,30 +8,24 @@
 //! order-N solve sweeps the entry list
 //!
 //! * **N+1** times unfused — N MTTKRPs plus the residual refresh,
-//! * **N** times fused where only mode 0 is banked (host executors that
-//!   run threads concurrently) — N−1 MTTKRPs, one fused refresh+MTTKRP
-//!   sweep, and a mode-0 update read from the bank without touching the
-//!   entries,
-//! * **once** fused on the sequential host and on the distributed driver under every executor — the one fused sweep
-//!   banks every mode's MTTKRP (on the cluster: one task per Algorithm 2
+//! * **once** fused, on the host under every executor and on the
+//!   distributed driver — the one fused sweep banks every mode's MTTKRP
+//!   (on the host: the residual's block cut, whether its blocks run one
+//!   after another or on threads; on the cluster: one task per Algorithm 2
 //!   block emits all N partial `H`s), so all N updates are read from the
 //!   bank and the iteration touches `nnz` entries.
 //!
 //! A solve **entered on a residual that is already fresh** — a streaming
 //! refresh (`StreamingSolver::solve` after an `apply`), `AdmmSolver::resume`
 //! — opens with the *entry sweep* where a cold solve has its prologue
-//! refresh: every mode's MTTKRP banked from the stored values. On the
-//! sequential host that is **1** sweep, so `k` iterations
-//! cost exactly `k + 1`: the entry, `k − 1` fused sweeps, the last plain
-//! refresh. Where only one-mode kernels exist (threaded executors)
-//! the entry banks nothing and the first iteration makes its N plain
-//! MTTKRPs as before: `N·k + 1`. These are whole-solve counts, not
-//! differences: nothing else in a re-solve sweeps.
+//! refresh: every mode's MTTKRP banked from the stored values, **1**
+//! sweep, so `k` iterations cost exactly `k + 1` on every executor: the
+//! entry, `k − 1` fused sweeps, the last plain refresh. These are
+//! whole-solve counts, not differences: nothing else in a re-solve sweeps.
 //!
 //! The executor is set explicitly in every case below, so the counts do
-//! not depend on `DISTENC_THREADS`; the one host dependence left is that
-//! `ExecMode::Threads(n)` on a single-core host delivers no concurrency,
-//! runs the sequential kernels, and so counts 1 like them.
+//! not depend on `DISTENC_THREADS` — nor on the host: no executor changes
+//! what a sweep is.
 //!
 //! Alongside sweeps, the instrument counts **entries touched**, which is
 //! what prices the sketched tier: a sampled gather of `S` draws charges
@@ -39,16 +33,14 @@
 //! steady-state *sketch-phase* iteration therefore touches exactly
 //! `N·samples` entries — `N−1` sampled MTTKRPs plus one fused sampled
 //! sweep that banks the mode-0 estimate. The gate below pins that count
-//! exactly and the `≥ 2×` discount, at the accuracy gate's
-//! `samples = nnz/4` budget, against the `N·nnz` an exact iteration
-//! touches wherever it still makes N sweeps.
+//! exactly, at the accuracy gate's `samples = nnz/4` budget, and that it
+//! stays under the `nnz` an exact iteration touches.
 //!
 //! A sketched solve is one run: its exact iterations start at the
 //! *boundary sweep*, the host's refreshing fused sweep that closes the
-//! last sampled iteration and banks the first exact one. On the
-//! sequential host `P` exact iterations therefore cost **P + 1** sweeps —
-//! the boundary, `P − 1` fused sweeps, the last plain refresh — and the
-//! sampled iterations none.
+//! last sampled iteration and banks the first exact one. `P` exact
+//! iterations therefore cost **P + 1** sweeps — the boundary, `P − 1`
+//! fused sweeps, the last plain refresh — and the sampled iterations none.
 //!
 //! Methodology mirrors `tests/alloc_budget.rs`: the solver is
 //! deterministic, so runs differing only in `max_iters` (2 vs 10) do
@@ -63,8 +55,9 @@
 
 use distenc::core::{AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, DisTenC, SolverTier};
 use distenc::dataflow::passes;
-use distenc::dataflow::{Cluster, ClusterConfig, ExecMode, Executor};
+use distenc::dataflow::{Cluster, ClusterConfig, ExecMode};
 use distenc::stream::{DeltaBatch, StreamingSolver};
+use distenc::tensor::fused::BlockCut;
 use distenc::tensor::CooTensor;
 
 mod common;
@@ -73,17 +66,19 @@ fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
     common::planted(shape, rank, nnz, seed, 0x9a55)
 }
 
-/// Entry sweeps per steady-state iteration of the host solver.
-fn host_sweeps_per_iter(observed: &CooTensor, cfg: &AdmmConfig) -> f64 {
+/// Entry sweeps and entries touched per steady-state iteration of the
+/// host solver.
+fn host_per_iter(observed: &CooTensor, cfg: &AdmmConfig) -> (f64, f64) {
     let count = |iters: usize| {
         let cfg = AdmmConfig { max_iters: iters, ..cfg.clone() };
         let laps = vec![None; observed.order()];
-        let before = passes::sweeps();
+        let before = (passes::sweeps(), passes::entries_touched());
         let res = AdmmSolver::new(cfg).unwrap().solve(observed, &laps).unwrap();
         assert_eq!(res.iterations, iters, "must not converge early");
-        passes::sweeps() - before
+        (passes::sweeps() - before.0, passes::entries_touched() - before.1)
     };
-    (count(10) - count(2)) as f64 / 8.0
+    let ((s2, e2), (s10, e10)) = (count(2), count(10));
+    ((s10 - s2) as f64 / 8.0, (e10 - e2) as f64 / 8.0)
 }
 
 /// Entry sweeps per steady-state iteration of the distributed solver
@@ -98,19 +93,6 @@ fn distenc_sweeps_per_iter(observed: &CooTensor, cfg: &AdmmConfig, exec: ExecMod
         let res = DisTenC::new(&cluster, cfg).unwrap().solve(observed, &laps).unwrap();
         assert_eq!(res.iterations, iters, "must not converge early");
         passes::sweeps() - before
-    };
-    (count(10) - count(2)) as f64 / 8.0
-}
-
-/// Entries touched per steady-state iteration of the host solver.
-fn host_entries_per_iter(observed: &CooTensor, cfg: &AdmmConfig) -> f64 {
-    let count = |iters: usize| {
-        let cfg = AdmmConfig { max_iters: iters, ..cfg.clone() };
-        let laps = vec![None; observed.order()];
-        let before = passes::entries_touched();
-        let res = AdmmSolver::new(cfg).unwrap().solve(observed, &laps).unwrap();
-        assert_eq!(res.iterations, iters, "must not converge early");
-        passes::entries_touched() - before
     };
     (count(10) - count(2)) as f64 / 8.0
 }
@@ -188,7 +170,7 @@ fn resume_sweeps(observed: &CooTensor, cfg: &AdmmConfig, k: u64, tag: &str) -> u
 }
 
 #[test]
-fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
+fn fused_iterations_sweep_the_nonzeros_once_on_every_executor() {
     let base = AdmmConfig {
         rank: 3,
         tol: 1e-300,
@@ -197,49 +179,45 @@ fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
     };
     let order3 = planted(&[14, 12, 10], 3, 600, 2);
     let order4 = planted(&[9, 8, 7, 6], 3, 700, 3);
-    let nnz = order3.nnz() as f64;
-
-    // --- Sequential host: one sweep banks every mode. ------------------
+    // Above the one-block threshold: the host cuts this residual into
+    // several blocks, and a sweep still ticks once.
+    let cut = planted(&[80, 60, 50], 3, 45_000, 4);
+    assert!(BlockCut::new(cut.shape(), cut.nnz(), 3).blocks() > 1);
     let fused = AdmmConfig { fused: true, ..base.clone() };
     let plain = AdmmConfig { fused: false, ..base.clone() };
-    assert_eq!(host_sweeps_per_iter(&order3, &fused), 1.0, "order 3 fused");
-    assert_eq!(host_sweeps_per_iter(&order3, &plain), 4.0, "order 3 unfused");
-    assert_eq!(host_sweeps_per_iter(&order4, &fused), 1.0, "order 4 fused");
-    assert_eq!(host_sweeps_per_iter(&order4, &plain), 5.0, "order 4 unfused");
-    assert_eq!(host_entries_per_iter(&order3, &fused), nnz, "exact entries");
+    let executors = [ExecMode::Sequential, ExecMode::Threads(2), ExecMode::Threads(4)];
 
-    // --- Threaded host: the bucketed kernels bank mode 0, N sweeps —
-    // wherever the pool can actually run two buckets at once. -----------
-    let threads = ExecMode::Threads(4);
-    let concurrent = Executor::new(threads).parallelism() > 1;
-    let threaded = if concurrent { 3.0 } else { 1.0 };
-    let thr_fused = AdmmConfig { exec: threads, ..fused.clone() };
-    let thr_plain = AdmmConfig { exec: threads, ..plain.clone() };
-    assert_eq!(host_sweeps_per_iter(&order3, &thr_fused), threaded, "threaded fused");
-    assert_eq!(host_sweeps_per_iter(&order3, &thr_plain), 4.0, "threaded unfused");
-    assert_eq!(host_entries_per_iter(&order3, &thr_fused), threaded * nnz, "threaded entries");
+    // --- Host: one sweep banks every mode, on every executor. ----------
+    for exec in executors {
+        let fused = AdmmConfig { exec, ..fused.clone() };
+        let plain = AdmmConfig { exec, ..plain.clone() };
+        for tensor in [&order3, &order4, &cut] {
+            let (label, nnz) = (format!("{:?} {exec:?}", tensor.shape()), tensor.nnz() as f64);
+            assert_eq!(host_per_iter(tensor, &fused), (1.0, nnz), "{label} fused");
+        }
+        for (tensor, n) in [(&order3, 3.0), (&order4, 4.0)] {
+            let label = format!("order {n} {exec:?}");
+            assert_eq!(host_per_iter(tensor, &plain).0, n + 1.0, "{label} unfused");
+        }
 
-    // --- Entered on a fresh residual: one entry sweep where the host
-    // sweeps in entry order, none (and N plain MTTKRPs) where it cannot. --
-    for (tensor, n) in [(&order3, 3u64), (&order4, 4)] {
-        for k in [1u64, 4] {
-            let what = format!("order {n}, {k} iterations");
-            assert_eq!(warm_resolve_sweeps(tensor, &fused, k), k + 1, "warm {what}");
-            assert_eq!(resume_sweeps(tensor, &fused, k, "seq"), k + 1, "resume {what}");
-            // One-mode kernels only: N MTTKRPs, then k − 1 iterations of
-            // a fused sweep and N − 1 MTTKRPs, then the last refresh.
-            let want = if concurrent { n * k + 1 } else { k + 1 };
-            assert_eq!(warm_resolve_sweeps(tensor, &thr_fused, k), want, "threaded {what}");
-            assert_eq!(resume_sweeps(tensor, &thr_fused, k, "thr"), want, "threaded {what}");
-            // Unfused there is nothing to bank, on entry or ever.
-            assert_eq!(warm_resolve_sweeps(tensor, &plain, k), (n + 1) * k, "unfused {what}");
+        // --- Entered on a fresh residual: one entry sweep banks every
+        // mode from the stored values. -------------------------------------
+        let tag = format!("{exec:?}");
+        for (tensor, n) in [(&order3, 3u64), (&order4, 4)] {
+            for k in [1u64, 4] {
+                let what = format!("order {n}, {k} iterations, {exec:?}");
+                assert_eq!(warm_resolve_sweeps(tensor, &fused, k), k + 1, "warm {what}");
+                assert_eq!(resume_sweeps(tensor, &fused, k, &tag), k + 1, "resume {what}");
+                // Unfused there is nothing to bank, on entry or ever.
+                assert_eq!(warm_resolve_sweeps(tensor, &plain, k), (n + 1) * k, "unfused {what}");
+            }
         }
     }
 
     // --- Distributed solver: one block stage banks every mode, whatever
     // runs the block tasks (blocks share no output, so threads need no
     // second pass). ------------------------------------------------------
-    for exec in [ExecMode::Sequential, threads] {
+    for exec in [ExecMode::Sequential, ExecMode::Threads(4)] {
         for (tensor, n) in [(&order3, 3.0), (&order4, 4.0)] {
             let label = format!("distenc order {n} {exec:?}");
             assert_eq!(distenc_sweeps_per_iter(tensor, &fused, exec), 1.0, "{label} fused");
@@ -250,24 +228,27 @@ fn fused_iterations_sweep_the_nonzeros_once_on_the_sequential_host() {
     // --- Entry touches: exact vs sketched. -----------------------------
     // A sketch-phase iteration touches exactly N·samples entries — and
     // performs *zero* full sweeps (sampled gathers are charged as
-    // entries only) — where an exact iteration on the N-sweep schedule
-    // above (threaded hosts) touches every nonzero N times.
-    // The polish budget stays fixed while the sketch budget grows, so the
-    // differenced iterations are all sampled ones.
+    // entries only) — which at samples = nnz/4 is fewer than the nnz an
+    // exact iteration touches. The polish budget stays fixed while the
+    // sketch budget grows, so the differenced iterations are all sampled
+    // ones.
+    let nnz = order3.nnz() as f64;
     let samples = order3.nnz() / 4;
     let (s_short, e_short) = sketched_solve(&order3, &base, samples, 2, 2);
     let (s_long, e_long) = sketched_solve(&order3, &base, samples, 10, 2);
     assert_eq!(s_long, s_short, "sketch-phase iterations do no full sweeps");
     let sk_entries = (e_long - e_short) as f64 / 8.0;
     assert_eq!(sk_entries, 3.0 * samples as f64, "sketched entries = N·samples");
-    let ratio = (3.0 * nnz) / sk_entries;
-    assert!(ratio >= 2.0, "entry-touch discount {ratio:.2} below the 2x bar");
+    assert!(sk_entries < nnz, "a sampled iteration touched {sk_entries} of {nnz} entries");
 
     // --- One run across the boundary: P exact iterations after K sampled
     // ones sweep P + 1 times — the boundary sweep banks the first exact
     // iteration, so no entry sweep follows it. ----------------------------
-    for (k, p) in [(2, 0), (3, 1), (4, 3)] {
-        let (sweeps, _) = sketched_solve(&order3, &base, samples, k, p);
-        assert_eq!(sweeps, p as u64 + 1, "{k} sampled + {p} exact iterations");
+    for exec in executors {
+        let base = AdmmConfig { exec, ..base.clone() };
+        for (k, p) in [(2, 0), (3, 1), (4, 3)] {
+            let (sweeps, _) = sketched_solve(&order3, &base, samples, k, p);
+            assert_eq!(sweeps, p as u64 + 1, "{k} sampled + {p} exact iterations, {exec:?}");
+        }
     }
 }
