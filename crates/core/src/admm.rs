@@ -78,18 +78,21 @@ impl AdmmSolver {
             .map(|(result, _)| result)
     }
 
-    /// Streaming completion step: a solve that accepts — and returns — a
-    /// [`ResidualHandoff`] so consecutive re-solves over a drifting
-    /// observation set never rebuild the residual from scratch.
+    /// Streaming completion step: a solve that accepts — and returns — the
+    /// residual values, one per entry of `observed`, so consecutive
+    /// re-solves over a drifting observation set never rebuild them. The
+    /// returned values are `e = Ω∗(T − [[model…]])` for the returned model
+    /// ([`solver::run`] refreshes them *after* the final factor swap), and
+    /// the streaming delta apply keeps them so as the observations change.
     ///
     /// * `init = None` is a cold solve, identical to [`AdmmSolver::solve`]
     ///   (bit-for-bit), that additionally hands the final residual out.
     /// * `init = Some` with `carry = None` is [`AdmmSolver::solve_from`]:
     ///   warm factors, residual rebuilt by the prologue.
     /// * `init = Some` with `carry = Some` is the fully warm path: the
-    ///   carried residual values must be exactly `Ω∗(T − [[init…]])` on
-    ///   `observed`'s support (the invariant the streaming delta apply
-    ///   maintains), and the prologue refresh is skipped — the solve
+    ///   carried values must be exactly `Ω∗(T − [[init…]])`, one per entry
+    ///   of `observed` (the invariant above), and the prologue refresh is
+    ///   skipped — the solve
     ///   opens with one sweep over the carried values that banks its
     ///   first iteration's MTTKRPs, and evaluates the model nowhere. The
     ///   result is bit-identical to `solve_from` on the same inputs.
@@ -110,8 +113,8 @@ impl AdmmSolver {
         observed: &CooTensor,
         truncated: &[TruncatedLaplacian],
         init: Option<&KruskalTensor>,
-        carry: Option<ResidualHandoff>,
-    ) -> Result<(CompletionResult, ResidualHandoff)> {
+        carry: Option<Vec<f64>>,
+    ) -> Result<(CompletionResult, Vec<f64>)> {
         if truncated.len() != observed.order() {
             return Err(CoreError::Invalid(format!(
                 "{} eigenbases for an order-{} tensor",
@@ -136,23 +139,16 @@ impl AdmmSolver {
         if let Some(c) = &carry {
             if init.is_none() {
                 return Err(CoreError::Invalid(
-                    "a residual hand-off requires the warm-start model it was computed against"
+                    "carried residual values need the warm-start model they were computed against"
                         .into(),
                 ));
             }
-            if c.e.shape() != observed.shape() || c.e.nnz() != observed.nnz() {
+            if c.len() != observed.nnz() {
                 return Err(CoreError::Invalid(format!(
-                    "carried residual (shape {:?}, nnz {}) does not share the observed support (shape {:?}, nnz {})",
-                    c.e.shape(),
-                    c.e.nnz(),
-                    observed.shape(),
+                    "carried residual has {} values, observed support has {}",
+                    c.len(),
                     observed.nnz()
                 )));
-            }
-            if (0..observed.nnz()).any(|i| c.e.index(i) != observed.index(i)) {
-                return Err(CoreError::Invalid(
-                    "carried residual support diverges from the observed tensor".into(),
-                ));
             }
         }
         solve_with(observed, truncated, &self.cfg, init.cloned(), carry, None)
@@ -228,14 +224,12 @@ impl AdmmSolver {
         // The checkpointed residual values are fresh for the checkpointed
         // factors (snapshots are taken right after the iteration's
         // residual refresh), so they re-enter the solve through the same
-        // hand-off machinery the streaming path uses: the prologue
+        // warm entry the streaming path uses: the prologue
         // refresh gives way to the entry sweep over these values,
         // bit-invisibly. Everything else the snapshot holds goes back
         // through `SolverState::restore`.
-        let mut e = observed.clone();
-        e.values_mut().copy_from_slice(&ckpt.residual);
-        let carry = ResidualHandoff { e };
-        solve_with(observed, &truncated, &cfg, None, Some(carry), Some(ckpt)).map(|(r, _)| r)
+        let carry = Some(ckpt.residual.clone());
+        solve_with(observed, &truncated, &cfg, None, carry, Some(ckpt)).map(|(r, _)| r)
     }
 }
 
@@ -249,32 +243,17 @@ struct FileSink<'a> {
     path: PathBuf,
 }
 
-impl solver::CheckpointSink<CooTensor> for FileSink<'_> {
+impl solver::CheckpointSink<Vec<f64>> for FileSink<'_> {
     fn save(
         &mut self,
-        st: &SolverState<CooTensor>,
+        st: &SolverState<Vec<f64>>,
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()> {
-        // The host residual keeps its values in canonical entry order.
-        let residual = st.residual.values().to_vec();
-        Checkpoint::capture(self.cfg, &self.shape, st, iters_done, trace, residual)
+        Checkpoint::capture(self.cfg, &self.shape, st, iters_done, trace, st.residual.clone())
             .write_file(&self.path)?;
         Ok(())
     }
-}
-
-/// Fresh residual state handed between consecutive streaming solves.
-///
-/// Invariant: `e`'s values are exactly `Ω∗(T − [[model…]])` for the model
-/// returned alongside it — [`solver::run`] leaves them that way (the last
-/// iteration's residual refresh runs *after* the final factor swap), and
-/// the streaming delta apply keeps them that way when the observation set
-/// changes.
-#[derive(Debug, Clone)]
-pub struct ResidualHandoff {
-    /// Residual values on the observed support, in entry order.
-    pub e: CooTensor,
 }
 
 /// Shared problem validation (also used by the distributed solver).
@@ -351,11 +330,11 @@ pub(crate) fn truncate_all(
 /// The host driver: build the residual (carried or rebuilt), the
 /// single-machine backend and the state, then run the shared core
 /// ([`solver::run`]) once. Trace points are stamped with the wall time
-/// since the call. `carry` is the streaming residual hand-off in; the
-/// final residual is handed back out either way.
+/// since the call. `carry` is the streaming residual values in; the
+/// final values are handed back out either way.
 ///
-/// The residual shares the observed support. Cold: its values start
-/// stale (they still hold `T`'s) and the solver refreshes them before
+/// The residual is one value per entry of `observed`. Cold: the values
+/// start stale (a copy of `T`'s) and the solver refreshes them before
 /// anything reads them. Warm: the carried values are already fresh for
 /// the warm-start model and the solve enters on them.
 ///
@@ -379,16 +358,16 @@ pub(crate) fn solve_with(
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
     initial: Option<KruskalTensor>,
-    carry: Option<ResidualHandoff>,
+    carry: Option<Vec<f64>>,
     resume: Option<&Checkpoint>,
-) -> Result<(CompletionResult, ResidualHandoff)> {
+) -> Result<(CompletionResult, Vec<f64>)> {
     let start = Instant::now();
     let clock = move |_iter| start.elapsed().as_secs_f64();
     let residual_fresh = carry.is_some();
-    let e = carry.map_or_else(|| observed.clone(), |c| c.e);
-    let mut host = HostBackend::new(&e, cfg.rank, Executor::new(cfg.exec), clock);
+    let e = carry.unwrap_or_else(|| observed.values().to_vec());
+    let mut host = HostBackend::new(observed, cfg.rank, Executor::new(cfg.exec), clock);
     let mut st = SolverState::new(observed, truncated, cfg, initial, e)?;
-    let (result, e) = match cfg.solver_tier {
+    match cfg.solver_tier {
         SolverTier::Sketched { samples, polish_iters }
             if samples < observed.nnz() && polish_iters < cfg.max_iters =>
         {
@@ -402,7 +381,7 @@ pub(crate) fn solve_with(
             let sketch_iters = cfg.max_iters - polish_iters;
             let mut backend =
                 SketchedBackend::new(host, observed, samples, sketch_iters, cfg.rank, cfg.seed)?;
-            solver::run(observed, truncated, &cfg, &mut backend, st, residual_fresh, None, None)?
+            solver::run(observed, truncated, &cfg, &mut backend, st, residual_fresh, None, None)
         }
         _ => {
             let resume_point = resume.map(|ck| st.restore(ck)).transpose()?;
@@ -411,7 +390,7 @@ pub(crate) fn solve_with(
                     FileSink { cfg, shape: observed.shape().to_vec(), path: path.clone() }
                 });
             let sink =
-                file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink<CooTensor>);
+                file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink<Vec<f64>>);
             solver::run(
                 observed,
                 truncated,
@@ -421,10 +400,9 @@ pub(crate) fn solve_with(
                 residual_fresh,
                 resume_point,
                 sink,
-            )?
+            )
         }
-    };
-    Ok((result, ResidualHandoff { e }))
+    }
 }
 
 #[cfg(test)]

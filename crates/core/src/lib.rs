@@ -35,7 +35,7 @@ pub mod model;
 pub(crate) mod solver;
 pub mod trace;
 
-pub use admm::{AdmmSolver, ResidualHandoff};
+pub use admm::AdmmSolver;
 pub use config::{AdmmConfig, CheckpointPolicy, SolverTier, DEFAULT_POLISH_ITERS};
 pub use distenc::DisTenC;
 pub use model::{MethodModel, RunOutcome, WorkloadSpec};
@@ -84,6 +84,11 @@ pub enum CoreError {
     Dataflow(distenc_dataflow::DataflowError),
     /// A checkpoint could not be written, read, or validated.
     Checkpoint(solver::checkpoint::CheckpointError),
+    /// An iteration left a non-finite factor change or `‖E‖²`: it diverged.
+    NonFinite {
+        /// The iteration (0-based).
+        iter: usize,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -94,6 +99,7 @@ impl std::fmt::Display for CoreError {
             CoreError::Tensor(e) => write!(f, "{e}"),
             CoreError::Dataflow(e) => write!(f, "{e}"),
             CoreError::Checkpoint(e) => write!(f, "{e}"),
+            CoreError::NonFinite { iter } => write!(f, "non-finite value at iteration {iter}"),
         }
     }
 }

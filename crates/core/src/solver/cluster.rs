@@ -341,6 +341,7 @@ impl StepBackend for ClusterBackend<'_> {
     /// produces.
     fn sparse_mttkrp(
         &mut self,
+        _observed: &CooTensor,
         blocks: &Vec<ResidualBlock>,
         model: &KruskalTensor,
         mode: usize,
@@ -552,7 +553,7 @@ mod tests {
         for (mode, banked) in bank.iter().enumerate() {
             let mut out = Mat::random(4, rank, 7);
             be2.on_sparse_mttkrp(mode, false).unwrap();
-            be2.sparse_mttkrp(&blocks2, &model, mode, &mut out).unwrap();
+            be2.sparse_mttkrp(&observed, &blocks2, &model, mode, &mut out).unwrap();
             assert_eq!(bits(&out), bits(banked), "mode {mode}");
         }
         let per_mode = cl2.metrics();

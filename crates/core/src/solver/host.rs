@@ -1,10 +1,12 @@
 //! The single-machine [`StepBackend`]: the residual's block cut on a
 //! [`distenc_dataflow::Executor`], no accounting.
 //!
-//! Its residual is the observed support's entry list ([`CooTensor`]), and
-//! every entry sweep is one [`cut_sweep_into`] over the [`BlockCut`] this
-//! backend sizes at construction: `B` contiguous, equal-count entry
-//! ranges, `B` a function of the data alone (DESIGN.md §9). The executor
+//! Its residual is one value per observed entry (`Vec<f64>`; a solve holds
+//! one index list, `observed`'s), and every entry sweep is one
+//! [`cut_sweep_into`] over `observed` and those values, cut by the
+//! [`BlockCut`] this backend sizes at construction: `B` contiguous,
+//! equal-count entry ranges, `B` a function of the data alone (DESIGN.md
+//! §9). The executor
 //! runs the blocks — one after another on `Sequential`, concurrently on
 //! `Threads(n)` — and the partials are added into the core's bank in
 //! ascending block order, so every executor computes the same bits and a
@@ -39,28 +41,29 @@ pub(crate) struct HostBackend<C> {
 }
 
 impl<C: Fn(usize) -> f64> HostBackend<C> {
-    /// Cut `residual` for rank `rank` — once: the support never changes
+    /// Cut `observed` for rank `rank` — once: the support never changes
     /// *within* a solve — run its blocks on `exec`, and stamp trace points
     /// with `clock`.
-    pub fn new(residual: &CooTensor, rank: usize, exec: Executor, clock: C) -> Self {
-        let cut = BlockCut::new(residual.shape(), residual.nnz(), rank);
+    pub fn new(observed: &CooTensor, rank: usize, exec: Executor, clock: C) -> Self {
+        let cut = BlockCut::new(observed.shape(), observed.nnz(), rank);
         HostBackend { exec, cut, clock }
     }
 }
 
 impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
-    type Residual = CooTensor;
+    type Residual = Vec<f64>;
 
     fn sparse_mttkrp(
         &mut self,
-        residual: &CooTensor,
+        observed: &CooTensor,
+        residual: &Vec<f64>,
         model: &KruskalTensor,
         mode: usize,
         out: &mut Mat,
     ) -> Result<()> {
-        let vals = EntryValues::Stored(residual.values());
+        let vals = EntryValues::Stored(residual);
         let out = std::slice::from_mut(out);
-        cut_sweep_into(residual, model, vals, mode, out, &mut self.cut, &self.exec)?;
+        cut_sweep_into(observed, model, vals, mode, out, &mut self.cut, &self.exec)?;
         Ok(())
     }
 
@@ -73,17 +76,14 @@ impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,
-        residual: &mut CooTensor,
+        residual: &mut Vec<f64>,
         refresh: bool,
         bank: &mut [Mat],
     ) -> Result<(f64, usize)> {
         // Without `refresh` the values are fresh and stay; the `‖E‖²` of
         // that sweep is never read.
-        let vals = if refresh {
-            EntryValues::Refresh(residual.values_mut())
-        } else {
-            EntryValues::Stored(residual.values())
-        };
+        let vals =
+            if refresh { EntryValues::Refresh(residual) } else { EntryValues::Stored(residual) };
         let frob = cut_sweep_into(observed, model, vals, 0, bank, &mut self.cut, &self.exec)?;
         Ok((frob, bank.len()))
     }

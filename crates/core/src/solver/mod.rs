@@ -11,13 +11,14 @@
 //! accounting hooks, placed at exactly the points the pre-refactor
 //! drivers charged.
 //!
-//! **One core, typed residual.** The residual `E = Ω∗(T − [[A…]])` lives
-//! on the [`SolverState`] in whatever decomposition the backend needs —
-//! [`StepBackend::Residual`]: the entry list ([`CooTensor`]) for the host
-//! and sketched backends, the Algorithm 2 block list for the cluster. The core never
-//! looks inside it; it only hands it back to the backend that owns the
-//! type, so a backend paired with the wrong decomposition does not
-//! compile.
+//! **One core, typed residual.** The residual `E = Ω∗(T − [[A…]])` has
+//! `T`'s support, so the [`SolverState`] holds its values only, in the
+//! backend's decomposition — [`StepBackend::Residual`]: one value per
+//! observed entry for the host and sketched backends (a solve holds one
+//! index list, `observed`'s), the Algorithm 2 block list for the cluster.
+//! The core never looks inside it; it only hands it back to the backend
+//! that owns the type, so a backend paired with the wrong decomposition
+//! does not compile.
 //!
 //! **Bit-exactness contract.** Every arithmetic operation here happens in
 //! the same order, with the same floating-point association, as the
@@ -137,9 +138,9 @@ pub(crate) struct SolverState<R> {
     pub y_mul: Vec<Mat>,
     /// Current penalty parameter `η`.
     pub eta: f64,
-    /// The residual tensor. Its values are refreshed in place every
-    /// iteration ([`StepBackend::fused_step`]); the support never changes
-    /// after construction.
+    /// The residual, on the observed support. Its values are refreshed in
+    /// place every iteration ([`StepBackend::fused_step`]); the support
+    /// never changes after construction.
     pub residual: R,
     /// Preallocated iteration scratch.
     pub ws: Workspace,
@@ -152,8 +153,7 @@ impl<R> SolverState<R> {
     /// seeded random init of Algorithm 1 line 1. Grams start as zero
     /// placeholders — [`run`]'s prologue fills them through the backend
     /// before anything reads them. The residual arrives from the driver
-    /// with its support laid out but its *values* stale; the prologue
-    /// refreshes those too.
+    /// stale, for the prologue to refresh, or fresh ([`run`]'s `residual_fresh`).
     pub fn new(
         observed: &CooTensor,
         truncated: &[TruncatedLaplacian],
@@ -227,6 +227,7 @@ pub(crate) trait StepBackend {
     /// the flat serial fold to rounding, and to the bit at one host block).
     fn sparse_mttkrp(
         &mut self,
+        observed: &CooTensor,
         residual: &Self::Residual,
         model: &KruskalTensor,
         mode: usize,
@@ -333,6 +334,7 @@ pub(crate) trait StepBackend {
 /// it into the model after *all* modes finish (the Jacobi ordering that
 /// makes the mode updates distributable).
 pub(crate) fn mode_step<B: StepBackend>(
+    observed: &CooTensor,
     st: &mut SolverState<B::Residual>,
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
@@ -367,7 +369,7 @@ pub(crate) fn mode_step<B: StepBackend>(
     let is_banked = n < *banked;
     backend.on_sparse_mttkrp(n, is_banked)?;
     if !is_banked {
-        backend.sparse_mttkrp(residual, model, n, &mut bank[n])?;
+        backend.sparse_mttkrp(observed, residual, model, n, &mut bank[n])?;
     }
     model.factors()[n].matmul_into(f, &mut mb.numer)?;
     mb.numer.axpy(1.0, &bank[n])?;
@@ -507,7 +509,7 @@ pub(crate) fn run<B: StepBackend>(
         iterations = t + 1;
 
         for n in 0..n_modes {
-            mode_step(&mut st, truncated, cfg, backend, n)?;
+            mode_step(observed, &mut st, truncated, cfg, backend, n)?;
         }
 
         // Jacobi swap + convergence statistic (line 15): the new factors
@@ -515,7 +517,7 @@ pub(crate) fn run<B: StepBackend>(
         // allocates nothing.
         let mut delta = 0.0_f64;
         for n in 0..n_modes {
-            delta = delta.max(st.model.factors()[n].frob_dist(&st.ws.modes[n].next)?);
+            delta = delta.max(finite(st.model.factors()[n].frob_dist(&st.ws.modes[n].next)?, t)?);
             std::mem::swap(&mut st.model.factors_mut()[n], &mut st.ws.modes[n].next);
             backend.refresh_gram(&st.model.factors()[n], n, &mut st.grams[n])?;
         }
@@ -525,7 +527,7 @@ pub(crate) fn run<B: StepBackend>(
         // Line 13: refresh the cached residual for the next iteration —
         // fused with that iteration's MTTKRPs when one will run.
         let fuse_next = t + 1 < cfg.max_iters && delta >= cfg.tol;
-        let frob = sweep(observed, cfg, backend, &mut st, true, fuse_next)?;
+        let frob = finite(sweep(observed, cfg, backend, &mut st, true, fuse_next)?, t)?;
         let train_rmse = (frob / observed.nnz() as f64).sqrt();
         trace.push(TracePoint {
             iter: t,
@@ -554,6 +556,12 @@ pub(crate) fn run<B: StepBackend>(
 
     let SolverState { model, residual, .. } = st;
     Ok((CompletionResult { model, trace, iterations, converged }, residual))
+}
+
+/// `x`, or [`CoreError::NonFinite`] at iteration `iter`: `f64::max` drops a
+/// `NaN`, so a diverged factor change would otherwise read as converged.
+fn finite(x: f64, iter: usize) -> Result<f64> {
+    x.is_finite().then_some(x).ok_or(CoreError::NonFinite { iter })
 }
 
 /// One [`StepBackend::fused_step`]: the core's single decision of whether
@@ -609,6 +617,7 @@ mod tests {
 
         fn sparse_mttkrp(
             &mut self,
+            _: &CooTensor,
             _: &(),
             _: &KruskalTensor,
             mode: usize,

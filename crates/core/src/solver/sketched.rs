@@ -43,11 +43,10 @@
 //! (`tests/sketched_equivalence.rs` and the sketched golden trace pin
 //! this).
 //!
-//! **Hand-off invariant.** A sweep handed no bank — the solve's last, or
-//! a converged one, in either phase — is the host's plain exact refresh,
-//! so the residual a sketched solve returns satisfies the
-//! [`crate::ResidualHandoff`] invariant (`e = Ω∗(T − [[model…]])`) and
-//! its final `‖E‖²_F` is exact.
+//! **Residual.** The host's values, indexed by `observed`. A sweep handed
+//! no bank — the solve's last, or a converged one, in either phase — is
+//! the host's plain exact refresh, so the values a sketched solve returns
+//! are `Ω∗(T − [[model…]])` and its final `‖E‖²_F` is exact.
 
 use super::{HostBackend, StepBackend};
 use crate::Result;
@@ -66,12 +65,9 @@ const SAMPLER_STREAM: u64 = 0x5ce7_c4ed_9b1f_a301;
 
 /// Sketched backend: sampled MTTKRP / norm estimates for the first
 /// `sketch_iters` iterations, the wrapped host backend for the rest.
-pub(crate) struct SketchedBackend<'t, C> {
+pub(crate) struct SketchedBackend<C> {
     /// Runs every exact sweep and kernel, and stamps the trace.
     host: HostBackend<C>,
-    /// The observed tensor — sampled entries read `t_i` (and indices)
-    /// directly from it; the residual value is recomputed per draw.
-    observed: &'t CooTensor,
     /// Fixed norm-proportional importance distribution over `observed`.
     sampler: EntrySampler,
     /// Driver-thread RNG, consumed sequentially (one `f64` per draw).
@@ -89,13 +85,13 @@ pub(crate) struct SketchedBackend<'t, C> {
     sweeps: usize,
 }
 
-impl<'t, C: Fn(usize) -> f64> SketchedBackend<'t, C> {
+impl<C: Fn(usize) -> f64> SketchedBackend<C> {
     /// Build the sampler over `observed`, seed the draw stream from
     /// `seed`, and size all scratch for `samples` draws at rank `rank`;
     /// the first `sketch_iters` iterations sample, `host` runs the rest.
     pub fn new(
         host: HostBackend<C>,
-        observed: &'t CooTensor,
+        observed: &CooTensor,
         samples: usize,
         sketch_iters: usize,
         rank: usize,
@@ -103,7 +99,6 @@ impl<'t, C: Fn(usize) -> f64> SketchedBackend<'t, C> {
     ) -> Result<Self> {
         Ok(SketchedBackend {
             host,
-            observed,
             sampler: EntrySampler::norm_proportional(observed)?,
             rng: StdRng::seed_from_u64(seed ^ SAMPLER_STREAM),
             samples,
@@ -116,21 +111,28 @@ impl<'t, C: Fn(usize) -> f64> SketchedBackend<'t, C> {
 
     /// One `S`-draw sampled pass for `mode`: overwrite `out` with the
     /// importance-weighted MTTKRP estimate and return the matching
-    /// estimate of `‖E‖²_F = Σ e²` from the same draws. Charged to the
-    /// entry-touch instrument as a gather, not a sweep.
-    fn sample_into(&mut self, model: &KruskalTensor, mode: usize, out: &mut Mat) -> Result<f64> {
+    /// estimate of `‖E‖²_F = Σ e²` from the same draws, each recomputing
+    /// its residual from `observed`. Charged to the entry-touch instrument
+    /// as a gather, not a sweep.
+    fn sample_into(
+        &mut self,
+        observed: &CooTensor,
+        model: &KruskalTensor,
+        mode: usize,
+        out: &mut Mat,
+    ) -> Result<f64> {
         self.sampler.draw_into(&mut self.rng, self.samples, &mut self.draws);
         crate::record_entry_gather(self.draws.len());
         out.fill(0.0);
         let inv_s = 1.0 / self.samples as f64;
         let mut frob = 0.0;
         for &pos in &self.draws {
-            let idx = self.observed.index(pos);
+            let idx = observed.index(pos);
             // e = t − [[A…]](idx); the model evaluation completes the
             // partial Hadamard product with the skipped mode's row.
             hadamard_rows_skip_into(model.factors(), mode, idx, &mut self.scratch.had)?;
             let pred = dot(&self.scratch.had, model.factors()[mode].row(idx[mode]));
-            let e = self.observed.value(pos) - pred;
+            let e = observed.value(pos) - pred;
             let p = self.sampler.prob(pos);
             frob += e * e / p;
             let w = e * inv_s / p;
@@ -143,20 +145,21 @@ impl<'t, C: Fn(usize) -> f64> SketchedBackend<'t, C> {
     }
 }
 
-impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
-    type Residual = CooTensor;
+impl<C: Fn(usize) -> f64> StepBackend for SketchedBackend<C> {
+    type Residual = Vec<f64>;
 
     fn sparse_mttkrp(
         &mut self,
-        residual: &CooTensor,
+        observed: &CooTensor,
+        residual: &Vec<f64>,
         model: &KruskalTensor,
         mode: usize,
         out: &mut Mat,
     ) -> Result<()> {
         if self.sweeps <= self.sketch_iters {
-            return self.sample_into(model, mode, out).map(|_| ());
+            return self.sample_into(observed, model, mode, out).map(|_| ());
         }
-        self.host.sparse_mttkrp(residual, model, mode, out)
+        self.host.sparse_mttkrp(observed, residual, model, mode, out)
     }
 
     fn refresh_gram(&mut self, factor: &Mat, mode: usize, out: &mut Mat) -> Result<()> {
@@ -168,7 +171,7 @@ impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,
-        residual: &mut CooTensor,
+        residual: &mut Vec<f64>,
         refresh: bool,
         bank: &mut [Mat],
     ) -> Result<(f64, usize)> {
@@ -180,7 +183,9 @@ impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
             // of the exact backend's fused pass. It neither reads nor
             // writes the residual values (it re-evaluates the model at
             // its draws), so as an entry sweep it is the same sweep.
-            Some(h0) if opens < self.sketch_iters => Ok((self.sample_into(model, 0, h0)?, 1)),
+            Some(h0) if opens < self.sketch_iters => {
+                Ok((self.sample_into(observed, model, 0, h0)?, 1))
+            }
             _ => self.host.fused_step(observed, model, residual, refresh, bank),
         }
     }

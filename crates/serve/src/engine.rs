@@ -96,7 +96,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Copy `model` into a [`FactorStore`] and wrap it for serving.
+    /// Copy `model` into a [`FactorStore`] and wrap it for serving. A
+    /// factor holding a non-finite value is [`ServeError::NonFiniteModel`].
     pub fn new(model: &KruskalTensor, cfg: EngineConfig) -> Result<Self> {
         Engine::with_metrics(model, cfg, Arc::new(ServeMetrics::new()))
     }
@@ -128,6 +129,12 @@ impl Engine {
             return Err(ServeError::BadConfig(
                 "deadline_check_every must be at least 1".into(),
             ));
+        }
+        // Every engine is built here, so no path serves a diverged model.
+        if let Some(mode) =
+            model.factors().iter().position(|a| a.as_slice().iter().any(|x| !x.is_finite()))
+        {
+            return Err(ServeError::NonFiniteModel { mode });
         }
         let store = FactorStore::new(model);
         let approx_limits = match cfg.approx_topk {

@@ -78,6 +78,11 @@ pub enum ServeError {
     UnknownTenant(String),
     /// A tenant name is already present in the model registry.
     AlreadyRegistered(String),
+    /// A model factor holds a `NaN` or infinite value; it is never served.
+    NonFiniteModel {
+        /// The mode whose factor holds it.
+        mode: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -92,6 +97,9 @@ impl std::fmt::Display for ServeError {
             ServeError::UnknownTenant(name) => write!(f, "unknown tenant {name:?}"),
             ServeError::AlreadyRegistered(name) => {
                 write!(f, "tenant {name:?} is already registered")
+            }
+            ServeError::NonFiniteModel { mode } => {
+                write!(f, "model factor {mode} holds a non-finite value")
             }
         }
     }

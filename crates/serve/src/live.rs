@@ -282,6 +282,29 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_model_is_never_served() {
+        let m1 = KruskalTensor::random(&[10, 8, 6], 2, 9);
+        let live = LiveEngine::new(&m1, EngineConfig::default()).unwrap();
+        for (mode, bad) in [(0, f64::NAN), (1, f64::INFINITY), (2, f64::NEG_INFINITY)] {
+            let mut factors = m1.factors().to_vec();
+            factors[mode].set(3, 1, bad);
+            let model = KruskalTensor::new(factors).unwrap();
+            let refused = crate::ServeError::NonFiniteModel { mode };
+            // Refused before it is numbered: the generation stays.
+            assert_eq!(live.publish(&model).unwrap_err(), refused);
+            assert_eq!(live.generation(), 1);
+            assert_eq!(live.point(&[3, 3, 3]).unwrap().value, m1.eval(&[3, 3, 3]));
+            // And on every other road to serving.
+            assert_eq!(LiveEngine::new(&model, EngineConfig::default()).unwrap_err(), refused);
+            let registry = crate::ModelRegistry::new();
+            let registered = registry.register("t", &model, EngineConfig::default());
+            assert_eq!(registered.unwrap_err(), refused);
+        }
+        let s = live.snapshot();
+        assert_eq!((s.models_published, s.models_failed), (1, 3));
+    }
+
+    #[test]
     fn failed_refresh_keeps_previous_generation_serving() {
         let m1 = KruskalTensor::random(&[20, 15, 10], 3, 7);
         let live = LiveEngine::new(&m1, EngineConfig::default()).unwrap();

@@ -10,7 +10,7 @@
 //!   growth. Construction rejects out-of-range and duplicate coordinates
 //!   with typed [`StreamError`]s; nothing panics.
 //! * [`StreamingSolver`] — owns the evolving observed tensor, the current
-//!   model, and the solver's residual hand-off. Applying a batch folds it
+//!   model, and the residual values between solves. Applying a batch folds it
 //!   into all three *incrementally* (`O(|Δ|·N·R)` model evaluations, one
 //!   linear merge) instead of rebuilding anything, then a warm re-solve
 //!   restarts ADMM from the previous factors under a convergence budget.

@@ -1,9 +1,10 @@
 //! The streaming solver: delta application + warm re-solves.
 
 use crate::delta::{DeltaBatch, StreamError};
-use distenc_core::{AdmmConfig, AdmmSolver, CompletionResult, ResidualHandoff};
+use distenc_core::{AdmmConfig, AdmmSolver, CompletionResult};
 use distenc_graph::{Laplacian, TruncatedLaplacian};
 use distenc_linalg::Mat;
+use distenc_tensor::coo::splice_values;
 use distenc_tensor::{CooTensor, KruskalTensor};
 
 /// Seed for the rows appended to a factor when mode `mode` grows past
@@ -18,7 +19,7 @@ fn growth_seed(base: u64, mode: usize, old_rows: usize) -> u64 {
 }
 
 /// Streaming tensor completion: owns the evolving observation set, the
-/// current model, and the residual hand-off between solves.
+/// current model, and the residual values carried between solves.
 ///
 /// Lifecycle:
 ///
@@ -30,13 +31,13 @@ fn growth_seed(base: u64, mode: usize, old_rows: usize) -> u64 {
 /// ```
 ///
 /// * `apply` folds a [`DeltaBatch`] into the observed tensor **and** the
-///   carried residual in one pass over the delta: each touched cell's
-///   residual becomes `t − [[model…]](i)`, computed with the same fold the
-///   solver's refresh kernels use, so the carried residual stays
-///   bit-identical to a from-scratch rebuild. Inserts are searched for
-///   once — the search that proves them absent is the search for where
-///   they go — and spliced into both at those points
-///   ([`CooTensor::splice`]): block moves, no second full-size copy.
+///   carried residual values in one pass over the delta: each touched
+///   cell's value becomes `t − [[model…]](i)`, computed with the same fold
+///   the solver's refresh kernels use, so the carry stays bit-identical to
+///   a from-scratch rebuild. Inserts are searched for once — the search
+///   that proves them absent is the search for where they go — and
+///   spliced at those points into the tensor, then into the carry
+///   ([`CooTensor::splice`], [`splice_values`]): one block-move body.
 /// * `solve` warm-starts ADMM from the previous factors and the carried
 ///   residual under the configured convergence budget
 ///   ([`StreamingSolver::set_budget`]); its first iteration's MTTKRPs are
@@ -61,7 +62,8 @@ pub struct StreamingSolver {
     regularized: Vec<bool>,
     observed: CooTensor,
     model: Option<KruskalTensor>,
-    carry: Option<ResidualHandoff>,
+    /// Residual values parallel to `observed`'s entries, fresh for `model`.
+    carry: Option<Vec<f64>>,
     generation: u64,
 }
 
@@ -172,9 +174,6 @@ impl StreamingSolver {
         let new_shape = batch.new_shape();
         if batch.growth().iter().any(|&g| g > 0) {
             self.observed.grow_shape(&new_shape)?;
-            if let Some(c) = &mut self.carry {
-                c.e.grow_shape(&new_shape)?;
-            }
             for ((t, &g), &dim) in self.truncated.iter_mut().zip(batch.growth()).zip(&new_shape) {
                 if g > 0 {
                     // Only unregularized modes get here: their basis is
@@ -202,13 +201,13 @@ impl StreamingSolver {
                 // The model is present whenever a carry is (solve() set
                 // both); keep the residual invariant e = t − [[model]].
                 let model = self.model.as_ref().expect("carry without model");
-                c.e.values_mut()[pos] = *v - model.eval(idx);
+                c[pos] = *v - model.eval(idx);
             }
         }
         if !batch.inserts().is_empty() {
-            // One patch, spliced twice at the searched points: with the
-            // observed values into the tensor, then with their residuals
-            // into the carry, which shares the tensor's support.
+            // Spliced twice at the searched points: the entries into the
+            // tensor, then their residuals into the carry, which runs
+            // parallel to the tensor's entries.
             let mut patch = CooTensor::new(new_shape);
             patch.reserve(batch.inserts().len());
             for (idx, v) in batch.inserts() {
@@ -217,10 +216,9 @@ impl StreamingSolver {
             self.observed.splice(&insert_at, &patch)?;
             if let Some(c) = &mut self.carry {
                 let model = self.model.as_ref().expect("carry without model");
-                for (e, (idx, v)) in patch.values_mut().iter_mut().zip(batch.inserts()) {
-                    *e = *v - model.eval(idx);
-                }
-                c.e.splice(&insert_at, &patch)?;
+                let fresh: Vec<f64> =
+                    batch.inserts().iter().map(|(idx, v)| *v - model.eval(idx)).collect();
+                splice_values(c, &insert_at, &fresh)?;
             }
         }
         Ok(())
@@ -230,14 +228,14 @@ impl StreamingSolver {
     /// warm restart from the previous factors and the carried residual,
     /// bit-identical to [`AdmmSolver::solve_from`] on the current tensor.
     pub fn solve(&mut self) -> crate::Result<CompletionResult> {
-        let (result, handoff) = self.solver.solve_streamed(
+        let (result, residual) = self.solver.solve_streamed(
             &self.observed,
             &self.truncated,
             self.model.as_ref(),
             self.carry.take(),
         )?;
         self.model = Some(result.model.clone());
-        self.carry = Some(handoff);
+        self.carry = Some(residual);
         self.generation += 1;
         Ok(result)
     }

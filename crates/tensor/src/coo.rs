@@ -243,31 +243,9 @@ impl CooTensor {
                 patch.shape, self.shape
             )));
         }
-        let old = self.nnz();
-        let ordered = points.windows(2).all(|w| w[0] <= w[1]);
-        if points.len() != patch.nnz() || !ordered || points.last().is_some_and(|&p| p > old) {
-            return Err(TensorError::ShapeMismatch(format!(
-                "{} insertion points for {} entries into {old}: they must be one per entry, \
-                 ascending and at most {old}",
-                points.len(),
-                patch.nnz()
-            )));
-        }
-        let (n, add) = (self.order(), patch.nnz());
-        self.indices.reserve_exact(add * n);
-        self.values.reserve_exact(add);
-        self.indices.resize((old + add) * n, 0);
-        self.values.resize(old + add, 0.0);
-        // Back to front: the run above insertion point `k` moves up by the
-        // `k + 1` entries that land below it, then entry `k` fills the gap.
-        let mut end = old;
-        for (k, &at) in points.iter().enumerate().rev() {
-            self.indices.copy_within(at * n..end * n, (at + k + 1) * n);
-            self.values.copy_within(at..end, at + k + 1);
-            self.indices[(at + k) * n..(at + k + 1) * n].copy_from_slice(patch.index(k));
-            self.values[at + k] = patch.values[k];
-            end = at;
-        }
+        check_points(points, patch.nnz(), self.nnz())?;
+        splice_runs(&mut self.indices, self.shape.len(), points, &patch.indices);
+        splice_runs(&mut self.values, 1, points, &patch.values);
         Ok(())
     }
 
@@ -309,6 +287,47 @@ impl CooTensor {
     pub fn mem_bytes(&self) -> usize {
         self.indices.len() * std::mem::size_of::<usize>()
             + self.values.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// [`CooTensor::splice`] for a list of values alone: insert
+/// `patch_values[k]` in front of the value now at `points[k]`. This is how
+/// a vector that runs parallel to a tensor's entries follows the tensor
+/// through a splice at the same points. The points are checked as the
+/// tensor's are, before anything moves.
+pub fn splice_values(values: &mut Vec<f64>, points: &[usize], patch_values: &[f64]) -> Result<()> {
+    check_points(points, patch_values.len(), values.len())?;
+    splice_runs(values, 1, points, patch_values);
+    Ok(())
+}
+
+/// One insertion point per patch entry, ascending, none past `old`.
+fn check_points(points: &[usize], entries: usize, old: usize) -> Result<()> {
+    let ordered = points.windows(2).all(|w| w[0] <= w[1]);
+    if points.len() != entries || !ordered || points.last().is_some_and(|&p| p > old) {
+        return Err(TensorError::ShapeMismatch(format!(
+            "{} insertion points for {entries} entries into {old}: they must be one per entry, \
+             ascending and at most {old}",
+            points.len(),
+        )));
+    }
+    Ok(())
+}
+
+/// The one splice body: `data` holds rows of `width` elements, and patch
+/// row `k` goes in front of the row now at `points[k]` (checked points).
+/// Back to front, the run above insertion point `k` moves up by the
+/// `k + 1` rows that land below it, then row `k` fills the gap.
+fn splice_runs<T: Copy + Default>(data: &mut Vec<T>, width: usize, points: &[usize], patch: &[T]) {
+    let old = data.len() / width;
+    data.reserve_exact(patch.len());
+    data.resize(data.len() + patch.len(), T::default());
+    let mut end = old;
+    for (k, &at) in points.iter().enumerate().rev() {
+        data.copy_within(at * width..end * width, (at + k + 1) * width);
+        data[(at + k) * width..(at + k + 1) * width]
+            .copy_from_slice(&patch[k * width..(k + 1) * width]);
+        end = at;
     }
 }
 
@@ -554,6 +573,13 @@ mod tests {
             rebuilt.sort_dedup();
             proptest::prop_assert_eq!(&got, &rebuilt);
             proptest::prop_assert_eq!(got.nnz(), base.nnz() + absent.nnz());
+            // A vector parallel to the entries follows them through the
+            // same points: the values alone, spliced, are the tensor's.
+            let points: Vec<usize> =
+                absent.iter().map(|(idx, _)| base.search(idx).unwrap_err()).collect();
+            let mut values = base.values().to_vec();
+            splice_values(&mut values, &points, absent.values()).unwrap();
+            proptest::prop_assert_eq!(&values[..], got.values());
         }
     }
 

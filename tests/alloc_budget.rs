@@ -19,7 +19,8 @@
 //! The set-up has a budget too: the host backend's one workspace, the
 //! residual's block cut, holds its partial banks under half a double per
 //! nonzero on every executor — no per-mode position list, no value
-//! carrier.
+//! carrier — and a whole cold solve allocates less than one more index
+//! list: the residual is values on the observed tensor's support.
 
 #![cfg(feature = "alloc-count")]
 
@@ -136,6 +137,19 @@ fn steady_state_iterations_allocate_o1_heap() {
         );
     }
     assert!(BlockCut::new(cut.shape(), cut.nnz(), 3).blocks() > 1);
+
+    // --- A cold solve holds one index list, the observed tensor's: the
+    // residual is one value per entry, so everything a 2-iteration solve
+    // allocates stays under a second index list (8·N·nnz bytes).
+    let before = alloc::snapshot();
+    let res = AdmmSolver::new(AdmmConfig { max_iters: 2, ..seq.clone() })
+        .unwrap()
+        .solve(&cut, &[None, None, None])
+        .unwrap();
+    let bytes = alloc::snapshot().delta(before).thread_bytes;
+    drop(res);
+    let index_list = 8 * (cut.order() * cut.nnz()) as u64;
+    assert!(bytes < index_list, "a cold solve took {bytes} bytes, an index list is {index_list}");
 
     // --- Threaded: also zero. The unboxed broadcast dispatches through
     // pool-resident state, and on hosts where the pool is bypassed (a

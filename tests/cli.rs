@@ -70,6 +70,36 @@ fn generate_complete_evaluate_predict_pipeline() {
     assert!(v.is_finite());
 }
 
+/// A solve that diverges fails: status non-zero, no model file, and no
+/// line reporting convergence beside a `NaN`.
+#[test]
+fn a_diverged_solve_fails_and_writes_no_model() {
+    let data = tmp("skewed.coo");
+    let model = tmp("skewed.kruskal");
+    let _ = std::fs::remove_file(&model);
+    let out = bin()
+        .args(["generate", "--kind", "skewed", "--dims", "60,50,40", "--nnz", "20000"])
+        .args(["--seed", "3", "--out", data.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let out = bin()
+        .args(["complete", "--input", data.to_str().unwrap(), "--rank", "4"])
+        .args(["--out", model.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let text = [out.stdout, out.stderr].concat();
+    let text = String::from_utf8_lossy(&text);
+    assert!(!out.status.success(), "a diverged solve must fail: {text}");
+    assert!(!model.exists(), "a diverged solve must write no model");
+    assert!(
+        !text.lines().any(|l| l.contains("NaN") && l.contains("converged: true")),
+        "{text}"
+    );
+    assert!(text.contains("non-finite"), "{text}");
+}
+
 #[test]
 fn helpful_errors() {
     // No command.

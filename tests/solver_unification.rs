@@ -12,11 +12,14 @@
 //!    order differs, so factors agree to rounding (1e-8).
 //!
 //! Plus regression tests that an empty observed tensor is an error from
-//! every solver — never a `NaN` train RMSE (0/0) leaking into the trace.
+//! every solver — never a `NaN` train RMSE (0/0) leaking into the trace —
+//! and that a diverging solve is a typed error on every path through the
+//! core, never `converged` beside a `NaN`.
 
 use distenc::baselines::{AlsConfig, AlsSolver};
-use distenc::core::{AdmmConfig, AdmmSolver, DisTenC};
-use distenc::dataflow::{Cluster, ClusterConfig};
+use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, CoreError, DisTenC, SolverTier};
+use distenc::dataflow::{Cluster, ClusterConfig, ExecMode};
+use distenc::stream::{DeltaBatch, StreamingSolver};
 use distenc::tensor::CooTensor;
 use proptest::prelude::*;
 
@@ -120,4 +123,57 @@ fn empty_tensor_error_carries_no_partial_state() {
     let err = solver.solve(&empty, &[None, None]).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("no entries"), "unexpected error message: {msg}");
+}
+
+/// `distenc generate --kind skewed --dims 60,50,40 --nnz 20000 --seed 3`
+/// (11,515 entries once duplicates merge) diverges at rank 4 under the
+/// CLI's defaults. Host on either executor, a 4-machine cluster, the
+/// sketched tier and a streaming warm re-solve all run the one core loop:
+/// each ends with a finite train RMSE or `NonFinite`, never `Ok` with a
+/// non-finite one. A `NaN` in the data is `NonFinite` at iteration 0.
+#[test]
+fn a_diverging_solve_is_a_typed_error_on_every_path() {
+    let observed = distenc::datagen::synthetic::skewed_tensor(&[60, 50, 40], 20_000, 3);
+    assert_eq!(observed.nnz(), 11_515);
+    let none = [None, None, None];
+    let cfg = AdmmConfig { rank: 4, tol: 1e-4, ..Default::default() };
+    let check = |path: &str, outcome: Result<CompletionResult, CoreError>| match outcome {
+        Ok(r) => assert!(r.trace.final_rmse().unwrap().is_finite(), "{path}: Ok, RMSE not finite"),
+        Err(CoreError::NonFinite { .. }) => {}
+        Err(e) => panic!("{path}: {e}"),
+    };
+
+    let default = AdmmSolver::new(cfg.clone()).unwrap().solve(&observed, &none);
+    let Err(CoreError::NonFinite { iter }) = default else {
+        panic!("the default host solve must diverge: {default:?}")
+    };
+    let msg = CoreError::NonFinite { iter }.to_string();
+    assert!(msg.contains(&format!("iteration {iter}")), "{msg}");
+
+    for exec in [ExecMode::Sequential, ExecMode::Threads(2)] {
+        let solver = AdmmSolver::new(cfg.clone().with_exec(exec)).unwrap();
+        check(&format!("{exec:?}"), solver.solve(&observed, &none));
+    }
+    let cluster = Cluster::new(ClusterConfig::test(4).with_time_budget(None));
+    check("DisTenC", DisTenC::new(&cluster, cfg.clone()).unwrap().solve(&observed, &none));
+    let tier = SolverTier::Sketched { samples: 2_000, polish_iters: 4 };
+    let sketched = AdmmSolver::new(AdmmConfig { solver_tier: tier, ..cfg.clone() }).unwrap();
+    check("sketched", sketched.solve(&observed, &none));
+
+    let short = AdmmConfig { max_iters: 4, ..cfg.clone() };
+    let mut stream = StreamingSolver::new(observed.clone(), vec![None; 3], short).unwrap();
+    stream.solve().unwrap();
+    let update = (observed.index(7).to_vec(), 2.0);
+    let batch = DeltaBatch::try_new(&[60, 50, 40], &[0; 3], vec![], vec![update]).unwrap();
+    stream.apply(&batch).unwrap();
+    stream.set_budget(cfg.max_iters, cfg.tol).unwrap();
+    check("streaming warm re-solve", stream.solve().map_err(|e| match e {
+        distenc::stream::StreamError::Core(e) => e,
+        e => panic!("{e}"),
+    }));
+
+    let mut poisoned = observed;
+    poisoned.values_mut()[100] = f64::NAN;
+    let err = AdmmSolver::new(cfg).unwrap().solve(&poisoned, &none).unwrap_err();
+    assert_eq!(err, CoreError::NonFinite { iter: 0 });
 }
