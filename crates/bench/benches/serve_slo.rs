@@ -111,7 +111,6 @@ fn run_rung(model: &KruskalTensor, qps: f64) -> RungStats {
             deadline_aware: true,
             tenant_share: None,
         },
-        fair_quantum: 8,
     };
     let load = OpenLoopConfig {
         qps,
@@ -208,7 +207,6 @@ fn fairness_section(model: &KruskalTensor) -> String {
             deadline_aware: false,
             tenant_share: Some(512),
         },
-        fair_quantum: 8,
     };
     let load = OpenLoopConfig {
         qps: 50_000.0,

@@ -97,25 +97,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.push_front(slot);
     }
 
-    /// Drop every entry for which `keep` returns `false`, preserving the
-    /// recency order of the survivors. Used to flush entries made stale
-    /// by an external event (e.g. a model publish invalidating every
-    /// cached result from older generations).
-    pub fn retain<F: FnMut(&K, &V) -> bool>(&mut self, mut keep: F) {
-        let victims: Vec<usize> = self
-            .map
-            .values()
-            .copied()
-            .filter(|&slot| !keep(&self.nodes[slot].key, &self.nodes[slot].value))
-            .collect();
-        for slot in victims {
-            self.unlink(slot);
-            let key = self.nodes[slot].key.clone();
-            self.map.remove(&key);
-            self.free.push(slot);
-        }
-    }
-
     /// Drop every entry, keeping allocated capacity.
     pub fn clear(&mut self) {
         self.map.clear();
@@ -211,37 +192,6 @@ mod tests {
         assert_eq!(c.get(&3), Some(&"z"));
         assert_eq!(c.get(&1), None);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn retain_drops_matching_entries_and_reuses_slots() {
-        let mut c = LruCache::new(4);
-        c.put((1u64, "a"), 10);
-        c.put((1u64, "b"), 11);
-        c.put((2u64, "a"), 20);
-        c.retain(|k, _| k.0 >= 2);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&(1u64, "a")), None);
-        assert_eq!(c.get(&(1u64, "b")), None);
-        assert_eq!(c.get(&(2u64, "a")), Some(&20));
-        // Freed slots are recyclable and the LRU chain stays sound.
-        c.put((2u64, "b"), 21);
-        c.put((2u64, "c"), 22);
-        c.put((2u64, "d"), 23);
-        c.put((2u64, "e"), 24); // evicts the LRU entry, (2, "a")
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.get(&(2u64, "a")), None);
-        assert_eq!(c.get(&(2u64, "e")), Some(&24));
-    }
-
-    #[test]
-    fn retain_everything_is_a_noop() {
-        let mut c = LruCache::new(2);
-        c.put("a", 1);
-        c.put("b", 2);
-        c.retain(|_, _| true);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(&"a"), Some(&1));
     }
 
     #[test]

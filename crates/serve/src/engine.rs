@@ -13,10 +13,10 @@
 //! approximate query through the exact scan and folds the overlap into
 //! [`ServeMetrics`].
 //!
-//! Cache entries are keyed by `(generation, mode, k, approx tag, fixed
-//! indices)`, so a cache shared across hot-swapped model generations (see
-//! [`crate::LiveEngine`]) can never serve a result computed by a
-//! different model than the one the query pinned.
+//! Every engine owns its top-K cache, so an entry is always the answer of
+//! the one model the engine serves: a hot-swapped generation (see
+//! [`crate::LiveEngine`]) is a new engine and starts with an empty cache,
+//! while a pinned older generation keeps answering from its own.
 
 use crate::cache::LruCache;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
@@ -27,15 +27,11 @@ use distenc_tensor::KruskalTensor;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Cache key for a top-K query: `(generation, mode, k, approx tag, fixed
-/// indices sans the free slot)`. Two queries that differ only in the
-/// ignored free-mode placeholder share an entry; exact and approximate
-/// results never collide (the tag is the scan cap, 0 for exact); entries
-/// from different model generations never collide.
-pub(crate) type TopKKey = (u64, usize, usize, u64, Vec<usize>);
-
-/// A top-K cache shareable across model generations.
-pub(crate) type SharedTopKCache = Arc<Mutex<LruCache<TopKKey, TopKResult>>>;
+/// Cache key for a top-K query: `(mode, k, approx tag, fixed indices
+/// sans the free slot)`. Two queries that differ only in the ignored
+/// free-mode placeholder share an entry; exact and approximate results
+/// never collide (the tag is the scan cap, 0 for exact).
+type TopKKey = (usize, usize, u64, Vec<usize>);
 
 /// How the approximate top-K tier picks its per-mode scan cap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,17 +78,12 @@ impl Default for EngineConfig {
 #[derive(Debug)]
 pub struct Engine {
     store: FactorStore,
-    cache: SharedTopKCache,
+    cache: Mutex<LruCache<TopKKey, TopKResult>>,
     metrics: Arc<ServeMetrics>,
-    cache_capacity: usize,
-    check_every: usize,
-    /// Generation tag baked into cache keys (0 for a standalone engine;
-    /// set by [`crate::LiveEngine`] before the engine is shared).
-    generation: u64,
+    cfg: EngineConfig,
     /// Per-mode scan caps of the default approximate tier, resolved from
     /// `EngineConfig::approx_topk` at build time (`None` = exact default).
     approx_limits: Option<Vec<usize>>,
-    recall_check_every: usize,
 }
 
 impl Engine {
@@ -110,20 +101,6 @@ impl Engine {
         model: &KruskalTensor,
         cfg: EngineConfig,
         metrics: Arc<ServeMetrics>,
-    ) -> Result<Self> {
-        let capacity = cfg.topk_cache;
-        Engine::with_shared_cache(model, cfg, metrics, Arc::new(Mutex::new(LruCache::new(capacity))))
-    }
-
-    /// Like [`Engine::with_metrics`], but caching into an existing shared
-    /// top-K cache. [`crate::LiveEngine`] uses this to keep one cache
-    /// across generations (entries are generation-keyed, so results can
-    /// never leak between models).
-    pub(crate) fn with_shared_cache(
-        model: &KruskalTensor,
-        cfg: EngineConfig,
-        metrics: Arc<ServeMetrics>,
-        cache: SharedTopKCache,
     ) -> Result<Self> {
         if cfg.deadline_check_every == 0 {
             return Err(ServeError::BadConfig(
@@ -158,22 +135,16 @@ impl Engine {
         };
         Ok(Engine {
             store,
-            cache,
+            cache: Mutex::new(LruCache::new(cfg.topk_cache)),
             metrics,
-            cache_capacity: cfg.topk_cache,
-            check_every: cfg.deadline_check_every,
-            generation: 0,
+            cfg,
             approx_limits,
-            recall_check_every: cfg.recall_check_every,
         })
     }
 
-    /// Tag this engine's cache keys with a model generation. Must be
-    /// called before the engine is shared (it takes `&mut self`), which
-    /// is exactly when [`crate::LiveEngine`] calls it — after a fallible
-    /// build succeeds, before the swap publishes the engine.
-    pub(crate) fn set_generation(&mut self, generation: u64) {
-        self.generation = generation;
+    /// The configuration this engine was built with.
+    pub(crate) fn config(&self) -> &EngineConfig {
+        &self.cfg
     }
 
     /// The underlying factor store.
@@ -361,14 +332,9 @@ impl Engine {
             .filter(|&(m, _)| m != query.mode)
             .map(|(_, &i)| i)
             .collect();
-        let key: TopKKey = (
-            self.generation,
-            query.mode,
-            query.k,
-            limit.map_or(0, |l| l as u64),
-            fixed,
-        );
-        if self.cache_capacity > 0 {
+        let key: TopKKey = (query.mode, query.k, limit.map_or(0, |l| l as u64), fixed);
+        let cached = self.cfg.topk_cache > 0;
+        if cached {
             if let Some(hit) = self.cache.lock().expect("cache lock").get(&key) {
                 let hit = hit.clone();
                 self.metrics.cache_hit();
@@ -379,12 +345,13 @@ impl Engine {
         }
 
         let deadline = budget.map(|b| start + b);
-        let res = topk::search(&self.store, query, deadline, self.check_every, limit);
+        let check_every = self.cfg.deadline_check_every;
+        let res = topk::search(&self.store, query, deadline, check_every, limit);
         self.metrics.scan(res.scanned as u64, res.pruned as u64);
         if res.degraded {
             self.metrics.degraded();
             self.metrics.deadline_miss();
-        } else if self.cache_capacity > 0 {
+        } else if cached {
             self.cache.lock().expect("cache lock").put(key, res.clone());
         }
 
@@ -393,11 +360,9 @@ impl Engine {
         // the exact scan off the books — no scan/latency metrics — and
         // records how much of the true top-K the approximate answer found.
         if let Some(count) = approx_count {
-            if self.recall_check_every > 0
-                && !res.degraded
-                && (count - 1) % self.recall_check_every as u64 == 0
-            {
-                let exact = topk::search(&self.store, query, None, self.check_every, None);
+            let every = self.cfg.recall_check_every as u64;
+            if every > 0 && !res.degraded && (count - 1) % every == 0 {
+                let exact = topk::search(&self.store, query, None, check_every, None);
                 let got: std::collections::HashSet<usize> =
                     res.items.iter().map(|it| it.index).collect();
                 let overlap =

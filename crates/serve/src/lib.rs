@@ -12,12 +12,15 @@
 //!   Cauchy–Schwarz norm bounds derived from the same factor-Gram
 //!   structure the solver exploits for `UᵀU` (Eqs. 11–13).
 //!
-//! Around the engine sit the production pieces: a bounded,
-//! work-conserving request queue ([`ServeQueue`]: a worker takes whatever
-//! arrived while it was busy and parks only when nothing has), per-query
-//! deadlines with graceful degradation (top-K returns best-so-far),
-//! an LRU cache for repeated top-K queries, and a [`ServeMetrics`]
-//! counter block mirroring the accounting style of `dataflow::Metrics`.
+//! Around the engine sit the production pieces: an LRU cache for
+//! repeated top-K queries that each engine owns, a hot-swappable
+//! [`LiveEngine`] publishing model generations, a [`ModelRegistry`] of
+//! named live engines, a bounded, work-conserving request queue
+//! ([`ServeQueue`]: it fronts a registry — one tenant per lane, resolved
+//! once — and a worker takes whatever arrived while it was busy and parks
+//! only when nothing has), per-query deadlines with graceful degradation
+//! (top-K returns best-so-far), and a [`ServeMetrics`] counter block
+//! mirroring the accounting style of `dataflow::Metrics`.
 //!
 //! ```
 //! use distenc_serve::{Engine, EngineConfig, TopKQuery};

@@ -6,10 +6,13 @@
 //! query sees one coherent `(engine, generation)` pair, so a response is
 //! always attributable to exactly one model generation even if a publish
 //! lands mid-query. Publishing builds the new engine off to the side
-//! (the store's norm tables are the expensive part) and then swaps the handle with a
+//! (the store's norm tables are the expensive part), from the served
+//! engine's config and into its metrics, and then swaps the handle with a
 //! single atomic store; queries in flight finish on the generation they
 //! pinned, new queries see the new model. No reader ever blocks and no
-//! read can fail because of a swap.
+//! read can fail because of a swap. Each generation's engine owns its
+//! top-K cache, so the new one starts cold and a pinned old one keeps
+//! answering from its own entries: no entry can cross models.
 //!
 //! Memory ordering: correctness rests on the cell's Release-store /
 //! Acquire-load pair (see the `arc-swap` shim docs for the full
@@ -18,15 +21,14 @@
 //! [`ServeMetrics::publish`] counters are relaxed — they feed reporting,
 //! not the swap protocol.
 
-use crate::cache::LruCache;
-use crate::engine::{Engine, EngineConfig, SharedTopKCache};
+use crate::engine::{Engine, EngineConfig};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::topk::{TopKQuery, TopKResult};
 use crate::Result;
 use arc_swap::ArcSwap;
 use distenc_tensor::KruskalTensor;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A query response tagged with the model generation that produced it.
@@ -43,69 +45,53 @@ pub struct Tagged<T> {
 /// as a unit so the two can never be observed out of sync.
 #[derive(Debug)]
 struct GenerationSlot {
-    engine: Engine,
+    engine: Arc<Engine>,
     generation: u64,
 }
 
 /// A hot-swappable serving engine.
 ///
 /// All query methods mirror [`Engine`]'s, returning [`Tagged`] responses.
-/// [`LiveEngine::publish`] atomically replaces the served model; the
-/// top-K cache starts cold on the new generation (its entries describe
-/// the old model), while [`ServeMetrics`] counters continue across
-/// generations as one stream.
+/// [`LiveEngine::publish`] atomically replaces the served model; the new
+/// generation's top-K cache starts cold, while [`ServeMetrics`] counters
+/// continue across generations as one stream.
 #[derive(Debug)]
 pub struct LiveEngine {
     slot: ArcSwap<GenerationSlot>,
     metrics: Arc<ServeMetrics>,
-    cfg: EngineConfig,
     next_generation: AtomicU64,
-    /// One top-K cache shared by every generation. Entries are keyed by
-    /// the generation that computed them, so a query pinned to an old
-    /// slot can still hit its own entries — and can never see a newer
-    /// model's. Publishing flushes all pre-publish generations.
-    cache: SharedTopKCache,
 }
 
 impl LiveEngine {
     /// Start serving `model` as generation 1.
     pub fn new(model: &KruskalTensor, cfg: EngineConfig) -> Result<Self> {
-        let metrics = Arc::new(ServeMetrics::new());
-        let cache: SharedTopKCache = Arc::new(Mutex::new(LruCache::new(cfg.topk_cache)));
-        let mut engine = Engine::with_shared_cache(
-            model,
-            cfg.clone(),
-            Arc::clone(&metrics),
-            Arc::clone(&cache),
-        )?;
-        engine.set_generation(1);
-        metrics.publish(1);
-        Ok(LiveEngine {
+        let live = LiveEngine::serving(Arc::new(Engine::new(model, cfg)?));
+        live.metrics.publish(1);
+        Ok(live)
+    }
+
+    /// Serve an existing engine as generation 1, counting into its
+    /// metrics. Counts no publish: the engine was never published here.
+    pub(crate) fn serving(engine: Arc<Engine>) -> Self {
+        LiveEngine {
+            metrics: engine.metrics_handle(),
             slot: ArcSwap::new(Arc::new(GenerationSlot { engine, generation: 1 })),
-            metrics,
-            cfg,
             next_generation: AtomicU64::new(2),
-            cache,
-        })
+        }
     }
 
     /// Build and atomically publish a new model generation, returning its
     /// tag. The build happens before the swap, so the served model is
     /// stale-but-consistent during the build and the cutover itself is
     /// one atomic store. The new model may have any shape/rank (streaming
-    /// growth changes both). Top-K cache entries computed by older
-    /// generations are flushed — queries already pinned to an old slot
-    /// recompute rather than repopulate, so no reader can ever observe a
-    /// stale hit after the swap.
+    /// growth changes both). The new engine has the served engine's
+    /// config and metrics and an empty top-K cache of its own.
     pub fn publish(&self, model: &KruskalTensor) -> Result<u64> {
         // Build first, allocate the generation second: a model that fails
         // to build must not burn a generation number.
-        let mut engine = match Engine::with_shared_cache(
-            model,
-            self.cfg.clone(),
-            Arc::clone(&self.metrics),
-            Arc::clone(&self.cache),
-        ) {
+        let served = Arc::clone(&self.slot.load_full().engine);
+        let cfg = served.config().clone();
+        let engine = match Engine::with_metrics(model, cfg, served.metrics_handle()) {
             Ok(e) => e,
             Err(e) => {
                 // Publish-on-success only: a model the engine cannot build
@@ -115,14 +101,8 @@ impl LiveEngine {
             }
         };
         let generation = self.next_generation.fetch_add(1, Ordering::SeqCst);
-        engine.set_generation(generation);
-        self.slot.store(Arc::new(GenerationSlot { engine, generation }));
+        self.slot.store(Arc::new(GenerationSlot { engine: Arc::new(engine), generation }));
         self.metrics.publish(generation);
-        // Flush every pre-publish entry. Readers pinned to an old slot
-        // race this benignly: an old-generation entry they re-insert
-        // afterwards is still keyed by *their* generation, so new-model
-        // queries (keyed by `generation`) can never hit it.
-        self.cache.lock().expect("topk cache lock").retain(|k, _| k.0 >= generation);
         Ok(generation)
     }
 
@@ -372,9 +352,11 @@ mod tests {
             );
         }
 
-        // The old pinned handle recomputes gen-1 results correctly (its
-        // cache entries were flushed, its model was not).
+        // The old pinned handle answers from its own gen-1 cache: a hit,
+        // carrying gen-1 bits.
         let old = pinned.engine().topk(&q, None).unwrap();
+        assert_eq!(live.snapshot().cache_hits, 2, "the pinned repeat is a hit");
+        assert_eq!(old, warm.value);
         for item in &old.items {
             let mut idx = q.at.clone();
             idx[q.mode] = item.index;

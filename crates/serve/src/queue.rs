@@ -30,45 +30,52 @@
 //!    server chose not to serve this" from failure, and every ticket
 //!    still resolves to exactly one response.
 //!
-//! Capacity and the watermark are decided on an atomic depth — a slot is
-//! reserved by compare-and-swap, so `capacity` is an exact bound — without
-//! touching the lock a drain holds; that lock guards the lanes only.
-//! A request already past its deadline when drained is answered
-//! [`Response::TimedOut`] (top-K requests additionally degrade gracefully
-//! inside their own scan budget — see [`Engine::topk`]).
+//! A submit takes the lane lock once: it finds its tenant's lane, then
+//! decides capacity and every shedder on the depth it holds, so
+//! `capacity` is an exact bound, and pushes. A request already past
+//! its deadline when drained is answered [`Response::TimedOut`] (top-K
+//! requests additionally degrade gracefully inside their own scan budget
+//! — see [`Engine::topk`]).
 //!
 //! ## Fair queuing across tenants
 //!
 //! Requests are queued into per-tenant lanes and drained by deficit
-//! round-robin: each visit grants a lane `fair_quantum` credits, each
+//! round-robin: each visit grants a lane eight credits, each
 //! dequeued request costs one, so a hot tenant flooding its lane cannot
 //! starve the rest — every lane gets a proportional share of every batch.
-//! With one tenant (the default) this degenerates to plain FIFO.
+//! With one tenant this degenerates to plain FIFO.
 //!
-//! The queue fronts either a single [`Engine`] ([`ServeQueue::new`]) or a
-//! multi-model [`ModelRegistry`] ([`ServeQueue::with_registry`]), where
-//! each tenant lane maps to its registered [`crate::LiveEngine`] and a
-//! drained batch pins each tenant's generation once — a publish landing
-//! mid-batch never splits a batch across models.
+//! The queue fronts a [`ModelRegistry`] ([`ServeQueue::with_registry`]);
+//! [`ServeQueue::new`] fronts a one-tenant registry of its engine, named
+//! `"default"`. A lane is created by the first submit naming a registered
+//! tenant and resolves that tenant's [`LiveEngine`] then, once (the
+//! registry is append-only); a submit naming any other tenant is
+//! [`ServeError::UnknownTenant`]. A drained batch pins each lane's
+//! generation once, so a publish landing mid-batch never splits a batch
+//! across models.
 //!
 //! With `workers: 0` no threads are spawned and the owner drives the
 //! queue by calling [`drain_once`](ServeQueue::drain_once) — this is the
 //! deterministic mode the tests and the replay harness use.
 
 use crate::engine::Engine;
-use crate::live::Pinned;
-use crate::metrics::ServeMetrics;
+use crate::live::{LiveEngine, Pinned};
 use crate::registry::ModelRegistry;
 use crate::ticket::{Promise, Request, Response, ShedReason, Ticket};
 use crate::{Result, ServeError};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Lane label of a submit that names no tenant.
+/// Lane of a submit that names no tenant, and the one tenant of a
+/// [`ServeQueue::new`] queue.
 const DEFAULT_TENANT: &str = "default";
+
+/// Deficit-round-robin credits granted per lane visit when forming a
+/// batch.
+const FAIR_QUANTUM: usize = 8;
 
 /// Opt-in load-shedding policy (see the module docs). The default sheds
 /// nothing: the only backpressure is the capacity bound.
@@ -100,10 +107,6 @@ pub struct QueueConfig {
     pub workers: usize,
     /// Load-shedding policy (default: shed nothing).
     pub admission: AdmissionControl,
-    /// Deficit-round-robin credits granted per lane visit when forming a
-    /// batch. Smaller values interleave tenants more finely; with a
-    /// single tenant the value is irrelevant (plain FIFO either way).
-    pub fair_quantum: usize,
 }
 
 impl Default for QueueConfig {
@@ -113,7 +116,6 @@ impl Default for QueueConfig {
             max_batch: 64,
             workers: 1,
             admission: AdmissionControl::default(),
-            fair_quantum: 8,
         }
     }
 }
@@ -122,9 +124,9 @@ impl Default for QueueConfig {
 /// what [`ServeQueue::submit`] uses.
 #[derive(Debug, Clone, Copy)]
 pub struct SubmitOpts<'a> {
-    /// The lane to queue into. In registry mode the tenant must be
-    /// registered; in single-engine mode it is purely a fairness lane
-    /// label and every lane is served by the one engine.
+    /// The registered tenant to queue for: its lane, and the engine that
+    /// serves it. Defaults to `"default"`, the one tenant of a
+    /// [`ServeQueue::new`] queue.
     pub tenant: &'a str,
     /// The request must *start* executing within this long of
     /// submission; otherwise it resolves to [`Response::TimedOut`].
@@ -147,10 +149,12 @@ struct Job {
     promise: Promise,
 }
 
-/// One tenant's FIFO lane plus its deficit-round-robin credit.
+/// One tenant's FIFO lane, the engine that serves it, and its
+/// deficit-round-robin credit.
 #[derive(Debug)]
 struct Lane {
     tenant: Arc<str>,
+    engine: Arc<LiveEngine>,
     jobs: VecDeque<Job>,
     deficit: usize,
     peak: usize,
@@ -162,6 +166,7 @@ struct Lane {
 struct QueueState {
     lanes: Vec<Lane>,
     by_tenant: HashMap<Arc<str>, usize>,
+    /// Requests queued across all lanes.
     total: usize,
     cursor: usize,
     /// Workers waiting on `Shared::cv` for the queue to become non-empty.
@@ -169,33 +174,28 @@ struct QueueState {
 }
 
 impl QueueState {
-    fn lane_index(&mut self, tenant: &str) -> usize {
+    /// The lane of `tenant`, created on its first submit with the engine
+    /// `registry` holds for it.
+    fn lane_index(&mut self, tenant: &str, registry: &ModelRegistry) -> Result<usize> {
         if let Some(&i) = self.by_tenant.get(tenant) {
-            return i;
+            return Ok(i);
         }
+        let engine =
+            registry.engine(tenant).ok_or_else(|| ServeError::UnknownTenant(tenant.to_string()))?;
         let name: Arc<str> = Arc::from(tenant);
-        let lane = Lane { tenant: Arc::clone(&name), jobs: VecDeque::new(), deficit: 0, peak: 0 };
+        let lane =
+            Lane { tenant: Arc::clone(&name), engine, jobs: VecDeque::new(), deficit: 0, peak: 0 };
         self.lanes.push(lane);
         self.by_tenant.insert(name, self.lanes.len() - 1);
-        self.lanes.len() - 1
+        Ok(self.lanes.len() - 1)
     }
-}
-
-/// What the queue serves into: one engine, or a keyed fleet of them.
-#[derive(Debug)]
-enum Backend {
-    Single(Arc<Engine>),
-    Registry(Arc<ModelRegistry>),
 }
 
 #[derive(Debug)]
 struct Shared {
-    backend: Backend,
+    /// The tenants served; queue-level counters go to its fleet metrics.
+    registry: Arc<ModelRegistry>,
     cfg: QueueConfig,
-    /// Requests admitted and not yet drained, reservations included: a
-    /// submit claims its slot here before it touches `state`, so capacity
-    /// and the watermark are decided without the lock.
-    depth: AtomicUsize,
     state: Mutex<QueueState>,
     cv: Condvar,
     shutdown: AtomicBool,
@@ -203,10 +203,6 @@ struct Shared {
     /// a batch has run). A statistic: relaxed, and a lost update between
     /// two workers is harmless.
     service_nanos: AtomicU64,
-    /// Queue-level counters: the engine's own metrics in single mode (so
-    /// queue and engine accounting stay one stream), the registry's
-    /// fleet metrics in registry mode.
-    metrics: Arc<ServeMetrics>,
 }
 
 impl Shared {
@@ -224,7 +220,7 @@ impl Shared {
     }
 }
 
-/// Bounded, batching front of an [`Engine`] or a [`ModelRegistry`].
+/// Bounded, batching front of a [`ModelRegistry`].
 #[derive(Debug)]
 pub struct ServeQueue {
     shared: Arc<Shared>,
@@ -232,10 +228,11 @@ pub struct ServeQueue {
 }
 
 impl ServeQueue {
-    /// Wrap `engine` and spawn the configured worker threads.
+    /// Serve `engine` as the one tenant, `"default"`, and spawn the
+    /// configured worker threads. Queue counters go to the engine's own
+    /// metrics, so queue and engine accounting stay one stream.
     pub fn new(engine: Arc<Engine>, cfg: QueueConfig) -> Result<Self> {
-        let metrics = engine.metrics_handle();
-        Self::build(Backend::Single(engine), cfg, metrics)
+        Self::with_registry(Arc::new(ModelRegistry::of_engine(DEFAULT_TENANT, engine)), cfg)
     }
 
     /// Front a multi-model [`ModelRegistry`]: each request is routed to
@@ -243,15 +240,9 @@ impl ServeQueue {
     /// the registry's fleet metrics. Tenant-less submits go to a tenant
     /// named `"default"` (servable only if one is registered).
     pub fn with_registry(registry: Arc<ModelRegistry>, cfg: QueueConfig) -> Result<Self> {
-        let metrics = registry.metrics_handle();
-        Self::build(Backend::Registry(registry), cfg, metrics)
-    }
-
-    fn build(backend: Backend, cfg: QueueConfig, metrics: Arc<ServeMetrics>) -> Result<Self> {
         let counts = [
             ("capacity", Some(cfg.capacity)),
             ("max_batch", Some(cfg.max_batch)),
-            ("fair_quantum", Some(cfg.fair_quantum)),
             ("shed_watermark", cfg.admission.shed_watermark),
             ("tenant_share", cfg.admission.tenant_share),
         ];
@@ -259,14 +250,12 @@ impl ServeQueue {
             return Err(ServeError::BadConfig(format!("queue {name} must be at least 1")));
         }
         let shared = Arc::new(Shared {
-            backend,
+            registry,
             cfg: cfg.clone(),
-            depth: AtomicUsize::new(0),
             state: Mutex::new(QueueState::default()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             service_nanos: AtomicU64::new(0),
-            metrics,
         });
         let workers = (0..cfg.workers)
             .map(|i| {
@@ -286,7 +275,9 @@ impl ServeQueue {
     }
 
     /// Enqueue a request into `opts.tenant`'s lane with an optional
-    /// end-to-end deadline. A caller that wants to ride out a momentary
+    /// end-to-end deadline. A tenant the registry does not hold is
+    /// [`ServeError::UnknownTenant`], with nothing queued or counted. A
+    /// caller that wants to ride out a momentary
     /// [`ServeError::QueueFull`] loops over this (see
     /// [`crate::replay_queued`]); every refused attempt counts in
     /// [`queue_rejections`](crate::MetricsSnapshot::queue_rejections).
@@ -295,38 +286,23 @@ impl ServeQueue {
         if shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        if let Backend::Registry(reg) = &shared.backend {
-            if !reg.contains(opts.tenant) {
-                return Err(ServeError::UnknownTenant(opts.tenant.to_string()));
-            }
-        }
-        let (cfg, metrics) = (&shared.cfg, &shared.metrics);
+        let (cfg, metrics) = (&shared.cfg, shared.registry.metrics());
+        let (ticket, promise) = Ticket::pending();
+        let admitted = Instant::now();
+        let mut state = shared.lock();
+        let lane = state.lane_index(opts.tenant, &shared.registry)?;
         // Capacity first (a full queue is a submit-side error, not a
-        // shed), then the watermark, both on the atomic depth: the slot is
-        // reserved only while the depth is under both, so neither bound is
-        // ever overshot and a refusal has nothing to undo.
-        let watermark = cfg.admission.shed_watermark.unwrap_or(cfg.capacity);
-        let reserved = shared.depth.fetch_update(Ordering::AcqRel, Ordering::Acquire, |d| {
-            (d < cfg.capacity.min(watermark)).then_some(d + 1)
-        });
-        if reserved.is_err_and(|depth| depth >= cfg.capacity) {
+        // shed), then the shedders: the watermark, the tenant's share,
+        // the deadline.
+        let ahead = state.total;
+        if ahead >= cfg.capacity {
+            drop(state);
             metrics.queue_rejection();
             return Err(ServeError::QueueFull { capacity: cfg.capacity });
         }
-        // From here every outcome goes *through the ticket*, so each
-        // accepted submission resolves to exactly one response.
-        let (ticket, promise) = Ticket::pending();
-        let shed = |reason: ShedReason, promise: Promise, ticket| {
-            metrics.shed(&reason);
-            promise.fulfil(Response::Shed(reason));
-            Ok(ticket)
-        };
-        let ahead = match reserved {
-            Ok(depth) => depth,
-            Err(depth) => {
-                return shed(ShedReason::QueueDepth { depth, watermark }, promise, ticket)
-            }
-        };
+        let queued = state.lanes[lane].jobs.len();
+        let watermark = cfg.admission.shed_watermark.filter(|&w| ahead >= w);
+        let over_share = cfg.admission.tenant_share.filter(|&share| queued >= share);
         let judged = opts.deadline.filter(|_| cfg.admission.deadline_aware);
         let infeasible = judged.and_then(|deadline| {
             let batches_ahead = (ahead / cfg.max_batch) as u32 + 1;
@@ -334,19 +310,17 @@ impl ServeQueue {
             let estimated = mean.saturating_mul(batches_ahead);
             (estimated > deadline).then_some(ShedReason::DeadlineInfeasible { estimated, deadline })
         });
-        let admitted = Instant::now();
-        // The lock guards the lanes only: the share check, then the push.
-        let mut state = shared.lock();
-        let lane = state.lane_index(opts.tenant);
-        let queued = state.lanes[lane].jobs.len();
-        let over_share = cfg.admission.tenant_share.filter(|&share| queued >= share);
-        if let Some(reason) =
-            over_share.map(|share| ShedReason::TenantShare { queued, share }).or(infeasible)
+        if let Some(reason) = watermark
+            .map(|watermark| ShedReason::QueueDepth { depth: ahead, watermark })
+            .or(over_share.map(|share| ShedReason::TenantShare { queued, share }))
+            .or(infeasible)
         {
             drop(state);
-            // Give the slot back before the caller can see the answer.
-            shared.depth.fetch_sub(1, Ordering::AcqRel);
-            return shed(reason, promise, ticket);
+            // Accepted and answered at once: the ticket still resolves
+            // exactly once.
+            metrics.shed(&reason);
+            promise.fulfil(Response::Shed(reason));
+            return Ok(ticket);
         }
         let deadline = opts.deadline.map(|d| admitted + d);
         state.lanes[lane].jobs.push_back(Job { req, lane, deadline, admitted, promise });
@@ -365,7 +339,7 @@ impl ServeQueue {
 
     /// Requests currently queued (not yet drained).
     pub fn len(&self) -> usize {
-        self.shared.depth.load(Ordering::Acquire)
+        self.shared.lock().total
     }
 
     /// True iff nothing is queued.
@@ -414,10 +388,10 @@ impl Drop for ServeQueue {
 }
 
 /// Form one batch by deficit round-robin over the tenant lanes: each
-/// visited lane earns `fair_quantum` credits, each dequeued job spends
+/// visited lane earns [`FAIR_QUANTUM`] credits, each dequeued job spends
 /// one, an emptied lane forfeits its balance. Jobs within a lane leave in
 /// FIFO order; with a single lane the whole batch is plain FIFO.
-fn drr_batch(state: &mut QueueState, max_batch: usize, quantum: usize, batch: &mut Vec<Job>) {
+fn drr_batch(state: &mut QueueState, max_batch: usize, batch: &mut Vec<Job>) {
     // `total` counts the jobs in the lanes, so while it is positive the
     // cursor reaches a non-empty lane.
     while batch.len() < max_batch && state.total > 0 {
@@ -428,7 +402,7 @@ fn drr_batch(state: &mut QueueState, max_batch: usize, quantum: usize, batch: &m
             state.cursor += 1;
             continue;
         }
-        lane.deficit += quantum;
+        lane.deficit += FAIR_QUANTUM;
         while lane.deficit > 0 && batch.len() < max_batch {
             let Some(job) = lane.jobs.pop_front() else { break };
             batch.push(job);
@@ -451,14 +425,14 @@ fn drr_batch(state: &mut QueueState, max_batch: usize, quantum: usize, batch: &m
 
 /// What one drainer reuses from batch to batch, so forming and serving a
 /// batch allocates nothing of its own. Everything indexed by lane is as
-/// long as `names`.
+/// long as `engines`.
 #[derive(Default)]
 struct Scratch {
     jobs: Vec<Job>,
     responses: Vec<Option<Response>>,
-    /// Tenant of each lane, copied from the append-only lane list.
-    names: Vec<Arc<str>>,
-    /// Registry mode: the generation each lane serves this batch from.
+    /// Engine of each lane, copied from the append-only lane list.
+    engines: Vec<Arc<LiveEngine>>,
+    /// The generation each lane serves this batch from.
     pins: Vec<Option<Pinned>>,
     /// The batch's coalesced point lookups, per lane.
     points: Vec<PointGroup>,
@@ -473,13 +447,11 @@ struct PointGroup {
 
 /// Pop up to `max_batch` jobs into `scratch.jobs` without blocking.
 fn take_batch(shared: &Shared, state: &mut QueueState, scratch: &mut Scratch) {
-    drr_batch(state, shared.cfg.max_batch, shared.cfg.fair_quantum, &mut scratch.jobs);
-    let known = scratch.names.len();
-    scratch.names.extend(state.lanes[known..].iter().map(|l| Arc::clone(&l.tenant)));
-    let taken = scratch.jobs.len();
-    if taken > 0 {
-        let before = shared.depth.fetch_sub(taken, Ordering::AcqRel);
-        shared.metrics.queue_depth_update(before - taken);
+    drr_batch(state, shared.cfg.max_batch, &mut scratch.jobs);
+    let known = scratch.engines.len();
+    scratch.engines.extend(state.lanes[known..].iter().map(|l| Arc::clone(&l.engine)));
+    if !scratch.jobs.is_empty() {
+        shared.registry.metrics().queue_depth_update(state.total);
     }
 }
 
@@ -506,40 +478,24 @@ fn worker_loop(shared: &Shared) {
 
 /// Serve the batch in `scratch.jobs`: validate, coalesce each lane's
 /// point lookups into a single engine batch call, run batch/top-K jobs
-/// individually, and deliver every response. Per-tenant engines are
-/// resolved (and their generation pinned) once for the whole batch.
-/// Returns the number of requests answered.
+/// individually, and deliver every response. Each lane's generation is
+/// pinned once for the whole batch. Returns the number of requests
+/// answered.
 fn execute(shared: &Shared, scratch: &mut Scratch) -> usize {
-    let Scratch { jobs, responses, names, pins, points } = scratch;
+    let Scratch { jobs, responses, engines, pins, points } = scratch;
     if jobs.is_empty() {
         return 0;
     }
-    let metrics = &shared.metrics;
+    let metrics = shared.registry.metrics();
     metrics.batch_executed();
     // The dequeue stamp: queue wait ends and service begins here.
     let now = Instant::now();
-    pins.resize_with(names.len(), || None);
-    points.resize_with(names.len(), PointGroup::default);
+    pins.resize_with(engines.len(), || None);
+    points.resize_with(engines.len(), PointGroup::default);
     responses.resize_with(jobs.len(), || None);
 
-    if let Backend::Registry(reg) = &shared.backend {
-        for job in jobs.iter() {
-            if pins[job.lane].is_none() {
-                pins[job.lane] = reg.engine(&names[job.lane]).map(|live| live.pin());
-            }
-        }
-    }
-    let engine_of = |lane: usize| match &shared.backend {
-        Backend::Single(engine) => Some(&**engine),
-        Backend::Registry(_) => pins[lane].as_ref().map(Pinned::engine),
-    };
-
     for (slot, job) in jobs.iter_mut().enumerate() {
-        let Some(engine) = engine_of(job.lane) else {
-            let tenant = names[job.lane].to_string();
-            responses[slot] = Some(Response::Error(ServeError::UnknownTenant(tenant)));
-            continue;
-        };
+        let engine = pins[job.lane].get_or_insert_with(|| engines[job.lane].pin()).engine();
         if job.deadline.is_some_and(|dl| now >= dl) {
             metrics.deadline_miss();
             responses[slot] = Some(Response::TimedOut);
@@ -576,11 +532,11 @@ fn execute(shared: &Shared, scratch: &mut Scratch) -> usize {
         }
     }
 
-    for (lane, group) in points.iter_mut().enumerate() {
+    for (group, pin) in points.iter_mut().zip(pins.iter()) {
         if group.slots.is_empty() {
             continue;
         }
-        let engine = engine_of(lane).expect("points are gathered for resolved lanes only");
+        let engine = pin.as_ref().expect("a lane with points was pinned").engine();
         match engine.batch(&group.indices) {
             Ok(values) => {
                 for (&slot, value) in group.slots.iter().zip(values) {
@@ -855,14 +811,24 @@ mod tests {
         assert_eq!(engine.snapshot().sheds_deadline, 2);
     }
 
+    /// A registry serving one model to each of `tenants`.
+    fn test_registry(tenants: &[&str]) -> Arc<ModelRegistry> {
+        let model = KruskalTensor::random(&[40, 20, 10], 4, 21);
+        let reg = Arc::new(ModelRegistry::new());
+        for name in tenants {
+            reg.register(name, &model, EngineConfig::default()).unwrap();
+        }
+        reg
+    }
+
     #[test]
     fn tenant_share_caps_one_tenant_without_touching_others() {
-        let engine = test_engine();
+        let reg = test_registry(&["hot", "cold"]);
         let cfg = QueueConfig {
             admission: AdmissionControl { tenant_share: Some(2), ..Default::default() },
             ..manual_cfg()
         };
-        let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
+        let queue = ServeQueue::with_registry(Arc::clone(&reg), cfg).unwrap();
         let hot: Vec<Ticket> =
             (0..4).map(|i| queue.submit_with(point(i, i, i), tenant("hot")).unwrap()).collect();
         // Cold tenant is unaffected by hot's cap.
@@ -878,14 +844,14 @@ mod tests {
         assert_eq!(served, 2);
         assert_eq!(shed, 2);
         assert!(matches!(cold.wait(), Response::Value(_)));
-        assert_eq!(engine.snapshot().sheds_tenant_share, 2);
+        assert_eq!(reg.snapshot().sheds_tenant_share, 2);
     }
 
     #[test]
     fn drr_interleaves_hot_and_cold_tenants() {
-        let engine = test_engine();
-        let cfg = QueueConfig { fair_quantum: 4, max_batch: 16, ..manual_cfg() };
-        let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
+        let reg = test_registry(&["hot", "cold"]);
+        let cfg = QueueConfig { max_batch: 16, ..manual_cfg() };
+        let queue = ServeQueue::with_registry(reg, cfg).unwrap();
         // Hot floods 60 requests before cold submits 5.
         let hot: Vec<Ticket> = (0..60)
             .map(|i| queue.submit_with(point(i % 40, i % 20, i % 10), tenant("hot")).unwrap())
@@ -893,10 +859,12 @@ mod tests {
         let cold: Vec<Ticket> =
             (0..5).map(|i| queue.submit_with(point(i, i, i), tenant("cold")).unwrap()).collect();
 
-        // First two 16-request batches: with quantum 4, cold's 5 requests
-        // ride along instead of waiting behind all 60 hot ones.
-        queue.drain_once();
-        queue.drain_once();
+        // The first 16-request batch: hot's quantum of 8, then all 5 of
+        // cold's instead of waiting behind all 60 hot ones, then 3 more
+        // of hot's.
+        assert_eq!(queue.drain_once(), 16);
+        let hot_left = queue.occupancy().into_iter().find(|(n, _, _)| n == "hot").map(|r| r.1);
+        assert_eq!(hot_left, Some(60 - 11));
         let cold_served = cold
             .into_iter()
             .filter(|t| matches!(t.wait_for(Duration::ZERO), Some(Response::Value(_))))
@@ -945,5 +913,19 @@ mod tests {
         assert_eq!(fleet.e2e_recorded, 2);
         let per_tenant = reg.tenant_snapshots();
         assert!(per_tenant.iter().all(|(_, s)| s.batch_points == 1));
+
+        // A `ServeQueue::new` queue is a registry of one tenant, `default`.
+        let engine = test_engine();
+        let single = ServeQueue::new(Arc::clone(&engine), manual_cfg()).unwrap();
+        let served = single.submit(point(1, 2, 3)).unwrap();
+        assert!(matches!(
+            single.submit_with(point(1, 2, 3), tenant("other")),
+            Err(ServeError::UnknownTenant(name)) if name == "other"
+        ));
+        assert_eq!(single.len(), 1, "an unknown tenant queues nothing");
+        assert_eq!(engine.snapshot().queue_rejections, 0, "and is no rejection");
+        single.drain_once();
+        assert!(matches!(served.wait(), Response::Value(_)));
+        assert_eq!(engine.snapshot().batches_executed, 1, "queue events count in the engine");
     }
 }

@@ -5,8 +5,13 @@
 //! generation stream, its own top-K cache, and its own per-tenant
 //! [`ServeMetrics`]. On top the registry keeps a *fleet* metrics block
 //! for cross-tenant accounting (queue depth, sheds, end-to-end latency),
-//! which is what a [`crate::ServeQueue`] running in registry mode counts
-//! into.
+//! which is what a [`crate::ServeQueue`] counts into. A registry is the
+//! queue's only backend: [`crate::ServeQueue::new`] fronts a one-tenant
+//! registry whose fleet block is its engine's own metrics.
+//!
+//! Tenants are only ever added, so a queue resolves a tenant's
+//! [`LiveEngine`] once, when its lane is created, and that handle never
+//! goes stale.
 //!
 //! The tenant map is read-mostly: queries resolve tenants through a
 //! shared read lock, registration takes the write lock briefly.
@@ -16,7 +21,7 @@
 //!
 //! [`FactorStore`]: crate::store::FactorStore
 
-use crate::engine::EngineConfig;
+use crate::engine::{Engine, EngineConfig};
 use crate::live::LiveEngine;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::{Result, ServeError};
@@ -47,6 +52,14 @@ impl ModelRegistry {
         }
     }
 
+    /// A registry of one tenant, `name`, serving `engine` and counting
+    /// fleet events into the engine's own metrics.
+    pub(crate) fn of_engine(name: &str, engine: Arc<Engine>) -> Self {
+        let metrics = engine.metrics_handle();
+        let live = Arc::new(LiveEngine::serving(engine));
+        ModelRegistry { tenants: RwLock::new(BTreeMap::from([(Arc::from(name), live)])), metrics }
+    }
+
     /// Register `name` serving `model` (as its generation 1). Each tenant
     /// may carry its own [`EngineConfig`] — e.g. an approximate top-K
     /// tier for latency-sensitive tenants, exact for the rest. Errors
@@ -74,11 +87,6 @@ impl ModelRegistry {
     /// The tenant's live engine, if registered.
     pub fn engine(&self, name: &str) -> Option<Arc<LiveEngine>> {
         self.tenants.read().expect("registry lock").get(name).cloned()
-    }
-
-    /// True iff `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.tenants.read().expect("registry lock").contains_key(name)
     }
 
     /// Registered tenant names, sorted.

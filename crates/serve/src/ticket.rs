@@ -3,18 +3,18 @@
 //! resolves to.
 //!
 //! The response travels through a one-shot slot: the queue holds the
-//! [`Promise`], the caller the [`Ticket`]. A slot is filled exactly once
+//! [`Promise`], the caller the [`Ticket`]. A slot is filled at most once
 //! and emptied at most once. Filling it costs one uncontended lock, and a
-//! system call only when the ticket's holder is actually parked on it — a
-//! caller that polls ([`Ticket::wait_for`] with a zero timeout) reads one
-//! atomic flag and never touches the lock until the answer is there.
+//! system call only when the ticket's holder is blocked on it (a
+//! `Condvar`) — a caller that polls ([`Ticket::wait_for`] with a zero
+//! timeout) reads one atomic flag and never touches the lock until the
+//! answer is there.
 
 use crate::topk::{TopKQuery, TopKResult};
 use crate::ServeError;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::Thread;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// A queued query.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,28 +82,31 @@ pub enum ShedReason {
     },
 }
 
+/// The one-shot slot a [`Ticket`] and its [`Promise`] share.
 #[derive(Debug, Default)]
 struct Slot {
-    /// Set, under `inner`'s lock, together with the response; stays set
+    /// Set, under `state`'s lock, together with the response; stays set
     /// once the ticket has taken it. A poll reads it without the lock, so
     /// a caller spinning on an unanswered ticket never holds up the
     /// worker that is about to fill it.
     ready: AtomicBool,
-    inner: Mutex<Inner>,
+    state: Mutex<State>,
+    /// Signalled by a fill that finds the ticket's holder waiting.
+    filled: Condvar,
 }
 
 #[derive(Debug, Default)]
-struct Inner {
+struct State {
     response: Option<Response>,
-    /// The thread blocked on the ticket, to unpark when the slot fills.
-    waiter: Option<Thread>,
+    /// The ticket's holder is blocked on `Slot::filled`.
+    waiting: bool,
 }
 
 impl Slot {
     /// Every update under this lock is a plain field store, so the slot
     /// is valid at every step and a poisoned guard can be used as it is.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -115,7 +118,7 @@ impl Ticket {
     /// An unresolved ticket and the promise that resolves it.
     pub(crate) fn pending() -> (Ticket, Promise) {
         let slot = Arc::new(Slot::default());
-        (Ticket(Arc::clone(&slot)), Promise { slot, fulfilled: false })
+        (Ticket(Arc::clone(&slot)), Promise(slot))
     }
 
     /// Block until the response arrives. If the queue drops the request
@@ -129,83 +132,72 @@ impl Ticket {
     /// arrived by then or was already taken. A zero timeout is a poll:
     /// one atomic load while the ticket is unanswered, no lock, no clock.
     pub fn wait_for(&self, timeout: Duration) -> Option<Response> {
-        self.wait_until(Some(timeout))
+        if !timeout.is_zero() {
+            self.wait_until(Some(timeout))
+        } else if self.0.ready.load(Ordering::Acquire) {
+            // Acquire pairs with the Release store in `Promise::fill`.
+            self.0.lock().response.take()
+        } else {
+            None
+        }
     }
 
     /// `None` for `timeout` waits until the slot resolves.
     fn wait_until(&self, timeout: Option<Duration>) -> Option<Response> {
         let slot = &*self.0;
-        let mut until = None;
-        loop {
-            // Acquire pairs with the Release store in `Promise::fill`.
-            if slot.ready.load(Ordering::Acquire) {
-                return slot.lock().response.take();
+        // `ready` only changes under the lock, so a fill either comes
+        // before this look or finds `waiting` set and signals.
+        let unfilled = |state: &mut State| {
+            state.waiting = !slot.ready.load(Ordering::Acquire);
+            state.waiting
+        };
+        let guard = slot.lock();
+        let mut state = match timeout {
+            None => slot.filled.wait_while(guard, unfilled).unwrap_or_else(PoisonError::into_inner),
+            Some(timeout) => {
+                let waited = slot.filled.wait_timeout_while(guard, timeout, unfilled);
+                waited.unwrap_or_else(PoisonError::into_inner).0
             }
-            let left = match timeout {
-                None => None,
-                Some(timeout) if timeout.is_zero() => return None,
-                Some(timeout) => {
-                    let now = Instant::now();
-                    let left = until.get_or_insert(now + timeout).saturating_duration_since(now);
-                    if left.is_zero() {
-                        return None;
-                    }
-                    Some(left)
-                }
-            };
-            {
-                // `ready` only changes under this lock, so either the fill
-                // is seen here or the fill sees this thread registered.
-                let mut inner = slot.lock();
-                if slot.ready.load(Ordering::Acquire) {
-                    return inner.response.take();
-                }
-                inner.waiter = Some(std::thread::current());
-            }
-            // A stale or spurious unpark only costs one more look.
-            match left {
-                Some(left) => std::thread::park_timeout(left),
-                None => std::thread::park(),
-            }
-        }
+        };
+        state.waiting = false;
+        state.response.take()
     }
 }
 
-/// The queue's end of a [`Ticket`]: fulfilled exactly once, with
-/// `ShuttingDown` if it is dropped first (a worker that died mid-batch
+/// The queue's end of a [`Ticket`]: filled at most once, with
+/// `ShuttingDown` if it is dropped unfilled (a worker that died mid-batch
 /// must not leave its callers blocked).
 #[derive(Debug)]
-pub(crate) struct Promise {
-    slot: Arc<Slot>,
-    fulfilled: bool,
-}
+pub(crate) struct Promise(Arc<Slot>);
 
 impl Promise {
-    pub(crate) fn fulfil(mut self, response: Response) {
+    pub(crate) fn fulfil(self, response: Response) {
         self.fill(response);
     }
 
-    fn fill(&mut self, response: Response) {
-        self.fulfilled = true;
-        let waiter = {
-            let mut inner = self.slot.lock();
-            inner.response = Some(response);
-            self.slot.ready.store(true, Ordering::Release);
-            inner.waiter.take()
+    fn fill(&self, response: Response) {
+        let slot = &*self.0;
+        // Only the promise sets `ready`, so it sees its own fill.
+        if slot.ready.load(Ordering::Relaxed) {
+            return;
+        }
+        let wake = {
+            let mut state = slot.lock();
+            state.response = Some(response);
+            slot.ready.store(true, Ordering::Release);
+            state.waiting
         };
-        // Outside the lock, and only for a registered waiter: unparking a
-        // thread that is not parked makes no system call.
-        if let Some(thread) = waiter {
-            thread.unpark();
+        // Outside the lock, and only for a waiting holder: a fill nobody
+        // waits for makes no system call.
+        if wake {
+            slot.filled.notify_one();
         }
     }
 }
 
 impl Drop for Promise {
     fn drop(&mut self) {
-        if !self.fulfilled {
-            self.fill(Response::Error(ServeError::ShuttingDown));
-        }
+        self.fill(Response::Error(ServeError::ShuttingDown));
     }
 }
 
@@ -229,6 +221,12 @@ mod tests {
         let (ticket, promise) = Ticket::pending();
         drop(promise);
         assert_eq!(ticket.wait(), Response::Error(ServeError::ShuttingDown));
+        // Through a poll, exactly once.
+        let (ticket, promise) = Ticket::pending();
+        drop(promise);
+        let shutting_down = Some(Response::Error(ServeError::ShuttingDown));
+        assert_eq!(ticket.wait_for(Duration::ZERO), shutting_down);
+        assert_eq!(ticket.wait_for(Duration::ZERO), None, "a second poll finds nothing");
     }
 
     #[test]
@@ -241,8 +239,8 @@ mod tests {
                 ticket.wait()
             });
             barrier.wait();
-            // Whether the waiter has parked yet or not, the fill reaches
-            // it: it looks under the lock before every park.
+            // Whether the waiter is blocked yet or not, the fill reaches
+            // it: it looks under the lock before every wait.
             promise.fulfil(Response::Value(2.0));
             assert_eq!(waiter.join().expect("waiter thread"), Response::Value(2.0));
         });

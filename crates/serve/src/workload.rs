@@ -395,10 +395,10 @@ impl std::fmt::Display for OpenLoopReport {
 /// Offer [`open_loop_trace`]`(shape, load)` to a fresh queue at the
 /// trace's own arrival times and account for every request.
 ///
-/// One tenant fronts a single [`Engine`]; several front a
-/// [`ModelRegistry`] in which every tenant (`tenant-0`, `tenant-1`, …)
-/// serves this same `model` from its own engine, so the queue forms
-/// batches by per-tenant deficit round-robin. Every submission carries
+/// The queue fronts a [`ModelRegistry`] in which every tenant
+/// (`tenant-0`, `tenant-1`, …) serves this same `model` from its own
+/// engine, so the queue forms batches by per-tenant deficit round-robin
+/// (with one tenant, plain FIFO). Every submission carries
 /// `deadline` (see [`SubmitOpts::deadline`]). Arrivals
 /// never wait for completions: tickets are only collected once the whole
 /// trace has been offered.
@@ -417,23 +417,12 @@ pub fn serve_open_loop(
         return Err(ServeError::BadConfig("open-loop serving needs tenants >= 1".into()));
     }
     let tenants = load.tenants;
-    enum Fleet {
-        Single(Arc<Engine>),
-        Multi(Arc<ModelRegistry>),
-    }
-    // Registry tenants are addressed by name; in front of a single
-    // engine the name is only the lane's label.
     let names: Vec<String> = (0..tenants).map(|i| format!("tenant-{i}")).collect();
-    let (queue, fleet) = if tenants > 1 {
-        let reg = Arc::new(ModelRegistry::new());
-        for name in &names {
-            reg.register(name, model, engine_cfg.clone())?;
-        }
-        (ServeQueue::with_registry(Arc::clone(&reg), queue_cfg)?, Fleet::Multi(reg))
-    } else {
-        let engine = Arc::new(Engine::new(model, engine_cfg)?);
-        (ServeQueue::new(Arc::clone(&engine), queue_cfg)?, Fleet::Single(engine))
-    };
+    let reg = Arc::new(ModelRegistry::new());
+    for name in &names {
+        reg.register(name, model, engine_cfg.clone())?;
+    }
+    let queue = ServeQueue::with_registry(Arc::clone(&reg), queue_cfg)?;
 
     let trace = open_loop_trace(&model.shape(), load);
     let mut tickets = Vec::with_capacity(trace.len());
@@ -469,18 +458,10 @@ pub fn serve_open_loop(
 
     // The fleet block never sees recall samples (each tenant's engine
     // records its own), so aggregate recall across tenant snapshots.
-    let (metrics, tenant_snaps) = match &fleet {
-        Fleet::Single(engine) => {
-            let s = engine.snapshot();
-            (s.clone(), vec![s])
-        }
-        Fleet::Multi(reg) => {
-            (reg.snapshot(), reg.tenant_snapshots().into_iter().map(|(_, s)| s).collect())
-        }
-    };
-    let (overlap, possible, recall_checks) = tenant_snaps.iter().fold((0, 0, 0), |acc, s| {
-        (acc.0 + s.recall_overlap, acc.1 + s.recall_possible, acc.2 + s.recall_checks)
-    });
+    let (overlap, possible, recall_checks) =
+        reg.tenant_snapshots().iter().fold((0, 0, 0), |acc, (_, s)| {
+            (acc.0 + s.recall_overlap, acc.1 + s.recall_possible, acc.2 + s.recall_checks)
+        });
     Ok(OpenLoopReport {
         offered_qps: load.qps,
         requests: trace.len(),
@@ -491,7 +472,7 @@ pub fn serve_open_loop(
         rejected,
         timed_out,
         errors,
-        metrics,
+        metrics: reg.snapshot(),
         recall_at_k: if possible == 0 { 0.0 } else { overlap as f64 / possible as f64 },
         recall_checks,
     })

@@ -271,7 +271,6 @@ fn queue_config(opts: &Opts, workers: usize, admission: AdmissionControl) -> Res
         max_batch: opts.num_or("max-batch", 64)?,
         workers,
         admission,
-        ..Default::default()
     })
 }
 

@@ -7,14 +7,18 @@
 //! * every submission resolves to **exactly one** outcome: a served
 //!   response, a typed shed, a deadline timeout, or a submit-side
 //!   `QueueFull` rejection,
-//! * the engine's metrics balance against the caller-observed outcome
-//!   counts (sheds, rejections, served e2e samples, deadline misses).
+//! * the metrics balance against the caller-observed outcome counts:
+//!   the fleet block's queue counters (sheds, rejections, served e2e
+//!   samples, queue timeouts) and the tenants' engine counters (top-K
+//!   deadline misses against degraded results).
+//!
+//! The tenants are registered, each serving the same model.
 //!
 //! A proptest sweep then replays the same contract over randomized small
 //! queue configurations in deterministic manual-drain mode.
 
 use distenc::serve::{
-    AdmissionControl, Engine, EngineConfig, QueueConfig, Request, Response, ServeError,
+    AdmissionControl, EngineConfig, ModelRegistry, QueueConfig, Request, Response, ServeError,
     ServeQueue, SubmitOpts, TopKQuery,
 };
 use distenc::tensor::KruskalTensor;
@@ -23,16 +27,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn test_engine(seed: u64) -> Arc<Engine> {
+/// A registry serving one model to each of `tenants`.
+fn test_registry<S: AsRef<str>>(seed: u64, tenants: &[S]) -> Arc<ModelRegistry> {
     let model = KruskalTensor::random(&[40, 20, 10], 4, seed);
-    Arc::new(Engine::new(&model, EngineConfig::default()).unwrap())
+    let reg = Arc::new(ModelRegistry::new());
+    for name in tenants {
+        reg.register(name.as_ref(), &model, EngineConfig::default()).unwrap();
+    }
+    reg
 }
 
 #[test]
 fn overload_storm_resolves_every_ticket_exactly_once() {
     const THREADS: usize = 8;
     const PER_THREAD: usize = 200;
-    let engine = test_engine(77);
+    let reg = test_registry(77, &["tenant-0", "tenant-1", "tenant-2", "tenant-3"]);
     let cfg = QueueConfig {
         capacity: 32,
         max_batch: 16,
@@ -42,9 +51,8 @@ fn overload_storm_resolves_every_ticket_exactly_once() {
             deadline_aware: true,
             tenant_share: Some(16),
         },
-        fair_quantum: 4,
     };
-    let queue = Arc::new(ServeQueue::new(Arc::clone(&engine), cfg).unwrap());
+    let queue = Arc::new(ServeQueue::with_registry(Arc::clone(&reg), cfg).unwrap());
 
     let served = AtomicU64::new(0);
     let shed = AtomicU64::new(0);
@@ -124,16 +132,18 @@ fn overload_storm_resolves_every_ticket_exactly_once() {
     assert_eq!(depth_violations.into_inner(), 0, "queued depth stayed within capacity");
     assert!(queue.is_empty(), "nothing may linger after every ticket resolved");
 
-    // Caller-observed outcomes balance against the engine's own counters.
-    let s = engine.snapshot();
+    // Caller-observed outcomes balance against the fleet's queue counters.
+    let s = reg.snapshot();
     assert_eq!(s.sheds(), shed);
     assert_eq!(s.queue_rejections, rejected);
     assert_eq!(s.e2e_recorded, served);
-    // `deadline_misses` counts queue-level timeouts plus top-K scans that
-    // degraded inside their clipped budget (each of those also ticks
-    // `degraded_results`), so the two streams balance exactly.
-    assert_eq!(s.deadline_misses, timed_out + s.degraded_results);
+    assert_eq!(s.deadline_misses, timed_out, "the fleet's deadline misses are queue timeouts");
     assert!(s.queue_depth_peak <= 32, "peak {} over capacity", s.queue_depth_peak);
+    // A tenant's `deadline_misses` are its top-K scans that degraded
+    // inside their clipped budget (each also ticks `degraded_results`).
+    for (name, t) in reg.tenant_snapshots() {
+        assert_eq!(t.deadline_misses, t.degraded_results, "{name}");
+    }
 }
 
 proptest! {
@@ -147,7 +157,6 @@ proptest! {
     fn accounting_balances_over_small_configs(
         capacity in 1usize..8,
         max_batch in 1usize..5,
-        fair_quantum in 1usize..4,
         // 0 encodes "off" (the vendored proptest has no Option strategy).
         watermark_sel in 0usize..9,
         share_sel in 0usize..4,
@@ -155,7 +164,8 @@ proptest! {
         submissions in 1usize..40,
         drain_every in 1usize..12,
     ) {
-        let engine = test_engine(5);
+        let names: Vec<String> = (0..n_tenants).map(|t| format!("t{t}")).collect();
+        let reg = test_registry(5, &names);
         let watermark = (watermark_sel > 0).then(|| ((watermark_sel - 1) % capacity) + 1);
         let tenant_share = (share_sel > 0).then_some(share_sel);
         let cfg = QueueConfig {
@@ -167,15 +177,14 @@ proptest! {
                 deadline_aware: false,
                 tenant_share,
             },
-            fair_quantum,
         };
-        let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
+        let queue = ServeQueue::with_registry(Arc::clone(&reg), cfg).unwrap();
         let mut tickets = Vec::new();
         let mut rejected = 0u64;
         for i in 0..submissions {
-            let tenant = format!("t{}", i % n_tenants);
+            let tenant = &names[i % n_tenants];
             let req = Request::Point { index: vec![i % 6, i % 5, i % 4] };
-            match queue.submit_with(req, SubmitOpts { tenant: &tenant, deadline: None }) {
+            match queue.submit_with(req, SubmitOpts { tenant, deadline: None }) {
                 Ok(t) => tickets.push(t),
                 Err(ServeError::QueueFull { .. }) => rejected += 1,
                 Err(e) => panic!("unexpected submit error: {e}"),
@@ -196,7 +205,7 @@ proptest! {
         }
         prop_assert_eq!(served + shed + rejected, submissions as u64);
         prop_assert!(queue.is_empty());
-        let s = engine.snapshot();
+        let s = reg.snapshot();
         prop_assert_eq!(s.sheds(), shed);
         prop_assert_eq!(s.queue_rejections, rejected);
         prop_assert_eq!(s.e2e_recorded, served);
@@ -209,7 +218,7 @@ proptest! {
 /// DRR guarantees the cold lane a slice of every batch.
 #[test]
 fn cold_tenant_survives_hot_flood() {
-    let engine = test_engine(99);
+    let reg = test_registry(99, &["hot", "cold"]);
     let cfg = QueueConfig {
         capacity: 64,
         max_batch: 16,
@@ -219,9 +228,8 @@ fn cold_tenant_survives_hot_flood() {
             deadline_aware: false,
             tenant_share: Some(8),
         },
-        fair_quantum: 4,
     };
-    let queue = Arc::new(ServeQueue::new(Arc::clone(&engine), cfg).unwrap());
+    let queue = Arc::new(ServeQueue::with_registry(reg, cfg).unwrap());
     // A failure is counted, not panicked on: the counter wait below needs
     // every hot thread to run to its end.
     let (hot_resolved, hot_errors) = (AtomicU64::new(0), AtomicU64::new(0));

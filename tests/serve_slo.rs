@@ -8,11 +8,11 @@
 //!
 //! 1. **Shed accounting balances** — under offered load past the shed
 //!    watermark, every submission resolves to exactly one outcome and
-//!    the metrics mirror the caller-observed counts.
+//!    the fleet metrics mirror the caller-observed counts.
 //! 2. **Recall gate** — the approximate top-K tier on a popularity-
 //!    skewed model keeps recall@K at or above 0.95, measured by the
 //!    engine's own shadow-sampling counters (which must actually fire).
-//! 3. **Zero failed reads across swaps** — a registry-backed queue under
+//! 3. **Zero failed reads across swaps** — a two-tenant queue under
 //!    concurrent hot-publishes never surfaces an error, a stale read, or
 //!    an unresolved ticket.
 
@@ -55,9 +55,13 @@ fn skewed_model(shape: &[usize], rank: usize, seed: u64) -> KruskalTensor {
 fn shed_accounting_balances_under_offered_load() {
     let shape = [60, 30, 10];
     let model = KruskalTensor::random(&shape, 4, 11);
-    let engine = Arc::new(Engine::new(&model, EngineConfig::default()).unwrap());
-    let queue = ServeQueue::new(
-        Arc::clone(&engine),
+    let names = ["a", "b"];
+    let reg = Arc::new(ModelRegistry::new());
+    for name in names {
+        reg.register(name, &model, EngineConfig::default()).unwrap();
+    }
+    let queue = ServeQueue::with_registry(
+        Arc::clone(&reg),
         QueueConfig {
             capacity: 64,
             max_batch: 16,
@@ -67,7 +71,6 @@ fn shed_accounting_balances_under_offered_load() {
                 deadline_aware: false,
                 tenant_share: None,
             },
-            fair_quantum: 8,
         },
     )
     .unwrap();
@@ -80,7 +83,6 @@ fn shed_accounting_balances_under_offered_load() {
             trace: TraceConfig { queries: 5_000, ..Default::default() },
         },
     );
-    let names = ["a", "b"];
     let mut tickets = Vec::with_capacity(trace.len());
     let mut rejected = 0u64;
     for tr in &trace {
@@ -102,7 +104,7 @@ fn shed_accounting_balances_under_offered_load() {
     assert_eq!(served + shed + rejected, trace.len() as u64, "outcomes tile the trace");
     assert!(shed > 0, "a watermark of 8 under a 5k-request burst must shed");
     assert!(served > 0, "admitted work must still be served");
-    let s = engine.snapshot();
+    let s = reg.snapshot();
     assert_eq!(s.sheds(), shed, "metrics sheds mirror caller-observed sheds");
     assert_eq!(s.sheds_queue_depth, shed, "only the watermark shedder was armed");
     assert_eq!(s.queue_rejections, rejected);
