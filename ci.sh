@@ -45,6 +45,16 @@ if grep -rnE "type Residual = CooTensor|ResidualHandoff|CheckpointSink<CooTensor
     exit 1
 fi
 
+# The cluster residual is values per block: the blocking holds a DisTenC
+# solve's one copy of the blocked entries, built once per solve with each
+# entry's source position (so no search maps block entries back to the
+# checkpoint's order), and DisTenC has one entry point, solve.
+echo "==> grep: DisTenC holds its blocks once"
+if grep -rnE "ResidualBlock|fn solve_from|position_of" crates/core/src/distenc.rs crates/core/src/solver/cluster.rs; then
+    echo "error: a per-block entry copy, a position search or DisTenC::solve_from is back; the residual is values per block of the one blocking" >&2
+    exit 1
+fi
+
 # The queue has one backend, a registry of live engines, each lane
 # resolving its engine once; every engine owns its top-K cache; DRR's
 # quantum is a constant; a ticket's holder blocks on a Condvar. None of
@@ -198,8 +208,9 @@ done
 # concurrently (a rare flake on busy hosts). Besides 0 allocations per
 # steady-state iteration (also on a multi-block cut under Threads(4)) it
 # holds the host's set-up, the block cut's partial banks, under one f64
-# per nonzero, and a whole cold solve under one index list (8·N·nnz bytes:
-# the residual is values only).
+# per nonzero, a whole cold solve under one index list (8·N·nnz bytes:
+# the residual is values only), and a cold DisTenC solve under 14 doubles
+# per nonzero (one copy of the blocked entries, values per block).
 echo "==> cargo test -q --features alloc-count --test alloc_budget -- --test-threads=1"
 cargo test -q --features alloc-count --test alloc_budget -- --test-threads=1
 

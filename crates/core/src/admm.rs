@@ -269,8 +269,8 @@ pub(crate) fn validate_problem(
 }
 
 /// A warm-start model must have the problem's shape and the configured
-/// rank (every warm entry point of both drivers checks through here).
-pub(crate) fn check_warm_start(
+/// rank (every warm entry point checks through here).
+fn check_warm_start(
     init: &KruskalTensor,
     observed: &CooTensor,
     rank: usize,
@@ -682,10 +682,6 @@ mod tests {
             AdmmSolver::new(AdmmConfig { rank: 2, ..Default::default() }).unwrap();
         let none = [None, None, None];
         let truncated = solver.truncate(observed.shape(), &none).unwrap();
-        let cluster = distenc_dataflow::Cluster::new(
-            distenc_dataflow::ClusterConfig::test(2).with_time_budget(None),
-        );
-        let dist = crate::DisTenC::new(&cluster, solver.config().clone()).unwrap();
         let cases = [
             (
                 KruskalTensor::random(&[8, 8, 8], 5, 1),
@@ -702,7 +698,6 @@ mod tests {
             let errors = [
                 solver.solve_from(&observed, &none, init).unwrap_err(),
                 solver.solve_streamed(&observed, &truncated, Some(init), None).unwrap_err(),
-                dist.solve_from(&observed, &none, init).unwrap_err(),
             ];
             for err in errors {
                 assert_eq!(&err.to_string(), want);

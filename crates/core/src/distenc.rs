@@ -7,7 +7,9 @@
 //! on the [`Cluster`]:
 //!
 //! * the observed tensor is split into `P₁×…×P_N` blocks with Algorithm 2
-//!   boundaries and the blocks are pinned to machines;
+//!   boundaries and the blocks are pinned to machines, once per solve:
+//!   the blocking is the solve's one copy of the blocked entries, and the
+//!   residual is one value vector per block, parallel to its entries;
 //! * factor matrices (and `B`, `Y`, and the Laplacian eigenbases) are
 //!   row-partitioned by the same boundaries, co-located with the mode
 //!   partitions;
@@ -24,7 +26,9 @@
 //!   way (Eq. 7).
 //!
 //! This driver owns only what is genuinely distributed: the Algorithm 2
-//! blocking, the resident-memory ledger, and the one-off setup charges.
+//! blocking (with each block entry's position in `observed`, which maps
+//! the blocked residual to and from a checkpoint's entry order), the
+//! resident-memory ledger, and the one-off setup charges.
 //! The per-iteration decomposition and its charges live in the
 //! [`crate::solver::ClusterBackend`]; the iteration itself is
 //! [`crate::solver::run`].
@@ -37,17 +41,17 @@
 //! association is fixed by the blocking alone: fused or not, resumed or
 //! not, on any executor, a solve produces the same bits.
 
-use crate::admm::{check_warm_start, truncate_all, validate_problem};
+use crate::admm::{truncate_all, validate_problem};
 use crate::config::AdmmConfig;
 use crate::solver::checkpoint::Checkpoint;
-use crate::solver::{self, BlockMeta, ClusterBackend, ResidualBlock, SolverState};
+use crate::solver::{self, BlockMeta, ClusterBackend, SolverState};
 use crate::trace::ConvergenceTrace;
 use crate::{CompletionResult, CoreError, Result};
 use distenc_dataflow::cluster::TaskCost;
 use distenc_dataflow::{Cluster, DataflowError, MemoryReservation};
 use distenc_graph::{Laplacian, TruncatedLaplacian};
 use distenc_partition::TensorBlocks;
-use distenc_tensor::{CooTensor, KruskalTensor};
+use distenc_tensor::CooTensor;
 
 const F64: u64 = 8;
 
@@ -85,64 +89,22 @@ impl<'c> DisTenC<'c> {
         observed: &CooTensor,
         laplacians: &[Option<&Laplacian>],
     ) -> Result<CompletionResult> {
-        self.solve_inner(observed, laplacians, None)
-    }
-
-    /// Like [`DisTenC::solve`], but warm-started from `init`'s factors.
-    ///
-    /// The blocked residual is rebuilt on the cluster (its values start
-    /// stale and the solver prologue refreshes them against `init`), so
-    /// this is a factor-warm / residual-cold restart — the distributed
-    /// analogue of [`crate::AdmmSolver::solve_from`]. Used by the
-    /// streaming layer to re-converge after a delta batch without
-    /// discarding the learned model.
-    pub fn solve_from(
-        &self,
-        observed: &CooTensor,
-        laplacians: &[Option<&Laplacian>],
-        init: &KruskalTensor,
-    ) -> Result<CompletionResult> {
-        check_warm_start(init, observed, self.cfg.rank)?;
-        self.solve_inner(observed, laplacians, Some(init.clone()))
-    }
-
-    fn solve_inner(
-        &self,
-        observed: &CooTensor,
-        laplacians: &[Option<&Laplacian>],
-        initial: Option<KruskalTensor>,
-    ) -> Result<CompletionResult> {
         validate_problem(observed, laplacians)?;
         let cl = self.cluster;
         let m = cl.machines();
-        let shape = observed.shape().to_vec();
-        let entry_bytes = (shape.len() as u64 + 1) * F64;
 
-        // The Algorithm 2 blocking and the eigendecompositions are
-        // driver-side metadata: computed once, they survive any machine
-        // loss (the charges for them still land inside attempt 0, in the
-        // pre-fault order, so a fault-free solve is byte-identical to the
-        // pre-recovery driver). `positions[i][j]` maps block `i`'s entry
-        // `j` back to its index in `observed`'s canonical entry order —
-        // the order checkpoints store the residual in.
-        let parts_per_mode: Vec<usize> = shape.iter().map(|&d| d.min(m)).collect();
+        // The Algorithm 2 blocking, its per-block metadata and the
+        // eigendecompositions are driver-side state: built once, they
+        // survive any machine loss (the charges for them still land inside
+        // attempt 0, in the pre-fault order, so a fault-free solve is
+        // byte-identical to the pre-recovery driver). The blocking holds
+        // the solve's one copy of the blocked entries; the backend borrows
+        // it.
+        let parts_per_mode: Vec<usize> = observed.shape().iter().map(|&d| d.min(m)).collect();
         let blocking = TensorBlocks::build_with(observed, &parts_per_mode, self.cfg.partition);
-        let truncated = truncate_all(&shape, laplacians, &self.cfg)?;
-        let positions: Option<Vec<Vec<usize>>> = self.cfg.checkpoint.as_ref().map(|_| {
-            blocking
-                .blocks
-                .iter()
-                .map(|(_, t)| {
-                    (0..t.nnz())
-                        .map(|e| {
-                            observed
-                                .position_of(t.index(e))
-                                .expect("block entries are drawn from the observed tensor")
-                        })
-                        .collect()
-                })
-                .collect()
-        });
+        let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
+        let eigen_k: Vec<usize> = truncated.iter().map(|t| t.k()).collect();
+        let mut backend = ClusterBackend::new(cl, self.cfg.rank, &blocking, eigen_k);
 
         // Lineage-style recovery loop: a lost machine aborts the attempt,
         // the next attempt reloads that machine's blocks from the
@@ -157,12 +119,9 @@ impl<'c> DisTenC<'c> {
                 observed,
                 laplacians,
                 &truncated,
-                &blocking,
-                positions.as_deref(),
-                initial.as_ref(),
+                &mut backend,
                 recovering,
                 &mut image,
-                entry_bytes,
             );
             match out {
                 Err(CoreError::Dataflow(DataflowError::MachineLost { machine, .. }))
@@ -178,37 +137,25 @@ impl<'c> DisTenC<'c> {
 
     /// One solve attempt: charge the setup (full on the first attempt,
     /// the recovery reload on retries), reserve resident memory behind an
-    /// RAII guard, restore the latest checkpoint image if there is one,
-    /// and run the shared solver core. Any snapshot the attempt produced
-    /// is harvested into `image` even when the attempt dies, so the
-    /// *next* attempt resumes from the most recent snapshot.
-    #[allow(clippy::too_many_arguments)]
+    /// RAII guard, reset the residual values — stale zeros, or the latest
+    /// checkpoint image's — and run the shared solver core. Any snapshot
+    /// the attempt produced is harvested into `image` even when the
+    /// attempt dies, so the *next* attempt resumes from the most recent
+    /// snapshot.
     fn run_attempt(
         &self,
         observed: &CooTensor,
         laplacians: &[Option<&Laplacian>],
         truncated: &[TruncatedLaplacian],
-        blocking: &TensorBlocks,
-        positions: Option<&[Vec<usize>]>,
-        initial: Option<&KruskalTensor>,
+        backend: &mut ClusterBackend<'_>,
         recovering: Option<usize>,
         image: &mut Option<Vec<u8>>,
-        entry_bytes: u64,
     ) -> Result<CompletionResult> {
         let cl = self.cluster;
-        let shape = observed.shape().to_vec();
+        let shape = observed.shape();
         let rank = self.cfg.rank;
-
-        let mut blocks: Vec<ResidualBlock> = Vec::with_capacity(blocking.blocks.len());
-        let mut meta: Vec<BlockMeta> = Vec::with_capacity(blocking.blocks.len());
-        for (i, (id, t)) in blocking.blocks.iter().enumerate() {
-            meta.push(BlockMeta::new(cl.machine_for_partition(i), blocking.block_coords(*id), t));
-            // Residual values start stale (zero); the solver prologue
-            // refreshes them before anything reads them. A checkpoint
-            // restore overwrites them with the snapshot's values below.
-            blocks.push(ResidualBlock { entries: t.clone(), vals: vec![0.0; t.nnz()] });
-        }
-        let mode_parts = blocking.modes.clone();
+        let entry_bytes = (shape.len() as u64 + 1) * F64;
+        let blocking = backend.blocking;
 
         if recovering.is_none() {
             // ---- First attempt: the Algorithm 2 setup charges ----------
@@ -216,7 +163,7 @@ impl<'c> DisTenC<'c> {
             // partitioning then shuffles the whole input tensor (Lemma
             // 3's O(nnz(X)) term).
             self.stage_over_even_split(observed.nnz(), 1.0, entry_bytes)?;
-            self.charge_partition_shuffle(blocking, entry_bytes)?;
+            self.charge_partition_shuffle(&backend.meta, entry_bytes)?;
         }
 
         // ---- Resident memory: blocks, factor state, eigenbases ---------
@@ -225,14 +172,14 @@ impl<'c> DisTenC<'c> {
         // footprint stays in `peak_resident`), so retries never leak the
         // ledger.
         let mut reservation = MemoryReservation::new(cl);
-        for bm in &meta {
+        for bm in &backend.meta {
             // Tensor block + residual values.
-            reservation.reserve(bm.machine, bm.nnz as u64 * (entry_bytes + F64))?;
+            reservation.reserve(bm.machine, bm.nnz() as u64 * (entry_bytes + F64))?;
         }
         if recovering.is_none() {
-            self.charge_truncation(&shape, laplacians)?;
+            self.charge_truncation(shape, laplacians)?;
         }
-        for (n, part) in mode_parts.iter().enumerate() {
+        for (n, part) in blocking.modes.iter().enumerate() {
             let k = truncated[n].k() as u64;
             for p in 0..part.parts() {
                 let rows = part.range(p).len() as u64;
@@ -249,8 +196,12 @@ impl<'c> DisTenC<'c> {
             // back out. All of it is recovery work: charged to the
             // virtual clock *and* to `Metrics::recovery_seconds`.
             let t0 = cl.now();
-            let lost_nnz: u64 =
-                meta.iter().filter(|bm| bm.machine == lost).map(|bm| bm.nnz as u64).sum();
+            let lost_nnz: u64 = backend
+                .meta
+                .iter()
+                .filter(|bm| bm.machine == lost)
+                .map(|bm| bm.nnz() as u64)
+                .sum();
             cl.run_stage(&[TaskCost {
                 machine: lost,
                 flops: lost_nnz as f64,
@@ -263,40 +214,39 @@ impl<'c> DisTenC<'c> {
             cl.note_recovery(cl.now() - t0);
         }
 
-        // ---- Restore the snapshot, or start (possibly warm) ------------
-        // The residual values go back block by block here (their order is
-        // this driver's); `SolverState::restore` puts back the rest.
+        // ---- Reset the residual values, from the snapshot or stale -----
+        // The snapshot stores them in `observed`'s entry order; the
+        // blocking's positions scatter them back block by block. Stale
+        // values (zero) are refreshed by the solver prologue before
+        // anything reads them. `SolverState::restore` puts back the rest.
         let snapshot = image.as_deref().map(Checkpoint::from_bytes).transpose()?;
-        if let Some(ck) = &snapshot {
-            let pos = positions.expect("a snapshot implies a checkpoint policy");
-            for (b, p) in blocks.iter_mut().zip(pos) {
-                for (v, &at) in b.vals.iter_mut().zip(p) {
-                    *v = ck.residual[at];
-                }
-            }
-        }
+        let values: Vec<Vec<f64>> = match &snapshot {
+            Some(ck) => blocking
+                .positions
+                .iter()
+                .map(|pos| pos.iter().map(|&at| ck.residual[at]).collect())
+                .collect(),
+            None => backend.meta.iter().map(|bm| vec![0.0; bm.nnz()]).collect(),
+        };
 
         // ---- Delegate the iteration to the shared solver core ----------
-        let eigen_k: Vec<usize> = truncated.iter().map(|t| t.k()).collect();
-        let mut backend = ClusterBackend::new(cl, rank, mode_parts, meta, eigen_k);
-        let mut st = SolverState::new(observed, truncated, &self.cfg, initial.cloned(), blocks)?;
+        let mut st = SolverState::new(observed, truncated, &self.cfg, None, values)?;
         let resume_point = snapshot.as_ref().map(|ck| st.restore(ck)).transpose()?;
         let mut sink_store = self.cfg.checkpoint.as_ref().map(|_| ClusterSink {
             cl,
             cfg: &self.cfg,
-            shape: &shape,
-            nnz: observed.nnz(),
-            positions: positions.expect("a checkpoint policy implies positions"),
+            observed,
+            positions: &blocking.positions,
             latest: None,
         });
         let sink = sink_store
             .as_mut()
-            .map(|s| s as &mut dyn solver::CheckpointSink<Vec<ResidualBlock>>);
+            .map(|s| s as &mut dyn solver::CheckpointSink<Vec<Vec<f64>>>);
         let out = solver::run(
             observed,
             truncated,
             &self.cfg,
-            &mut backend,
+            backend,
             st,
             snapshot.is_some(),
             resume_point,
@@ -338,14 +288,14 @@ impl<'c> DisTenC<'c> {
     }
 
     /// The initial all-to-all that moves every entry to its block's home.
-    fn charge_partition_shuffle(&self, blocking: &TensorBlocks, entry_bytes: u64) -> Result<()> {
+    fn charge_partition_shuffle(&self, meta: &[BlockMeta<'_>], entry_bytes: u64) -> Result<()> {
         let cl = self.cluster;
         let m = cl.machines();
         let mut sent = vec![0u64; m];
         let mut received = vec![0u64; m];
-        for (i, (_, t)) in blocking.blocks.iter().enumerate() {
-            let dst = cl.machine_for_partition(i);
-            let bytes = t.nnz() as u64 * entry_bytes;
+        for bm in meta {
+            let dst = bm.machine;
+            let bytes = bm.nnz() as u64 * entry_bytes;
             // Entries start evenly spread; (m−1)/m of them are remote.
             let remote = bytes * (m as u64 - 1) / m as u64;
             received[dst] += remote;
@@ -393,32 +343,33 @@ impl<'c> DisTenC<'c> {
 struct ClusterSink<'a> {
     cl: &'a Cluster,
     cfg: &'a AdmmConfig,
-    shape: &'a [usize],
-    nnz: usize,
-    /// Per-block maps from block entry order to the canonical observed
-    /// entry order the checkpoint format stores the residual in.
+    observed: &'a CooTensor,
+    /// The blocking's positions: where each block entry sits in
+    /// `observed`'s entry order, the order the checkpoint format stores the
+    /// residual in.
     positions: &'a [Vec<usize>],
     /// The most recent snapshot image ("reliable store" contents).
     latest: Option<Vec<u8>>,
 }
 
-impl solver::CheckpointSink<Vec<ResidualBlock>> for ClusterSink<'_> {
+impl solver::CheckpointSink<Vec<Vec<f64>>> for ClusterSink<'_> {
     fn save(
         &mut self,
-        st: &SolverState<Vec<ResidualBlock>>,
+        st: &SolverState<Vec<Vec<f64>>>,
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()> {
-        // Gather the blocked residual back into canonical entry order —
+        // Gather the blocked residual back into `observed`'s entry order —
         // the layout-independent form both drivers' restores understand.
-        let mut residual = vec![0.0; self.nnz];
-        for (b, pos) in st.residual.iter().zip(self.positions) {
-            for (&v, &at) in b.vals.iter().zip(pos) {
+        let mut residual = vec![0.0; self.observed.nnz()];
+        for (vals, pos) in st.residual.iter().zip(self.positions) {
+            for (&v, &at) in vals.iter().zip(pos) {
                 residual[at] = v;
             }
         }
-        let bytes = Checkpoint::capture(self.cfg, self.shape, st, iters_done, trace, residual)
-            .to_bytes();
+        let bytes =
+            Checkpoint::capture(self.cfg, self.observed.shape(), st, iters_done, trace, residual)
+                .to_bytes();
         // Collect: each machine ships an even share of the snapshot.
         let m = self.cl.machines();
         let per = (bytes.len() as u64).div_ceil(m as u64);

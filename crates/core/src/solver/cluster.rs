@@ -9,8 +9,10 @@
 //! the virtual clock and the golden distenc trace pins the resulting
 //! timestamps bit-for-bit.
 //!
-//! Its residual is the Algorithm 2 block partition (`Vec<ResidualBlock>`),
-//! and one block body serves every pass over it
+//! Its residual is one value vector per Algorithm 2 block
+//! (`Vec<Vec<f64>>`), parallel to the block's entries, which the backend
+//! borrows from the blocking — built once per solve, like the backend and
+//! its [`BlockMeta`]. One block body serves every pass over it
 //! ([`ClusterBackend::sweep_blocks`]): a task per block reads the block's
 //! entries once, takes their residual values — refreshed in the same
 //! pass, or as stored — and writes the block's partial `H` rows for a
@@ -43,29 +45,22 @@ use crate::Result;
 use distenc_dataflow::cluster::TaskCost;
 use distenc_dataflow::Cluster;
 use distenc_linalg::Mat;
-use distenc_partition::ModePartition;
+use distenc_partition::{ModePartition, TensorBlocks};
 use distenc_tensor::fused::{block_sweep_into, EntryValues};
 use distenc_tensor::{CooTensor, KruskalTensor};
 use std::ops::Range;
 
 const F64: u64 = 8;
 
-/// One tensor block's share of the residual: its entries and the values
-/// `e = t − [[A…]](idx)` parallel to them.
-pub(crate) struct ResidualBlock {
-    /// The observed entries of this block.
-    pub entries: CooTensor,
-    /// Residual values, parallel to `entries`.
-    pub vals: Vec<f64>,
-}
-
-/// Placement and activity metadata for one tensor block, parallel to the
-/// [`ResidualBlock`] list that is this backend's residual.
-pub(crate) struct BlockMeta {
+/// One tensor block as this backend sees it: the blocking's entries,
+/// borrowed, and where the block sits. Its residual values are the
+/// residual's vector at the same position ([`ClusterBackend`]'s
+/// `Residual`), parallel to `entries`.
+pub(crate) struct BlockMeta<'a> {
     /// Machine this block is pinned to.
     pub machine: usize,
-    /// Entries in this block.
-    pub nnz: usize,
+    /// The observed entries of this block.
+    pub entries: &'a CooTensor,
     /// Per-mode partition coordinates of this block.
     pub coords: Vec<usize>,
     /// Distinct mode-`n` indices appearing in this block (per mode) —
@@ -74,12 +69,10 @@ pub(crate) struct BlockMeta {
     pub active: Vec<Vec<usize>>,
 }
 
-impl BlockMeta {
-    /// The metadata of the block holding `entries` at partition
-    /// coordinates `coords`, pinned to `machine`.
-    pub fn new(machine: usize, coords: Vec<usize>, entries: &CooTensor) -> Self {
-        let active = (0..coords.len()).map(|n| entries.active_indices(n)).collect();
-        BlockMeta { machine, nnz: entries.nnz(), coords, active }
+impl BlockMeta<'_> {
+    /// Entries in this block.
+    pub fn nnz(&self) -> usize {
+        self.entries.nnz()
     }
 }
 
@@ -104,13 +97,16 @@ struct BlockTask<'a> {
 }
 
 /// Cluster backend bound to a simulated cluster and a fixed Algorithm 2
-/// blocking.
-pub(crate) struct ClusterBackend<'c> {
-    cl: &'c Cluster,
+/// blocking, built once per solve and reused by every attempt.
+pub(crate) struct ClusterBackend<'a> {
+    cl: &'a Cluster,
     rank: usize,
     n_modes: usize,
-    mode_parts: Vec<ModePartition>,
-    meta: Vec<BlockMeta>,
+    /// The blocking: the solve's one copy of the blocked entries, and the
+    /// mode partitions.
+    pub blocking: &'a TensorBlocks,
+    /// Per block, parallel to `blocking.blocks`.
+    pub meta: Vec<BlockMeta<'a>>,
     /// Per block: its partial-`H` slabs, parallel to `meta`.
     slabs: Vec<BlockSlabs>,
     /// Per-mode partial-Gram row ranges (the mode partition's ranges).
@@ -119,53 +115,68 @@ pub(crate) struct ClusterBackend<'c> {
     eigen_k: Vec<usize>,
 }
 
-impl<'c> ClusterBackend<'c> {
-    /// Bind the backend to `cl` with the given blocking metadata.
+impl<'a> ClusterBackend<'a> {
+    /// Bind the backend to `cl` and `blocking`, block `i` pinned to the
+    /// machine of partition `i`.
     pub fn new(
-        cl: &'c Cluster,
+        cl: &'a Cluster,
         rank: usize,
-        mode_parts: Vec<ModePartition>,
-        meta: Vec<BlockMeta>,
+        blocking: &'a TensorBlocks,
         eigen_k: Vec<usize>,
     ) -> Self {
-        let n_modes = mode_parts.len();
+        let modes = &blocking.modes;
+        let meta: Vec<BlockMeta<'a>> = blocking
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(i, (id, entries))| BlockMeta {
+                machine: cl.machine_for_partition(i),
+                entries,
+                coords: blocking.block_coords(*id),
+                active: (0..modes.len()).map(|n| entries.active_indices(n)).collect(),
+            })
+            .collect();
         let slabs = meta
             .iter()
             .map(|b| {
-                let ranges = b.coords.iter().zip(&mode_parts).map(|(&p, part)| part.range(p));
+                let ranges = b.coords.iter().zip(modes).map(|(&p, part)| part.range(p));
                 BlockSlabs {
                     origin: ranges.clone().map(|r| r.start).collect(),
                     partial: ranges.map(|r| Mat::zeros(r.len(), rank)).collect(),
                 }
             })
             .collect();
-        let gram_ranges: Vec<Vec<Range<usize>>> = mode_parts
+        let gram_ranges: Vec<Vec<Range<usize>>> = modes
             .iter()
             .map(|part| (0..part.parts()).map(|p| part.range(p)).collect())
             .collect();
-        ClusterBackend { cl, rank, n_modes, mode_parts, meta, slabs, gram_ranges, eigen_k }
+        let n_modes = modes.len();
+        ClusterBackend { cl, rank, n_modes, blocking, meta, slabs, gram_ranges, eigen_k }
     }
 
     // ---- Block-local kernels --------------------------------------------
 
     /// The one block body: a task per block on the executor walks the
-    /// block's entries once, takes their residual values from `blocks`
+    /// block's entries once, takes their residual values from `values`
     /// (refreshing them in the same walk, or as stored) and overwrites
     /// the block's partial `H` slabs for `modes`. Returns `‖E‖²_F` as the
     /// sum of the per-block `‖e‖²` in ascending block order — the fixed
     /// association of this decomposition. Blocks share nothing, so the
     /// executor cannot change a bit.
-    fn sweep_blocks<'a>(
+    fn sweep_blocks<'v>(
         &mut self,
         model: &KruskalTensor,
-        blocks: impl Iterator<Item = (&'a CooTensor, EntryValues<'a>)>,
+        values: impl Iterator<Item = EntryValues<'v>>,
         modes: Range<usize>,
     ) -> f64 {
-        crate::record_entry_sweep(self.meta.iter().map(|m| m.nnz).sum());
-        let mut tasks: Vec<BlockTask<'_>> = blocks
+        crate::record_entry_sweep(self.meta.iter().map(BlockMeta::nnz).sum());
+        let mut tasks: Vec<BlockTask<'_>> = self
+            .meta
+            .iter()
+            .zip(values)
             .zip(&mut self.slabs)
-            .map(|((entries, vals), slabs)| BlockTask {
-                entries,
+            .map(|((b, vals), slabs)| BlockTask {
+                entries: b.entries,
                 vals: Some(vals),
                 origin: &slabs.origin,
                 partial: &mut slabs.partial[modes.clone()],
@@ -222,7 +233,7 @@ impl<'c> ClusterBackend<'c> {
 
     /// Same, across all modes at once (convergence-delta reduction).
     fn charge_rows_stage_all(&self, flops_per_row: f64, out_bytes_per_row: u64) -> Result<()> {
-        for part in &self.mode_parts {
+        for part in &self.blocking.modes {
             self.charge_rows_stage(part, flops_per_row, out_bytes_per_row)?;
         }
         Ok(())
@@ -235,7 +246,7 @@ impl<'c> ClusterBackend<'c> {
         let m = cl.machines();
         let rank = self.rank;
         let r2_bytes = (rank * rank) as u64 * F64;
-        for part in &self.mode_parts {
+        for part in &self.blocking.modes {
             self.charge_rows_stage(part, (rank * rank) as f64, r2_bytes)?;
             // Reduce partials to machine 0, broadcast the result.
             let mut sent = vec![r2_bytes; m];
@@ -275,7 +286,7 @@ impl<'c> ClusterBackend<'c> {
         let mut sent = vec![0u64; m];
         let mut received = vec![0u64; m];
         for &(dst, k, pk) in &needed {
-            let rows = self.mode_parts[k].range(pk).len() as u64;
+            let rows = self.blocking.modes[k].range(pk).len() as u64;
             let bytes = rows * self.rank as u64 * F64;
             sent[cl.machine_for_partition(pk)] += bytes;
             received[dst] += bytes;
@@ -290,14 +301,14 @@ impl<'c> ClusterBackend<'c> {
     /// the entries (`N` indices and the value, plus the residual value as
     /// soon as a mode is swept) are read once; the outputs are the fresh
     /// values and the partial-`H` rows of every swept mode.
-    fn block_task(&self, b: &BlockMeta, modes: Range<usize>, refresh: bool) -> TaskCost {
-        let (nnz, rank) = (b.nnz as u64, self.rank as u64);
+    fn block_task(&self, b: &BlockMeta<'_>, modes: Range<usize>, refresh: bool) -> TaskCost {
+        let (nnz, rank) = (b.nnz() as u64, self.rank as u64);
         let passes = modes.len() + usize::from(refresh);
         let entry_words = self.n_modes as u64 + 1 + u64::from(!modes.is_empty());
         let out_rows: usize = b.active[modes].iter().map(Vec::len).sum();
         TaskCost {
             machine: b.machine,
-            flops: (passes * b.nnz * self.n_modes * self.rank) as f64,
+            flops: (passes * b.nnz() * self.n_modes * self.rank) as f64,
             input_bytes: nnz * entry_words * F64,
             output_bytes: (u64::from(refresh) * nnz + out_rows as u64 * rank) * F64,
         }
@@ -332,7 +343,7 @@ impl<'c> ClusterBackend<'c> {
 }
 
 impl StepBackend for ClusterBackend<'_> {
-    type Residual = Vec<ResidualBlock>;
+    type Residual = Vec<Vec<f64>>;
 
     /// The per-mode fallback (`fused: false`): the block body over the
     /// stored residual values for this one mode, then the combine. The
@@ -342,12 +353,12 @@ impl StepBackend for ClusterBackend<'_> {
     fn sparse_mttkrp(
         &mut self,
         _observed: &CooTensor,
-        blocks: &Vec<ResidualBlock>,
+        values: &Vec<Vec<f64>>,
         model: &KruskalTensor,
         mode: usize,
         out: &mut Mat,
     ) -> Result<()> {
-        let stored = blocks.iter().map(|b| (&b.entries, EntryValues::Stored(&b.vals)));
+        let stored = values.iter().map(|v| EntryValues::Stored(v));
         self.sweep_blocks(model, stored, mode..mode + 1);
         self.combine(mode, out);
         Ok(())
@@ -365,7 +376,7 @@ impl StepBackend for ClusterBackend<'_> {
             self.charge_factor_fetch(Some(mode))?;
             self.charge_block_stage(mode..mode + 1, false)?;
         }
-        self.charge_rows_stage(&self.mode_parts[mode], self.rank as f64, 0)
+        self.charge_rows_stage(&self.blocking.modes[mode], self.rank as f64, 0)
     }
 
     /// `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` as the paper computes it (Eq. 13): each mode
@@ -403,20 +414,19 @@ impl StepBackend for ClusterBackend<'_> {
         &mut self,
         _observed: &CooTensor,
         model: &KruskalTensor,
-        blocks: &mut Vec<ResidualBlock>,
+        values: &mut Vec<Vec<f64>>,
         refresh: bool,
         bank: &mut [Mat],
     ) -> Result<(f64, usize)> {
         let modes = 0..bank.len();
         self.charge_factor_fetch(None)?;
         self.charge_block_stage(modes.clone(), refresh)?;
-        let values = blocks.iter_mut().map(|b| {
-            let vals = if refresh {
-                EntryValues::Refresh(&mut b.vals)
+        let values = values.iter_mut().map(|v| {
+            if refresh {
+                EntryValues::Refresh(v)
             } else {
-                EntryValues::Stored(&b.vals)
-            };
-            (&b.entries, vals)
+                EntryValues::Stored(v)
+            }
         });
         let frob = self.sweep_blocks(model, values, modes);
         for (mode, out) in bank.iter_mut().enumerate() {
@@ -439,7 +449,7 @@ impl StepBackend for ClusterBackend<'_> {
         // Local work: 2·rows·R (rhs) + rows·K·R (projection) + rows·K·R
         // (expansion).
         let per_row = (2 * rank + 2 * k * rank) as f64;
-        self.charge_rows_stage(&self.mode_parts[mode], per_row, rank as u64 * F64)?;
+        self.charge_rows_stage(&self.blocking.modes[mode], per_row, rank as u64 * F64)?;
         if k > 0 {
             let kr_bytes = (k * rank) as u64 * F64;
             let mut sent = vec![kr_bytes; m];
@@ -466,7 +476,7 @@ impl StepBackend for ClusterBackend<'_> {
         let rank = self.rank;
         self.cl.charge_driver_flops((rank * rank * rank) as f64)?;
         self.charge_rows_stage(
-            &self.mode_parts[mode],
+            &self.blocking.modes[mode],
             (2 * rank * rank + 3 * rank) as f64,
             rank as u64 * F64,
         )
@@ -475,7 +485,7 @@ impl StepBackend for ClusterBackend<'_> {
     /// Line 12: per-row Y write-back.
     fn on_y_update(&mut self, mode: usize) -> Result<()> {
         self.charge_rows_stage(
-            &self.mode_parts[mode],
+            &self.blocking.modes[mode],
             self.rank as f64,
             self.rank as u64 * F64,
         )
@@ -494,32 +504,28 @@ impl StepBackend for ClusterBackend<'_> {
 mod tests {
     use super::*;
     use distenc_dataflow::ClusterConfig;
-    use distenc_partition::TensorBlocks;
 
-    /// A backend over the 2×2×2 blocking of a full 4×4×4 tensor on two
-    /// machines, placed the way the driver places blocks, and the blocked
-    /// residual it sweeps (values: the tensor's).
-    fn blocked(cl: &Cluster, rank: usize) -> (ClusterBackend<'_>, Vec<ResidualBlock>) {
+    /// The 2×2×2 blocking of a full 4×4×4 tensor.
+    fn blocking() -> TensorBlocks {
         let mut x = CooTensor::new(vec![4, 4, 4]);
         for i in 0..64 {
             x.push(&[i / 16, i / 4 % 4, i % 4], 1.0 + i as f64).unwrap();
         }
-        let blocking = TensorBlocks::build(&x, &[2, 2, 2]);
-        let meta: Vec<BlockMeta> = blocking
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(i, (id, t))| {
-                BlockMeta::new(cl.machine_for_partition(i), blocking.block_coords(*id), t)
-            })
-            .collect();
-        assert_eq!(meta.len(), 8);
-        let blocks = blocking
-            .blocks
-            .iter()
-            .map(|(_, t)| ResidualBlock { entries: t.clone(), vals: t.values().to_vec() })
-            .collect();
-        (ClusterBackend::new(cl, rank, blocking.modes.clone(), meta, vec![0; 3]), blocks)
+        TensorBlocks::build(&x, &[2, 2, 2])
+    }
+
+    /// A backend over `blocking` on two machines, placed the way the
+    /// driver places blocks, and the blocked residual it sweeps (values:
+    /// the tensor's).
+    fn blocked<'a>(
+        cl: &'a Cluster,
+        blocking: &'a TensorBlocks,
+        rank: usize,
+    ) -> (ClusterBackend<'a>, Vec<Vec<f64>>) {
+        let be = ClusterBackend::new(cl, rank, blocking, vec![0; 3]);
+        assert_eq!(be.meta.len(), 8);
+        let values = be.meta.iter().map(|b| b.entries.values().to_vec()).collect();
+        (be, values)
     }
 
     #[test]
@@ -532,16 +538,17 @@ mod tests {
         let observed = CooTensor::new(vec![4, 4, 4]); // unread by this backend
         let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
+        let blocking = blocking();
         let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let (mut be, mut blocks) = blocked(&cl, rank);
-        let stored: Vec<Vec<f64>> = blocks.iter().map(|b| b.vals.clone()).collect();
+        let (mut be, mut blocks) = blocked(&cl, &blocking, rank);
+        let stored = blocks.clone();
         let mut bank: Vec<Mat> = (0..3).map(|m| Mat::random(4, rank, 40 + m)).collect(); // dirty
         let (_, banked) = be.fused_step(&observed, &model, &mut blocks, false, &mut bank).unwrap();
         assert_eq!(banked, 3);
         let entry = cl.metrics();
         assert_eq!(entry.stages, 1);
-        for (b, was) in blocks.iter().zip(&stored) {
-            assert_eq!(&b.vals, was, "a stored sweep writes no value");
+        for (vals, was) in blocks.iter().zip(&stored) {
+            assert_eq!(vals, was, "a stored sweep writes no value");
         }
         for mode in 0..3 {
             be.on_sparse_mttkrp(mode, true).unwrap();
@@ -549,7 +556,7 @@ mod tests {
         let entry_total = cl.metrics();
 
         let cl2 = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let (mut be2, blocks2) = blocked(&cl2, rank);
+        let (mut be2, blocks2) = blocked(&cl2, &blocking, rank);
         for (mode, banked) in bank.iter().enumerate() {
             let mut out = Mat::random(4, rank, 7);
             be2.on_sparse_mttkrp(mode, false).unwrap();
@@ -572,8 +579,9 @@ mod tests {
         // task costs the flops and emits the outputs of the refresh task
         // plus the N one-mode MTTKRP tasks. Only the entries are read once
         // instead of N+1 times.
+        let blocking = blocking();
         let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let (be, _) = blocked(&cl, 3);
+        let (be, _) = blocked(&cl, &blocking, 3);
         let n = be.n_modes;
         for b in &be.meta {
             let fused = be.block_task(b, 0..n, true);
@@ -584,8 +592,8 @@ mod tests {
             // The replaced tasks are today's: nnz·N·R flops each; entries
             // in (plus the residual value for an MTTKRP); values or the
             // block's active rows out.
-            let (nnz, rank) = (b.nnz as u64, be.rank as u64);
-            let pass_flops = (b.nnz * n * be.rank) as f64;
+            let (nnz, rank) = (b.nnz() as u64, be.rank as u64);
+            let pass_flops = (b.nnz() * n * be.rank) as f64;
             assert_eq!(refresh.flops, pass_flops);
             assert_eq!(refresh.input_bytes, nnz * (n as u64 + 1) * F64);
             assert_eq!(refresh.output_bytes, nnz * F64);

@@ -15,7 +15,8 @@
 //! `T`'s support, so the [`SolverState`] holds its values only, in the
 //! backend's decomposition — [`StepBackend::Residual`]: one value per
 //! observed entry for the host and sketched backends (a solve holds one
-//! index list, `observed`'s), the Algorithm 2 block list for the cluster.
+//! index list, `observed`'s), one value vector per Algorithm 2 block for
+//! the cluster (whose one copy of the blocked entries is the blocking's).
 //! The core never looks inside it; it only hands it back to the backend
 //! that owns the type, so a backend paired with the wrong decomposition
 //! does not compile.
@@ -88,7 +89,7 @@ pub(crate) mod cluster;
 pub(crate) mod host;
 pub(crate) mod sketched;
 
-pub(crate) use cluster::{BlockMeta, ClusterBackend, ResidualBlock};
+pub(crate) use cluster::{BlockMeta, ClusterBackend};
 pub(crate) use host::HostBackend;
 pub(crate) use sketched::SketchedBackend;
 

@@ -158,6 +158,10 @@ pub struct TensorBlocks {
     pub modes: Vec<ModePartition>,
     /// `(linear block id, entries)` for non-empty blocks, ascending by id.
     pub blocks: Vec<(usize, CooTensor)>,
+    /// Per block, parallel to its entries: where each entry sits in the
+    /// source tensor (`positions[b][j]` is block `b`'s entry `j`). Together
+    /// the blocks' positions are a permutation of the source's entries.
+    pub positions: Vec<Vec<usize>>,
     parts_per_mode: Vec<usize>,
 }
 
@@ -203,24 +207,34 @@ impl TensorBlocks {
                 }
             })
             .collect();
-        // Bucket entries by block id. Use a BTreeMap for deterministic
-        // ascending block order.
-        let mut buckets: std::collections::BTreeMap<usize, CooTensor> =
+        // Bucket source positions by block id, walking the source in order
+        // (a BTreeMap keeps the blocks in ascending id order), then gather
+        // each block's entries at their exact size.
+        let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> =
             std::collections::BTreeMap::new();
-        for (idx, v) in tensor.iter() {
+        for (e, (idx, _)) in tensor.iter().enumerate() {
             let mut id = 0usize;
             for (n, &i) in idx.iter().enumerate() {
                 id = id * parts_per_mode[n] + modes[n].part_of(i);
             }
-            buckets
-                .entry(id)
-                .or_insert_with(|| CooTensor::new(tensor.shape().to_vec()))
-                .push(idx, v)
-                .expect("index already validated by source tensor");
+            buckets.entry(id).or_default().push(e);
         }
+        let blocks = buckets
+            .iter()
+            .map(|(&id, pos)| {
+                let mut t = CooTensor::new(tensor.shape().to_vec());
+                t.reserve(pos.len());
+                for &e in pos {
+                    t.push(tensor.index(e), tensor.value(e))
+                        .expect("index already validated by source tensor");
+                }
+                (id, t)
+            })
+            .collect();
         TensorBlocks {
             modes,
-            blocks: buckets.into_iter().collect(),
+            blocks,
+            positions: buckets.into_values().collect(),
             parts_per_mode: parts_per_mode.to_vec(),
         }
     }
@@ -351,14 +365,35 @@ mod tests {
 
     #[test]
     fn blocks_cover_all_entries() {
-        let t = random_tensor(&[20, 30, 10], 500, 1);
-        let blocks = TensorBlocks::build(&t, &[3, 4, 2]);
-        assert_eq!(blocks.total_nnz(), t.nnz());
-        // Every entry maps into the block that contains it.
-        for (id, block) in &blocks.blocks {
-            for (idx, _) in block.iter() {
-                assert_eq!(blocks.block_of(idx), *id);
+        // Distinct values, so an entry's value names its source entry.
+        let mut unsorted = random_tensor(&[20, 30, 10], 500, 1);
+        for (e, v) in unsorted.values_mut().iter_mut().enumerate() {
+            *v = e as f64;
+        }
+        let mut sorted = unsorted.clone();
+        sorted.sort_dedup();
+        for t in [&unsorted, &sorted] {
+            let blocks = TensorBlocks::build(t, &[3, 4, 2]);
+            assert_eq!(blocks.total_nnz(), t.nnz());
+            // Every entry maps into the block that contains it.
+            for (id, block) in &blocks.blocks {
+                for (idx, _) in block.iter() {
+                    assert_eq!(blocks.block_of(idx), *id);
+                }
             }
+            // Every entry is the source entry its position names, and the
+            // positions of all blocks are a permutation of the source's.
+            assert_eq!(blocks.positions.len(), blocks.blocks.len());
+            let mut seen = vec![false; t.nnz()];
+            for ((_, block), pos) in blocks.blocks.iter().zip(&blocks.positions) {
+                assert_eq!(pos.len(), block.nnz());
+                for (j, &at) in pos.iter().enumerate() {
+                    assert_eq!(block.index(j), t.index(at));
+                    assert_eq!(block.value(j).to_bits(), t.value(at).to_bits());
+                    assert!(!std::mem::replace(&mut seen[at], true), "position {at} twice");
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "every source entry is in a block");
         }
     }
 

@@ -20,13 +20,15 @@
 //! residual's block cut, holds its partial banks under half a double per
 //! nonzero on every executor — no per-mode position list, no value
 //! carrier — and a whole cold solve allocates less than one more index
-//! list: the residual is values on the observed tensor's support.
+//! list: the residual is values on the observed tensor's support. A cold
+//! `DisTenC` solve likewise holds one copy of its blocked entries, the
+//! blocking's, with its residual as values per block.
 
 #![cfg(feature = "alloc-count")]
 
-use distenc::core::{AdmmConfig, AdmmSolver};
+use distenc::core::{AdmmConfig, AdmmSolver, DisTenC};
 use distenc::dataflow::alloc;
-use distenc::dataflow::ExecMode;
+use distenc::dataflow::{Cluster, ClusterConfig, ExecMode};
 use distenc::tensor::fused::BlockCut;
 use distenc::tensor::CooTensor;
 
@@ -150,6 +152,25 @@ fn steady_state_iterations_allocate_o1_heap() {
     drop(res);
     let index_list = 8 * (cut.order() * cut.nnz()) as u64;
     assert!(bytes < index_list, "a cold solve took {bytes} bytes, an index list is {index_list}");
+
+    // --- DisTenC holds its blocked entries once, the blocking's (each
+    // block gathered at its exact size from the source positions bucketed
+    // beside it), and its residual is values per block: a cold
+    // 2-iteration solve on four machines stays under fourteen doubles per
+    // nonzero, transient active-row lists included (about 12 on this
+    // tensor; a second copy of the blocked entries takes it past 18).
+    let cluster = Cluster::new(
+        ClusterConfig::test(4).with_exec(ExecMode::Sequential).with_time_budget(None),
+    );
+    let before = alloc::snapshot();
+    let res = DisTenC::new(&cluster, AdmmConfig { max_iters: 2, ..seq.clone() })
+        .unwrap()
+        .solve(&cut, &[None, None, None])
+        .unwrap();
+    let bytes = alloc::snapshot().delta(before).thread_bytes;
+    drop(res);
+    let budget = 14 * 8 * cut.nnz() as u64;
+    assert!(bytes < budget, "a cold DisTenC solve took {bytes} bytes, the budget is {budget}");
 
     // --- Threaded: also zero. The unboxed broadcast dispatches through
     // pool-resident state, and on hosts where the pool is bypassed (a

@@ -62,54 +62,65 @@ fn tmp_path(tag: &str) -> PathBuf {
 #[test]
 fn crash_recovery_is_bit_exact_at_every_checkpoint_interval() {
     let observed = planted(&[12, 10, 8], 2, 600, 31);
-    let (clean, clean_m) = fault_free(&observed);
-    // Pin the crash halfway through the clean run's stage sequence so
-    // snapshots exist before it fires (the stage count per iteration is
-    // an implementation detail; the clean run's total is not).
-    let crash_at = clean_m.stages / 2;
-
-    // With no checkpoint the driver cold-restarts; with intervals 1 and 5
-    // it resumes from the newest snapshot image. All three must land on
-    // the fault-free answer bit-for-bit.
-    let mut faulted_virt = Vec::new();
-    for every in [None, Some(1), Some(5)] {
-        let plan = FaultPlan::new(vec![Fault::MachineCrash { at_stage: crash_at, machine: 1 }]);
-        let (out, m) = cluster_solve(&observed, plan, every);
-        let res = out.unwrap();
-        assert_eq!(factor_bits(&clean), factor_bits(&res), "interval {every:?}");
-        assert_eq!(
-            clean.trace.final_rmse().unwrap().to_bits(),
-            res.trace.final_rmse().unwrap().to_bits(),
-            "interval {every:?}"
-        );
-        assert_eq!(clean.iterations, res.iterations, "interval {every:?}");
-        // Every recomputed iteration reproduces the original trace.
-        assert_eq!(clean.trace.points.len(), res.trace.points.len());
-        for (a, b) in clean.trace.points.iter().zip(&res.trace.points) {
-            assert_eq!(a.train_rmse.to_bits(), b.train_rmse.to_bits());
-            assert_eq!(a.factor_delta.to_bits(), b.factor_delta.to_bits());
-        }
-        // The recovery is charged, not free.
-        assert_eq!(m.machines_lost, 1, "interval {every:?}");
-        assert_eq!(m.faults_injected, 1, "interval {every:?}: the one planned crash fired");
-        assert!(m.recovery_seconds > 0.0, "interval {every:?}");
-        assert!(
-            m.virtual_seconds > clean_m.virtual_seconds,
-            "recovery must cost virtual time: {} vs {} (interval {every:?})",
-            m.virtual_seconds,
-            clean_m.virtual_seconds
-        );
-        faulted_virt.push(m.virtual_seconds);
+    // The same cells and values in reverse entry order: a checkpoint maps
+    // the blocked residual to the observed entry order through the
+    // blocking's positions, so an unsorted input recovers like a sorted one.
+    let mut reversed = CooTensor::new(observed.shape().to_vec());
+    for e in (0..observed.nnz()).rev() {
+        reversed.push(observed.index(e), observed.value(e)).unwrap();
     }
-    // A mid-run crash with per-iteration snapshots resumes from the
-    // image instead of recomputing every iteration: even after paying
-    // for the snapshots, the run beats the cold restart.
-    assert!(
-        faulted_virt[1] < faulted_virt[0],
-        "interval-1 resume ({}) should beat cold restart ({})",
-        faulted_virt[1],
-        faulted_virt[0]
-    );
+    for (input, observed) in [("sorted", &observed), ("reversed", &reversed)] {
+        let (clean, clean_m) = fault_free(observed);
+        // Pin the crash halfway through the clean run's stage sequence so
+        // snapshots exist before it fires (the stage count per iteration
+        // is an implementation detail; the clean run's total is not).
+        let crash_at = clean_m.stages / 2;
+
+        // With no checkpoint the driver cold-restarts; with intervals 1
+        // and 5 it resumes from the newest snapshot image. All three must
+        // land on the fault-free answer bit-for-bit.
+        let mut faulted_virt = Vec::new();
+        for every in [None, Some(1), Some(5)] {
+            let plan =
+                FaultPlan::new(vec![Fault::MachineCrash { at_stage: crash_at, machine: 1 }]);
+            let (out, m) = cluster_solve(observed, plan, every);
+            let res = out.unwrap();
+            let case = format!("{input}, interval {every:?}");
+            assert_eq!(factor_bits(&clean), factor_bits(&res), "{case}");
+            assert_eq!(
+                clean.trace.final_rmse().unwrap().to_bits(),
+                res.trace.final_rmse().unwrap().to_bits(),
+                "{case}"
+            );
+            assert_eq!(clean.iterations, res.iterations, "{case}");
+            // Every recomputed iteration reproduces the original trace.
+            assert_eq!(clean.trace.points.len(), res.trace.points.len());
+            for (a, b) in clean.trace.points.iter().zip(&res.trace.points) {
+                assert_eq!(a.train_rmse.to_bits(), b.train_rmse.to_bits());
+                assert_eq!(a.factor_delta.to_bits(), b.factor_delta.to_bits());
+            }
+            // The recovery is charged, not free.
+            assert_eq!(m.machines_lost, 1, "{case}");
+            assert_eq!(m.faults_injected, 1, "{case}: the one planned crash fired");
+            assert!(m.recovery_seconds > 0.0, "{case}");
+            assert!(
+                m.virtual_seconds > clean_m.virtual_seconds,
+                "recovery must cost virtual time: {} vs {} ({case})",
+                m.virtual_seconds,
+                clean_m.virtual_seconds
+            );
+            faulted_virt.push(m.virtual_seconds);
+        }
+        // A mid-run crash with per-iteration snapshots resumes from the
+        // image instead of recomputing every iteration: even after paying
+        // for the snapshots, the run beats the cold restart.
+        assert!(
+            faulted_virt[1] < faulted_virt[0],
+            "{input}: interval-1 resume ({}) should beat cold restart ({})",
+            faulted_virt[1],
+            faulted_virt[0]
+        );
+    }
 }
 
 #[test]
