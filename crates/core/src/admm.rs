@@ -371,13 +371,10 @@ pub(crate) fn solve_with(
         SolverTier::Sketched { samples, polish_iters }
             if samples < observed.nnz() && polish_iters < cfg.max_iters =>
         {
-            // Fusion is forced on: the fused sampled sweep *is* the
-            // schedule (there is no unfused sampled path to ablate
-            // against), and exact iterations give the same bits either
-            // way. Checkpointing is stripped: checkpoints are exact-tier
+            // Checkpointing is stripped: checkpoints are exact-tier
             // artifacts, and a snapshot would resume into a different
             // sampling stream.
-            let cfg = AdmmConfig { fused: true, checkpoint: None, ..cfg.clone() };
+            let cfg = AdmmConfig { checkpoint: None, ..cfg.clone() };
             let sketch_iters = cfg.max_iters - polish_iters;
             let mut backend =
                 SketchedBackend::new(host, observed, samples, sketch_iters, cfg.rank, cfg.seed)?;

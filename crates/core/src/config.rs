@@ -26,9 +26,6 @@ pub const DEFAULT_POLISH_ITERS: usize = 8;
 /// * the distributed [`crate::DisTenC`] driver — Algorithm 3's virtual
 ///   cluster models the exact schedule only, so it always runs `Exact`
 ///   whatever the config says.
-/// * combined with [`AdmmConfig::fused`] — fusion is forced on for the
-///   whole sketched solve: the fused sampled sweep is the schedule, and
-///   the exact iterations give the same bits either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverTier {
     /// The exact reference path (the default).
@@ -123,17 +120,6 @@ pub struct AdmmConfig {
     /// DESIGN.md §9); defaults from the `DISTENC_THREADS` environment
     /// variable, else a thread per host core.
     pub exec: distenc_dataflow::ExecMode,
-    /// Fuse the end-of-iteration residual refresh with the *next*
-    /// iteration's MTTKRPs into a single sweep over the nonzeros that banks
-    /// every mode's, on the host under every executor and on the
-    /// distributed driver: one pass per iteration instead of N+1 for an
-    /// order-N tensor (on the cluster also one block stage and one shuffle
-    /// instead of N+1 and N). Bit-identical to the unfused schedule in
-    /// every numeric result — the fused sweep replays the exact same
-    /// floating-point folds over the same blocks — so this is on by
-    /// default; the switch exists for the ablation and the pass-count
-    /// gate.
-    pub fused: bool,
     /// Which solver tier runs the per-iteration kernels (see
     /// [`SolverTier`]): the bit-pinned exact path, or the sampled
     /// sketched tier with an exact final polish. Exact by default.
@@ -159,7 +145,6 @@ impl Default for AdmmConfig {
             nonneg: false,
             partition: distenc_partition::PartitionStrategy::Greedy,
             exec: distenc_dataflow::ExecMode::default(),
-            fused: true,
             solver_tier: SolverTier::default(),
             checkpoint: None,
         }
@@ -170,12 +155,6 @@ impl AdmmConfig {
     /// Builder-style host-execution-backend override.
     pub fn with_exec(mut self, exec: distenc_dataflow::ExecMode) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Builder-style fused-sweep override (see [`AdmmConfig::fused`]).
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
         self
     }
 
@@ -231,9 +210,8 @@ mod tests {
         assert!(c.validate().is_ok());
         // Constants, not environment lookups: only `exec` follows a
         // variable (`DISTENC_THREADS`).
-        assert!(c.fused, "fusion is the default schedule");
         assert_eq!(c.solver_tier, SolverTier::Exact);
-        assert!(!c.with_fused(false).fused);
+        assert_eq!(c.checkpoint, None);
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! fold (as are the per-block `‖e‖²` partials and the per-partition
 //! Grams), so iterates match the oracle to rounding, not bit-for-bit; the
 //! integration tests assert agreement to `1e-8`. Within this driver the
-//! association is fixed by the blocking alone: fused or not, resumed or
-//! not, on any executor, a solve produces the same bits.
+//! association is fixed by the blocking alone: resumed or not, on any
+//! executor, a solve produces the same bits.
 
 use crate::admm::{truncate_all, validate_problem};
 use crate::config::AdmmConfig;

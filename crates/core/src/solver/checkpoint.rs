@@ -17,7 +17,8 @@
 //! config  rank u64 · λ α η₀ ρ η_max (f64 bits) · max_iters u64 ·
 //!         tol (f64 bits) · eigen_k u64 · seed u64 ·
 //!         nonneg u8 · partition u8 (0 = Greedy, 1 = EqualWidth) ·
-//!         reserved u8 (was use_csf: written 0, ignored on read) · fused u8
+//!         reserved u8 (was use_csf: written 0, ignored on read) ·
+//!         reserved u8 (was fused: written 1, ignored on read)
 //! shape   order u64, then one u64 per mode
 //! cursor  iters_done u64 · eta (f64 bits)
 //! factors per mode: rows u64 · cols u64 · rows×cols f64 bits
@@ -39,10 +40,11 @@
 //! checkpoint is an exact-tier artifact and must resume bit-identically
 //! on any host backend, so the reader fills them with the defaults
 //! (`exec` from `DISTENC_THREADS`, tier `Exact`, no follow-on checkpoint
-//! policy) and `resume` overlays the resuming solver's own. The reserved
-//! byte keeps files written while a CSF switch was stored there readable
-//! under the same version: those carried 0 or 1, and either is ignored —
-//! the solver has one residual storage.
+//! policy) and `resume` overlays the resuming solver's own. The two
+//! reserved bytes keep files written while a CSF switch and a fusion
+//! switch were stored there readable under the same version: those
+//! carried 0 or 1, and either is ignored — the solver has one residual
+//! storage and one schedule, and both switches gave the same bits.
 
 use super::SolverState;
 use crate::config::{AdmmConfig, SolverTier};
@@ -271,7 +273,7 @@ impl Checkpoint {
             PartitionStrategy::EqualWidth => 1,
         });
         w.u8(0); // reserved (was use_csf)
-        w.u8(u8::from(c.fused));
+        w.u8(1); // reserved (was fused)
         w.u64(self.shape.len() as u64);
         for &d in &self.shape {
             w.u64(d as u64);
@@ -347,7 +349,7 @@ impl Checkpoint {
             }
         };
         r.u8()?; // reserved (was use_csf)
-        let fused = r.u8()? != 0;
+        r.u8()?; // reserved (was fused)
         let config = AdmmConfig {
             rank,
             lambda,
@@ -364,7 +366,6 @@ impl Checkpoint {
             // Environment fields: not serialized, reset to this host's
             // defaults (see the module docs).
             exec: distenc_dataflow::ExecMode::default(),
-            fused,
             solver_tier: SolverTier::Exact,
             checkpoint: None,
         };
@@ -450,18 +451,30 @@ impl Checkpoint {
         })
     }
 
-    /// Write atomically to `path`: the bytes land in a `.tmp` sibling
-    /// first and are renamed into place, so a crash mid-write leaves
-    /// either the previous checkpoint or none — never a torn file.
+    /// Write atomically and durably to `path`: the bytes land in a `.tmp`
+    /// sibling, are synced to the device (`sync_all`) and only then
+    /// renamed into place, and the rename is synced through the parent
+    /// directory. A crash mid-write leaves the previous checkpoint or the
+    /// new one — never a torn file, and never a rename that outlives the
+    /// bytes it names. A `.tmp` left by a write that died is never read.
     pub fn write_file(&self, path: &std::path::Path) -> Result<()> {
+        use std::io::Write;
+        let io = |p: &std::path::Path, e: std::io::Error| {
+            CheckpointError::Io(format!("{}: {e}", p.display()))
+        };
         let bytes = self.to_bytes();
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, &bytes)
-            .map_err(|e| CheckpointError::Io(format!("{}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))
+        let mut file = std::fs::File::create(&tmp).map_err(|e| io(&tmp, e))?;
+        file.write_all(&bytes).and_then(|()| file.sync_all()).map_err(|e| io(&tmp, e))?;
+        drop(file);
+        std::fs::rename(&tmp, path).map_err(|e| io(path, e))?;
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => std::path::Path::new("."),
+        };
+        std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io(dir, e))
     }
 
     /// Read and validate a checkpoint file.

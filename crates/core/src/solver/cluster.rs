@@ -15,25 +15,25 @@
 //! its [`BlockMeta`]. One block body serves every pass over it
 //! ([`ClusterBackend::sweep_blocks`]): a task per block reads the block's
 //! entries once, takes their residual values — refreshed in the same
-//! pass, or as stored — and writes the block's partial `H` rows for a
-//! range of modes; the partials of a mode are then added up at each
-//! factor partition's home in ascending block order
-//! ([`ClusterBackend::combine`]). The end-of-iteration sweep runs it
-//! with refresh on and every mode (one pass banks the next iteration's N
-//! MTTKRPs), the plain refresh with no mode, the entry into a restored
-//! attempt with every mode and the stored values, and an unbanked mode
-//! step with that one mode and the stored values. A block's partial for a mode
-//! is the same fold whichever pass computed it, and the combine order is
-//! fixed, so fused ≡ unfused, resumed ≡ uninterrupted and `Sequential` ≡
-//! `Threads(n)` hold bit-for-bit by construction.
+//! pass, or as stored — and writes the block's partial `H` rows for every
+//! mode; the partials of a mode are then added up at each factor
+//! partition's home in ascending block order
+//! ([`ClusterBackend::combine`]). The end-of-iteration sweep runs it with
+//! refresh on (one pass banks the next iteration's N MTTKRPs), the last
+//! one with no mode (the plain refresh), and the entry into a restored
+//! attempt over the stored values. A block's partial for a mode is the
+//! same fold whichever pass computed it, and the combine order is fixed,
+//! so resumed ≡ uninterrupted and `Sequential` ≡ `Threads(n)` hold
+//! bit-for-bit by construction.
 //!
 //! The charges follow that schedule and nothing else. They are a function
 //! of the blocking metadata ([`BlockMeta`]) and of which passes ran: a
 //! block task costs the sum of the passes it folds into one
 //! ([`ClusterBackend::block_task`] — no arithmetic discount is claimed on
-//! the virtual clock; the entries are read once), and the all-modes sweep
-//! is one factor fetch, one block stage and one shuffle where the
-//! mode-by-mode schedule pays N+1, N+1 and N.
+//! the virtual clock; the entries are read once), and a sweep is one
+//! factor fetch, one block stage and one shuffle, where Algorithm 3 as
+//! published pays N+1, N+1 and N ([`crate::model::DisTenCModel`] still
+//! models that schedule).
 //!
 //! The accounting vectors built per stage (`TaskCost` lists, shuffle
 //! tallies, the per-sweep task list) are bookkeeping, not step math, and
@@ -159,15 +159,16 @@ impl<'a> ClusterBackend<'a> {
     /// The one block body: a task per block on the executor walks the
     /// block's entries once, takes their residual values from `values`
     /// (refreshing them in the same walk, or as stored) and overwrites
-    /// the block's partial `H` slabs for `modes`. Returns `‖E‖²_F` as the
-    /// sum of the per-block `‖e‖²` in ascending block order — the fixed
-    /// association of this decomposition. Blocks share nothing, so the
-    /// executor cannot change a bit.
+    /// the block's partial `H` slabs for the leading `banks` modes — every
+    /// mode, or none. Returns `‖E‖²_F` as the sum of the per-block `‖e‖²`
+    /// in ascending block order — the fixed association of this
+    /// decomposition. Blocks share nothing, so the executor cannot change
+    /// a bit.
     fn sweep_blocks<'v>(
         &mut self,
         model: &KruskalTensor,
         values: impl Iterator<Item = EntryValues<'v>>,
-        modes: Range<usize>,
+        banks: usize,
     ) -> f64 {
         crate::record_entry_sweep(self.meta.iter().map(BlockMeta::nnz).sum());
         let mut tasks: Vec<BlockTask<'_>> = self
@@ -179,13 +180,13 @@ impl<'a> ClusterBackend<'a> {
                 entries: b.entries,
                 vals: Some(vals),
                 origin: &slabs.origin,
-                partial: &mut slabs.partial[modes.clone()],
+                partial: &mut slabs.partial[..banks],
                 frob: 0.0,
             })
             .collect();
         self.cl.executor().run_mut(&mut tasks, |_, t| {
             let vals = t.vals.take().expect("the executor runs each block once");
-            t.frob = block_sweep_into(t.entries, model, vals, modes.start, t.origin, t.partial)
+            t.frob = block_sweep_into(t.entries, model, vals, t.origin, t.partial)
                 .expect("block slabs are sized from the blocking they sweep");
         });
         tasks.iter().map(|t| t.frob).sum()
@@ -259,14 +260,11 @@ impl<'a> ClusterBackend<'a> {
         Ok(())
     }
 
-    /// Fetch the factor rows each block needs for modes it reads. With
-    /// `skip_output = Some(n)`, mode `n`'s rows are not inputs (they are
-    /// the stage's *output*), matching a one-mode MTTKRP; with `None`
-    /// every mode's rows are fetched (the residual refresh, and the
-    /// all-modes sweep that contains it). Rows whose home machine already
-    /// hosts the block are free (§III-F keeps joins co-partitioned for
-    /// exactly this reason).
-    fn charge_factor_fetch(&self, skip_output: Option<usize>) -> Result<()> {
+    /// Fetch the factor rows of every mode each block reads (a sweep
+    /// evaluates the model, or banks every mode, at each entry). Rows
+    /// whose home machine already hosts the block are free (§III-F keeps
+    /// joins co-partitioned for exactly this reason).
+    fn charge_factor_fetch(&self) -> Result<()> {
         let cl = self.cl;
         let m = cl.machines();
         // Dedup: machine × mode × partition fetched at most once per stage.
@@ -274,9 +272,6 @@ impl<'a> ClusterBackend<'a> {
             std::collections::BTreeSet::new();
         for b in &self.meta {
             for (k, &pk) in b.coords.iter().enumerate() {
-                if Some(k) == skip_output {
-                    continue;
-                }
                 let home = cl.machine_for_partition(pk);
                 if home != b.machine {
                     needed.insert((b.machine, k, pk));
@@ -345,37 +340,11 @@ impl<'a> ClusterBackend<'a> {
 impl StepBackend for ClusterBackend<'_> {
     type Residual = Vec<Vec<f64>>;
 
-    /// The per-mode fallback (`fused: false`): the block body over the
-    /// stored residual values for this one mode, then the combine. The
-    /// block association is this backend's own (matching the serial oracle
-    /// to rounding, not bits) and is the same one the all-modes sweep
-    /// produces.
-    fn sparse_mttkrp(
-        &mut self,
-        _observed: &CooTensor,
-        values: &Vec<Vec<f64>>,
-        model: &KruskalTensor,
-        mode: usize,
-        out: &mut Mat,
-    ) -> Result<()> {
-        let stored = values.iter().map(|v| EntryValues::Stored(v));
-        self.sweep_blocks(model, stored, mode..mode + 1);
-        self.combine(mode, out);
-        Ok(())
-    }
-
-    /// What the cluster pays for a mode's MTTKRP at its mode step. A mode
-    /// the last sweep banked has already paid its fetch, block stage and
-    /// shuffle there — together with every other mode's — and only its
-    /// partial-`H` rows remain to be combined at their homes. An unbanked
-    /// mode pays the whole one-mode pass here: the remote factor rows of
-    /// every mode except its own output, the per-block stage, the
-    /// partial-`H` rows travelling home, and the combine.
-    fn on_sparse_mttkrp(&mut self, mode: usize, banked: bool) -> Result<()> {
-        if !banked {
-            self.charge_factor_fetch(Some(mode))?;
-            self.charge_block_stage(mode..mode + 1, false)?;
-        }
+    /// What the cluster pays for a mode's MTTKRP at its mode step. The
+    /// sweep before the iteration has already paid its fetch, block stage
+    /// and shuffle — together with every other mode's — so only its
+    /// partial-`H` rows remain to be combined at their homes.
+    fn on_sparse_mttkrp(&mut self, mode: usize) -> Result<()> {
         self.charge_rows_stage(&self.blocking.modes[mode], self.rank as f64, 0)
     }
 
@@ -404,12 +373,12 @@ impl StepBackend for ClusterBackend<'_> {
     }
 
     /// The banking sweep (see [`StepBackend::fused_step`]). Handed the
-    /// bank, it is the all-modes sweep: every block takes its values —
-    /// refreshing them, or, on the entry into a restored attempt, as the
-    /// snapshot stored them — and emits all N partials in one task, and
-    /// the cluster is charged one factor fetch (every mode's rows at every
-    /// block), one block stage and one shuffle. Handed nothing, it is the
-    /// plain refresh: the same fetch and a stage that sweeps no mode.
+    /// bank, every block takes its values — refreshing them, or, on the
+    /// entry into a restored attempt, as the snapshot stored them — and
+    /// emits all N partials in one task, and the cluster is charged one
+    /// factor fetch (every mode's rows at every block), one block stage
+    /// and one shuffle. Handed nothing, it is the plain refresh: the same
+    /// fetch and a stage that sweeps no mode.
     fn fused_step(
         &mut self,
         _observed: &CooTensor,
@@ -417,10 +386,9 @@ impl StepBackend for ClusterBackend<'_> {
         values: &mut Vec<Vec<f64>>,
         refresh: bool,
         bank: &mut [Mat],
-    ) -> Result<(f64, usize)> {
-        let modes = 0..bank.len();
-        self.charge_factor_fetch(None)?;
-        self.charge_block_stage(modes.clone(), refresh)?;
+    ) -> Result<f64> {
+        self.charge_factor_fetch()?;
+        self.charge_block_stage(0..bank.len(), refresh)?;
         let values = values.iter_mut().map(|v| {
             if refresh {
                 EntryValues::Refresh(v)
@@ -428,11 +396,11 @@ impl StepBackend for ClusterBackend<'_> {
                 EntryValues::Stored(v)
             }
         });
-        let frob = self.sweep_blocks(model, values, modes);
+        let frob = self.sweep_blocks(model, values, bank.len());
         for (mode, out) in bank.iter_mut().enumerate() {
             self.combine(mode, out);
         }
-        Ok((frob, bank.len()))
+        Ok(frob)
     }
 
     fn clock(&self, _iter: usize) -> f64 {
@@ -531,54 +499,50 @@ mod tests {
     #[test]
     fn the_entry_sweep_banks_every_mode_from_stored_values_in_one_stage() {
         // What a restored attempt opens with: one fetch, one block stage
-        // and one shuffle bank all N modes — the very partials N one-mode
-        // passes over the stored values produce, which cost N of each.
+        // and one shuffle bank all N modes from the values as the last
+        // refreshing sweep left them — the very bits that sweep banked
+        // beside its refresh.
         let rank = 3;
         let model = KruskalTensor::random(&[4, 4, 4], rank, 5);
         let observed = CooTensor::new(vec![4, 4, 4]); // unread by this backend
         let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-
+        let dirty = || -> Vec<Mat> { (0..3).map(|m| Mat::random(4, rank, 40 + m)).collect() };
         let blocking = blocking();
-        let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let (mut be, mut blocks) = blocked(&cl, &blocking, rank);
-        let stored = blocks.clone();
-        let mut bank: Vec<Mat> = (0..3).map(|m| Mat::random(4, rank, 40 + m)).collect(); // dirty
-        let (_, banked) = be.fused_step(&observed, &model, &mut blocks, false, &mut bank).unwrap();
-        assert_eq!(banked, 3);
-        let entry = cl.metrics();
-        assert_eq!(entry.stages, 1);
-        for (vals, was) in blocks.iter().zip(&stored) {
-            assert_eq!(vals, was, "a stored sweep writes no value");
-        }
-        for mode in 0..3 {
-            be.on_sparse_mttkrp(mode, true).unwrap();
-        }
-        let entry_total = cl.metrics();
 
+        // The refreshing sweep: the tensor's values in, the residual out.
+        let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
+        let (mut be, mut values) = blocked(&cl, &blocking, rank);
+        let stale = values.clone();
+        let mut refreshed = dirty();
+        be.fused_step(&observed, &model, &mut values, true, &mut refreshed).unwrap();
+        assert_ne!(values, stale, "the refresh rewrote the values");
+        let refresh = cl.metrics();
+        assert_eq!(refresh.stages, 1);
+
+        // The entry sweep over those fresh values, on a cluster of its own.
         let cl2 = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let (mut be2, blocks2) = blocked(&cl2, &blocking, rank);
-        for (mode, banked) in bank.iter().enumerate() {
-            let mut out = Mat::random(4, rank, 7);
-            be2.on_sparse_mttkrp(mode, false).unwrap();
-            be2.sparse_mttkrp(&observed, &blocks2, &model, mode, &mut out).unwrap();
-            assert_eq!(bits(&out), bits(banked), "mode {mode}");
+        let (mut be2, _) = blocked(&cl2, &blocking, rank);
+        let fresh = values.clone();
+        let mut entry = dirty();
+        be2.fused_step(&observed, &model, &mut values, false, &mut entry).unwrap();
+        assert_eq!(values, fresh, "a stored sweep writes no value");
+        for (mode, (e, r)) in entry.iter().zip(&refreshed).enumerate() {
+            assert_eq!(bits(e), bits(r), "mode {mode}");
         }
-        let per_mode = cl2.metrics();
-        // N block stages became 1; the N combine stages are paid either way.
-        assert_eq!(per_mode.stages - entry_total.stages, 2);
-        assert!(entry_total.virtual_seconds < per_mode.virtual_seconds);
-        // The same partial rows travel home, in one shuffle; of the
-        // fetches, each mode's pass skipped its own output rows, so N of
-        // them moved every remote row N − 1 times and the one moves it once.
-        assert!(entry_total.shuffled_bytes < per_mode.shuffled_bytes);
+        let stored = cl2.metrics();
+        assert_eq!(stored.stages, 1);
+        // The same fetch and the same partial rows travelling home; only
+        // the fresh values the refresh wrote are not paid for.
+        assert_eq!(stored.shuffled_bytes, refresh.shuffled_bytes);
+        assert!(stored.virtual_seconds < refresh.virtual_seconds);
     }
 
     #[test]
     fn the_fused_stage_is_charged_the_sum_of_the_tasks_it_replaces() {
         // Nothing gets cheaper by decree: block by block, the all-modes
         // task costs the flops and emits the outputs of the refresh task
-        // plus the N one-mode MTTKRP tasks. Only the entries are read once
-        // instead of N+1 times.
+        // plus the N one-mode MTTKRP tasks of Algorithm 3 as published.
+        // Only the entries are read once instead of N+1 times.
         let blocking = blocking();
         let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
         let (be, _) = blocked(&cl, &blocking, 3);
@@ -589,7 +553,7 @@ mod tests {
             let per_mode: Vec<TaskCost> =
                 (0..n).map(|m| be.block_task(b, m..m + 1, false)).collect();
 
-            // The replaced tasks are today's: nnz·N·R flops each; entries
+            // The replaced tasks: nnz·N·R flops each; entries
             // in (plus the residual value for an MTTKRP); values or the
             // block's active rows out.
             let (nnz, rank) = (b.nnz() as u64, be.rank as u64);

@@ -17,11 +17,9 @@
 //! and writes every mode's next MTTKRP straight into it: one sweep over
 //! the nonzeros per iteration, on every executor. Entered on a residual
 //! that is already fresh, the same hook banks every mode from the stored
-//! values. [`StepBackend::sparse_mttkrp`] — called only unfused — is the
-//! same cut over stored values for one mode. At orders 2–8 the steady
-//! state allocates nothing on any thread (the threaded executor hands the
-//! blocks to its resident pool through an unboxed index broadcast; the
-//! sequential path is a plain loop).
+//! values. At orders 2–8 the steady state allocates nothing on any thread
+//! (the threaded executor hands the blocks to its resident pool through
+//! an unboxed index broadcast; the sequential path is a plain loop).
 
 use super::StepBackend;
 use crate::Result;
@@ -53,20 +51,6 @@ impl<C: Fn(usize) -> f64> HostBackend<C> {
 impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
     type Residual = Vec<f64>;
 
-    fn sparse_mttkrp(
-        &mut self,
-        observed: &CooTensor,
-        residual: &Vec<f64>,
-        model: &KruskalTensor,
-        mode: usize,
-        out: &mut Mat,
-    ) -> Result<()> {
-        let vals = EntryValues::Stored(residual);
-        let out = std::slice::from_mut(out);
-        cut_sweep_into(observed, model, vals, mode, out, &mut self.cut, &self.exec)?;
-        Ok(())
-    }
-
     fn refresh_gram(&mut self, factor: &Mat, _mode: usize, out: &mut Mat) -> Result<()> {
         factor.gram_into(out)?;
         Ok(())
@@ -79,13 +63,12 @@ impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
         residual: &mut Vec<f64>,
         refresh: bool,
         bank: &mut [Mat],
-    ) -> Result<(f64, usize)> {
+    ) -> Result<f64> {
         // Without `refresh` the values are fresh and stay; the `‖E‖²` of
         // that sweep is never read.
         let vals =
             if refresh { EntryValues::Refresh(residual) } else { EntryValues::Stored(residual) };
-        let frob = cut_sweep_into(observed, model, vals, 0, bank, &mut self.cut, &self.exec)?;
-        Ok((frob, bank.len()))
+        Ok(cut_sweep_into(observed, model, vals, bank, &mut self.cut, &self.exec)?)
     }
 
     fn clock(&self, iter: usize) -> f64 {

@@ -40,40 +40,32 @@
 //! bookkeeping, not step math). The `alloc-count` feature and
 //! `tests/alloc_budget.rs` enforce this.
 //!
-//! **Pass contract.** The [`Workspace`] holds one `Iₙ×R` sparse-MTTKRP
-//! buffer per mode: the *bank*. [`run`] decides, once per sweep, whether
-//! anything may be banked — [`AdmmConfig::fused`] is on and another
-//! iteration will run — and hands [`StepBackend::fused_step`] the bank, or
-//! an empty slice. The sweep refreshes the residual, reduces `‖E‖²_F`,
-//! fills the buffers of as many *leading* modes as its decomposition can
-//! in that same pass (the loop is Jacobi, so all N MTTKRPs of the next
-//! iteration read the model and residual this sweep leaves behind) and
-//! reports how many. The next iteration's [`mode_step`]s call
-//! [`StepBackend::sparse_mttkrp`] only for the modes after those; a banked
-//! mode's buffer is read where it lies, and [`StepBackend::on_sparse_mttkrp`]
-//! is told which of the two happened.
+//! **Pass contract: one schedule.** The [`Workspace`] holds one `Iₙ×R`
+//! sparse-MTTKRP buffer per mode: the *bank*. [`run`] decides, once per
+//! sweep, whether another iteration will run, and hands
+//! [`StepBackend::fused_step`] the bank, or an empty slice. The sweep
+//! refreshes the residual, reduces `‖E‖²_F` and fills *every* mode's
+//! buffer in that same pass — the loop is Jacobi, so all N MTTKRPs of the
+//! next iteration read the model and residual this sweep leaves behind.
+//! Each of the next iteration's [`mode_step`]s reads its mode's buffer
+//! where it lies; [`StepBackend::on_sparse_mttkrp`] charges what is left
+//! of that MTTKRP once the sweep has paid for it.
 //!
 //! A solve entered on a residual that is already fresh — a carried one
 //! (every streaming refresh) or one restored from a checkpoint — has no
-//! prologue refresh to bank beside, so
-//! [`run`] opens it with the *entry sweep*: the same hook with `refresh`
-//! off, which reads the values as stored and only banks. Its first
-//! iteration then starts with what the backend banks from stored values,
-//! exactly as every later one starts with what the refreshing sweep
-//! banked. The exact backends bank all N modes, on every executor (the
-//! sketched backend's sampled sweeps bank mode 0's estimate, see its
-//! module), so the sweep count over the nonzero list per steady-state
-//! iteration — and for the entry alike — is:
-//!
-//! * **1** — fused: the host backend runs the residual's block cut (one
-//!   sweep whether its blocks run one after another or on threads), the
-//!   cluster backend one task per Algorithm 2 block;
-//! * **N+1** — unfused: N MTTKRPs plus the separate refresh (no entry
-//!   sweep: without fusion nothing is ever banked).
-//!
-//! So `k` iterations entered on a fresh residual cost `k + 1` sweeps — the
-//! entry, `k − 1` fused, the last plain refresh. The `pass-count` feature
-//! counts the sweeps and `tests/pass_count.rs` pins all of it.
+//! prologue refresh to bank beside, so [`run`] opens it with the *entry
+//! sweep*: the same hook with `refresh` off, which reads the values as
+//! stored and only banks. Its first iteration then starts with what the
+//! backend banks from stored values, exactly as every later one starts
+//! with what the refreshing sweep banked. Every backend banks all N modes
+//! on every executor — the host runs the residual's block cut (one sweep
+//! whether its blocks run one after another or on threads), the cluster
+//! one task per Algorithm 2 block, and the sketched backend's sampled
+//! sweeps draw N estimates (see its module) — so a steady-state iteration,
+//! and the entry alike, sweeps the nonzero list **once**. `k` iterations
+//! entered on a fresh residual cost `k + 1` sweeps — the entry, `k − 1`
+//! banking sweeps, the last plain refresh. The `pass-count` feature counts
+//! the sweeps and `tests/pass_count.rs` pins all of it.
 
 use crate::config::AdmmConfig;
 use crate::solver::checkpoint::Checkpoint;
@@ -111,13 +103,9 @@ struct ModeBuffers {
 pub(crate) struct Workspace {
     modes: Vec<ModeBuffers>,
     /// The bank: the sparse MTTKRP part `E₍ₙ₎U⁽ⁿ⁾` of every mode (`Iₙ×R`
-    /// each), written by the fused sweep (or the entry sweep) for the
-    /// modes it banks and by [`StepBackend::sparse_mttkrp`] for the rest,
-    /// read once per mode step.
+    /// each), written by the sweep before each iteration (the refreshing
+    /// sweep, or the entry sweep) and read once per mode step.
     bank: Vec<Mat>,
-    /// How many leading modes of `bank` the last sweep filled for the
-    /// iteration about to run.
-    banked: usize,
     /// The `R×R` Gram product `F⁽ⁿ⁾`, shifted into the regularized
     /// denominator in place each mode step.
     f: Mat,
@@ -179,7 +167,6 @@ impl<R> SolverState<R> {
         let ws = Workspace {
             modes,
             bank: per_mode(),
-            banked: 0,
             f: Mat::zeros(rank, rank),
             // Seed the factorization buffer with any SPD matrix of the
             // right size; every use goes through `refactor` first.
@@ -210,30 +197,14 @@ impl<R> SolverState<R> {
 }
 
 /// What a driver plugs into the shared iteration: its decomposition of
-/// the residual and of the data-dependent kernels over it (sparse MTTKRP,
-/// Gram refresh, the end-of-iteration sweep), its trace clock, and — for
+/// the residual and of the data-dependent kernels over it (the Gram
+/// refresh, the sweep that banks every MTTKRP), its trace clock, and — for
 /// the distributed driver — accounting hooks at the exact points the
 /// pre-refactor loop charged the cluster. Hook defaults are no-ops (the
 /// host charges nothing).
 pub(crate) trait StepBackend {
     /// The residual `E = Ω∗(T − [[A…]])` in this backend's decomposition.
     type Residual;
-
-    /// The sparse MTTKRP `E₍ₙ₎U⁽ⁿ⁾` for `mode`, written into `out`
-    /// (`Iₙ×R`), decomposed however this backend decomposes it. Called
-    /// only for modes the last sweep (or the entry sweep) did not bank.
-    /// Must be bit-identical to what this backend's [`Self::fused_step`]
-    /// banks for the mode: the host's block cut and the cluster's
-    /// Algorithm 2 blocks each fix their own association order (matching
-    /// the flat serial fold to rounding, and to the bit at one host block).
-    fn sparse_mttkrp(
-        &mut self,
-        observed: &CooTensor,
-        residual: &Self::Residual,
-        model: &KruskalTensor,
-        mode: usize,
-        out: &mut Mat,
-    ) -> Result<()>;
 
     /// Recompute `factorᵀfactor` into `out` in this backend's fixed
     /// association order.
@@ -250,26 +221,19 @@ pub(crate) trait StepBackend {
     /// in the same pass.
     ///
     /// `bank` is the workspace's per-mode `Iₙ×R` buffers, or empty when
-    /// nothing may be banked (fusion is off, or no further iteration will
-    /// run — a banked MTTKRP would be dead work; never empty without
-    /// `refresh`, where banking is all there is to do). The model this
-    /// step reads is exactly the model every one of the next iteration's
-    /// mode steps reads (the Jacobi swap has already happened, and the
-    /// next one waits for all modes), and the residual it leaves is the
-    /// one they read. So a backend may overwrite `bank[n]` with
-    /// `E₍ₙ₎U⁽ⁿ⁾` for the leading `k ≤ bank.len()` modes during the one
-    /// sweep and return that `k` beside `‖E‖²_F` — turning N+1 passes over
-    /// the nonzeros per iteration into N (`k = 1`) or 1 (`k = N`), and the
-    /// N passes that open a solve on a fresh residual into 1. Modes `k..N`
-    /// compute their own sweep; a backend with no cheaper way to bank from
-    /// stored values than those sweeps returns `k = 0` without making one.
-    /// The returned `‖E‖²_F` is read only after a `refresh`.
+    /// no further iteration will run (a banked MTTKRP would be dead work;
+    /// never empty without `refresh`, where banking is all there is to
+    /// do). The model this step reads is exactly the model every one of the
+    /// next iteration's mode steps reads (the Jacobi swap has already
+    /// happened, and the next one waits for all modes), and the residual
+    /// it leaves is the one they read. So the backend overwrites every
+    /// `bank[n]` with `E₍ₙ₎U⁽ⁿ⁾` during the one sweep and returns
+    /// `‖E‖²_F`, which is read only after a `refresh`.
     ///
-    /// Whatever the backend banks must be bit-identical to the unfused
-    /// schedule: the refreshed `E` values, the returned `‖E‖²_F` (the
-    /// decomposition's fixed fold order), and every banked MTTKRP —
-    /// whether it was banked beside the refresh that wrote the values or
-    /// from the stored values afterwards.
+    /// A banked MTTKRP is the same bits whether it was banked beside the
+    /// refresh that wrote the values or from the stored values afterwards
+    /// (the decomposition fixes one fold order for both), which is what
+    /// makes a warm or resumed solve bit-identical to an uninterrupted one.
     fn fused_step(
         &mut self,
         observed: &CooTensor,
@@ -277,7 +241,7 @@ pub(crate) trait StepBackend {
         residual: &mut Self::Residual,
         refresh: bool,
         bank: &mut [Mat],
-    ) -> Result<(f64, usize)>;
+    ) -> Result<f64>;
 
     /// Timestamp for iteration `iter`'s trace point (wall clock on the
     /// host, the cluster's virtual clock distributed).
@@ -291,11 +255,10 @@ pub(crate) trait StepBackend {
     fn on_gram_product(&mut self) -> Result<()> {
         Ok(())
     }
-    /// Charged for the sparse MTTKRP of `mode`, every mode of every
-    /// iteration. `banked` says the last sweep already computed it — and
-    /// charged whatever that pass cost — so [`StepBackend::sparse_mttkrp`]
-    /// will not be called for it.
-    fn on_sparse_mttkrp(&mut self, _mode: usize, _banked: bool) -> Result<()> {
+    /// Charged for the sparse MTTKRP of `mode` at its mode step, every mode
+    /// of every iteration: what is left of it after the sweep that banked
+    /// it (and charged whatever that pass cost).
+    fn on_sparse_mttkrp(&mut self, _mode: usize) -> Result<()> {
         Ok(())
     }
     /// Charged after the denominator is assembled, before the `R×R`
@@ -335,15 +298,14 @@ pub(crate) trait StepBackend {
 /// it into the model after *all* modes finish (the Jacobi ordering that
 /// makes the mode updates distributable).
 pub(crate) fn mode_step<B: StepBackend>(
-    observed: &CooTensor,
     st: &mut SolverState<B::Residual>,
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
     backend: &mut B,
     n: usize,
 ) -> Result<()> {
-    let SolverState { model, grams, b_aux, y_mul, eta, residual, ws } = st;
-    let Workspace { modes, bank, banked, f, chol } = ws;
+    let SolverState { model, grams, b_aux, y_mul, eta, ws, .. } = st;
+    let Workspace { modes, bank, f, chol } = ws;
     let mb = &mut modes[n];
     let eta = *eta;
 
@@ -364,14 +326,10 @@ pub(crate) fn mode_step<B: StepBackend>(
     backend.on_gram_product()?;
 
     // Line 10 + Eq. 16: H = A⁽ⁿ⁾ₜFⁿₜ + E₍ₙ₎U⁽ⁿ⁾. The last sweep (or the
-    // entry sweep) left E₍ₙ₎U⁽ⁿ⁾ in the bank for the leading `banked`
-    // modes — against these very factors and this residual, the Jacobi
-    // swap only happens after every mode stepped.
-    let is_banked = n < *banked;
-    backend.on_sparse_mttkrp(n, is_banked)?;
-    if !is_banked {
-        backend.sparse_mttkrp(observed, residual, model, n, &mut bank[n])?;
-    }
+    // entry sweep) left E₍ₙ₎U⁽ⁿ⁾ in the bank — against these very factors
+    // and this residual, the Jacobi swap only happens after every mode
+    // stepped.
+    backend.on_sparse_mttkrp(n)?;
     model.factors()[n].matmul_into(f, &mut mb.numer)?;
     mb.numer.axpy(1.0, &bank[n])?;
 
@@ -439,7 +397,7 @@ pub(crate) trait CheckpointSink<R> {
 /// a refresh would recompute the very same values (the delta path
 /// evaluates the model with the same fold the refresh kernels use), and a
 /// banked MTTKRP is pinned bit-identical whether it was computed beside
-/// the refresh, from the stored values in one pass, or mode by mode.
+/// the refresh or from the stored values.
 ///
 /// Alongside the result, the final residual is handed back to the
 /// caller; after the loop its values are always fresh with respect to
@@ -484,22 +442,20 @@ pub(crate) fn run<B: StepBackend>(
     };
 
     // Prologue: Grams of the initial factors (Eq. 12 cache), then the
-    // initial residual E₀ = Ω∗(T − [[A₀…]]) (line 5). The fused form also
-    // banks iteration 0's MTTKRPs — iteration 0 reads the same initial
-    // factors this sweep reads. A resumed solve re-runs the Gram
-    // refresh (recomputing from the restored factors — same bits as the
+    // initial residual E₀ = Ω∗(T − [[A₀…]]) (line 5), banking iteration
+    // 0's MTTKRPs in the same sweep — iteration 0 reads the same initial
+    // factors this sweep reads. A resumed solve re-runs the Gram refresh
+    // (recomputing from the restored factors — same bits as the
     // interrupted run's cache) and, like a warm one, arrives with a fresh
-    // residual: its sweep keeps the values and only banks. Without fusion
-    // nothing is ever banked, so there the entry has no sweep to make.
+    // residual: its sweep keeps the values and only banks, and a solve
+    // with no iteration left makes none.
     for n in 0..n_modes {
         backend.refresh_gram(&st.model.factors()[n], n, &mut st.grams[n])?;
     }
     backend.on_grams_refreshed()?;
     let more = cfg.max_iters > start_iter;
-    if !residual_fresh {
-        sweep(observed, cfg, backend, &mut st, true, more)?;
-    } else if more && cfg.fused {
-        sweep(observed, cfg, backend, &mut st, false, true)?;
+    if !residual_fresh || more {
+        sweep(observed, backend, &mut st, !residual_fresh, more)?;
     }
 
     trace.points.reserve(cfg.max_iters.saturating_sub(start_iter));
@@ -510,7 +466,7 @@ pub(crate) fn run<B: StepBackend>(
         iterations = t + 1;
 
         for n in 0..n_modes {
-            mode_step(observed, &mut st, truncated, cfg, backend, n)?;
+            mode_step(&mut st, truncated, cfg, backend, n)?;
         }
 
         // Jacobi swap + convergence statistic (line 15): the new factors
@@ -527,8 +483,8 @@ pub(crate) fn run<B: StepBackend>(
 
         // Line 13: refresh the cached residual for the next iteration —
         // fused with that iteration's MTTKRPs when one will run.
-        let fuse_next = t + 1 < cfg.max_iters && delta >= cfg.tol;
-        let frob = finite(sweep(observed, cfg, backend, &mut st, true, fuse_next)?, t)?;
+        let bank_next = t + 1 < cfg.max_iters && delta >= cfg.tol;
+        let frob = finite(sweep(observed, backend, &mut st, true, bank_next)?, t)?;
         let train_rmse = (frob / observed.nnz() as f64).sqrt();
         trace.push(TracePoint {
             iter: t,
@@ -566,24 +522,18 @@ fn finite(x: f64, iter: usize) -> Result<f64> {
 }
 
 /// One [`StepBackend::fused_step`]: the core's single decision of whether
-/// the sweep gets the bank (`fuse_next`: another iteration will read it),
-/// and the bookkeeping of what came back. `refresh` off is the entry
-/// sweep over stored values. Returns `‖E‖²_F`.
+/// the sweep gets the bank (`bank_next`: another iteration will read it).
+/// `refresh` off is the entry sweep over stored values. Returns `‖E‖²_F`.
 fn sweep<B: StepBackend>(
     observed: &CooTensor,
-    cfg: &AdmmConfig,
     backend: &mut B,
     st: &mut SolverState<B::Residual>,
     refresh: bool,
-    fuse_next: bool,
+    bank_next: bool,
 ) -> Result<f64> {
-    let bank: &mut [Mat] = if cfg.fused && fuse_next { &mut st.ws.bank } else { &mut [] };
+    let bank: &mut [Mat] = if bank_next { &mut st.ws.bank } else { &mut [] };
     debug_assert!(refresh || !bank.is_empty(), "a sweep that writes nothing has to bank");
-    let (frob, banked) =
-        backend.fused_step(observed, &st.model, &mut st.residual, refresh, bank)?;
-    debug_assert!(banked <= bank.len(), "a backend banks only what it was handed");
-    st.ws.banked = banked;
-    Ok(frob)
+    backend.fused_step(observed, &st.model, &mut st.residual, refresh, bank)
 }
 
 #[cfg(test)]
@@ -599,35 +549,19 @@ mod tests {
         Sweep(usize),
         /// `fused_step` over stored values, likewise.
         Entry(usize),
-        /// `on_sparse_mttkrp(mode, banked)`.
-        Charge(usize, bool),
-        /// `sparse_mttkrp(mode)`.
-        Mttkrp(usize),
+        /// `on_sparse_mttkrp(mode)`.
+        Charge(usize),
     }
     use Event::*;
 
     /// A backend with no residual that logs what the core asks of it and
-    /// claims to bank `k` modes whenever it is handed the bank.
+    /// banks all of what it is handed: every mode, or nothing.
     struct Counting {
-        k: usize,
         log: Vec<Event>,
     }
 
     impl StepBackend for Counting {
         type Residual = ();
-
-        fn sparse_mttkrp(
-            &mut self,
-            _: &CooTensor,
-            _: &(),
-            _: &KruskalTensor,
-            mode: usize,
-            out: &mut Mat,
-        ) -> Result<()> {
-            self.log.push(Mttkrp(mode));
-            out.fill(0.0);
-            Ok(())
-        }
 
         fn refresh_gram(&mut self, factor: &Mat, _mode: usize, out: &mut Mat) -> Result<()> {
             Ok(factor.gram_into(out)?)
@@ -640,29 +574,28 @@ mod tests {
             _: &mut (),
             refresh: bool,
             bank: &mut [Mat],
-        ) -> Result<(f64, usize)> {
+        ) -> Result<f64> {
+            assert!(bank.is_empty() || bank.len() == N, "the bank is all modes or none");
             self.log.push(if refresh { Sweep(bank.len()) } else { Entry(bank.len()) });
-            Ok((1.0, self.k.min(bank.len())))
+            for h in bank {
+                h.fill(0.0);
+            }
+            Ok(1.0)
         }
 
         fn clock(&self, _iter: usize) -> f64 {
             0.0
         }
 
-        fn on_sparse_mttkrp(&mut self, mode: usize, banked: bool) -> Result<()> {
-            self.log.push(Charge(mode, banked));
+        fn on_sparse_mttkrp(&mut self, mode: usize) -> Result<()> {
+            self.log.push(Charge(mode));
             Ok(())
         }
     }
 
     /// Drive [`run`] on a tiny order-3 problem and return the backend's log
     /// with the iteration count.
-    fn drive(
-        k: usize,
-        cfg: &AdmmConfig,
-        residual_fresh: bool,
-        start_iter: usize,
-    ) -> (Vec<Event>, usize) {
+    fn drive(cfg: &AdmmConfig, residual_fresh: bool, start_iter: usize) -> (Vec<Event>, usize) {
         let observed =
             CooTensor::from_entries(vec![3, 2, 2], &[(&[0, 0, 0], 1.0), (&[2, 1, 1], -0.5)])
                 .unwrap();
@@ -671,92 +604,70 @@ mod tests {
         let st = SolverState::new(&observed, &truncated, cfg, None, ()).unwrap();
         let resume = (start_iter > 0)
             .then(|| ResumePoint { start_iter, trace: ConvergenceTrace::new() });
-        let mut backend = Counting { k, log: Vec::new() };
+        let mut backend = Counting { log: Vec::new() };
         let (result, ()) =
             run(&observed, &truncated, cfg, &mut backend, st, residual_fresh, resume, None)
                 .unwrap();
         (backend.log, result.iterations)
     }
 
-    /// One iteration's mode steps when the sweep before it banked
-    /// `banked` modes: the charge for every mode — told whether the mode
-    /// was banked — and the kernel for the modes that were not.
-    fn mode_steps(banked: usize) -> Vec<Event> {
-        (0..N)
-            .flat_map(|n| {
-                std::iter::once(Charge(n, n < banked)).chain((n >= banked).then_some(Mttkrp(n)))
-            })
-            .collect()
+    /// One iteration's mode steps: the charge for every mode, each read
+    /// from the bank.
+    fn mode_steps() -> Vec<Event> {
+        (0..N).map(Charge).collect()
     }
 
-    fn cfg(max_iters: usize, tol: f64, fused: bool) -> AdmmConfig {
-        AdmmConfig { rank: 2, max_iters, tol, fused, ..Default::default() }
+    fn cfg(max_iters: usize, tol: f64) -> AdmmConfig {
+        AdmmConfig { rank: 2, max_iters, tol, ..Default::default() }
     }
 
     #[test]
     fn only_unbanked_modes_are_swept_and_every_mode_is_charged() {
-        for k in 0..=N {
-            // Never converges: three full iterations. The prologue and the
-            // first two sweeps get the bank, the last one does not.
-            let (log, iters) = drive(k, &cfg(3, 0.0, true), false, 0);
-            assert_eq!(iters, 3);
-            let mut want = vec![Sweep(N)];
-            for t in 0..3 {
-                want.extend(mode_steps(k));
-                want.push(Sweep(if t < 2 { N } else { 0 }));
-            }
-            assert_eq!(log, want, "k = {k}");
+        // Never converges: three full iterations. The prologue and the
+        // first two sweeps get the whole bank, the last one none; no mode
+        // step sweeps, and every one is charged.
+        let (log, iters) = drive(&cfg(3, 0.0), false, 0);
+        assert_eq!(iters, 3);
+        let mut want = vec![Sweep(N)];
+        for t in 0..3 {
+            want.extend(mode_steps());
+            want.push(Sweep(if t < 2 { N } else { 0 }));
         }
+        assert_eq!(log, want);
     }
 
     #[test]
     fn nothing_is_banked_where_nothing_would_read_it() {
         // Converged at iteration 0 (every delta is below an infinite
         // tolerance): its sweep gets no bank, and no iteration follows.
-        let (log, iters) = drive(N, &cfg(5, f64::INFINITY, true), false, 0);
+        let (log, iters) = drive(&cfg(5, f64::INFINITY), false, 0);
         assert_eq!(iters, 1);
-        assert_eq!(log, [vec![Sweep(N)], mode_steps(N), vec![Sweep(0)]].concat());
+        assert_eq!(log, [vec![Sweep(N)], mode_steps(), vec![Sweep(0)]].concat());
 
         // A carried residual swaps the prologue refresh for the entry
         // sweep: iteration 0 starts with what the backend banks from the
-        // stored values — everything, something, or nothing.
-        for k in 0..=N {
-            let (log, _) = drive(k, &cfg(2, 0.0, true), true, 0);
-            assert_eq!(
-                log,
-                [vec![Entry(N)], mode_steps(k), vec![Sweep(N)], mode_steps(k), vec![Sweep(0)]]
-                    .concat(),
-                "k = {k}"
-            );
-        }
+        // stored values.
+        let (log, _) = drive(&cfg(2, 0.0), true, 0);
+        assert_eq!(
+            log,
+            [vec![Entry(N)], mode_steps(), vec![Sweep(N)], mode_steps(), vec![Sweep(0)]].concat()
+        );
 
         // So does a resume, at its first iteration.
-        let (log, iters) = drive(N, &cfg(3, 0.0, true), true, 1);
+        let (log, iters) = drive(&cfg(3, 0.0), true, 1);
         assert_eq!(iters, 3);
         assert_eq!(
             log,
-            [vec![Entry(N)], mode_steps(N), vec![Sweep(N)], mode_steps(N), vec![Sweep(0)]].concat()
+            [vec![Entry(N)], mode_steps(), vec![Sweep(N)], mode_steps(), vec![Sweep(0)]].concat()
         );
 
         // A resume with its budget already spent has no iteration to bank
         // for and no value to refresh: not one sweep.
-        let (log, iters) = drive(N, &cfg(2, 0.0, true), true, 2);
+        let (log, iters) = drive(&cfg(2, 0.0), true, 2);
         assert_eq!((log, iters), (vec![], 2));
 
         // A budget already spent runs nothing at all.
-        let (log, iters) = drive(N, &cfg(2, 0.0, true), false, 2);
+        let (log, iters) = drive(&cfg(2, 0.0), false, 2);
         assert_eq!((log, iters), (vec![Sweep(0)], 2));
-    }
-
-    #[test]
-    fn without_fusion_the_bank_is_never_handed_out() {
-        let (log, _) = drive(N, &cfg(2, 0.0, false), false, 0);
-        assert_eq!(
-            log,
-            [vec![Sweep(0)], mode_steps(0), vec![Sweep(0)], mode_steps(0), vec![Sweep(0)]].concat()
-        );
-        // Nor is there an entry sweep: it would have nothing to write.
-        let (log, _) = drive(N, &cfg(2, 0.0, false), true, 0);
-        assert_eq!(log, [mode_steps(0), vec![Sweep(0)], mode_steps(0), vec![Sweep(0)]].concat());
     }
 }

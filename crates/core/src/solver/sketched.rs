@@ -14,26 +14,26 @@
 //! need the `O(nnz)` residual refresh: the residual keeps stale values
 //! until the boundary sweep rewrites them.
 //!
-//! **Pass economics.** One sketched iteration of an order-N tensor
-//! touches exactly `N·S` entries: `N−1` sampled MTTKRPs of `S` draws for
-//! modes `1..N`, plus one `S`-draw fused sweep ([`StepBackend::fused_step`])
-//! that estimates `‖E‖²_F` and writes the next iteration's mode-0 MTTKRP
-//! estimate into the core's bank from the same draws — mirroring the
-//! exact backend's N-pass fusion. The exact tier touches `N·nnz`; `tests/pass_count.rs` pins the
-//! ratio through the entry-touch instrument
+//! **Pass economics.** Like every backend, this one banks all N modes in
+//! its sweep ([`StepBackend::fused_step`]): a sampled sweep draws `S`
+//! entries for each mode, `0..N` in order from the one draw stream, writes
+//! every mode's MTTKRP estimate for the next iteration into the core's
+//! bank, and estimates `‖E‖²_F` from mode 0's draws. One sketched
+//! iteration of an order-N tensor therefore touches exactly `N·S`
+//! entries, where an exact one touches `nnz`; `tests/pass_count.rs` pins
+//! the count through the entry-touch instrument
 //! ([`distenc_dataflow::passes::entries_touched`]). Sampled gathers are
 //! charged as entry touches but *not* as sweeps — they never traverse
 //! the full nonzero list.
 //!
 //! **One run.** The backend wraps the [`HostBackend`] and counts the
-//! core's sweeps. The prologue (or entry) sweep and the sweeps closing
-//! the first `sketch_iters − 1` iterations are sampled, and so are the
-//! MTTKRPs of the first `sketch_iters` iterations. Every later call goes
+//! core's sweeps. The prologue (or entry) sweep and the sweeps closing the
+//! first `sketch_iters − 1` iterations are sampled, so the MTTKRPs of the
+//! first `sketch_iters` iterations are estimates. Every later sweep goes
 //! to the host, starting with the *boundary sweep* that closes iteration
-//! `sketch_iters − 1`: the host's refreshing fused sweep, which rewrites
-//! the residual exactly and banks the first exact iteration's MTTKRPs.
-//! The ADMM state (`Y`, `η`) runs on through the boundary as in any
-//! solve.
+//! `sketch_iters − 1`: the host's refreshing sweep, which rewrites the
+//! residual exactly and banks the first exact iteration's MTTKRPs. The
+//! ADMM state (`Y`, `η`) runs on through the boundary as in any solve.
 //!
 //! **Determinism.** All sampled computation runs sequentially on the
 //! driver thread; the RNG is seeded from the config seed and consumed in
@@ -80,8 +80,7 @@ pub(crate) struct SketchedBackend<C> {
     scratch: SketchScratch,
     /// Leading iterations whose MTTKRPs are sampled.
     sketch_iters: usize,
-    /// Sweeps made so far: sweep `k` opens iteration `k`, so during the
-    /// mode steps of iteration `t` this is `t + 1`.
+    /// Sweeps made so far: sweep `k` opens iteration `k`.
     sweeps: usize,
 }
 
@@ -148,20 +147,6 @@ impl<C: Fn(usize) -> f64> SketchedBackend<C> {
 impl<C: Fn(usize) -> f64> StepBackend for SketchedBackend<C> {
     type Residual = Vec<f64>;
 
-    fn sparse_mttkrp(
-        &mut self,
-        observed: &CooTensor,
-        residual: &Vec<f64>,
-        model: &KruskalTensor,
-        mode: usize,
-        out: &mut Mat,
-    ) -> Result<()> {
-        if self.sweeps <= self.sketch_iters {
-            return self.sample_into(observed, model, mode, out).map(|_| ());
-        }
-        self.host.sparse_mttkrp(observed, residual, model, mode, out)
-    }
-
     fn refresh_gram(&mut self, factor: &Mat, mode: usize, out: &mut Mat) -> Result<()> {
         // Grams are O(Iₙ·R²), independent of nnz — always exact.
         self.host.refresh_gram(factor, mode, out)
@@ -174,20 +159,25 @@ impl<C: Fn(usize) -> f64> StepBackend for SketchedBackend<C> {
         residual: &mut Vec<f64>,
         refresh: bool,
         bank: &mut [Mat],
-    ) -> Result<(f64, usize)> {
+    ) -> Result<f64> {
         let opens = self.sweeps;
         self.sweeps += 1;
-        match bank.first_mut() {
-            // One S-draw pass estimates ‖E‖²_F and banks the mode-0
-            // MTTKRP estimate from the same draws — the sampled analogue
-            // of the exact backend's fused pass. It neither reads nor
-            // writes the residual values (it re-evaluates the model at
-            // its draws), so as an entry sweep it is the same sweep.
-            Some(h0) if opens < self.sketch_iters => {
-                Ok((self.sample_into(observed, model, 0, h0)?, 1))
-            }
-            _ => self.host.fused_step(observed, model, residual, refresh, bank),
+        if bank.is_empty() || opens >= self.sketch_iters {
+            return self.host.fused_step(observed, model, residual, refresh, bank);
         }
+        // One S-draw pass per mode, in mode order: each banks its mode's
+        // MTTKRP estimate, and mode 0's draws estimate ‖E‖²_F. The passes
+        // neither read nor write the residual values (they re-evaluate
+        // the model at their draws), so as an entry sweep this is the
+        // same sweep.
+        let mut frob = 0.0;
+        for (mode, h) in bank.iter_mut().enumerate() {
+            let estimate = self.sample_into(observed, model, mode, h)?;
+            if mode == 0 {
+                frob = estimate;
+            }
+        }
+        Ok(frob)
     }
 
     fn clock(&self, iter: usize) -> f64 {

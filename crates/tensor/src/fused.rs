@@ -1,22 +1,23 @@
 //! Fused residual-refresh + MTTKRP: one pass over the nonzeros, and the
 //! one per-entry body every host sweep runs.
 //!
-//! The unfused solver iteration sweeps the entry list `N + 1` times: one
-//! `sparse_mttkrp` per mode plus a full residual refresh that re-evaluates
-//! the Kruskal model at every nonzero (Eq. 14, `O(nnz·N·R)`). But the
-//! refresh and every mode's MTTKRP against the *same* model load the
-//! exact same factor rows per entry — and Algorithm 1 is Jacobi, so all
-//! `N` MTTKRPs of the next iteration read this one model and this one
-//! residual. This module therefore computes, in a single traversal:
+//! Algorithm 1 as written sweeps the entry list `N + 1` times an
+//! iteration: one sparse MTTKRP per mode plus a full residual refresh that
+//! re-evaluates the Kruskal model at every nonzero (Eq. 14,
+//! `O(nnz·N·R)`). But the refresh and every mode's MTTKRP against the
+//! *same* model load the exact same factor rows per entry — and Algorithm
+//! 1 is Jacobi, so all `N` MTTKRPs of the next iteration read this one
+//! model and this one residual. This module therefore computes, in a
+//! single traversal:
 //!
 //! 1. the fresh residual values `E = Ω ∗ (T − [[A⁽¹⁾…A⁽ᴺ⁾]])`,
 //! 2. the running train-RMSE statistic `‖E‖²_F`, and
-//! 3. the MTTKRP `H⁽ⁿ⁾ = E₍ₙ₎U⁽ⁿ⁾` against those fresh values — for
-//!    **every** mode `n`, or for mode 0 alone,
+//! 3. the MTTKRP `H⁽ⁿ⁾ = E₍ₙ₎U⁽ⁿ⁾` against those fresh values for the
+//!    leading modes the caller banks — the solver banks **every** mode,
 //!
-//! turning the `N + 1` sweeps into one (see DESIGN.md §11 for how the
-//! solver schedules this at the old refresh's position and consumes the
-//! banked `H⁽ⁿ⁾` at the next iteration's mode steps).
+//! turning the `N + 1` sweeps into one (see DESIGN.md §11: the solver
+//! runs it where the refresh stands, and the next iteration's mode steps
+//! read the banked `H⁽ⁿ⁾`).
 //!
 //! One body ([`sweep_entries`]) serves every caller, on every executor.
 //! What a caller chooses is three types: where the residual values come
@@ -341,18 +342,17 @@ impl Placement for WholeModes {
     }
 }
 
-/// Row slabs for the modes from `first` on, slab `k` starting at global
-/// row `origin[first + k]` (`origin` has an entry per mode).
+/// Row slabs for the leading modes, slab `m` starting at global row
+/// `origin[m]` (`origin` has an entry per mode).
 #[derive(Clone, Copy)]
 struct Slabs<'a> {
-    first: usize,
     origin: &'a [usize],
 }
 
 impl Placement for Slabs<'_> {
     #[inline(always)]
     fn first(self) -> usize {
-        self.first
+        0
     }
     #[inline(always)]
     fn origin(self, mode: usize) -> usize {
@@ -362,7 +362,7 @@ impl Placement for Slabs<'_> {
 
 /// Row slabs for the modes from `first` on that all start at global row
 /// `origin`: one part's slab, or (from row 0) whole modes other than the
-/// leading ones.
+/// leading ones ([`mttkrp_modes_into`] for a later mode).
 #[derive(Clone, Copy)]
 struct SlabsAt {
     first: usize,
@@ -666,22 +666,31 @@ pub fn mttkrp_modes_into(
         check_output(e, h, m, r)?;
     }
     crate::record_entry_sweep(e.nnz());
-    sweep_stored(e, factors, e.values(), Span { lo: 0, len: e.nnz() }, first, hs);
+    let all = Span { lo: 0, len: e.nnz() };
+    if first == 0 {
+        // The leading modes take the placement with nothing to look up
+        // (as a slab sweep the all-modes pass measured up to 1.4× slower).
+        sweep(e, factors, Stored(e.values()), all, WholeModes, hs);
+    } else {
+        // Whole modes are slabs that start at row 0.
+        sweep(e, factors, Stored(e.values()), all, SlabsAt { first, origin: 0 }, hs);
+    }
     Ok(())
 }
 
 /// One tensor block's share of a sweep, for callers that decompose the
 /// nonzeros into blocks and combine per-block partial outputs themselves
 /// (the cluster backend): `entries` holds the block's nonzeros under their
-/// global indices, and `slabs[k]` receives the block's partial
-/// `E₍ₘ₎U⁽ᵐ⁾` for mode `m = first + k` as a dense row slab starting at
-/// global row `origin[m]` (`origin` has one start per mode). With
-/// [`EntryValues::Refresh`] the block's residual values are recomputed
-/// and stored in the same pass; with [`EntryValues::Stored`] they are
-/// read. Returns the block's `Σ eᵢ²` in entry order.
+/// global indices, and `slabs[m]` receives the block's partial
+/// `E₍ₘ₎U⁽ᵐ⁾` for the leading modes `m < slabs.len()` — every mode, or
+/// none — as a dense row slab starting at global row `origin[m]`
+/// (`origin` has one start per mode). With [`EntryValues::Refresh`] the
+/// block's residual values are recomputed and stored in the same pass;
+/// with [`EntryValues::Stored`] they are read. Returns the block's
+/// `Σ eᵢ²` in entry order.
 ///
 /// This is [`sweep_entries`] again — the same folds, so a block's values
-/// and slabs do not depend on which modes share the pass or on whether
+/// and slabs do not depend on how many modes share the pass or on whether
 /// the values were refreshed in it. Ticks no pass count: a sweep is all of
 /// the caller's blocks.
 ///
@@ -691,7 +700,6 @@ pub fn block_sweep_into(
     entries: &CooTensor,
     model: &KruskalTensor,
     vals: EntryValues<'_>,
-    first: usize,
     origin: &[usize],
     slabs: &mut [Mat],
 ) -> Result<f64> {
@@ -702,19 +710,19 @@ pub fn block_sweep_into(
         EntryValues::Refresh(fresh) => fresh.len(),
         EntryValues::Stored(stored) => stored.len(),
     };
-    let fits = slabs.iter().zip(origin.iter().zip(entries.shape()).skip(first)).all(
+    let fits = slabs.iter().zip(origin.iter().zip(entries.shape())).all(
         |(slab, (&lo, &dim))| slab.cols() == r && lo + slab.rows() <= dim,
     );
-    if given != entries.nnz() || origin.len() != order || first + slabs.len() > order || !fits {
+    if given != entries.nnz() || origin.len() != order || slabs.len() > order || !fits {
         return Err(TensorError::ShapeMismatch(format!(
-            "block sweep over {} entries of order {order}: {given} values, {} origins, {} slabs \
-             from mode {first}, each of {r} columns inside its mode",
+            "block sweep over {} entries of order {order}: {given} values, {} origins, {} slabs, \
+             each of {r} columns inside its mode",
             entries.nnz(),
             origin.len(),
             slabs.len()
         )));
     }
-    let (place, all) = (Slabs { first, origin }, Span { lo: 0, len: entries.nnz() });
+    let (place, all) = (Slabs { origin }, Span { lo: 0, len: entries.nnz() });
     Ok(match vals {
         EntryValues::Refresh(fresh) => sweep(entries, factors, Refresh(fresh), all, place, slabs),
         EntryValues::Stored(stored) => sweep(entries, factors, Stored(stored), all, place, slabs),
@@ -796,28 +804,6 @@ struct BlockTask<'a> {
     frob: f64,
 }
 
-/// [`sweep`] of the stored `values` over `span` into whole-mode outputs
-/// for the modes from `first` on. The refreshing sweeps bank from mode 0
-/// and take [`WholeModes`] directly: one instantiation of the body per
-/// placement they use, shared by every caller.
-fn sweep_stored(
-    x: &CooTensor,
-    factors: &[Mat],
-    values: &[f64],
-    span: Span,
-    first: usize,
-    outs: &mut [Mat],
-) -> f64 {
-    if first == 0 {
-        // The leading modes take the placement with nothing to look up
-        // (as a slab sweep the all-modes pass measured up to 1.4× slower).
-        sweep(x, factors, Stored(values), span, WholeModes, outs)
-    } else {
-        // Whole modes are slabs that start at row 0.
-        sweep(x, factors, Stored(values), span, SlabsAt { first, origin: 0 }, outs)
-    }
-}
-
 /// The host's one sweep over the residual, on any executor: run `cut`'s
 /// blocks of the list `x` on `exec`, each through the one entry body,
 /// then add blocks `1..B`'s partial outputs into `bank` in ascending block
@@ -825,9 +811,9 @@ fn sweep_stored(
 ///
 /// With [`EntryValues::Refresh`] the values (one per entry of `x`, which
 /// is then the observed tensor) are recomputed against `model` and
-/// stored; with [`EntryValues::Stored`] they are read. `bank[k]` is
-/// overwritten with `E₍ₘ₎U⁽ᵐ⁾` for mode `m = first + k` — every mode from
-/// `first = 0`, one mode of stored values, or none (the plain refresh).
+/// stored; with [`EntryValues::Stored`] they are read. `bank[m]` is
+/// overwritten with `E₍ₘ₎U⁽ᵐ⁾` for the leading modes `m < bank.len()` —
+/// every mode, or none (the plain refresh).
 ///
 /// Blocks write disjoint values and their own outputs, so the executor
 /// changes no bit: the result is a function of the cut alone. At one block
@@ -840,7 +826,6 @@ pub fn cut_sweep_into(
     x: &CooTensor,
     model: &KruskalTensor,
     vals: EntryValues<'_>,
-    first: usize,
     bank: &mut [Mat],
     cut: &mut BlockCut,
     exec: &Executor,
@@ -848,25 +833,25 @@ pub fn cut_sweep_into(
     let factors = model.factors();
     validate(x, factors, 0)?;
     let (order, r, nnz) = (x.order(), model.rank(), x.nnz());
-    let (given, refresh) = match &vals {
-        EntryValues::Refresh(fresh) => (fresh.len(), true),
-        EntryValues::Stored(stored) => (stored.len(), false),
+    let given = match &vals {
+        EntryValues::Refresh(fresh) => fresh.len(),
+        EntryValues::Stored(stored) => stored.len(),
     };
-    if given != nnz || first + bank.len() > order || cut.order != order || refresh && first > 0 {
+    if given != nnz || bank.len() > order || cut.order != order {
         return Err(TensorError::ShapeMismatch(format!(
-            "cut sweep over {nnz} entries of order {order}: {given} values, {} outputs from mode \
-             {first} (a refresh banks from mode 0), a cut for order {}",
+            "cut sweep over {nnz} entries of order {order}: {given} values, {} outputs, a cut \
+             for order {}",
             bank.len(),
             cut.order
         )));
     }
-    let banked = first..first + bank.len();
-    for (m, h) in banked.clone().zip(bank.iter()) {
+    let banked = bank.len();
+    for (m, h) in bank.iter().enumerate() {
         check_output(x, h, m, r)?;
     }
     for part in cut.partials.chunks(order) {
-        for m in banked.clone() {
-            check_output(x, &part[m], m, r)?;
+        for (m, h) in part[..banked].iter().enumerate() {
+            check_output(x, h, m, r)?;
         }
     }
     crate::record_entry_sweep(nnz);
@@ -895,7 +880,7 @@ pub fn cut_sweep_into(
         }
         tasks[0].outs = &mut *bank;
         for (task, part) in tasks[1..].iter_mut().zip(cut.partials.chunks_mut(order)) {
-            task.outs = &mut part[banked.clone()];
+            task.outs = &mut part[..banked];
         }
         exec.run_mut(tasks, |_, task| {
             let BlockTask { span, vals, outs, frob } = task;
@@ -903,13 +888,15 @@ pub fn cut_sweep_into(
                 EntryValues::Refresh(fresh) => {
                     sweep(x, factors, Refresh(&mut fresh[..]), *span, WholeModes, outs)
                 }
-                EntryValues::Stored(stored) => sweep_stored(x, factors, stored, *span, first, outs),
+                EntryValues::Stored(stored) => {
+                    sweep(x, factors, Stored(stored), *span, WholeModes, outs)
+                }
             };
         });
         tasks[1..].iter().fold(tasks[0].frob, |sum, task| sum + task.frob)
     };
     for part in cut.partials.chunks(order) {
-        for (h, p) in bank.iter_mut().zip(&part[banked.clone()]) {
+        for (h, p) in bank.iter_mut().zip(part) {
             for (a, &b) in h.as_mut_slice().iter_mut().zip(p.as_slice()) {
                 *a += b;
             }
@@ -1113,13 +1100,13 @@ mod tests {
             let x = random_coo(&shape, 90, seed ^ 0x15a);
             let model = KruskalTensor::random(&shape, rank, seed.wrapping_add(7));
             let factors = model.factors();
-            let dirty = |rows: &[usize], first: usize| -> Vec<Mat> {
-                rows[first..].iter().map(|&d| Mat::random(d, rank, 5)).collect()
+            let dirty = |rows: &[usize]| -> Vec<Mat> {
+                rows.iter().map(|&d| Mat::random(d, rank, 5)).collect()
             };
             // Every mode banked beside the refresh, then no mode banked.
             for banked in [order, 0] {
                 let (mut wide, mut base) = (vec![f64::NAN; x.nnz()], vec![f64::NAN; x.nnz()]);
-                let (mut hw, mut hb) = (dirty(&shape[..banked], 0), dirty(&shape[..banked], 0));
+                let (mut hw, mut hb) = (dirty(&shape[..banked]), dirty(&shape[..banked]));
                 let all = Span { lo: 0, len: x.nnz() };
                 let fw = sweep(&x, factors, Refresh(&mut wide), all, WholeModes, &mut hw);
                 let fb =
@@ -1130,15 +1117,15 @@ mod tests {
                     prop_assert_eq!(bits(w.as_slice()), bits(b.as_slice()));
                 }
             }
-            // One block's stored values into slabs for the modes from
-            // `first` on, through the public entry and through the body.
+            // One block's stored values into slabs for the leading
+            // `banked` modes, through the public entry and through the body.
             let cut: Vec<usize> = shape.iter().map(|&d| rng.random_range(1..d)).collect();
-            let first = rng.random_range(0..order);
+            let banked = rng.random_range(1..=order);
             for (t, origin, rows) in halves(&x, &cut) {
-                let (mut sw, mut sb) = (dirty(&rows, first), dirty(&rows, first));
+                let (mut sw, mut sb) = (dirty(&rows[..banked]), dirty(&rows[..banked]));
                 let stored = EntryValues::Stored(t.values());
-                let fw = block_sweep_into(&t, &model, stored, first, &origin, &mut sw).unwrap();
-                let place = Slabs { first, origin: &origin };
+                let fw = block_sweep_into(&t, &model, stored, &origin, &mut sw).unwrap();
+                let place = Slabs { origin: &origin };
                 let all = Span { lo: 0, len: t.nnz() };
                 let fb = sweep_at_rank(&t, factors, rank, Stored(t.values()), all, place, &mut sb);
                 prop_assert_eq!(fw.to_bits(), fb.to_bits());
@@ -1223,20 +1210,19 @@ mod tests {
         blocks
     }
 
-    /// Run one block sweep into fresh dirty slabs for modes
-    /// `first..first + count`.
+    /// Run one block sweep into fresh dirty slabs for the leading `count`
+    /// modes.
     fn block_sweep(
         block: &(CooTensor, Vec<usize>, Vec<usize>),
         model: &KruskalTensor,
         vals: EntryValues<'_>,
-        first: usize,
         count: usize,
     ) -> (Vec<Mat>, f64) {
         let (t, origin, rows) = block;
-        let mut slabs: Vec<Mat> = (first..first + count)
+        let mut slabs: Vec<Mat> = (0..count)
             .map(|m| Mat::random(rows[m], model.rank(), 3 + m as u64)) // dirty on purpose
             .collect();
-        let frob = block_sweep_into(t, model, vals, first, origin, &mut slabs).unwrap();
+        let frob = block_sweep_into(t, model, vals, origin, &mut slabs).unwrap();
         (slabs, frob)
     }
 
@@ -1245,10 +1231,11 @@ mod tests {
 
         /// A block's values, `Σe²` and partial slabs are the same bits
         /// whether one pass refreshes and banks every mode or separate
-        /// passes refresh and then bank mode by mode from the stored
-        /// values; the slabs of all blocks add up to the whole tensor's
-        /// MTTKRP; and one block spanning the tensor *is* the entry-order
-        /// sweep. Orders 1 and 9 take the per-entry fallback.
+        /// passes refresh and then bank the leading modes — any number of
+        /// them — from the stored values; the slabs of all blocks add up to
+        /// the whole tensor's MTTKRP; and one block spanning the tensor
+        /// *is* the entry-order sweep. Orders 1 and 9 take the per-entry
+        /// fallback.
         #[test]
         fn block_sweep_is_the_same_fold_for_any_mode_range(
             seed in 0u64..10_000,
@@ -1266,7 +1253,7 @@ mod tests {
             let whole = (x.clone(), vec![0; order], shape.clone());
             let mut vals = vec![f64::NAN; x.nnz()];
             let (slabs, frob) =
-                block_sweep(&whole, &model, EntryValues::Refresh(&mut vals), 0, order);
+                block_sweep(&whole, &model, EntryValues::Refresh(&mut vals), order);
             prop_assert_eq!(bits(&vals), bits(we.values()));
             prop_assert_eq!(frob.to_bits(), wf.to_bits());
             for (slab, wh) in slabs.iter().zip(&whs) {
@@ -1279,20 +1266,24 @@ mod tests {
                 let nnz = block.0.nnz();
                 let mut fused_vals = vec![f64::NAN; nnz];
                 let (fused, fused_frob) =
-                    block_sweep(&block, &model, EntryValues::Refresh(&mut fused_vals), 0, order);
+                    block_sweep(&block, &model, EntryValues::Refresh(&mut fused_vals), order);
                 let mut plain_vals = vec![f64::NAN; nnz];
                 let (none, plain_frob) =
-                    block_sweep(&block, &model, EntryValues::Refresh(&mut plain_vals), 0, 0);
+                    block_sweep(&block, &model, EntryValues::Refresh(&mut plain_vals), 0);
                 prop_assert!(none.is_empty());
                 prop_assert_eq!(bits(&fused_vals), bits(&plain_vals));
                 prop_assert_eq!(fused_frob.to_bits(), plain_frob.to_bits());
-                for m in 0..order {
-                    let (one, stored_frob) =
-                        block_sweep(&block, &model, EntryValues::Stored(&plain_vals), m, 1);
-                    prop_assert_eq!(bits(one[0].as_slice()), bits(fused[m].as_slice()));
+                for count in 1..=order {
+                    let (stored, stored_frob) =
+                        block_sweep(&block, &model, EntryValues::Stored(&plain_vals), count);
                     prop_assert_eq!(stored_frob.to_bits(), plain_frob.to_bits());
-                    for row in 0..one[0].rows() {
-                        for (t, &p) in total[m].row_mut(block.1[m] + row).iter_mut().zip(one[0].row(row)) {
+                    for (slab, want) in stored.iter().zip(&fused) {
+                        prop_assert_eq!(bits(slab.as_slice()), bits(want.as_slice()));
+                    }
+                }
+                for (m, slab) in fused.iter().enumerate() {
+                    for row in 0..slab.rows() {
+                        for (t, &p) in total[m].row_mut(block.1[m] + row).iter_mut().zip(slab.row(row)) {
                             *t += p;
                         }
                     }
@@ -1314,36 +1305,38 @@ mod tests {
         let mut vals = vec![0.0; x.nnz()];
         let mut slabs: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, 3)).collect();
         let origin = [0usize; 3];
-        let sweep = |vals: &mut [f64], first, origin: &[usize], slabs: &mut [Mat]| {
-            block_sweep_into(&x, &model, EntryValues::Refresh(vals), first, origin, slabs)
+        let sweep = |vals: &mut [f64], origin: &[usize], slabs: &mut [Mat]| {
+            block_sweep_into(&x, &model, EntryValues::Refresh(vals), origin, slabs)
         };
-        assert!(sweep(&mut vals, 0, &origin, &mut slabs).is_ok());
+        assert!(sweep(&mut vals, &origin, &mut slabs).is_ok());
         // Values not parallel to the entries; an origin per mode missing;
-        // more slabs than modes from `first` on; a slab past its mode's
-        // end; a slab of the wrong rank.
-        assert!(sweep(&mut vals[1..], 0, &origin, &mut slabs).is_err());
-        assert!(sweep(&mut vals, 0, &origin[..2], &mut slabs).is_err());
-        assert!(sweep(&mut vals, 1, &origin, &mut slabs).is_err());
-        assert!(sweep(&mut vals, 0, &[1, 0, 0], &mut slabs).is_err());
+        // more slabs than modes; a slab past its mode's end; a slab of the
+        // wrong rank.
+        assert!(sweep(&mut vals[1..], &origin, &mut slabs).is_err());
+        assert!(sweep(&mut vals, &origin[..2], &mut slabs).is_err());
+        let mut extra = slabs.clone();
+        extra.push(Mat::zeros(4, 3));
+        assert!(sweep(&mut vals, &origin, &mut extra).is_err());
+        assert!(sweep(&mut vals, &[1, 0, 0], &mut slabs).is_err());
         slabs[2] = Mat::zeros(4, 2);
-        assert!(sweep(&mut vals, 0, &origin, &mut slabs).is_err());
+        assert!(sweep(&mut vals, &origin, &mut slabs).is_err());
     }
 
     /// What one [`cut_sweep_into`] over `blocks` blocks leaves on `exec`,
     /// as bits: the values (refreshed from stale ones, or as stored), the
-    /// outputs of the modes from `first` on (`count` of them, from dirty
-    /// buffers), and `Σe²`. Twice through one cut: reuse must be clean.
+    /// outputs of the leading `count` modes (from dirty buffers), and
+    /// `Σe²`. Twice through one cut: reuse must be clean.
     fn cut_bits(
         x: &CooTensor,
         model: &KruskalTensor,
         refresh: bool,
-        (first, count): (usize, usize),
+        count: usize,
         blocks: usize,
         exec: &Executor,
     ) -> (Vec<u64>, Vec<Vec<u64>>, u64) {
         let (shape, rank) = (x.shape(), model.rank());
         let mut cut = BlockCut::with_blocks(shape, rank, blocks);
-        let mut bank: Vec<Mat> = (first..first + count)
+        let mut bank: Vec<Mat> = (0..count)
             .map(|m| Mat::random(shape[m], rank, 5 + m as u64)) // dirty on purpose
             .collect();
         let mut e = x.clone(); // stale values on purpose when refreshing
@@ -1354,7 +1347,7 @@ mod tests {
             } else {
                 EntryValues::Stored(x.values())
             };
-            frob = cut_sweep_into(x, model, vals, first, &mut bank, &mut cut, exec).unwrap();
+            frob = cut_sweep_into(x, model, vals, &mut bank, &mut cut, exec).unwrap();
         }
         (bits(e.values()), bank.iter().map(|h| bits(h.as_slice())).collect(), frob.to_bits())
     }
@@ -1370,7 +1363,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The cut's three forms — refresh banking every mode, stored
-        /// values banking every mode (or one), refresh banking none — give
+        /// values banking every mode (or the leading few), refresh banking
+        /// none — give
         /// the same bits on `Sequential` and on 2, 3 and 8 threads; at one
         /// block those bits are the flat entry-order sweep's
         /// ([`fused_refresh_modes_into`], [`mttkrp_modes_into`]), at more
@@ -1395,8 +1389,8 @@ mod tests {
             mttkrp_modes_into(&x, model.factors(), 0, &mut hs).unwrap();
             let stored: Vec<Vec<u64>> = hs.iter().map(|h| bits(h.as_slice())).collect();
 
-            let one = rng.random_range(0..order);
-            let forms = [(true, (0, order)), (false, (0, order)), (false, (one, 1)), (true, (0, 0))];
+            let few = rng.random_range(1..order);
+            let forms = [(true, order), (false, order), (false, few), (true, 0)];
             let modes = [ExecMode::Sequential, ExecMode::Threads(2), ExecMode::Threads(3), ExecMode::Threads(8)];
             for (refresh, banked) in forms {
                 let runs: Vec<_> = modes
@@ -1407,9 +1401,8 @@ mod tests {
                     prop_assert_eq!(run, &runs[0], "refresh {} modes {:?}", refresh, banked);
                 }
                 let (vals, outs, frob) = &runs[0];
-                let (first, count) = banked;
                 let want_outs = if refresh { &fresh.1 } else { &stored };
-                let want_outs = &want_outs[first..first + count];
+                let want_outs = &want_outs[..banked];
                 if refresh {
                     // Values are per entry: no cut moves them.
                     prop_assert_eq!(vals, &fresh.0);
@@ -1469,26 +1462,25 @@ mod tests {
         let mut cut = BlockCut::with_blocks(&shape, 3, 2);
         let mut bank: Vec<Mat> = shape.iter().map(|&d| Mat::zeros(d, 3)).collect();
         let mut e = x.clone();
-        let sweep = |vals: EntryValues<'_>, first, bank: &mut [Mat], cut: &mut BlockCut| {
-            cut_sweep_into(&x, &model, vals, first, bank, cut, &exec)
+        let sweep = |vals: EntryValues<'_>, bank: &mut [Mat], cut: &mut BlockCut| {
+            cut_sweep_into(&x, &model, vals, bank, cut, &exec)
         };
-        assert!(sweep(EntryValues::Stored(x.values()), 0, &mut bank, &mut cut).is_ok());
-        // Values not one per entry; more outputs than modes from `first`
-        // on; a refresh banking from a later mode; an output of the wrong
-        // shape; a cut for another order or another rank.
+        assert!(sweep(EntryValues::Stored(x.values()), &mut bank, &mut cut).is_ok());
+        // Values not one per entry; more outputs than modes; an output of
+        // the wrong shape; a cut for another order or another rank.
         let short = &x.values()[1..];
-        assert!(sweep(EntryValues::Stored(short), 0, &mut bank, &mut cut).is_err());
-        assert!(sweep(EntryValues::Refresh(&mut e.values_mut()[1..]), 0, &mut bank, &mut cut).is_err());
-        assert!(sweep(EntryValues::Stored(x.values()), 1, &mut bank, &mut cut).is_err());
-        let one = &mut bank[1..2];
-        assert!(sweep(EntryValues::Refresh(e.values_mut()), 1, one, &mut cut).is_err());
+        assert!(sweep(EntryValues::Stored(short), &mut bank, &mut cut).is_err());
+        assert!(sweep(EntryValues::Refresh(&mut e.values_mut()[1..]), &mut bank, &mut cut).is_err());
+        let mut extra = bank.clone();
+        extra.push(Mat::zeros(6, 3));
+        assert!(sweep(EntryValues::Refresh(e.values_mut()), &mut extra, &mut cut).is_err());
         bank.swap(0, 1);
-        assert!(sweep(EntryValues::Stored(x.values()), 0, &mut bank, &mut cut).is_err());
+        assert!(sweep(EntryValues::Stored(x.values()), &mut bank, &mut cut).is_err());
         bank.swap(0, 1);
         let mut flat = BlockCut::with_blocks(&shape[..2], 3, 2);
-        assert!(sweep(EntryValues::Stored(x.values()), 0, &mut bank, &mut flat).is_err());
+        assert!(sweep(EntryValues::Stored(x.values()), &mut bank, &mut flat).is_err());
         let mut wide = BlockCut::with_blocks(&shape, 4, 2);
-        assert!(sweep(EntryValues::Stored(x.values()), 0, &mut bank, &mut wide).is_err());
+        assert!(sweep(EntryValues::Stored(x.values()), &mut bank, &mut wide).is_err());
         assert_eq!(e, x, "a rejected sweep must not touch the residual");
     }
 

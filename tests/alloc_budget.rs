@@ -5,7 +5,7 @@
 //! The contract (see `distenc-core`'s `solver` module docs): after
 //! `SolverState` and the backend size their workspaces, a steady-state
 //! host iteration performs **zero** heap allocations — sequential *and*
-//! threaded, with fusion on (the default) or off. The threaded executor
+//! threaded. The threaded executor
 //! used to box one job per dispatch unit (~32 boxes per iteration); it
 //! now hands work to the resident pool through `Pool::run_indexed`, an
 //! unboxed index broadcast, so nothing is left to allocate.
@@ -83,13 +83,10 @@ fn steady_state_iterations_allocate_o1_heap() {
     let small = planted(&[14, 12, 10], 3, 600, 2);
     let large = planted(&[28, 24, 20], 3, 2400, 3);
 
-    // --- Sequential: literally zero allocations per steady iteration,
-    // --- with the fused sweep (default) and without it. -----------------
+    // --- Sequential: literally zero allocations per steady iteration. ---
     let seq = AdmmConfig { exec: ExecMode::Sequential, ..base.clone() };
     let seq_small = per_iter(&small, &seq, thread_allocs_of);
-    assert_eq!(seq_small, 0.0, "sequential fused steady state must not allocate");
-    let seq_unfused = per_iter(&small, &seq.clone().with_fused(false), thread_allocs_of);
-    assert_eq!(seq_unfused, 0.0, "sequential unfused steady state must not allocate");
+    assert_eq!(seq_small, 0.0, "sequential steady state must not allocate");
     let seq_large = per_iter(&large, &seq, thread_allocs_of);
     assert_eq!(seq_large, 0.0, "sequential budget must not grow with nnz");
     let seq_rank5 = per_iter(
@@ -99,28 +96,19 @@ fn steady_state_iterations_allocate_o1_heap() {
     );
     assert_eq!(seq_rank5, 0.0, "sequential budget must not grow with rank");
     // Rank 20 (the paper's, and past both specialized ranks): the
-    // all-modes fused sweep and the interleaved refresh run their
-    // generic-rank bodies, which keep every intermediate in locals.
+    // all-modes sweep and the plain refresh run their generic-rank bodies,
+    // which keep every intermediate in locals.
     let seq_rank20 = AdmmConfig { rank: 20, ..seq.clone() };
     assert_eq!(
         per_iter(&small, &seq_rank20, thread_allocs_of),
         0.0,
-        "generic-rank fused sweep must not allocate"
-    );
-    assert_eq!(
-        per_iter(&small, &seq_rank20.with_fused(false), thread_allocs_of),
-        0.0,
-        "generic-rank refresh must not allocate"
+        "generic-rank sweep must not allocate"
     );
 
-    // Ranks 8 and 16 run the monomorphised bodies. Unfused, every mode's
-    // MTTKRP is the one-mode stored sweep over the flat entry list: no
-    // bucket, no scratch, no model or origin built per call.
+    // Ranks 8 and 16 run the monomorphised bodies.
     for rank in [8, 16] {
         let cfg = AdmmConfig { rank, ..seq.clone() };
-        assert_eq!(per_iter(&small, &cfg, thread_allocs_of), 0.0, "rank {rank} fused");
-        let unfused = cfg.with_fused(false);
-        assert_eq!(per_iter(&small, &unfused, thread_allocs_of), 0.0, "rank {rank} unfused");
+        assert_eq!(per_iter(&small, &cfg, thread_allocs_of), 0.0, "rank {rank}");
     }
 
     // --- Set-up: what `HostBackend::new` sizes — the block cut — stays
@@ -192,8 +180,6 @@ fn steady_state_iterations_allocate_o1_heap() {
     // partial banks were sized at set-up.
     let thr_cut = per_iter(&cut, &thr, global_allocs_of);
     assert_eq!(thr_cut, 0.0, "a multi-block cut under threads must not allocate");
-    let thr_cut_unfused = per_iter(&cut, &thr.clone().with_fused(false), global_allocs_of);
-    assert_eq!(thr_cut_unfused, 0.0, "one-mode sweeps over the cut must not allocate");
 }
 
 /// The dispatch mechanism itself, measured directly on the pool: an index

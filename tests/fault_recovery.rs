@@ -347,6 +347,78 @@ fn resume_rejects_a_mismatched_problem() {
     assert!(matches!(err, CoreError::Invalid(_)), "got {err:?}");
 }
 
+/// The checkpoint trailer: FNV-1a 64 over every preceding byte.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Resume `ckpt` under a 10-iteration budget and hold it to the
+/// uninterrupted 10-iteration solve `full`, bit for bit.
+fn assert_resumes_to(observed: &CooTensor, mut ckpt: Checkpoint, full: &CompletionResult) {
+    ckpt.config.max_iters = 10;
+    let solver = AdmmSolver::new(AdmmConfig { max_iters: 10, ..base_cfg() }).unwrap();
+    let resumed = solver.resume(observed, &[None, None, None], &ckpt).unwrap();
+    assert_eq!(resumed.iterations, full.iterations);
+    assert_eq!(factor_bits(full), factor_bits(&resumed));
+    for (a, b) in full.trace.points.iter().zip(&resumed.trace.points) {
+        assert_eq!(a.train_rmse.to_bits(), b.train_rmse.to_bits(), "iter {}", a.iter);
+        assert_eq!(a.factor_delta.to_bits(), b.factor_delta.to_bits(), "iter {}", a.iter);
+    }
+}
+
+#[test]
+fn a_checkpoint_whose_second_reserved_byte_is_cleared_resumes_bit_identically() {
+    // Byte 91 — after `nonneg` (88), `partition` (89) and the reserved
+    // byte that once held `use_csf` (90) — held the fusion switch, 1 in
+    // every file written with the default. It is reserved now: written as
+    // 1, ignored on read, so a file that stored 0 there resumes the same.
+    let observed = planted(&[12, 10, 8], 2, 600, 56);
+    let full = host_solve(&observed, AdmmConfig { max_iters: 10, ..base_cfg() });
+    let path = tmp_path("reserved");
+    let interrupted = AdmmConfig {
+        max_iters: 5,
+        checkpoint: Some(CheckpointPolicy::every(5).with_path(&path)),
+        ..base_cfg()
+    };
+    host_solve(&observed, interrupted);
+    let mut bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(bytes[88..92], [0, 0, 0, 1], "nonneg, partition, reserved, reserved");
+
+    bytes[91] = 0;
+    let body = bytes.len() - 8;
+    let sum = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    let ckpt = Checkpoint::from_bytes(&bytes).unwrap();
+    assert_eq!(ckpt.iters_done, 5);
+    assert_resumes_to(&observed, ckpt, &full);
+}
+
+#[test]
+fn a_stale_temp_file_does_not_change_a_resume() {
+    // A write that died between creating `<path>.tmp` and its rename
+    // leaves garbage beside the good snapshot; `resume` reads `<path>`.
+    let observed = planted(&[12, 10, 8], 2, 600, 57);
+    let full = host_solve(&observed, AdmmConfig { max_iters: 10, ..base_cfg() });
+    let path = tmp_path("stale_tmp");
+    let interrupted = AdmmConfig {
+        max_iters: 5,
+        checkpoint: Some(CheckpointPolicy::every(5).with_path(&path)),
+        ..base_cfg()
+    };
+    host_solve(&observed, interrupted);
+    let mut tmp = path.clone().into_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    assert!(!tmp.exists(), "a finished write leaves no temp file");
+    std::fs::write(&tmp, b"DTCK garbage from a write that never reached its rename").unwrap();
+
+    let ckpt = Checkpoint::read_file(&path);
+    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(&tmp).unwrap();
+    assert_resumes_to(&observed, ckpt.unwrap(), &full);
+}
+
 #[test]
 fn corrupted_checkpoint_files_are_typed_errors_not_panics() {
     let observed = planted(&[12, 10, 8], 2, 600, 55);

@@ -5,15 +5,12 @@
 //! Every entry-sweep kernel ticks `distenc_dataflow::passes` once per
 //! *invocation* — never per thread, chunk, or block. The contract (see
 //! `distenc-core`'s `solver` module docs): a steady-state iteration of an
-//! order-N solve sweeps the entry list
-//!
-//! * **N+1** times unfused — N MTTKRPs plus the residual refresh,
-//! * **once** fused, on the host under every executor and on the
-//!   distributed driver — the one fused sweep banks every mode's MTTKRP
-//!   (on the host: the residual's block cut, whether its blocks run one
-//!   after another or on threads; on the cluster: one task per Algorithm 2
-//!   block emits all N partial `H`s), so all N updates are read from the
-//!   bank and the iteration touches `nnz` entries.
+//! order-N solve sweeps the entry list **once**, on the host under every
+//! executor and on the distributed driver — the one sweep banks every
+//! mode's MTTKRP (on the host: the residual's block cut, whether its
+//! blocks run one after another or on threads; on the cluster: one task
+//! per Algorithm 2 block emits all N partial `H`s), so all N updates are
+//! read from the bank and the iteration touches `nnz` entries.
 //!
 //! A solve **entered on a residual that is already fresh** — a streaming
 //! refresh (`StreamingSolver::solve` after an `apply`), `AdmmSolver::resume`
@@ -31,8 +28,8 @@
 //! what prices the sketched tier: a sampled gather of `S` draws charges
 //! `S` entries but zero sweeps (it never traverses the full list). A
 //! steady-state *sketch-phase* iteration therefore touches exactly
-//! `N·samples` entries — `N−1` sampled MTTKRPs plus one fused sampled
-//! sweep that banks the mode-0 estimate. The gate below pins that count
+//! `N·samples` entries — one sampled sweep that draws `samples` entries
+//! for each of the N modes it banks. The gate below pins that count
 //! exactly, at the accuracy gate's `samples = nnz/4` budget, and that it
 //! stays under the `nnz` an exact iteration touches.
 //!
@@ -183,21 +180,14 @@ fn fused_iterations_sweep_the_nonzeros_once_on_every_executor() {
     // several blocks, and a sweep still ticks once.
     let cut = planted(&[80, 60, 50], 3, 45_000, 4);
     assert!(BlockCut::new(cut.shape(), cut.nnz(), 3).blocks() > 1);
-    let fused = AdmmConfig { fused: true, ..base.clone() };
-    let plain = AdmmConfig { fused: false, ..base.clone() };
     let executors = [ExecMode::Sequential, ExecMode::Threads(2), ExecMode::Threads(4)];
 
     // --- Host: one sweep banks every mode, on every executor. ----------
     for exec in executors {
-        let fused = AdmmConfig { exec, ..fused.clone() };
-        let plain = AdmmConfig { exec, ..plain.clone() };
+        let cfg = AdmmConfig { exec, ..base.clone() };
         for tensor in [&order3, &order4, &cut] {
             let (label, nnz) = (format!("{:?} {exec:?}", tensor.shape()), tensor.nnz() as f64);
-            assert_eq!(host_per_iter(tensor, &fused), (1.0, nnz), "{label} fused");
-        }
-        for (tensor, n) in [(&order3, 3.0), (&order4, 4.0)] {
-            let label = format!("order {n} {exec:?}");
-            assert_eq!(host_per_iter(tensor, &plain).0, n + 1.0, "{label} unfused");
+            assert_eq!(host_per_iter(tensor, &cfg), (1.0, nnz), "{label}");
         }
 
         // --- Entered on a fresh residual: one entry sweep banks every
@@ -206,10 +196,8 @@ fn fused_iterations_sweep_the_nonzeros_once_on_every_executor() {
         for (tensor, n) in [(&order3, 3u64), (&order4, 4)] {
             for k in [1u64, 4] {
                 let what = format!("order {n}, {k} iterations, {exec:?}");
-                assert_eq!(warm_resolve_sweeps(tensor, &fused, k), k + 1, "warm {what}");
-                assert_eq!(resume_sweeps(tensor, &fused, k, &tag), k + 1, "resume {what}");
-                // Unfused there is nothing to bank, on entry or ever.
-                assert_eq!(warm_resolve_sweeps(tensor, &plain, k), (n + 1) * k, "unfused {what}");
+                assert_eq!(warm_resolve_sweeps(tensor, &cfg, k), k + 1, "warm {what}");
+                assert_eq!(resume_sweeps(tensor, &cfg, k, &tag), k + 1, "resume {what}");
             }
         }
     }
@@ -220,8 +208,7 @@ fn fused_iterations_sweep_the_nonzeros_once_on_every_executor() {
     for exec in [ExecMode::Sequential, ExecMode::Threads(4)] {
         for (tensor, n) in [(&order3, 3.0), (&order4, 4.0)] {
             let label = format!("distenc order {n} {exec:?}");
-            assert_eq!(distenc_sweeps_per_iter(tensor, &fused, exec), 1.0, "{label} fused");
-            assert_eq!(distenc_sweeps_per_iter(tensor, &plain, exec), n + 1.0, "{label} unfused");
+            assert_eq!(distenc_sweeps_per_iter(tensor, &base, exec), 1.0, "{label}");
         }
     }
 

@@ -12,10 +12,8 @@
 //!   (the documented fallback routes through `HostBackend` before any
 //!   sketched machinery is built);
 //! * negative paths are typed errors or documented fallbacks — never
-//!   panics: `samples == 0` is rejected at config validation,
-//!   `polish_iters ≥ max_iters` falls back to exact, and
-//!   `sketched + fused=false` is the fused sketched solve (fusion is
-//!   forced for the whole run).
+//!   panics: `samples == 0` is rejected at config validation, and
+//!   `polish_iters ≥ max_iters` falls back to exact.
 
 use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, SolverTier};
 use distenc::dataflow::ExecMode;
@@ -132,31 +130,6 @@ fn zero_samples_is_a_typed_config_error() {
     let err = AdmmSolver::new(cfg).unwrap_err();
     assert!(matches!(err, distenc::core::CoreError::Invalid(_)), "got {err:?}");
     assert!(err.to_string().contains("samples"), "message: {err}");
-}
-
-#[test]
-fn sketched_with_fused_disabled_runs_and_stays_finite() {
-    // There is no unfused sampled schedule, so a sketched solve forces
-    // fusion on for the whole run (its exact iterations give the same
-    // bits either way): a documented fallback, not an error.
-    let observed = planted(&[10, 9, 8], 2, 500, 23);
-    let cfg = AdmmConfig {
-        rank: 2,
-        max_iters: 10,
-        tol: 1e-12,
-        fused: false,
-        solver_tier: SolverTier::Sketched { samples: 100, polish_iters: 3 },
-        ..Default::default()
-    };
-    let res = solve(&observed, cfg.clone());
-    assert_eq!(res.iterations, 10);
-    let fused = solve(&observed, AdmmConfig { fused: true, ..cfg });
-    assert_eq!(factor_bits(&res), factor_bits(&fused));
-    for f in res.model.factors() {
-        assert!(f.as_slice().iter().all(|v| v.is_finite()));
-    }
-    let rmse = distenc::tensor::residual::observed_rmse(&observed, &res.model).unwrap();
-    assert!(rmse.is_finite());
 }
 
 #[test]
