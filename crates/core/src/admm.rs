@@ -21,7 +21,7 @@ use crate::solver::checkpoint::Checkpoint;
 use crate::solver::{self, HostBackend, SketchedBackend, SolverState};
 use crate::trace::ConvergenceTrace;
 use crate::{CompletionResult, CoreError, Result};
-use distenc_dataflow::Executor;
+use distenc_dataflow::{ExecMode, Executor};
 use distenc_graph::{Laplacian, TruncatedLaplacian};
 use distenc_tensor::{CooTensor, KruskalTensor};
 use std::path::PathBuf;
@@ -311,20 +311,24 @@ fn validate_laplacians(shape: &[usize], laplacians: &[Option<&Laplacian>]) -> Re
 }
 
 /// Truncate every provided Laplacian once, up front (§III-B: the
-/// eigendecomposition is precomputed because `L` never changes).
+/// eigendecomposition is precomputed because `L` never changes). Each
+/// mode's eigensolve is seeded and independent of the others, so the
+/// modes run at the same time on `cfg.exec` and give the bits they give
+/// one after another; a pool is spawned only for two or more graphs.
 pub(crate) fn truncate_all(
     shape: &[usize],
     laplacians: &[Option<&Laplacian>],
     cfg: &AdmmConfig,
 ) -> Result<Vec<TruncatedLaplacian>> {
-    shape
-        .iter()
-        .zip(laplacians)
-        .map(|(&dim, lap)| match lap {
-            Some(l) => Ok(l.truncate(cfg.eigen_k, cfg.seed)?),
-            None => Ok(TruncatedLaplacian::zero(dim)),
-        })
-        .collect()
+    let graphs = laplacians.iter().flatten().count();
+    let exec = Executor::new(if graphs > 1 { cfg.exec } else { ExecMode::Sequential });
+    exec.run(laplacians, |n, lap| match lap {
+        Some(l) => l.truncate(cfg.eigen_k, cfg.seed),
+        None => Ok(TruncatedLaplacian::zero(shape[n])),
+    })
+    .into_iter()
+    .map(|t| Ok(t?))
+    .collect()
 }
 
 /// The host driver: build the residual (carried or rebuilt), the
@@ -574,6 +578,33 @@ mod tests {
         assert!(solver.solve(&observed, &[Some(&lap), None]).is_err());
         // Invalid config.
         assert!(AdmmSolver::new(AdmmConfig { rank: 0, ..Default::default() }).is_err());
+    }
+
+    #[test]
+    fn truncation_is_bit_identical_on_every_executor() {
+        // A chain is one component: 150 nodes take the dense eigensolver,
+        // 230 and 260 Lanczos.
+        let shape = [150, 230, 260];
+        let laps: Vec<Laplacian> =
+            shape.iter().map(|&n| Laplacian::from_similarity(tridiagonal_chain(n))).collect();
+        let refs: Vec<Option<&Laplacian>> = laps.iter().map(Some).collect();
+        let bits = |exec| -> Vec<Vec<u64>> {
+            let cfg = AdmmConfig { eigen_k: 12, exec, ..Default::default() };
+            truncate_all(&shape, &refs, &cfg)
+                .unwrap()
+                .iter()
+                .map(|t| {
+                    let vals = t.values.iter().chain(t.vectors.as_slice());
+                    vals.chain([&t.complement_lambda]).map(|v| v.to_bits()).collect()
+                })
+                .collect()
+        };
+        let want = bits(ExecMode::Sequential);
+        let lens: Vec<usize> = want.iter().map(Vec::len).collect();
+        assert_eq!(lens, [12 * 151 + 1, 12 * 231 + 1, 12 * 261 + 1], "12 pairs and λ̄ per mode");
+        for n in [2, 3] {
+            assert_eq!(bits(ExecMode::Threads(n)), want, "Threads({n})");
+        }
     }
 
     #[test]

@@ -32,9 +32,10 @@
 //! **Allocation contract.** After [`SolverState::new`] sizes the
 //! [`Workspace`] and the backend sizes its kernel workspaces, a
 //! steady-state iteration of the host solver performs no heap allocation
-//! on the calling thread — in sequential mode *and* in threaded mode,
-//! because the executor dispatches work to its resident pool through an
-//! unboxed index broadcast (`Pool::run_indexed`) rather than boxed jobs.
+//! on any thread — in sequential mode *and* in threaded mode, because the
+//! executor dispatches work to its resident pool, whose workers and the
+//! calling thread claim indices of one unboxed broadcast
+//! (`Pool::run_indexed`), rather than boxed jobs.
 //! Documented exemption: the distributed driver's accounting vectors
 //! (`TaskCost` / shuffle tallies / per-call reduction slabs —
 //! bookkeeping, not step math). The `alloc-count` feature and

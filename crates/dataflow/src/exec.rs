@@ -101,13 +101,18 @@ impl Default for ExecMode {
 }
 
 /// A reusable executor bound to an [`ExecMode`]. Cheap to create in
-/// `Sequential` mode; `Threads(n)` spawns its pool once, up front.
+/// `Sequential` mode; `Threads(n)` spawns its pool once, up front: `n − 1`
+/// workers, with the calling thread as the `n`th.
 ///
 /// Dispatch is allocation-free: multi-item batches go through
-/// `Pool::run_indexed`, which shares one borrowed closure and has workers
-/// claim item indices from a pool-resident counter — no per-item job
-/// boxes. Single-item batches, `Threads(≤1)`, and single-core hosts (see
-/// [`Executor::parallelism`]) run inline on the caller's stack.
+/// `Pool::run_indexed`, which shares one borrowed closure and has the
+/// workers and the caller claim item indices from one pool-resident
+/// counter — no per-item job boxes. Between batches the workers spin for
+/// at most as long as the pool's last batch took, so a solve's next sweep
+/// finds them on their cores, then park; a pool wider than the host's
+/// cores parks at once. Single-item batches, `Threads(≤1)`, and
+/// single-core hosts (see [`Executor::parallelism`]) run inline on the
+/// caller's stack.
 #[derive(Debug)]
 pub struct Executor {
     mode: ExecMode,
@@ -133,7 +138,8 @@ impl Executor {
         self.mode
     }
 
-    /// Number of host threads used (1 when sequential).
+    /// Number of host threads used, the caller included (1 when
+    /// sequential).
     pub fn threads(&self) -> usize {
         self.pool.as_ref().map_or(1, Pool::threads)
     }
@@ -150,7 +156,7 @@ impl Executor {
     }
 
     /// Whether batches should be dispatched to the pool at all: with one
-    /// usable core the pool adds handoff latency and zero concurrency, so
+    /// usable core the pool's workers only take turns with the caller, so
     /// everything runs inline (bit-identical either way).
     #[inline]
     fn inline_only(&self) -> bool {

@@ -8,7 +8,9 @@
 //! threaded. The threaded executor
 //! used to box one job per dispatch unit (~32 boxes per iteration); it
 //! now hands work to the resident pool through `Pool::run_indexed`, an
-//! unboxed index broadcast, so nothing is left to allocate.
+//! unboxed index broadcast whose indices the workers and the calling
+//! thread claim from one counter, so nothing is left to allocate, on the
+//! workers or on the caller.
 //!
 //! Methodology: the solver is deterministic, so two runs differing only
 //! in `max_iters` (2 vs 10) perform identical setup work; the difference
@@ -195,9 +197,10 @@ fn pool_index_broadcast_allocates_nothing() {
         hits.fetch_add(1, Ordering::Relaxed);
     };
     // Warm up so lazily initialized thread state doesn't bill the
-    // measured window. The barrier makes each of the two workers take one
-    // index: without it a worker the host was slow to start could sit the
-    // warm-up out and do its start-up allocations inside the window.
+    // measured window. The barrier makes the worker and the caller take
+    // one index each: without it a worker the host was slow to start could
+    // sit the warm-up out and do its start-up allocations inside the
+    // window.
     let both = std::sync::Barrier::new(2);
     pool.run_indexed(2, &|_| {
         both.wait();
