@@ -109,10 +109,10 @@ impl Default for ExecMode {
 /// workers and the caller claim item indices from one pool-resident
 /// counter — no per-item job boxes. Between batches the workers spin for
 /// at most as long as the pool's last batch took, so a solve's next sweep
-/// finds them on their cores, then park; a pool wider than the host's
-/// cores parks at once. Single-item batches, `Threads(≤1)`, and
-/// single-core hosts (see [`Executor::parallelism`]) run inline on the
-/// caller's stack.
+/// finds them on their cores, then park; while the live pools together
+/// are wider than the host's cores they park at once. Single-item
+/// batches, `Threads(≤1)`, and single-core hosts (see
+/// [`Executor::parallelism`]) run inline on the caller's stack.
 #[derive(Debug)]
 pub struct Executor {
     mode: ExecMode,
