@@ -56,7 +56,7 @@ if grep -rnE "ResidualBlock|fn solve_from|position_of" crates/core/src/distenc.r
 fi
 
 # A solve has one schedule: the sweep that refreshes the residual banks
-# every mode's next MTTKRP, on every backend (host, cluster, sampled). No
+# every mode's next MTTKRP, on every backend (host, cluster). No
 # config field or builder turns it off, no backend has a one-mode MTTKRP,
 # and the core keeps no count of banked modes; tests/oracle.rs (a dense
 # Algorithm 1) is the reference the one schedule answers to.
@@ -88,7 +88,7 @@ if grep -nE "thread::sleep|yield_now" vendor/scoped_pool/src/lib.rs; then
     exit 1
 fi
 
-# One measurement system: `benchmark/` (BENCHMARK.json), plus the four
+# One measurement system: `benchmark/` (BENCHMARK.json), plus the three
 # plain programs under crates/bench/benches/ that hold what it does not
 # measure yet. Three things keep a second one from growing back, and keep
 # the docs pointing at files that exist (benchmark/README.md is exempt: it
@@ -171,14 +171,6 @@ fi
 #   streaming_equivalence, live_swap — warm re-solves are bit-identical to
 #     solve_from on the final tensor; a model publish never fails a
 #     concurrent read.
-#   accuracy_gate, sketched_equivalence — sketched final RMSE within the
-#     documented tolerance of exact on the planted gate workloads (the
-#     constant lives in distenc_eval::accuracy); seeded sampling is
-#     bit-identical across executors; samples >= nnz degenerates to exact
-#     bit for bit. A sketched solve is one run: the host takes over at the
-#     boundary sweep and Y and eta carry on. The sampled schedule is
-#     computed on the driver, so the numbers must not move with the thread
-#     count at all.
 #   fault_recovery — injected crashes, flaky tasks and stragglers recover
 #     to bit-identical factors/RMSE (lineage restart on the cluster,
 #     checkpoint files + `resume` on the host) or surface a typed error:
@@ -208,7 +200,7 @@ fi
 # regression that silently drops suites shrinks the count and fails here
 # instead of shrinking the gate. Raise it when a PR adds tests; lower it
 # only with the tests it names as removed.
-MIN_TESTS=575
+MIN_TESTS=558
 executed=0
 for threads in 1 4; do
     echo "==> DISTENC_THREADS=$threads cargo test -q"
@@ -244,15 +236,11 @@ cargo test -q --features alloc-count --test alloc_budget -- --test-threads=1
 # Threads(2) and Threads(4) (the one sweep over the residual's block cut
 # banks every mode's MTTKRP, nnz entries touched, also where the cut has
 # several blocks) and on DisTenC under Sequential and Threads(4) (one
-# block stage emits every mode's partial H); a sampled iteration touches
-# exactly N·samples entries (one sampled sweep draws for all N modes, zero
-# full sweeps), and a sketched solve's P exact iterations are P + 1 sweeps
-# (the boundary sweep refreshes and banks the first of them, the last one
-# is a plain refresh). Per entry into a solve whose residual is already
-# fresh (a streaming re-solve after an apply, AdmmSolver::resume): one
-# sweep over the stored values banks every mode on every executor, so k
-# iterations are exactly k + 1 sweeps (entry, k − 1 banking sweeps, the
-# last plain refresh).
+# block stage emits every mode's partial H). Per entry into a solve whose
+# residual is already fresh (a streaming re-solve after an apply,
+# AdmmSolver::resume): one sweep over the stored values banks every mode
+# on every executor, so k iterations are exactly k + 1 sweeps (entry,
+# k − 1 banking sweeps, the last plain refresh).
 # Counts tick once per kernel invocation (never per thread/chunk/block)
 # and the test sets its executors itself, so DISTENC_THREADS does not move
 # them; like alloc-count, the instrument stays out of the default feature

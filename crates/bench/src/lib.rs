@@ -1,4 +1,4 @@
-//! Shared plumbing for the figure/table binaries and the four measurement
+//! Shared plumbing for the figure/table binaries and the three measurement
 //! programs under `benches/`.
 //!
 //! Every table and figure of the paper's evaluation has a binary here
@@ -21,9 +21,9 @@
 //! Pass `--quick` to any measured binary to use the test-suite-sized
 //! workloads instead of the larger defaults.
 //!
-//! The programs under `benches/` (`parallel`, `sketched`, `faults`,
-//! `serve_slo`) are plain `fn main()`s holding the four measurements the
-//! `benchmark/` package does not make yet. Each records one
+//! The programs under `benches/` (`parallel`, `faults`, `serve_slo`) are
+//! plain `fn main()`s holding the three measurements the `benchmark/`
+//! package does not make yet. Each records one
 //! `BENCH_<name>.json` at the repository root through
 //! [`write_bench_json`], which stamps the host's parallelism and the
 //! commit: `cargo bench -p distenc-bench --bench <name>`.

@@ -16,9 +16,9 @@
 //! Algorithm 3 lines 8–12 are written). This Jacobi ordering is what makes
 //! the mode updates independent — and therefore distributable.
 
-use crate::config::{AdmmConfig, SolverTier};
+use crate::config::AdmmConfig;
 use crate::solver::checkpoint::Checkpoint;
-use crate::solver::{self, HostBackend, SketchedBackend, SolverState};
+use crate::solver::{self, HostBackend, SolverState};
 use crate::trace::ConvergenceTrace;
 use crate::{CompletionResult, CoreError, Result};
 use distenc_dataflow::{ExecMode, Executor};
@@ -176,8 +176,7 @@ impl AdmmSolver {
     /// interrupted run was solving — while the environment-dependent
     /// settings come from *this* solver: its execution mode and its
     /// checkpoint policy (so a resumed run keeps snapshotting if asked
-    /// to). The solver tier is pinned to [`SolverTier::Exact`]:
-    /// checkpoints are exact-tier artifacts.
+    /// to).
     ///
     /// **Bit-exact recovery invariant**: resuming from a checkpoint of
     /// iteration `k` produces exactly — bit for bit — the factors, RMSE,
@@ -342,15 +341,7 @@ pub(crate) fn truncate_all(
 /// anything reads them. Warm: the carried values are already fresh for
 /// the warm-start model and the solve enters on them.
 ///
-/// [`SolverTier::Sketched`] wraps the host backend in a
-/// [`SketchedBackend`] that samples the first `max_iters − polish_iters`
-/// iterations — unless a documented fallback runs the exact path:
-/// `samples ≥ nnz` (a sample that large can't beat a full sweep; the
-/// exact path is also what makes the degenerate config bit-identical to
-/// `Exact`, which `tests/sketched_equivalence.rs` pins) or
-/// `polish_iters ≥ max_iters` (no sketch budget left).
-///
-/// `resume` continues an exact solve at the checkpoint's iteration
+/// `resume` continues a solve at the checkpoint's iteration
 /// cursor: the caller already routed the checkpointed residual through
 /// `carry`; [`SolverState::restore`] puts back the rest (factors, duals
 /// `Y`, penalty `η`) and yields the trace so far. A [`FileSink`] is
@@ -371,39 +362,14 @@ pub(crate) fn solve_with(
     let e = carry.unwrap_or_else(|| observed.values().to_vec());
     let mut host = HostBackend::new(observed, cfg.rank, Executor::new(cfg.exec), clock);
     let mut st = SolverState::new(observed, truncated, cfg, initial, e)?;
-    match cfg.solver_tier {
-        SolverTier::Sketched { samples, polish_iters }
-            if samples < observed.nnz() && polish_iters < cfg.max_iters =>
-        {
-            // Checkpointing is stripped: checkpoints are exact-tier
-            // artifacts, and a snapshot would resume into a different
-            // sampling stream.
-            let cfg = AdmmConfig { checkpoint: None, ..cfg.clone() };
-            let sketch_iters = cfg.max_iters - polish_iters;
-            let mut backend =
-                SketchedBackend::new(host, observed, samples, sketch_iters, cfg.rank, cfg.seed)?;
-            solver::run(observed, truncated, &cfg, &mut backend, st, residual_fresh, None, None)
-        }
-        _ => {
-            let resume_point = resume.map(|ck| st.restore(ck)).transpose()?;
-            let mut file_sink =
-                cfg.checkpoint.as_ref().and_then(|policy| policy.path.as_ref()).map(|path| {
-                    FileSink { cfg, shape: observed.shape().to_vec(), path: path.clone() }
-                });
-            let sink =
-                file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink<Vec<f64>>);
-            solver::run(
-                observed,
-                truncated,
-                cfg,
-                &mut host,
-                st,
-                residual_fresh,
-                resume_point,
-                sink,
-            )
-        }
-    }
+    let resume_point = resume.map(|ck| st.restore(ck)).transpose()?;
+    let mut file_sink = cfg
+        .checkpoint
+        .as_ref()
+        .and_then(|policy| policy.path.as_ref())
+        .map(|path| FileSink { cfg, shape: observed.shape().to_vec(), path: path.clone() });
+    let sink = file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink<Vec<f64>>);
+    solver::run(observed, truncated, cfg, &mut host, st, residual_fresh, resume_point, sink)
 }
 
 #[cfg(test)]

@@ -1,60 +1,12 @@
 //! Hyper-parameters of the ADMM completion solvers.
 
-/// How many exact polish iterations a sketched solve runs by default
-/// (the tail of the iteration budget handed to [`crate::AdmmSolver`]'s
-/// exact backend).
-pub const DEFAULT_POLISH_ITERS: usize = 8;
-
-/// Which solver tier executes the per-iteration kernels.
-///
-/// `Exact` is the bit-pinned reference path (every golden trace and
-/// equivalence proptest runs it). `Sketched` is the first *approximate*
-/// tier: per-mode MTTKRPs are estimated from a deterministic seeded
-/// sample of the nonzeros (`O(samples·N·R)` per iteration instead of
-/// `O(nnz·N·R)`), and the final `polish_iters` iterations of the same run
-/// are the exact host backend's, so the returned model and RMSE are
-/// exact-path artifacts (a run that converges while still sampling stops
-/// there, like any solve, with an exact final RMSE). Its accuracy
-/// contract is statistical, not bitwise — the accuracy gate
-/// (`tests/accuracy_gate.rs`, tolerance constant in
-/// `distenc_eval::accuracy`) pins final-RMSE parity with the exact solver.
-///
-/// Documented fallbacks (never errors, never panics):
-/// * `samples ≥ nnz` — sampling cannot beat a full sweep, so the whole
-///   run degenerates to the exact tier, bit-identical to `Exact`.
-/// * `polish_iters ≥ max_iters` — no iteration is left to sample; ditto.
-/// * the distributed [`crate::DisTenC`] driver — Algorithm 3's virtual
-///   cluster models the exact schedule only, so it always runs `Exact`
-///   whatever the config says.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverTier {
-    /// The exact reference path (the default).
-    #[default]
-    Exact,
-    /// Sampled MTTKRP steps, then exact polish iterations, in one run.
-    Sketched {
-        /// Entries drawn per sampled kernel step (must be ≥ 1).
-        samples: usize,
-        /// Trailing iterations run on the exact backend.
-        polish_iters: usize,
-    },
-}
-
-impl SolverTier {
-    /// Whether this tier is the sketched one.
-    pub fn is_sketched(&self) -> bool {
-        matches!(self, SolverTier::Sketched { .. })
-    }
-}
-
 /// When (and where) the solver snapshots its state for fault recovery.
 ///
-/// Checkpoints are an **exact-tier** artifact: they capture the solver
-/// loop's complete per-iteration state (factors, ADMM duals, penalty,
-/// residual, trace), and a solve resumed from one finishes with
-/// bit-identical factors and RMSE to the uninterrupted run (the recovery
-/// invariant, proven in `tests/fault_recovery.rs`). A sketched solve
-/// strips the policy and runs checkpoint-free.
+/// Checkpoints capture the solver loop's complete per-iteration state
+/// (factors, ADMM duals, penalty, residual, trace), and a solve resumed
+/// from one finishes with bit-identical factors and RMSE to the
+/// uninterrupted run (the recovery invariant, proven in
+/// `tests/fault_recovery.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointPolicy {
     /// Snapshot after every `n`-th completed iteration (must be ≥ 1).
@@ -120,10 +72,6 @@ pub struct AdmmConfig {
     /// DESIGN.md §9); defaults from the `DISTENC_THREADS` environment
     /// variable, else a thread per host core.
     pub exec: distenc_dataflow::ExecMode,
-    /// Which solver tier runs the per-iteration kernels (see
-    /// [`SolverTier`]): the bit-pinned exact path, or the sampled
-    /// sketched tier with an exact final polish. Exact by default.
-    pub solver_tier: SolverTier,
     /// Optional checkpoint cadence for fault recovery (see
     /// [`CheckpointPolicy`]). `None` (the default) never snapshots.
     pub checkpoint: Option<CheckpointPolicy>,
@@ -145,7 +93,6 @@ impl Default for AdmmConfig {
             nonneg: false,
             partition: distenc_partition::PartitionStrategy::Greedy,
             exec: distenc_dataflow::ExecMode::default(),
-            solver_tier: SolverTier::default(),
             checkpoint: None,
         }
     }
@@ -186,11 +133,6 @@ impl AdmmConfig {
         if !(self.tol.is_finite() && self.tol > 0.0) {
             return Err("tol must be positive".into());
         }
-        if let SolverTier::Sketched { samples, .. } = self.solver_tier {
-            if samples == 0 {
-                return Err("sketched tier needs samples ≥ 1".into());
-            }
-        }
         if let Some(policy) = &self.checkpoint {
             if policy.every_n_iters == 0 {
                 return Err("checkpoint cadence must be ≥ 1 iteration".into());
@@ -210,7 +152,6 @@ mod tests {
         assert!(c.validate().is_ok());
         // Constants, not environment lookups: only `exec` follows a
         // variable (`DISTENC_THREADS`).
-        assert_eq!(c.solver_tier, SolverTier::Exact);
         assert_eq!(c.checkpoint, None);
     }
 
@@ -227,7 +168,5 @@ mod tests {
         for tol in [f64::NAN, 0.0, -1e-6] {
             assert!(AdmmConfig { tol, ..Default::default() }.validate().is_err(), "tol {tol}");
         }
-        let no_samples = SolverTier::Sketched { samples: 0, polish_iters: DEFAULT_POLISH_ITERS };
-        assert!(AdmmConfig { solver_tier: no_samples, ..Default::default() }.validate().is_err());
     }
 }

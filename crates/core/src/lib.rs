@@ -36,7 +36,7 @@ pub(crate) mod solver;
 pub mod trace;
 
 pub use admm::AdmmSolver;
-pub use config::{AdmmConfig, CheckpointPolicy, SolverTier, DEFAULT_POLISH_ITERS};
+pub use config::{AdmmConfig, CheckpointPolicy};
 pub use distenc::DisTenC;
 pub use model::{MethodModel, RunOutcome, WorkloadSpec};
 pub use solver::checkpoint::{Checkpoint, CheckpointError};
@@ -54,18 +54,6 @@ use distenc_tensor::KruskalTensor;
 pub(crate) fn record_entry_sweep(entries: usize) {
     #[cfg(feature = "pass-count")]
     distenc_dataflow::passes::record_sweep(entries);
-    #[cfg(not(feature = "pass-count"))]
-    let _ = entries;
-}
-
-/// Record a sampled partial gather over `entries` nonzeros on the
-/// entries-touched counter (no sweep tick — a sampled gather is not a
-/// full traversal). Used by the sketched solver tier; compiles to nothing
-/// without the `pass-count` feature.
-#[inline]
-pub(crate) fn record_entry_gather(entries: usize) {
-    #[cfg(feature = "pass-count")]
-    distenc_dataflow::passes::record_gather(entries);
     #[cfg(not(feature = "pass-count"))]
     let _ = entries;
 }

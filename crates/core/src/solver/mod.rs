@@ -14,7 +14,7 @@
 //! **One core, typed residual.** The residual `E = Ω∗(T − [[A…]])` has
 //! `T`'s support, so the [`SolverState`] holds its values only, in the
 //! backend's decomposition — [`StepBackend::Residual`]: one value per
-//! observed entry for the host and sketched backends (a solve holds one
+//! observed entry for the host backend (a solve holds one
 //! index list, `observed`'s), one value vector per Algorithm 2 block for
 //! the cluster (whose one copy of the blocked entries is the blocking's).
 //! The core never looks inside it; it only hands it back to the backend
@@ -61,8 +61,7 @@
 //! with what the refreshing sweep banked. Every backend banks all N modes
 //! on every executor — the host runs the residual's block cut (one sweep
 //! whether its blocks run one after another or on threads), the cluster
-//! one task per Algorithm 2 block, and the sketched backend's sampled
-//! sweeps draw N estimates (see its module) — so a steady-state iteration,
+//! one task per Algorithm 2 block — so a steady-state iteration,
 //! and the entry alike, sweeps the nonzero list **once**. `k` iterations
 //! entered on a fresh residual cost `k + 1` sweeps — the entry, `k − 1`
 //! banking sweeps, the last plain refresh. The `pass-count` feature counts
@@ -80,11 +79,9 @@ use distenc_tensor::{CooTensor, KruskalTensor};
 pub mod checkpoint;
 pub(crate) mod cluster;
 pub(crate) mod host;
-pub(crate) mod sketched;
 
 pub(crate) use cluster::{BlockMeta, ClusterBackend};
 pub(crate) use host::HostBackend;
-pub(crate) use sketched::SketchedBackend;
 
 /// Per-mode scratch matrices for one [`mode_step`], all `Iₙ×R`.
 struct ModeBuffers {

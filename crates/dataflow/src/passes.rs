@@ -17,11 +17,8 @@
 //! the entry structure — and are deliberately not counted.
 //!
 //! Alongside sweeps, the instrument counts **entries touched**: how many
-//! entry records a kernel actually loaded factor rows for. For the exact
-//! kernels a sweep touches every nonzero, so `entries = sweeps × nnz`; the
-//! sketched solver tier gathers only its sampled subset per step, and the
-//! entries counter is what proves — host-independently — that a sketched
-//! iteration costs `O(samples·N)` entry loads instead of `O(nnz·N)`
+//! entry records a kernel actually loaded factor rows for. Every kernel
+//! that loads them sweeps the whole list, so `entries = sweeps × nnz`
 //! (`tests/pass_count.rs` pins both).
 //!
 //! The counters are process-global and monotonic; tests difference them
@@ -37,14 +34,6 @@ static ENTRIES: AtomicU64 = AtomicU64::new(0);
 #[inline]
 pub fn record_sweep(entries: usize) {
     SWEEPS.fetch_add(1, Ordering::Relaxed);
-    ENTRIES.fetch_add(entries as u64, Ordering::Relaxed);
-}
-
-/// Record a partial gather that touched `entries` nonzeros without
-/// traversing the full list (the sketched tier's sampled kernels). Ticks
-/// the entries counter only — a sampled gather is not a sweep.
-#[inline]
-pub fn record_gather(entries: usize) {
     ENTRIES.fetch_add(entries as u64, Ordering::Relaxed);
 }
 
@@ -67,7 +56,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_are_monotonic_and_gather_skips_sweeps() {
+    fn counters_are_monotonic() {
         // One test (not several) because the counters are process-global
         // and other tests may tick them concurrently — only lower bounds
         // on our own contributions are assertable.
@@ -75,8 +64,7 @@ mod tests {
         let entries_before = entries_touched();
         record_sweep(10);
         record_sweep(7);
-        record_gather(25);
         assert!(sweeps() >= sweeps_before + 2);
-        assert!(entries_touched() >= entries_before + 42);
+        assert!(entries_touched() >= entries_before + 17);
     }
 }

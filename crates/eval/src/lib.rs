@@ -15,9 +15,6 @@
 //! * [`discovery`] — top-k concept extraction and purity scoring for
 //!   Table III;
 //! * [`ablation`] — ablations of the paper's three key insights;
-//! * [`accuracy`] — the statistical accuracy gate for the sketched
-//!   solver tier (tolerance constant, planted workloads, tier
-//!   comparison and sample-efficiency helpers);
 //! * `calibrate` (test-only) — engine-vs-model fidelity gate;
 //! * [`table`] — plain-text rendering used by the `distenc-bench`
 //!   binaries.
@@ -25,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod accuracy;
 #[cfg(test)]
 mod calibrate;
 pub mod discovery;

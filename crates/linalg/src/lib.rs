@@ -12,8 +12,6 @@
 //!   `(UᵀU + λI + ηI)⁻¹`-style systems in Algorithm 1 / Algorithm 3.
 //! * [`eigen`] — dense symmetric eigensolvers: Householder + QL for
 //!   production, cyclic Jacobi as the test oracle.
-//! * [`sketch`] — scratch and row kernels for the sampled least-squares
-//!   estimators of the sketched solver tier.
 //! * [`tridiag`] — Householder tridiagonalization and implicit-shift QL
 //!   for symmetric tridiagonal matrices, the inner solver of both the
 //!   dense path and Lanczos.
@@ -34,7 +32,6 @@ pub mod eigen;
 pub mod isa;
 pub mod lanczos;
 pub mod mat;
-pub mod sketch;
 pub mod tridiag;
 pub mod vec_ops;
 
@@ -42,7 +39,6 @@ pub use chol::Cholesky;
 pub use eigen::{symmetric_eigen, EigenPairs};
 pub use lanczos::{lanczos_smallest, LinOp};
 pub use mat::Mat;
-pub use sketch::SketchScratch;
 
 /// Errors produced by the linear-algebra kernels.
 #[derive(Debug, Clone, PartialEq)]

@@ -138,6 +138,11 @@ pub fn write_kruskal_file<P: AsRef<Path>>(
 }
 
 /// Parse a CP model written by [`write_kruskal`].
+///
+/// The header counts are untrusted: nothing is reserved from them, the
+/// buffers grow with the values that arrive, and a factor whose
+/// `rows × cols` overflows or differs from its body is a
+/// [`TensorError::Parse`].
 pub fn read_kruskal<R: Read>(r: R) -> Result<crate::KruskalTensor> {
     let reader = BufReader::new(r);
     let mut lines = reader.lines();
@@ -158,7 +163,7 @@ pub fn read_kruskal<R: Read>(r: R) -> Result<crate::KruskalTensor> {
         .and_then(|p| p.parse().ok())
         .ok_or_else(|| TensorError::Parse("bad rank".into()))?;
 
-    let mut factors = Vec::with_capacity(order);
+    let mut factors = Vec::new();
     let mut pending: Option<(usize, usize, Vec<f64>)> = None;
     for line in lines {
         let line = line.map_err(|e| TensorError::Io(e.to_string()))?;
@@ -183,7 +188,7 @@ pub fn read_kruskal<R: Read>(r: R) -> Result<crate::KruskalTensor> {
                 .next()
                 .and_then(|x| x.parse().ok())
                 .ok_or_else(|| TensorError::Parse("bad factor cols".into()))?;
-            pending = Some((rows, cols, Vec::with_capacity(rows * cols)));
+            pending = Some((rows, cols, Vec::new()));
             continue;
         }
         let (_, _, data) = pending
@@ -224,7 +229,7 @@ fn finish_factor(
     rank: usize,
     factors: &mut Vec<distenc_linalg::Mat>,
 ) -> Result<()> {
-    if cols != rank || data.len() != rows * cols {
+    if cols != rank || rows.checked_mul(cols) != Some(data.len()) {
         return Err(TensorError::Parse(format!(
             "factor body has {} values for a {rows}x{cols} matrix (rank {rank})",
             data.len()
@@ -462,5 +467,51 @@ mod tests {
         assert!(read_kruskal(bad.as_bytes()).is_err());
         // Data before any factor header.
         assert!(read_kruskal("# kruskal: 1 1\n1.0\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn hostile_kruskal_counts_are_parse_errors() {
+        // Each count sized an allocation or overflowed a product before
+        // a single value was read: a terabyte factor, a petabyte factor
+        // list, and `rows × cols` past `usize::MAX` (the last one with
+        // `cols` equal to the rank, so the product is formed).
+        for text in [
+            "# kruskal: 1 2\n# factor 0: 1000000000000 2\n",
+            "# kruskal: 100000000000000 2\n",
+            "# kruskal: 1 2\n# factor 0: 4294967296 4294967297\n",
+            "# kruskal: 1 4294967297\n# factor 0: 4294967296 4294967297\n",
+        ] {
+            let err = read_kruskal(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, TensorError::Parse(_)), "{text:?}: {err:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any sequence of header and body tokens, counts up to
+        /// `usize::MAX` included, and any bytes after a header are a
+        /// model or a typed error, never a panic.
+        #[test]
+        fn kruskal_reader_never_panics(
+            picks in proptest::collection::vec(0usize..16, 0..40),
+            raw in proptest::collection::vec(0usize..256, 0..40),
+        ) {
+            const TOKENS: [&str; 16] = [
+                "# kruskal:", "# factor 0:", "# factor", " ", "\n", "0", "1", "2",
+                "4294967297", "18446744073709551615", "1.5", "-0.25", "1e308", "nan", ":", "x",
+            ];
+            let text: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            let noise: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+            for input in [
+                text.clone().into_bytes(),
+                ["# kruskal: 1 2\n", &text].concat().into_bytes(),
+                [&b"# kruskal: 2 1\n# factor 0: 1 1\n"[..], &noise].concat(),
+            ] {
+                if let Ok(k) = read_kruskal(&input[..]) {
+                    proptest::prop_assert!(k.factors().iter().all(|f| f.cols() == k.rank()));
+                }
+            }
+        }
     }
 }

@@ -22,8 +22,6 @@
 //!   executor,
 //! * [`layout`] — COO, CSF and cache-blocked tiled [`TensorLayout`]s, the
 //!   kernel structures the benchmark times behind one surface,
-//! * [`sample`] — deterministic norm-proportional entry sampling, the
-//!   randomization behind the sketched solver tier,
 //! * [`dense`] — a tiny dense tensor for test oracles,
 //! * [`split`] — train/test splitting by missing rate,
 //! * [`io`] — plain-text COO serialization.
@@ -40,7 +38,6 @@ pub mod layout;
 pub mod kruskal;
 pub mod mttkrp;
 pub mod residual;
-pub mod sample;
 pub mod split;
 
 pub use coo::CooTensor;

@@ -24,10 +24,7 @@
 mod cli;
 
 use cli::{fail, flag, many, parse_list, parse_num, val, Cmd, Opt, Opts, Res};
-use distenc::core::{
-    AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, CompletionResult, SolverTier,
-    DEFAULT_POLISH_ITERS,
-};
+use distenc::core::{AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, CompletionResult};
 use distenc::dataflow::ExecMode;
 use distenc::eval::metrics;
 use distenc::graph::{Laplacian, SparseSym};
@@ -96,9 +93,6 @@ const COMMANDS: &[Cmd] = &[
                 val("lambda", "L", "ridge weight [default: 0.1]"),
                 val("eigen-k", "K", "Laplacian eigen-truncation width [default: 20]"),
                 flag("nonneg", "project factors onto the non-negative orthant"),
-                flag("sketched", "sampled MTTKRP tier with an exact polish tail"),
-                val("samples", "N", "with --sketched: draws per sampled step [default: 4096]"),
-                val("polish", "P", "with --sketched: trailing exact iterations [default: 8]"),
             ],
             SIMILARITY,
             EXEC,
@@ -358,25 +352,8 @@ fn cmd_complete(opts: &Opts) -> Res {
     let (input, out) = (opts.req("input")?, opts.req("out")?);
     let observed = io::read_coo_file(input)?;
 
-    let solver_tier = if opts.has("sketched") {
-        SolverTier::Sketched {
-            samples: opts.num_or("samples", 4096)?,
-            polish_iters: opts.num_or("polish", DEFAULT_POLISH_ITERS)?,
-        }
-    } else if opts.has("samples") || opts.has("polish") {
-        return fail("--samples and --polish need --sketched");
-    } else {
-        SolverTier::Exact
-    };
-    let checkpoint = checkpoint_policy(opts, Some(5))?;
-    if checkpoint.is_some() && solver_tier.is_sketched() {
-        eprintln!(
-            "warning: checkpoints are exact-tier artifacts; the sketched solve will not snapshot"
-        );
-    }
     let cfg = AdmmConfig {
-        solver_tier,
-        checkpoint,
+        checkpoint: checkpoint_policy(opts, Some(5))?,
         lambda: opts.num_or("lambda", 0.1)?,
         alpha: opts.num_or("alpha", 1.0)?,
         eigen_k: opts.num_or("eigen-k", 20)?,

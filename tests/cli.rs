@@ -366,6 +366,24 @@ fn every_subcommand_rejects_an_unknown_flag() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option `--layout`"));
     let out = bin().args(["serve-bench", "--shard-rows", "8"]).output().unwrap();
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option `--shard-rows`"));
+    // A solve is the one exact ADMM: no option selects a sampled tier, and
+    // a well-formed `complete` carrying one fails on the option alone.
+    let data = small_tensor("no-tier.coo");
+    let model = tmp("no-tier.kruskal");
+    let _ = std::fs::remove_file(&model);
+    for (name, value) in [("sketched", None), ("samples", Some("10"))] {
+        let flag = format!("--{name}");
+        let out = bin()
+            .args(["complete", "--input", data.to_str().unwrap(), "--rank", "2"])
+            .args(["--out", model.to_str().unwrap(), &flag])
+            .args(value)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "`complete {flag}` succeeded");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown option `{flag}`")), "{stderr}");
+    }
+    assert!(!model.exists(), "a rejected solve wrote a model");
 }
 
 #[test]
@@ -380,11 +398,13 @@ fn subcommand_help_is_generated_from_the_option_table() {
         "(repeatable)",
         "--threads N",
         "--checkpoint-every N",
-        "--sketched",
     ] {
         assert!(stdout.contains(needle), "`{needle}` missing from:\n{stdout}");
     }
-    assert!(!stdout.contains("--qps"), "another subcommand's option leaked in:\n{stdout}");
+    for gone in ["qps", "sketched", "samples", "polish"] {
+        let flag = format!("--{gone}");
+        assert!(!stdout.contains(&flag), "`{flag}` is not an option of `complete`:\n{stdout}");
+    }
 }
 
 #[test]

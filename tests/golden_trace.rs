@@ -16,7 +16,7 @@
 //! Regenerate (only when intentionally changing numerics) with:
 //! `cargo test --test golden_trace -- --ignored regen`
 
-use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC, SolverTier};
+use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC};
 use distenc::dataflow::{Cluster, ClusterConfig};
 use distenc::graph::builders::tridiagonal_chain;
 use distenc::graph::Laplacian;
@@ -40,10 +40,6 @@ struct Scenario {
 const ADMM_PLAIN: Scenario = Scenario { name: "admm_plain", with_seconds: false };
 const ADMM_AUX: Scenario = Scenario { name: "admm_aux", with_seconds: false };
 const DISTENC_3M: Scenario = Scenario { name: "distenc_3m", with_seconds: true };
-/// The sketched tier's schedule — sampled RMSE estimates, the boundary
-/// sweep, and the polish iterations — pinned bit-for-bit. Wall-clock
-/// seconds excluded, like the other host scenarios.
-const ADMM_SKETCHED: Scenario = Scenario { name: "admm_sketched", with_seconds: false };
 
 fn run_scenario(s: &Scenario) -> CompletionResult {
     match s.name {
@@ -74,18 +70,6 @@ fn run_scenario(s: &Scenario) -> CompletionResult {
                 ..Default::default()
             };
             AdmmSolver::new(cfg).unwrap().solve(&observed, &lap_refs).unwrap()
-        }
-        "admm_sketched" => {
-            let observed = planted(&[12, 10, 8], 3, 700, 2);
-            let cfg = AdmmConfig {
-                rank: 3,
-                lambda: 1e-3,
-                max_iters: 10,
-                tol: 1e-12,
-                solver_tier: SolverTier::Sketched { samples: 160, polish_iters: 3 },
-                ..Default::default()
-            };
-            AdmmSolver::new(cfg).unwrap().solve(&observed, &[None, None, None]).unwrap()
         }
         "distenc_3m" => {
             let observed = planted(&[12, 10, 8], 3, 700, 2);
@@ -165,11 +149,6 @@ fn distenc_matches_golden_trace_and_virtual_clock_bit_for_bit() {
     assert_matches_golden(&DISTENC_3M);
 }
 
-#[test]
-fn admm_sketched_matches_golden_trace_bit_for_bit() {
-    assert_matches_golden(&ADMM_SKETCHED);
-}
-
 /// Rewrites the golden files from the current solver. Ignored by default:
 /// run explicitly (and review the diff) when a numerics change is
 /// intentional.
@@ -177,7 +156,7 @@ fn admm_sketched_matches_golden_trace_bit_for_bit() {
 #[ignore = "regenerates the golden files; run only for intentional numeric changes"]
 fn regen_golden_files() {
     std::fs::create_dir_all(golden_path("x").parent().unwrap()).unwrap();
-    for s in [&ADMM_PLAIN, &ADMM_AUX, &DISTENC_3M, &ADMM_SKETCHED] {
+    for s in [&ADMM_PLAIN, &ADMM_AUX, &DISTENC_3M] {
         let res = run_scenario(s);
         std::fs::write(golden_path(s.name), serialize(s, &res)).unwrap();
     }

@@ -24,33 +24,18 @@
 //! not depend on `DISTENC_THREADS` — nor on the host: no executor changes
 //! what a sweep is.
 //!
-//! Alongside sweeps, the instrument counts **entries touched**, which is
-//! what prices the sketched tier: a sampled gather of `S` draws charges
-//! `S` entries but zero sweeps (it never traverses the full list). A
-//! steady-state *sketch-phase* iteration therefore touches exactly
-//! `N·samples` entries — one sampled sweep that draws `samples` entries
-//! for each of the N modes it banks. The gate below pins that count
-//! exactly, at the accuracy gate's `samples = nnz/4` budget, and that it
-//! stays under the `nnz` an exact iteration touches.
-//!
-//! A sketched solve is one run: its exact iterations start at the
-//! *boundary sweep*, the host's refreshing fused sweep that closes the
-//! last sampled iteration and banks the first exact one. `P` exact
-//! iterations therefore cost **P + 1** sweeps — the boundary, `P − 1`
-//! fused sweeps, the last plain refresh — and the sampled iterations none.
+//! Alongside sweeps, the instrument counts **entries touched**: a host
+//! iteration's one sweep touches exactly `nnz` entries.
 //!
 //! Methodology mirrors `tests/alloc_budget.rs`: the solver is
 //! deterministic, so runs differing only in `max_iters` (2 vs 10) do
 //! identical setup; the sweep-count difference over the 8 extra
-//! iterations is exactly the per-iteration cost. For the sketched tier
-//! the polish budget is held fixed while `max_iters` grows, so the 8
-//! extra iterations are all sketch-phase iterations (the prologue and the
-//! exact iterations are identical in both runs and cancel). One `#[test]`
-//! because the counter is process-global.
+//! iterations is exactly the per-iteration cost. One `#[test]` because
+//! the counter is process-global.
 
 #![cfg(feature = "pass-count")]
 
-use distenc::core::{AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, DisTenC, SolverTier};
+use distenc::core::{AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, DisTenC};
 use distenc::dataflow::passes;
 use distenc::dataflow::{Cluster, ClusterConfig, ExecMode};
 use distenc::stream::{DeltaBatch, StreamingSolver};
@@ -92,27 +77,6 @@ fn distenc_sweeps_per_iter(observed: &CooTensor, cfg: &AdmmConfig, exec: ExecMod
         passes::sweeps() - before
     };
     (count(10) - count(2)) as f64 / 8.0
-}
-
-/// (sweeps, entries) of one whole sketched solve of `sketch_iters`
-/// sampled and `polish_iters` exact iterations.
-fn sketched_solve(
-    observed: &CooTensor,
-    cfg: &AdmmConfig,
-    samples: usize,
-    sketch_iters: usize,
-    polish_iters: usize,
-) -> (u64, u64) {
-    let cfg = AdmmConfig {
-        max_iters: polish_iters + sketch_iters,
-        solver_tier: SolverTier::Sketched { samples, polish_iters },
-        ..cfg.clone()
-    };
-    let laps = vec![None; observed.order()];
-    let (s0, e0) = (passes::sweeps(), passes::entries_touched());
-    let res = AdmmSolver::new(cfg).unwrap().solve(observed, &laps).unwrap();
-    assert_eq!(res.iterations, polish_iters + sketch_iters, "must not converge early");
-    (passes::sweeps() - s0, passes::entries_touched() - e0)
 }
 
 /// Entry sweeps of one whole `k`-iteration streaming re-solve: a base
@@ -209,33 +173,6 @@ fn fused_iterations_sweep_the_nonzeros_once_on_every_executor() {
         for (tensor, n) in [(&order3, 3.0), (&order4, 4.0)] {
             let label = format!("distenc order {n} {exec:?}");
             assert_eq!(distenc_sweeps_per_iter(tensor, &base, exec), 1.0, "{label}");
-        }
-    }
-
-    // --- Entry touches: exact vs sketched. -----------------------------
-    // A sketch-phase iteration touches exactly N·samples entries — and
-    // performs *zero* full sweeps (sampled gathers are charged as
-    // entries only) — which at samples = nnz/4 is fewer than the nnz an
-    // exact iteration touches. The polish budget stays fixed while the
-    // sketch budget grows, so the differenced iterations are all sampled
-    // ones.
-    let nnz = order3.nnz() as f64;
-    let samples = order3.nnz() / 4;
-    let (s_short, e_short) = sketched_solve(&order3, &base, samples, 2, 2);
-    let (s_long, e_long) = sketched_solve(&order3, &base, samples, 10, 2);
-    assert_eq!(s_long, s_short, "sketch-phase iterations do no full sweeps");
-    let sk_entries = (e_long - e_short) as f64 / 8.0;
-    assert_eq!(sk_entries, 3.0 * samples as f64, "sketched entries = N·samples");
-    assert!(sk_entries < nnz, "a sampled iteration touched {sk_entries} of {nnz} entries");
-
-    // --- One run across the boundary: P exact iterations after K sampled
-    // ones sweep P + 1 times — the boundary sweep banks the first exact
-    // iteration, so no entry sweep follows it. ----------------------------
-    for exec in executors {
-        let base = AdmmConfig { exec, ..base.clone() };
-        for (k, p) in [(2, 0), (3, 1), (4, 3)] {
-            let (sweeps, _) = sketched_solve(&order3, &base, samples, k, p);
-            assert_eq!(sweeps, p as u64 + 1, "{k} sampled + {p} exact iterations, {exec:?}");
         }
     }
 }

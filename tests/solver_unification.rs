@@ -17,7 +17,7 @@
 //! core, never `converged` beside a `NaN`.
 
 use distenc::baselines::{AlsConfig, AlsSolver};
-use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, CoreError, DisTenC, SolverTier};
+use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, CoreError, DisTenC};
 use distenc::dataflow::{Cluster, ClusterConfig, ExecMode};
 use distenc::stream::{DeltaBatch, StreamingSolver};
 use distenc::tensor::CooTensor;
@@ -127,8 +127,8 @@ fn empty_tensor_error_carries_no_partial_state() {
 
 /// `distenc generate --kind skewed --dims 60,50,40 --nnz 20000 --seed 3`
 /// (11,515 entries once duplicates merge) diverges at rank 4 under the
-/// CLI's defaults. Host on either executor, a 4-machine cluster, the
-/// sketched tier and a streaming warm re-solve all run the one core loop:
+/// CLI's defaults. Host on either executor, a 4-machine cluster and a
+/// streaming warm re-solve all run the one core loop:
 /// each ends with a finite train RMSE or `NonFinite`, never `Ok` with a
 /// non-finite one. A `NaN` in the data is `NonFinite` at iteration 0.
 #[test]
@@ -156,9 +156,6 @@ fn a_diverging_solve_is_a_typed_error_on_every_path() {
     }
     let cluster = Cluster::new(ClusterConfig::test(4).with_time_budget(None));
     check("DisTenC", DisTenC::new(&cluster, cfg.clone()).unwrap().solve(&observed, &none));
-    let tier = SolverTier::Sketched { samples: 2_000, polish_iters: 4 };
-    let sketched = AdmmSolver::new(AdmmConfig { solver_tier: tier, ..cfg.clone() }).unwrap();
-    check("sketched", sketched.solve(&observed, &none));
 
     let short = AdmmConfig { max_iters: 4, ..cfg.clone() };
     let mut stream = StreamingSolver::new(observed.clone(), vec![None; 3], short).unwrap();
