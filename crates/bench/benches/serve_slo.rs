@@ -4,33 +4,28 @@
 //! (open loop: arrivals never wait for completions, so overload shows up
 //! as a latency cliff instead of being hidden by submitter self-
 //! throttling) and walks an offered-QPS ladder past saturation. Writes
-//! `BENCH_serve_slo.json` at the repository root with three sections:
+//! `BENCH_serve_slo.json` at the repository root with two sections:
 //!
 //! * `ladder` — one row per offered-QPS rung: achieved throughput,
 //!   end-to-end p50/p99 of *admitted* requests, shed/reject/timeout
 //!   counts, and the peak queue depth. `sustained_qps` is the highest
 //!   rung whose p99 stays under the SLO target with under 1% shed.
-//! * `approx` — exact vs approximate top-K tier on the same uncached
-//!   query stream: median latency of both, the speedup, and recall@K
-//!   measured by the engine's own shadow-sampling counters.
 //! * `fairness` — a 3-tenant registry under Zipf-skewed tenant load:
 //!   per-tenant served/shed counts and peak lane occupancy, showing
 //!   deficit-round-robin keeping cold tenants alive under a hot flood.
 //!
 //! The model's recommendation mode carries a popularity skew (row norms
-//! decay like a power law), which is the regime the norm-ordered
-//! approximate tier is designed for — real recommendation factors are
-//! popularity-skewed, and uniform random factors would make any
-//! norm-prefix cut look artificially bad.
+//! decay like a power law), as real recommendation factors do. The exact
+//! top-K scan visits rows in norm-descending order and stops on the
+//! Cauchy–Schwarz bound, so the skew is what gives the bound a long tail
+//! of small-norm rows to prune.
 
-use distenc_bench::{median_ns, write_bench_json};
+use distenc_bench::write_bench_json;
 use distenc_linalg::Mat;
 use distenc_serve::{
-    serve_open_loop, AdmissionControl, ApproxTopK, Engine, EngineConfig, OpenLoopConfig,
-    QueueConfig, TopKQuery, TraceConfig,
+    serve_open_loop, AdmissionControl, EngineConfig, OpenLoopConfig, QueueConfig, TraceConfig,
 };
 use distenc_tensor::KruskalTensor;
-use std::hint::black_box;
 use std::time::Duration;
 
 const SHAPE: [usize; 3] = [4000, 800, 40];
@@ -145,55 +140,6 @@ fn run_rung(model: &KruskalTensor, qps: f64) -> RungStats {
     }
 }
 
-/// Distinct (cache-missing) top-K queries over the recommendation mode.
-fn fresh_queries(n: usize) -> Vec<TopKQuery> {
-    (0..n)
-        .map(|i| TopKQuery {
-            mode: 0,
-            at: vec![0, (i * 17) % SHAPE[1], (i * 3) % SHAPE[2]],
-            k: 8,
-        })
-        .collect()
-}
-
-/// Exact vs approximate top-K: median uncached latency of each tier plus
-/// recall@K from the engine's shadow-sampling counters.
-fn approx_section(model: &KruskalTensor) -> String {
-    let queries = fresh_queries(400);
-    let time_tier = |cfg: EngineConfig| -> u64 {
-        let engine = Engine::new(model, cfg).unwrap();
-        median_ns(&queries, |q| {
-            black_box(engine.topk(black_box(q), None).unwrap());
-        })
-    };
-    let exact_ns = time_tier(EngineConfig::default());
-    let approx_cfg = EngineConfig {
-        approx_topk: Some(ApproxTopK::NormCoverage(0.95)),
-        ..Default::default()
-    };
-    let approx_ns = time_tier(approx_cfg.clone());
-
-    // Recall on a separate engine so the exact shadow searches it runs
-    // (recall_check_every = 1 re-answers every query exactly) never
-    // pollute the latency numbers above.
-    let recall_engine = Engine::new(
-        model,
-        EngineConfig { recall_check_every: 1, ..approx_cfg },
-    )
-    .unwrap();
-    for q in &queries {
-        recall_engine.topk(q, None).unwrap();
-    }
-    let s = recall_engine.snapshot();
-    format!(
-        "  \"approx\": {{\n    \"coverage\": 0.95,\n    \"k\": 8,\n    \"exact_ns\": {exact_ns},\n    \"approx_ns\": {approx_ns},\n    \"speedup\": {:.2},\n    \"recall_at_k\": {:.4},\n    \"recall_checks\": {},\n    \"approx_queries\": {}\n  }}",
-        exact_ns as f64 / approx_ns.max(1) as f64,
-        s.recall_at_k(),
-        s.recall_checks,
-        s.approx_topk_queries,
-    )
-}
-
 /// Three tenants behind one registry-backed queue under Zipf-skewed
 /// tenant load: per-tenant outcomes and peak lane occupancy.
 fn fairness_section(model: &KruskalTensor) -> String {
@@ -253,10 +199,9 @@ fn main() {
     write_bench_json(
         "serve_slo",
         &format!(
-            "  \"workload\": {{ \"shape\": {SHAPE:?}, \"rank\": {RANK}, \"run_secs\": {RUN_SECS}, \"workers\": {WORKERS}, \"mix\": \"70% point / 15% batch(16) / 15% top-8\" }},\n  \"slo\": {{ \"p99_target_us\": {:.0}, \"max_shed_rate\": {MAX_SHED_RATE}, \"sustained_qps\": {sustained:.0} }},\n  \"ladder\": [\n{}\n  ],\n{},\n{},\n  \"note\": \"Open-loop Poisson arrivals (arrivals never wait for completions); p50/p99 are end-to-end latency of admitted requests from a log-linear histogram (16 sub-buckets per octave: a quantile is its bucket's upper edge, at most 6.25% over the true value and never under); sustained_qps is the highest rung with p99 under target, shed rate under {MAX_SHED_RATE}, and zero capacity rejections; past saturation the watermark shedder answers excess load with typed Shed responses so admitted-request p99 stays bounded; approx tier is norm-coverage early exit on a popularity-skewed mode, recall measured by shadow-sampling exact re-answers\"",
+            "  \"workload\": {{ \"shape\": {SHAPE:?}, \"rank\": {RANK}, \"run_secs\": {RUN_SECS}, \"workers\": {WORKERS}, \"mix\": \"70% point / 15% batch(16) / 15% top-8\" }},\n  \"slo\": {{ \"p99_target_us\": {:.0}, \"max_shed_rate\": {MAX_SHED_RATE}, \"sustained_qps\": {sustained:.0} }},\n  \"ladder\": [\n{}\n  ],\n{},\n  \"note\": \"Open-loop Poisson arrivals (arrivals never wait for completions); p50/p99 are end-to-end latency of admitted requests from a log-linear histogram (16 sub-buckets per octave: a quantile is its bucket's upper edge, at most 6.25% over the true value and never under); sustained_qps is the highest rung with p99 under target, shed rate under {MAX_SHED_RATE}, and zero capacity rejections; past saturation the watermark shedder answers excess load with typed Shed responses so admitted-request p99 stays bounded\"",
             P99_TARGET.as_secs_f64() * 1e6,
             ladder.join(",\n"),
-            approx_section(&model),
             fairness_section(&model),
         ),
     );

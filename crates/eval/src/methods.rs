@@ -107,11 +107,6 @@ impl Method {
         }
     }
 
-    /// Whether the method consumes auxiliary information.
-    pub fn uses_aux(&self) -> bool {
-        !matches!(self, Method::Als)
-    }
-
     /// Run the method serially (wall-clock trace) on `observed` with
     /// optional per-mode similarities.
     pub fn run(
@@ -272,8 +267,6 @@ mod tests {
         assert_eq!(Method::Scout.cluster_config().mode, Platform::MapReduce);
         assert_eq!(Method::FlexiFact.cluster_config().mode, Platform::MapReduce);
         assert_eq!(Method::Tfai.cluster_config().machines, 1);
-        assert!(!Method::Als.uses_aux());
-        assert!(Method::DisTenC.uses_aux());
     }
 
     #[test]

@@ -46,44 +46,6 @@ pub fn rmse_with_offset(
     Ok((acc / test.nnz() as f64).sqrt())
 }
 
-/// Precision@k for ranking evaluation (the paper's §IV-E speaks of
-/// "precision of recommendation"): group held-out entries by the
-/// `query_mode` entity (e.g. users), rank each group's entries by the
-/// model's prediction, and measure the fraction of the top-`k` whose true
-/// value is ≥ `threshold` (a "relevant" item). Returns the mean over
-/// queries with at least `k` held-out entries, or `None` when no query
-/// qualifies.
-pub fn precision_at_k(
-    model: &KruskalTensor,
-    test: &CooTensor,
-    query_mode: usize,
-    k: usize,
-    threshold: f64,
-) -> Result<Option<f64>> {
-    assert!(query_mode < test.order(), "query mode out of range");
-    assert!(k > 0, "k must be ≥ 1");
-    let mut groups: std::collections::BTreeMap<usize, Vec<(f64, f64)>> =
-        std::collections::BTreeMap::new();
-    for (idx, truth) in test.iter() {
-        groups
-            .entry(idx[query_mode])
-            .or_default()
-            .push((model.eval(idx), truth));
-    }
-    let mut acc = 0.0;
-    let mut count = 0usize;
-    for (_, mut entries) in groups {
-        if entries.len() < k {
-            continue;
-        }
-        entries.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let hits = entries.iter().take(k).filter(|(_, t)| *t >= threshold).count();
-        acc += hits as f64 / k as f64;
-        count += 1;
-    }
-    Ok(if count == 0 { None } else { Some(acc / count as f64) })
-}
-
 /// Relative improvement of `new` over `baseline` in percent — the "+x%"
 /// numbers the paper reports (positive = `new` is better/lower).
 pub fn improvement_pct(baseline: f64, new: f64) -> f64 {
@@ -139,58 +101,6 @@ mod tests {
             CooTensor::from_entries(vec![2, 2], &[(&[0, 0], 3.0), (&[1, 1], 4.0)]).unwrap();
         // √((9+16)/2).
         assert!((rmse(&model, &test).unwrap() - (12.5f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn precision_at_k_perfect_model_is_one() {
-        // Model == truth: the top-ranked items are exactly the relevant
-        // ones.
-        let model = KruskalTensor::random(&[4, 6], 2, 5);
-        let mut mask = CooTensor::try_new(vec![4, 6]).unwrap();
-        for u in 0..4 {
-            for i in 0..6 {
-                mask.push(&[u, i], 1.0).unwrap();
-            }
-        }
-        let test = model.eval_at(&mask).unwrap();
-        // Threshold at each value's own level: with predictions == truth,
-        // any top-k item ≥ the k-th largest truth. Use a low threshold so
-        // everything retrieved is relevant.
-        let p = precision_at_k(&model, &test, 0, 2, f64::NEG_INFINITY).unwrap();
-        assert_eq!(p, Some(1.0));
-    }
-
-    #[test]
-    fn precision_at_k_detects_anti_model() {
-        // A model predicting the *negation* of truth ranks irrelevant
-        // items first.
-        let truth = KruskalTensor::random(&[3, 8], 2, 9);
-        let mut mask = CooTensor::try_new(vec![3, 8]).unwrap();
-        for u in 0..3 {
-            for i in 0..8 {
-                mask.push(&[u, i], 1.0).unwrap();
-            }
-        }
-        let test = truth.eval_at(&mask).unwrap();
-        let mut anti = truth.clone();
-        anti.factors_mut()[0].scale(-1.0);
-        let median = {
-            let mut v: Vec<f64> = test.values().to_vec();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            v[v.len() / 2]
-        };
-        let good = precision_at_k(&truth, &test, 0, 3, median).unwrap().unwrap();
-        let bad = precision_at_k(&anti, &test, 0, 3, median).unwrap().unwrap();
-        assert!(good > bad, "true model {good} must out-rank anti model {bad}");
-    }
-
-    #[test]
-    fn precision_at_k_skips_small_groups() {
-        let model = KruskalTensor::random(&[2, 4], 1, 3);
-        let test = CooTensor::from_entries(vec![2, 4], &[(&[0, 1], 1.0)]).unwrap();
-        // Only one held-out item for the query < k = 2 → no qualifying
-        // query.
-        assert_eq!(precision_at_k(&model, &test, 0, 2, 0.0).unwrap(), None);
     }
 
     #[test]

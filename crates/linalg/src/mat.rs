@@ -332,16 +332,6 @@ impl Mat {
         self.data.len() * std::mem::size_of::<f64>()
     }
 
-    /// Stack the rows selected by `indices` into a new matrix (gathering
-    /// factor-matrix rows that a tensor block touches, §III-C).
-    pub fn gather_rows(&self, indices: &[usize]) -> Mat {
-        let mut out = Mat::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            out.row_mut(dst).copy_from_slice(self.row(src));
-        }
-        out
-    }
-
     // ----- in-place kernels -------------------------------------------------
     //
     // The solver core preallocates every buffer once and runs its steady
@@ -576,13 +566,6 @@ mod tests {
         let mut a = Mat::from_rows(&[&[-1.0, 2.0], &[0.0, -0.5]]);
         a.clamp_nonneg();
         assert_eq!(a, Mat::from_rows(&[&[0.0, 2.0], &[0.0, 0.0]]));
-    }
-
-    #[test]
-    fn gather_rows_selects_expected_rows() {
-        let a = Mat::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
-        let g = a.gather_rows(&[2, 0]);
-        assert_eq!(g, Mat::from_rows(&[&[3.0, 3.0], &[1.0, 1.0]]));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * [`Engine::point`] — one completed entry `x̂(i₁,…,i_N)`,
 //! * [`Engine::batch`] — many entries in one pass, amortizing factor-row
 //!   gathers over a shared rank loop,
-//! * [`Engine::topk`] — the best `k` indices along one free mode with all
-//!   other modes fixed (recommendation / link-scoring), pruned by
+//! * [`Engine::topk`] — the exact best `k` indices along one free mode
+//!   with all other modes fixed (recommendation / link-scoring), pruned by
 //!   Cauchy–Schwarz norm bounds derived from the same factor-Gram
 //!   structure the solver exploits for `UᵀU` (Eqs. 11–13).
 //!
@@ -50,14 +50,14 @@ pub mod topk;
 pub mod workload;
 
 pub use cache::LruCache;
-pub use engine::{ApproxTopK, Engine, EngineConfig};
+pub use engine::{Engine, EngineConfig};
 pub use live::{LiveEngine, Pinned, Tagged};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use queue::{AdmissionControl, QueueConfig, ServeQueue, SubmitOpts};
 pub use registry::ModelRegistry;
 pub use store::FactorStore;
 pub use ticket::{Request, Response, ShedReason, Ticket};
-pub use topk::{TopKItem, TopKQuery, TopKResult};
+pub use topk::{TopKItem, TopKQuery, TopKResult, DEADLINE_CHECK_EVERY};
 pub use workload::{
     open_loop_trace, replay_direct, replay_queued, serve_open_loop, synth_trace, OpenLoopConfig,
     OpenLoopReport, TimedRequest, TraceConfig, ZipfSampler,

@@ -106,36 +106,6 @@ impl LiveEngine {
         Ok(generation)
     }
 
-    /// Run a refresh solve and publish its model — or keep serving the
-    /// previous generation if the solve fails.
-    ///
-    /// This is the serving tier's graceful-degradation contract: the
-    /// refresh closure (typically a re-solve over updated observations,
-    /// which can die to an injected machine loss, a memory/time budget,
-    /// or a numerical failure) runs entirely off the serving path. On
-    /// `Ok(model)` the model is built and swapped in atomically, exactly
-    /// like [`LiveEngine::publish`]. On `Err` nothing about the serving
-    /// state changes — queries continue against the current generation —
-    /// and the failure is counted in
-    /// [`MetricsSnapshot::models_failed`]. The solve error comes back to
-    /// the caller either way so it can retry or alert.
-    pub fn refresh_with<E, F>(&self, solve: F) -> std::result::Result<u64, E>
-    where
-        F: FnOnce() -> std::result::Result<KruskalTensor, E>,
-        E: From<crate::ServeError>,
-    {
-        match solve() {
-            Ok(model) => self.publish(&model).map_err(|e| {
-                // `publish` already counted the failure.
-                E::from(e)
-            }),
-            Err(e) => {
-                self.metrics.publish_failed();
-                Err(e)
-            }
-        }
-    }
-
     /// The generation currently being served.
     pub fn generation(&self) -> u64 {
         self.slot.load_full().generation
@@ -177,19 +147,6 @@ impl LiveEngine {
     pub fn topk(&self, query: &TopKQuery, budget: Option<Duration>) -> Result<Tagged<TopKResult>> {
         let slot = self.slot.load_full();
         let value = slot.engine.topk(query, budget)?;
-        Ok(Tagged { value, generation: slot.generation })
-    }
-
-    /// Approximate top-K with an explicit scan cap (see
-    /// [`Engine::topk_approx`]), served by one pinned generation.
-    pub fn topk_approx(
-        &self,
-        query: &TopKQuery,
-        budget: Option<Duration>,
-        scan_limit: usize,
-    ) -> Result<Tagged<TopKResult>> {
-        let slot = self.slot.load_full();
-        let value = slot.engine.topk_approx(query, budget, scan_limit)?;
         Ok(Tagged { value, generation: slot.generation })
     }
 
@@ -282,37 +239,6 @@ mod tests {
         }
         let s = live.snapshot();
         assert_eq!((s.models_published, s.models_failed), (1, 3));
-    }
-
-    #[test]
-    fn failed_refresh_keeps_previous_generation_serving() {
-        let m1 = KruskalTensor::random(&[20, 15, 10], 3, 7);
-        let live = LiveEngine::new(&m1, EngineConfig::default()).unwrap();
-
-        // A refresh whose solve dies: nothing about serving changes.
-        let err = live
-            .refresh_with(|| Err::<KruskalTensor, crate::ServeError>(crate::ServeError::BadQuery(
-                "simulated solve failure".into(),
-            )))
-            .unwrap_err();
-        assert!(matches!(err, crate::ServeError::BadQuery(_)));
-        assert_eq!(live.generation(), 1);
-        let r = live.point(&[1, 2, 3]).unwrap();
-        assert_eq!(r.generation, 1);
-        assert_eq!(r.value.to_bits(), m1.eval(&[1, 2, 3]).to_bits());
-
-        // A refresh that succeeds publishes as usual.
-        let m2 = KruskalTensor::random(&[20, 15, 10], 3, 8);
-        let generation = live
-            .refresh_with(|| Ok::<_, crate::ServeError>(m2.clone()))
-            .unwrap();
-        assert_eq!(generation, 2);
-        assert_eq!(live.generation(), 2);
-
-        let s = live.snapshot();
-        assert_eq!(s.models_failed, 1);
-        assert_eq!(s.models_published, 2);
-        assert_eq!(s.serving_generation, 2);
     }
 
     #[test]

@@ -126,10 +126,6 @@ pub struct ServeMetrics {
     sheds_tenant_share: AtomicU64,
     queue_depth: AtomicU64,
     queue_depth_peak: AtomicU64,
-    approx_topk_queries: AtomicU64,
-    recall_checks: AtomicU64,
-    recall_overlap: AtomicU64,
-    recall_possible: AtomicU64,
     submits: AtomicU64,
     worker_wakes: AtomicU64,
     latency: Histogram,
@@ -196,8 +192,8 @@ impl ServeMetrics {
         self.serving_generation.store(generation, Relaxed);
     }
 
-    /// A refresh attempt failed to produce a publishable model; the
-    /// previously published generation keeps serving.
+    /// A publish refused its model; the previously published generation
+    /// keeps serving.
     pub fn publish_failed(&self) {
         self.models_failed.fetch_add(1, Relaxed);
     }
@@ -218,21 +214,6 @@ impl ServeMetrics {
         let depth = depth as u64;
         self.queue_depth.store(depth, Relaxed);
         self.queue_depth_peak.fetch_max(depth, Relaxed);
-    }
-
-    /// One approximate (scan-capped) top-K query was served. Returns the
-    /// running count *including* this query, so the engine can decide
-    /// whether this query is due a shadow recall check.
-    pub fn approx_topk(&self) -> u64 {
-        self.approx_topk_queries.fetch_add(1, Relaxed) + 1
-    }
-
-    /// One shadow recall check: of the `possible` exact top-K items,
-    /// `overlap` also appeared in the approximate result.
-    pub fn recall_sample(&self, overlap: u64, possible: u64) {
-        self.recall_checks.fetch_add(1, Relaxed);
-        self.recall_overlap.fetch_add(overlap, Relaxed);
-        self.recall_possible.fetch_add(possible, Relaxed);
     }
 
     /// One request entered a lane, leaving `depth` queued; `woke` says
@@ -283,10 +264,6 @@ impl ServeMetrics {
             sheds_tenant_share: self.sheds_tenant_share.load(Relaxed),
             queue_depth: self.queue_depth.load(Relaxed),
             queue_depth_peak: self.queue_depth_peak.load(Relaxed),
-            approx_topk_queries: self.approx_topk_queries.load(Relaxed),
-            recall_checks: self.recall_checks.load(Relaxed),
-            recall_overlap: self.recall_overlap.load(Relaxed),
-            recall_possible: self.recall_possible.load(Relaxed),
             submits: self.submits.load(Relaxed),
             worker_wakes: self.worker_wakes.load(Relaxed),
             queue_wait_mean: self.queue_wait.mean(),
@@ -336,8 +313,8 @@ pub struct MetricsSnapshot {
     /// Model generations published over the engine's lifetime (0 for a
     /// static engine that never hot-swapped).
     pub models_published: u64,
-    /// Refresh attempts that failed before publishing; each one left the
-    /// previous generation serving (graceful degradation).
+    /// Publishes that refused their model; each one left the previous
+    /// generation serving (graceful degradation).
     pub models_failed: u64,
     /// The model generation currently being served (0 until the first
     /// publish).
@@ -352,16 +329,6 @@ pub struct MetricsSnapshot {
     pub queue_depth: u64,
     /// High-water mark of the queue depth.
     pub queue_depth_peak: u64,
-    /// Top-K queries served by the approximate (scan-capped) tier.
-    pub approx_topk_queries: u64,
-    /// Shadow recall checks run against the exact path.
-    pub recall_checks: u64,
-    /// Exact top-K items also found by the approximate tier, summed over
-    /// all recall checks (numerator of [`MetricsSnapshot::recall_at_k`]).
-    pub recall_overlap: u64,
-    /// Exact top-K items total, summed over all recall checks
-    /// (denominator of [`MetricsSnapshot::recall_at_k`]).
-    pub recall_possible: u64,
     /// Requests that entered a lane (admitted, not shed or rejected).
     pub submits: u64,
     /// Submits that found a worker parked on an empty queue and woke it:
@@ -438,18 +405,6 @@ impl MetricsSnapshot {
             self.sheds() as f64 / total as f64
         }
     }
-
-    /// Measured recall@K of the approximate top-K tier, in `[0, 1]`:
-    /// overlap with the exact result over the exact result size, summed
-    /// across all shadow checks. Returns 0 when no check has run — gate
-    /// on [`MetricsSnapshot::recall_checks`] `> 0` before trusting it.
-    pub fn recall_at_k(&self) -> f64 {
-        if self.recall_possible == 0 {
-            0.0
-        } else {
-            self.recall_overlap as f64 / self.recall_possible as f64
-        }
-    }
 }
 
 impl std::fmt::Display for MetricsSnapshot {
@@ -495,18 +450,9 @@ impl std::fmt::Display for MetricsSnapshot {
             "queue depth         : {} now, {} peak",
             self.queue_depth, self.queue_depth_peak
         )?;
-        if self.approx_topk_queries > 0 {
-            writeln!(
-                f,
-                "approx topk         : {} queries, recall@K {:.4} over {} shadow checks",
-                self.approx_topk_queries,
-                self.recall_at_k(),
-                self.recall_checks
-            )?;
-        }
         writeln!(
             f,
-            "models published    : {} (serving generation {}, {} failed refreshes)",
+            "models published    : {} (serving generation {}, {} failed publishes)",
             self.models_published, self.serving_generation, self.models_failed
         )?;
         writeln!(

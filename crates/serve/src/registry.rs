@@ -61,8 +61,8 @@ impl ModelRegistry {
     }
 
     /// Register `name` serving `model` (as its generation 1). Each tenant
-    /// may carry its own [`EngineConfig`] — e.g. an approximate top-K
-    /// tier for latency-sensitive tenants, exact for the rest. Errors
+    /// may carry its own [`EngineConfig`] — e.g. a top-K cache for tenants
+    /// with repeated queries, none for the rest. Errors
     /// with [`ServeError::AlreadyRegistered`] on a duplicate name.
     pub fn register(&self, name: &str, model: &KruskalTensor, cfg: EngineConfig) -> Result<()> {
         let engine = Arc::new(LiveEngine::new(model, cfg)?);
@@ -191,33 +191,22 @@ mod tests {
     fn per_tenant_configs_and_snapshots() {
         let reg = ModelRegistry::new();
         let m = KruskalTensor::random(&[200, 10, 10], 3, 6);
-        reg.register("exact", &m, EngineConfig::default()).unwrap();
-        reg.register(
-            "approx",
-            &m,
-            EngineConfig {
-                // A cap below k: the heap can never fill, so the norm
-                // bound can never end the scan first — the cap always
-                // fires and the result is deterministically approximate.
-                approx_topk: Some(crate::engine::ApproxTopK::ScanLimit(16)),
-                recall_check_every: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        reg.register("cached", &m, EngineConfig::default()).unwrap();
+        reg.register("uncached", &m, EngineConfig { topk_cache: 0 }).unwrap();
 
         let q = TopKQuery { mode: 0, at: vec![0, 2, 3], k: 20 };
-        let e = reg.engine("exact").unwrap().topk(&q, None).unwrap();
-        assert!(!e.value.approx);
-        let a = reg.engine("approx").unwrap().topk(&q, None).unwrap();
-        assert!(a.value.approx);
+        for name in ["cached", "uncached"] {
+            let live = reg.engine(name).unwrap();
+            let first = live.topk(&q, None).unwrap();
+            assert_eq!(live.topk(&q, None).unwrap().value, first.value);
+        }
 
         let snaps = reg.tenant_snapshots();
         assert_eq!(snaps.len(), 2);
-        let approx_snap = &snaps.iter().find(|(n, _)| n == "approx").unwrap().1;
-        assert_eq!(approx_snap.approx_topk_queries, 1);
-        assert_eq!(approx_snap.recall_checks, 1);
-        let exact_snap = &snaps.iter().find(|(n, _)| n == "exact").unwrap().1;
-        assert_eq!(exact_snap.approx_topk_queries, 0);
+        let cached = &snaps.iter().find(|(n, _)| n == "cached").unwrap().1;
+        assert_eq!((cached.cache_hits, cached.cache_misses), (1, 1));
+        let uncached = &snaps.iter().find(|(n, _)| n == "uncached").unwrap().1;
+        assert_eq!((uncached.cache_hits, uncached.cache_misses), (0, 0));
+        assert_eq!((cached.topk_queries, uncached.topk_queries), (2, 2));
     }
 }

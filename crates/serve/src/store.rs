@@ -24,9 +24,6 @@ pub struct FactorStore {
     norms: Vec<Vec<f64>>,
     /// Per-mode row indices sorted by norm descending (ties by index).
     by_norm: Vec<Vec<usize>>,
-    /// Per-mode cumulative norm mass in `by_norm` order:
-    /// `norm_prefix[mode][i]` = Σ norms of the `i+1` largest-norm rows.
-    norm_prefix: Vec<Vec<f64>>,
     shape: Vec<usize>,
     rank: usize,
 }
@@ -40,7 +37,6 @@ impl FactorStore {
         let mut grams = Vec::with_capacity(model.order());
         let mut norms = Vec::with_capacity(model.order());
         let mut by_norm = Vec::with_capacity(model.order());
-        let mut norm_prefix = Vec::with_capacity(model.order());
         for factor in model.factors() {
             let dim = factor.rows();
             let mode_norms: Vec<f64> = (0..dim)
@@ -50,21 +46,12 @@ impl FactorStore {
             order.sort_unstable_by(|&a, &b| {
                 mode_norms[b].total_cmp(&mode_norms[a]).then(a.cmp(&b))
             });
-            let mut running = 0.0;
-            let prefix: Vec<f64> = order
-                .iter()
-                .map(|&i| {
-                    running += mode_norms[i];
-                    running
-                })
-                .collect();
             grams.push(factor.gram());
             norms.push(mode_norms);
             by_norm.push(order);
-            norm_prefix.push(prefix);
         }
         let factors = model.factors().to_vec();
-        FactorStore { factors, grams, norms, by_norm, norm_prefix, shape, rank }
+        FactorStore { factors, grams, norms, by_norm, shape, rank }
     }
 
     /// Tensor shape served by this store.
@@ -103,25 +90,6 @@ impl FactorStore {
     /// that makes the Cauchy–Schwarz bound a valid early exit.
     pub fn by_norm(&self, mode: usize) -> &[usize] {
         &self.by_norm[mode]
-    }
-
-    /// Smallest prefix of the norm-descending scan order whose cumulative
-    /// norm mass reaches `coverage` (in `(0, 1]`) of the mode's total.
-    ///
-    /// This is how a per-mode *norm-coverage* approximation budget turns
-    /// into a concrete scan cap: scanning the first
-    /// `scan_limit_for_coverage(mode, c)` candidates of `by_norm(mode)`
-    /// touches the rows carrying a `c` fraction of the mode's norm mass —
-    /// the rows that can contribute large scores under Cauchy–Schwarz.
-    /// Always at least 1; a degenerate all-zero-norm mode also yields 1.
-    pub fn scan_limit_for_coverage(&self, mode: usize, coverage: f64) -> usize {
-        let prefix = &self.norm_prefix[mode];
-        let total = *prefix.last().unwrap_or(&0.0);
-        if total <= 0.0 {
-            return 1;
-        }
-        let target = coverage.clamp(0.0, 1.0) * total;
-        prefix.partition_point(|&mass| mass < target).min(prefix.len() - 1) + 1
     }
 
     /// Approximate heap footprint in bytes (factors + precomputed tables).
@@ -172,30 +140,6 @@ mod tests {
         let store = FactorStore::new(&model);
         for (mode, factor) in model.factors().iter().enumerate() {
             assert_eq!(store.gram(mode), &factor.gram());
-        }
-    }
-
-    #[test]
-    fn coverage_scan_limits_are_monotone_and_bounded() {
-        let model = KruskalTensor::random(&[64, 24, 12], 4, 31);
-        let store = FactorStore::new(&model);
-        for mode in 0..3 {
-            let dim = model.shape()[mode];
-            let full = store.scan_limit_for_coverage(mode, 1.0);
-            assert_eq!(full, dim, "coverage 1.0 must scan every row");
-            let mut prev = 0;
-            for c in [0.1, 0.5, 0.9, 0.95, 1.0] {
-                let lim = store.scan_limit_for_coverage(mode, c);
-                assert!(lim >= 1 && lim <= dim);
-                assert!(lim >= prev, "limits must grow with coverage");
-                prev = lim;
-            }
-            // The returned prefix really carries the requested mass.
-            let lim = store.scan_limit_for_coverage(mode, 0.5);
-            let mass: f64 =
-                store.by_norm(mode)[..lim].iter().map(|&i| store.row_norm(mode, i)).sum();
-            let total: f64 = (0..dim).map(|i| store.row_norm(mode, i)).sum();
-            assert!(mass >= 0.5 * total - 1e-12);
         }
     }
 }

@@ -29,6 +29,9 @@ use std::time::Instant;
 /// at a negligible cost in pruning power.
 const BOUND_SAFETY: f64 = 1.0 + 1e-9;
 
+/// How many candidates a deadline-bounded scan scores between clock reads.
+pub const DEADLINE_CHECK_EVERY: usize = 128;
+
 /// A top-K request: the best `k` indices along `mode` with every other
 /// mode pinned to `at` (the entry of `at` at position `mode` is ignored).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -62,11 +65,6 @@ pub struct TopKResult {
     pub scanned: usize,
     /// Candidates skipped by the norm bound (provably outside the top K).
     pub pruned: usize,
-    /// True iff the approximate tier's scan cap ended the scan before the
-    /// norm bound proved the result exact. Candidates left unexamined by
-    /// the cap are counted neither `scanned` nor `pruned`, so
-    /// `scanned + pruned == dim` holds only for exact results.
-    pub approx: bool,
 }
 
 /// Heap entry ordered "better-first": higher score wins, ties go to the
@@ -94,27 +92,18 @@ impl Ord for Cand {
     }
 }
 
-/// Run the pruned scan. Inputs are pre-validated by the engine.
-///
-/// `scan_limit` is the approximate tier's hook: `Some(n)` caps the scan at
-/// `n` exactly-scored candidates. Because candidates arrive in
-/// norm-descending order, the first `n` are precisely the rows the
-/// Cauchy–Schwarz bound says *can* carry large scores — the cap trades a
-/// provably-exact tail for latency while keeping every returned score
-/// bit-exact. If the norm bound proves the result exact before the cap
-/// fires, the result is exact and `approx` stays false.
+/// Run the pruned scan. Inputs are pre-validated by the engine. A
+/// `deadline` is read every [`DEADLINE_CHECK_EVERY`] scored candidates.
 pub(crate) fn search(
     store: &FactorStore,
     query: &TopKQuery,
     deadline: Option<Instant>,
-    check_every: usize,
-    scan_limit: Option<usize>,
 ) -> TopKResult {
     let r = store.rank();
     let dim = store.shape()[query.mode];
     let k = query.k.min(dim);
     if k == 0 {
-        return TopKResult { items: Vec::new(), degraded: false, scanned: 0, pruned: 0, approx: false };
+        return TopKResult { items: Vec::new(), degraded: false, scanned: 0, pruned: 0 };
     }
 
     // pre[r]: running product of the fixed modes *before* the free mode,
@@ -145,7 +134,6 @@ pub(crate) fn search(
     let mut scanned = 0usize;
     let mut pruned = 0usize;
     let mut degraded = false;
-    let mut approx = false;
 
     for (pos, &i) in order.iter().enumerate() {
         if heap.len() == k {
@@ -157,16 +145,8 @@ pub(crate) fn search(
                 break;
             }
         }
-        if let Some(lim) = scan_limit {
-            // Checked after the bound: a scan the bound already proved
-            // exact is reported exact even under a cap.
-            if scanned >= lim {
-                approx = true;
-                break;
-            }
-        }
         if let Some(dl) = deadline {
-            if scanned > 0 && scanned.is_multiple_of(check_every) && Instant::now() >= dl {
+            if scanned > 0 && scanned.is_multiple_of(DEADLINE_CHECK_EVERY) && Instant::now() >= dl {
                 degraded = true;
                 break;
             }
@@ -195,7 +175,7 @@ pub(crate) fn search(
         .map(|Reverse(c)| TopKItem { index: c.index, score: c.score })
         .collect();
     items.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.index.cmp(&b.index)));
-    TopKResult { items, degraded, scanned, pruned, approx }
+    TopKResult { items, degraded, scanned, pruned }
 }
 
 #[cfg(test)]
@@ -223,7 +203,7 @@ mod tests {
         let store = FactorStore::new(&model);
         for (mode, k) in [(0, 1), (0, 10), (1, 5), (2, 15), (0, 200)] {
             let q = TopKQuery { mode, at: vec![7, 3, 2], k };
-            let got = search(&store, &q, None, 128, None);
+            let got = search(&store, &q, None);
             let want = brute_force(&model, &q);
             assert!(!got.degraded);
             assert_eq!(got.items, want, "mode {mode} k {k}");
@@ -238,7 +218,7 @@ mod tests {
         let model = KruskalTensor::random(&[5000, 10, 10], 4, 7);
         let store = FactorStore::new(&model);
         let q = TopKQuery { mode: 0, at: vec![0, 4, 4], k: 5 };
-        let res = search(&store, &q, None, 128, None);
+        let res = search(&store, &q, None);
         assert!(res.pruned > 0, "expected pruning, scanned {}", res.scanned);
         assert_eq!(res.items, brute_force(&model, &q)[..5]);
     }
@@ -247,55 +227,27 @@ mod tests {
     fn k_zero_and_oversized_k() {
         let model = KruskalTensor::random(&[10, 10], 2, 3);
         let store = FactorStore::new(&model);
-        let none = search(&store, &TopKQuery { mode: 0, at: vec![0, 1], k: 0 }, None, 128, None);
+        let none = search(&store, &TopKQuery { mode: 0, at: vec![0, 1], k: 0 }, None);
         assert!(none.items.is_empty());
-        let all = search(&store, &TopKQuery { mode: 1, at: vec![2, 0], k: 99 }, None, 128, None);
+        let all = search(&store, &TopKQuery { mode: 1, at: vec![2, 0], k: 99 }, None);
         assert_eq!(all.items.len(), 10);
-    }
-
-    #[test]
-    fn scan_cap_marks_approx_and_scores_stay_bit_exact() {
-        let model = KruskalTensor::random(&[800, 12, 12], 5, 19);
-        let store = FactorStore::new(&model);
-        let q = TopKQuery { mode: 0, at: vec![0, 3, 7], k: 10 };
-        let exact = search(&store, &q, None, 128, None);
-        assert!(!exact.approx);
-
-        let capped = search(&store, &q, None, 128, Some(40));
-        assert!(capped.approx, "cap of 40 must end the scan early");
-        assert_eq!(capped.scanned, 40);
-        assert_eq!(capped.pruned, 0, "cap exits are not pruning proofs");
-        assert_eq!(capped.items.len(), 10);
-        // Every returned score is bit-identical to the completed tensor.
-        for item in &capped.items {
-            let mut idx = q.at.clone();
-            idx[q.mode] = item.index;
-            assert_eq!(item.score.to_bits(), model.eval(&idx).to_bits());
-        }
-        // The capped result is a subset-quality result: its best item can
-        // never beat the exact best.
-        assert!(capped.items[0].score <= exact.items[0].score);
-
-        // A cap the bound beats: result stays exact under a huge cap.
-        let loose = search(&store, &q, None, 128, Some(usize::MAX));
-        assert!(!loose.approx);
-        assert_eq!(loose.items, exact.items);
     }
 
     #[test]
     fn expired_deadline_degrades_gracefully() {
         let model = KruskalTensor::random(&[4000, 8, 8], 4, 11);
         let store = FactorStore::new(&model);
-        let q = TopKQuery { mode: 0, at: vec![0, 2, 3], k: 50 };
+        let k = 2 * DEADLINE_CHECK_EVERY;
+        let q = TopKQuery { mode: 0, at: vec![0, 2, 3], k };
         // A deadline already in the past: the scan still covers at least one
         // check window before noticing, so the result is a valid prefix.
-        // check_every=16 < k=50 guarantees the deadline check runs before
+        // A window shorter than k guarantees the deadline check runs before
         // the heap fills, i.e. before bound-pruning could end the scan.
-        let res = search(&store, &q, Some(Instant::now()), 16, None);
+        let res = search(&store, &q, Some(Instant::now()));
         assert!(res.degraded);
-        assert!(res.scanned >= 16);
-        assert_eq!(res.items.len(), res.scanned.min(50));
-        assert!(res.items.len() <= 50);
+        assert!(res.scanned >= DEADLINE_CHECK_EVERY);
+        assert_eq!(res.items.len(), res.scanned.min(k));
+        assert!(res.items.len() <= k);
         // Well-formed: sorted best-first.
         for w in res.items.windows(2) {
             assert!(w[0].score >= w[1].score);

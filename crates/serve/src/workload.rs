@@ -303,11 +303,6 @@ pub struct OpenLoopReport {
     pub errors: u64,
     /// Fleet-wide counters and latency quantiles at the end of the run.
     pub metrics: MetricsSnapshot,
-    /// Shadow-measured recall@K of the approximate top-K tier, summed
-    /// over every tenant's engine (0 when nothing was checked).
-    pub recall_at_k: f64,
-    /// Approximate top-K answers that were re-checked exactly.
-    pub recall_checks: u64,
 }
 
 impl OpenLoopReport {
@@ -338,7 +333,7 @@ impl OpenLoopReport {
             .collect();
         let m = &self.metrics;
         format!(
-            "{{\n  \"offered_qps\": {:.0},\n  \"achieved_qps\": {:.0},\n  \"wall_secs\": {:.3},\n  \"requests\": {},\n  \"served\": {},\n  \"shed\": {},\n  \"sheds_queue_depth\": {},\n  \"sheds_deadline\": {},\n  \"sheds_tenant_share\": {},\n  \"rejected\": {},\n  \"timed_out\": {},\n  \"errors\": {},\n  \"shed_rate\": {:.4},\n  \"queue_depth_peak\": {},\n  \"e2e_us\": {{ \"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"mean\": {:.1} }},\n  \"recall_at_k\": {:.4},\n  \"recall_checks\": {},\n  \"tenants\": [\n{}\n  ]\n}}",
+            "{{\n  \"offered_qps\": {:.0},\n  \"achieved_qps\": {:.0},\n  \"wall_secs\": {:.3},\n  \"requests\": {},\n  \"served\": {},\n  \"shed\": {},\n  \"sheds_queue_depth\": {},\n  \"sheds_deadline\": {},\n  \"sheds_tenant_share\": {},\n  \"rejected\": {},\n  \"timed_out\": {},\n  \"errors\": {},\n  \"shed_rate\": {:.4},\n  \"queue_depth_peak\": {},\n  \"e2e_us\": {{ \"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"mean\": {:.1} }},\n  \"tenants\": [\n{}\n  ]\n}}",
             self.offered_qps,
             self.achieved_qps(),
             self.wall_secs,
@@ -357,8 +352,6 @@ impl OpenLoopReport {
             m.e2e_p90.as_secs_f64() * 1e6,
             m.e2e_p99.as_secs_f64() * 1e6,
             m.e2e_mean.as_secs_f64() * 1e6,
-            self.recall_at_k,
-            self.recall_checks,
             tenant_rows.join(",\n"),
         )
     }
@@ -456,12 +449,6 @@ pub fn serve_open_loop(
         .map(|name| occupancy.iter().find(|(n, _, _)| n == name).map_or(0, |(_, _, p)| *p))
         .collect();
 
-    // The fleet block never sees recall samples (each tenant's engine
-    // records its own), so aggregate recall across tenant snapshots.
-    let (overlap, possible, recall_checks) =
-        reg.tenant_snapshots().iter().fold((0, 0, 0), |acc, (_, s)| {
-            (acc.0 + s.recall_overlap, acc.1 + s.recall_possible, acc.2 + s.recall_checks)
-        });
     Ok(OpenLoopReport {
         offered_qps: load.qps,
         requests: trace.len(),
@@ -473,8 +460,6 @@ pub fn serve_open_loop(
         timed_out,
         errors,
         metrics: reg.snapshot(),
-        recall_at_k: if possible == 0 { 0.0 } else { overlap as f64 / possible as f64 },
-        recall_checks,
     })
 }
 

@@ -134,18 +134,6 @@ impl KruskalTensor {
         self.factors.iter().map(Mat::mem_bytes).sum()
     }
 
-    /// Maximum Frobenius distance between corresponding factors of two
-    /// models — the convergence criterion of Algorithm 3 line 15.
-    pub fn max_factor_dist(&self, other: &KruskalTensor) -> Result<f64> {
-        if self.order() != other.order() {
-            return Err(TensorError::ShapeMismatch("order mismatch".into()));
-        }
-        let mut worst = 0.0_f64;
-        for (a, b) in self.factors.iter().zip(&other.factors) {
-            worst = worst.max(a.frob_dist(b)?);
-        }
-        Ok(worst)
-    }
 }
 
 #[cfg(test)]
@@ -203,12 +191,6 @@ mod tests {
         assert_eq!(out.nnz(), 2);
         assert_eq!(out.index(0), &[0, 1]);
         assert!((out.value(0) - k.eval(&[0, 1])).abs() < 1e-14);
-    }
-
-    #[test]
-    fn max_factor_dist_zero_for_identical_models() {
-        let k = KruskalTensor::random(&[3, 3, 3], 2, 4);
-        assert_eq!(k.max_factor_dist(&k.clone()).unwrap(), 0.0);
     }
 
     #[test]

@@ -30,8 +30,8 @@ use distenc::eval::metrics;
 use distenc::graph::{Laplacian, SparseSym};
 use distenc::linalg::isa;
 use distenc::serve::{
-    replay_direct, replay_queued, serve_open_loop, synth_trace, AdmissionControl, ApproxTopK,
-    Engine, EngineConfig, OpenLoopConfig, QueueConfig, ServeQueue, TopKQuery, TraceConfig,
+    replay_direct, replay_queued, serve_open_loop, synth_trace, AdmissionControl, Engine,
+    EngineConfig, OpenLoopConfig, QueueConfig, ServeQueue, TopKQuery, TraceConfig,
 };
 use distenc::tensor::{io, CooTensor, KruskalTensor};
 use std::io::Write;
@@ -161,9 +161,6 @@ const COMMANDS: &[Cmd] = &[
                 val("zipf", "S", "index skew exponent [default: 1.1]"),
                 val("budget-ms", "MS", "scan deadline attached to top-K requests"),
                 val("cache", "N", "top-K LRU entries [default: 1024]"),
-                val("approx-scan", "N", "approximate top-K: stop after N candidates"),
-                val("approx-coverage", "F", "approximate top-K: stop at this norm coverage"),
-                val("recall-every", "N", "re-check every Nth approximate answer [default: off]"),
                 val("workers", "W", "queue workers, 0 = none, replay on the engine [default: 0]"),
                 val("qps", "Q", "open-loop mode: offered load, Poisson arrivals, --workers 2"),
                 val("tenants", "N", "with --qps: fair-queued registry tenants [default: 1]"),
@@ -525,20 +522,7 @@ fn cmd_serve_bench(opts: &Opts) -> Res {
             KruskalTensor::random(&dims, opts.num_or("rank", 8)?, seed)
         }
     };
-    let approx_topk = match (opts.num("approx-scan")?, opts.num("approx-coverage")?) {
-        (Some(_), Some(_)) => {
-            return fail("--approx-scan and --approx-coverage are mutually exclusive")
-        }
-        (Some(n), None) => Some(ApproxTopK::ScanLimit(n)),
-        (None, Some(c)) => Some(ApproxTopK::NormCoverage(c)),
-        (None, None) => None,
-    };
-    let engine_cfg = EngineConfig {
-        topk_cache: opts.num_or("cache", 1024)?,
-        approx_topk,
-        recall_check_every: opts.num_or("recall-every", 0)?,
-        ..Default::default()
-    };
+    let engine_cfg = EngineConfig { topk_cache: opts.num_or("cache", 1024)? };
     let trace_cfg = TraceConfig {
         queries: opts.num_or("queries", 100_000)?,
         point_frac: opts.num_or("point-frac", 0.6)?,
