@@ -89,6 +89,17 @@ if grep -rnE "ApproxTopK|approx_topk|topk_approx|recall_check_every|recall_at_k|
     exit 1
 fi
 
+# Text is read one way: `.coo` files in blocks whose sub-ranges parse on
+# the executor, Kruskal models through the same blocks, both in
+# crates/tensor/src/io.rs. A line-at-a-time reader beside them would be a
+# second, sequential body (the test oracle `read_coo_by_lines` splits a
+# &str, which this does not match).
+echo "==> grep: no line-at-a-time reader in the tensor text I/O"
+if grep -nE "read_until|reader\.lines\(\)" crates/tensor/src/io.rs; then
+    echo "error: a line-at-a-time reader is back in crates/tensor/src/io.rs; read through Blocks" >&2
+    exit 1
+fi
+
 # The thread pool waits by spinning on its publish counter or parking on a
 # Condvar, and its tests force their interleavings with barriers and the
 # counts the pool keeps (parked workers, spins begun): no clock. A sleep
@@ -211,7 +222,7 @@ fi
 # regression that silently drops suites shrinks the count and fails here
 # instead of shrinking the gate. Raise it when a PR adds tests; lower it
 # only with the tests it names as removed.
-MIN_TESTS=547
+MIN_TESTS=551
 executed=0
 for threads in 1 4; do
     echo "==> DISTENC_THREADS=$threads cargo test -q"

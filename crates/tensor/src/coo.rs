@@ -1,6 +1,7 @@
 //! Coordinate-format sparse tensors.
 
 use crate::{Result, TensorError};
+use std::mem::MaybeUninit;
 
 /// An N-order sparse tensor in coordinate (COO) format.
 ///
@@ -60,6 +61,42 @@ impl CooTensor {
     pub fn reserve(&mut self, n: usize) {
         self.indices.reserve(n * self.order());
         self.values.reserve(n);
+    }
+
+    /// Reserve space for exactly `n` additional entries, where
+    /// [`CooTensor::reserve`] may double the storage.
+    pub(crate) fn reserve_exact(&mut self, n: usize) {
+        self.indices.reserve_exact(n * self.order());
+        self.values.reserve_exact(n);
+    }
+
+    /// Append `n` entries that `fill` writes in place: it is handed the
+    /// `n · N` index slots and the `n` value slots past the current end,
+    /// uninitialised, and may split them between threads. On `Ok` the
+    /// entries are part of the tensor; on `Err` the tensor is as it was.
+    /// Storage grows the way [`CooTensor::reserve`] grows it.
+    ///
+    /// # Safety
+    /// On `Ok`, `fill` has written every slot it was handed, and every
+    /// index it wrote is in bounds for its mode: nothing checks either.
+    pub(crate) unsafe fn append_in_place<E>(
+        &mut self,
+        n: usize,
+        fill: impl FnOnce(&mut [MaybeUninit<usize>], &mut [MaybeUninit<f64>]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let width = n * self.order();
+        self.reserve(n);
+        fill(
+            &mut self.indices.spare_capacity_mut()[..width],
+            &mut self.values.spare_capacity_mut()[..n],
+        )?;
+        // SAFETY: `reserve` made room for both, and the caller vouches
+        // that `fill` initialised every slot before returning `Ok`.
+        unsafe {
+            self.indices.set_len(self.indices.len() + width);
+            self.values.set_len(self.values.len() + n);
+        }
+        Ok(())
     }
 
     /// Append one non-zero entry.

@@ -295,7 +295,7 @@ fn write_similarity(s: &SparseSym, path: &str) -> Res {
 }
 
 fn read_similarity(path: &str) -> Res<SparseSym> {
-    let coo = io::read_coo_file(path)?;
+    let coo = io::read_coo_file(path).map_err(|e| format!("{path}: {e}"))?;
     if coo.order() != 2 || coo.shape()[0] != coo.shape()[1] {
         return fail(format!("{path}: similarity must be a square 2-order COO file"));
     }
@@ -305,6 +305,12 @@ fn read_similarity(path: &str) -> Res<SparseSym> {
         .map(|(idx, v)| (idx[0], idx[1], v))
         .collect();
     Ok(SparseSym::from_triplets(coo.shape()[0], &triplets))
+}
+
+/// The `--input` tensor, read on the `--threads` the solve runs on; a
+/// bad line is named by its number.
+fn read_input(input: &str, opts: &Opts) -> Res<CooTensor> {
+    Ok(io::read_coo_file_on(input, exec_options(opts)?).map_err(|e| format!("{input}: {e}"))?)
 }
 
 fn write_model(model: &KruskalTensor, out: &str) -> Res {
@@ -347,7 +353,7 @@ fn cmd_generate(opts: &Opts) -> Res {
 
 fn cmd_complete(opts: &Opts) -> Res {
     let (input, out) = (opts.req("input")?, opts.req("out")?);
-    let observed = io::read_coo_file(input)?;
+    let observed = read_input(input, opts)?;
 
     let cfg = AdmmConfig {
         checkpoint: checkpoint_policy(opts, Some(5))?,
@@ -374,7 +380,7 @@ fn cmd_complete(opts: &Opts) -> Res {
 fn cmd_resume(opts: &Opts) -> Res {
     let ckpt_path = opts.req("checkpoint")?;
     let (input, out) = (opts.req("input")?, opts.req("out")?);
-    let observed = io::read_coo_file(input)?;
+    let observed = read_input(input, opts)?;
     let ckpt = Checkpoint::read_file(std::path::Path::new(ckpt_path))
         .map_err(|e| format!("reading {ckpt_path}: {e}"))?;
 
@@ -404,7 +410,7 @@ fn cmd_stream(opts: &Opts) -> Res {
     use distenc::stream::{DeltaBatch, StreamingSolver};
 
     let (input, out) = (opts.req("input")?, opts.req("out")?);
-    let observed = io::read_coo_file(input)?;
+    let observed = read_input(input, opts)?;
     let order = observed.order();
     let cfg = solver_config(opts)?;
     let budget: usize = opts.num_or("budget-iters", cfg.max_iters)?;
@@ -425,7 +431,7 @@ fn cmd_stream(opts: &Opts) -> Res {
     // shape header grows the tensor.
     solver.set_budget(budget, tol)?;
     for path in opts.all("delta") {
-        let delta = io::read_coo_file(path)?;
+        let delta = io::read_coo_file(path).map_err(|e| format!("{path}: {e}"))?;
         let batch = DeltaBatch::from_coo(solver.observed(), &delta)
             .map_err(|e| format!("{path}: {e}"))?;
         solver.apply(&batch).map_err(|e| format!("{path}: {e}"))?;
@@ -443,7 +449,8 @@ fn cmd_stream(opts: &Opts) -> Res {
 
 fn cmd_evaluate(opts: &Opts) -> Res {
     let model = io::read_kruskal_file(opts.req("model")?)?;
-    let test = io::read_coo_file(opts.req("test")?)?;
+    let path = opts.req("test")?;
+    let test = io::read_coo_file(path).map_err(|e| format!("{path}: {e}"))?;
     if test.shape() != model.shape().as_slice() {
         return fail(format!(
             "test shape {:?} does not match model shape {:?}",

@@ -184,6 +184,50 @@ fn steady_state_iterations_allocate_o1_heap() {
     assert_eq!(thr_cut, 0.0, "a multi-block cut under threads must not allocate");
 }
 
+/// Reading a `.coo` file holds one block of text and the tensor, sized
+/// once from the file's length: on `Sequential` and on `Threads(4)` it
+/// allocates no more bytes than the line-at-a-time reader it replaced did
+/// on the same files, and no more allocations for 3.4 times the lines
+/// than the tensor's own growth.
+#[test]
+fn coo_reader_stays_within_the_line_readers_bytes() {
+    use distenc::tensor::io;
+    // (draws, entries after deduplication, bytes the line reader
+    // allocated reading that file: a `BufReader`, a line buffer, and the
+    // tensor grown one entry at a time).
+    const LINE_READER: [(usize, usize, u64); 2] = [(25_000, 23_777, 2_629_678), (100_000, 81_781, 6_299_694)];
+    let mut allocs = Vec::new();
+    for (draws, nnz, line_reader_bytes) in LINE_READER {
+        let t = planted(&[80, 60, 50], 3, draws, 7);
+        assert_eq!(t.nnz(), nnz);
+        let path = std::env::temp_dir().join(format!("distenc-alloc-budget-{draws}.coo"));
+        io::write_coo_file(&t, &path).unwrap();
+        for mode in [ExecMode::Sequential, ExecMode::Threads(4)] {
+            let before = alloc::snapshot();
+            let back = io::read_coo_file_on(&path, mode).unwrap();
+            let d = alloc::snapshot().delta(before);
+            assert_eq!(back, t);
+            assert!(
+                d.global_bytes <= line_reader_bytes,
+                "{mode:?} read {nnz} entries with {} bytes, the line reader took {line_reader_bytes}",
+                d.global_bytes
+            );
+            allocs.push((mode, nnz, d.global_allocs));
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+    // The one-block file's storage is sized by its block; a longer file's
+    // is sized again from its length, one allocation per index and value
+    // list: that is all the line count adds.
+    for (mode, nnz, small) in allocs.iter().filter(|a| a.1 == LINE_READER[0].1) {
+        let (_, big_nnz, big) = allocs.iter().find(|a| a.0 == *mode && a.1 != *nnz).unwrap();
+        assert!(
+            *big <= small + 2,
+            "{mode:?}: {big} allocations for {big_nnz} entries, {small} for {nnz}"
+        );
+    }
+}
+
 /// The dispatch mechanism itself, measured directly on the pool: an index
 /// broadcast allocates nothing, no matter how many indices it fans out.
 /// (The solver-level assertions above inline on single-core hosts; this

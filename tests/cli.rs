@@ -151,6 +151,40 @@ fn helpful_errors() {
 }
 
 #[test]
+fn complete_names_the_bad_line_of_its_input() {
+    // Line 42 holds a bad value and line 43 an index out of bounds: the
+    // first bad line is the one named, by its number, with the file.
+    let data = tmp("badline.coo");
+    let mut text = String::from("# shape: 4 4\n");
+    for n in 0..40 {
+        text.push_str(&format!("{} {} 1.5\n", n % 4, n / 10));
+    }
+    text.push_str("2 2 oops\n9 9 1.0\n");
+    std::fs::write(&data, text).unwrap();
+    for threads in ["1", "4"] {
+        let out = bin()
+            .args(["complete", "--input", data.to_str().unwrap(), "--rank", "2"])
+            .args(["--out", tmp("badline.kruskal").to_str().unwrap(), "--threads", threads])
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("badline.coo: parse error: line 42: bad value in line: 2 2 oops"), "{stderr}");
+    }
+    // Every other `.coo` a subcommand reads is named the same way.
+    let model = tmp("badline-model.kruskal");
+    distenc::tensor::io::write_kruskal_file(&distenc::tensor::KruskalTensor::random(&[4, 4], 1, 3), &model)
+        .unwrap();
+    let out = bin()
+        .args(["evaluate", "--model", model.to_str().unwrap(), "--test", data.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("badline.coo: parse error: line 42:"), "{stderr}");
+}
+
+#[test]
 fn help_prints_usage() {
     let out = bin().arg("--help").output().unwrap();
     assert!(out.status.success());
