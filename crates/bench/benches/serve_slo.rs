@@ -11,9 +11,10 @@
 //!   slow phase of the host lands on several rungs, not on all runs of
 //!   one): the median-p99 run's achieved throughput, end-to-end p50/p99
 //!   of *admitted* requests, shed/reject/timeout counts and peak queue
-//!   depth, plus the min and max p99 of the runs. `sustained_qps` is the
-//!   highest rung whose median run keeps p99 under the SLO target with
-//!   under 1% shed.
+//!   depth, plus the min and max p99 of the runs; the shed rate is the
+//!   median over the runs, with its min and max. `sustained_qps` is the
+//!   highest rung whose median-p99 run keeps p99 under the SLO target and
+//!   whose median shed rate is under 1%.
 //! * `fairness` — a 3-tenant registry under Zipf-skewed tenant load:
 //!   per-tenant served/shed counts and peak lane occupancy, showing
 //!   deficit-round-robin keeping cold tenants alive under a hot flood.
@@ -78,30 +79,49 @@ struct RungStats {
     depth_peak: u64,
 }
 
-impl RungStats {
-    fn meets_slo(&self) -> bool {
-        self.p99 <= P99_TARGET && self.shed_rate < MAX_SHED_RATE && self.rejected == 0
+/// One rung's runs, sorted by p99: the median-p99 run is its row.
+struct Rung(Vec<RungStats>);
+
+impl Rung {
+    fn row(&self) -> &RungStats {
+        &self.0[self.0.len() / 2]
     }
 
-    /// The rung's row: this run's numbers (the median-p99 run of
-    /// `runs`, which are sorted by p99), and the spread of p99 over them.
-    fn to_json(&self, runs: &[RungStats]) -> String {
+    /// The shed rate's min, median and max over the runs: one run's rate
+    /// beside a bound it sits on flips the verdict between recordings.
+    fn shed_spread(&self) -> (f64, f64, f64) {
+        let mut rates: Vec<f64> = self.0.iter().map(|r| r.shed_rate).collect();
+        rates.sort_by(f64::total_cmp);
+        (rates[0], rates[rates.len() / 2], rates[rates.len() - 1])
+    }
+
+    /// The median-p99 run holds the latency half with no rejections, and
+    /// the median shed rate the shed half.
+    fn meets_slo(&self) -> bool {
+        let row = self.row();
+        row.p99 <= P99_TARGET && row.rejected == 0 && self.shed_spread().1 < MAX_SHED_RATE
+    }
+
+    /// The rung's row: the median-p99 run's numbers, the spread of p99
+    /// over the runs, and the median shed rate with its spread.
+    fn to_json(&self) -> String {
+        let row = self.row();
         let us = |r: &RungStats| r.p99.as_secs_f64() * 1e6;
-        let (min, max) = (us(&runs[0]), us(&runs[runs.len() - 1]));
+        let (min, max) = (us(&self.0[0]), us(&self.0[self.0.len() - 1]));
+        let (shed_min, shed, shed_max) = self.shed_spread();
         format!(
-            "    {{ \"offered_qps\": {:.0}, \"runs\": {}, \"achieved_qps\": {:.0}, \"served\": {}, \"shed\": {}, \"rejected\": {}, \"timed_out\": {}, \"errors\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p99_us_min\": {min:.1}, \"p99_us_max\": {max:.1}, \"shed_rate\": {:.4}, \"queue_depth_peak\": {}, \"meets_slo\": {} }}",
-            self.offered_qps,
-            runs.len(),
-            self.achieved_qps,
-            self.served,
-            self.shed,
-            self.rejected,
-            self.timed_out,
-            self.errors,
-            self.p50.as_secs_f64() * 1e6,
-            self.p99.as_secs_f64() * 1e6,
-            self.shed_rate,
-            self.depth_peak,
+            "    {{ \"offered_qps\": {:.0}, \"runs\": {}, \"achieved_qps\": {:.0}, \"served\": {}, \"shed\": {}, \"rejected\": {}, \"timed_out\": {}, \"errors\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p99_us_min\": {min:.1}, \"p99_us_max\": {max:.1}, \"shed_rate\": {shed:.4}, \"shed_rate_min\": {shed_min:.4}, \"shed_rate_max\": {shed_max:.4}, \"queue_depth_peak\": {}, \"meets_slo\": {} }}",
+            row.offered_qps,
+            self.0.len(),
+            row.achieved_qps,
+            row.served,
+            row.shed,
+            row.rejected,
+            row.timed_out,
+            row.errors,
+            row.p50.as_secs_f64() * 1e6,
+            row.p99.as_secs_f64() * 1e6,
+            row.depth_peak,
             self.meets_slo(),
         )
     }
@@ -208,20 +228,23 @@ fn main() {
             rung.push(run_rung(&model, qps));
         }
     }
-    for rung in &mut runs {
-        rung.sort_by_key(|r| r.p99);
-    }
-    let sustained = runs
+    let rungs: Vec<Rung> = runs
+        .into_iter()
+        .map(|mut rung| {
+            rung.sort_by_key(|r| r.p99);
+            Rung(rung)
+        })
+        .collect();
+    let sustained = rungs
         .iter()
-        .map(|rung| &rung[REPEATS / 2])
-        .filter(|r| r.meets_slo())
-        .map(|r| r.offered_qps)
+        .filter(|rung| rung.meets_slo())
+        .map(|rung| rung.row().offered_qps)
         .fold(0.0f64, f64::max);
-    let ladder: Vec<String> = runs.iter().map(|rung| rung[REPEATS / 2].to_json(rung)).collect();
+    let ladder: Vec<String> = rungs.iter().map(Rung::to_json).collect();
     write_bench_json(
         "serve_slo",
         &format!(
-            "  \"workload\": {{ \"shape\": {SHAPE:?}, \"rank\": {RANK}, \"run_secs\": {RUN_SECS}, \"runs_per_rung\": {REPEATS}, \"workers\": {WORKERS}, \"mix\": \"70% point / 15% batch(16) / 15% top-8\" }},\n  \"slo\": {{ \"p99_target_us\": {:.0}, \"max_shed_rate\": {MAX_SHED_RATE}, \"sustained_qps\": {sustained:.0} }},\n  \"ladder\": [\n{}\n  ],\n{},\n  \"note\": \"Open-loop Poisson arrivals (arrivals never wait for completions); p50/p99 are end-to-end latency of admitted requests from a log-linear histogram (16 sub-buckets per octave: a quantile is its bucket's upper edge, at most 6.25% over the true value and never under); each rung is run {REPEATS} times, interleaved across the ladder, and its row is the run with the median p99 (p99_us_min/max: the spread over the runs); sustained_qps is the highest rung whose median run has p99 under target, shed rate under {MAX_SHED_RATE}, and zero capacity rejections; past saturation the watermark shedder answers excess load with typed Shed responses so admitted-request p99 stays bounded\"",
+            "  \"workload\": {{ \"shape\": {SHAPE:?}, \"rank\": {RANK}, \"run_secs\": {RUN_SECS}, \"runs_per_rung\": {REPEATS}, \"workers\": {WORKERS}, \"mix\": \"70% point / 15% batch(16) / 15% top-8\" }},\n  \"slo\": {{ \"p99_target_us\": {:.0}, \"max_shed_rate\": {MAX_SHED_RATE}, \"sustained_qps\": {sustained:.0} }},\n  \"ladder\": [\n{}\n  ],\n{},\n  \"note\": \"Open-loop Poisson arrivals (arrivals never wait for completions); p50/p99 are end-to-end latency of admitted requests from a log-linear histogram (16 sub-buckets per octave: a quantile is its bucket's upper edge, at most 6.25% over the true value and never under); each rung is run {REPEATS} times, interleaved across the ladder, and its row is the run with the median p99 (p99_us_min/max: the spread over the runs) except shed_rate, the median over the runs (shed_rate_min/max: their spread); sustained_qps is the highest rung whose median-p99 run has p99 under target and zero capacity rejections and whose median shed rate is under {MAX_SHED_RATE}; past saturation the watermark shedder answers excess load with typed Shed responses so admitted-request p99 stays bounded\"",
             P99_TARGET.as_secs_f64() * 1e6,
             ladder.join(",\n"),
             fairness_section(&model),

@@ -20,6 +20,12 @@ pub enum StreamError {
         /// The repeated coordinate.
         index: Vec<usize>,
     },
+    /// The initial tensor of a streaming solver holds a cell more than
+    /// once.
+    DuplicateInTensor {
+        /// The first repeated coordinate, in index order.
+        index: Vec<usize>,
+    },
     /// An update targets a cell the tensor has never observed.
     UnobservedUpdate {
         /// The coordinate with no matching entry.
@@ -53,6 +59,9 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::DuplicateInBatch { index } => {
                 write!(f, "coordinate {index:?} appears more than once in the batch")
+            }
+            StreamError::DuplicateInTensor { index } => {
+                write!(f, "coordinate {index:?} appears more than once in the initial tensor")
             }
             StreamError::UnobservedUpdate { index } => {
                 write!(f, "update targets unobserved cell {index:?}")

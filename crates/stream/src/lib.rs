@@ -11,9 +11,11 @@
 //!   with typed [`StreamError`]s; nothing panics.
 //! * [`StreamingSolver`] — owns the evolving observed tensor, the current
 //!   model, and the residual values between solves. Applying a batch folds it
-//!   into all three *incrementally* (`O(|Δ|·N·R)` model evaluations, one
-//!   linear merge) instead of rebuilding anything, then a warm re-solve
-//!   restarts ADMM from the previous factors under a convergence budget.
+//!   into all three *incrementally* (`O(|Δ|·N·R)` model evaluations; the
+//!   sorted batch located by one forward galloping walk over the entries,
+//!   `O(|Δ|·log(nnz/|Δ|))` probes; one splice) instead of rebuilding
+//!   anything, then a warm re-solve restarts ADMM from the previous
+//!   factors under a convergence budget.
 //!
 //! The warm path is exact, not heuristic: after `apply`, the carried
 //! residual equals `Ω∗(T − [[model…]])` bit-for-bit on the new support, so

@@ -34,9 +34,11 @@ fn growth_seed(base: u64, mode: usize, old_rows: usize) -> u64 {
 ///   carried residual values in one pass over the delta: each touched
 ///   cell's value becomes `t − [[model…]](i)`, computed with the same fold
 ///   the solver's refresh kernels use, so the carry stays bit-identical to
-///   a from-scratch rebuild. Inserts are searched for once — the search
-///   that proves them absent is the search for where they go — and
-///   spliced at those points into the tensor, then into the carry
+///   a from-scratch rebuild. The batch's sorted updates and inserts are
+///   each located by one forward walk ([`CooTensor::search_from`]), and
+///   inserts are searched for once — the search that proves them absent
+///   is the search for where they go — and spliced at those points into
+///   the tensor, then into the carry
 ///   ([`CooTensor::splice`], [`splice_values`]): one block-move body.
 /// * `solve` warm-starts ADMM from the previous factors and the carried
 ///   residual under the configured convergence budget
@@ -68,7 +70,10 @@ pub struct StreamingSolver {
 }
 
 impl StreamingSolver {
-    /// Create a streaming solver over an initial observation set.
+    /// Create a streaming solver over an initial observation set, which
+    /// is sorted here; a cell it holds more than once is
+    /// [`StreamError::DuplicateInTensor`], not a sum (a batch solve keeps
+    /// every entry, so summing would solve a different problem).
     /// `laplacians[n]` is mode `n`'s optional similarity Laplacian; modes
     /// with one cannot grow (see [`StreamError::GrowthWithAux`]). The
     /// Laplacians are truncated here, once, and not kept; a graph of the
@@ -85,11 +90,11 @@ impl StreamingSolver {
                 observed.order()
             )));
         }
+        observed.sort_distinct().map_err(|index| StreamError::DuplicateInTensor { index })?;
         let solver = AdmmSolver::new(cfg.clone())?;
         let refs: Vec<Option<&Laplacian>> = laplacians.iter().map(Option::as_ref).collect();
         let truncated = solver.truncate(observed.shape(), &refs)?;
         let regularized = laplacians.iter().map(Option::is_some).collect();
-        observed.sort_dedup();
         Ok(StreamingSolver {
             cfg,
             solver,
@@ -152,21 +157,29 @@ impl StreamingSolver {
             }
         }
         // Resolve every update against the current support, and prove
-        // every insert absent, before touching anything.
+        // every insert absent, before touching anything. Both lists are
+        // sorted, so each is one forward walk: a cell's search starts
+        // where the previous cell's ended.
         let mut update_pos = Vec::with_capacity(batch.updates().len());
+        let mut from = 0;
         for (idx, _) in batch.updates() {
-            match self.observed.position_of(idx) {
-                Some(pos) => update_pos.push(pos),
-                None => return Err(StreamError::UnobservedUpdate { index: idx.clone() }),
-            }
+            from = self
+                .observed
+                .search_from(idx, from)
+                .map_err(|_| StreamError::UnobservedUpdate { index: idx.clone() })?;
+            update_pos.push(from);
         }
         // The search that proves an insert absent also says where it
-        // goes; inserts are sorted, so the points come out ascending.
+        // goes, and the points come out ascending.
         let mut insert_at = Vec::with_capacity(batch.inserts().len());
+        let mut from = 0;
         for (idx, _) in batch.inserts() {
-            match self.observed.search(idx) {
+            match self.observed.search_from(idx, from) {
                 Ok(_) => return Err(StreamError::AlreadyObserved { index: idx.clone() }),
-                Err(at) => insert_at.push(at),
+                Err(at) => {
+                    insert_at.push(at);
+                    from = at;
+                }
             }
         }
 
@@ -287,6 +300,160 @@ mod tests {
         assert_eq!(s.apply(&b).unwrap_err(), StreamError::AlreadyObserved { index: existing });
         // Atomicity: the rejected batch left the tensor untouched.
         assert_eq!(s.observed().shape(), &[6, 5, 4]);
+    }
+
+    #[test]
+    fn new_rejects_a_repeated_cell_and_sorts_the_rest() {
+        let cells: [(&[usize], f64); 4] =
+            [(&[2, 0, 1], 1.0), (&[0, 1, 2], 4.0), (&[1, 1, 1], 2.0), (&[0, 1, 2], 4.0)];
+        let repeated = CooTensor::from_entries(vec![3, 3, 3], &cells).unwrap();
+        assert_eq!(
+            StreamingSolver::new(repeated, vec![None, None, None], cfg(1)).unwrap_err(),
+            StreamError::DuplicateInTensor { index: vec![0, 1, 2] }
+        );
+        let distinct = CooTensor::from_entries(vec![3, 3, 3], &cells[..3]).unwrap();
+        let s = StreamingSolver::new(distinct, vec![None, None, None], cfg(1)).unwrap();
+        let have: Vec<Vec<usize>> = s.observed().iter().map(|(i, _)| i.to_vec()).collect();
+        assert_eq!(have, vec![vec![0, 1, 2], vec![1, 1, 1], vec![2, 0, 1]]);
+    }
+
+    /// Where `apply` puts a batch, found the way it was before the walk:
+    /// one search of the whole entry list per cell, updates first. The
+    /// update positions and insertion points, or the error naming the
+    /// first cell that fails.
+    fn per_cell_points(
+        observed: &CooTensor,
+        batch: &DeltaBatch,
+    ) -> crate::Result<(Vec<usize>, Vec<usize>)> {
+        let mut update_pos = Vec::new();
+        for (idx, _) in batch.updates() {
+            match observed.search(idx) {
+                Ok(pos) => update_pos.push(pos),
+                Err(_) => return Err(StreamError::UnobservedUpdate { index: idx.clone() }),
+            }
+        }
+        let mut insert_at = Vec::new();
+        for (idx, _) in batch.inserts() {
+            match observed.search(idx) {
+                Ok(_) => return Err(StreamError::AlreadyObserved { index: idx.clone() }),
+                Err(at) => insert_at.push(at),
+            }
+        }
+        Ok((update_pos, insert_at))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `apply`'s forward walk finds what a search per cell finds: the
+        /// same error naming the same cell (and nothing changed), or the
+        /// same tensor and carried residual, bit for bit. Inserts land in
+        /// front of the first entry and behind the last (in a grown slice
+        /// too), many sharing one point; faults are unobserved updates or
+        /// observed inserts, two of a kind, so the one named is the first.
+        #[test]
+        fn apply_walk_is_the_per_cell_search(
+            seed in 0u64..10_000,
+            order in 2usize..5,
+            base_n in 1usize..60,
+            inserts_n in 0usize..30,
+            updates_n in 0usize..12,
+            grow in 0usize..2,
+            fault in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut shape: Vec<usize> = (0..order).map(|_| rng.random_range(2..6)).collect();
+            shape[0] = shape[0].max(3);
+            // Mode 0's first and last slices stay empty.
+            let mut base = CooTensor::new(shape.clone());
+            for _ in 0..base_n {
+                let mut idx: Vec<usize> = shape.iter().map(|&d| rng.random_range(0..d)).collect();
+                idx[0] = rng.random_range(1..shape[0] - 1);
+                base.push(&idx, rng.random::<f64>()).unwrap();
+            }
+            base.sort_dedup();
+            let cfg = AdmmConfig { rank: 2, max_iters: 2, tol: 1e-12, ..Default::default() };
+            let mut s = StreamingSolver::new(base.clone(), vec![None; order], cfg).unwrap();
+            s.solve().unwrap();
+
+            let mut growth = vec![0; order];
+            growth[0] = grow;
+            let grown: Vec<usize> = shape.iter().zip(&growth).map(|(d, g)| d + g).collect();
+            let draw = |rng: &mut StdRng, dims: &[usize]| -> Vec<usize> {
+                dims.iter().map(|&d| rng.random_range(0..d)).collect()
+            };
+            let mut cells: Vec<Vec<usize>> = Vec::new();
+            let mut inserts = Vec::new();
+            for k in 0..inserts_n {
+                let mut idx = draw(&mut rng, &grown);
+                if k % 2 == 0 {
+                    idx[0] = 0; // in front of every entry: one shared point
+                }
+                if base.position_of(&idx).is_none() && !cells.contains(&idx) {
+                    cells.push(idx.clone());
+                    inserts.push((idx, rng.random::<f64>()));
+                }
+            }
+            let mut updates = Vec::new();
+            for _ in 0..updates_n {
+                let idx = base.index(rng.random_range(0..base.nnz())).to_vec();
+                if !cells.contains(&idx) {
+                    cells.push(idx.clone());
+                    updates.push((idx, rng.random::<f64>()));
+                }
+            }
+            for _ in 0..2 {
+                let idx = match fault {
+                    1 => draw(&mut rng, &shape),
+                    _ => base.index(rng.random_range(0..base.nnz())).to_vec(),
+                };
+                let wanted = match fault {
+                    1 => base.position_of(&idx).is_none(),
+                    2 => true,
+                    _ => false,
+                };
+                if wanted && !cells.contains(&idx) {
+                    cells.push(idx.clone());
+                    match fault {
+                        1 => updates.push((idx, 1.0)),
+                        _ => inserts.push((idx, 1.0)),
+                    }
+                }
+            }
+            let batch = DeltaBatch::try_new(&shape, &growth, inserts, updates).unwrap();
+
+            let (observed, carry) = (s.observed.clone(), s.carry.clone().unwrap());
+            let got = s.apply(&batch);
+            match per_cell_points(&observed, &batch) {
+                Err(want) => {
+                    proptest::prop_assert_eq!(got, Err(want));
+                    proptest::prop_assert_eq!(&s.observed, &observed);
+                    proptest::prop_assert_eq!(s.carry.as_ref(), Some(&carry));
+                }
+                Ok((update_pos, insert_at)) => {
+                    proptest::prop_assert_eq!(got, Ok(()));
+                    let model = s.model().unwrap();
+                    let mut want = observed.clone();
+                    want.grow_shape(&grown).unwrap();
+                    let mut want_carry = carry.clone();
+                    for ((idx, v), &pos) in batch.updates().iter().zip(&update_pos) {
+                        want.values_mut()[pos] = *v;
+                        want_carry[pos] = *v - model.eval(idx);
+                    }
+                    let mut patch = CooTensor::new(grown.clone());
+                    for (idx, v) in batch.inserts() {
+                        patch.push(idx, *v).unwrap();
+                    }
+                    want.splice(&insert_at, &patch).unwrap();
+                    let fresh: Vec<f64> =
+                        batch.inserts().iter().map(|(idx, v)| *v - model.eval(idx)).collect();
+                    splice_values(&mut want_carry, &insert_at, &fresh).unwrap();
+                    proptest::prop_assert_eq!(&s.observed, &want);
+                    let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(bits(s.carry.as_ref().unwrap()), bits(&want_carry));
+                }
+            }
+        }
     }
 
     #[test]

@@ -99,6 +99,13 @@ impl CooTensor {
         Ok(())
     }
 
+    /// A tensor on this one's support holding `values`, one per entry:
+    /// the index list is copied whole, with no bounds to check again.
+    pub(crate) fn with_values(&self, values: Vec<f64>) -> Self {
+        assert_eq!(values.len(), self.nnz(), "one value per entry");
+        CooTensor { shape: self.shape.clone(), indices: self.indices.clone(), values }
+    }
+
     /// Append one non-zero entry.
     pub fn push(&mut self, index: &[usize], value: f64) -> Result<()> {
         if index.len() != self.order()
@@ -198,28 +205,124 @@ impl CooTensor {
     /// Sort entries lexicographically by index and sum duplicates.
     ///
     /// Generators may emit collisions; algorithms assume each cell appears
-    /// once.
+    /// once. Stability is the bit contract: a cell's values are summed in
+    /// the order they were pushed, left to right, so the sums are the ones
+    /// a stable comparator sort gives.
+    ///
+    /// Cost: entries already in strictly increasing order are one
+    /// sequential check, with no allocation and no move. Any other input
+    /// is one stable LSD radix sort (see [`CooTensor::sort_distinct`]):
+    /// `O(nnz · (N + passes))`, passes being the packed key's bits over
+    /// 8–11-bit digits, holding at most `(16N + 16)` bytes per entry live.
     pub fn sort_dedup(&mut self) {
+        if !self.strictly_increasing() {
+            self.radix_sort(true);
+        }
+    }
+
+    /// [`CooTensor::sort_dedup`] for callers to whom a cell stored twice
+    /// is an error, not a sum: `Err` names the first cell (in index order)
+    /// that is stored more than once, and the tensor is then sorted with
+    /// that cell's entries side by side, unsummed.
+    ///
+    /// The sort packs each index tuple into a key of `u64` words, mode
+    /// `n` a field `⌈log₂ dₙ⌉` bits wide (none straddles a word), so key
+    /// order is index order; the values travel with their keys through
+    /// the passes, and the indices are decoded from the keys.
+    pub fn sort_distinct(&mut self) -> std::result::Result<(), Vec<usize>> {
+        match self.strictly_increasing() {
+            true => Ok(()),
+            false => self.radix_sort(false).map_or(Ok(()), |e| Err(self.index(e).to_vec())),
+        }
+    }
+
+    /// Whether every entry's index sorts strictly after its predecessor's.
+    fn strictly_increasing(&self) -> bool {
         let n = self.order();
-        let mut order: Vec<usize> = (0..self.nnz()).collect();
-        order.sort_by(|&a, &b| self.index(a).cmp(self.index(b)));
-        let mut indices = Vec::with_capacity(self.indices.len());
-        let mut values: Vec<f64> = Vec::with_capacity(self.values.len());
-        for &e in &order {
-            let idx = self.index(e);
-            let dup = !values.is_empty() && {
-                let last = &indices[indices.len() - n..];
-                last == idx
-            };
-            if dup {
-                *values.last_mut().expect("non-empty") += self.values[e];
-            } else {
-                indices.extend_from_slice(idx);
-                values.push(self.values[e]);
+        let mut rows = self.indices.chunks_exact(n);
+        let Some(mut prev) = rows.next() else { return true };
+        rows.all(|row| std::mem::replace(&mut prev, row) < row)
+    }
+
+    /// The one sort body: a stable LSD radix sort over bit-packed keys.
+    /// With `merge`, a run of equal keys becomes one entry holding their
+    /// sum; without it the run stays, and the return value is the position
+    /// of the first entry that repeats its predecessor's cell.
+    fn radix_sort(&mut self, merge: bool) -> Option<usize> {
+        let (n, nnz) = (self.order(), self.nnz());
+        let layout = KeyLayout::new(&self.shape);
+        let words = layout.word_bits.len();
+        // One record per entry: the key's words, most significant first,
+        // then the value's bits.
+        let stride = words + 1;
+        let mut src = vec![0u64; nnz * stride];
+        for ((rec, idx), v) in
+            src.chunks_exact_mut(stride).zip(self.indices.chunks_exact(n)).zip(&self.values)
+        {
+            for (&i, f) in idx.iter().zip(&layout.fields) {
+                rec[f.word] |= (i as u64) << f.shift;
             }
+            rec[words] = v.to_bits();
+        }
+        // The keys hold everything now; the peak is theirs and the scratch.
+        self.indices = Vec::new();
+        self.values = Vec::new();
+
+        let mut dst = vec![0u64; nnz * stride];
+        // Least significant digit first: from the low bits of the last word up.
+        for (w, &bits) in layout.word_bits.iter().enumerate().rev() {
+            let passes = bits.div_ceil(MAX_DIGIT_BITS);
+            let width = if passes == 0 { 0 } else { bits.div_ceil(passes) };
+            for p in 0..passes {
+                let shift = p * width;
+                let mask = (1u64 << width.min(bits - shift)) - 1;
+                let digit = |rec: &[u64]| ((rec[w] >> shift) & mask) as usize;
+                let mut counts = [0usize; 1 << MAX_DIGIT_BITS];
+                for rec in src.chunks_exact(stride) {
+                    counts[digit(rec)] += 1;
+                }
+                // Every key shares this digit: the pass would move nothing.
+                if counts[digit(&src[..stride])] == nnz {
+                    continue;
+                }
+                let mut start = 0;
+                for c in &mut counts[..=mask as usize] {
+                    start += std::mem::replace(c, start);
+                }
+                for rec in src.chunks_exact(stride) {
+                    let slot = &mut counts[digit(rec)];
+                    let at = *slot * stride;
+                    *slot += 1;
+                    for (d, &s) in dst[at..at + stride].iter_mut().zip(rec) {
+                        *d = s;
+                    }
+                }
+                std::mem::swap(&mut src, &mut dst);
+            }
+        }
+        drop(dst);
+
+        let mut indices = Vec::with_capacity(nnz * n);
+        let mut values: Vec<f64> = Vec::with_capacity(nnz);
+        let mut repeat = None;
+        let mut prev: Option<&[u64]> = None;
+        for rec in src.chunks_exact(stride) {
+            let (key, v) = (&rec[..words], f64::from_bits(rec[words]));
+            if prev == Some(key) {
+                if merge {
+                    *values.last_mut().expect("a previous entry") += v;
+                    continue;
+                }
+                repeat.get_or_insert(values.len());
+            }
+            prev = Some(key);
+            let decode = |f: &KeyField| ((rec[f.word] >> f.shift) & f.mask) as usize;
+            indices.extend(layout.fields.iter().map(decode));
+            values.push(v);
         }
         self.indices = indices;
         self.values = values;
+        repeat
     }
 
     /// Binary-search the entries for `index`: `Ok(position)` of the entry
@@ -230,14 +333,47 @@ impl CooTensor {
     ///
     /// Requires the entries to be in lexicographic index order (the
     /// [`CooTensor::sort_dedup`] invariant); on unsorted tensors the
-    /// result is meaningless. `O(N · log nnz)`.
+    /// result is meaningless. `O(N · log nnz)`, each probe a cold line:
+    /// a sorted run of cells is located faster by
+    /// [`CooTensor::search_from`].
     pub fn search(&self, index: &[usize]) -> std::result::Result<usize, usize> {
+        self.lower_bound(index, 0, self.nnz())
+    }
+
+    /// [`CooTensor::search`] for a cell that sorts after every entry in
+    /// front of `from`, with the same answer: a galloping walk probes
+    /// `from`, `from + 1`, `from + 3`, … until it passes the cell, then
+    /// bisects the last step. Walking a sorted run of cells, each search
+    /// starting where the previous one ended, costs
+    /// `O(N · |run| · log(nnz / |run|))` over nearby lines instead of
+    /// `|run|` cold searches of the whole list. A `from` that breaks the
+    /// premise gives a meaningless result, as an unsorted tensor does.
+    pub fn search_from(&self, index: &[usize], from: usize) -> std::result::Result<usize, usize> {
+        let (mut lo, mut probe, mut step) = (from.min(self.nnz()), from, 1);
+        if index.len() == self.order() {
+            while probe < self.nnz() && self.index(probe) < index {
+                lo = probe + 1;
+                probe += step;
+                step *= 2;
+            }
+        }
+        self.lower_bound(index, lo, probe.min(self.nnz()))
+    }
+
+    /// The first position in `lo..hi` whose entry is not less than
+    /// `index` (every entry before `lo` is, none from `hi` on is),
+    /// as [`CooTensor::search`] reports it.
+    fn lower_bound(
+        &self,
+        index: &[usize],
+        mut lo: usize,
+        mut hi: usize,
+    ) -> std::result::Result<usize, usize> {
         // Also what tells the compiler that the loop compares slices of
         // one length: without it a lookup measured 1.3× slower.
         if index.len() != self.order() {
             return Err(self.nnz());
         }
-        let (mut lo, mut hi) = (0usize, self.nnz());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             if self.index(mid) < index {
@@ -324,6 +460,59 @@ impl CooTensor {
     pub fn mem_bytes(&self) -> usize {
         self.indices.len() * std::mem::size_of::<usize>()
             + self.values.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// The widest digit of [`CooTensor::sort_dedup`]'s radix passes: 2¹¹
+/// counts, 16 KiB on the stack. A word's bits are split into the fewest
+/// passes whose digits are at most this wide, all of one width.
+const MAX_DIGIT_BITS: u32 = 11;
+
+/// Where one mode's index sits in a packed key.
+struct KeyField {
+    word: usize,
+    shift: u32,
+    mask: u64,
+}
+
+/// How an index tuple packs into a key of `u64` words whose order is the
+/// tuples' lexicographic order: mode `n` is a field `⌈log₂ dₙ⌉` bits
+/// wide, the modes fill the words in order (the first word the most
+/// significant, an earlier mode in higher bits than a later one in its
+/// word), and a field that would straddle a word starts the next one.
+/// The paper's 10⁹ × 10⁹ × 10⁹ is three 30-bit fields in two words.
+struct KeyLayout {
+    fields: Vec<KeyField>,
+    /// The bits each word uses, its low bits.
+    word_bits: Vec<u32>,
+}
+
+impl KeyLayout {
+    fn new(shape: &[usize]) -> Self {
+        let mut word_bits = vec![0u32];
+        let mut placed = Vec::with_capacity(shape.len());
+        for &d in shape {
+            let bits = usize::BITS - (d - 1).leading_zeros();
+            if word_bits[word_bits.len() - 1] + bits > u64::BITS {
+                word_bits.push(0);
+            }
+            let word = word_bits.len() - 1;
+            placed.push((word, word_bits[word], bits));
+            word_bits[word] += bits;
+        }
+        // A field's shift is the bits of the fields after it in its word.
+        let fields = placed
+            .into_iter()
+            .map(|(word, offset, bits)| match bits {
+                0 => KeyField { word, shift: 0, mask: 0 },
+                _ => KeyField {
+                    word,
+                    shift: word_bits[word] - offset - bits,
+                    mask: u64::MAX >> (u64::BITS - bits),
+                },
+            })
+            .collect();
+        KeyLayout { fields, word_bits }
     }
 }
 
@@ -445,6 +634,178 @@ mod tests {
         assert_eq!(t.value(0), 2.0);
         assert_eq!(t.index(1), &[1, 1]);
         assert_eq!(t.value(1), 4.0);
+    }
+
+    /// The comparator sort `sort_dedup` replaced, kept as its oracle: a
+    /// stable sort of entry positions by index tuple, then one pass that
+    /// sums each run of equal tuples in push order.
+    fn comparator_sort_dedup(t: &CooTensor) -> CooTensor {
+        let n = t.order();
+        let mut order: Vec<usize> = (0..t.nnz()).collect();
+        order.sort_by(|&a, &b| t.index(a).cmp(t.index(b)));
+        let mut out = CooTensor::new(t.shape().to_vec());
+        for &e in &order {
+            let dup = out.nnz() > 0 && &out.indices[out.indices.len() - n..] == t.index(e);
+            if dup {
+                *out.values.last_mut().unwrap() += t.values[e];
+            } else {
+                out.indices.extend_from_slice(t.index(e));
+                out.values.push(t.values[e]);
+            }
+        }
+        out
+    }
+
+    fn value_bits(t: &CooTensor) -> Vec<u64> {
+        t.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The radix sort is the comparator sort, indices and value bits:
+        /// at orders 1 to 6, on modes of length 1, on shapes whose packed
+        /// key takes two or more words, on inputs where most entries
+        /// repeat a few cells with values whose sums depend on their order,
+        /// and on empty and already-sorted inputs (which it leaves alone).
+        #[test]
+        fn sort_dedup_is_the_comparator_sort(
+            seed in 0u64..100_000,
+            order in 1usize..7,
+            nnz in 0usize..300,
+            cells in 1usize..40,
+            wide in 0usize..3,
+            presorted in 0usize..3,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            // `wide` picks narrow modes, or up to 2⁶⁴ - 1 long ones.
+            let shape: Vec<usize> = (0..order)
+                .map(|_| match (wide, rng.random_range(0..4)) {
+                    (_, 0) => 1,
+                    (0, _) => rng.random_range(2..9),
+                    (1, _) => {
+                        let bits = rng.random_range(2..40);
+                        rng.random_range(2..1usize << bits)
+                    }
+                    _ => usize::MAX - rng.random_range(0..1usize << 62),
+                })
+                .collect();
+            // A pool of `cells` cells, each drawn often when it is small.
+            let pool: Vec<Vec<usize>> = (0..cells)
+                .map(|_| shape.iter().map(|&d| rng.random_range(0..d)).collect())
+                .collect();
+            let mut t = CooTensor::new(shape.clone());
+            for _ in 0..nnz {
+                let idx = &pool[rng.random_range(0..cells)];
+                // Magnitudes 10⁻⁶ to 10⁶: a sum's bits depend on its order.
+                let v = (rng.random::<f64>() - 0.5) * 10f64.powi(rng.random_range(-6..7));
+                t.push(idx, v).unwrap();
+            }
+            let want = comparator_sort_dedup(&t);
+            let mut order: Vec<usize> = (0..t.nnz()).collect();
+            order.sort_by(|&a, &b| t.index(a).cmp(t.index(b)));
+            let repeated = order
+                .windows(2)
+                .find(|w| t.index(w[0]) == t.index(w[1]))
+                .map(|w| t.index(w[0]).to_vec());
+            match presorted {
+                0 => {}
+                // Sorted, every cell once: the early return.
+                1 => t = want.clone(),
+                // Sorted, repeats kept side by side.
+                _ => {
+                    let mut s = CooTensor::new(shape.clone());
+                    for e in order {
+                        s.push(t.index(e), t.value(e)).unwrap();
+                    }
+                    t = s;
+                }
+            }
+            let mut got = t.clone();
+            got.sort_dedup();
+            proptest::prop_assert_eq!(&got.indices, &want.indices);
+            proptest::prop_assert_eq!(value_bits(&got), value_bits(&want));
+            // `sort_distinct` sorts the same way and names the first
+            // repeated cell instead of summing it.
+            let mut distinct = t.clone();
+            let res = distinct.sort_distinct();
+            match repeated.filter(|_| presorted != 1) {
+                None => {
+                    proptest::prop_assert_eq!(res, Ok(()));
+                    proptest::prop_assert_eq!(&distinct, &got);
+                }
+                Some(cell) => {
+                    proptest::prop_assert_eq!(res, Err(cell));
+                    proptest::prop_assert_eq!(distinct.nnz(), t.nnz());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keys_pack_fields_whole_into_words() {
+        // The paper's 10⁹-cube: two 30-bit fields in the first word, the
+        // third in the second.
+        let layout = KeyLayout::new(&[1_000_000_000; 3]);
+        assert_eq!(layout.word_bits, vec![60, 30]);
+        let at: Vec<(usize, u32)> = layout.fields.iter().map(|f| (f.word, f.shift)).collect();
+        assert_eq!(at, vec![(0, 30), (0, 0), (1, 0)]);
+        // A mode of length 1 takes no bits; a 2⁶⁴ - 1 long one a word.
+        let layout = KeyLayout::new(&[1, usize::MAX, 3, 1]);
+        assert_eq!(layout.word_bits, vec![64, 2]);
+        assert_eq!(layout.fields[0].mask, 0);
+        assert_eq!(layout.fields[1].mask, u64::MAX);
+        // The order of keys is the order of tuples across the word break.
+        let mut t = CooTensor::new(vec![1_000_000_000; 3]);
+        for idx in [[5, 0, 7], [0, 999_999_999, 1], [5, 0, 6], [0, 999_999_999, 0], [5, 0, 7]] {
+            t.push(&idx, idx[2] as f64).unwrap();
+        }
+        t.sort_dedup();
+        let have: Vec<Vec<usize>> = t.iter().map(|(i, _)| i.to_vec()).collect();
+        let want = [[0, 999_999_999, 0], [0, 999_999_999, 1], [5, 0, 6], [5, 0, 7]];
+        assert_eq!(have, want.map(|i| i.to_vec()));
+        assert_eq!(t.values(), &[0.0, 1.0, 6.0, 14.0]);
+    }
+
+    #[test]
+    fn sort_distinct_names_the_first_repeated_cell() {
+        let mut t = CooTensor::from_entries(
+            vec![3, 3],
+            &[(&[2, 2], 1.0), (&[1, 0], 2.0), (&[2, 2], 3.0), (&[0, 1], 4.0), (&[1, 0], 5.0)],
+        )
+        .unwrap();
+        assert_eq!(t.sort_distinct(), Err(vec![1, 0]));
+        // Sorted, repeats side by side in push order, nothing summed.
+        assert_eq!(t.values(), &[4.0, 2.0, 5.0, 1.0, 3.0]);
+        let mut u = CooTensor::from_entries(vec![3, 3], &[(&[2, 2], 1.0), (&[0, 1], 4.0)]).unwrap();
+        assert_eq!(u.sort_distinct(), Ok(()));
+        assert_eq!(u.index(0), &[0, 1]);
+    }
+
+    #[test]
+    fn search_from_is_search_from_any_sound_start() {
+        let mut t = CooTensor::new(vec![9, 7]);
+        for i in (1..8).step_by(2) {
+            for j in (0..7).step_by(3) {
+                t.push(&[i, j], 1.0).unwrap();
+            }
+        }
+        for i in 0..9 {
+            for j in 0..7 {
+                let want = t.search(&[i, j]);
+                let lower = match want {
+                    Ok(p) | Err(p) => p,
+                };
+                // Every start at or before the cell's place is sound.
+                for from in 0..=lower {
+                    assert_eq!(t.search_from(&[i, j], from), want, "{i},{j} from {from}");
+                }
+            }
+        }
+        assert_eq!(t.search_from(&[1, 1, 1], 3), Err(t.nnz()), "wrong order: nowhere");
+        assert_eq!(CooTensor::new(vec![2]).search_from(&[1], 0), Err(0));
     }
 
     #[test]

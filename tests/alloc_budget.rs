@@ -228,6 +228,40 @@ fn coo_reader_stays_within_the_line_readers_bytes() {
     }
 }
 
+/// `sort_dedup` leaves a sorted tensor alone without allocating, and
+/// sorts any other in fewer bytes, all told, than the comparator sort it
+/// replaced held live at its peak: `(16N + 24)·nnz` (a position list, and
+/// a second index and value list beside the first). Its own peak, under
+/// `(16N + 16)·nnz`, is below what it requests in total.
+#[test]
+fn sort_dedup_allocates_nothing_on_sorted_input_and_stays_under_its_bound() {
+    let sorted = planted(&[80, 60, 50], 3, 60_000, 11);
+    let n = sorted.order() as u64;
+    let mut again = sorted.clone();
+    let before = alloc::snapshot();
+    again.sort_dedup();
+    let d = alloc::snapshot().delta(before);
+    assert_eq!(again, sorted);
+    assert_eq!(d.global_bytes, 0, "a sorted tensor is one check, no copy");
+
+    // The same entries, reversed, with every third one pushed twice.
+    let mut shuffled = CooTensor::new(sorted.shape().to_vec());
+    for (e, (idx, v)) in sorted.iter().enumerate().collect::<Vec<_>>().into_iter().rev() {
+        shuffled.push(idx, v).unwrap();
+        if e % 3 == 0 {
+            shuffled.push(idx, v).unwrap();
+        }
+    }
+    let nnz = shuffled.nnz() as u64;
+    let before = alloc::snapshot();
+    shuffled.sort_dedup();
+    let d = alloc::snapshot().delta(before);
+    assert_eq!(shuffled.nnz(), sorted.nnz());
+    let bound = (16 * n + 24) * nnz;
+    let bytes = d.global_bytes;
+    assert!(bytes < bound, "{bytes} bytes to sort {nnz} entries, bound {bound}");
+}
+
 /// The dispatch mechanism itself, measured directly on the pool: an index
 /// broadcast allocates nothing, no matter how many indices it fans out.
 /// (The solver-level assertions above inline on single-core hosts; this

@@ -586,3 +586,39 @@ fn stream_folds_delta_files_into_a_warm_resolve() {
     let text = std::fs::read_to_string(&model).unwrap();
     assert!(text.contains("# factor 0: 13 2"), "mode 0 grew to 13 rows: {text}");
 }
+
+/// `complete` solves over every entry of its input, a repeated cell
+/// twice; `stream` cannot carry a repeated cell through its sorted
+/// support, and says so instead of solving a different, summed problem.
+#[test]
+fn stream_rejects_a_repeated_input_cell_that_complete_keeps() {
+    let data = tmp("repeated.coo");
+    std::fs::write(
+        &data,
+        "# shape: 3 3 3\n0 0 0 1.0\n0 1 2 4.0\n1 1 1 2.0\n2 0 1 3.0\n0 1 2 4.0\n2 2 2 0.5\n",
+    )
+    .unwrap();
+    let delta = tmp("repeated-delta.coo");
+    std::fs::write(&delta, "# shape: 3 3 3\n1 0 0 0.25\n").unwrap();
+    let out = bin()
+        .args(["complete", "--input", data.to_str().unwrap(), "--rank", "1", "--iters", "5"])
+        .args(["--out", tmp("repeated.kruskal").to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let model = tmp("repeated-stream.kruskal");
+    let _ = std::fs::remove_file(&model);
+    let out = bin()
+        .args(["stream", "--input", data.to_str().unwrap(), "--rank", "1", "--iters", "5"])
+        .args(["--delta", delta.to_str().unwrap(), "--out", model.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("coordinate [0, 1, 2] appears more than once in the initial tensor"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("initial solve:"), "nothing was solved: {stderr}");
+    assert!(!model.exists());
+}
