@@ -57,14 +57,14 @@ impl AdmmSolver {
     ) -> Result<CompletionResult> {
         validate_problem(observed, laplacians)?;
         let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
-        solve_with(observed, &truncated, &self.cfg, None, None, None).map(|(result, _)| result)
+        solve_with(observed, &truncated, &self.cfg, None, None)
     }
 
     /// Warm-started completion: continue from an existing model instead of
     /// a random initialization — the online scenario where new
     /// observations arrive and the previous factors are a good starting
-    /// point. The ADMM state (`B`, `Y`, `η`) restarts, only the factors
-    /// carry over.
+    /// point. The ADMM state (`B`, `Y`, `η`) restarts; only the factors
+    /// are kept.
     pub fn solve_from(
         &self,
         observed: &CooTensor,
@@ -74,47 +74,26 @@ impl AdmmSolver {
         validate_problem(observed, laplacians)?;
         check_warm_start(init, observed, self.cfg.rank)?;
         let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
-        solve_with(observed, &truncated, &self.cfg, Some(init.clone()), None, None)
-            .map(|(result, _)| result)
+        solve_with(observed, &truncated, &self.cfg, Some(init.clone()), None)
     }
 
-    /// Streaming completion step: a solve that accepts — and returns — the
-    /// residual values, one per entry of `observed`, so consecutive
-    /// re-solves over a drifting observation set never rebuild them. The
-    /// returned values are `e = Ω∗(T − [[model…]])` for the returned model
-    /// ([`solver::run`] refreshes them *after* the final factor swap), and
-    /// the streaming delta apply keeps them so as the observations change.
+    /// [`AdmmSolver::solve_from`] — or, with `init = None`,
+    /// [`AdmmSolver::solve`] — on per-mode eigenbases *already truncated*
+    /// ([`AdmmSolver::truncate`], one per mode, [`TruncatedLaplacian::zero`]
+    /// where there is no similarity), bit for bit: a streaming problem's
+    /// graphs never change, so §III-B's precompute belongs to the caller
+    /// that outlives the re-solves, and a re-solve contains no eigensolve.
     ///
-    /// * `init = None` is a cold solve, identical to [`AdmmSolver::solve`]
-    ///   (bit-for-bit), that additionally hands the final residual out.
-    /// * `init = Some` with `carry = None` is [`AdmmSolver::solve_from`]:
-    ///   warm factors, residual rebuilt by the prologue.
-    /// * `init = Some` with `carry = Some` is the fully warm path: the
-    ///   carried values must be exactly `Ω∗(T − [[init…]])`, one per entry
-    ///   of `observed` (the invariant above), and the prologue refresh is
-    ///   skipped — the solve
-    ///   opens with one sweep over the carried values that banks its
-    ///   first iteration's MTTKRPs, and evaluates the model nowhere. The
-    ///   result is bit-identical to `solve_from` on the same inputs.
-    ///
-    /// The ADMM auxiliaries restart either way (`Y = 0`, `η = η₀`; `B`'s
-    /// carried value is irrelevant because every mode step recomputes it
-    /// from `ηA − Y` before any read), so warm state is exactly: factors
-    /// plus residual.
-    ///
-    /// Unlike the cold entry points, this one takes the per-mode
-    /// eigenbases *already truncated* ([`AdmmSolver::truncate`], one per
-    /// mode, [`TruncatedLaplacian::zero`] where there is no similarity):
-    /// a streaming problem's graphs never change, so §III-B's precompute
-    /// belongs to the caller that outlives the re-solves, and a re-solve
-    /// contains no eigensolve.
+    /// Warm state is the factors alone: the ADMM auxiliaries restart
+    /// (`Y = 0`, `η = η₀`; `B` is recomputed from `ηA − Y` before any
+    /// read), and the residual is derived from the factors by the solve's
+    /// first sweep, like every other solve's.
     pub fn solve_streamed(
         &self,
         observed: &CooTensor,
         truncated: &[TruncatedLaplacian],
         init: Option<&KruskalTensor>,
-        carry: Option<Vec<f64>>,
-    ) -> Result<(CompletionResult, Vec<f64>)> {
+    ) -> Result<CompletionResult> {
         if truncated.len() != observed.order() {
             return Err(CoreError::Invalid(format!(
                 "{} eigenbases for an order-{} tensor",
@@ -136,22 +115,7 @@ impl AdmmSolver {
         if let Some(m) = init {
             check_warm_start(m, observed, self.cfg.rank)?;
         }
-        if let Some(c) = &carry {
-            if init.is_none() {
-                return Err(CoreError::Invalid(
-                    "carried residual values need the warm-start model they were computed against"
-                        .into(),
-                ));
-            }
-            if c.len() != observed.nnz() {
-                return Err(CoreError::Invalid(format!(
-                    "carried residual has {} values, observed support has {}",
-                    c.len(),
-                    observed.nnz()
-                )));
-            }
-        }
-        solve_with(observed, truncated, &self.cfg, init.cloned(), carry, None)
+        solve_with(observed, truncated, &self.cfg, init.cloned(), None)
     }
 
     /// §III-B's precompute under this solver's `eigen_k` and `seed`: one
@@ -188,10 +152,11 @@ impl AdmmSolver {
     ///
     /// `observed` and `laplacians` must be the same problem the
     /// interrupted run was solving: shape, observed support size, and
-    /// Laplacian dimensions are validated, and the checkpointed residual
-    /// is trusted to be `Ω∗(T − [[A…]])` on that support (the format's
-    /// checksum guards transport corruption; it cannot detect a swapped
-    /// input tensor).
+    /// Laplacian dimensions are validated. Nothing else about the tensor
+    /// is in the checkpoint (the format's checksum guards transport
+    /// corruption; it cannot detect a swapped input tensor of the same
+    /// size), and the residual is not either: the resumed solve derives
+    /// it from the checkpointed factors, as the interrupted run did.
     pub fn resume(
         &self,
         observed: &CooTensor,
@@ -212,23 +177,15 @@ impl AdmmSolver {
                 observed.shape()
             )));
         }
-        if ckpt.residual.len() != observed.nnz() {
+        if ckpt.nnz != observed.nnz() {
             return Err(CoreError::Invalid(format!(
-                "checkpoint residual has {} entries, observed support has {}",
-                ckpt.residual.len(),
+                "checkpoint support has {} entries, observed support has {}",
+                ckpt.nnz,
                 observed.nnz()
             )));
         }
         let truncated = truncate_all(observed.shape(), laplacians, &cfg)?;
-        // The checkpointed residual values are fresh for the checkpointed
-        // factors (snapshots are taken right after the iteration's
-        // residual refresh), so they re-enter the solve through the same
-        // warm entry the streaming path uses: the prologue
-        // refresh gives way to the entry sweep over these values,
-        // bit-invisibly. Everything else the snapshot holds goes back
-        // through `SolverState::restore`.
-        let carry = Some(ckpt.residual.clone());
-        solve_with(observed, &truncated, &cfg, None, carry, Some(ckpt)).map(|(r, _)| r)
+        solve_with(observed, &truncated, &cfg, None, Some(ckpt))
     }
 }
 
@@ -238,19 +195,18 @@ impl AdmmSolver {
 /// corrupts the previously persisted snapshot.
 struct FileSink<'a> {
     cfg: &'a AdmmConfig,
-    shape: Vec<usize>,
+    observed: &'a CooTensor,
     path: PathBuf,
 }
 
-impl solver::CheckpointSink<Vec<f64>> for FileSink<'_> {
+impl solver::CheckpointSink for FileSink<'_> {
     fn save(
         &mut self,
-        st: &SolverState<Vec<f64>>,
+        st: &SolverState,
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()> {
-        Checkpoint::capture(self.cfg, &self.shape, st, iters_done, trace, st.residual.clone())
-            .write_file(&self.path)?;
+        Checkpoint::capture(self.cfg, self.observed, st, iters_done, trace).write_file(&self.path)?;
         Ok(())
     }
 }
@@ -330,21 +286,13 @@ pub(crate) fn truncate_all(
     .collect()
 }
 
-/// The host driver: build the residual (carried or rebuilt), the
-/// single-machine backend and the state, then run the shared core
-/// ([`solver::run`]) once. Trace points are stamped with the wall time
-/// since the call. `carry` is the streaming residual values in; the
-/// final values are handed back out either way.
+/// The host driver: build the single-machine backend and the state, then
+/// run the shared core ([`solver::run`]) once. Trace points are stamped
+/// with the wall time since the call.
 ///
-/// The residual is one value per entry of `observed`. Cold: the values
-/// start stale (a copy of `T`'s) and the solver refreshes them before
-/// anything reads them. Warm: the carried values are already fresh for
-/// the warm-start model and the solve enters on them.
-///
-/// `resume` continues a solve at the checkpoint's iteration
-/// cursor: the caller already routed the checkpointed residual through
-/// `carry`; [`SolverState::restore`] puts back the rest (factors, duals
-/// `Y`, penalty `η`) and yields the trace so far. A [`FileSink`] is
+/// `resume` continues a solve at the checkpoint's iteration cursor:
+/// [`SolverState::restore`] puts back its factors, duals `Y` and penalty
+/// `η` and yields the trace so far. A [`FileSink`] is
 /// attached when the config asks for on-disk checkpointing
 /// ([`crate::CheckpointPolicy::with_path`]); a policy without a path is
 /// the distributed driver's concern and is a no-op here.
@@ -353,23 +301,20 @@ pub(crate) fn solve_with(
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
     initial: Option<KruskalTensor>,
-    carry: Option<Vec<f64>>,
     resume: Option<&Checkpoint>,
-) -> Result<(CompletionResult, Vec<f64>)> {
+) -> Result<CompletionResult> {
     let start = Instant::now();
     let clock = move |_iter| start.elapsed().as_secs_f64();
-    let residual_fresh = carry.is_some();
-    let e = carry.unwrap_or_else(|| observed.values().to_vec());
     let mut host = HostBackend::new(observed, cfg.rank, Executor::new(cfg.exec), clock);
-    let mut st = SolverState::new(observed, truncated, cfg, initial, e)?;
+    let mut st = SolverState::new(observed, truncated, cfg, initial)?;
     let resume_point = resume.map(|ck| st.restore(ck)).transpose()?;
     let mut file_sink = cfg
         .checkpoint
         .as_ref()
         .and_then(|policy| policy.path.as_ref())
-        .map(|path| FileSink { cfg, shape: observed.shape().to_vec(), path: path.clone() });
-    let sink = file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink<Vec<f64>>);
-    solver::run(observed, truncated, cfg, &mut host, st, residual_fresh, resume_point, sink)
+        .map(|path| FileSink { cfg, observed, path: path.clone() });
+    let sink = file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink);
+    solver::run(observed, truncated, cfg, &mut host, st, resume_point, sink)
 }
 
 #[cfg(test)]
@@ -630,15 +575,15 @@ mod tests {
             dims.iter().map(|&d| TruncatedLaplacian::zero(d)).collect()
         };
         // Wrong count, wrong length, empty tensor: typed errors.
-        assert!(solver.solve_streamed(&observed, &zeros(&[8, 7]), None, None).is_err());
-        assert!(solver.solve_streamed(&observed, &zeros(&[8, 9, 6]), None, None).is_err());
+        assert!(solver.solve_streamed(&observed, &zeros(&[8, 7]), None).is_err());
+        assert!(solver.solve_streamed(&observed, &zeros(&[8, 9, 6]), None).is_err());
         let empty = CooTensor::new(vec![8, 7, 6]);
-        assert!(solver.solve_streamed(&empty, &zeros(&[8, 7, 6]), None, None).is_err());
+        assert!(solver.solve_streamed(&empty, &zeros(&[8, 7, 6]), None).is_err());
         // And with the eigenbases `truncate` hands out it is `solve`.
         let lap = Laplacian::from_similarity(tridiagonal_chain(7));
         let laps = [None, Some(&lap), None];
         let truncated = solver.truncate(observed.shape(), &laps).unwrap();
-        let (streamed, _) = solver.solve_streamed(&observed, &truncated, None, None).unwrap();
+        let streamed = solver.solve_streamed(&observed, &truncated, None).unwrap();
         let cold = solver.solve(&observed, &laps).unwrap();
         assert_eq!(streamed.model.factors(), cold.model.factors());
         // `truncate` validates like the cold entry points do.
@@ -691,7 +636,7 @@ mod tests {
         for (init, want) in &cases {
             let errors = [
                 solver.solve_from(&observed, &none, init).unwrap_err(),
-                solver.solve_streamed(&observed, &truncated, Some(init), None).unwrap_err(),
+                solver.solve_streamed(&observed, &truncated, Some(init)).unwrap_err(),
             ];
             for err in errors {
                 assert_eq!(&err.to_string(), want);

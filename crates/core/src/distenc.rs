@@ -8,8 +8,8 @@
 //!
 //! * the observed tensor is split into `P₁×…×P_N` blocks with Algorithm 2
 //!   boundaries and the blocks are pinned to machines, once per solve:
-//!   the blocking is the solve's one copy of the blocked entries, and the
-//!   residual is one value vector per block, parallel to its entries;
+//!   the blocking is the solve's one copy of the blocked entries, and no
+//!   residual value is kept beside it (every block sweep derives them);
 //! * factor matrices (and `B`, `Y`, and the Laplacian eigenbases) are
 //!   row-partitioned by the same boundaries, co-located with the mode
 //!   partitions;
@@ -26,9 +26,7 @@
 //!   way (Eq. 7).
 //!
 //! This driver owns only what is genuinely distributed: the Algorithm 2
-//! blocking (with each block entry's position in `observed`, which maps
-//! the blocked residual to and from a checkpoint's entry order), the
-//! resident-memory ledger, and the one-off setup charges.
+//! blocking, the resident-memory ledger, and the one-off setup charges.
 //! The per-iteration decomposition and its charges live in the
 //! [`crate::solver::ClusterBackend`]; the iteration itself is
 //! [`crate::solver::run`].
@@ -137,8 +135,8 @@ impl<'c> DisTenC<'c> {
 
     /// One solve attempt: charge the setup (full on the first attempt,
     /// the recovery reload on retries), reserve resident memory behind an
-    /// RAII guard, reset the residual values — stale zeros, or the latest
-    /// checkpoint image's — and run the shared solver core. Any snapshot
+    /// RAII guard, restore the latest checkpoint image if there is one,
+    /// and run the shared solver core. Any snapshot
     /// the attempt produced is harvested into `image` even when the
     /// attempt dies, so the *next* attempt resumes from the most recent
     /// snapshot.
@@ -173,7 +171,8 @@ impl<'c> DisTenC<'c> {
         // ledger.
         let mut reservation = MemoryReservation::new(cl);
         for bm in &backend.meta {
-            // Tensor block + residual values.
+            // Tensor block + residual values: Algorithm 3 caches E beside
+            // the blocks.
             reservation.reserve(bm.machine, bm.nnz() as u64 * (entry_bytes + F64))?;
         }
         if recovering.is_none() {
@@ -214,44 +213,21 @@ impl<'c> DisTenC<'c> {
             cl.note_recovery(cl.now() - t0);
         }
 
-        // ---- Reset the residual values, from the snapshot or stale -----
-        // The snapshot stores them in `observed`'s entry order; the
-        // blocking's positions scatter them back block by block. Stale
-        // values (zero) are refreshed by the solver prologue before
-        // anything reads them. `SolverState::restore` puts back the rest.
-        let snapshot = image.as_deref().map(Checkpoint::from_bytes).transpose()?;
-        let values: Vec<Vec<f64>> = match &snapshot {
-            Some(ck) => blocking
-                .positions
-                .iter()
-                .map(|pos| pos.iter().map(|&at| ck.residual[at]).collect())
-                .collect(),
-            None => backend.meta.iter().map(|bm| vec![0.0; bm.nnz()]).collect(),
-        };
-
         // ---- Delegate the iteration to the shared solver core ----------
-        let mut st = SolverState::new(observed, truncated, &self.cfg, None, values)?;
+        // A snapshot puts back its factors, duals and penalty; the
+        // prologue sweep derives the residual from them, as it does for a
+        // cold attempt's random factors.
+        let snapshot = image.as_deref().map(Checkpoint::from_bytes).transpose()?;
+        let mut st = SolverState::new(observed, truncated, &self.cfg, None)?;
         let resume_point = snapshot.as_ref().map(|ck| st.restore(ck)).transpose()?;
         let mut sink_store = self.cfg.checkpoint.as_ref().map(|_| ClusterSink {
             cl,
             cfg: &self.cfg,
             observed,
-            positions: &blocking.positions,
             latest: None,
         });
-        let sink = sink_store
-            .as_mut()
-            .map(|s| s as &mut dyn solver::CheckpointSink<Vec<Vec<f64>>>);
-        let out = solver::run(
-            observed,
-            truncated,
-            &self.cfg,
-            backend,
-            st,
-            snapshot.is_some(),
-            resume_point,
-            sink,
-        );
+        let sink = sink_store.as_mut().map(|s| s as &mut dyn solver::CheckpointSink);
+        let out = solver::run(observed, truncated, &self.cfg, backend, st, resume_point, sink);
         // Harvest the newest snapshot even from a dead attempt: the
         // simulated reliable store outlives the machines.
         if let Some(s) = sink_store {
@@ -259,7 +235,7 @@ impl<'c> DisTenC<'c> {
                 *image = Some(latest);
             }
         }
-        let (result, _) = out?;
+        let result = out?;
         drop(reservation);
         Ok(result)
     }
@@ -337,39 +313,25 @@ impl<'c> DisTenC<'c> {
 /// The distributed [`solver::CheckpointSink`]: snapshots are serialized
 /// to the driver's simulated reliable store (a byte image surviving
 /// machine loss) and the collect of the snapshot — every machine shipping
-/// its share of the factors, duals, and residual to the driver — is
+/// its share of the factors and duals to the driver — is
 /// charged to the cluster, so checkpoint cadence shows up honestly in the
 /// virtual metrics.
 struct ClusterSink<'a> {
     cl: &'a Cluster,
     cfg: &'a AdmmConfig,
     observed: &'a CooTensor,
-    /// The blocking's positions: where each block entry sits in
-    /// `observed`'s entry order, the order the checkpoint format stores the
-    /// residual in.
-    positions: &'a [Vec<usize>],
     /// The most recent snapshot image ("reliable store" contents).
     latest: Option<Vec<u8>>,
 }
 
-impl solver::CheckpointSink<Vec<Vec<f64>>> for ClusterSink<'_> {
+impl solver::CheckpointSink for ClusterSink<'_> {
     fn save(
         &mut self,
-        st: &SolverState<Vec<Vec<f64>>>,
+        st: &SolverState,
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()> {
-        // Gather the blocked residual back into `observed`'s entry order —
-        // the layout-independent form both drivers' restores understand.
-        let mut residual = vec![0.0; self.observed.nnz()];
-        for (vals, pos) in st.residual.iter().zip(self.positions) {
-            for (&v, &at) in vals.iter().zip(pos) {
-                residual[at] = v;
-            }
-        }
-        let bytes =
-            Checkpoint::capture(self.cfg, self.observed.shape(), st, iters_done, trace, residual)
-                .to_bytes();
+        let bytes = Checkpoint::capture(self.cfg, self.observed, st, iters_done, trace).to_bytes();
         // Collect: each machine ships an even share of the snapshot.
         let m = self.cl.machines();
         let per = (bytes.len() as u64).div_ceil(m as u64);

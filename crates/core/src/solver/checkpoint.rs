@@ -3,17 +3,17 @@
 //! A [`Checkpoint`] captures everything the ADMM loop needs to continue
 //! from the end of iteration `iters_done` with **bit-identical** results:
 //! the factor matrices, the ADMM scaled duals `Y⁽ⁿ⁾·(1/η)` (`y_mul`),
-//! the penalty `η` *after* that iteration's schedule update, the residual
-//! tensor values in canonical observed-entry order, and the convergence
-//! trace so far. Gram matrices and the `B`-update scratch are *not*
-//! stored — the solver recomputes both from the factors before their
+//! the penalty `η` *after* that iteration's schedule update, the size of
+//! the observed support it was solving, and the convergence trace so far.
+//! Gram matrices, the `B`-update scratch and the residual are *not*
+//! stored — the solver recomputes all three from the factors before their
 //! first read, deterministically, so omitting them cannot change a bit.
 //!
-//! ## On-disk layout (version 1, all integers little-endian)
+//! ## On-disk layout (version 2, all integers little-endian)
 //!
 //! ```text
 //! magic   b"DTCK"
-//! version u32 (= 1)
+//! version u32 (= 2)
 //! config  rank u64 · λ α η₀ ρ η_max (f64 bits) · max_iters u64 ·
 //!         tol (f64 bits) · eigen_k u64 · seed u64 ·
 //!         nonneg u8 · partition u8 (0 = Greedy, 1 = EqualWidth) ·
@@ -23,11 +23,16 @@
 //! cursor  iters_done u64 · eta (f64 bits)
 //! factors per mode: rows u64 · cols u64 · rows×cols f64 bits
 //! y_mul   same encoding as factors
-//! residual nnz u64 · nnz f64 bits (canonical observed-entry order)
+//! support nnz u64
 //! trace   npoints u64, then per point: iter u64 · seconds · train_rmse ·
 //!         factor_delta (f64 bits)
 //! check   FNV-1a 64 checksum over every preceding byte
 //! ```
+//!
+//! Version 1 stored the residual values after `nnz` (`nnz` f64 bits in
+//! observed-entry order). It still reads: the block is length-checked,
+//! covered by the checksum, and skipped — every stored value equalled
+//! `T − [[A…]]` of the file's own factors.
 //!
 //! Floats are stored as `f64::to_bits`, so a round-trip is exact for
 //! every value including negative zero and NaN payloads. The checksum is
@@ -42,19 +47,20 @@
 //! checkpoint policy) and `resume` overlays the resuming solver's own. The two
 //! reserved bytes keep files written while a CSF switch and a fusion
 //! switch were stored there readable under the same version: those
-//! carried 0 or 1, and either is ignored — the solver has one residual
-//! storage and one schedule, and both switches gave the same bits.
+//! carried 0 or 1, and either is ignored — the solver has one schedule,
+//! and both switches gave the same bits.
 
 use super::SolverState;
 use crate::config::AdmmConfig;
 use crate::trace::{ConvergenceTrace, TracePoint};
 use distenc_linalg::Mat;
 use distenc_partition::PartitionStrategy;
+use distenc_tensor::CooTensor;
 
 /// File-format magic: "DisTenC ChecKpoint".
 const MAGIC: [u8; 4] = *b"DTCK";
-/// Current format version.
-const VERSION: u32 = 1;
+/// Current format version; every earlier one still reads.
+const VERSION: u32 = 2;
 
 /// Why a checkpoint could not be read or written.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,9 +122,8 @@ pub struct Checkpoint {
     pub factors: Vec<Mat>,
     /// Scaled duals `Y⁽ⁿ⁾·(1/η)`, one per mode.
     pub y_mul: Vec<Mat>,
-    /// Residual values `Ω∗(T − [[A]])` in canonical observed-entry order
-    /// (the order of the observed tensor's entry list).
-    pub residual: Vec<f64>,
+    /// Entries of the observed tensor the solve ran on.
+    pub nnz: usize,
     /// Convergence trace up to and including iteration `iters_done`.
     pub trace: ConvergenceTrace,
 }
@@ -225,32 +230,28 @@ impl<'a> Reader<'a> {
 
 impl Checkpoint {
     /// Snapshot `st` after `iters_done` completed iterations of the solve
-    /// `cfg` describes on a tensor of shape `shape`
-    /// ([`SolverState::restore`] is the inverse). `residual` is the
-    /// state's residual values gathered into canonical observed-entry
-    /// order — the one thing only the driver that chose the decomposition
-    /// can produce.
-    pub(crate) fn capture<R>(
+    /// `cfg` describes on `observed` ([`SolverState::restore`] is the
+    /// inverse).
+    pub(crate) fn capture(
         cfg: &AdmmConfig,
-        shape: &[usize],
-        st: &SolverState<R>,
+        observed: &CooTensor,
+        st: &SolverState,
         iters_done: usize,
         trace: &ConvergenceTrace,
-        residual: Vec<f64>,
     ) -> Checkpoint {
         Checkpoint {
             config: cfg.clone(),
-            shape: shape.to_vec(),
+            shape: observed.shape().to_vec(),
             iters_done,
             eta: st.eta,
             factors: st.model.factors().to_vec(),
             y_mul: st.y_mul.clone(),
-            residual,
+            nnz: observed.nnz(),
             trace: trace.clone(),
         }
     }
 
-    /// Serialize to the version-1 byte format (checksum included).
+    /// Serialize to the version-2 byte format (checksum included).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer { buf: Vec::new() };
         w.buf.extend_from_slice(&MAGIC);
@@ -285,10 +286,7 @@ impl Checkpoint {
         for m in &self.y_mul {
             w.mat(m);
         }
-        w.u64(self.residual.len() as u64);
-        for &v in &self.residual {
-            w.f64(v);
-        }
+        w.u64(self.nnz as u64);
         w.u64(self.trace.points.len() as u64);
         for p in &self.trace.points {
             w.u64(p.iter as u64);
@@ -301,8 +299,9 @@ impl Checkpoint {
         w.buf
     }
 
-    /// Parse and validate the version-1 byte format. The checksum is
-    /// verified over the whole payload before any field is interpreted.
+    /// Parse and validate the version-2 or version-1 byte format. The
+    /// checksum is verified over the whole payload before any field is
+    /// interpreted.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint> {
         // Magic and version first so "not a checkpoint at all" and "from
         // a newer build" beat the generic corruption error.
@@ -316,7 +315,7 @@ impl Checkpoint {
             return Err(CheckpointError::Truncated);
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION {
+        if !(1..=VERSION).contains(&version) {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
         let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
@@ -387,12 +386,14 @@ impl Checkpoint {
         for _ in 0..order {
             y_mul.push(r.mat()?);
         }
-        let nnz = r.len("residual nnz")?;
-        let nnz = r.words(nnz)?;
-        let mut residual = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            residual.push(r.f64()?);
-        }
+        let nnz = if version == 1 {
+            // The residual values: checked, then skipped.
+            let nnz = r.len("residual nnz")?;
+            r.take(8 * r.words(nnz)?)?;
+            nnz
+        } else {
+            r.u64()? as usize
+        };
         let npoints = r.len("trace points")?;
         let mut trace = ConvergenceTrace::new();
         for _ in 0..npoints {
@@ -444,7 +445,7 @@ impl Checkpoint {
             eta,
             factors,
             y_mul,
-            residual,
+            nnz,
             trace,
         })
     }
@@ -505,9 +506,33 @@ mod tests {
                 Mat::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4]),
             ],
             y_mul: vec![Mat::zeros(3, 2), Mat::from_vec(2, 2, vec![-1.0, 0.5, 0.0, 9.0])],
-            residual: vec![0.25, -0.5, 1.0e-17],
+            nnz: 3,
             trace,
         }
+    }
+
+    /// `ck`'s version-1 image: its version-2 bytes stamped 1, with
+    /// `residual` (one value per entry) after the support size and the
+    /// checksum recomputed.
+    fn v1_image(ck: &Checkpoint, residual: &[f64]) -> Vec<u8> {
+        assert_eq!(residual.len(), ck.nnz);
+        let v2 = ck.to_bytes();
+        // The trace and the checksum follow the support size.
+        let trace_at = v2.len() - (8 + 32 * ck.trace.points.len()) - 8;
+        let mut bytes = v2[..trace_at].to_vec();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        bytes.extend(residual.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+        bytes.extend_from_slice(&v2[trace_at..v2.len() - 8]);
+        let sum = fnv1a(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// The sample's two images: version 2, and the version 1 that stored
+    /// three residual values.
+    fn images() -> [(u32, Vec<u8>); 2] {
+        let ck = sample();
+        [(2, ck.to_bytes()), (1, v1_image(&ck, &[0.25, -0.5, 1.0e-17]))]
     }
 
     #[test]
@@ -524,9 +549,7 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-        for (x, y) in back.residual.iter().zip(&ck.residual) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_eq!(back.nnz, 3);
         assert_eq!(back.trace, ck.trace);
         assert_eq!(back.config.rank, 2);
         assert_eq!(back.config.partition, PartitionStrategy::EqualWidth);
@@ -534,37 +557,56 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_image_reads_as_the_version_2_image_of_its_state() {
+        // The residual block is length-checked and skipped; its values
+        // leave no trace in what is read.
+        let [(_, v2), (_, v1)] = images();
+        assert_eq!(v1.len(), v2.len() + 3 * 8);
+        assert_eq!(Checkpoint::from_bytes(&v1).unwrap(), Checkpoint::from_bytes(&v2).unwrap());
+        // A support size the residual block does not back is no image.
+        let mut short = v1_image(&Checkpoint { nnz: 2, ..sample() }, &[0.25, -0.5]);
+        let nnz_at = short.len() - 8 - (8 + 64) - 2 * 8 - 8;
+        short[nnz_at..nnz_at + 8].copy_from_slice(&3u64.to_le_bytes());
+        let body = short.len() - 8;
+        let sum = fnv1a(&short[..body]);
+        short[body..].copy_from_slice(&sum.to_le_bytes());
+        assert!(Checkpoint::from_bytes(&short).is_err());
+    }
+
+    #[test]
     fn every_corrupted_byte_is_rejected_with_a_typed_error() {
-        let bytes = sample().to_bytes();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0xA5;
-            let err = Checkpoint::from_bytes(&bad)
-                .expect_err(&format!("flipping byte {i} must not parse"));
-            assert!(
-                matches!(
-                    err,
-                    CheckpointError::ChecksumMismatch { .. }
-                        | CheckpointError::BadMagic
-                        | CheckpointError::UnsupportedVersion(_)
-                ),
-                "byte {i}: unexpected error {err:?}"
-            );
+        for (version, bytes) in images() {
+            for i in 0..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[i] ^= 0xA5;
+                let err = Checkpoint::from_bytes(&bad)
+                    .expect_err(&format!("v{version}: flipping byte {i} must not parse"));
+                assert!(
+                    matches!(
+                        err,
+                        CheckpointError::ChecksumMismatch { .. }
+                            | CheckpointError::BadMagic
+                            | CheckpointError::UnsupportedVersion(_)
+                    ),
+                    "v{version} byte {i}: unexpected error {err:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn truncation_is_rejected() {
-        let bytes = sample().to_bytes();
-        for keep in 0..bytes.len() {
-            let err = Checkpoint::from_bytes(&bytes[..keep]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CheckpointError::Truncated | CheckpointError::ChecksumMismatch { .. }
-                ),
-                "keep {keep}: unexpected error {err:?}"
-            );
+        for (version, bytes) in images() {
+            for keep in 0..bytes.len() {
+                let err = Checkpoint::from_bytes(&bytes[..keep]).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        CheckpointError::Truncated | CheckpointError::ChecksumMismatch { .. }
+                    ),
+                    "v{version} keep {keep}: unexpected error {err:?}"
+                );
+            }
         }
     }
 
@@ -572,32 +614,35 @@ mod tests {
     fn a_lying_length_under_a_restamped_checksum_is_a_typed_error() {
         // FNV-1a is no MAC: anyone can rewrite a length field and the
         // trailer after it. The first factor's `rows` and `cols` follow
-        // the cursor's `eta`; the shape's `order` and the residual's
-        // `nnz` are the other two counts that size an allocation. A long
-        // residual makes `rows·cols` terabytes: sized before it is read,
-        // that allocation aborts the process.
-        let ck = Checkpoint { residual: vec![0.25; 1 << 16], ..sample() };
-        let bytes = ck.to_bytes();
-        let at = |a: u64, b: u64| {
-            let field = [a.to_le_bytes(), b.to_le_bytes()].concat();
-            bytes.windows(16).position(|w| w == field).unwrap()
-        };
-        let factor = at(ck.eta.to_bits(), 3) + 8;
-        let order = at(2, 3);
-        let nnz = at(1 << 16, 0.25f64.to_bits());
-        // The payload's length: each count alone passes the "absurd" bound.
-        let huge = (bytes.len() as u64 - 8).to_le_bytes();
-        let lies = [("factor", vec![factor, factor + 8]), ("order", vec![order]), ("nnz", vec![nnz])];
-        for (what, fields) in lies {
-            let mut bad = bytes.clone();
-            for f in fields {
-                bad[f..f + 8].copy_from_slice(&huge);
+        // the cursor's `eta`; the shape's `order` and, in version 1, the
+        // residual's `nnz` are the other counts that size what is read. A
+        // long version-1 residual makes `rows·cols` terabytes: sized
+        // before it is read, that allocation aborts the process.
+        let ck = Checkpoint { nnz: 1 << 16, ..sample() };
+        for (version, bytes) in [(2, ck.to_bytes()), (1, v1_image(&ck, &vec![0.25; 1 << 16]))] {
+            let at = |a: u64, b: u64| {
+                let field = [a.to_le_bytes(), b.to_le_bytes()].concat();
+                bytes.windows(16).position(|w| w == field).unwrap()
+            };
+            let factor = at(ck.eta.to_bits(), 3) + 8;
+            let mut lies = vec![("factor", vec![factor, factor + 8]), ("order", vec![at(2, 3)])];
+            if version == 1 {
+                lies.push(("nnz", vec![at(1 << 16, 0.25f64.to_bits())]));
             }
-            let body = bad.len() - 8;
-            let sum = fnv1a(&bad[..body]);
-            bad[body..].copy_from_slice(&sum.to_le_bytes());
-            let err = Checkpoint::from_bytes(&bad).unwrap_err();
-            assert_eq!(err, CheckpointError::Truncated, "{what}");
+            // The payload's length: each count alone passes the "absurd"
+            // bound.
+            let huge = (bytes.len() as u64 - 8).to_le_bytes();
+            for (what, fields) in lies {
+                let mut bad = bytes.clone();
+                for f in fields {
+                    bad[f..f + 8].copy_from_slice(&huge);
+                }
+                let body = bad.len() - 8;
+                let sum = fnv1a(&bad[..body]);
+                bad[body..].copy_from_slice(&sum.to_le_bytes());
+                let err = Checkpoint::from_bytes(&bad).unwrap_err();
+                assert_eq!(err, CheckpointError::Truncated, "v{version} {what}");
+            }
         }
     }
 

@@ -9,25 +9,25 @@
 //! the virtual clock and the golden distenc trace pins the resulting
 //! timestamps bit-for-bit.
 //!
-//! Its residual is one value vector per Algorithm 2 block
-//! (`Vec<Vec<f64>>`), parallel to the block's entries, which the backend
-//! borrows from the blocking — built once per solve, like the backend and
-//! its [`BlockMeta`]. One block body serves every pass over it
+//! It holds no residual: the Algorithm 2 blocks' entries are borrowed
+//! from the blocking — built once per solve, like the backend and its
+//! [`BlockMeta`] — and one block body serves every pass over them
 //! ([`ClusterBackend::sweep_blocks`]): a task per block reads the block's
-//! entries once, takes their residual values — refreshed in the same
-//! pass, or as stored — and writes the block's partial `H` rows for every
-//! mode; the partials of a mode are then added up at each factor
-//! partition's home in ascending block order
-//! ([`ClusterBackend::combine`]). The end-of-iteration sweep runs it with
-//! refresh on (one pass banks the next iteration's N MTTKRPs), the last
-//! one with no mode (the plain refresh), and the entry into a restored
-//! attempt over the stored values. A block's partial for a mode is the
-//! same fold whichever pass computed it, and the combine order is fixed,
-//! so resumed ≡ uninterrupted and `Sequential` ≡ `Threads(n)` hold
-//! bit-for-bit by construction.
+//! entries once, evaluates each one's residual value and writes the
+//! block's partial `H` rows for every mode; the partials of a mode are
+//! then added up at each factor partition's home in ascending block order
+//! ([`ClusterBackend::combine`]). The prologue and end-of-iteration sweeps
+//! run it banking every mode (one pass banks the next iteration's N
+//! MTTKRPs), the last one banking none (the plain `‖E‖²`). A block's
+//! partial for a mode is a function of the model and the block alone, and
+//! the combine order is fixed, so resumed ≡ uninterrupted and
+//! `Sequential` ≡ `Threads(n)` hold bit-for-bit by construction.
 //!
-//! The charges follow that schedule and nothing else. They are a function
-//! of the blocking metadata ([`BlockMeta`]) and of which passes ran: a
+//! The charges follow that schedule and nothing else. They model
+//! Algorithm 3, which caches `E` as an RDD beside the blocks, so a pass
+//! pays for writing the fresh values even though this backend keeps none.
+//! They are a function of the blocking metadata ([`BlockMeta`]) and of
+//! which passes ran: a
 //! block task costs the sum of the passes it folds into one
 //! ([`ClusterBackend::block_task`] — no arithmetic discount is claimed on
 //! the virtual clock; the entries are read once), and a sweep is one
@@ -46,16 +46,14 @@ use distenc_dataflow::cluster::TaskCost;
 use distenc_dataflow::Cluster;
 use distenc_linalg::Mat;
 use distenc_partition::{ModePartition, TensorBlocks};
-use distenc_tensor::fused::{block_sweep_into, EntryValues};
+use distenc_tensor::fused::block_sweep_into;
 use distenc_tensor::{CooTensor, KruskalTensor};
 use std::ops::Range;
 
 const F64: u64 = 8;
 
 /// One tensor block as this backend sees it: the blocking's entries,
-/// borrowed, and where the block sits. Its residual values are the
-/// residual's vector at the same position ([`ClusterBackend`]'s
-/// `Residual`), parallel to `entries`.
+/// borrowed, and where the block sits.
 pub(crate) struct BlockMeta<'a> {
     /// Machine this block is pinned to.
     pub machine: usize,
@@ -88,8 +86,6 @@ struct BlockSlabs {
 /// One block's share of a [`ClusterBackend::sweep_blocks`] pass.
 struct BlockTask<'a> {
     entries: &'a CooTensor,
-    /// Taken by the task when it runs.
-    vals: Option<EntryValues<'a>>,
     origin: &'a [usize],
     partial: &'a mut [Mat],
     /// The block's `‖e‖²`, written by the task.
@@ -157,36 +153,27 @@ impl<'a> ClusterBackend<'a> {
     // ---- Block-local kernels --------------------------------------------
 
     /// The one block body: a task per block on the executor walks the
-    /// block's entries once, takes their residual values from `values`
-    /// (refreshing them in the same walk, or as stored) and overwrites
-    /// the block's partial `H` slabs for the leading `banks` modes — every
-    /// mode, or none. Returns `‖E‖²_F` as the sum of the per-block `‖e‖²`
-    /// in ascending block order — the fixed association of this
-    /// decomposition. Blocks share nothing, so the executor cannot change
-    /// a bit.
-    fn sweep_blocks<'v>(
-        &mut self,
-        model: &KruskalTensor,
-        values: impl Iterator<Item = EntryValues<'v>>,
-        banks: usize,
-    ) -> f64 {
+    /// block's entries once, evaluating each one's residual value, and
+    /// overwrites the block's partial `H` slabs for the leading `banks`
+    /// modes — every mode, or none. Returns `‖E‖²_F` as the sum of the
+    /// per-block `‖e‖²` in ascending block order — the fixed association
+    /// of this decomposition. Blocks share nothing, so the executor cannot
+    /// change a bit.
+    fn sweep_blocks(&mut self, model: &KruskalTensor, banks: usize) -> f64 {
         crate::record_entry_sweep(self.meta.iter().map(BlockMeta::nnz).sum());
         let mut tasks: Vec<BlockTask<'_>> = self
             .meta
             .iter()
-            .zip(values)
             .zip(&mut self.slabs)
-            .map(|((b, vals), slabs)| BlockTask {
+            .map(|(b, slabs)| BlockTask {
                 entries: b.entries,
-                vals: Some(vals),
                 origin: &slabs.origin,
                 partial: &mut slabs.partial[..banks],
                 frob: 0.0,
             })
             .collect();
         self.cl.executor().run_mut(&mut tasks, |_, t| {
-            let vals = t.vals.take().expect("the executor runs each block once");
-            t.frob = block_sweep_into(t.entries, model, vals, t.origin, t.partial)
+            t.frob = block_sweep_into(t.entries, model, t.origin, t.partial)
                 .expect("block slabs are sized from the blocking they sweep");
         });
         tasks.iter().map(|t| t.frob).sum()
@@ -290,32 +277,32 @@ impl<'a> ClusterBackend<'a> {
         Ok(())
     }
 
-    /// What block `b`'s task costs in a pass that sweeps `modes` and, with
-    /// `refresh`, rewrites the residual values: each MTTKRP and the
-    /// refresh are `nnz·N·R` flops and the task is charged all of them;
-    /// the entries (`N` indices and the value, plus the residual value as
-    /// soon as a mode is swept) are read once; the outputs are the fresh
-    /// values and the partial-`H` rows of every swept mode.
-    fn block_task(&self, b: &BlockMeta<'_>, modes: Range<usize>, refresh: bool) -> TaskCost {
+    /// What block `b`'s task costs in a pass that refreshes the residual
+    /// values and sweeps `modes`: the refresh and each MTTKRP are
+    /// `nnz·N·R` flops and the task is charged all of them; the entries
+    /// (`N` indices and the value, plus the residual value as soon as a
+    /// mode is swept) are read once; the outputs are the fresh values and
+    /// the partial-`H` rows of every swept mode.
+    fn block_task(&self, b: &BlockMeta<'_>, modes: Range<usize>) -> TaskCost {
         let (nnz, rank) = (b.nnz() as u64, self.rank as u64);
-        let passes = modes.len() + usize::from(refresh);
+        let passes = modes.len() + 1;
         let entry_words = self.n_modes as u64 + 1 + u64::from(!modes.is_empty());
         let out_rows: usize = b.active[modes].iter().map(Vec::len).sum();
         TaskCost {
             machine: b.machine,
             flops: (passes * b.nnz() * self.n_modes * self.rank) as f64,
             input_bytes: nnz * entry_words * F64,
-            output_bytes: (u64::from(refresh) * nnz + out_rows as u64 * rank) * F64,
+            output_bytes: (nnz + out_rows as u64 * rank) * F64,
         }
     }
 
     /// One stage of [`Self::block_task`]s, then one shuffle carrying the
     /// partial-`H` rows of every swept mode to their factor partitions'
     /// homes (a plain refresh sweeps no mode and moves nothing).
-    fn charge_block_stage(&self, modes: Range<usize>, refresh: bool) -> Result<()> {
+    fn charge_block_stage(&self, modes: Range<usize>) -> Result<()> {
         let cl = self.cl;
         let tasks: Vec<TaskCost> =
-            self.meta.iter().map(|b| self.block_task(b, modes.clone(), refresh)).collect();
+            self.meta.iter().map(|b| self.block_task(b, modes.clone())).collect();
         cl.run_stage(&tasks)?;
         if modes.is_empty() {
             return Ok(());
@@ -338,8 +325,6 @@ impl<'a> ClusterBackend<'a> {
 }
 
 impl StepBackend for ClusterBackend<'_> {
-    type Residual = Vec<Vec<f64>>;
-
     /// What the cluster pays for a mode's MTTKRP at its mode step. The
     /// sweep before the iteration has already paid its fetch, block stage
     /// and shuffle — together with every other mode's — so only its
@@ -373,30 +358,20 @@ impl StepBackend for ClusterBackend<'_> {
     }
 
     /// The banking sweep (see [`StepBackend::fused_step`]). Handed the
-    /// bank, every block takes its values — refreshing them, or, on the
-    /// entry into a restored attempt, as the snapshot stored them — and
-    /// emits all N partials in one task, and the cluster is charged one
-    /// factor fetch (every mode's rows at every block), one block stage
-    /// and one shuffle. Handed nothing, it is the plain refresh: the same
-    /// fetch and a stage that sweeps no mode.
+    /// bank, every block evaluates its residual values and emits all N
+    /// partials in one task, and the cluster is charged one factor fetch
+    /// (every mode's rows at every block), one block stage and one
+    /// shuffle. Handed nothing, it is the plain refresh: the same fetch and
+    /// a stage that sweeps no mode.
     fn fused_step(
         &mut self,
         _observed: &CooTensor,
         model: &KruskalTensor,
-        values: &mut Vec<Vec<f64>>,
-        refresh: bool,
         bank: &mut [Mat],
     ) -> Result<f64> {
         self.charge_factor_fetch()?;
-        self.charge_block_stage(0..bank.len(), refresh)?;
-        let values = values.iter_mut().map(|v| {
-            if refresh {
-                EntryValues::Refresh(v)
-            } else {
-                EntryValues::Stored(v)
-            }
-        });
-        let frob = self.sweep_blocks(model, values, bank.len());
+        self.charge_block_stage(0..bank.len())?;
+        let frob = self.sweep_blocks(model, bank.len());
         for (mode, out) in bank.iter_mut().enumerate() {
             self.combine(mode, out);
         }
@@ -482,61 +457,6 @@ mod tests {
         TensorBlocks::build(&x, &[2, 2, 2])
     }
 
-    /// A backend over `blocking` on two machines, placed the way the
-    /// driver places blocks, and the blocked residual it sweeps (values:
-    /// the tensor's).
-    fn blocked<'a>(
-        cl: &'a Cluster,
-        blocking: &'a TensorBlocks,
-        rank: usize,
-    ) -> (ClusterBackend<'a>, Vec<Vec<f64>>) {
-        let be = ClusterBackend::new(cl, rank, blocking, vec![0; 3]);
-        assert_eq!(be.meta.len(), 8);
-        let values = be.meta.iter().map(|b| b.entries.values().to_vec()).collect();
-        (be, values)
-    }
-
-    #[test]
-    fn the_entry_sweep_banks_every_mode_from_stored_values_in_one_stage() {
-        // What a restored attempt opens with: one fetch, one block stage
-        // and one shuffle bank all N modes from the values as the last
-        // refreshing sweep left them — the very bits that sweep banked
-        // beside its refresh.
-        let rank = 3;
-        let model = KruskalTensor::random(&[4, 4, 4], rank, 5);
-        let observed = CooTensor::new(vec![4, 4, 4]); // unread by this backend
-        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let dirty = || -> Vec<Mat> { (0..3).map(|m| Mat::random(4, rank, 40 + m)).collect() };
-        let blocking = blocking();
-
-        // The refreshing sweep: the tensor's values in, the residual out.
-        let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let (mut be, mut values) = blocked(&cl, &blocking, rank);
-        let stale = values.clone();
-        let mut refreshed = dirty();
-        be.fused_step(&observed, &model, &mut values, true, &mut refreshed).unwrap();
-        assert_ne!(values, stale, "the refresh rewrote the values");
-        let refresh = cl.metrics();
-        assert_eq!(refresh.stages, 1);
-
-        // The entry sweep over those fresh values, on a cluster of its own.
-        let cl2 = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let (mut be2, _) = blocked(&cl2, &blocking, rank);
-        let fresh = values.clone();
-        let mut entry = dirty();
-        be2.fused_step(&observed, &model, &mut values, false, &mut entry).unwrap();
-        assert_eq!(values, fresh, "a stored sweep writes no value");
-        for (mode, (e, r)) in entry.iter().zip(&refreshed).enumerate() {
-            assert_eq!(bits(e), bits(r), "mode {mode}");
-        }
-        let stored = cl2.metrics();
-        assert_eq!(stored.stages, 1);
-        // The same fetch and the same partial rows travelling home; only
-        // the fresh values the refresh wrote are not paid for.
-        assert_eq!(stored.shuffled_bytes, refresh.shuffled_bytes);
-        assert!(stored.virtual_seconds < refresh.virtual_seconds);
-    }
-
     #[test]
     fn the_fused_stage_is_charged_the_sum_of_the_tasks_it_replaces() {
         // Nothing gets cheaper by decree: block by block, the all-modes
@@ -545,27 +465,30 @@ mod tests {
         // Only the entries are read once instead of N+1 times.
         let blocking = blocking();
         let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let (be, _) = blocked(&cl, &blocking, 3);
+        let be = ClusterBackend::new(&cl, 3, &blocking, vec![0; 3]);
+        assert_eq!(be.meta.len(), 8);
         let n = be.n_modes;
         for b in &be.meta {
-            let fused = be.block_task(b, 0..n, true);
-            let refresh = be.block_task(b, 0..0, true);
-            let per_mode: Vec<TaskCost> =
-                (0..n).map(|m| be.block_task(b, m..m + 1, false)).collect();
+            let fused = be.block_task(b, 0..n);
+            // The plain refresh is the fused task that sweeps no mode.
+            let refresh = be.block_task(b, 0..0);
 
-            // The replaced tasks: nnz·N·R flops each; entries
-            // in (plus the residual value for an MTTKRP); values or the
-            // block's active rows out.
+            // The replaced tasks: nnz·N·R flops each; entries in (plus the
+            // residual value for an MTTKRP); values or the block's active
+            // rows out.
             let (nnz, rank) = (b.nnz() as u64, be.rank as u64);
             let pass_flops = (b.nnz() * n * be.rank) as f64;
             assert_eq!(refresh.flops, pass_flops);
             assert_eq!(refresh.input_bytes, nnz * (n as u64 + 1) * F64);
             assert_eq!(refresh.output_bytes, nnz * F64);
-            for (m, t) in per_mode.iter().enumerate() {
-                assert_eq!(t.flops, pass_flops);
-                assert_eq!(t.input_bytes, nnz * (n as u64 + 2) * F64);
-                assert_eq!(t.output_bytes, b.active[m].len() as u64 * rank * F64);
-            }
+            let per_mode: Vec<TaskCost> = (0..n)
+                .map(|m| TaskCost {
+                    machine: b.machine,
+                    flops: pass_flops,
+                    input_bytes: nnz * (n as u64 + 2) * F64,
+                    output_bytes: b.active[m].len() as u64 * rank * F64,
+                })
+                .collect();
 
             let replaced = || std::iter::once(&refresh).chain(&per_mode);
             assert!(replaced().all(|t| t.machine == fused.machine));

@@ -1,23 +1,21 @@
-//! The single-machine [`StepBackend`]: the residual's block cut on a
-//! [`distenc_dataflow::Executor`], no accounting.
+//! The single-machine [`StepBackend`]: the observed tensor's block cut on
+//! a [`distenc_dataflow::Executor`], no accounting.
 //!
-//! Its residual is one value per observed entry (`Vec<f64>`; a solve holds
-//! one index list, `observed`'s), and every entry sweep is one
-//! [`cut_sweep_into`] over `observed` and those values, cut by the
-//! [`BlockCut`] this backend sizes at construction: `B` contiguous,
+//! It holds no residual (a solve holds one index list, `observed`'s, and
+//! no value beside it): every entry sweep is one [`cut_sweep_into`] over
+//! `observed`, evaluating `e` at each entry, cut by the [`BlockCut`] this
+//! backend sizes at construction: `B` contiguous,
 //! equal-count entry ranges, `B` a function of the data alone (DESIGN.md
 //! §9). The executor
 //! runs the blocks — one after another on `Sequential`, concurrently on
 //! `Threads(n)` — and the partials are added into the core's bank in
 //! ascending block order, so every executor computes the same bits and a
-//! one-block residual is the flat entry-order fold.
+//! one-block cut is the flat entry-order fold.
 //!
-//! Handed the core's bank, the end-of-iteration
-//! [`StepBackend::fused_step`] refreshes the residual, reduces `‖E‖²_F`,
+//! Handed the core's bank, [`StepBackend::fused_step`] reduces `‖E‖²_F`
 //! and writes every mode's next MTTKRP straight into it: one sweep over
-//! the nonzeros per iteration, on every executor. Entered on a residual
-//! that is already fresh, the same hook banks every mode from the stored
-//! values. At orders 2–8 the steady state allocates nothing on any thread
+//! the nonzeros per iteration, on every executor. At orders 2–8 the
+//! steady state allocates nothing on any thread
 //! (the threaded executor hands the blocks to its resident pool through
 //! an unboxed index broadcast; the sequential path is a plain loop).
 
@@ -25,14 +23,14 @@ use super::StepBackend;
 use crate::Result;
 use distenc_dataflow::Executor;
 use distenc_linalg::Mat;
-use distenc_tensor::fused::{cut_sweep_into, BlockCut, EntryValues};
+use distenc_tensor::fused::{cut_sweep_into, BlockCut};
 use distenc_tensor::{CooTensor, KruskalTensor};
 
-/// Host backend: the residual's block cut on an executor, plain Grams,
-/// wall-clock trace stamps.
+/// Host backend: the observed tensor's block cut on an executor, plain
+/// Grams, wall-clock trace stamps.
 pub(crate) struct HostBackend<C> {
     exec: Executor,
-    /// The residual's block cut and the partial banks of its blocks
+    /// The observed tensor's block cut and the partial banks of its blocks
     /// after the first.
     cut: BlockCut,
     clock: C,
@@ -49,8 +47,6 @@ impl<C: Fn(usize) -> f64> HostBackend<C> {
 }
 
 impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
-    type Residual = Vec<f64>;
-
     fn refresh_gram(&mut self, factor: &Mat, _mode: usize, out: &mut Mat) -> Result<()> {
         factor.gram_into(out)?;
         Ok(())
@@ -60,15 +56,9 @@ impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,
-        residual: &mut Vec<f64>,
-        refresh: bool,
         bank: &mut [Mat],
     ) -> Result<f64> {
-        // Without `refresh` the values are fresh and stay; the `‖E‖²` of
-        // that sweep is never read.
-        let vals =
-            if refresh { EntryValues::Refresh(residual) } else { EntryValues::Stored(residual) };
-        Ok(cut_sweep_into(observed, model, vals, bank, &mut self.cut, &self.exec)?)
+        Ok(cut_sweep_into(observed, model, bank, &mut self.cut, &self.exec)?)
     }
 
     fn clock(&self, iter: usize) -> f64 {

@@ -11,15 +11,11 @@
 //! accounting hooks, placed at exactly the points the pre-refactor
 //! drivers charged.
 //!
-//! **One core, typed residual.** The residual `E = Ω∗(T − [[A…]])` has
-//! `T`'s support, so the [`SolverState`] holds its values only, in the
-//! backend's decomposition — [`StepBackend::Residual`]: one value per
-//! observed entry for the host backend (a solve holds one
-//! index list, `observed`'s), one value vector per Algorithm 2 block for
-//! the cluster (whose one copy of the blocked entries is the blocking's).
-//! The core never looks inside it; it only hands it back to the backend
-//! that owns the type, so a backend paired with the wrong decomposition
-//! does not compile.
+//! **The residual is derived state.** `E = Ω∗(T − [[A…]])` is a function
+//! of the factors (§III-D, Eq. 16), so nothing stores it: not the
+//! [`SolverState`], not a backend, not a checkpoint. Each sweep computes
+//! `e` at every observed entry from the model it is handed, folds it into
+//! `‖E‖²_F` and the bank, and keeps none of it.
 //!
 //! **Bit-exactness contract.** Every arithmetic operation here happens in
 //! the same order, with the same floating-point association, as the
@@ -41,31 +37,27 @@
 //! bookkeeping, not step math). The `alloc-count` feature and
 //! `tests/alloc_budget.rs` enforce this.
 //!
-//! **Pass contract: one schedule.** The [`Workspace`] holds one `Iₙ×R`
-//! sparse-MTTKRP buffer per mode: the *bank*. [`run`] decides, once per
-//! sweep, whether another iteration will run, and hands
+//! **Pass contract: one schedule, one way in.** The [`Workspace`] holds
+//! one `Iₙ×R` sparse-MTTKRP buffer per mode: the *bank*. [`run`] decides,
+//! once per sweep, whether another iteration will run, and hands
 //! [`StepBackend::fused_step`] the bank, or an empty slice. The sweep
-//! refreshes the residual, reduces `‖E‖²_F` and fills *every* mode's
+//! evaluates the residual, reduces `‖E‖²_F` and fills *every* mode's
 //! buffer in that same pass — the loop is Jacobi, so all N MTTKRPs of the
-//! next iteration read the model and residual this sweep leaves behind.
-//! Each of the next iteration's [`mode_step`]s reads its mode's buffer
-//! where it lies; [`StepBackend::on_sparse_mttkrp`] charges what is left
-//! of that MTTKRP once the sweep has paid for it.
+//! next iteration read the model this sweep read. Each of the next
+//! iteration's [`mode_step`]s reads its mode's buffer where it lies;
+//! [`StepBackend::on_sparse_mttkrp`] charges what is left of that MTTKRP
+//! once the sweep has paid for it.
 //!
-//! A solve entered on a residual that is already fresh — a carried one
-//! (every streaming refresh) or one restored from a checkpoint — has no
-//! prologue refresh to bank beside, so [`run`] opens it with the *entry
-//! sweep*: the same hook with `refresh` off, which reads the values as
-//! stored and only banks. Its first iteration then starts with what the
-//! backend banks from stored values, exactly as every later one starts
-//! with what the refreshing sweep banked. Every backend banks all N modes
-//! on every executor — the host runs the residual's block cut (one sweep
-//! whether its blocks run one after another or on threads), the cluster
-//! one task per Algorithm 2 block — so a steady-state iteration,
-//! and the entry alike, sweeps the nonzero list **once**. `k` iterations
-//! entered on a fresh residual cost `k + 1` sweeps — the entry, `k − 1`
-//! banking sweeps, the last plain refresh. The `pass-count` feature counts
-//! the sweeps and `tests/pass_count.rs` pins all of it.
+//! Every solve — cold, warm, resumed, a recovered DisTenC attempt — enters
+//! the same way: a prologue sweep against its initial factors banks its
+//! first iteration, and it runs exactly when an iteration will. Every
+//! backend banks all N modes on every executor — the host runs the
+//! observed tensor's block cut (one sweep whether its blocks run one after
+//! another or on threads), the cluster one task per Algorithm 2 block — so
+//! an iteration sweeps the nonzero list **once**, and `k` iterations cost
+//! `k + 1` sweeps: the prologue, `k − 1` banking sweeps, the last plain
+//! `‖E‖²`. The `pass-count` feature counts the sweeps and
+//! `tests/pass_count.rs` pins all of it.
 
 use crate::config::AdmmConfig;
 use crate::solver::checkpoint::Checkpoint;
@@ -101,8 +93,8 @@ struct ModeBuffers {
 pub(crate) struct Workspace {
     modes: Vec<ModeBuffers>,
     /// The bank: the sparse MTTKRP part `E₍ₙ₎U⁽ⁿ⁾` of every mode (`Iₙ×R`
-    /// each), written by the sweep before each iteration (the refreshing
-    /// sweep, or the entry sweep) and read once per mode step.
+    /// each), written by the sweep before each iteration and read once per
+    /// mode step.
     bank: Vec<Mat>,
     /// The `R×R` Gram product `F⁽ⁿ⁾`, shifted into the regularized
     /// denominator in place each mode step.
@@ -112,9 +104,9 @@ pub(crate) struct Workspace {
 }
 
 /// Everything Algorithm 1 iterates on: the factors, the ADMM auxiliaries
-/// `B`/`Y`, the cached Grams, the penalty `η`, and the residual in the
-/// backend's decomposition `R` ([`StepBackend::Residual`]).
-pub(crate) struct SolverState<R> {
+/// `B`/`Y`, the cached Grams and the penalty `η`. The residual is not
+/// among them: each sweep derives it from the model.
+pub(crate) struct SolverState {
     /// The CP model `[[A⁽¹⁾,…,A⁽ᴺ⁾]]`.
     pub model: KruskalTensor,
     /// Cached per-factor Grams `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` (Eq. 12).
@@ -125,28 +117,22 @@ pub(crate) struct SolverState<R> {
     pub y_mul: Vec<Mat>,
     /// Current penalty parameter `η`.
     pub eta: f64,
-    /// The residual, on the observed support. Its values are refreshed in
-    /// place every iteration ([`StepBackend::fused_step`]); the support
-    /// never changes after construction.
-    pub residual: R,
     /// Preallocated iteration scratch.
     pub ws: Workspace,
 }
 
-impl<R> SolverState<R> {
+impl SolverState {
     /// Size all solver-owned state for `observed` before iteration 0.
     ///
     /// `initial` seeds the factors (warm start); otherwise they are the
     /// seeded random init of Algorithm 1 line 1. Grams start as zero
     /// placeholders — [`run`]'s prologue fills them through the backend
-    /// before anything reads them. The residual arrives from the driver
-    /// stale, for the prologue to refresh, or fresh ([`run`]'s `residual_fresh`).
+    /// before anything reads them.
     pub fn new(
         observed: &CooTensor,
         truncated: &[TruncatedLaplacian],
         cfg: &AdmmConfig,
         initial: Option<KruskalTensor>,
-        residual: R,
     ) -> Result<Self> {
         let shape = observed.shape();
         let rank = cfg.rank;
@@ -176,16 +162,13 @@ impl<R> SolverState<R> {
             b_aux: per_mode(),
             y_mul: per_mode(),
             eta: cfg.eta0,
-            residual,
             ws,
         })
     }
 
     /// Overlay a snapshot's factors, duals `Y` and penalty `η` (the
     /// inverse of [`Checkpoint::capture`]) and return where the loop
-    /// continues. The residual values are the caller's to restore — their
-    /// order is the decomposition's — and [`run`] must then be entered
-    /// with `residual_fresh`, which opens it with the entry sweep.
+    /// continues.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<ResumePoint> {
         self.model = KruskalTensor::new(ck.factors.clone())?;
         self.y_mul = ck.y_mul.clone();
@@ -195,49 +178,38 @@ impl<R> SolverState<R> {
 }
 
 /// What a driver plugs into the shared iteration: its decomposition of
-/// the residual and of the data-dependent kernels over it (the Gram
-/// refresh, the sweep that banks every MTTKRP), its trace clock, and — for
+/// the data-dependent kernels (the Gram refresh, the sweep that banks
+/// every MTTKRP), its trace clock, and — for
 /// the distributed driver — accounting hooks at the exact points the
 /// pre-refactor loop charged the cluster. Hook defaults are no-ops (the
 /// host charges nothing).
 pub(crate) trait StepBackend {
-    /// The residual `E = Ω∗(T − [[A…]])` in this backend's decomposition.
-    type Residual;
-
     /// Recompute `factorᵀfactor` into `out` in this backend's fixed
     /// association order.
     fn refresh_gram(&mut self, factor: &Mat, mode: usize, out: &mut Mat) -> Result<()>;
 
-    /// The one sweep over the residual's entries that banks MTTKRPs: at the
-    /// end of an iteration (and in the cold prologue) with `refresh` on, as
-    /// the entry into a solve on an already-fresh residual with it off.
-    ///
-    /// With `refresh`, recompute the residual values against the freshly
-    /// swapped model (Algorithm 3 line 13 / Eq. 14) and reduce `‖E‖²_F`;
-    /// without, read them as stored — they already are `Ω∗(T − [[model…]])`
-    /// — and write none. Either way, bank the *next* iteration's MTTKRPs
-    /// in the same pass.
+    /// The one sweep over the observed entries, in the prologue and at the
+    /// end of every iteration: evaluate the residual `e = t − [[model…]]`
+    /// at each entry (Algorithm 3 line 13 / Eq. 14), reduce `‖E‖²_F` and,
+    /// in the same pass, bank the *next* iteration's MTTKRPs from those
+    /// values, storing none of them.
     ///
     /// `bank` is the workspace's per-mode `Iₙ×R` buffers, or empty when
-    /// no further iteration will run (a banked MTTKRP would be dead work;
-    /// never empty without `refresh`, where banking is all there is to
-    /// do). The model this step reads is exactly the model every one of the
+    /// no further iteration will run (a banked MTTKRP would be dead work).
+    /// The model this step reads is exactly the model every one of the
     /// next iteration's mode steps reads (the Jacobi swap has already
-    /// happened, and the next one waits for all modes), and the residual
-    /// it leaves is the one they read. So the backend overwrites every
-    /// `bank[n]` with `E₍ₙ₎U⁽ⁿ⁾` during the one sweep and returns
-    /// `‖E‖²_F`, which is read only after a `refresh`.
+    /// happened, and the next one waits for all modes). So the backend
+    /// overwrites every `bank[n]` with `E₍ₙ₎U⁽ⁿ⁾` during the one sweep and
+    /// returns `‖E‖²_F`.
     ///
-    /// A banked MTTKRP is the same bits whether it was banked beside the
-    /// refresh that wrote the values or from the stored values afterwards
-    /// (the decomposition fixes one fold order for both), which is what
-    /// makes a warm or resumed solve bit-identical to an uninterrupted one.
+    /// The sweep is a function of the model and the backend's fixed
+    /// decomposition alone, which is what makes a warm or resumed solve
+    /// bit-identical to an uninterrupted one: its prologue banks what the
+    /// interrupted run's sweep banked against the same factors.
     fn fused_step(
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,
-        residual: &mut Self::Residual,
-        refresh: bool,
         bank: &mut [Mat],
     ) -> Result<f64>;
 
@@ -296,7 +268,7 @@ pub(crate) trait StepBackend {
 /// it into the model after *all* modes finish (the Jacobi ordering that
 /// makes the mode updates distributable).
 pub(crate) fn mode_step<B: StepBackend>(
-    st: &mut SolverState<B::Residual>,
+    st: &mut SolverState,
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
     backend: &mut B,
@@ -323,10 +295,9 @@ pub(crate) fn mode_step<B: StepBackend>(
     gram_product_into(grams, n, f)?;
     backend.on_gram_product()?;
 
-    // Line 10 + Eq. 16: H = A⁽ⁿ⁾ₜFⁿₜ + E₍ₙ₎U⁽ⁿ⁾. The last sweep (or the
-    // entry sweep) left E₍ₙ₎U⁽ⁿ⁾ in the bank — against these very factors
-    // and this residual, the Jacobi swap only happens after every mode
-    // stepped.
+    // Line 10 + Eq. 16: H = A⁽ⁿ⁾ₜFⁿₜ + E₍ₙ₎U⁽ⁿ⁾. The last sweep left
+    // E₍ₙ₎U⁽ⁿ⁾ in the bank — against these very factors, the Jacobi swap
+    // only happens after every mode stepped.
     backend.on_sparse_mttkrp(n)?;
     model.factors()[n].matmul_into(f, &mut mb.numer)?;
     mb.numer.axpy(1.0, &bank[n])?;
@@ -364,68 +335,45 @@ pub(crate) struct ResumePoint {
 /// host driver writes [`checkpoint::Checkpoint`] files; the distributed
 /// driver serializes to its simulated reliable store and charges the
 /// cluster for the collect.
-pub(crate) trait CheckpointSink<R> {
+pub(crate) trait CheckpointSink {
     /// Persist the state after `iters_done` completed iterations.
     /// `st.eta` has already taken that iteration's schedule update, so a
     /// resume continues with exactly the penalty the next iteration would
     /// have read.
     fn save(
         &mut self,
-        st: &SolverState<R>,
+        st: &SolverState,
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()>;
 }
 
 /// The shared outer loop (Algorithm 1 lines 5–17 / Algorithm 3 lines
-/// 6–17): prologue Gram + residual refresh, then per iteration a Jacobi
+/// 6–17): prologue Gram + residual sweep, then per iteration a Jacobi
 /// sweep of [`mode_step`]s, the factor swap with the convergence
-/// statistic, the residual refresh, the trace point, and the `η`
-/// schedule — with the fault-tolerance hooks attached: `resume` continues
-/// a checkpointed solve at its stored iteration cursor, and `sink`
-/// receives snapshots at the cadence of [`AdmmConfig::checkpoint`].
-///
-/// `residual_fresh` is the streaming warm-start contract: when the
-/// caller guarantees the residual values are already exactly
-/// `Ω∗(T − [[A₀…]])` for the initial model (maintained incrementally by
-/// the delta apply path, or restored from a snapshot), the prologue
-/// residual refresh is replaced by the entry sweep, which reads those
-/// values and banks iteration 0's MTTKRPs from them
-/// ([`StepBackend::fused_step`] with `refresh` off). That is bit-invisible:
-/// a refresh would recompute the very same values (the delta path
-/// evaluates the model with the same fold the refresh kernels use), and a
-/// banked MTTKRP is pinned bit-identical whether it was computed beside
-/// the refresh or from the stored values.
-///
-/// Alongside the result, the final residual is handed back to the
-/// caller; after the loop its values are always fresh with respect to
-/// the returned model (the last iteration's `fused_step` refreshed them
-/// after the final factor swap), which is what makes consecutive warm
-/// re-solves chainable.
+/// statistic, the residual sweep, the trace point, and the `η` schedule —
+/// with the fault-tolerance hooks attached: `resume` continues a
+/// checkpointed solve at its stored iteration cursor, and `sink` receives
+/// snapshots at the cadence of [`AdmmConfig::checkpoint`].
 ///
 /// **Bit-exact recovery invariant** (proven by `tests/fault_recovery.rs`
 /// at `DISTENC_THREADS=1` and `=4`): a solve resumed from a checkpoint of
 /// iteration `k` produces, from iteration `k` on, exactly the bits the
 /// uninterrupted run produced. This holds because every input iteration
 /// `k` reads is either stored in the checkpoint (factors, duals `Y`,
-/// post-schedule `η`, residual values) or recomputed deterministically
-/// before its first read (Grams in the prologue; `B` is rewritten from
-/// `ηA − Y` each mode step). The one cross-iteration artifact *not*
-/// restored — the bank — is recomputed by the entry sweep from the
-/// restored residual values and factors, bit-identical by the
-/// [`StepBackend::fused_step`] contract to what the interrupted run's
-/// sweep had banked beside its refresh.
-#[allow(clippy::too_many_arguments)]
+/// post-schedule `η`) or recomputed deterministically from them before
+/// its first read: the Grams and the bank in the prologue — the bank by
+/// the very sweep the interrupted run ran against the same factors — and
+/// `B`, rewritten from `ηA − Y` each mode step.
 pub(crate) fn run<B: StepBackend>(
     observed: &CooTensor,
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
     backend: &mut B,
-    mut st: SolverState<B::Residual>,
-    residual_fresh: bool,
+    mut st: SolverState,
     resume: Option<ResumePoint>,
-    mut sink: Option<&mut dyn CheckpointSink<B::Residual>>,
-) -> Result<(CompletionResult, B::Residual)> {
+    mut sink: Option<&mut dyn CheckpointSink>,
+) -> Result<CompletionResult> {
     // Drivers validate at their API boundary; this guard keeps the shared
     // core safe against a zero-support tensor slipping through a future
     // caller (train RMSE would be 0/0 = NaN).
@@ -440,20 +388,18 @@ pub(crate) fn run<B: StepBackend>(
     };
 
     // Prologue: Grams of the initial factors (Eq. 12 cache), then the
-    // initial residual E₀ = Ω∗(T − [[A₀…]]) (line 5), banking iteration
-    // 0's MTTKRPs in the same sweep — iteration 0 reads the same initial
-    // factors this sweep reads. A resumed solve re-runs the Gram refresh
-    // (recomputing from the restored factors — same bits as the
-    // interrupted run's cache) and, like a warm one, arrives with a fresh
-    // residual: its sweep keeps the values and only banks, and a solve
-    // with no iteration left makes none.
+    // initial residual E₀ = Ω∗(T − [[A₀…]]) (line 5), banking the first
+    // iteration's MTTKRPs in the same sweep — that iteration reads the same
+    // initial factors this sweep reads. Cold, warm and resumed solves alike
+    // (a resumed one recomputes both from the restored factors — the bits
+    // the interrupted run held), and a solve with no iteration left sweeps
+    // nothing.
     for n in 0..n_modes {
         backend.refresh_gram(&st.model.factors()[n], n, &mut st.grams[n])?;
     }
     backend.on_grams_refreshed()?;
-    let more = cfg.max_iters > start_iter;
-    if !residual_fresh || more {
-        sweep(observed, backend, &mut st, !residual_fresh, more)?;
+    if cfg.max_iters > start_iter {
+        sweep(observed, backend, &mut st, true)?;
     }
 
     trace.points.reserve(cfg.max_iters.saturating_sub(start_iter));
@@ -479,10 +425,10 @@ pub(crate) fn run<B: StepBackend>(
         backend.on_grams_refreshed()?;
         backend.on_delta_reduced()?;
 
-        // Line 13: refresh the cached residual for the next iteration —
-        // fused with that iteration's MTTKRPs when one will run.
+        // Line 13: the residual of the new factors, for the train RMSE —
+        // fused with the next iteration's MTTKRPs when one will run.
         let bank_next = t + 1 < cfg.max_iters && delta >= cfg.tol;
-        let frob = finite(sweep(observed, backend, &mut st, true, bank_next)?, t)?;
+        let frob = finite(sweep(observed, backend, &mut st, bank_next)?, t)?;
         let train_rmse = (frob / observed.nnz() as f64).sqrt();
         trace.push(TracePoint {
             iter: t,
@@ -509,8 +455,7 @@ pub(crate) fn run<B: StepBackend>(
         }
     }
 
-    let SolverState { model, residual, .. } = st;
-    Ok((CompletionResult { model, trace, iterations, converged }, residual))
+    Ok(CompletionResult { model: st.model, trace, iterations, converged })
 }
 
 /// `x`, or [`CoreError::NonFinite`] at iteration `iter`: `f64::max` drops a
@@ -521,17 +466,15 @@ fn finite(x: f64, iter: usize) -> Result<f64> {
 
 /// One [`StepBackend::fused_step`]: the core's single decision of whether
 /// the sweep gets the bank (`bank_next`: another iteration will read it).
-/// `refresh` off is the entry sweep over stored values. Returns `‖E‖²_F`.
+/// Returns `‖E‖²_F`.
 fn sweep<B: StepBackend>(
     observed: &CooTensor,
     backend: &mut B,
-    st: &mut SolverState<B::Residual>,
-    refresh: bool,
+    st: &mut SolverState,
     bank_next: bool,
 ) -> Result<f64> {
     let bank: &mut [Mat] = if bank_next { &mut st.ws.bank } else { &mut [] };
-    debug_assert!(refresh || !bank.is_empty(), "a sweep that writes nothing has to bank");
-    backend.fused_step(observed, &st.model, &mut st.residual, refresh, bank)
+    backend.fused_step(observed, &st.model, bank)
 }
 
 #[cfg(test)]
@@ -542,25 +485,20 @@ mod tests {
 
     #[derive(Debug, PartialEq, Clone, Copy)]
     enum Event {
-        /// A refreshing `fused_step`, with the length of the bank it was
-        /// handed.
+        /// A `fused_step`, with the length of the bank it was handed.
         Sweep(usize),
-        /// `fused_step` over stored values, likewise.
-        Entry(usize),
         /// `on_sparse_mttkrp(mode)`.
         Charge(usize),
     }
     use Event::*;
 
-    /// A backend with no residual that logs what the core asks of it and
-    /// banks all of what it is handed: every mode, or nothing.
+    /// A backend that logs what the core asks of it and banks all of what
+    /// it is handed: every mode, or nothing.
     struct Counting {
         log: Vec<Event>,
     }
 
     impl StepBackend for Counting {
-        type Residual = ();
-
         fn refresh_gram(&mut self, factor: &Mat, _mode: usize, out: &mut Mat) -> Result<()> {
             Ok(factor.gram_into(out)?)
         }
@@ -569,12 +507,10 @@ mod tests {
             &mut self,
             _: &CooTensor,
             _: &KruskalTensor,
-            _: &mut (),
-            refresh: bool,
             bank: &mut [Mat],
         ) -> Result<f64> {
             assert!(bank.is_empty() || bank.len() == N, "the bank is all modes or none");
-            self.log.push(if refresh { Sweep(bank.len()) } else { Entry(bank.len()) });
+            self.log.push(Sweep(bank.len()));
             for h in bank {
                 h.fill(0.0);
             }
@@ -593,19 +529,17 @@ mod tests {
 
     /// Drive [`run`] on a tiny order-3 problem and return the backend's log
     /// with the iteration count.
-    fn drive(cfg: &AdmmConfig, residual_fresh: bool, start_iter: usize) -> (Vec<Event>, usize) {
+    fn drive(cfg: &AdmmConfig, start_iter: usize) -> (Vec<Event>, usize) {
         let observed =
             CooTensor::from_entries(vec![3, 2, 2], &[(&[0, 0, 0], 1.0), (&[2, 1, 1], -0.5)])
                 .unwrap();
         let truncated: Vec<_> =
             observed.shape().iter().map(|&d| TruncatedLaplacian::zero(d)).collect();
-        let st = SolverState::new(&observed, &truncated, cfg, None, ()).unwrap();
+        let st = SolverState::new(&observed, &truncated, cfg, None).unwrap();
         let resume = (start_iter > 0)
             .then(|| ResumePoint { start_iter, trace: ConvergenceTrace::new() });
         let mut backend = Counting { log: Vec::new() };
-        let (result, ()) =
-            run(&observed, &truncated, cfg, &mut backend, st, residual_fresh, resume, None)
-                .unwrap();
+        let result = run(&observed, &truncated, cfg, &mut backend, st, resume, None).unwrap();
         (backend.log, result.iterations)
     }
 
@@ -624,7 +558,7 @@ mod tests {
         // Never converges: three full iterations. The prologue and the
         // first two sweeps get the whole bank, the last one none; no mode
         // step sweeps, and every one is charged.
-        let (log, iters) = drive(&cfg(3, 0.0), false, 0);
+        let (log, iters) = drive(&cfg(3, 0.0), 0);
         assert_eq!(iters, 3);
         let mut want = vec![Sweep(N)];
         for t in 0..3 {
@@ -638,34 +572,22 @@ mod tests {
     fn nothing_is_banked_where_nothing_would_read_it() {
         // Converged at iteration 0 (every delta is below an infinite
         // tolerance): its sweep gets no bank, and no iteration follows.
-        let (log, iters) = drive(&cfg(5, f64::INFINITY), false, 0);
+        let (log, iters) = drive(&cfg(5, f64::INFINITY), 0);
         assert_eq!(iters, 1);
         assert_eq!(log, [vec![Sweep(N)], mode_steps(), vec![Sweep(0)]].concat());
 
-        // A carried residual swaps the prologue refresh for the entry
-        // sweep: iteration 0 starts with what the backend banks from the
-        // stored values.
-        let (log, _) = drive(&cfg(2, 0.0), true, 0);
-        assert_eq!(
-            log,
-            [vec![Entry(N)], mode_steps(), vec![Sweep(N)], mode_steps(), vec![Sweep(0)]].concat()
-        );
-
-        // So does a resume, at its first iteration.
-        let (log, iters) = drive(&cfg(3, 0.0), true, 1);
+        // A resume enters the way a cold solve does, at its first
+        // iteration: the prologue sweep banks it.
+        let (log, iters) = drive(&cfg(3, 0.0), 1);
         assert_eq!(iters, 3);
         assert_eq!(
             log,
-            [vec![Entry(N)], mode_steps(), vec![Sweep(N)], mode_steps(), vec![Sweep(0)]].concat()
+            [vec![Sweep(N)], mode_steps(), vec![Sweep(N)], mode_steps(), vec![Sweep(0)]].concat()
         );
 
-        // A resume with its budget already spent has no iteration to bank
-        // for and no value to refresh: not one sweep.
-        let (log, iters) = drive(&cfg(2, 0.0), true, 2);
+        // A budget already spent has no iteration to bank for: not one
+        // sweep.
+        let (log, iters) = drive(&cfg(2, 0.0), 2);
         assert_eq!((log, iters), (vec![], 2));
-
-        // A budget already spent runs nothing at all.
-        let (log, iters) = drive(&cfg(2, 0.0), false, 2);
-        assert_eq!((log, iters), (vec![Sweep(0)], 2));
     }
 }

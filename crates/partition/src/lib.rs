@@ -156,12 +156,9 @@ impl BalanceStats {
 pub struct TensorBlocks {
     /// Per-mode boundary tables.
     pub modes: Vec<ModePartition>,
-    /// `(linear block id, entries)` for non-empty blocks, ascending by id.
+    /// `(linear block id, entries)` for non-empty blocks, ascending by id;
+    /// a block holds its entries in the source tensor's order.
     pub blocks: Vec<(usize, CooTensor)>,
-    /// Per block, parallel to its entries: where each entry sits in the
-    /// source tensor (`positions[b][j]` is block `b`'s entry `j`). Together
-    /// the blocks' positions are a permutation of the source's entries.
-    pub positions: Vec<Vec<usize>>,
     parts_per_mode: Vec<usize>,
 }
 
@@ -209,7 +206,8 @@ impl TensorBlocks {
             .collect();
         // Bucket source positions by block id, walking the source in order
         // (a BTreeMap keeps the blocks in ascending id order), then gather
-        // each block's entries at their exact size.
+        // each block's entries at their exact size; the buckets go with
+        // this call.
         let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> =
             std::collections::BTreeMap::new();
         for (e, (idx, _)) in tensor.iter().enumerate() {
@@ -220,23 +218,18 @@ impl TensorBlocks {
             buckets.entry(id).or_default().push(e);
         }
         let blocks = buckets
-            .iter()
-            .map(|(&id, pos)| {
+            .into_iter()
+            .map(|(id, pos)| {
                 let mut t = CooTensor::new(tensor.shape().to_vec());
                 t.reserve(pos.len());
-                for &e in pos {
+                for e in pos {
                     t.push(tensor.index(e), tensor.value(e))
                         .expect("index already validated by source tensor");
                 }
                 (id, t)
             })
             .collect();
-        TensorBlocks {
-            modes,
-            blocks,
-            positions: buckets.into_values().collect(),
-            parts_per_mode: parts_per_mode.to_vec(),
-        }
+        TensorBlocks { modes, blocks, parts_per_mode: parts_per_mode.to_vec() }
     }
 
     /// Partition counts per mode.
@@ -365,15 +358,15 @@ mod tests {
 
     #[test]
     fn blocks_cover_all_entries() {
-        // Distinct values, so an entry's value names its source entry.
-        let mut unsorted = random_tensor(&[20, 30, 10], 500, 1);
-        for (e, v) in unsorted.values_mut().iter_mut().enumerate() {
-            *v = e as f64;
-        }
+        let unsorted = random_tensor(&[20, 30, 10], 500, 1);
         let mut sorted = unsorted.clone();
         sorted.sort_dedup();
-        for t in [&unsorted, &sorted] {
-            let blocks = TensorBlocks::build(t, &[3, 4, 2]);
+        for mut t in [unsorted, sorted] {
+            // Distinct values, so an entry's value names its source entry.
+            for (e, v) in t.values_mut().iter_mut().enumerate() {
+                *v = e as f64;
+            }
+            let blocks = TensorBlocks::build(&t, &[3, 4, 2]);
             assert_eq!(blocks.total_nnz(), t.nnz());
             // Every entry maps into the block that contains it.
             for (id, block) in &blocks.blocks {
@@ -381,16 +374,16 @@ mod tests {
                     assert_eq!(blocks.block_of(idx), *id);
                 }
             }
-            // Every entry is the source entry its position names, and the
-            // positions of all blocks are a permutation of the source's.
-            assert_eq!(blocks.positions.len(), blocks.blocks.len());
+            // Every entry is the source entry its value names, each block
+            // keeps the source's order, and together the blocks hold every
+            // source entry once.
             let mut seen = vec![false; t.nnz()];
-            for ((_, block), pos) in blocks.blocks.iter().zip(&blocks.positions) {
-                assert_eq!(pos.len(), block.nnz());
-                for (j, &at) in pos.iter().enumerate() {
+            for (_, block) in &blocks.blocks {
+                let at: Vec<usize> = block.values().iter().map(|&v| v as usize).collect();
+                assert!(at.windows(2).all(|w| w[0] < w[1]), "source order");
+                for (j, &at) in at.iter().enumerate() {
                     assert_eq!(block.index(j), t.index(at));
-                    assert_eq!(block.value(j).to_bits(), t.value(at).to_bits());
-                    assert!(!std::mem::replace(&mut seen[at], true), "position {at} twice");
+                    assert!(!std::mem::replace(&mut seen[at], true), "entry {at} twice");
                 }
             }
             assert!(seen.iter().all(|&s| s), "every source entry is in a block");

@@ -97,7 +97,7 @@ impl From<distenc_tensor::TensorError> for StreamError {
 
 /// One validated change set against a tensor of a known shape.
 ///
-/// A batch can carry, in any combination:
+/// A batch can hold, in any combination:
 /// * **growth** — per-mode dimension increases (new slice indices appear
 ///   at the top of each grown mode);
 /// * **inserts** — new nonzeros, which may live in the grown region;

@@ -9,19 +9,19 @@
 //!   nonzeros, value updates to existing entries, and per-mode dimension
 //!   growth. Construction rejects out-of-range and duplicate coordinates
 //!   with typed [`StreamError`]s; nothing panics.
-//! * [`StreamingSolver`] — owns the evolving observed tensor, the current
-//!   model, and the residual values between solves. Applying a batch folds it
-//!   into all three *incrementally* (`O(|Δ|·N·R)` model evaluations; the
-//!   sorted batch located by one forward galloping walk over the entries,
-//!   `O(|Δ|·log(nnz/|Δ|))` probes; one splice) instead of rebuilding
-//!   anything, then a warm re-solve restarts ADMM from the previous
-//!   factors under a convergence budget.
+//! * [`StreamingSolver`] — owns the evolving observed tensor and the
+//!   current model. Applying a batch folds it into both *incrementally*
+//!   (the sorted batch located by one forward galloping walk over the
+//!   entries, `O(|Δ|·log(nnz/|Δ|))` probes; one splice; seeded rows for
+//!   grown slices) instead of rebuilding anything, then a warm re-solve
+//!   restarts ADMM from the previous factors under a convergence budget.
 //!
-//! The warm path is exact, not heuristic: after `apply`, the carried
-//! residual equals `Ω∗(T − [[model…]])` bit-for-bit on the new support, so
-//! a warm [`StreamingSolver::solve`] is bit-identical to
-//! [`distenc_core::AdmmSolver::solve_from`] on the final tensor — only
-//! faster, because the residual skips its `O(nnz)` rebuild.
+//! The warm path is exact, not heuristic: a warm
+//! [`StreamingSolver::solve`] is bit-identical to
+//! [`distenc_core::AdmmSolver::solve_from`] on the final tensor. It keeps
+//! no residual between solves — the residual is a function of the
+//! factors, and the re-solve's first sweep derives it, as every solve's
+//! does — and it contains no eigensolve.
 
 #![warn(missing_docs)]
 

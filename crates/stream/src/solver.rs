@@ -4,7 +4,6 @@ use crate::delta::{DeltaBatch, StreamError};
 use distenc_core::{AdmmConfig, AdmmSolver, CompletionResult};
 use distenc_graph::{Laplacian, TruncatedLaplacian};
 use distenc_linalg::Mat;
-use distenc_tensor::coo::splice_values;
 use distenc_tensor::{CooTensor, KruskalTensor};
 
 /// Seed for the rows appended to a factor when mode `mode` grows past
@@ -18,34 +17,32 @@ fn growth_seed(base: u64, mode: usize, old_rows: usize) -> u64 {
     )
 }
 
-/// Streaming tensor completion: owns the evolving observation set, the
-/// current model, and the residual values carried between solves.
+/// Streaming tensor completion: owns the evolving observation set and the
+/// current model.
 ///
 /// Lifecycle:
 ///
 /// ```text
 /// new(T₀) ── solve() ──▶ model₀            (cold)
 ///    apply(Δ₁)… apply(Δₖ)                  (incremental fold-in)
-///    solve() ──▶ model₁                    (warm: factors + residual)
+///    solve() ──▶ model₁                    (warm: factors)
 ///    apply(Δ…), solve() ──▶ model₂ …
 /// ```
 ///
-/// * `apply` folds a [`DeltaBatch`] into the observed tensor **and** the
-///   carried residual values in one pass over the delta: each touched
-///   cell's value becomes `t − [[model…]](i)`, computed with the same fold
-///   the solver's refresh kernels use, so the carry stays bit-identical to
-///   a from-scratch rebuild. The batch's sorted updates and inserts are
-///   each located by one forward walk ([`CooTensor::search_from`]), and
-///   inserts are searched for once — the search that proves them absent
-///   is the search for where they go — and spliced at those points into
-///   the tensor, then into the carry
-///   ([`CooTensor::splice`], [`splice_values`]): one block-move body.
-/// * `solve` warm-starts ADMM from the previous factors and the carried
-///   residual under the configured convergence budget
-///   ([`StreamingSolver::set_budget`]); its first iteration's MTTKRPs are
-///   banked from the carried values in one sweep. New slice indices get seeded
-///   random rows (deterministic in the config seed, the mode, and the
-///   pre-growth dimension — see the module source) so replays reproduce.
+/// * `apply` folds a [`DeltaBatch`] into the observed tensor in one pass
+///   over the delta. The batch's sorted updates and inserts are each
+///   located by one forward walk ([`CooTensor::search_from`]), and inserts
+///   are searched for once — the search that proves them absent is the
+///   search for where they go — and spliced at those points
+///   ([`CooTensor::splice`]). It evaluates the model nowhere: no residual
+///   is kept between solves.
+/// * `solve` warm-starts ADMM from the previous factors under the
+///   configured convergence budget ([`StreamingSolver::set_budget`]); its
+///   first sweep derives the residual of the new tensor and banks its first
+///   iteration's MTTKRPs, as every solve's does. New slice indices get
+///   seeded random rows (deterministic in the config seed, the mode, and
+///   the pre-growth dimension — see the module source) so replays
+///   reproduce.
 /// * Validation is atomic: a rejected batch leaves the solver untouched.
 /// * The similarity graphs are truncated **once**, in `new` (§III-B: the
 ///   eigendecomposition is precomputed because `L` never changes). The
@@ -64,8 +61,6 @@ pub struct StreamingSolver {
     regularized: Vec<bool>,
     observed: CooTensor,
     model: Option<KruskalTensor>,
-    /// Residual values parallel to `observed`'s entries, fresh for `model`.
-    carry: Option<Vec<f64>>,
     generation: u64,
 }
 
@@ -102,7 +97,6 @@ impl StreamingSolver {
             regularized,
             observed,
             model: None,
-            carry: None,
             generation: 0,
         })
     }
@@ -139,8 +133,8 @@ impl StreamingSolver {
         Ok(())
     }
 
-    /// Fold one validated batch into the observed tensor, the model (new
-    /// slice rows), and the carried residual. All-or-nothing: every check
+    /// Fold one validated batch into the observed tensor and the model (new
+    /// slice rows). All-or-nothing: every check
     /// runs before the first mutation, so a rejected batch leaves the
     /// solver exactly as it was.
     pub fn apply(&mut self, batch: &DeltaBatch) -> crate::Result<()> {
@@ -208,47 +202,27 @@ impl StreamingSolver {
                 }
             }
         }
-        for ((idx, v), &pos) in batch.updates().iter().zip(&update_pos) {
+        for ((_, v), &pos) in batch.updates().iter().zip(&update_pos) {
             self.observed.values_mut()[pos] = *v;
-            if let Some(c) = &mut self.carry {
-                // The model is present whenever a carry is (solve() set
-                // both); keep the residual invariant e = t − [[model]].
-                let model = self.model.as_ref().expect("carry without model");
-                c[pos] = *v - model.eval(idx);
-            }
         }
         if !batch.inserts().is_empty() {
-            // Spliced twice at the searched points: the entries into the
-            // tensor, then their residuals into the carry, which runs
-            // parallel to the tensor's entries.
             let mut patch = CooTensor::new(new_shape);
             patch.reserve(batch.inserts().len());
             for (idx, v) in batch.inserts() {
                 patch.push(idx, *v)?;
             }
             self.observed.splice(&insert_at, &patch)?;
-            if let Some(c) = &mut self.carry {
-                let model = self.model.as_ref().expect("carry without model");
-                let fresh: Vec<f64> =
-                    batch.inserts().iter().map(|(idx, v)| *v - model.eval(idx)).collect();
-                splice_values(c, &insert_at, &fresh)?;
-            }
         }
         Ok(())
     }
 
     /// Re-solve on the host backend. Cold on the first call; afterwards a
-    /// warm restart from the previous factors and the carried residual,
-    /// bit-identical to [`AdmmSolver::solve_from`] on the current tensor.
+    /// warm restart from the previous factors, bit-identical to
+    /// [`AdmmSolver::solve_from`] on the current tensor.
     pub fn solve(&mut self) -> crate::Result<CompletionResult> {
-        let (result, residual) = self.solver.solve_streamed(
-            &self.observed,
-            &self.truncated,
-            self.model.as_ref(),
-            self.carry.take(),
-        )?;
+        let result =
+            self.solver.solve_streamed(&self.observed, &self.truncated, self.model.as_ref())?;
         self.model = Some(result.model.clone());
-        self.carry = Some(residual);
         self.generation += 1;
         Ok(result)
     }
@@ -347,7 +321,7 @@ mod tests {
 
         /// `apply`'s forward walk finds what a search per cell finds: the
         /// same error naming the same cell (and nothing changed), or the
-        /// same tensor and carried residual, bit for bit. Inserts land in
+        /// same tensor and model, bit for bit. Inserts land in
         /// front of the first entry and behind the last (in a grown slice
         /// too), many sharing one point; faults are unobserved updates or
         /// observed inserts, two of a kind, so the one named is the first.
@@ -422,35 +396,27 @@ mod tests {
             }
             let batch = DeltaBatch::try_new(&shape, &growth, inserts, updates).unwrap();
 
-            let (observed, carry) = (s.observed.clone(), s.carry.clone().unwrap());
+            let (observed, factors) = (s.observed.clone(), s.model().unwrap().factors().to_vec());
             let got = s.apply(&batch);
             match per_cell_points(&observed, &batch) {
                 Err(want) => {
                     proptest::prop_assert_eq!(got, Err(want));
                     proptest::prop_assert_eq!(&s.observed, &observed);
-                    proptest::prop_assert_eq!(s.carry.as_ref(), Some(&carry));
+                    proptest::prop_assert_eq!(s.model().unwrap().factors(), &factors[..]);
                 }
                 Ok((update_pos, insert_at)) => {
                     proptest::prop_assert_eq!(got, Ok(()));
-                    let model = s.model().unwrap();
                     let mut want = observed.clone();
                     want.grow_shape(&grown).unwrap();
-                    let mut want_carry = carry.clone();
-                    for ((idx, v), &pos) in batch.updates().iter().zip(&update_pos) {
+                    for ((_, v), &pos) in batch.updates().iter().zip(&update_pos) {
                         want.values_mut()[pos] = *v;
-                        want_carry[pos] = *v - model.eval(idx);
                     }
                     let mut patch = CooTensor::new(grown.clone());
                     for (idx, v) in batch.inserts() {
                         patch.push(idx, *v).unwrap();
                     }
                     want.splice(&insert_at, &patch).unwrap();
-                    let fresh: Vec<f64> =
-                        batch.inserts().iter().map(|(idx, v)| *v - model.eval(idx)).collect();
-                    splice_values(&mut want_carry, &insert_at, &fresh).unwrap();
                     proptest::prop_assert_eq!(&s.observed, &want);
-                    let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    proptest::prop_assert_eq!(bits(s.carry.as_ref().unwrap()), bits(&want_carry));
                 }
             }
         }

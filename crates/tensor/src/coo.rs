@@ -516,17 +516,6 @@ impl KeyLayout {
     }
 }
 
-/// [`CooTensor::splice`] for a list of values alone: insert
-/// `patch_values[k]` in front of the value now at `points[k]`. This is how
-/// a vector that runs parallel to a tensor's entries follows the tensor
-/// through a splice at the same points. The points are checked as the
-/// tensor's are, before anything moves.
-pub fn splice_values(values: &mut Vec<f64>, points: &[usize], patch_values: &[f64]) -> Result<()> {
-    check_points(points, patch_values.len(), values.len())?;
-    splice_runs(values, 1, points, patch_values);
-    Ok(())
-}
-
 /// One insertion point per patch entry, ascending, none past `old`.
 fn check_points(points: &[usize], entries: usize, old: usize) -> Result<()> {
     let ordered = points.windows(2).all(|w| w[0] <= w[1]);
@@ -971,13 +960,6 @@ mod tests {
             rebuilt.sort_dedup();
             proptest::prop_assert_eq!(&got, &rebuilt);
             proptest::prop_assert_eq!(got.nnz(), base.nnz() + absent.nnz());
-            // A vector parallel to the entries follows them through the
-            // same points: the values alone, spliced, are the tensor's.
-            let points: Vec<usize> =
-                absent.iter().map(|(idx, _)| base.search(idx).unwrap_err()).collect();
-            let mut values = base.values().to_vec();
-            splice_values(&mut values, &points, absent.values()).unwrap();
-            proptest::prop_assert_eq!(&values[..], got.values());
         }
     }
 

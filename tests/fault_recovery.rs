@@ -62,9 +62,10 @@ fn tmp_path(tag: &str) -> PathBuf {
 #[test]
 fn crash_recovery_is_bit_exact_at_every_checkpoint_interval() {
     let observed = planted(&[12, 10, 8], 2, 600, 31);
-    // The same cells and values in reverse entry order: a checkpoint maps
-    // the blocked residual to the observed entry order through the
-    // blocking's positions, so an unsorted input recovers like a sorted one.
+    // The same cells and values in reverse entry order: a checkpoint holds
+    // no residual to map back to an entry order (the restored attempt
+    // derives it from the factors), so an unsorted input recovers like a
+    // sorted one.
     let mut reversed = CooTensor::new(observed.shape().to_vec());
     for e in (0..observed.nnz()).rev() {
         reversed.push(observed.index(e), observed.value(e)).unwrap();
@@ -352,6 +353,26 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
+/// The version-1 image of the state in the version-2 `bytes`: stamped 1,
+/// with the residual `T − [[A…]]` of the image's own factors stored after
+/// the support size (as every version-1 writer stored it), and the
+/// checksum recomputed.
+fn v1_image(observed: &CooTensor, bytes: &[u8]) -> Vec<u8> {
+    let ckpt = Checkpoint::from_bytes(bytes).unwrap();
+    let model = distenc::tensor::KruskalTensor::new(ckpt.factors.clone()).unwrap();
+    // The trace and the checksum follow the support size.
+    let trace_at = bytes.len() - (8 + 32 * ckpt.trace.points.len()) - 8;
+    let mut v1 = bytes[..trace_at].to_vec();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    for (idx, t) in observed.iter() {
+        v1.extend_from_slice(&(t - model.eval(idx)).to_bits().to_le_bytes());
+    }
+    v1.extend_from_slice(&bytes[trace_at..bytes.len() - 8]);
+    let sum = fnv1a(&v1);
+    v1.extend_from_slice(&sum.to_le_bytes());
+    v1
+}
+
 /// Resume `ckpt` under a 10-iteration budget and hold it to the
 /// uninterrupted 10-iteration solve `full`, bit for bit.
 fn assert_resumes_to(observed: &CooTensor, mut ckpt: Checkpoint, full: &CompletionResult) {
@@ -395,6 +416,30 @@ fn a_checkpoint_whose_second_reserved_byte_is_cleared_resumes_bit_identically() 
 }
 
 #[test]
+fn a_version_1_checkpoint_resumes_like_its_version_2_image() {
+    // The residual a version-1 file stored is read past: the image holds
+    // the same state as the version-2 one and resumes to the same bits.
+    let observed = planted(&[12, 10, 8], 2, 600, 58);
+    let full = host_solve(&observed, AdmmConfig { max_iters: 10, ..base_cfg() });
+    let path = tmp_path("v1");
+    let interrupted = AdmmConfig {
+        max_iters: 5,
+        checkpoint: Some(CheckpointPolicy::every(5).with_path(&path)),
+        ..base_cfg()
+    };
+    host_solve(&observed, interrupted);
+    let v2 = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let v1 = v1_image(&observed, &v2);
+    assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
+    assert_eq!(v1.len(), v2.len() + 8 * observed.nnz());
+    let (old, new) = (Checkpoint::from_bytes(&v1).unwrap(), Checkpoint::from_bytes(&v2).unwrap());
+    assert_eq!(old, new);
+    assert_eq!(old.nnz, observed.nnz());
+    assert_resumes_to(&observed, old, &full);
+}
+
+#[test]
 fn a_stale_temp_file_does_not_change_a_resume() {
     // A write that died between creating `<path>.tmp` and its rename
     // leaves garbage beside the good snapshot; `resume` reads `<path>`.
@@ -426,20 +471,28 @@ fn corrupted_checkpoint_files_are_typed_errors_not_panics() {
     let cfg =
         AdmmConfig { checkpoint: Some(CheckpointPolicy::every(4).with_path(&path)), ..base_cfg() };
     host_solve(&observed, cfg);
-    let bytes = std::fs::read(&path).unwrap();
+    let v2 = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
+    let points = Checkpoint::from_bytes(&v2).unwrap().trace.points.len();
 
-    // A flipped payload byte trips the checksum.
-    let mut flipped = bytes.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x40;
-    match Checkpoint::from_bytes(&flipped) {
-        Err(CheckpointError::ChecksumMismatch { .. }) => {}
-        other => panic!("expected checksum failure, got {other:?}"),
-    }
+    for bytes in [v1_image(&observed, &v2), v2] {
+        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+        // A flipped payload byte trips the checksum — also the byte before
+        // the trace, the last of version 1's residual block, which is read
+        // past.
+        let trace_at = bytes.len() - 8 - (8 + 32 * points);
+        for at in [bytes.len() / 2, trace_at - 1] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x40;
+            match Checkpoint::from_bytes(&flipped) {
+                Err(CheckpointError::ChecksumMismatch { .. }) => {}
+                other => panic!("v{version}: expected checksum failure, got {other:?}"),
+            }
+        }
 
-    // Truncation at any prefix is typed, never a panic.
-    for cut in [0, 1, 7, bytes.len() / 3, bytes.len() - 1] {
-        assert!(Checkpoint::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+        // Truncation at any prefix is typed, never a panic.
+        for cut in [0, 1, 7, bytes.len() / 3, bytes.len() - 1] {
+            assert!(Checkpoint::from_bytes(&bytes[..cut]).is_err(), "v{version}: cut at {cut}");
+        }
     }
 }

@@ -1,16 +1,18 @@
-//! The sweep that opens a warm or resumed solve banks, bit for bit, what
-//! the plain per-mode MTTKRP computes.
+//! The sweeps bank, bit for bit, what the plain per-mode MTTKRP computes.
 //!
-//! A solve entered on a residual that is already fresh banks from the
-//! *stored* values (one sweep for every mode);
-//! `stored_sweeps_are_bitwise_the_plain_mttkrp` pins that sweep, on every
-//! executor, against `mttkrp` mode by mode. The solve-level references —
-//! that the one schedule computes Algorithm 1 — are `tests/oracle.rs`'s.
+//! A solve's sweep evaluates the residual and banks every mode from it;
+//! the kernel-layer sweeps bank from *stored* values.
+//! `stored_sweeps_are_bitwise_the_plain_mttkrp` pins both, on every
+//! executor, against `mttkrp` mode by mode — of the residual tensor for
+//! the solve's, of the tensor itself for the stored ones. The solve-level
+//! references — that the one schedule computes Algorithm 1 — are
+//! `tests/oracle.rs`'s.
 
 use distenc::linalg::Mat;
 use distenc::dataflow::{ExecMode, Executor};
-use distenc::tensor::fused::{cut_sweep_into, mttkrp_modes_into, BlockCut, EntryValues};
+use distenc::tensor::fused::{cut_sweep_into, mttkrp_modes_into, BlockCut};
 use distenc::tensor::mttkrp::mttkrp;
+use distenc::tensor::residual::residual;
 use distenc::tensor::{CooTensor, KruskalTensor, LayoutKind, TensorLayout};
 
 mod common;
@@ -21,9 +23,9 @@ fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
 
 #[test]
 fn stored_sweeps_are_bitwise_the_plain_mttkrp() {
-    // What the entry into a warm or resumed solve banks: every mode's
-    // MTTKRP of the values as stored, in one sweep over the residual's
-    // cut (one block at these sizes) on any executor — and the same body
+    // What a solve's sweep banks: every mode's MTTKRP of the residual it
+    // evaluates, in one sweep over the observed tensor's cut (one block at
+    // these sizes) on any executor — and the same body over stored values
     // for the sequential COO layout's one-mode `mttkrp_into` and for a run
     // of modes in the middle. Each output must be, bit for bit, the plain
     // `mttkrp` of its mode, over a bank that starts dirty.
@@ -37,6 +39,9 @@ fn stored_sweeps_are_bitwise_the_plain_mttkrp() {
             let model = KruskalTensor::random(shape, rank, rank as u64 + 7);
             let want: Vec<Mat> =
                 (0..shape.len()).map(|m| mttkrp(&x, model.factors(), m).unwrap()).collect();
+            let e = residual(&x, &model).unwrap();
+            let swept: Vec<Mat> =
+                (0..shape.len()).map(|m| mttkrp(&e, model.factors(), m).unwrap()).collect();
             let dirty = || -> Vec<Mat> {
                 shape.iter().enumerate().map(|(m, &d)| Mat::random(d, rank, 90 + m as u64)).collect()
             };
@@ -47,10 +52,9 @@ fn stored_sweeps_are_bitwise_the_plain_mttkrp() {
                 let mut bank = dirty();
                 // Twice: a sweep over its own output must be clean too.
                 for _ in 0..2 {
-                    let stored = EntryValues::Stored(x.values());
-                    cut_sweep_into(&x, &model, stored, &mut bank, &mut cut, exec).unwrap();
+                    cut_sweep_into(&x, &model, &mut bank, &mut cut, exec).unwrap();
                     for (m, h) in bank.iter().enumerate() {
-                        assert_eq!(bits(h), bits(&want[m]), "{label}: all-modes, mode {m}");
+                        assert_eq!(bits(h), bits(&swept[m]), "{label}: all-modes, mode {m}");
                     }
                 }
             }

@@ -12,13 +12,14 @@
 //! per Algorithm 2 block emits all N partial `H`s), so all N updates are
 //! read from the bank and the iteration touches `nnz` entries.
 //!
-//! A solve **entered on a residual that is already fresh** — a streaming
-//! refresh (`StreamingSolver::solve` after an `apply`), `AdmmSolver::resume`
-//! — opens with the *entry sweep* where a cold solve has its prologue
-//! refresh: every mode's MTTKRP banked from the stored values, **1**
-//! sweep, so `k` iterations cost exactly `k + 1` on every executor: the
-//! entry, `k − 1` fused sweeps, the last plain refresh. These are
-//! whole-solve counts, not differences: nothing else in a re-solve sweeps.
+//! Every solve enters the same way: a **warm** one (`StreamingSolver::solve`
+//! after an `apply`) and a **resumed** one (`AdmmSolver::resume`) open with
+//! the prologue sweep a cold solve has, which derives the residual from the
+//! initial factors and banks every mode's MTTKRP — **1** sweep, so `k`
+//! iterations cost exactly `k + 1` on every executor, all of them
+//! evaluating the residual: the prologue, `k − 1` fused sweeps, the last
+//! plain `‖E‖²`. These are whole-solve counts, not differences: nothing
+//! else in a re-solve sweeps (a batch's `apply` evaluates nothing).
 //!
 //! The executor is set explicitly in every case below, so the counts do
 //! not depend on `DISTENC_THREADS` — nor on the host: no executor changes
@@ -80,8 +81,8 @@ fn distenc_sweeps_per_iter(observed: &CooTensor, cfg: &AdmmConfig, exec: ExecMod
 }
 
 /// Entry sweeps of one whole `k`-iteration streaming re-solve: a base
-/// solve, a structural batch (inserts and an update) applied to tensor and
-/// carried residual, then the warm solve that is measured.
+/// solve, a structural batch (inserts and an update) applied to the
+/// tensor, then the warm solve that is measured.
 fn warm_resolve_sweeps(observed: &CooTensor, cfg: &AdmmConfig, k: u64) -> u64 {
     let k = k as usize;
     let laps = vec![None; observed.order()];
@@ -99,7 +100,9 @@ fn warm_resolve_sweeps(observed: &CooTensor, cfg: &AdmmConfig, k: u64) -> u64 {
     let update = vec![(observed.index(3).to_vec(), -0.25)];
     let growth = vec![0; observed.order()];
     let batch = DeltaBatch::try_new(observed.shape(), &growth, absent, update).unwrap();
+    let before = passes::sweeps();
     s.apply(&batch).unwrap();
+    assert_eq!(passes::sweeps(), before, "an apply sweeps nothing");
     s.set_budget(k, cfg.tol).unwrap();
     let before = passes::sweeps();
     let res = s.solve().unwrap();
@@ -154,8 +157,8 @@ fn fused_iterations_sweep_the_nonzeros_once_on_every_executor() {
             assert_eq!(host_per_iter(tensor, &cfg), (1.0, nnz), "{label}");
         }
 
-        // --- Entered on a fresh residual: one entry sweep banks every
-        // mode from the stored values. -------------------------------------
+        // --- Warm and resumed: one prologue sweep banks every mode, as
+        // in a cold solve. ----------------------------------------------------
         let tag = format!("{exec:?}");
         for (tensor, n) in [(&order3, 3u64), (&order4, 4)] {
             for k in [1u64, 4] {
