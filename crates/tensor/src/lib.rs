@@ -18,8 +18,8 @@
 //! * [`residual`] — the sparse residual tensor `E = Ω∗(T − [[A…]])`
 //!   (Eq. 14) that keeps every iteration `O(nnz)`,
 //! * [`fused`] — the one per-entry sweep body, and the block cut
-//!   ([`fused::BlockCut`]) the solver sweeps its residual through on any
-//!   executor,
+//!   ([`fused::BlockCut`]) the solver sweeps the observed tensor through
+//!   on any executor,
 //! * [`layout`] — COO, CSF and cache-blocked tiled [`TensorLayout`]s, the
 //!   kernel structures the benchmark times behind one surface,
 //! * [`dense`] — a tiny dense tensor for test oracles,
