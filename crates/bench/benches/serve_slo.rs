@@ -4,20 +4,15 @@
 //! (open loop: arrivals never wait for completions, so overload shows up
 //! as a latency cliff instead of being hidden by submitter self-
 //! throttling) and walks an offered-QPS ladder past saturation. Writes
-//! `BENCH_serve_slo.json` at the repository root with two sections:
-//!
-//! * `ladder` — one row per offered-QPS rung, each rung run
-//!   [`REPEATS`] times with the runs interleaved across the ladder (so a
-//!   slow phase of the host lands on several rungs, not on all runs of
-//!   one): the median-p99 run's achieved throughput, end-to-end p50/p99
-//!   of *admitted* requests, shed/reject/timeout counts and peak queue
-//!   depth, plus the min and max p99 of the runs; the shed rate is the
-//!   median over the runs, with its min and max. `sustained_qps` is the
-//!   highest rung whose median-p99 run keeps p99 under the SLO target and
-//!   whose median shed rate is under 1%.
-//! * `fairness` — a 3-tenant registry under Zipf-skewed tenant load:
-//!   per-tenant served/shed counts and peak lane occupancy, showing
-//!   deficit-round-robin keeping cold tenants alive under a hot flood.
+//! `BENCH_serve_slo.json` at the repository root. Its `ladder` holds one
+//! row per offered-QPS rung, each rung run [`REPEATS`] times with the runs
+//! interleaved across the ladder (so a slow phase of the host lands on
+//! several rungs, not on all runs of one): the median-p99 run's achieved
+//! throughput, end-to-end p50/p99 of *admitted* requests,
+//! shed/reject/timeout counts and peak queue depth, plus the min and max
+//! p99 of the runs; the shed rate is the median over the runs, with its
+//! min and max. `sustained_qps` is the highest rung whose median-p99 run
+//! keeps p99 under the SLO target and whose median shed rate is under 1%.
 //!
 //! The model's recommendation mode carries a popularity skew (row norms
 //! decay like a power law), as real recommendation factors do. The exact
@@ -134,16 +129,10 @@ fn run_rung(model: &KruskalTensor, qps: f64) -> RungStats {
         capacity: 2048,
         max_batch: 128,
         workers: WORKERS,
-        admission: AdmissionControl {
-            shed_watermark: Some(1536),
-            deadline_aware: true,
-            tenant_share: None,
-        },
+        admission: AdmissionControl { shed_watermark: Some(1536), deadline_aware: true },
     };
     let load = OpenLoopConfig {
         qps,
-        tenants: 1,
-        tenant_zipf: 1.0,
         trace: TraceConfig {
             queries: (qps * RUN_SECS) as usize,
             point_frac: 0.7,
@@ -154,6 +143,7 @@ fn run_rung(model: &KruskalTensor, qps: f64) -> RungStats {
             zipf_exponent: 1.1,
             seed: 42,
         },
+        ..OpenLoopConfig::default()
     };
     let deadline = Some(Duration::from_millis(25));
     let r = serve_open_loop(model, EngineConfig::default(), queue_cfg, &load, deadline)
@@ -161,8 +151,8 @@ fn run_rung(model: &KruskalTensor, qps: f64) -> RungStats {
     RungStats {
         offered_qps: qps,
         achieved_qps: r.achieved_qps(),
-        served: r.served[0],
-        shed: r.shed[0],
+        served: r.served,
+        shed: r.shed,
         rejected: r.rejected,
         timed_out: r.timed_out,
         errors: r.errors,
@@ -171,53 +161,6 @@ fn run_rung(model: &KruskalTensor, qps: f64) -> RungStats {
         shed_rate: r.metrics.shed_rate(),
         depth_peak: r.metrics.queue_depth_peak,
     }
-}
-
-/// Three tenants behind one registry-backed queue under Zipf-skewed
-/// tenant load: per-tenant outcomes and peak lane occupancy.
-fn fairness_section(model: &KruskalTensor) -> String {
-    const TENANTS: [&str; 3] = ["alpha", "beta", "gamma"];
-    let queue_cfg = QueueConfig {
-        capacity: 1024,
-        max_batch: 128,
-        workers: 2,
-        admission: AdmissionControl {
-            shed_watermark: None,
-            deadline_aware: false,
-            tenant_share: Some(512),
-        },
-    };
-    let load = OpenLoopConfig {
-        qps: 50_000.0,
-        tenants: TENANTS.len(),
-        tenant_zipf: 1.2,
-        trace: TraceConfig {
-            queries: 25_000,
-            point_frac: 0.7,
-            batch_frac: 0.15,
-            batch_size: 16,
-            k: 8,
-            topk_budget: None,
-            zipf_exponent: 1.1,
-            seed: 43,
-        },
-    };
-    let r = serve_open_loop(model, EngineConfig::default(), queue_cfg, &load, None)
-        .expect("open-loop fairness run");
-    let rows: Vec<String> = TENANTS
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            format!(
-                "    \"{name}\": {{ \"served\": {}, \"shed\": {}, \"peak_occupancy\": {} }}",
-                r.served[i], r.shed[i], r.queued_peak[i]
-            )
-        })
-        .collect();
-    format!(
-        "  \"fairness\": {{\n    \"tenant_zipf\": 1.2,\n    \"tenant_share\": 512,\n{}\n  }}",
-        rows.join(",\n")
-    )
 }
 
 fn main() {
@@ -244,10 +187,9 @@ fn main() {
     write_bench_json(
         "serve_slo",
         &format!(
-            "  \"workload\": {{ \"shape\": {SHAPE:?}, \"rank\": {RANK}, \"run_secs\": {RUN_SECS}, \"runs_per_rung\": {REPEATS}, \"workers\": {WORKERS}, \"mix\": \"70% point / 15% batch(16) / 15% top-8\" }},\n  \"slo\": {{ \"p99_target_us\": {:.0}, \"max_shed_rate\": {MAX_SHED_RATE}, \"sustained_qps\": {sustained:.0} }},\n  \"ladder\": [\n{}\n  ],\n{},\n  \"note\": \"Open-loop Poisson arrivals (arrivals never wait for completions); p50/p99 are end-to-end latency of admitted requests from a log-linear histogram (16 sub-buckets per octave: a quantile is its bucket's upper edge, at most 6.25% over the true value and never under); each rung is run {REPEATS} times, interleaved across the ladder, and its row is the run with the median p99 (p99_us_min/max: the spread over the runs) except shed_rate, the median over the runs (shed_rate_min/max: their spread); sustained_qps is the highest rung whose median-p99 run has p99 under target and zero capacity rejections and whose median shed rate is under {MAX_SHED_RATE}; past saturation the watermark shedder answers excess load with typed Shed responses so admitted-request p99 stays bounded\"",
+            "  \"workload\": {{ \"shape\": {SHAPE:?}, \"rank\": {RANK}, \"run_secs\": {RUN_SECS}, \"runs_per_rung\": {REPEATS}, \"workers\": {WORKERS}, \"mix\": \"70% point / 15% batch(16) / 15% top-8\" }},\n  \"slo\": {{ \"p99_target_us\": {:.0}, \"max_shed_rate\": {MAX_SHED_RATE}, \"sustained_qps\": {sustained:.0} }},\n  \"ladder\": [\n{}\n  ],\n  \"note\": \"Open-loop Poisson arrivals (arrivals never wait for completions); p50/p99 are end-to-end latency of admitted requests from a log-linear histogram (16 sub-buckets per octave: a quantile is its bucket's upper edge, at most 6.25% over the true value and never under); each rung is run {REPEATS} times, interleaved across the ladder, and its row is the run with the median p99 (p99_us_min/max: the spread over the runs) except shed_rate, the median over the runs (shed_rate_min/max: their spread); sustained_qps is the highest rung whose median-p99 run has p99 under target and zero capacity rejections and whose median shed rate is under {MAX_SHED_RATE}; past saturation the watermark shedder answers excess load with typed Shed responses so admitted-request p99 stays bounded\"",
             P99_TARGET.as_secs_f64() * 1e6,
             ladder.join(",\n"),
-            fairness_section(&model),
         ),
     );
 }

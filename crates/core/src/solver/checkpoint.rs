@@ -251,9 +251,22 @@ impl Checkpoint {
         }
     }
 
-    /// Serialize to the version-2 byte format (checksum included).
+    /// Length of the version-2 image: magic, version and four flag
+    /// bytes, then 8-byte words — ten of config, the shape and its
+    /// length, `iters_done` and η, each matrix with its two dimensions,
+    /// the support size, the trace and its length, and the checksum.
+    fn encoded_len(&self) -> usize {
+        let mats: usize =
+            self.factors.iter().chain(&self.y_mul).map(|m| 2 + m.rows() * m.cols()).sum();
+        let words = 10 + 1 + self.shape.len() + 2 + mats + 1 + 1 + 4 * self.trace.points.len() + 1;
+        4 + 4 + 4 + 8 * words
+    }
+
+    /// Serialize to the version-2 byte format (checksum included), into a
+    /// buffer sized once from the image's length.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::new() };
+        let len = self.encoded_len();
+        let mut w = Writer { buf: Vec::with_capacity(len) };
         w.buf.extend_from_slice(&MAGIC);
         w.u32(VERSION);
         let c = &self.config;
@@ -296,6 +309,7 @@ impl Checkpoint {
         }
         let sum = fnv1a(&w.buf);
         w.u64(sum);
+        debug_assert_eq!(w.buf.len(), len, "encoded_len disagrees with the image");
         w.buf
     }
 
@@ -538,7 +552,9 @@ mod tests {
     #[test]
     fn round_trip_is_bit_exact() {
         let ck = sample();
-        let back = Checkpoint::from_bytes(&ck.to_bytes()).unwrap();
+        let bytes = ck.to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len(), "the image is one buffer of its own length");
+        let back = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(back.shape, ck.shape);
         assert_eq!(back.iters_done, ck.iters_done);
         assert_eq!(back.eta.to_bits(), ck.eta.to_bits());

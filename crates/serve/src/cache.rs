@@ -20,7 +20,7 @@ struct Node<K, V> {
 
 /// Fixed-capacity LRU map from `K` to `V`.
 #[derive(Debug)]
-pub struct LruCache<K, V> {
+pub(crate) struct LruCache<K, V> {
     map: HashMap<K, usize>,
     nodes: Vec<Node<K, V>>,
     free: Vec<usize>,
@@ -31,7 +31,7 @@ pub struct LruCache<K, V> {
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Create a cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         LruCache {
             map: HashMap::with_capacity(capacity),
             nodes: Vec::with_capacity(capacity),
@@ -42,23 +42,20 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Configured maximum entry count.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current entry count.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// True iff the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
     /// Look up `key`, promoting it to most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
         let slot = *self.map.get(key)?;
         self.unlink(slot);
         self.push_front(slot);
@@ -67,7 +64,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Insert or overwrite `key`, evicting the least-recently-used entry
     /// if the cache is full. No-op when capacity is 0.
-    pub fn put(&mut self, key: K, value: V) {
+    pub(crate) fn put(&mut self, key: K, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -98,7 +95,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Drop every entry, keeping allocated capacity.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    fn clear(&mut self) {
         self.map.clear();
         self.free.clear();
         self.free.extend(0..self.nodes.len());

@@ -62,7 +62,7 @@ impl Engine {
     /// metrics. This is how [`crate::LiveEngine`] keeps one continuous
     /// counter stream across model generations: each published engine is
     /// fresh, the metrics are shared.
-    pub fn with_metrics(
+    pub(crate) fn with_metrics(
         model: &KruskalTensor,
         cfg: EngineConfig,
         metrics: Arc<ServeMetrics>,
@@ -92,22 +92,12 @@ impl Engine {
     }
 
     /// Shape of the served tensor.
-    pub fn shape(&self) -> &[usize] {
+    pub(crate) fn shape(&self) -> &[usize] {
         self.store.shape()
     }
 
-    /// CP rank of the served model.
-    pub fn rank(&self) -> usize {
-        self.store.rank()
-    }
-
-    /// Live counters (shared; cheap to read any time).
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
-    }
-
     /// Clonable handle to the counters, for worker threads and reporters.
-    pub fn metrics_handle(&self) -> Arc<ServeMetrics> {
+    pub(crate) fn metrics_handle(&self) -> Arc<ServeMetrics> {
         Arc::clone(&self.metrics)
     }
 
@@ -123,7 +113,7 @@ impl Engine {
     }
 
     /// Check a full index tuple against the served shape.
-    pub fn validate_index(&self, index: &[usize]) -> Result<()> {
+    pub(crate) fn validate_index(&self, index: &[usize]) -> Result<()> {
         let shape = self.store.shape();
         if index.len() != shape.len() {
             return Err(ServeError::BadQuery(format!(

@@ -14,13 +14,12 @@
 //!
 //! Around the engine sit the production pieces: an LRU cache for
 //! repeated top-K queries that each engine owns, a hot-swappable
-//! [`LiveEngine`] publishing model generations, a [`ModelRegistry`] of
-//! named live engines, a bounded, work-conserving request queue
-//! ([`ServeQueue`]: it fronts a registry — one tenant per lane, resolved
-//! once — and a worker takes whatever arrived while it was busy and parks
-//! only when nothing has), per-query deadlines with graceful degradation
-//! (top-K returns best-so-far), and a [`ServeMetrics`] counter block
-//! mirroring the accounting style of `dataflow::Metrics`.
+//! [`LiveEngine`] publishing model generations, a bounded,
+//! work-conserving request queue in front of one live engine
+//! ([`ServeQueue`]: a worker takes whatever arrived while it was busy and
+//! parks only when nothing has), per-query deadlines with graceful
+//! degradation (top-K returns best-so-far), and a [`ServeMetrics`]
+//! counter block mirroring the accounting style of `dataflow::Metrics`.
 //!
 //! ```
 //! use distenc_serve::{Engine, EngineConfig, TopKQuery};
@@ -38,29 +37,26 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod engine;
 pub mod live;
 pub mod metrics;
 pub mod queue;
-pub mod registry;
 pub mod store;
 pub mod ticket;
 pub mod topk;
 pub mod workload;
 
-pub use cache::LruCache;
 pub use engine::{Engine, EngineConfig};
-pub use live::{LiveEngine, Pinned, Tagged};
+pub use live::{LiveEngine, Tagged};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
-pub use queue::{AdmissionControl, QueueConfig, ServeQueue, SubmitOpts};
-pub use registry::ModelRegistry;
+pub use queue::{AdmissionControl, QueueConfig, ServeQueue};
 pub use store::FactorStore;
 pub use ticket::{Request, Response, ShedReason, Ticket};
 pub use topk::{TopKItem, TopKQuery, TopKResult, DEADLINE_CHECK_EVERY};
 pub use workload::{
     open_loop_trace, replay_direct, replay_queued, serve_open_loop, synth_trace, OpenLoopConfig,
-    OpenLoopReport, TimedRequest, TraceConfig, ZipfSampler,
+    OpenLoopReport, TimedRequest, TraceConfig,
 };
 
 /// Errors surfaced by the serving layer.
@@ -77,10 +73,6 @@ pub enum ServeError {
     },
     /// The queue has shut down and no longer accepts work.
     ShuttingDown,
-    /// A tenant name is not present in the model registry.
-    UnknownTenant(String),
-    /// A tenant name is already present in the model registry.
-    AlreadyRegistered(String),
     /// A model factor holds a `NaN` or infinite value; it is never served.
     NonFiniteModel {
         /// The mode whose factor holds it.
@@ -97,10 +89,6 @@ impl std::fmt::Display for ServeError {
                 write!(f, "request queue full (capacity {capacity})")
             }
             ServeError::ShuttingDown => write!(f, "serve queue is shutting down"),
-            ServeError::UnknownTenant(name) => write!(f, "unknown tenant {name:?}"),
-            ServeError::AlreadyRegistered(name) => {
-                write!(f, "tenant {name:?} is already registered")
-            }
             ServeError::NonFiniteModel { mode } => {
                 write!(f, "model factor {mode} holds a non-finite value")
             }

@@ -117,7 +117,7 @@ impl LiveEngine {
     }
 
     /// Live counters, continuous across generations.
-    pub fn metrics(&self) -> &ServeMetrics {
+    pub(crate) fn metrics(&self) -> &ServeMetrics {
         &self.metrics
     }
 
@@ -134,14 +134,6 @@ impl LiveEngine {
         Ok(Tagged { value, generation: slot.generation })
     }
 
-    /// Batch scoring (see [`Engine::batch`]); the whole batch is served
-    /// by one generation.
-    pub fn batch<I: AsRef<[usize]>>(&self, indices: &[I]) -> Result<Tagged<Vec<f64>>> {
-        let slot = self.slot.load_full();
-        let value = slot.engine.batch(indices)?;
-        Ok(Tagged { value, generation: slot.generation })
-    }
-
     /// Top-K search (see [`Engine::topk`]); cache and scan both run
     /// against the pinned generation.
     pub fn topk(&self, query: &TopKQuery, budget: Option<Duration>) -> Result<Tagged<TopKResult>> {
@@ -155,7 +147,7 @@ impl LiveEngine {
     /// one `(engine, generation)` pair alive for its whole lifetime — the
     /// queue uses this to serve an entire drained batch from a single
     /// coherent model even if a publish lands mid-batch.
-    pub fn pin(&self) -> Pinned {
+    pub(crate) fn pin(&self) -> Pinned {
         Pinned { slot: self.slot.load_full() }
     }
 }
@@ -164,18 +156,19 @@ impl LiveEngine {
 /// `Pinned` keeps its generation's engine alive; publishes proceed
 /// unblocked and new pins see the new model.
 #[derive(Debug)]
-pub struct Pinned {
+pub(crate) struct Pinned {
     slot: Arc<GenerationSlot>,
 }
 
 impl Pinned {
     /// The pinned engine; every query through it is served by one model.
-    pub fn engine(&self) -> &Engine {
+    pub(crate) fn engine(&self) -> &Engine {
         &self.slot.engine
     }
 
     /// The pinned generation tag.
-    pub fn generation(&self) -> u64 {
+    #[cfg(test)]
+    fn generation(&self) -> u64 {
         self.slot.generation
     }
 }
@@ -231,11 +224,8 @@ mod tests {
             assert_eq!(live.publish(&model).unwrap_err(), refused);
             assert_eq!(live.generation(), 1);
             assert_eq!(live.point(&[3, 3, 3]).unwrap().value, m1.eval(&[3, 3, 3]));
-            // And on every other road to serving.
+            // Nor is it served as a first generation.
             assert_eq!(LiveEngine::new(&model, EngineConfig::default()).unwrap_err(), refused);
-            let registry = crate::ModelRegistry::new();
-            let registered = registry.register("t", &model, EngineConfig::default());
-            assert_eq!(registered.unwrap_err(), refused);
         }
         let s = live.snapshot();
         assert_eq!((s.models_published, s.models_failed), (1, 3));

@@ -123,7 +123,6 @@ pub struct ServeMetrics {
     serving_generation: AtomicU64,
     sheds_queue_depth: AtomicU64,
     sheds_deadline: AtomicU64,
-    sheds_tenant_share: AtomicU64,
     queue_depth: AtomicU64,
     queue_depth_peak: AtomicU64,
     submits: AtomicU64,
@@ -135,7 +134,7 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Fresh, zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -161,7 +160,7 @@ impl ServeMetrics {
     }
 
     /// A query blew its deadline before (or while) being served.
-    pub fn deadline_miss(&self) {
+    pub(crate) fn deadline_miss(&self) {
         self.deadline_misses.fetch_add(1, Relaxed);
     }
 
@@ -175,26 +174,26 @@ impl ServeMetrics {
     }
 
     /// The bounded queue rejected a submission.
-    pub fn queue_rejection(&self) {
+    pub(crate) fn queue_rejection(&self) {
         self.queue_rejections.fetch_add(1, Relaxed);
     }
 
     /// One batch drained from the queue and executed.
-    pub fn batch_executed(&self) {
+    pub(crate) fn batch_executed(&self) {
         self.batches_executed.fetch_add(1, Relaxed);
     }
 
     /// A new model generation went live (hot swap). Counters are relaxed
     /// like everything here — the *swap itself* is ordered by the
     /// engine-handle cell, these only feed reporting.
-    pub fn publish(&self, generation: u64) {
+    pub(crate) fn publish(&self, generation: u64) {
         self.models_published.fetch_add(1, Relaxed);
         self.serving_generation.store(generation, Relaxed);
     }
 
     /// A publish refused its model; the previously published generation
     /// keeps serving.
-    pub fn publish_failed(&self) {
+    pub(crate) fn publish_failed(&self) {
         self.models_failed.fetch_add(1, Relaxed);
     }
 
@@ -203,20 +202,19 @@ impl ServeMetrics {
         let counter = match reason {
             ShedReason::QueueDepth { .. } => &self.sheds_queue_depth,
             ShedReason::DeadlineInfeasible { .. } => &self.sheds_deadline,
-            ShedReason::TenantShare { .. } => &self.sheds_tenant_share,
         };
         counter.fetch_add(1, Relaxed);
     }
 
     /// Record the queue depth after a submit or drain (keeps the gauge
     /// and its high-water mark current).
-    pub fn queue_depth_update(&self, depth: usize) {
+    pub(crate) fn queue_depth_update(&self, depth: usize) {
         let depth = depth as u64;
         self.queue_depth.store(depth, Relaxed);
         self.queue_depth_peak.fetch_max(depth, Relaxed);
     }
 
-    /// One request entered a lane, leaving `depth` queued; `woke` says
+    /// One request entered the queue, leaving `depth` queued; `woke` says
     /// the submit found a parked worker and paid the wake-up for it.
     pub(crate) fn submitted(&self, depth: usize, woke: bool) {
         self.submits.fetch_add(1, Relaxed);
@@ -236,13 +234,13 @@ impl ServeMetrics {
     }
 
     /// Record one served-query latency.
-    pub fn record_latency(&self, lat: Duration) {
+    pub(crate) fn record_latency(&self, lat: Duration) {
         self.latency.record(lat);
     }
 
     /// Consistent-enough snapshot of all counters (individual loads are
     /// relaxed; serving continues while snapshotting).
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             point_queries: self.point_queries.load(Relaxed),
             batch_queries: self.batch_queries.load(Relaxed),
@@ -261,7 +259,6 @@ impl ServeMetrics {
             serving_generation: self.serving_generation.load(Relaxed),
             sheds_queue_depth: self.sheds_queue_depth.load(Relaxed),
             sheds_deadline: self.sheds_deadline.load(Relaxed),
-            sheds_tenant_share: self.sheds_tenant_share.load(Relaxed),
             queue_depth: self.queue_depth.load(Relaxed),
             queue_depth_peak: self.queue_depth_peak.load(Relaxed),
             submits: self.submits.load(Relaxed),
@@ -323,13 +320,11 @@ pub struct MetricsSnapshot {
     pub sheds_queue_depth: u64,
     /// Submissions shed because their deadline was infeasible at admit.
     pub sheds_deadline: u64,
-    /// Submissions shed because their tenant exceeded its queue share.
-    pub sheds_tenant_share: u64,
     /// Queue depth at snapshot time (gauge, not a counter).
     pub queue_depth: u64,
     /// High-water mark of the queue depth.
     pub queue_depth_peak: u64,
-    /// Requests that entered a lane (admitted, not shed or rejected).
+    /// Requests that entered the queue (admitted, not shed or rejected).
     pub submits: u64,
     /// Submits that found a worker parked on an empty queue and woke it:
     /// `worker_wakes / submits` is the share that paid a futex call.
@@ -390,7 +385,7 @@ impl MetricsSnapshot {
 
     /// Total submissions shed by admission control, over all causes.
     pub fn sheds(&self) -> u64 {
-        self.sheds_queue_depth + self.sheds_deadline + self.sheds_tenant_share
+        self.sheds_queue_depth + self.sheds_deadline
     }
 
     /// Fraction of queue submissions shed by admission control, in
@@ -438,12 +433,11 @@ impl std::fmt::Display for MetricsSnapshot {
         writeln!(f, "queue rejections    : {}", self.queue_rejections)?;
         writeln!(
             f,
-            "sheds               : {} ({:.1}% of admits; depth {} / deadline {} / tenant {})",
+            "sheds               : {} ({:.1}% of admits; depth {} / deadline {})",
             self.sheds(),
             100.0 * self.shed_rate(),
             self.sheds_queue_depth,
-            self.sheds_deadline,
-            self.sheds_tenant_share
+            self.sheds_deadline
         )?;
         writeln!(
             f,

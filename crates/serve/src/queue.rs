@@ -1,5 +1,5 @@
-//! Bounded, work-conserving request queue with per-tenant fair queuing
-//! and admission control.
+//! Bounded, work-conserving request queue with admission control, in
+//! front of one [`LiveEngine`].
 //!
 //! Callers [`submit`](ServeQueue::submit) requests and get back a
 //! [`Ticket`]; worker threads drain the queue in batches, coalescing
@@ -9,13 +9,13 @@
 //! ## Work-conserving batching
 //!
 //! A worker parks only when the queue is empty, and the moment it is
-//! free it takes whatever is queued (up to `max_batch`). A batch is
-//! therefore exactly what arrived while the previous one executed: about
-//! one request under light load, full batches under overload. Nothing
-//! lingers for company, so there is no batching delay to tune. A submit
-//! wakes a worker only when one is parked (a count kept under the lane
-//! lock says so); while the workers are busy a submit makes no system
-//! call at all.
+//! free it takes whatever is queued (up to `max_batch`), oldest first. A
+//! batch is therefore exactly what arrived while the previous one
+//! executed: about one request under light load, full batches under
+//! overload. Nothing lingers for company, so there is no batching delay
+//! to tune. A submit wakes a worker only when one is parked (a count kept
+//! under the queue lock says so); while the workers are busy a submit
+//! makes no system call at all.
 //!
 //! ## Backpressure and admission control
 //!
@@ -24,58 +24,42 @@
 //! 1. **Capacity** — when the queue is at capacity, `submit` returns
 //!    [`ServeError::QueueFull`] instead of buffering unboundedly.
 //! 2. **Load shedding** (opt-in via [`AdmissionControl`]) — past a depth
-//!    watermark, over a tenant's queue share, or holding a deadline the
-//!    backlog makes infeasible, the request is *accepted and immediately
-//!    answered* with a typed [`Response::Shed`], so callers can tell "the
-//!    server chose not to serve this" from failure, and every ticket
-//!    still resolves to exactly one response.
+//!    watermark, or holding a deadline the backlog makes infeasible, the
+//!    request is *accepted and immediately answered* with a typed
+//!    [`Response::Shed`], so callers can tell "the server chose not to
+//!    serve this" from failure, and every ticket still resolves to
+//!    exactly one response.
 //!
-//! A submit takes the lane lock once: it finds its tenant's lane, then
-//! decides capacity and every shedder on the depth it holds, so
-//! `capacity` is an exact bound, and pushes. A request already past
-//! its deadline when drained is answered [`Response::TimedOut`] (top-K
-//! requests additionally degrade gracefully inside their own scan budget
-//! — see [`Engine::topk`]).
+//! A submit takes the queue lock once and decides capacity and both
+//! shedders on the depth it holds, so `capacity` is an exact bound, and
+//! pushes. A request already past its deadline when drained is answered
+//! [`Response::TimedOut`] (top-K requests additionally degrade gracefully
+//! inside their own scan budget — see [`Engine::topk`]).
 //!
-//! ## Fair queuing across tenants
+//! ## One model generation per batch
 //!
-//! Requests are queued into per-tenant lanes and drained by deficit
-//! round-robin: each visit grants a lane eight credits, each
-//! dequeued request costs one, so a hot tenant flooding its lane cannot
-//! starve the rest — every lane gets a proportional share of every batch.
-//! With one tenant this degenerates to plain FIFO.
-//!
-//! The queue fronts a [`ModelRegistry`] ([`ServeQueue::with_registry`]);
-//! [`ServeQueue::new`] fronts a one-tenant registry of its engine, named
-//! `"default"`. A lane is created by the first submit naming a registered
-//! tenant and resolves that tenant's [`LiveEngine`] then, once (the
-//! registry is append-only); a submit naming any other tenant is
-//! [`ServeError::UnknownTenant`]. A drained batch pins each lane's
-//! generation once, so a publish landing mid-batch never splits a batch
-//! across models.
+//! A drained batch pins the [`LiveEngine`]'s generation once, so a
+//! publish landing mid-batch never splits a batch across models.
+//! [`ServeQueue::new`] serves a plain [`Engine`] as generation 1;
+//! [`ServeQueue::live`] fronts a live engine someone publishes to. Either
+//! way the queue's counters land in the engine's own [`ServeMetrics`], so
+//! queue and engine accounting stay one stream.
 //!
 //! With `workers: 0` no threads are spawned and the owner drives the
 //! queue by calling [`drain_once`](ServeQueue::drain_once) — this is the
 //! deterministic mode the tests and the replay harness use.
+//!
+//! [`ServeMetrics`]: crate::ServeMetrics
 
 use crate::engine::Engine;
-use crate::live::{LiveEngine, Pinned};
-use crate::registry::ModelRegistry;
+use crate::live::LiveEngine;
 use crate::ticket::{Promise, Request, Response, ShedReason, Ticket};
 use crate::{Result, ServeError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Lane of a submit that names no tenant, and the one tenant of a
-/// [`ServeQueue::new`] queue.
-const DEFAULT_TENANT: &str = "default";
-
-/// Deficit-round-robin credits granted per lane visit when forming a
-/// batch.
-const FAIR_QUANTUM: usize = 8;
 
 /// Opt-in load-shedding policy (see the module docs). The default sheds
 /// nothing: the only backpressure is the capacity bound.
@@ -90,10 +74,6 @@ pub struct AdmissionControl {
     /// ahead of the request times the workers' measured mean batch
     /// service time (zero, so nothing is shed, until a batch has run).
     pub deadline_aware: bool,
-    /// Shed a tenant's submissions while it already has this many queued
-    /// (`None` = off). Caps how much of the shared queue one tenant can
-    /// hold, complementing drain-side fairness with admit-side fairness.
-    pub tenant_share: Option<usize>,
 }
 
 /// Tunables for [`ServeQueue`].
@@ -120,81 +100,26 @@ impl Default for QueueConfig {
     }
 }
 
-/// Per-request options of [`ServeQueue::submit_with`]; the default is
-/// what [`ServeQueue::submit`] uses.
-#[derive(Debug, Clone, Copy)]
-pub struct SubmitOpts<'a> {
-    /// The registered tenant to queue for: its lane, and the engine that
-    /// serves it. Defaults to `"default"`, the one tenant of a
-    /// [`ServeQueue::new`] queue.
-    pub tenant: &'a str,
-    /// The request must *start* executing within this long of
-    /// submission; otherwise it resolves to [`Response::TimedOut`].
-    pub deadline: Option<Duration>,
-}
-
-impl Default for SubmitOpts<'_> {
-    fn default() -> Self {
-        SubmitOpts { tenant: DEFAULT_TENANT, deadline: None }
-    }
-}
-
 #[derive(Debug)]
 struct Job {
     req: Request,
-    /// Index of the job's lane in `QueueState::lanes`.
-    lane: usize,
     deadline: Option<Instant>,
     admitted: Instant,
     promise: Promise,
 }
 
-/// One tenant's FIFO lane, the engine that serves it, and its
-/// deficit-round-robin credit.
-#[derive(Debug)]
-struct Lane {
-    tenant: Arc<str>,
-    engine: Arc<LiveEngine>,
-    jobs: VecDeque<Job>,
-    deficit: usize,
-    peak: usize,
-}
-
-/// All queued work, organized into per-tenant lanes (append-only, so a
-/// lane's index names it for the queue's lifetime).
+/// All queued work, oldest first.
 #[derive(Debug, Default)]
 struct QueueState {
-    lanes: Vec<Lane>,
-    by_tenant: HashMap<Arc<str>, usize>,
-    /// Requests queued across all lanes.
-    total: usize,
-    cursor: usize,
+    jobs: VecDeque<Job>,
     /// Workers waiting on `Shared::cv` for the queue to become non-empty.
     parked: usize,
 }
 
-impl QueueState {
-    /// The lane of `tenant`, created on its first submit with the engine
-    /// `registry` holds for it.
-    fn lane_index(&mut self, tenant: &str, registry: &ModelRegistry) -> Result<usize> {
-        if let Some(&i) = self.by_tenant.get(tenant) {
-            return Ok(i);
-        }
-        let engine =
-            registry.engine(tenant).ok_or_else(|| ServeError::UnknownTenant(tenant.to_string()))?;
-        let name: Arc<str> = Arc::from(tenant);
-        let lane =
-            Lane { tenant: Arc::clone(&name), engine, jobs: VecDeque::new(), deficit: 0, peak: 0 };
-        self.lanes.push(lane);
-        self.by_tenant.insert(name, self.lanes.len() - 1);
-        Ok(self.lanes.len() - 1)
-    }
-}
-
 #[derive(Debug)]
 struct Shared {
-    /// The tenants served; queue-level counters go to its fleet metrics.
-    registry: Arc<ModelRegistry>,
+    /// The model served; queue counters go to its metrics.
+    engine: Arc<LiveEngine>,
     cfg: QueueConfig,
     state: Mutex<QueueState>,
     cv: Condvar,
@@ -220,7 +145,7 @@ impl Shared {
     }
 }
 
-/// Bounded, batching front of a [`ModelRegistry`].
+/// Bounded, batching front of one [`LiveEngine`].
 #[derive(Debug)]
 pub struct ServeQueue {
     shared: Arc<Shared>,
@@ -228,29 +153,26 @@ pub struct ServeQueue {
 }
 
 impl ServeQueue {
-    /// Serve `engine` as the one tenant, `"default"`, and spawn the
-    /// configured worker threads. Queue counters go to the engine's own
-    /// metrics, so queue and engine accounting stay one stream.
+    /// Serve `engine` (as generation 1) and spawn the configured worker
+    /// threads. Queue counters go to the engine's own metrics.
     pub fn new(engine: Arc<Engine>, cfg: QueueConfig) -> Result<Self> {
-        Self::with_registry(Arc::new(ModelRegistry::of_engine(DEFAULT_TENANT, engine)), cfg)
+        Self::live(Arc::new(LiveEngine::serving(engine)), cfg)
     }
 
-    /// Front a multi-model [`ModelRegistry`]: each request is routed to
-    /// the engine of its [`SubmitOpts::tenant`], and queue counters go to
-    /// the registry's fleet metrics. Tenant-less submits go to a tenant
-    /// named `"default"` (servable only if one is registered).
-    pub fn with_registry(registry: Arc<ModelRegistry>, cfg: QueueConfig) -> Result<Self> {
+    /// Front a hot-swappable engine: each drained batch is served by the
+    /// generation current when it was drained, and queue counters go to
+    /// the engine's metrics.
+    pub fn live(engine: Arc<LiveEngine>, cfg: QueueConfig) -> Result<Self> {
         let counts = [
             ("capacity", Some(cfg.capacity)),
             ("max_batch", Some(cfg.max_batch)),
             ("shed_watermark", cfg.admission.shed_watermark),
-            ("tenant_share", cfg.admission.tenant_share),
         ];
         if let Some((name, _)) = counts.iter().find(|(_, count)| *count == Some(0)) {
             return Err(ServeError::BadConfig(format!("queue {name} must be at least 1")));
         }
         let shared = Arc::new(Shared {
-            registry,
+            engine,
             cfg: cfg.clone(),
             state: Mutex::new(QueueState::default()),
             cv: Condvar::new(),
@@ -269,41 +191,36 @@ impl ServeQueue {
         Ok(ServeQueue { shared, workers })
     }
 
-    /// Enqueue a request into the default lane with no deadline.
+    /// Enqueue a request with no deadline.
     pub fn submit(&self, req: Request) -> Result<Ticket> {
-        self.submit_with(req, SubmitOpts::default())
+        self.submit_with(req, None)
     }
 
-    /// Enqueue a request into `opts.tenant`'s lane with an optional
-    /// end-to-end deadline. A tenant the registry does not hold is
-    /// [`ServeError::UnknownTenant`], with nothing queued or counted. A
+    /// Enqueue a request that must *start* executing within `deadline` of
+    /// submission; otherwise it resolves to [`Response::TimedOut`]. A
     /// caller that wants to ride out a momentary
     /// [`ServeError::QueueFull`] loops over this (see
     /// [`crate::replay_queued`]); every refused attempt counts in
     /// [`queue_rejections`](crate::MetricsSnapshot::queue_rejections).
-    pub fn submit_with(&self, req: Request, opts: SubmitOpts<'_>) -> Result<Ticket> {
+    pub fn submit_with(&self, req: Request, deadline: Option<Duration>) -> Result<Ticket> {
         let shared = &*self.shared;
         if shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        let (cfg, metrics) = (&shared.cfg, shared.registry.metrics());
+        let (cfg, metrics) = (&shared.cfg, shared.engine.metrics());
         let (ticket, promise) = Ticket::pending();
         let admitted = Instant::now();
         let mut state = shared.lock();
-        let lane = state.lane_index(opts.tenant, &shared.registry)?;
         // Capacity first (a full queue is a submit-side error, not a
-        // shed), then the shedders: the watermark, the tenant's share,
-        // the deadline.
-        let ahead = state.total;
+        // shed), then the shedders: the watermark, the deadline.
+        let ahead = state.jobs.len();
         if ahead >= cfg.capacity {
             drop(state);
             metrics.queue_rejection();
             return Err(ServeError::QueueFull { capacity: cfg.capacity });
         }
-        let queued = state.lanes[lane].jobs.len();
         let watermark = cfg.admission.shed_watermark.filter(|&w| ahead >= w);
-        let over_share = cfg.admission.tenant_share.filter(|&share| queued >= share);
-        let judged = opts.deadline.filter(|_| cfg.admission.deadline_aware);
+        let judged = deadline.filter(|_| cfg.admission.deadline_aware);
         let infeasible = judged.and_then(|deadline| {
             let batches_ahead = (ahead / cfg.max_batch) as u32 + 1;
             let mean = Duration::from_nanos(shared.service_nanos.load(Ordering::Relaxed));
@@ -312,7 +229,6 @@ impl ServeQueue {
         });
         if let Some(reason) = watermark
             .map(|watermark| ShedReason::QueueDepth { depth: ahead, watermark })
-            .or(over_share.map(|share| ShedReason::TenantShare { queued, share }))
             .or(infeasible)
         {
             drop(state);
@@ -322,12 +238,10 @@ impl ServeQueue {
             promise.fulfil(Response::Shed(reason));
             return Ok(ticket);
         }
-        let deadline = opts.deadline.map(|d| admitted + d);
-        state.lanes[lane].jobs.push_back(Job { req, lane, deadline, admitted, promise });
-        state.lanes[lane].peak = state.lanes[lane].peak.max(queued + 1);
-        state.total += 1;
+        let deadline = deadline.map(|d| admitted + d);
+        state.jobs.push_back(Job { req, deadline, admitted, promise });
         // Wake a worker only if one is parked: a busy one looks at the
-        // lanes again before it parks, so this submit needs no system call.
+        // queue again before it parks, so this submit needs no system call.
         let wake = state.parked > 0;
         drop(state);
         metrics.submitted(ahead + 1, wake);
@@ -339,22 +253,12 @@ impl ServeQueue {
 
     /// Requests currently queued (not yet drained).
     pub fn len(&self) -> usize {
-        self.shared.lock().total
+        self.shared.lock().jobs.len()
     }
 
     /// True iff nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Per-tenant queue occupancy: `(tenant, queued now, peak queued)`
-    /// for every lane that has ever held a request, sorted by tenant.
-    pub fn occupancy(&self) -> Vec<(String, usize, usize)> {
-        let lanes = &self.shared.lock().lanes;
-        let mut rows: Vec<_> =
-            lanes.iter().map(|l| (l.tenant.to_string(), l.jobs.len(), l.peak)).collect();
-        rows.sort();
-        rows
     }
 
     /// Drain and execute one batch synchronously, without waiting, and
@@ -387,71 +291,31 @@ impl Drop for ServeQueue {
     }
 }
 
-/// Form one batch by deficit round-robin over the tenant lanes: each
-/// visited lane earns [`FAIR_QUANTUM`] credits, each dequeued job spends
-/// one, an emptied lane forfeits its balance. Jobs within a lane leave in
-/// FIFO order; with a single lane the whole batch is plain FIFO.
-fn drr_batch(state: &mut QueueState, max_batch: usize, batch: &mut Vec<Job>) {
-    // `total` counts the jobs in the lanes, so while it is positive the
-    // cursor reaches a non-empty lane.
-    while batch.len() < max_batch && state.total > 0 {
-        let li = state.cursor % state.lanes.len();
-        let lane = &mut state.lanes[li];
-        if lane.jobs.is_empty() {
-            lane.deficit = 0;
-            state.cursor += 1;
-            continue;
-        }
-        lane.deficit += FAIR_QUANTUM;
-        while lane.deficit > 0 && batch.len() < max_batch {
-            let Some(job) = lane.jobs.pop_front() else { break };
-            batch.push(job);
-            lane.deficit -= 1;
-            state.total -= 1;
-        }
-        if lane.jobs.is_empty() {
-            lane.deficit = 0;
-        }
-        if lane.deficit == 0 || lane.jobs.is_empty() {
-            // Lane spent its credit (or emptied): move on. A lane cut off
-            // by a full batch keeps its balance and the cursor, so the
-            // next batch resumes exactly where fairness paused.
-            state.cursor += 1;
-        } else {
-            break; // batch is full mid-lane
-        }
-    }
-}
-
 /// What one drainer reuses from batch to batch, so forming and serving a
-/// batch allocates nothing of its own. Everything indexed by lane is as
-/// long as `engines`.
+/// batch allocates nothing of its own.
 #[derive(Default)]
 struct Scratch {
     jobs: Vec<Job>,
     responses: Vec<Option<Response>>,
-    /// Engine of each lane, copied from the append-only lane list.
-    engines: Vec<Arc<LiveEngine>>,
-    /// The generation each lane serves this batch from.
-    pins: Vec<Option<Pinned>>,
-    /// The batch's coalesced point lookups, per lane.
-    points: Vec<PointGroup>,
+    /// The batch's coalesced point lookups.
+    points: PointGroup,
 }
 
-/// One lane's point lookups: where each answer goes, and its index tuple.
+/// Point lookups coalesced into one engine batch: where each answer
+/// goes, and its index tuple.
 #[derive(Default)]
 struct PointGroup {
     slots: Vec<usize>,
     indices: Vec<Vec<usize>>,
 }
 
-/// Pop up to `max_batch` jobs into `scratch.jobs` without blocking.
+/// Pop up to `max_batch` jobs, oldest first, into `scratch.jobs` without
+/// blocking.
 fn take_batch(shared: &Shared, state: &mut QueueState, scratch: &mut Scratch) {
-    drr_batch(state, shared.cfg.max_batch, &mut scratch.jobs);
-    let known = scratch.engines.len();
-    scratch.engines.extend(state.lanes[known..].iter().map(|l| Arc::clone(&l.engine)));
-    if !scratch.jobs.is_empty() {
-        shared.registry.metrics().queue_depth_update(state.total);
+    let n = state.jobs.len().min(shared.cfg.max_batch);
+    if n > 0 {
+        scratch.jobs.extend(state.jobs.drain(..n));
+        shared.engine.metrics().queue_depth_update(state.jobs.len());
     }
 }
 
@@ -462,7 +326,7 @@ fn worker_loop(shared: &Shared) {
             let mut state = shared.lock();
             // Park only on an empty queue; whatever is queued by the time
             // this worker is free is the next batch.
-            while state.total == 0 {
+            while state.jobs.is_empty() {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
@@ -476,26 +340,25 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Serve the batch in `scratch.jobs`: validate, coalesce each lane's
-/// point lookups into a single engine batch call, run batch/top-K jobs
-/// individually, and deliver every response. Each lane's generation is
+/// Serve the batch in `scratch.jobs`: validate, coalesce the point
+/// lookups into a single engine batch call, run batch/top-K jobs
+/// individually, and deliver every response. The engine's generation is
 /// pinned once for the whole batch. Returns the number of requests
 /// answered.
 fn execute(shared: &Shared, scratch: &mut Scratch) -> usize {
-    let Scratch { jobs, responses, engines, pins, points } = scratch;
+    let Scratch { jobs, responses, points } = scratch;
     if jobs.is_empty() {
         return 0;
     }
-    let metrics = shared.registry.metrics();
+    let metrics = shared.engine.metrics();
     metrics.batch_executed();
     // The dequeue stamp: queue wait ends and service begins here.
     let now = Instant::now();
-    pins.resize_with(engines.len(), || None);
-    points.resize_with(engines.len(), PointGroup::default);
+    let pinned = shared.engine.pin();
+    let engine = pinned.engine();
     responses.resize_with(jobs.len(), || None);
 
     for (slot, job) in jobs.iter_mut().enumerate() {
-        let engine = pins[job.lane].get_or_insert_with(|| engines[job.lane].pin()).engine();
         if job.deadline.is_some_and(|dl| now >= dl) {
             metrics.deadline_miss();
             responses[slot] = Some(Response::TimedOut);
@@ -505,8 +368,8 @@ fn execute(shared: &Shared, scratch: &mut Scratch) -> usize {
             Request::Point { index } => match engine.validate_index(index) {
                 Ok(()) => {
                     // The job is done with its tuple: move it, don't copy.
-                    points[job.lane].slots.push(slot);
-                    points[job.lane].indices.push(std::mem::take(index));
+                    points.slots.push(slot);
+                    points.indices.push(std::mem::take(index));
                 }
                 Err(e) => responses[slot] = Some(Response::Error(e)),
             },
@@ -532,25 +395,21 @@ fn execute(shared: &Shared, scratch: &mut Scratch) -> usize {
         }
     }
 
-    for (group, pin) in points.iter_mut().zip(pins.iter()) {
-        if group.slots.is_empty() {
-            continue;
-        }
-        let engine = pin.as_ref().expect("a lane with points was pinned").engine();
-        match engine.batch(&group.indices) {
+    if !points.slots.is_empty() {
+        match engine.batch(&points.indices) {
             Ok(values) => {
-                for (&slot, value) in group.slots.iter().zip(values) {
+                for (&slot, value) in points.slots.iter().zip(values) {
                     responses[slot] = Some(Response::Value(value));
                 }
             }
             Err(e) => {
-                for &slot in &group.slots {
+                for &slot in &points.slots {
                     responses[slot] = Some(Response::Error(e.clone()));
                 }
             }
         }
-        group.slots.clear();
-        group.indices.clear();
+        points.slots.clear();
+        points.indices.clear();
     }
 
     let answered = jobs.len();
@@ -565,8 +424,6 @@ fn execute(shared: &Shared, scratch: &mut Scratch) -> usize {
         }
         job.promise.fulfil(response);
     }
-    // Let go of the batch's generations: the next batch pins afresh.
-    pins.fill_with(|| None);
     shared.note_service(now.elapsed());
     answered
 }
@@ -593,14 +450,6 @@ mod tests {
 
     fn topk(j: usize, k: usize) -> Request {
         Request::TopK { query: TopKQuery { mode: 0, at: vec![0, j, k], k: 3 }, budget: None }
-    }
-
-    fn tenant(tenant: &str) -> SubmitOpts<'_> {
-        SubmitOpts { tenant, ..Default::default() }
-    }
-
-    fn within(deadline: Duration) -> SubmitOpts<'static> {
-        SubmitOpts { deadline: Some(deadline), ..Default::default() }
     }
 
     #[test]
@@ -650,7 +499,7 @@ mod tests {
         let engine = test_engine();
         let queue = ServeQueue::new(Arc::clone(&engine), manual_cfg()).unwrap();
         // A zero deadline has passed by any later reading of the clock.
-        let late = queue.submit_with(point(1, 2, 3), within(Duration::ZERO)).unwrap();
+        let late = queue.submit_with(point(1, 2, 3), Some(Duration::ZERO)).unwrap();
         let fine = queue.submit(point(1, 2, 3)).unwrap();
         queue.drain_once();
         assert_eq!(late.wait(), Response::TimedOut);
@@ -778,7 +627,7 @@ mod tests {
         let queue = ServeQueue::new(Arc::clone(&engine), cfg).unwrap();
         let tight = Duration::from_nanos(1);
         let estimate_for = |deadline| {
-            match queue.submit_with(point(1, 1, 1), within(deadline)).unwrap().wait() {
+            match queue.submit_with(point(1, 1, 1), Some(deadline)).unwrap().wait() {
                 Response::Shed(ShedReason::DeadlineInfeasible { estimated, deadline: d }) => {
                     assert_eq!(d, deadline);
                     estimated
@@ -787,7 +636,7 @@ mod tests {
             }
         };
         // No batch has run: the estimate is zero and even 1 ns is admitted.
-        let unmeasured = queue.submit_with(point(0, 0, 0), within(tight)).unwrap();
+        let unmeasured = queue.submit_with(point(0, 0, 0), Some(tight)).unwrap();
         // Two batches of real work seed the mean.
         for j in 0..2 {
             let scan = queue.submit(topk(j, j)).unwrap();
@@ -798,7 +647,7 @@ mod tests {
         let one_batch = estimate_for(tight);
         assert!(one_batch > tight, "a top-K scan takes more than 1 ns");
         // A deadline the estimate just meets is feasible; none is never shed.
-        let met = queue.submit_with(point(2, 2, 2), within(one_batch)).unwrap();
+        let met = queue.submit_with(point(2, 2, 2), Some(one_batch)).unwrap();
         let free = queue.submit(point(3, 3, 3)).unwrap();
         // Four queued fill the one batch ahead: the next waits for two.
         let fill: Vec<Ticket> = (0..2).map(|i| queue.submit(point(i, i, i)).unwrap()).collect();
@@ -811,121 +660,32 @@ mod tests {
         assert_eq!(engine.snapshot().sheds_deadline, 2);
     }
 
-    /// A registry serving one model to each of `tenants`.
-    fn test_registry(tenants: &[&str]) -> Arc<ModelRegistry> {
-        let model = KruskalTensor::random(&[40, 20, 10], 4, 21);
-        let reg = Arc::new(ModelRegistry::new());
-        for name in tenants {
-            reg.register(name, &model, EngineConfig::default()).unwrap();
-        }
-        reg
-    }
-
+    /// A publish between submit and drain lands before the batch is
+    /// pinned: the whole batch is served by the new generation, and the
+    /// next batch by whatever is current when it is drained.
     #[test]
-    fn tenant_share_caps_one_tenant_without_touching_others() {
-        let reg = test_registry(&["hot", "cold"]);
-        let cfg = QueueConfig {
-            admission: AdmissionControl { tenant_share: Some(2), ..Default::default() },
-            ..manual_cfg()
-        };
-        let queue = ServeQueue::with_registry(Arc::clone(&reg), cfg).unwrap();
-        let hot: Vec<Ticket> =
-            (0..4).map(|i| queue.submit_with(point(i, i, i), tenant("hot")).unwrap()).collect();
-        // Cold tenant is unaffected by hot's cap.
-        let cold = queue.submit_with(point(5, 5, 5), tenant("cold")).unwrap();
-        assert_eq!(queue.len(), 3, "a shed gives its reservation back");
-        queue.drain_once();
-        let outcomes: Vec<Response> = hot.into_iter().map(Ticket::wait).collect();
-        let served = outcomes.iter().filter(|r| matches!(r, Response::Value(_))).count();
-        let shed = outcomes
-            .iter()
-            .filter(|r| matches!(r, Response::Shed(ShedReason::TenantShare { .. })))
-            .count();
-        assert_eq!(served, 2);
-        assert_eq!(shed, 2);
-        assert!(matches!(cold.wait(), Response::Value(_)));
-        assert_eq!(reg.snapshot().sheds_tenant_share, 2);
-    }
-
-    #[test]
-    fn drr_interleaves_hot_and_cold_tenants() {
-        let reg = test_registry(&["hot", "cold"]);
-        let cfg = QueueConfig { max_batch: 16, ..manual_cfg() };
-        let queue = ServeQueue::with_registry(reg, cfg).unwrap();
-        // Hot floods 60 requests before cold submits 5.
-        let hot: Vec<Ticket> = (0..60)
-            .map(|i| queue.submit_with(point(i % 40, i % 20, i % 10), tenant("hot")).unwrap())
-            .collect();
-        let cold: Vec<Ticket> =
-            (0..5).map(|i| queue.submit_with(point(i, i, i), tenant("cold")).unwrap()).collect();
-
-        // The first 16-request batch: hot's quantum of 8, then all 5 of
-        // cold's instead of waiting behind all 60 hot ones, then 3 more
-        // of hot's.
-        assert_eq!(queue.drain_once(), 16);
-        let hot_left = queue.occupancy().into_iter().find(|(n, _, _)| n == "hot").map(|r| r.1);
-        assert_eq!(hot_left, Some(60 - 11));
-        let cold_served = cold
-            .into_iter()
-            .filter(|t| matches!(t.wait_for(Duration::ZERO), Some(Response::Value(_))))
-            .count();
-        assert_eq!(cold_served, 5, "cold tenant must not be starved by hot backlog");
-
-        while queue.drain_once() > 0 {}
-        for t in hot {
-            assert!(matches!(t.wait(), Response::Value(_)));
+    fn a_publish_before_the_drain_serves_the_whole_batch_from_one_generation() {
+        let shape = [30, 10, 5];
+        let models: Vec<KruskalTensor> =
+            (0..3).map(|seed| KruskalTensor::random(&shape, 3, 51 + seed)).collect();
+        let live = Arc::new(LiveEngine::new(&models[0], EngineConfig::default()).unwrap());
+        let queue = ServeQueue::live(Arc::clone(&live), manual_cfg()).unwrap();
+        let cells: Vec<[usize; 3]> = (0..12).map(|i| [i % 30, i % 10, i % 5]).collect();
+        for (generation, model) in models.iter().enumerate().skip(1) {
+            let tickets: Vec<Ticket> =
+                cells.iter().map(|c| queue.submit(point(c[0], c[1], c[2])).unwrap()).collect();
+            assert_eq!(live.publish(model).unwrap(), generation as u64 + 1);
+            assert_eq!(queue.drain_once(), cells.len());
+            for (cell, ticket) in cells.iter().zip(tickets) {
+                match ticket.wait() {
+                    Response::Value(v) => assert_eq!(v.to_bits(), model.eval(cell).to_bits()),
+                    other => panic!("expected a value, got {other:?}"),
+                }
+            }
         }
-        let occ = queue.occupancy();
-        assert_eq!(occ.len(), 2);
-        let hot_row = occ.iter().find(|(n, _, _)| n == "hot").unwrap();
-        assert_eq!(hot_row.1, 0);
-        assert_eq!(hot_row.2, 60, "peak occupancy tracks the flood");
-    }
-
-    #[test]
-    fn registry_queue_routes_tenants_and_pins_generations() {
-        let reg = Arc::new(ModelRegistry::new());
-        let ma = KruskalTensor::random(&[30, 10, 5], 3, 51);
-        let mb = KruskalTensor::random(&[12, 12], 2, 52);
-        reg.register("a", &ma, EngineConfig::default()).unwrap();
-        reg.register("b", &mb, EngineConfig::default()).unwrap();
-        let queue = ServeQueue::with_registry(Arc::clone(&reg), manual_cfg()).unwrap();
-
-        let ta = queue.submit_with(point(3, 4, 2), tenant("a")).unwrap();
-        let tb = queue.submit_with(Request::Point { index: vec![7, 1] }, tenant("b")).unwrap();
-        assert!(matches!(
-            queue.submit_with(Request::Point { index: vec![0, 0] }, tenant("nope")),
-            Err(ServeError::UnknownTenant(_))
-        ));
-        queue.drain_once();
-        match ta.wait() {
-            Response::Value(v) => assert_eq!(v.to_bits(), ma.eval(&[3, 4, 2]).to_bits()),
-            other => panic!("tenant a: {other:?}"),
-        }
-        match tb.wait() {
-            Response::Value(v) => assert_eq!(v.to_bits(), mb.eval(&[7, 1]).to_bits()),
-            other => panic!("tenant b: {other:?}"),
-        }
-        // Queue accounting lands in the fleet metrics, query accounting
-        // in each tenant's own stream.
-        let fleet = reg.snapshot();
-        assert_eq!(fleet.batches_executed, 1);
-        assert_eq!(fleet.e2e_recorded, 2);
-        let per_tenant = reg.tenant_snapshots();
-        assert!(per_tenant.iter().all(|(_, s)| s.batch_points == 1));
-
-        // A `ServeQueue::new` queue is a registry of one tenant, `default`.
-        let engine = test_engine();
-        let single = ServeQueue::new(Arc::clone(&engine), manual_cfg()).unwrap();
-        let served = single.submit(point(1, 2, 3)).unwrap();
-        assert!(matches!(
-            single.submit_with(point(1, 2, 3), tenant("other")),
-            Err(ServeError::UnknownTenant(name)) if name == "other"
-        ));
-        assert_eq!(single.len(), 1, "an unknown tenant queues nothing");
-        assert_eq!(engine.snapshot().queue_rejections, 0, "and is no rejection");
-        single.drain_once();
-        assert!(matches!(served.wait(), Response::Value(_)));
-        assert_eq!(engine.snapshot().batches_executed, 1, "queue events count in the engine");
+        // Queue and engine counters are one stream, across generations.
+        let s = live.snapshot();
+        assert_eq!((s.batches_executed, s.batch_queries, s.e2e_recorded), (2, 2, 24));
+        assert_eq!(s.serving_generation, 3);
     }
 }

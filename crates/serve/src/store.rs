@@ -31,7 +31,7 @@ pub struct FactorStore {
 impl FactorStore {
     /// Copy `model`'s factors and precompute the per-mode Gram matrices,
     /// row norms, and norm orders.
-    pub fn new(model: &KruskalTensor) -> Self {
+    pub(crate) fn new(model: &KruskalTensor) -> Self {
         let shape = model.shape();
         let rank = model.rank();
         let mut grams = Vec::with_capacity(model.order());
@@ -55,40 +55,41 @@ impl FactorStore {
     }
 
     /// Tensor shape served by this store.
-    pub fn shape(&self) -> &[usize] {
+    pub(crate) fn shape(&self) -> &[usize] {
         &self.shape
     }
 
     /// CP rank `R`.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.rank
     }
 
     /// Tensor order `N`.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.shape.len()
     }
 
     /// Factor row `A⁽ᵐᵒᵈᵉ⁾[i, ·]`.
     #[inline]
-    pub fn row(&self, mode: usize, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, mode: usize, i: usize) -> &[f64] {
         self.factors[mode].row(i)
     }
 
     /// Gram matrix `A⁽ᵐᵒᵈᵉ⁾ᵀA⁽ᵐᵒᵈᵉ⁾`.
-    pub fn gram(&self, mode: usize) -> &Mat {
+    #[cfg(test)]
+    fn gram(&self, mode: usize) -> &Mat {
         &self.grams[mode]
     }
 
     /// L2 norm of factor row `A⁽ᵐᵒᵈᵉ⁾[i, ·]`.
     #[inline]
-    pub fn row_norm(&self, mode: usize, i: usize) -> f64 {
+    pub(crate) fn row_norm(&self, mode: usize, i: usize) -> f64 {
         self.norms[mode][i]
     }
 
     /// Row indices of `mode` sorted by norm descending — the scan order
     /// that makes the Cauchy–Schwarz bound a valid early exit.
-    pub fn by_norm(&self, mode: usize) -> &[usize] {
+    pub(crate) fn by_norm(&self, mode: usize) -> &[usize] {
         &self.by_norm[mode]
     }
 

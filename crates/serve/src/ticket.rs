@@ -73,13 +73,6 @@ pub enum ShedReason {
         /// The deadline the request carried.
         deadline: Duration,
     },
-    /// The tenant was over its configured share of the queue.
-    TenantShare {
-        /// Requests the tenant already had queued.
-        queued: usize,
-        /// The configured per-tenant share.
-        share: usize,
-    },
 }
 
 /// The one-shot slot a [`Ticket`] and its [`Promise`] share.

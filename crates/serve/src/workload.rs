@@ -8,7 +8,7 @@
 //!
 //! For SLO benchmarking, [`open_loop_trace`] adds *timing* to a trace:
 //! each request carries a submit offset drawn from a Poisson process at a
-//! configured QPS, plus a Zipf-assigned tenant. Open-loop (arrivals do
+//! configured QPS, plus a tenant label the queue does not read. Open-loop (arrivals do
 //! not wait for completions) is the honest way to measure a serving
 //! system: a closed loop self-throttles under overload and hides the
 //! latency cliff that real traffic — which does not slow down because the
@@ -19,8 +19,7 @@
 
 use crate::engine::{Engine, EngineConfig};
 use crate::metrics::MetricsSnapshot;
-use crate::queue::{QueueConfig, ServeQueue, SubmitOpts};
-use crate::registry::ModelRegistry;
+use crate::queue::{QueueConfig, ServeQueue};
 use crate::ticket::{Request, Response, Ticket};
 use crate::topk::TopKQuery;
 use crate::{Result, ServeError};
@@ -34,7 +33,7 @@ use std::time::{Duration, Instant};
 /// Samples `0..n` with probability `P(i) ∝ 1/(i+1)^s` via inverse-CDF
 /// binary search (build O(n), sample O(log n)).
 #[derive(Debug, Clone)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     cdf: Vec<f64>,
 }
 
@@ -44,7 +43,7 @@ impl ZipfSampler {
     ///
     /// # Panics
     /// Panics if `n == 0` or `s` is not finite.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "ZipfSampler needs a non-empty domain");
         assert!(s.is_finite(), "Zipf exponent must be finite");
         let mut cdf: Vec<f64> = Vec::with_capacity(n);
@@ -60,18 +59,8 @@ impl ZipfSampler {
         ZipfSampler { cdf }
     }
 
-    /// Domain size `n`.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True iff the domain is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draw one index.
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.random();
         self.cdf
             .partition_point(|&c| c <= u)
@@ -204,10 +193,12 @@ pub fn replay_queued(queue: &ServeQueue, trace: Vec<Request>) -> Result<()> {
 pub struct OpenLoopConfig {
     /// Offered load in queries per second (Poisson arrivals).
     pub qps: f64,
-    /// Number of tenants to spread requests across.
+    /// Number of tenant labels drawn over the trace. A label only marks
+    /// a [`TimedRequest`]: one queue serves every request alike. The draw
+    /// sits between arrival gaps on the timing RNG, so it is part of the
+    /// arrival stream.
     pub tenants: usize,
-    /// Zipf skew of the tenant assignment (`0` = uniform; larger values
-    /// concentrate traffic on tenant 0, the "hot" tenant).
+    /// Zipf skew of the tenant labels (`0` = uniform).
     pub tenant_zipf: f64,
     /// The request mix (reuses the replay trace generator).
     pub trace: TraceConfig,
@@ -219,12 +210,12 @@ impl Default for OpenLoopConfig {
     }
 }
 
-/// One request of an open-loop trace: what to submit, when, and for whom.
+/// One request of an open-loop trace: what to submit, when, and its label.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedRequest {
     /// Submit time, as an offset from the start of the run.
     pub offset: Duration,
-    /// Tenant lane the request belongs to (`0..tenants`).
+    /// Tenant label (`0..tenants`); nothing routes on it.
     pub tenant: usize,
     /// The request itself.
     pub request: Request,
@@ -232,8 +223,8 @@ pub struct TimedRequest {
 
 /// Generate a deterministic open-loop trace: `cfg.trace.queries` requests
 /// with exponential inter-arrival gaps at `cfg.qps` (a Poisson arrival
-/// process) and Zipf-skewed tenant assignment. The request mix is exactly
-/// [`synth_trace`]`(shape, &cfg.trace)`; the timing/tenant stream uses an
+/// process) and Zipf-skewed tenant labels. The request mix is exactly
+/// [`synth_trace`]`(shape, &cfg.trace)`; the timing/label stream uses an
 /// independent RNG derived from the same seed, so changing the QPS never
 /// changes which requests are generated.
 pub fn open_loop_trace(shape: &[usize], cfg: &OpenLoopConfig) -> Vec<TimedRequest> {
@@ -279,8 +270,8 @@ fn pace(start: Instant, offset: Duration) {
 }
 
 /// What became of every request of one [`serve_open_loop`] run. Each
-/// offered request is exactly one of served / shed (per tenant) or
-/// rejected / timed out / errored.
+/// offered request is exactly one of served / shed / rejected / timed
+/// out / errored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpenLoopReport {
     /// Offered load (the configured QPS).
@@ -289,60 +280,39 @@ pub struct OpenLoopReport {
     pub requests: usize,
     /// Wall time from the first submit to the last resolved ticket.
     pub wall_secs: f64,
-    /// Requests answered, per tenant (`tenant-0`, `tenant-1`, …).
-    pub served: Vec<u64>,
-    /// Requests shed by admission control, per tenant.
-    pub shed: Vec<u64>,
-    /// Peak queued requests in each tenant's lane.
-    pub queued_peak: Vec<usize>,
+    /// Requests answered.
+    pub served: u64,
+    /// Requests shed by admission control.
+    pub shed: u64,
     /// Submissions refused because the queue was at capacity.
     pub rejected: u64,
     /// Requests whose deadline passed before execution started.
     pub timed_out: u64,
     /// Requests the engine answered with an error.
     pub errors: u64,
-    /// Fleet-wide counters and latency quantiles at the end of the run.
+    /// The engine's counters and latency quantiles at the end of the run.
     pub metrics: MetricsSnapshot,
 }
 
 impl OpenLoopReport {
-    /// Requests answered, all tenants.
-    pub fn served_total(&self) -> u64 {
-        self.served.iter().sum()
-    }
-
-    /// Requests shed by admission control, all tenants.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.iter().sum()
-    }
-
     /// Requests answered per second of wall time.
     pub fn achieved_qps(&self) -> f64 {
-        self.served_total() as f64 / self.wall_secs.max(1e-9)
+        self.served as f64 / self.wall_secs.max(1e-9)
     }
 
     /// The machine-readable report `serve-bench --json` prints.
     pub fn to_json(&self) -> String {
-        let tenant_rows: Vec<String> = (0..self.served.len())
-            .map(|i| {
-                format!(
-                    "    {{ \"tenant\": \"tenant-{i}\", \"served\": {}, \"shed\": {}, \"queued_peak\": {} }}",
-                    self.served[i], self.shed[i], self.queued_peak[i]
-                )
-            })
-            .collect();
         let m = &self.metrics;
         format!(
-            "{{\n  \"offered_qps\": {:.0},\n  \"achieved_qps\": {:.0},\n  \"wall_secs\": {:.3},\n  \"requests\": {},\n  \"served\": {},\n  \"shed\": {},\n  \"sheds_queue_depth\": {},\n  \"sheds_deadline\": {},\n  \"sheds_tenant_share\": {},\n  \"rejected\": {},\n  \"timed_out\": {},\n  \"errors\": {},\n  \"shed_rate\": {:.4},\n  \"queue_depth_peak\": {},\n  \"e2e_us\": {{ \"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"mean\": {:.1} }},\n  \"tenants\": [\n{}\n  ]\n}}",
+            "{{\n  \"offered_qps\": {:.0},\n  \"achieved_qps\": {:.0},\n  \"wall_secs\": {:.3},\n  \"requests\": {},\n  \"served\": {},\n  \"shed\": {},\n  \"sheds_queue_depth\": {},\n  \"sheds_deadline\": {},\n  \"rejected\": {},\n  \"timed_out\": {},\n  \"errors\": {},\n  \"shed_rate\": {:.4},\n  \"queue_depth_peak\": {},\n  \"e2e_us\": {{ \"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"mean\": {:.1} }}\n}}",
             self.offered_qps,
             self.achieved_qps(),
             self.wall_secs,
             self.requests,
-            self.served_total(),
-            self.shed_total(),
+            self.served,
+            self.shed,
             m.sheds_queue_depth,
             m.sheds_deadline,
-            m.sheds_tenant_share,
             self.rejected,
             self.timed_out,
             self.errors,
@@ -352,7 +322,6 @@ impl OpenLoopReport {
             m.e2e_p90.as_secs_f64() * 1e6,
             m.e2e_p99.as_secs_f64() * 1e6,
             m.e2e_mean.as_secs_f64() * 1e6,
-            tenant_rows.join(",\n"),
         )
     }
 }
@@ -366,35 +335,22 @@ impl std::fmt::Display for OpenLoopReport {
             self.requests,
             self.offered_qps,
             self.wall_secs,
-            self.served_total(),
+            self.served,
             self.achieved_qps(),
-            self.shed_total(),
+            self.shed,
             self.rejected,
             self.timed_out,
             self.errors,
         )?;
-        write!(f, "{}", self.metrics)?;
-        for i in 0..self.served.len() {
-            write!(
-                f,
-                "\n  tenant-{i}: served {} shed {} peak queue {}",
-                self.served[i], self.shed[i], self.queued_peak[i]
-            )?;
-        }
-        Ok(())
+        write!(f, "{}", self.metrics)
     }
 }
 
-/// Offer [`open_loop_trace`]`(shape, load)` to a fresh queue at the
-/// trace's own arrival times and account for every request.
-///
-/// The queue fronts a [`ModelRegistry`] in which every tenant
-/// (`tenant-0`, `tenant-1`, …) serves this same `model` from its own
-/// engine, so the queue forms batches by per-tenant deficit round-robin
-/// (with one tenant, plain FIFO). Every submission carries
-/// `deadline` (see [`SubmitOpts::deadline`]). Arrivals
-/// never wait for completions: tickets are only collected once the whole
-/// trace has been offered.
+/// Offer [`open_loop_trace`]`(shape, load)` to a fresh queue in front of
+/// one engine serving `model`, at the trace's own arrival times, and
+/// account for every request. Every submission carries `deadline` (see
+/// [`ServeQueue::submit_with`]). Arrivals never wait for completions:
+/// tickets are only collected once the whole trace has been offered.
 pub fn serve_open_loop(
     model: &KruskalTensor,
     engine_cfg: EngineConfig,
@@ -409,13 +365,8 @@ pub fn serve_open_loop(
     if load.tenants == 0 {
         return Err(ServeError::BadConfig("open-loop serving needs tenants >= 1".into()));
     }
-    let tenants = load.tenants;
-    let names: Vec<String> = (0..tenants).map(|i| format!("tenant-{i}")).collect();
-    let reg = Arc::new(ModelRegistry::new());
-    for name in &names {
-        reg.register(name, model, engine_cfg.clone())?;
-    }
-    let queue = ServeQueue::with_registry(Arc::clone(&reg), queue_cfg)?;
+    let engine = Arc::new(Engine::new(model, engine_cfg)?);
+    let queue = ServeQueue::new(Arc::clone(&engine), queue_cfg)?;
 
     let trace = open_loop_trace(&model.shape(), load);
     let mut tickets = Vec::with_capacity(trace.len());
@@ -423,31 +374,23 @@ pub fn serve_open_loop(
     let start = Instant::now();
     for tr in &trace {
         pace(start, tr.offset);
-        let opts = SubmitOpts { tenant: &names[tr.tenant], deadline };
-        match queue.submit_with(tr.request.clone(), opts) {
-            Ok(t) => tickets.push((tr.tenant, t)),
+        match queue.submit_with(tr.request.clone(), deadline) {
+            Ok(t) => tickets.push(t),
             Err(ServeError::QueueFull { .. }) => rejected += 1,
             Err(e) => return Err(e),
         }
     }
-    let mut served = vec![0u64; tenants];
-    let mut shed = vec![0u64; tenants];
-    let (mut timed_out, mut errors) = (0u64, 0u64);
-    for (tenant, ticket) in tickets {
+    let (mut served, mut shed, mut timed_out, mut errors) = (0u64, 0u64, 0u64, 0u64);
+    for ticket in tickets {
         match ticket.wait() {
-            Response::Value(_) | Response::Values(_) | Response::TopK(_) => served[tenant] += 1,
-            Response::Shed(_) => shed[tenant] += 1,
+            Response::Value(_) | Response::Values(_) | Response::TopK(_) => served += 1,
+            Response::Shed(_) => shed += 1,
             Response::TimedOut => timed_out += 1,
             Response::Error(_) => errors += 1,
         }
     }
     let wall_secs = start.elapsed().as_secs_f64();
-    let occupancy = queue.occupancy();
     drop(queue);
-    let queued_peak = names
-        .iter()
-        .map(|name| occupancy.iter().find(|(n, _, _)| n == name).map_or(0, |(_, _, p)| *p))
-        .collect();
 
     Ok(OpenLoopReport {
         offered_qps: load.qps,
@@ -455,11 +398,10 @@ pub fn serve_open_loop(
         wall_secs,
         served,
         shed,
-        queued_peak,
         rejected,
         timed_out,
         errors,
-        metrics: reg.snapshot(),
+        metrics: engine.snapshot(),
     })
 }
 
@@ -498,6 +440,41 @@ mod tests {
         // The request mix is untouched by the timing overlay.
         let plain = synth_trace(&shape, &cfg.trace);
         assert!(a.iter().map(|t| &t.request).eq(plain.iter()));
+    }
+
+    /// The arrival stream the benchmark's traffic is built from, pinned
+    /// bit for bit: FNV-1a over every offset, tenant and request of one
+    /// fixed one-tenant trace. The tenant draw between arrival gaps is
+    /// part of the stream, so dropping it shifts every offset after the
+    /// first and fails here.
+    #[test]
+    fn open_loop_trace_is_pinned_bit_for_bit() {
+        let cfg = OpenLoopConfig {
+            qps: 20_000.0,
+            tenants: 1,
+            tenant_zipf: 0.0,
+            trace: TraceConfig { queries: 2_000, seed: 7, ..Default::default() },
+        };
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut put = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for tr in open_loop_trace(&[50, 30, 7], &cfg) {
+            put(tr.offset.as_nanos() as u64);
+            put(tr.tenant as u64);
+            match tr.request {
+                Request::Point { index } => index.iter().for_each(|&i| put(i as u64)),
+                Request::Batch { indices } => indices.iter().flatten().for_each(|&i| put(i as u64)),
+                Request::TopK { query, .. } => {
+                    put(query.mode as u64);
+                    put(query.k as u64);
+                    query.at.iter().for_each(|&i| put(i as u64));
+                }
+            }
+        }
+        assert_eq!(hash, 0x65ba_f718_9776_e86e, "the arrival stream moved");
     }
 
     #[test]
@@ -584,30 +561,22 @@ mod tests {
     #[test]
     fn open_loop_run_accounts_for_every_request() {
         let model = KruskalTensor::random(&[60, 40, 8], 3, 11);
-        for tenants in [1usize, 3] {
-            let load = OpenLoopConfig {
-                qps: 200_000.0,
-                tenants,
-                tenant_zipf: 1.0,
-                trace: TraceConfig { queries: 600, ..Default::default() },
-            };
-            let queue_cfg = QueueConfig { capacity: 64, workers: 2, ..Default::default() };
-            let r = serve_open_loop(&model, EngineConfig::default(), queue_cfg, &load, None)
-                .unwrap();
-            assert_eq!(r.requests, 600);
-            assert_eq!((r.served.len(), r.shed.len(), r.queued_peak.len()), (tenants, tenants, tenants));
-            let resolved = r.served_total()
-                + r.shed_total()
-                + r.rejected
-                + r.timed_out
-                + r.errors;
-            assert_eq!(resolved, 600, "{r:?}");
-            assert_eq!(r.metrics.queue_rejections, r.rejected);
-            assert!(r.to_json().contains(&format!("\"tenant-{}\"", tenants - 1)));
-        }
-        // A manual-drain queue or a tenant-less load is a typed error,
+        let load = OpenLoopConfig {
+            qps: 200_000.0,
+            trace: TraceConfig { queries: 600, ..Default::default() },
+            ..Default::default()
+        };
+        let queue_cfg = QueueConfig { capacity: 64, workers: 2, ..Default::default() };
+        let r = serve_open_loop(&model, EngineConfig::default(), queue_cfg, &load, None).unwrap();
+        assert_eq!(r.requests, 600);
+        assert_eq!(r.served + r.shed + r.rejected + r.timed_out + r.errors, 600, "{r:?}");
+        assert_eq!(r.metrics.queue_rejections, r.rejected);
+        // Queue counters land in the served engine's metrics: every
+        // served request left one e2e sample there.
+        assert_eq!(r.metrics.e2e_recorded, r.served);
+        assert!(r.to_json().contains(&format!("\"served\": {}", r.served)));
+        // A manual-drain queue or a label-less load is a typed error,
         // not a hang or a panic.
-        let load = OpenLoopConfig::default();
         let no_workers = QueueConfig { workers: 0, ..Default::default() };
         assert!(matches!(
             serve_open_loop(&model, EngineConfig::default(), no_workers, &load, None),

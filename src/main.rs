@@ -163,10 +163,7 @@ const COMMANDS: &[Cmd] = &[
                 val("cache", "N", "top-K LRU entries [default: 1024]"),
                 val("workers", "W", "queue workers, 0 = none, replay on the engine [default: 0]"),
                 val("qps", "Q", "open-loop mode: offered load, Poisson arrivals, --workers 2"),
-                val("tenants", "N", "with --qps: fair-queued registry tenants [default: 1]"),
-                val("tenant-zipf", "S", "with --qps: tenant skew exponent [default: 1.0]"),
                 val("shed-watermark", "N", "with --qps: shed new requests at this queue depth"),
-                val("tenant-share", "N", "with --qps: per-tenant cap on queued requests"),
                 val("deadline-ms", "MS", "with --qps: end-to-end deadline; infeasible ones shed"),
                 flag("json", "with --qps: print the report as JSON"),
             ],
@@ -552,8 +549,7 @@ fn cmd_serve_bench(opts: &Opts) -> Res {
     let shape = model.shape();
 
     if let Some(qps) = opts.num::<f64>("qps")? {
-        // Open loop: offered load at a fixed QPS with admission control
-        // and, past one tenant, fair queuing over a model registry.
+        // Open loop: offered load at a fixed QPS with admission control.
         let workers: usize = opts.num_or("workers", 2)?;
         if workers == 0 {
             return fail("open-loop mode needs --workers >= 1");
@@ -562,18 +558,11 @@ fn cmd_serve_bench(opts: &Opts) -> Res {
         let admission = AdmissionControl {
             shed_watermark: opts.num("shed-watermark")?,
             deadline_aware: deadline.is_some(),
-            tenant_share: opts.num("tenant-share")?,
         };
-        let load = OpenLoopConfig {
-            qps,
-            tenants: opts.num_or("tenants", 1)?,
-            tenant_zipf: opts.num_or("tenant-zipf", 1.0)?,
-            trace: trace_cfg,
-        };
+        let load = OpenLoopConfig { qps, trace: trace_cfg, ..Default::default() };
         eprintln!(
-            "offering {} requests at {qps:.0} qps across {} tenant(s), shape {shape:?} rank {}",
+            "offering {} requests at {qps:.0} qps, shape {shape:?} rank {}",
             load.trace.queries,
-            load.tenants,
             model.rank(),
         );
         let queue_cfg = queue_config(opts, workers, admission)?;

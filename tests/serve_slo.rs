@@ -8,15 +8,15 @@
 //!
 //! 1. **Shed accounting balances** — under offered load past the shed
 //!    watermark, every submission resolves to exactly one outcome and
-//!    the fleet metrics mirror the caller-observed counts.
-//! 2. **Zero failed reads across swaps** — a two-tenant queue under
-//!    concurrent hot-publishes never surfaces an error, a stale read, or
-//!    an unresolved ticket.
+//!    the engine's metrics mirror the caller-observed counts.
+//! 2. **Zero failed reads across swaps** — a queue in front of a live
+//!    engine under concurrent hot-publishes never surfaces an error, a
+//!    value no published model gives, or an unresolved ticket.
 
 use distenc::dataflow::ExecMode;
 use distenc::serve::{
-    open_loop_trace, AdmissionControl, EngineConfig, ModelRegistry, OpenLoopConfig, QueueConfig,
-    Request, Response, ServeError, ServeQueue, SubmitOpts, TraceConfig,
+    open_loop_trace, AdmissionControl, Engine, EngineConfig, LiveEngine, OpenLoopConfig,
+    QueueConfig, Request, Response, ServeError, ServeQueue, TraceConfig,
 };
 use distenc::tensor::KruskalTensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,22 +33,14 @@ fn workers_from_env() -> usize {
 fn shed_accounting_balances_under_offered_load() {
     let shape = [60, 30, 10];
     let model = KruskalTensor::random(&shape, 4, 11);
-    let names = ["a", "b"];
-    let reg = Arc::new(ModelRegistry::new());
-    for name in names {
-        reg.register(name, &model, EngineConfig::default()).unwrap();
-    }
-    let queue = ServeQueue::with_registry(
-        Arc::clone(&reg),
+    let engine = Arc::new(Engine::new(&model, EngineConfig::default()).unwrap());
+    let queue = ServeQueue::new(
+        Arc::clone(&engine),
         QueueConfig {
             capacity: 64,
             max_batch: 16,
             workers: workers_from_env(),
-            admission: AdmissionControl {
-                shed_watermark: Some(8),
-                deadline_aware: false,
-                tenant_share: None,
-            },
+            admission: AdmissionControl { shed_watermark: Some(8), deadline_aware: false },
         },
     )
     .unwrap();
@@ -56,16 +48,14 @@ fn shed_accounting_balances_under_offered_load() {
         &shape,
         &OpenLoopConfig {
             qps: 1_000_000.0, // offsets collapse: submit as fast as possible
-            tenants: 2,
-            tenant_zipf: 1.0,
             trace: TraceConfig { queries: 5_000, ..Default::default() },
+            ..Default::default()
         },
     );
     let mut tickets = Vec::with_capacity(trace.len());
     let mut rejected = 0u64;
     for tr in &trace {
-        let opts = SubmitOpts { tenant: names[tr.tenant], deadline: None };
-        match queue.submit_with(tr.request.clone(), opts) {
+        match queue.submit(tr.request.clone()) {
             Ok(t) => tickets.push(t),
             Err(ServeError::QueueFull { .. }) => rejected += 1,
             Err(e) => panic!("unexpected submit error: {e}"),
@@ -82,7 +72,7 @@ fn shed_accounting_balances_under_offered_load() {
     assert_eq!(served + shed + rejected, trace.len() as u64, "outcomes tile the trace");
     assert!(shed > 0, "a watermark of 8 under a 5k-request burst must shed");
     assert!(served > 0, "admitted work must still be served");
-    let s = reg.snapshot();
+    let s = engine.snapshot();
     assert_eq!(s.sheds(), shed, "metrics sheds mirror caller-observed sheds");
     assert_eq!(s.sheds_queue_depth, shed, "only the watermark shedder was armed");
     assert_eq!(s.queue_rejections, rejected);
@@ -96,12 +86,13 @@ fn shed_accounting_balances_under_offered_load() {
 #[test]
 fn zero_failed_reads_across_swaps() {
     let shape = [50, 20, 10];
-    let reg = Arc::new(ModelRegistry::new());
-    reg.register("a", &KruskalTensor::random(&shape, 3, 31), EngineConfig::default()).unwrap();
-    reg.register("b", &KruskalTensor::random(&shape, 3, 32), EngineConfig::default()).unwrap();
+    // Generation g + 1 serves models[g]: the first, then twenty publishes.
+    let models: Vec<KruskalTensor> =
+        (0..21u64).map(|g| KruskalTensor::random(&shape, 3, 31 + g)).collect();
+    let live = Arc::new(LiveEngine::new(&models[0], EngineConfig::default()).unwrap());
     let queue = Arc::new(
-        ServeQueue::with_registry(
-            Arc::clone(&reg),
+        ServeQueue::live(
+            Arc::clone(&live),
             QueueConfig {
                 capacity: 256,
                 max_batch: 32,
@@ -115,47 +106,44 @@ fn zero_failed_reads_across_swaps() {
     // wait needs both readers to run to their end.
     let (reads, failed_reads) = (AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|s| {
-        // Publisher hot-swaps tenant "a" twenty times mid-stream: the
+        // The publisher hot-swaps the model twenty times mid-stream: the
         // g-th swap goes in once 90·g of the 2000 reads have resolved, so
         // every one lands between reads whatever the scheduler does.
         let publisher = {
-            let (reg, reads) = (Arc::clone(&reg), &reads);
+            let (live, models, reads) = (Arc::clone(&live), &models, &reads);
             s.spawn(move || {
-                for gen in 0..20u64 {
-                    while reads.load(Ordering::Acquire) < 90 * gen {
+                for (g, model) in models.iter().enumerate().skip(1) {
+                    while reads.load(Ordering::Acquire) < 90 * g as u64 {
                         std::thread::yield_now();
                     }
-                    reg.publish("a", &KruskalTensor::random(&shape, 3, 100 + gen)).unwrap();
+                    live.publish(model).unwrap();
                 }
             })
         };
-        // Two readers hammer both tenants through the queue the whole
-        // time; every single ticket must resolve to a served value.
+        // Two readers hammer the queue the whole time; every single ticket
+        // must resolve to a value some published model gives.
         for reader in 0..2usize {
-            let (queue, reads, failed_reads) = (Arc::clone(&queue), &reads, &failed_reads);
+            let (queue, models, reads, failed_reads) =
+                (Arc::clone(&queue), &models, &reads, &failed_reads);
             s.spawn(move || {
                 for i in 0..1_000usize {
-                    let tenant = if (i + reader) % 2 == 0 { "a" } else { "b" };
+                    let at = vec![(i + reader) % 50, i % 20, i % 10];
                     let req = if i % 5 == 0 {
                         Request::TopK {
-                            query: distenc::serve::TopKQuery {
-                                mode: 0,
-                                at: vec![0, i % 20, i % 10],
-                                k: 4,
-                            },
+                            query: distenc::serve::TopKQuery { mode: 0, at: at.clone(), k: 4 },
                             budget: None,
                         }
                     } else {
-                        Request::Point { index: vec![i % 50, i % 20, i % 10] }
+                        Request::Point { index: at.clone() }
                     };
-                    // Registered tenants never fail to submit under capacity.
-                    let served = queue
-                        .submit_with(req, SubmitOpts { tenant, deadline: None })
-                        .is_ok_and(|ticket| match ticket.wait() {
-                            Response::Value(v) => v.is_finite(),
-                            Response::TopK(r) => r.items.len() == 4,
-                            _ => false,
-                        });
+                    // A submit under capacity never fails.
+                    let served = queue.submit(req).is_ok_and(|ticket| match ticket.wait() {
+                        Response::Value(v) => {
+                            models.iter().any(|m| m.eval(&at).to_bits() == v.to_bits())
+                        }
+                        Response::TopK(r) => r.items.len() == 4,
+                        _ => false,
+                    });
                     failed_reads.fetch_add(u64::from(!served), Ordering::Relaxed);
                     reads.fetch_add(1, Ordering::Release);
                 }
@@ -165,6 +153,6 @@ fn zero_failed_reads_across_swaps() {
     });
     assert_eq!(failed_reads.into_inner(), 0, "failed reads across swaps");
     // Every publish landed; the final generation is 1 (initial) + 20.
-    assert_eq!(reg.engine("a").unwrap().point(&[0, 0, 0]).unwrap().generation, 21);
-    assert_eq!(reg.engine("b").unwrap().point(&[0, 0, 0]).unwrap().generation, 1);
+    assert_eq!(live.point(&[0, 0, 0]).unwrap().generation, 21);
+    assert_eq!(live.snapshot().models_published, 21);
 }
