@@ -8,11 +8,11 @@
 //!
 //! For SLO benchmarking, [`open_loop_trace`] adds *timing* to a trace:
 //! each request carries a submit offset drawn from a Poisson process at a
-//! configured QPS, plus a tenant label the queue does not read. Open-loop (arrivals do
-//! not wait for completions) is the honest way to measure a serving
-//! system: a closed loop self-throttles under overload and hides the
-//! latency cliff that real traffic — which does not slow down because the
-//! server is slow — runs straight into. [`serve_open_loop`] is the driver
+//! configured QPS, plus a tenant label the queue does not read. Open-loop
+//! (arrivals do not wait for completions) is the honest way to measure a
+//! serving system: a closed loop self-throttles under overload and hides
+//! the latency cliff that real traffic — which does not slow down because
+//! the server is slow — runs straight into. [`serve_open_loop`] is the driver
 //! that offers such a trace to a [`ServeQueue`] and accounts for every
 //! request; `distenc serve-bench --qps` and `benches/serve_slo.rs` both
 //! run it.
