@@ -22,12 +22,20 @@
 
 #![warn(missing_docs)]
 
-pub mod als;
-pub mod flexifact;
-pub mod scout;
-pub mod tfai;
+pub(crate) mod als;
+pub(crate) mod flexifact;
+pub(crate) mod scout;
+pub(crate) mod tfai;
 
-pub use als::{AlsConfig, AlsModel, AlsSolver};
-pub use flexifact::{FlexiFactConfig, FlexiFactModel, FlexiFactSolver};
-pub use scout::{ScoutConfig, ScoutModel, ScoutSolver};
-pub use tfai::{TfaiConfig, TfaiModel, TfaiSolver};
+pub use als::AlsConfig;
+pub use als::AlsModel;
+pub use als::AlsSolver;
+pub use flexifact::FlexiFactConfig;
+pub use flexifact::FlexiFactModel;
+pub use flexifact::FlexiFactSolver;
+pub use scout::ScoutConfig;
+pub use scout::ScoutModel;
+pub use scout::ScoutSolver;
+pub use tfai::TfaiConfig;
+pub use tfai::TfaiModel;
+pub use tfai::TfaiSolver;

@@ -40,11 +40,6 @@ impl AdmmSolver {
         Ok(AdmmSolver { cfg })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AdmmConfig {
-        &self.cfg
-    }
-
     /// Run tensor completion on `observed` (the `Ω∗X = T` constraint data)
     /// with optional per-mode auxiliary Laplacians.
     ///
@@ -265,11 +260,8 @@ fn validate_laplacians(shape: &[usize], laplacians: &[Option<&Laplacian>]) -> Re
     Ok(())
 }
 
-/// Truncate every provided Laplacian once, up front (§III-B: the
-/// eigendecomposition is precomputed because `L` never changes). Each
-/// mode's eigensolve is seeded and independent of the others, so the
-/// modes run at the same time on `cfg.exec` and give the bits they give
-/// one after another; a pool is spawned only for two or more graphs.
+/// [`truncate_on`] for the host solver: on `cfg.exec`, spawning a pool
+/// only for two or more graphs.
 pub(crate) fn truncate_all(
     shape: &[usize],
     laplacians: &[Option<&Laplacian>],
@@ -277,6 +269,20 @@ pub(crate) fn truncate_all(
 ) -> Result<Vec<TruncatedLaplacian>> {
     let graphs = laplacians.iter().flatten().count();
     let exec = Executor::new(if graphs > 1 { cfg.exec } else { ExecMode::Sequential });
+    truncate_on(&exec, shape, laplacians, cfg)
+}
+
+/// Truncate every provided Laplacian once, up front (§III-B: the
+/// eigendecomposition is precomputed because `L` never changes). Each
+/// mode's eigensolve is seeded and independent of the others, so the
+/// modes run at the same time on `exec` and give the bits they give one
+/// after another.
+pub(crate) fn truncate_on(
+    exec: &Executor,
+    shape: &[usize],
+    laplacians: &[Option<&Laplacian>],
+    cfg: &AdmmConfig,
+) -> Result<Vec<TruncatedLaplacian>> {
     exec.run(laplacians, |n, lap| match lap {
         Some(l) => l.truncate(cfg.eigen_k, cfg.seed),
         None => Ok(TruncatedLaplacian::zero(shape[n])),

@@ -3,19 +3,20 @@
 /// When (and where) the solver snapshots its state for fault recovery.
 ///
 /// Checkpoints capture the solver loop's complete per-iteration state
-/// (factors, ADMM duals, penalty, residual, trace), and a solve resumed
+/// (factors, ADMM duals, penalty, trace; the residual is derived from the
+/// factors on resume), and a solve resumed
 /// from one finishes with bit-identical factors and RMSE to the
 /// uninterrupted run (the recovery invariant, proven in
 /// `tests/fault_recovery.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointPolicy {
     /// Snapshot after every `n`-th completed iteration (must be ≥ 1).
-    pub every_n_iters: usize,
+    pub(crate) every_n_iters: usize,
     /// Where the host solver writes snapshots. `None` means no on-disk
     /// persistence: the distributed driver keeps its latest snapshot on
     /// the driver (its simulated "reliable store") and ignores this
     /// field, while the host solver skips checkpointing entirely.
-    pub path: Option<std::path::PathBuf>,
+    pub(crate) path: Option<std::path::PathBuf>,
 }
 
 impl CheckpointPolicy {
@@ -66,9 +67,10 @@ pub struct AdmmConfig {
     /// greedy balancing by default; the equal-width baseline exists for
     /// the load-balancing ablation).
     pub partition: distenc_partition::PartitionStrategy,
-    /// What runs the blocks of the host's residual cut (and the cluster's
-    /// block tasks). Bit-identical results under every setting — the bits
-    /// are a function of the data's block cut, never of the executor (see
+    /// What runs the blocks of the host's residual cut and its per-mode
+    /// eigensolves; a DisTenC solve runs both on its cluster's executor
+    /// instead. Bit-identical results under every setting — the bits are
+    /// a function of the data's block cut, never of the executor (see
     /// DESIGN.md §9); defaults from the `DISTENC_THREADS` environment
     /// variable, else a thread per host core.
     pub exec: distenc_dataflow::ExecMode,
@@ -114,7 +116,7 @@ impl AdmmConfig {
 
     /// Sanity-check parameter ranges, returning a description of the first
     /// violation.
-    pub fn validate(&self) -> std::result::Result<(), String> {
+    pub(crate) fn validate(&self) -> std::result::Result<(), String> {
         if self.rank == 0 {
             return Err("rank must be ≥ 1".into());
         }

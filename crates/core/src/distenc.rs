@@ -39,7 +39,7 @@
 //! association is fixed by the blocking alone: resumed or not, on any
 //! executor, a solve produces the same bits.
 
-use crate::admm::{truncate_all, validate_problem};
+use crate::admm::{truncate_on, validate_problem};
 use crate::config::AdmmConfig;
 use crate::solver::checkpoint::Checkpoint;
 use crate::solver::{self, BlockMeta, ClusterBackend, SolverState};
@@ -74,11 +74,6 @@ impl<'c> DisTenC<'c> {
         Ok(DisTenC { cluster, cfg })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AdmmConfig {
-        &self.cfg
-    }
-
     /// Run distributed tensor completion. Returns the learned model plus a
     /// trace whose timestamps are the cluster's **virtual** clock; read
     /// [`Cluster::metrics`] afterwards for shuffle/memory totals.
@@ -100,7 +95,7 @@ impl<'c> DisTenC<'c> {
         // it.
         let parts_per_mode: Vec<usize> = observed.shape().iter().map(|&d| d.min(m)).collect();
         let blocking = TensorBlocks::build_with(observed, &parts_per_mode, self.cfg.partition);
-        let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
+        let truncated = truncate_on(cl.executor(), observed.shape(), laplacians, &self.cfg)?;
         let eigen_k: Vec<usize> = truncated.iter().map(|t| t.k()).collect();
         let mut backend = ClusterBackend::new(cl, self.cfg.rank, &blocking, eigen_k);
 

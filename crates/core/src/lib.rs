@@ -28,19 +28,21 @@
 
 #![warn(missing_docs)]
 
-pub mod admm;
+pub(crate) mod admm;
 pub mod config;
-pub mod distenc;
+pub(crate) mod distenc;
 pub mod model;
 pub(crate) mod solver;
 pub mod trace;
 
 pub use admm::AdmmSolver;
-pub use config::{AdmmConfig, CheckpointPolicy};
+pub use config::AdmmConfig;
+pub use config::CheckpointPolicy;
 pub use distenc::DisTenC;
-pub use model::{MethodModel, RunOutcome, WorkloadSpec};
-pub use solver::checkpoint::{Checkpoint, CheckpointError};
-pub use trace::{ConvergenceTrace, TracePoint};
+pub use model::WorkloadSpec;
+pub use solver::checkpoint::Checkpoint;
+pub use solver::checkpoint::CheckpointError;
+pub use trace::ConvergenceTrace;
 
 use distenc_tensor::KruskalTensor;
 

@@ -35,7 +35,7 @@ impl WorkloadSpec {
     }
 
     /// Tensor order.
-    pub fn order(&self) -> u64 {
+    pub(crate) fn order(&self) -> u64 {
         self.dims.len() as u64
     }
 

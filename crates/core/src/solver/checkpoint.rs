@@ -113,15 +113,15 @@ pub struct Checkpoint {
     /// the module docs).
     pub config: AdmmConfig,
     /// Shape of the observed tensor the solve ran on.
-    pub shape: Vec<usize>,
+    pub(crate) shape: Vec<usize>,
     /// Iterations completed when the snapshot was taken.
     pub iters_done: usize,
     /// ADMM penalty `η` *after* iteration `iters_done`'s schedule update.
-    pub eta: f64,
+    pub(crate) eta: f64,
     /// Factor matrices `A⁽ⁿ⁾`, one per mode.
     pub factors: Vec<Mat>,
     /// Scaled duals `Y⁽ⁿ⁾·(1/η)`, one per mode.
-    pub y_mul: Vec<Mat>,
+    pub(crate) y_mul: Vec<Mat>,
     /// Entries of the observed tensor the solve ran on.
     pub nnz: usize,
     /// Convergence trace up to and including iteration `iters_done`.

@@ -56,20 +56,20 @@ const F64: u64 = 8;
 /// borrowed, and where the block sits.
 pub(crate) struct BlockMeta<'a> {
     /// Machine this block is pinned to.
-    pub machine: usize,
+    pub(crate) machine: usize,
     /// The observed entries of this block.
-    pub entries: &'a CooTensor,
+    pub(crate) entries: &'a CooTensor,
     /// Per-mode partition coordinates of this block.
-    pub coords: Vec<usize>,
+    pub(crate) coords: Vec<usize>,
     /// Distinct mode-`n` indices appearing in this block (per mode) —
     /// determines which factor rows the block needs and how large its
     /// partial-`H` output is.
-    pub active: Vec<Vec<usize>>,
+    pub(crate) active: Vec<Vec<usize>>,
 }
 
 impl BlockMeta<'_> {
     /// Entries in this block.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.entries.nnz()
     }
 }
@@ -100,9 +100,9 @@ pub(crate) struct ClusterBackend<'a> {
     n_modes: usize,
     /// The blocking: the solve's one copy of the blocked entries, and the
     /// mode partitions.
-    pub blocking: &'a TensorBlocks,
+    pub(crate) blocking: &'a TensorBlocks,
     /// Per block, parallel to `blocking.blocks`.
-    pub meta: Vec<BlockMeta<'a>>,
+    pub(crate) meta: Vec<BlockMeta<'a>>,
     /// Per block: its partial-`H` slabs, parallel to `meta`.
     slabs: Vec<BlockSlabs>,
     /// Per-mode partial-Gram row ranges (the mode partition's ranges).
@@ -114,7 +114,7 @@ pub(crate) struct ClusterBackend<'a> {
 impl<'a> ClusterBackend<'a> {
     /// Bind the backend to `cl` and `blocking`, block `i` pinned to the
     /// machine of partition `i`.
-    pub fn new(
+    pub(crate) fn new(
         cl: &'a Cluster,
         rank: usize,
         blocking: &'a TensorBlocks,

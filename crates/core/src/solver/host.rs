@@ -40,7 +40,7 @@ impl<C: Fn(usize) -> f64> HostBackend<C> {
     /// Cut `observed` for rank `rank` — once: the support never changes
     /// *within* a solve — run its blocks on `exec`, and stamp trace points
     /// with `clock`.
-    pub fn new(observed: &CooTensor, rank: usize, exec: Executor, clock: C) -> Self {
+    pub(crate) fn new(observed: &CooTensor, rank: usize, exec: Executor, clock: C) -> Self {
         let cut = BlockCut::new(observed.shape(), observed.nnz(), rank);
         HostBackend { exec, cut, clock }
     }

@@ -68,7 +68,7 @@ use distenc_linalg::{Cholesky, Mat};
 use distenc_tensor::mttkrp::gram_product_into;
 use distenc_tensor::{CooTensor, KruskalTensor};
 
-pub mod checkpoint;
+pub(crate) mod checkpoint;
 pub(crate) mod cluster;
 pub(crate) mod host;
 
@@ -108,17 +108,17 @@ pub(crate) struct Workspace {
 /// among them: each sweep derives it from the model.
 pub(crate) struct SolverState {
     /// The CP model `[[A⁽¹⁾,…,A⁽ᴺ⁾]]`.
-    pub model: KruskalTensor,
+    pub(crate) model: KruskalTensor,
     /// Cached per-factor Grams `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` (Eq. 12).
-    pub grams: Vec<Mat>,
+    pub(crate) grams: Vec<Mat>,
     /// ADMM auxiliary factors `B⁽ⁿ⁾`.
-    pub b_aux: Vec<Mat>,
+    pub(crate) b_aux: Vec<Mat>,
     /// Scaled dual variables `Y⁽ⁿ⁾`.
-    pub y_mul: Vec<Mat>,
+    pub(crate) y_mul: Vec<Mat>,
     /// Current penalty parameter `η`.
-    pub eta: f64,
+    pub(crate) eta: f64,
     /// Preallocated iteration scratch.
-    pub ws: Workspace,
+    pub(crate) ws: Workspace,
 }
 
 impl SolverState {
@@ -128,7 +128,7 @@ impl SolverState {
     /// seeded random init of Algorithm 1 line 1. Grams start as zero
     /// placeholders — [`run`]'s prologue fills them through the backend
     /// before anything reads them.
-    pub fn new(
+    pub(crate) fn new(
         observed: &CooTensor,
         truncated: &[TruncatedLaplacian],
         cfg: &AdmmConfig,
@@ -169,7 +169,7 @@ impl SolverState {
     /// Overlay a snapshot's factors, duals `Y` and penalty `η` (the
     /// inverse of [`Checkpoint::capture`]) and return where the loop
     /// continues.
-    pub fn restore(&mut self, ck: &Checkpoint) -> Result<ResumePoint> {
+    pub(crate) fn restore(&mut self, ck: &Checkpoint) -> Result<ResumePoint> {
         self.model = KruskalTensor::new(ck.factors.clone())?;
         self.y_mul = ck.y_mul.clone();
         self.eta = ck.eta;
@@ -326,9 +326,9 @@ pub(crate) fn mode_step<B: StepBackend>(
 /// ([`SolverState::restore`] produces it).
 pub(crate) struct ResumePoint {
     /// Iterations already completed; the loop continues at this index.
-    pub start_iter: usize,
+    pub(crate) start_iter: usize,
     /// Trace accumulated before the interruption; new points append.
-    pub trace: ConvergenceTrace,
+    pub(crate) trace: ConvergenceTrace,
 }
 
 /// Receives solver snapshots at the configured checkpoint cadence. The

@@ -35,7 +35,7 @@ thread_local! {
 /// A pass-through allocator that counts allocations before delegating to
 /// [`System`]. Installed as the global allocator by this crate when the
 /// `alloc-count` feature is on.
-pub struct CountingAllocator;
+pub(crate) struct CountingAllocator;
 
 #[inline]
 fn record(bytes: usize) {

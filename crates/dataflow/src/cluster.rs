@@ -79,7 +79,7 @@ struct State {
 }
 
 /// The simulated cluster. All mutation happens behind a mutex so `&Cluster`
-/// can be shared freely by distributed collections.
+/// can be shared freely by the drivers and tasks that charge it.
 #[derive(Debug)]
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -202,7 +202,7 @@ impl Cluster {
     /// Release resident memory reserved earlier (no-op in MapReduce mode,
     /// mirroring [`Cluster::reserve`]). The subtraction saturates, so
     /// releasing bytes a crash already wiped is harmless.
-    pub fn release(&self, machine: usize, bytes: u64) -> Result<()> {
+    pub(crate) fn release(&self, machine: usize, bytes: u64) -> Result<()> {
         if machine >= self.cfg.machines {
             return Err(DataflowError::BadMachine { machine, machines: self.cfg.machines });
         }
@@ -318,11 +318,6 @@ impl Cluster {
         let mut slowest_clean = 0.0_f64;
         for mach in 0..m {
             let mut t = flops[mach] * self.cfg.cost.seconds_per_flop / cores;
-            if let Some((straggler, slowdown)) = self.cfg.straggler {
-                if mach == straggler {
-                    t *= slowdown;
-                }
-            }
             if self.cfg.mode == Platform::MapReduce {
                 t += working[mach] as f64 * self.cfg.cost.seconds_per_disk_byte;
             }
@@ -447,7 +442,7 @@ impl Cluster {
     }
 
     /// Manually advance the virtual clock (driver-side computation).
-    pub fn advance(&self, seconds: f64) -> Result<()> {
+    pub(crate) fn advance(&self, seconds: f64) -> Result<()> {
         let mut s = self.state.lock();
         s.clock += seconds;
         Self::check_budget_locked(&s, &self.cfg)
@@ -622,22 +617,6 @@ mod tests {
         let c = Cluster::new(ClusterConfig::test(1).with_time_budget(Some(1.0)));
         let err = c.advance(2.0).unwrap_err();
         assert!(matches!(err, DataflowError::OutOfTime { .. }));
-    }
-
-    #[test]
-    fn straggler_slows_its_machine_only() {
-        let mut cfg = ClusterConfig::test(2);
-        cfg.cost.stage_latency = 0.0;
-        cfg.straggler = Some((1, 10.0));
-        let c = Cluster::new(cfg);
-        // Balanced work, but machine 1 is 10× slower.
-        c.run_stage(&[
-            TaskCost { machine: 0, flops: 2e9, input_bytes: 0, output_bytes: 0 },
-            TaskCost { machine: 1, flops: 2e9, input_bytes: 0, output_bytes: 0 },
-        ])
-        .unwrap();
-        let want = 2e9 * c.config().cost.seconds_per_flop / 2.0 * 10.0;
-        assert!((c.now() - want).abs() < 1e-9);
     }
 
     #[test]

@@ -74,9 +74,6 @@ pub struct ClusterConfig {
     /// Optional virtual-time budget; exceeding it fails stages with
     /// [`crate::DataflowError::OutOfTime`].
     pub time_budget: Option<f64>,
-    /// Optional straggler: `(machine, slowdown)` multiplies that machine's
-    /// compute time (failure-injection testing).
-    pub straggler: Option<(usize, f64)>,
     /// Deterministic fault schedule (crashes, transient task failures,
     /// straggler windows). Empty by default — a fault-free cluster's
     /// accounting is bit-identical with or without the fault machinery.
@@ -95,7 +92,6 @@ impl ClusterConfig {
             exec: ExecMode::default(),
             cost: CostModel::default(),
             time_budget: Some(8.0 * 3600.0),
-            straggler: None,
             faults: FaultPlan::none(),
         }
     }
@@ -116,7 +112,6 @@ impl ClusterConfig {
             exec: ExecMode::default(),
             cost: CostModel::default(),
             time_budget: Some(8.0 * 3600.0),
-            straggler: None,
             faults: FaultPlan::none(),
         }
     }
@@ -131,7 +126,6 @@ impl ClusterConfig {
             exec: ExecMode::default(),
             cost: CostModel::default(),
             time_budget: None,
-            straggler: None,
             faults: FaultPlan::none(),
         }
     }

@@ -115,7 +115,6 @@ impl Default for ExecMode {
 /// [`Executor::parallelism`]) run inline on the caller's stack.
 #[derive(Debug)]
 pub struct Executor {
-    mode: ExecMode,
     pool: Option<Pool>,
     /// Host cores available at construction time
     /// (`std::thread::available_parallelism`, 1 on error).
@@ -130,17 +129,12 @@ impl Executor {
             n => Some(Pool::new(n)),
         };
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Executor { mode, pool, host }
-    }
-
-    /// The mode this executor runs under.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
+        Executor { pool, host }
     }
 
     /// Number of host threads used, the caller included (1 when
     /// sequential).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.pool.as_ref().map_or(1, Pool::threads)
     }
 

@@ -18,9 +18,8 @@
 //!   [`crate::DataflowError::TaskFailed`] (after charging all attempts),
 //!   matching Spark aborting a job when a task exhausts its retries.
 //! * [`Fault::Straggler`] — a machine runs slower by a factor for a
-//!   window of stages. Unlike [`crate::ClusterConfig::straggler`] (a
-//!   permanent hardware property), this models transient contention and
-//!   its slowdown is attributed to `Metrics::recovery_seconds`.
+//!   window of stages, modelling contention; its slowdown is attributed
+//!   to `Metrics::recovery_seconds`.
 //!
 //! An empty plan (the default) leaves every charge bit-identical to a
 //! cluster built without fault support — the golden traces pin this.
@@ -84,7 +83,7 @@ pub struct FaultPlan {
     /// How many times a failed task is retried before the stage aborts
     /// with [`crate::DataflowError::TaskFailed`]. Mirrors Spark's
     /// `spark.task.maxFailures - 1`. Default: 3.
-    pub max_task_retries: u32,
+    pub(crate) max_task_retries: u32,
 }
 
 impl Default for FaultPlan {
@@ -108,11 +107,6 @@ impl FaultPlan {
     pub fn with_max_task_retries(mut self, retries: u32) -> Self {
         self.max_task_retries = retries;
         self
-    }
-
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Generate a random plan from a seed: one to three events of mixed
@@ -153,7 +147,7 @@ mod tests {
 
     #[test]
     fn default_plan_is_empty() {
-        assert!(FaultPlan::default().is_empty());
+        assert!(FaultPlan::default().events.is_empty());
         assert_eq!(FaultPlan::default().max_task_retries, 3);
     }
 
@@ -162,7 +156,7 @@ mod tests {
         let a = FaultPlan::seeded(42, 4, 100);
         let b = FaultPlan::seeded(42, 4, 100);
         assert_eq!(a, b);
-        assert!(!a.is_empty());
+        assert!(!a.events.is_empty());
         let c = FaultPlan::seeded(43, 4, 100);
         assert_ne!(a, c, "different seeds should differ (for this pair)");
     }

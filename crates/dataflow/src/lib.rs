@@ -3,9 +3,10 @@
 //! The paper runs DisTenC on a 10-node Spark cluster (9 executors × 8
 //! cores, 12 GB each) and compares against MapReduce-based systems. This
 //! crate is the substitution for that infrastructure (DESIGN.md §2): a
-//! deterministic, single-process engine that executes real computation
-//! over partitioned collections while accounting for the three resources
-//! the paper's evaluation measures —
+//! deterministic, single-process [`Cluster`] to which the drivers charge
+//! each stage's per-machine work while an [`Executor`] runs the real
+//! computation, accounting for the three resources the paper's evaluation
+//! measures —
 //!
 //! * **virtual time** — per-stage wall-clock model: `max` over machines of
 //!   (compute ÷ cores) plus network transfer, per-stage scheduling
@@ -30,9 +31,9 @@
 #[cfg(feature = "alloc-count")]
 pub mod alloc;
 pub mod cluster;
-pub mod config;
-pub mod exec;
-pub mod fault;
+pub(crate) mod config;
+pub(crate) mod exec;
+pub(crate) mod fault;
 #[cfg(feature = "pass-count")]
 pub mod passes;
 
@@ -44,10 +45,16 @@ pub mod passes;
 #[global_allocator]
 static COUNTING_ALLOCATOR: alloc::CountingAllocator = alloc::CountingAllocator;
 
-pub use cluster::{Cluster, MemoryReservation, Metrics};
-pub use config::{ClusterConfig, CostModel, Platform};
-pub use exec::{even_ranges, ExecMode, Executor};
-pub use fault::{Fault, FaultPlan};
+pub use cluster::Cluster;
+pub use cluster::MemoryReservation;
+pub use cluster::Metrics;
+pub use config::ClusterConfig;
+pub use config::Platform;
+pub use exec::even_ranges;
+pub use exec::ExecMode;
+pub use exec::Executor;
+pub use fault::Fault;
+pub use fault::FaultPlan;
 
 /// Errors surfaced by the engine. `OutOfMemory` and `OutOfTime` are
 /// *results* of the simulation (they reproduce the paper's O.O.M./O.O.T.
@@ -72,8 +79,8 @@ pub enum DataflowError {
         /// The configured budget.
         budget: f64,
     },
-    /// An operation was invoked with inconsistent arguments (e.g. joining
-    /// collections from different clusters).
+    /// An operation was invoked with inconsistent arguments (e.g. a
+    /// shuffle whose byte counts are not one per machine or not conserved).
     Invalid(String),
     /// A machine was lost mid-operation (injected via
     /// [`fault::FaultPlan`]): its resident data is gone and the driver
@@ -143,4 +150,4 @@ impl std::fmt::Display for DataflowError {
 impl std::error::Error for DataflowError {}
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, DataflowError>;
+pub(crate) type Result<T> = std::result::Result<T, DataflowError>;

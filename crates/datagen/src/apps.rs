@@ -27,13 +27,11 @@ use rand::{Rng, SeedableRng};
 /// A generated application dataset.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    /// Analog name ("netflix", …).
-    pub name: &'static str,
     /// Observed sparse tensor.
     pub tensor: CooTensor,
     /// Per-mode similarity matrices (None = no side information for that
     /// mode).
-    pub similarities: Vec<Option<SparseSym>>,
+    pub(crate) similarities: Vec<Option<SparseSym>>,
     /// Ground-truth community id per entity for each mode (used by the
     /// concept-discovery evaluation); `None` for modes without planted
     /// communities.
@@ -218,7 +216,6 @@ pub fn netflix_like(users: usize, movies: usize, time: usize, nnz: usize, seed: 
     });
 
     Dataset {
-        name: "netflix",
         tensor,
         similarities: vec![None, Some(movie_sim), None],
         communities: vec![Some(community_ids(users, 8)), Some(community_ids(movies, 15)), None],
@@ -254,7 +251,6 @@ pub fn twitter_like(
         (v + 0.05 * gaussian(rng)).max(0.0)
     });
     Dataset {
-        name: "twitter",
         tensor,
         similarities: vec![Some(creator_sim), Some(expert_sim), None],
         communities: vec![
@@ -294,7 +290,6 @@ pub fn facebook_like(users: usize, time: usize, nnz: usize, seed: u64) -> Datase
         (v + 0.05 * gaussian(rng)).max(0.0)
     });
     Dataset {
-        name: "facebook",
         tensor,
         similarities: vec![Some(user_sim.clone()), Some(user_sim), None],
         communities: vec![
@@ -345,7 +340,6 @@ pub fn dblp_like(
         (v + 0.02 * gaussian(rng)).max(0.0)
     });
     Dataset {
-        name: "dblp",
         tensor,
         similarities: vec![Some(author_sim), None, None],
         communities: vec![

@@ -18,5 +18,3 @@
 pub mod apps;
 pub mod synthetic;
 
-pub use apps::{dblp_like, facebook_like, netflix_like, twitter_like, Dataset};
-pub use synthetic::{error_tensor, scalability_tensor, ErrorTensor};

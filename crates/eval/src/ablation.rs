@@ -26,8 +26,6 @@ use std::time::Instant;
 /// Result of the B-update ablation at one mode size.
 #[derive(Debug, Clone, Copy)]
 pub struct BUpdateAblation {
-    /// Mode dimension `I`.
-    pub dim: usize,
     /// Wall seconds for `iters` eigen-path applications (including the
     /// one-time truncation).
     pub eigen_seconds: f64,
@@ -69,14 +67,12 @@ pub fn ablate_b_update(dim: usize, rank: usize, k: usize, iters: usize) -> Resul
     for (a, b) in eigen_out.as_slice().iter().zip(dense_out.as_slice()) {
         max_deviation = max_deviation.max((a - b).abs());
     }
-    Ok(BUpdateAblation { dim, eigen_seconds, dense_seconds, max_deviation })
+    Ok(BUpdateAblation { eigen_seconds, dense_seconds, max_deviation })
 }
 
 /// Result of the residual-trick ablation at one tensor size.
 #[derive(Debug, Clone, Copy)]
 pub struct ResidualAblation {
-    /// Cubic mode length `d` (the dense path materializes `d³` cells).
-    pub dim: usize,
     /// Wall seconds for the residual-trick MTTKRP (all modes).
     pub trick_seconds: f64,
     /// Wall seconds for the dense-materialization MTTKRP (all modes).
@@ -111,7 +107,7 @@ pub fn ablate_residual_trick(dim: usize, nnz: usize, rank: usize) -> Result<Resi
             max_deviation = max_deviation.max((a - b).abs());
         }
     }
-    Ok(ResidualAblation { dim, trick_seconds, naive_seconds, max_deviation })
+    Ok(ResidualAblation { trick_seconds, naive_seconds, max_deviation })
 }
 
 /// Result of the partitioning ablation.

@@ -41,7 +41,7 @@ pub fn discover_concepts(factors: &[Mat], top_k: usize) -> Vec<Concept> {
 }
 
 /// Indices of the `k` rows with the largest value in `column`, descending.
-pub fn top_rows(factor: &Mat, column: usize, k: usize) -> Vec<usize> {
+pub(crate) fn top_rows(factor: &Mat, column: usize, k: usize) -> Vec<usize> {
     let mut rows: Vec<usize> = (0..factor.rows()).collect();
     rows.sort_by(|&a, &b| {
         factor
@@ -56,7 +56,7 @@ pub fn top_rows(factor: &Mat, column: usize, k: usize) -> Vec<usize> {
 /// Purity of one member list against ground-truth labels: the share of
 /// members agreeing with the list's majority label. 1.0 = the concept is
 /// a single community.
-pub fn purity(members: &[usize], labels: &[usize]) -> f64 {
+pub(crate) fn purity(members: &[usize], labels: &[usize]) -> f64 {
     if members.is_empty() {
         return 1.0;
     }

@@ -195,7 +195,7 @@ pub struct AccuracyRow {
 
 /// Run one application dataset through the application methods with a
 /// 50/50 split (§IV-E protocol).
-pub fn application_accuracy(data: &Dataset, knobs: &Knobs) -> Result<Vec<AccuracyRow>> {
+pub(crate) fn application_accuracy(data: &Dataset, knobs: &Knobs) -> Result<Vec<AccuracyRow>> {
     let split = split_missing(&data.tensor, 0.5, 17);
     let sims = data.similarity_refs();
     // Mean-center the training values (standard recommender practice):
@@ -230,7 +230,7 @@ fn center(t: &distenc_tensor::CooTensor) -> (distenc_tensor::CooTensor, f64) {
 }
 
 /// The shared application datasets at a profile's scale.
-pub fn app_datasets(profile: Profile) -> (Dataset, Dataset, Dataset) {
+pub(crate) fn app_datasets(profile: Profile) -> (Dataset, Dataset, Dataset) {
     match profile {
         Profile::Quick => (
             netflix_like(150, 80, 10, 5_000, 5),
@@ -363,7 +363,7 @@ pub fn table2(profile: Profile) -> Vec<Table2Row> {
 }
 
 /// The DBLP analog at a profile's scale.
-pub fn dblp_dataset(profile: Profile) -> Dataset {
+pub(crate) fn dblp_dataset(profile: Profile) -> Dataset {
     match profile {
         Profile::Quick => dblp_like(120, 150, 9, 3, 5_000, 10),
         Profile::Full => dblp_like(600, 900, 9, 3, 40_000, 8),

@@ -31,4 +31,3 @@ pub mod metrics;
 pub mod sensitivity;
 pub mod table;
 
-pub use methods::Method;

@@ -69,7 +69,7 @@ impl Default for Knobs {
 
 impl Method {
     /// All methods, in the paper's legend order.
-    pub const ALL: [Method; 5] =
+    pub(crate) const ALL: [Method; 5] =
         [Method::Als, Method::Tfai, Method::Scout, Method::FlexiFact, Method::DisTenC];
 
     /// The three methods the application experiments compare (§IV-E/F:
@@ -88,7 +88,7 @@ impl Method {
     }
 
     /// The method's scalability model (Fig. 3 sweeps).
-    pub fn model(&self) -> Box<dyn MethodModel> {
+    pub(crate) fn model(&self) -> Box<dyn MethodModel> {
         match self {
             Method::DisTenC => Box::new(DisTenCModel),
             Method::Als => Box::new(AlsModel),
@@ -99,7 +99,7 @@ impl Method {
     }
 
     /// The substrate the paper runs this method on.
-    pub fn cluster_config(&self) -> ClusterConfig {
+    pub(crate) fn cluster_config(&self) -> ClusterConfig {
         match self {
             Method::DisTenC | Method::Als => ClusterConfig::paper_spark(),
             Method::Scout | Method::FlexiFact => ClusterConfig::paper_mapreduce(),
@@ -121,7 +121,7 @@ impl Method {
     /// Run with engine accounting on `cluster` (virtual-time trace); pass
     /// a cluster built from [`Method::cluster_config`] for the paper's
     /// setup. TFAI is inherently single-machine and ignores the cluster.
-    pub fn run_on_cluster(
+    pub(crate) fn run_on_cluster(
         &self,
         cluster: &Cluster,
         observed: &CooTensor,

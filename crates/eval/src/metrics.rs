@@ -30,7 +30,7 @@ pub fn rmse(model: &KruskalTensor, test: &CooTensor) -> Result<f64> {
 /// removes the rank-one "global mean" component every method would
 /// otherwise spend iterations fitting) and score with the offset added
 /// back.
-pub fn rmse_with_offset(
+pub(crate) fn rmse_with_offset(
     model: &KruskalTensor,
     test: &CooTensor,
     offset: f64,

@@ -36,11 +36,6 @@ impl Laplacian {
         self.similarity.dim()
     }
 
-    /// The underlying similarity matrix.
-    pub fn similarity(&self) -> &SparseSym {
-        &self.similarity
-    }
-
     /// Densify (test/TFAI oracle only — `O(I²)` memory, which is exactly
     /// what makes the single-machine baseline die first in Fig. 3a).
     pub fn to_dense(&self) -> Mat {
@@ -188,7 +183,7 @@ impl Laplacian {
     /// `tr(L) = Σᵢ dᵢ` (diagonal of `D − S` ignoring self-loops in `S`)
     /// — exactly the sum of all eigenvalues, used to place the truncated
     /// complement.
-    pub fn trace(&self) -> f64 {
+    pub(crate) fn trace(&self) -> f64 {
         let mut t: f64 = self.degrees.iter().sum();
         // Self-loop similarity contributes to the degree but sits on the
         // diagonal of S, so it cancels in L's trace.
@@ -276,7 +271,7 @@ pub struct TruncatedLaplacian {
 
 impl TruncatedLaplacian {
     /// Assemble from kept eigenpairs plus the operator's exact trace.
-    pub fn new(values: Vec<f64>, vectors: Mat, trace: f64) -> Self {
+    pub(crate) fn new(values: Vec<f64>, vectors: Mat, trace: f64) -> Self {
         let n = vectors.rows();
         let k = values.len();
         let kept: f64 = values.iter().sum();
@@ -317,12 +312,6 @@ impl TruncatedLaplacian {
         let mut scratch = ShiftedInverseScratch::new(self, rhs.cols());
         self.apply_shifted_inverse_into(eta, alpha, rhs, &mut out, &mut scratch)?;
         Ok(out)
-    }
-
-    /// Approximate heap footprint in bytes (`O(I·K + K)`, Lemma 2's
-    /// eigen-decomposition term).
-    pub fn mem_bytes(&self) -> usize {
-        self.vectors.mem_bytes() + self.values.len() * std::mem::size_of::<f64>()
     }
 
     /// `out = (ηI + αL)⁻¹ rhs` with every intermediate supplied by a

@@ -20,8 +20,10 @@
 #![warn(missing_docs)]
 
 pub mod builders;
-pub mod laplacian;
-pub mod sparse;
+pub(crate) mod laplacian;
+pub(crate) mod sparse;
 
-pub use laplacian::{Laplacian, ShiftedInverseScratch, TruncatedLaplacian};
+pub use laplacian::Laplacian;
+pub use laplacian::ShiftedInverseScratch;
+pub use laplacian::TruncatedLaplacian;
 pub use sparse::SparseSym;

@@ -81,14 +81,14 @@ impl SparseSym {
     }
 
     /// Row sums (degrees `dᵢ = Σⱼ Sᵢⱼ` for the Laplacian).
-    pub fn row_sums(&self) -> Vec<f64> {
+    pub(crate) fn row_sums(&self) -> Vec<f64> {
         (0..self.n)
             .map(|i| self.row(i).1.iter().sum())
             .collect()
     }
 
     /// `out = S * x`.
-    pub fn matvec(&self, x: &[f64], out: &mut [f64]) {
+    pub(crate) fn matvec(&self, x: &[f64], out: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n);
         debug_assert_eq!(out.len(), self.n);
         for (i, o) in out.iter_mut().enumerate() {
@@ -97,17 +97,10 @@ impl SparseSym {
         }
     }
 
-    /// Approximate heap footprint in bytes.
-    pub fn mem_bytes(&self) -> usize {
-        self.row_ptr.len() * std::mem::size_of::<usize>()
-            + self.col_idx.len() * std::mem::size_of::<usize>()
-            + self.values.len() * std::mem::size_of::<f64>()
-    }
-
     /// Connected components (BFS), each a sorted list of node ids.
     /// Community-style similarity graphs are unions of disconnected
     /// blocks; eigensolvers exploit this heavily.
-    pub fn components(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn components(&self) -> Vec<Vec<usize>> {
         let mut seen = vec![false; self.n];
         let mut out = Vec::new();
         let mut queue = std::collections::VecDeque::new();
@@ -135,7 +128,8 @@ impl SparseSym {
     }
 
     /// Verify symmetry (test helper; `O(nnz · degree)`).
-    pub fn is_symmetric(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_symmetric(&self) -> bool {
         (0..self.n).all(|i| {
             let (cols, vals) = self.row(i);
             cols.iter()

@@ -64,12 +64,13 @@ impl Cholesky {
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.l.rows()
     }
 
     /// The lower-triangular factor.
-    pub fn l(&self) -> &Mat {
+    #[cfg(test)]
+    pub(crate) fn l(&self) -> &Mat {
         &self.l
     }
 
@@ -154,12 +155,6 @@ impl Cholesky {
         }
         Ok(())
     }
-
-    /// Explicit inverse `A⁻¹` (used only where the algorithm genuinely
-    /// caches an inverse; prefer the `solve_*` methods).
-    pub fn inverse(&self) -> Result<Mat> {
-        self.solve_mat(&Mat::identity(self.dim()))
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +217,7 @@ mod tests {
     #[test]
     fn inverse_times_matrix_is_identity() {
         let a = spd(5, 99);
-        let inv = Cholesky::factor(&a).unwrap().inverse().unwrap();
+        let inv = Cholesky::factor(&a).unwrap().solve_mat(&Mat::identity(5)).unwrap();
         let prod = a.matmul(&inv).unwrap();
         let eye = Mat::identity(5);
         for (u, v) in prod.as_slice().iter().zip(eye.as_slice()) {

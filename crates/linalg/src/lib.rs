@@ -27,17 +27,18 @@
 
 #![allow(clippy::needless_range_loop)] // indexed loops mirror the math in numeric kernels
 
-pub mod chol;
+pub(crate) mod chol;
 pub mod eigen;
 pub mod isa;
-pub mod lanczos;
-pub mod mat;
-pub mod tridiag;
-pub mod vec_ops;
+pub(crate) mod lanczos;
+pub(crate) mod mat;
+pub(crate) mod tridiag;
+pub(crate) mod vec_ops;
 
 pub use chol::Cholesky;
-pub use eigen::{symmetric_eigen, EigenPairs};
-pub use lanczos::{lanczos_smallest, LinOp};
+pub use eigen::symmetric_eigen;
+pub use lanczos::lanczos_smallest;
+pub use lanczos::LinOp;
 pub use mat::Mat;
 
 /// Errors produced by the linear-algebra kernels.

@@ -45,7 +45,8 @@ impl Mat {
     ///
     /// # Panics
     /// Panics if rows have differing lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
         let r = rows.len();
         let c = rows.first().map_or(0, |row| row.len());
         let mut data = Vec::with_capacity(r * c);
@@ -123,7 +124,7 @@ impl Mat {
     }
 
     /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
+    pub(crate) fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols.max(1))
     }
 
@@ -216,15 +217,9 @@ impl Mat {
         Ok(())
     }
 
-    /// `self + rhs` as a new matrix.
-    pub fn add(&self, rhs: &Mat) -> Result<Mat> {
-        let mut out = self.clone();
-        out.axpy(1.0, rhs)?;
-        Ok(out)
-    }
-
     /// `self - rhs` as a new matrix.
-    pub fn sub(&self, rhs: &Mat) -> Result<Mat> {
+    #[cfg(test)]
+    pub(crate) fn sub(&self, rhs: &Mat) -> Result<Mat> {
         let mut out = self.clone();
         out.axpy(-1.0, rhs)?;
         Ok(out)
@@ -260,11 +255,6 @@ impl Mat {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Squared Frobenius norm.
-    pub fn frob_norm_sq(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>()
-    }
-
     /// Frobenius norm of `self - rhs`, the convergence test of Algorithm 3
     /// (`max ‖A⁽ⁿ⁾ₜ₊₁ − A⁽ⁿ⁾ₜ‖²_F < tol`).
     pub fn frob_dist(&self, rhs: &Mat) -> Result<f64> {
@@ -284,19 +274,6 @@ impl Mat {
             .sqrt())
     }
 
-    /// Matrix inner product `<self, rhs> = Σᵢⱼ selfᵢⱼ rhsᵢⱼ` (used by the
-    /// augmented Lagrangian, Eq. 5).
-    pub fn inner(&self, rhs: &Mat) -> Result<f64> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "inner",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        Ok(self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).sum())
-    }
-
     /// Clamp all entries to be non-negative (projection used when enforcing
     /// the `A⁽ⁿ⁾ ≥ 0` constraint).
     pub fn clamp_nonneg(&mut self) {
@@ -308,7 +285,8 @@ impl Mat {
     }
 
     /// Matrix-vector product `self * x`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
+    #[cfg(test)]
+    pub(crate) fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.cols {
             return Err(LinalgError::ShapeMismatch {
                 op: "matvec",
@@ -346,7 +324,7 @@ impl Mat {
     }
 
     /// Overwrite `self` with the entries of `src` (shapes must match).
-    pub fn copy_from(&mut self, src: &Mat) -> Result<()> {
+    pub(crate) fn copy_from(&mut self, src: &Mat) -> Result<()> {
         if self.shape() != src.shape() {
             return Err(LinalgError::ShapeMismatch {
                 op: "copy_from",
@@ -443,7 +421,11 @@ impl Mat {
     /// Partial Gram into a caller-owned buffer (see [`Mat::gram_range`]):
     /// upper triangle only; the buffer is zeroed first, including its
     /// lower triangle.
-    pub fn gram_range_into(&self, rows: std::ops::Range<usize>, out: &mut Mat) -> Result<()> {
+    pub(crate) fn gram_range_into(
+        &self,
+        rows: std::ops::Range<usize>,
+        out: &mut Mat,
+    ) -> Result<()> {
         let r = self.cols;
         if out.shape() != (r, r) {
             return Err(LinalgError::ShapeMismatch {
@@ -566,13 +548,6 @@ mod tests {
         let mut a = Mat::from_rows(&[&[-1.0, 2.0], &[0.0, -0.5]]);
         a.clamp_nonneg();
         assert_eq!(a, Mat::from_rows(&[&[0.0, 2.0], &[0.0, 0.0]]));
-    }
-
-    #[test]
-    fn inner_product_known_value() {
-        let a = Mat::from_rows(&[&[1.0, 2.0]]);
-        let b = Mat::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(a.inner(&b).unwrap(), 11.0);
     }
 
     /// `Σᵢ a(i,j)·a(i,k)` over `rows`, by index arithmetic, for `j ≤ k`;

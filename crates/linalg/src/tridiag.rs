@@ -25,7 +25,7 @@ use crate::{isa, LinalgError, Mat, Result};
 ///   original operator. Rows are rotated in place — a Givens step touches
 ///   two contiguous slices — and row `i` ends up as the eigenvector of
 ///   `d[i]`.
-pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<()> {
+pub(crate) fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<()> {
     isa::widest(
         #[inline(always)]
         || tqli_body(d, e, z),
@@ -143,7 +143,7 @@ pub(crate) fn smallest_pairs(d: &[f64], z: &Mat, k: usize) -> (Vec<f64>, Mat) {
 /// eigenvectors of `A`. `O(n³)` with a small constant (`4n³/3` flops for
 /// the reduction, as many again to accumulate `Q`), against the
 /// `O(n³)`-*per-sweep* of cyclic Jacobi.
-pub fn householder_tridiag(a: &mut Mat, d: &mut [f64], e: &mut [f64]) -> Result<()> {
+pub(crate) fn householder_tridiag(a: &mut Mat, d: &mut [f64], e: &mut [f64]) -> Result<()> {
     let n = a.rows();
     if a.cols() != n || d.len() != n || e.len() != n {
         return Err(LinalgError::ShapeMismatch {

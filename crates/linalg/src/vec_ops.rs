@@ -5,20 +5,20 @@
 /// # Panics
 /// Panics in debug builds if lengths differ.
 #[inline(always)]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Euclidean norm.
 #[inline]
-pub fn norm2(a: &[f64]) -> f64 {
+pub(crate) fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
 /// In-place `y += alpha * x`.
 #[inline(always)]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
@@ -27,7 +27,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 
 /// In-place scaling `x *= alpha`.
 #[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
+pub(crate) fn scale(alpha: f64, x: &mut [f64]) {
     for xi in x {
         *xi *= alpha;
     }
@@ -35,7 +35,7 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 
 /// Normalize `x` to unit Euclidean norm, returning the original norm.
 /// Leaves `x` untouched (and returns 0) when its norm underflows.
-pub fn normalize(x: &mut [f64]) -> f64 {
+pub(crate) fn normalize(x: &mut [f64]) -> f64 {
     let n = norm2(x);
     if n > f64::MIN_POSITIVE {
         scale(1.0 / n, x);

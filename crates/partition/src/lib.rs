@@ -72,19 +72,19 @@ pub fn greedy_boundaries(theta: &[usize], parts: usize) -> Vec<usize> {
 pub struct ModePartition {
     /// Exclusive end index of each partition, non-decreasing; the final
     /// entry equals the mode length.
-    pub boundaries: Vec<usize>,
+    pub(crate) boundaries: Vec<usize>,
 }
 
 impl ModePartition {
     /// Build from a slice histogram.
-    pub fn from_histogram(theta: &[usize], parts: usize) -> Self {
+    pub(crate) fn from_histogram(theta: &[usize], parts: usize) -> Self {
         ModePartition { boundaries: greedy_boundaries(theta, parts) }
     }
 
     /// Equal-width boundaries ignoring the data distribution — the naive
     /// blocking the paper's §III-C warns "could result in load imbalance".
     /// Exists as the ablation baseline for Algorithm 2.
-    pub fn equal_width(len: usize, parts: usize) -> Self {
+    pub(crate) fn equal_width(len: usize, parts: usize) -> Self {
         assert!(parts > 0, "need at least one partition");
         let boundaries = (1..=parts)
             .map(|p| (len * p).div_ceil(parts).min(len))
@@ -98,7 +98,7 @@ impl ModePartition {
     }
 
     /// Partition containing slice `index` (binary search over boundaries).
-    pub fn part_of(&self, index: usize) -> usize {
+    pub(crate) fn part_of(&self, index: usize) -> usize {
         // First boundary strictly greater than `index`.
         match self.boundaries.binary_search(&index) {
             // boundaries[p] == index means index is the *end* of p, so it
@@ -124,11 +124,11 @@ impl ModePartition {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BalanceStats {
     /// Largest partition (records).
-    pub max: usize,
+    pub(crate) max: usize,
     /// Smallest partition (records).
-    pub min: usize,
+    pub(crate) min: usize,
     /// Mean partition size.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// `max / mean` — 1.0 is perfect balance; the straggler factor of the
     /// slowest machine.
     pub imbalance: f64,
@@ -136,7 +136,7 @@ pub struct BalanceStats {
 
 impl BalanceStats {
     /// Compute stats from per-partition record counts.
-    pub fn from_counts(counts: &[usize]) -> Self {
+    pub(crate) fn from_counts(counts: &[usize]) -> Self {
         let max = counts.iter().copied().max().unwrap_or(0);
         let min = counts.iter().copied().min().unwrap_or(0);
         let mean = if counts.is_empty() {
@@ -230,11 +230,6 @@ impl TensorBlocks {
             })
             .collect();
         TensorBlocks { modes, blocks, parts_per_mode: parts_per_mode.to_vec() }
-    }
-
-    /// Partition counts per mode.
-    pub fn parts_per_mode(&self) -> &[usize] {
-        &self.parts_per_mode
     }
 
     /// Linear block id of an entry index.
@@ -398,7 +393,7 @@ mod tests {
             let coords = blocks.block_coords(id);
             let mut back = 0;
             for (n, &c) in coords.iter().enumerate() {
-                back = back * blocks.parts_per_mode()[n] + c;
+                back = back * blocks.parts_per_mode[n] + c;
             }
             assert_eq!(back, id);
         }

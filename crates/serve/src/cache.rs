@@ -23,7 +23,6 @@ struct Node<K, V> {
 pub(crate) struct LruCache<K, V> {
     map: HashMap<K, usize>,
     nodes: Vec<Node<K, V>>,
-    free: Vec<usize>,
     head: usize,
     tail: usize,
     capacity: usize,
@@ -35,7 +34,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         LruCache {
             map: HashMap::with_capacity(capacity),
             nodes: Vec::with_capacity(capacity),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
@@ -82,26 +80,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             self.nodes[victim].key = key.clone();
             self.nodes[victim].value = value;
             victim
-        } else if let Some(slot) = self.free.pop() {
-            self.nodes[slot].key = key.clone();
-            self.nodes[slot].value = value;
-            slot
         } else {
             self.nodes.push(Node { key: key.clone(), value, prev: NIL, next: NIL });
             self.nodes.len() - 1
         };
         self.map.insert(key, slot);
         self.push_front(slot);
-    }
-
-    /// Drop every entry, keeping allocated capacity.
-    #[cfg(test)]
-    fn clear(&mut self) {
-        self.map.clear();
-        self.free.clear();
-        self.free.extend(0..self.nodes.len());
-        self.head = NIL;
-        self.tail = NIL;
     }
 
     fn unlink(&mut self, slot: usize) {
@@ -177,19 +161,6 @@ mod tests {
         c.put("a", 1);
         assert_eq!(c.get(&"a"), None);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn clear_then_reuse() {
-        let mut c = LruCache::new(3);
-        c.put(1, "x");
-        c.put(2, "y");
-        c.clear();
-        assert!(c.is_empty());
-        c.put(3, "z");
-        assert_eq!(c.get(&3), Some(&"z"));
-        assert_eq!(c.get(&1), None);
-        assert_eq!(c.len(), 1);
     }
 
     #[test]

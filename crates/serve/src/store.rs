@@ -1,11 +1,8 @@
 //! Immutable factor store: one matrix per mode.
 //!
-//! Alongside the raw rows the store precomputes, per mode:
-//! * the Gram matrix `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` (same self-product the solver caches for
-//!   the Hadamard normal equations, Eqs. 11–13),
-//! * every row's L2 norm, and
-//! * a norm-descending row order — the two ingredients of the
-//!   Cauchy–Schwarz pruning bound used by top-K search.
+//! Alongside the raw rows the store precomputes, per mode, every row's L2
+//! norm and a norm-descending row order — the two ingredients of the
+//! Cauchy–Schwarz pruning bound used by top-K search.
 //!
 //! Rows are copied verbatim from the model, so values read back from the
 //! store are bit-identical to the factors they came from.
@@ -18,8 +15,6 @@ use distenc_tensor::KruskalTensor;
 pub struct FactorStore {
     /// `factors[mode]` is the factor matrix of `mode`.
     factors: Vec<Mat>,
-    /// Per-mode Gram matrix `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` (`R×R`).
-    grams: Vec<Mat>,
     /// Per-mode row L2 norms.
     norms: Vec<Vec<f64>>,
     /// Per-mode row indices sorted by norm descending (ties by index).
@@ -29,12 +24,11 @@ pub struct FactorStore {
 }
 
 impl FactorStore {
-    /// Copy `model`'s factors and precompute the per-mode Gram matrices,
-    /// row norms, and norm orders.
+    /// Copy `model`'s factors and precompute the per-mode row norms and
+    /// norm orders.
     pub(crate) fn new(model: &KruskalTensor) -> Self {
         let shape = model.shape();
         let rank = model.rank();
-        let mut grams = Vec::with_capacity(model.order());
         let mut norms = Vec::with_capacity(model.order());
         let mut by_norm = Vec::with_capacity(model.order());
         for factor in model.factors() {
@@ -46,12 +40,11 @@ impl FactorStore {
             order.sort_unstable_by(|&a, &b| {
                 mode_norms[b].total_cmp(&mode_norms[a]).then(a.cmp(&b))
             });
-            grams.push(factor.gram());
             norms.push(mode_norms);
             by_norm.push(order);
         }
         let factors = model.factors().to_vec();
-        FactorStore { factors, grams, norms, by_norm, shape, rank }
+        FactorStore { factors, norms, by_norm, shape, rank }
     }
 
     /// Tensor shape served by this store.
@@ -75,12 +68,6 @@ impl FactorStore {
         self.factors[mode].row(i)
     }
 
-    /// Gram matrix `A⁽ᵐᵒᵈᵉ⁾ᵀA⁽ᵐᵒᵈᵉ⁾`.
-    #[cfg(test)]
-    fn gram(&self, mode: usize) -> &Mat {
-        &self.grams[mode]
-    }
-
     /// L2 norm of factor row `A⁽ᵐᵒᵈᵉ⁾[i, ·]`.
     #[inline]
     pub(crate) fn row_norm(&self, mode: usize, i: usize) -> f64 {
@@ -96,14 +83,13 @@ impl FactorStore {
     /// Approximate heap footprint in bytes (factors + precomputed tables).
     pub fn mem_bytes(&self) -> usize {
         let factor_bytes: usize = self.factors.iter().map(Mat::mem_bytes).sum();
-        let gram_bytes: usize = self.grams.iter().map(Mat::mem_bytes).sum();
         let table_bytes: usize = self
             .norms
             .iter()
             .zip(&self.by_norm)
             .map(|(n, o)| n.len() * 8 + o.len() * std::mem::size_of::<usize>())
             .sum();
-        factor_bytes + gram_bytes + table_bytes
+        factor_bytes + table_bytes
     }
 }
 
@@ -132,15 +118,6 @@ mod tests {
             for w in order.windows(2) {
                 assert!(store.row_norm(mode, w[0]) >= store.row_norm(mode, w[1]));
             }
-        }
-    }
-
-    #[test]
-    fn gram_matches_factor_gram() {
-        let model = KruskalTensor::random(&[12, 8, 6], 3, 4);
-        let store = FactorStore::new(&model);
-        for (mode, factor) in model.factors().iter().enumerate() {
-            assert_eq!(store.gram(mode), &factor.gram());
         }
     }
 }

@@ -203,33 +203,28 @@ impl DeltaBatch {
     }
 
     /// The shape this batch was validated against.
-    pub fn base_shape(&self) -> &[usize] {
+    pub(crate) fn base_shape(&self) -> &[usize] {
         &self.base_shape
     }
 
     /// Per-mode dimension growth.
-    pub fn growth(&self) -> &[usize] {
+    pub(crate) fn growth(&self) -> &[usize] {
         &self.growth
     }
 
     /// The shape after applying this batch.
-    pub fn new_shape(&self) -> Vec<usize> {
+    pub(crate) fn new_shape(&self) -> Vec<usize> {
         self.base_shape.iter().zip(&self.growth).map(|(&d, &g)| d + g).collect()
     }
 
     /// New nonzeros, sorted by coordinate.
-    pub fn inserts(&self) -> &[(Vec<usize>, f64)] {
+    pub(crate) fn inserts(&self) -> &[(Vec<usize>, f64)] {
         &self.inserts
     }
 
     /// Value revisions to existing entries, sorted by coordinate.
-    pub fn updates(&self) -> &[(Vec<usize>, f64)] {
+    pub(crate) fn updates(&self) -> &[(Vec<usize>, f64)] {
         &self.updates
-    }
-
-    /// True when the batch changes nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && self.updates.is_empty() && self.growth.iter().all(|&g| g == 0)
     }
 }
 
@@ -249,7 +244,6 @@ mod tests {
         assert_eq!(b.new_shape(), vec![5, 3]);
         // Inserts come back sorted.
         assert_eq!(b.inserts()[0].0, vec![0, 1]);
-        assert!(!b.is_empty());
     }
 
     #[test]

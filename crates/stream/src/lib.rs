@@ -28,8 +28,9 @@
 mod delta;
 mod solver;
 
-pub use delta::{DeltaBatch, StreamError};
+pub use delta::DeltaBatch;
+pub use delta::StreamError;
 pub use solver::StreamingSolver;
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, StreamError>;
+pub(crate) type Result<T> = std::result::Result<T, StreamError>;

@@ -117,11 +117,6 @@ impl StreamingSolver {
         self.generation
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AdmmConfig {
-        &self.cfg
-    }
-
     /// Change the convergence budget for subsequent re-solves. Streaming
     /// deployments typically run the initial solve to tight tolerance and
     /// then cap re-solve work per batch. The eigenbases stay: a budget

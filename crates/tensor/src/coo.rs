@@ -155,7 +155,7 @@ impl CooTensor {
 
     /// Mutable value of entry `e`.
     #[inline]
-    pub fn value_mut(&mut self, e: usize) -> &mut f64 {
+    pub(crate) fn value_mut(&mut self, e: usize) -> &mut f64 {
         &mut self.values[e]
     }
 
@@ -195,11 +195,6 @@ impl CooTensor {
     /// Squared Frobenius norm over stored entries.
     pub fn frob_norm_sq(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum()
-    }
-
-    /// Frobenius norm over stored entries.
-    pub fn frob_norm(&self) -> f64 {
-        self.frob_norm_sq().sqrt()
     }
 
     /// Sort entries lexicographically by index and sum duplicates.
@@ -456,11 +451,6 @@ impl CooTensor {
         idx
     }
 
-    /// Approximate heap footprint in bytes (memory accounting).
-    pub fn mem_bytes(&self) -> usize {
-        self.indices.len() * std::mem::size_of::<usize>()
-            + self.values.len() * std::mem::size_of::<f64>()
-    }
 }
 
 /// The widest digit of [`CooTensor::sort_dedup`]'s radix passes: 2¹¹

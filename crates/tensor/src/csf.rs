@@ -29,7 +29,7 @@ struct Level {
 /// A CSF tensor with a chosen mode order (`mode_order[0]` is the root
 /// level).
 #[derive(Debug, Clone)]
-pub struct CsfTensor {
+pub(crate) struct CsfTensor {
     shape: Vec<usize>,
     /// Mode handled by each level, root first.
     mode_order: Vec<usize>,
@@ -48,7 +48,7 @@ impl CsfTensor {
     /// Build a CSF representation with `mode` at the root (the mode whose
     /// MTTKRP output this representation accelerates); remaining modes
     /// keep their natural order.
-    pub fn for_mode(coo: &CooTensor, mode: usize) -> Result<Self> {
+    pub(crate) fn for_mode(coo: &CooTensor, mode: usize) -> Result<Self> {
         if mode >= coo.order() {
             return Err(TensorError::ShapeMismatch(format!(
                 "mode {mode} out of range for order {}",
@@ -61,7 +61,7 @@ impl CsfTensor {
     }
 
     /// Build with an explicit mode order (root first).
-    pub fn with_order(coo: &CooTensor, mode_order: &[usize]) -> Result<Self> {
+    pub(crate) fn with_order(coo: &CooTensor, mode_order: &[usize]) -> Result<Self> {
         let n = coo.order();
         if mode_order.len() != n {
             return Err(TensorError::ShapeMismatch("mode_order length must equal order".into()));
@@ -129,22 +129,17 @@ impl CsfTensor {
     }
 
     /// Tensor order.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.shape.len()
     }
 
-    /// Shape.
-    pub fn shape(&self) -> &[usize] {
-        &self.shape
-    }
-
     /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.values.len()
     }
 
     /// The root mode this representation accelerates.
-    pub fn root_mode(&self) -> usize {
+    pub(crate) fn root_mode(&self) -> usize {
         self.mode_order[0]
     }
 
@@ -152,7 +147,7 @@ impl CsfTensor {
     /// the same entry order* as the one this CSF was built from (the
     /// completion loop rebuilds the residual values each iteration while
     /// the support never changes).
-    pub fn set_values(&mut self, source: &CooTensor) -> Result<()> {
+    pub(crate) fn set_values(&mut self, source: &CooTensor) -> Result<()> {
         if source.nnz() != self.values.len() {
             return Err(TensorError::ShapeMismatch(format!(
                 "value source has {} entries, CSF has {}",
@@ -169,7 +164,8 @@ impl CsfTensor {
     /// MTTKRP for the root mode: `H(i,:) = Σ_{fibers under i} …`,
     /// factorized over the tree so partial Hadamard products are shared
     /// across each fiber (the flop saving of the CSF layout).
-    pub fn mttkrp_root(&self, factors: &[Mat]) -> Result<Mat> {
+    #[cfg(test)]
+    pub(crate) fn mttkrp_root(&self, factors: &[Mat]) -> Result<Mat> {
         let rank = factors.first().map_or(0, |f| f.cols());
         let mut h = Mat::zeros(self.shape[self.root_mode()], rank);
         self.mttkrp_root_into(factors, &mut h)?;
@@ -182,7 +178,7 @@ impl CsfTensor {
     /// which is the CSF path's documented exemption from the solver
     /// core's allocation budget (recursion depth × `O(R)`, independent of
     /// nnz).
-    pub fn mttkrp_root_into(&self, factors: &[Mat], h: &mut Mat) -> Result<()> {
+    pub(crate) fn mttkrp_root_into(&self, factors: &[Mat], h: &mut Mat) -> Result<()> {
         if factors.len() != self.order() {
             return Err(TensorError::ShapeMismatch("one factor per mode".into()));
         }
@@ -242,18 +238,6 @@ impl CsfTensor {
         }
     }
 
-    /// Approximate heap footprint in bytes.
-    pub fn mem_bytes(&self) -> usize {
-        let level_bytes: usize = self
-            .levels
-            .iter()
-            .map(|l| (l.ptr.len() + l.ids.len()) * std::mem::size_of::<usize>())
-            .sum();
-        level_bytes
-            + self.values.len() * std::mem::size_of::<f64>()
-            + (self.source_perm.len() + self.leaf_src.len()) * std::mem::size_of::<usize>()
-    }
-
     /// Fused residual-refresh + root-mode MTTKRP in one tree walk (the
     /// CSF counterpart of [`crate::fused::fused_mttkrp_refresh_into`]):
     /// at each leaf, evaluate the model at the leaf's full index tuple,
@@ -269,7 +253,7 @@ impl CsfTensor {
     /// passes disappear. Like the unfused walk, the per-level
     /// accumulators (plus one index buffer here) are the CSF path's
     /// documented allocation exemption.
-    pub fn fused_mttkrp_refresh_root_into(
+    pub(crate) fn fused_mttkrp_refresh_root_into(
         &mut self,
         observed: &CooTensor,
         model: &KruskalTensor,

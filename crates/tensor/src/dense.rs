@@ -17,7 +17,7 @@ pub struct DenseTensor {
 
 impl DenseTensor {
     /// All-zero tensor.
-    pub fn zeros(shape: Vec<usize>) -> Self {
+    pub(crate) fn zeros(shape: Vec<usize>) -> Self {
         let len = shape.iter().product();
         DenseTensor { shape, data: vec![0.0; len] }
     }
@@ -44,11 +44,6 @@ impl DenseTensor {
         d
     }
 
-    /// Shape.
-    pub fn shape(&self) -> &[usize] {
-        &self.shape
-    }
-
     /// Flat offset of an index tuple.
     fn offset(&self, index: &[usize]) -> usize {
         let mut off = 0;
@@ -68,7 +63,8 @@ impl DenseTensor {
     }
 
     /// Element accessor.
-    pub fn get(&self, index: &[usize]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self, index: &[usize]) -> f64 {
         self.data[self.offset(index)]
     }
 

@@ -247,7 +247,7 @@ impl Values for Fresh {
 /// Fresh values, stored in the order the source visits the entries: slot
 /// `j` is the source's `j`-th entry (its position, when the source is the
 /// whole list).
-pub(crate) struct Refresh<'a>(pub &'a mut [f64]);
+pub(crate) struct Refresh<'a>(pub(crate) &'a mut [f64]);
 
 impl Values for Refresh<'_> {
     const REFRESH: bool = true;
@@ -259,7 +259,7 @@ impl Values for Refresh<'_> {
 }
 
 /// The list's values as stored, one per entry position.
-pub(crate) struct Stored<'a>(pub &'a [f64]);
+pub(crate) struct Stored<'a>(pub(crate) &'a [f64]);
 
 impl Values for Stored<'_> {
     const REFRESH: bool = false;
@@ -282,8 +282,8 @@ pub(crate) trait Source: Copy {
 /// The `len` consecutive entries from position `lo` on.
 #[derive(Clone, Copy)]
 pub(crate) struct Span {
-    pub lo: usize,
-    pub len: usize,
+    pub(crate) lo: usize,
+    pub(crate) len: usize,
 }
 
 impl Source for Span {
@@ -591,7 +591,7 @@ fn check_output(observed: &CooTensor, h: &Mat, mode: usize, r: usize) -> Result<
 ///
 /// Errors for tensors of order 1 or above 8 (outside the stack row
 /// cache); those keep the one-mode sweep.
-pub fn fused_refresh_modes_into(
+pub(crate) fn fused_refresh_modes_into(
     observed: &CooTensor,
     model: &KruskalTensor,
     e: &mut CooTensor,
@@ -890,7 +890,7 @@ pub(crate) fn sweep_part<V: Values>(
 /// bit-identical to [`fused_refresh_modes_into`] for any cut and any
 /// executor (a one-thread caller should prefer that kernel: it banks
 /// every mode and carries nothing).
-pub fn fused_mttkrp_refresh_into(
+pub(crate) fn fused_mttkrp_refresh_into(
     observed: &CooTensor,
     model: &KruskalTensor,
     ws: &mut MttkrpWorkspace,

@@ -92,8 +92,8 @@ mod tests {
 
     #[test]
     fn kronecker_known_values() {
-        let a = Mat::from_rows(&[&[1.0, 2.0]]);
-        let b = Mat::from_rows(&[&[3.0], &[4.0]]);
+        let a = Mat::from_vec(1, 2, vec![1.0, 2.0]);
+        let b = Mat::from_vec(2, 1, vec![3.0, 4.0]);
         let k = kronecker(&a, &b);
         assert_eq!(k.shape(), (2, 2));
         assert_eq!(k.get(0, 0), 3.0);

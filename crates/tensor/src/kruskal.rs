@@ -140,12 +140,6 @@ impl KruskalTensor {
         }
         prod.as_slice().iter().sum()
     }
-
-    /// Approximate heap footprint in bytes.
-    pub fn mem_bytes(&self) -> usize {
-        self.factors.iter().map(Mat::mem_bytes).sum()
-    }
-
 }
 
 #[cfg(test)]

@@ -158,16 +158,6 @@ impl TensorLayout {
         Ok(TensorLayout { kind, e, csf, tiled })
     }
 
-    /// The residual entries (values in original entry order).
-    pub fn entries(&self) -> &CooTensor {
-        &self.e
-    }
-
-    /// Residual values in entry order.
-    pub fn values(&self) -> &[f64] {
-        self.e.values()
-    }
-
     /// Build the per-mode sweep workspace this layout's kernels need
     /// under `exec`: per mode, the parts COO and tiled sweep concurrently
     /// ([`MttkrpWorkspace`]); nothing for CSF (its trees *are* the
@@ -492,7 +482,7 @@ mod tests {
                             let f = layout
                                 .fused_refresh_into(&x, &model, &mut lw, exec, &mut h)
                                 .unwrap();
-                            assert_eq!(bits(layout.values()), bits(we.values()), "rank {rank}");
+                            assert_eq!(bits(layout.e.values()), bits(we.values()), "rank {rank}");
                             assert_eq!(bits(h.as_slice()), bits(wh.as_slice()), "rank {rank}");
                             assert_eq!(f.to_bits(), wf.to_bits(), "rank {rank}");
                         }
@@ -571,7 +561,7 @@ mod tests {
             let swept = e.fused_refresh_into(&x, &k, &mut lw, &seq, &mut h);
             // (The order-2 workspace does hold a mode 0 — of 50 entries.)
             assert!(matches!(swept, Err(TensorError::ShapeMismatch(_))));
-            assert_eq!(e.values(), x.values(), "a rejected sweep must not touch the residual");
+            assert_eq!(e.e.values(), x.values(), "a rejected sweep must not touch the residual");
         }
     }
 
@@ -616,7 +606,7 @@ mod tests {
         let mut layout = TensorLayout::build(x.clone(), LayoutKind::Csf).unwrap();
         layout.refresh_values(&x, &model, &mut ws, &exec).unwrap();
         let want = residual(&x, &model).unwrap();
-        assert_eq!(layout.entries(), &want);
+        assert_eq!(layout.e, want);
         // The CSF trees saw the fresh values: their MTTKRP must match an
         // MTTKRP of the fresh residual.
         let mut lw = layout.workspace(4, &[], &exec).unwrap();
@@ -649,11 +639,11 @@ mod tests {
         }
         let mut h = Mat::random(x.shape()[0], rank, 13);
         let frob = layout.fused_refresh_into(x, model, &mut lw, exec, &mut h).unwrap();
-        out.extend([layout.values().to_vec(), h.as_slice().to_vec(), vec![frob]]);
+        out.extend([layout.e.values().to_vec(), h.as_slice().to_vec(), vec![frob]]);
         let mut fresh = TensorLayout::build(x.clone(), kind).unwrap();
         let mut ws = ResidualWorkspace::new(x.nnz(), exec);
         fresh.refresh_values(x, model, &mut ws, exec).unwrap();
-        out.push(fresh.values().to_vec());
+        out.push(fresh.e.values().to_vec());
         out
     }
 

@@ -28,23 +28,23 @@
 
 #![warn(missing_docs)]
 
-pub mod coo;
-pub mod csf;
-pub mod dense;
+pub(crate) mod coo;
+pub(crate) mod csf;
+pub(crate) mod dense;
 pub mod fused;
 pub mod io;
 pub mod khatri_rao;
-pub mod layout;
-pub mod kruskal;
+pub(crate) mod layout;
+pub(crate) mod kruskal;
 pub mod mttkrp;
 pub mod residual;
 pub mod split;
 
 pub use coo::CooTensor;
-pub use csf::CsfTensor;
 pub use dense::DenseTensor;
 pub use kruskal::KruskalTensor;
-pub use layout::{LayoutKind, LayoutWorkspace, TensorLayout};
+pub use layout::LayoutKind;
+pub use layout::TensorLayout;
 
 /// One tick on the pass-count instrument per full entry-list sweep over
 /// `entries` nonzeros (see `distenc_dataflow::passes`); compiles to
@@ -114,4 +114,4 @@ impl From<distenc_linalg::LinalgError> for TensorError {
 }
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub(crate) type Result<T> = std::result::Result<T, TensorError>;

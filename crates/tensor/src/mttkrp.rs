@@ -21,7 +21,7 @@ use std::sync::Arc;
 /// `out` are rank-length. `#[inline(always)]` so a stack scratch's
 /// constant length propagates into the loop trip counts.
 #[inline(always)]
-pub fn fold_entry(
+pub(crate) fn fold_entry(
     factors: &[Mat],
     idx: &[usize],
     v: f64,
@@ -200,11 +200,6 @@ impl MttkrpWorkspace {
             })
             .collect();
         MttkrpWorkspace { mode, rank, positions, parts }
-    }
-
-    /// The mode this workspace was cut for.
-    pub fn mode(&self) -> usize {
-        self.mode
     }
 
     /// A sweep of `x` against `factors` into `h` must be the one this

@@ -244,7 +244,7 @@ mod tests {
         let mask = random_coo(&[4, 3, 2], 10, 1);
         let t = k.eval_at(&mask).unwrap();
         let e = residual(&t, &k).unwrap();
-        assert!(e.frob_norm() < 1e-12);
+        assert!(e.frob_norm_sq().sqrt() < 1e-12);
     }
 
     #[test]

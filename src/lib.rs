@@ -12,13 +12,15 @@
 //! * [`linalg`] — dense matrices, Cholesky, Jacobi / Lanczos eigensolvers
 //! * [`tensor`] — sparse COO tensors and CP/Kruskal algebra
 //! * [`graph`] — similarity graphs and graph Laplacians
-//! * [`dataflow`] — the simulated cluster and distributed collections
+//! * [`dataflow`] — the simulated cluster's cost accounting and the
+//!   deterministic executor
 //! * [`partition`] — greedy load-balanced tensor blocking (Algorithm 2)
 //! * [`core`] — the DisTenC algorithm itself (Algorithms 1 & 3)
 //! * [`baselines`] — ALS, TFAI, SCouT, FlexiFact comparators
 //! * [`datagen`] — synthetic workloads mirroring the paper's datasets
 //! * [`eval`] — metrics and the figure/table experiment harness
-//! * [`serve`] — sharded, batched model serving for completed tensors
+//! * [`serve`] — batched model serving for completed tensors: one queue
+//!   in front of one hot-swappable engine
 //! * [`stream`] — streaming completion: delta batches, warm re-solves,
 //!   and live model swap into the serve tier
 

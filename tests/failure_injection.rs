@@ -15,29 +15,6 @@ fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
 }
 
 #[test]
-fn straggler_machine_slows_the_run_but_not_the_answer() {
-    // Large enough that per-stage compute dwarfs scheduling latency —
-    // otherwise a slow machine hides behind fixed overheads.
-    let observed = planted(&[40, 40, 40], 4, 100_000, 1);
-    let cfg = AdmmConfig { rank: 6, max_iters: 5, tol: 1e-12, ..Default::default() };
-
-    let run = |straggler: Option<(usize, f64)>| {
-        let mut cc = ClusterConfig::test(4).with_time_budget(None);
-        cc.straggler = straggler;
-        let cluster = Cluster::new(cc);
-        let res = DisTenC::new(&cluster, cfg.clone())
-            .unwrap()
-            .solve(&observed, &[None, None, None])
-            .unwrap();
-        (cluster.now(), res.trace.final_rmse().unwrap())
-    };
-    let (t_healthy, rmse_healthy) = run(None);
-    let (t_slow, rmse_slow) = run(Some((2, 20.0)));
-    assert!(t_slow > t_healthy * 1.5, "{t_healthy} vs {t_slow}");
-    assert_eq!(rmse_healthy, rmse_slow, "stragglers must not change numerics");
-}
-
-#[test]
 fn sparse_slices_and_empty_planes_are_fine() {
     // A tensor where many slices of mode 0 hold no observations at all:
     // blocks along those slices are empty, factor rows there are never
