@@ -134,6 +134,18 @@ if grep -rnE --include='*.rs' 'cfg\.straggler|(^|[^_[:alnum:]])straggler:' crate
     exit 1
 fi
 
+# A solve has one thread count, `AdmmConfig::exec`, and each solve call
+# builds one executor from it that its eigensolves and sweeps share
+# (tests/pool_count.rs counts the pools): the simulated cluster is only a
+# ledger, so neither its config nor the Cluster holds an executor, and
+# the host's second pool for its eigensolves does not come back.
+echo "==> grep: no executor in the cluster, one pool per solve call"
+if grep -nE 'with_exec|Executor|ExecMode' crates/dataflow/src/cluster.rs crates/dataflow/src/config.rs \
+    || grep -rn 'fn truncate_all' crates; then
+    echo "error: a second thread count or a second pool per solve is back; the solve's AdmmConfig::exec builds the one executor" >&2
+    exit 1
+fi
+
 # Text is read one way: `.coo` files in blocks whose sub-ranges parse on
 # the executor, Kruskal models through the same blocks, both in
 # crates/tensor/src/io.rs. A line-at-a-time reader beside them would be a
@@ -265,7 +277,7 @@ fi
 # regression that silently drops suites shrinks the count and fails here
 # instead of shrinking the gate. Raise it when a PR adds tests; lower it
 # only with the tests it names as removed.
-MIN_TESTS=551
+MIN_TESTS=552
 executed=0
 for threads in 1 4; do
     echo "==> DISTENC_THREADS=$threads cargo test -q"

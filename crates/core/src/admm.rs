@@ -51,8 +51,7 @@ impl AdmmSolver {
         laplacians: &[Option<&Laplacian>],
     ) -> Result<CompletionResult> {
         validate_problem(observed, laplacians)?;
-        let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
-        solve_with(observed, &truncated, &self.cfg, None, None)
+        truncate_and_solve(observed, laplacians, &self.cfg, None, None)
     }
 
     /// Warm-started completion: continue from an existing model instead of
@@ -68,8 +67,7 @@ impl AdmmSolver {
     ) -> Result<CompletionResult> {
         validate_problem(observed, laplacians)?;
         check_warm_start(init, observed, self.cfg.rank)?;
-        let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
-        solve_with(observed, &truncated, &self.cfg, Some(init.clone()), None)
+        truncate_and_solve(observed, laplacians, &self.cfg, Some(init.clone()), None)
     }
 
     /// [`AdmmSolver::solve_from`] — or, with `init = None`,
@@ -110,21 +108,25 @@ impl AdmmSolver {
         if let Some(m) = init {
             check_warm_start(m, observed, self.cfg.rank)?;
         }
-        solve_with(observed, truncated, &self.cfg, init.cloned(), None)
+        let exec = Executor::new(self.cfg.exec);
+        solve_with(observed, truncated, &self.cfg, &exec, init.cloned(), None)
     }
 
     /// §III-B's precompute under this solver's `eigen_k` and `seed`: one
     /// eigenbasis per mode of a tensor of shape `shape`, a zero one where
     /// `laplacians[n]` is `None`. Every cold entry point does this
     /// internally, per call; it is public for [`AdmmSolver::solve_streamed`]
-    /// callers, who do it once per problem.
+    /// callers, who do it once per problem. The modes run on this solver's
+    /// threads when two or more have a graph, else on the calling thread.
     pub fn truncate(
         &self,
         shape: &[usize],
         laplacians: &[Option<&Laplacian>],
     ) -> Result<Vec<TruncatedLaplacian>> {
         validate_laplacians(shape, laplacians)?;
-        truncate_all(shape, laplacians, &self.cfg)
+        let graphs = laplacians.iter().flatten().count();
+        let exec = Executor::new(if graphs > 1 { self.cfg.exec } else { ExecMode::Sequential });
+        truncate_on(&exec, shape, laplacians, &self.cfg)
     }
 
     /// Continue an interrupted solve from a [`Checkpoint`] (typically read
@@ -179,8 +181,7 @@ impl AdmmSolver {
                 observed.nnz()
             )));
         }
-        let truncated = truncate_all(observed.shape(), laplacians, &cfg)?;
-        solve_with(observed, &truncated, &cfg, None, Some(ckpt))
+        truncate_and_solve(observed, laplacians, &cfg, None, Some(ckpt))
     }
 }
 
@@ -260,18 +261,6 @@ fn validate_laplacians(shape: &[usize], laplacians: &[Option<&Laplacian>]) -> Re
     Ok(())
 }
 
-/// [`truncate_on`] for the host solver: on `cfg.exec`, spawning a pool
-/// only for two or more graphs.
-pub(crate) fn truncate_all(
-    shape: &[usize],
-    laplacians: &[Option<&Laplacian>],
-    cfg: &AdmmConfig,
-) -> Result<Vec<TruncatedLaplacian>> {
-    let graphs = laplacians.iter().flatten().count();
-    let exec = Executor::new(if graphs > 1 { cfg.exec } else { ExecMode::Sequential });
-    truncate_on(&exec, shape, laplacians, cfg)
-}
-
 /// Truncate every provided Laplacian once, up front (§III-B: the
 /// eigendecomposition is precomputed because `L` never changes). Each
 /// mode's eigensolve is seeded and independent of the others, so the
@@ -292,9 +281,23 @@ pub(crate) fn truncate_on(
     .collect()
 }
 
-/// The host driver: build the single-machine backend and the state, then
-/// run the shared core ([`solver::run`]) once. Trace points are stamped
-/// with the wall time since the call.
+/// A host solve that truncates its own graphs: one executor for the call,
+/// built from `cfg.exec`, runs the eigensolves and then the solve.
+fn truncate_and_solve(
+    observed: &CooTensor,
+    laplacians: &[Option<&Laplacian>],
+    cfg: &AdmmConfig,
+    initial: Option<KruskalTensor>,
+    resume: Option<&Checkpoint>,
+) -> Result<CompletionResult> {
+    let exec = Executor::new(cfg.exec);
+    let truncated = truncate_on(&exec, observed.shape(), laplacians, cfg)?;
+    solve_with(observed, &truncated, cfg, &exec, initial, resume)
+}
+
+/// The host solve: build the single-machine backend on `exec` and the
+/// state, then run the shared core ([`solver::run`]) once. Trace points
+/// are stamped with the wall time since the call.
 ///
 /// `resume` continues a solve at the checkpoint's iteration cursor:
 /// [`SolverState::restore`] puts back its factors, duals `Y` and penalty
@@ -302,16 +305,17 @@ pub(crate) fn truncate_on(
 /// attached when the config asks for on-disk checkpointing
 /// ([`crate::CheckpointPolicy::with_path`]); a policy without a path is
 /// the distributed driver's concern and is a no-op here.
-pub(crate) fn solve_with(
+fn solve_with(
     observed: &CooTensor,
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
+    exec: &Executor,
     initial: Option<KruskalTensor>,
     resume: Option<&Checkpoint>,
 ) -> Result<CompletionResult> {
     let start = Instant::now();
     let clock = move |_iter| start.elapsed().as_secs_f64();
-    let mut host = HostBackend::new(observed, cfg.rank, Executor::new(cfg.exec), clock);
+    let mut host = HostBackend::new(observed, cfg.rank, exec, clock);
     let mut st = SolverState::new(observed, truncated, cfg, initial)?;
     let resume_point = resume.map(|ck| st.restore(ck)).transpose()?;
     let mut file_sink = cfg
@@ -506,8 +510,8 @@ mod tests {
             shape.iter().map(|&n| Laplacian::from_similarity(tridiagonal_chain(n))).collect();
         let refs: Vec<Option<&Laplacian>> = laps.iter().map(Some).collect();
         let bits = |exec| -> Vec<Vec<u64>> {
-            let cfg = AdmmConfig { eigen_k: 12, exec, ..Default::default() };
-            truncate_all(&shape, &refs, &cfg)
+            let cfg = AdmmConfig { eigen_k: 12, ..Default::default() };
+            truncate_on(&Executor::new(exec), &shape, &refs, &cfg)
                 .unwrap()
                 .iter()
                 .map(|t| {

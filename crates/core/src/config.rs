@@ -67,12 +67,13 @@ pub struct AdmmConfig {
     /// greedy balancing by default; the equal-width baseline exists for
     /// the load-balancing ablation).
     pub partition: distenc_partition::PartitionStrategy,
-    /// What runs the blocks of the host's residual cut and its per-mode
-    /// eigensolves; a DisTenC solve runs both on its cluster's executor
-    /// instead. Bit-identical results under every setting — the bits are
-    /// a function of the data's block cut, never of the executor (see
-    /// DESIGN.md §9); defaults from the `DISTENC_THREADS` environment
-    /// variable, else a thread per host core.
+    /// The one thread count of a solve, host or DisTenC: each solve call
+    /// builds one executor from it for its per-mode eigensolves and its
+    /// entry sweeps (the host's residual cut, DisTenC's block tasks).
+    /// Bit-identical results under every setting — the bits are a function
+    /// of the data's block cut, never of the executor (see DESIGN.md §9);
+    /// defaults from the `DISTENC_THREADS` environment variable, else a
+    /// thread per host core.
     pub exec: distenc_dataflow::ExecMode,
     /// Optional checkpoint cadence for fault recovery (see
     /// [`CheckpointPolicy`]). `None` (the default) never snapshots.

@@ -46,7 +46,7 @@ use crate::solver::{self, BlockMeta, ClusterBackend, SolverState};
 use crate::trace::ConvergenceTrace;
 use crate::{CompletionResult, CoreError, Result};
 use distenc_dataflow::cluster::TaskCost;
-use distenc_dataflow::{Cluster, DataflowError, MemoryReservation};
+use distenc_dataflow::{Cluster, DataflowError, Executor, MemoryReservation};
 use distenc_graph::{Laplacian, TruncatedLaplacian};
 use distenc_partition::TensorBlocks;
 use distenc_tensor::CooTensor;
@@ -92,12 +92,14 @@ impl<'c> DisTenC<'c> {
         // attempt 0, in the pre-fault order, so a fault-free solve is
         // byte-identical to the pre-recovery driver). The blocking holds
         // the solve's one copy of the blocked entries; the backend borrows
-        // it.
+        // it. One executor, from `cfg.exec`, runs the eigensolves and every
+        // attempt's block tasks: the cluster only keeps the ledger.
         let parts_per_mode: Vec<usize> = observed.shape().iter().map(|&d| d.min(m)).collect();
         let blocking = TensorBlocks::build_with(observed, &parts_per_mode, self.cfg.partition);
-        let truncated = truncate_on(cl.executor(), observed.shape(), laplacians, &self.cfg)?;
+        let exec = Executor::new(self.cfg.exec);
+        let truncated = truncate_on(&exec, observed.shape(), laplacians, &self.cfg)?;
         let eigen_k: Vec<usize> = truncated.iter().map(|t| t.k()).collect();
-        let mut backend = ClusterBackend::new(cl, self.cfg.rank, &blocking, eigen_k);
+        let mut backend = ClusterBackend::new(cl, &exec, self.cfg.rank, &blocking, eigen_k);
 
         // Lineage-style recovery loop: a lost machine aborts the attempt,
         // the next attempt reloads that machine's blocks from the

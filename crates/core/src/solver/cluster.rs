@@ -43,7 +43,7 @@
 use super::StepBackend;
 use crate::Result;
 use distenc_dataflow::cluster::TaskCost;
-use distenc_dataflow::Cluster;
+use distenc_dataflow::{Cluster, Executor};
 use distenc_linalg::Mat;
 use distenc_partition::{ModePartition, TensorBlocks};
 use distenc_tensor::fused::block_sweep_into;
@@ -96,6 +96,8 @@ struct BlockTask<'a> {
 /// blocking, built once per solve and reused by every attempt.
 pub(crate) struct ClusterBackend<'a> {
     cl: &'a Cluster,
+    /// Runs the block tasks and the Gram partials: the solve's executor.
+    exec: &'a Executor,
     rank: usize,
     n_modes: usize,
     /// The blocking: the solve's one copy of the blocked entries, and the
@@ -113,9 +115,10 @@ pub(crate) struct ClusterBackend<'a> {
 
 impl<'a> ClusterBackend<'a> {
     /// Bind the backend to `cl` and `blocking`, block `i` pinned to the
-    /// machine of partition `i`.
+    /// machine of partition `i`, its kernels on `exec`.
     pub(crate) fn new(
         cl: &'a Cluster,
+        exec: &'a Executor,
         rank: usize,
         blocking: &'a TensorBlocks,
         eigen_k: Vec<usize>,
@@ -147,7 +150,7 @@ impl<'a> ClusterBackend<'a> {
             .map(|part| (0..part.parts()).map(|p| part.range(p)).collect())
             .collect();
         let n_modes = modes.len();
-        ClusterBackend { cl, rank, n_modes, blocking, meta, slabs, gram_ranges, eigen_k }
+        ClusterBackend { cl, exec, rank, n_modes, blocking, meta, slabs, gram_ranges, eigen_k }
     }
 
     // ---- Block-local kernels --------------------------------------------
@@ -172,7 +175,7 @@ impl<'a> ClusterBackend<'a> {
                 frob: 0.0,
             })
             .collect();
-        self.cl.executor().run_mut(&mut tasks, |_, t| {
+        self.exec.run_mut(&mut tasks, |_, t| {
             t.frob = block_sweep_into(t.entries, model, t.origin, t.partial)
                 .expect("block slabs are sized from the blocking they sweep");
         });
@@ -345,10 +348,7 @@ impl StepBackend for ClusterBackend<'_> {
     /// from a single unblocked row sweep, which is why the serial
     /// `AdmmSolver` oracle agrees to rounding, not to the bit.)
     fn refresh_gram(&mut self, factor: &Mat, mode: usize, out: &mut Mat) -> Result<()> {
-        let partials = self
-            .cl
-            .executor()
-            .run(&self.gram_ranges[mode], |_, r| factor.gram_range(r.clone()));
+        let partials = self.exec.run(&self.gram_ranges[mode], |_, r| factor.gram_range(r.clone()));
         out.fill(0.0);
         for partial in &partials {
             out.axpy(1.0, partial).expect("partial grams share the R×R shape");
@@ -446,7 +446,7 @@ impl StepBackend for ClusterBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distenc_dataflow::ClusterConfig;
+    use distenc_dataflow::{ClusterConfig, ExecMode};
 
     /// The 2×2×2 blocking of a full 4×4×4 tensor.
     fn blocking() -> TensorBlocks {
@@ -465,7 +465,8 @@ mod tests {
         // Only the entries are read once instead of N+1 times.
         let blocking = blocking();
         let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
-        let be = ClusterBackend::new(&cl, 3, &blocking, vec![0; 3]);
+        let exec = Executor::new(ExecMode::Sequential);
+        let be = ClusterBackend::new(&cl, &exec, 3, &blocking, vec![0; 3]);
         assert_eq!(be.meta.len(), 8);
         let n = be.n_modes;
         for b in &be.meta {

@@ -28,25 +28,25 @@ use distenc_tensor::{CooTensor, KruskalTensor};
 
 /// Host backend: the observed tensor's block cut on an executor, plain
 /// Grams, wall-clock trace stamps.
-pub(crate) struct HostBackend<C> {
-    exec: Executor,
+pub(crate) struct HostBackend<'e, C> {
+    exec: &'e Executor,
     /// The observed tensor's block cut and the partial banks of its blocks
     /// after the first.
     cut: BlockCut,
     clock: C,
 }
 
-impl<C: Fn(usize) -> f64> HostBackend<C> {
+impl<'e, C: Fn(usize) -> f64> HostBackend<'e, C> {
     /// Cut `observed` for rank `rank` — once: the support never changes
-    /// *within* a solve — run its blocks on `exec`, and stamp trace points
-    /// with `clock`.
-    pub(crate) fn new(observed: &CooTensor, rank: usize, exec: Executor, clock: C) -> Self {
+    /// *within* a solve — run its blocks on the solve's `exec`, and stamp
+    /// trace points with `clock`.
+    pub(crate) fn new(observed: &CooTensor, rank: usize, exec: &'e Executor, clock: C) -> Self {
         let cut = BlockCut::new(observed.shape(), observed.nnz(), rank);
         HostBackend { exec, cut, clock }
     }
 }
 
-impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
+impl<C: Fn(usize) -> f64> StepBackend for HostBackend<'_, C> {
     fn refresh_gram(&mut self, factor: &Mat, _mode: usize, out: &mut Mat) -> Result<()> {
         factor.gram_into(out)?;
         Ok(())
@@ -58,7 +58,7 @@ impl<C: Fn(usize) -> f64> StepBackend for HostBackend<C> {
         model: &KruskalTensor,
         bank: &mut [Mat],
     ) -> Result<f64> {
-        Ok(cut_sweep_into(observed, model, bank, &mut self.cut, &self.exec)?)
+        Ok(cut_sweep_into(observed, model, bank, &mut self.cut, self.exec)?)
     }
 
     fn clock(&self, iter: usize) -> f64 {

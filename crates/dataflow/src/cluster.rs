@@ -1,7 +1,6 @@
 //! The simulated cluster: virtual clock, memory ledger, traffic counters.
 
 use crate::config::{ClusterConfig, Platform};
-use crate::exec::Executor;
 use crate::fault::Fault;
 use crate::{DataflowError, Result};
 use parking_lot::Mutex;
@@ -84,7 +83,6 @@ struct State {
 pub struct Cluster {
     cfg: ClusterConfig,
     state: Mutex<State>,
-    exec: Executor,
 }
 
 impl Cluster {
@@ -96,7 +94,6 @@ impl Cluster {
         assert!(cfg.machines > 0, "cluster needs at least one machine");
         assert!(cfg.cores_per_machine > 0, "machines need at least one core");
         let m = cfg.machines;
-        let exec = Executor::new(cfg.exec);
         let faults = cfg
             .faults
             .events
@@ -105,7 +102,6 @@ impl Cluster {
             .collect();
         Cluster {
             cfg,
-            exec,
             state: Mutex::new(State {
                 clock: 0.0,
                 resident: vec![0; m],
@@ -126,14 +122,6 @@ impl Cluster {
     /// The cluster's configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
-    }
-
-    /// The host execution backend the cluster's real computation runs on
-    /// (built once from [`ClusterConfig::exec`]). Algorithms run their
-    /// per-partition closures through this; the choice never changes a
-    /// result bit, only host wall time.
-    pub fn executor(&self) -> &Executor {
-        &self.exec
     }
 
     /// Number of machines.

@@ -1,12 +1,9 @@
 //! Cluster configuration and the calibrated cost model.
 
-use crate::exec::ExecMode;
 use crate::fault::FaultPlan;
 
-/// Execution substrate being modelled (formerly `ExecMode`; renamed when
-/// [`ExecMode`] became the *host* thread-backend selector — the two are
-/// orthogonal axes: what the simulation charges vs how fast the host
-/// actually computes it).
+/// Execution substrate being modelled: what the simulation charges, not
+/// how many host threads compute it (that is the solver's business).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Platform {
     /// In-memory iteration à la Spark: persisted datasets stay resident,
@@ -65,10 +62,6 @@ pub struct ClusterConfig {
     pub mem_per_machine: u64,
     /// Spark or MapReduce semantics.
     pub mode: Platform,
-    /// Host execution backend for the real computation behind stages
-    /// (sequential or thread pool). Does not affect results — only wall
-    /// time; see [`ExecMode`].
-    pub exec: ExecMode,
     /// Cost constants.
     pub cost: CostModel,
     /// Optional virtual-time budget; exceeding it fails stages with
@@ -89,7 +82,6 @@ impl ClusterConfig {
             cores_per_machine: 8,
             mem_per_machine: 12 * (1 << 30),
             mode: Platform::Spark,
-            exec: ExecMode::default(),
             cost: CostModel::default(),
             time_budget: Some(8.0 * 3600.0),
             faults: FaultPlan::none(),
@@ -109,7 +101,6 @@ impl ClusterConfig {
             cores_per_machine: 4,
             mem_per_machine: 16 * (1 << 30),
             mode: Platform::Spark,
-            exec: ExecMode::default(),
             cost: CostModel::default(),
             time_budget: Some(8.0 * 3600.0),
             faults: FaultPlan::none(),
@@ -123,7 +114,6 @@ impl ClusterConfig {
             cores_per_machine: 2,
             mem_per_machine: 1 << 30,
             mode: Platform::Spark,
-            exec: ExecMode::default(),
             cost: CostModel::default(),
             time_budget: None,
             faults: FaultPlan::none(),
@@ -136,15 +126,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style override of the execution mode.
+    /// Builder-style override of the modelled platform.
     pub fn with_mode(mut self, mode: Platform) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Builder-style override of the host execution backend.
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -188,11 +172,9 @@ mod tests {
         let c = ClusterConfig::paper_spark()
             .with_machines(4)
             .with_memory(1024)
-            .with_time_budget(None)
-            .with_exec(ExecMode::Threads(4));
+            .with_time_budget(None);
         assert_eq!(c.machines, 4);
         assert_eq!(c.mem_per_machine, 1024);
         assert_eq!(c.time_budget, None);
-        assert_eq!(c.exec, ExecMode::Threads(4));
     }
 }

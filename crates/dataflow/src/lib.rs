@@ -4,9 +4,9 @@
 //! cores, 12 GB each) and compares against MapReduce-based systems. This
 //! crate is the substitution for that infrastructure (DESIGN.md §2): a
 //! deterministic, single-process [`Cluster`] to which the drivers charge
-//! each stage's per-machine work while an [`Executor`] runs the real
-//! computation, accounting for the three resources the paper's evaluation
-//! measures —
+//! each stage's per-machine work while the solver's own [`Executor`] runs
+//! the real computation, accounting for the three resources the paper's
+//! evaluation measures —
 //!
 //! * **virtual time** — per-stage wall-clock model: `max` over machines of
 //!   (compute ÷ cores) plus network transfer, per-stage scheduling

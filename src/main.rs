@@ -262,8 +262,9 @@ fn queue_config(opts: &Opts, workers: usize, admission: AdmissionControl) -> Res
     })
 }
 
-/// `--similarity FILE@MODE`, repeatable.
+/// `--similarity FILE@MODE`, repeatable; each file read on `--threads`.
 fn similarities(opts: &Opts, order: usize) -> Res<Vec<Option<Laplacian>>> {
+    let exec = exec_options(opts)?;
     let mut laps: Vec<Option<Laplacian>> = vec![None; order];
     for spec in opts.all("similarity") {
         let (path, mode) = spec
@@ -273,7 +274,7 @@ fn similarities(opts: &Opts, order: usize) -> Res<Vec<Option<Laplacian>>> {
         if mode >= order {
             return fail(format!("mode {mode} out of range for order {order}"));
         }
-        laps[mode] = Some(Laplacian::from_similarity(read_similarity(path)?));
+        laps[mode] = Some(Laplacian::from_similarity(read_similarity(path, exec)?));
     }
     Ok(laps)
 }
@@ -291,8 +292,8 @@ fn write_similarity(s: &SparseSym, path: &str) -> Res {
     Ok(io::write_coo_file(&coo, path).map_err(|e| format!("{path}: {e}"))?)
 }
 
-fn read_similarity(path: &str) -> Res<SparseSym> {
-    let coo = io::read_coo_file(path).map_err(|e| format!("{path}: {e}"))?;
+fn read_similarity(path: &str, exec: ExecMode) -> Res<SparseSym> {
+    let coo = io::read_coo_file_on(path, exec).map_err(|e| format!("{path}: {e}"))?;
     if coo.order() != 2 || coo.shape()[0] != coo.shape()[1] {
         return fail(format!("{path}: similarity must be a square 2-order COO file"));
     }
@@ -411,6 +412,7 @@ fn cmd_stream(opts: &Opts) -> Res {
     let order = observed.order();
     let cfg = solver_config(opts)?;
     let budget: usize = opts.num_or("budget-iters", cfg.max_iters)?;
+    let exec = cfg.exec;
     let tol = cfg.tol;
     opts.req("delta")?; // fail before the initial solve, not after it
 
@@ -428,7 +430,7 @@ fn cmd_stream(opts: &Opts) -> Res {
     // shape header grows the tensor.
     solver.set_budget(budget, tol)?;
     for path in opts.all("delta") {
-        let delta = io::read_coo_file(path).map_err(|e| format!("{path}: {e}"))?;
+        let delta = io::read_coo_file_on(path, exec).map_err(|e| format!("{path}: {e}"))?;
         let batch = DeltaBatch::from_coo(solver.observed(), &delta)
             .map_err(|e| format!("{path}: {e}"))?;
         solver.apply(&batch).map_err(|e| format!("{path}: {e}"))?;

@@ -150,9 +150,7 @@ fn steady_state_iterations_allocate_o1_heap() {
     // 2-iteration solve on four machines stays under twelve doubles per
     // nonzero, transient active-row lists included (about 10.7 on this
     // tensor, to which values per block would add one).
-    let cluster = Cluster::new(
-        ClusterConfig::test(4).with_exec(ExecMode::Sequential).with_time_budget(None),
-    );
+    let cluster = Cluster::new(ClusterConfig::test(4).with_time_budget(None));
     let before = alloc::snapshot();
     let res = DisTenC::new(&cluster, AdmmConfig { max_iters: 2, ..seq.clone() })
         .unwrap()

@@ -111,9 +111,7 @@ proptest! {
     ) {
         let laps: Vec<Option<&Laplacian>> = vec![None; observed.order()];
         let run = |exec: ExecMode| {
-            let cluster = Cluster::new(
-                ClusterConfig::test(machines).with_time_budget(None).with_exec(exec),
-            );
+            let cluster = Cluster::new(ClusterConfig::test(machines).with_time_budget(None));
             let cfg = solver_cfg(rank, seed, exec);
             let out = DisTenC::new(&cluster, cfg).unwrap().solve(&observed, &laps).unwrap();
             let metrics = cluster.metrics();

@@ -65,13 +65,12 @@ fn host_per_iter(observed: &CooTensor, cfg: &AdmmConfig) -> (f64, f64) {
 }
 
 /// Entry sweeps per steady-state iteration of the distributed solver
-/// with the cluster's block tasks on `exec`.
-fn distenc_sweeps_per_iter(observed: &CooTensor, cfg: &AdmmConfig, exec: ExecMode) -> f64 {
+/// (its block tasks on `cfg.exec`).
+fn distenc_sweeps_per_iter(observed: &CooTensor, cfg: &AdmmConfig) -> f64 {
     let count = |iters: usize| {
         let cfg = AdmmConfig { max_iters: iters, ..cfg.clone() };
         let laps = vec![None; observed.order()];
-        let cluster =
-            Cluster::new(ClusterConfig::test(3).with_time_budget(None).with_exec(exec));
+        let cluster = Cluster::new(ClusterConfig::test(3).with_time_budget(None));
         let before = passes::sweeps();
         let res = DisTenC::new(&cluster, cfg).unwrap().solve(observed, &laps).unwrap();
         assert_eq!(res.iterations, iters, "must not converge early");
@@ -173,9 +172,10 @@ fn fused_iterations_sweep_the_nonzeros_once_on_every_executor() {
     // runs the block tasks (blocks share no output, so threads need no
     // second pass). ------------------------------------------------------
     for exec in [ExecMode::Sequential, ExecMode::Threads(4)] {
+        let cfg = AdmmConfig { exec, ..base.clone() };
         for (tensor, n) in [(&order3, 3.0), (&order4, 4.0)] {
             let label = format!("distenc order {n} {exec:?}");
-            assert_eq!(distenc_sweeps_per_iter(tensor, &base, exec), 1.0, "{label}");
+            assert_eq!(distenc_sweeps_per_iter(tensor, &cfg), 1.0, "{label}");
         }
     }
 }
