@@ -42,7 +42,7 @@
 use crate::admm::{truncate_on, validate_problem};
 use crate::config::AdmmConfig;
 use crate::solver::checkpoint::Checkpoint;
-use crate::solver::{self, BlockMeta, ClusterBackend, SolverState};
+use crate::solver::{self, ClusterBackend, Ledger, SolverState};
 use crate::trace::ConvergenceTrace;
 use crate::{CompletionResult, CoreError, Result};
 use distenc_dataflow::cluster::TaskCost;
@@ -86,14 +86,15 @@ impl<'c> DisTenC<'c> {
         let cl = self.cluster;
         let m = cl.machines();
 
-        // The Algorithm 2 blocking, its per-block metadata and the
+        // The Algorithm 2 blocking, its count-only ledger and the
         // eigendecompositions are driver-side state: built once, they
         // survive any machine loss (the charges for them still land inside
         // attempt 0, in the pre-fault order, so a fault-free solve is
         // byte-identical to the pre-recovery driver). The blocking holds
-        // the solve's one copy of the blocked entries; the backend borrows
-        // it. One executor, from `cfg.exec`, runs the eigensolves and every
-        // attempt's block tasks: the cluster only keeps the ledger.
+        // the solve's one copy of the blocked entries; the backend's
+        // kernels borrow it. One executor, from `cfg.exec`, runs the
+        // eigensolves and every attempt's block tasks: the cluster only
+        // keeps the ledger.
         let parts_per_mode: Vec<usize> = observed.shape().iter().map(|&d| d.min(m)).collect();
         let blocking = TensorBlocks::build_with(observed, &parts_per_mode, self.cfg.partition);
         let exec = Executor::new(self.cfg.exec);
@@ -110,14 +111,7 @@ impl<'c> DisTenC<'c> {
         let mut image: Option<Vec<u8>> = None;
         let mut recovering: Option<usize> = None;
         for attempt in 0..=MAX_RECOVERIES {
-            let out = self.run_attempt(
-                observed,
-                laplacians,
-                &truncated,
-                &mut backend,
-                recovering,
-                &mut image,
-            );
+            let out = self.run_attempt(observed, &truncated, &mut backend, recovering, &mut image);
             match out {
                 Err(CoreError::Dataflow(DataflowError::MachineLost { machine, .. }))
                     if attempt < MAX_RECOVERIES =>
@@ -130,85 +124,23 @@ impl<'c> DisTenC<'c> {
         unreachable!("the final attempt either succeeds or returns its error")
     }
 
-    /// One solve attempt: charge the setup (full on the first attempt,
-    /// the recovery reload on retries), reserve resident memory behind an
-    /// RAII guard, restore the latest checkpoint image if there is one,
-    /// and run the shared solver core. Any snapshot
+    /// One solve attempt: charge and reserve its ledger
+    /// ([`Self::charge_attempt`]), restore the latest checkpoint image if
+    /// there is one, and run the shared solver core. Any snapshot
     /// the attempt produced is harvested into `image` even when the
     /// attempt dies, so the *next* attempt resumes from the most recent
     /// snapshot.
     fn run_attempt(
         &self,
         observed: &CooTensor,
-        laplacians: &[Option<&Laplacian>],
         truncated: &[TruncatedLaplacian],
         backend: &mut ClusterBackend<'_>,
         recovering: Option<usize>,
         image: &mut Option<Vec<u8>>,
     ) -> Result<CompletionResult> {
         let cl = self.cluster;
-        let shape = observed.shape();
-        let rank = self.cfg.rank;
-        let entry_bytes = (shape.len() as u64 + 1) * F64;
-        let blocking = backend.blocking;
-
-        if recovering.is_none() {
-            // ---- First attempt: the Algorithm 2 setup charges ----------
-            // Counting per-slice non-zeros is one pass over the entries;
-            // partitioning then shuffles the whole input tensor (Lemma
-            // 3's O(nnz(X)) term).
-            self.stage_over_even_split(observed.nnz(), 1.0, entry_bytes)?;
-            self.charge_partition_shuffle(&backend.meta, entry_bytes)?;
-        }
-
-        // ---- Resident memory: blocks, factor state, eigenbases ---------
-        // The guard releases whatever was reserved when the attempt ends,
-        // success or failure — a failed attempt is torn down (its peak
-        // footprint stays in `peak_resident`), so retries never leak the
-        // ledger.
-        let mut reservation = MemoryReservation::new(cl);
-        for bm in &backend.meta {
-            // Tensor block + residual values: Algorithm 3 caches E beside
-            // the blocks.
-            reservation.reserve(bm.machine, bm.nnz() as u64 * (entry_bytes + F64))?;
-        }
-        if recovering.is_none() {
-            self.charge_truncation(shape, laplacians)?;
-        }
-        for (n, part) in blocking.modes.iter().enumerate() {
-            let k = truncated[n].k() as u64;
-            for p in 0..part.parts() {
-                let rows = part.range(p).len() as u64;
-                // A, B, Y rows plus the eigenbasis rows for this range.
-                let bytes = rows * rank as u64 * F64 * 3 + rows * k * F64;
-                reservation.reserve(cl.machine_for_partition(p), bytes)?;
-            }
-        }
-
-        if let Some(lost) = recovering {
-            // ---- Recovery charges: reload + restore --------------------
-            // The lost machine re-reads its blocks from the reliable
-            // input store, and the latest snapshot (if any) is broadcast
-            // back out. All of it is recovery work: charged to the
-            // virtual clock *and* to `Metrics::recovery_seconds`.
-            let t0 = cl.now();
-            let lost_nnz: u64 = backend
-                .meta
-                .iter()
-                .filter(|bm| bm.machine == lost)
-                .map(|bm| bm.nnz() as u64)
-                .sum();
-            cl.run_stage(&[TaskCost {
-                machine: lost,
-                flops: lost_nnz as f64,
-                input_bytes: lost_nnz * entry_bytes,
-                output_bytes: 0,
-            }])?;
-            if let Some(img) = image.as_ref() {
-                cl.broadcast_charge(img.len() as u64)?;
-            }
-            cl.note_recovery(cl.now() - t0);
-        }
+        let reservation =
+            self.charge_attempt(&backend.ledger, recovering, image.as_ref().map(Vec::len))?;
 
         // ---- Delegate the iteration to the shared solver core ----------
         // A snapshot puts back its factors, duals and penalty; the
@@ -239,36 +171,98 @@ impl<'c> DisTenC<'c> {
 
     // ---- One-off setup accounting ---------------------------------------
 
-    /// A stage whose work is an even split of `records` across machines.
-    fn stage_over_even_split(
+    /// An attempt's one-off charges, from the count-only view alone: the
+    /// Algorithm 2 set-up on the first attempt, the recovery reload of
+    /// machine `recovering` and of a snapshot of `image_len` bytes on a
+    /// retry, and the resident memory — blocks, factor state, eigenbases —
+    /// behind an RAII guard. The guard releases whatever was reserved when
+    /// the attempt ends, success or failure — a failed attempt is torn
+    /// down (its peak footprint stays in `peak_resident`), so retries never
+    /// leak the ledger.
+    fn charge_attempt(
         &self,
-        records: usize,
-        flops_per_record: f64,
-        bytes_per_record: u64,
-    ) -> Result<()> {
-        let m = self.cluster.machines();
-        let per = records.div_ceil(m);
-        let tasks: Vec<TaskCost> = (0..m)
-            .map(|mach| TaskCost {
-                machine: mach,
-                flops: per as f64 * flops_per_record,
-                input_bytes: per as u64 * bytes_per_record,
+        ledger: &Ledger<'_>,
+        recovering: Option<usize>,
+        image_len: Option<usize>,
+    ) -> Result<MemoryReservation<'c>> {
+        let (cl, m) = (self.cluster, self.cluster.machines());
+        let rank = ledger.rank;
+        let entry_bytes = (ledger.modes.len() as u64 + 1) * F64;
+
+        if recovering.is_none() {
+            // Counting per-slice non-zeros is one pass over the entries,
+            // split evenly across machines; partitioning then shuffles the
+            // whole input tensor (Lemma 3's O(nnz(X)) term).
+            let per = ledger.meta.iter().map(|bm| bm.nnz).sum::<usize>().div_ceil(m);
+            let tasks: Vec<TaskCost> = (0..m)
+                .map(|machine| TaskCost {
+                    machine,
+                    flops: per as f64,
+                    input_bytes: per as u64 * entry_bytes,
+                    output_bytes: 0,
+                })
+                .collect();
+            cl.run_stage(&tasks)?;
+            self.charge_partition_shuffle(ledger, entry_bytes)?;
+        }
+
+        let mut reservation = MemoryReservation::new(cl);
+        for bm in &ledger.meta {
+            // Tensor block + residual values: Algorithm 3 caches E beside
+            // the blocks.
+            reservation.reserve(bm.machine, bm.nnz as u64 * (entry_bytes + F64))?;
+        }
+        if recovering.is_none() {
+            // The truncated eigendecompositions (`O(K·I)` per §III-B) of
+            // the modes that kept eigenpairs: those with a graph, unless
+            // `eigen_k` is 0. A recovery reuses them and is not charged.
+            for (part, &k) in ledger.modes.iter().zip(&ledger.eigen_k) {
+                if k > 0 {
+                    let dim = part.range(part.parts() - 1).end;
+                    cl.charge_driver_flops((self.cfg.eigen_k * dim) as f64 * 8.0)?;
+                }
+            }
+        }
+        for (part, &k) in ledger.modes.iter().zip(&ledger.eigen_k) {
+            for p in 0..part.parts() {
+                let rows = part.range(p).len() as u64;
+                // A, B, Y rows plus the eigenbasis rows for this range.
+                let bytes = rows * rank as u64 * F64 * 3 + rows * k as u64 * F64;
+                reservation.reserve(cl.machine_for_partition(p), bytes)?;
+            }
+        }
+
+        if let Some(lost) = recovering {
+            // The lost machine re-reads its blocks from the reliable
+            // input store, and the latest snapshot (if any) is broadcast
+            // back out. All of it is recovery work: charged to the
+            // virtual clock *and* to `Metrics::recovery_seconds`.
+            let t0 = cl.now();
+            let lost_nnz: u64 =
+                ledger.meta.iter().filter(|bm| bm.machine == lost).map(|bm| bm.nnz as u64).sum();
+            cl.run_stage(&[TaskCost {
+                machine: lost,
+                flops: lost_nnz as f64,
+                input_bytes: lost_nnz * entry_bytes,
                 output_bytes: 0,
-            })
-            .collect();
-        self.cluster.run_stage(&tasks)?;
-        Ok(())
+            }])?;
+            if let Some(len) = image_len {
+                cl.broadcast_charge(len as u64)?;
+            }
+            cl.note_recovery(cl.now() - t0);
+        }
+        Ok(reservation)
     }
 
     /// The initial all-to-all that moves every entry to its block's home.
-    fn charge_partition_shuffle(&self, meta: &[BlockMeta<'_>], entry_bytes: u64) -> Result<()> {
+    fn charge_partition_shuffle(&self, ledger: &Ledger<'_>, entry_bytes: u64) -> Result<()> {
         let cl = self.cluster;
         let m = cl.machines();
         let mut sent = vec![0u64; m];
         let mut received = vec![0u64; m];
-        for bm in meta {
+        for bm in &ledger.meta {
             let dst = bm.machine;
-            let bytes = bm.nnz() as u64 * entry_bytes;
+            let bytes = bm.nnz as u64 * entry_bytes;
             // Entries start evenly spread; (m−1)/m of them are remote.
             let remote = bytes * (m as u64 - 1) / m as u64;
             received[dst] += remote;
@@ -289,20 +283,6 @@ impl<'c> DisTenC<'c> {
             received[0] += total_sent - total_recv;
         }
         cl.shuffle(&sent, &received)?;
-        Ok(())
-    }
-
-    /// Charge the one-off truncated eigendecompositions (`O(K·I)` per the
-    /// paper's §III-B claim). The decomposition itself is computed
-    /// driver-side before the attempt loop (it never changes), so a
-    /// recovery attempt skips both the work and this charge.
-    fn charge_truncation(&self, shape: &[usize], laplacians: &[Option<&Laplacian>]) -> Result<()> {
-        for (n, lap) in laplacians.iter().enumerate() {
-            if lap.is_some() {
-                let flops = (self.cfg.eigen_k * shape[n]) as f64 * 8.0;
-                self.cluster.charge_driver_flops(flops)?;
-            }
-        }
         Ok(())
     }
 }

@@ -12,10 +12,10 @@
 //!
 //! solved by ADMM (Algorithm 1). This crate provides:
 //!
-//! * [`admm`] — the serial reference solver (Algorithm 1, with the
+//! * `admm` — the serial reference solver (Algorithm 1, with the
 //!   efficient updates of §III already applied; it is the correctness
 //!   oracle for the distributed version),
-//! * [`distenc`] — Algorithm 3: the distributed solver executing on a
+//! * `distenc` — Algorithm 3: the distributed solver executing on a
 //!   [`distenc_dataflow::Cluster`], with greedy blocking (Algorithm 2),
 //!   cached Gram matrices, eigendecomposed Laplacians, and
 //!   residual-tensor updates,

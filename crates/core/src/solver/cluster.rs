@@ -9,9 +9,9 @@
 //! the virtual clock and the golden distenc trace pins the resulting
 //! timestamps bit-for-bit.
 //!
-//! It holds no residual: the Algorithm 2 blocks' entries are borrowed
-//! from the blocking — built once per solve, like the backend and its
-//! [`BlockMeta`] — and one block body serves every pass over them
+//! It holds no residual: the kernels read the Algorithm 2 blocks' entries
+//! straight from the blocking — built once per solve, like the backend —
+//! and one block body serves every pass over them
 //! ([`ClusterBackend::sweep_blocks`]): a task per block reads the block's
 //! entries once, evaluates each one's residual value and writes the
 //! block's partial `H` rows for every mode; the partials of a mode are
@@ -23,24 +23,25 @@
 //! the combine order is fixed, so resumed ≡ uninterrupted and
 //! `Sequential` ≡ `Threads(n)` hold bit-for-bit by construction.
 //!
-//! The charges follow that schedule and nothing else. They model
+//! The charges follow that schedule and nothing else: [`Ledger::charge`]
+//! is one `match` over the [`Phase`]s the core reports. They model
 //! Algorithm 3, which caches `E` as an RDD beside the blocks, so a pass
 //! pays for writing the fresh values even though this backend keeps none.
-//! They are a function of the blocking metadata ([`BlockMeta`]) and of
-//! which passes ran: a
-//! block task costs the sum of the passes it folds into one
-//! ([`ClusterBackend::block_task`] — no arithmetic discount is claimed on
-//! the virtual clock; the entries are read once), and a sweep is one
-//! factor fetch, one block stage and one shuffle, where Algorithm 3 as
-//! published pays N+1, N+1 and N ([`crate::model::DisTenCModel`] still
-//! models that schedule).
+//! Like the paper's Lemmas 1–3 they read counts alone — the [`Ledger`]
+//! holds per block its machine, nnz, coordinates and distinct rows per
+//! mode, the mode partitions, the rank and `K`, and no entry. A block task
+//! costs the sum of the passes it folds into one ([`Ledger::block_task`]
+//! — no arithmetic discount is claimed on the virtual clock; the entries
+//! are read once), and a sweep is one factor fetch, one block stage and
+//! one shuffle, where Algorithm 3 as published pays N+1, N+1 and N
+//! ([`crate::model::DisTenCModel`] still models that schedule).
 //!
 //! The accounting vectors built per stage (`TaskCost` lists, shuffle
 //! tallies, the per-sweep task list) are bookkeeping, not step math, and
 //! are the distributed driver's documented exemption from the
 //! steady-state allocation budget.
 
-use super::StepBackend;
+use super::{Phase, StepBackend};
 use crate::Result;
 use distenc_dataflow::cluster::TaskCost;
 use distenc_dataflow::{Cluster, Executor};
@@ -52,151 +53,128 @@ use std::ops::Range;
 
 const F64: u64 = 8;
 
-/// One tensor block as this backend sees it: the blocking's entries,
-/// borrowed, and where the block sits.
-pub(crate) struct BlockMeta<'a> {
+/// One tensor block as the ledger sees it: counts, and where it sits.
+pub(crate) struct BlockMeta {
     /// Machine this block is pinned to.
     pub(crate) machine: usize,
-    /// The observed entries of this block.
-    pub(crate) entries: &'a CooTensor,
+    /// Entries in this block.
+    pub(crate) nnz: usize,
     /// Per-mode partition coordinates of this block.
     pub(crate) coords: Vec<usize>,
-    /// Distinct mode-`n` indices appearing in this block (per mode) —
-    /// determines which factor rows the block needs and how large its
-    /// partial-`H` output is.
-    pub(crate) active: Vec<Vec<usize>>,
+    /// Per mode, the distinct mode-`n` indices in this block: the factor
+    /// rows it reads and the rows of its partial `H`.
+    pub(crate) rows: Vec<usize>,
 }
 
-impl BlockMeta<'_> {
-    /// Entries in this block.
-    pub(crate) fn nnz(&self) -> usize {
-        self.entries.nnz()
-    }
-}
-
-/// One block's partial-`H` output: per mode a row slab, dense over the
-/// block's mode partition, and the global row that slab starts at. Sized
-/// at construction — the blocking never changes — and overwritten by every
-/// pass that sweeps the mode.
-struct BlockSlabs {
-    origin: Vec<usize>,
-    partial: Vec<Mat>,
-}
-
-/// One block's share of a [`ClusterBackend::sweep_blocks`] pass.
-struct BlockTask<'a> {
-    entries: &'a CooTensor,
-    origin: &'a [usize],
-    partial: &'a mut [Mat],
-    /// The block's `‖e‖²`, written by the task.
-    frob: f64,
-}
-
-/// Cluster backend bound to a simulated cluster and a fixed Algorithm 2
-/// blocking, built once per solve and reused by every attempt.
-pub(crate) struct ClusterBackend<'a> {
+/// The count-only view of a DisTenC solve and every charge that reads it:
+/// the per-iteration schedule ([`Ledger::charge`]) and, through its
+/// fields, the driver's one-off set-up, reservation and recovery charges.
+pub(crate) struct Ledger<'a> {
+    /// The cluster charged.
     cl: &'a Cluster,
-    /// Runs the block tasks and the Gram partials: the solve's executor.
-    exec: &'a Executor,
-    rank: usize,
-    n_modes: usize,
-    /// The blocking: the solve's one copy of the blocked entries, and the
-    /// mode partitions.
-    pub(crate) blocking: &'a TensorBlocks,
-    /// Per block, parallel to `blocking.blocks`.
-    pub(crate) meta: Vec<BlockMeta<'a>>,
-    /// Per block: its partial-`H` slabs, parallel to `meta`.
-    slabs: Vec<BlockSlabs>,
-    /// Per-mode partial-Gram row ranges (the mode partition's ranges).
-    gram_ranges: Vec<Vec<Range<usize>>>,
-    /// `truncated[n].k()` per mode, for the B-update projection charge.
-    eigen_k: Vec<usize>,
+    pub(crate) rank: usize,
+    /// The blocking's per-mode partitions.
+    pub(crate) modes: &'a [ModePartition],
+    /// Per block, parallel to the blocking's blocks.
+    pub(crate) meta: Vec<BlockMeta>,
+    /// `truncated[n].k()` per mode.
+    pub(crate) eigen_k: Vec<usize>,
 }
 
-impl<'a> ClusterBackend<'a> {
-    /// Bind the backend to `cl` and `blocking`, block `i` pinned to the
-    /// machine of partition `i`, its kernels on `exec`.
+/// Distinct mode-`n` indices of `entries`, which all lie in `range`: one
+/// pass, flagging each row of the range the first time it appears.
+fn distinct_rows(entries: &CooTensor, n: usize, range: Range<usize>) -> usize {
+    let mut seen = vec![false; range.len()];
+    let mut first = |i: usize| !std::mem::replace(&mut seen[i - range.start], true);
+    entries.iter().filter(|(idx, _)| first(idx[n])).count()
+}
+
+impl<'a> Ledger<'a> {
+    /// Count `blocking` for `cl`, block `i` pinned to the machine of
+    /// partition `i`.
     pub(crate) fn new(
         cl: &'a Cluster,
-        exec: &'a Executor,
         rank: usize,
         blocking: &'a TensorBlocks,
         eigen_k: Vec<usize>,
     ) -> Self {
         let modes = &blocking.modes;
-        let meta: Vec<BlockMeta<'a>> = blocking
+        let meta = blocking
             .blocks
             .iter()
             .enumerate()
-            .map(|(i, (id, entries))| BlockMeta {
-                machine: cl.machine_for_partition(i),
-                entries,
-                coords: blocking.block_coords(*id),
-                active: (0..modes.len()).map(|n| entries.active_indices(n)).collect(),
+            .map(|(i, (id, entries))| {
+                let coords = blocking.block_coords(*id);
+                let rows = coords
+                    .iter()
+                    .zip(modes)
+                    .enumerate()
+                    .map(|(n, (&p, part))| distinct_rows(entries, n, part.range(p)))
+                    .collect();
+                BlockMeta { machine: cl.machine_for_partition(i), nnz: entries.nnz(), coords, rows }
             })
             .collect();
-        let slabs = meta
-            .iter()
-            .map(|b| {
-                let ranges = b.coords.iter().zip(modes).map(|(&p, part)| part.range(p));
-                BlockSlabs {
-                    origin: ranges.clone().map(|r| r.start).collect(),
-                    partial: ranges.map(|r| Mat::zeros(r.len(), rank)).collect(),
+        Ledger { cl, rank, modes, meta, eigen_k }
+    }
+
+    /// What the cluster pays for `phase` of the schedule.
+    pub(crate) fn charge(&self, phase: Phase) -> Result<()> {
+        let (cl, rank) = (self.cl, self.rank);
+        let rank_bytes = rank as u64 * F64;
+        match phase {
+            // Line 8 (Eq. 7): local `ηA−Y`, a `K×R` projection reduced
+            // across machines and broadcast back, then local expansion:
+            // 2·rows·R (rhs) + rows·K·R (projection) + rows·K·R (expansion).
+            Phase::BUpdate(n) => {
+                let k = self.eigen_k[n];
+                let per_row = (2 * rank + 2 * k * rank) as f64;
+                self.charge_rows_stage(&self.modes[n], per_row, rank_bytes)?;
+                if k > 0 {
+                    self.reduce_and_broadcast((k * rank) as u64 * F64)?;
                 }
-            })
-            .collect();
-        let gram_ranges: Vec<Vec<Range<usize>>> = modes
-            .iter()
-            .map(|part| (0..part.parts()).map(|p| part.range(p)).collect())
-            .collect();
-        let n_modes = modes.len();
-        ClusterBackend { cl, exec, rank, n_modes, blocking, meta, slabs, gram_ranges, eigen_k }
-    }
-
-    // ---- Block-local kernels --------------------------------------------
-
-    /// The one block body: a task per block on the executor walks the
-    /// block's entries once, evaluating each one's residual value, and
-    /// overwrites the block's partial `H` slabs for the leading `banks`
-    /// modes — every mode, or none. Returns `‖E‖²_F` as the sum of the
-    /// per-block `‖e‖²` in ascending block order — the fixed association
-    /// of this decomposition. Blocks share nothing, so the executor cannot
-    /// change a bit.
-    fn sweep_blocks(&mut self, model: &KruskalTensor, banks: usize) -> f64 {
-        crate::record_entry_sweep(self.meta.iter().map(BlockMeta::nnz).sum());
-        let mut tasks: Vec<BlockTask<'_>> = self
-            .meta
-            .iter()
-            .zip(&mut self.slabs)
-            .map(|(b, slabs)| BlockTask {
-                entries: b.entries,
-                origin: &slabs.origin,
-                partial: &mut slabs.partial[..banks],
-                frob: 0.0,
-            })
-            .collect();
-        self.exec.run_mut(&mut tasks, |_, t| {
-            t.frob = block_sweep_into(t.entries, model, t.origin, t.partial)
-                .expect("block slabs are sized from the blocking they sweep");
-        });
-        tasks.iter().map(|t| t.frob).sum()
-    }
-
-    /// Add up a mode's per-block partial `H` slabs into the full `Iₙ×R`
-    /// matrix: every factor partition receives the partials of the blocks
-    /// on its coordinate in ascending block order.
-    fn combine(&self, mode: usize, out: &mut Mat) {
-        out.fill(0.0);
-        for slabs in &self.slabs {
-            let part = slabs.partial[mode].as_slice();
-            let home = &mut out.as_mut_slice()[slabs.origin[mode] * self.rank..][..part.len()];
-            for (h, &p) in home.iter_mut().zip(part) {
-                *h += p;
+            }
+            // Line 9: the Hadamard product on the driver is O(N·R²).
+            Phase::GramProduct => {
+                cl.charge_driver_flops((self.modes.len() * rank * rank) as f64)?;
+            }
+            // Line 10: the sweep before the iteration has already paid the
+            // MTTKRP's fetch, block stage and shuffle — together with every
+            // other mode's — so only its partial-`H` rows remain to be
+            // combined at their homes.
+            Phase::SparseMttkrp(n) => self.charge_rows_stage(&self.modes[n], rank as f64, 0)?,
+            // Line 11: the `R×R` factorization happens once, replicated
+            // (O(R³)); assembling the numerator and applying the inverse is
+            // `O(rows·R²)` per partition.
+            Phase::AUpdate(n) => {
+                cl.charge_driver_flops((rank * rank * rank) as f64)?;
+                let per_row = (2 * rank * rank + 3 * rank) as f64;
+                self.charge_rows_stage(&self.modes[n], per_row, rank_bytes)?;
+            }
+            // Line 12: per-row Y write-back.
+            Phase::YUpdate(n) => self.charge_rows_stage(&self.modes[n], rank as f64, rank_bytes)?,
+            // Eqs. 12–13: per-partition `rows·R²` flops, `R×R` partials
+            // reduced and broadcast, for every mode.
+            Phase::GramsRefreshed => {
+                let r2_bytes = (rank * rank) as u64 * F64;
+                for part in self.modes {
+                    self.charge_rows_stage(part, (rank * rank) as f64, r2_bytes)?;
+                    self.reduce_and_broadcast(r2_bytes)?;
+                }
+            }
+            Phase::DeltaReduced => {
+                for part in self.modes {
+                    self.charge_rows_stage(part, rank as f64, 0)?;
+                }
+            }
+            // One factor fetch (every mode's rows at every block) and one
+            // block stage, which banks every mode or none.
+            Phase::Sweep { bank } => {
+                self.charge_factor_fetch()?;
+                self.charge_block_stage(bank)?;
             }
         }
+        Ok(())
     }
-
-    // ---- Accounting helpers ---------------------------------------------
 
     /// A per-row stage over one mode's partitions (updates touching each
     /// factor row once: Y-updates, combines, …).
@@ -222,31 +200,16 @@ impl<'a> ClusterBackend<'a> {
         Ok(())
     }
 
-    /// Same, across all modes at once (convergence-delta reduction).
-    fn charge_rows_stage_all(&self, flops_per_row: f64, out_bytes_per_row: u64) -> Result<()> {
-        for part in &self.blocking.modes {
-            self.charge_rows_stage(part, flops_per_row, out_bytes_per_row)?;
-        }
-        Ok(())
-    }
-
-    /// Gram computation for every mode: per-partition `rows·R²` flops,
-    /// `R×R` partials reduced and broadcast (Eqs. 12–13).
-    fn charge_gram_stage(&self) -> Result<()> {
-        let cl = self.cl;
-        let m = cl.machines();
-        let rank = self.rank;
-        let r2_bytes = (rank * rank) as u64 * F64;
-        for part in &self.blocking.modes {
-            self.charge_rows_stage(part, (rank * rank) as f64, r2_bytes)?;
-            // Reduce partials to machine 0, broadcast the result.
-            let mut sent = vec![r2_bytes; m];
-            sent[0] = 0;
-            let mut received = vec![0u64; m];
-            received[0] = r2_bytes * (m as u64 - 1);
-            cl.shuffle(&sent, &received)?;
-            cl.broadcast_charge(r2_bytes)?;
-        }
+    /// Reduce per-machine partials of `bytes` to machine 0, then broadcast
+    /// the result.
+    fn reduce_and_broadcast(&self, bytes: u64) -> Result<()> {
+        let m = self.cl.machines();
+        let mut sent = vec![bytes; m];
+        sent[0] = 0;
+        let mut received = vec![0u64; m];
+        received[0] = bytes * (m as u64 - 1);
+        self.cl.shuffle(&sent, &received)?;
+        self.cl.broadcast_charge(bytes)?;
         Ok(())
     }
 
@@ -271,7 +234,7 @@ impl<'a> ClusterBackend<'a> {
         let mut sent = vec![0u64; m];
         let mut received = vec![0u64; m];
         for &(dst, k, pk) in &needed {
-            let rows = self.blocking.modes[k].range(pk).len() as u64;
+            let rows = self.modes[k].range(pk).len() as u64;
             let bytes = rows * self.rank as u64 * F64;
             sent[cl.machine_for_partition(pk)] += bytes;
             received[dst] += bytes;
@@ -281,42 +244,42 @@ impl<'a> ClusterBackend<'a> {
     }
 
     /// What block `b`'s task costs in a pass that refreshes the residual
-    /// values and sweeps `modes`: the refresh and each MTTKRP are
-    /// `nnz·N·R` flops and the task is charged all of them; the entries
-    /// (`N` indices and the value, plus the residual value as soon as a
-    /// mode is swept) are read once; the outputs are the fresh values and
-    /// the partial-`H` rows of every swept mode.
-    fn block_task(&self, b: &BlockMeta<'_>, modes: Range<usize>) -> TaskCost {
-        let (nnz, rank) = (b.nnz() as u64, self.rank as u64);
-        let passes = modes.len() + 1;
-        let entry_words = self.n_modes as u64 + 1 + u64::from(!modes.is_empty());
-        let out_rows: usize = b.active[modes].iter().map(Vec::len).sum();
+    /// values and, if `bank`, sweeps every mode: the refresh and each
+    /// MTTKRP are `nnz·N·R` flops and the task is charged all of them; the
+    /// entries (`N` indices and the value, plus the residual value when
+    /// the modes are swept) are read once; the outputs are the fresh values
+    /// and the partial-`H` rows of every swept mode.
+    fn block_task(&self, b: &BlockMeta, bank: bool) -> TaskCost {
+        let n_modes = self.modes.len();
+        let (nnz, rank) = (b.nnz as u64, self.rank as u64);
+        let passes = if bank { n_modes + 1 } else { 1 };
+        let entry_words = n_modes as u64 + 1 + u64::from(bank);
+        let out_rows: usize = if bank { b.rows.iter().sum() } else { 0 };
         TaskCost {
             machine: b.machine,
-            flops: (passes * b.nnz() * self.n_modes * self.rank) as f64,
+            flops: (passes * b.nnz * n_modes * self.rank) as f64,
             input_bytes: nnz * entry_words * F64,
             output_bytes: (nnz + out_rows as u64 * rank) * F64,
         }
     }
 
-    /// One stage of [`Self::block_task`]s, then one shuffle carrying the
-    /// partial-`H` rows of every swept mode to their factor partitions'
-    /// homes (a plain refresh sweeps no mode and moves nothing).
-    fn charge_block_stage(&self, modes: Range<usize>) -> Result<()> {
+    /// One stage of [`Self::block_task`]s, then, if `bank`, one shuffle
+    /// carrying the partial-`H` rows of every mode to their factor
+    /// partitions' homes (a plain refresh moves nothing).
+    fn charge_block_stage(&self, bank: bool) -> Result<()> {
         let cl = self.cl;
-        let tasks: Vec<TaskCost> =
-            self.meta.iter().map(|b| self.block_task(b, modes.clone())).collect();
+        let tasks: Vec<TaskCost> = self.meta.iter().map(|b| self.block_task(b, bank)).collect();
         cl.run_stage(&tasks)?;
-        if modes.is_empty() {
+        if !bank {
             return Ok(());
         }
         let mut sent = vec![0u64; cl.machines()];
         let mut received = vec![0u64; cl.machines()];
         for b in &self.meta {
-            for mode in modes.clone() {
-                let dst = cl.machine_for_partition(b.coords[mode]);
+            for (&p, &rows) in b.coords.iter().zip(&b.rows) {
+                let dst = cl.machine_for_partition(p);
                 if dst != b.machine {
-                    let bytes = b.active[mode].len() as u64 * self.rank as u64 * F64;
+                    let bytes = rows as u64 * self.rank as u64 * F64;
                     sent[b.machine] += bytes;
                     received[dst] += bytes;
                 }
@@ -327,15 +290,114 @@ impl<'a> ClusterBackend<'a> {
     }
 }
 
-impl StepBackend for ClusterBackend<'_> {
-    /// What the cluster pays for a mode's MTTKRP at its mode step. The
-    /// sweep before the iteration has already paid its fetch, block stage
-    /// and shuffle — together with every other mode's — so only its
-    /// partial-`H` rows remain to be combined at their homes.
-    fn on_sparse_mttkrp(&mut self, mode: usize) -> Result<()> {
-        self.charge_rows_stage(&self.blocking.modes[mode], self.rank as f64, 0)
+/// One block's partial-`H` output: per mode a row slab, dense over the
+/// block's mode partition, and the global row that slab starts at. Sized
+/// at construction — the blocking never changes — and overwritten by every
+/// pass that sweeps the mode.
+struct BlockSlabs {
+    origin: Vec<usize>,
+    partial: Vec<Mat>,
+}
+
+/// One block's share of a [`ClusterBackend::sweep_blocks`] pass.
+struct BlockTask<'a> {
+    entries: &'a CooTensor,
+    origin: &'a [usize],
+    partial: &'a mut [Mat],
+    /// The block's `‖e‖²`, written by the task.
+    frob: f64,
+}
+
+/// Cluster backend bound to a simulated cluster and a fixed Algorithm 2
+/// blocking, built once per solve and reused by every attempt.
+pub(crate) struct ClusterBackend<'a> {
+    /// What every charge reads.
+    pub(crate) ledger: Ledger<'a>,
+    /// Runs the block tasks and the Gram partials: the solve's executor.
+    exec: &'a Executor,
+    /// The blocking's blocks: the solve's one copy of the blocked entries.
+    blocks: &'a [(usize, CooTensor)],
+    /// Per block: its partial-`H` slabs, parallel to `blocks`.
+    slabs: Vec<BlockSlabs>,
+    /// Per-mode partial-Gram row ranges (the mode partition's ranges).
+    gram_ranges: Vec<Vec<Range<usize>>>,
+}
+
+impl<'a> ClusterBackend<'a> {
+    /// Bind the backend to `cl` and `blocking`, block `i` pinned to the
+    /// machine of partition `i`, its kernels on `exec`.
+    pub(crate) fn new(
+        cl: &'a Cluster,
+        exec: &'a Executor,
+        rank: usize,
+        blocking: &'a TensorBlocks,
+        eigen_k: Vec<usize>,
+    ) -> Self {
+        let ledger = Ledger::new(cl, rank, blocking, eigen_k);
+        let modes = &blocking.modes;
+        let slabs = ledger
+            .meta
+            .iter()
+            .map(|b| {
+                let ranges = b.coords.iter().zip(modes).map(|(&p, part)| part.range(p));
+                BlockSlabs {
+                    origin: ranges.clone().map(|r| r.start).collect(),
+                    partial: ranges.map(|r| Mat::zeros(r.len(), rank)).collect(),
+                }
+            })
+            .collect();
+        let gram_ranges: Vec<Vec<Range<usize>>> = modes
+            .iter()
+            .map(|part| (0..part.parts()).map(|p| part.range(p)).collect())
+            .collect();
+        ClusterBackend { ledger, exec, blocks: &blocking.blocks, slabs, gram_ranges }
     }
 
+    // ---- Block-local kernels --------------------------------------------
+
+    /// The one block body: a task per block on the executor walks the
+    /// block's entries once, evaluating each one's residual value, and, if
+    /// `bank`, overwrites the block's partial `H` slabs for every mode.
+    /// Returns `‖E‖²_F` as the sum of the per-block `‖e‖²` in ascending
+    /// block order — the fixed association of this decomposition. Blocks
+    /// share nothing, so the executor cannot change a bit.
+    fn sweep_blocks(&mut self, model: &KruskalTensor, bank: bool) -> f64 {
+        crate::record_entry_sweep(self.blocks.iter().map(|(_, entries)| entries.nnz()).sum());
+        let mut tasks: Vec<BlockTask<'_>> = self
+            .blocks
+            .iter()
+            .zip(&mut self.slabs)
+            .map(|((_, entries), slabs)| BlockTask {
+                entries,
+                origin: &slabs.origin,
+                partial: if bank { &mut slabs.partial } else { &mut [] },
+                frob: 0.0,
+            })
+            .collect();
+        self.exec.run_mut(&mut tasks, |_, t| {
+            t.frob = block_sweep_into(t.entries, model, t.origin, t.partial)
+                .expect("block slabs are sized from the blocking they sweep");
+        });
+        tasks.iter().map(|t| t.frob).sum()
+    }
+
+    /// Add up a mode's per-block partial `H` slabs into the full `Iₙ×R`
+    /// matrix: every factor partition receives the partials of the blocks
+    /// on its coordinate in ascending block order.
+    fn combine(&self, mode: usize, out: &mut Mat) {
+        out.fill(0.0);
+        for slabs in &self.slabs {
+            let part = slabs.partial[mode].as_slice();
+            let start = slabs.origin[mode] * self.ledger.rank;
+            let home = &mut out.as_mut_slice()[start..][..part.len()];
+            for (h, &p) in home.iter_mut().zip(part) {
+                *h += p;
+            }
+        }
+    }
+}
+
+impl StepBackend for ClusterBackend<'_> {
     /// `A⁽ⁿ⁾ᵀA⁽ⁿ⁾` as the paper computes it (Eq. 13): each mode
     /// partition contributes the partial Gram of its factor rows, and the
     /// `R×R` partials reduce on the driver.
@@ -357,21 +419,17 @@ impl StepBackend for ClusterBackend<'_> {
         Ok(())
     }
 
-    /// The banking sweep (see [`StepBackend::fused_step`]). Handed the
-    /// bank, every block evaluates its residual values and emits all N
-    /// partials in one task, and the cluster is charged one factor fetch
-    /// (every mode's rows at every block), one block stage and one
-    /// shuffle. Handed nothing, it is the plain refresh: the same fetch and
-    /// a stage that sweeps no mode.
+    /// The banking sweep (see [`StepBackend::fused_step`]; the core has
+    /// charged it as [`Phase::Sweep`]). Handed the bank, every block
+    /// evaluates its residual values and emits all N partials in one task;
+    /// handed nothing, it is the plain refresh.
     fn fused_step(
         &mut self,
         _observed: &CooTensor,
         model: &KruskalTensor,
         bank: &mut [Mat],
     ) -> Result<f64> {
-        self.charge_factor_fetch()?;
-        self.charge_block_stage(0..bank.len())?;
-        let frob = self.sweep_blocks(model, bank.len());
+        let frob = self.sweep_blocks(model, !bank.is_empty());
         for (mode, out) in bank.iter_mut().enumerate() {
             self.combine(mode, out);
         }
@@ -379,67 +437,11 @@ impl StepBackend for ClusterBackend<'_> {
     }
 
     fn clock(&self, _iter: usize) -> f64 {
-        self.cl.now()
+        self.ledger.cl.now()
     }
 
-    /// Line 8 (Eq. 7): local `ηA−Y`, a `K×R` projection reduced across
-    /// machines and broadcast back, then local expansion.
-    fn on_b_update(&mut self, mode: usize) -> Result<()> {
-        let cl = self.cl;
-        let m = cl.machines();
-        let rank = self.rank;
-        let k = self.eigen_k[mode];
-        // Local work: 2·rows·R (rhs) + rows·K·R (projection) + rows·K·R
-        // (expansion).
-        let per_row = (2 * rank + 2 * k * rank) as f64;
-        self.charge_rows_stage(&self.blocking.modes[mode], per_row, rank as u64 * F64)?;
-        if k > 0 {
-            let kr_bytes = (k * rank) as u64 * F64;
-            let mut sent = vec![kr_bytes; m];
-            sent[0] = 0;
-            let mut received = vec![0u64; m];
-            received[0] = kr_bytes * (m as u64 - 1);
-            cl.shuffle(&sent, &received)?;
-            cl.broadcast_charge(kr_bytes)?;
-        }
-        Ok(())
-    }
-
-    /// Line 9: the Hadamard product on the driver is O(N·R²).
-    fn on_gram_product(&mut self) -> Result<()> {
-        self.cl
-            .charge_driver_flops((self.n_modes * self.rank * self.rank) as f64)?;
-        Ok(())
-    }
-
-    /// Line 11: the `R×R` factorization happens once, replicated (O(R³));
-    /// assembling the numerator and applying the inverse is `O(rows·R²)`
-    /// per partition.
-    fn on_a_update(&mut self, mode: usize) -> Result<()> {
-        let rank = self.rank;
-        self.cl.charge_driver_flops((rank * rank * rank) as f64)?;
-        self.charge_rows_stage(
-            &self.blocking.modes[mode],
-            (2 * rank * rank + 3 * rank) as f64,
-            rank as u64 * F64,
-        )
-    }
-
-    /// Line 12: per-row Y write-back.
-    fn on_y_update(&mut self, mode: usize) -> Result<()> {
-        self.charge_rows_stage(
-            &self.blocking.modes[mode],
-            self.rank as f64,
-            self.rank as u64 * F64,
-        )
-    }
-
-    fn on_grams_refreshed(&mut self) -> Result<()> {
-        self.charge_gram_stage()
-    }
-
-    fn on_delta_reduced(&mut self) -> Result<()> {
-        self.charge_rows_stage_all(self.rank as f64, 0)
+    fn charge(&mut self, phase: Phase) -> Result<()> {
+        self.ledger.charge(phase)
     }
 }
 
@@ -447,6 +449,7 @@ impl StepBackend for ClusterBackend<'_> {
 mod tests {
     use super::*;
     use distenc_dataflow::{ClusterConfig, ExecMode};
+    use std::collections::BTreeSet;
 
     /// The 2×2×2 blocking of a full 4×4×4 tensor.
     fn blocking() -> TensorBlocks {
@@ -455,6 +458,29 @@ mod tests {
             x.push(&[i / 16, i / 4 % 4, i % 4], 1.0 + i as f64).unwrap();
         }
         TensorBlocks::build(&x, &[2, 2, 2])
+    }
+
+    #[test]
+    fn block_rows_count_the_distinct_indices_of_each_block() {
+        // Head-heavy: most entries in the first slice of every mode,
+        // repeated indices within blocks, and blocks with no entry at all.
+        let mut x = CooTensor::new(vec![9, 7, 5]);
+        for e in 0..60usize {
+            let i = if e % 4 == 0 { e % 9 } else { 0 };
+            x.push(&[i, e % 3, (e / 3) % 2 * 4], 1.0).unwrap();
+        }
+        let blocking = TensorBlocks::build(&x, &[3, 3, 2]);
+        assert!(blocking.blocks.len() < 3 * 3 * 2, "some block is empty");
+        let cl = Cluster::new(ClusterConfig::test(3).with_time_budget(None));
+        let ledger = Ledger::new(&cl, 2, &blocking, vec![0; 3]);
+        assert_eq!(ledger.meta.len(), blocking.blocks.len());
+        for (b, (id, entries)) in ledger.meta.iter().zip(&blocking.blocks) {
+            assert_eq!((b.nnz, &b.coords), (entries.nnz(), &blocking.block_coords(*id)));
+            for (n, &rows) in b.rows.iter().enumerate() {
+                let distinct: BTreeSet<usize> = entries.iter().map(|(idx, _)| idx[n]).collect();
+                assert_eq!(rows, distinct.len(), "block {id}, mode {n}");
+            }
+        }
     }
 
     #[test]
@@ -467,27 +493,29 @@ mod tests {
         let cl = Cluster::new(ClusterConfig::test(2).with_time_budget(None));
         let exec = Executor::new(ExecMode::Sequential);
         let be = ClusterBackend::new(&cl, &exec, 3, &blocking, vec![0; 3]);
-        assert_eq!(be.meta.len(), 8);
-        let n = be.n_modes;
-        for b in &be.meta {
-            let fused = be.block_task(b, 0..n);
+        let ledger = &be.ledger;
+        assert_eq!(ledger.meta.len(), 8);
+        let n = ledger.modes.len();
+        for b in &ledger.meta {
+            let fused = ledger.block_task(b, true);
             // The plain refresh is the fused task that sweeps no mode.
-            let refresh = be.block_task(b, 0..0);
+            let refresh = ledger.block_task(b, false);
 
             // The replaced tasks: nnz·N·R flops each; entries in (plus the
-            // residual value for an MTTKRP); values or the block's active
-            // rows out.
-            let (nnz, rank) = (b.nnz() as u64, be.rank as u64);
-            let pass_flops = (b.nnz() * n * be.rank) as f64;
+            // residual value for an MTTKRP); values or the block's rows out.
+            let (nnz, rank) = (b.nnz as u64, ledger.rank as u64);
+            let pass_flops = (b.nnz * n * ledger.rank) as f64;
             assert_eq!(refresh.flops, pass_flops);
             assert_eq!(refresh.input_bytes, nnz * (n as u64 + 1) * F64);
             assert_eq!(refresh.output_bytes, nnz * F64);
-            let per_mode: Vec<TaskCost> = (0..n)
-                .map(|m| TaskCost {
+            let per_mode: Vec<TaskCost> = b
+                .rows
+                .iter()
+                .map(|&rows| TaskCost {
                     machine: b.machine,
                     flops: pass_flops,
                     input_bytes: nnz * (n as u64 + 2) * F64,
-                    output_bytes: b.active[m].len() as u64 * rank * F64,
+                    output_bytes: rows as u64 * rank * F64,
                 })
                 .collect();
 

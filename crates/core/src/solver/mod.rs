@@ -7,9 +7,9 @@
 //! against its [`distenc_dataflow::Cluster`]. This module owns the one
 //! copy of the Algorithm 1 lines 8–12 step math ([`mode_step`]) and the
 //! outer Jacobi loop ([`run`]); the drivers supply a [`StepBackend`] that
-//! plugs in their kernel decomposition plus (for the cluster) their
-//! accounting hooks, placed at exactly the points the pre-refactor
-//! drivers charged.
+//! plugs in their kernel decomposition, and the core reports each
+//! [`Phase`] of the schedule to it at exactly the points the
+//! pre-refactor drivers charged (the cluster charges its ledger there).
 //!
 //! **The residual is derived state.** `E = Ω∗(T − [[A…]])` is a function
 //! of the factors (§III-D, Eq. 16), so nothing stores it: not the
@@ -45,8 +45,8 @@
 //! buffer in that same pass — the loop is Jacobi, so all N MTTKRPs of the
 //! next iteration read the model this sweep read. Each of the next
 //! iteration's [`mode_step`]s reads its mode's buffer where it lies;
-//! [`StepBackend::on_sparse_mttkrp`] charges what is left of that MTTKRP
-//! once the sweep has paid for it.
+//! [`Phase::SparseMttkrp`] charges what is left of that MTTKRP once the
+//! sweep has paid for it.
 //!
 //! Every solve — cold, warm, resumed, a recovered DisTenC attempt — enters
 //! the same way: a prologue sweep against its initial factors banks its
@@ -72,7 +72,7 @@ pub(crate) mod checkpoint;
 pub(crate) mod cluster;
 pub(crate) mod host;
 
-pub(crate) use cluster::{BlockMeta, ClusterBackend};
+pub(crate) use cluster::{ClusterBackend, Ledger};
 pub(crate) use host::HostBackend;
 
 /// Per-mode scratch matrices for one [`mode_step`], all `Iₙ×R`.
@@ -177,12 +177,39 @@ impl SolverState {
     }
 }
 
+/// A point of the schedule where a cluster pays: the core reports each
+/// one to [`StepBackend::charge`], in this order per iteration — per mode
+/// `BUpdate`, `GramProduct`, `SparseMttkrp`, `AUpdate`, `YUpdate`; then
+/// `GramsRefreshed`, `DeltaReduced` and the `Sweep`. The prologue is
+/// `GramsRefreshed`, then a banking `Sweep` if an iteration will run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Before the B-update of a mode is applied (line 8, Eq. 7).
+    BUpdate(usize),
+    /// After the Gram product `F⁽ⁿ⁾` is formed on the driver (line 9).
+    GramProduct,
+    /// A mode's sparse MTTKRP at its mode step (line 10): what is left of
+    /// it after the sweep that banked it.
+    SparseMttkrp(usize),
+    /// After a mode's denominator is assembled, before the `R×R`
+    /// factorization and the per-row solve (line 11).
+    AUpdate(usize),
+    /// Before the Y-update rows of a mode are written (line 12).
+    YUpdate(usize),
+    /// After every mode's Gram was refreshed (Eqs. 12–13).
+    GramsRefreshed,
+    /// After the convergence delta is reduced across modes.
+    DeltaReduced,
+    /// Before an entry sweep, which banks every mode's next MTTKRP or none.
+    Sweep {
+        /// Whether the sweep banks.
+        bank: bool,
+    },
+}
+
 /// What a driver plugs into the shared iteration: its decomposition of
 /// the data-dependent kernels (the Gram refresh, the sweep that banks
-/// every MTTKRP), its trace clock, and — for
-/// the distributed driver — accounting hooks at the exact points the
-/// pre-refactor loop charged the cluster. Hook defaults are no-ops (the
-/// host charges nothing).
+/// every MTTKRP), its trace clock, and what it charges per [`Phase`].
 pub(crate) trait StepBackend {
     /// Recompute `factorᵀfactor` into `out` in this backend's fixed
     /// association order.
@@ -217,35 +244,9 @@ pub(crate) trait StepBackend {
     /// host, the cluster's virtual clock distributed).
     fn clock(&self, iter: usize) -> f64;
 
-    /// Charged before the B-update of `mode` is applied (Eq. 7 stage).
-    fn on_b_update(&mut self, _mode: usize) -> Result<()> {
-        Ok(())
-    }
-    /// Charged after the Gram product `F⁽ⁿ⁾` is formed on the driver.
-    fn on_gram_product(&mut self) -> Result<()> {
-        Ok(())
-    }
-    /// Charged for the sparse MTTKRP of `mode` at its mode step, every mode
-    /// of every iteration: what is left of it after the sweep that banked
-    /// it (and charged whatever that pass cost).
-    fn on_sparse_mttkrp(&mut self, _mode: usize) -> Result<()> {
-        Ok(())
-    }
-    /// Charged after the denominator is assembled, before the `R×R`
-    /// factorization and the per-row solve of `mode`.
-    fn on_a_update(&mut self, _mode: usize) -> Result<()> {
-        Ok(())
-    }
-    /// Charged before the Y-update rows of `mode` are written.
-    fn on_y_update(&mut self, _mode: usize) -> Result<()> {
-        Ok(())
-    }
-    /// Charged after every mode's Gram was refreshed (Eqs. 12–13 stage).
-    fn on_grams_refreshed(&mut self) -> Result<()> {
-        Ok(())
-    }
-    /// Charged after the convergence delta is reduced across modes.
-    fn on_delta_reduced(&mut self) -> Result<()> {
+    /// Account for `phase` of the schedule. The host charges nothing, so
+    /// its calls compile away; the cluster charges its ledger.
+    fn charge(&mut self, _phase: Phase) -> Result<()> {
         Ok(())
     }
 }
@@ -282,7 +283,7 @@ pub(crate) fn mode_step<B: StepBackend>(
     // Line 8: B⁽ⁿ⁾ₜ₊₁ ← (ηI + αLₙ)⁻¹ (ηA⁽ⁿ⁾ₜ − Y⁽ⁿ⁾ₜ), via Eq. 7.
     model.factors()[n].scaled_into(eta, &mut mb.rhs)?;
     mb.rhs.axpy(-1.0, &y_mul[n])?;
-    backend.on_b_update(n)?;
+    backend.charge(Phase::BUpdate(n))?;
     truncated[n].apply_shifted_inverse_into(
         eta,
         cfg.alpha,
@@ -293,12 +294,12 @@ pub(crate) fn mode_step<B: StepBackend>(
 
     // Line 9: Fⁿₜ = U⁽ⁿ⁾ᵀU⁽ⁿ⁾ from cached Grams (Eq. 12).
     gram_product_into(grams, n, f)?;
-    backend.on_gram_product()?;
+    backend.charge(Phase::GramProduct)?;
 
     // Line 10 + Eq. 16: H = A⁽ⁿ⁾ₜFⁿₜ + E₍ₙ₎U⁽ⁿ⁾. The last sweep left
     // E₍ₙ₎U⁽ⁿ⁾ in the bank — against these very factors, the Jacobi swap
     // only happens after every mode stepped.
-    backend.on_sparse_mttkrp(n)?;
+    backend.charge(Phase::SparseMttkrp(n))?;
     model.factors()[n].matmul_into(f, &mut mb.numer)?;
     mb.numer.axpy(1.0, &bank[n])?;
 
@@ -306,7 +307,7 @@ pub(crate) fn mode_step<B: StepBackend>(
     mb.numer.axpy(eta, &b_aux[n])?;
     mb.numer.axpy(1.0, &y_mul[n])?;
     f.add_diag(cfg.lambda + eta);
-    backend.on_a_update(n)?;
+    backend.charge(Phase::AUpdate(n))?;
     chol.refactor(f)?;
     chol.solve_right_into(&mb.numer, &mut mb.next)?;
     if cfg.nonneg {
@@ -316,7 +317,7 @@ pub(crate) fn mode_step<B: StepBackend>(
     // Line 12: Y⁽ⁿ⁾ₜ₊₁ = Y⁽ⁿ⁾ₜ + η(B⁽ⁿ⁾ₜ₊₁ − A⁽ⁿ⁾ₜ₊₁); `rhs` is dead and
     // reused for the difference. Elementwise y += η(b − a), the same
     // association as the pre-refactor clone-then-axpy.
-    backend.on_y_update(n)?;
+    backend.charge(Phase::YUpdate(n))?;
     b_aux[n].sub_into(&mb.next, &mut mb.rhs)?;
     y_mul[n].axpy(eta, &mb.rhs)?;
     Ok(())
@@ -397,7 +398,7 @@ pub(crate) fn run<B: StepBackend>(
     for n in 0..n_modes {
         backend.refresh_gram(&st.model.factors()[n], n, &mut st.grams[n])?;
     }
-    backend.on_grams_refreshed()?;
+    backend.charge(Phase::GramsRefreshed)?;
     if cfg.max_iters > start_iter {
         sweep(observed, backend, &mut st, true)?;
     }
@@ -422,8 +423,8 @@ pub(crate) fn run<B: StepBackend>(
             std::mem::swap(&mut st.model.factors_mut()[n], &mut st.ws.modes[n].next);
             backend.refresh_gram(&st.model.factors()[n], n, &mut st.grams[n])?;
         }
-        backend.on_grams_refreshed()?;
-        backend.on_delta_reduced()?;
+        backend.charge(Phase::GramsRefreshed)?;
+        backend.charge(Phase::DeltaReduced)?;
 
         // Line 13: the residual of the new factors, for the train RMSE —
         // fused with the next iteration's MTTKRPs when one will run.
@@ -464,15 +465,16 @@ fn finite(x: f64, iter: usize) -> Result<f64> {
     x.is_finite().then_some(x).ok_or(CoreError::NonFinite { iter })
 }
 
-/// One [`StepBackend::fused_step`]: the core's single decision of whether
-/// the sweep gets the bank (`bank_next`: another iteration will read it).
-/// Returns `‖E‖²_F`.
+/// One [`StepBackend::fused_step`], charged as [`Phase::Sweep`]: the
+/// core's single decision of whether the sweep gets the bank (`bank_next`:
+/// another iteration will read it). Returns `‖E‖²_F`.
 fn sweep<B: StepBackend>(
     observed: &CooTensor,
     backend: &mut B,
     st: &mut SolverState,
     bank_next: bool,
 ) -> Result<f64> {
+    backend.charge(Phase::Sweep { bank: bank_next })?;
     let bank: &mut [Mat] = if bank_next { &mut st.ws.bank } else { &mut [] };
     backend.fused_step(observed, &st.model, bank)
 }
@@ -480,22 +482,14 @@ fn sweep<B: StepBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Phase::*;
 
     const N: usize = 3;
 
-    #[derive(Debug, PartialEq, Clone, Copy)]
-    enum Event {
-        /// A `fused_step`, with the length of the bank it was handed.
-        Sweep(usize),
-        /// `on_sparse_mttkrp(mode)`.
-        Charge(usize),
-    }
-    use Event::*;
-
-    /// A backend that logs what the core asks of it and banks all of what
-    /// it is handed: every mode, or nothing.
+    /// A backend that logs every phase the core reports and banks all of
+    /// what it is handed: every mode, or nothing, as the phase said.
     struct Counting {
-        log: Vec<Event>,
+        log: Vec<Phase>,
     }
 
     impl StepBackend for Counting {
@@ -510,7 +504,7 @@ mod tests {
             bank: &mut [Mat],
         ) -> Result<f64> {
             assert!(bank.is_empty() || bank.len() == N, "the bank is all modes or none");
-            self.log.push(Sweep(bank.len()));
+            assert_eq!(self.log.last(), Some(&Sweep { bank: !bank.is_empty() }));
             for h in bank {
                 h.fill(0.0);
             }
@@ -521,15 +515,15 @@ mod tests {
             0.0
         }
 
-        fn on_sparse_mttkrp(&mut self, mode: usize) -> Result<()> {
-            self.log.push(Charge(mode));
+        fn charge(&mut self, phase: Phase) -> Result<()> {
+            self.log.push(phase);
             Ok(())
         }
     }
 
     /// Drive [`run`] on a tiny order-3 problem and return the backend's log
     /// with the iteration count.
-    fn drive(cfg: &AdmmConfig, start_iter: usize) -> (Vec<Event>, usize) {
+    fn drive(cfg: &AdmmConfig, start_iter: usize) -> (Vec<Phase>, usize) {
         let observed =
             CooTensor::from_entries(vec![3, 2, 2], &[(&[0, 0, 0], 1.0), (&[2, 1, 1], -0.5)])
                 .unwrap();
@@ -543,14 +537,39 @@ mod tests {
         (backend.log, result.iterations)
     }
 
-    /// One iteration's mode steps: the charge for every mode, each read
-    /// from the bank.
-    fn mode_steps() -> Vec<Event> {
-        (0..N).map(Charge).collect()
-    }
-
     fn cfg(max_iters: usize, tol: f64) -> AdmmConfig {
         AdmmConfig { rank: 2, max_iters, tol, ..Default::default() }
+    }
+
+    /// The prologue that banks a first iteration.
+    const PROLOGUE: [Phase; 2] = [GramsRefreshed, Sweep { bank: true }];
+
+    /// One iteration's phases, its closing sweep banking or not.
+    fn iteration(bank: bool) -> Vec<Phase> {
+        let mut phases: Vec<Phase> = (0..N)
+            .flat_map(|n| [BUpdate(n), GramProduct, SparseMttkrp(n), AUpdate(n), YUpdate(n)])
+            .collect();
+        phases.extend([GramsRefreshed, DeltaReduced, Sweep { bank }]);
+        phases
+    }
+
+    #[test]
+    fn the_schedule_reports_every_phase_in_order() {
+        // The host side of the cluster's schedule, pinned phase by phase:
+        // the prologue, then one iteration whose closing sweep banks
+        // nothing because no iteration follows.
+        let (log, iters) = drive(&cfg(1, 0.0), 0);
+        assert_eq!(iters, 1);
+        #[rustfmt::skip]
+        let want = [
+            GramsRefreshed, Sweep { bank: true },
+            BUpdate(0), GramProduct, SparseMttkrp(0), AUpdate(0), YUpdate(0),
+            BUpdate(1), GramProduct, SparseMttkrp(1), AUpdate(1), YUpdate(1),
+            BUpdate(2), GramProduct, SparseMttkrp(2), AUpdate(2), YUpdate(2),
+            GramsRefreshed, DeltaReduced, Sweep { bank: false },
+        ];
+        assert_eq!(log, want);
+        assert_eq!(log, [PROLOGUE.to_vec(), iteration(false)].concat());
     }
 
     #[test]
@@ -560,12 +579,8 @@ mod tests {
         // step sweeps, and every one is charged.
         let (log, iters) = drive(&cfg(3, 0.0), 0);
         assert_eq!(iters, 3);
-        let mut want = vec![Sweep(N)];
-        for t in 0..3 {
-            want.extend(mode_steps());
-            want.push(Sweep(if t < 2 { N } else { 0 }));
-        }
-        assert_eq!(log, want);
+        let want = [PROLOGUE.to_vec(), iteration(true), iteration(true), iteration(false)];
+        assert_eq!(log, want.concat());
     }
 
     #[test]
@@ -574,20 +589,17 @@ mod tests {
         // tolerance): its sweep gets no bank, and no iteration follows.
         let (log, iters) = drive(&cfg(5, f64::INFINITY), 0);
         assert_eq!(iters, 1);
-        assert_eq!(log, [vec![Sweep(N)], mode_steps(), vec![Sweep(0)]].concat());
+        assert_eq!(log, [PROLOGUE.to_vec(), iteration(false)].concat());
 
         // A resume enters the way a cold solve does, at its first
         // iteration: the prologue sweep banks it.
         let (log, iters) = drive(&cfg(3, 0.0), 1);
         assert_eq!(iters, 3);
-        assert_eq!(
-            log,
-            [vec![Sweep(N)], mode_steps(), vec![Sweep(N)], mode_steps(), vec![Sweep(0)]].concat()
-        );
+        assert_eq!(log, [PROLOGUE.to_vec(), iteration(true), iteration(false)].concat());
 
-        // A budget already spent has no iteration to bank for: not one
-        // sweep.
+        // A budget already spent has no iteration to bank for: the
+        // prologue refreshes the Grams and sweeps nothing.
         let (log, iters) = drive(&cfg(2, 0.0), 2);
-        assert_eq!((log, iters), (vec![], 2));
+        assert_eq!((log, iters), (vec![GramsRefreshed], 2));
     }
 }

@@ -451,7 +451,7 @@ impl Cluster {
     }
 }
 
-/// RAII guard over [`Cluster::reserve`]/[`Cluster::release`]: every
+/// RAII guard over [`Cluster::reserve`]/`Cluster::release`: every
 /// reservation made through the guard is released when it drops, so an
 /// early `?` return between reservations can no longer leak resident
 /// bytes. Dropping the guard models a job tearing down — its cached

@@ -140,7 +140,7 @@ impl Executor {
 
     /// Concurrency the host can actually deliver: the configured worker
     /// count clamped to `available_parallelism`. Size chunk counts from
-    /// this, not [`Executor::threads`] — splitting work into more chunks
+    /// this, not `Executor::threads` — splitting work into more chunks
     /// than the host has cores buys no concurrency and pays dispatch
     /// overhead per chunk (the oversplit pessimization BENCH_parallel.json
     /// measured: `--threads 8` on a 1-core host ran ~12% slower than
@@ -288,9 +288,12 @@ mod tests {
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(Executor::new(ExecMode::Sequential).parallelism(), 1);
         assert_eq!(Executor::new(ExecMode::Threads(2)).parallelism(), 2.min(host));
-        let wide = Executor::new(ExecMode::Threads(1024));
+        // One thread past the host's cores: a pool that would oversubscribe
+        // it, and no more threads than that (each spawned worker counts
+        // against every other pool's spin budget while it lives).
+        let wide = Executor::new(ExecMode::Threads(host + 1));
         assert_eq!(wide.parallelism(), host, "oversubscription is clamped");
-        assert_eq!(wide.threads(), 1024, "threads() still reports the request");
+        assert_eq!(wide.threads(), host + 1, "threads() still reports the request");
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub enum Fault {
         /// Victim machine (clamped to the cluster size).
         machine: usize,
         /// Number of failed attempts before one would succeed. When this
-        /// exceeds [`FaultPlan::max_task_retries`] the stage aborts with
+        /// exceeds `FaultPlan::max_task_retries` the stage aborts with
         /// [`crate::DataflowError::TaskFailed`].
         failures: u32,
     },

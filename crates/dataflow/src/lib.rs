@@ -20,7 +20,7 @@
 //! "Machines" are accounting domains decoupled from the host's physical
 //! cores: results are assembled in partition order regardless of which
 //! host thread computed what, which keeps every run bit-for-bit
-//! reproducible even under [`ExecMode::Threads`] (see [`exec`]).
+//! reproducible even under [`ExecMode::Threads`] (see `exec`).
 //! Spark-vs-Hadoop is modelled by [`Platform`]: `MapReduce` charges disk
 //! I/O for every stage's inputs and outputs and makes caching worthless,
 //! which is the paper's explanation for SCouT/FlexiFact's slow

@@ -6,7 +6,7 @@
 //! Laplacian. This crate provides:
 //!
 //! * [`SparseSym`] — a CSR-ish symmetric sparse matrix for similarities,
-//! * [`laplacian`] — Laplacian construction and its [`LinOp`]
+//! * `laplacian` — Laplacian construction and its [`LinOp`]
 //!   implementation for matrix-free eigensolves,
 //! * [`TruncatedLaplacian`] — the precomputed `L ≈ VΛVᵀ` that makes the
 //!   `B⁽ⁿ⁾` update cheap (Eq. 6/7), including the ordered

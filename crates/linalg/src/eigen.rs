@@ -1,7 +1,7 @@
 //! Dense symmetric eigensolvers: the production path and its oracle.
 //!
 //! * [`symmetric_eigen`] — Householder tridiagonalization followed by
-//!   implicit-shift QL ([`crate::tridiag`]), `O(n³)` once. This is what
+//!   implicit-shift QL (`crate::tridiag`), `O(n³)` once. This is what
 //!   `Laplacian::truncate` runs on connected components too small to be
 //!   worth a Krylov method.
 //! * [`jacobi_eigen`] — cyclic Jacobi, `O(n³)` *per sweep*: slow, but

@@ -8,18 +8,18 @@
 //! * [`Mat`] — a small row-major dense matrix with the handful of BLAS-like
 //!   operations the completion algorithms perform on `R×R` and `I×R`
 //!   operands (products, Gram matrices, Hadamard products, norms).
-//! * [`chol`] — Cholesky factorization and SPD solves for the
+//! * `chol` — Cholesky factorization and SPD solves for the
 //!   `(UᵀU + λI + ηI)⁻¹`-style systems in Algorithm 1 / Algorithm 3.
 //! * [`eigen`] — dense symmetric eigensolvers: Householder + QL for
 //!   production, cyclic Jacobi as the test oracle.
-//! * [`tridiag`] — Householder tridiagonalization and implicit-shift QL
+//! * `tridiag` — Householder tridiagonalization and implicit-shift QL
 //!   for symmetric tridiagonal matrices, the inner solver of both the
 //!   dense path and Lanczos.
 //! * [`isa`] — the runtime dispatch that runs the hot bodies (here:
-//!   [`Mat::matmul_into`], [`tridiag::tqli`], Lanczos' reorthogonalization;
+//!   [`Mat::matmul_into`], `tridiag::tqli`, Lanczos' reorthogonalization;
 //!   in `distenc-tensor`, the entry sweep) on 256-bit lanes where the CPU
 //!   has them, bit for bit.
-//! * [`lanczos`] — truncated Lanczos with full reorthogonalization over an
+//! * `lanczos` — truncated Lanczos with full reorthogonalization over an
 //!   abstract [`LinOp`], standing in for the MRRR eigensolver the paper uses
 //!   to truncate graph Laplacians (`L ≈ VΛVᵀ`, §III-B).
 

@@ -161,7 +161,7 @@ impl Mat {
 
     /// Partial Gram: the contribution of rows `rows.start..rows.end` to
     /// `selfᵀ * self`, upper triangle only (the lower triangle is left
-    /// zero) — [`Mat::gram_range_into`] on a fresh buffer. Summing the
+    /// zero) — `Mat::gram_range_into` on a fresh buffer. Summing the
     /// partials of a disjoint cover of `0..rows()` in a fixed order and
     /// then calling [`Mat::mirror_upper`] yields a full Gram matrix whose
     /// bits depend only on that cover and order — never on which thread
@@ -351,8 +351,8 @@ impl Mat {
         Ok(())
     }
 
-    /// `out = self - rhs`, bit-identical to [`Mat::sub`] (which is a clone
-    /// followed by `axpy(-1.0, rhs)`, i.e. `a + (-1.0) * b` per entry).
+    /// `out = self - rhs`, bit-identical to a clone followed by
+    /// `axpy(-1.0, rhs)`, i.e. `a + (-1.0) * b` per entry.
     // Keep the literal `a + (-1.0) * b` so the bit-identity with `axpy` is
     // visible in the source, not an IEEE-754 argument in a comment.
     #[allow(clippy::neg_multiply)]

@@ -18,7 +18,7 @@
 //! Acquire-load pair (see the `arc-swap` shim docs for the full
 //! argument); the generation tag travels *inside* the swapped value, so
 //! it can never be observed torn from its engine. The
-//! [`ServeMetrics::publish`] counters are relaxed — they feed reporting,
+//! `ServeMetrics::publish` counters are relaxed — they feed reporting,
 //! not the swap protocol.
 
 use crate::engine::{Engine, EngineConfig};

@@ -3,8 +3,8 @@
 //!
 //! All counters are relaxed atomics — the serving hot path must never
 //! take a lock to count a query. Latencies go into log-linear
-//! [`Histogram`]s: every power-of-two octave of nanoseconds is cut into
-//! [`SUB`] equal sub-buckets, and a snapshot quantile is the upper edge of
+//! `Histogram`s: every power-of-two octave of nanoseconds is cut into
+//! `SUB` equal sub-buckets, and a snapshot quantile is the upper edge of
 //! the sub-bucket holding it — never below the true value and at most
 //! `1/SUB` (6.25 %) above it.
 

@@ -3,7 +3,7 @@
 //! resolves to.
 //!
 //! The response travels through a one-shot slot: the queue holds the
-//! [`Promise`], the caller the [`Ticket`]. A slot is filled at most once
+//! `Promise`, the caller the [`Ticket`]. A slot is filled at most once
 //! and emptied at most once. Filling it costs one uncontended lock, and a
 //! system call only when the ticket's holder is blocked on it (a
 //! `Condvar`) — a caller that polls ([`Ticket::wait_for`] with a zero

@@ -433,24 +433,6 @@ impl CooTensor {
         self.shape = new_shape.to_vec();
         Ok(())
     }
-
-    /// The set of distinct indices appearing in `mode`, sorted. Determines
-    /// which factor-matrix rows are "active" (the basis of DisTenC's and
-    /// SCouT's ability to scale to 10⁹-dimensional modes with 10⁷
-    /// non-zeros; see DESIGN.md §5).
-    pub fn active_indices(&self, mode: usize) -> Vec<usize> {
-        assert!(mode < self.order(), "mode {mode} out of range");
-        let n = self.order();
-        let mut idx: Vec<usize> = self
-            .indices
-            .chunks_exact(n)
-            .map(|chunk| chunk[mode])
-            .collect();
-        idx.sort_unstable();
-        idx.dedup();
-        idx
-    }
-
 }
 
 /// The widest digit of [`CooTensor::sort_dedup`]'s radix passes: 2¹¹
@@ -785,14 +767,6 @@ mod tests {
         }
         assert_eq!(t.search_from(&[1, 1, 1], 3), Err(t.nnz()), "wrong order: nowhere");
         assert_eq!(CooTensor::new(vec![2]).search_from(&[1], 0), Err(0));
-    }
-
-    #[test]
-    fn active_indices_sorted_unique() {
-        let t = sample();
-        assert_eq!(t.active_indices(0), vec![0, 1, 2]);
-        assert_eq!(t.active_indices(1), vec![0, 2, 3]);
-        assert_eq!(t.active_indices(2), vec![0, 1]);
     }
 
     #[test]

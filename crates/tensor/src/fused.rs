@@ -19,37 +19,37 @@
 //! runs it where the refresh stands, and the next iteration's mode steps
 //! read the banked `H⁽ⁿ⁾`).
 //!
-//! One body ([`sweep_entries`]) serves every caller, on every executor.
+//! One body (`sweep_entries`) serves every caller, on every executor.
 //! What a caller chooses is three types: where the residual values come
-//! from ([`Values`]: refreshed and kept, refreshed and dropped, or read as
+//! from (`Values`: refreshed and kept, refreshed and dropped, or read as
 //! stored), where banked rows land
-//! ([`Placement`]: whole modes, or row slabs with an origin), and which
-//! entries are visited in which order ([`Source`]: the whole list, a
+//! (`Placement`: whole modes, or row slabs with an origin), and which
+//! entries are visited in which order (`Source`: the whole list, a
 //! sub-range of it, a list of positions). The solver's host sweep
 //! ([`cut_sweep_into`]), which keeps no residual value, walks each block
 //! of the observed tensor's [`BlockCut`] —
 //! a contiguous sub-range — into whole-mode outputs, and adds the blocks'
 //! partials in block order; the all-modes sweep and the plain MTTKRP of
-//! stored values ([`fused_refresh_modes_into`], [`mttkrp_modes_into`])
+//! stored values (`fused_refresh_modes_into`, [`mttkrp_modes_into`])
 //! walk the whole list; a tensor block's share of a cluster sweep
 //! ([`block_sweep_into`]) walks its own list into slabs. The per-mode
 //! structures the benchmark's layer probes time drive the same body: a
 //! threaded part — a COO bucket or a run of tiles, see
 //! [`MttkrpWorkspace`] — walks its positions into its slab
-//! ([`sweep_part`]), and a chunk of the threaded residual refresh walks
-//! its sub-range banking nothing ([`refresh_entries`]). The body takes the
+//! (`sweep_part`), and a chunk of the threaded residual refresh walks
+//! its sub-range banking nothing (`refresh_entries`). The body takes the
 //! entries four per step:
 //!
 //! * **Interleaved eval fold.** `Σᵣ Πₖ A⁽ᵏ⁾(iₖ,r)` is a serial `R`-add
 //!   chain per entry; one entry at a time, its latency is the whole
 //!   sweep. Four entries per step give four independent chains
-//!   ([`eval_block4`]) — each entry's own chain untouched.
+//!   (`eval_block4`) — each entry's own chain untouched.
 //! * **Shared Hadamard prefix.** Mode `m`'s contribution is
 //!   `((e·r₀)…·r_{m−1})·r_{m+1}…·r_{N−1}`; its left part `e·r₀…r_{m−1}`
 //!   is also the left part of every later mode's, so it is carried from
 //!   mode to mode instead of restarted from `e` (5R multiplies instead of
 //!   6R at order 3, 9R instead of 12R at order 4).
-//! * **No scratch.** Both folds run over [`LANES`] rank elements at a
+//! * **No scratch.** Both folds run over `LANES` rank elements at a
 //!   time with every intermediate in locals, so the sweep needs no
 //!   workspace and allocates nothing at any rank.
 //!
@@ -76,10 +76,10 @@
 //! only that: each output row and `‖E‖²` become the sum, in ascending
 //! block order, of per-block folds that are each the above. The cut is a
 //! function of the data, so every executor computes the same bits; at one
-//! block — every tensor below [`BLOCK_MIN_NNZ`]` · 2` entries — it is the
+//! block — every tensor below `BLOCK_MIN_NNZ · 2` entries — it is the
 //! flat fold itself.
 //!
-//! How the body is compiled is [`sweep`]'s to decide and never changes a
+//! How the body is compiled is `sweep`'s to decide and never changes a
 //! bit, **by construction**: R ∈ {8, 16} run it with the rank as a
 //! literal, everything else with it as a value — one operation sequence —
 //! and on a CPU with AVX2 it runs from an instantiation compiled for
@@ -87,8 +87,8 @@
 //! contracts IEEE operations, `fma` is not enabled and `mul_add` appears
 //! nowhere, so the wide instantiation performs the same lane-wise
 //! multiplies and adds as the 128-bit one, in the order written above.
-//! Orders outside the stack row cache (1, and above [`MAX_CACHED_ORDER`])
-//! take one per-entry fallback ([`sweep_uncached`]) behind the same three
+//! Orders outside the stack row cache (1, and above `MAX_CACHED_ORDER`)
+//! take one per-entry fallback (`sweep_uncached`) behind the same three
 //! types.
 
 use crate::coo::CooTensor;
@@ -636,9 +636,9 @@ pub(crate) fn refresh_entries<S: Source>(
 /// The sequential entry-order MTTKRP of stored values: overwrites `hs[k]`
 /// with `E₍ₘ₎U⁽ᵐ⁾` for the modes `m = first + k` — one of them, or all `N`
 /// from `first = 0` — in one sweep over `e`, evaluating nothing and
-/// writing no value. It is [`sweep_entries`] over [`Stored`] values, so
+/// writing no value. It is `sweep_entries` over `Stored` values, so
 /// each output is bit-identical to [`crate::mttkrp::mttkrp`] for its mode,
-/// and to what [`fused_refresh_modes_into`] banks beside a refresh that
+/// and to what `fused_refresh_modes_into` banks beside a refresh that
 /// left these values. Allocates nothing.
 ///
 /// Errors for tensors of order 1 or above 8, like the refreshing sweep.
@@ -683,7 +683,7 @@ pub fn mttkrp_modes_into(
 /// starting at global row `origin[m]` (`origin` has one start per mode).
 /// Returns the block's `Σ eᵢ²` in entry order.
 ///
-/// This is [`sweep_entries`] again — the same folds, so a block's slabs do
+/// This is `sweep_entries` again — the same folds, so a block's slabs do
 /// not depend on how many modes share the pass. Ticks no pass count: a
 /// sweep is all of the caller's blocks.
 ///
@@ -755,7 +755,7 @@ pub struct BlockCut {
 }
 
 impl BlockCut {
-    /// The cut [`block_count`] gives a residual of `nnz` entries over
+    /// The cut `block_count` gives a residual of `nnz` entries over
     /// `shape` at rank `rank`, with its partial banks.
     pub fn new(shape: &[usize], nnz: usize, rank: usize) -> BlockCut {
         BlockCut::with_blocks(shape, rank, block_count(shape, nnz, rank))
@@ -800,7 +800,7 @@ struct BlockTask<'a> {
 ///
 /// Blocks write their own outputs, so the executor changes no bit: the
 /// result is a function of the cut alone. At one block it *is* the flat
-/// entry-order fold — [`fused_refresh_modes_into`] bit for bit; at more,
+/// entry-order fold — `fused_refresh_modes_into` bit for bit; at more,
 /// each output row and `‖E‖²` are sums of per-block partial sums, equal to
 /// the flat fold to rounding. One pass-count tick per call, never per
 /// block. Allocates nothing, except the fallback's fold scratch at orders

@@ -85,7 +85,7 @@ impl KruskalTensor {
 
     /// Evaluate one entry `Σᵣ ∏ₙ A⁽ⁿ⁾[iₙ, r]` in `O(N·R)`.
     ///
-    /// The rank is folded in chunks of [`EVAL_CHUNK`] products held in a
+    /// The rank is folded in chunks of `EVAL_CHUNK` products held in a
     /// local array, one row lookup per mode per chunk. The operation
     /// order is the plain fold's: each `r`'s product runs over the modes
     /// ascending from `1.0`, and the products are summed in `r` order.

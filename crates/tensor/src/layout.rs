@@ -166,7 +166,7 @@ impl TensorLayout {
     /// Tiled cuts each mode's tile order into at most
     /// [`Executor::parallelism`] runs of whole tiles and does not read
     /// `boundaries`. COO gets parts only where something reads them. Where
-    /// its sweeps run in entry order ([`Self::sweeps_entry_order`]: one
+    /// its sweeps run in entry order (`Self::sweeps_entry_order`: one
     /// thread) there are none — a part list is a per-mode copy of the
     /// entry order, `nnz` positions each. With threads, part `p` of mode
     /// `n` owns the rows below the Algorithm-2 cut `boundaries[n][p]`;

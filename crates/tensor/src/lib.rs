@@ -9,7 +9,7 @@
 //!   statistics (input to the greedy partitioner, Algorithm 2),
 //! * [`KruskalTensor`] — a CP factorization `[[A⁽¹⁾,…,A⁽ᴺ⁾]]`, evaluable at
 //!   individual indices in `O(R)`,
-//! * [`csf`] — SPLATT's compressed-sparse-fiber layout (§III-C cites it)
+//! * `csf` — SPLATT's compressed-sparse-fiber layout (§III-C cites it)
 //!   with a fiber-factorized MTTKRP,
 //! * [`mttkrp`] — the matricized-tensor-times-Khatri-Rao-product kernel and
 //!   the Gram-product identity `UᵀU = ⊛ₖ A⁽ᵏ⁾ᵀA⁽ᵏ⁾` (Eq. 12),
@@ -20,9 +20,9 @@
 //! * [`fused`] — the one per-entry sweep body, and the block cut
 //!   ([`fused::BlockCut`]) the solver sweeps the observed tensor through
 //!   on any executor,
-//! * [`layout`] — COO, CSF and cache-blocked tiled [`TensorLayout`]s, the
+//! * `layout` — COO, CSF and cache-blocked tiled [`TensorLayout`]s, the
 //!   kernel structures the benchmark times behind one surface,
-//! * [`dense`] — a tiny dense tensor for test oracles,
+//! * `dense` — a tiny dense tensor for test oracles,
 //! * [`split`] — train/test splitting by missing rate,
 //! * [`io`] — plain-text COO serialization.
 

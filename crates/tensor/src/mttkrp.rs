@@ -108,7 +108,7 @@ pub fn gram_product_into(grams: &[Mat], mode: usize, out: &mut Mat) -> Result<()
 }
 
 /// One mode's parts for the sweeps that run concurrently
-/// ([`mttkrp_blocked_into`], [`crate::fused::fused_mttkrp_refresh_into`]):
+/// ([`mttkrp_blocked_into`], `crate::fused::fused_mttkrp_refresh_into`):
 /// the entry positions in an order that groups them by output-row range,
 /// and per range (a *part*) its run of that order, an accumulation slab
 /// and a value carrier, so a steady-state call allocates nothing. Parts
@@ -237,7 +237,7 @@ impl MttkrpWorkspace {
 /// Block-parallel MTTKRP over mode-`mode` row ranges, writing into a
 /// caller-owned `h` through a preallocated [`MttkrpWorkspace`]. Each part
 /// is one work unit on `exec`, running the shared entry body
-/// ([`crate::fused::sweep_part`]) over its positions into its own row slab
+/// (`crate::fused::sweep_part`) over its positions into its own row slab
 /// — no atomics, no shared writes — and the slabs are stitched into
 /// disjoint row ranges of `h` in fixed part order. The steady state
 /// allocates nothing (dispatch to the threaded executor shares one

@@ -112,7 +112,7 @@ impl ResidualWorkspace {
 /// `e[i] = t[i] − [[A…]](idx[i])` is computed independently, so the values
 /// are bit-identical to the sequential loop for any chunking. It is the
 /// shared entry body with no mode banked
-/// ([`crate::fused::refresh_entries`] — the same fold four entries at a
+/// (`crate::fused::refresh_entries` — the same fold four entries at a
 /// time, so the serial add chains overlap): over the whole list straight
 /// into `e` at one thread, over each chunk's sub-range into its buffer
 /// under threads, the buffers copied back in chunk order.
