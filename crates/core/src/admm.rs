@@ -25,7 +25,6 @@ use distenc_dataflow::{ExecMode, Executor};
 use distenc_graph::{Laplacian, TruncatedLaplacian};
 use distenc_tensor::{CooTensor, KruskalTensor};
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// The serial Algorithm 1 solver.
 #[derive(Debug, Clone)]
@@ -87,24 +86,9 @@ impl AdmmSolver {
         truncated: &[TruncatedLaplacian],
         init: Option<&KruskalTensor>,
     ) -> Result<CompletionResult> {
-        if truncated.len() != observed.order() {
-            return Err(CoreError::Invalid(format!(
-                "{} eigenbases for an order-{} tensor",
-                truncated.len(),
-                observed.order()
-            )));
-        }
-        for (n, (t, &dim)) in truncated.iter().zip(observed.shape()).enumerate() {
-            if t.dim() != dim {
-                return Err(CoreError::Invalid(format!(
-                    "eigenbasis for mode {n} has dimension {}, mode has length {dim}",
-                    t.dim()
-                )));
-            }
-        }
-        if observed.nnz() == 0 {
-            return Err(CoreError::Invalid("observed tensor has no entries".into()));
-        }
+        let dims = truncated.iter().map(|t| Some(t.dim()));
+        validate_modes(observed.shape(), dims, ("eigenbasis", "eigenbases"))?;
+        validate_support(observed)?;
         if let Some(m) = init {
             check_warm_start(m, observed, self.cfg.rank)?;
         }
@@ -191,7 +175,6 @@ impl AdmmSolver {
 /// corrupts the previously persisted snapshot.
 struct FileSink<'a> {
     cfg: &'a AdmmConfig,
-    observed: &'a CooTensor,
     path: PathBuf,
 }
 
@@ -202,7 +185,7 @@ impl solver::CheckpointSink for FileSink<'_> {
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()> {
-        Checkpoint::capture(self.cfg, self.observed, st, iters_done, trace).write_file(&self.path)?;
+        Checkpoint::capture(self.cfg, st, iters_done, trace).write_file(&self.path)?;
         Ok(())
     }
 }
@@ -213,6 +196,12 @@ pub(crate) fn validate_problem(
     laplacians: &[Option<&Laplacian>],
 ) -> Result<()> {
     validate_laplacians(observed.shape(), laplacians)?;
+    validate_support(observed)
+}
+
+/// An observed tensor with at least one entry (the train RMSE divides by
+/// their count).
+fn validate_support(observed: &CooTensor) -> Result<()> {
     if observed.nnz() == 0 {
         return Err(CoreError::Invalid("observed tensor has no entries".into()));
     }
@@ -240,22 +229,26 @@ fn check_warm_start(
 
 /// One optional Laplacian per mode, each as long as its mode.
 fn validate_laplacians(shape: &[usize], laplacians: &[Option<&Laplacian>]) -> Result<()> {
-    if laplacians.len() != shape.len() {
-        return Err(CoreError::Invalid(format!(
-            "{} Laplacians for an order-{} tensor",
-            laplacians.len(),
-            shape.len()
-        )));
+    let dims = laplacians.iter().map(|l| l.map(Laplacian::dim));
+    validate_modes(shape, dims, ("Laplacian", "Laplacians"))
+}
+
+/// The per-mode check every entry point shares: one operator per mode
+/// (`dims` yields its dimension, `None` where the mode has none), each as
+/// long as its mode. `(one, many)` name the operator in the error.
+fn validate_modes(
+    shape: &[usize],
+    dims: impl ExactSizeIterator<Item = Option<usize>>,
+    (one, many): (&str, &str),
+) -> Result<()> {
+    if dims.len() != shape.len() {
+        let msg = format!("{} {many} for an order-{} tensor", dims.len(), shape.len());
+        return Err(CoreError::Invalid(msg));
     }
-    for (n, lap) in laplacians.iter().enumerate() {
-        if let Some(l) = lap {
-            if l.dim() != shape[n] {
-                return Err(CoreError::Invalid(format!(
-                    "Laplacian for mode {n} has dimension {}, mode has length {}",
-                    l.dim(),
-                    shape[n]
-                )));
-            }
+    for (n, (dim, &len)) in dims.zip(shape).enumerate() {
+        if let Some(d) = dim.filter(|&d| d != len) {
+            let msg = format!("{one} for mode {n} has dimension {d}, mode has length {len}");
+            return Err(CoreError::Invalid(msg));
         }
     }
     Ok(())
@@ -297,11 +290,11 @@ fn truncate_and_solve(
 
 /// The host solve: build the single-machine backend on `exec` and the
 /// state, then run the shared core ([`solver::run`]) once. Trace points
-/// are stamped with the wall time since the call.
+/// are stamped with the wall time since the backend was built.
 ///
-/// `resume` continues a solve at the checkpoint's iteration cursor:
-/// [`SolverState::restore`] puts back its factors, duals `Y` and penalty
-/// `η` and yields the trace so far. A [`FileSink`] is
+/// `resume` continues a solve at the checkpoint's iteration cursor (the
+/// core puts back its factors, duals `Y` and penalty `η` and continues
+/// its trace). A [`FileSink`] is
 /// attached when the config asks for on-disk checkpointing
 /// ([`crate::CheckpointPolicy::with_path`]); a policy without a path is
 /// the distributed driver's concern and is a no-op here.
@@ -313,18 +306,15 @@ fn solve_with(
     initial: Option<KruskalTensor>,
     resume: Option<&Checkpoint>,
 ) -> Result<CompletionResult> {
-    let start = Instant::now();
-    let clock = move |_iter| start.elapsed().as_secs_f64();
-    let mut host = HostBackend::new(observed, cfg.rank, exec, clock);
-    let mut st = SolverState::new(observed, truncated, cfg, initial)?;
-    let resume_point = resume.map(|ck| st.restore(ck)).transpose()?;
+    let mut host = HostBackend::new(observed, cfg.rank, exec);
+    let st = SolverState::new(observed.shape(), observed.nnz(), truncated, cfg, initial)?;
     let mut file_sink = cfg
         .checkpoint
         .as_ref()
         .and_then(|policy| policy.path.as_ref())
-        .map(|path| FileSink { cfg, observed, path: path.clone() });
+        .map(|path| FileSink { cfg, path: path.clone() });
     let sink = file_sink.as_mut().map(|s| s as &mut dyn solver::CheckpointSink);
-    solver::run(observed, truncated, cfg, &mut host, st, resume_point, sink)
+    solver::run(truncated, cfg, &mut host, st, resume, sink)
 }
 
 #[cfg(test)]

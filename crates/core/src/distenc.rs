@@ -111,7 +111,7 @@ impl<'c> DisTenC<'c> {
         let mut image: Option<Vec<u8>> = None;
         let mut recovering: Option<usize> = None;
         for attempt in 0..=MAX_RECOVERIES {
-            let out = self.run_attempt(observed, &truncated, &mut backend, recovering, &mut image);
+            let out = self.run_attempt(&truncated, &mut backend, recovering, &mut image);
             match out {
                 Err(CoreError::Dataflow(DataflowError::MachineLost { machine, .. }))
                     if attempt < MAX_RECOVERIES =>
@@ -125,38 +125,32 @@ impl<'c> DisTenC<'c> {
     }
 
     /// One solve attempt: charge and reserve its ledger
-    /// ([`Self::charge_attempt`]), restore the latest checkpoint image if
-    /// there is one, and run the shared solver core. Any snapshot
+    /// ([`Self::charge_attempt`]), size the state from the ledger's counts,
+    /// and run the shared solver core, resuming from the latest checkpoint
+    /// image if there is one. Any snapshot
     /// the attempt produced is harvested into `image` even when the
     /// attempt dies, so the *next* attempt resumes from the most recent
     /// snapshot.
     fn run_attempt(
         &self,
-        observed: &CooTensor,
         truncated: &[TruncatedLaplacian],
         backend: &mut ClusterBackend<'_>,
         recovering: Option<usize>,
         image: &mut Option<Vec<u8>>,
     ) -> Result<CompletionResult> {
-        let cl = self.cluster;
-        let reservation =
-            self.charge_attempt(&backend.ledger, recovering, image.as_ref().map(Vec::len))?;
+        let (cl, ledger) = (self.cluster, &backend.ledger);
+        let reservation = self.charge_attempt(ledger, recovering, image.as_ref().map(Vec::len))?;
 
         // ---- Delegate the iteration to the shared solver core ----------
         // A snapshot puts back its factors, duals and penalty; the
         // prologue sweep derives the residual from them, as it does for a
         // cold attempt's random factors.
         let snapshot = image.as_deref().map(Checkpoint::from_bytes).transpose()?;
-        let mut st = SolverState::new(observed, truncated, &self.cfg, None)?;
-        let resume_point = snapshot.as_ref().map(|ck| st.restore(ck)).transpose()?;
-        let mut sink_store = self.cfg.checkpoint.as_ref().map(|_| ClusterSink {
-            cl,
-            cfg: &self.cfg,
-            observed,
-            latest: None,
-        });
+        let st = SolverState::new(&ledger.shape(), ledger.nnz(), truncated, &self.cfg, None)?;
+        let mut sink_store =
+            self.cfg.checkpoint.as_ref().map(|_| ClusterSink { cl, cfg: &self.cfg, latest: None });
         let sink = sink_store.as_mut().map(|s| s as &mut dyn solver::CheckpointSink);
-        let out = solver::run(observed, truncated, &self.cfg, backend, st, resume_point, sink);
+        let out = solver::run(truncated, &self.cfg, backend, st, snapshot.as_ref(), sink);
         // Harvest the newest snapshot even from a dead attempt: the
         // simulated reliable store outlives the machines.
         if let Some(s) = sink_store {
@@ -193,7 +187,7 @@ impl<'c> DisTenC<'c> {
             // Counting per-slice non-zeros is one pass over the entries,
             // split evenly across machines; partitioning then shuffles the
             // whole input tensor (Lemma 3's O(nnz(X)) term).
-            let per = ledger.meta.iter().map(|bm| bm.nnz).sum::<usize>().div_ceil(m);
+            let per = ledger.nnz().div_ceil(m);
             let tasks: Vec<TaskCost> = (0..m)
                 .map(|machine| TaskCost {
                     machine,
@@ -216,9 +210,8 @@ impl<'c> DisTenC<'c> {
             // The truncated eigendecompositions (`O(K·I)` per §III-B) of
             // the modes that kept eigenpairs: those with a graph, unless
             // `eigen_k` is 0. A recovery reuses them and is not charged.
-            for (part, &k) in ledger.modes.iter().zip(&ledger.eigen_k) {
+            for (dim, &k) in ledger.shape().into_iter().zip(&ledger.eigen_k) {
                 if k > 0 {
-                    let dim = part.range(part.parts() - 1).end;
                     cl.charge_driver_flops((self.cfg.eigen_k * dim) as f64 * 8.0)?;
                 }
             }
@@ -296,7 +289,6 @@ impl<'c> DisTenC<'c> {
 struct ClusterSink<'a> {
     cl: &'a Cluster,
     cfg: &'a AdmmConfig,
-    observed: &'a CooTensor,
     /// The most recent snapshot image ("reliable store" contents).
     latest: Option<Vec<u8>>,
 }
@@ -308,7 +300,7 @@ impl solver::CheckpointSink for ClusterSink<'_> {
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Result<()> {
-        let bytes = Checkpoint::capture(self.cfg, self.observed, st, iters_done, trace).to_bytes();
+        let bytes = Checkpoint::capture(self.cfg, st, iters_done, trace).to_bytes();
         // Collect: each machine ships an even share of the snapshot.
         let m = self.cl.machines();
         let per = (bytes.len() as u64).div_ceil(m as u64);

@@ -55,7 +55,6 @@ use crate::config::AdmmConfig;
 use crate::trace::{ConvergenceTrace, TracePoint};
 use distenc_linalg::Mat;
 use distenc_partition::PartitionStrategy;
-use distenc_tensor::CooTensor;
 
 /// File-format magic: "DisTenC ChecKpoint".
 const MAGIC: [u8; 4] = *b"DTCK";
@@ -230,23 +229,22 @@ impl<'a> Reader<'a> {
 
 impl Checkpoint {
     /// Snapshot `st` after `iters_done` completed iterations of the solve
-    /// `cfg` describes on `observed` ([`SolverState::restore`] is the
-    /// inverse).
+    /// `cfg` describes: the shape is its model's, the support size its own
+    /// (a resuming [`super::run`] is the inverse).
     pub(crate) fn capture(
         cfg: &AdmmConfig,
-        observed: &CooTensor,
         st: &SolverState,
         iters_done: usize,
         trace: &ConvergenceTrace,
     ) -> Checkpoint {
         Checkpoint {
             config: cfg.clone(),
-            shape: observed.shape().to_vec(),
+            shape: st.model.shape(),
             iters_done,
             eta: st.eta,
             factors: st.model.factors().to_vec(),
             y_mul: st.y_mul.clone(),
-            nnz: observed.nnz(),
+            nnz: st.nnz,
             trace: trace.clone(),
         }
     }

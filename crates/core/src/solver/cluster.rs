@@ -117,6 +117,16 @@ impl<'a> Ledger<'a> {
         Ledger { cl, rank, modes, meta, eigen_k }
     }
 
+    /// Mode lengths: the last boundary of each mode partition.
+    pub(crate) fn shape(&self) -> Vec<usize> {
+        self.modes.iter().map(|part| part.range(part.parts() - 1).end).collect()
+    }
+
+    /// Entries over all blocks: the observed support size.
+    pub(crate) fn nnz(&self) -> usize {
+        self.meta.iter().map(|b| b.nnz).sum()
+    }
+
     /// What the cluster pays for `phase` of the schedule.
     pub(crate) fn charge(&self, phase: Phase) -> Result<()> {
         let (cl, rank) = (self.cl, self.rank);
@@ -423,12 +433,7 @@ impl StepBackend for ClusterBackend<'_> {
     /// charged it as [`Phase::Sweep`]). Handed the bank, every block
     /// evaluates its residual values and emits all N partials in one task;
     /// handed nothing, it is the plain refresh.
-    fn fused_step(
-        &mut self,
-        _observed: &CooTensor,
-        model: &KruskalTensor,
-        bank: &mut [Mat],
-    ) -> Result<f64> {
+    fn fused_step(&mut self, model: &KruskalTensor, bank: &mut [Mat]) -> Result<f64> {
         let frob = self.sweep_blocks(model, !bank.is_empty());
         for (mode, out) in bank.iter_mut().enumerate() {
             self.combine(mode, out);
@@ -436,7 +441,7 @@ impl StepBackend for ClusterBackend<'_> {
         Ok(frob)
     }
 
-    fn clock(&self, _iter: usize) -> f64 {
+    fn clock(&self) -> f64 {
         self.ledger.cl.now()
     }
 

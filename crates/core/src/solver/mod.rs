@@ -11,6 +11,15 @@
 //! [`Phase`] of the schedule to it at exactly the points the
 //! pre-refactor drivers charged (the cluster charges its ledger there).
 //!
+//! **Each seam carries what is read across it.** The core holds counts,
+//! never entries: [`SolverState`] carries the support size `|Ω|` the
+//! train RMSE divides by, set when a driver builds it (the host from its
+//! tensor, DisTenC from its ledger); a backend holds the entries it
+//! sweeps, so [`StepBackend::fused_step`] is handed the model and the
+//! bank alone; [`Checkpoint::capture`] reads the shape and the support
+//! size from the state, and [`run`], handed a [`Checkpoint`], restores it
+//! and continues at its cursor.
+//!
 //! **The residual is derived state.** `E = Ω∗(T − [[A…]])` is a function
 //! of the factors (§III-D, Eq. 16), so nothing stores it: not the
 //! [`SolverState`], not a backend, not a checkpoint. Each sweep computes
@@ -66,7 +75,7 @@ use crate::{CompletionResult, CoreError, Result};
 use distenc_graph::{ShiftedInverseScratch, TruncatedLaplacian};
 use distenc_linalg::{Cholesky, Mat};
 use distenc_tensor::mttkrp::gram_product_into;
-use distenc_tensor::{CooTensor, KruskalTensor};
+use distenc_tensor::KruskalTensor;
 
 pub(crate) mod checkpoint;
 pub(crate) mod cluster;
@@ -104,8 +113,9 @@ pub(crate) struct Workspace {
 }
 
 /// Everything Algorithm 1 iterates on: the factors, the ADMM auxiliaries
-/// `B`/`Y`, the cached Grams and the penalty `η`. The residual is not
-/// among them: each sweep derives it from the model.
+/// `B`/`Y`, the cached Grams and the penalty `η`, and the support size the
+/// train RMSE divides by. The residual is not among them: each sweep
+/// derives it from the model.
 pub(crate) struct SolverState {
     /// The CP model `[[A⁽¹⁾,…,A⁽ᴺ⁾]]`.
     pub(crate) model: KruskalTensor,
@@ -117,24 +127,27 @@ pub(crate) struct SolverState {
     pub(crate) y_mul: Vec<Mat>,
     /// Current penalty parameter `η`.
     pub(crate) eta: f64,
+    /// Entries of the observed support `|Ω|`.
+    pub(crate) nnz: usize,
     /// Preallocated iteration scratch.
     pub(crate) ws: Workspace,
 }
 
 impl SolverState {
-    /// Size all solver-owned state for `observed` before iteration 0.
+    /// Size all solver-owned state for a tensor of `shape` with `nnz`
+    /// observed entries before iteration 0.
     ///
     /// `initial` seeds the factors (warm start); otherwise they are the
     /// seeded random init of Algorithm 1 line 1. Grams start as zero
     /// placeholders — [`run`]'s prologue fills them through the backend
     /// before anything reads them.
     pub(crate) fn new(
-        observed: &CooTensor,
+        shape: &[usize],
+        nnz: usize,
         truncated: &[TruncatedLaplacian],
         cfg: &AdmmConfig,
         initial: Option<KruskalTensor>,
     ) -> Result<Self> {
-        let shape = observed.shape();
         let rank = cfg.rank;
         let model = initial.unwrap_or_else(|| KruskalTensor::random(shape, rank, cfg.seed));
         let per_mode = || -> Vec<Mat> { shape.iter().map(|&d| Mat::zeros(d, rank)).collect() };
@@ -162,18 +175,9 @@ impl SolverState {
             b_aux: per_mode(),
             y_mul: per_mode(),
             eta: cfg.eta0,
+            nnz,
             ws,
         })
-    }
-
-    /// Overlay a snapshot's factors, duals `Y` and penalty `η` (the
-    /// inverse of [`Checkpoint::capture`]) and return where the loop
-    /// continues.
-    pub(crate) fn restore(&mut self, ck: &Checkpoint) -> Result<ResumePoint> {
-        self.model = KruskalTensor::new(ck.factors.clone())?;
-        self.y_mul = ck.y_mul.clone();
-        self.eta = ck.eta;
-        Ok(ResumePoint { start_iter: ck.iters_done, trace: ck.trace.clone() })
     }
 }
 
@@ -209,7 +213,8 @@ pub(crate) enum Phase {
 
 /// What a driver plugs into the shared iteration: its decomposition of
 /// the data-dependent kernels (the Gram refresh, the sweep that banks
-/// every MTTKRP), its trace clock, and what it charges per [`Phase`].
+/// every MTTKRP), its trace clock, and what it charges per [`Phase`]. The
+/// backend holds the entries it sweeps; the core never sees them.
 pub(crate) trait StepBackend {
     /// Recompute `factorᵀfactor` into `out` in this backend's fixed
     /// association order.
@@ -233,16 +238,11 @@ pub(crate) trait StepBackend {
     /// decomposition alone, which is what makes a warm or resumed solve
     /// bit-identical to an uninterrupted one: its prologue banks what the
     /// interrupted run's sweep banked against the same factors.
-    fn fused_step(
-        &mut self,
-        observed: &CooTensor,
-        model: &KruskalTensor,
-        bank: &mut [Mat],
-    ) -> Result<f64>;
+    fn fused_step(&mut self, model: &KruskalTensor, bank: &mut [Mat]) -> Result<f64>;
 
-    /// Timestamp for iteration `iter`'s trace point (wall clock on the
+    /// Timestamp for the trace point just computed (wall clock on the
     /// host, the cluster's virtual clock distributed).
-    fn clock(&self, iter: usize) -> f64;
+    fn clock(&self) -> f64;
 
     /// Account for `phase` of the schedule. The host charges nothing, so
     /// its calls compile away; the cluster charges its ledger.
@@ -323,15 +323,6 @@ pub(crate) fn mode_step<B: StepBackend>(
     Ok(())
 }
 
-/// Where the loop continues from when recovering a checkpointed solve
-/// ([`SolverState::restore`] produces it).
-pub(crate) struct ResumePoint {
-    /// Iterations already completed; the loop continues at this index.
-    pub(crate) start_iter: usize,
-    /// Trace accumulated before the interruption; new points append.
-    pub(crate) trace: ConvergenceTrace,
-}
-
 /// Receives solver snapshots at the configured checkpoint cadence. The
 /// host driver writes [`checkpoint::Checkpoint`] files; the distributed
 /// driver serializes to its simulated reliable store and charges the
@@ -353,9 +344,11 @@ pub(crate) trait CheckpointSink {
 /// 6–17): prologue Gram + residual sweep, then per iteration a Jacobi
 /// sweep of [`mode_step`]s, the factor swap with the convergence
 /// statistic, the residual sweep, the trace point, and the `η` schedule —
-/// with the fault-tolerance hooks attached: `resume` continues a
-/// checkpointed solve at its stored iteration cursor, and `sink` receives
-/// snapshots at the cadence of [`AdmmConfig::checkpoint`].
+/// with the fault-tolerance hooks attached: `resume` overlays a
+/// snapshot's factors, duals `Y` and penalty `η` on `st` (the inverse of
+/// [`Checkpoint::capture`]) and continues at its iteration cursor with
+/// its trace, and `sink` receives snapshots at the cadence of
+/// [`AdmmConfig::checkpoint`].
 ///
 /// **Bit-exact recovery invariant** (proven by `tests/fault_recovery.rs`
 /// at `DISTENC_THREADS=1` and `=4`): a solve resumed from a checkpoint of
@@ -367,24 +360,28 @@ pub(crate) trait CheckpointSink {
 /// the very sweep the interrupted run ran against the same factors — and
 /// `B`, rewritten from `ηA − Y` each mode step.
 pub(crate) fn run<B: StepBackend>(
-    observed: &CooTensor,
     truncated: &[TruncatedLaplacian],
     cfg: &AdmmConfig,
     backend: &mut B,
     mut st: SolverState,
-    resume: Option<ResumePoint>,
+    resume: Option<&Checkpoint>,
     mut sink: Option<&mut dyn CheckpointSink>,
 ) -> Result<CompletionResult> {
     // Drivers validate at their API boundary; this guard keeps the shared
     // core safe against a zero-support tensor slipping through a future
     // caller (train RMSE would be 0/0 = NaN).
-    if observed.nnz() == 0 {
+    if st.nnz == 0 {
         return Err(CoreError::Invalid("observed tensor has no entries".into()));
     }
     let n_modes = st.model.order();
 
     let (start_iter, mut trace) = match resume {
-        Some(r) => (r.start_iter, r.trace),
+        Some(ck) => {
+            st.model = KruskalTensor::new(ck.factors.clone())?;
+            st.y_mul = ck.y_mul.clone();
+            st.eta = ck.eta;
+            (ck.iters_done, ck.trace.clone())
+        }
         None => (0, ConvergenceTrace::new()),
     };
 
@@ -400,7 +397,7 @@ pub(crate) fn run<B: StepBackend>(
     }
     backend.charge(Phase::GramsRefreshed)?;
     if cfg.max_iters > start_iter {
-        sweep(observed, backend, &mut st, true)?;
+        sweep(backend, &mut st, true)?;
     }
 
     trace.points.reserve(cfg.max_iters.saturating_sub(start_iter));
@@ -429,11 +426,11 @@ pub(crate) fn run<B: StepBackend>(
         // Line 13: the residual of the new factors, for the train RMSE —
         // fused with the next iteration's MTTKRPs when one will run.
         let bank_next = t + 1 < cfg.max_iters && delta >= cfg.tol;
-        let frob = finite(sweep(observed, backend, &mut st, bank_next)?, t)?;
-        let train_rmse = (frob / observed.nnz() as f64).sqrt();
+        let frob = finite(sweep(backend, &mut st, bank_next)?, t)?;
+        let train_rmse = (frob / st.nnz as f64).sqrt();
         trace.push(TracePoint {
             iter: t,
-            seconds: backend.clock(t),
+            seconds: backend.clock(),
             train_rmse,
             factor_delta: delta,
         });
@@ -468,15 +465,10 @@ fn finite(x: f64, iter: usize) -> Result<f64> {
 /// One [`StepBackend::fused_step`], charged as [`Phase::Sweep`]: the
 /// core's single decision of whether the sweep gets the bank (`bank_next`:
 /// another iteration will read it). Returns `‖E‖²_F`.
-fn sweep<B: StepBackend>(
-    observed: &CooTensor,
-    backend: &mut B,
-    st: &mut SolverState,
-    bank_next: bool,
-) -> Result<f64> {
+fn sweep<B: StepBackend>(backend: &mut B, st: &mut SolverState, bank_next: bool) -> Result<f64> {
     backend.charge(Phase::Sweep { bank: bank_next })?;
     let bank: &mut [Mat] = if bank_next { &mut st.ws.bank } else { &mut [] };
-    backend.fused_step(observed, &st.model, bank)
+    backend.fused_step(&st.model, bank)
 }
 
 #[cfg(test)]
@@ -497,12 +489,7 @@ mod tests {
             Ok(factor.gram_into(out)?)
         }
 
-        fn fused_step(
-            &mut self,
-            _: &CooTensor,
-            _: &KruskalTensor,
-            bank: &mut [Mat],
-        ) -> Result<f64> {
+        fn fused_step(&mut self, _: &KruskalTensor, bank: &mut [Mat]) -> Result<f64> {
             assert!(bank.is_empty() || bank.len() == N, "the bank is all modes or none");
             assert_eq!(self.log.last(), Some(&Sweep { bank: !bank.is_empty() }));
             for h in bank {
@@ -511,7 +498,7 @@ mod tests {
             Ok(1.0)
         }
 
-        fn clock(&self, _iter: usize) -> f64 {
+        fn clock(&self) -> f64 {
             0.0
         }
 
@@ -524,16 +511,15 @@ mod tests {
     /// Drive [`run`] on a tiny order-3 problem and return the backend's log
     /// with the iteration count.
     fn drive(cfg: &AdmmConfig, start_iter: usize) -> (Vec<Phase>, usize) {
-        let observed =
-            CooTensor::from_entries(vec![3, 2, 2], &[(&[0, 0, 0], 1.0), (&[2, 1, 1], -0.5)])
-                .unwrap();
-        let truncated: Vec<_> =
-            observed.shape().iter().map(|&d| TruncatedLaplacian::zero(d)).collect();
-        let st = SolverState::new(&observed, &truncated, cfg, None).unwrap();
+        let shape = [3, 2, 2];
+        let truncated: Vec<_> = shape.iter().map(|&d| TruncatedLaplacian::zero(d)).collect();
+        let st = SolverState::new(&shape, 2, &truncated, cfg, None).unwrap();
+        // A snapshot of the initial state, taken as if `start_iter`
+        // iterations had run.
         let resume = (start_iter > 0)
-            .then(|| ResumePoint { start_iter, trace: ConvergenceTrace::new() });
+            .then(|| Checkpoint::capture(cfg, &st, start_iter, &ConvergenceTrace::new()));
         let mut backend = Counting { log: Vec::new() };
-        let result = run(&observed, &truncated, cfg, &mut backend, st, resume, None).unwrap();
+        let result = run(&truncated, cfg, &mut backend, st, resume.as_ref(), None).unwrap();
         (backend.log, result.iterations)
     }
 

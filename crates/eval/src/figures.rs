@@ -567,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn fig6a_distenc_wins_both_datasets() {
+    fn fig6a_distenc_beats_als_by_3_pct_and_is_within_5_pct_of_scout() {
         for (name, rows) in fig6a(Profile::Quick).unwrap() {
             let rmse = |m: Method| rows.iter().find(|r| r.method == m).unwrap().rmse;
             let (dis, als, scout) = (

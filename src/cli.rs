@@ -164,6 +164,16 @@ pub fn parse_list(s: &str, what: &str) -> Res<Vec<usize>> {
     s.split(',').map(|p| parse_num(p.trim(), what)).collect()
 }
 
+/// A tensor shape `d1,d2,..`: a mode of length 0 holds no cell, so it is
+/// an error here rather than a panic in the code that would size by it.
+pub fn parse_dims(s: &str) -> Res<Vec<usize>> {
+    let dims = parse_list(s, "dimension")?;
+    if dims.contains(&0) {
+        return fail(format!("bad --dims `{s}`: every mode length must be at least 1"));
+    }
+    Ok(dims)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

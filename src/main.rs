@@ -23,7 +23,7 @@
 
 mod cli;
 
-use cli::{fail, flag, many, parse_list, parse_num, val, Cmd, Opt, Opts, Res};
+use cli::{fail, flag, many, parse_dims, parse_list, parse_num, val, Cmd, Opt, Opts, Res};
 use distenc::core::{AdmmConfig, AdmmSolver, Checkpoint, CheckpointPolicy, CompletionResult};
 use distenc::dataflow::ExecMode;
 use distenc::eval::metrics;
@@ -325,7 +325,7 @@ fn final_rmse(result: &CompletionResult) -> f64 {
 
 fn cmd_generate(opts: &Opts) -> Res {
     use distenc::datagen::synthetic;
-    let dims = parse_list(opts.req("dims")?, "dimension")?;
+    let dims = parse_dims(opts.req("dims")?)?;
     let nnz: usize = opts.req_num("nnz")?;
     let out = opts.req("out")?;
     let seed: u64 = opts.num_or("seed", 42)?;
@@ -521,10 +521,14 @@ fn cmd_predict(opts: &Opts) -> Res {
 
 fn cmd_serve_bench(opts: &Opts) -> Res {
     let seed: u64 = opts.num_or("seed", 42)?;
+    let qps = opts.num::<f64>("qps")?;
+    if let Some(q) = qps.filter(|q| !(q.is_finite() && *q > 0.0)) {
+        return fail(format!("bad qps: `{q}`: the offered load must be a positive, finite rate"));
+    }
     let model = match opts.get("model") {
         Some(path) => io::read_kruskal_file(path)?,
         None => {
-            let dims = parse_list(opts.get("dims").unwrap_or("2000,500,20"), "dimension")?;
+            let dims = parse_dims(opts.get("dims").unwrap_or("2000,500,20"))?;
             KruskalTensor::random(&dims, opts.num_or("rank", 8)?, seed)
         }
     };
@@ -550,7 +554,7 @@ fn cmd_serve_bench(opts: &Opts) -> Res {
     }
     let shape = model.shape();
 
-    if let Some(qps) = opts.num::<f64>("qps")? {
+    if let Some(qps) = qps {
         // Open loop: offered load at a fixed QPS with admission control.
         let workers: usize = opts.num_or("workers", 2)?;
         if workers == 0 {

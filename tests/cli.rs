@@ -633,3 +633,33 @@ fn stream_rejects_a_repeated_input_cell_that_complete_keeps() {
     assert!(!stderr.contains("initial solve:"), "nothing was solved: {stderr}");
     assert!(!model.exists());
 }
+
+/// A zero mode length and a rate that offers no load are typed errors
+/// (status 1 and a message), never a panic (status 101) in the code that
+/// would size or pace by them.
+fn assert_rejected(args: &[&str], message: &str) {
+    let out = bin().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains(message), "{args:?}: {stderr}");
+}
+
+#[test]
+fn both_dims_options_reject_a_zero_mode_length() {
+    let out = tmp("zero-mode.coo");
+    let _ = std::fs::remove_file(&out);
+    let args = ["generate", "--kind", "scalability", "--dims", "0,4", "--nnz", "5"];
+    let args = [&args[..], &["--out", out.to_str().unwrap()]].concat();
+    assert_rejected(&args, "bad --dims `0,4`: every mode length must be at least 1");
+    assert!(!out.exists());
+    let args = ["serve-bench", "--dims", "0,4,3"];
+    assert_rejected(&args, "bad --dims `0,4,3`: every mode length must be at least 1");
+}
+
+#[test]
+fn serve_bench_rejects_a_rate_that_offers_no_load() {
+    for qps in ["0", "-5", "inf", "NaN"] {
+        let args = ["serve-bench", "--dims", "5,4,3", "--queries", "10", "--qps", qps];
+        assert_rejected(&args, "the offered load must be a positive, finite rate");
+    }
+}

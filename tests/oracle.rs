@@ -418,6 +418,38 @@ fn the_solver_stops_where_algorithm_1_stops() {
     check(&observed, &[false; 3], &cfg, "early convergence");
 }
 
+#[test]
+fn at_alpha_zero_the_laplacians_change_no_bit() {
+    // α = 0 drops the trace term: the B-update is `rhs/η` whatever the
+    // eigenbasis (`apply_shifted_inverse_into` returns it before reading
+    // one), so a chain on every mode must give the graph-free solve's
+    // factors and train RMSE bit for bit, on the host and on the cluster.
+    // The clock is not compared: the cluster charges the truncation.
+    let shape = [13, 11, 9];
+    let observed = planted(&shape, 3, 180, 31);
+    let laps: Vec<Laplacian> =
+        shape.iter().map(|&d| Laplacian::from_similarity(tridiagonal_chain(d))).collect();
+    let chains: Vec<Option<&Laplacian>> = laps.iter().map(Some).collect();
+    let bits = |res: CompletionResult| -> (Vec<u64>, Vec<u64>) {
+        let factors = res.model.factors().iter().flat_map(|f| f.as_slice());
+        let rmse = res.trace.points.iter().map(|p| p.train_rmse);
+        (factors.map(|v| v.to_bits()).collect(), rmse.map(f64::to_bits).collect())
+    };
+    let host = |alpha: f64, laps: &[Option<&Laplacian>]| {
+        let cfg = AdmmConfig { alpha, eigen_k: 4, ..case_config(3) };
+        bits(AdmmSolver::new(cfg).unwrap().solve(&observed, laps).unwrap())
+    };
+    let cluster = |laps: &[Option<&Laplacian>]| {
+        let cl = Cluster::new(ClusterConfig::test(4).with_time_budget(None));
+        let cfg = AdmmConfig { alpha: 0.0, eigen_k: 4, ..case_config(3) };
+        bits(DisTenC::new(&cl, cfg).unwrap().solve(&observed, laps).unwrap())
+    };
+    assert_eq!(host(0.0, &chains), host(0.0, &[None; 3]), "host");
+    assert_eq!(cluster(&chains), cluster(&[None; 3]), "DisTenC on 4 machines");
+    // Not vacuous: at α > 0 the same graphs move the factors.
+    assert_ne!(host(2.0, &chains).0, host(2.0, &[None; 3]).0);
+}
+
 /// A measurement, not a gate: the oracle and the solver on the unplanted
 /// skewed tensor that makes the solver diverge (`distenc generate --kind
 /// skewed --dims 60,50,40 --nnz 20000 --seed 3`, then `complete --rank 4`).
